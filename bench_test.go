@@ -12,25 +12,12 @@
 package fedgpo
 
 import (
-	"context"
-	"encoding/json"
 	"fmt"
-	"net"
-	"os"
-	stdruntime "runtime"
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 
-	"fedgpo/internal/data"
-	"fedgpo/internal/device"
 	"fedgpo/internal/exp"
-	"fedgpo/internal/fl"
-	"fedgpo/internal/interfere"
-	"fedgpo/internal/netsim"
-	"fedgpo/internal/runtime"
-	"fedgpo/internal/workload"
 )
 
 // benchOpts is the shared benchmark scale.
@@ -185,398 +172,4 @@ func BenchmarkAblation_Beta(b *testing.B) {
 
 func BenchmarkAblation_ColdStart(b *testing.B) {
 	runExperiment(b, "abl-cold", nil)
-}
-
-// BenchmarkRuntimeSpeedup measures the parallel experiment runtime's
-// wall-clock wins, reported via b.ReportMetric so the perf trajectory
-// tracks them:
-//
-//   - speedup_x: the same batch of independent simulation cells
-//     executed on one worker versus all cores (cross-cell sharding).
-//     On a single-core machine the ratio is ~1 by construction.
-//   - inner_speedup_x: a single serial cell stream with per-round
-//     participant fan-out off versus on (intra-round parallelism),
-//     measured on a heavy 3000-participant stream — the regime where
-//     the PR 9 adaptive gate approves fan-out. On a single-CPU
-//     process the gate pins the inner path to the identical serial
-//     loop every round, so the ratio is 1 by construction and is
-//     reported as exactly 1.0 instead of timing the same loop twice.
-//   - fig11_seconds / pretrain_warmups: cold generation time of a
-//     comparison figure and how many FedGPO Q-table warm-ups it
-//     actually ran — the pretrained-controller cache shares one
-//     warm-up per scenario across every cell, seed and probe, which
-//     is the dominant fixed cost of the comparison figures.
-//   - warm_speedup_x: a 200-device sweep against a cold on-disk run
-//     cache versus a rerun over the populated cache (every cell
-//     replayed). The heavier fleet keeps cold simulation well above
-//     the warm path's per-cell decode cost now that the PR 9 kernel
-//     simulates small cells about as fast as their cache entries parse.
-//   - wire_bytes_per_cell / wire_v3_bytes_per_cell: what one of the
-//     sweep's cells costs on the wire under the v4 binary framing
-//     versus the v3 JSON framing, measured on the real request and
-//     response payloads (round histories included).
-//   - results_rss_bytes: the in-memory retention of recording the
-//     sweep's results in a buffered store — the bytes the streaming
-//     JSONL store keeps off the heap.
-//   - fleet_pretrain_runs / fleet_scenarios / affinity_hit_rate: a
-//     cold 2-endpoint fleet sweep of warm-FedGPO cells over S
-//     scenarios must execute exactly S Q-table warm-ups fleet-wide —
-//     the affinity router co-locates each scenario's cells, the
-//     per-process singleflight dedups within an endpoint, and wire v5
-//     ships the snapshot to any cell scheduled elsewhere. CI gates
-//     fleet_pretrain_runs == fleet_scenarios.
-//   - warm_ns_per_cell: the warm rerun's absolute per-cell cost —
-//     the cache plane's replay latency on its own scale, not hidden
-//     inside a ratio against cold simulation time.
-//   - cache_bytes_per_cell / json_cache_bytes_per_cell: what one of
-//     the sweep's cells costs on disk under the binary cache envelope
-//     versus the legacy JSON envelope, measured on the real results
-//     (round histories included). CI gates binary <= 0.6x JSON.
-//   - key_allocs_per_op: heap allocations of one warm-path key
-//     resolution (AppendKey into a reused buffer + in-place SHA-256 +
-//     shard placement). CI gates this at exactly zero.
-//   - sim_allocs_per_round / sim_ns_per_round: the simulation kernel
-//     itself — one warmed-arena cell run steady-state, heap
-//     allocations (ReadMemStats Mallocs delta, exact) and wall time
-//     per round. CI gates the allocation ceiling; since PR 9 the
-//     round loop is arena-backed and allocation-free in steady state.
-//
-// All sweep timings are min-of-N over interleaved passes, so a
-// background scheduling hiccup on one side cannot fake a regression
-// (or a win): inner_speedup_x >= 1.0 is CI-gated, and with the PR 9
-// adaptive gate the inner path falls back to the identical serial
-// loop whenever fan-out would not pay.
-//
-// With BENCH_JSON=<path> in the environment the reported metrics are
-// additionally written as a JSON artifact so CI can gate on the bench
-// trajectory (see .github/workflows/ci.yml).
-func BenchmarkRuntimeSpeedup(b *testing.B) {
-	s := exp.Ideal(workload.CNNMNIST())
-	s.Fleet.Size = 20
-	s.MaxRounds = 200
-	var params []fl.Params
-	for _, bb := range fl.BValues() {
-		for _, e := range fl.EValues() {
-			params = append(params, fl.Params{B: bb, E: e, K: 10})
-		}
-	}
-	sweep := func(parallel, inner int) time.Duration {
-		o := exp.Tiny()
-		o.Parallel = parallel
-		o.InnerParallel = inner
-		start := time.Now()
-		exp.SweepStatic(o, s, params, 1)
-		return time.Since(start)
-	}
-	// heavy is the inner-parallelism probe: a 3000-device fleet with
-	// every device participating each round, so the per-round
-	// participant loop carries enough work (~20ns/item memoized ×3000 ≈
-	// 60µs) that the adaptive gate approves fan-out on a multi-core
-	// host. Paper-scale rounds like s above never clear the gate's
-	// floor — serial and inner-on runs would execute the same code
-	// path, making the ratio pure timer noise.
-	sHeavy := exp.Ideal(workload.CNNMNIST())
-	sHeavy.Fleet.Size = 3000
-	sHeavy.MaxRounds = 100
-	heavyParams := []fl.Params{{B: 8, E: 5, K: 3000}, {B: 8, E: 10, K: 3000}, {B: 8, E: 20, K: 3000}}
-	heavy := func(inner int) time.Duration {
-		o := exp.Tiny()
-		o.Parallel = 1
-		o.InnerParallel = inner
-		start := time.Now()
-		exp.SweepStatic(o, sHeavy, heavyParams, 1)
-		return time.Since(start)
-	}
-	fig11 := func() (time.Duration, int) {
-		rt, err := exp.NewRuntime(0, "")
-		if err != nil {
-			b.Fatal(err)
-		}
-		o := exp.Tiny()
-		o.Seeds = []int64{1, 2}
-		start := time.Now()
-		exp.Fig11(o.WithRuntime(rt))
-		warmups, _ := rt.PretrainStats()
-		return time.Since(start), warmups
-	}
-	// The cache probe runs on a heavier fleet than s: per-round
-	// simulation cost scales with fleet size while a warm replay's cost
-	// (decoding the cached round history) does not, and since the PR 9
-	// arena/memo pass a 20-device cold cell simulates about as fast as
-	// its cache entry decodes — the ratio would no longer discriminate a
-	// broken warm path from an honest one. At 200 devices cold
-	// simulation dominates again.
-	sCache := s
-	sCache.Fleet.Size = 200
-	cached := func(dir string) time.Duration {
-		o := exp.Tiny()
-		o.CacheDir = dir
-		start := time.Now()
-		exp.SweepStatic(o, sCache, params, 1)
-		return time.Since(start)
-	}
-	// wireAndStore measures the data-plane metrics on the sweep's real
-	// cells: encode every request and its actual result both ways for
-	// bytes-per-cell (wire framing v3 vs v4, and cache envelope JSON vs
-	// binary), and record the results in a buffered store for the
-	// retention footprint the streaming store avoids.
-	wireAndStore := func() (v3, v4, rss, jsonCache, binCache float64) {
-		rt, err := exp.NewRuntime(0, "")
-		if err != nil {
-			b.Fatal(err)
-		}
-		jobs := make([]runtime.Job, len(params))
-		reqs := make([]runtime.WireRequest, len(params))
-		for i, p := range params {
-			sp := exp.JobSpec{Kind: exp.KindSim, Scenario: s,
-				Contender: exp.ContenderSpec{Type: exp.ContStatic, Name: "Fixed" + p.String(), Params: p}, Seed: 1}
-			jobs[i] = rt.Job(sp)
-			reqs[i] = runtime.WireRequest{Key: jobs[i].Key(), Spec: jobs[i].Payload}
-		}
-		results := runtime.NewPoolBackend(0).Run(jobs, nil)
-		resps := make([]runtime.WireResponse, len(results))
-		for i, r := range results {
-			resps[i] = runtime.WireResponse{Key: r.Key, Result: r}
-		}
-		v3, v4, err = runtime.WireBytesPerCell(reqs, resps, 8)
-		if err != nil {
-			b.Fatal(err)
-		}
-		jsonCache, binCache, err = runtime.CacheBytesPerCell(results)
-		if err != nil {
-			b.Fatal(err)
-		}
-		store := runtime.NewStore()
-		store.Add(results...)
-		return v3, v4, float64(store.RetainedBytes()), jsonCache, binCache
-	}
-	// keyAllocs measures the per-job canonical-key resolution the
-	// executor performs on the warm path — AppendKey into a reused
-	// buffer, SHA-256 in place, shard placement from the digest. CI
-	// gates this at exactly zero.
-	keyAllocs := func() float64 {
-		rt, err := exp.NewRuntime(1, "")
-		if err != nil {
-			b.Fatal(err)
-		}
-		job := rt.Job(exp.JobSpec{Kind: exp.KindSim, Scenario: s,
-			Contender: exp.ContenderSpec{Type: exp.ContStatic, Name: "Fixed" + params[0].String(), Params: params[0]}, Seed: 1})
-		buf := make([]byte, 0, 1024)
-		var sink int
-		allocs := testing.AllocsPerRun(200, func() {
-			buf = job.AppendKey(buf[:0])
-			sink = runtime.ShardOfHashed(runtime.HashKeyBytes(buf), 8)
-		})
-		_ = sink
-		return allocs
-	}
-	// fleetReuse runs a cold warm-FedGPO sweep over S scenarios against
-	// a 2-endpoint localhost fleet and reports how many Q-table
-	// warm-ups the whole fleet executed plus the router's hit rate.
-	fleetReuse := func() (pretrainRuns, scenarios, hitRate float64) {
-		w := workload.CNNMNIST()
-		build := func(f func(workload.Workload) exp.ScenarioSpec) exp.ScenarioSpec {
-			sc := f(w)
-			sc.Fleet.Size = 20
-			sc.MaxRounds = 60
-			return sc
-		}
-		scens := []exp.ScenarioSpec{build(exp.Ideal), build(exp.Realistic), build(exp.RealisticNonIID)}
-		var specs []exp.JobSpec
-		for _, sc := range scens {
-			for seed := int64(1); seed <= 4; seed++ {
-				specs = append(specs, exp.JobSpec{
-					Kind: exp.KindSim, Scenario: sc,
-					Contender: exp.FedGPOWarmContender(sc), Seed: seed,
-				})
-			}
-		}
-		var addrs []string
-		var shutdowns []func()
-		for i := 0; i < 2; i++ {
-			wrt, err := exp.NewRuntime(1, "")
-			if err != nil {
-				b.Fatal(err)
-			}
-			lis, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				b.Fatal(err)
-			}
-			ctx, cancel := context.WithCancel(context.Background())
-			errc := make(chan error, 1)
-			go func() {
-				errc <- runtime.Serve(ctx, lis, runtime.ServeConfig{
-					Capacity: 2,
-					Run: func(key string, spec json.RawMessage) runtime.Result {
-						sp, err := exp.DecodeJobSpec(spec)
-						if err != nil {
-							return runtime.Result{Key: key, Err: err.Error()}
-						}
-						return wrt.RunJob(wrt.Job(sp))
-					},
-					SetInner: wrt.SetInnerParallel,
-					Install:  wrt.InstallSnapshot,
-				})
-			}()
-			addrs = append(addrs, lis.Addr().String())
-			shutdowns = append(shutdowns, func() {
-				cancel()
-				if err := <-errc; err != nil {
-					b.Error(err)
-				}
-			})
-		}
-		cache, err := runtime.NewCache("")
-		if err != nil {
-			b.Fatal(err)
-		}
-		rt := exp.NewRuntimeWithBackend(runtime.NewProcBackend(runtime.ProcConfig{
-			Workers: addrs,
-		}), cache)
-		for _, r := range rt.RunSpecs(specs) {
-			if r.Err != "" {
-				b.Fatal(r.Err)
-			}
-		}
-		for _, stop := range shutdowns {
-			stop()
-		}
-		m := rt.Metrics()
-		var hits, placed int64
-		for _, ep := range m.Endpoints {
-			hits += ep.AffinityHits
-			placed += ep.AffinityHits + ep.AffinityMisses
-		}
-		if placed > 0 {
-			hitRate = float64(hits) / float64(placed)
-		}
-		return float64(m.Counters.PretrainRuns), float64(len(scens)), hitRate
-	}
-	// simKernel measures the round loop itself, isolated from the sweep
-	// substrate: one simulation cell on a pre-warmed arena, serial inner
-	// path (the gate's steady state for cells this size). Allocations
-	// come from the exact Mallocs delta, not sampling; time is
-	// min-of-N so the ns/round figure is the kernel's floor.
-	simKernel := func() (allocsPerRound, nsPerRound float64) {
-		w := workload.CNNMNIST()
-		fleet := device.NewFleet(device.PaperComposition().Scale(20))
-		cfg := fl.Config{
-			Workload:          w,
-			Fleet:             fleet,
-			Partition:         data.IID(len(fleet), w.NumClasses, w.SamplesPerDevice),
-			Channel:           netsim.StableChannel(),
-			Interference:      interfere.None(),
-			MaxRounds:         200,
-			Seed:              1,
-			StopAtConvergence: false,
-		}
-		p := fl.Params{B: 8, E: 10, K: 10}
-		a := fl.NewArena()
-		fl.RunWithArena(cfg, fl.NewStatic(p), a) // warm arena + memo tables
-		var m0, m1 stdruntime.MemStats
-		for pass := 0; pass < 5; pass++ {
-			ctrl := fl.NewStatic(p)
-			stdruntime.ReadMemStats(&m0)
-			start := time.Now()
-			res := fl.RunWithArena(cfg, ctrl, a)
-			d := time.Since(start)
-			stdruntime.ReadMemStats(&m1)
-			rounds := float64(res.RoundsExecuted)
-			apr := float64(m1.Mallocs-m0.Mallocs) / rounds
-			npr := float64(d.Nanoseconds()) / rounds
-			if pass == 0 || apr < allocsPerRound {
-				allocsPerRound = apr
-			}
-			if pass == 0 || npr < nsPerRound {
-				nsPerRound = npr
-			}
-		}
-		return allocsPerRound, nsPerRound
-	}
-	cores := stdruntime.GOMAXPROCS(0)
-	var serial, parallel, innerOff, innerOn, figTime, cold, warm time.Duration
-	warmups := 0
-	minD := func(acc *time.Duration, d time.Duration) {
-		if *acc == 0 || d < *acc {
-			*acc = d
-		}
-	}
-	for i := 0; i < b.N; i++ {
-		// Interleaved min-of-N: alternating the passes keeps slow ambient
-		// load from biasing one side of a ratio. The gated inner pair
-		// gets two extra passes because its win (~5-10% end-to-end: the
-		// fanned-out participant loop is a minority of a round next to
-		// the serial RNG state sampling) is closest to its CI floor.
-		for pass := 0; pass < 3; pass++ {
-			minD(&serial, sweep(1, 0))
-			minD(&parallel, sweep(0, 0))
-		}
-		if cores > 1 {
-			for pass := 0; pass < 5; pass++ {
-				minD(&innerOff, heavy(0))
-				minD(&innerOn, heavy(cores))
-			}
-		}
-		ft, w := fig11()
-		figTime += ft
-		warmups = w
-		// Cold fills a fresh on-disk cache; the warm rerun of the same
-		// sweep replays every cell from it.
-		dir := b.TempDir()
-		cold += cached(dir)
-		warm += cached(dir)
-	}
-	v3Bytes, v4Bytes, rssBytes, jsonCacheBytes, binCacheBytes := wireAndStore()
-	fleetRuns, fleetScens, hitRate := fleetReuse()
-	keyAllocsPerOp := keyAllocs()
-	simAllocs, simNs := simKernel()
-	// On one CPU the gate forbids fan-out, so inner-on and inner-off runs
-	// are byte-for-byte the same serial loop: the true ratio is 1.
-	innerSpeedup := 1.0
-	if cores > 1 {
-		innerSpeedup = innerOff.Seconds() / innerOn.Seconds()
-	}
-	metrics := map[string]float64{
-		"fleet_pretrain_runs":       fleetRuns,
-		"fleet_scenarios":           fleetScens,
-		"affinity_hit_rate":         hitRate,
-		"speedup_x":                 serial.Seconds() / parallel.Seconds(),
-		"inner_speedup_x":           innerSpeedup,
-		"fig11_seconds":             figTime.Seconds() / float64(b.N),
-		"pretrain_warmups":          float64(warmups),
-		"workers":                   float64(cores),
-		"warm_speedup_x":            cold.Seconds() / warm.Seconds(),
-		"warm_ns_per_cell":          float64(warm.Nanoseconds()) / float64(b.N*len(params)),
-		"wire_bytes_per_cell":       v4Bytes,
-		"wire_v3_bytes_per_cell":    v3Bytes,
-		"results_rss_bytes":         rssBytes,
-		"cache_bytes_per_cell":      binCacheBytes,
-		"json_cache_bytes_per_cell": jsonCacheBytes,
-		"key_allocs_per_op":         keyAllocsPerOp,
-		"sim_allocs_per_round":      simAllocs,
-		"sim_ns_per_round":          simNs,
-	}
-	for name, v := range metrics {
-		b.ReportMetric(v, name)
-	}
-	if path := os.Getenv("BENCH_JSON"); path != "" {
-		writeBenchJSON(b, path, "BenchmarkRuntimeSpeedup", metrics)
-	}
-}
-
-// writeBenchJSON emits a benchmark's reported metrics as a JSON
-// artifact (no timestamps — the CI run carries provenance) so the
-// perf trajectory can be archived and regression-gated.
-func writeBenchJSON(b *testing.B, path, bench string, metrics map[string]float64) {
-	b.Helper()
-	out, err := json.MarshalIndent(struct {
-		Bench   string             `json:"bench"`
-		Metrics map[string]float64 `json:"metrics"`
-	}{bench, metrics}, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
-		b.Fatal(err)
-	}
 }

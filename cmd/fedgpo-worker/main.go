@@ -2,8 +2,8 @@
 // coordinator (-backend=procs / -workers on the fedgpo CLIs). It
 // speaks the runtime package's wire protocol — a hello frame
 // advertising protocol version, cache-key scheme, capacity and cache
-// directory, then one JSON WireResponse per WireRequest, in request
-// order — over one of two transports:
+// directory, then one response frame per request of each batched
+// request frame, in request order — over one of two transports:
 //
 //   - stdio (default): one session on stdin/stdout, normally spawned
 //     by a coordinator, one subprocess per local session;
@@ -20,8 +20,7 @@
 // fine — the coordinator persists those results itself. The worker
 // never prunes the cache; eviction is the coordinator's startup job.
 //
-// Under protocol v5 the worker also participates in fleet-wide
-// pretrain-snapshot reuse: a cell that builds a fresh
+// The worker also participates in fleet-wide pretrain-snapshot reuse: a cell that builds a fresh
 // pretrained-controller snapshot returns the serialized artifact with
 // its response, and coordinator-pushed artifacts (WireRequest.Snaps)
 // are installed into the pool's pretrain cache so co-scheduled warm

@@ -53,11 +53,6 @@ type RuntimeFlags struct {
 	Workers string
 	// WorkerBin overrides the fedgpo-worker binary location.
 	WorkerBin string
-	// Route selects the procs-backend dispatch policy: "affinity"
-	// (capacity-weighted pretrain-key routing with work-stealing
-	// fallback, the default) or "pull" (pure pull-order work queue).
-	// Results are byte-identical either way.
-	Route string
 	// ListScenarios requests the scenario-preset listing and exit.
 	ListScenarios bool
 	// MetricsOut, when set, writes the runtime's telemetry snapshot
@@ -84,8 +79,6 @@ func Register(fs *flag.FlagSet) *RuntimeFlags {
 		"comma-separated host:port TCP worker pools (fedgpo-worker -listen) to dispatch cells to; implies -backend=procs, mixable with local -procs")
 	fs.StringVar(&f.WorkerBin, "worker-bin", "",
 		"fedgpo-worker binary for -backend=procs (default: next to this binary, then $PATH)")
-	fs.StringVar(&f.Route, "route", "affinity",
-		"procs-backend dispatch policy: affinity (group cells by pretrain key onto capacity-weighted endpoints, steal to drain stragglers) or pull (pure pull-order queue); results are byte-identical either way")
 	fs.BoolVar(&f.ListScenarios, "list-scenarios", false,
 		"print the scenario presets and their resolved spec JSON, then exit")
 	fs.StringVar(&f.MetricsOut, "metrics-out", "",
@@ -117,11 +110,6 @@ func (f *RuntimeFlags) HandleListScenarios(w io.Writer) bool {
 // cache (pruned to the byte budget), execution backend, and inner
 // worker budget.
 func (f *RuntimeFlags) Runtime() (*exp.Runtime, error) {
-	switch f.Route {
-	case "", "affinity", "pull":
-	default:
-		return nil, fmt.Errorf("cli: unknown -route %q (valid: affinity, pull)", f.Route)
-	}
 	cache, err := runtime.NewCache(f.CacheDir)
 	if err != nil {
 		return nil, err
@@ -166,7 +154,6 @@ func (f *RuntimeFlags) Runtime() (*exp.Runtime, error) {
 			Workers:       remotes,
 			CacheDir:      f.CacheDir,
 			InnerParallel: f.InnerParallel,
-			Route:         f.Route,
 		})
 	default:
 		return nil, fmt.Errorf("cli: unknown backend %q (valid: %s, %s)", f.Backend, BackendPool, BackendProcs)

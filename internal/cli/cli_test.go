@@ -190,28 +190,9 @@ func TestRuntimeBuildsProcs(t *testing.T) {
 	}
 }
 
-// -route defaults to affinity, accepts pull, and anything else is
-// rejected before the runtime is built.
-func TestRouteFlagParsesAndValidates(t *testing.T) {
-	if f := parse(t); f.Route != "affinity" {
-		t.Errorf("route default = %q, want affinity", f.Route)
-	}
-	for _, route := range []string{"affinity", "pull"} {
-		rt, err := parse(t, "-route", route, "-workers", "127.0.0.1:9331").Runtime()
-		if err != nil {
-			t.Fatalf("-route=%s rejected: %v", route, err)
-		}
-		_ = rt
-	}
-	if _, err := parse(t, "-route", "random").Runtime(); err == nil ||
-		!strings.Contains(err.Error(), `unknown -route "random"`) {
-		t.Errorf("-route=random error = %v, want unknown -route", err)
-	}
-}
-
 // EndpointLine appends the scheduling view — affinity hit rate, stolen
 // jobs, pushed snapshot bytes — only when the router actually placed
-// work there, so pull-route and pool-backend summaries are unchanged.
+// work there, so pool-backend and unkeyed-batch summaries are unchanged.
 func TestEndpointLineSchedulingColumns(t *testing.T) {
 	base := runtime.EndpointStats{Endpoint: "tcp:10.0.0.5:9331", Dispatched: 12, Retried: 1}
 	if line := EndpointLine(base); strings.Contains(line, "affinity") || strings.Contains(line, "snaps") {

@@ -60,7 +60,7 @@ type Runtime struct {
 	// process built from scratch, keyed by pretrain key and guarded by
 	// pretrainMu. Each artifact is taken exactly once, by the first
 	// finished job sharing the key (attachBuiltSnapshot), which carries
-	// it back to the coordinator over wire v5.
+	// it back to the coordinator over the wire.
 	builtSnaps map[string]json.RawMessage
 }
 
@@ -91,10 +91,10 @@ func NewRuntime(parallel int, cacheDir string) (*Runtime, error) {
 
 // NewRuntimeWithBackend builds a runtime on an explicit execution
 // backend and cache — the constructor behind the CLIs' -backend flag.
-// With a ProcBackend the batch is partitioned by canonical key across
-// worker subprocesses; sharing the cache's directory with the workers
-// gives run results and pretrained-controller snapshots one home, so
-// hit semantics match the pool backend's exactly.
+// With a runtime.Coordinator the batch runs across worker processes;
+// sharing the cache's directory with the workers gives run results and
+// pretrained-controller snapshots one home, so hit semantics match the
+// pool backend's exactly.
 func NewRuntimeWithBackend(b runtime.Backend, cache *runtime.Cache) *Runtime {
 	r := &Runtime{
 		exec:      runtime.NewExecutorBackend(b, cache),
@@ -115,7 +115,7 @@ func NewRuntimeWithBackend(b runtime.Backend, cache *runtime.Cache) *Runtime {
 		bc.SetCollector(r.col)
 	}
 	// A coordinator backend additionally gets the run cache so worker-
-	// returned pretrain snapshots (wire v5) persist under their own keys
+	// returned pretrain snapshots persist under their own keys
 	// and re-ship fleet-wide.
 	if bc, ok := b.(interface {
 		SetCache(*runtime.Cache)
@@ -287,7 +287,7 @@ func (r *Runtime) pretrainedSnapshot(s ScenarioSpec, cfg core.Config, warmSeed i
 			r.pretrainRuns.Add(1)
 			_ = r.cache.Put(key, snap)
 			// Keep the serialized artifact so the first finished job
-			// sharing this key can carry it to the coordinator (wire v5)
+			// sharing this key can carry it to the coordinator over the wire
 			// for fleet-wide reuse. The bytes match the cache payload
 			// exactly, so a coordinator persisting them writes the entry
 			// this process would have.
@@ -343,7 +343,7 @@ func (r *Runtime) attachBuiltSnapshot(sp JobSpec, res *runtime.Result) {
 }
 
 // InstallSnapshot installs a coordinator-shipped pretrained-controller
-// artifact (wire v5, WireRequest.Snaps) into this runtime's pretrain
+// artifact (WireRequest.Snaps) into this runtime's pretrain
 // singleflight and run cache, so a cell needing key deserializes it
 // instead of re-running the warm-up. An entry this process already
 // resolved wins — the shipped copy is byte-identical by construction,

@@ -329,8 +329,8 @@ func (r *Runtime) Execute(sp JobSpec) runtime.Result {
 		panic("exp: unknown job kind " + sp.Kind)
 	}
 	// If this job's warm-up built a fresh pretrain snapshot, the first
-	// result sharing its key carries the artifact out (wire v5 ships it
-	// fleet-wide). Observational only: Sim bytes are untouched.
+	// result sharing its key carries the artifact out (the coordinator ships
+	// it fleet-wide). Observational only: Sim bytes are untouched.
 	r.attachBuiltSnapshot(sp, &res)
 	return res
 }
@@ -445,7 +445,7 @@ func fedgpoWarmContender(s ScenarioSpec) ContenderSpec {
 // FedGPOWarmContender exposes the warm-started FedGPO contender to
 // external harnesses (the repo's benchmark suite) that assemble
 // explicit JobSpecs — the contender whose per-scenario warm-up the
-// affinity router co-locates and whose snapshot wire v5 ships.
+// affinity router co-locates and whose snapshot the coordinator ships.
 func FedGPOWarmContender(s ScenarioSpec) ContenderSpec {
 	return fedgpoWarmContender(s)
 }

@@ -2,6 +2,7 @@ package fl
 
 import (
 	"encoding/json"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -72,6 +73,40 @@ func TestRunWithDirtyArenaByteIdentical(t *testing.T) {
 
 	if got := marshalStable(t, Run(cfg, ctrl())); got != want {
 		t.Error("pooled-arena Run differs from a fresh-arena run")
+	}
+}
+
+// TestRunWithArenaAllocsPerRound is the kernel's allocation ceiling: on
+// a warmed arena a cell's round loop is allocation-free in steady
+// state (~0.1 allocs/round, per-run fixed costs amortized over 200
+// rounds). The 2.0 ceiling fails a change that adds two or more heap
+// allocations per round while leaving room for per-run noise. Mallocs
+// is a process-wide counter, so the measurement is the minimum over a
+// few passes.
+func TestRunWithArenaAllocsPerRound(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	cfg := testConfig()
+	cfg.MaxRounds = 200
+	cfg.StopAtConvergence = false
+	p := Params{B: 8, E: 10, K: 10}
+	a := NewArena()
+	RunWithArena(cfg, NewStatic(p), a) // warm the arena and memo tables
+	best := -1.0
+	for pass := 0; pass < 5; pass++ {
+		ctrl := NewStatic(p)
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		res := RunWithArena(cfg, ctrl, a)
+		runtime.ReadMemStats(&m1)
+		perRound := float64(m1.Mallocs-m0.Mallocs) / float64(res.RoundsExecuted)
+		if best < 0 || perRound < best {
+			best = perRound
+		}
+	}
+	if best > 2.0 {
+		t.Errorf("warmed-arena run allocates %.2f objects per round, want <= 2.0", best)
 	}
 }
 

@@ -21,8 +21,7 @@ type affGroup struct {
 	touched bool
 }
 
-// affinityQueue is the affinity-aware dispatcher (-route=affinity, the
-// default). At construction it groups the batch by Job.Affinity and
+// affinityQueue is the coordinator's dispatcher. At construction it groups the batch by Job.Affinity and
 // assigns each group a home endpoint — capacity-weighted, least-loaded
 // tiebreak (assignGroups) — while jobs with no affinity key go to a
 // shared overflow FIFO that any endpoint drains. pop(ep) serves an
@@ -40,8 +39,9 @@ type affGroup struct {
 //
 // When none of that is eligible the session blocks until a snapshot
 // arrives (wake), an endpoint dies (endpointDone), work is requeued,
-// or the batch finishes. Placement is the only thing this changes:
-// results stay byte-identical to pull-order dispatch.
+// or the batch finishes. A batch with no affinity keys degrades to a
+// plain pull-order work queue. Placement is the only thing this
+// changes: results are byte-identical wherever a cell runs.
 type affinityQueue struct {
 	mu   sync.Mutex
 	cond *sync.Cond
@@ -63,7 +63,8 @@ type affinityQueue struct {
 
 // newAffinityQueue builds the dispatcher for one batch. jobs is the
 // full batch (indexed by the values in idxs); caps are the endpoints'
-// session capacities as currently known.
+// session capacities as currently known, and must name at least one
+// endpoint (the coordinator answers an empty fleet without a queue).
 func newAffinityQueue(jobs []Job, idxs []int, caps []int, hasSnap func(string) bool) *affinityQueue {
 	q := &affinityQueue{
 		byEp:      make([][]*affGroup, len(caps)),
@@ -168,12 +169,6 @@ func (q *affinityQueue) pop(ep int) (int, bool) {
 // popOwn serves ep from its own groups, then from overflow. Called
 // with mu held.
 func (q *affinityQueue) popOwn(ep int) (int, bool) {
-	if ep < 0 || ep >= len(q.byEp) {
-		ep = 0
-		if len(q.byEp) == 0 {
-			return q.popOverflow(ep)
-		}
-	}
 	for _, g := range q.byEp[ep] {
 		if g.home != ep || len(g.jobs) == 0 {
 			continue // migrated away, or drained
@@ -194,7 +189,7 @@ func (q *affinityQueue) popOverflow(ep int) (int, bool) {
 	}
 	i := q.overflow[0]
 	q.overflow = q.overflow[1:]
-	if a := q.affinity[i]; a != "" && ep >= 0 && ep < len(q.tallies) {
+	if a := q.affinity[i]; a != "" {
 		if q.homeOf[a] == ep {
 			q.tallies[ep].affinityHits++
 		} else {
@@ -207,9 +202,6 @@ func (q *affinityQueue) popOverflow(ep int) (int, bool) {
 // popSteal takes work planned for another endpoint, in the order that
 // preserves the one-warm-up-per-group guarantee. Called with mu held.
 func (q *affinityQueue) popSteal(ep int) (int, bool) {
-	if ep < 0 || ep >= len(q.byEp) {
-		return -1, false
-	}
 	// 1. Adopt whole groups stranded on endpoints with no live
 	// sessions. Touched or not — nobody else will run them.
 	for _, g := range q.groups {
@@ -322,9 +314,7 @@ func (q *affinityQueue) wake() { q.cond.Broadcast() }
 // become adoptable by the rest of the fleet.
 func (q *affinityQueue) endpointDone(ep int) {
 	q.mu.Lock()
-	if ep >= 0 && ep < len(q.active) {
-		q.active[ep] = false
-	}
+	q.active[ep] = false
 	q.mu.Unlock()
 	q.cond.Broadcast()
 }
@@ -333,8 +323,5 @@ func (q *affinityQueue) endpointDone(ep int) {
 func (q *affinityQueue) stats(ep int) queueStats {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if ep < 0 || ep >= len(q.tallies) {
-		return queueStats{}
-	}
 	return q.tallies[ep]
 }

@@ -146,18 +146,23 @@ func TestAffinityCoLocatesGroups(t *testing.T) {
 // An idle endpoint must steal a straggler's untouched groups — whole,
 // so no warm-up is split — and no job may execute twice in the
 // process. The schedule is pinned by handshake rather than sleeps so
-// it holds under race-detector load: the straggler blocks inside its
-// first cell (its group is now touched) while the fast endpoint — which
-// may not finish anything before the straggler has started — drains
-// its own six cells, adopts the one untouched group, and only then
-// releases the straggler to finish its touched group.
+// it holds under race-detector load: the straggler blocks inside the
+// first cell of its first frame (its group is now touched) while the
+// fast endpoint — which may not finish anything before the straggler
+// has started — drains its own two groups, adopts the one untouched
+// group, and only then releases the straggler to finish its touched
+// group.
 func TestAffinityStragglerGroupsStolenWithoutDoubleExecution(t *testing.T) {
+	// Each group exactly fills one request frame (the batch's fair share
+	// exceeds the frame cap), so the straggler's first frame holds its
+	// first group and nothing of its second.
+	const group = maxSpecsPerFrame
 	slowStarted := make(chan struct{})
 	release := make(chan struct{})
 	var fastRan, slowRan int64
 	fast := newFakeTransport("fake:fast", 1, func(_ int, req WireRequest) (WireResponse, error) {
 		<-slowStarted
-		if atomic.AddInt64(&fastRan, 1) == 9 {
+		if atomic.AddInt64(&fastRan, 1) == 3*group {
 			close(release)
 		}
 		return okResponse(req)
@@ -169,15 +174,14 @@ func TestAffinityStragglerGroupsStolenWithoutDoubleExecution(t *testing.T) {
 		}
 		return okResponse(req)
 	})
-	// Four 3-job groups over caps [1,1] place g0,g2 on fast and g1,g3
-	// on slow; fast drains its six cells, then adopts the untouched
-	// slow-homed group while slow is still inside its first. The two
-	// singles left in slow's touched group are snapshot-gated (no
-	// coordinator snapshot here), so fast cannot split that warm-up and
-	// the final dispatch split is exactly 9/3.
-	jobs := make([]Job, 12)
+	// Four groups over caps [1,1] place g0,g2 on fast and g1,g3 on
+	// slow; fast drains its two groups, then adopts the untouched
+	// slow-homed group while slow is still inside its first frame. The
+	// rest of slow's touched group is in that frame, so fast cannot split
+	// that warm-up and the final dispatch split is exactly 3:1 groups.
+	jobs := make([]Job, 4*group)
 	for i := range jobs {
-		jobs[i] = affJob(i, fmt.Sprintf("g%d", i/3))
+		jobs[i] = affJob(i, fmt.Sprintf("g%d", i/group))
 	}
 	c := NewCoordinator(ProcConfig{}, fast, slow)
 	for i, r := range c.Run(jobs, nil) {
@@ -193,11 +197,11 @@ func TestAffinityStragglerGroupsStolenWithoutDoubleExecution(t *testing.T) {
 	}
 	// EndpointStats sorts by name: "fake:fast" first, "fake:slow" second.
 	st := c.EndpointStats()
-	if st[0].Stolen != 3 {
-		t.Errorf("fast endpoint stole %d jobs, want the straggler's untouched 3-job group", st[0].Stolen)
+	if st[0].Stolen != group {
+		t.Errorf("fast endpoint stole %d jobs, want the straggler's untouched %d-job group", st[0].Stolen, group)
 	}
-	if st[0].Dispatched != 9 || st[1].Dispatched != 3 {
-		t.Errorf("dispatch split %d/%d, want 9/3 (fast absorbed the untouched group)", st[0].Dispatched, st[1].Dispatched)
+	if st[0].Dispatched != 3*group || st[1].Dispatched != group {
+		t.Errorf("dispatch split %d/%d, want %d/%d (fast absorbed the untouched group)", st[0].Dispatched, st[1].Dispatched, 3*group, group)
 	}
 }
 
@@ -248,41 +252,6 @@ func TestAffinityQueueSnapshotGatesSingleSteal(t *testing.T) {
 	qs := q.stats(1)
 	if qs.stolen != 1 || qs.affinityMisses != 1 {
 		t.Errorf("thief tally = %+v, want 1 stolen / 1 miss", qs)
-	}
-}
-
-// -route=affinity and -route=pull must produce identical results on
-// the same fleet: routing changes placement, never bytes.
-func TestRouteAffinityAndPullByteIdentical(t *testing.T) {
-	build := func() []Job {
-		jobs := make([]Job, 12)
-		for i := range jobs {
-			a := ""
-			if i < 8 {
-				a = fmt.Sprintf("k%d", i/4)
-			}
-			jobs[i] = affJob(i, a)
-		}
-		return jobs
-	}
-	run := func(route string) []Result {
-		c := NewCoordinator(ProcConfig{Route: route},
-			newFakeTransport("fake:a", 2, func(_ int, req WireRequest) (WireResponse, error) { return okResponse(req) }),
-			newFakeTransport("fake:b", 1, func(_ int, req WireRequest) (WireResponse, error) { return okResponse(req) }))
-		return c.Run(build(), nil)
-	}
-	affinity, pull := run("affinity"), run("pull")
-	if !reflect.DeepEqual(affinity, pull) {
-		t.Errorf("routes diverged:\n--- affinity ---\n%+v\n--- pull ---\n%+v", affinity, pull)
-	}
-	// Pull-order keeps the PR 5 semantics: no affinity accounting at all.
-	c := NewCoordinator(ProcConfig{Route: "pull"},
-		newFakeTransport("fake:a", 2, func(_ int, req WireRequest) (WireResponse, error) { return okResponse(req) }))
-	c.Run(build(), nil)
-	for _, ep := range c.EndpointStats() {
-		if ep.AffinityHits != 0 || ep.AffinityMisses != 0 || ep.Stolen != 0 {
-			t.Errorf("pull route recorded scheduling tallies: %+v", ep)
-		}
 	}
 }
 
@@ -353,7 +322,7 @@ func tcpServeSnaps(t *testing.T, installs *sync.Map) (addr string, shutdown func
 	}
 }
 
-// Wire v5 end to end: a worker-built snapshot artifact returns with
+// Snapshot shipping end to end: a worker-built snapshot artifact returns with
 // its response, the coordinator pools and persists it under its own
 // cache key, and a later batch for the same affinity key pre-pushes
 // the artifact to a worker process not known to hold it — metered in

@@ -10,7 +10,7 @@ import (
 // Executor owns cache lookups, cache writes, statistics and progress;
 // a backend only decides where and with what parallelism the job
 // bodies run — in-process goroutines (PoolBackend) or worker
-// subprocesses (ProcBackend).
+// processes behind a Coordinator.
 type Backend interface {
 	// Run executes jobs and returns their results in job order:
 	// results[i] belongs to jobs[i] regardless of scheduling. A job

@@ -13,16 +13,6 @@ import (
 	"fedgpo/internal/telemetry"
 )
 
-// envelope is the legacy on-disk cache entry: a JSON object carrying
-// the canonical key next to the payload. New entries are written as
-// binary envelopes (see cachecodec.go); this layout survives only as a
-// read-fallback so cache directories produced by earlier versions stay
-// warm, and entries it serves are migrated to the binary format.
-type envelope struct {
-	Key     string          `json:"key"`
-	Payload json.RawMessage `json:"payload"`
-}
-
 // DefaultPayloadCacheBytes is the byte cap on the decoded-payload
 // layer: large enough to hold every snapshot and trace artifact a
 // paper-scale sweep re-reads, small enough that a report over a
@@ -31,18 +21,17 @@ const DefaultPayloadCacheBytes = 64 << 20
 
 // lookup source classes, in priority order of the read path.
 const (
-	srcMiss    = iota // no entry in any layer or format
+	srcMiss    = iota // no entry in any layer
 	srcMem     = iota // memory-only mode map hit
 	srcPayload = iota // decoded-payload layer hit (no disk read)
-	srcDisk    = iota // envelope read from disk (either format)
+	srcDisk    = iota // envelope read from disk
 	srcCorrupt = iota // a file existed but failed validation; discarded
 )
 
 // Cache is the content-addressed run cache. Without a directory it
 // keeps payloads in an in-memory map of key-hash to JSON; with one,
-// entries live in <dir>/<hash>.binz binary envelopes (legacy
-// <dir>/<hash>.json entries remain readable and are migrated on hit).
-// Disk hits pass through a byte-capped decoded-payload LRU so cells
+// entries live in <dir>/<hash>.binz binary envelopes; any other file
+// in the directory is foreign and never read. Disk hits pass through a byte-capped decoded-payload LRU so cells
 // re-read within one run cost one file read, and LRU mtime touches are
 // queued and coalesced off the hit path (flushed at executor shutdown,
 // Prune, or asynchronously past a threshold). It is safe for
@@ -123,10 +112,8 @@ func (c *Cache) GetHashed(key, hash string, v any) bool {
 }
 
 // get is Get's lookup body; the returned source classifies which layer
-// served the read (or how it failed). The disk read path is: decoded-
-// payload layer, then the binary envelope, then the legacy JSON
-// envelope — a legacy hit is migrated to the binary format in place so
-// a pre-existing directory converges to one format as it is re-read.
+// served the read (or how it failed). The disk read path is the
+// decoded-payload layer, then the binary envelope.
 func (c *Cache) get(key, hash string, v any) int {
 	if c.dir == "" {
 		c.mu.RLock()
@@ -155,36 +142,18 @@ func (c *Cache) get(key, hash string, v any) int {
 		c.payloads.drop(hash)
 		c.payloadMu.Unlock()
 	}
-	if b, err := os.ReadFile(c.path(hash)); err == nil {
-		// A corrupted or foreign file — truncated, wrong magic, an
-		// envelope whose key does not match (hash collision) — is a
-		// miss, not an error: the cell just re-runs.
-		payload, ok := decodeBinaryEnvelope(b, key)
-		if !ok || !c.unmarshalPayload(payload, v) {
-			return srcCorrupt
-		}
-		c.cachePayload(hash, payload)
-		c.queueTouch(hash)
-		return srcDisk
-	}
-	b, err := os.ReadFile(c.legacyPath(hash))
+	b, err := os.ReadFile(c.path(hash))
 	if err != nil {
 		return srcMiss
 	}
-	var env envelope
-	if json.Unmarshal(b, &env) != nil || env.Key != key {
+	// A corrupted or foreign file — truncated, wrong magic, an envelope
+	// whose key does not match (hash collision) — is a miss, not an
+	// error: the cell just re-runs.
+	payload, ok = decodeBinaryEnvelope(b, key)
+	if !ok || !c.unmarshalPayload(payload, v) {
 		return srcCorrupt
 	}
-	if !c.unmarshalPayload(env.Payload, v) {
-		return srcCorrupt
-	}
-	// Migrate the entry: publish the binary envelope, then retire the
-	// legacy file. Both steps are best effort — a failed write leaves
-	// the legacy entry serving reads exactly as before.
-	if c.writeBinary(key, hash, env.Payload) == nil {
-		_ = os.Remove(c.legacyPath(hash))
-	}
-	c.cachePayload(hash, env.Payload)
+	c.cachePayload(hash, payload)
 	c.queueTouch(hash)
 	return srcDisk
 }
@@ -238,8 +207,8 @@ func (c *Cache) FlushTouches() int {
 // Prune enforces a byte budget on the on-disk cache: entries are
 // removed oldest-mtime-first until the surviving total is at most
 // maxBytes, and orphaned put-* temp files (writers killed mid-publish)
-// are cleared. Both envelope formats count against the budget and
-// compete in the same mtime order. Queued touches are flushed first,
+// are cleared; files without the .binz extension are foreign and left
+// alone. Queued touches are flushed first,
 // so mtime order is LRU order over every recorded use; removed hashes
 // are also dropped from the decoded-payload layer so an evicted entry
 // cannot be served from memory. It returns the number of entries
@@ -276,8 +245,7 @@ func (c *Cache) Prune(maxBytes int64) (int, error) {
 			_ = os.Remove(filepath.Join(c.dir, de.Name()))
 			continue
 		}
-		ext := filepath.Ext(de.Name())
-		if ext != binExt && ext != legacyExt {
+		if filepath.Ext(de.Name()) != binExt {
 			continue
 		}
 		info, err := de.Info()
@@ -286,7 +254,7 @@ func (c *Cache) Prune(maxBytes int64) (int, error) {
 		}
 		entries = append(entries, entry{
 			path:  filepath.Join(c.dir, de.Name()),
-			hash:  strings.TrimSuffix(de.Name(), ext),
+			hash:  strings.TrimSuffix(de.Name(), binExt),
 			mtime: info.ModTime(),
 			size:  info.Size(),
 		})
@@ -336,13 +304,8 @@ func (c *Cache) PutHashed(key, hash string, v any) error {
 	c.payloadMu.Lock()
 	c.payloads.drop(hash)
 	c.payloadMu.Unlock()
-	return c.writeBinary(key, hash, payload)
-}
-
-// writeBinary publishes a binary envelope for (key, payload)
-// atomically: a concurrent reader sees either nothing or the complete
-// entry, never a torn write.
-func (c *Cache) writeBinary(key, hash string, payload []byte) error {
+	// Publish atomically: a concurrent reader sees either nothing or the
+	// complete entry, never a torn write.
 	b, err := encodeBinaryEnvelope(key, payload)
 	if err != nil {
 		return err
@@ -365,8 +328,4 @@ func (c *Cache) writeBinary(key, hash string, payload []byte) error {
 
 func (c *Cache) path(hash string) string {
 	return filepath.Join(c.dir, hash+binExt)
-}
-
-func (c *Cache) legacyPath(hash string) string {
-	return filepath.Join(c.dir, hash+legacyExt)
 }

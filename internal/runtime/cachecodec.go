@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"container/list"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"os"
 	"sync"
@@ -20,13 +19,8 @@ import (
 // that parses.
 const cacheMagic = "FGC1"
 
-// binExt and legacyExt are the two on-disk envelope formats: binary
-// entries are written by default, legacy JSON entries remain readable
-// (and are migrated on hit) so pre-existing -cachedirs stay warm.
-const (
-	binExt    = ".binz"
-	legacyExt = ".json"
-)
+// binExt is the extension of every cache entry on disk.
+const binExt = ".binz"
 
 // maxCacheKeyLen bounds the clear-text key header of a binary entry,
 // so a corrupt length prefix can never drive a large allocation. Real
@@ -87,36 +81,6 @@ func decodeBinaryEnvelope(b []byte, wantKey string) (payload []byte, ok bool) {
 		return nil, false
 	}
 	return payload, true
-}
-
-// CacheBytesPerCell measures what one cached result costs on disk
-// under the binary envelope codec versus the legacy JSON envelope,
-// averaged over the given results — the bench meter behind the
-// cache_bytes_per_cell / json_cache_bytes_per_cell trajectory metrics
-// (CI gates binary <= 0.6x JSON).
-func CacheBytesPerCell(results []Result) (jsonBytes, binBytes float64, err error) {
-	if len(results) == 0 {
-		return 0, 0, nil
-	}
-	var jsonTotal, binTotal int
-	for _, r := range results {
-		payload, err := json.Marshal(r)
-		if err != nil {
-			return 0, 0, err
-		}
-		env, err := json.Marshal(envelope{Key: r.Key, Payload: payload})
-		if err != nil {
-			return 0, 0, err
-		}
-		bin, err := encodeBinaryEnvelope(r.Key, payload)
-		if err != nil {
-			return 0, 0, err
-		}
-		jsonTotal += len(env)
-		binTotal += len(bin)
-	}
-	n := float64(len(results))
-	return float64(jsonTotal) / n, float64(binTotal) / n, nil
 }
 
 // payloadLRU is the in-process decoded-payload layer: a byte-capped
@@ -243,9 +207,8 @@ func (t *toucher) pendingLen() int {
 }
 
 // flushTouches applies every pending mtime touch now and returns the
-// number of entries touched. Entries are touched in whichever format
-// currently holds them (binary first, then legacy); files removed
-// since the touch was queued are skipped silently.
+// number of entries touched. Files removed since the touch was queued
+// are skipped silently.
 func (c *Cache) flushTouches() int {
 	pending := c.touch.drain()
 	if len(pending) == 0 {
@@ -255,10 +218,6 @@ func (c *Cache) flushTouches() int {
 	touched := 0
 	for hash := range pending {
 		if os.Chtimes(c.path(hash), now, now) == nil {
-			touched++
-			continue
-		}
-		if os.Chtimes(c.legacyPath(hash), now, now) == nil {
 			touched++
 		}
 	}

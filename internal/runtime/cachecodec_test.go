@@ -3,10 +3,8 @@ package runtime
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"os"
 	"path/filepath"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -65,7 +63,7 @@ func FuzzDecodeBinaryEnvelope(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("FGC1"))
 	f.Add([]byte("FGC1\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff"))
-	f.Add([]byte(`{"key":"` + key + `","payload":{}}`)) // legacy JSON bytes
+	f.Add([]byte(`{"key":"` + key + `","payload":{}}`)) // a foreign JSON file
 	foreign, _ := encodeBinaryEnvelope("other", []byte(`{}`))
 	f.Add(foreign)
 	f.Fuzz(func(t *testing.T, b []byte) {
@@ -134,150 +132,71 @@ func TestKeyResolutionZeroAllocs(t *testing.T) {
 	_ = shard
 }
 
-// A cache directory written by the legacy JSON codec must serve a warm
-// rerun hit-only (zero sims), and every entry the rerun reads must be
-// migrated in place to the binary format.
-func TestLegacyJSONCacheWarmsAndMigrates(t *testing.T) {
-	dir := t.TempDir()
-	cache, err := NewCache(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var runs atomic.Int64
-	jobs := make([]Job, 4)
-	for i := range jobs {
-		i := i
-		jobs[i] = Job{Kind: "sim", Scenario: fmt.Sprintf("legacy-%d", i), Seed: int64(i), Run: func() Result {
-			runs.Add(1)
-			return Result{Sim: fl.Result{PPW: float64(i) + 0.5}}
-		}}
-	}
-	if NewExecutor(2, cache).RunAll(jobs); runs.Load() != int64(len(jobs)) {
-		t.Fatalf("cold run executed %d cells, want %d", runs.Load(), len(jobs))
-	}
-	// Rewrite every entry as the legacy JSON envelope an older build
-	// would have left behind.
-	for _, j := range jobs {
-		hash := j.Hash()
-		b, err := os.ReadFile(filepath.Join(dir, hash+binExt))
-		if err != nil {
-			t.Fatal(err)
-		}
-		payload, ok := decodeBinaryEnvelope(b, j.Key())
-		if !ok {
-			t.Fatal("cold entry did not decode")
-		}
-		legacy, err := json.Marshal(envelope{Key: j.Key(), Payload: payload})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, hash+legacyExt), legacy, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.Remove(filepath.Join(dir, hash+binExt)); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	warmCache, err := NewCache(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	col := telemetry.NewCollector()
-	warmCache.SetCollector(col)
-	e := NewExecutor(2, warmCache)
-	results := e.RunAll(jobs)
-	if runs.Load() != int64(len(jobs)) {
-		t.Errorf("warm rerun executed %d extra cells, want 0", runs.Load()-int64(len(jobs)))
-	}
-	for i, r := range results {
-		if !r.Cached || r.Sim.PPW != float64(i)+0.5 {
-			t.Errorf("result %d not served from legacy cache: %+v", i, r)
-		}
-	}
-	c := col.Snapshot().Counters
-	if c.CacheDiskHits != int64(len(jobs)) || c.CacheMisses != 0 || c.CacheCorrupt != 0 {
-		t.Errorf("warm counters = %d disk hits / %d misses / %d corrupt, want %d/0/0",
-			c.CacheDiskHits, c.CacheMisses, c.CacheCorrupt, len(jobs))
-	}
-	// Every served entry migrated: binary present, legacy gone.
-	for _, j := range jobs {
-		hash := j.Hash()
-		if _, err := os.Stat(filepath.Join(dir, hash+binExt)); err != nil {
-			t.Errorf("entry %s not migrated to binary: %v", hash[:8], err)
-		}
-		if _, err := os.Stat(filepath.Join(dir, hash+legacyExt)); !os.IsNotExist(err) {
-			t.Errorf("legacy entry %s not retired after migration", hash[:8])
-		}
-	}
-	// And the migrated entries still serve a fresh cache.
-	c3, _ := NewCache(dir)
-	var got Result
-	if !c3.Get(jobs[2].Key(), &got) || got.Sim.PPW != 2.5 {
-		t.Errorf("migrated entry does not round-trip: %+v", got)
-	}
-}
-
-// Prune's byte budget covers both envelope formats in one
-// oldest-mtime-first order: a directory mid-migration evicts by age,
-// not by format.
+// A directory holding binary entries next to a stray <hash>.json file
+// (another tool's output, or an entry written by a build predating the
+// binary format) treats the JSON file as foreign: a Get for its key is
+// a plain miss, and Prune neither counts it against the budget nor
+// removes it.
 func TestCachePruneMixedFormats(t *testing.T) {
 	dir := t.TempDir()
 	cache, err := NewCache(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Four entries, oldest first, alternating legacy/binary; pad the
-	// payloads to a common size so the budget arithmetic is exact.
-	pad := bytes.Repeat([]byte("x"), 2048)
-	keys := make([]string, 4)
-	paths := make([]string, 4)
-	sizes := make([]int64, 4)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("mixed|cell-%d", i)
-		hash := HashKey(keys[i])
-		payload, err := json.Marshal(Result{Key: keys[i], Sim: fl.Result{PPW: float64(i)}, Err: string(pad)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if i%2 == 0 {
-			legacy, err := json.Marshal(envelope{Key: keys[i], Payload: payload})
-			if err != nil {
-				t.Fatal(err)
-			}
-			paths[i] = filepath.Join(dir, hash+legacyExt)
-			if err := os.WriteFile(paths[i], legacy, 0o644); err != nil {
-				t.Fatal(err)
-			}
-		} else {
-			if err := cache.PutHashed(keys[i], hash, json.RawMessage(payload)); err != nil {
-				t.Fatal(err)
-			}
-			paths[i] = filepath.Join(dir, hash+binExt)
-		}
-		info, err := os.Stat(paths[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		sizes[i] = info.Size()
-		mt := time.Now().Add(time.Duration(i-len(keys)) * time.Hour)
-		if err := os.Chtimes(paths[i], mt, mt); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Budget for exactly the two newest entries — one of each format
-	// survives; the formats' different sizes count as stored.
-	removed, err := cache.Prune(sizes[2] + sizes[3])
+	col := telemetry.NewCollector()
+	cache.SetCollector(col)
+	stray := "stray|cell"
+	payload, err := json.Marshal(Result{Key: stray, Sim: fl.Result{PPW: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if removed != 2 {
-		t.Errorf("pruned %d entries, want 2", removed)
+	strayPath := filepath.Join(dir, HashKey(stray)+".json")
+	if err := os.WriteFile(strayPath, []byte(`{"key":"`+stray+`","payload":`+string(payload)+`}`), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	for i, wantAlive := range []bool{false, false, true, true} {
-		_, err := os.Stat(paths[i])
-		if alive := err == nil; alive != wantAlive {
-			t.Errorf("entry %d (format %s) alive=%v, want %v", i, filepath.Ext(paths[i]), alive, wantAlive)
+	old := time.Now().Add(-time.Hour)
+	if err := os.Chtimes(strayPath, old, old); err != nil {
+		t.Fatal(err)
+	}
+	var got Result
+	if cache.Get(stray, &got) {
+		t.Errorf("stray JSON file served a hit: %+v", got)
+	}
+	if c := col.Snapshot().Counters; c.CacheMisses != 1 || c.CacheCorrupt != 0 {
+		t.Errorf("counters = %d misses / %d corrupt, want a plain miss", c.CacheMisses, c.CacheCorrupt)
+	}
+
+	keys := []string{"mixed|cell-0", "mixed|cell-1"}
+	var entrySize int64
+	for i, k := range keys {
+		if err := cache.Put(k, Result{Key: k, Sim: fl.Result{PPW: float64(i)}}); err != nil {
+			t.Fatal(err)
+		}
+		info, err := os.Stat(cache.path(HashKey(k)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		entrySize = info.Size()
+		mt := time.Now().Add(time.Duration(i-len(keys)) * time.Minute)
+		if err := os.Chtimes(cache.path(HashKey(k)), mt, mt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Budget for one entry: the older binary entry goes, the stray file
+	// (older still, and larger than the budget) is not an entry at all.
+	removed, err := cache.Prune(entrySize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if removed != 1 {
+		t.Errorf("pruned %d entries, want 1", removed)
+	}
+	if _, err := os.Stat(strayPath); err != nil {
+		t.Errorf("Prune touched the stray JSON file: %v", err)
+	}
+	for i, wantAlive := range []bool{false, true} {
+		if alive := cache.Get(keys[i], &got); alive != wantAlive {
+			t.Errorf("entry %d alive=%v, want %v", i, alive, wantAlive)
 		}
 	}
 }
@@ -396,9 +315,9 @@ func TestTouchCoalescingAndFlush(t *testing.T) {
 	}
 }
 
-// The binary envelope must actually be smaller than the legacy JSON
-// envelope on representative payloads — the property the CI gate
-// (cache_bytes_per_cell <= 0.6x json) pins on real sweep results.
+// The binary envelope must actually be smaller than the result JSON it
+// carries on representative payloads: the DEFLATE frame more than pays
+// for the clear-text key header.
 func TestBinaryEnvelopeSmallerThanJSON(t *testing.T) {
 	history := make([]fl.RoundRecord, 200)
 	for i := range history {
@@ -407,18 +326,19 @@ func TestBinaryEnvelopeSmallerThanJSON(t *testing.T) {
 			RoundSeconds: 12.5, EnergyJ: 480.25, PlannedK: 10, AggregatedK: 9,
 		}
 	}
-	results := []Result{{
+	r := Result{
 		Key: "v3|sim|size-check|static/(8,10,20)|seed=1",
 		Sim: fl.Result{PPW: 4.2, Converged: true, History: history},
-	}}
-	jsonBytes, binBytes, err := CacheBytesPerCell(results)
+	}
+	payload, err := json.Marshal(r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if jsonBytes == 0 || binBytes == 0 {
-		t.Fatal("size meter returned zero")
+	bin, err := encodeBinaryEnvelope(r.Key, payload)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if binBytes >= jsonBytes {
-		t.Errorf("binary envelope (%.0f B) not smaller than JSON (%.0f B)", binBytes, jsonBytes)
+	if 2*len(bin) > len(payload) {
+		t.Errorf("binary envelope (%d B) not under half the result JSON (%d B)", len(bin), len(payload))
 	}
 }

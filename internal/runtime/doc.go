@@ -85,7 +85,7 @@
 //     (default GOMAXPROCS) pull job indices from a shared channel and
 //     run the job bodies with per-job panic isolation.
 //
-//   - Coordinator (ProcBackend): the distributed shard coordinator
+//   - Coordinator: the distributed shard coordinator
 //     behind the CLIs' -backend=procs and -workers flags. It executes
 //     batches across worker endpoints reached through Transports —
 //     local subprocess pools, remote TCP worker pools, or both in one
@@ -95,15 +95,14 @@
 //
 // # Transports
 //
-// A Transport dials wire sessions (Conn: Send/Recv/Close) to one
-// worker endpoint:
+// A Transport dials wire sessions (Conn: SendBatch/RecvBatch/Close) to
+// one worker endpoint:
 //
 //   - StdioTransport spawns one fedgpo-worker subprocess per session
 //     and speaks the protocol over its stdin/stdout; the coordinator
-//     runs cfg.Procs concurrent sessions against it. This is the PR 3
-//     procs backend, behavior-preserved: one process per session, a
-//     crashed worker fails only its own session, a retry lands on a
-//     fresh process.
+//     runs cfg.Procs concurrent sessions against it: one process per
+//     session, so a crashed worker fails only its own session and a
+//     retry lands on a fresh process.
 //
 //   - TCPTransport connects to a long-lived remote pool started with
 //     `fedgpo-worker -listen host:port` (one wire session per TCP
@@ -112,16 +111,26 @@
 //     drains gracefully on SIGTERM: in-flight jobs finish and deliver
 //     their responses before the process exits.
 //
-// Every session opens with a handshake: the worker speaks first,
-// sending a hello frame
+// # Wire protocol
 //
-//	{"hello": true, "proto": 3, "maxProto": 4, "keyVersion": "v3",
+// Every byte of a session, in both directions, belongs to a frame of
+// the wire package: a 4-byte big-endian length prefix followed by that
+// many bytes of DEFLATE-compressed payload, bounded on both axes
+// (wire.MaxFrameBytes on the wire, wire.MaxPayloadBytes decompressed)
+// before anything is allocated. There is one protocol, ProtoVersion
+// (6), and no negotiation. The worker speaks first: its first frame is
+// a JSON hello
+//
+//	{"hello": true, "proto": 6, "keyVersion": "v3",
 //	 "capacity": N, "cacheDir": "<worker's -cachedir>"}
 //
 // which the coordinator validates before dispatching anything. A
 // protocol-version or cache-key-scheme mismatch rejects the endpoint
 // outright — a worker computing cells under a different key layout
-// would otherwise publish wrong results into the shared cache. The
+// would otherwise publish wrong results into the shared cache. A
+// worker built before protocol 6 opens with a bare JSON line instead
+// of a frame; its first four bytes decode as a length prefix far above
+// the frame bound, so the handshake fails before reading a body. The
 // advertised cacheDir decides write-back ownership: results from a
 // worker sharing the coordinator's cache directory arrive marked
 // Persisted (the worker already published them), while results from
@@ -129,61 +138,31 @@
 // by the coordinator's executor, so warm -cachedir reruns are
 // hit-only no matter where the cells originally ran.
 //
-// # Protocol negotiation and v4 binary framing
+// Every later frame's payload is a JSON envelope — {"reqs": [...]}
+// toward the worker, {"resps": [...]} back. Each request is a
+// WireRequest
 //
-// The hello's "proto" stays at the v3 baseline every coordinator since
-// PR 5 accepts; the upgrade rides in "maxProto", the highest
-// generation the worker speaks. A v4-capable coordinator answers a
-// v4-capable hello with a JSON ack frame
-//
-//	{"helloAck": true, "proto": 4}
-//
-// and both sides switch to the wire package's binary framing: each
-// frame is a 4-byte big-endian length prefix followed by that many
-// bytes of DEFLATE-compressed payload, bounded on both axes
-// (wire.MaxFrameBytes on the wire, wire.MaxPayloadBytes decompressed)
-// before anything is allocated. A v4 frame's payload is a JSON
-// envelope — {"reqs": [...]} toward the worker, {"resps": [...]} back.
-// Requests batch to amortize per-frame dispatch: the coordinator packs
-// up to each session's fair share of the batch (capped at 16 specs)
-// into one envelope. Responses stream: the worker answers every spec
-// the moment it finishes, one single-response envelope frame each, in
-// request order — so a worker death mid-frame costs only the specs it
-// had not yet answered, the exact failure granularity of the v3
-// one-spec-per-frame loop.
-//
-// Fallback is negotiated per session, both directions. A v3-only
-// worker (no maxProto in its hello) never sees an ack — its first
-// inbound frame is a plain WireRequest, exactly as before v4 existed —
-// and a v3-only coordinator ignores the unknown maxProto field and
-// never sends one; the worker distinguishes the two by its first
-// inbound frame. Mixed fleets are therefore fine: each endpoint speaks
-// the best generation both of its sides support, results are
-// byte-identical either way, and the per-endpoint Frames/Specs
-// counters record the realized batch density (always 1.0 on a
-// fallback session).
-//
-// On a v3 session (and inside every v4 envelope), each request is a
-// WireRequest:
-//
-//	{"key": "<canonical job key>", "spec": <serialized JobSpec>, "inner": N}
+//	{"key": "<canonical job key>", "spec": <serialized JobSpec>, "inner": N,
+//	 "snaps": [<snapshot artifacts>, omitted when empty]}
 //
 // and each reply a WireResponse, strictly one per request in request
 // order:
 //
 //	{"key": "<canonical job key>", "result": <result JSON>, "cached": bool,
-//	 "metrics": <telemetry.Metrics JSON, omitted when absent>}
+//	 "metrics": <telemetry.Metrics JSON>, "snaps": [<built snapshots>]}
 //
-// The worker decodes the spec, verifies it addresses the dispatched
-// key, and executes it through its own Executor — same cache check,
-// same panic isolation, same cache write-back as the pool path. The
-// "cached" field travels beside the result because Result.Cached is
-// deliberately excluded from result JSON; the coordinator folds it
-// into its own hit/run statistics. The "metrics" field (protocol
-// version 3) carries the worker's per-job telemetry snapshot the same
-// way — Result.Telemetry is likewise excluded from result JSON, so
-// neither field can ever reach a cache entry. Whitespace between frames (blank
-// lines from wrapper scripts) is tolerated, and a malformed frame
+// Requests batch to amortize per-frame dispatch: the coordinator packs
+// up to each session's fair share of the batch (capped at 16 specs)
+// into one envelope. Responses stream: the worker answers every spec
+// the moment it finishes, one single-response envelope frame each, so
+// a worker death mid-frame costs only the specs it had not yet
+// answered. The worker decodes the spec, verifies it addresses the
+// dispatched key, and executes it through its own Executor — same
+// cache check, same panic isolation, same cache write-back as the pool
+// path. The "cached" and "metrics" fields travel beside the result
+// because Result.Cached and Result.Telemetry are deliberately excluded
+// from result JSON, so neither can ever reach a cache entry; the
+// coordinator folds them into its own statistics. A malformed frame
 // fails the session naming the offending frame index. Worker stderr
 // passes through to the coordinator's stderr. ServeWorker/ServeSession
 // implement the worker side and Serve the TCP accept loop, so any
@@ -207,20 +186,19 @@
 //
 // # Dispatch, retry and failover
 //
-// The coordinator feeds endpoints work-queue style: every session
-// pulls the next unstarted job as it finishes the last, so a slow or
-// remote endpoint never straggles the batch the way PR 3's static
-// key-partitioned shards could (ShardOf remains available for stable
-// partitioning needs). Sessions dial lazily — no subprocess or
-// connection exists until a session actually holds a job. Each
+// Sessions pull their next frame from the batch's queue as they finish
+// the last, so a slow or remote endpoint never straggles the batch the
+// way a static key-partitioned shard could (ShardOf remains available
+// for stable partitioning needs). Sessions dial lazily — no subprocess
+// or connection exists until a session actually holds a job. Each
 // session has a retry budget of one: on failure (crash, disconnect,
 // reply timeout, truncated or out-of-order output) it re-dials and
-// resends only the unanswered in-flight job — answered jobs are never
-// resent, which matters because results were already streamed to the
-// executor. A session whose budget runs out hands its job back to the
-// queue for surviving endpoints to absorb; only when the whole fleet
-// is gone do remaining jobs surface as error results. Per-endpoint
-// dispatch/retry/give-up counters are snapshotted into
+// resends only the in-flight frame's unanswered specs — answered jobs
+// are never resent, which matters because results were already
+// streamed to the executor. A session whose budget runs out hands its
+// jobs back to the queue for surviving endpoints to absorb; only when
+// the whole fleet is gone do remaining jobs surface as error results.
+// Per-endpoint dispatch/retry/give-up counters are snapshotted into
 // Executor.Stats().Endpoints under a single lock.
 //
 // Workers share the coordinator's -cachedir when colocated: run
@@ -256,8 +234,8 @@
 // per-(profile, workload, params) cost terms — device.CostModel for
 // batch compute times, netsim.CommModel for round-trip comm cost,
 // data.Memo for partition skew/coverage signals — so steady-state
-// rounds neither allocate nor re-derive invariant math (CI gates
-// sim_allocs_per_round and tracks sim_ns_per_round in BENCH_PR9.json).
+// rounds neither allocate nor re-derive invariant math (an fl unit test
+// holds a warmed-arena run under 2 allocations per round).
 // Reuse is safe across cells of any shape: beginRun resizes and
 // re-derives every table from the new config, and byte-identity of
 // dirty-arena reruns is tested directly.
@@ -270,9 +248,8 @@
 // spawn/join, capping helpers so each chunk amortizes its dispatch and
 // never exceeding available CPUs. Paper-scale rounds (tens of
 // participants at tens of nanoseconds each) therefore run serial —
-// unconditional fan-out measurably lost time (BENCH_PR8's
-// inner_speedup_x = 0.93) — while big-fleet rounds fan out and win;
-// the CI gate inner_speedup_x >= 1.0 holds the "never lose" property.
+// unconditional fan-out measurably lost time there — while big-fleet
+// rounds fan out and win.
 // Gating decisions shape wall-clock only: the per-index write contract
 // and serial in-order merge keep results byte-identical for every
 // budget and every gate decision, so neither enters a cache key.
@@ -285,42 +262,36 @@
 // result byte, so routing policy is free to change without
 // invalidating a single cache entry.
 //
-// Under the default affinity route the coordinator groups each batch
-// by affinity key and assigns whole groups to endpoints weighted by
-// their hello-advertised session capacity — largest group first, each
-// to the endpoint with the lowest projected (load+size)/capacity
-// score, ties to the lowest index — so all cells sharing a pretrain
-// key co-locate in one worker process, whose in-process singleflight
-// then executes the warm-up exactly once. Cells without a key flow
-// through a FIFO overflow lane. The pull-order work queue remains as
-// the stealing fallback, preserving PR 5's failover semantics
-// exactly: an idle endpoint first adopts the groups of a dead
-// endpoint, then whole groups their home endpoint has not started,
-// and only then single cells from another endpoint's started group —
-// gated on the coordinator already holding that group's snapshot, so
-// a steal never triggers a duplicate warm-up. A fleet-wide cold sweep
-// over S distinct scenarios therefore performs exactly S Q-table
-// warm-ups (the CI-gated fleet_pretrain_runs == fleet_scenarios
-// invariant). The CLIs' -route flag selects the policy (affinity or
-// pull); results are byte-identical either way, because routing only
-// decides where a cell runs, never what it computes.
+// The coordinator groups each batch by affinity key and assigns whole
+// groups to endpoints weighted by their hello-advertised session
+// capacity — largest group first, each to the endpoint with the lowest
+// projected (load+size)/capacity score, ties to the lowest index — so
+// all cells sharing a pretrain key co-locate in one worker process,
+// whose in-process singleflight then executes the warm-up exactly
+// once. Cells without a key flow through a FIFO overflow lane, so a
+// batch with no keys is a plain pull-order work queue. Stealing keeps
+// failover intact: an idle endpoint first adopts the groups of a dead
+// endpoint, then whole groups their home endpoint has not started, and
+// only then single cells from another endpoint's started group — gated
+// on the coordinator already holding that group's snapshot, so a steal
+// never triggers a duplicate warm-up. A fleet-wide cold sweep over S
+// distinct scenarios therefore performs exactly S Q-table warm-ups.
+// Routing only decides where a cell runs, never what it computes.
 //
-// Protocol v5 (negotiated through the same maxProto handshake; v4 and
-// v3 peers interoperate unchanged) adds fleet-wide snapshot reuse. A
-// worker whose cell built a fresh pretrain snapshot returns the
-// serialized artifact with its response ("snaps" beside the result);
-// the coordinator pools it, persists it into its own cache under the
-// snapshot key (byte-identical to the entry the worker wrote locally,
-// both being the same JSON round-trip), and pre-pushes it inside
-// later requests for cells sharing that key dispatched at sessions
-// that do not already hold it — skipping endpoints that share the
-// coordinator's -cachedir, where the disk already carries the
-// snapshot. The worker installs pushed artifacts before running the
-// request, resolving its pretrain singleflight without executing the
-// warm-up. Pre-v5 sessions simply never see a "snaps" field in either
-// direction. Per-endpoint AffinityHits/AffinityMisses/Stolen tallies
-// and pushed-snapshot bytes land in the -v summaries and the
-// -metrics-out artifact beside the dispatch counters.
+// Snapshot shipping makes that reuse fleet-wide. A worker whose cell
+// built a fresh pretrain snapshot returns the serialized artifact with
+// its response ("snaps" beside the result); the coordinator pools it,
+// persists it into its own cache under the snapshot key (byte-identical
+// to the entry the worker wrote locally, both being the same JSON
+// round-trip), and pre-pushes it inside later requests for cells
+// sharing that key dispatched at sessions that do not already hold it —
+// skipping endpoints that share the coordinator's -cachedir, where the
+// disk already carries the snapshot. The worker installs pushed
+// artifacts before running the request, resolving its pretrain
+// singleflight without executing the warm-up. Per-endpoint
+// AffinityHits/AffinityMisses/Stolen tallies and pushed-snapshot bytes
+// land in the -v summaries and the -metrics-out artifact beside the
+// dispatch counters.
 //
 // # Cache format
 //
@@ -337,33 +308,28 @@
 // inflating a byte and on-disk entries stay greppable by key; the
 // payload is one wire-package frame — the same bounded, length-
 // prefixed DEFLATE framing the transport plane uses — which carries a
-// cell's round history in roughly a quarter of the legacy JSON
-// envelope's bytes. Writes are atomic (temp file + rename, so a crash
-// mid-write can never publish a torn entry). Any malformed file —
-// wrong magic, truncation, a key mismatch — is treated as a miss and
-// the cell re-runs, repairing the entry in place. Results that ended
-// in an error are never cached.
+// cell's round history in roughly a quarter of its JSON bytes. Writes
+// are atomic (temp file + rename, so a crash mid-write can never
+// publish a torn entry). Any malformed file — wrong magic, truncation,
+// a key mismatch — is treated as a miss and the cell re-runs,
+// repairing the entry in place. Any file without the .binz extension
+// (a stray <hash>.json included) is foreign: never read, never pruned.
+// Results that ended in an error are never cached.
 //
-// Directories written by earlier versions hold <hash>.json envelopes
-// ({"key": ..., "payload": ...}); the read path falls back to them
-// transparently, so a pre-existing -cachedir serves a warm rerun
-// hit-only, and every legacy entry it serves is migrated in place to
-// the binary format (binary written, JSON removed). Disk hits also
-// pass through a byte-capped in-process LRU over decoded payload
-// bytes (64 MB by default, Cache.SetPayloadCacheBytes), so a cell
-// re-read within one run — pretrain snapshots, shared sweep cells —
-// costs one file read. The layer admits disk hits only, never Put
-// write-through, so a corrupted disk entry is still caught by the
-// next fresh read.
+// Disk hits pass through a byte-capped in-process LRU over decoded
+// payload bytes (64 MB by default, Cache.SetPayloadCacheBytes), so a
+// cell re-read within one run — pretrain snapshots, shared sweep cells
+// — costs one file read. The layer admits disk hits only, never Put
+// write-through, so a corrupted disk entry is still caught by the next
+// fresh read.
 //
 // # Cache eviction
 //
 // Disk entries no longer live forever: Cache.Prune (the CLIs'
 // -cache-max-bytes flag) removes entries oldest-mtime-first at
-// startup until the directory fits the byte budget; both envelope
-// formats count against the budget and compete in one mtime order.
-// A hit queues an mtime touch instead of paying the syscall inline:
-// duplicate touches coalesce, and the pending set drains at executor
+// startup until the directory fits the byte budget. A hit queues an
+// mtime touch instead of paying the syscall inline: duplicate touches
+// coalesce, and the pending set drains at executor
 // shutdown (Executor.Close / exp.Runtime.Close), before a Prune scan,
 // or asynchronously past a threshold — so mtime order approximates
 // LRU and a cell a warm report still reads outlives a newer cell
@@ -444,7 +410,7 @@
 //     and counts Retries and Failovers as sessions fail. Sessions
 //     meter raw bytes both ways (handshake included) and the
 //     coordinator folds the totals — plus request-frame and spec
-//     counts, whose ratio is the realized v4 batch density — into the
+//     counts, whose ratio is the realized batch density — into the
 //     per-endpoint stats the -v summaries print.
 //
 // Provenance: because wall-clock measurements (the sec54 probe's

@@ -27,10 +27,10 @@ type WireRequest struct {
 	// byte-identical for any value, so it never enters cache keys.
 	Inner int `json:"inner,omitempty"`
 	// Snaps pre-pushes serialized pretrain snapshots the coordinator
-	// holds for this job's affinity key (protocol v5): the worker
-	// installs them before running, so a cell stolen or overflowed onto
-	// a cold endpoint deserializes the snapshot instead of re-running
-	// the warm-up. Purely an optimization — an ignored or failed install
+	// holds for this job's affinity key: the worker installs them
+	// before running, so a cell stolen or overflowed onto a cold
+	// endpoint deserializes the snapshot instead of re-running the
+	// warm-up. Purely an optimization — an ignored or failed install
 	// re-warms to the identical snapshot.
 	Snaps []SnapshotArtifact `json:"snaps,omitempty"`
 }
@@ -42,20 +42,20 @@ type WireResponse struct {
 	Key    string `json:"key"`
 	Result Result `json:"result"`
 	Cached bool   `json:"cached,omitempty"`
-	// Metrics is the worker's per-job telemetry snapshot (protocol v3).
-	// Like Cached it travels beside the result because Result.Telemetry
-	// is excluded from result JSON — cached bytes must not depend on
-	// whether telemetry was recorded. The coordinator folds it into its
+	// Metrics is the worker's per-job telemetry snapshot. Like Cached
+	// it travels beside the result because Result.Telemetry is excluded
+	// from result JSON — cached bytes must not depend on whether
+	// telemetry was recorded. The coordinator folds it into its
 	// own collector, so remote pools are as observable as local ones.
 	Metrics *telemetry.Metrics `json:"metrics,omitempty"`
 	// Snaps returns pretrain snapshots this job's execution built from
-	// scratch (protocol v5; Result.Snaps, excluded from result JSON like
-	// Cached and Metrics). The coordinator persists them and pre-pushes
-	// them with later requests sharing the affinity key.
+	// scratch (Result.Snaps, excluded from result JSON like Cached and
+	// Metrics). The coordinator persists them and pre-pushes them with
+	// later requests sharing the affinity key.
 	Snaps []SnapshotArtifact `json:"snaps,omitempty"`
 }
 
-// wireEnvelope is the payload of one protocol-v4 binary frame: a batch
+// wireEnvelope is the payload of every frame after the hello: a batch
 // of requests (coordinator to worker) or the matching batch of
 // responses, answered in request order. Exactly one of the two sides
 // is populated per frame.
@@ -75,119 +75,46 @@ type WorkerOptions struct {
 	// SetInner, when non-nil, applies coordinator-forwarded inner
 	// budgets (WireRequest.Inner) before each job runs.
 	SetInner func(n int)
-	// MaxProto caps the protocol generation advertised in the hello
-	// (0 advertises ProtoVersion). Tests pin ProtoV3 or ProtoV4 to
-	// exercise the fallbacks an older worker would negotiate.
-	MaxProto int
 	// Install, when non-nil, installs a coordinator-pushed snapshot
-	// artifact (WireRequest.Snaps, protocol v5) into the worker's
-	// pretrain cache before the request that carried it runs. Best
-	// effort: an install failure is ignored — the worker just re-warms,
-	// producing the identical snapshot.
+	// artifact (WireRequest.Snaps) into the worker's pretrain cache
+	// before the request that carried it runs. Best effort: an install
+	// failure is ignored — the worker just re-warms, producing the
+	// identical snapshot.
 	Install func(key string, data json.RawMessage) error
 }
 
 // ServeWorker runs the worker half of the wire protocol on a byte
-// stream with default options: hello first, then one WireResponse per
-// WireRequest, in request order, until EOF. run must not panic —
+// stream with default options; see ServeSession. run must not panic —
 // job-level failures belong in Result.Err (the worker binary routes
 // execution through an Executor, which isolates them).
 func ServeWorker(r io.Reader, w io.Writer, run func(key string, spec json.RawMessage) Result) error {
 	return ServeSession(r, w, run, WorkerOptions{})
 }
 
-// ServeSession runs one worker wire session: it sends the hello frame,
-// then serves requests from r until EOF, executing each via run and
-// answering in request order. The framing depends on what the far side
-// negotiates from the hello: a v4 coordinator opens with a helloAck
-// and the session switches to batched binary frames (see serveBatches);
-// a pre-v4 coordinator sends plain WireRequest JSON frames and gets
-// the v3 loop, whitespace between frames — blank lines, trailing
-// newlines from wrapper scripts — tolerated. Either way a malformed
-// frame fails the session with the offending frame's index in the
-// error.
+// ServeSession runs one worker wire session: it writes the hello
+// frame, then serves request envelope frames from r until EOF. The
+// requests of a frame run in order, and every finished spec is
+// answered immediately with its own response frame. Requests batch to
+// amortize dispatch; responses stream so a worker death mid-batch only
+// costs the specs it had not yet answered. Before each request runs,
+// the worker installs the snapshot artifacts it carries; snapshots the
+// job built from scratch return with its response. A malformed frame
+// fails the session with the offending frame's index in the error
+// (request frames count from 1).
 func ServeSession(r io.Reader, w io.Writer, run func(key string, spec json.RawMessage) Result, opt WorkerOptions) error {
 	if opt.Capacity < 1 {
 		opt.Capacity = 1
 	}
-	maxProto := opt.MaxProto
-	if maxProto == 0 {
-		maxProto = ProtoVersion
-	}
-	enc := json.NewEncoder(w)
-	if err := enc.Encode(WireHello{
-		Hello: true, Proto: ProtoV3, MaxProto: maxProto, KeyVersion: keyVersion,
+	hello, err := json.Marshal(WireHello{
+		Hello: true, Proto: ProtoVersion, KeyVersion: keyVersion,
 		Capacity: opt.Capacity, CacheDir: opt.CacheDir,
-	}); err != nil {
+	})
+	if err == nil {
+		_, err = wire.WriteFrame(w, hello)
+	}
+	if err != nil {
 		return fmt.Errorf("runtime: worker hello: %w", err)
 	}
-	dec := json.NewDecoder(r)
-	lastInner := 0
-	serve := func(req WireRequest, frame int) error {
-		if opt.SetInner != nil && req.Inner != lastInner {
-			opt.SetInner(req.Inner)
-			lastInner = req.Inner
-		}
-		res := run(req.Key, req.Spec)
-		if err := enc.Encode(WireResponse{Key: req.Key, Result: res, Cached: res.Cached, Metrics: res.Telemetry}); err != nil {
-			return fmt.Errorf("runtime: worker encode (frame %d): %w", frame, err)
-		}
-		return nil
-	}
-	// The first inbound frame decides the session generation: a
-	// coordinator that negotiated v4 sends a helloAck before anything
-	// else; one that didn't sends a plain request (or nothing at all).
-	var first struct {
-		HelloAck bool `json:"helloAck"`
-		Proto    int  `json:"proto"`
-		WireRequest
-	}
-	if err := dec.Decode(&first); err == io.EOF {
-		// json.Decoder skips whitespace before a value, so a clean EOF
-		// here also covers streams ending in blank lines or stray
-		// newlines.
-		return nil
-	} else if err != nil {
-		return fmt.Errorf("runtime: worker decode (frame 1): %w", err)
-	}
-	if first.HelloAck {
-		if first.Proto < ProtoV4 || first.Proto > maxProto {
-			return fmt.Errorf("runtime: worker handshake: coordinator acked unsupported protocol %d", first.Proto)
-		}
-		// The JSON decoder may have read ahead into the first binary
-		// frame; drain its buffer before the raw stream, and skip the
-		// newline the coordinator's ack encoder left behind.
-		return serveBatches(wire.Handoff(io.MultiReader(dec.Buffered(), r)), w, run, opt, first.Proto)
-	}
-	if err := serve(first.WireRequest, 1); err != nil {
-		return err
-	}
-	for frame := 2; ; frame++ {
-		var req WireRequest
-		if err := dec.Decode(&req); err == io.EOF {
-			return nil
-		} else if err != nil {
-			return fmt.Errorf("runtime: worker decode (frame %d): %w", frame, err)
-		}
-		if err := serve(req, frame); err != nil {
-			return err
-		}
-	}
-}
-
-// serveBatches runs the protocol v4/v5 worker loop: every inbound
-// frame is a compressed envelope of batched requests, executed in
-// order, and every finished spec is answered immediately with its own
-// response frame. Requests batch to amortize dispatch; responses
-// stream so a worker death mid-batch only costs the specs it had not
-// yet answered — the same failure granularity as the v3
-// one-spec-per-frame loop. Under a negotiated v5 session the worker
-// additionally installs coordinator-pushed snapshot artifacts before
-// each request runs and attaches freshly built snapshots to the
-// response (v4 coordinators never see the Snaps fields). Frame indexes
-// restart at 1 on both sides at the binary handoff (the helloAck is
-// handshake, not data).
-func serveBatches(r io.Reader, w io.Writer, run func(key string, spec json.RawMessage) Result, opt WorkerOptions, proto int) error {
 	lastInner := 0
 	for frame := 1; ; frame++ {
 		payload, _, err := wire.ReadFrame(r, frame)
@@ -218,11 +145,9 @@ func serveBatches(r io.Reader, w io.Writer, run func(key string, spec json.RawMe
 				}
 			}
 			res := run(req.Key, req.Spec)
-			resp := WireResponse{Key: req.Key, Result: res, Cached: res.Cached, Metrics: res.Telemetry}
-			if proto >= ProtoV5 {
-				resp.Snaps = res.Snaps
-			}
-			b, err := json.Marshal(wireEnvelope{Resps: []WireResponse{resp}})
+			b, err := json.Marshal(wireEnvelope{Resps: []WireResponse{{
+				Key: req.Key, Result: res, Cached: res.Cached, Metrics: res.Telemetry, Snaps: res.Snaps,
+			}}})
 			if err != nil {
 				return fmt.Errorf("runtime: worker encode (frame %d): %w", frame, err)
 			}
@@ -269,13 +194,10 @@ type ProcConfig struct {
 	// Env, when non-nil, replaces the local workers' environment (nil
 	// inherits the coordinator's).
 	Env []string
-	// Route selects the dispatch policy. "affinity" (the default)
-	// groups each batch by the jobs' affinity keys and routes every
-	// group to a home endpoint weighted by advertised capacity with a
-	// least-loaded tiebreak, falling back to work stealing so
-	// stragglers and dead endpoints still drain; "pull" is the PR 5
-	// pull-order work queue. Results are byte-identical across
-	// policies — routing only ever changes where a cell runs.
+	// Route is read by nothing; it stays so existing ProcConfig
+	// literals keep compiling.
+	//
+	// Deprecated: ignored; affinity routing is the only policy.
 	Route string
 }
 
@@ -302,16 +224,15 @@ type EndpointStats struct {
 	// (scripted test conns).
 	BytesSent int64 `json:"bytesSent,omitempty"`
 	BytesRecv int64 `json:"bytesRecv,omitempty"`
-	// Frames counts request frames sent (responses mirror them 1:1);
-	// Specs counts the specs those frames carried. Specs/Frames is the
-	// realized batch density — 1.0 on v3-fallback sessions, up to the
-	// fair-share cap on v4 sessions.
+	// Frames counts request frames sent; Specs counts the specs those
+	// frames carried. Specs/Frames is the realized batch density, up to
+	// the fair-share cap (see specsPerFrame).
 	Frames int64 `json:"frames,omitempty"`
 	Specs  int64 `json:"specs,omitempty"`
 	// AffinityHits counts affinity-keyed jobs this endpoint ran as
 	// their group's home (co-located with their pretrain siblings);
 	// AffinityMisses counts affinity-keyed jobs it ran away from their
-	// home (overflowed or stolen singles). Always zero under -route=pull.
+	// home (overflowed or stolen singles).
 	AffinityHits   int64 `json:"affinityHits,omitempty"`
 	AffinityMisses int64 `json:"affinityMisses,omitempty"`
 	// Stolen counts jobs this endpoint took from another endpoint's
@@ -319,7 +240,7 @@ type EndpointStats struct {
 	// endpoints plus snapshot-backed singles.
 	Stolen int64 `json:"stolen,omitempty"`
 	// SnapBytesSent meters serialized snapshot bytes pre-pushed to this
-	// endpoint (protocol v5).
+	// endpoint.
 	SnapBytesSent int64 `json:"snapBytesSent,omitempty"`
 }
 
@@ -349,17 +270,16 @@ type endpoint struct {
 
 // Coordinator executes batches across worker endpoints behind
 // Transports: local subprocess pools (StdioTransport), remote TCP
-// worker pools (TCPTransport), or both at once. Jobs are fed to
-// endpoint sessions work-queue style — each session pulls the next
-// unstarted job as it finishes the last — so a slow or remote endpoint
-// never straggles the whole batch the way a static per-worker shard
-// would. Each session has a retry budget of one: a session failure
-// (crashed worker, dropped connection, truncated or out-of-order
-// output) re-dials and resends only the unanswered in-flight job; a
-// session whose budget runs out hands its job back to the fleet, so a
-// dead endpoint degrades capacity, not correctness. Jobs still
-// unanswered when every session has exhausted its budget yield error
-// results.
+// worker pools (TCPTransport), or both at once. An affinityQueue
+// places each batch: affinity groups go to capacity-weighted home
+// endpoints, and idle sessions steal so a slow or remote endpoint never
+// straggles the whole batch. Each session has a retry budget of one: a
+// session failure (crashed worker, dropped connection, truncated or
+// out-of-order output) re-dials and resends only the unanswered
+// in-flight jobs; a session whose budget runs out hands its jobs back
+// to the fleet, so a dead endpoint degrades capacity, not correctness.
+// Jobs still unanswered when every session has exhausted its budget
+// yield error results.
 type Coordinator struct {
 	cfg       ProcConfig
 	endpoints []*endpoint
@@ -370,9 +290,9 @@ type Coordinator struct {
 	lastErr error
 
 	// snapMu guards snaps, the in-memory pool of snapshot artifacts
-	// returned by workers this process lifetime (wire v5). It is a
-	// dedicated lock because the dispatcher's hasSnap callback reads it
-	// while holding the queue lock.
+	// returned by workers this process lifetime. It is a dedicated lock
+	// because the queue's hasSnap callback reads it while holding the
+	// queue lock.
 	snapMu sync.Mutex
 	snaps  map[string]json.RawMessage
 }
@@ -384,15 +304,11 @@ type Coordinator struct {
 func (c *Coordinator) SetCollector(col *telemetry.Collector) { c.col = col }
 
 // SetCache attaches the coordinator's run cache so snapshot artifacts
-// returned by workers (wire v5) are persisted under their own keys —
-// a later cold run warm-starts from disk. A nil cache disables
+// returned by workers are persisted under their own keys — a later
+// cold run warm-starts from disk. A nil cache disables
 // persistence; artifacts still ship fleet-wide from the in-memory
 // pool for the coordinator's lifetime. Call before Run.
 func (c *Coordinator) SetCache(cache *Cache) { c.cache = cache }
-
-// ProcBackend is the coordinator's historical name, kept so PR 3 era
-// call sites and docs stay valid.
-type ProcBackend = Coordinator
 
 // NewProcBackend returns a shard coordinator for cfg: one stdio
 // endpoint running cfg.Procs subprocess sessions (when the resolved
@@ -485,7 +401,7 @@ func (c *Coordinator) snapshotData(key string) json.RawMessage {
 }
 
 // hasSnapshot reports whether the coordinator holds a shippable
-// artifact for key — the dispatcher's gate for stealing cells out of a
+// artifact for key — the queue's gate for stealing cells out of a
 // group whose home already started warming up.
 func (c *Coordinator) hasSnapshot(key string) bool { return c.snapshotData(key) != nil }
 
@@ -542,119 +458,13 @@ func (c *Coordinator) markSnapKnown(ep *endpoint, shared bool, sess map[string]b
 	ep.known[key] = true
 }
 
-// queueStats is a dispatcher's per-endpoint scheduling tally, folded
+// queueStats is the queue's per-endpoint scheduling tally, folded
 // into EndpointStats and the telemetry counters after the batch.
 type queueStats struct {
 	affinityHits   int64
 	affinityMisses int64
 	stolen         int64
 }
-
-// dispatcher is the coordinator's batch-distribution policy seam. Both
-// implementations share the PR 5 lifecycle — sessions pop jobs, failed
-// sessions requeue their unanswered tail, finalize counts answers, and
-// abandoned drains what no endpoint could run — they differ only in
-// which job a given endpoint's pop returns. Routing never changes
-// results, only placement.
-type dispatcher interface {
-	// pop returns the next job index for endpoint ep, blocking while
-	// one may still become eligible; ok is false once the batch is over.
-	pop(ep int) (int, bool)
-	// take removes up to k more jobs for ep without blocking — the
-	// frame top-up; it never waits for frame-mates.
-	take(ep, k int) []int
-	// requeue gives unanswered jobs back to the fleet.
-	requeue(idxs ...int)
-	// finalize marks one job answered; at zero, blocked pops return done.
-	finalize()
-	// abandoned empties the queue after every session has exited,
-	// returning the jobs nobody could run.
-	abandoned() []int
-	// wake re-examines blocked pops after external state changed (a
-	// snapshot arrived, making stalled groups stealable).
-	wake()
-	// endpointDone marks an endpoint as having no live sessions left,
-	// releasing its planned work for adoption.
-	endpointDone(ep int)
-	// stats returns the endpoint's scheduling tally.
-	stats(ep int) queueStats
-}
-
-// workQueue is the pull-order dispatcher (-route=pull, and the PR 5
-// semantics): one shared FIFO, every endpoint equal. pop blocks while
-// the queue is empty but unfinalized jobs are still in flight
-// elsewhere — one of them may yet be given back — and returns done
-// once every job is finalized.
-type workQueue struct {
-	mu        sync.Mutex
-	cond      *sync.Cond
-	items     []int
-	remaining int // jobs not yet answered or abandoned
-}
-
-func newWorkQueue(items []int) *workQueue {
-	q := &workQueue{items: items, remaining: len(items)}
-	q.cond = sync.NewCond(&q.mu)
-	return q
-}
-
-func (q *workQueue) pop(int) (int, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for len(q.items) == 0 && q.remaining > 0 {
-		q.cond.Wait()
-	}
-	if len(q.items) == 0 {
-		return -1, false
-	}
-	i := q.items[0]
-	q.items = q.items[1:]
-	return i, true
-}
-
-func (q *workQueue) take(_, k int) []int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if k > len(q.items) {
-		k = len(q.items)
-	}
-	if k <= 0 {
-		return nil
-	}
-	out := append([]int(nil), q.items[:k]...)
-	q.items = q.items[k:]
-	return out
-}
-
-func (q *workQueue) requeue(idxs ...int) {
-	q.mu.Lock()
-	q.items = append(q.items, idxs...)
-	q.mu.Unlock()
-	q.cond.Broadcast()
-}
-
-func (q *workQueue) finalize() {
-	q.mu.Lock()
-	q.remaining--
-	rem := q.remaining
-	q.mu.Unlock()
-	if rem <= 0 {
-		q.cond.Broadcast()
-	}
-}
-
-func (q *workQueue) abandoned() []int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	items := q.items
-	q.items = nil
-	q.remaining = 0
-	return items
-}
-
-func (q *workQueue) wake()                { q.cond.Broadcast() }
-func (q *workQueue) endpointDone(int)     {}
-func (q *workQueue) stats(int) queueStats { return queueStats{} }
 
 // Run executes the batch across the endpoint fleet; see Backend.Run.
 func (c *Coordinator) Run(jobs []Job, done func(int, Result)) []Result {
@@ -689,7 +499,26 @@ func (c *Coordinator) Run(jobs []Job, done func(int, Result)) []Result {
 	if len(idxs) == 0 {
 		return results
 	}
-	queue := c.newDispatcher(jobs, idxs)
+	if len(c.endpoints) == 0 {
+		for _, i := range idxs {
+			results[i] = Result{Key: keys[i], Err: "runtime: no worker endpoints available"}
+			if done != nil {
+				done(i, results[i])
+			}
+		}
+		return results
+	}
+	// Homes are weighed by the capacities known right now: TCP
+	// endpoints advertise theirs in the hello, so on the very first
+	// batch they weigh 1 until probed; whole-group adoption rebalances
+	// the difference without splitting any group's warm-up.
+	c.mu.Lock()
+	caps := make([]int, len(c.endpoints))
+	for i, ep := range c.endpoints {
+		caps[i] = ep.capacity
+	}
+	c.mu.Unlock()
+	queue := newAffinityQueue(jobs, idxs, caps, c.hasSnapshot)
 
 	totalCap := c.Workers()
 	var wg sync.WaitGroup
@@ -698,7 +527,7 @@ func (c *Coordinator) Run(jobs []Job, done func(int, Result)) []Result {
 		go func(epi int, ep *endpoint) {
 			defer wg.Done()
 			// Releasing the endpoint's planned work on exit — sessions
-			// crashed out or batch done — is the dispatcher's liveness
+			// crashed out or batch done — is the queue's liveness
 			// guarantee: a dead endpoint's groups become adoptable.
 			defer queue.endpointDone(epi)
 			c.runEndpoint(epi, ep, len(idxs), totalCap, jobs, keys, queue, results, done)
@@ -706,7 +535,7 @@ func (c *Coordinator) Run(jobs []Job, done func(int, Result)) []Result {
 	}
 	wg.Wait()
 
-	// Fold the dispatcher's scheduling tallies into the per-endpoint
+	// Fold the queue's scheduling tallies into the per-endpoint
 	// stats and the batch-level counters.
 	var hits, misses, stolen int64
 	c.mu.Lock()
@@ -745,31 +574,12 @@ func (c *Coordinator) Run(jobs []Job, done func(int, Result)) []Result {
 	return results
 }
 
-// newDispatcher builds the batch's dispatch policy: the affinity
-// scheduler by default, the PR 5 pull-order queue under -route=pull.
-// The affinity scheduler weighs homes by the capacities known right
-// now — TCP endpoints advertise theirs in the hello, so on the very
-// first batch they weigh 1 until probed; whole-group adoption
-// rebalances the difference without splitting any group's warm-up.
-func (c *Coordinator) newDispatcher(jobs []Job, idxs []int) dispatcher {
-	if c.cfg.Route == "pull" || len(c.endpoints) == 0 {
-		return newWorkQueue(idxs)
-	}
-	c.mu.Lock()
-	caps := make([]int, len(c.endpoints))
-	for i, ep := range c.endpoints {
-		caps[i] = ep.capacity
-	}
-	c.mu.Unlock()
-	return newAffinityQueue(jobs, idxs, caps, c.hasSnapshot)
-}
-
-// maxSpecsPerFrame caps how many specs a v4 session packs into one
+// maxSpecsPerFrame caps how many specs a session packs into one
 // request frame, bounding both the frame size and the amount of work a
 // single session failure requeues.
 const maxSpecsPerFrame = 16
 
-// specsPerFrame derives a v4 session's frame batch size from the batch
+// specsPerFrame derives a session's frame batch size from the batch
 // shape: each frame carries at most the session's fair share of the
 // batch across the fleet's capacity, so batching never trades away the
 // work queue's load balancing — a fleet that could run every cell
@@ -793,7 +603,7 @@ func specsPerFrame(batch, totalCap int) int {
 // transports), derives the endpoint's forwarded inner budget from the
 // batch shape, and runs the sessions until the queue drains or every
 // session's retry budget is spent.
-func (c *Coordinator) runEndpoint(epi int, ep *endpoint, batch, totalCap int, jobs []Job, keys []string, queue dispatcher, results []Result, done func(int, Result)) {
+func (c *Coordinator) runEndpoint(epi int, ep *endpoint, batch, totalCap int, jobs []Job, keys []string, queue *affinityQueue, results []Result, done func(int, Result)) {
 	sessions := ep.transport.Sessions()
 	var probe Conn
 	if sessions <= 0 {
@@ -891,12 +701,12 @@ func (c *Coordinator) innerBudget(n, endpointCap, totalCap int) wireBudget {
 // runSession drives one endpoint session: pull work from the queue,
 // send it, read the response, repeat. Dialing is lazy — no worker is
 // spawned or connected until the session actually holds a job. A
-// session failure re-dials once and resends only the unanswered
-// in-flight frame (answered frames are never resent); when the retry
-// budget is spent the session gives its in-flight jobs back to the
-// fleet — a surviving endpoint absorbs them, and only a fleet with no
+// session failure re-dials once and resends only the in-flight
+// frame's unanswered tail (answered specs are never resent); when the
+// retry budget is spent the session gives its in-flight jobs back to
+// the fleet — a surviving endpoint absorbs them, and only a fleet with no
 // session left turns them into error results (the batch drain).
-func (c *Coordinator) runSession(epi int, ep *endpoint, conn Conn, inner wireBudget, specs int, jobs []Job, keys []string, queue dispatcher, results []Result, done func(int, Result)) {
+func (c *Coordinator) runSession(epi int, ep *endpoint, conn Conn, inner wireBudget, specs int, jobs []Job, keys []string, queue *affinityQueue, results []Result, done func(int, Result)) {
 	var carried []int // in-flight frame's job indexes, carried across a retry
 	failures := 0
 	defer func() {
@@ -907,8 +717,7 @@ func (c *Coordinator) runSession(epi int, ep *endpoint, conn Conn, inner wireBud
 	for {
 		if len(carried) == 0 {
 			// Pop a single job before dialing: the frame is topped up to
-			// the session's batch size inside pump, once the negotiated
-			// generation is known.
+			// the session's batch size inside pump.
 			i, ok := queue.pop(epi)
 			if !ok {
 				return // batch finished
@@ -947,30 +756,20 @@ func (c *Coordinator) runSession(epi int, ep *endpoint, conn Conn, inner wireBud
 
 // pump streams job frames through one established session until the
 // batch finishes or the session fails. Each iteration moves one
-// request frame: a single spec on a v3 session, up to the endpoint's
-// fair-share batch on a v4/v5 BatchConn. Responses stream back per
-// spec and are finalized as they arrive, in request order; a failure
-// mid-frame returns only the unanswered tail for requeue, so specs a
-// dying worker already answered are never re-run — the exact failure
-// granularity of the v3 one-spec-per-frame protocol. On a v5 session
-// the pump additionally pre-pushes pooled snapshot artifacts with
+// request frame of up to the endpoint's fair-share batch. Responses
+// stream back per spec and are finalized as they arrive, in request
+// order; a failure mid-frame returns only the unanswered tail for
+// requeue, so specs a dying worker already answered are never re-run.
+// The pump also pre-pushes pooled snapshot artifacts with
 // affinity-keyed requests whose worker isn't known to hold them, and
 // pools artifacts the responses return.
-func (c *Coordinator) pump(epi int, ep *endpoint, conn Conn, budget wireBudget, specs int, carried []int, jobs []Job, keys []string, queue dispatcher, results []Result, done func(int, Result)) ([]int, error) {
+func (c *Coordinator) pump(epi int, ep *endpoint, conn Conn, budget wireBudget, specs int, carried []int, jobs []Job, keys []string, queue *affinityQueue, results []Result, done func(int, Result)) ([]int, error) {
 	sharesCache := c.cfg.CacheDir != "" && conn.Hello().CacheDir == c.cfg.CacheDir
 	inner := budget.forConn(conn)
-	bc, _ := conn.(BatchConn)
-	if bc == nil {
-		specs = 1 // v3 fallback: one spec per frame, the PR 5 contract
-	}
-	proto := ProtoV3
-	if p, ok := conn.(interface{ Proto() int }); ok {
-		proto = p.Proto()
-	}
 	// A worker sharing the coordinator's cache directory reads shipped
 	// snapshots straight from disk, so pushing bytes at it is pure
 	// waste; everyone else gets the artifact once per process.
-	shipSnaps := proto >= ProtoV5 && !sharesCache
+	shipSnaps := !sharesCache
 	shared := conn.Hello().Capacity > 1
 	sessKnown := make(map[string]bool)
 	ws, _ := conn.(WireStatser)
@@ -1007,13 +806,7 @@ func (c *Coordinator) pump(epi int, ep *endpoint, conn Conn, budget wireBudget, 
 			c.col.Count(func(cc *telemetry.Counters) { cc.SnapshotBytesShipped += pushed })
 		}
 		sent := time.Now()
-		var err error
-		if bc != nil {
-			err = bc.SendBatch(reqs)
-		} else {
-			err = conn.Send(reqs[0])
-		}
-		if err != nil {
+		if err := conn.SendBatch(reqs); err != nil {
 			return frame, fmt.Errorf("sending %q: %w", keys[frame[0]], err)
 		}
 		c.mu.Lock()
@@ -1029,14 +822,7 @@ func (c *Coordinator) pump(epi int, ep *endpoint, conn Conn, budget wireBudget, 
 		// reconciling with Dispatched.
 		answered := 0
 		for answered < len(frame) {
-			var resps []WireResponse
-			if bc != nil {
-				resps, err = bc.RecvBatch()
-			} else {
-				var resp WireResponse
-				resp, err = conn.Recv()
-				resps = []WireResponse{resp}
-			}
+			resps, err := conn.RecvBatch()
 			if err != nil {
 				return frame[answered:], fmt.Errorf("worker reply for %q: %w", keys[frame[answered]], err)
 			}

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"fedgpo/internal/fl"
+	"fedgpo/internal/runtime/wire"
 )
 
 // The procs tests exercise the shard coordinator against a stub worker
@@ -84,7 +85,7 @@ func stubJob(i int, s stubSpec) Job {
 	}
 }
 
-func stubBackend(t *testing.T, procs int) *ProcBackend {
+func stubBackend(t *testing.T, procs int) *Coordinator {
 	t.Helper()
 	self, err := os.Executable()
 	if err != nil {
@@ -231,37 +232,49 @@ func TestExecutorOnProcBackendCacheSemantics(t *testing.T) {
 }
 
 // ServeWorker must open the session with a valid hello frame, then
-// answer every request in order and propagate the Cached flag across
-// the wire (Result.Cached is excluded from the result's own JSON
-// form).
+// answer every request in order, one response frame per spec, and
+// propagate the Cached flag across the wire (Result.Cached is excluded
+// from the result's own JSON form).
 func TestServeWorkerOrderAndCachedFlag(t *testing.T) {
-	var in, out bytes.Buffer
-	enc := json.NewEncoder(&in)
+	var env wireEnvelope
 	for i := 0; i < 5; i++ {
-		enc.Encode(WireRequest{Key: fmt.Sprintf("k%d", i), Spec: json.RawMessage(`{}`)})
+		env.Reqs = append(env.Reqs, WireRequest{Key: fmt.Sprintf("k%d", i), Spec: json.RawMessage(`{}`)})
 	}
-	err := ServeWorker(&in, &out, func(key string, _ json.RawMessage) Result {
+	b, err := json.Marshal(env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var in, out bytes.Buffer
+	if _, err := wire.WriteFrame(&in, b); err != nil {
+		t.Fatal(err)
+	}
+	err = ServeWorker(&in, &out, func(key string, _ json.RawMessage) Result {
 		return Result{Key: key, Cached: key == "k2", Sim: fl.Result{PPW: 7}}
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec := json.NewDecoder(&out)
-	var hello WireHello
-	if err := dec.Decode(&hello); err != nil {
+	frame, _, err := wire.ReadFrame(&out, 1)
+	if err != nil {
 		t.Fatalf("hello frame: %v", err)
 	}
-	// The hello's base Proto stays at the v3 baseline so pre-v4
-	// coordinators keep accepting it; the v4 capability rides in
-	// MaxProto.
-	if !hello.Hello || hello.Proto != ProtoV3 || hello.MaxProto != ProtoVersion || hello.KeyVersion != keyVersion || hello.Capacity != 1 {
+	var hello WireHello
+	if err := json.Unmarshal(frame, &hello); err != nil {
+		t.Fatalf("hello frame: %v", err)
+	}
+	if !hello.Hello || hello.Proto != ProtoVersion || hello.KeyVersion != keyVersion || hello.Capacity != 1 {
 		t.Errorf("hello frame = %+v", hello)
 	}
 	for i := 0; i < 5; i++ {
-		var resp WireResponse
-		if err := dec.Decode(&resp); err != nil {
+		frame, _, err := wire.ReadFrame(&out, i+2)
+		if err != nil {
 			t.Fatalf("response %d: %v", i, err)
 		}
+		var got wireEnvelope
+		if err := json.Unmarshal(frame, &got); err != nil || len(got.Resps) != 1 {
+			t.Fatalf("response %d: %d responses, %v (want one per frame)", i, len(got.Resps), err)
+		}
+		resp := got.Resps[0]
 		if want := fmt.Sprintf("k%d", i); resp.Key != want {
 			t.Errorf("response %d out of order: %q", i, resp.Key)
 		}

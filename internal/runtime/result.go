@@ -37,8 +37,8 @@ type Result struct {
 	// Cached reports whether this result was served from the run cache.
 	Cached bool `json:"-"`
 	// Persisted reports that the result already lives in the disk cache
-	// the executor reads (set by ProcBackend when its workers share the
-	// executor's cache directory), so the executor skips the redundant
+	// the executor reads (set by the Coordinator when its workers share
+	// the executor's cache directory), so the executor skips the redundant
 	// re-serialization and re-write of the entry.
 	Persisted bool `json:"-"`
 	// Telemetry carries the executing process's per-job phase timings

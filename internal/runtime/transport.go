@@ -9,44 +9,16 @@ import (
 	"fedgpo/internal/runtime/wire"
 )
 
-// Wire-protocol generations. Version 2 added the hello handshake, the
-// per-request inner-budget field and the TCP transport; version 3 added
-// the response-side "metrics" field carrying the worker's per-job
-// telemetry snapshot back to the coordinator; version 4 moves the job
-// stream to length-prefixed compressed binary frames (see the wire
-// package) whose payloads are envelopes batching several specs per
-// frame; version 5 adds snapshot shipping on top of the v4 framing —
-// request envelopes may pre-push serialized pretrain snapshots
-// (WireRequest.Snaps) and responses return snapshots the worker built
-// (WireResponse.Snaps), so a cell landing on a cold endpoint
-// deserializes instead of re-warming.
-//
-// Negotiation is backward compatible in both directions. A worker's
-// hello always carries Proto == ProtoV3 — the baseline every
-// coordinator since PR 5 accepts — plus MaxProto advertising the
-// highest generation it speaks. A v4+-capable coordinator answers a
-// v4+-capable hello with a JSON helloAck frame naming the negotiated
-// generation (min(MaxProto, ProtoVersion)) and both sides switch to
-// binary framing; a v3-only worker (no MaxProto) gets plain v3 JSON
-// frames and no ack, and a v3-only coordinator ignores the unknown
-// MaxProto field and never sends one. A worker distinguishes the two
-// by its first inbound frame: helloAck or a plain WireRequest. V5
-// shares v4's framing — only the envelope fields differ — so a v5
-// coordinator talking to a v4 worker simply never populates Snaps, and
-// a v4 coordinator talking to a v5 worker negotiates v4, under which
-// the worker never attaches them.
-const (
-	// ProtoV3 is the newline-delimited JSON baseline: one WireRequest
-	// frame per cell, one WireResponse frame back, in order.
-	ProtoV3 = 3
-	// ProtoV4 is the batched binary framing generation.
-	ProtoV4 = 4
-	// ProtoV5 adds snapshot shipping (Snaps on requests and responses)
-	// over the v4 framing.
-	ProtoV5 = 5
-	// ProtoVersion is the highest generation this build speaks.
-	ProtoVersion = ProtoV5
-)
+// ProtoVersion is the wire protocol both sides of a session must speak.
+// Every frame in either direction is a wire-package frame (length
+// prefix plus DEFLATE-compressed payload): the worker's first frame is
+// its JSON WireHello, and every later frame is a JSON wireEnvelope —
+// request batches toward the worker, one response per frame back.
+// There is no negotiation: the coordinator rejects a hello naming any
+// other version at Dial, exactly as it rejects a cache-key mismatch.
+// Bump it whenever either side's framing or envelope fields change
+// meaning.
+const ProtoVersion = 6
 
 // WireHello is the first frame of every wire session, sent by the
 // worker the moment the session opens — before any request arrives.
@@ -56,18 +28,11 @@ const (
 // the shared cache under keys this coordinator trusts.
 type WireHello struct {
 	// Hello marks the frame; it is always true (a frame without it is
-	// not a handshake — most likely an older worker or a non-worker
-	// process on the far side).
+	// not a handshake — most likely a non-worker process on the far
+	// side).
 	Hello bool `json:"hello"`
-	// Proto is the worker's baseline wire-protocol version. It stays at
-	// ProtoV3 even for v4-capable workers, so coordinators predating
-	// the v4 negotiation still accept the hello; the upgrade rides in
-	// MaxProto.
+	// Proto is the worker's wire-protocol version (ProtoVersion).
 	Proto int `json:"proto"`
-	// MaxProto is the highest protocol generation the worker speaks
-	// (0 on pre-v4 workers, which is treated as Proto). The negotiated
-	// session generation is min(MaxProto, coordinator's ProtoVersion).
-	MaxProto int `json:"maxProto,omitempty"`
 	// KeyVersion is the worker's cache-key scheme version (keyVersion in
 	// job.go). Coordinator and worker must agree or cached results
 	// written by one are semantically wrong for the other.
@@ -83,47 +48,25 @@ type WireHello struct {
 	CacheDir string `json:"cacheDir,omitempty"`
 }
 
-// helloAck is the coordinator's handshake reply upgrading a session to
-// a negotiated protocol generation above the v3 baseline. It is only
-// sent when the hello advertised the higher generation, so a v3 worker
-// never sees one — its first inbound frame is a plain WireRequest,
-// exactly as before v4 existed.
-type helloAck struct {
-	HelloAck bool `json:"helloAck"`
-	Proto    int  `json:"proto"`
-}
-
 // Conn is one established wire session to a worker: hello already
-// exchanged and validated, requests and responses flowing as frames. A
-// Conn is used by one coordinator session loop at a time and need not
+// read and validated, request batches and responses flowing as frames.
+// A Conn is used by one coordinator session loop at a time and need not
 // be safe for concurrent use. Close releases the session's resources
 // (for a subprocess, reaping it; for a socket, closing it).
 type Conn interface {
 	// Hello returns the worker's validated handshake frame.
 	Hello() WireHello
-	// Send writes one request frame.
-	Send(WireRequest) error
-	// Recv reads the next response frame.
-	Recv() (WireResponse, error)
+	// SendBatch writes one request envelope frame carrying reqs.
+	SendBatch(reqs []WireRequest) error
+	// RecvBatch reads the next response envelope frame. Workers answer
+	// every request in order, each in its own frame as it finishes.
+	RecvBatch() ([]WireResponse, error)
 	// Close ends the session.
 	Close() error
 }
 
-// BatchConn is the protocol-v4 session surface: SendBatch writes one
-// length-prefixed compressed envelope frame carrying a whole request
-// batch and RecvBatch reads the matching response envelope. Sessions
-// that negotiated v3 (and scripted test conns) don't implement it, so
-// the coordinator's type assertion is the fallback switch: no
-// BatchConn, no batching — one JSON frame per cell, exactly the v3
-// contract.
-type BatchConn interface {
-	Conn
-	SendBatch([]WireRequest) error
-	RecvBatch() ([]WireResponse, error)
-}
-
 // WireStatser is implemented by sessions that meter raw bytes moved on
-// the wire (handshake frames included). The coordinator folds the
+// the wire (the hello frame included). The coordinator folds the
 // totals into its per-endpoint stats.
 type WireStatser interface {
 	WireStats() (sent, recv int64)
@@ -147,17 +90,16 @@ type Transport interface {
 }
 
 // deadlineReader is implemented by connections that support read
-// deadlines (net.Conn); wireConn uses it to bound Recv when the
+// deadlines (net.Conn); wireConn uses it to bound RecvBatch when the
 // transport carries a reply timeout. Pipe-backed sessions don't
-// implement it and Recv blocks until the pipe closes — for a local
+// implement it and reads block until the pipe closes — for a local
 // subprocess, crash detection via pipe EOF makes that safe.
 type deadlineReader interface {
 	SetReadDeadline(t time.Time) error
 }
 
-// countReader / countWriter meter the raw bytes a session moves; the
-// handshake decoder and both framing modes read and write through
-// them, so WireStats covers hello, ack and every frame.
+// countReader / countWriter meter the raw bytes a session moves, so
+// WireStats covers the hello and every frame.
 type countReader struct {
 	r io.Reader
 	n int64
@@ -180,38 +122,26 @@ func (c *countWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// wireConn is a coordinator-side wire session over any reader/writer
-// pair, shared by the stdio and TCP transports. It owns the handshake
-// and speaks the v3 JSON framing; a session that negotiates v4 is
-// returned wrapped in batchConn, which reuses the same state but moves
-// frames through the wire package instead.
+// wireConn is the coordinator side of a wire session over any
+// reader/writer pair, shared by the stdio and TCP transports.
 type wireConn struct {
-	dec     *json.Decoder
-	enc     *json.Encoder
 	hello   WireHello
-	proto   int
-	framed  io.Reader // v4 read side: handshake readahead + the stream
 	cr      *countReader
 	cw      *countWriter
 	rawRead any // the original read side, checked for deadlineReader
 	timeout time.Duration
 	closer  func() error
-	frames  int // response frames read, for frame-indexed v4 errors
+	frames  int // frames read so far, for frame-indexed errors
 }
 
 // newWireConn wraps an open byte stream into a wire session: it reads
-// and validates the worker's hello frame, negotiates the protocol
-// generation (acking a v4 upgrade), and returns the ready Conn — a
-// BatchConn when the session speaks v4. closer runs exactly once, on
-// Close.
+// and validates the worker's hello frame and returns the ready Conn.
+// closer runs exactly once, on Close (or right away when the handshake
+// fails).
 func newWireConn(r io.Reader, w io.Writer, timeout time.Duration, closer func() error) (Conn, error) {
-	cr := &countReader{r: r}
-	cw := &countWriter{w: w}
 	c := &wireConn{
-		dec:     json.NewDecoder(cr),
-		enc:     json.NewEncoder(cw),
-		cr:      cr,
-		cw:      cw,
+		cr:      &countReader{r: r},
+		cw:      &countWriter{w: w},
 		rawRead: r,
 		timeout: timeout,
 		closer:  closer,
@@ -222,30 +152,28 @@ func newWireConn(r io.Reader, w io.Writer, timeout time.Duration, closer func() 
 		}
 		return nil, err
 	}
-	if c.proto >= ProtoV4 {
-		// The handshake decoder may have read ahead into the binary
-		// stream; drain its buffer before the raw reader, and skip the
-		// newline the worker's hello encoder left behind.
-		c.framed = wire.Handoff(io.MultiReader(c.dec.Buffered(), cr))
-		return &batchConn{c}, nil
-	}
 	return c, nil
 }
 
-// handshake reads and validates the worker's hello frame and settles
-// the session's protocol generation.
+// handshake reads and validates the worker's hello frame. A stream
+// that does not open with a frame — a worker built before protocol 6
+// writes a bare JSON hello, whose first bytes decode as a length prefix
+// far above wire.MaxFrameBytes — fails the prefix check before any
+// body is allocated.
 func (c *wireConn) handshake() error {
 	if err := c.setRecvDeadline(); err != nil {
 		return err
 	}
+	c.frames++
+	payload, _, err := wire.ReadFrame(c.cr, c.frames)
+	if err != nil {
+		return fmt.Errorf("runtime: transport handshake: reading hello (worker built before protocol %d, or not a worker?): %w", ProtoVersion, err)
+	}
 	var h WireHello
-	if err := c.dec.Decode(&h); err != nil {
-		return fmt.Errorf("runtime: transport handshake: reading hello: %w", err)
+	if err := json.Unmarshal(payload, &h); err != nil || !h.Hello {
+		return fmt.Errorf("runtime: transport handshake: first frame is not a hello")
 	}
-	if !h.Hello {
-		return fmt.Errorf("runtime: transport handshake: first frame is not a hello (worker predates protocol %d?)", ProtoVersion)
-	}
-	if h.Proto < ProtoV3 || h.Proto > ProtoVersion {
+	if h.Proto != ProtoVersion {
 		return fmt.Errorf("runtime: transport handshake: worker speaks wire protocol %d, coordinator %d", h.Proto, ProtoVersion)
 	}
 	if h.KeyVersion != keyVersion {
@@ -255,18 +183,6 @@ func (c *wireConn) handshake() error {
 		h.Capacity = 1
 	}
 	c.hello = h
-	c.proto = h.Proto
-	if h.MaxProto > c.proto {
-		c.proto = h.MaxProto
-	}
-	if c.proto > ProtoVersion {
-		c.proto = ProtoVersion
-	}
-	if c.proto >= ProtoV4 {
-		if err := c.enc.Encode(helloAck{HelloAck: true, Proto: c.proto}); err != nil {
-			return fmt.Errorf("runtime: transport handshake: sending upgrade ack: %w", err)
-		}
-	}
 	return nil
 }
 
@@ -283,43 +199,12 @@ func (c *wireConn) setRecvDeadline() error {
 // Hello returns the validated handshake frame.
 func (c *wireConn) Hello() WireHello { return c.hello }
 
-// Proto returns the session's negotiated protocol generation.
-func (c *wireConn) Proto() int { return c.proto }
-
 // WireStats returns the session's cumulative raw bytes written and
-// read, handshake included.
+// read, hello included.
 func (c *wireConn) WireStats() (sent, recv int64) { return c.cw.n, c.cr.n }
 
-// Send writes one request frame.
-func (c *wireConn) Send(req WireRequest) error { return c.enc.Encode(req) }
-
-// Recv reads the next response frame, bounded by the transport's reply
-// timeout when the connection supports deadlines.
-func (c *wireConn) Recv() (WireResponse, error) {
-	var resp WireResponse
-	if err := c.setRecvDeadline(); err != nil {
-		return resp, err
-	}
-	err := c.dec.Decode(&resp)
-	return resp, err
-}
-
-// Close ends the session.
-func (c *wireConn) Close() error {
-	if c.closer == nil {
-		return nil
-	}
-	return c.closer()
-}
-
-// batchConn is a protocol-v4 session: request batches travel as one
-// compressed length-prefixed envelope frame each way. Send/Recv remain
-// available as batch-of-one wrappers so call sites that move a single
-// job (probe paths, tests) work on either generation.
-type batchConn struct{ *wireConn }
-
 // SendBatch writes one request envelope frame.
-func (c *batchConn) SendBatch(reqs []WireRequest) error {
+func (c *wireConn) SendBatch(reqs []WireRequest) error {
 	b, err := json.Marshal(wireEnvelope{Reqs: reqs})
 	if err != nil {
 		return fmt.Errorf("runtime: encoding request envelope: %w", err)
@@ -330,12 +215,12 @@ func (c *batchConn) SendBatch(reqs []WireRequest) error {
 
 // RecvBatch reads one response envelope frame, bounded by the
 // transport's reply timeout when the connection supports deadlines.
-func (c *batchConn) RecvBatch() ([]WireResponse, error) {
+func (c *wireConn) RecvBatch() ([]WireResponse, error) {
 	if err := c.setRecvDeadline(); err != nil {
 		return nil, err
 	}
 	c.frames++
-	payload, _, err := wire.ReadFrame(c.framed, c.frames)
+	payload, _, err := wire.ReadFrame(c.cr, c.frames)
 	if err != nil {
 		return nil, err
 	}
@@ -346,19 +231,10 @@ func (c *batchConn) RecvBatch() ([]WireResponse, error) {
 	return env.Resps, nil
 }
 
-// Send writes a batch of one.
-func (c *batchConn) Send(req WireRequest) error {
-	return c.SendBatch([]WireRequest{req})
-}
-
-// Recv reads a batch expected to hold exactly one response.
-func (c *batchConn) Recv() (WireResponse, error) {
-	resps, err := c.RecvBatch()
-	if err != nil {
-		return WireResponse{}, err
+// Close ends the session.
+func (c *wireConn) Close() error {
+	if c.closer == nil {
+		return nil
 	}
-	if len(resps) != 1 {
-		return WireResponse{}, fmt.Errorf("runtime: expected 1 response in envelope, got %d", len(resps))
-	}
-	return resps[0], nil
+	return c.closer()
 }

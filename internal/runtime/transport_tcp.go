@@ -80,7 +80,7 @@ type ServeConfig struct {
 	// concurrent sessions and must be safe for concurrent use.
 	SetInner func(n int)
 	// Install, when non-nil, installs coordinator-pushed snapshot
-	// artifacts (WireRequest.Snaps, protocol v5) into the pool's
+	// artifacts (WireRequest.Snaps) into the pool's
 	// pretrain cache. It may be called from concurrent sessions and
 	// must be safe for concurrent use.
 	Install func(key string, data json.RawMessage) error

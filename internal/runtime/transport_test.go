@@ -1,9 +1,12 @@
 package runtime
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"strings"
 	"sync"
@@ -12,6 +15,7 @@ import (
 	"time"
 
 	"fedgpo/internal/fl"
+	"fedgpo/internal/runtime/wire"
 )
 
 // fakeTransport is an in-process Transport whose sessions are scripted
@@ -67,30 +71,39 @@ func (t *fakeTransport) sendCount(key string) int {
 	return t.sends[key]
 }
 
+// fakeConn answers like a real worker: requests are served in order,
+// each in its own response frame, so a respond error mid-frame leaves
+// the frame's tail unanswered.
 type fakeConn struct {
-	t    *fakeTransport
-	dial int
-	req  *WireRequest
+	t       *fakeTransport
+	dial    int
+	pending []WireRequest
 }
 
 func (c *fakeConn) Hello() WireHello { return c.t.hello }
 
-func (c *fakeConn) Send(req WireRequest) error {
+func (c *fakeConn) SendBatch(reqs []WireRequest) error {
 	c.t.mu.Lock()
-	c.t.sends[req.Key]++
-	c.t.inner[req.Key] = req.Inner
+	for _, req := range reqs {
+		c.t.sends[req.Key]++
+		c.t.inner[req.Key] = req.Inner
+	}
 	c.t.mu.Unlock()
-	c.req = &req
+	c.pending = append(c.pending, reqs...)
 	return nil
 }
 
-func (c *fakeConn) Recv() (WireResponse, error) {
-	if c.req == nil {
-		return WireResponse{}, fmt.Errorf("recv without a pending request")
+func (c *fakeConn) RecvBatch() ([]WireResponse, error) {
+	if len(c.pending) == 0 {
+		return nil, fmt.Errorf("recv without a pending request")
 	}
-	req := *c.req
-	c.req = nil
-	return c.t.respond(c.dial, req)
+	req := c.pending[0]
+	c.pending = c.pending[1:]
+	resp, err := c.t.respond(c.dial, req)
+	if err != nil {
+		return nil, err
+	}
+	return []WireResponse{resp}, nil
 }
 
 func (c *fakeConn) Close() error { return nil }
@@ -112,8 +125,8 @@ func specJobs(n int) []Job {
 }
 
 // A session that drops mid-batch must be retried on a fresh session,
-// resending only the unanswered in-flight job — never jobs that were
-// already answered.
+// resending only the in-flight frame's unanswered specs — never jobs
+// that were already answered.
 func TestCoordinatorRetryResendsOnlyUnanswered(t *testing.T) {
 	jobs := specJobs(6)
 	answeredOnFirst := 3
@@ -143,14 +156,14 @@ func TestCoordinatorRetryResendsOnlyUnanswered(t *testing.T) {
 			t.Errorf("job %d sent %d times", i, n)
 		}
 	}
-	if resent != 1 {
-		t.Errorf("%d jobs were resent, want exactly the 1 unanswered in-flight job", resent)
+	if want := len(jobs) - answeredOnFirst; resent != want {
+		t.Errorf("%d jobs were resent, want exactly the %d unanswered specs of the in-flight frame", resent, want)
 	}
 	if ft.dials != 2 {
 		t.Errorf("transport dialed %d times, want 2 (session + one retry)", ft.dials)
 	}
 	st := c.EndpointStats()
-	if len(st) != 1 || st[0].Retried != 1 || st[0].Failed != 0 || st[0].Dispatched != int64(len(jobs))+1 {
+	if len(st) != 1 || st[0].Retried != 1 || st[0].Failed != 0 || st[0].Dispatched != int64(len(jobs)+resent) {
 		t.Errorf("endpoint stats = %+v", st)
 	}
 }
@@ -202,9 +215,11 @@ func TestCoordinatorExhaustedRetriesSurfaceErrors(t *testing.T) {
 	if done != len(jobs) {
 		t.Errorf("done fired %d times, want %d", done, len(jobs))
 	}
+	// One session holds the whole batch in one frame, so the in-flight
+	// frame is every job.
 	st := c.EndpointStats()
-	if len(st) != 1 || st[0].Failed != 1 {
-		t.Errorf("endpoint stats = %+v (want exactly the in-flight job counted failed)", st)
+	if len(st) != 1 || st[0].Failed != int64(len(jobs)) {
+		t.Errorf("endpoint stats = %+v (want exactly the in-flight frame counted failed)", st)
 	}
 }
 
@@ -280,28 +295,60 @@ func TestCoordinatorForwardsWireBudgets(t *testing.T) {
 	}
 }
 
-// The handshake must reject a worker speaking the wrong protocol
-// version, the wrong cache-key scheme, or no hello at all.
+// jsonFrame renders v as JSON inside one wire frame — the shape of a
+// worker's hello and of every envelope after it.
+func jsonFrame(t testing.TB, v any) string {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := wire.WriteFrame(&buf, b); err != nil {
+		t.Fatal(err)
+	}
+	return buf.String()
+}
+
+// The handshake must reject a worker speaking another protocol version
+// or cache-key scheme, a worker built before hellos were framed, a
+// stream whose length prefix exceeds the frame bound, and anything
+// that is not a hello at all — each with an error, without hanging and
+// without allocating what a lying prefix claims.
 func TestHandshakeRejectsMismatches(t *testing.T) {
-	dial := func(firstFrame string) error {
-		_, err := newWireConn(strings.NewReader(firstFrame), &strings.Builder{}, 0, nil)
+	dial := func(stream string) error {
+		_, err := newWireConn(strings.NewReader(stream), io.Discard, 0, nil)
 		return err
 	}
-	proto := fmt.Sprint(ProtoVersion)
-	cases := []struct{ frame, want string }{
-		{`{"hello":true,"proto":1,"keyVersion":"` + keyVersion + `","capacity":1}`, "wire protocol"},
-		{`{"hello":true,"proto":` + proto + `,"keyVersion":"v1","capacity":1}`, "cache-key scheme"},
-		{`{"key":"k0","result":{}}`, "not a hello"},
-		{`worker: cannot open cache`, "reading hello"},
+	hello := func(proto int, kv string) string {
+		return jsonFrame(t, WireHello{Hello: true, Proto: proto, KeyVersion: kv, Capacity: 1})
+	}
+	var oversized [4]byte
+	binary.BigEndian.PutUint32(oversized[:], wire.MaxFrameBytes+1)
+	cases := []struct{ name, stream, want string }{
+		{"unframed JSON hello", `{"hello":true,"proto":3,"maxProto":5,"keyVersion":"` + keyVersion + `","capacity":1}` + "\n", "before protocol 6"},
+		{"protocol 5", hello(5, keyVersion), "wire protocol 5"},
+		{"future protocol", hello(ProtoVersion+1, keyVersion), "wire protocol"},
+		{"wrong key scheme", hello(ProtoVersion, "v1"), "cache-key scheme"},
+		{"prefix over MaxFrameBytes", string(oversized[:]) + "xxxx", "length prefix"},
+		{"response instead of hello", jsonFrame(t, WireResponse{Key: "k0"}), "not a hello"},
+		{"worker stderr on stdout", "worker: cannot open cache", "reading hello"},
+		{"empty stream", "", "reading hello"},
 	}
 	for _, c := range cases {
-		err := dial(c.frame)
+		var err error
+		allocs := testing.AllocsPerRun(1, func() { err = dial(c.stream) })
 		if err == nil || !strings.Contains(err.Error(), c.want) {
-			t.Errorf("handshake on %q: error = %v, want mention of %q", c.frame, err, c.want)
+			t.Errorf("%s: error = %v, want mention of %q", c.name, err, c.want)
+		}
+		// A rejected hello costs a handful of small objects, never the
+		// body a lying prefix claims.
+		if allocs > 64 {
+			t.Errorf("%s: rejection allocated %.0f objects", c.name, allocs)
 		}
 	}
-	good := `{"hello":true,"proto":` + proto + `,"keyVersion":"` + keyVersion + `","capacity":3,"cacheDir":"/tmp/c"}`
-	conn, err := newWireConn(strings.NewReader(good), &strings.Builder{}, 0, nil)
+	good := jsonFrame(t, WireHello{Hello: true, Proto: ProtoVersion, KeyVersion: keyVersion, Capacity: 3, CacheDir: "/tmp/c"})
+	conn, err := newWireConn(strings.NewReader(good), io.Discard, 0, nil)
 	if err != nil {
 		t.Fatalf("valid hello rejected: %v", err)
 	}
@@ -310,40 +357,81 @@ func TestHandshakeRejectsMismatches(t *testing.T) {
 	}
 }
 
-// The worker session loop must tolerate blank lines and stray
-// whitespace between frames (wrapper scripts emit them), and a
-// genuinely malformed frame must name its index.
-func TestServeSessionWhitespaceAndFrameErrors(t *testing.T) {
-	req := func(key string) string {
-		b, _ := json.Marshal(WireRequest{Key: key, Spec: json.RawMessage(`{}`)})
-		return string(b)
-	}
-	in := strings.NewReader("\n\n" + req("k0") + "\n \n\t\n" + req("k1") + "\r\n   \n")
-	var out strings.Builder
-	err := ServeWorker(in, &out, func(key string, _ json.RawMessage) Result {
-		return Result{Key: key}
+// FuzzHello feeds arbitrary bytes to the coordinator side of a session
+// over a pipe: the handshake either rejects them with an error or
+// yields a conn holding a validated hello — never a panic or a hang.
+func FuzzHello(f *testing.F) {
+	f.Add([]byte(jsonFrame(f, WireHello{Hello: true, Proto: ProtoVersion, KeyVersion: keyVersion, Capacity: 2})))
+	f.Add([]byte(jsonFrame(f, WireHello{Hello: true, Proto: 5, KeyVersion: keyVersion})))
+	f.Add([]byte(`{"hello":true,"proto":3,"maxProto":5,"keyVersion":"v3","capacity":1}` + "\n"))
+	f.Add([]byte{0x00, 0x00, 0x00, 0x05, 0x01, 0x02})
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		pr, pw := io.Pipe()
+		go func() {
+			_, _ = pw.Write(b)
+			_ = pw.Close()
+		}()
+		conn, err := newWireConn(pr, io.Discard, 0, func() error { return pr.Close() })
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		if h := conn.Hello(); !h.Hello || h.Proto != ProtoVersion || h.KeyVersion != keyVersion || h.Capacity < 1 {
+			t.Fatalf("accepted an invalid hello: %+v", h)
+		}
 	})
-	if err != nil {
-		t.Fatalf("whitespace between frames killed the session: %v", err)
-	}
-	dec := json.NewDecoder(strings.NewReader(out.String()))
-	var hello WireHello
-	if err := dec.Decode(&hello); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"k0", "k1"} {
-		var resp WireResponse
-		if err := dec.Decode(&resp); err != nil || resp.Key != want {
-			t.Fatalf("response = %+v, %v (want key %s)", resp, err, want)
+}
+
+// A coordinator with no endpoints answers every job with an error
+// result instead of building a queue over an empty fleet.
+func TestCoordinatorWithoutEndpointsReturnsErrors(t *testing.T) {
+	jobs := specJobs(2)
+	jobs[0].Affinity = "pretrain-k"
+	done := 0
+	results := NewCoordinator(ProcConfig{}).Run(jobs, func(int, Result) { done++ })
+	for i, r := range results {
+		if !strings.Contains(r.Err, "no worker endpoints available") {
+			t.Errorf("job %d = %+v, want a no-endpoints error", i, r)
 		}
 	}
+	if done != len(jobs) {
+		t.Errorf("done fired %d times, want %d", done, len(jobs))
+	}
+}
 
-	bad := strings.NewReader(req("k0") + "\nnot a frame\n")
-	err = ServeWorker(bad, &strings.Builder{}, func(key string, _ json.RawMessage) Result {
-		return Result{Key: key}
-	})
-	if err == nil || !strings.Contains(err.Error(), "frame 2") {
-		t.Errorf("malformed frame error = %v, want the offending frame index (frame 2)", err)
+// The worker session loop must end cleanly at EOF after its last frame,
+// and fail with the offending frame's index on anything that is not a
+// request envelope frame — stray whitespace between frames included,
+// since every byte on the stream belongs to a frame.
+func TestServeSessionWhitespaceAndFrameErrors(t *testing.T) {
+	reqFrame := func(keys ...string) string {
+		env := wireEnvelope{}
+		for _, k := range keys {
+			env.Reqs = append(env.Reqs, WireRequest{Key: k, Spec: json.RawMessage(`{}`)})
+		}
+		return jsonFrame(t, env)
+	}
+	run := func(key string, _ json.RawMessage) Result { return Result{Key: key} }
+	var out bytes.Buffer
+	if err := ServeWorker(strings.NewReader(reqFrame("k0", "k1")+reqFrame("k2")), &out, run); err != nil {
+		t.Fatalf("clean session: %v", err)
+	}
+	for i := 0; i < 4; i++ { // hello + one response frame per spec
+		if _, _, err := wire.ReadFrame(&out, i+1); err != nil {
+			t.Fatalf("output frame %d: %v", i+1, err)
+		}
+	}
+	for _, c := range []struct{ name, stream string }{
+		{"whitespace between frames", reqFrame("k0") + "\n" + reqFrame("k1")},
+		{"JSON line", reqFrame("k0") + `{"key":"k1","spec":{}}` + "\n"},
+		{"empty envelope", reqFrame("k0") + reqFrame()},
+		{"not an envelope", reqFrame("k0") + jsonFrame(t, []int{1})},
+	} {
+		err := ServeWorker(strings.NewReader(c.stream), io.Discard, run)
+		if err == nil || !strings.Contains(err.Error(), "frame 2") {
+			t.Errorf("%s: error = %v, want the offending frame index (frame 2)", c.name, err)
+		}
 	}
 }
 
@@ -481,14 +569,14 @@ func TestTCPHandshakeMismatchRejectsEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer lis.Close()
+	future := jsonFrame(t, WireHello{Hello: true, Proto: ProtoVersion + 1, KeyVersion: keyVersion, Capacity: 1})
 	go func() {
 		for {
 			nc, err := lis.Accept()
 			if err != nil {
 				return
 			}
-			enc := json.NewEncoder(nc)
-			_ = enc.Encode(WireHello{Hello: true, Proto: ProtoVersion + 1, KeyVersion: keyVersion, Capacity: 1})
+			_, _ = io.WriteString(nc, future)
 			_ = nc.Close()
 		}
 	}()
@@ -526,14 +614,14 @@ func TestTCPDrainDeliversInFlightResponse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := conn.Send(WireRequest{Key: "k0", Spec: json.RawMessage(`{}`)}); err != nil {
+	if err := conn.SendBatch([]WireRequest{{Key: "k0", Spec: json.RawMessage(`{}`)}}); err != nil {
 		t.Fatal(err)
 	}
 	<-started
 	cancel() // SIGTERM equivalent: drain begins while the job runs
-	resp, err := conn.Recv()
-	if err != nil || resp.Key != "k0" || resp.Result.Sim.PPW != 42 {
-		t.Errorf("in-flight response lost during drain: %+v, %v", resp, err)
+	resps, err := conn.RecvBatch()
+	if err != nil || len(resps) != 1 || resps[0].Key != "k0" || resps[0].Result.Sim.PPW != 42 {
+		t.Errorf("in-flight response lost during drain: %+v, %v", resps, err)
 	}
 	_ = conn.Close()
 	select {
@@ -554,6 +642,7 @@ func TestTCPReplyTimeout(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer lis.Close()
+	hello := jsonFrame(t, WireHello{Hello: true, Proto: ProtoVersion, KeyVersion: keyVersion, Capacity: 1})
 	go func() {
 		for {
 			nc, err := lis.Accept()
@@ -561,7 +650,7 @@ func TestTCPReplyTimeout(t *testing.T) {
 				return
 			}
 			// Hello, then silence: accept requests, answer nothing.
-			_ = json.NewEncoder(nc).Encode(WireHello{Hello: true, Proto: ProtoVersion, KeyVersion: keyVersion, Capacity: 1})
+			_, _ = io.WriteString(nc, hello)
 		}
 	}()
 	c := NewCoordinator(ProcConfig{},

@@ -1,10 +1,10 @@
-// Package wire implements the length-prefixed binary framing shared by
-// protocol-v4 transport sessions: one frame is a 4-byte big-endian
-// length prefix followed by that many bytes of DEFLATE-compressed
-// payload. The payload is an opaque byte string to this package — the
-// runtime package puts JSON batch envelopes inside — so the framing,
-// its size guards and its fuzz surface live in one place for the stdio
-// and TCP transports alike.
+// Package wire implements the length-prefixed binary framing every
+// transport session speaks: one frame is a 4-byte big-endian length
+// prefix followed by that many bytes of DEFLATE-compressed payload. The
+// payload is an opaque byte string to this package — the runtime
+// package puts the JSON hello and batch envelopes inside, and its cache
+// wraps entry payloads in the same framing — so the framing, its size
+// guards and its fuzz surface live in one place.
 //
 // Both directions of a frame are bounded: the length prefix is
 // validated against MaxFrameBytes before a single payload byte is
@@ -71,8 +71,8 @@ func WriteFrame(w io.Writer, payload []byte) (int, error) {
 // ReadFrame reads one frame and returns its decompressed payload plus
 // the number of wire bytes consumed. frame is the 1-based frame index
 // used in error messages. A clean EOF at a frame boundary returns
-// io.EOF unwrapped, so callers can end sessions exactly as the JSON
-// decode loop does; EOF inside a frame is a truncation error.
+// io.EOF unwrapped, so callers can end sessions cleanly; EOF inside a
+// frame is a truncation error.
 func ReadFrame(r io.Reader, frame int) ([]byte, int, error) {
 	var hdr [headerLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -135,46 +135,6 @@ func inflate(body []byte) ([]byte, error) {
 		return nil, fmt.Errorf("decompress: payload exceeds limit %d", int64(MaxPayloadBytes))
 	}
 	return out.Bytes(), nil
-}
-
-// Handoff wraps a reader at the JSON-handshake → binary-framing
-// boundary, skipping any ASCII whitespace left over from the
-// handshake (json.Encoder terminates each value with a newline) before
-// the first frame byte. Only leading whitespace is skipped: once a
-// non-whitespace byte arrives the stream passes through verbatim. The
-// skip is unambiguous because a whitespace first byte (>= 0x09) would
-// encode a length prefix far above MaxFrameBytes.
-func Handoff(r io.Reader) io.Reader {
-	return &handoffReader{r: r}
-}
-
-type handoffReader struct {
-	r      io.Reader
-	inBody bool
-}
-
-func (h *handoffReader) Read(p []byte) (int, error) {
-	n, err := h.r.Read(p)
-	if h.inBody || n == 0 {
-		return n, err
-	}
-	skip := 0
-	for skip < n {
-		switch p[skip] {
-		case ' ', '\t', '\n', '\r':
-			skip++
-		default:
-			h.inBody = true
-			copy(p, p[skip:n])
-			return n - skip, err
-		}
-	}
-	// The whole read was handshake whitespace; report progress as a
-	// zero-byte read only if the stream ended, otherwise read again.
-	if err != nil {
-		return 0, err
-	}
-	return h.Read(p)
 }
 
 // ErrTruncated reports whether a ReadFrame error was caused by the

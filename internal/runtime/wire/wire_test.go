@@ -46,7 +46,7 @@ func TestFrameRoundTrip(t *testing.T) {
 }
 
 func TestFrameCompresses(t *testing.T) {
-	// Batched JSON is highly repetitive; the whole point of the v4
+	// Batched JSON is highly repetitive; the whole point of the
 	// framing is that it ships far fewer bytes than the raw payload.
 	payload := []byte(strings.Repeat(`{"key":"v3|sim|fleet=20|alpha=iid","result":{"ppw":1.25}}`+"\n", 200))
 	var buf bytes.Buffer
@@ -117,41 +117,5 @@ func TestEmptyPayloadRoundTrip(t *testing.T) {
 	}
 	if len(got) != 0 {
 		t.Fatalf("empty payload round-tripped to %d bytes", len(got))
-	}
-}
-
-// Handoff must absorb exactly the whitespace a JSON handshake leaves
-// before the first binary frame — and nothing else, including
-// whitespace-valued bytes inside frame bodies.
-func TestHandoffSkipsLeadingWhitespaceOnly(t *testing.T) {
-	payload := []byte("payload with spaces \n\t and newlines \r\n inside")
-	var framed bytes.Buffer
-	if _, err := WriteFrame(&framed, payload); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := WriteFrame(&framed, payload); err != nil {
-		t.Fatal(err)
-	}
-
-	for _, lead := range []string{"", "\n", " \t\r\n", "\n\n\n"} {
-		r := Handoff(io.MultiReader(strings.NewReader(lead), bytes.NewReader(framed.Bytes())))
-		for frame := 1; frame <= 2; frame++ {
-			got, _, err := ReadFrame(r, frame)
-			if err != nil {
-				t.Fatalf("lead %q frame %d: %v", lead, frame, err)
-			}
-			if !bytes.Equal(got, payload) {
-				t.Errorf("lead %q frame %d payload corrupted", lead, frame)
-			}
-		}
-		if _, _, err := ReadFrame(r, 3); err != io.EOF {
-			t.Errorf("lead %q: after both frames err = %v, want io.EOF", lead, err)
-		}
-	}
-
-	// A stream that is nothing but handshake whitespace ends cleanly.
-	r := Handoff(strings.NewReader("\n \t\n"))
-	if _, _, err := ReadFrame(r, 1); err != io.EOF {
-		t.Errorf("whitespace-only stream err = %v, want io.EOF", err)
 	}
 }
