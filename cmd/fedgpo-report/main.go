@@ -7,7 +7,7 @@
 //
 // Usage:
 //
-//	fedgpo-report [-quick] [-only fig9,fig12] [-parallel N] [-inner-parallel N]
+//	fedgpo-report [-quick] [-only fig9,fig12] [-parallel N]
 //	              [-backend pool|procs] [-procs N] [-workers host:port,...]
 //	              [-cachedir PATH] [-cache-max-bytes N]
 //	              [-results PATH] > EXPERIMENTS.md
@@ -115,13 +115,10 @@ func main() {
 		fmt.Print(table.Markdown())
 		fmt.Fprintf(os.Stderr, "%s done in %.1fs\n", e.ID, time.Since(start).Seconds())
 	}
-	// Flush deferred cache maintenance before snapshotting telemetry so
-	// the touch-flush counters cover the whole run.
-	_ = rt.Close()
 	st := rt.Stats()
 	pretrainRuns, pretrainKeys := rt.PretrainStats()
-	fmt.Fprintf(os.Stderr, "runtime: %s backend, %d workers (+%d inner), %d cells simulated, %d served from cache, %d/%d pretrain warm-ups executed\n",
-		rtFlags.Backend, rt.Workers(), rt.InnerParallel(), st.Runs, st.Hits, pretrainRuns, pretrainKeys)
+	fmt.Fprintf(os.Stderr, "runtime: %s backend, %d workers, %d cells simulated, %d served from cache, %d/%d pretrain warm-ups executed\n",
+		rtFlags.Backend, rt.Workers(), st.Runs, st.Hits, pretrainRuns, pretrainKeys)
 	if *verbose {
 		for _, ep := range st.Endpoints {
 			fmt.Fprint(os.Stderr, cli.EndpointLine(ep))

@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	fedgpo-sim -exp fig9 [-quick | -tiny] [-list] [-parallel N] [-inner-parallel N]
+//	fedgpo-sim -exp fig9 [-quick | -tiny] [-list] [-parallel N]
 //	           [-backend pool|procs] [-procs N] [-workers host:port,...]
 //	           [-cachedir PATH] [-cache-max-bytes N]
 //
@@ -69,7 +69,6 @@ func main() {
 	start := time.Now()
 	table := e.Run(opts)
 	fmt.Print(table.String())
-	_ = rt.Close()
 	st := rt.Stats()
 	fmt.Printf("(%s in %.1fs; %s backend, %d workers, %d cells simulated, %d cached)\n",
 		e.ID, time.Since(start).Seconds(), rtFlags.Backend, rt.Workers(), st.Runs, st.Hits)

@@ -14,7 +14,7 @@
 //
 // Usage:
 //
-//	fedgpo-sweep -workload CNN-MNIST [-noniid] [-variance] [-quick] [-parallel N] [-inner-parallel N]
+//	fedgpo-sweep -workload CNN-MNIST [-noniid] [-variance] [-quick] [-parallel N]
 //	             [-backend pool|procs] [-procs N] [-workers host:port,...]
 //	             [-cachedir PATH] [-cache-max-bytes N]
 //	fedgpo-sweep -matrix "fleet=200,100;alpha=iid,0.5;net=stable,unstable" [-params 8,10,20] [-seed N]
@@ -216,9 +216,6 @@ func parseParams(s string) (fl.Params, error) {
 // greps), the per-endpoint dispatch stats under -v, writes the
 // -metrics-out artifact, and finalizes the -results store.
 func finish(rt *exp.Runtime, rtFlags *cli.RuntimeFlags, verbose bool, results string, streaming bool) {
-	// Flush deferred cache maintenance before snapshotting telemetry so
-	// the touch-flush counters cover the whole run.
-	_ = rt.Close()
 	st := rt.Stats()
 	fmt.Fprintf(os.Stderr, "runtime: %d cells simulated, %d served from cache\n", st.Runs, st.Hits)
 	if verbose {

@@ -26,15 +26,9 @@
 // are installed into the pool's pretrain cache so co-scheduled warm
 // cells deserialize instead of re-running the warm-up.
 //
-// With the default -inner-parallel=-1 the worker follows the
-// coordinator's wire-forwarded per-job inner budget (small batches on
-// big machines fan their per-round participant modeling out inside the
-// worker); an explicit value pins the budget instead. Results are
-// byte-identical for any budget.
-//
 // Usage:
 //
-//	fedgpo-worker [-cachedir PATH] [-inner-parallel N]
+//	fedgpo-worker [-cachedir PATH]
 //
 // runs one stdio session (coordinator-spawned). A deployment serving
 // remote coordinators instead runs one pool per machine:
@@ -66,8 +60,6 @@ import (
 
 func main() {
 	cachedir := flag.String("cachedir", "", "share the coordinator's run cache under this directory")
-	innerParallel := flag.Int("inner-parallel", -1,
-		"per-round participant fan-out budget (-1 = follow the coordinator's wire-forwarded budget, 0 = serial rounds; results are identical for any value)")
 	listen := flag.String("listen", "",
 		"serve a TCP worker pool on this host:port instead of one stdio session (for coordinators started with -workers)")
 	capacity := flag.Int("capacity", 0,
@@ -79,23 +71,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "fedgpo-worker:", err)
 		os.Exit(1)
 	}
-	// An explicit budget is pinned; the default follows whatever budget
-	// the coordinator forwards per request (serial until told
-	// otherwise). SetInnerParallel is safe for the concurrent sessions
-	// of a TCP pool, and the budget shapes wall-clock only — results
-	// are byte-identical for any value.
-	var setInner func(int)
-	if *innerParallel < 0 {
-		rt.SetInnerParallel(0)
-		setInner = func(n int) {
-			if n >= 0 {
-				rt.SetInnerParallel(n)
-			}
-		}
-	} else {
-		rt.SetInnerParallel(*innerParallel)
-	}
-
 	run := func(key string, spec json.RawMessage) runtime.Result {
 		sp, err := exp.DecodeJobSpec(spec)
 		if err != nil {
@@ -127,16 +102,11 @@ func main() {
 			Capacity: *capacity,
 			CacheDir: *cachedir,
 			Run:      run,
-			SetInner: setInner,
 			Install:  rt.InstallSnapshot,
 			Logf: func(format string, args ...any) {
 				fmt.Fprintf(os.Stderr, "fedgpo-worker: "+format+"\n", args...)
 			},
 		})
-		// Drained (or failed): flush the LRU mtime touches this pool's
-		// cache hits queued, so the shared directory's eviction order
-		// reflects the sessions it served.
-		_ = rt.Close()
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "fedgpo-worker:", err)
 			os.Exit(1)
@@ -148,10 +118,8 @@ func main() {
 	err = runtime.ServeSession(os.Stdin, os.Stdout, run, runtime.WorkerOptions{
 		Capacity: 1,
 		CacheDir: *cachedir,
-		SetInner: setInner,
 		Install:  rt.InstallSnapshot,
 	})
-	_ = rt.Close()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "fedgpo-worker:", err)
 		os.Exit(1)

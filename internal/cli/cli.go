@@ -34,10 +34,6 @@ type RuntimeFlags struct {
 	// Parallel is the in-process simulation worker count (pool
 	// backend; 0 = all cores).
 	Parallel int
-	// InnerParallel is the per-round participant fan-out budget
-	// (results are identical for any value). Negative selects the
-	// adaptive split: each batch derives its budget from its shape.
-	InnerParallel int
 	// CacheDir persists the content-addressed run cache.
 	CacheDir string
 	// CacheMaxBytes, when positive, prunes the cache directory at
@@ -67,8 +63,6 @@ type RuntimeFlags struct {
 func Register(fs *flag.FlagSet) *RuntimeFlags {
 	f := &RuntimeFlags{}
 	fs.IntVar(&f.Parallel, "parallel", 0, "simulation worker count (0 = all cores)")
-	fs.IntVar(&f.InnerParallel, "inner-parallel", -1,
-		"per-round participant fan-out budget shared across simulations (-1 = derive from batch shape, 0 = serial rounds; results are identical for any value; worker subprocesses only fan out for explicit positive values)")
 	fs.StringVar(&f.CacheDir, "cachedir", "", "persist the run cache under this directory")
 	fs.Int64Var(&f.CacheMaxBytes, "cache-max-bytes", 0,
 		"evict least-recently-used cache entries at startup until the cache dir fits this byte budget (0 = keep everything)")
@@ -107,8 +101,10 @@ func (f *RuntimeFlags) HandleListScenarios(w io.Writer) bool {
 }
 
 // Runtime builds the experiment runtime the parsed flags describe:
-// cache (pruned to the byte budget), execution backend, and inner
-// worker budget.
+// cache (pruned to the byte budget), execution backend, and decision
+// tracing. When -workers upgrades the default backend to the shard
+// coordinator, Backend is set to BackendProcs so labels name the
+// backend that actually runs.
 func (f *RuntimeFlags) Runtime() (*exp.Runtime, error) {
 	cache, err := runtime.NewCache(f.CacheDir)
 	if err != nil {
@@ -127,6 +123,7 @@ func (f *RuntimeFlags) Runtime() (*exp.Runtime, error) {
 		// -backend: dispatching to remote pools is meaningless on the
 		// in-process backend, and silently ignoring the flag would be
 		// worse than upgrading it.
+		f.Backend = BackendProcs
 		procs := f.Procs
 		if procs <= 0 {
 			// A requested parallelism cap applies to whichever backend
@@ -149,17 +146,15 @@ func (f *RuntimeFlags) Runtime() (*exp.Runtime, error) {
 			}
 		}
 		backend = runtime.NewProcBackend(runtime.ProcConfig{
-			WorkerBin:     bin,
-			Procs:         procs,
-			Workers:       remotes,
-			CacheDir:      f.CacheDir,
-			InnerParallel: f.InnerParallel,
+			WorkerBin: bin,
+			Procs:     procs,
+			Workers:   remotes,
+			CacheDir:  f.CacheDir,
 		})
 	default:
 		return nil, fmt.Errorf("cli: unknown backend %q (valid: %s, %s)", f.Backend, BackendPool, BackendProcs)
 	}
 	rt := exp.NewRuntimeWithBackend(backend, cache)
-	rt.SetInnerParallel(f.InnerParallel)
 	switch f.TraceLevel {
 	case "", "none":
 		// tracing off

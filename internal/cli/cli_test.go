@@ -22,22 +22,19 @@ func parse(t *testing.T, args ...string) *RuntimeFlags {
 }
 
 // The shared block must register every runtime flag once, with the
-// pool backend and the adaptive inner budget as the defaults.
+// pool backend as the default.
 func TestRegisterDefaultsAndParsing(t *testing.T) {
 	f := parse(t)
 	if f.Backend != BackendPool || f.Parallel != 0 || f.CacheDir != "" || f.CacheMaxBytes != 0 {
 		t.Errorf("unexpected defaults: %+v", f)
 	}
-	if f.InnerParallel != -1 {
-		t.Errorf("inner-parallel default = %d, want -1 (adaptive)", f.InnerParallel)
-	}
 	if f.ListScenarios {
 		t.Error("list-scenarios should default to false")
 	}
-	f = parse(t, "-parallel", "3", "-inner-parallel", "2", "-cachedir", "/tmp/x",
+	f = parse(t, "-parallel", "3", "-cachedir", "/tmp/x",
 		"-cache-max-bytes", "1024", "-backend", "procs", "-procs", "4", "-worker-bin", "/bin/w",
 		"-workers", "10.0.0.5:9331, 10.0.0.6:9331")
-	if f.Parallel != 3 || f.InnerParallel != 2 || f.CacheDir != "/tmp/x" ||
+	if f.Parallel != 3 || f.CacheDir != "/tmp/x" ||
 		f.CacheMaxBytes != 1024 || f.Backend != "procs" || f.Procs != 4 || f.WorkerBin != "/bin/w" {
 		t.Errorf("flags not parsed: %+v", f)
 	}
@@ -48,11 +45,16 @@ func TestRegisterDefaultsAndParsing(t *testing.T) {
 
 // -workers must select the shard coordinator even under the default
 // backend, need no local worker binary when it carries the whole
-// fleet, and mix with local -procs when one is requested.
+// fleet, and mix with local -procs when one is requested. The backend
+// label the CLIs print must name the coordinator, not the pool default.
 func TestRuntimeBuildsTCPWorkers(t *testing.T) {
-	rt, err := parse(t, "-workers", "127.0.0.1:9331,127.0.0.1:9332").Runtime()
+	f := parse(t, "-workers", "127.0.0.1:9331,127.0.0.1:9332")
+	rt, err := f.Runtime()
 	if err != nil {
 		t.Fatal(err)
+	}
+	if f.Backend != BackendProcs {
+		t.Errorf("backend label = %q with -workers alone, want %q", f.Backend, BackendProcs)
 	}
 	// No dial happens at construction; the endpoints are visible in the
 	// stats snapshot and each remote counts as one worker until its
@@ -82,8 +84,9 @@ func TestRuntimeBuildsTCPWorkers(t *testing.T) {
 	}
 }
 
-// Runtime must build a pool runtime, apply the inner budget, and
-// prune the cache directory to the configured byte budget at startup.
+// Runtime must build a pool runtime with the requested worker count
+// and prune the cache directory to the configured byte budget at
+// startup.
 func TestRuntimeBuildsPoolAndPrunes(t *testing.T) {
 	dir := t.TempDir()
 	cache, err := runtime.NewCache(dir)
@@ -95,13 +98,13 @@ func TestRuntimeBuildsPoolAndPrunes(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	f := parse(t, "-parallel", "2", "-inner-parallel", "3", "-cachedir", dir, "-cache-max-bytes", "1")
+	f := parse(t, "-parallel", "2", "-cachedir", dir, "-cache-max-bytes", "1")
 	rt, err := f.Runtime()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rt.Workers() != 2 || rt.InnerParallel() != 3 {
-		t.Errorf("runtime knobs lost: workers=%d inner=%d", rt.Workers(), rt.InnerParallel())
+	if rt.Workers() != 2 {
+		t.Errorf("runtime workers = %d, want 2", rt.Workers())
 	}
 	left, err := os.ReadDir(dir)
 	if err != nil {

@@ -166,8 +166,7 @@ func startWorkerPool(t *testing.T, capacity int, cacheDir string) (string, func(
 				}
 				return wrt.RunJob(job)
 			},
-			SetInner: wrt.SetInnerParallel,
-			Install:  wrt.InstallSnapshot,
+			Install: wrt.InstallSnapshot,
 		})
 	}()
 	return lis.Addr().String(), func() {

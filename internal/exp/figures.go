@@ -21,15 +21,6 @@ type Options struct {
 	MaxRounds int
 	// Parallel is the runtime worker count (0 = GOMAXPROCS, 1 = serial).
 	Parallel int
-	// InnerParallel is the per-round participant fan-out budget shared
-	// across every concurrently running simulation (0 = serial rounds,
-	// negative = derive the budget from each batch's shape; see
-	// Runtime.SetInnerParallel). It only shapes wall-clock: results are
-	// byte-identical for any value. It configures the transient runtime
-	// built for direct figure calls; a runtime bound via WithRuntime
-	// carries its own budget (set it with Runtime.SetInnerParallel) and
-	// this field is ignored.
-	InnerParallel int
 	// CacheDir, when set, persists the content-addressed run cache on
 	// disk so reruns only simulate cells whose configuration changed.
 	CacheDir string
@@ -73,7 +64,6 @@ func (o Options) runtime() *Runtime {
 	if err != nil {
 		panic(err)
 	}
-	rt.SetInnerParallel(o.InnerParallel)
 	return rt
 }
 
@@ -397,4 +387,3 @@ func Fig7(o Options) Table {
 		"paper expectation: non-IID degrades all settings and shifts the optimum toward smaller E and K (paper: (8,10,20) -> (8,5,10))")
 	return t
 }
-

@@ -51,7 +51,7 @@ func oracleSpec(s ScenarioSpec, o Options, rounds int) JobSpec {
 // parameters fill the round's critical path (see PredictionAccuracy).
 func executeOracle(r *Runtime, sp JobSpec) runtime.Result {
 	s := sp.Scenario
-	cfg := r.config(s, sp.Seed)
+	cfg := s.Config(sp.Seed)
 	cfg.MaxRounds = sp.ProbeRounds
 	cfg.StopAtConvergence = false
 

@@ -83,7 +83,7 @@ type sec54Extra struct {
 // type comment above).
 func executeSec54(r *Runtime, sp JobSpec) runtime.Result {
 	col := telemetry.NewCollector()
-	cfg := r.config(sp.Scenario, sp.Seed)
+	cfg := sp.Scenario.Config(sp.Seed)
 	cfg.StopAtConvergence = false
 	cfg.Telemetry = col
 	t0 := time.Now()
@@ -176,4 +176,3 @@ func Sec54(o Options) Table {
 		"cached reruns replay overhead values measured when the cell first ran; likewise warm FedGPO cells exclude the Q-table warm-up's wall time, which is spent once per scenario when the pretrain snapshot is built (see the pretrained-controller cache)")
 	return t
 }
-

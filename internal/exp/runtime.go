@@ -16,8 +16,8 @@ import (
 // Runtime bundles the experiment runtime shared by every figure
 // generated under one Options value: the execution backend (in-process
 // worker pool or multi-process shard coordinator), the
-// content-addressed run cache, the inner (per-round) worker budget,
-// the pretrained-controller cache, and the structured result store.
+// content-addressed run cache, the pretrained-controller cache, and
+// the structured result store.
 type Runtime struct {
 	exec  *runtime.Executor
 	cache *runtime.Cache
@@ -26,16 +26,6 @@ type Runtime struct {
 	// every cell are kept in memory only when a consumer asked for them
 	// (see EnableStore).
 	record bool
-	// innerMu guards inner and innerAuto: a listening worker applies
-	// coordinator-forwarded budgets from concurrent wire sessions while
-	// jobs read the pool, so the pair is swapped and read under a lock.
-	innerMu sync.Mutex
-	// inner is the shared per-round participant fan-out budget wired
-	// into every fl.Config this runtime builds (nil = serial rounds).
-	inner *fl.Pool
-	// innerAuto derives the inner budget from each batch's shape
-	// instead of a flat setting; see SetInnerParallel.
-	innerAuto bool
 	// onJob, when set, observes every job a batch submits (test hook
 	// for spec round-trip coverage).
 	onJob func(runtime.Job)
@@ -122,30 +112,17 @@ func NewRuntimeWithBackend(b runtime.Backend, cache *runtime.Cache) *Runtime {
 	}); ok {
 		bc.SetCache(cache)
 	}
-	// Under the adaptive split the inner budget is retuned per batch
-	// from the number of cells actually dispatched — cache hits don't
-	// occupy workers, so a warm batch with one invalidated cell gets
-	// the full fan-out, not a budget sized to the nominal batch. The
-	// hook runs on the batch's calling goroutine before any job body
-	// starts.
-	r.exec.SetDispatch(func(misses int) {
-		r.innerMu.Lock()
-		defer r.innerMu.Unlock()
-		if r.innerAuto {
-			r.inner = fl.NewPool(adaptiveInnerBudget(misses, r.exec.Workers()))
-		}
-	})
 	return r
 }
 
 // Stats returns the executor's lifetime cache-hit/run counters.
 func (r *Runtime) Stats() runtime.Stats { return r.exec.Stats() }
 
-// Close flushes the runtime's deferred cache maintenance (queued LRU
-// mtime touches). Call it when a process is done running batches —
-// after the last figure of a report, or when a worker's serve loop
-// returns. The runtime stays usable afterwards.
-func (r *Runtime) Close() error { return r.exec.Close() }
+// Close does nothing: cache hits refresh their entry's mtime inline,
+// so no maintenance is left to flush.
+//
+// Deprecated: there is nothing to close; it always returns nil.
+func (r *Runtime) Close() error { return nil }
 
 // SetTraceLevel sets the RL decision-trace level stamped onto every
 // job this runtime compiles: telemetry.TraceDecisions enables
@@ -179,62 +156,11 @@ func (r *Runtime) Metrics() telemetry.Metrics {
 // Workers returns the execution backend's parallelism.
 func (r *Runtime) Workers() int { return r.exec.Workers() }
 
-// SetInnerParallel sets the shared per-round participant fan-out
-// budget: up to n extra goroutines, lent across every simulation this
-// runtime executes concurrently (n == 0 runs rounds serially). A
-// negative n selects the adaptive split: each batch derives its inner
-// budget from its own shape (see adaptiveInnerBudget) — wide fan-out
-// when a few large cells would leave workers idle, none when the
-// batch already saturates the outer pool. Results are byte-identical
-// for any value — the budget shapes wall-clock only, so it
-// deliberately does not participate in cache keys. It is safe to call
-// concurrently with running jobs (a listening worker applies
-// coordinator-forwarded wire budgets between jobs); cells already
-// running keep the pool they started with.
-func (r *Runtime) SetInnerParallel(n int) {
-	r.innerMu.Lock()
-	defer r.innerMu.Unlock()
-	r.innerAuto = n < 0
-	if r.innerAuto {
-		n = 0
-	}
-	r.inner = fl.NewPool(n)
-}
-
-// InnerParallel returns the current inner worker budget (under the
-// adaptive split, the budget derived for the most recent batch).
-func (r *Runtime) InnerParallel() int {
-	r.innerMu.Lock()
-	defer r.innerMu.Unlock()
-	return r.inner.Extra()
-}
-
-// adaptiveInnerBudget derives the inner (per-round participant)
-// worker budget from a batch's shape: a batch with fewer cells than
-// outer workers leaves cores idle, so the spare workers are lent to
-// intra-round fan-out; a batch with at least as many cells as workers
-// keeps the tokens for the outer pool, retaining a single shared
-// helper so straggler cells at a batch's tail can still fan out.
-func adaptiveInnerBudget(cells, workers int) int {
-	if cells <= 0 || workers <= 1 {
-		return 0
-	}
-	if cells >= workers {
-		return 1
-	}
-	return workers - cells
-}
-
-// config materializes a scenario for a seed with the runtime's inner
-// worker budget attached. Every fl.Config this runtime runs — cells,
-// probes and pretraining warm-ups alike — is built here.
-func (r *Runtime) config(s ScenarioSpec, seed int64) fl.Config {
-	cfg := s.Config(seed)
-	r.innerMu.Lock()
-	cfg.Inner = r.inner
-	r.innerMu.Unlock()
-	return cfg
-}
+// SetInnerParallel does nothing: rounds always model their
+// participants serially, and the only parallelism is across cells.
+//
+// Deprecated: ignored.
+func (r *Runtime) SetInnerParallel(int) {}
 
 // PretrainStats reports the pretrained-controller cache's activity:
 // runs is how many Q-table warm-ups actually executed in this process,
@@ -281,7 +207,7 @@ func (r *Runtime) pretrainedSnapshot(s ScenarioSpec, cfg core.Config, warmSeed i
 					panic(rec)
 				}
 			}()
-			warmCfg := r.config(s, warmSeed)
+			warmCfg := s.Config(warmSeed)
 			warmCfg.MaxRounds = warmRounds
 			snap := core.PretrainSnapshot(cfg, warmCfg)
 			r.pretrainRuns.Add(1)

@@ -33,26 +33,6 @@ func TestParallelTableByteIdenticalToSerial(t *testing.T) {
 	}
 }
 
-// Inner-round parallelism must be invisible in every output byte: the
-// same table generated with per-round fan-out budgets of 1, 2 and 8
-// must match the serial-rounds table exactly. Fig6 covers the warm
-// FedGPO contender, so the pretrained-controller cache path is under
-// the same invariance contract.
-func TestInnerParallelTablesByteIdentical(t *testing.T) {
-	render := func(inner int) string {
-		o := Tiny()
-		o.InnerParallel = inner
-		return Fig6(o).String()
-	}
-	want := render(0) // serial rounds
-	for _, inner := range []int{1, 2, 8} {
-		if got := render(inner); got != want {
-			t.Errorf("inner parallelism %d changed the table:\n--- serial ---\n%s--- inner=%d ---\n%s",
-				inner, want, inner, got)
-		}
-	}
-}
-
 // A panicking pretrain warm-up must fail every cell that depends on
 // it, not just the first: the singleflight entry replays the panic, so
 // no sibling cell can silently proceed with an untrained zero-value

@@ -349,7 +349,7 @@ func executeSim(r *Runtime, sp JobSpec) runtime.Result {
 	ctrl := r.controller(sp.Scenario, sp.Contender)
 	col.RecordPhase(telemetry.PhasePretrain, time.Since(t0))
 	traced := r.traceTarget(sp, ctrl)
-	cfg := r.config(sp.Scenario, sp.Seed)
+	cfg := sp.Scenario.Config(sp.Seed)
 	cfg.Telemetry = col
 	res := runtime.Result{Sim: fl.Run(cfg, ctrl)}
 	r.publishTrace(sp, traced)

@@ -64,7 +64,6 @@ type Arena struct {
 
 	part data.Memo
 	comm netsim.CommModel
-	gate Gate
 	kern roundKernel
 
 	// costs persists across runs: compute-cost tables are pure in
@@ -126,7 +125,6 @@ func (a *Arena) beginRun(cfg *Config) {
 		a.devCost[i] = cm
 	}
 	a.comm = cfg.Channel.Model()
-	a.gate.Reset()
 
 	if cap(a.cumTime) < cfg.MaxRounds {
 		a.cumTime = make([]float64, 0, cfg.MaxRounds)
@@ -136,12 +134,9 @@ func (a *Arena) beginRun(cfg *Config) {
 	a.cumEnergy = a.cumEnergy[:0]
 }
 
-// roundKernel is the arena-resident closure state of executeRound's
-// phase 2 (the deterministic per-participant modeling). It is a struct
-// with a method rather than a func literal so the serial path can call
-// it without materializing a closure: a literal passed to a function
-// that may hand it to goroutines is heap-allocated at its definition
-// site every round, even on rounds that never fan out.
+// roundKernel is the arena-resident state of executeRound's phase 2
+// (the deterministic per-participant modeling), a struct with a method
+// so the round loop calls it without materializing a closure.
 type roundKernel struct {
 	parts      []DeviceRound
 	states     []DeviceState
@@ -153,9 +148,8 @@ type roundKernel struct {
 	modelBytes float64
 }
 
-// model computes participant i's deterministic round terms. It writes
-// only index-i slots (plus the device-indexed read-only tables), which
-// is what makes fanning it out byte-identical to the serial loop.
+// model computes participant i's deterministic round terms, writing
+// only index-i slots and reading the device-indexed tables.
 func (k *roundKernel) model(i int) {
 	p := &k.parts[i]
 	id := p.DeviceID

@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"sync"
 	"testing"
-	"time"
 
 	"fedgpo/internal/data"
 	"fedgpo/internal/device"
@@ -112,8 +111,7 @@ func TestRunWithArenaAllocsPerRound(t *testing.T) {
 
 // TestArenaCrossCellReuseRaceClean exercises the deployment shape the
 // arena pool serves — many outer workers executing cells concurrently,
-// each reusing arenas across its cells, all sharing one inner Pool —
-// and checks results stay byte-identical to a serial reference. Run
+// each reusing arenas across its cells — and checks results stay byte-identical to a serial reference. Run
 // under -race this is also the cross-cell data-race check.
 func TestArenaCrossCellReuseRaceClean(t *testing.T) {
 	cfg := testConfig()
@@ -128,7 +126,6 @@ func TestArenaCrossCellReuseRaceClean(t *testing.T) {
 		ref[i] = marshalStable(t, RunWithArena(c, NewStatic(Params{B: 8, E: 10, K: 10}), NewArena()))
 	}
 
-	inner := NewPool(4)
 	var wg sync.WaitGroup
 	got := make([]string, len(seeds))
 	for w := 0; w < 4; w++ {
@@ -141,7 +138,6 @@ func TestArenaCrossCellReuseRaceClean(t *testing.T) {
 			for i := w; i < len(seeds); i += 4 {
 				c := cfg
 				c.Seed = seeds[i]
-				c.Inner = inner
 				got[i] = marshalStable(t, RunWithArena(c, NewStatic(Params{B: 8, E: 10, K: 10}), a))
 			}
 		}(w)
@@ -151,92 +147,5 @@ func TestArenaCrossCellReuseRaceClean(t *testing.T) {
 		if got[i] != ref[i] {
 			t.Errorf("seed %d: concurrent reused-arena run differs from serial reference", seeds[i])
 		}
-	}
-}
-
-// TestGatedFanoutByteIdentical forces the gate open (Procs override, a
-// big-participation config whose round loop clears the fan-out floor)
-// so the parallel kernel path runs even on a single-CPU host, and
-// checks the result is byte-identical to the serial reference. Under
-// -race this is the data-race check for the fanned-out kernel.
-func TestGatedFanoutByteIdentical(t *testing.T) {
-	// 4000 participants at ~20ns/item of memoized kernel work clears the
-	// gate's fan-out floor with a wide margin on any plausible host.
-	w := workload.CNNMNIST()
-	fleet := device.NewFleet(device.PaperComposition().Scale(4000))
-	cfg := Config{
-		Workload:          w,
-		Fleet:             fleet,
-		Partition:         data.IID(len(fleet), w.NumClasses, w.SamplesPerDevice),
-		Channel:           netsim.UnstableChannel(),
-		Interference:      interfere.Paper(),
-		MaxRounds:         10,
-		Seed:              9,
-		StopAtConvergence: false,
-	}
-	ctrl := func() Controller { return NewStatic(Params{B: 8, E: 10, K: 4000}) }
-	want := marshalStable(t, RunWithArena(cfg, ctrl(), NewArena()))
-
-	c := cfg
-	c.Inner = NewPool(4)
-	a := NewArena()
-	a.gate.Procs = 4 // pretend a 4-CPU host so Budget can approve helpers
-	got := marshalStable(t, RunWithArena(c, ctrl(), a))
-	if b := a.gate.Budget(4000); b <= 0 {
-		t.Fatalf("gate never opened for a 4000-participant round (budget %d) — fan-out path untested", b)
-	}
-	if got != want {
-		t.Error("gated fan-out run differs from serial reference")
-	}
-}
-
-func TestGateBudget(t *testing.T) {
-	g := &Gate{Procs: 4}
-	if b := g.Budget(100); b != 0 {
-		t.Errorf("unknown cost must stay serial, got budget %d", b)
-	}
-	// Cheap items: 100ns each, 50 items = 5µs total — below the fan-out
-	// floor.
-	g.Observe(5*time.Microsecond, 50, 1)
-	if b := g.Budget(50); b != 0 {
-		t.Errorf("5µs of work must stay serial, got budget %d", b)
-	}
-	// Expensive items: 10µs each, 50 items = 500µs total — chunk math
-	// would grant 49 helpers but the CPU count caps it at procs-1.
-	g2 := &Gate{Procs: 4}
-	g2.Observe(500*time.Microsecond, 50, 1)
-	if b := g2.Budget(50); b <= 0 {
-		t.Errorf("500µs of work should fan out, got budget %d", b)
-	} else if b > 3 {
-		t.Errorf("budget %d exceeds procs-1 = 3", b)
-	}
-	// Tiny n never fans out.
-	if b := g2.Budget(1); b != 0 {
-		t.Errorf("n=1 must stay serial, got %d", b)
-	}
-	// A single-CPU process never fans out regardless of cost.
-	g3 := &Gate{Procs: 1}
-	g3.Observe(500*time.Microsecond, 50, 1)
-	if b := g3.Budget(50); b != 0 {
-		t.Errorf("GOMAXPROCS=1 must stay serial, got budget %d", b)
-	}
-	// Reset forgets the estimate.
-	g2.Reset()
-	if b := g2.Budget(50); b != 0 {
-		t.Errorf("after Reset the gate must recalibrate serially, got %d", b)
-	}
-}
-
-func TestGateObserveScalesByWorkers(t *testing.T) {
-	// 100 items in 100µs across 4 workers ≈ 4µs/item, not 1µs/item.
-	g := &Gate{Procs: 8}
-	g.Observe(100*time.Microsecond, 100, 4)
-	if g.perItemNs < 3500 || g.perItemNs > 4500 {
-		t.Errorf("perItemNs = %v, want ~4000", g.perItemNs)
-	}
-	// The EMA tracks drift toward new samples.
-	g.Observe(100*time.Microsecond, 100, 1)
-	if g.perItemNs >= 4000 || g.perItemNs <= 1000 {
-		t.Errorf("EMA did not move toward the new 1µs sample: %v", g.perItemNs)
 	}
 }

@@ -50,13 +50,6 @@ type Config struct {
 	// StopAtConvergence ends the run once the tracker fires (plus its
 	// settle window); disable to collect full-length histories.
 	StopAtConvergence bool
-	// Inner, when non-nil, parallelizes the deterministic per-participant
-	// modeling inside each round (compute timing, communication,
-	// per-device energy terms) across the pool's shared worker budget.
-	// All stochastic state is sampled serially before the fan-out and
-	// results are merged in fixed device order, so the run's outcome is
-	// byte-identical for any pool size (nil runs rounds serially).
-	Inner *Pool
 	// Telemetry, when non-nil, receives wall-clock phase timings (round
 	// bodies, serial merges). It is observational only: Config is never
 	// hashed into cache keys and the collector cannot influence the
@@ -331,12 +324,9 @@ func observeStates(cfg *Config, pm *data.Memo, samples []int, states []DeviceSta
 // participant's local parameters, serially in selected-device order:
 // controllers are stateful and may draw randomness, so the call order
 // is part of the reproducibility contract. Phase 2 evaluates the
-// deterministic device/channel models per participant, optionally
-// fanned across cfg.Inner's worker budget — each index writes only its
-// own slots. Phase 3 merges serially in fixed device order (straggler
-// semantics, energy accounting, aggregation), so every float
-// accumulation happens in the same order for any pool size and the
-// round outcome is byte-identical with or without inner parallelism.
+// deterministic device/channel models per participant. Phase 3 merges
+// in fixed device order (straggler semantics, energy accounting,
+// aggregation), so every float accumulation happens in the same order.
 func executeRound(cfg *Config, plan Plan, selected []int, a *Arena) RoundResult {
 	k := len(selected)
 	parts := a.parts[:k]
@@ -347,7 +337,7 @@ func executeRound(cfg *Config, plan Plan, selected []int, a *Arena) RoundResult 
 	// state and consume controller randomness). The composite literal
 	// overwrites every DeviceRound field, so arena reuse cannot leak a
 	// previous round's Dropped/energy values. Warming the cost memo
-	// here — before any fan-out — keeps phase 2 read-only.
+	// here keeps phase 2 read-only.
 	for i, id := range selected {
 		lp := plan.Local(cfg.Fleet[id], states[id])
 		if lp.B < 1 {
@@ -360,18 +350,12 @@ func executeRound(cfg *Config, plan Plan, selected []int, a *Arena) RoundResult 
 		parts[i] = DeviceRound{DeviceID: id, Category: a.profiles[id].Category, Local: lp}
 	}
 
-	// Phase 2: deterministic per-participant modeling (parallelizable).
-	// The round trip is computed once per participant and reused for
-	// both its seconds and its joules below: the two are one physical
-	// transfer, and a second model call would silently diverge the
-	// moment the channel model becomes stochastic per call.
-	//
-	// The kernel lives in the arena (a struct method, not a closure) so
-	// the serial path allocates nothing; the gate decides per round
-	// whether borrowing pool helpers is worth the spawn/join overhead.
-	// Either way each index writes only its own slots and the merge
-	// below runs serially in index order, so the outcome is
-	// byte-identical for every gating decision and pool size.
+	// Phase 2: deterministic per-participant modeling. The round trip
+	// is computed once per participant and reused for both its seconds
+	// and its joules below: the two are one physical transfer, and a
+	// second model call would silently diverge the moment the channel
+	// model becomes stochastic per call. The kernel lives in the arena
+	// (a struct method, not a closure), so the loop allocates nothing.
 	a.kern = roundKernel{
 		parts:      parts,
 		states:     states,
@@ -382,18 +366,11 @@ func executeRound(cfg *Config, plan Plan, selected []int, a *Arena) RoundResult 
 		commJoules: commJoules,
 		modelBytes: cfg.Workload.Shape.ModelBytes,
 	}
-	t0 := time.Now()
-	workers := 1
-	if budget := a.gate.Budget(k); budget > 0 && cfg.Inner != nil {
-		workers = cfg.Inner.forEachUpTo(k, budget, a.kern.model)
-	} else {
-		for i := 0; i < k; i++ {
-			a.kern.model(i)
-		}
+	for i := 0; i < k; i++ {
+		a.kern.model(i)
 	}
-	a.gate.Observe(time.Since(t0), k, workers)
 
-	// Phase 3: serial merge in fixed device order.
+	// Phase 3: merge in fixed device order.
 	mergeStart := time.Now()
 	times := a.times[:k]
 	for i := range parts {

@@ -107,7 +107,6 @@ func sum(xs []float64) float64 {
 	return s
 }
 
-
 func randTensor(rng *stats.RNG, shape ...int) *Tensor {
 	x := NewTensor(shape...)
 	for i := range x.Data {

@@ -31,11 +31,11 @@ const (
 // Cache is the content-addressed run cache. Without a directory it
 // keeps payloads in an in-memory map of key-hash to JSON; with one,
 // entries live in <dir>/<hash>.binz binary envelopes; any other file
-// in the directory is foreign and never read. Disk hits pass through a byte-capped decoded-payload LRU so cells
-// re-read within one run cost one file read, and LRU mtime touches are
-// queued and coalesced off the hit path (flushed at executor shutdown,
-// Prune, or asynchronously past a threshold). It is safe for
-// concurrent use.
+// in the directory is foreign and never read. Disk hits pass through a
+// byte-capped decoded-payload LRU so cells re-read within one run cost
+// one file read, and every disk-mode hit refreshes its entry's mtime so
+// Prune evicts least-recently-used first. It is safe for concurrent
+// use.
 type Cache struct {
 	mu  sync.RWMutex
 	mem map[string][]byte // hash -> payload JSON (memory-only mode)
@@ -44,24 +44,13 @@ type Cache struct {
 
 	payloadMu sync.Mutex
 	payloads  *payloadLRU
-
-	touch   toucher
-	flushWG sync.WaitGroup // in-flight async touch flushes
 }
 
 // SetCollector attaches a telemetry collector recording cache-level
 // events: per-read source counters (mem/payload/disk hits, misses,
-// corrupt discards), read/decode/write phase time, touch-flush
-// activity, and Prune evictions. A nil collector disables recording.
+// corrupt discards), read/decode/write phase time, mtime touches, and
+// Prune evictions. A nil collector disables recording.
 func (c *Cache) SetCollector(col *telemetry.Collector) { c.col = col }
-
-// SetPayloadCacheBytes resizes the decoded-payload layer's byte cap
-// (<= 0 disables the layer). The layer is cleared on resize.
-func (c *Cache) SetPayloadCacheBytes(maxBytes int64) {
-	c.payloadMu.Lock()
-	c.payloads = newPayloadLRU(maxBytes)
-	c.payloadMu.Unlock()
-}
 
 // NewCache returns a cache. dir == "" keeps entries in memory only;
 // otherwise entries persist under dir (created if missing).
@@ -132,7 +121,7 @@ func (c *Cache) get(key, hash string, v any) int {
 	c.payloadMu.Unlock()
 	if ok {
 		if c.unmarshalPayload(payload, v) {
-			c.queueTouch(hash)
+			c.touch(hash)
 			return srcPayload
 		}
 		// The layer only holds payloads that already unmarshalled once,
@@ -154,7 +143,7 @@ func (c *Cache) get(key, hash string, v any) int {
 		return srcCorrupt
 	}
 	c.cachePayload(hash, payload)
-	c.queueTouch(hash)
+	c.touch(hash)
 	return srcDisk
 }
 
@@ -176,42 +165,23 @@ func (c *Cache) cachePayload(hash string, payload []byte) {
 	c.payloadMu.Unlock()
 }
 
-// queueTouch records that hash's entry was used, deferring the mtime
-// write. Past touchFlushThreshold pending entries the queue drains on
-// a background goroutine so long-lived workers keep mtimes fresh
-// without ever paying the syscall on a hit path.
-func (c *Cache) queueTouch(hash string) {
-	if c.touch.queue(hash) {
-		c.col.Count(func(cc *telemetry.Counters) { cc.CacheTouchesCoalesced++ })
-		return
+// touch refreshes hash's entry mtime, so mtime order is LRU order for
+// Prune. A failed touch (the entry was removed under us) only skews
+// future eviction order.
+func (c *Cache) touch(hash string) {
+	now := time.Now()
+	if os.Chtimes(c.path(hash), now, now) == nil {
+		c.col.Count(func(cc *telemetry.Counters) { cc.CacheTouches++ })
 	}
-	if c.touch.pendingLen() >= touchFlushThreshold {
-		c.flushWG.Add(1)
-		go func() {
-			defer c.flushWG.Done()
-			c.flushTouches()
-		}()
-	}
-}
-
-// FlushTouches applies every queued LRU mtime touch and waits for any
-// in-flight background flush, returning how many entries this call
-// touched. The executor calls it at Close; Prune calls it before
-// scanning so eviction order reflects every recorded use.
-func (c *Cache) FlushTouches() int {
-	n := c.flushTouches()
-	c.flushWG.Wait()
-	return n
 }
 
 // Prune enforces a byte budget on the on-disk cache: entries are
 // removed oldest-mtime-first until the surviving total is at most
 // maxBytes, and orphaned put-* temp files (writers killed mid-publish)
 // are cleared; files without the .binz extension are foreign and left
-// alone. Queued touches are flushed first,
-// so mtime order is LRU order over every recorded use; removed hashes
-// are also dropped from the decoded-payload layer so an evicted entry
-// cannot be served from memory. It returns the number of entries
+// alone. Hits touch their entry's mtime, so mtime order is LRU order;
+// removed hashes are also dropped from the decoded-payload layer so an
+// evicted entry cannot be served from memory. It returns the number of entries
 // removed (temp files not counted). Memory-only caches and
 // maxBytes <= 0 are no-ops. Call it at startup, before workers share
 // the directory — it does not coordinate with concurrent writers
@@ -220,7 +190,6 @@ func (c *Cache) Prune(maxBytes int64) (int, error) {
 	if c.dir == "" || maxBytes <= 0 {
 		return 0, nil
 	}
-	c.FlushTouches()
 	dirents, err := os.ReadDir(c.dir)
 	if err != nil {
 		return 0, fmt.Errorf("runtime: cache prune: %w", err)

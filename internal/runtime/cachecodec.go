@@ -5,12 +5,8 @@ import (
 	"container/list"
 	"encoding/binary"
 	"fmt"
-	"os"
-	"sync"
-	"time"
 
 	"fedgpo/internal/runtime/wire"
-	"fedgpo/internal/telemetry"
 )
 
 // cacheMagic opens every binary cache entry. The format generation is
@@ -157,70 +153,4 @@ func (p *payloadLRU) remove(el *list.Element) {
 	p.ll.Remove(el)
 	delete(p.idx, e.hash)
 	p.size -= int64(len(e.payload))
-}
-
-// touchFlushThreshold is the pending-touch count past which the cache
-// flushes asynchronously instead of waiting for executor shutdown, so
-// a long-lived worker's LRU mtimes stay bounded-stale.
-const touchFlushThreshold = 512
-
-// toucher coalesces mtime touches off the cache hit path: hits queue
-// their entry's hash, duplicate queues within one flush window collapse
-// to a single syscall, and the pending set drains either asynchronously
-// past a threshold or synchronously at executor shutdown / Prune. Losing
-// queued touches (process kill) only skews future LRU eviction order —
-// the same best-effort contract the old inline Chtimes had.
-type toucher struct {
-	mu      sync.Mutex
-	pending map[string]struct{}
-}
-
-// queue marks hash as touched, reporting whether an identical touch
-// was already pending (coalesced).
-func (t *toucher) queue(hash string) (coalesced bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.pending == nil {
-		t.pending = make(map[string]struct{})
-	}
-	if _, ok := t.pending[hash]; ok {
-		return true
-	}
-	t.pending[hash] = struct{}{}
-	return false
-}
-
-// drain takes the pending set, leaving the toucher empty.
-func (t *toucher) drain() map[string]struct{} {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	p := t.pending
-	t.pending = nil
-	return p
-}
-
-// pendingLen reports the current pending-touch count.
-func (t *toucher) pendingLen() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.pending)
-}
-
-// flushTouches applies every pending mtime touch now and returns the
-// number of entries touched. Files removed since the touch was queued
-// are skipped silently.
-func (c *Cache) flushTouches() int {
-	pending := c.touch.drain()
-	if len(pending) == 0 {
-		return 0
-	}
-	now := time.Now()
-	touched := 0
-	for hash := range pending {
-		if os.Chtimes(c.path(hash), now, now) == nil {
-			touched++
-		}
-	}
-	c.col.Count(func(cc *telemetry.Counters) { cc.CacheTouches += int64(touched) })
-	return touched
 }

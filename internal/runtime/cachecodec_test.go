@@ -237,13 +237,6 @@ func TestPayloadLayerServesRereadsAndHonorsPrune(t *testing.T) {
 		t.Errorf("counters = %d disk / %d payload hits, want 1/1", c.CacheDiskHits, c.CachePayloadHits)
 	}
 
-	// With the layer disabled every read goes to disk — and the removed
-	// file is now an honest miss.
-	reader.SetPayloadCacheBytes(0)
-	if reader.Get(key, &got) {
-		t.Error("disabled payload layer must not serve the removed entry")
-	}
-
 	// Prune must drop evicted hashes from the layer: re-create, read
 	// (admitting to the layer), then evict everything.
 	reader2, _ := NewCache(dir)
@@ -261,57 +254,45 @@ func TestPayloadLayerServesRereadsAndHonorsPrune(t *testing.T) {
 	}
 }
 
-// Hits queue their LRU mtime touch instead of paying the syscall
-// inline; duplicates coalesce, and FlushTouches applies the pending
-// set so Prune-visible mtimes reflect every recorded use.
-func TestTouchCoalescingAndFlush(t *testing.T) {
+// Every hit refreshes its entry's mtime at once, whether the disk or
+// the decoded-payload layer served it, so Prune's oldest-first order is
+// LRU order with no flush step.
+func TestCacheHitTouchesMtime(t *testing.T) {
 	dir := t.TempDir()
 	cache, err := NewCache(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	key := "touch|cell"
-	hash := HashKey(key)
+	path := cache.path(HashKey(key))
 	if err := cache.Put(key, Result{Key: key, Sim: fl.Result{PPW: 1}}); err != nil {
-		t.Fatal(err)
-	}
-	old := time.Now().Add(-24 * time.Hour)
-	if err := os.Chtimes(cache.path(hash), old, old); err != nil {
 		t.Fatal(err)
 	}
 	col := telemetry.NewCollector()
 	cache.SetCollector(col)
+	old := time.Now().Add(-24 * time.Hour)
 	var got Result
-	for i := 0; i < 3; i++ {
+	for i, layer := range []string{"disk", "payload"} {
+		if err := os.Chtimes(path, old, old); err != nil {
+			t.Fatal(err)
+		}
 		if !cache.Get(key, &got) {
-			t.Fatal("entry should hit")
+			t.Fatalf("%s read should hit", layer)
+		}
+		info, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !info.ModTime().After(old) {
+			t.Errorf("%s hit left the mtime at %v", layer, info.ModTime())
+		}
+		if n := col.Snapshot().Counters.CacheTouches; n != int64(i+1) {
+			t.Errorf("after the %s hit CacheTouches = %d, want %d", layer, n, i+1)
 		}
 	}
-	// The touch is deferred: mtime unchanged until the flush.
-	info, err := os.Stat(cache.path(hash))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !info.ModTime().Equal(old) {
-		t.Errorf("mtime moved before flush: %v", info.ModTime())
-	}
-	if n := cache.FlushTouches(); n != 1 {
-		t.Errorf("flushed %d touches, want 1 (coalesced)", n)
-	}
-	info, err = os.Stat(cache.path(hash))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !info.ModTime().After(old) {
-		t.Error("mtime not refreshed by flush")
-	}
 	c := col.Snapshot().Counters
-	if c.CacheTouches != 1 || c.CacheTouchesCoalesced != 2 {
-		t.Errorf("touch counters = %d flushed / %d coalesced, want 1/2", c.CacheTouches, c.CacheTouchesCoalesced)
-	}
-	// Nothing pending: a second flush is a no-op.
-	if n := cache.FlushTouches(); n != 0 {
-		t.Errorf("idle flush touched %d entries, want 0", n)
+	if c.CacheDiskHits != 1 || c.CachePayloadHits != 1 {
+		t.Errorf("counters = %d disk / %d payload hits, want 1/1", c.CacheDiskHits, c.CachePayloadHits)
 	}
 }
 

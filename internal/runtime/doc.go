@@ -142,7 +142,7 @@
 // toward the worker, {"resps": [...]} back. Each request is a
 // WireRequest
 //
-//	{"key": "<canonical job key>", "spec": <serialized JobSpec>, "inner": N,
+//	{"key": "<canonical job key>", "spec": <serialized JobSpec>,
 //	 "snaps": [<snapshot artifacts>, omitted when empty]}
 //
 // and each reply a WireResponse, strictly one per request in request
@@ -167,22 +167,6 @@
 // passes through to the coordinator's stderr. ServeWorker/ServeSession
 // implement the worker side and Serve the TCP accept loop, so any
 // binary can join the protocol.
-//
-// The "inner" field is the wire-level worker budget (ROADMAP item e):
-// the per-round participant fan-out the worker should lend its cells.
-// With an explicit -inner-parallel it is forwarded verbatim; under the
-// adaptive default the coordinator derives it per batch and per
-// endpoint in the spirit of the pool backend's adaptive budget — an
-// endpoint whose sessions outnumber its share of a small batch lends
-// the idle sessions to intra-worker fan-out, and a saturated fleet
-// keeps workers serial. The forwarded number matches the worker's
-// process shape, read off the hello's capacity: a one-session process
-// (stdio subprocess) gets its own per-cell share, while a -listen pool
-// — whose concurrent cells share a single fl.Pool — gets the
-// endpoint's whole spare as that shared budget. Budgets shape
-// wall-clock only; results
-// are byte-identical for any value, so the budget never enters cache
-// keys and workers with an explicit -inner-parallel flag ignore it.
 //
 // # Dispatch, retry and failover
 //
@@ -209,17 +193,11 @@
 // are byte-identical either way, because snapshots are deterministic
 // and always served through a lossless JSON round-trip).
 //
-// Below the job level sits a second, inner tier of parallelism: each
-// simulation may fan its per-round participant modeling across an
-// fl.Pool — a token bucket of extra goroutines shared by every run the
-// experiment runtime executes concurrently, so the combined outer
-// (cells) and inner (participants) goroutine count stays bounded by
-// worker count + inner budget. Inner fan-out is borrow-only and
-// non-blocking, and the per-round merge happens serially in fixed
-// device order, so results are byte-identical for any inner budget;
-// the budget therefore never appears in a cache key.
+// Parallelism lives at the job level only: each simulation cell runs
+// its rounds serially on the goroutine executing it, so a backend's
+// parallelism is its worker count.
 //
-// # Simulation kernel: scratch arenas and adaptive inner gating
+// # Simulation kernel: scratch arenas
 //
 // The cell bodies those workers execute run on fl's zero-allocation
 // kernel. Every fl.Run borrows a per-run scratch arena (fl.Arena) from
@@ -239,20 +217,6 @@
 // Reuse is safe across cells of any shape: beginRun resizes and
 // re-derives every table from the new config, and byte-identity of
 // dirty-arena reruns is tested directly.
-//
-// Whether a round's participant loop actually borrows pool helpers is
-// decided adaptively by fl.Gate. The gate learns the loop's
-// per-participant cost from an EMA over observed round timings
-// (normalized by realized worker count) and approves fan-out only when
-// the estimated total work clears a floor worth a goroutine
-// spawn/join, capping helpers so each chunk amortizes its dispatch and
-// never exceeding available CPUs. Paper-scale rounds (tens of
-// participants at tens of nanoseconds each) therefore run serial —
-// unconditional fan-out measurably lost time there — while big-fleet
-// rounds fan out and win.
-// Gating decisions shape wall-clock only: the per-index write contract
-// and serial in-order merge keep results byte-identical for every
-// budget and every gate decision, so neither enters a cache key.
 //
 // # Scheduling and snapshot shipping
 //
@@ -317,7 +281,7 @@
 // Results that ended in an error are never cached.
 //
 // Disk hits pass through a byte-capped in-process LRU over decoded
-// payload bytes (64 MB by default, Cache.SetPayloadCacheBytes), so a
+// payload bytes (capped at DefaultPayloadCacheBytes, 64 MB), so a
 // cell re-read within one run — pretrain snapshots, shared sweep cells
 // — costs one file read. The layer admits disk hits only, never Put
 // write-through, so a corrupted disk entry is still caught by the next
@@ -327,13 +291,11 @@
 //
 // Disk entries no longer live forever: Cache.Prune (the CLIs'
 // -cache-max-bytes flag) removes entries oldest-mtime-first at
-// startup until the directory fits the byte budget. A hit queues an
-// mtime touch instead of paying the syscall inline: duplicate touches
-// coalesce, and the pending set drains at executor
-// shutdown (Executor.Close / exp.Runtime.Close), before a Prune scan,
-// or asynchronously past a threshold — so mtime order approximates
-// LRU and a cell a warm report still reads outlives a newer cell
-// nothing asks for. Prune also drops evicted hashes from the
+// startup until the directory fits the byte budget. Every disk-mode
+// hit — read from disk or served by the decoded-payload layer —
+// refreshes its entry's mtime inline, so mtime order is LRU order and a
+// cell a warm report still reads outlives a newer cell nothing asks
+// for. Prune also drops evicted hashes from the
 // decoded-payload layer, so an evicted entry cannot be served from
 // memory. Pruning is a coordinator-startup job only; worker
 // subprocesses never prune the directory they share.
@@ -400,8 +362,8 @@
 //     (payload JSON decode separately as cacheDecode), splits hits
 //     into CacheMemHits, CachePayloadHits (decoded-payload layer) and
 //     CacheDiskHits, counts clean CacheMisses apart from CacheCorrupt
-//     discards, tallies flushed and coalesced mtime touches
-//     (CacheTouches/CacheTouchesCoalesced), and reports Prune removals
+//     discards, counts the mtime touches hits apply (CacheTouches),
+//     and reports Prune removals
 //     as Evictions. Cache-level counters can exceed job-level ones:
 //     pretrain snapshots and trace artifacts are cache traffic but not
 //     jobs.

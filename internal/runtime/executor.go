@@ -48,7 +48,6 @@ type Executor struct {
 	col        *telemetry.Collector
 	progressMu sync.Mutex
 	onProgress func(Progress)
-	onDispatch func(misses int)
 
 	// statsMu guards stats as one unit so Stats returns a consistent
 	// snapshot — hits/runs/errors counted under a single lock, never
@@ -89,26 +88,6 @@ func (e *Executor) SetProgress(fn func(Progress)) { e.onProgress = fn }
 // per-job phase timings — local or carried back over the wire — into
 // the same collector. A nil collector disables recording.
 func (e *Executor) SetCollector(col *telemetry.Collector) { e.col = col }
-
-// SetDispatch installs a callback fired once per batch that reaches
-// the backend, after cache hits are served, with the number of jobs
-// actually dispatched. It runs on the batch's calling goroutine before
-// any job body starts, so callers may retune shared execution state
-// (e.g. an inner worker budget) from the real work size rather than
-// the nominal batch size.
-func (e *Executor) SetDispatch(fn func(misses int)) { e.onDispatch = fn }
-
-// Close flushes deferred cache maintenance — today the queued LRU
-// mtime touches coalesced off the hit path. It does not shut the
-// backend down (backends own their own lifecycle) and the executor
-// remains usable afterwards; call it when a run's batches are done so
-// eviction order on disk reflects every hit this process served.
-func (e *Executor) Close() error {
-	if e.cache != nil {
-		e.cache.FlushTouches()
-	}
-	return nil
-}
 
 // Stats returns one consistent snapshot of the lifetime
 // hit/run/error counters, with the backend's per-endpoint dispatch
@@ -217,9 +196,6 @@ func (e *Executor) RunAll(jobs []Job) []Result {
 	miss := make([]Job, len(missIdx))
 	for k, i := range missIdx {
 		miss[k] = jobs[i]
-	}
-	if e.onDispatch != nil {
-		e.onDispatch(len(miss))
 	}
 	out := e.backend.Run(miss, func(k int, r Result) {
 		e.count(r)

@@ -19,13 +19,6 @@ import (
 type WireRequest struct {
 	Key  string          `json:"key"`
 	Spec json.RawMessage `json:"spec"`
-	// Inner is the coordinator-forwarded inner worker budget for this
-	// job: how many extra per-round helper goroutines the worker should
-	// lend the cell (0 = serial rounds). Under the adaptive split the
-	// coordinator derives it per batch and per endpoint — small batches
-	// on big workers fan out inside the worker — and results are
-	// byte-identical for any value, so it never enters cache keys.
-	Inner int `json:"inner,omitempty"`
 	// Snaps pre-pushes serialized pretrain snapshots the coordinator
 	// holds for this job's affinity key: the worker installs them
 	// before running, so a cell stolen or overflowed onto a cold
@@ -72,9 +65,6 @@ type WorkerOptions struct {
 	// CacheDir is the worker's run-cache directory, advertised in the
 	// hello so a coordinator sharing it can skip redundant cache writes.
 	CacheDir string
-	// SetInner, when non-nil, applies coordinator-forwarded inner
-	// budgets (WireRequest.Inner) before each job runs.
-	SetInner func(n int)
 	// Install, when non-nil, installs a coordinator-pushed snapshot
 	// artifact (WireRequest.Snaps) into the worker's pretrain cache
 	// before the request that carried it runs. Best effort: an install
@@ -115,7 +105,6 @@ func ServeSession(r io.Reader, w io.Writer, run func(key string, spec json.RawMe
 	if err != nil {
 		return fmt.Errorf("runtime: worker hello: %w", err)
 	}
-	lastInner := 0
 	for frame := 1; ; frame++ {
 		payload, _, err := wire.ReadFrame(r, frame)
 		if err == io.EOF {
@@ -133,10 +122,6 @@ func ServeSession(r io.Reader, w io.Writer, run func(key string, spec json.RawMe
 			return fmt.Errorf("runtime: worker decode (frame %d): empty request envelope", frame)
 		}
 		for _, req := range env.Reqs {
-			if opt.SetInner != nil && req.Inner != lastInner {
-				opt.SetInner(req.Inner)
-				lastInner = req.Inner
-			}
 			if opt.Install != nil {
 				for _, sa := range req.Snaps {
 					// Best effort: a failed install just means this
@@ -181,11 +166,6 @@ type ProcConfig struct {
 	// as usual, which is what keeps warm reruns hit-only even when the
 	// remote pools cache elsewhere.
 	CacheDir string
-	// InnerParallel is the explicit inner worker budget forwarded to
-	// every worker (0 = serial rounds). Negative selects the adaptive
-	// split: each batch derives a per-endpoint budget from the batch
-	// shape and the fleet's capacity, forwarded per request on the wire.
-	InnerParallel int
 	// ReplyTimeout, when positive, bounds how long the coordinator
 	// waits for each response frame from a remote worker before
 	// failing the session (local subprocess sessions detect failure via
@@ -199,6 +179,11 @@ type ProcConfig struct {
 	//
 	// Deprecated: ignored; affinity routing is the only policy.
 	Route string
+	// InnerParallel is read by nothing; it stays so existing ProcConfig
+	// literals keep compiling.
+	//
+	// Deprecated: ignored; rounds always run serially inside a worker.
+	InnerParallel int
 }
 
 // EndpointStats is one endpoint's dispatch counters within a
@@ -326,11 +311,10 @@ func NewProcBackend(cfg ProcConfig) *Coordinator {
 	if cfg.Procs > 0 {
 		c.endpoints = append(c.endpoints, &endpoint{
 			transport: &StdioTransport{
-				WorkerBin:     cfg.WorkerBin,
-				Procs:         cfg.Procs,
-				CacheDir:      cfg.CacheDir,
-				InnerParallel: cfg.InnerParallel,
-				Env:           cfg.Env,
+				WorkerBin: cfg.WorkerBin,
+				Procs:     cfg.Procs,
+				CacheDir:  cfg.CacheDir,
+				Env:       cfg.Env,
 			},
 			capacity: cfg.Procs,
 		})
@@ -600,9 +584,9 @@ func specsPerFrame(batch, totalCap int) int {
 
 // runEndpoint drives one endpoint through a batch: it resolves the
 // session count (dialing a probe session for capacity-advertising
-// transports), derives the endpoint's forwarded inner budget from the
-// batch shape, and runs the sessions until the queue drains or every
-// session's retry budget is spent.
+// transports), derives the sessions' frame size from the batch shape,
+// and runs the sessions until the queue drains or every session's
+// retry budget is spent.
 func (c *Coordinator) runEndpoint(epi int, ep *endpoint, batch, totalCap int, jobs []Job, keys []string, queue *affinityQueue, results []Result, done func(int, Result)) {
 	sessions := ep.transport.Sessions()
 	var probe Conn
@@ -623,11 +607,10 @@ func (c *Coordinator) runEndpoint(epi int, ep *endpoint, batch, totalCap int, jo
 		grew := sessions - ep.capacity
 		ep.capacity = sessions
 		c.mu.Unlock()
-		// Keep the budget derivation honest on the first batch: the
+		// Keep the frame-size derivation honest on the first batch: the
 		// fleet estimate assumed capacity 1 for this endpoint.
 		totalCap += grew
 	}
-	inner := c.innerBudget(batch, sessions, totalCap)
 	specs := specsPerFrame(batch, totalCap)
 	var wg sync.WaitGroup
 	for s := 0; s < sessions; s++ {
@@ -636,66 +619,10 @@ func (c *Coordinator) runEndpoint(epi int, ep *endpoint, batch, totalCap int, jo
 		wg.Add(1)
 		go func(conn Conn) {
 			defer wg.Done()
-			c.runSession(epi, ep, conn, inner, specs, jobs, keys, queue, results, done)
+			c.runSession(epi, ep, conn, specs, jobs, keys, queue, results, done)
 		}(conn)
 	}
 	wg.Wait()
-}
-
-// wireBudget is an endpoint's derived inner worker budget for one
-// batch, in both of the shapes a worker process can need. The budget
-// lands in a worker-side fl.Pool, which is shared per process — so a
-// process running one cell at a time (a stdio subprocess) should get
-// its own per-cell share, while a process serving many sessions at
-// once (a -listen pool) should get the endpoint's whole spare as one
-// shared pool for its concurrent cells. The hello's capacity tells the
-// coordinator which kind the far side is (see pump).
-type wireBudget struct {
-	// perProcess is the budget for a process serving one session.
-	perProcess int
-	// shared is the budget for a process serving the endpoint's whole
-	// session fleet.
-	shared int
-}
-
-// forConn picks the budget shape matching the worker behind a session:
-// a hello capacity above 1 means the sessions share one process (and
-// one fl.Pool).
-func (b wireBudget) forConn(conn Conn) int {
-	if conn.Hello().Capacity > 1 {
-		return b.shared
-	}
-	return b.perProcess
-}
-
-// innerBudget derives the inner worker budget forwarded to one
-// endpoint for a batch of n jobs. An explicit configured budget is
-// forwarded as-is; under the adaptive split (negative configuration)
-// the derivation follows the same idea as the pool backend's
-// adaptiveInnerBudget: when the batch cannot fill the fleet, an
-// endpoint's idle sessions are lent to the cells it does run — small
-// shards on big machines fan out inside the worker. Unlike the pool
-// backend it keeps no straggler helper when the fleet is saturated:
-// oversubscribing every worker process by one thread costs more than a
-// shared straggler token does in-process. Results are byte-identical
-// for any budget.
-func (c *Coordinator) innerBudget(n, endpointCap, totalCap int) wireBudget {
-	if c.cfg.InnerParallel >= 0 {
-		return wireBudget{perProcess: c.cfg.InnerParallel, shared: c.cfg.InnerParallel}
-	}
-	if n <= 0 || n >= totalCap || endpointCap <= 1 {
-		return wireBudget{}
-	}
-	// The endpoint's fair share of the batch, by capacity.
-	active := (n*endpointCap + totalCap - 1) / totalCap
-	if active > endpointCap {
-		active = endpointCap
-	}
-	if active < 1 {
-		active = 1
-	}
-	spare := endpointCap - active
-	return wireBudget{perProcess: spare / active, shared: spare}
 }
 
 // runSession drives one endpoint session: pull work from the queue,
@@ -706,7 +633,7 @@ func (c *Coordinator) innerBudget(n, endpointCap, totalCap int) wireBudget {
 // retry budget is spent the session gives its in-flight jobs back to
 // the fleet — a surviving endpoint absorbs them, and only a fleet with no
 // session left turns them into error results (the batch drain).
-func (c *Coordinator) runSession(epi int, ep *endpoint, conn Conn, inner wireBudget, specs int, jobs []Job, keys []string, queue *affinityQueue, results []Result, done func(int, Result)) {
+func (c *Coordinator) runSession(epi int, ep *endpoint, conn Conn, specs int, jobs []Job, keys []string, queue *affinityQueue, results []Result, done func(int, Result)) {
 	var carried []int // in-flight frame's job indexes, carried across a retry
 	failures := 0
 	defer func() {
@@ -743,7 +670,7 @@ func (c *Coordinator) runSession(epi int, ep *endpoint, conn Conn, inner wireBud
 			}
 		}
 		var err error
-		if carried, err = c.pump(epi, ep, conn, inner, specs, carried, jobs, keys, queue, results, done); err == nil {
+		if carried, err = c.pump(epi, ep, conn, specs, carried, jobs, keys, queue, results, done); err == nil {
 			return // queue drained through this session
 		} else {
 			failures++
@@ -763,9 +690,8 @@ func (c *Coordinator) runSession(epi int, ep *endpoint, conn Conn, inner wireBud
 // The pump also pre-pushes pooled snapshot artifacts with
 // affinity-keyed requests whose worker isn't known to hold them, and
 // pools artifacts the responses return.
-func (c *Coordinator) pump(epi int, ep *endpoint, conn Conn, budget wireBudget, specs int, carried []int, jobs []Job, keys []string, queue *affinityQueue, results []Result, done func(int, Result)) ([]int, error) {
+func (c *Coordinator) pump(epi int, ep *endpoint, conn Conn, specs int, carried []int, jobs []Job, keys []string, queue *affinityQueue, results []Result, done func(int, Result)) ([]int, error) {
 	sharesCache := c.cfg.CacheDir != "" && conn.Hello().CacheDir == c.cfg.CacheDir
-	inner := budget.forConn(conn)
 	// A worker sharing the coordinator's cache directory reads shipped
 	// snapshots straight from disk, so pushing bytes at it is pure
 	// waste; everyone else gets the artifact once per process.
@@ -790,7 +716,7 @@ func (c *Coordinator) pump(epi int, ep *endpoint, conn Conn, budget wireBudget, 
 		reqs := make([]WireRequest, len(frame))
 		var pushed int64
 		for k, i := range frame {
-			reqs[k] = WireRequest{Key: keys[i], Spec: jobs[i].Payload, Inner: inner}
+			reqs[k] = WireRequest{Key: keys[i], Spec: jobs[i].Payload}
 			if a := jobs[i].Affinity; shipSnaps && a != "" && !c.snapKnown(ep, shared, sessKnown, a) {
 				if data := c.snapshotData(a); data != nil {
 					reqs[k].Snaps = []SnapshotArtifact{{Key: a, Data: data}}

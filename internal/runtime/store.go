@@ -161,20 +161,6 @@ func (s *Store) Results() []Result {
 	return out
 }
 
-// RetainedBytes reports the in-memory footprint of the retained
-// results as their total encoded size — the quantity streaming mode
-// drives to zero. It is a measurement helper for benchmarks, not an
-// allocator-accurate RSS.
-func (s *Store) RetainedBytes() int64 {
-	var n int64
-	for _, r := range s.Results() {
-		if b, err := json.Marshal(r); err == nil {
-			n += int64(len(b))
-		}
-	}
-	return n
-}
-
 // WriteFile persists the store as one JSON array in insertion order.
 func (s *Store) WriteFile(path string) error {
 	b, err := json.MarshalIndent(s.Results(), "", " ")

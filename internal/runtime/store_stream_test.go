@@ -38,9 +38,6 @@ func TestStoreStreamingRoundTripAndCompact(t *testing.T) {
 	if rs := st.Results(); len(rs) != 0 {
 		t.Errorf("Results returned %d entries in streaming mode, want 0", len(rs))
 	}
-	if n := st.RetainedBytes(); n != 0 {
-		t.Errorf("RetainedBytes = %d in streaming mode, want 0", n)
-	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}

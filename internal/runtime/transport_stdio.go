@@ -29,10 +29,6 @@ type StdioTransport struct {
 	// CacheDir, when set, is forwarded to every worker as -cachedir so
 	// coordinator and workers share one content-addressed disk cache.
 	CacheDir string
-	// InnerParallel, when positive, is forwarded to every worker as an
-	// explicit -inner-parallel flag (adaptive budgets travel per request
-	// on the wire instead; see WireRequest.Inner).
-	InnerParallel int
 	// Env, when non-nil, replaces the workers' environment (nil
 	// inherits the coordinator's).
 	Env []string
@@ -50,9 +46,6 @@ func (t *StdioTransport) Dial() (Conn, error) {
 	args := []string{}
 	if t.CacheDir != "" {
 		args = append(args, "-cachedir", t.CacheDir)
-	}
-	if t.InnerParallel > 0 {
-		args = append(args, "-inner-parallel", fmt.Sprint(t.InnerParallel))
 	}
 	cmd := exec.Command(t.WorkerBin, args...)
 	cmd.Env = t.Env

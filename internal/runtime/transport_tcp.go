@@ -75,10 +75,6 @@ type ServeConfig struct {
 	CacheDir string
 	// Run executes one job; see ServeWorker.
 	Run func(key string, spec json.RawMessage) Result
-	// SetInner, when non-nil, applies coordinator-forwarded inner
-	// worker budgets (WireRequest.Inner). It may be called from
-	// concurrent sessions and must be safe for concurrent use.
-	SetInner func(n int)
 	// Install, when non-nil, installs coordinator-pushed snapshot
 	// artifacts (WireRequest.Snaps) into the pool's
 	// pretrain cache. It may be called from concurrent sessions and
@@ -87,6 +83,11 @@ type ServeConfig struct {
 	// Logf, when non-nil, receives per-session lifecycle and error
 	// lines.
 	Logf func(format string, args ...any)
+	// SetInner is called by nothing; it stays so existing ServeConfig
+	// literals keep compiling.
+	//
+	// Deprecated: ignored; rounds always run serially inside a worker.
+	SetInner func(n int)
 }
 
 // drainGrace is how long draining sessions may sit idle waiting for
@@ -185,7 +186,6 @@ func Serve(ctx context.Context, lis net.Listener, cfg ServeConfig) error {
 			err := ServeSession(nc, nc, cfg.Run, WorkerOptions{
 				Capacity: cfg.Capacity,
 				CacheDir: cfg.CacheDir,
-				SetInner: cfg.SetInner,
 				Install:  cfg.Install,
 			})
 			if err != nil && ctx.Err() == nil {

@@ -35,7 +35,6 @@ type fakeTransport struct {
 	mu    sync.Mutex
 	dials int
 	sends map[string]int
-	inner map[string]int
 }
 
 func newFakeTransport(name string, sessions int, respond func(dial int, req WireRequest) (WireResponse, error)) *fakeTransport {
@@ -45,7 +44,6 @@ func newFakeTransport(name string, sessions int, respond func(dial int, req Wire
 		hello:    WireHello{Hello: true, Proto: ProtoVersion, KeyVersion: keyVersion, Capacity: sessions},
 		respond:  respond,
 		sends:    make(map[string]int),
-		inner:    make(map[string]int),
 	}
 }
 
@@ -86,7 +84,6 @@ func (c *fakeConn) SendBatch(reqs []WireRequest) error {
 	c.t.mu.Lock()
 	for _, req := range reqs {
 		c.t.sends[req.Key]++
-		c.t.inner[req.Key] = req.Inner
 	}
 	c.t.mu.Unlock()
 	c.pending = append(c.pending, reqs...)
@@ -243,55 +240,6 @@ func TestCoordinatorHealthySiblingAbsorbsBatch(t *testing.T) {
 	// EndpointStats sorts by name: "fake:down" first, "fake:ok" second.
 	if st := c.EndpointStats(); st[0].Dispatched != 0 || st[1].Dispatched != int64(len(jobs)) {
 		t.Errorf("endpoint stats = %+v", st)
-	}
-}
-
-// Under the adaptive split the coordinator derives a per-endpoint
-// inner budget from the batch shape and forwards it on every request,
-// shaped to the worker's process model (hello capacity): a shared-
-// process pool receives the endpoint's whole spare for its one shared
-// fl.Pool, a one-session-per-process worker its per-cell share.
-// Explicit budgets are forwarded verbatim and saturated batches stay
-// serial.
-func TestCoordinatorForwardsWireBudgets(t *testing.T) {
-	run := func(inner int, njobs, sessions, helloCap int) map[string]int {
-		ft := newFakeTransport("fake:budget", sessions, func(_ int, req WireRequest) (WireResponse, error) {
-			return okResponse(req)
-		})
-		ft.hello.Capacity = helloCap
-		c := NewCoordinator(ProcConfig{InnerParallel: inner}, ft)
-		c.Run(specJobs(njobs), nil)
-		ft.mu.Lock()
-		defer ft.mu.Unlock()
-		out := make(map[string]int, len(ft.inner))
-		for k, v := range ft.inner {
-			out[k] = v
-		}
-		return out
-	}
-	for key, got := range run(-1, 2, 4, 4) {
-		// 2 cells across a 4-session shared-process pool: both idle
-		// sessions lent as one shared budget.
-		if got != 2 {
-			t.Errorf("shared-process adaptive budget for %q = %d, want 2", key, got)
-		}
-	}
-	for key, got := range run(-1, 2, 4, 1) {
-		// Same shape, but each session is its own process (stdio): each
-		// active cell gets its own share of the 2 spare sessions.
-		if got != 1 {
-			t.Errorf("per-process adaptive budget for %q = %d, want 1", key, got)
-		}
-	}
-	for key, got := range run(-1, 8, 4, 4) {
-		if got != 0 {
-			t.Errorf("saturated adaptive budget for %q = %d, want 0", key, got)
-		}
-	}
-	for key, got := range run(3, 8, 2, 2) {
-		if got != 3 {
-			t.Errorf("explicit budget for %q = %d, want 3", key, got)
-		}
 	}
 }
 

@@ -87,11 +87,8 @@ type Counters struct {
 	// from CacheMisses so a directory quietly shedding entries is
 	// distinguishable from one that never held them.
 	CacheCorrupt int64 `json:"cacheCorrupt"`
-	// CacheTouches counts mtime-touch syscalls flushed by the cache's
-	// async toucher; CacheTouchesCoalesced counts touches absorbed by
-	// an already-pending one (the syscalls the coalescing saved).
-	CacheTouches          int64 `json:"cacheTouches"`
-	CacheTouchesCoalesced int64 `json:"cacheTouchesCoalesced"`
+	// CacheTouches counts mtime touches applied by hits (cache-level).
+	CacheTouches int64 `json:"cacheTouches"`
 	// SimsExecuted counts jobs whose body actually ran (job-level).
 	SimsExecuted int64 `json:"simsExecuted"`
 	// Evictions counts cache entries removed by Prune.
@@ -275,9 +272,8 @@ func (m Metrics) Summary() string {
 	fmt.Fprintf(&b, "telemetry: %d sims executed, %d cache hits (%d mem / %d payload / %d disk reads, %d misses, %d corrupt), %d evictions, %d retries, %d failovers\n",
 		c.SimsExecuted, c.CacheHits, c.CacheMemHits, c.CachePayloadHits, c.CacheDiskHits,
 		c.CacheMisses, c.CacheCorrupt, c.Evictions, c.Retries, c.Failovers)
-	if c.CacheTouches+c.CacheTouchesCoalesced > 0 {
-		fmt.Fprintf(&b, "  cache touches: %d flushed, %d coalesced\n",
-			c.CacheTouches, c.CacheTouchesCoalesced)
+	if c.CacheTouches > 0 {
+		fmt.Fprintf(&b, "  cache touches: %d\n", c.CacheTouches)
 	}
 	if c.PretrainRuns+c.AffinityHits+c.AffinityMisses+c.StolenJobs+c.SnapshotBytesShipped > 0 {
 		fmt.Fprintf(&b, "  scheduling: %d fleet pretrain runs, %d affinity hits / %d misses, %d stolen, %d snapshot B shipped\n",
@@ -403,7 +399,6 @@ func (c *Collector) Add(m Metrics) {
 	cc.CacheMisses += mc.CacheMisses
 	cc.CacheCorrupt += mc.CacheCorrupt
 	cc.CacheTouches += mc.CacheTouches
-	cc.CacheTouchesCoalesced += mc.CacheTouchesCoalesced
 	cc.SimsExecuted += mc.SimsExecuted
 	cc.Evictions += mc.Evictions
 	cc.Retries += mc.Retries

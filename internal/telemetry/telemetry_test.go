@@ -63,10 +63,10 @@ func TestSnapshotIsDeepCopy(t *testing.T) {
 
 func TestHistogramBuckets(t *testing.T) {
 	var h Histogram
-	h.observe(time.Microsecond)        // below base -> bucket 0
-	h.observe(time.Millisecond)        // [1ms,2ms) -> bucket 0
-	h.observe(3 * time.Millisecond)    // [2ms,4ms) -> bucket 1
-	h.observe(1000 * time.Hour)        // beyond range -> last bucket
+	h.observe(time.Microsecond)     // below base -> bucket 0
+	h.observe(time.Millisecond)     // [1ms,2ms) -> bucket 0
+	h.observe(3 * time.Millisecond) // [2ms,4ms) -> bucket 1
+	h.observe(1000 * time.Hour)     // beyond range -> last bucket
 	if h.Buckets[0] != 2 || h.Buckets[1] != 1 || h.Buckets[histBuckets-1] != 1 {
 		t.Fatalf("buckets = %v", h.Buckets)
 	}
