@@ -7,9 +7,16 @@
 // The implementation is a standard exact GP with an RBF kernel over
 // normalized candidate coordinates and an expected-improvement
 // acquisition function, maximizing a scalar reward. Observation noise
-// is handled with a diagonal jitter. Complexity is O(n³) in the number
-// of observations, which is fine for the few hundred rounds of an FL
-// run.
+// is handled with a diagonal jitter.
+//
+// Cost model, for C candidates and n ≤ Window observations: New builds
+// the C×C kernel (Gram) table once, O(C²) time and memory, so no
+// kernel is evaluated afterwards. Each Suggest then costs an O(n³)
+// Cholesky factorization plus O(C·n) for the posterior mean, plus
+// O(C·n²) for the posterior stddev — which only expected improvement
+// reads, so that term is paid before ExploitAfter only. All per-round
+// work runs in scratch the Optimizer owns: Suggest and Observe do not
+// allocate once the window is full.
 package bayesopt
 
 import (
@@ -22,15 +29,21 @@ import (
 // Not safe for concurrent use.
 type Optimizer struct {
 	points       [][]float64 // normalized candidate coordinates
-	xs           [][]float64 // observed inputs
+	gram         []float64   // gram[i*C+j] = kernel(points[i], points[j])
+	xs           []int       // observed candidate indices, oldest first
 	ys           []float64   // observed values
 	rng          *stats.RNG
-	lengthSc     float64
 	noise        float64
 	xi           float64 // EI exploration margin
 	maxPoints    int     // cap on the GP design matrix (sliding window)
 	exploitAfter int
 	observed     int // lifetime observation count
+
+	// Per-Suggest scratch, sized once in New.
+	l         []float64 // n×n row-major: K + noise·I, factored in place
+	alpha     []float64 // (K + noise·I)⁻¹·yc
+	kstar     []float64 // k* for one candidate, then L⁻¹·k*
+	mu, sigma []float64 // posterior at every candidate
 }
 
 // Config tunes the optimizer.
@@ -75,32 +88,49 @@ func New(candidates [][]float64, cfg Config, rng *stats.RNG) *Optimizer {
 	if cfg.LengthScale <= 0 || cfg.Noise <= 0 || cfg.Window <= 0 {
 		panic("bayesopt: config values must be positive")
 	}
+	c, w := len(candidates), cfg.Window
+	gram := make([]float64, c*c)
+	for i, a := range candidates {
+		for j, b := range candidates {
+			gram[i*c+j] = kernel(a, b, cfg.LengthScale)
+		}
+	}
 	return &Optimizer{
 		points:       candidates,
+		gram:         gram,
+		xs:           make([]int, 0, w),
+		ys:           make([]float64, 0, w),
 		rng:          rng,
-		lengthSc:     cfg.LengthScale,
 		noise:        cfg.Noise,
 		xi:           cfg.Xi,
-		maxPoints:    cfg.Window,
+		maxPoints:    w,
 		exploitAfter: cfg.ExploitAfter,
+		l:            make([]float64, w*w),
+		alpha:        make([]float64, w),
+		kstar:        make([]float64, w),
+		mu:           make([]float64, c),
+		sigma:        make([]float64, c),
 	}
 }
 
 // Observations returns the number of (x, y) pairs currently in the GP.
 func (o *Optimizer) Observations() int { return len(o.xs) }
 
-// Observe records the outcome of evaluating candidate idx.
+// Observe records the outcome of evaluating candidate idx. Once the
+// window is full the oldest observation slides out.
 func (o *Optimizer) Observe(idx int, y float64) {
 	if idx < 0 || idx >= len(o.points) {
 		panic("bayesopt: candidate index out of range")
 	}
-	o.xs = append(o.xs, o.points[idx])
-	o.ys = append(o.ys, y)
 	o.observed++
-	if len(o.xs) > o.maxPoints {
-		o.xs = o.xs[len(o.xs)-o.maxPoints:]
-		o.ys = o.ys[len(o.ys)-o.maxPoints:]
+	if n := len(o.xs); n == o.maxPoints {
+		copy(o.xs, o.xs[1:])
+		copy(o.ys, o.ys[1:])
+		o.xs[n-1], o.ys[n-1] = idx, y
+		return
 	}
+	o.xs = append(o.xs, idx)
+	o.ys = append(o.ys, y)
 }
 
 // Suggest returns the candidate index with the highest expected
@@ -111,10 +141,11 @@ func (o *Optimizer) Suggest() int {
 	if len(o.xs) == 0 {
 		return o.rng.Intn(len(o.points))
 	}
-	mu, sigma := o.posterior()
 	if o.exploitAfter > 0 && o.observed >= o.exploitAfter {
+		mu, _ := o.posterior(false)
 		return stats.ArgMax(mu)
 	}
+	mu, sigma := o.posterior(true)
 	best := stats.Max(o.ys)
 	bestIdx, bestEI := 0, math.Inf(-1)
 	for i := range o.points {
@@ -127,72 +158,74 @@ func (o *Optimizer) Suggest() int {
 }
 
 // kernel is the RBF covariance between two normalized points.
-func (o *Optimizer) kernel(a, b []float64) float64 {
+func kernel(a, b []float64, lengthSc float64) float64 {
 	d2 := 0.0
 	for i := range a {
 		diff := a[i] - b[i]
 		d2 += diff * diff
 	}
-	return math.Exp(-d2 / (2 * o.lengthSc * o.lengthSc))
+	return math.Exp(-d2 / (2 * lengthSc * lengthSc))
 }
 
-// posterior computes the GP posterior mean and stddev at every
-// candidate. Values are standardized internally so the kernel
-// amplitude can stay at 1.
-func (o *Optimizer) posterior() (mu, sigma []float64) {
-	n := len(o.xs)
+// posterior computes the GP posterior mean at every candidate, and the
+// stddev too when withSigma is set (otherwise sigma is stale). Values
+// are standardized internally so the kernel amplitude can stay at 1.
+// The returned slices are the Optimizer's scratch, valid until the
+// next call.
+func (o *Optimizer) posterior(withSigma bool) (mu, sigma []float64) {
+	n, c := len(o.xs), len(o.points)
 	mean := stats.Mean(o.ys)
 	std := stats.StdDev(o.ys)
 	if std < 1e-9 {
 		std = 1
 	}
-	yc := make([]float64, n)
-	for i, y := range o.ys {
-		yc[i] = (y - mean) / std
-	}
-	// K + noise·I
-	k := make([][]float64, n)
-	for i := range k {
-		k[i] = make([]float64, n)
-		for j := range k[i] {
-			k[i][j] = o.kernel(o.xs[i], o.xs[j])
+	mu, sigma = o.mu, o.sigma
+	// K + noise·I (lower triangle; the factorization reads no more).
+	l := o.l[:n*n]
+	for i, xi := range o.xs {
+		for j, xj := range o.xs[:i+1] {
+			l[i*n+j] = o.gram[xi*c+xj]
 		}
-		k[i][i] += o.noise
+		l[i*n+i] += o.noise
 	}
-	l, ok := cholesky(k)
-	if !ok {
+	if !cholesky(l, n) {
 		// Numerically degenerate: fall back to prior.
-		mu = make([]float64, len(o.points))
-		sigma = make([]float64, len(o.points))
-		for i := range sigma {
+		for i := range mu {
 			mu[i] = mean
 			sigma[i] = std
 		}
 		return mu, sigma
 	}
-	alpha := choleskySolve(l, yc)
+	alpha := o.alpha[:n]
+	for i, y := range o.ys {
+		alpha[i] = (y - mean) / std
+	}
+	forwardSolve(l, n, alpha)
+	backSolve(l, n, alpha)
 
-	mu = make([]float64, len(o.points))
-	sigma = make([]float64, len(o.points))
-	kstar := make([]float64, n)
-	for i, p := range o.points {
-		for j := range o.xs {
-			kstar[j] = o.kernel(p, o.xs[j])
+	kstar := o.kstar[:n]
+	for i := range o.points {
+		row := o.gram[i*c : (i+1)*c]
+		for j, xj := range o.xs {
+			kstar[j] = row[xj]
 		}
 		m := 0.0
 		for j := range kstar {
 			m += kstar[j] * alpha[j]
 		}
-		v := forwardSolve(l, kstar)
+		mu[i] = m*std + mean
+		if !withSigma {
+			continue
+		}
+		forwardSolve(l, n, kstar)
 		varReduction := 0.0
-		for _, x := range v {
+		for _, x := range kstar {
 			varReduction += x * x
 		}
 		variance := 1 - varReduction
 		if variance < 1e-12 {
 			variance = 1e-12
 		}
-		mu[i] = m*std + mean
 		sigma[i] = math.Sqrt(variance) * std
 	}
 	return mu, sigma
@@ -215,62 +248,49 @@ func stdNormCDF(z float64) float64 {
 	return 0.5 * math.Erfc(-z/math.Sqrt2)
 }
 
-// cholesky returns the lower-triangular factor of a symmetric positive
-// definite matrix, or ok=false if the matrix is not SPD.
-func cholesky(a [][]float64) (l [][]float64, ok bool) {
-	n := len(a)
-	l = make([][]float64, n)
-	for i := range l {
-		l[i] = make([]float64, n)
-	}
+// cholesky factors the symmetric positive definite n×n row-major
+// matrix a into its lower-triangular factor L, in place: only the lower
+// triangle is read or written. It returns false if a is not SPD.
+func cholesky(a []float64, n int) bool {
 	for i := 0; i < n; i++ {
 		for j := 0; j <= i; j++ {
-			sum := a[i][j]
+			sum := a[i*n+j]
 			for k := 0; k < j; k++ {
-				sum -= l[i][k] * l[j][k]
+				sum -= a[i*n+k] * a[j*n+k]
 			}
 			if i == j {
 				if sum <= 0 {
-					return nil, false
+					return false
 				}
-				l[i][i] = math.Sqrt(sum)
+				a[i*n+i] = math.Sqrt(sum)
 			} else {
-				l[i][j] = sum / l[j][j]
+				a[i*n+j] = sum / a[j*n+j]
 			}
 		}
 	}
-	return l, true
+	return true
 }
 
-// forwardSolve solves L·x = b for lower-triangular L.
-func forwardSolve(l [][]float64, b []float64) []float64 {
-	n := len(b)
-	x := make([]float64, n)
+// forwardSolve solves L·x = b in place (x overwrites b) for the
+// lower-triangular n×n row-major L.
+func forwardSolve(l []float64, n int, b []float64) {
 	for i := 0; i < n; i++ {
 		sum := b[i]
 		for j := 0; j < i; j++ {
-			sum -= l[i][j] * x[j]
+			sum -= l[i*n+j] * b[j]
 		}
-		x[i] = sum / l[i][i]
+		b[i] = sum / l[i*n+i]
 	}
-	return x
 }
 
-// backSolve solves Lᵀ·x = b for lower-triangular L.
-func backSolve(l [][]float64, b []float64) []float64 {
-	n := len(b)
-	x := make([]float64, n)
+// backSolve solves Lᵀ·x = b in place (x overwrites b) for the
+// lower-triangular n×n row-major L.
+func backSolve(l []float64, n int, b []float64) {
 	for i := n - 1; i >= 0; i-- {
 		sum := b[i]
 		for j := i + 1; j < n; j++ {
-			sum -= l[j][i] * x[j]
+			sum -= l[j*n+i] * b[j]
 		}
-		x[i] = sum / l[i][i]
+		b[i] = sum / l[i*n+i]
 	}
-	return x
-}
-
-// choleskySolve solves (L·Lᵀ)·x = b.
-func choleskySolve(l [][]float64, b []float64) []float64 {
-	return backSolve(l, forwardSolve(l, b))
 }

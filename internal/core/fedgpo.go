@@ -336,7 +336,7 @@ func (c *Controller) Plan(obs fl.Observation) fl.Plan {
 	}
 	kAction := c.kTable.Select(globalState)
 	c.pendingK = &pending{state: globalState, action: kAction}
-	c.roundChoices = make(map[int]choice, len(obs.Fleet))
+	clear(c.roundChoices)
 	c.overhead.ChooseParams += time.Since(t0)
 	c.overhead.Rounds++
 	if c.tracing {

@@ -12,6 +12,10 @@
 // corrupt or hostile stream can make a reader fail, never allocate
 // without bound. Read errors carry the 1-based frame index so a
 // session failure names the exact frame that broke it.
+//
+// WriteFrame compresses with pooled writers. Reset makes a used
+// flate.Writer equivalent to a fresh one, so pooling changes no frame
+// byte, only the ~1.1 MB a fresh compressor allocates.
 package wire
 
 import (
@@ -21,6 +25,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync"
 )
 
 const (
@@ -39,6 +44,16 @@ const (
 // prefix claims MaxFrameBytes costs one chunk, not the claim.
 const bodyChunk = 1 << 20
 
+// writerPool recycles BestSpeed compressors across frames: a fresh
+// flate.Writer allocates ~1.1 MB of tables, more than most frames carry.
+var writerPool = sync.Pool{New: func() any {
+	fw, err := flate.NewWriter(nil, flate.BestSpeed)
+	if err != nil {
+		panic(err) // unreachable: BestSpeed is a valid level
+	}
+	return fw
+}}
+
 // WriteFrame compresses payload and writes it as one frame, returning
 // the number of bytes put on the wire (prefix included).
 func WriteFrame(w io.Writer, payload []byte) (int, error) {
@@ -46,10 +61,9 @@ func WriteFrame(w io.Writer, payload []byte) (int, error) {
 		return 0, fmt.Errorf("wire: frame payload %d bytes exceeds limit %d", len(payload), MaxPayloadBytes)
 	}
 	var body bytes.Buffer
-	fw, err := flate.NewWriter(&body, flate.BestSpeed)
-	if err != nil {
-		return 0, fmt.Errorf("wire: frame compress: %w", err)
-	}
+	fw := writerPool.Get().(*flate.Writer)
+	defer writerPool.Put(fw)
+	fw.Reset(&body)
 	if _, err := fw.Write(payload); err != nil {
 		return 0, fmt.Errorf("wire: frame compress: %w", err)
 	}

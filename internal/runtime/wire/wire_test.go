@@ -2,9 +2,14 @@ package wire
 
 import (
 	"bytes"
+	"compress/flate"
 	"encoding/binary"
+	"fmt"
 	"io"
+	"math/rand"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -117,5 +122,125 @@ func TestEmptyPayloadRoundTrip(t *testing.T) {
 	}
 	if len(got) != 0 {
 		t.Fatalf("empty payload round-tripped to %d bytes", len(got))
+	}
+}
+
+// freshFrame is WriteFrame's output as an unpooled compressor makes it:
+// the byte-level reference pooled frames must equal.
+func freshFrame(t *testing.T, payload []byte) []byte {
+	t.Helper()
+	var body bytes.Buffer
+	fw, err := flate.NewWriter(&body, flate.BestSpeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fw.Write(payload); err != nil {
+		t.Fatal(err)
+	}
+	if err := fw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var hdr [headerLen]byte
+	binary.BigEndian.PutUint32(hdr[:], uint32(body.Len()))
+	return append(hdr[:], body.Bytes()...)
+}
+
+func TestWriteFramePooledMatchesFreshWriter(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	big := make([]byte, 3<<20)
+	for i := range big {
+		big[i] = byte('a' + rng.Intn(8)) // compressible, not trivially so
+	}
+	sizes := map[string][]byte{
+		"1B":  []byte("x"),
+		"4KB": []byte(strings.Repeat(`{"key":"v3|sim|fleet=20","ppw":1.25}`, 4096/36)),
+		"3MB": big,
+	}
+	// Interleaved, so every size is also written by a writer that just
+	// compressed a larger or smaller payload.
+	for _, name := range []string{"1B", "4KB", "3MB", "4KB", "1B", "3MB", "1B", "4KB"} {
+		payload := sizes[name]
+		var buf bytes.Buffer
+		n, err := WriteFrame(&buf, payload)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		want := freshFrame(t, payload)
+		if n != len(want) || !bytes.Equal(buf.Bytes(), want) {
+			t.Fatalf("%s: pooled frame (%d bytes) differs from a fresh writer's (%d bytes)", name, buf.Len(), len(want))
+		}
+	}
+}
+
+func TestWriteFrameConcurrent(t *testing.T) {
+	const goroutines, frames = 8, 200
+	var wg sync.WaitGroup
+	errs := make(chan error, goroutines)
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for f := 0; f < frames; f++ {
+				payload := []byte(strings.Repeat(fmt.Sprintf("g%d-f%d;", g, f), 1+f%50))
+				var buf bytes.Buffer
+				if _, err := WriteFrame(&buf, payload); err != nil {
+					errs <- err
+					return
+				}
+				got, _, err := ReadFrame(&buf, f+1)
+				if err != nil {
+					errs <- err
+					return
+				}
+				if !bytes.Equal(got, payload) {
+					errs <- fmt.Errorf("goroutine %d frame %d: round trip changed the payload", g, f)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+}
+
+// TestWriteFrameAllocs pins the pooled compressor: a 4 KB frame costs a
+// few small allocations, not a fresh ~1.1 MB flate.Writer. MemStats are
+// process-wide, so the measurement is the minimum over a few passes.
+func TestWriteFrameAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	payload := []byte(strings.Repeat(`{"key":"v3|sim|fleet=20","ppw":1.25}`, 4096/36))
+	if _, err := WriteFrame(io.Discard, payload); err != nil { // warm the pool
+		t.Fatal(err)
+	}
+	const calls = 100
+	bestAllocs, bestBytes := -1.0, -1.0
+	for pass := 0; pass < 5; pass++ {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		for i := 0; i < calls; i++ {
+			if _, err := WriteFrame(io.Discard, payload); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&m1)
+		allocs := float64(m1.Mallocs-m0.Mallocs) / calls
+		bytesPer := float64(m1.TotalAlloc-m0.TotalAlloc) / calls
+		if bestAllocs < 0 || allocs < bestAllocs {
+			bestAllocs = allocs
+		}
+		if bestBytes < 0 || bytesPer < bestBytes {
+			bestBytes = bytesPer
+		}
+	}
+	if bestAllocs > 4 {
+		t.Errorf("WriteFrame of a 4 KB payload makes %.1f allocations per call, want <= 4", bestAllocs)
+	}
+	if bestBytes >= 4096 {
+		t.Errorf("WriteFrame of a 4 KB payload allocates %.0f bytes per call, want < 4096", bestBytes)
 	}
 }
