@@ -1,16 +1,16 @@
 // Command fedgpo-report runs the full experiment suite and emits a
 // markdown report (the generator behind EXPERIMENTS.md). Simulation
 // cells fan out over the experiment runtime's execution backend —
-// in-process workers by default, worker subprocesses with
-// -backend=procs — and with -cachedir a rerun only simulates cells
-// whose configuration changed.
+// in-process workers by default, fedgpo-worker -listen pools with
+// -workers — and with -cachedir a rerun only simulates cells whose
+// configuration changed. -results streams every cell to a JSON Lines
+// log as it completes (runtime.ReadStore loads it back).
 //
 // Usage:
 //
 //	fedgpo-report [-quick] [-only fig9,fig12] [-parallel N]
-//	              [-backend pool|procs] [-procs N] [-workers host:port,...]
-//	              [-cachedir PATH] [-cache-max-bytes N]
-//	              [-results PATH] > EXPERIMENTS.md
+//	              [-workers host:port,...] [-cachedir PATH] [-cache-max-bytes N]
+//	              [-results PATH.jsonl] > EXPERIMENTS.md
 package main
 
 import (
@@ -28,30 +28,12 @@ import (
 func main() {
 	quick := flag.Bool("quick", false, "reduced fleet and seeds")
 	only := flag.String("only", "", "comma-separated experiment ids (default: all)")
-	results := flag.String("results", "", "write the structured result store to this path: a .jsonl path streams cells to disk as they complete (bounded memory), any other path buffers and writes one JSON array at exit")
-	compactResults := flag.String("compact-results", "", "instead of running experiments, compact the result log at this path (either format) into -results as the canonical JSON array")
+	results := flag.String("results", "", "stream the structured result store to this path as JSON Lines, one cell per line as it completes")
 	verbose := flag.Bool("v", false, "per-job progress on stderr")
 	rtFlags := cli.Register(flag.CommandLine)
 	flag.Parse()
 
 	if rtFlags.HandleListScenarios(os.Stdout) {
-		return
-	}
-	if *compactResults != "" {
-		if *results == "" {
-			fmt.Fprintln(os.Stderr, "fedgpo-report: -compact-results needs -results for the output path")
-			os.Exit(1)
-		}
-		if err := runtime.Compact(*compactResults, *results); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		st, err := runtime.ReadStore(*results)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "result store: compacted %s -> %s (%d cells)\n", *compactResults, *results, st.Len())
 		return
 	}
 	opts := exp.Default()
@@ -82,15 +64,10 @@ func main() {
 			fmt.Fprintf(os.Stderr, "  [%d/%d] %s%s\n", p.Done, p.Total, p.Key, tag)
 		})
 	}
-	streaming := strings.HasSuffix(*results, ".jsonl")
 	if *results != "" {
-		if streaming {
-			if err := rt.StreamStore(*results); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-		} else {
-			rt.EnableStore()
+		if err := rt.StreamStore(*results); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
 		}
 	}
 	opts = opts.WithRuntime(rt)
@@ -118,7 +95,7 @@ func main() {
 	st := rt.Stats()
 	pretrainRuns, pretrainKeys := rt.PretrainStats()
 	fmt.Fprintf(os.Stderr, "runtime: %s backend, %d workers, %d cells simulated, %d served from cache, %d/%d pretrain warm-ups executed\n",
-		rtFlags.Backend, rt.Workers(), st.Runs, st.Hits, pretrainRuns, pretrainKeys)
+		rtFlags.Backend(), rt.Workers(), st.Runs, st.Hits, pretrainRuns, pretrainKeys)
 	if *verbose {
 		for _, ep := range st.Endpoints {
 			fmt.Fprint(os.Stderr, cli.EndpointLine(ep))
@@ -130,12 +107,7 @@ func main() {
 		os.Exit(1)
 	}
 	if *results != "" {
-		if streaming {
-			if err := rt.CloseStore(); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-		} else if err := rt.Store().WriteFile(*results); err != nil {
+		if err := rt.CloseStore(); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}

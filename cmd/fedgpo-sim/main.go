@@ -4,15 +4,14 @@
 // Usage:
 //
 //	fedgpo-sim -exp fig9 [-quick | -tiny] [-list] [-parallel N]
-//	           [-backend pool|procs] [-procs N] [-workers host:port,...]
-//	           [-cachedir PATH] [-cache-max-bytes N]
+//	           [-workers host:port,...] [-cachedir PATH] [-cache-max-bytes N]
 //
 // The -quick flag shrinks the deployment (100 devices, 1 seed) for a
 // fast smoke run; -tiny shrinks it further (20 devices) for CI smoke
 // tests whose absolute numbers are not representative. The default
 // reproduces the paper-scale 200-device deployment. Simulation cells
 // fan out over the experiment runtime's execution backend (in-process
-// workers, or worker subprocesses with -backend=procs); -cachedir
+// workers, or fedgpo-worker -listen pools with -workers); -cachedir
 // persists completed cells so reruns only simulate what changed.
 package main
 
@@ -71,7 +70,7 @@ func main() {
 	fmt.Print(table.String())
 	st := rt.Stats()
 	fmt.Printf("(%s in %.1fs; %s backend, %d workers, %d cells simulated, %d cached)\n",
-		e.ID, time.Since(start).Seconds(), rtFlags.Backend, rt.Workers(), st.Runs, st.Hits)
+		e.ID, time.Since(start).Seconds(), rtFlags.Backend(), rt.Workers(), st.Runs, st.Hits)
 	if err := rtFlags.WriteMetrics(rt); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

@@ -9,14 +9,16 @@
 // product of scenario axes (fleet mix × partition alpha × network ×
 // interference × deadline × rounds) and runs one cell per generated
 // deployment, and -scenario-file loads explicit ScenarioSpec JSON.
-// Both modes run on either execution backend and share the run cache
-// with every other tool.
+// Both modes run on either execution backend (in-process workers, or
+// fedgpo-worker -listen pools with -workers) and share the run cache
+// with every other tool. -results streams every cell to a JSON Lines
+// log as it completes.
 //
 // Usage:
 //
 //	fedgpo-sweep -workload CNN-MNIST [-noniid] [-variance] [-quick] [-parallel N]
-//	             [-backend pool|procs] [-procs N] [-workers host:port,...]
-//	             [-cachedir PATH] [-cache-max-bytes N]
+//	             [-workers host:port,...] [-cachedir PATH] [-cache-max-bytes N]
+//	             [-results PATH.jsonl]
 //	fedgpo-sweep -matrix "fleet=200,100;alpha=iid,0.5;net=stable,unstable" [-params 8,10,20] [-seed N]
 //	fedgpo-sweep -scenario-file scenarios.json
 //	fedgpo-sweep -list-scenarios
@@ -45,7 +47,7 @@ func main() {
 	scenarioFile := flag.String("scenario-file", "", "run ScenarioSpec JSON (one object or an array) from this file")
 	paramsFlag := flag.String("params", "8,10,20", "the (B,E,K) setting matrix/scenario-file cells run at")
 	seed := flag.Int64("seed", 1, "run seed")
-	resultsPath := flag.String("results", "", "write the structured result store to this path: a .jsonl path streams cells to disk as they complete (bounded memory), any other path buffers and writes one JSON array at exit")
+	resultsPath := flag.String("results", "", "stream the structured result store to this path as JSON Lines, one cell per line as it completes")
 	verbose := flag.Bool("v", false, "per-endpoint dispatch stats on stderr")
 	rtFlags := cli.Register(flag.CommandLine)
 	flag.Parse()
@@ -63,15 +65,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	streaming := strings.HasSuffix(*resultsPath, ".jsonl")
 	if *resultsPath != "" {
-		if streaming {
-			if err := rt.StreamStore(*resultsPath); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-		} else {
-			rt.EnableStore()
+		if err := rt.StreamStore(*resultsPath); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
 		}
 	}
 	opts := exp.Default()
@@ -92,7 +89,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "fedgpo-sweep: note: -quick does not rescale -matrix/-scenario-file deployments; the specs say exactly what runs")
 		}
 		runScenarios(opts, rt, w, *matrix, *scenarioFile, *paramsFlag, *seed)
-		finish(rt, rtFlags, *verbose, *resultsPath, streaming)
+		finish(rt, rtFlags, *verbose, *resultsPath)
 		return
 	}
 
@@ -134,7 +131,7 @@ func main() {
 		fmt.Printf("%-12s %10v %12s %14.0f %10.3g\n",
 			p.String(), res.Converged, conv, res.EnergyToConvergenceJ/1000, res.PPW)
 	}
-	finish(rt, rtFlags, *verbose, *resultsPath, streaming)
+	finish(rt, rtFlags, *verbose, *resultsPath)
 }
 
 // runScenarios executes the scenario-matrix / scenario-file mode: one
@@ -215,7 +212,7 @@ func parseParams(s string) (fl.Params, error) {
 // finish prints the runtime summary (the exact "runtime: ..." line CI
 // greps), the per-endpoint dispatch stats under -v, writes the
 // -metrics-out artifact, and finalizes the -results store.
-func finish(rt *exp.Runtime, rtFlags *cli.RuntimeFlags, verbose bool, results string, streaming bool) {
+func finish(rt *exp.Runtime, rtFlags *cli.RuntimeFlags, verbose bool, results string) {
 	st := rt.Stats()
 	fmt.Fprintf(os.Stderr, "runtime: %d cells simulated, %d served from cache\n", st.Runs, st.Hits)
 	if verbose {
@@ -228,12 +225,7 @@ func finish(rt *exp.Runtime, rtFlags *cli.RuntimeFlags, verbose bool, results st
 		os.Exit(1)
 	}
 	if results != "" {
-		if streaming {
-			if err := rt.CloseStore(); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-		} else if err := rt.Store().WriteFile(results); err != nil {
+		if err := rt.CloseStore(); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}

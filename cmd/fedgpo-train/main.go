@@ -4,12 +4,12 @@
 // centralized minibatch SGD and prints the loss/accuracy trajectory.
 //
 // It registers the same shared runtime flag block as the other fedgpo
-// CLIs (-list-scenarios, -cachedir, -backend, -workers, ...), so the
-// flag surface is uniform across the toolchain. The training loop
-// itself is a single in-process run — it emits no simulation cells, so
-// beyond -list-scenarios the runtime flags are validated (a bad
-// -backend or missing worker binary fails at startup, exactly like the
-// other CLIs) but leave the trainer's behavior unchanged.
+// CLIs (-list-scenarios, -cachedir, -workers, ...), so the flag
+// surface is uniform across the toolchain. The training loop itself is
+// a single in-process run — it emits no simulation cells, so beyond
+// -list-scenarios the runtime flags are validated (a malformed
+// -workers address fails at startup, exactly like the other CLIs) but
+// leave the trainer's behavior unchanged.
 //
 // Usage:
 //

@@ -1,24 +1,19 @@
 // Command fedgpo-worker is the execution half of the distributed shard
-// coordinator (-backend=procs / -workers on the fedgpo CLIs). It
-// speaks the runtime package's wire protocol — a hello frame
-// advertising protocol version, cache-key scheme, capacity and cache
-// directory, then one response frame per request of each batched
-// request frame, in request order — over one of two transports:
-//
-//   - stdio (default): one session on stdin/stdout, normally spawned
-//     by a coordinator, one subprocess per local session;
-//   - TCP (-listen host:port): a long-lived worker pool serving up to
-//     -capacity concurrent sessions, one per accepted connection, for
-//     coordinators started with -workers host:port.
+// coordinator (-workers on the fedgpo CLIs): a long-lived TCP worker
+// pool serving up to -capacity concurrent wire sessions, one per
+// accepted connection. Each session speaks the runtime package's wire
+// protocol — a hello frame advertising protocol version, cache-key
+// scheme, capacity and cache directory, then one response frame per
+// request of each batched request frame, in request order.
 //
 // With -cachedir pointing at the coordinator's cache directory, the
 // worker shares the coordinator's content-addressed run cache and
 // pretrained-controller snapshots, so hit semantics match the
 // in-process pool backend exactly; the hello advertises the directory,
 // and the coordinator skips re-writing entries such a worker already
-// published. A remote pool caching elsewhere (or not at all) is also
-// fine — the coordinator persists those results itself. The worker
-// never prunes the cache; eviction is the coordinator's startup job.
+// published. A pool caching elsewhere (or not at all) is also fine —
+// the coordinator persists those results itself. The worker never
+// prunes the cache; eviction is the coordinator's startup job.
 //
 // The worker also participates in fleet-wide pretrain-snapshot reuse: a cell that builds a fresh
 // pretrained-controller snapshot returns the serialized artifact with
@@ -26,17 +21,14 @@
 // are installed into the pool's pretrain cache so co-scheduled warm
 // cells deserialize instead of re-running the warm-up.
 //
-// Usage:
-//
-//	fedgpo-worker [-cachedir PATH]
-//
-// runs one stdio session (coordinator-spawned). A deployment serving
-// remote coordinators instead runs one pool per machine:
+// Usage (one pool per machine, or several on localhost):
 //
 //	fedgpo-worker -listen 10.0.0.5:9331 -capacity 16 -cachedir /var/cache/fedgpo &
 //	fedgpo-sim -exp fig5 -workers 10.0.0.5:9331,10.0.0.6:9331 -cachedir ./cache
 //
-// The pool logs accepted sessions on stderr and drains gracefully on
+// The pool prints "listening on ADDR" on stderr once it accepts
+// sessions (so -listen 127.0.0.1:0 picks a free port a script can read
+// back), logs accepted sessions there, and drains gracefully on
 // SIGTERM/SIGINT: the listener closes immediately, sessions finish the
 // job they are executing and deliver its response, then the process
 // exits — so rolling a worker machine never fails a batch (the
@@ -61,10 +53,18 @@ import (
 func main() {
 	cachedir := flag.String("cachedir", "", "share the coordinator's run cache under this directory")
 	listen := flag.String("listen", "",
-		"serve a TCP worker pool on this host:port instead of one stdio session (for coordinators started with -workers)")
+		"serve the TCP worker pool on this host:port (required; for coordinators started with -workers)")
 	capacity := flag.Int("capacity", 0,
 		"concurrent session capacity advertised and enforced by -listen (0 = GOMAXPROCS)")
 	flag.Parse()
+	if *listen == "" {
+		fmt.Fprintln(os.Stderr, "fedgpo-worker: -listen host:port is required")
+		flag.Usage()
+		os.Exit(2)
+	}
+	if *capacity <= 0 {
+		*capacity = stdruntime.GOMAXPROCS(0)
+	}
 
 	rt, err := exp.NewRuntime(1, *cachedir)
 	if err != nil {
@@ -86,42 +86,26 @@ func main() {
 		return rt.RunJob(job)
 	}
 
-	if *listen != "" {
-		if *capacity <= 0 {
-			*capacity = stdruntime.GOMAXPROCS(0)
-		}
-		lis, err := net.Listen("tcp", *listen)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "fedgpo-worker:", err)
-			os.Exit(1)
-		}
-		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-		defer stop()
-		fmt.Fprintf(os.Stderr, "fedgpo-worker: listening on %s (capacity %d)\n", lis.Addr(), *capacity)
-		err = runtime.Serve(ctx, lis, runtime.ServeConfig{
-			Capacity: *capacity,
-			CacheDir: *cachedir,
-			Run:      run,
-			Install:  rt.InstallSnapshot,
-			Logf: func(format string, args ...any) {
-				fmt.Fprintf(os.Stderr, "fedgpo-worker: "+format+"\n", args...)
-			},
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "fedgpo-worker:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintln(os.Stderr, "fedgpo-worker: drained")
-		return
+	lis, err := net.Listen("tcp", *listen)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "fedgpo-worker:", err)
+		os.Exit(1)
 	}
-
-	err = runtime.ServeSession(os.Stdin, os.Stdout, run, runtime.WorkerOptions{
-		Capacity: 1,
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	fmt.Fprintf(os.Stderr, "fedgpo-worker: listening on %s (capacity %d)\n", lis.Addr(), *capacity)
+	err = runtime.Serve(ctx, lis, runtime.ServeConfig{
+		Capacity: *capacity,
 		CacheDir: *cachedir,
+		Run:      run,
 		Install:  rt.InstallSnapshot,
+		Logf: func(format string, args ...any) {
+			fmt.Fprintf(os.Stderr, "fedgpo-worker: "+format+"\n", args...)
+		},
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "fedgpo-worker:", err)
 		os.Exit(1)
 	}
+	fmt.Fprintln(os.Stderr, "fedgpo-worker: drained")
 }

@@ -1,20 +1,18 @@
 // Package cli centralizes the experiment-runtime flag surface shared
-// by the fedgpo CLIs (report, sweep, sim, train): worker counts,
-// run-cache location and byte budget, execution-backend selection and
-// remote worker-pool endpoints. Each CLI registers the block once and
+// by the fedgpo CLIs (report, sweep, sim, train): worker count,
+// run-cache location and byte budget, and the TCP worker pools that
+// select the shard coordinator. Each CLI registers the block once and
 // builds its exp.Runtime from the parsed values, so a new runtime knob
 // lands in every tool by construction.
 package cli
 
 import (
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
+	"net"
 	"os"
-	"os/exec"
-	"path/filepath"
 	"strings"
 
 	"fedgpo/internal/exp"
@@ -23,32 +21,20 @@ import (
 	"fedgpo/internal/workload"
 )
 
-// BackendPool and BackendProcs are the -backend flag values.
-const (
-	BackendPool  = "pool"
-	BackendProcs = "procs"
-)
-
 // RuntimeFlags holds the shared runtime flag block after parsing.
 type RuntimeFlags struct {
-	// Parallel is the in-process simulation worker count (pool
-	// backend; 0 = all cores).
+	// Parallel is the in-process simulation worker count (0 = all
+	// cores); unused when Workers selects the coordinator.
 	Parallel int
 	// CacheDir persists the content-addressed run cache.
 	CacheDir string
 	// CacheMaxBytes, when positive, prunes the cache directory at
 	// startup — oldest entries first — until it fits the budget.
 	CacheMaxBytes int64
-	// Backend selects the execution backend (pool or procs).
-	Backend string
-	// Procs is the worker subprocess count for -backend=procs.
-	Procs int
-	// Workers lists remote TCP worker pools (comma-separated
-	// host:port) for the shard coordinator; non-empty selects the
-	// procs backend even when -backend is left at its default.
+	// Workers lists TCP worker pools (comma-separated host:port);
+	// non-empty selects the shard coordinator instead of the in-process
+	// pool.
 	Workers string
-	// WorkerBin overrides the fedgpo-worker binary location.
-	WorkerBin string
 	// ListScenarios requests the scenario-preset listing and exit.
 	ListScenarios bool
 	// MetricsOut, when set, writes the runtime's telemetry snapshot
@@ -62,17 +48,12 @@ type RuntimeFlags struct {
 // struct they parse into; read it after fs.Parse.
 func Register(fs *flag.FlagSet) *RuntimeFlags {
 	f := &RuntimeFlags{}
-	fs.IntVar(&f.Parallel, "parallel", 0, "simulation worker count (0 = all cores)")
+	fs.IntVar(&f.Parallel, "parallel", 0, "in-process simulation worker count (0 = all cores; unused with -workers)")
 	fs.StringVar(&f.CacheDir, "cachedir", "", "persist the run cache under this directory")
 	fs.Int64Var(&f.CacheMaxBytes, "cache-max-bytes", 0,
 		"evict least-recently-used cache entries at startup until the cache dir fits this byte budget (0 = keep everything)")
-	fs.StringVar(&f.Backend, "backend", BackendPool,
-		"execution backend: pool (in-process workers) or procs (worker subprocesses sharing -cachedir)")
-	fs.IntVar(&f.Procs, "procs", 0, "worker subprocess count for -backend=procs (0 = -parallel if set, else all cores; with -workers, 0 = no local subprocesses)")
 	fs.StringVar(&f.Workers, "workers", "",
-		"comma-separated host:port TCP worker pools (fedgpo-worker -listen) to dispatch cells to; implies -backend=procs, mixable with local -procs")
-	fs.StringVar(&f.WorkerBin, "worker-bin", "",
-		"fedgpo-worker binary for -backend=procs (default: next to this binary, then $PATH)")
+		"comma-separated host:port TCP worker pools (fedgpo-worker -listen) to dispatch cells to instead of running them in-process")
 	fs.BoolVar(&f.ListScenarios, "list-scenarios", false,
 		"print the scenario presets and their resolved spec JSON, then exit")
 	fs.StringVar(&f.MetricsOut, "metrics-out", "",
@@ -100,12 +81,27 @@ func (f *RuntimeFlags) HandleListScenarios(w io.Writer) bool {
 	return true
 }
 
+// Backend names the execution backend the flags select, for the CLIs'
+// summary lines: "tcp" when -workers lists pools, else "pool".
+func (f *RuntimeFlags) Backend() string {
+	if len(f.remotes()) > 0 {
+		return "tcp"
+	}
+	return "pool"
+}
+
 // Runtime builds the experiment runtime the parsed flags describe:
-// cache (pruned to the byte budget), execution backend, and decision
-// tracing. When -workers upgrades the default backend to the shard
-// coordinator, Backend is set to BackendProcs so labels name the
-// backend that actually runs.
+// cache (pruned to the byte budget), execution backend — the
+// in-process pool, or the shard coordinator over the -workers pools —
+// and decision tracing. A malformed -workers address fails here, at
+// startup, not at the first batch.
 func (f *RuntimeFlags) Runtime() (*exp.Runtime, error) {
+	remotes := f.remotes()
+	for _, addr := range remotes {
+		if _, _, err := net.SplitHostPort(addr); err != nil {
+			return nil, fmt.Errorf("cli: -workers: %w", err)
+		}
+	}
 	cache, err := runtime.NewCache(f.CacheDir)
 	if err != nil {
 		return nil, err
@@ -113,46 +109,11 @@ func (f *RuntimeFlags) Runtime() (*exp.Runtime, error) {
 	if _, err := cache.Prune(f.CacheMaxBytes); err != nil {
 		return nil, err
 	}
-	remotes := f.remotes()
 	var backend runtime.Backend
-	switch {
-	case (f.Backend == "" || f.Backend == BackendPool) && len(remotes) == 0:
+	if len(remotes) > 0 {
+		backend = runtime.NewProcBackend(runtime.ProcConfig{Workers: remotes, CacheDir: f.CacheDir})
+	} else {
 		backend = runtime.NewPoolBackend(f.Parallel)
-	case f.Backend == "" || f.Backend == BackendPool || f.Backend == BackendProcs:
-		// -workers selects the shard coordinator even under the default
-		// -backend: dispatching to remote pools is meaningless on the
-		// in-process backend, and silently ignoring the flag would be
-		// worse than upgrading it.
-		f.Backend = BackendProcs
-		procs := f.Procs
-		if procs <= 0 {
-			// A requested parallelism cap applies to whichever backend
-			// runs the batch: without an explicit -procs, -parallel
-			// bounds the subprocess count too (never silently ignored).
-			// With remote pools configured, no cap means no local
-			// subprocesses — the remotes carry the batch.
-			procs = f.Parallel
-			if procs <= 0 && len(remotes) > 0 {
-				procs = 0
-			}
-		}
-		var bin string
-		if len(remotes) == 0 || procs > 0 {
-			// Local sessions spawn subprocesses; remote-only fleets
-			// need no worker binary on this machine.
-			var err error
-			if bin, err = f.workerBin(); err != nil {
-				return nil, err
-			}
-		}
-		backend = runtime.NewProcBackend(runtime.ProcConfig{
-			WorkerBin: bin,
-			Procs:     procs,
-			Workers:   remotes,
-			CacheDir:  f.CacheDir,
-		})
-	default:
-		return nil, fmt.Errorf("cli: unknown backend %q (valid: %s, %s)", f.Backend, BackendPool, BackendProcs)
 	}
 	rt := exp.NewRuntimeWithBackend(backend, cache)
 	switch f.TraceLevel {
@@ -220,25 +181,4 @@ func (f *RuntimeFlags) remotes() []string {
 		}
 	}
 	return out
-}
-
-// workerBin resolves the fedgpo-worker binary: the explicit flag, a
-// sibling of the running executable, then $PATH.
-func (f *RuntimeFlags) workerBin() (string, error) {
-	if f.WorkerBin != "" {
-		if _, err := os.Stat(f.WorkerBin); err != nil {
-			return "", fmt.Errorf("cli: -worker-bin: %w", err)
-		}
-		return f.WorkerBin, nil
-	}
-	if self, err := os.Executable(); err == nil {
-		cand := filepath.Join(filepath.Dir(self), "fedgpo-worker")
-		if _, err := os.Stat(cand); err == nil {
-			return cand, nil
-		}
-	}
-	if p, err := exec.LookPath("fedgpo-worker"); err == nil {
-		return p, nil
-	}
-	return "", errors.New("cli: fedgpo-worker binary not found (build cmd/fedgpo-worker next to this binary, put it on $PATH, or pass -worker-bin)")
 }

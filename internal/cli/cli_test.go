@@ -3,7 +3,6 @@ package cli
 import (
 	"flag"
 	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -25,17 +24,15 @@ func parse(t *testing.T, args ...string) *RuntimeFlags {
 // pool backend as the default.
 func TestRegisterDefaultsAndParsing(t *testing.T) {
 	f := parse(t)
-	if f.Backend != BackendPool || f.Parallel != 0 || f.CacheDir != "" || f.CacheMaxBytes != 0 {
+	if f.Backend() != "pool" || f.Parallel != 0 || f.CacheDir != "" || f.CacheMaxBytes != 0 || f.Workers != "" {
 		t.Errorf("unexpected defaults: %+v", f)
 	}
 	if f.ListScenarios {
 		t.Error("list-scenarios should default to false")
 	}
 	f = parse(t, "-parallel", "3", "-cachedir", "/tmp/x",
-		"-cache-max-bytes", "1024", "-backend", "procs", "-procs", "4", "-worker-bin", "/bin/w",
-		"-workers", "10.0.0.5:9331, 10.0.0.6:9331")
-	if f.Parallel != 3 || f.CacheDir != "/tmp/x" ||
-		f.CacheMaxBytes != 1024 || f.Backend != "procs" || f.Procs != 4 || f.WorkerBin != "/bin/w" {
+		"-cache-max-bytes", "1024", "-workers", "10.0.0.5:9331, 10.0.0.6:9331")
+	if f.Parallel != 3 || f.CacheDir != "/tmp/x" || f.CacheMaxBytes != 1024 || f.Backend() != "tcp" {
 		t.Errorf("flags not parsed: %+v", f)
 	}
 	if got := f.remotes(); len(got) != 2 || got[0] != "10.0.0.5:9331" || got[1] != "10.0.0.6:9331" {
@@ -43,18 +40,16 @@ func TestRegisterDefaultsAndParsing(t *testing.T) {
 	}
 }
 
-// -workers must select the shard coordinator even under the default
-// backend, need no local worker binary when it carries the whole
-// fleet, and mix with local -procs when one is requested. The backend
-// label the CLIs print must name the coordinator, not the pool default.
+// -workers must select the shard coordinator, one TCP endpoint per
+// address, and the backend label the CLIs print must name it.
 func TestRuntimeBuildsTCPWorkers(t *testing.T) {
 	f := parse(t, "-workers", "127.0.0.1:9331,127.0.0.1:9332")
 	rt, err := f.Runtime()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.Backend != BackendProcs {
-		t.Errorf("backend label = %q with -workers alone, want %q", f.Backend, BackendProcs)
+	if f.Backend() != "tcp" {
+		t.Errorf("backend label = %q with -workers, want tcp", f.Backend())
 	}
 	// No dial happens at construction; the endpoints are visible in the
 	// stats snapshot and each remote counts as one worker until its
@@ -67,21 +62,6 @@ func TestRuntimeBuildsTCPWorkers(t *testing.T) {
 		t.Errorf("remote-only workers = %d, want 2", rt.Workers())
 	}
 
-	bin := filepath.Join(t.TempDir(), "fedgpo-worker")
-	if err := os.WriteFile(bin, []byte("#!/bin/sh\n"), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	rt, err = parse(t, "-workers", "127.0.0.1:9331", "-procs", "2", "-worker-bin", bin).Runtime()
-	if err != nil {
-		t.Fatal(err)
-	}
-	eps = rt.Stats().Endpoints
-	if len(eps) != 2 || !strings.HasPrefix(eps[0].Endpoint, "stdio:") || eps[1].Endpoint != "tcp:127.0.0.1:9331" {
-		t.Fatalf("mixed endpoints = %+v", eps)
-	}
-	if rt.Workers() != 3 {
-		t.Errorf("mixed fleet workers = %d, want 2 local + 1 remote", rt.Workers())
-	}
 }
 
 // Runtime must build a pool runtime with the requested worker count
@@ -155,41 +135,38 @@ func TestHandleListScenarios(t *testing.T) {
 	}
 }
 
-// An unknown backend and a missing worker binary must fail loudly at
-// startup, not at first batch.
+// A malformed -workers address and an unknown trace level must fail
+// loudly at startup, not at first batch.
 func TestRuntimeRejectsBadBackendConfig(t *testing.T) {
-	if _, err := parse(t, "-backend", "bogus").Runtime(); err == nil || !strings.Contains(err.Error(), "unknown backend") {
-		t.Errorf("bogus backend error = %v", err)
+	if _, err := parse(t, "-workers", "127.0.0.1:9331,localhost").Runtime(); err == nil || !strings.Contains(err.Error(), "-workers") {
+		t.Errorf("port-less -workers address error = %v", err)
 	}
-	missing := filepath.Join(t.TempDir(), "nope")
-	if _, err := parse(t, "-backend", "procs", "-worker-bin", missing).Runtime(); err == nil || !strings.Contains(err.Error(), "worker-bin") {
-		t.Errorf("missing worker-bin error = %v", err)
+	if _, err := parse(t, "-trace-level", "bogus").Runtime(); err == nil || !strings.Contains(err.Error(), "trace-level") {
+		t.Errorf("bogus trace level error = %v", err)
 	}
 }
 
-// With an explicit existing worker binary, the procs runtime builds;
-// without -procs, a -parallel cap bounds the subprocess count instead
-// of being silently ignored.
+// -parallel sizes the in-process pool only: with -workers the fleet's
+// capacity is what the pools advertise (one per endpoint until their
+// hellos arrive), never the local core count or a -parallel cap.
 func TestRuntimeBuildsProcs(t *testing.T) {
-	bin := filepath.Join(t.TempDir(), "fedgpo-worker")
-	if err := os.WriteFile(bin, []byte("#!/bin/sh\n"), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	f := parse(t, "-backend", "procs", "-procs", "2", "-worker-bin", bin)
+	f := parse(t, "-parallel", "3")
 	rt, err := f.Runtime()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rt.Workers() != 2 {
-		t.Errorf("procs runtime workers = %d, want 2", rt.Workers())
+	if rt.Workers() != 3 || f.Backend() != "pool" || len(rt.Stats().Endpoints) != 0 {
+		t.Errorf("-parallel 3 built %d workers on %q with %d endpoints, want a 3-worker pool",
+			rt.Workers(), f.Backend(), len(rt.Stats().Endpoints))
 	}
-	f = parse(t, "-backend", "procs", "-parallel", "3", "-worker-bin", bin)
+	f = parse(t, "-parallel", "3", "-workers", "127.0.0.1:9331")
 	rt, err = f.Runtime()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rt.Workers() != 3 {
-		t.Errorf("procs runtime with -parallel 3 got %d workers, want 3", rt.Workers())
+	if rt.Workers() != 1 || f.Backend() != "tcp" || len(rt.Stats().Endpoints) != 1 {
+		t.Errorf("-workers with -parallel 3 built %d workers on %q with %d endpoints, want one unprobed TCP endpoint",
+			rt.Workers(), f.Backend(), len(rt.Stats().Endpoints))
 	}
 }
 

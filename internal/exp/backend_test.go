@@ -1,13 +1,18 @@
 package exp
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"os/exec"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -17,7 +22,7 @@ import (
 )
 
 // buildWorker compiles the real fedgpo-worker binary for the
-// cross-backend tests. The test environment always has the Go
+// cross-process tests. The test environment always has the Go
 // toolchain (it is running the tests).
 func buildWorker(t *testing.T) string {
 	t.Helper()
@@ -27,6 +32,64 @@ func buildWorker(t *testing.T) string {
 		t.Fatalf("building fedgpo-worker: %v\n%s", err, out)
 	}
 	return bin
+}
+
+// startWorkerProcess launches the real fedgpo-worker binary as a TCP
+// pool on a free localhost port, sharing cacheDir, and returns its
+// address — read back from the "listening on" stderr line — plus a
+// func that stops it with SIGTERM and waits for the graceful drain.
+func startWorkerProcess(t *testing.T, bin string, capacity int, cacheDir string) (string, func()) {
+	t.Helper()
+	cmd := exec.Command(bin, "-listen", "127.0.0.1:0", "-capacity", strconv.Itoa(capacity), "-cachedir", cacheDir)
+	pr, pw := io.Pipe()
+	cmd.Stderr = pw
+	if err := cmd.Start(); err != nil {
+		t.Fatalf("starting fedgpo-worker: %v", err)
+	}
+	addrc := make(chan string, 1)
+	go func() {
+		// Keep draining after the address line so session logs never
+		// block the worker.
+		sc := bufio.NewScanner(pr)
+		for sc.Scan() {
+			if _, rest, ok := strings.Cut(sc.Text(), "listening on "); ok {
+				addr, _, _ := strings.Cut(rest, " ")
+				addrc <- addr
+			}
+		}
+		_, _ = io.Copy(io.Discard, pr)
+	}()
+	stop := func() error {
+		_ = cmd.Process.Signal(syscall.SIGTERM)
+		err := cmd.Wait()
+		_ = pw.Close()
+		return err
+	}
+	select {
+	case addr := <-addrc:
+		return addr, func() {
+			if err := stop(); err != nil {
+				t.Errorf("fedgpo-worker drain: %v", err)
+			}
+		}
+	case <-time.After(30 * time.Second):
+		_ = stop()
+		t.Fatal("fedgpo-worker never reported its listening address")
+		return "", nil
+	}
+}
+
+// deadAddr returns a localhost address nothing listens on: any dial to
+// it fails.
+func deadAddr(t *testing.T) string {
+	t.Helper()
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := lis.Addr().String()
+	_ = lis.Close()
+	return addr
 }
 
 // runRegistry renders every registry experiment under one runtime, in
@@ -68,72 +131,6 @@ func renderMasked(tab Table) string {
 		}
 	}
 	return tab.String()
-}
-
-// The acceptance contract of the scenario-matrix generator: an
-// off-paper 2×2 matrix (partition alpha × network) runs to completion
-// on both backends with identical results, and a warm -cachedir rerun
-// performs zero simulations.
-func TestScenarioMatrixAcrossBackendsWarmCache(t *testing.T) {
-	worker := buildWorker(t)
-	specs, err := ScenarioMatrix(workload.CNNMNIST(),
-		"fleet=20;alpha=iid,0.5;net=stable,unstable;rounds=60")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(specs) != 4 {
-		t.Fatalf("2x2 matrix produced %d specs", len(specs))
-	}
-	p := fl.Params{B: 8, E: 10, K: 20}
-	run := func(rt *Runtime) string {
-		res := SweepScenarios(Options{}.WithRuntime(rt), specs, p, 1)
-		for i := range res {
-			// Wall-clock, the documented fresh-vs-fresh exception (see
-			// comparableResult).
-			res[i].ControllerOverheadSec = 0
-		}
-		b, err := json.Marshal(res)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(b)
-	}
-
-	poolDir := t.TempDir()
-	rtPool, err := NewRuntime(0, poolDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool := run(rtPool)
-	if st := rtPool.Stats(); st.Runs != 4 {
-		t.Fatalf("pool matrix run simulated %d cells, want 4", st.Runs)
-	}
-
-	procsDir := t.TempDir()
-	procsCache, err := runtime.NewCache(procsDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rtProcs := NewRuntimeWithBackend(runtime.NewProcBackend(runtime.ProcConfig{
-		WorkerBin: worker, Procs: 2, CacheDir: procsDir,
-	}), procsCache)
-	if procs := run(rtProcs); procs != pool {
-		t.Errorf("procs matrix results differ from pool:\n--- pool ---\n%s\n--- procs ---\n%s", pool, procs)
-	}
-	if st := rtProcs.Stats(); st.Runs != 4 {
-		t.Errorf("fresh procs matrix run simulated %d cells, want 4", st.Runs)
-	}
-
-	rtWarm, err := NewRuntime(0, poolDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if warm := run(rtWarm); warm != pool {
-		t.Error("warm matrix rerun produced different results")
-	}
-	if st := rtWarm.Stats(); st.Runs != 0 || st.Hits != 4 {
-		t.Errorf("warm matrix rerun stats = %+v, want 0 runs / 4 hits", st)
-	}
 }
 
 // startWorkerPool serves a TCP worker pool in-process, executing jobs
@@ -254,13 +251,14 @@ func TestScenarioMatrixTCPBackendWarmCache(t *testing.T) {
 // The acceptance contract of the pluggable-backend refactor, enforced
 // registry-wide:
 //
-//  1. a fresh procs run produces byte-identical tables to a fresh pool
-//     run (modulo Sec54's documented wall-clock cells — proc-count
-//     invariance itself is covered by the runtime package's backend
-//     tests at procs = 1, 2 and 5);
-//  2. a warm -cachedir rerun on the procs backend performs zero
+//  1. a fresh run through a real fedgpo-worker -listen process produces
+//     byte-identical tables to a fresh pool run (modulo Sec54's
+//     documented wall-clock cells). The worker is a separate process,
+//     so process-global state such as fixedBestCache cannot leak
+//     between the two sides;
+//  2. a warm -cachedir rerun on the coordinator performs zero
 //     simulations and reproduces the pool run's bytes exactly, Sec54
-//     included (cached replay) — without ever spawning a worker.
+//     included (cached replay) — without ever dialing a worker.
 func TestProcsBackendMatchesPoolAcrossRegistry(t *testing.T) {
 	t.Cleanup(func() { fixedBestCache = sync.Map{} })
 	worker := buildWorker(t)
@@ -277,49 +275,54 @@ func TestProcsBackendMatchesPoolAcrossRegistry(t *testing.T) {
 		t.Fatal("pool run simulated nothing")
 	}
 
-	// Warm procs rerun over the pool run's cache. The worker binary is
-	// deliberately bogus: if any cell were dispatched instead of served
-	// from cache, the run would fail loudly.
+	// Warm coordinator rerun over the pool run's cache. The endpoint
+	// is an address nothing listens on: if any cell were dispatched
+	// instead of served from cache, the run would fail loudly.
 	fixedBestCache = sync.Map{}
 	warmCache, err := runtime.NewCache(poolDir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rtWarm := NewRuntimeWithBackend(runtime.NewProcBackend(runtime.ProcConfig{
-		WorkerBin: "/nonexistent-fedgpo-worker", Procs: 4, CacheDir: poolDir,
+		Workers: []string{deadAddr(t)}, CacheDir: poolDir,
 	}), warmCache)
 	warmTables := runRegistry(t, rtWarm)
 	if st := rtWarm.Stats(); st.Runs != 0 || st.Hits == 0 {
-		t.Errorf("warm procs rerun stats = %+v, want zero runs and nonzero hits", st)
+		t.Errorf("warm coordinator rerun stats = %+v, want zero runs and nonzero hits", st)
+	}
+	if eps := rtWarm.Stats().Endpoints; len(eps) != 1 || eps[0].Dispatched != 0 || eps[0].Retried != 0 {
+		t.Errorf("warm coordinator rerun endpoints = %+v, want no dial and no dispatch", eps)
 	}
 	if warmups, _ := rtWarm.PretrainStats(); warmups != 0 {
-		t.Errorf("warm procs rerun executed %d pretrain warm-ups, want 0", warmups)
+		t.Errorf("warm coordinator rerun executed %d pretrain warm-ups, want 0", warmups)
 	}
 	for _, e := range Registry() {
 		if warmTables[e.ID].String() != poolTables[e.ID].String() {
-			t.Errorf("%s: warm procs rerun differs from the pool run", e.ID)
+			t.Errorf("%s: warm coordinator rerun differs from the pool run", e.ID)
 		}
 	}
 
-	// Fresh procs run against its own cache directory: every cell
-	// actually executes inside worker subprocesses.
+	// Fresh run against its own cache directory, shared with the
+	// worker process: every cell actually executes inside it.
 	procsDir := t.TempDir()
 	fixedBestCache = sync.Map{}
+	addr, stop := startWorkerProcess(t, worker, 3, procsDir)
+	defer stop()
 	procsCache, err := runtime.NewCache(procsDir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rtProcs := NewRuntimeWithBackend(runtime.NewProcBackend(runtime.ProcConfig{
-		WorkerBin: worker, Procs: 3, CacheDir: procsDir,
+		Workers: []string{addr}, CacheDir: procsDir,
 	}), procsCache)
 	procsTables := runRegistry(t, rtProcs)
-	if rtProcs.Stats().Runs == 0 {
-		t.Fatal("fresh procs run simulated nothing")
+	if st := rtProcs.Stats(); st.Runs == 0 || len(st.Endpoints) != 1 || st.Endpoints[0].Dispatched == 0 {
+		t.Fatalf("fresh worker-process run stats = %+v, want cells dispatched to the worker", st)
 	}
 	for _, e := range Registry() {
 		pool, procs := renderMasked(poolTables[e.ID]), renderMasked(procsTables[e.ID])
 		if pool != procs {
-			t.Errorf("%s: procs backend output differs from pool backend:\n--- pool ---\n%s--- procs ---\n%s",
+			t.Errorf("%s: worker-process output differs from pool backend:\n--- pool ---\n%s--- worker ---\n%s",
 				e.ID, pool, procs)
 		}
 	}

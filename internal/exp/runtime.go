@@ -15,16 +15,15 @@ import (
 
 // Runtime bundles the experiment runtime shared by every figure
 // generated under one Options value: the execution backend (in-process
-// worker pool or multi-process shard coordinator), the
+// worker pool or the shard coordinator over TCP worker pools), the
 // content-addressed run cache, the pretrained-controller cache, and
 // the structured result store.
 type Runtime struct {
 	exec  *runtime.Executor
 	cache *runtime.Cache
 	store *runtime.Store
-	// record gates result-store retention: full per-round histories for
-	// every cell are kept in memory only when a consumer asked for them
-	// (see EnableStore).
+	// record gates result recording: cells are streamed to the store
+	// only once a consumer asked for them (see StreamStore).
 	record bool
 	// onJob, when set, observes every job a batch submits (test hook
 	// for spec round-trip coverage).
@@ -80,7 +79,7 @@ func NewRuntime(parallel int, cacheDir string) (*Runtime, error) {
 }
 
 // NewRuntimeWithBackend builds a runtime on an explicit execution
-// backend and cache — the constructor behind the CLIs' -backend flag.
+// backend and cache — the constructor behind the CLIs' -workers flag.
 // With a runtime.Coordinator the batch runs across worker processes;
 // sharing the cache's directory with the workers gives run results and
 // pretrained-controller snapshots one home, so hit semantics match the
@@ -166,9 +165,9 @@ func (r *Runtime) SetInnerParallel(int) {}
 // runs is how many Q-table warm-ups actually executed in this process,
 // distinct how many distinct pretrain keys were requested. On a cold
 // run runs == distinct (exactly one warm-up per scenario/config); on a
-// warm disk-cache rerun runs == 0. Under the procs backend the
-// warm-ups execute inside worker subprocesses, so the coordinator's
-// counters stay at zero.
+// warm disk-cache rerun runs == 0. Under the coordinator the warm-ups
+// execute inside the worker pools, so the coordinator's counters stay
+// at zero.
 func (r *Runtime) PretrainStats() (runs, distinct int) {
 	r.pretrainMu.Lock()
 	defer r.pretrainMu.Unlock()
@@ -302,19 +301,13 @@ func (r *Runtime) InstallSnapshot(key string, data json.RawMessage) error {
 // SetProgress installs a per-job progress callback.
 func (r *Runtime) SetProgress(fn func(runtime.Progress)) { r.exec.SetProgress(fn) }
 
-// EnableStore turns on result-store retention: from now on every cell
-// the runtime runs or serves from cache is recorded, round history
-// included. Off by default — a paper-scale report holds hundreds of
-// multi-hundred-round histories, dead weight unless something (e.g.
-// fedgpo-report's -results flag) will consume them.
-func (r *Runtime) EnableStore() { r.record = true }
-
-// StreamStore turns on result recording in streaming mode: every cell
-// is appended to path as JSON Lines the moment its batch completes,
-// and nothing is retained in memory — the recording path for sweeps
-// too large to hold. Call CloseStore when done; runtime.Compact (or
-// fedgpo-report -compact-results) rewrites the log as the canonical
-// JSON array.
+// StreamStore turns on result recording: from now on every cell the
+// runtime runs or serves from cache is appended to path as JSON Lines,
+// round history included, the moment its batch completes, and nothing
+// is retained in memory. Off by default — a paper-scale report holds
+// hundreds of multi-hundred-round histories, dead weight unless
+// something (the CLIs' -results flag) will consume them. Call
+// CloseStore when done; runtime.ReadStore loads the log back.
 func (r *Runtime) StreamStore(path string) error {
 	if err := r.store.StreamTo(path); err != nil {
 		return err
@@ -327,8 +320,8 @@ func (r *Runtime) StreamStore(path string) error {
 // surfacing any write error the stream hit along the way.
 func (r *Runtime) CloseStore() error { return r.store.Close() }
 
-// Store returns the structured record of the cells retained since
-// EnableStore was called (empty otherwise).
+// Store returns the result store: it counts the cells recorded since
+// StreamStore was called (their payloads live in the stream file).
 func (r *Runtime) Store() *runtime.Store { return r.store }
 
 // cell is one (scenario, contender) simulation cell; crossed with the

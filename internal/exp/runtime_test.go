@@ -1,12 +1,14 @@
 package exp
 
 import (
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 
 	"fedgpo/internal/device"
 	"fedgpo/internal/fl"
+	"fedgpo/internal/runtime"
 	"fedgpo/internal/workload"
 )
 
@@ -170,9 +172,9 @@ func TestSweepStaticMatchesDirectRuns(t *testing.T) {
 	}
 }
 
-// With retention enabled, the result store must record every cell a
-// figure ran, with round histories attached; without it, nothing is
-// retained.
+// With a stream attached, the result store must record every cell a
+// figure ran, with round histories attached, and read back through
+// ReadStore; without one, nothing is recorded.
 func TestRuntimeStoreRecordsCells(t *testing.T) {
 	off, err := NewRuntime(0, "")
 	if err != nil {
@@ -180,18 +182,31 @@ func TestRuntimeStoreRecordsCells(t *testing.T) {
 	}
 	Fig1(Tiny().WithRuntime(off))
 	if n := off.Store().Len(); n != 0 {
-		t.Errorf("store retained %d cells without EnableStore", n)
+		t.Errorf("store recorded %d cells without StreamStore", n)
 	}
 
 	rt, err := NewRuntime(0, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt.EnableStore()
+	path := filepath.Join(t.TempDir(), "results.jsonl")
+	if err := rt.StreamStore(path); err != nil {
+		t.Fatal(err)
+	}
 	Fig1(Tiny().WithRuntime(rt))
-	rs := rt.Store().Results()
+	if err := rt.CloseStore(); err != nil {
+		t.Fatal(err)
+	}
+	back, err := runtime.ReadStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs := back.Results()
 	if len(rs) == 0 {
 		t.Fatal("store is empty after Fig1")
+	}
+	if len(rs) != rt.Store().Len() {
+		t.Errorf("log read back %d cells, store counted %d", len(rs), rt.Store().Len())
 	}
 	for _, r := range rs {
 		if r.Key == "" {

@@ -45,7 +45,7 @@ const (
 // It replaces the closure-held controller factories the experiment
 // constructors used to carry — a ContenderSpec is pure data, so the
 // same contender can be materialized in-process or inside a worker
-// subprocess and still share one cache identity.
+// pool process and still share one cache identity.
 type ContenderSpec struct {
 	// Type selects the controller family (Cont* constants).
 	Type string `json:"type"`
@@ -128,7 +128,7 @@ func (c ContenderSpec) validate() error {
 // figure cells, sweep cells, grid-search cells, ablation variants, the
 // oracle and overhead probes — is a JobSpec; Runtime.Execute is the
 // single entry point that reconstructs and runs one, in this process
-// or in a worker subprocess fed the spec's JSON encoding.
+// or in a worker pool process fed the spec's JSON encoding.
 type JobSpec struct {
 	Kind      string        `json:"kind"`
 	Scenario  ScenarioSpec  `json:"scenario"`
@@ -309,8 +309,7 @@ func (r *Runtime) RunJob(j runtime.Job) runtime.Result {
 // It is deterministic in the spec for every kind except the sec54
 // probe's wall-clock overhead measurements (see sec54Extra), and it is
 // the single entry point both backends funnel into — the pool backend
-// through Job's closure, worker subprocesses through the decoded wire
-// spec.
+// through Job's closure, worker pools through the decoded wire spec.
 func (r *Runtime) Execute(sp JobSpec) runtime.Result {
 	if err := sp.validate(); err != nil {
 		panic(err.Error())

@@ -3,6 +3,7 @@ package exp
 import (
 	"encoding/json"
 	"fmt"
+	"path/filepath"
 	"sync"
 	"testing"
 
@@ -63,7 +64,10 @@ func TestSpecRoundTripRegistry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rtA.EnableStore()
+	storePath := filepath.Join(t.TempDir(), "store.jsonl")
+	if err := rtA.StreamStore(storePath); err != nil {
+		t.Fatal(err)
+	}
 	type recorded struct {
 		kind    string
 		payload json.RawMessage
@@ -83,10 +87,17 @@ func TestSpecRoundTripRegistry(t *testing.T) {
 	if len(jobs) == 0 {
 		t.Fatal("registry emitted no jobs")
 	}
+	if err := rtA.CloseStore(); err != nil {
+		t.Fatal(err)
+	}
+	stored, err := runtime.ReadStore(storePath)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	// Re-execute every distinct spec in a fresh runtime: separate
 	// pretrain singleflight, empty cache — the same situation a worker
-	// subprocess starts from.
+	// pool process starts from.
 	rtB, err := NewRuntime(1, "")
 	if err != nil {
 		t.Fatal(err)
@@ -115,7 +126,7 @@ func TestSpecRoundTripRegistry(t *testing.T) {
 			t.Errorf("job %q: scenario spec does not round-trip: %q vs %q",
 				key, s2.cacheKey(), sp.Scenario.cacheKey())
 		}
-		want, ok := rtA.Store().Get(key)
+		want, ok := stored.Get(key)
 		if !ok {
 			t.Fatalf("job %q missing from the result store", key)
 		}

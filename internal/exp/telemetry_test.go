@@ -72,8 +72,9 @@ func TestTraceDoesNotChangeCanonicalKey(t *testing.T) {
 // The tentpole's determinism guarantee, across every backend: a run
 // with decision tracing and telemetry enabled produces byte-identical
 // simulation results to an uninstrumented pool run — on the pool
-// backend, on worker subprocesses, and over the localhost TCP
-// transport (where the trace level rides the wire spec).
+// backend, and over the localhost TCP transport to a pool sharing the
+// coordinator's cache directory and to one that does not (where the
+// trace level rides the wire spec).
 func TestTracedRunsAreByteIdenticalAcrossBackends(t *testing.T) {
 	baseRT, err := NewRuntime(0, "")
 	if err != nil {
@@ -112,30 +113,33 @@ func TestTracedRunsAreByteIdenticalAcrossBackends(t *testing.T) {
 		t.Error("untraceable static cell published a trace artifact")
 	}
 
-	// Worker subprocesses, tracing on.
-	worker := buildWorker(t)
+	// Localhost TCP worker pool sharing the coordinator's cache
+	// directory, tracing on.
 	procsDir := t.TempDir()
+	sharedAddr, stopShared := startWorkerPool(t, 2, procsDir)
 	procsCache, err := runtime.NewCache(procsDir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rtProcs := NewRuntimeWithBackend(runtime.NewProcBackend(runtime.ProcConfig{
-		WorkerBin: worker, Procs: 2, CacheDir: procsDir,
+		Workers: []string{sharedAddr}, CacheDir: procsDir,
 	}), procsCache)
 	rtProcs.SetTraceLevel(telemetry.TraceDecisions)
 	if got := telemetryRun(t, rtProcs); got != base {
-		t.Errorf("traced procs run differs from untraced pool run:\n--- pool ---\n%s\n--- procs ---\n%s", base, got)
+		t.Errorf("traced cache-sharing TCP run differs from untraced pool run:\n--- pool ---\n%s\n--- tcp ---\n%s", base, got)
 	}
-	// The workers share the coordinator's cache directory, so the trace
-	// artifact they published is visible here.
+	stopShared()
+	// The pool shares the coordinator's cache directory, so the trace
+	// artifact it published is visible here.
 	var procsTrace []core.RoundTrace
 	if !rtProcs.cache.Get(traceKey(fedgpo), &procsTrace) || len(procsTrace) == 0 {
-		t.Error("traced procs run published no decision trace in the shared cache")
+		t.Error("traced cache-sharing TCP run published no decision trace in the shared cache")
 	}
 
-	// Localhost TCP worker pool, tracing on. The coordinator stamps the
-	// trace level onto the wire spec; the worker's own trace level is
-	// unset, so any trace recorded proves the request crossed the wire.
+	// A second localhost TCP worker pool, tracing on. The coordinator
+	// stamps the trace level onto the wire spec; the worker's own trace
+	// level is unset, so any trace recorded proves the request crossed
+	// the wire.
 	workerDir := t.TempDir()
 	addr, shutdown := startWorkerPool(t, 2, workerDir)
 	coordCache, err := runtime.NewCache(t.TempDir())

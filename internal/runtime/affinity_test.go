@@ -58,10 +58,10 @@ func TestAssignGroupsCapacityWeighted(t *testing.T) {
 }
 
 // A capacity-4 endpoint must absorb ~4x the cells of a capacity-1
-// sibling under affinity routing: placement is capacity-weighted
-// up front, and work stealing only rebalances what the weighting got
-// wrong. Responders sleep so throughput, not scheduling latency,
-// decides the split.
+// sibling under affinity routing: once the hellos have advertised the
+// capacities, placement is capacity-weighted up front, and work
+// stealing only rebalances what the weighting got wrong. Responders
+// sleep so throughput, not scheduling latency, decides the split.
 func TestAffinityCapacityWeightedDispatch(t *testing.T) {
 	respond := func(_ int, req WireRequest) (WireResponse, error) {
 		time.Sleep(2 * time.Millisecond)
@@ -74,6 +74,10 @@ func TestAffinityCapacityWeightedDispatch(t *testing.T) {
 		jobs[i] = affJob(i, fmt.Sprintf("group-%02d", i))
 	}
 	c := NewCoordinator(ProcConfig{}, big, small)
+	// A first batch probes both endpoints, so the second is placed by
+	// the advertised capacities.
+	c.Run(specJobs(1), nil)
+	before := c.EndpointStats()
 	for i, r := range c.Run(jobs, nil) {
 		if r.Err != "" {
 			t.Fatalf("job %d failed: %s", i, r.Err)
@@ -81,6 +85,11 @@ func TestAffinityCapacityWeightedDispatch(t *testing.T) {
 	}
 	// EndpointStats sorts by name: "fake:big" first.
 	st := c.EndpointStats()
+	for i := range st {
+		st[i].Dispatched -= before[i].Dispatched
+		st[i].AffinityHits -= before[i].AffinityHits
+		st[i].AffinityMisses -= before[i].AffinityMisses
+	}
 	bigN, smallN := st[0].Dispatched, st[1].Dispatched
 	if bigN+smallN != int64(len(jobs)) {
 		t.Fatalf("dispatched %d+%d, want %d total", bigN, smallN, len(jobs))
@@ -279,9 +288,34 @@ func snapJob(i int, affinity, snap string) Job {
 // snapArtifact is the deterministic payload the test worker "builds".
 var snapArtifact = json.RawMessage(`{"q":[1,2,3]}`)
 
+// installLog counts the snapshot installs one worker pool received,
+// per key.
+type installLog struct {
+	mu   sync.Mutex
+	n    map[string]int
+	data map[string]json.RawMessage
+}
+
+func (l *installLog) install(key string, data json.RawMessage) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.n == nil {
+		l.n, l.data = make(map[string]int), make(map[string]json.RawMessage)
+	}
+	l.n[key]++
+	l.data[key] = append(json.RawMessage(nil), data...)
+	return nil
+}
+
+func (l *installLog) count(key string) int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.n[key]
+}
+
 // tcpServeSnaps serves a capacity-1 worker pool that returns snapshot
 // artifacts on request and records every coordinator-pushed install.
-func tcpServeSnaps(t *testing.T, installs *sync.Map) (addr string, shutdown func()) {
+func tcpServeSnaps(t *testing.T, installs *installLog) (addr string, shutdown func()) {
 	t.Helper()
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -292,10 +326,7 @@ func tcpServeSnaps(t *testing.T, installs *sync.Map) (addr string, shutdown func
 	go func() {
 		errc <- Serve(ctx, lis, ServeConfig{
 			Capacity: 1,
-			Install: func(key string, data json.RawMessage) error {
-				installs.Store(key, append(json.RawMessage(nil), data...))
-				return nil
-			},
+			Install:  installs.install,
 			Run: func(key string, spec json.RawMessage) Result {
 				var s snapSpec
 				if err := json.Unmarshal(spec, &s); err != nil {
@@ -322,22 +353,26 @@ func tcpServeSnaps(t *testing.T, installs *sync.Map) (addr string, shutdown func
 	}
 }
 
-// Snapshot shipping end to end: a worker-built snapshot artifact returns with
-// its response, the coordinator pools and persists it under its own
-// cache key, and a later batch for the same affinity key pre-pushes
-// the artifact to a worker process not known to hold it — metered in
-// the endpoint stats and telemetry counters.
+// Snapshot shipping end to end: a worker-built snapshot artifact
+// returns with its response, and the coordinator pools and persists it
+// under its own cache key. The coordinator tracks what each pool holds
+// across batches and sessions: the capacity-1 pool that built the
+// snapshot is never pushed it, even from a fresh session in a later
+// batch, while a pool that never held it receives it exactly once —
+// metered in the endpoint stats and telemetry counters.
 func TestCoordinatorPoolsAndShipsSnapshots(t *testing.T) {
-	var installs sync.Map
-	addr, shutdown := tcpServeSnaps(t, &installs)
-	defer shutdown()
+	var builderLog, otherLog installLog
+	builderAddr, stopBuilder := tcpServeSnaps(t, &builderLog)
+	defer stopBuilder()
+	otherAddr, stopOther := tcpServeSnaps(t, &otherLog)
+	defer stopOther()
 
 	cache, err := NewCache("")
 	if err != nil {
 		t.Fatal(err)
 	}
 	col := telemetry.NewCollector()
-	c := NewProcBackend(ProcConfig{Workers: []string{addr}})
+	c := NewProcBackend(ProcConfig{Workers: []string{builderAddr}})
 	c.SetCache(cache)
 	c.SetCollector(col)
 
@@ -354,29 +389,52 @@ func TestCoordinatorPoolsAndShipsSnapshots(t *testing.T) {
 	if string(raw) != string(snapArtifact) {
 		t.Errorf("persisted artifact = %s, want the byte-identical worker payload %s", raw, snapArtifact)
 	}
-	if st := c.EndpointStats(); st[0].SnapBytesSent != 0 {
-		t.Errorf("coordinator pushed %d B before holding any artifact", st[0].SnapBytesSent)
-	}
-	if _, ok := installs.Load("pretrain-k"); ok {
-		t.Error("worker saw an install before the coordinator had anything to push")
-	}
 
-	// Batch 2: a fresh capacity-1 session means a fresh worker process
-	// as far as the coordinator knows — the request pre-pushes the
-	// pooled artifact.
+	// Batch 2 runs on a fresh session of the same capacity-1 pool,
+	// which built the snapshot in batch 1 and still holds it: no push.
 	res = c.Run([]Job{snapJob(1, "pretrain-k", "")}, nil)
 	if res[0].Err != "" {
 		t.Fatalf("consumer job failed: %s", res[0].Err)
 	}
-	data, ok := installs.Load("pretrain-k")
-	if !ok {
-		t.Fatal("coordinator did not pre-push the pooled snapshot to the next session")
+	if st := c.EndpointStats(); st[0].Dispatched != 2 || st[0].SnapBytesSent != 0 {
+		t.Errorf("builder pool: %d dispatched, %d snapshot bytes pushed; want 2 and 0 (it built the snapshot)",
+			st[0].Dispatched, st[0].SnapBytesSent)
 	}
-	if string(data.(json.RawMessage)) != string(snapArtifact) {
-		t.Errorf("installed artifact = %s, want %s", data, snapArtifact)
+	if n := builderLog.count("pretrain-k"); n != 0 {
+		t.Errorf("builder pool saw %d installs of its own snapshot", n)
 	}
-	st := c.EndpointStats()
-	if st[0].SnapBytesSent != int64(len(snapArtifact)) {
+	if m := col.Snapshot(); m.Counters.SnapshotBytesShipped != 0 {
+		t.Errorf("counters.SnapshotBytesShipped = %d, want 0", m.Counters.SnapshotBytesShipped)
+	}
+
+	// A coordinator holding the pooled artifact, over a pool that never
+	// held it: the first request of the first batch carries it, and
+	// neither the frame's second request nor a later batch's fresh
+	// session pushes it again.
+	col = telemetry.NewCollector()
+	c = NewProcBackend(ProcConfig{Workers: []string{otherAddr}})
+	c.SetCollector(col)
+	c.storeSnapshot(SnapshotArtifact{Key: "pretrain-k", Data: snapArtifact}, false)
+	for b, jobs := range [][]Job{
+		{snapJob(2, "pretrain-k", ""), snapJob(3, "pretrain-k", "")},
+		{snapJob(4, "pretrain-k", "")},
+	} {
+		for i, r := range c.Run(jobs, nil) {
+			if r.Err != "" {
+				t.Fatalf("batch %d job %d failed: %s", b, i, r.Err)
+			}
+		}
+	}
+	if n := otherLog.count("pretrain-k"); n != 1 {
+		t.Errorf("pool that never held the snapshot installed it %d times, want exactly 1", n)
+	}
+	otherLog.mu.Lock()
+	got := otherLog.data["pretrain-k"]
+	otherLog.mu.Unlock()
+	if string(got) != string(snapArtifact) {
+		t.Errorf("installed artifact = %s, want %s", got, snapArtifact)
+	}
+	if st := c.EndpointStats(); st[0].SnapBytesSent != int64(len(snapArtifact)) {
 		t.Errorf("endpoint metered %d snapshot bytes, want %d", st[0].SnapBytesSent, len(snapArtifact))
 	}
 	if m := col.Snapshot(); m.Counters.SnapshotBytesShipped != int64(len(snapArtifact)) {

@@ -19,14 +19,14 @@ type Backend interface {
 	// job with the job's batch index and result; it may be invoked
 	// concurrently from multiple goroutines.
 	Run(jobs []Job, done func(i int, r Result)) []Result
-	// Workers reports the backend's parallelism (pool size or worker
-	// subprocess count).
+	// Workers reports the backend's parallelism (pool size or the
+	// coordinator fleet's session capacity).
 	Workers() int
 }
 
 // PoolBackend is the in-process execution backend: a sharded worker
 // pool pulling job indices from a shared channel, with per-job panic
-// isolation. It is the default backend and the one worker subprocesses
+// isolation. It is the default backend and the one worker pools
 // themselves run on.
 type PoolBackend struct {
 	workers int

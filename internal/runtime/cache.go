@@ -206,7 +206,7 @@ func (c *Cache) Prune(maxBytes int64) (int, error) {
 			continue
 		}
 		// Clear orphaned put-* temp files (a writer killed between
-		// CreateTemp and the rename publish — e.g. a worker subprocess
+		// CreateTemp and the rename publish — e.g. a worker process
 		// cut down mid-Put). They are invisible to Get, so at startup
 		// they are pure garbage that would otherwise accumulate outside
 		// the byte budget forever.

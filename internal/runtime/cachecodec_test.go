@@ -113,23 +113,22 @@ func TestCacheGetSurvivesArbitraryEnvelopeBytes(t *testing.T) {
 	}
 }
 
-// AppendKey + HashKeyBytes + ShardOfHashed are the executor's per-job
-// key resolution; once the shared buffer has grown they must not
-// allocate at all — the zero-alloc guard behind the bench's
-// key_allocs_per_op metric.
+// AppendKey + HashKeyBytes are the executor's per-job key
+// resolution; once the shared buffer has grown they must not allocate
+// at all — the zero-alloc guard behind the bench's key_allocs_per_op
+// metric.
 func TestKeyResolutionZeroAllocs(t *testing.T) {
 	job := Job{Kind: "sim", Scenario: "scenario-3", Controller: "static/(8,10,20)", Seed: 3}
 	buf := make([]byte, 0, 256)
-	var shard int
+	var sum [32]byte
 	allocs := testing.AllocsPerRun(100, func() {
 		buf = job.AppendKey(buf[:0])
-		sum := HashKeyBytes(buf)
-		shard = ShardOfHashed(sum, 8)
+		sum = HashKeyBytes(buf)
 	})
 	if allocs != 0 {
 		t.Errorf("key resolution allocates %.1f objects per op, want 0", allocs)
 	}
-	_ = shard
+	_ = sum
 }
 
 // A directory holding binary entries next to a stray <hash>.json file

@@ -25,7 +25,7 @@
 // contender, seed, probe knobs) from which any process derives both
 // the same canonical key and the same result. The key fields and the
 // payload are two projections of one spec: the executor addresses the
-// cache with the former, the procs backend ships the latter across
+// cache with the former, the coordinator ships the latter across
 // the process boundary, and the worker on the far side re-derives the
 // key from the decoded spec and refuses mismatches, so a foreign spec
 // can never poison a cache entry it does not name.
@@ -85,31 +85,20 @@
 //     (default GOMAXPROCS) pull job indices from a shared channel and
 //     run the job bodies with per-job panic isolation.
 //
-//   - Coordinator: the distributed shard coordinator
-//     behind the CLIs' -backend=procs and -workers flags. It executes
-//     batches across worker endpoints reached through Transports —
-//     local subprocess pools, remote TCP worker pools, or both in one
-//     fleet — and is itself transport-agnostic: work distribution,
-//     in-flight tracking, retry and budget forwarding live above the
-//     Transport seam.
+//   - Coordinator: the distributed shard coordinator behind the CLIs'
+//     -workers flag. It executes batches across worker endpoints
+//     reached through Transports; work distribution, in-flight
+//     tracking and retry live above the Transport seam.
 //
-// # Transports
+// # Transport
 //
 // A Transport dials wire sessions (Conn: SendBatch/RecvBatch/Close) to
-// one worker endpoint:
-//
-//   - StdioTransport spawns one fedgpo-worker subprocess per session
-//     and speaks the protocol over its stdin/stdout; the coordinator
-//     runs cfg.Procs concurrent sessions against it: one process per
-//     session, so a crashed worker fails only its own session and a
-//     retry lands on a fresh process.
-//
-//   - TCPTransport connects to a long-lived remote pool started with
-//     `fedgpo-worker -listen host:port` (one wire session per TCP
-//     connection). The coordinator learns how many sessions to open
-//     from the capacity the pool's hello advertises, and the pool
-//     drains gracefully on SIGTERM: in-flight jobs finish and deliver
-//     their responses before the process exits.
+// one worker endpoint. TCPTransport connects to a long-lived pool
+// started with `fedgpo-worker -listen host:port` (one wire session per
+// TCP connection). The coordinator learns how many sessions to open
+// from the capacity the pool's hello advertises, and the pool drains
+// gracefully on SIGTERM: in-flight jobs finish and deliver their
+// responses before the process exits.
 //
 // # Wire protocol
 //
@@ -163,18 +152,17 @@
 // because Result.Cached and Result.Telemetry are deliberately excluded
 // from result JSON, so neither can ever reach a cache entry; the
 // coordinator folds them into its own statistics. A malformed frame
-// fails the session naming the offending frame index. Worker stderr
-// passes through to the coordinator's stderr. ServeWorker/ServeSession
-// implement the worker side and Serve the TCP accept loop, so any
+// fails the session naming the offending frame index. ServeSession
+// implements the worker side and Serve the TCP accept loop, so any
 // binary can join the protocol.
 //
 // # Dispatch, retry and failover
 //
 // Sessions pull their next frame from the batch's queue as they finish
 // the last, so a slow or remote endpoint never straggles the batch the
-// way a static key-partitioned shard could (ShardOf remains available
-// for stable partitioning needs). Sessions dial lazily — no subprocess
-// or connection exists until a session actually holds a job. Each
+// way a static key-partitioned shard could. Beyond the probe session
+// that reads an endpoint's capacity, sessions dial lazily — no
+// connection exists until a session actually holds a job. Each
 // session has a retry budget of one: on failure (crash, disconnect,
 // reply timeout, truncated or out-of-order output) it re-dials and
 // resends only the in-flight frame's unanswered specs — answered jobs
@@ -248,7 +236,7 @@
 // persists it into its own cache under the snapshot key (byte-identical
 // to the entry the worker wrote locally, both being the same JSON
 // round-trip), and pre-pushes it inside later requests for cells
-// sharing that key dispatched at sessions that do not already hold it —
+// sharing that key dispatched at pools that do not already hold it —
 // skipping endpoints that share the coordinator's -cachedir, where the
 // disk already carries the snapshot. The worker installs pushed
 // artifacts before running the request, resolving its pretrain
@@ -297,8 +285,8 @@
 // cell a warm report still reads outlives a newer cell nothing asks
 // for. Prune also drops evicted hashes from the
 // decoded-payload layer, so an evicted entry cannot be served from
-// memory. Pruning is a coordinator-startup job only; worker
-// subprocesses never prune the directory they share.
+// memory. Pruning is a coordinator-startup job only; worker pools
+// never prune the directory they share.
 //
 // # Pretrained-controller cache
 //
@@ -326,24 +314,11 @@
 //
 // Result carries the full structured outcome of a cell: the
 // simulator's summary metrics and per-round history (fl.Result) plus
-// an optional Kind-specific Extra payload. Store collects the results
-// a batch produced, in insertion order, and can round-trip them to a
-// single JSON file so table/figure constructors — or external tooling
-// — can consume completed runs without re-simulating.
-//
-// A store has two persistence modes. In memory (the default,
-// WriteFile) it buffers every result and writes one indented JSON
-// array at the end — fine for reports, but the retained round
-// histories grow with the sweep. StreamTo switches it to streaming
-// mode: every Add appends the result to a JSON Lines file as the cell
-// completes and retains only its key, so memory stays bounded by the
-// cell count regardless of history size (the CLIs select this mode
-// when -results names a .jsonl path). A repeated key appends a new
-// line rather than rewriting the file. ReadStore loads either format
-// — the first non-whitespace byte tells them apart, and for a
-// streamed log the last occurrence of a key wins — and Compact
-// (fedgpo-report -compact-results) rewrites a streamed log as the
-// canonical JSON array, shadowed lines dropped.
+// an optional Kind-specific Extra payload. The CLIs' -results flag
+// streams every completed cell through Store.StreamTo as one JSON
+// Lines record, so external tooling can consume completed runs without
+// re-simulating; ReadStore loads the log back, the last line of a
+// repeated key winning.
 //
 // # Telemetry
 //

@@ -22,8 +22,8 @@ type Progress struct {
 // Stats counts the executor's lifetime activity.
 type Stats struct {
 	// Hits counts jobs served from the run cache — by this executor
-	// directly or, under the procs backend, by a worker subprocess
-	// reading the shared cache directory.
+	// directly or, under the coordinator, by a worker pool reading the
+	// shared cache directory.
 	Hits int64
 	// Runs counts jobs whose body actually executed (cache misses plus
 	// all jobs when no cache is attached).

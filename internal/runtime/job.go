@@ -2,7 +2,6 @@ package runtime
 
 import (
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"strconv"
@@ -42,8 +41,8 @@ type Job struct {
 	// Payload is the job's serialized spec: a self-contained JSON
 	// description from which any process can reconstruct and execute
 	// the cell (the experiment harness encodes its JobSpec here). It is
-	// what the procs backend streams to worker subprocesses; in-process
-	// backends never read it.
+	// what the coordinator streams to worker pools; the in-process pool
+	// never reads it.
 	Payload json.RawMessage
 	// Run executes the cell on a cache miss. It is called from a worker
 	// goroutine and must not share mutable state with other jobs. For
@@ -107,29 +106,10 @@ func HashKey(key string) string {
 // HashKeyBytes content-addresses a canonical key held in a byte
 // buffer, returning the raw digest without allocating — the
 // AppendKey-side twin of HashKey. Render it with HexHash where a
-// string address is needed, or feed it to ShardOfHashed directly.
+// string address is needed.
 func HashKeyBytes(key []byte) [sha256.Size]byte { return sha256.Sum256(key) }
 
 // HexHash renders a raw key digest as the hex content address used in
 // cache paths and wire messages: HexHash(HashKeyBytes(k)) ==
 // HashKey(string(k)).
 func HexHash(sum [sha256.Size]byte) string { return hex.EncodeToString(sum[:]) }
-
-// ShardOf deterministically assigns a canonical key to one of n
-// shards. It reuses the content-address digest, so a cell lands on the
-// same shard in every process and on every run — the property that
-// lets a coordinator partition a batch across workers without
-// coordination.
-func ShardOf(key string, n int) int {
-	return ShardOfHashed(sha256.Sum256([]byte(key)), n)
-}
-
-// ShardOfHashed is ShardOf for callers that already hold the key's
-// digest (HashKeyBytes), so a batch that hashed each key once never
-// re-runs SHA-256 to place the cell.
-func ShardOfHashed(sum [sha256.Size]byte, n int) int {
-	if n <= 1 {
-		return 0
-	}
-	return int(binary.BigEndian.Uint32(sum[:4]) % uint32(n))
-}

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	stdruntime "runtime"
 	"sort"
 	"sync"
 	"time"
@@ -60,7 +59,7 @@ type wireEnvelope struct {
 // WorkerOptions parameterizes the worker half of a wire session.
 type WorkerOptions struct {
 	// Capacity is the concurrency advertised in the hello frame (<= 1
-	// advertises 1 — a stdio subprocess serves one job at a time).
+	// advertises 1).
 	Capacity int
 	// CacheDir is the worker's run-cache directory, advertised in the
 	// hello so a coordinator sharing it can skip redundant cache writes.
@@ -73,14 +72,6 @@ type WorkerOptions struct {
 	Install func(key string, data json.RawMessage) error
 }
 
-// ServeWorker runs the worker half of the wire protocol on a byte
-// stream with default options; see ServeSession. run must not panic —
-// job-level failures belong in Result.Err (the worker binary routes
-// execution through an Executor, which isolates them).
-func ServeWorker(r io.Reader, w io.Writer, run func(key string, spec json.RawMessage) Result) error {
-	return ServeSession(r, w, run, WorkerOptions{})
-}
-
 // ServeSession runs one worker wire session: it writes the hello
 // frame, then serves request envelope frames from r until EOF. The
 // requests of a frame run in order, and every finished spec is
@@ -90,7 +81,9 @@ func ServeWorker(r io.Reader, w io.Writer, run func(key string, spec json.RawMes
 // the worker installs the snapshot artifacts it carries; snapshots the
 // job built from scratch return with its response. A malformed frame
 // fails the session with the offending frame's index in the error
-// (request frames count from 1).
+// (request frames count from 1). run must not panic — job-level
+// failures belong in Result.Err (the worker binary routes execution
+// through an Executor, which isolates them).
 func ServeSession(r io.Reader, w io.Writer, run func(key string, spec json.RawMessage) Result, opt WorkerOptions) error {
 	if opt.Capacity < 1 {
 		opt.Capacity = 1
@@ -145,35 +138,17 @@ func ServeSession(r io.Reader, w io.Writer, run func(key string, spec json.RawMe
 
 // ProcConfig parameterizes the shard coordinator.
 type ProcConfig struct {
-	// WorkerBin is the worker binary local sessions spawn
-	// (cmd/fedgpo-worker, or any binary speaking the wire protocol).
-	// Unused when Procs resolves to 0.
-	WorkerBin string
-	// Procs is the local worker subprocess count. <= 0 selects
-	// GOMAXPROCS when no Workers are configured, and 0 local
-	// subprocesses when remote workers carry the batch.
-	Procs int
-	// Workers lists remote TCP worker pools (fedgpo-worker -listen
-	// host:port) to dispatch jobs to, alongside any local subprocesses.
+	// Workers lists the TCP worker pools (fedgpo-worker -listen
+	// host:port) to dispatch jobs to.
 	Workers []string
-	// CacheDir, when set, is forwarded to every local worker as
-	// -cachedir so coordinator and workers share one content-addressed
-	// disk cache (run results and pretrained-controller snapshots
-	// alike). Results from any worker whose hello advertises this same
-	// directory are marked Persisted, so the executor skips re-writing
-	// entries the worker already published; results from workers with a
-	// different (or no) cache directory are written by the coordinator
-	// as usual, which is what keeps warm reruns hit-only even when the
-	// remote pools cache elsewhere.
+	// CacheDir is the coordinator's run-cache directory. Results from
+	// any worker whose hello advertises this same directory are marked
+	// Persisted, so the executor skips re-writing entries the worker
+	// already published; results from workers with a different (or no)
+	// cache directory are written by the coordinator as usual, which is
+	// what keeps warm reruns hit-only even when the pools cache
+	// elsewhere.
 	CacheDir string
-	// ReplyTimeout, when positive, bounds how long the coordinator
-	// waits for each response frame from a remote worker before
-	// failing the session (local subprocess sessions detect failure via
-	// pipe EOF instead and ignore it).
-	ReplyTimeout time.Duration
-	// Env, when non-nil, replaces the local workers' environment (nil
-	// inherits the coordinator's).
-	Env []string
 	// Route is read by nothing; it stays so existing ProcConfig
 	// literals keep compiling.
 	//
@@ -189,8 +164,7 @@ type ProcConfig struct {
 // EndpointStats is one endpoint's dispatch counters within a
 // coordinator, snapshotted under a single lock.
 type EndpointStats struct {
-	// Endpoint is the transport's name ("stdio:fedgpo-worker",
-	// "tcp:host:port").
+	// Endpoint is the transport's name ("tcp:host:port").
 	Endpoint string `json:"endpoint"`
 	// Dispatched counts requests sent to the endpoint, resends
 	// included.
@@ -239,23 +213,19 @@ type EndpointStatser interface {
 // plus its learned capacity and dispatch counters.
 type endpoint struct {
 	transport Transport
-	// capacity is the endpoint's session count: configured for stdio,
-	// learned from the hello for TCP (1 until first probed). Guarded by
-	// the coordinator's mutex.
+	// capacity is the endpoint's session count, learned from the hello
+	// (1 until first probed). Guarded by the coordinator's mutex.
 	capacity int
 	stats    EndpointStats
-	// known tracks snapshot keys the worker process behind this
-	// endpoint is known to hold, so the coordinator pushes each
-	// artifact at most once. Only maintained for endpoints whose hello
-	// advertises capacity > 1 (sessions sharing one process); one-shot
-	// subprocess sessions track theirs per session instead. Guarded by
-	// the coordinator's mutex.
+	// known tracks snapshot keys the worker pool behind this endpoint
+	// is known to hold, so the coordinator pushes each artifact at most
+	// once per pool: every session of an endpoint talks to the same
+	// process. Guarded by the coordinator's mutex.
 	known map[string]bool
 }
 
 // Coordinator executes batches across worker endpoints behind
-// Transports: local subprocess pools (StdioTransport), remote TCP
-// worker pools (TCPTransport), or both at once. An affinityQueue
+// Transports (TCPTransport in production). An affinityQueue
 // places each batch: affinity groups go to capacity-weighted home
 // endpoints, and idle sessions steal so a slow or remote endpoint never
 // straggles the whole batch. Each session has a retry budget of one: a
@@ -295,40 +265,15 @@ func (c *Coordinator) SetCollector(col *telemetry.Collector) { c.col = col }
 // pool for the coordinator's lifetime. Call before Run.
 func (c *Coordinator) SetCache(cache *Cache) { c.cache = cache }
 
-// NewProcBackend returns a shard coordinator for cfg: one stdio
-// endpoint running cfg.Procs subprocess sessions (when the resolved
-// count is positive) plus one TCP endpoint per cfg.Workers address.
-// Construction performs no I/O; endpoints are dialed per batch.
+// NewProcBackend returns a shard coordinator for cfg: one TCP endpoint
+// per cfg.Workers address. Construction performs no I/O; endpoints are
+// dialed per batch.
 func NewProcBackend(cfg ProcConfig) *Coordinator {
-	if cfg.Procs <= 0 {
-		if len(cfg.Workers) > 0 {
-			cfg.Procs = 0
-		} else {
-			cfg.Procs = stdruntime.GOMAXPROCS(0)
-		}
+	transports := make([]Transport, len(cfg.Workers))
+	for i, addr := range cfg.Workers {
+		transports[i] = &TCPTransport{Addr: addr}
 	}
-	c := &Coordinator{cfg: cfg}
-	if cfg.Procs > 0 {
-		c.endpoints = append(c.endpoints, &endpoint{
-			transport: &StdioTransport{
-				WorkerBin: cfg.WorkerBin,
-				Procs:     cfg.Procs,
-				CacheDir:  cfg.CacheDir,
-				Env:       cfg.Env,
-			},
-			capacity: cfg.Procs,
-		})
-	}
-	for _, addr := range cfg.Workers {
-		c.endpoints = append(c.endpoints, &endpoint{
-			transport: &TCPTransport{Addr: addr, ReplyTimeout: cfg.ReplyTimeout},
-			capacity:  1, // refined by the first hello
-		})
-	}
-	for _, ep := range c.endpoints {
-		ep.stats.Endpoint = ep.transport.Name()
-	}
-	return c
+	return NewCoordinator(cfg, transports...)
 }
 
 // NewCoordinator returns a coordinator over explicit transports —
@@ -337,19 +282,17 @@ func NewProcBackend(cfg ProcConfig) *Coordinator {
 func NewCoordinator(cfg ProcConfig, transports ...Transport) *Coordinator {
 	c := &Coordinator{cfg: cfg}
 	for _, t := range transports {
-		cap := t.Sessions()
-		if cap < 1 {
-			cap = 1 // refined by the first hello
-		}
-		c.endpoints = append(c.endpoints, &endpoint{transport: t, capacity: cap,
-			stats: EndpointStats{Endpoint: t.Name()}})
+		c.endpoints = append(c.endpoints, &endpoint{
+			transport: t,
+			capacity:  1, // refined by the first hello
+			stats:     EndpointStats{Endpoint: t.Name()},
+		})
 	}
 	return c
 }
 
-// Workers returns the fleet's total session capacity: configured for
-// stdio endpoints, hello-advertised for TCP endpoints (counted as 1
-// each until their first batch).
+// Workers returns the fleet's total session capacity as advertised in
+// the endpoints' hellos (each counted as 1 until its first batch).
 func (c *Coordinator) Workers() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -411,29 +354,16 @@ func (c *Coordinator) storeSnapshot(sa SnapshotArtifact, persisted bool) {
 	}
 }
 
-// snapKnown reports whether the worker process behind a session is
-// known to hold the snapshot for key; markSnapKnown records that it
-// now does (pushed to it, built by it, or warmed for one of its
-// jobs). sess is the per-session set; endpoints whose sessions share
-// one process (hello capacity > 1) additionally share the
-// endpoint-level set.
-func (c *Coordinator) snapKnown(ep *endpoint, shared bool, sess map[string]bool, key string) bool {
-	if sess[key] {
-		return true
-	}
-	if !shared {
-		return false
-	}
+// snapKnown reports whether the worker pool behind ep is known to hold
+// the snapshot for key; markSnapKnown records that it now does (pushed
+// to it, built by it, or warmed for one of its jobs).
+func (c *Coordinator) snapKnown(ep *endpoint, key string) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return ep.known[key]
 }
 
-func (c *Coordinator) markSnapKnown(ep *endpoint, shared bool, sess map[string]bool, key string) {
-	sess[key] = true
-	if !shared {
-		return
-	}
+func (c *Coordinator) markSnapKnown(ep *endpoint, key string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if ep.known == nil {
@@ -472,7 +402,7 @@ func (c *Coordinator) Run(jobs []Job, done func(int, Result)) []Result {
 		// boundary; that is a programming error on the batch builder,
 		// surfaced per job rather than by panicking the batch.
 		if len(j.Payload) == 0 {
-			results[i] = Result{Key: keys[i], Err: "runtime: job has no spec payload; procs backend requires spec-built jobs"}
+			results[i] = Result{Key: keys[i], Err: "runtime: job has no spec payload; the coordinator requires spec-built jobs"}
 			if done != nil {
 				done(i, results[i])
 			}
@@ -492,8 +422,8 @@ func (c *Coordinator) Run(jobs []Job, done func(int, Result)) []Result {
 		}
 		return results
 	}
-	// Homes are weighed by the capacities known right now: TCP
-	// endpoints advertise theirs in the hello, so on the very first
+	// Homes are weighed by the capacities known right now: endpoints
+	// advertise theirs in the hello, so on the very first
 	// batch they weigh 1 until probed; whole-group adoption rebalances
 	// the difference without splitting any group's warm-up.
 	c.mu.Lock()
@@ -582,35 +512,30 @@ func specsPerFrame(batch, totalCap int) int {
 	return n
 }
 
-// runEndpoint drives one endpoint through a batch: it resolves the
-// session count (dialing a probe session for capacity-advertising
-// transports), derives the sessions' frame size from the batch shape,
-// and runs the sessions until the queue drains or every session's
-// retry budget is spent.
+// runEndpoint drives one endpoint through a batch: it dials a probe
+// session to learn the session count from the hello, derives the
+// sessions' frame size from the batch shape, and runs the sessions
+// until the queue drains or every session's retry budget is spent.
 func (c *Coordinator) runEndpoint(epi int, ep *endpoint, batch, totalCap int, jobs []Job, keys []string, queue *affinityQueue, results []Result, done func(int, Result)) {
-	sessions := ep.transport.Sessions()
+	// Dial the probe with the same retry budget a session gets.
 	var probe Conn
-	if sessions <= 0 {
-		// Capacity comes from the hello: dial one probe session (with
-		// the same retry budget a session gets) and read it.
-		var err error
-		for attempt := 0; attempt < 2 && probe == nil; attempt++ {
-			if probe, err = ep.transport.Dial(); err != nil {
-				c.noteSessionFailure(ep, attempt > 0, err)
-			}
+	var err error
+	for attempt := 0; attempt < 2 && probe == nil; attempt++ {
+		if probe, err = ep.transport.Dial(); err != nil {
+			c.noteSessionFailure(ep, attempt > 0, err)
 		}
-		if probe == nil {
-			return
-		}
-		sessions = probe.Hello().Capacity
-		c.mu.Lock()
-		grew := sessions - ep.capacity
-		ep.capacity = sessions
-		c.mu.Unlock()
-		// Keep the frame-size derivation honest on the first batch: the
-		// fleet estimate assumed capacity 1 for this endpoint.
-		totalCap += grew
 	}
+	if probe == nil {
+		return
+	}
+	sessions := probe.Hello().Capacity
+	c.mu.Lock()
+	grew := sessions - ep.capacity
+	ep.capacity = sessions
+	c.mu.Unlock()
+	// Keep the frame-size derivation honest on the first batch: the
+	// fleet estimate assumed capacity 1 for this endpoint.
+	totalCap += grew
 	specs := specsPerFrame(batch, totalCap)
 	var wg sync.WaitGroup
 	for s := 0; s < sessions; s++ {
@@ -626,8 +551,8 @@ func (c *Coordinator) runEndpoint(epi int, ep *endpoint, batch, totalCap int, jo
 }
 
 // runSession drives one endpoint session: pull work from the queue,
-// send it, read the response, repeat. Dialing is lazy — no worker is
-// spawned or connected until the session actually holds a job. A
+// send it, read the response, repeat. Dialing is lazy — no session
+// beyond the probe connects until it actually holds a job. A
 // session failure re-dials once and resends only the in-flight
 // frame's unanswered tail (answered specs are never resent); when the
 // retry budget is spent the session gives its in-flight jobs back to
@@ -694,10 +619,8 @@ func (c *Coordinator) pump(epi int, ep *endpoint, conn Conn, specs int, carried 
 	sharesCache := c.cfg.CacheDir != "" && conn.Hello().CacheDir == c.cfg.CacheDir
 	// A worker sharing the coordinator's cache directory reads shipped
 	// snapshots straight from disk, so pushing bytes at it is pure
-	// waste; everyone else gets the artifact once per process.
+	// waste; everyone else gets the artifact once per pool.
 	shipSnaps := !sharesCache
-	shared := conn.Hello().Capacity > 1
-	sessKnown := make(map[string]bool)
 	ws, _ := conn.(WireStatser)
 	var lastSent, lastRecv int64 // 0,0 so the first delta includes the handshake
 	for {
@@ -717,10 +640,10 @@ func (c *Coordinator) pump(epi int, ep *endpoint, conn Conn, specs int, carried 
 		var pushed int64
 		for k, i := range frame {
 			reqs[k] = WireRequest{Key: keys[i], Spec: jobs[i].Payload}
-			if a := jobs[i].Affinity; shipSnaps && a != "" && !c.snapKnown(ep, shared, sessKnown, a) {
+			if a := jobs[i].Affinity; shipSnaps && a != "" && !c.snapKnown(ep, a) {
 				if data := c.snapshotData(a); data != nil {
 					reqs[k].Snaps = []SnapshotArtifact{{Key: a, Data: data}}
-					c.markSnapKnown(ep, shared, sessKnown, a)
+					c.markSnapKnown(ep, a)
 					pushed += int64(len(data))
 				}
 			}
@@ -769,14 +692,14 @@ func (c *Coordinator) pump(epi int, ep *endpoint, conn Conn, specs int, carried 
 				r.Telemetry = resp.Metrics
 				for _, sa := range resp.Snaps {
 					c.storeSnapshot(sa, sharesCache)
-					c.markSnapKnown(ep, shared, sessKnown, sa.Key)
+					c.markSnapKnown(ep, sa.Key)
 					snapsArrived = true
 				}
-				// A finished affinity job means the worker process now
-				// holds its group's snapshot in memory — no need to ever
-				// push it there.
+				// A finished affinity job means the worker pool now holds
+				// its group's snapshot in memory — no need to ever push it
+				// there.
 				if a := jobs[i].Affinity; a != "" && r.Err == "" {
-					c.markSnapKnown(ep, shared, sessKnown, a)
+					c.markSnapKnown(ep, a)
 				}
 				// A worker sharing the coordinator's cache directory already
 				// published the entry (best effort — a failed worker write

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
+	"net"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -14,13 +16,12 @@ import (
 	"fedgpo/internal/runtime/wire"
 )
 
-// The procs tests exercise the shard coordinator against a stub worker
-// speaking the real wire protocol: the test binary re-executes itself
-// (TestMain checks the env var) and serves requests whose "spec" is a
-// stubSpec instead of an exp.JobSpec. The coordinator is payload
-// agnostic, so the protocol, sharding, retry and executor-integration
-// behavior under test is exactly what the fedgpo-worker binary sees.
-const stubWorkerEnv = "FEDGPO_TEST_STUB_WORKER"
+// The procs tests exercise the shard coordinator against a localhost
+// stub worker pool speaking the real wire protocol over TCP, whose
+// "spec" is a stubSpec instead of an exp.JobSpec. The coordinator is
+// payload agnostic, so the protocol, sharding, retry and
+// executor-integration behavior under test is exactly what the
+// fedgpo-worker binary sees.
 
 // stubSpec is the stub worker's job description.
 type stubSpec struct {
@@ -28,48 +29,82 @@ type stubSpec struct {
 	PPW float64 `json:"ppw"`
 	// Fail makes the stub return a job-level error result.
 	Fail bool `json:"fail,omitempty"`
-	// DieOncePath makes the stub crash the whole process — before
+	// DieOncePath makes the stub drop its connection — before
 	// responding — unless the file already exists (it is created on the
 	// way down, so exactly the first attempt dies).
 	DieOncePath string `json:"dieOncePath,omitempty"`
 	// Garbage makes the stub write a non-protocol line instead of a
-	// response.
+	// response and hang up.
 	Garbage bool `json:"garbage,omitempty"`
 }
 
-func TestMain(m *testing.M) {
-	if os.Getenv(stubWorkerEnv) != "" {
-		stubWorkerMain()
-		os.Exit(0)
+// stubRun executes one stubSpec job the way a healthy worker would.
+func stubRun(key string, spec json.RawMessage) Result {
+	var s stubSpec
+	if err := json.Unmarshal(spec, &s); err != nil {
+		return Result{Key: key, Err: "stub: " + err.Error()}
 	}
-	os.Exit(m.Run())
+	if s.Fail {
+		return Result{Key: key, Err: "stub failure"}
+	}
+	return Result{Key: key, Sim: fl.Result{PPW: s.PPW}}
 }
 
-func stubWorkerMain() {
-	err := ServeWorker(os.Stdin, os.Stdout, func(key string, spec json.RawMessage) Result {
-		var s stubSpec
-		if err := json.Unmarshal(spec, &s); err != nil {
-			return Result{Key: key, Err: "stub: " + err.Error()}
-		}
-		if s.DieOncePath != "" {
-			if _, err := os.Stat(s.DieOncePath); err != nil {
-				os.WriteFile(s.DieOncePath, []byte("died"), 0o644)
-				os.Exit(3)
-			}
-		}
-		if s.Garbage {
-			fmt.Println("this is not a wire response")
-			os.Exit(0)
-		}
-		if s.Fail {
-			return Result{Key: key, Err: "stub failure"}
-		}
-		return Result{Key: key, Sim: fl.Result{PPW: s.PPW}}
-	})
+// stubPool serves stubSpec jobs on a localhost listener, one
+// ServeSession per accepted connection advertising capacity, and
+// returns its address. Unlike Serve, a job can break its own
+// connection (DieOncePath, Garbage), which is what a crashed worker
+// looks like from the coordinator's side. The listener closes when the
+// test ends.
+func stubPool(t *testing.T, capacity int) string {
+	t.Helper()
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		t.Fatal(err)
 	}
+	t.Cleanup(func() { _ = lis.Close() })
+	go func() {
+		for {
+			nc, err := lis.Accept()
+			if err != nil {
+				return
+			}
+			go func(nc net.Conn) {
+				defer nc.Close()
+				_ = ServeSession(nc, nc, func(key string, spec json.RawMessage) Result {
+					var s stubSpec
+					if err := json.Unmarshal(spec, &s); err != nil {
+						return Result{Key: key, Err: "stub: " + err.Error()}
+					}
+					if s.DieOncePath != "" {
+						if _, err := os.Stat(s.DieOncePath); err != nil {
+							_ = os.WriteFile(s.DieOncePath, []byte("died"), 0o644)
+							_ = nc.Close()
+						}
+					}
+					if s.Garbage {
+						_, _ = io.WriteString(nc, "this is not a wire response\n")
+						_ = nc.Close()
+					}
+					return stubRun(key, spec)
+				}, WorkerOptions{Capacity: capacity})
+			}(nc)
+		}
+	}()
+	return lis.Addr().String()
+}
+
+// deadAddr returns a localhost address nothing listens on: any dial to
+// it fails.
+func deadAddr(t *testing.T) string {
+	t.Helper()
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := lis.Addr().String()
+	_ = lis.Close()
+	return addr
 }
 
 // stubJob builds a spec-carrying job for the stub worker. Run is the
@@ -85,52 +120,29 @@ func stubJob(i int, s stubSpec) Job {
 	}
 }
 
-func stubBackend(t *testing.T, procs int) *Coordinator {
+func stubBackend(t *testing.T, capacity int) *Coordinator {
 	t.Helper()
-	self, err := os.Executable()
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Setenv(stubWorkerEnv, "1")
-	return NewProcBackend(ProcConfig{WorkerBin: self, Procs: procs})
+	return NewProcBackend(ProcConfig{Workers: []string{stubPool(t, capacity)}})
 }
 
 // The coordinator must return results in job order with the same
-// payloads the in-process pool produces, for any proc count.
+// payloads the in-process pool produces, for any pool capacity.
 func TestProcBackendMatchesPool(t *testing.T) {
 	jobs := make([]Job, 23)
 	for i := range jobs {
 		jobs[i] = stubJob(i, stubSpec{PPW: float64(i) + 0.5})
 	}
 	want := NewPoolBackend(4).Run(jobs, nil)
-	for _, procs := range []int{1, 2, 5} {
-		got := stubBackend(t, procs).Run(jobs, nil)
+	for _, capacity := range []int{1, 2, 5} {
+		got := stubBackend(t, capacity).Run(jobs, nil)
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("procs=%d results differ from pool results", procs)
+			t.Errorf("capacity=%d results differ from pool results", capacity)
 		}
 	}
 }
 
-// ShardOf must be a stable total assignment: every job lands on
-// exactly one shard, the same one every time.
-func TestShardOfStableAndBounded(t *testing.T) {
-	for i := 0; i < 100; i++ {
-		key := fmt.Sprintf("v2|sim|scenario-%d|c|seed=1", i)
-		s := ShardOf(key, 7)
-		if s < 0 || s >= 7 {
-			t.Fatalf("shard %d out of range", s)
-		}
-		if ShardOf(key, 7) != s {
-			t.Fatal("shard assignment unstable")
-		}
-	}
-	if ShardOf("anything", 1) != 0 {
-		t.Error("single shard must receive everything")
-	}
-}
-
-// A worker crash mid-shard must be retried once on a fresh
-// subprocess; the batch completes with correct results.
+// A worker dropping its connection mid-shard must be retried once on
+// a fresh session; the batch completes with correct results.
 func TestProcBackendRetriesFailedShardOnce(t *testing.T) {
 	marker := filepath.Join(t.TempDir(), "died-once")
 	jobs := []Job{
@@ -199,9 +211,9 @@ func TestProcBackendRejectsPayloadlessJobs(t *testing.T) {
 	}
 }
 
-// The executor on a procs backend must keep exact cache semantics:
+// The executor on the coordinator must keep exact cache semantics:
 // cold batch dispatches everything, warm rerun over the same cache
-// serves every cell without spawning any worker.
+// serves every cell without dialing any worker.
 func TestExecutorOnProcBackendCacheSemantics(t *testing.T) {
 	cache, err := NewCache(t.TempDir())
 	if err != nil {
@@ -216,9 +228,9 @@ func TestExecutorOnProcBackendCacheSemantics(t *testing.T) {
 	if st := cold.Stats(); st.Runs != int64(len(jobs)) || st.Hits != 0 {
 		t.Errorf("cold stats = %+v", st)
 	}
-	// The warm executor's backend points at a worker that would crash
-	// instantly if spawned — proving hits never reach a subprocess.
-	warmBackend := NewProcBackend(ProcConfig{WorkerBin: "/nonexistent-worker-binary", Procs: 3})
+	// The warm executor's backend points at an address nothing listens
+	// on — proving hits never reach a worker.
+	warmBackend := NewProcBackend(ProcConfig{Workers: []string{deadAddr(t)}})
 	warm := NewExecutorBackend(warmBackend, cache)
 	second := warm.RunAll(jobs)
 	if st := warm.Stats(); st.Runs != 0 || st.Hits != int64(len(jobs)) {
@@ -231,7 +243,7 @@ func TestExecutorOnProcBackendCacheSemantics(t *testing.T) {
 	}
 }
 
-// ServeWorker must open the session with a valid hello frame, then
+// ServeSession must open the session with a valid hello frame, then
 // answer every request in order, one response frame per spec, and
 // propagate the Cached flag across the wire (Result.Cached is excluded
 // from the result's own JSON form).
@@ -248,9 +260,9 @@ func TestServeWorkerOrderAndCachedFlag(t *testing.T) {
 	if _, err := wire.WriteFrame(&in, b); err != nil {
 		t.Fatal(err)
 	}
-	err = ServeWorker(&in, &out, func(key string, _ json.RawMessage) Result {
+	err = ServeSession(&in, &out, func(key string, _ json.RawMessage) Result {
 		return Result{Key: key, Cached: key == "k2", Sim: fl.Result{PPW: 7}}
-	})
+	}, WorkerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -275,8 +275,16 @@ func TestStoreOrderAndFileRoundTrip(t *testing.T) {
 	if rs[0].Key != "b" || rs[0].Sim.PPW != 9 || rs[1].Key != "a" || rs[2].Key != "c" {
 		t.Errorf("insertion order broken: %+v", rs)
 	}
-	path := filepath.Join(t.TempDir(), "store.json")
-	if err := s.WriteFile(path); err != nil {
+	// The same Add sequence streamed to disk reads back identically.
+	path := filepath.Join(t.TempDir(), "store.jsonl")
+	w := NewStore()
+	if err := w.StreamTo(path); err != nil {
+		t.Fatal(err)
+	}
+	w.Add(Result{Key: "b", Sim: fl.Result{PPW: 2}})
+	w.Add(Result{Key: "a", Sim: fl.Result{PPW: 1}}, Result{Key: "c", Sim: fl.Result{PPW: 3}})
+	w.Add(Result{Key: "b", Sim: fl.Result{PPW: 9}})
+	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
 	loaded, err := ReadStore(path)

@@ -60,8 +60,7 @@ type pipeTransport struct {
 	dials int
 }
 
-func (p *pipeTransport) Name() string  { return "pipe" }
-func (p *pipeTransport) Sessions() int { return 1 }
+func (p *pipeTransport) Name() string { return "pipe" }
 
 func (p *pipeTransport) Dial() (Conn, error) {
 	p.mu.Lock()
@@ -77,22 +76,14 @@ func (p *pipeTransport) Dial() (Conn, error) {
 	return conn, err
 }
 
-func echoRun(key string, spec json.RawMessage) Result {
-	var s stubSpec
-	if err := json.Unmarshal(spec, &s); err != nil {
-		return Result{Key: key, Err: err.Error()}
-	}
-	return Result{Key: key, Sim: fl.Result{PPW: s.PPW}}
-}
-
-// One wire session end to end: the worker opens with a framed hello
-// (the binary session the v4 protocol introduced), and a request
-// envelope carrying several specs is answered one response frame per
-// spec in request order. Through the coordinator, a worker dying
-// mid-frame costs only the frame's unanswered tail: the retry resends
-// exactly those specs, never one that was already answered.
-func TestWireSessionNegotiatesV4(t *testing.T) {
-	conn, wait := pipeSession(t, WorkerOptions{Capacity: 2}, echoRun)
+// One wire session end to end: the worker opens with a framed hello,
+// and a request envelope carrying several specs is answered one
+// response frame per spec in request order. Through the coordinator, a
+// worker dying mid-frame costs only the frame's unanswered tail: the
+// retry resends exactly those specs, never one that was already
+// answered.
+func TestWireSessionStreamsAndRequeuesTail(t *testing.T) {
+	conn, wait := pipeSession(t, WorkerOptions{Capacity: 2}, stubRun)
 	if h := conn.Hello(); !h.Hello || h.Proto != ProtoVersion || h.KeyVersion != keyVersion || h.Capacity != 2 {
 		t.Errorf("hello = %+v, want protocol %d, key scheme %q, capacity 2", h, ProtoVersion, keyVersion)
 	}
@@ -137,7 +128,7 @@ func TestWireSessionNegotiatesV4(t *testing.T) {
 			if dial == 1 && n == 3 {
 				kill()
 			}
-			return echoRun(key, spec)
+			return stubRun(key, spec)
 		}
 	}}
 	jobs = specJobs(5)
@@ -160,10 +151,9 @@ func TestWireSessionNegotiatesV4(t *testing.T) {
 	}
 }
 
-// Snapshots ride the same session (as since the v5 protocol): a
-// snapshot pushed with a request is installed before that request
+// Snapshots ride the same session: a snapshot pushed with a request is installed before that request
 // runs, and a snapshot a job builds returns with its response.
-func TestWireSessionV5SnapshotRoundTrip(t *testing.T) {
+func TestWireSessionSnapshotRoundTrip(t *testing.T) {
 	var mu sync.Mutex
 	var events []string
 	record := func(e string) {
@@ -269,7 +259,7 @@ func TestFleetFailoverAccounting(t *testing.T) {
 				_ = ServeSession(nc, nc, func(key string, spec json.RawMessage) Result {
 					answered <- struct{}{}
 					<-killed
-					return echoRun(key, spec)
+					return stubRun(key, spec)
 				}, WorkerOptions{Capacity: 1})
 			}(nc)
 		}
@@ -286,7 +276,7 @@ func TestFleetFailoverAccounting(t *testing.T) {
 			Capacity: 1,
 			Run: func(key string, spec json.RawMessage) Result {
 				<-killed
-				return echoRun(key, spec)
+				return stubRun(key, spec)
 			},
 		})
 	}()

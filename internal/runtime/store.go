@@ -14,12 +14,11 @@ import (
 // each cell's JSON round history and summary metrics. It is safe for
 // concurrent use.
 //
-// A store holds results in memory by default. StreamTo switches it to
-// streaming mode: every Add appends the result to a JSONL file as the
-// cell completes and retains only its key, so a sweep's memory stays
-// bounded by the number of cells, not the size of their round
-// histories. ReadStore loads either format, and Compact rewrites a
-// streamed (possibly duplicated) log as the canonical JSON array.
+// A store holds results in memory by default (ReadStore returns one).
+// StreamTo switches it to streaming mode: every Add appends the result
+// to a JSON Lines file as the cell completes and retains only its key,
+// so a sweep's memory stays bounded by the number of cells, not the
+// size of their round histories.
 type Store struct {
 	mu    sync.Mutex
 	order []string
@@ -39,8 +38,7 @@ func NewStore() *Store { return &Store{byKey: make(map[string]Result)} }
 // line, written as each cell completes — instead of being retained in
 // memory. Results already held are flushed to the stream first, in
 // insertion order. A repeated key appends a new line; the read path
-// keeps the last occurrence, and Compact rewrites the log without the
-// shadowed lines. Call Close when done.
+// keeps the last occurrence. Call Close when done.
 func (s *Store) StreamTo(path string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -161,44 +159,16 @@ func (s *Store) Results() []Result {
 	return out
 }
 
-// WriteFile persists the store as one JSON array in insertion order.
-func (s *Store) WriteFile(path string) error {
-	b, err := json.MarshalIndent(s.Results(), "", " ")
-	if err != nil {
-		return fmt.Errorf("runtime: store encode: %w", err)
-	}
-	return os.WriteFile(path, b, 0o644)
-}
-
-// ReadStore loads a store from either on-disk format: the JSON array
-// WriteFile produces, or the JSON Lines log StreamTo appends. The
-// first non-whitespace byte tells them apart ('[' opens the array;
-// every JSONL line opens an object). For a streamed log with repeated
-// keys, the last occurrence wins, matching Add's overwrite semantics.
+// ReadStore loads the JSON Lines log StreamTo appends. For repeated
+// keys the last occurrence wins, matching Add's overwrite semantics.
 func ReadStore(path string) (*Store, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	br := bufio.NewReader(f)
-	first, err := firstByte(br)
 	st := NewStore()
-	if err == io.EOF {
-		return st, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("runtime: store decode %s: %w", path, err)
-	}
-	dec := json.NewDecoder(br)
-	if first == '[' {
-		var rs []Result
-		if err := dec.Decode(&rs); err != nil {
-			return nil, fmt.Errorf("runtime: store decode %s: %w", path, err)
-		}
-		st.Add(rs...)
-		return st, nil
-	}
+	dec := json.NewDecoder(bufio.NewReader(f))
 	for line := 1; ; line++ {
 		var r Result
 		if err := dec.Decode(&r); err == io.EOF {
@@ -208,32 +178,4 @@ func ReadStore(path string) (*Store, error) {
 		}
 		st.Add(r)
 	}
-}
-
-// firstByte peeks the first non-whitespace byte without consuming it.
-func firstByte(br *bufio.Reader) (byte, error) {
-	for {
-		b, err := br.ReadByte()
-		if err != nil {
-			return 0, err
-		}
-		switch b {
-		case ' ', '\t', '\n', '\r':
-			continue
-		default:
-			return b, br.UnreadByte()
-		}
-	}
-}
-
-// Compact rewrites a result log as the canonical JSON array: streamed
-// JSONL in, WriteFile's format out, duplicate keys collapsed to their
-// last occurrence. It accepts either input format, so compacting an
-// already-compact store is the identity.
-func Compact(src, dst string) error {
-	st, err := ReadStore(src)
-	if err != nil {
-		return err
-	}
-	return st.WriteFile(dst)
 }

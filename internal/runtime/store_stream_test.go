@@ -15,9 +15,9 @@ func streamResult(key string, ppw float64) Result {
 
 // A store switched to streaming mode must flush already-held results,
 // append every later Add as one JSONL line, retain nothing in memory,
-// and read back — directly or compacted — exactly what an in-memory
-// store would have produced, last occurrence winning for repeated
-// keys.
+// and read back exactly what an in-memory store would have produced:
+// ReadStore compacts the log, the last occurrence of a repeated key
+// shadowing the earlier lines in the key's original position.
 func TestStoreStreamingRoundTripAndCompact(t *testing.T) {
 	dir := t.TempDir()
 	log := filepath.Join(dir, "results.jsonl")
@@ -59,38 +59,6 @@ func TestStoreStreamingRoundTripAndCompact(t *testing.T) {
 	want := NewStore()
 	want.Add(streamResult("a", 1), streamResult("b", 2), streamResult("c", 3), streamResult("b", 20))
 	assertStoreEqual(t, back, want, "streamed log")
-
-	// Compact rewrites the log as the canonical array — byte-identical
-	// to what the equivalent in-memory store writes — and compacting
-	// the compact form is the identity.
-	compacted := filepath.Join(dir, "results.json")
-	if err := Compact(log, compacted); err != nil {
-		t.Fatal(err)
-	}
-	legacy := filepath.Join(dir, "legacy.json")
-	if err := want.WriteFile(legacy); err != nil {
-		t.Fatal(err)
-	}
-	cb, _ := os.ReadFile(compacted)
-	lb, _ := os.ReadFile(legacy)
-	if string(cb) != string(lb) {
-		t.Errorf("compacted store differs from the in-memory store's WriteFile output")
-	}
-	again := filepath.Join(dir, "again.json")
-	if err := Compact(compacted, again); err != nil {
-		t.Fatal(err)
-	}
-	ab, _ := os.ReadFile(again)
-	if string(ab) != string(cb) {
-		t.Errorf("compacting a compact store is not the identity")
-	}
-
-	// ReadStore loads both formats to the same contents.
-	fromArray, err := ReadStore(compacted)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertStoreEqual(t, fromArray, want, "compacted array")
 }
 
 func assertStoreEqual(t *testing.T, got, want *Store, label string) {

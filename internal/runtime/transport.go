@@ -37,9 +37,8 @@ type WireHello struct {
 	// job.go). Coordinator and worker must agree or cached results
 	// written by one are semantically wrong for the other.
 	KeyVersion string `json:"keyVersion"`
-	// Capacity is how many wire sessions the worker can usefully serve
-	// concurrently: 1 for a stdio subprocess, the serve pool's size for
-	// a listening worker. The coordinator opens that many sessions.
+	// Capacity is how many wire sessions the worker pool serves
+	// concurrently. The coordinator opens that many sessions.
 	Capacity int `json:"capacity"`
 	// CacheDir is the worker's run-cache directory ("" when the worker
 	// caches in memory only). When it names the same directory as the
@@ -51,8 +50,7 @@ type WireHello struct {
 // Conn is one established wire session to a worker: hello already
 // read and validated, request batches and responses flowing as frames.
 // A Conn is used by one coordinator session loop at a time and need not
-// be safe for concurrent use. Close releases the session's resources
-// (for a subprocess, reaping it; for a socket, closing it).
+// be safe for concurrent use. Close releases the session's resources.
 type Conn interface {
 	// Hello returns the worker's validated handshake frame.
 	Hello() WireHello
@@ -72,28 +70,25 @@ type WireStatser interface {
 	WireStats() (sent, recv int64)
 }
 
-// Transport dials wire sessions to one worker endpoint. The
-// coordinator is transport-agnostic: everything above Dial — work
-// distribution, in-flight tracking, retry, budget forwarding — is the
-// same whether the far side is a subprocess pipe or a TCP socket.
+// Transport dials wire sessions to one worker endpoint. Everything
+// above Dial — work distribution, in-flight tracking, retry — lives in
+// the coordinator; TCPTransport is the production implementation, and
+// tests substitute in-process ones. The coordinator learns how many
+// sessions to run against an endpoint from the capacity advertised in
+// the hello of a first (probe) session.
 type Transport interface {
 	// Name identifies the endpoint in errors and per-endpoint stats
-	// (e.g. "stdio:fedgpo-worker", "tcp:host:port").
+	// (e.g. "tcp:host:port").
 	Name() string
 	// Dial opens one wire session, performing and validating the hello
 	// handshake before returning.
 	Dial() (Conn, error)
-	// Sessions is the number of concurrent sessions the coordinator
-	// should run against this endpoint, or 0 to learn it from the
-	// hello's advertised capacity (one probe session is dialed first).
-	Sessions() int
 }
 
 // deadlineReader is implemented by connections that support read
 // deadlines (net.Conn); wireConn uses it to bound RecvBatch when the
-// transport carries a reply timeout. Pipe-backed sessions don't
-// implement it and reads block until the pipe closes — for a local
-// subprocess, crash detection via pipe EOF makes that safe.
+// transport carries a reply timeout. Other streams (in-process pipes)
+// block until they close.
 type deadlineReader interface {
 	SetReadDeadline(t time.Time) error
 }
@@ -123,7 +118,7 @@ func (c *countWriter) Write(p []byte) (int, error) {
 }
 
 // wireConn is the coordinator side of a wire session over any
-// reader/writer pair, shared by the stdio and TCP transports.
+// reader/writer pair.
 type wireConn struct {
 	hello   WireHello
 	cr      *countReader

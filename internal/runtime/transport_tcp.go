@@ -14,15 +14,13 @@ import (
 // may take before the endpoint attempt is treated as failed.
 const defaultDialTimeout = 10 * time.Second
 
-// TCPTransport dials wire sessions to a remote worker pool started
-// with `fedgpo-worker -listen host:port`. One TCP connection carries
-// one wire session; the coordinator learns how many sessions to open
-// from the capacity the worker's hello advertises (Sessions returns 0).
+// TCPTransport dials wire sessions to a worker pool started with
+// `fedgpo-worker -listen host:port`. One TCP connection carries one
+// wire session; the coordinator learns how many sessions to open from
+// the capacity the worker's hello advertises.
 type TCPTransport struct {
 	// Addr is the worker pool's host:port.
 	Addr string
-	// DialTimeout bounds TCP connect + handshake (0 selects a default).
-	DialTimeout time.Duration
 	// ReplyTimeout, when positive, bounds how long Recv waits for each
 	// response frame. Simulation cells can legitimately run for minutes,
 	// so the zero default means "wait for the connection to die" —
@@ -34,24 +32,16 @@ type TCPTransport struct {
 // Name identifies the endpoint in errors and per-endpoint stats.
 func (t *TCPTransport) Name() string { return "tcp:" + t.Addr }
 
-// Sessions returns 0: the session count comes from the worker's
-// advertised capacity, learned on the first (probe) dial.
-func (t *TCPTransport) Sessions() int { return 0 }
-
 // Dial opens one TCP connection and completes the hello handshake.
 func (t *TCPTransport) Dial() (Conn, error) {
-	timeout := t.DialTimeout
-	if timeout <= 0 {
-		timeout = defaultDialTimeout
-	}
-	nc, err := net.DialTimeout("tcp", t.Addr, timeout)
+	nc, err := net.DialTimeout("tcp", t.Addr, defaultDialTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("dial %s: %w", t.Addr, err)
 	}
 	// The handshake itself is also bounded: a listener that accepts but
 	// never hellos (wrong service on the port) must not hang the
 	// coordinator.
-	_ = nc.SetReadDeadline(time.Now().Add(timeout))
+	_ = nc.SetReadDeadline(time.Now().Add(defaultDialTimeout))
 	conn, err := newWireConn(nc, nc, t.ReplyTimeout, nc.Close)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", t.Addr, err)
@@ -73,7 +63,7 @@ type ServeConfig struct {
 	// CacheDir is the worker's run-cache directory, advertised in the
 	// hello so coordinators sharing it can skip redundant cache writes.
 	CacheDir string
-	// Run executes one job; see ServeWorker.
+	// Run executes one job; see ServeSession.
 	Run func(key string, spec json.RawMessage) Result
 	// Install, when non-nil, installs coordinator-pushed snapshot
 	// artifacts (WireRequest.Snaps) into the pool's
@@ -101,8 +91,8 @@ const drainGrace = 250 * time.Millisecond
 // It blocks until ctx is cancelled (SIGTERM in cmd/fedgpo-worker),
 // then drains gracefully — the listener closes so no new work arrives,
 // sessions finish the job they are executing and send its response,
-// and only then does Serve return. Each session speaks the exact
-// protocol ServeWorker speaks on stdio, hello frame included.
+// and only then does Serve return. Each session is one ServeSession,
+// hello frame included.
 func Serve(ctx context.Context, lis net.Listener, cfg ServeConfig) error {
 	if cfg.Capacity <= 0 {
 		cfg.Capacity = stdruntime.GOMAXPROCS(0)

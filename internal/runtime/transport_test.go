@@ -23,9 +23,8 @@ import (
 // whether to answer or to break the session. It records every send so
 // tests can assert exactly which jobs were resent after a failure.
 type fakeTransport struct {
-	name     string
-	sessions int
-	hello    WireHello
+	name  string
+	hello WireHello
 	// respond serves one request; returning an error breaks the
 	// session (the coordinator sees it from Recv).
 	respond func(dial int, req WireRequest) (WireResponse, error)
@@ -37,18 +36,16 @@ type fakeTransport struct {
 	sends map[string]int
 }
 
-func newFakeTransport(name string, sessions int, respond func(dial int, req WireRequest) (WireResponse, error)) *fakeTransport {
+func newFakeTransport(name string, capacity int, respond func(dial int, req WireRequest) (WireResponse, error)) *fakeTransport {
 	return &fakeTransport{
-		name:     name,
-		sessions: sessions,
-		hello:    WireHello{Hello: true, Proto: ProtoVersion, KeyVersion: keyVersion, Capacity: sessions},
-		respond:  respond,
-		sends:    make(map[string]int),
+		name:    name,
+		hello:   WireHello{Hello: true, Proto: ProtoVersion, KeyVersion: keyVersion, Capacity: capacity},
+		respond: respond,
+		sends:   make(map[string]int),
 	}
 }
 
-func (t *fakeTransport) Name() string  { return t.name }
-func (t *fakeTransport) Sessions() int { return t.sessions }
+func (t *fakeTransport) Name() string { return t.name }
 
 func (t *fakeTransport) Dial() (Conn, error) {
 	t.mu.Lock()
@@ -362,7 +359,7 @@ func TestServeSessionWhitespaceAndFrameErrors(t *testing.T) {
 	}
 	run := func(key string, _ json.RawMessage) Result { return Result{Key: key} }
 	var out bytes.Buffer
-	if err := ServeWorker(strings.NewReader(reqFrame("k0", "k1")+reqFrame("k2")), &out, run); err != nil {
+	if err := ServeSession(strings.NewReader(reqFrame("k0", "k1")+reqFrame("k2")), &out, run, WorkerOptions{}); err != nil {
 		t.Fatalf("clean session: %v", err)
 	}
 	for i := 0; i < 4; i++ { // hello + one response frame per spec
@@ -376,7 +373,7 @@ func TestServeSessionWhitespaceAndFrameErrors(t *testing.T) {
 		{"empty envelope", reqFrame("k0") + reqFrame()},
 		{"not an envelope", reqFrame("k0") + jsonFrame(t, []int{1})},
 	} {
-		err := ServeWorker(strings.NewReader(c.stream), io.Discard, run)
+		err := ServeSession(strings.NewReader(c.stream), io.Discard, run, WorkerOptions{})
 		if err == nil || !strings.Contains(err.Error(), "frame 2") {
 			t.Errorf("%s: error = %v, want the offending frame index (frame 2)", c.name, err)
 		}
@@ -398,16 +395,7 @@ func tcpServe(t *testing.T, capacity int, cacheDir string) (addr string, shutdow
 		errc <- Serve(ctx, lis, ServeConfig{
 			Capacity: capacity,
 			CacheDir: cacheDir,
-			Run: func(key string, spec json.RawMessage) Result {
-				var s stubSpec
-				if err := json.Unmarshal(spec, &s); err != nil {
-					return Result{Key: key, Err: err.Error()}
-				}
-				if s.Fail {
-					return Result{Key: key, Err: "stub failure"}
-				}
-				return Result{Key: key, Sim: fl.Result{PPW: s.PPW}}
-			},
+			Run:      stubRun,
 		})
 	}()
 	return lis.Addr().String(), func() error {
