@@ -1,11 +1,14 @@
 package data
 
+import "math/bits"
+
 // Memo caches a Partition's pure per-device signals (sample counts,
-// non-IID degrees, class counts) and owns the scratch buffer behind
-// coverage queries, so the simulation round loop stops re-deriving
-// identical entropy sums for every participant of every round. All
-// queries return bit-identical values to the Partition methods they
-// shadow — enforced by TestMemoMatchesPartition.
+// non-IID degrees, class counts, class-presence bitsets) and owns the
+// scratch buffer behind coverage queries, so the simulation round loop
+// stops re-deriving identical entropy sums and class scans for every
+// participant of every round. All queries return bit-identical values
+// to the Partition methods they shadow — enforced by
+// TestMemoMatchesPartition.
 //
 // Reset is not safe for concurrent use; the query methods that take no
 // scratch (DeviceSamples, NonIIDDegree, DeviceClassCount,
@@ -18,7 +21,11 @@ type Memo struct {
 	degrees   []float64
 	classCnt  []int
 	classFrac []float64
-	covered   []bool
+	// present holds one class-presence bitset per device, words uint64s
+	// each: bit c of device d's set is Counts[d][c] > 0.
+	present []uint64
+	words   int
+	covered []uint64 // ParticipantCoverage's union scratch, words long
 }
 
 // Reset points the memo at p and precomputes every per-device signal.
@@ -42,10 +49,24 @@ func (m *Memo) Reset(p Partition) {
 		m.classCnt[d] = p.DeviceClassCount(d)
 		m.classFrac[d] = p.DeviceClassFraction(d)
 	}
-	if cap(m.covered) < p.NumClasses {
-		m.covered = make([]bool, p.NumClasses)
+	m.words = (p.NumClasses + 63) / 64
+	if cap(m.present) < n*m.words {
+		m.present = make([]uint64, n*m.words)
 	}
-	m.covered = m.covered[:p.NumClasses]
+	m.present = m.present[:n*m.words]
+	clear(m.present)
+	for d := 0; d < n; d++ {
+		set := m.present[d*m.words : (d+1)*m.words]
+		for c, cnt := range p.Counts[d] {
+			if cnt > 0 {
+				set[c/64] |= 1 << (c % 64)
+			}
+		}
+	}
+	if cap(m.covered) < m.words {
+		m.covered = make([]uint64, m.words)
+	}
+	m.covered = m.covered[:m.words]
 }
 
 // DeviceSamples is Partition.DeviceSamples, memoized.
@@ -77,9 +98,10 @@ func (m *Memo) ParticipantSkew(devices []int) float64 {
 	return weighted / float64(totalSamples)
 }
 
-// ParticipantCoverage is Partition.ParticipantCoverage with the
-// coverage bitmap drawn from the memo's scratch instead of a per-call
-// allocation.
+// ParticipantCoverage is Partition.ParticipantCoverage over the
+// memoized class-presence bitsets: the union is an OR of the devices'
+// sets and the count a popcount, so the covered-class count, and with
+// it the result, is bit-identical.
 func (m *Memo) ParticipantCoverage(devices []int) float64 {
 	if m.p.NumClasses == 0 {
 		return 0
@@ -87,17 +109,14 @@ func (m *Memo) ParticipantCoverage(devices []int) float64 {
 	covered := m.covered
 	clear(covered)
 	for _, d := range devices {
-		for c, n := range m.p.Counts[d] {
-			if n > 0 {
-				covered[c] = true
-			}
+		set := m.present[d*m.words : (d+1)*m.words]
+		for w, v := range set {
+			covered[w] |= v
 		}
 	}
 	n := 0
 	for _, v := range covered {
-		if v {
-			n++
-		}
+		n += bits.OnesCount64(v)
 	}
 	return float64(n) / float64(m.p.NumClasses)
 }

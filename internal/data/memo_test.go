@@ -16,11 +16,16 @@ func TestMemoMatchesPartition(t *testing.T) {
 		"iid":       IID(40, 10, 300),
 		"dirichlet": Dirichlet(40, 10, 300, PaperAlpha, rng),
 		"smaller":   Dirichlet(15, 4, 60, 0.5, rng),
+		// Class counts past one and several 64-bit words, with sparse
+		// Dirichlet draws leaving most classes absent per device, for the
+		// coverage bitsets (MobileNet-ImageNet has 1000 classes).
+		"wide":     Dirichlet(30, 130, 200, PaperAlpha, rng),
+		"imagenet": Dirichlet(12, 1000, 400, PaperAlpha, rng),
 	}
 	var m Memo
 	// Reset the same memo across partitions of different sizes: reuse
 	// must not leak one partition's signals into the next.
-	for _, name := range []string{"iid", "dirichlet", "smaller", "iid"} {
+	for _, name := range []string{"iid", "dirichlet", "imagenet", "smaller", "wide", "iid"} {
 		p := parts[name]
 		m.Reset(p)
 		n := p.NumDevices()
@@ -38,11 +43,17 @@ func TestMemoMatchesPartition(t *testing.T) {
 				t.Fatalf("%s: DeviceClassFraction(%d) = %v, want %v", name, d, got, want)
 			}
 		}
+		all := make([]int, n)
+		for d := range all {
+			all[d] = d
+		}
 		sets := [][]int{
 			nil,
 			{0},
 			{0, 1, 2},
 			{n - 1, n - 2, 0},
+			{3, 3, n - 1},
+			all,
 		}
 		for _, devs := range sets {
 			if got, want := m.ParticipantSkew(devs), p.ParticipantSkew(devs); math.Float64bits(got) != math.Float64bits(want) {

@@ -177,8 +177,8 @@ func (r *Runtime) PretrainStats() (runs, distinct int) {
 // pretrainedSnapshot returns (building at most once per process, and
 // at most once ever under a persistent cache directory) the pretrained
 // FedGPO controller snapshot for a scenario. The snapshot is always
-// served through the content-addressed cache's JSON round-trip, so
-// every consumer sees identical bytes regardless of which cell warmed
+// served through a JSON round trip of the cache payload's bytes, so
+// every consumer sees identical values regardless of which cell warmed
 // the cache first.
 func (r *Runtime) pretrainedSnapshot(s ScenarioSpec, cfg core.Config, warmSeed int64, warmRounds int, key string) core.Snapshot {
 	r.pretrainMu.Lock()
@@ -210,29 +210,29 @@ func (r *Runtime) pretrainedSnapshot(s ScenarioSpec, cfg core.Config, warmSeed i
 			warmCfg.MaxRounds = warmRounds
 			snap := core.PretrainSnapshot(cfg, warmCfg)
 			r.pretrainRuns.Add(1)
-			_ = r.cache.Put(key, snap)
-			// Keep the serialized artifact so the first finished job
-			// sharing this key can carry it to the coordinator over the wire
-			// for fleet-wide reuse. The bytes match the cache payload
-			// exactly, so a coordinator persisting them writes the entry
-			// this process would have.
-			if data, err := json.Marshal(snap); err == nil {
-				r.pretrainMu.Lock()
-				if r.builtSnaps == nil {
-					r.builtSnaps = make(map[string]json.RawMessage)
-				}
-				r.builtSnaps[key] = data
-				r.pretrainMu.Unlock()
+			// Serialize once: the same bytes are the cache payload, the
+			// artifact the first finished job sharing this key carries to
+			// the coordinator for fleet-wide reuse (so a coordinator
+			// persisting them writes the entry this process did), and the
+			// source of e.snap, so every consumer sees the snapshot after
+			// the same JSON round trip a cache hit gives.
+			data, err := json.Marshal(snap)
+			if err != nil {
+				panic(fmt.Sprintf("exp: serializing pretrain snapshot %q: %v", key, err))
 			}
-			var cached core.Snapshot
-			if r.cache.Get(key, &cached) {
-				e.snap = cached
-			} else {
-				// Cache write failed; fall back to the in-memory snapshot
-				// (a JSON round-trip is lossless, so behavior is
-				// unchanged).
-				e.snap = snap
+			// A failed cache write only costs a future warm-up.
+			_ = r.cache.Put(key, json.RawMessage(data))
+			r.pretrainMu.Lock()
+			if r.builtSnaps == nil {
+				r.builtSnaps = make(map[string]json.RawMessage)
 			}
+			r.builtSnaps[key] = data
+			r.pretrainMu.Unlock()
+			var fresh core.Snapshot
+			if err := json.Unmarshal(data, &fresh); err != nil {
+				panic(fmt.Sprintf("exp: decoding pretrain snapshot %q: %v", key, err))
+			}
+			e.snap = fresh
 		}()
 	}
 	e.done = true

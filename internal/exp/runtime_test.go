@@ -1,6 +1,8 @@
 package exp
 
 import (
+	"bytes"
+	"encoding/json"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -59,6 +61,39 @@ func TestPretrainPanicReplaysToEveryCell(t *testing.T) {
 	mustPanic("second")
 	if runs, _ := rt.PretrainStats(); runs != 0 {
 		t.Errorf("aborted warm-up counted as %d executed runs, want 0", runs)
+	}
+}
+
+// A freshly built pretrain snapshot is serialized once, and those bytes
+// are everything downstream sees: the cache payload, the artifact the
+// first job sharing the key carries to the coordinator, and (through
+// one JSON decode) the snapshot every cell restores its controller
+// from.
+func TestFreshPretrainSnapshotSerializedOnce(t *testing.T) {
+	rt, err := NewRuntime(1, t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := Tiny().apply(Ideal(workload.CNNMNIST()))
+	sp := simSpec(s, fedgpoWarmContender(s), 1)
+	res := rt.Execute(sp)
+	key := affinityKey(sp)
+	if len(res.Snaps) != 1 || res.Snaps[0].Key != key {
+		t.Fatalf("fresh warm-up carried %d artifacts, want one under %q", len(res.Snaps), key)
+	}
+	var cached json.RawMessage
+	if !rt.cache.Get(key, &cached) {
+		t.Fatal("fresh snapshot not in the cache")
+	}
+	if !bytes.Equal(cached, res.Snaps[0].Data) {
+		t.Error("cached snapshot bytes differ from the shipped artifact")
+	}
+	inMemory, err := json.Marshal(rt.pretrains[key].snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(inMemory, cached) {
+		t.Error("the in-process snapshot does not re-marshal to the cached bytes")
 	}
 }
 

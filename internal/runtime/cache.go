@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"encoding"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -28,17 +29,19 @@ const (
 	srcCorrupt = iota // a file existed but failed validation; discarded
 )
 
-// Cache is the content-addressed run cache. Without a directory it
-// keeps payloads in an in-memory map of key-hash to JSON; with one,
-// entries live in <dir>/<hash>.binz binary envelopes; any other file
-// in the directory is foreign and never read. Disk hits pass through a
+// Cache is the content-addressed run cache. A payload is a Result's
+// own binary form (Result.AppendBinary) and JSON for every other
+// artifact. Without a directory the cache keeps payloads in an
+// in-memory map of key-hash to payload; with one, entries live in
+// <dir>/<hash>.binz binary envelopes; any other file in the directory
+// is foreign and never read. Disk hits pass through a
 // byte-capped decoded-payload LRU so cells re-read within one run cost
 // one file read, and every disk-mode hit refreshes its entry's mtime so
 // Prune evicts least-recently-used first. It is safe for concurrent
 // use.
 type Cache struct {
 	mu  sync.RWMutex
-	mem map[string][]byte // hash -> payload JSON (memory-only mode)
+	mem map[string][]byte // hash -> payload bytes (memory-only mode)
 	dir string
 	col *telemetry.Collector
 
@@ -148,12 +151,29 @@ func (c *Cache) get(key, hash string, v any) int {
 }
 
 // unmarshalPayload decodes payload into v under the cacheDecode phase
-// timer, so envelope I/O and JSON decode are separable in a profile.
+// timer, so envelope I/O and payload decode are separable in a
+// profile. A v that implements encoding.BinaryUnmarshaler (Result)
+// decodes its own binary form; anything else is JSON.
 func (c *Cache) unmarshalPayload(payload []byte, v any) bool {
 	start := time.Now()
-	err := json.Unmarshal(payload, v)
+	var err error
+	if u, ok := v.(encoding.BinaryUnmarshaler); ok {
+		err = u.UnmarshalBinary(payload)
+	} else {
+		err = json.Unmarshal(payload, v)
+	}
 	c.col.RecordPhase(telemetry.PhaseCacheDecode, time.Since(start))
 	return err == nil
+}
+
+// marshalPayload is unmarshalPayload's inverse: the value's own binary
+// form when it implements encoding.BinaryAppender (Result), JSON
+// otherwise.
+func marshalPayload(v any) ([]byte, error) {
+	if a, ok := v.(encoding.BinaryAppender); ok {
+		return a.AppendBinary(nil)
+	}
+	return json.Marshal(v)
 }
 
 // cachePayload admits a disk hit's payload bytes to the decoded-payload
@@ -253,12 +273,13 @@ func (c *Cache) Put(key string, v any) error {
 }
 
 // PutHashed is Put for callers that already hold the key's content
-// address; hash must equal HashKey(key). On-disk entries are written
-// as binary envelopes.
+// address; hash must equal HashKey(key). The payload is v's binary
+// form when v implements encoding.BinaryAppender and its JSON
+// otherwise; on-disk entries are written as binary envelopes.
 func (c *Cache) PutHashed(key, hash string, v any) error {
 	start := time.Now()
 	defer func() { c.col.RecordPhase(telemetry.PhaseCacheWrite, time.Since(start)) }()
-	payload, err := json.Marshal(v)
+	payload, err := marshalPayload(v)
 	if err != nil {
 		return fmt.Errorf("runtime: cache payload: %w", err)
 	}

@@ -10,10 +10,12 @@ import (
 )
 
 // cacheMagic opens every binary cache entry. The format generation is
-// baked into the magic — a future layout change bumps the digit and
-// old readers treat new files as foreign (a miss), never as garbage
-// that parses.
-const cacheMagic = "FGC1"
+// baked into the magic — a layout change bumps the digit and readers
+// of either generation treat the other's files as corrupt (a miss, so
+// the cell re-runs and rewrites its entry), never as garbage that
+// parses. Generation 2 carries a Result as its binary form
+// (Result.AppendBinary) instead of JSON.
+const cacheMagic = "FGC2"
 
 // binExt is the extension of every cache entry on disk.
 const binExt = ".binz"
@@ -26,7 +28,7 @@ const maxCacheKeyLen = 1 << 20
 
 // encodeBinaryEnvelope renders one binary cache entry:
 //
-//	"FGC1" | uvarint(len(key)) | key bytes | wire frame(payload)
+//	"FGC2" | uvarint(len(key)) | key bytes | wire frame(payload)
 //
 // The canonical key stays uncompressed so a reader can reject a
 // foreign entry (hash collision, copied file) before inflating a

@@ -61,16 +61,16 @@ func FuzzDecodeBinaryEnvelope(f *testing.F) {
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])
 	f.Add([]byte{})
-	f.Add([]byte("FGC1"))
-	f.Add([]byte("FGC1\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff"))
+	f.Add([]byte(cacheMagic))
+	f.Add([]byte(cacheMagic + "\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff"))
 	f.Add([]byte(`{"key":"` + key + `","payload":{}}`)) // a foreign JSON file
 	foreign, _ := encodeBinaryEnvelope("other", []byte(`{}`))
 	f.Add(foreign)
 	f.Fuzz(func(t *testing.T, b []byte) {
 		// The only guarantees: never panic, and anything that decodes is a
 		// structurally valid envelope for the wanted key — re-encoding its
-		// payload round-trips. (Payload JSON validity is the unmarshal
-		// layer's job; Cache.get classifies that failure as corrupt.)
+		// payload round-trips. (Payload validity is the decode layer's
+		// job; Cache.get classifies that failure as corrupt.)
 		payload, ok := decodeBinaryEnvelope(b, key)
 		if !ok {
 			return
@@ -296,8 +296,8 @@ func TestCacheHitTouchesMtime(t *testing.T) {
 }
 
 // The binary envelope must actually be smaller than the result JSON it
-// carries on representative payloads: the DEFLATE frame more than pays
-// for the clear-text key header.
+// replaced on representative payloads: the binary Result payload in a
+// DEFLATE frame more than pays for the clear-text key header.
 func TestBinaryEnvelopeSmallerThanJSON(t *testing.T) {
 	history := make([]fl.RoundRecord, 200)
 	for i := range history {
@@ -310,7 +310,11 @@ func TestBinaryEnvelopeSmallerThanJSON(t *testing.T) {
 		Key: "v3|sim|size-check|static/(8,10,20)|seed=1",
 		Sim: fl.Result{PPW: 4.2, Converged: true, History: history},
 	}
-	payload, err := json.Marshal(r)
+	js, err := json.Marshal(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := r.AppendBinary(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +322,7 @@ func TestBinaryEnvelopeSmallerThanJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if 2*len(bin) > len(payload) {
-		t.Errorf("binary envelope (%d B) not under half the result JSON (%d B)", len(bin), len(payload))
+	if 2*len(bin) > len(js) {
+		t.Errorf("binary envelope (%d B) not under half the result JSON (%d B)", len(bin), len(js))
 	}
 }

@@ -253,20 +253,28 @@
 // entries live on disk, persisted as <dir>/<hash>.binz binary
 // envelopes:
 //
-//	"FGC1" | uvarint(key length) | canonical key | wire frame(result JSON)
+//	"FGC2" | uvarint(key length) | canonical key | wire frame(payload)
 //
-// The canonical key rides uncompressed ahead of the payload, so a
-// reader rejects a foreign entry (hash collision, copied file) before
-// inflating a byte and on-disk entries stay greppable by key; the
-// payload is one wire-package frame — the same bounded, length-
-// prefixed DEFLATE framing the transport plane uses — which carries a
-// cell's round history in roughly a quarter of its JSON bytes. Writes
-// are atomic (temp file + rename, so a crash mid-write can never
+// A job Result's payload, on disk and in memory alike, is its own
+// binary form (Result.AppendBinary: key, error text and Extra as
+// length-prefixed bytes, then fl.Result with fixed-width float bits and
+// varint ints): about a quarter of its JSON bytes, decoded in a few
+// percent of the JSON decode time, which was most of a warm report's
+// work. Every other artifact — pretrain snapshots, decision traces,
+// the Fixed (Best) grid selection — stays JSON. The canonical key
+// rides uncompressed ahead of the payload, so a reader rejects a
+// foreign entry (hash collision, copied file) before inflating a byte
+// and on-disk entries stay greppable by key; the payload is one
+// wire-package frame — the same bounded, length-prefixed DEFLATE
+// framing the transport plane uses.
+// Writes are atomic (temp file + rename, so a crash mid-write can never
 // publish a torn entry). Any malformed file — wrong magic, truncation,
-// a key mismatch — is treated as a miss and the cell re-runs,
-// repairing the entry in place. Any file without the .binz extension
-// (a stray <hash>.json included) is foreign: never read, never pruned.
-// Results that ended in an error are never cached.
+// a key mismatch, a payload that does not decode — is treated as a
+// miss and the cell re-runs, repairing the entry in place. An entry of
+// an older format generation ("FGC1", whose Result payload was JSON)
+// has the wrong magic, so it is such a miss too. Any file without the
+// .binz extension (a stray <hash>.json included) is foreign: never
+// read, never pruned. Results that ended in an error are never cached.
 //
 // Disk hits pass through a byte-capped in-process LRU over decoded
 // payload bytes (capped at DefaultPayloadCacheBytes, 64 MB), so a
@@ -334,7 +342,7 @@
 //     same point, whether the cell ran in-process or arrived over the
 //     wire's "metrics" field.
 //   - The cache times every Get/Put as cacheRead/cacheWrite phases
-//     (payload JSON decode separately as cacheDecode), splits hits
+//     (payload decode separately as cacheDecode), splits hits
 //     into CacheMemHits, CachePayloadHits (decoded-payload layer) and
 //     CacheDiskHits, counts clean CacheMisses apart from CacheCorrupt
 //     discards, counts the mtime touches hits apply (CacheTouches),

@@ -1,7 +1,11 @@
 package runtime
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"errors"
+	"slices"
 
 	"fedgpo/internal/fl"
 	"fedgpo/internal/telemetry"
@@ -83,3 +87,68 @@ func (r *Result) SetExtra(v any) {
 
 // GetExtra unmarshals the Extra payload into v.
 func (r Result) GetExtra(v any) error { return json.Unmarshal(r.Extra, v) }
+
+// AppendBinary appends r's cache payload to b:
+//
+//	uvarint len(Key) | Key | uvarint len(Err) | Err
+//	uvarint len(Extra) | Extra | Sim in fl's binary form, to the end
+//
+// Extra rides as opaque bytes. Provenance and the fields JSON skips
+// are not part of it, so a cache entry never carries them. b grows
+// once, to the exact size.
+func (r Result) AppendBinary(b []byte) ([]byte, error) {
+	b = slices.Grow(b, lenPrefixed(len(r.Key))+lenPrefixed(len(r.Err))+
+		lenPrefixed(len(r.Extra))+r.Sim.BinarySize())
+	b = appendLenPrefixed(b, r.Key)
+	b = appendLenPrefixed(b, r.Err)
+	b = appendLenPrefixed(b, r.Extra)
+	return r.Sim.AppendBinary(b)
+}
+
+// errCorruptResult reports a cache payload AppendBinary did not write.
+var errCorruptResult = errors.New("runtime: corrupt binary result")
+
+// UnmarshalBinary decodes what AppendBinary wrote, overwriting r. Like
+// fl.Result.UnmarshalBinary it is total: anything malformed is an
+// error, never a panic. The decoded result shares no memory with data.
+// An empty Extra decodes as nil, as it does from JSON.
+func (r *Result) UnmarshalBinary(data []byte) error {
+	key, data, ok1 := cutLenPrefixed(data)
+	errText, data, ok2 := cutLenPrefixed(data)
+	extra, data, ok3 := cutLenPrefixed(data)
+	if !ok1 || !ok2 || !ok3 {
+		return errCorruptResult
+	}
+	var sim fl.Result
+	if err := sim.UnmarshalBinary(data); err != nil {
+		return err
+	}
+	*r = Result{Key: string(key), Err: string(errText), Sim: sim}
+	if len(extra) > 0 {
+		r.Extra = bytes.Clone(extra)
+	}
+	return nil
+}
+
+// lenPrefixed is the encoded size of an n-byte length-prefixed field.
+func lenPrefixed(n int) int {
+	k := 1
+	for v := uint64(n); v >= 0x80; v >>= 7 {
+		k++
+	}
+	return k + n
+}
+
+func appendLenPrefixed[S ~string | ~[]byte](b []byte, s S) []byte {
+	b = binary.AppendUvarint(b, uint64(len(s)))
+	return append(b, s...)
+}
+
+// cutLenPrefixed splits one minimal-uvarint-prefixed field off b.
+func cutLenPrefixed(b []byte) (field, rest []byte, ok bool) {
+	n, k := binary.Uvarint(b)
+	if k <= 0 || (k > 1 && b[k-1] == 0) || n > uint64(len(b)-k) {
+		return nil, nil, false
+	}
+	return b[k : k+int(n)], b[k+int(n):], true
+}

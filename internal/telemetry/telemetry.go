@@ -39,7 +39,7 @@ const (
 	PhaseCacheRead  = "cacheRead"
 	PhaseCacheWrite = "cacheWrite"
 	// PhaseCacheDecode is the payload-unmarshal slice of a cache hit —
-	// JSON bytes into the caller's value — timed separately from the
+	// payload bytes into the caller's value — timed separately from the
 	// envelope read so decode-bound warm paths are visible. It nests
 	// inside PhaseCacheRead, so the two must not be summed.
 	PhaseCacheDecode = "cacheDecode"
