@@ -45,7 +45,7 @@ const maxEnergyMask = 1 << (1 + device.NumCategories)
 // BinarySize returns the exact number of bytes AppendBinary adds, so a
 // caller can size its buffer once.
 func (r Result) BinarySize() int {
-	n := uvarintLen(uint64(len(r.Controller))) + len(r.Controller) + 1 +
+	n := BytesSize(len(r.Controller)) + 1 +
 		varintLen(r.ConvergenceRound) + varintLen(r.RoundsExecuted) +
 		5*8 + 1 + 8*len(r.EnergyByCategory) + 8 +
 		uvarintLen(uint64(len(r.History))+1)
@@ -70,8 +70,7 @@ func (r Result) AppendBinary(b []byte) ([]byte, error) {
 			mask |= 1 << (1 + cat)
 		}
 	}
-	b = binary.AppendUvarint(b, uint64(len(r.Controller)))
-	b = append(b, r.Controller...)
+	b = AppendBytes(b, r.Controller)
 	b = appendBool(b, r.Converged)
 	b = binary.AppendVarint(b, int64(r.ConvergenceRound))
 	b = binary.AppendVarint(b, int64(r.RoundsExecuted))
@@ -115,7 +114,7 @@ func (r Result) AppendBinary(b []byte) ([]byte, error) {
 func (r *Result) UnmarshalBinary(data []byte) error {
 	d := decoder{b: data}
 	var out Result
-	out.Controller = string(d.bytes(d.uvarint()))
+	out.Controller = string(d.field())
 	out.Converged = d.bool()
 	out.ConvergenceRound = d.varint()
 	out.RoundsExecuted = d.varint()
@@ -168,6 +167,27 @@ func (r *Result) UnmarshalBinary(data []byte) error {
 	}
 	*r = out
 	return nil
+}
+
+// BytesSize is the encoded size of an n-byte length-prefixed field:
+// the framing Controller uses, shared with callers that wrap a Result
+// in fields of their own.
+func BytesSize(n int) int { return uvarintLen(uint64(n)) + n }
+
+// AppendBytes appends s as a length-prefixed field: a minimal uvarint
+// length, then the bytes.
+func AppendBytes[S ~string | ~[]byte](b []byte, s S) []byte {
+	b = binary.AppendUvarint(b, uint64(len(s)))
+	return append(b, s...)
+}
+
+// CutBytes splits one AppendBytes field off the front of b. field
+// aliases b. ok is false on a truncated or non-minimal length prefix
+// or a length past the end of b.
+func CutBytes(b []byte) (field, rest []byte, ok bool) {
+	d := decoder{b: b}
+	field = d.field()
+	return field, d.b, d.err == nil
 }
 
 func appendBool(b []byte, v bool) []byte {
@@ -272,6 +292,9 @@ func (d *decoder) varint() int {
 	}
 	return int(v)
 }
+
+// field reads one length-prefixed field (AppendBytes).
+func (d *decoder) field() []byte { return d.bytes(d.uvarint()) }
 
 func (d *decoder) bytes(n uint64) []byte {
 	if n > uint64(len(d.b)) {

@@ -91,11 +91,18 @@ func FuzzDecodeBinaryEnvelope(f *testing.F) {
 func TestCacheGetSurvivesArbitraryEnvelopeBytes(t *testing.T) {
 	key := "fuzzlike|cell"
 	hash := HashKey(key)
+	valid, err := encodeBinaryEnvelope(key, []byte("not a result"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, raw := range [][]byte{
 		{},
-		[]byte("FGC1"),
-		[]byte("FGC1\x05ab"),
-		[]byte("FGC2\x03abc\x00\x00\x00\x01x"),
+		[]byte(cacheMagic),
+		[]byte(cacheMagic + "\x05ab"), // truncated key
+		[]byte(cacheMagic + "\x03abc\x00\x00\x00\x01x"), // foreign key
+		valid, // right key, payload no Result decodes
+		// An older format generation, otherwise well formed.
+		append([]byte("FGC1"), valid[len(cacheMagic):]...),
 		bytes.Repeat([]byte{0xAA}, 512),
 	} {
 		dir := t.TempDir()

@@ -107,16 +107,18 @@
 // many bytes of DEFLATE-compressed payload, bounded on both axes
 // (wire.MaxFrameBytes on the wire, wire.MaxPayloadBytes decompressed)
 // before anything is allocated. There is one protocol, ProtoVersion
-// (6), and no negotiation. The worker speaks first: its first frame is
+// (7), and no negotiation. The worker speaks first: its first frame is
 // a JSON hello
 //
-//	{"hello": true, "proto": 6, "keyVersion": "v3",
+//	{"hello": true, "proto": 7, "keyVersion": "v3",
 //	 "capacity": N, "cacheDir": "<worker's -cachedir>"}
 //
 // which the coordinator validates before dispatching anything. A
 // protocol-version or cache-key-scheme mismatch rejects the endpoint
 // outright — a worker computing cells under a different key layout
-// would otherwise publish wrong results into the shared cache. A
+// would otherwise publish wrong results into the shared cache, and one
+// writing an older cache entry format (protocol 6 wrote FGC1) would
+// publish entries the coordinator reads as corrupt. A
 // worker built before protocol 6 opens with a bare JSON line instead
 // of a frame; its first four bytes decode as a length prefix far above
 // the frame bound, so the handshake fails before reading a body. The

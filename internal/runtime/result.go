@@ -2,7 +2,6 @@ package runtime
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"slices"
@@ -97,11 +96,11 @@ func (r Result) GetExtra(v any) error { return json.Unmarshal(r.Extra, v) }
 // are not part of it, so a cache entry never carries them. b grows
 // once, to the exact size.
 func (r Result) AppendBinary(b []byte) ([]byte, error) {
-	b = slices.Grow(b, lenPrefixed(len(r.Key))+lenPrefixed(len(r.Err))+
-		lenPrefixed(len(r.Extra))+r.Sim.BinarySize())
-	b = appendLenPrefixed(b, r.Key)
-	b = appendLenPrefixed(b, r.Err)
-	b = appendLenPrefixed(b, r.Extra)
+	b = slices.Grow(b, fl.BytesSize(len(r.Key))+fl.BytesSize(len(r.Err))+
+		fl.BytesSize(len(r.Extra))+r.Sim.BinarySize())
+	b = fl.AppendBytes(b, r.Key)
+	b = fl.AppendBytes(b, r.Err)
+	b = fl.AppendBytes(b, r.Extra)
 	return r.Sim.AppendBinary(b)
 }
 
@@ -113,9 +112,9 @@ var errCorruptResult = errors.New("runtime: corrupt binary result")
 // error, never a panic. The decoded result shares no memory with data.
 // An empty Extra decodes as nil, as it does from JSON.
 func (r *Result) UnmarshalBinary(data []byte) error {
-	key, data, ok1 := cutLenPrefixed(data)
-	errText, data, ok2 := cutLenPrefixed(data)
-	extra, data, ok3 := cutLenPrefixed(data)
+	key, data, ok1 := fl.CutBytes(data)
+	errText, data, ok2 := fl.CutBytes(data)
+	extra, data, ok3 := fl.CutBytes(data)
 	if !ok1 || !ok2 || !ok3 {
 		return errCorruptResult
 	}
@@ -128,27 +127,4 @@ func (r *Result) UnmarshalBinary(data []byte) error {
 		r.Extra = bytes.Clone(extra)
 	}
 	return nil
-}
-
-// lenPrefixed is the encoded size of an n-byte length-prefixed field.
-func lenPrefixed(n int) int {
-	k := 1
-	for v := uint64(n); v >= 0x80; v >>= 7 {
-		k++
-	}
-	return k + n
-}
-
-func appendLenPrefixed[S ~string | ~[]byte](b []byte, s S) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
-}
-
-// cutLenPrefixed splits one minimal-uvarint-prefixed field off b.
-func cutLenPrefixed(b []byte) (field, rest []byte, ok bool) {
-	n, k := binary.Uvarint(b)
-	if k <= 0 || (k > 1 && b[k-1] == 0) || n > uint64(len(b)-k) {
-		return nil, nil, false
-	}
-	return b[k : k+int(n)], b[k+int(n):], true
 }

@@ -17,8 +17,15 @@ import (
 // There is no negotiation: the coordinator rejects a hello naming any
 // other version at Dial, exactly as it rejects a cache-key mismatch.
 // Bump it whenever either side's framing or envelope fields change
-// meaning.
-const ProtoVersion = 6
+// meaning, or the cache entry format (cacheMagic) changes: a worker
+// sharing the coordinator's cache directory publishes entries the
+// coordinator must be able to read. Protocol 7 is protocol 6 plus the
+// FGC2 cache entry.
+const ProtoVersion = 7
+
+// framedSince is the first protocol whose hello is a frame; a worker
+// built before it opens with a bare JSON line.
+const framedSince = 6
 
 // WireHello is the first frame of every wire session, sent by the
 // worker the moment the session opens — before any request arrives.
@@ -151,7 +158,7 @@ func newWireConn(r io.Reader, w io.Writer, timeout time.Duration, closer func() 
 }
 
 // handshake reads and validates the worker's hello frame. A stream
-// that does not open with a frame — a worker built before protocol 6
+// that does not open with a frame — a worker built before framedSince
 // writes a bare JSON hello, whose first bytes decode as a length prefix
 // far above wire.MaxFrameBytes — fails the prefix check before any
 // body is allocated.
@@ -162,7 +169,7 @@ func (c *wireConn) handshake() error {
 	c.frames++
 	payload, _, err := wire.ReadFrame(c.cr, c.frames)
 	if err != nil {
-		return fmt.Errorf("runtime: transport handshake: reading hello (worker built before protocol %d, or not a worker?): %w", ProtoVersion, err)
+		return fmt.Errorf("runtime: transport handshake: reading hello (worker built before protocol %d, or not a worker?): %w", framedSince, err)
 	}
 	var h WireHello
 	if err := json.Unmarshal(payload, &h); err != nil || !h.Hello {

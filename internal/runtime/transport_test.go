@@ -273,6 +273,9 @@ func TestHandshakeRejectsMismatches(t *testing.T) {
 	cases := []struct{ name, stream, want string }{
 		{"unframed JSON hello", `{"hello":true,"proto":3,"maxProto":5,"keyVersion":"` + keyVersion + `","capacity":1}` + "\n", "before protocol 6"},
 		{"protocol 5", hello(5, keyVersion), "wire protocol 5"},
+		// Protocol 6 framed its hello the same way but wrote FGC1 cache
+		// entries into a shared cache directory.
+		{"protocol 6", hello(6, keyVersion), "wire protocol 6"},
 		{"future protocol", hello(ProtoVersion+1, keyVersion), "wire protocol"},
 		{"wrong key scheme", hello(ProtoVersion, "v1"), "cache-key scheme"},
 		{"prefix over MaxFrameBytes", string(oversized[:]) + "xxxx", "length prefix"},
