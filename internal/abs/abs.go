@@ -3,7 +3,7 @@
 // paper reference [49]): a deep-RL agent that adjusts only the local
 // minibatch size B round-by-round, leaving E and K at their defaults.
 //
-// The agent is a small DQN built on internal/nn: a two-layer MLP maps a
+// The agent is a small DQN, a two-layer MLP in this package that maps a
 // round-state feature vector to Q-values over the discrete B choices,
 // trained from an experience-replay buffer against a periodically
 // synchronized target network. The paper's comparison notes ABS "does
@@ -13,9 +13,10 @@
 package abs
 
 import (
+	"fmt"
+
 	"fedgpo/internal/device"
 	"fedgpo/internal/fl"
-	"fedgpo/internal/nn"
 	"fedgpo/internal/stats"
 )
 
@@ -50,6 +51,34 @@ func DefaultConfig() Config {
 	}
 }
 
+// withDefaults returns the config New runs: the zero value stands for
+// DefaultConfig.
+func (c Config) withDefaults() Config {
+	if c.FixedE == 0 {
+		return DefaultConfig()
+	}
+	return c
+}
+
+// Validate reports a config the agent cannot run, checking the values
+// New will actually use.
+func (c Config) Validate() error {
+	c = c.withDefaults()
+	switch {
+	case c.Hidden <= 0:
+		return fmt.Errorf("abs: Hidden must be positive, got %d", c.Hidden)
+	case !(c.LR > 0):
+		return fmt.Errorf("abs: LR must be positive, got %g", c.LR)
+	case c.BatchSize <= 0:
+		return fmt.Errorf("abs: BatchSize must be positive, got %d", c.BatchSize)
+	case c.ReplayCap < c.BatchSize:
+		return fmt.Errorf("abs: ReplayCap %d cannot hold a BatchSize %d minibatch", c.ReplayCap, c.BatchSize)
+	case c.TargetSync <= 0:
+		return fmt.Errorf("abs: TargetSync must be positive, got %d", c.TargetSync)
+	}
+	return nil
+}
+
 const stateDim = 5
 
 type transition struct {
@@ -65,10 +94,14 @@ type Controller struct {
 	rng     *stats.RNG
 	bValues []int
 
-	qNet, target *nn.Sequential
-	opt          nn.Optimizer
-	replay       []transition
-	updates      int
+	qNet    *mlp
+	target  []float64 // the target network's parameters
+	replay  []transition
+	updates int
+
+	// Minibatch scratch reused by train.
+	xs, nexts, targets, dy []float64
+	taken                  []int
 
 	energyNorm *stats.EMA
 	lastState  []float64
@@ -78,30 +111,27 @@ type Controller struct {
 
 var _ fl.Controller = (*Controller)(nil)
 
-// New builds an ABS controller.
+// New builds an ABS controller. It panics on a config Validate rejects.
 func New(cfg Config) *Controller {
-	if cfg.FixedE == 0 { // zero-value convenience
-		cfg = DefaultConfig()
+	if err := cfg.Validate(); err != nil {
+		panic(err.Error())
 	}
+	cfg = cfg.withDefaults()
 	rng := stats.NewRNG(cfg.Seed)
-	build := func(r *stats.RNG) *nn.Sequential {
-		return nn.NewSequential(
-			nn.NewDense(stateDim, cfg.Hidden, r),
-			&nn.ReLU{},
-			nn.NewDense(cfg.Hidden, len(fl.BValues()), r),
-		)
-	}
-	netRNG := rng.Split()
-	q := build(netRNG)
-	t := build(stats.NewRNG(cfg.Seed)) // structure only; synced below
-	nn.LoadParams(t, nn.ParamSnapshot(q))
+	bValues := fl.BValues()
+	q := newMLP(stateDim, cfg.Hidden, len(bValues), cfg.LR, rng.Split())
+	n := cfg.BatchSize
 	return &Controller{
 		cfg:        cfg,
 		rng:        rng,
-		bValues:    fl.BValues(),
+		bValues:    bValues,
 		qNet:       q,
-		target:     t,
-		opt:        nn.NewAdam(cfg.LR),
+		target:     append([]float64(nil), q.w...),
+		xs:         make([]float64, n*stateDim),
+		nexts:      make([]float64, n*stateDim),
+		targets:    make([]float64, n),
+		dy:         make([]float64, n*len(bValues)),
+		taken:      make([]int, n),
 		energyNorm: stats.NewEMA(0.2),
 		lastAction: -1,
 		epsilon:    cfg.Epsilon,
@@ -142,8 +172,7 @@ func (c *Controller) Plan(obs fl.Observation) fl.Plan {
 	if c.rng.Bernoulli(c.epsilon) {
 		action = c.rng.Intn(len(c.bValues))
 	} else {
-		qv := c.qNet.Forward(nn.FromSlice(append([]float64(nil), state...), 1, stateDim))
-		action = stats.ArgMax(qv.Data)
+		action = stats.ArgMax(c.qNet.forward(c.qNet.w, state, 1))
 	}
 	c.lastState = state
 	c.lastAction = action
@@ -202,37 +231,31 @@ func (c *Controller) train() {
 	}
 	n := c.cfg.BatchSize
 	actions := len(c.bValues)
-	xs := nn.NewTensor(n, stateDim)
-	nexts := nn.NewTensor(n, stateDim)
-	batch := make([]transition, n)
 	for i := 0; i < n; i++ {
-		batch[i] = c.replay[c.rng.Intn(len(c.replay))]
-		copy(xs.Data[i*stateDim:(i+1)*stateDim], batch[i].state)
-		copy(nexts.Data[i*stateDim:(i+1)*stateDim], batch[i].next)
+		t := c.replay[c.rng.Intn(len(c.replay))]
+		copy(c.xs[i*stateDim:(i+1)*stateDim], t.state)
+		copy(c.nexts[i*stateDim:(i+1)*stateDim], t.next)
+		c.taken[i] = t.action
+		c.targets[i] = t.reward
 	}
-	// Targets from the frozen network.
-	nextQ := c.target.Forward(nexts)
-	targets := nn.NewTensor(n, actions)
-	mask := make([]bool, n*actions)
+	// Targets reward + γ·max Q' from the frozen network.
+	nextQ := c.qNet.forward(c.target, c.nexts, n)
 	for i := 0; i < n; i++ {
-		maxNext := nextQ.Data[i*actions]
+		maxNext := nextQ[i*actions]
 		for j := 1; j < actions; j++ {
-			if nextQ.Data[i*actions+j] > maxNext {
-				maxNext = nextQ.Data[i*actions+j]
+			if nextQ[i*actions+j] > maxNext {
+				maxNext = nextQ[i*actions+j]
 			}
 		}
-		idx := i*actions + batch[i].action
-		targets.Data[idx] = batch[i].reward + c.cfg.Gamma*maxNext
-		mask[idx] = true
+		c.targets[i] += c.cfg.Gamma * maxNext
 	}
-	pred := c.qNet.Forward(xs)
-	_, grad := nn.MaskedMSE(pred, targets, mask)
-	c.qNet.ZeroGrads()
-	c.qNet.Backward(grad)
-	c.opt.Step(c.qNet.Params())
+	pred := c.qNet.forward(c.qNet.w, c.xs, n)
+	tdGrad(c.dy, pred, c.taken, c.targets, actions)
+	c.qNet.backward(c.xs, c.dy, n)
+	c.qNet.adamStep()
 
 	c.updates++
 	if c.updates%c.cfg.TargetSync == 0 {
-		nn.LoadParams(c.target, nn.ParamSnapshot(c.qNet))
+		copy(c.target, c.qNet.w)
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"fedgpo/internal/fl"
-	"fedgpo/internal/nn"
 )
 
 // wantABSBits is the SHA-256 of a fixed-seed 200-round ABS run: the
@@ -21,14 +20,7 @@ const wantABSBits = "91228964e068b8e833399641af0c5ae4834c365876d7a25fca740edfe7a
 // netParams returns the Q-network and target parameters, each as one
 // flat [W1 | b1 | W2 | b2] slice.
 func netParams(c *Controller) (q, target []float64) {
-	flat := func(m *nn.Sequential) []float64 {
-		var out []float64
-		for _, p := range m.Params() {
-			out = append(out, p.Value.Data...)
-		}
-		return out
-	}
-	return flat(c.qNet), flat(c.target)
+	return c.qNet.w, c.target
 }
 
 func TestABSBitsPinned(t *testing.T) {

@@ -116,7 +116,7 @@ func (c ContenderSpec) validate() error {
 		if c.ABS == nil {
 			return fmt.Errorf("exp: contender %q missing abs config", c.Type)
 		}
-		return nil
+		return c.ABS.Validate()
 	default:
 		return fmt.Errorf("exp: unknown contender type %q", c.Type)
 	}

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"fedgpo/internal/abs"
 	"fedgpo/internal/fl"
 	"fedgpo/internal/runtime"
 	"fedgpo/internal/workload"
@@ -152,6 +153,33 @@ func TestDecodeJobSpecRejectsMalformed(t *testing.T) {
 		"abs sans config":   `{"kind":"sim","scenario":{},"contender":{"type":"abs"}}`,
 	} {
 		if _, err := DecodeJobSpec([]byte(payload)); err == nil {
+			t.Errorf("%s: decode should fail", name)
+		}
+	}
+}
+
+// An abs contender whose config would crash or stall the agent
+// mid-job must fail spec decoding instead.
+func TestDecodeJobSpecRejectsBadABSConfig(t *testing.T) {
+	scenario := Tiny().apply(Ideal(workload.CNNMNIST()))
+	encode := func(mutate func(*abs.Config)) []byte {
+		cfg := abs.DefaultConfig()
+		mutate(&cfg)
+		return EncodeJobSpec(simSpec(scenario, ContenderSpec{Type: ContABS, Name: "ABS", ABS: &cfg}, 1))
+	}
+	if _, err := DecodeJobSpec(encode(func(*abs.Config) {})); err != nil {
+		t.Fatalf("default abs config rejected: %v", err)
+	}
+	for name, mutate := range map[string]func(*abs.Config){
+		"TargetSync=0":        func(c *abs.Config) { c.TargetSync = 0 },
+		"ReplayCap=0":         func(c *abs.Config) { c.ReplayCap = 0 },
+		"ReplayCap<BatchSize": func(c *abs.Config) { c.ReplayCap = c.BatchSize - 1 },
+		"Hidden=0":            func(c *abs.Config) { c.Hidden = 0 },
+		"BatchSize=0":         func(c *abs.Config) { c.BatchSize = 0 },
+		"LR=0":                func(c *abs.Config) { c.LR = 0 },
+		"LR=-1":               func(c *abs.Config) { c.LR = -1 },
+	} {
+		if _, err := DecodeJobSpec(encode(mutate)); err == nil {
 			t.Errorf("%s: decode should fail", name)
 		}
 	}
