@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"path/filepath"
@@ -10,6 +11,7 @@ import (
 	"fedgpo/internal/abs"
 	"fedgpo/internal/fl"
 	"fedgpo/internal/runtime"
+	"fedgpo/internal/telemetry"
 	"fedgpo/internal/workload"
 )
 
@@ -183,6 +185,47 @@ func TestDecodeJobSpecRejectsBadABSConfig(t *testing.T) {
 			t.Errorf("%s: decode should fail", name)
 		}
 	}
+}
+
+// FuzzDecodeJobSpec throws arbitrary bytes at the worker's spec
+// decoder. It must never panic, neither while decoding nor while the
+// worker keys the decoded spec (Job.Key, before anything runs), and a
+// spec it accepts must survive its own round trip: re-encoding it
+// decodes to the same cell, and that re-encoding is a fixed point.
+func FuzzDecodeJobSpec(f *testing.F) {
+	scenario := Tiny().apply(Ideal(workload.CNNMNIST()))
+	abscfg := abs.DefaultConfig()
+	oracle := oracleSpec(scenario, Tiny(), 40)
+	sec54 := simSpec(scenario, fedgpoColdContender(), 2)
+	sec54.Kind, sec54.Trace = KindSec54, telemetry.TraceDecisions
+	for _, sp := range []JobSpec{
+		simSpec(scenario, staticContender(fl.Params{B: 8, E: 10, K: 20}, "Fixed"), 1),
+		simSpec(scenario, fedgpoWarmContender(scenario), 1),
+		simSpec(scenario, ContenderSpec{Type: ContABS, Name: "ABS", ABS: &abscfg}, 3),
+		oracle, sec54,
+	} {
+		f.Add([]byte(EncodeJobSpec(sp)))
+	}
+	f.Add([]byte(`{"kind":"sim","scenario":{},"contender":{"type":"static"}}`))
+	f.Add([]byte(`{"kind":"sim","scenario":{"maxRounds":-1},"contender":{"type":"abs"}}`))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		sp, err := DecodeJobSpec(b)
+		if err != nil {
+			return
+		}
+		key := sp.Key()
+		enc := EncodeJobSpec(sp)
+		back, err := DecodeJobSpec(enc)
+		if err != nil {
+			t.Fatalf("accepted spec does not re-decode: %v\n%s", err, enc)
+		}
+		if back.Key() != key {
+			t.Fatalf("re-decoded spec addresses %q, want %q", back.Key(), key)
+		}
+		if again := EncodeJobSpec(back); !bytes.Equal(again, enc) {
+			t.Fatalf("spec re-encoding is not a fixed point:\n%s\n%s", enc, again)
+		}
+	})
 }
 
 // Spec-derived keys must follow the v3 canonical layout: the scenario

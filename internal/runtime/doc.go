@@ -92,7 +92,7 @@
 //
 // # Transport
 //
-// A Transport dials wire sessions (Conn: SendBatch/RecvBatch/Close) to
+// A Transport dials wire sessions (Conn: SendBatch/Recv/Close) to
 // one worker endpoint. TCPTransport connects to a long-lived pool
 // started with `fedgpo-worker -listen host:port` (one wire session per
 // TCP connection). The coordinator learns how many sessions to open
@@ -107,18 +107,19 @@
 // many bytes of DEFLATE-compressed payload, bounded on both axes
 // (wire.MaxFrameBytes on the wire, wire.MaxPayloadBytes decompressed)
 // before anything is allocated. There is one protocol, ProtoVersion
-// (7), and no negotiation. The worker speaks first: its first frame is
+// (8), and no negotiation. The worker speaks first: its first frame is
 // a JSON hello
 //
-//	{"hello": true, "proto": 7, "keyVersion": "v3",
+//	{"hello": true, "proto": 8, "keyVersion": "v3",
 //	 "capacity": N, "cacheDir": "<worker's -cachedir>"}
 //
 // which the coordinator validates before dispatching anything. A
 // protocol-version or cache-key-scheme mismatch rejects the endpoint
 // outright — a worker computing cells under a different key layout
-// would otherwise publish wrong results into the shared cache, and one
+// would otherwise publish wrong results into the shared cache, one
 // writing an older cache entry format (protocol 6 wrote FGC1) would
-// publish entries the coordinator reads as corrupt. A
+// publish entries the coordinator reads as corrupt, and one speaking
+// JSON envelopes (protocol 7) would fail every frame. A
 // worker built before protocol 6 opens with a bare JSON line instead
 // of a frame; its first four bytes decode as a length prefix far above
 // the frame bound, so the handshake fails before reading a body. The
@@ -129,18 +130,24 @@
 // by the coordinator's executor, so warm -cachedir reruns are
 // hit-only no matter where the cells originally ran.
 //
-// Every later frame's payload is a JSON envelope — {"reqs": [...]}
-// toward the worker, {"resps": [...]} back. Each request is a
-// WireRequest
+// Every later frame's payload is a binary envelope. Strings and byte
+// strings are fl.AppendBytes fields (a minimal uvarint length, then the
+// bytes) and counts are minimal uvarints. A request frame toward the
+// worker carries a batch of WireRequests:
 //
-//	{"key": "<canonical job key>", "spec": <serialized JobSpec>,
-//	 "snaps": [<snapshot artifacts>, omitted when empty]}
+//	count | per request: key | spec (serialized JobSpec) | snapshots
 //
-// and each reply a WireResponse, strictly one per request in request
-// order:
+// and each reply is one WireResponse, strictly one per request in
+// request order:
 //
-//	{"key": "<canonical job key>", "result": <result JSON>, "cached": bool,
-//	 "metrics": <telemetry.Metrics JSON>, "snaps": [<built snapshots>]}
+//	key | cached byte (0 or 1) | metrics (telemetry.Metrics JSON, empty when nil)
+//	snapshots | Result.AppendBinary (the cache payload), to the end
+//
+// where snapshots is a count followed by each artifact's key and data.
+// The decoders are total: truncation, trailing bytes, a count larger
+// than the bytes left, or anything else the encoders would not have
+// written is an error, never a panic or an allocation beyond the
+// payload's size.
 //
 // Requests batch to amortize per-frame dispatch: the coordinator packs
 // up to each session's fair share of the batch (capped at 16 specs)
@@ -150,10 +157,10 @@
 // answered. The worker decodes the spec, verifies it addresses the
 // dispatched key, and executes it through its own Executor — same
 // cache check, same panic isolation, same cache write-back as the pool
-// path. The "cached" and "metrics" fields travel beside the result
-// because Result.Cached and Result.Telemetry are deliberately excluded
-// from result JSON, so neither can ever reach a cache entry; the
-// coordinator folds them into its own statistics. A malformed frame
+// path. The cached flag and the metrics travel beside the result
+// because Result.Cached and Result.Telemetry are deliberately not part
+// of the result's binary form, so neither can ever reach a cache
+// entry; the coordinator folds them into its own statistics. A malformed frame
 // fails the session naming the offending frame index. ServeSession
 // implements the worker side and Serve the TCP accept loop, so any
 // binary can join the protocol.
@@ -234,8 +241,9 @@
 //
 // Snapshot shipping makes that reuse fleet-wide. A worker whose cell
 // built a fresh pretrain snapshot returns the serialized artifact with
-// its response ("snaps" beside the result); the coordinator pools it,
-// persists it into its own cache under the snapshot key (byte-identical
+// its response (in the snapshot list beside the result); the
+// coordinator pools it, persists it into its own cache under the
+// snapshot key (byte-identical
 // to the entry the worker wrote locally, both being the same JSON
 // round-trip), and pre-pushes it inside later requests for cells
 // sharing that key dispatched at pools that do not already hold it —
@@ -364,8 +372,9 @@
 // overhead timers, ControllerOverheadSec) are replayed verbatim on a
 // cache hit, every result is tagged after execution with
 // ProvenanceMeasured or ProvenanceReplayed. The tag is assigned after
-// cache write-back and excluded from wire result JSON, so cache
-// entries stay byte-identical across cold and warm runs.
+// cache write-back and is not part of the result's binary form, which
+// wire responses and cache entries carry, so cache entries stay
+// byte-identical across cold and warm runs.
 //
 // Decision traces: with tracing enabled (the CLIs' -trace-level flag)
 // each traceable cell's per-round RL decision record is published as a

@@ -29,31 +29,22 @@ type WireRequest struct {
 
 // WireResponse is a worker's reply to one WireRequest, in request
 // order. Cached travels beside the result because Result.Cached is
-// deliberately excluded from the result's JSON form.
+// deliberately not part of the result's binary form.
 type WireResponse struct {
 	Key    string `json:"key"`
 	Result Result `json:"result"`
 	Cached bool   `json:"cached,omitempty"`
 	// Metrics is the worker's per-job telemetry snapshot. Like Cached
-	// it travels beside the result because Result.Telemetry is excluded
-	// from result JSON — cached bytes must not depend on whether
-	// telemetry was recorded. The coordinator folds it into its
+	// it travels beside the result because Result.Telemetry is not part
+	// of the result's binary form — cached bytes must not depend on
+	// whether telemetry was recorded. The coordinator folds it into its
 	// own collector, so remote pools are as observable as local ones.
 	Metrics *telemetry.Metrics `json:"metrics,omitempty"`
 	// Snaps returns pretrain snapshots this job's execution built from
-	// scratch (Result.Snaps, excluded from result JSON like Cached and
-	// Metrics). The coordinator persists them and pre-pushes them with
-	// later requests sharing the affinity key.
+	// scratch (Result.Snaps, also outside the result's binary form).
+	// The coordinator persists them and pre-pushes them with later
+	// requests sharing the affinity key.
 	Snaps []SnapshotArtifact `json:"snaps,omitempty"`
-}
-
-// wireEnvelope is the payload of every frame after the hello: a batch
-// of requests (coordinator to worker) or the matching batch of
-// responses, answered in request order. Exactly one of the two sides
-// is populated per frame.
-type wireEnvelope struct {
-	Reqs  []WireRequest  `json:"reqs,omitempty"`
-	Resps []WireResponse `json:"resps,omitempty"`
 }
 
 // WorkerOptions parameterizes the worker half of a wire session.
@@ -98,6 +89,7 @@ func ServeSession(r io.Reader, w io.Writer, run func(key string, spec json.RawMe
 	if err != nil {
 		return fmt.Errorf("runtime: worker hello: %w", err)
 	}
+	var out []byte // response payload buffer, reused across specs
 	for frame := 1; ; frame++ {
 		payload, _, err := wire.ReadFrame(r, frame)
 		if err == io.EOF {
@@ -107,14 +99,14 @@ func ServeSession(r io.Reader, w io.Writer, run func(key string, spec json.RawMe
 			// wire errors are already frame-indexed.
 			return fmt.Errorf("runtime: worker read: %w", err)
 		}
-		var env wireEnvelope
-		if err := json.Unmarshal(payload, &env); err != nil {
+		reqs, err := decodeRequests(payload)
+		if err != nil {
 			return fmt.Errorf("runtime: worker decode (frame %d): %w", frame, err)
 		}
-		if len(env.Reqs) == 0 {
+		if len(reqs) == 0 {
 			return fmt.Errorf("runtime: worker decode (frame %d): empty request envelope", frame)
 		}
-		for _, req := range env.Reqs {
+		for _, req := range reqs {
 			if opt.Install != nil {
 				for _, sa := range req.Snaps {
 					// Best effort: a failed install just means this
@@ -123,13 +115,11 @@ func ServeSession(r io.Reader, w io.Writer, run func(key string, spec json.RawMe
 				}
 			}
 			res := run(req.Key, req.Spec)
-			b, err := json.Marshal(wireEnvelope{Resps: []WireResponse{{
-				Key: req.Key, Result: res, Cached: res.Cached, Metrics: res.Telemetry, Snaps: res.Snaps,
-			}}})
-			if err != nil {
+			resp := WireResponse{Key: req.Key, Result: res, Cached: res.Cached, Metrics: res.Telemetry, Snaps: res.Snaps}
+			if out, err = resp.appendBinary(out[:0]); err != nil {
 				return fmt.Errorf("runtime: worker encode (frame %d): %w", frame, err)
 			}
-			if _, err := wire.WriteFrame(w, b); err != nil {
+			if _, err := wire.WriteFrame(w, out); err != nil {
 				return fmt.Errorf("runtime: worker write (frame %d): %w", frame, err)
 			}
 		}
@@ -663,57 +653,45 @@ func (c *Coordinator) pump(epi int, ep *endpoint, conn Conn, specs int, carried 
 		ep.stats.Frames++
 		ep.stats.Specs += int64(len(frame))
 		c.mu.Unlock()
-		// Responses stream back per spec, in request order (a worker may
-		// still group several into one envelope). Finalize each as it
-		// arrives so a session death mid-frame costs only the unanswered
-		// tail. Latency is measured from the frame send to each spec's
-		// arrival, recorded once per spec so the histogram's count keeps
-		// reconciling with Dispatched.
-		answered := 0
-		for answered < len(frame) {
-			resps, err := conn.RecvBatch()
+		// Responses stream back one per spec, in request order. Finalize
+		// each as it arrives so a session death mid-frame costs only the
+		// unanswered tail. Latency is measured from the frame send to
+		// each spec's arrival, so the histogram's count keeps reconciling
+		// with Dispatched.
+		for answered, i := range frame {
+			resp, err := conn.Recv()
 			if err != nil {
-				return frame[answered:], fmt.Errorf("worker reply for %q: %w", keys[frame[answered]], err)
+				return frame[answered:], fmt.Errorf("worker reply for %q: %w", keys[i], err)
 			}
-			if len(resps) == 0 || answered+len(resps) > len(frame) {
-				return frame[answered:], fmt.Errorf("worker answered %d specs for a frame of %d", answered+len(resps), len(frame))
+			if resp.Key != keys[i] {
+				return frame[answered:], fmt.Errorf("worker replied out of order: got %q, want %q", resp.Key, keys[i])
 			}
-			elapsed := time.Since(sent)
-			snapsArrived := false
-			for _, resp := range resps {
-				i := frame[answered]
-				if resp.Key != keys[i] {
-					return frame[answered:], fmt.Errorf("worker replied out of order: got %q, want %q", resp.Key, keys[i])
-				}
-				answered++
-				c.col.RecordLatency(ep.stats.Endpoint, elapsed)
-				r := resp.Result
-				r.Cached = resp.Cached
-				r.Telemetry = resp.Metrics
-				for _, sa := range resp.Snaps {
-					c.storeSnapshot(sa, sharesCache)
-					c.markSnapKnown(ep, sa.Key)
-					snapsArrived = true
-				}
-				// A finished affinity job means the worker pool now holds
-				// its group's snapshot in memory — no need to ever push it
-				// there.
-				if a := jobs[i].Affinity; a != "" && r.Err == "" {
-					c.markSnapKnown(ep, a)
-				}
-				// A worker sharing the coordinator's cache directory already
-				// published the entry (best effort — a failed worker write
-				// costs a future re-run, exactly like a failed coordinator
-				// write); results from other workers are persisted by the
-				// executor.
-				r.Persisted = sharesCache && r.Err == ""
-				results[i] = r
-				if done != nil {
-					done(i, r)
-				}
-				queue.finalize()
+			c.col.RecordLatency(ep.stats.Endpoint, time.Since(sent))
+			r := resp.Result
+			r.Cached = resp.Cached
+			r.Telemetry = resp.Metrics
+			for _, sa := range resp.Snaps {
+				c.storeSnapshot(sa, sharesCache)
+				c.markSnapKnown(ep, sa.Key)
 			}
-			if snapsArrived {
+			// A finished affinity job means the worker pool now holds
+			// its group's snapshot in memory — no need to ever push it
+			// there.
+			if a := jobs[i].Affinity; a != "" && r.Err == "" {
+				c.markSnapKnown(ep, a)
+			}
+			// A worker sharing the coordinator's cache directory already
+			// published the entry (best effort — a failed worker write
+			// costs a future re-run, exactly like a failed coordinator
+			// write); results from other workers are persisted by the
+			// executor.
+			r.Persisted = sharesCache && r.Err == ""
+			results[i] = r
+			if done != nil {
+				done(i, r)
+			}
+			queue.finalize()
+			if len(resp.Snaps) > 0 {
 				// Pooled artifacts make touched groups stealable; re-wake
 				// sessions idling for eligible work.
 				queue.wake()

@@ -245,22 +245,16 @@ func TestExecutorOnProcBackendCacheSemantics(t *testing.T) {
 
 // ServeSession must open the session with a valid hello frame, then
 // answer every request in order, one response frame per spec, and
-// propagate the Cached flag across the wire (Result.Cached is excluded
-// from the result's own JSON form).
+// propagate the Cached flag across the wire (Result.Cached is not part
+// of the result's own binary form).
 func TestServeWorkerOrderAndCachedFlag(t *testing.T) {
-	var env wireEnvelope
+	var keys []string
 	for i := 0; i < 5; i++ {
-		env.Reqs = append(env.Reqs, WireRequest{Key: fmt.Sprintf("k%d", i), Spec: json.RawMessage(`{}`)})
+		keys = append(keys, fmt.Sprintf("k%d", i))
 	}
-	b, err := json.Marshal(env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var in, out bytes.Buffer
-	if _, err := wire.WriteFrame(&in, b); err != nil {
-		t.Fatal(err)
-	}
-	err = ServeSession(&in, &out, func(key string, _ json.RawMessage) Result {
+	var out bytes.Buffer
+	in := strings.NewReader(reqFrame(t, keys...))
+	err := ServeSession(in, &out, func(key string, _ json.RawMessage) Result {
 		return Result{Key: key, Cached: key == "k2", Sim: fl.Result{PPW: 7}}
 	}, WorkerOptions{})
 	if err != nil {
@@ -282,11 +276,10 @@ func TestServeWorkerOrderAndCachedFlag(t *testing.T) {
 		if err != nil {
 			t.Fatalf("response %d: %v", i, err)
 		}
-		var got wireEnvelope
-		if err := json.Unmarshal(frame, &got); err != nil || len(got.Resps) != 1 {
-			t.Fatalf("response %d: %d responses, %v (want one per frame)", i, len(got.Resps), err)
+		var resp WireResponse
+		if err := resp.unmarshalBinary(frame); err != nil {
+			t.Fatalf("response %d: %v (want one per frame)", i, err)
 		}
-		resp := got.Resps[0]
 		if want := fmt.Sprintf("k%d", i); resp.Key != want {
 			t.Errorf("response %d out of order: %q", i, resp.Key)
 		}

@@ -96,14 +96,11 @@ func TestWireSessionStreamsAndRequeuesTail(t *testing.T) {
 		t.Fatalf("SendBatch: %v", err)
 	}
 	for i, req := range reqs {
-		resps, err := conn.RecvBatch()
+		resp, err := conn.Recv()
 		if err != nil {
-			t.Fatalf("RecvBatch %d: %v", i, err)
+			t.Fatalf("Recv %d: %v", i, err)
 		}
-		if len(resps) != 1 {
-			t.Fatalf("frame %d carried %d responses, want 1 (streamed per spec)", i, len(resps))
-		}
-		if resp := resps[0]; resp.Key != req.Key || resp.Result.Sim.PPW != float64(i) || len(resp.Snaps) != 0 {
+		if resp.Key != req.Key || resp.Result.Sim.PPW != float64(i) || len(resp.Snaps) != 0 {
 			t.Errorf("frame %d = %q PPW %v snaps %d, want %q PPW %v no snaps (request order)", i, resp.Key, resp.Result.Sim.PPW, len(resp.Snaps), req.Key, float64(i))
 		}
 	}
@@ -196,14 +193,10 @@ func TestWireSessionSnapshotRoundTrip(t *testing.T) {
 		t.Fatalf("SendBatch: %v", err)
 	}
 	for i, req := range reqs {
-		resps, err := conn.RecvBatch()
+		resp, err := conn.Recv()
 		if err != nil {
-			t.Fatalf("RecvBatch %d: %v", i, err)
+			t.Fatalf("Recv %d: %v", i, err)
 		}
-		if len(resps) != 1 {
-			t.Fatalf("frame %d carried %d responses, want 1 (streamed per spec)", i, len(resps))
-		}
-		resp := resps[0]
 		if resp.Key != req.Key || resp.Result.Sim.PPW != float64(i) {
 			t.Errorf("frame %d = %q PPW %v, want %q PPW %v (request order)", i, resp.Key, resp.Result.Sim.PPW, req.Key, float64(i))
 		}

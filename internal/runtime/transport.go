@@ -12,16 +12,16 @@ import (
 // ProtoVersion is the wire protocol both sides of a session must speak.
 // Every frame in either direction is a wire-package frame (length
 // prefix plus DEFLATE-compressed payload): the worker's first frame is
-// its JSON WireHello, and every later frame is a JSON wireEnvelope —
+// its JSON WireHello, and every later frame is a binary envelope —
 // request batches toward the worker, one response per frame back.
 // There is no negotiation: the coordinator rejects a hello naming any
 // other version at Dial, exactly as it rejects a cache-key mismatch.
 // Bump it whenever either side's framing or envelope fields change
 // meaning, or the cache entry format (cacheMagic) changes: a worker
 // sharing the coordinator's cache directory publishes entries the
-// coordinator must be able to read. Protocol 7 is protocol 6 plus the
-// FGC2 cache entry.
-const ProtoVersion = 7
+// coordinator must be able to read. Protocol 8 is protocol 7 with
+// binary envelopes.
+const ProtoVersion = 8
 
 // framedSince is the first protocol whose hello is a frame; a worker
 // built before it opens with a bare JSON line.
@@ -63,9 +63,9 @@ type Conn interface {
 	Hello() WireHello
 	// SendBatch writes one request envelope frame carrying reqs.
 	SendBatch(reqs []WireRequest) error
-	// RecvBatch reads the next response envelope frame. Workers answer
+	// Recv reads the next response envelope frame. Workers answer
 	// every request in order, each in its own frame as it finishes.
-	RecvBatch() ([]WireResponse, error)
+	Recv() (WireResponse, error)
 	// Close ends the session.
 	Close() error
 }
@@ -93,7 +93,7 @@ type Transport interface {
 }
 
 // deadlineReader is implemented by connections that support read
-// deadlines (net.Conn); wireConn uses it to bound RecvBatch when the
+// deadlines (net.Conn); wireConn uses it to bound Recv when the
 // transport carries a reply timeout. Other streams (in-process pipes)
 // block until they close.
 type deadlineReader interface {
@@ -133,7 +133,8 @@ type wireConn struct {
 	rawRead any // the original read side, checked for deadlineReader
 	timeout time.Duration
 	closer  func() error
-	frames  int // frames read so far, for frame-indexed errors
+	frames  int    // frames read so far, for frame-indexed errors
+	sendBuf []byte // request payload buffer, reused across frames
 }
 
 // newWireConn wraps an open byte stream into a wire session: it reads
@@ -207,30 +208,27 @@ func (c *wireConn) WireStats() (sent, recv int64) { return c.cw.n, c.cr.n }
 
 // SendBatch writes one request envelope frame.
 func (c *wireConn) SendBatch(reqs []WireRequest) error {
-	b, err := json.Marshal(wireEnvelope{Reqs: reqs})
-	if err != nil {
-		return fmt.Errorf("runtime: encoding request envelope: %w", err)
-	}
-	_, err = wire.WriteFrame(c.cw, b)
+	c.sendBuf = appendRequests(c.sendBuf[:0], reqs)
+	_, err := wire.WriteFrame(c.cw, c.sendBuf)
 	return err
 }
 
-// RecvBatch reads one response envelope frame, bounded by the
-// transport's reply timeout when the connection supports deadlines.
-func (c *wireConn) RecvBatch() ([]WireResponse, error) {
+// Recv reads one response envelope frame, bounded by the transport's
+// reply timeout when the connection supports deadlines.
+func (c *wireConn) Recv() (WireResponse, error) {
 	if err := c.setRecvDeadline(); err != nil {
-		return nil, err
+		return WireResponse{}, err
 	}
 	c.frames++
 	payload, _, err := wire.ReadFrame(c.cr, c.frames)
 	if err != nil {
-		return nil, err
+		return WireResponse{}, err
 	}
-	var env wireEnvelope
-	if err := json.Unmarshal(payload, &env); err != nil {
-		return nil, fmt.Errorf("runtime: response envelope (frame %d): %w", c.frames, err)
+	var resp WireResponse
+	if err := resp.unmarshalBinary(payload); err != nil {
+		return WireResponse{}, fmt.Errorf("runtime: response envelope (frame %d): %w", c.frames, err)
 	}
-	return env.Resps, nil
+	return resp, nil
 }
 
 // Close ends the session.

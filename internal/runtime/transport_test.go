@@ -87,17 +87,13 @@ func (c *fakeConn) SendBatch(reqs []WireRequest) error {
 	return nil
 }
 
-func (c *fakeConn) RecvBatch() ([]WireResponse, error) {
+func (c *fakeConn) Recv() (WireResponse, error) {
 	if len(c.pending) == 0 {
-		return nil, fmt.Errorf("recv without a pending request")
+		return WireResponse{}, fmt.Errorf("recv without a pending request")
 	}
 	req := c.pending[0]
 	c.pending = c.pending[1:]
-	resp, err := c.t.respond(c.dial, req)
-	if err != nil {
-		return nil, err
-	}
-	return []WireResponse{resp}, nil
+	return c.t.respond(c.dial, req)
 }
 
 func (c *fakeConn) Close() error { return nil }
@@ -241,18 +237,44 @@ func TestCoordinatorHealthySiblingAbsorbsBatch(t *testing.T) {
 }
 
 // jsonFrame renders v as JSON inside one wire frame — the shape of a
-// worker's hello and of every envelope after it.
+// worker's hello.
 func jsonFrame(t testing.TB, v any) string {
 	t.Helper()
 	b, err := json.Marshal(v)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return payloadFrame(t, b)
+}
+
+// payloadFrame wraps payload in one wire frame.
+func payloadFrame(t testing.TB, payload []byte) string {
+	t.Helper()
 	var buf bytes.Buffer
-	if _, err := wire.WriteFrame(&buf, b); err != nil {
+	if _, err := wire.WriteFrame(&buf, payload); err != nil {
 		t.Fatal(err)
 	}
 	return buf.String()
+}
+
+// reqFrame renders one binary request envelope frame asking for keys.
+func reqFrame(t testing.TB, keys ...string) string {
+	t.Helper()
+	reqs := make([]WireRequest, len(keys))
+	for i, k := range keys {
+		reqs[i] = WireRequest{Key: k, Spec: json.RawMessage(`{}`)}
+	}
+	return payloadFrame(t, appendRequests(nil, reqs))
+}
+
+// respFrame renders resp as one binary response envelope frame.
+func respFrame(t testing.TB, resp WireResponse) string {
+	t.Helper()
+	b, err := resp.appendBinary(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return payloadFrame(t, b)
 }
 
 // The handshake must reject a worker speaking another protocol version
@@ -276,10 +298,12 @@ func TestHandshakeRejectsMismatches(t *testing.T) {
 		// Protocol 6 framed its hello the same way but wrote FGC1 cache
 		// entries into a shared cache directory.
 		{"protocol 6", hello(6, keyVersion), "wire protocol 6"},
+		// Protocol 7 sent JSON envelopes.
+		{"protocol 7", hello(7, keyVersion), "wire protocol 7"},
 		{"future protocol", hello(ProtoVersion+1, keyVersion), "wire protocol"},
 		{"wrong key scheme", hello(ProtoVersion, "v1"), "cache-key scheme"},
 		{"prefix over MaxFrameBytes", string(oversized[:]) + "xxxx", "length prefix"},
-		{"response instead of hello", jsonFrame(t, WireResponse{Key: "k0"}), "not a hello"},
+		{"response instead of hello", respFrame(t, WireResponse{Key: "k0"}), "not a hello"},
 		{"worker stderr on stdout", "worker: cannot open cache", "reading hello"},
 		{"empty stream", "", "reading hello"},
 	}
@@ -353,16 +377,9 @@ func TestCoordinatorWithoutEndpointsReturnsErrors(t *testing.T) {
 // request envelope frame — stray whitespace between frames included,
 // since every byte on the stream belongs to a frame.
 func TestServeSessionWhitespaceAndFrameErrors(t *testing.T) {
-	reqFrame := func(keys ...string) string {
-		env := wireEnvelope{}
-		for _, k := range keys {
-			env.Reqs = append(env.Reqs, WireRequest{Key: k, Spec: json.RawMessage(`{}`)})
-		}
-		return jsonFrame(t, env)
-	}
 	run := func(key string, _ json.RawMessage) Result { return Result{Key: key} }
 	var out bytes.Buffer
-	if err := ServeSession(strings.NewReader(reqFrame("k0", "k1")+reqFrame("k2")), &out, run, WorkerOptions{}); err != nil {
+	if err := ServeSession(strings.NewReader(reqFrame(t, "k0", "k1")+reqFrame(t, "k2")), &out, run, WorkerOptions{}); err != nil {
 		t.Fatalf("clean session: %v", err)
 	}
 	for i := 0; i < 4; i++ { // hello + one response frame per spec
@@ -371,10 +388,12 @@ func TestServeSessionWhitespaceAndFrameErrors(t *testing.T) {
 		}
 	}
 	for _, c := range []struct{ name, stream string }{
-		{"whitespace between frames", reqFrame("k0") + "\n" + reqFrame("k1")},
-		{"JSON line", reqFrame("k0") + `{"key":"k1","spec":{}}` + "\n"},
-		{"empty envelope", reqFrame("k0") + reqFrame()},
-		{"not an envelope", reqFrame("k0") + jsonFrame(t, []int{1})},
+		{"whitespace between frames", reqFrame(t, "k0") + "\n" + reqFrame(t, "k1")},
+		{"JSON line", reqFrame(t, "k0") + `{"key":"k1","spec":{}}` + "\n"},
+		{"empty envelope", reqFrame(t, "k0") + reqFrame(t)},
+		{"not an envelope", reqFrame(t, "k0") + jsonFrame(t, []int{1})},
+		{"protocol 7 JSON envelope", reqFrame(t, "k0") + jsonFrame(t, map[string][]WireRequest{"reqs": {{Key: "k1", Spec: json.RawMessage(`{}`)}}})},
+		{"trailing bytes", reqFrame(t, "k0") + payloadFrame(t, append(appendRequests(nil, []WireRequest{{Key: "k1"}}), 0))},
 	} {
 		err := ServeSession(strings.NewReader(c.stream), io.Discard, run, WorkerOptions{})
 		if err == nil || !strings.Contains(err.Error(), "frame 2") {
@@ -558,9 +577,9 @@ func TestTCPDrainDeliversInFlightResponse(t *testing.T) {
 	}
 	<-started
 	cancel() // SIGTERM equivalent: drain begins while the job runs
-	resps, err := conn.RecvBatch()
-	if err != nil || len(resps) != 1 || resps[0].Key != "k0" || resps[0].Result.Sim.PPW != 42 {
-		t.Errorf("in-flight response lost during drain: %+v, %v", resps, err)
+	resp, err := conn.Recv()
+	if err != nil || resp.Key != "k0" || resp.Result.Sim.PPW != 42 {
+		t.Errorf("in-flight response lost during drain: %+v, %v", resp, err)
 	}
 	_ = conn.Close()
 	select {

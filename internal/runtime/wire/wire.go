@@ -2,9 +2,10 @@
 // transport session speaks: one frame is a 4-byte big-endian length
 // prefix followed by that many bytes of DEFLATE-compressed payload. The
 // payload is an opaque byte string to this package — the runtime
-// package puts the JSON hello and batch envelopes inside, and its cache
-// wraps entry payloads in the same framing — so the framing, its size
-// guards and its fuzz surface live in one place.
+// package puts its JSON hello and binary request and response
+// envelopes inside, and its cache wraps entry payloads in the same
+// framing — so the framing, its size guards and its fuzz surface live
+// in one place.
 //
 // Both directions of a frame are bounded: the length prefix is
 // validated against MaxFrameBytes before a single payload byte is
@@ -13,9 +14,11 @@
 // without bound. Read errors carry the 1-based frame index so a
 // session failure names the exact frame that broke it.
 //
-// WriteFrame compresses with pooled writers. Reset makes a used
-// flate.Writer equivalent to a fresh one, so pooling changes no frame
-// byte, only the ~1.1 MB a fresh compressor allocates.
+// WriteFrame compresses with pooled writers and ReadFrame inflates with
+// pooled readers. Reset makes a used flate.Writer or decompressor
+// equivalent to a fresh one, so pooling changes no frame byte, only
+// the ~1.1 MB a fresh compressor and the ~40 KB a fresh decompressor
+// allocate.
 package wire
 
 import (
@@ -25,6 +28,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 )
 
@@ -44,42 +48,61 @@ const (
 // prefix claims MaxFrameBytes costs one chunk, not the claim.
 const bodyChunk = 1 << 20
 
-// writerPool recycles BestSpeed compressors across frames: a fresh
-// flate.Writer allocates ~1.1 MB of tables, more than most frames carry.
-var writerPool = sync.Pool{New: func() any {
-	fw, err := flate.NewWriter(nil, flate.BestSpeed)
+// framer is one pooled frame builder: a BestSpeed compressor bound to
+// the buffer the whole frame, length prefix included, is assembled in.
+// A fresh flate.Writer allocates ~1.1 MB of tables, more than most
+// frames carry.
+type framer struct {
+	buf bytes.Buffer
+	fw  *flate.Writer
+}
+
+var framerPool = sync.Pool{New: func() any {
+	f := &framer{}
+	fw, err := flate.NewWriter(&f.buf, flate.BestSpeed)
 	if err != nil {
 		panic(err) // unreachable: BestSpeed is a valid level
 	}
-	return fw
+	f.fw = fw
+	return f
 }}
 
-// WriteFrame compresses payload and writes it as one frame, returning
-// the number of bytes put on the wire (prefix included).
+// inflater is one pooled decompressor plus the scratch buffer it
+// inflates into. fr is the io.ReadCloser flate.NewReader returns,
+// which also implements flate.Resetter.
+type inflater struct {
+	fr  io.ReadCloser
+	out bytes.Buffer
+}
+
+var inflaterPool sync.Pool
+
+// WriteFrame compresses payload and writes it as one frame with a
+// single Write, returning the number of bytes put on the wire (prefix
+// included).
 func WriteFrame(w io.Writer, payload []byte) (int, error) {
 	if len(payload) > MaxPayloadBytes {
 		return 0, fmt.Errorf("wire: frame payload %d bytes exceeds limit %d", len(payload), MaxPayloadBytes)
 	}
-	var body bytes.Buffer
-	fw := writerPool.Get().(*flate.Writer)
-	defer writerPool.Put(fw)
-	fw.Reset(&body)
-	if _, err := fw.Write(payload); err != nil {
+	f := framerPool.Get().(*framer)
+	defer framerPool.Put(f)
+	var hdr [headerLen]byte // the prefix, filled in below
+	f.buf.Reset()
+	f.buf.Write(hdr[:])
+	f.fw.Reset(&f.buf)
+	if _, err := f.fw.Write(payload); err != nil {
 		return 0, fmt.Errorf("wire: frame compress: %w", err)
 	}
-	if err := fw.Close(); err != nil {
+	if err := f.fw.Close(); err != nil {
 		return 0, fmt.Errorf("wire: frame compress: %w", err)
 	}
-	if body.Len() > MaxFrameBytes {
-		return 0, fmt.Errorf("wire: frame body %d bytes exceeds limit %d", body.Len(), MaxFrameBytes)
+	frame := f.buf.Bytes()
+	body := len(frame) - headerLen
+	if body > MaxFrameBytes {
+		return 0, fmt.Errorf("wire: frame body %d bytes exceeds limit %d", body, MaxFrameBytes)
 	}
-	var hdr [headerLen]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(body.Len()))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return 0, err
-	}
-	n, err := w.Write(body.Bytes())
-	return headerLen + n, err
+	binary.BigEndian.PutUint32(frame, uint32(body))
+	return w.Write(frame)
 }
 
 // ReadFrame reads one frame and returns its decompressed payload plus
@@ -125,7 +148,7 @@ func readBody(r io.Reader, n int) ([]byte, error) {
 			m = bodyChunk
 		}
 		off := len(body)
-		body = append(body, make([]byte, m)...)
+		body = slices.Grow(body, m)[:off+m]
 		if _, err := io.ReadFull(r, body[off:]); err != nil {
 			if err == io.EOF {
 				err = io.ErrUnexpectedEOF
@@ -136,19 +159,31 @@ func readBody(r io.Reader, n int) ([]byte, error) {
 	return body, nil
 }
 
-// inflate decompresses one frame body, bounded by MaxPayloadBytes.
+// inflate decompresses one frame body, bounded by MaxPayloadBytes,
+// with a pooled decompressor. The payload is inflated into pooled
+// scratch and returned as an exact-size copy, so it costs one
+// allocation of its own size rather than a doubling buffer's growth.
 func inflate(body []byte) ([]byte, error) {
-	fr := flate.NewReader(bytes.NewReader(body))
-	defer fr.Close()
-	var out bytes.Buffer
-	n, err := io.Copy(&out, io.LimitReader(fr, MaxPayloadBytes+1))
+	br := bytes.NewReader(body)
+	in, ok := inflaterPool.Get().(*inflater)
+	if ok {
+		// Reset clears any error a corrupt earlier frame left behind.
+		if err := in.fr.(flate.Resetter).Reset(br, nil); err != nil {
+			return nil, fmt.Errorf("decompress: %w", err)
+		}
+	} else {
+		in = &inflater{fr: flate.NewReader(br)}
+	}
+	defer inflaterPool.Put(in)
+	in.out.Reset()
+	n, err := in.out.ReadFrom(io.LimitReader(in.fr, MaxPayloadBytes+1))
 	if err != nil {
 		return nil, fmt.Errorf("decompress: %w", err)
 	}
 	if n > MaxPayloadBytes {
 		return nil, fmt.Errorf("decompress: payload exceeds limit %d", int64(MaxPayloadBytes))
 	}
-	return out.Bytes(), nil
+	return bytes.Clone(in.out.Bytes()), nil
 }
 
 // ErrTruncated reports whether a ReadFrame error was caused by the

@@ -172,6 +172,32 @@ func TestWriteFramePooledMatchesFreshWriter(t *testing.T) {
 	}
 }
 
+// writeCounter counts Write calls, standing in for a socket where each
+// one is a syscall.
+type writeCounter struct {
+	bytes.Buffer
+	writes int
+}
+
+func (w *writeCounter) Write(p []byte) (int, error) {
+	w.writes++
+	return w.Buffer.Write(p)
+}
+
+// WriteFrame hands the prefix and body to the writer in one Write.
+func TestWriteFrameSingleWrite(t *testing.T) {
+	for _, payload := range [][]byte{nil, []byte("x"), bytes.Repeat([]byte("ppw 1.25;"), 5000)} {
+		var w writeCounter
+		n, err := WriteFrame(&w, payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w.writes != 1 || n != w.Len() {
+			t.Errorf("%d-byte payload: %d Write calls for a %d-byte frame (reported %d), want 1", len(payload), w.writes, w.Len(), n)
+		}
+	}
+}
+
 func TestWriteFrameConcurrent(t *testing.T) {
 	const goroutines, frames = 8, 200
 	var wg sync.WaitGroup
@@ -242,5 +268,37 @@ func TestWriteFrameAllocs(t *testing.T) {
 	}
 	if bestBytes >= 4096 {
 		t.Errorf("WriteFrame of a 4 KB payload allocates %.0f bytes per call, want < 4096", bestBytes)
+	}
+}
+
+// A decompressor that failed mid-stream goes back to the pool; Reset
+// must leave no trace of the failure in the next frame it decodes.
+func TestPooledReaderRecoversAfterCorruptFrame(t *testing.T) {
+	good := []byte(strings.Repeat("round 17: ppw 1.25, acc 81.5; ", 400))
+	var buf bytes.Buffer
+	if _, err := WriteFrame(&buf, good); err != nil {
+		t.Fatal(err)
+	}
+	valid := buf.Bytes()
+	// The first half of a real deflate stream, framed with a matching
+	// prefix: the body reads fine and inflation fails inside a block.
+	half := append([]byte(nil), valid[:headerLen+(len(valid)-headerLen)/2]...)
+	binary.BigEndian.PutUint32(half, uint32(len(half)-headerLen))
+	garbage := []byte("this is not a deflate stream....")
+	var hdr [headerLen]byte
+	binary.BigEndian.PutUint32(hdr[:], uint32(len(garbage)))
+	for _, corrupt := range [][]byte{half, append(hdr[:], garbage...)} {
+		for i := 0; i < 3; i++ {
+			if _, _, err := ReadFrame(bytes.NewReader(corrupt), 1); err == nil {
+				t.Fatal("corrupt frame decoded without error")
+			}
+			got, n, err := ReadFrame(bytes.NewReader(valid), 2)
+			if err != nil {
+				t.Fatalf("good frame after a corrupt one: %v", err)
+			}
+			if n != len(valid) || !bytes.Equal(got, good) {
+				t.Fatalf("good frame after a corrupt one decoded to %d bytes, want %d byte-exact", len(got), len(good))
+			}
+		}
 	}
 }
