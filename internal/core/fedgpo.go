@@ -102,7 +102,8 @@ type Controller struct {
 
 	roundChoices map[int]choice // deviceID -> this round's action
 	pendingLocal []pending
-	pendingK     *pending
+	pendingK     pending
+	hasPendingK  bool
 	dynMasks     map[dynMaskKey][]bool
 	// deadline is the server round deadline observed from the
 	// deployment; the feasibility envelope is capped below it. A
@@ -119,7 +120,27 @@ type Controller struct {
 	// trace.go). Recording never perturbs decisions or randomness.
 	tracing bool
 	trace   []RoundTrace
+
+	// Per-round scratch the controller owns and reuses, so a learned
+	// controller's round allocates only what it newly learns.
+	// roundAction memoizes this round's action per (table, state);
+	// succ is flushPending's successor state per table; deviceKeys,
+	// globalKeys and devTableKeys intern state and table keys.
+	roundAction  map[tableState]int
+	succ         map[string]string
+	roundRewards []float64
+	deviceKeys   map[deviceKey]string
+	globalKeys   map[globalKey]string
+	devTableKeys []string
+	// planWorkload is the workload of the round being planned; local
+	// reads it, so Plan hands out one method value instead of building
+	// a closure each round.
+	planWorkload workload.Workload
+	localFn      func(device.Device, fl.DeviceState) fl.LocalParams
 }
+
+// tableState names one (Q-table, state) pair.
+type tableState struct{ table, state string }
 
 var _ fl.Controller = (*Controller)(nil)
 
@@ -128,7 +149,7 @@ func New(cfg Config) *Controller {
 	if cfg.RL.LearningRate == 0 { // zero-value convenience
 		cfg = DefaultConfig()
 	}
-	return &Controller{
+	c := &Controller{
 		cfg:           cfg,
 		rng:           stats.NewRNG(cfg.Seed),
 		localActions:  fl.AllLocalParams(),
@@ -140,7 +161,13 @@ func New(cfg Config) *Controller {
 		kLocalNorm:    NewEnergyNormalizer(),
 		dynMasks:      make(map[dynMaskKey][]bool),
 		tableProfiles: make(map[string]device.Profile),
+		roundAction:   make(map[tableState]int),
+		succ:          make(map[string]string),
+		deviceKeys:    make(map[deviceKey]string),
+		globalKeys:    make(map[globalKey]string),
 	}
+	c.localFn = c.local
+	return c
 }
 
 // Name identifies the controller in reports.
@@ -155,10 +182,41 @@ func (c *Controller) Name() string {
 // learned under: its performance category (shared tables, the default)
 // or its unique ID (footnote-2 variant).
 func (c *Controller) tableKeyFor(d device.Device) string {
-	if c.cfg.PerDeviceTables {
-		return fmt.Sprintf("dev%d", d.ID)
+	if !c.cfg.PerDeviceTables {
+		return d.Profile.Category.String()
 	}
-	return d.Profile.Category.String()
+	if d.ID >= len(c.devTableKeys) {
+		c.devTableKeys = append(c.devTableKeys, make([]string, d.ID+1-len(c.devTableKeys))...)
+	}
+	if c.devTableKeys[d.ID] == "" {
+		c.devTableKeys[d.ID] = fmt.Sprintf("dev%d", d.ID)
+	}
+	return c.devTableKeys[d.ID]
+}
+
+// deviceStateKey returns a device's Q-table state key in the round
+// being planned, interned: the Table 1 state space is small, so a
+// learned controller builds each key string once.
+func (c *Controller) deviceStateKey(st fl.DeviceState) string {
+	k := deviceStateBytes(archBands(c.planWorkload), st)
+	s, ok := c.deviceKeys[k]
+	if !ok {
+		s = string(k[:])
+		c.deviceKeys[k] = s
+	}
+	return s
+}
+
+// globalStateKey returns the K table's state key in the round being
+// planned, interned like deviceStateKey.
+func (c *Controller) globalStateKey(states []fl.DeviceState) string {
+	k := globalStateBytes(archBands(c.planWorkload), states)
+	s, ok := c.globalKeys[k]
+	if !ok {
+		s = string(k[:])
+		c.globalKeys[k] = s
+	}
+	return s
 }
 
 // table returns the local-action Q-table for a key, if it exists.
@@ -319,24 +377,35 @@ func bandMidpoint(band byte) float64 {
 // Q-tables.
 func (c *Controller) Plan(obs fl.Observation) fl.Plan {
 	c.observeDeadline(obs.DeadlineSec, obs.Workload)
+	c.planWorkload = obs.Workload
+
+	// The global state is both last round's K successor S' and this
+	// round's K state.
+	t0 := time.Now()
+	globalState := c.globalStateKey(obs.States)
+	c.overhead.IdentifyStates += time.Since(t0)
 
 	// Complete last round's Q-updates now that S' is observable
 	// (Algorithm 2's "Observe new state S'").
-	t0 := time.Now()
-	c.flushPending(obs)
-	c.overhead.UpdateTables += time.Since(t0)
-
 	t0 = time.Now()
-	globalState := GlobalStateKey(obs.Workload, obs.States)
-	c.overhead.IdentifyStates += time.Since(t0)
+	c.flushPending(obs, globalState)
+	c.overhead.UpdateTables += time.Since(t0)
 
 	t0 = time.Now()
 	if c.kTable == nil {
 		c.kTable = rl.NewQTable(len(c.kActions), c.cfg.RL, c.rng.Split())
 	}
 	kAction := c.kTable.Select(globalState)
-	c.pendingK = &pending{state: globalState, action: kAction}
+	c.pendingK = pending{state: globalState, action: kAction}
+	c.hasPendingK = true
 	clear(c.roundChoices)
+	// Within a round, all devices that share a Q-table and a state take
+	// the same action: the shared table makes one (possibly exploring)
+	// decision per (table, state) pair. This keeps the category's
+	// behaviour coherent, so the round-level reward actually reflects
+	// the choice — per-device independent exploration would dilute the
+	// credit over K participants.
+	clear(c.roundAction)
 	c.overhead.ChooseParams += time.Since(t0)
 	c.overhead.Rounds++
 	if c.tracing {
@@ -351,42 +420,36 @@ func (c *Controller) Plan(obs fl.Observation) fl.Plan {
 			},
 		})
 	}
+	return fl.Plan{K: c.kActions[kAction], Local: c.localFn}
+}
 
-	// Within a round, all devices that share a Q-table and a state take
-	// the same action: the shared table makes one (possibly exploring)
-	// decision per (table, state) pair. This keeps the category's
-	// behaviour coherent, so the round-level reward actually reflects
-	// the choice — per-device independent exploration would dilute the
-	// credit over K participants.
-	roundAction := make(map[string]int)
+// local is the Plan's per-participant assignment: the (B, E) the
+// device's Q-table picks for its observed state this round.
+func (c *Controller) local(d device.Device, st fl.DeviceState) fl.LocalParams {
+	ts := time.Now()
+	stateKey := c.deviceStateKey(st)
+	c.overhead.IdentifyStates += time.Since(ts)
 
-	local := func(d device.Device, st fl.DeviceState) fl.LocalParams {
-		ts := time.Now()
-		stateKey := DeviceStateKey(obs.Workload, st)
-		c.overhead.IdentifyStates += time.Since(ts)
-
-		ts = time.Now()
-		key := c.tableKeyFor(d)
-		memoKey := key + "|" + stateKey
-		action, ok := roundAction[memoKey]
-		if !ok {
-			tab := c.tableFor(d, obs.Workload)
-			dyn := c.dynFeasible(d, obs.Workload, st)
-			action = tab.SelectOf(stateKey, dyn)
-			roundAction[memoKey] = action
-			if cur := c.traceCurrent(); cur != nil {
-				lp := c.localActions[action]
-				cur.Local = append(cur.Local, LocalDecision{
-					Table: key, State: stateKey, Action: action,
-					B: lp.B, E: lp.E, Allowed: tab.CandidatesOf(dyn),
-				})
-			}
+	ts = time.Now()
+	key := c.tableKeyFor(d)
+	memo := tableState{key, stateKey}
+	action, ok := c.roundAction[memo]
+	if !ok {
+		tab := c.tableFor(d, c.planWorkload)
+		dyn := c.dynFeasible(d, c.planWorkload, st)
+		action = tab.SelectOf(stateKey, dyn)
+		c.roundAction[memo] = action
+		if cur := c.traceCurrent(); cur != nil {
+			lp := c.localActions[action]
+			cur.Local = append(cur.Local, LocalDecision{
+				Table: key, State: stateKey, Action: action,
+				B: lp.B, E: lp.E, Allowed: tab.CandidatesOf(dyn),
+			})
 		}
-		c.roundChoices[d.ID] = choice{tableKey: key, state: stateKey, action: action}
-		c.overhead.ChooseParams += time.Since(ts)
-		return c.localActions[action]
 	}
-	return fl.Plan{K: c.kActions[kAction], Local: local}
+	c.roundChoices[d.ID] = choice{tableKey: key, state: stateKey, action: action}
+	c.overhead.ChooseParams += time.Since(ts)
+	return c.localActions[action]
 }
 
 // Observe implements steps 4–5: measure the round, compute Eq. 1
@@ -398,7 +461,7 @@ func (c *Controller) Observe(res fl.RoundResult) {
 	prevPct := res.PrevAccuracy * 100
 	eGlobal := c.globalNorm.Normalize(res.EnergyGlobalJ)
 
-	roundRewards := make([]float64, 0, len(res.Participants))
+	roundRewards := c.roundRewards[:0]
 	for _, p := range res.Participants {
 		ch, ok := c.roundChoices[p.DeviceID]
 		if !ok {
@@ -434,10 +497,11 @@ func (c *Controller) Observe(res fl.RoundResult) {
 		}
 		meanLocal = s / float64(len(res.Participants))
 	}
-	if c.pendingK != nil {
+	if c.hasPendingK {
 		kNorm := c.kLocalNorm.Normalize(meanLocal)
 		c.pendingK.reward = Reward(c.cfg.Reward, accPct, prevPct, eGlobal, kNorm)
 	}
+	c.roundRewards = roundRewards
 	if len(roundRewards) > 0 {
 		c.rewardHistory = append(c.rewardHistory, stats.Mean(roundRewards))
 	} else {
@@ -445,7 +509,7 @@ func (c *Controller) Observe(res fl.RoundResult) {
 	}
 	if cur := c.traceCurrent(); cur != nil {
 		cur.Reward = c.rewardHistory[len(c.rewardHistory)-1]
-		if c.pendingK != nil {
+		if c.hasPendingK {
 			cur.K.Reward = c.pendingK.reward
 		}
 	}
@@ -455,16 +519,17 @@ func (c *Controller) Observe(res fl.RoundResult) {
 }
 
 // flushPending applies queued updates using this round's observation as
-// the successor state S'.
-func (c *Controller) flushPending(obs fl.Observation) {
+// the successor state S'; globalState is the K table's S'.
+func (c *Controller) flushPending(obs fl.Observation, globalState string) {
 	if len(c.pendingLocal) > 0 {
 		// Successor state per table: the first fleet device under that
 		// table key, observed in this round's environment.
-		succ := make(map[string]string, len(c.localTables))
+		succ := c.succ
+		clear(succ)
 		for _, d := range obs.Fleet {
 			key := c.tableKeyFor(d)
 			if _, ok := succ[key]; !ok {
-				succ[key] = DeviceStateKey(obs.Workload, obs.States[d.ID])
+				succ[key] = c.deviceStateKey(obs.States[d.ID])
 			}
 		}
 		for _, p := range c.pendingLocal {
@@ -488,8 +553,8 @@ func (c *Controller) flushPending(obs fl.Observation) {
 		}
 		c.pendingLocal = c.pendingLocal[:0]
 	}
-	if c.pendingK != nil && c.kTable != nil {
-		next := GlobalStateKey(obs.Workload, obs.States)
+	if c.hasPendingK && c.kTable != nil {
+		next := globalState
 		delta := c.kTable.Update(c.pendingK.state, c.pendingK.action, c.pendingK.reward, next)
 		if cur := c.traceCurrent(); cur != nil {
 			cur.Updates = append(cur.Updates, QUpdate{
@@ -497,7 +562,7 @@ func (c *Controller) flushPending(obs fl.Observation) {
 				Reward: c.pendingK.reward, Next: next, Delta: delta,
 			})
 		}
-		c.pendingK = nil
+		c.hasPendingK = false
 	}
 }
 

@@ -10,8 +10,6 @@
 package core
 
 import (
-	"strings"
-
 	"fedgpo/internal/fl"
 	"fedgpo/internal/workload"
 )
@@ -100,37 +98,40 @@ func DataBand(classFractionPct float64) byte {
 	}
 }
 
-// ArchKey encodes the workload's architecture states (S_CONV, S_FC,
-// S_RC). It is constant within a run but keeps Q-tables transferable
-// across workloads, which is how shared tables "expedite the design
-// space exploration" (§3.3).
-func ArchKey(w workload.Workload) string {
-	var b strings.Builder
-	b.Grow(3)
-	b.WriteByte(ConvBand(w.ConvLayers))
-	b.WriteByte(FCBand(w.FCLayers))
-	b.WriteByte(RCBand(w.RCLayers))
-	return b.String()
+// archBands encodes the workload's architecture states (S_CONV, S_FC,
+// S_RC), the leading bytes of every state key. They are constant
+// within a run but keep Q-tables transferable across workloads, which
+// is how shared tables "expedite the design space exploration" (§3.3).
+func archBands(w workload.Workload) [3]byte {
+	return [3]byte{ConvBand(w.ConvLayers), FCBand(w.FCLayers), RCBand(w.RCLayers)}
 }
 
-// DeviceStateKey encodes one device's full Table 1 state for the
+// deviceKey is a device state key's bytes: the architecture bands, the
+// co-runner CPU and memory bands, the network band and the data band.
+type deviceKey [7]byte
+
+// globalKey is a global state key's bytes: the architecture bands, the
+// interfered and bad-network fleet fraction bands and the mean data
+// band.
+type globalKey [6]byte
+
+// deviceStateBytes encodes one device's full Table 1 state for the
 // per-category (B, E) Q-tables.
-func DeviceStateKey(w workload.Workload, st fl.DeviceState) string {
-	var b strings.Builder
-	b.Grow(7)
-	b.WriteString(ArchKey(w))
-	b.WriteByte(UsageBand(st.Interference.CPUUsage))
-	b.WriteByte(UsageBand(st.Interference.MemUsage))
-	b.WriteByte(NetworkBand(st.Network.Regular()))
-	b.WriteByte(DataBand(st.ClassFraction))
-	return b.String()
+func deviceStateBytes(arch [3]byte, st fl.DeviceState) deviceKey {
+	return deviceKey{
+		arch[0], arch[1], arch[2],
+		UsageBand(st.Interference.CPUUsage),
+		UsageBand(st.Interference.MemUsage),
+		NetworkBand(st.Network.Regular()),
+		DataBand(st.ClassFraction),
+	}
 }
 
-// GlobalStateKey encodes the fleet-level state the K-selection agent
+// globalStateBytes encodes the fleet-level state the K-selection agent
 // conditions on: the architecture plus banded fleet fractions of
 // interfered devices, bad-network devices, and the mean data-class
 // coverage.
-func GlobalStateKey(w workload.Workload, states []fl.DeviceState) string {
+func globalStateBytes(arch [3]byte, states []fl.DeviceState) globalKey {
 	interfered, badNet, classPct := 0, 0, 0.0
 	for _, st := range states {
 		if st.Interference.CPUUsage > 0 || st.Interference.MemUsage > 0 {
@@ -148,11 +149,10 @@ func GlobalStateKey(w workload.Workload, states []fl.DeviceState) string {
 		badFrac = float64(badNet) / float64(n)
 		meanClass = classPct / float64(n)
 	}
-	var b strings.Builder
-	b.Grow(6)
-	b.WriteString(ArchKey(w))
-	b.WriteByte(UsageBand(intfFrac))
-	b.WriteByte(UsageBand(badFrac))
-	b.WriteByte(DataBand(meanClass))
-	return b.String()
+	return globalKey{
+		arch[0], arch[1], arch[2],
+		UsageBand(intfFrac),
+		UsageBand(badFrac),
+		DataBand(meanClass),
+	}
 }

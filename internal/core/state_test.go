@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"testing"
 
 	"fedgpo/internal/device"
@@ -53,9 +54,9 @@ func TestNetworkAndDataBands(t *testing.T) {
 }
 
 func TestArchKeysDistinguishWorkloads(t *testing.T) {
-	keys := map[string]string{}
+	keys := map[[3]byte]string{}
 	for _, w := range workload.All() {
-		k := ArchKey(w)
+		k := archBands(w)
 		if prev, dup := keys[k]; dup {
 			t.Errorf("workloads %s and %s share arch key %q", prev, w.Name, k)
 		}
@@ -69,33 +70,33 @@ func TestDeviceStateKeyReflectsAllSignals(t *testing.T) {
 		Network:       netsim.Condition{BandwidthMbps: 80},
 		ClassFraction: 100,
 	}
-	k0 := DeviceStateKey(w, base)
+	k0 := deviceStateBytes(archBands(w), base)
 
 	st := base
 	st.Interference = device.Interference{CPUUsage: 0.5}
-	if DeviceStateKey(w, st) == k0 {
+	if deviceStateBytes(archBands(w), st) == k0 {
 		t.Error("CPU interference should change the state key")
 	}
 	st = base
 	st.Interference = device.Interference{MemUsage: 0.5}
-	if DeviceStateKey(w, st) == k0 {
+	if deviceStateBytes(archBands(w), st) == k0 {
 		t.Error("memory interference should change the state key")
 	}
 	st = base
 	st.Network = netsim.Condition{BandwidthMbps: 10}
-	if DeviceStateKey(w, st) == k0 {
+	if deviceStateBytes(archBands(w), st) == k0 {
 		t.Error("bad network should change the state key")
 	}
 	st = base
 	st.ClassFraction = 10
-	if DeviceStateKey(w, st) == k0 {
+	if deviceStateBytes(archBands(w), st) == k0 {
 		t.Error("data composition should change the state key")
 	}
 	// Bands, not raw values: two conditions in the same band collide.
 	a, b := base, base
 	a.Interference = device.Interference{CPUUsage: 0.30}
 	b.Interference = device.Interference{CPUUsage: 0.60}
-	if DeviceStateKey(w, a) != DeviceStateKey(w, b) {
+	if deviceStateBytes(archBands(w), a) != deviceStateBytes(archBands(w), b) {
 		t.Error("same-band conditions should share a key (discretization)")
 	}
 }
@@ -109,13 +110,13 @@ func TestGlobalStateKeyAggregates(t *testing.T) {
 			ClassFraction: 100,
 		}
 	}
-	k0 := GlobalStateKey(w, clean)
+	k0 := globalStateBytes(archBands(w), clean)
 
 	half := append([]fl.DeviceState(nil), clean...)
 	for i := 0; i < 5; i++ {
 		half[i].Interference = device.Interference{CPUUsage: 0.5}
 	}
-	if GlobalStateKey(w, half) == k0 {
+	if globalStateBytes(archBands(w), half) == k0 {
 		t.Error("fleet-wide interference should change the global key")
 	}
 
@@ -123,11 +124,11 @@ func TestGlobalStateKeyAggregates(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		badNet[i].Network = netsim.Condition{BandwidthMbps: 10}
 	}
-	if GlobalStateKey(w, badNet) == k0 {
+	if globalStateBytes(archBands(w), badNet) == k0 {
 		t.Error("fleet-wide bad network should change the global key")
 	}
 
-	if GlobalStateKey(w, nil) == "" {
-		t.Error("empty fleet should still produce a key")
+	if k := globalStateBytes(archBands(w), nil); bytes.IndexByte(k[:], 0) >= 0 {
+		t.Errorf("empty fleet should still produce a full key, got %q", k[:])
 	}
 }

@@ -18,6 +18,9 @@ import (
 
 // Partition is the assignment of class-labelled samples to devices.
 // Counts[d][c] is the number of class-c samples held by device d.
+//
+// Rows are read-only: IID rows alias one shared ring (see IID), so a
+// write through one row would change others.
 type Partition struct {
 	NumClasses int
 	Counts     [][]int
@@ -29,21 +32,27 @@ func (p Partition) NumDevices() int { return len(p.Counts) }
 // IID builds the paper's Ideal-IID distribution: every device holds
 // samplesPerDevice samples spread evenly over all classes (remainders
 // assigned round-robin so totals are exact).
+//
+// Device d holds base+1 samples of classes d, d+1, ..., d+rem-1 (mod
+// classes) and base of the rest, so every row is a rotation of one
+// pattern, base + (c < rem). IID fills that pattern twice into a
+// 2·classes ring and hands device d the full-cap window starting at
+// classes − d%classes: two allocations however large the fleet.
 func IID(devices, classes, samplesPerDevice int) Partition {
 	validate(devices, classes, samplesPerDevice)
-	counts := make([][]int, devices)
 	base := samplesPerDevice / classes
 	rem := samplesPerDevice % classes
+	ring := make([]int, 2*classes)
+	for c := range ring {
+		ring[c] = base
+		if c%classes < rem {
+			ring[c]++
+		}
+	}
+	counts := make([][]int, devices)
 	for d := range counts {
-		counts[d] = make([]int, classes)
-		for c := 0; c < classes; c++ {
-			counts[d][c] = base
-		}
-		// Stagger the remainder by device so the global totals stay
-		// balanced across classes.
-		for r := 0; r < rem; r++ {
-			counts[d][(r+d)%classes]++
-		}
+		o := classes - d%classes
+		counts[d] = ring[o : o+classes : o+classes]
 	}
 	return Partition{NumClasses: classes, Counts: counts}
 }

@@ -185,3 +185,55 @@ func TestPropertyDirichletTotalsExact(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// oldIID is the devices×classes-matrix IID builder IID replaced, kept
+// as the oracle its ring must reproduce value for value.
+func oldIID(devices, classes, samplesPerDevice int) Partition {
+	counts := make([][]int, devices)
+	base := samplesPerDevice / classes
+	rem := samplesPerDevice % classes
+	for d := range counts {
+		counts[d] = make([]int, classes)
+		for c := 0; c < classes; c++ {
+			counts[d][c] = base
+		}
+		for r := 0; r < rem; r++ {
+			counts[d][(r+d)%classes]++
+		}
+	}
+	return Partition{NumClasses: classes, Counts: counts}
+}
+
+func TestIIDMatchesMatrixBuilder(t *testing.T) {
+	// The grid covers rem == 0, samples < classes (base 0) and
+	// classes > devices, plus the registry's workload shapes.
+	for _, devices := range []int{1, 3, 7, 20, 200} {
+		for _, classes := range []int{1, 2, 10, 62, 80, 1000} {
+			for _, samples := range []int{0, 1, 5, 60, 300, 603, 2000} {
+				got, want := IID(devices, classes, samples), oldIID(devices, classes, samples)
+				if got.NumClasses != want.NumClasses || len(got.Counts) != len(want.Counts) {
+					t.Fatalf("IID(%d,%d,%d): shape differs", devices, classes, samples)
+				}
+				for d := range want.Counts {
+					row := got.Counts[d]
+					if len(row) != classes || cap(row) != classes {
+						t.Fatalf("IID(%d,%d,%d): row %d has len %d cap %d, want %d",
+							devices, classes, samples, d, len(row), cap(row), classes)
+					}
+					for c := range want.Counts[d] {
+						if row[c] != want.Counts[d][c] {
+							t.Fatalf("IID(%d,%d,%d): Counts[%d][%d] = %d, want %d",
+								devices, classes, samples, d, c, row[c], want.Counts[d][c])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestIIDAllocs(t *testing.T) {
+	if n := testing.AllocsPerRun(10, func() { IID(200, 1000, 250) }); n > 2 {
+		t.Errorf("IID(200, 1000, 250) makes %v allocations, want <= 2", n)
+	}
+}

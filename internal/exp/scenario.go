@@ -40,6 +40,22 @@ const (
 	defaultMaxRounds = 400
 )
 
+// Resource bounds every spec must respect, checked before anything is
+// allocated. They sit far above every registry, matrix and CLI spec
+// (the largest is the paper's 200 devices for 400 rounds) and exist so
+// that a hostile or mistyped wire spec is an error, not a fleet, a
+// partition or a run arena of unbounded size.
+const (
+	// maxSpecDevices bounds the fleet size and each category count.
+	maxSpecDevices = 50_000
+	// maxSpecRounds bounds every round budget: MaxRounds, a warm-up's
+	// rounds and an oracle probe's rounds.
+	maxSpecRounds = 100_000
+	// maxSpecPartitionCells bounds devices × classes, the size of a
+	// Dirichlet partition and of the class scans every partition costs.
+	maxSpecPartitionCells = 1 << 24
+)
+
 // FleetSpec describes the device population as a device-class mix:
 // explicit per-category counts, optionally rescaled to a total size.
 // The zero value is the paper's 30/70/100 mix at 200 devices.
@@ -75,8 +91,17 @@ func (f FleetSpec) Validate() error {
 	if f.Size < 0 {
 		return fmt.Errorf("exp: fleet size must be non-negative, got %d", f.Size)
 	}
-	if f.Composition().Total() <= 0 {
+	// Bounding every count first keeps the mix's sum from overflowing.
+	if max(f.Mix.High, f.Mix.Mid, f.Mix.Low, f.Size) > maxSpecDevices {
+		return fmt.Errorf("exp: fleet counts must be at most %d devices, got mix %+v size %d",
+			maxSpecDevices, f.Mix, f.Size)
+	}
+	total := f.Composition().Total()
+	if total <= 0 {
 		return fmt.Errorf("exp: fleet resolves to zero devices")
+	}
+	if total > maxSpecDevices {
+		return fmt.Errorf("exp: fleet resolves to %d devices, at most %d allowed", total, maxSpecDevices)
 	}
 	return nil
 }
@@ -366,8 +391,8 @@ type ScenarioSpec struct {
 // every sub-spec so a bad wire spec fails at decode time rather than
 // mid-job.
 func (s ScenarioSpec) Validate() error {
-	if s.MaxRounds < 0 {
-		return fmt.Errorf("exp: MaxRounds must be non-negative, got %d", s.MaxRounds)
+	if s.MaxRounds < 0 || s.MaxRounds > maxSpecRounds {
+		return fmt.Errorf("exp: MaxRounds must be in [0, %d], got %d", maxSpecRounds, s.MaxRounds)
 	}
 	for _, err := range []error{
 		s.Workload.Validate(), s.Fleet.Validate(), s.Partition.Validate(),
@@ -376,6 +401,10 @@ func (s ScenarioSpec) Validate() error {
 		if err != nil {
 			return err
 		}
+	}
+	if n := s.Fleet.Composition().Total(); s.Workload.NumClasses > maxSpecPartitionCells/n {
+		return fmt.Errorf("exp: %d devices × %d classes exceeds the %d-cell partition bound",
+			n, s.Workload.NumClasses, maxSpecPartitionCells)
 	}
 	return nil
 }

@@ -111,6 +111,9 @@ func (c ContenderSpec) validate() error {
 		if c.Core == nil {
 			return fmt.Errorf("exp: contender %q missing core config", c.Type)
 		}
+		if c.WarmRounds < 0 || c.WarmRounds > maxSpecRounds {
+			return fmt.Errorf("exp: warmRounds must be in [0, %d], got %d", maxSpecRounds, c.WarmRounds)
+		}
 		return nil
 	case ContABS:
 		if c.ABS == nil {
@@ -199,6 +202,9 @@ func (sp JobSpec) validate() error {
 	}
 	if err := sp.Scenario.Validate(); err != nil {
 		return err
+	}
+	if sp.ProbeRounds < 0 || sp.ProbeRounds > maxSpecRounds {
+		return fmt.Errorf("exp: probeRounds must be in [0, %d], got %d", maxSpecRounds, sp.ProbeRounds)
 	}
 	return sp.Contender.validate()
 }

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"path/filepath"
 	"sync"
 	"testing"
 
 	"fedgpo/internal/abs"
+	"fedgpo/internal/device"
 	"fedgpo/internal/fl"
 	"fedgpo/internal/runtime"
 	"fedgpo/internal/telemetry"
@@ -182,6 +184,58 @@ func TestDecodeJobSpecRejectsBadABSConfig(t *testing.T) {
 		"LR=-1":               func(c *abs.Config) { c.LR = -1 },
 	} {
 		if _, err := DecodeJobSpec(encode(mutate)); err == nil {
+			t.Errorf("%s: decode should fail", name)
+		}
+	}
+}
+
+// A spec whose fleet, partition or round budget would allocate without
+// limit must fail decoding before a worker builds anything from it,
+// while the paper's own scale decodes.
+func TestDecodeJobSpecRejectsUnboundedResources(t *testing.T) {
+	paper := Ideal(workload.MobileNetImageNet())
+	paper.MaxRounds = defaultMaxRounds
+	static := staticContender(fl.Params{B: 8, E: 10, K: 20}, "")
+	if _, err := DecodeJobSpec(EncodeJobSpec(simSpec(paper, static, 1))); err != nil {
+		t.Fatalf("paper-scale spec rejected: %v", err)
+	}
+	if _, err := DecodeJobSpec(EncodeJobSpec(simSpec(paper, fedgpoWarmContender(paper), 1))); err != nil {
+		t.Fatalf("paper-scale warm FedGPO spec rejected: %v", err)
+	}
+	if _, err := DecodeJobSpec(EncodeJobSpec(oracleSpec(paper, Options{}, 40))); err != nil {
+		t.Fatalf("paper-scale oracle spec rejected: %v", err)
+	}
+	mutated := func(mutate func(*JobSpec)) []byte {
+		sp := simSpec(paper, fedgpoWarmContender(paper), 1)
+		mutate(&sp)
+		return EncodeJobSpec(sp)
+	}
+	const huge = 1_000_000_000_000
+	for name, payload := range map[string][]byte{
+		"maxRounds 1e9": mutated(func(sp *JobSpec) { sp.Scenario.MaxRounds = 1_000_000_000 }),
+		"mix 1e12 each": mutated(func(sp *JobSpec) {
+			sp.Scenario.Fleet.Mix = device.FleetComposition{High: huge, Mid: huge, Low: huge}
+		}),
+		"mix sum overflows": mutated(func(sp *JobSpec) {
+			sp.Scenario.Fleet.Mix = device.FleetComposition{High: math.MaxInt / 2, Mid: math.MaxInt / 2, Low: math.MaxInt / 2}
+		}),
+		"mix sum above cap": mutated(func(sp *JobSpec) {
+			sp.Scenario.Fleet.Mix = device.FleetComposition{High: maxSpecDevices, Mid: maxSpecDevices, Low: 1}
+		}),
+		"size 1e12":       mutated(func(sp *JobSpec) { sp.Scenario.Fleet.Size = huge }),
+		"classes 1e12":    mutated(func(sp *JobSpec) { sp.Scenario.Workload.NumClasses = huge }),
+		"warmRounds 1e12": mutated(func(sp *JobSpec) { sp.Contender.WarmRounds = huge }),
+		"warmRounds -1":   mutated(func(sp *JobSpec) { sp.Contender.WarmRounds = -1 }),
+		"probeRounds 1e12": mutated(func(sp *JobSpec) {
+			*sp = oracleSpec(paper, Options{}, 40)
+			sp.ProbeRounds = huge
+		}),
+		"probeRounds -1": mutated(func(sp *JobSpec) {
+			*sp = oracleSpec(paper, Options{}, 40)
+			sp.ProbeRounds = -1
+		}),
+	} {
+		if _, err := DecodeJobSpec(payload); err == nil {
 			t.Errorf("%s: decode should fail", name)
 		}
 	}

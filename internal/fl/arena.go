@@ -6,6 +6,7 @@ import (
 	"fedgpo/internal/data"
 	"fedgpo/internal/device"
 	"fedgpo/internal/netsim"
+	"fedgpo/internal/stats"
 )
 
 // costKey identifies one memoized compute-cost table. Profile and
@@ -24,10 +25,14 @@ type costKey struct {
 // RunWithArena accepts an explicit arena for benchmarks and tests.
 //
 // Reuse is safe because RunWithArena rewrites every slot it later
-// reads: per-fleet tables are refilled by beginRun, the participant
-// buffers are fully overwritten each round (parts via composite
-// literals, so stale Dropped/energy fields cannot leak), and the memo
-// tables are keyed by value. The only state deliberately carried
+// reads. Per-run slots are refilled by beginRun: the per-fleet tables,
+// the static DeviceState fields (ClassCount, ClassFraction, Samples,
+// which cannot change within a run) and the run's four RNG streams,
+// which are reseeded rather than reallocated. Per-round slots are
+// fully overwritten each round: observeStates writes both stochastic
+// DeviceState fields, and each participant's DeviceRound is a
+// composite literal, so stale Dropped/energy fields cannot leak. The
+// memo tables are keyed by value. The only state deliberately carried
 // across runs is the compute-cost memo, which is pure per
 // (profile, workload, batch) — reusing it cannot change any result,
 // only skip re-deriving it. A dirty arena therefore yields
@@ -58,9 +63,16 @@ type Arena struct {
 	selectedSet []bool
 	aggIDs      []int
 
-	// Per-run accumulators.
+	// Per-run accumulators. history is the run's History, copied out
+	// at its exact length when the run ends.
 	cumTime   []float64
 	cumEnergy []float64
+	history   []RoundRecord
+
+	// The run's RNG streams, reseeded from Config.Seed by beginRun:
+	// root splits into participant selection, environment (interference
+	// and network) and convergence-model noise, in that order.
+	root, selRNG, envRNG, accRNG *stats.RNG
 
 	part data.Memo
 	comm netsim.CommModel
@@ -75,7 +87,13 @@ type Arena struct {
 // NewArena returns an empty arena. Buffers grow on first use and are
 // reused afterwards.
 func NewArena() *Arena {
-	return &Arena{costs: make(map[costKey]*device.CostModel)}
+	return &Arena{
+		costs:  make(map[costKey]*device.CostModel),
+		root:   stats.NewRNG(0),
+		selRNG: stats.NewRNG(0),
+		envRNG: stats.NewRNG(0),
+		accRNG: stats.NewRNG(0),
+	}
 }
 
 // arenaPool recycles arenas across Run calls. sync.Pool is per-P under
@@ -83,9 +101,9 @@ func NewArena() *Arena {
 // back while it walks its shard of simulation cells.
 var arenaPool = sync.Pool{New: func() any { return NewArena() }}
 
-// beginRun sizes the arena for cfg's fleet and precomputes the per-run
-// memo tables (partition signals, per-device cost models, channel
-// power bands).
+// beginRun sizes the arena for cfg's fleet, reseeds its RNG streams
+// and precomputes the per-run tables (partition signals, static device
+// states, per-device cost models, channel power bands).
 func (a *Arena) beginRun(cfg *Config) {
 	n := len(cfg.Fleet)
 	if cap(a.profiles) < n {
@@ -112,10 +130,20 @@ func (a *Arena) beginRun(cfg *Config) {
 	a.times = a.times[:n]
 	a.selectedSet = a.selectedSet[:n]
 
+	a.root.Reseed(cfg.Seed)
+	a.root.SplitInto(a.selRNG)
+	a.root.SplitInto(a.envRNG)
+	a.root.SplitInto(a.accRNG)
+
 	a.part.Reset(cfg.Partition)
 	for i, d := range cfg.Fleet {
 		a.profiles[i] = d.Profile
 		a.samples[i] = a.part.DeviceSamples(d.ID)
+		a.states[i] = DeviceState{
+			ClassCount:    a.part.DeviceClassCount(i),
+			ClassFraction: a.part.DeviceClassFraction(i),
+			Samples:       a.samples[i],
+		}
 		key := costKey{prof: d.Profile, shape: cfg.Workload.Shape}
 		cm := a.costs[key]
 		if cm == nil {
@@ -129,9 +157,11 @@ func (a *Arena) beginRun(cfg *Config) {
 	if cap(a.cumTime) < cfg.MaxRounds {
 		a.cumTime = make([]float64, 0, cfg.MaxRounds)
 		a.cumEnergy = make([]float64, 0, cfg.MaxRounds)
+		a.history = make([]RoundRecord, 0, cfg.MaxRounds)
 	}
 	a.cumTime = a.cumTime[:0]
 	a.cumEnergy = a.cumEnergy[:0]
+	a.history = a.history[:0]
 }
 
 // roundKernel is the arena-resident state of executeRound's phase 2

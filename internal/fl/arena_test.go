@@ -1,7 +1,12 @@
 package fl
 
 import (
+	"encoding/binary"
 	"encoding/json"
+	"fmt"
+	"hash"
+	"hash/fnv"
+	"math"
 	"runtime"
 	"sync"
 	"testing"
@@ -47,10 +52,70 @@ func dirtyConfig() Config {
 	}
 }
 
+// bigConfig is a third deployment, larger than both others, so an
+// arena reused across it and them both grows and shrinks: MobileNet's
+// 1,000-class IID partition over 50 devices under interference.
+func bigConfig() Config {
+	w := workload.MobileNetImageNet()
+	fleet := device.NewFleet(device.PaperComposition().Scale(50))
+	return Config{
+		Workload:               w,
+		Fleet:                  fleet,
+		Partition:              data.IID(len(fleet), w.NumClasses, w.SamplesPerDevice),
+		Channel:                netsim.StableChannel(),
+		Interference:           interfere.Paper(),
+		MaxRounds:              30,
+		AggregationOverheadSec: 30,
+		Seed:                   3,
+	}
+}
+
+// stateDigest is a Static controller that folds every observed
+// DeviceState, static fields included, into a hash. Static itself
+// reads no state, so without it a stale ClassFraction or Samples left
+// in a reused arena would go unseen.
+type stateDigest struct {
+	*Static
+	h hash.Hash64
+}
+
+func newStateDigest(p Params) *stateDigest {
+	return &stateDigest{Static: NewStatic(p), h: fnv.New64a()}
+}
+
+func (s *stateDigest) Plan(obs Observation) Plan {
+	var buf [8]byte
+	put := func(v uint64) {
+		binary.LittleEndian.PutUint64(buf[:], v)
+		s.h.Write(buf[:])
+	}
+	for _, st := range obs.States {
+		put(math.Float64bits(st.Interference.CPUUsage))
+		put(math.Float64bits(st.Interference.MemUsage))
+		put(math.Float64bits(st.Network.BandwidthMbps))
+		put(uint64(st.Network.Signal))
+		put(uint64(st.ClassCount))
+		put(math.Float64bits(st.ClassFraction))
+		put(uint64(st.Samples))
+	}
+	return s.Static.Plan(obs)
+}
+
+// digestRun runs cfg on a under a stateDigest controller and returns
+// the result bytes followed by the digest of every observed state.
+func digestRun(t *testing.T, cfg Config, p Params, a *Arena) string {
+	t.Helper()
+	ctrl := newStateDigest(p)
+	res := marshalStable(t, RunWithArena(cfg, ctrl, a))
+	return fmt.Sprintf("%s|states=%x", res, ctrl.h.Sum64())
+}
+
 // TestRunWithDirtyArenaByteIdentical is the arena-reuse contract: a run
 // on an arena dirtied by unrelated runs (different fleet size,
 // workload, partition, channel) is byte-identical to the same run on a
-// fresh arena, and to the pooled-arena Run path.
+// fresh arena, and to the pooled-arena Run path. Every run here also
+// digests the states its controller observed, so a static DeviceState
+// field or RNG stream left over from an earlier run would show.
 func TestRunWithDirtyArenaByteIdentical(t *testing.T) {
 	cfg := testConfig()
 	cfg.Channel = netsim.UnstableChannel()
@@ -58,9 +123,11 @@ func TestRunWithDirtyArenaByteIdentical(t *testing.T) {
 	cfg.DeadlineSec = 90
 	cfg.MaxRounds = 60
 	cfg.StopAtConvergence = false
-	ctrl := func() Controller { return NewStatic(Params{B: 8, E: 10, K: 10}) }
+	p := Params{B: 8, E: 10, K: 10}
+	ctrl := func() Controller { return NewStatic(p) }
 
 	want := marshalStable(t, RunWithArena(cfg, ctrl(), NewArena()))
+	wantDigest := digestRun(t, cfg, p, NewArena())
 
 	dirty := NewArena()
 	RunWithArena(dirtyConfig(), ctrl(), dirty)
@@ -72,6 +139,68 @@ func TestRunWithDirtyArenaByteIdentical(t *testing.T) {
 
 	if got := marshalStable(t, Run(cfg, ctrl())); got != want {
 		t.Error("pooled-arena Run differs from a fresh-arena run")
+	}
+
+	// One arena carried across workloads whose fleets grow (20 → 50)
+	// and shrink (50 → 33 → 20): each run must equal its fresh-arena
+	// run, observed states included.
+	bigP := Params{B: 16, E: 5, K: 20}
+	wantBig := digestRun(t, bigConfig(), bigP, NewArena())
+	wantDirty := digestRun(t, dirtyConfig(), p, NewArena())
+	shared := NewArena()
+	for i, step := range []struct {
+		name string
+		cfg  Config
+		p    Params
+		want string
+	}{
+		{"paper-mix 20", cfg, p, wantDigest},
+		{"mobilenet 50", bigConfig(), bigP, wantBig},
+		{"lstm 33", dirtyConfig(), p, wantDirty},
+		{"paper-mix 20 again", cfg, p, wantDigest},
+		{"mobilenet 50 again", bigConfig(), bigP, wantBig},
+	} {
+		if got := digestRun(t, step.cfg, step.p, shared); got != step.want {
+			t.Errorf("step %d (%s): run on a shared arena differs from a fresh-arena run", i, step.name)
+		}
+	}
+}
+
+// staticStateCheck is a Static controller that checks every round's
+// static DeviceState fields against the partition they come from.
+type staticStateCheck struct {
+	*Static
+	part data.Partition
+	bad  int
+}
+
+func (s *staticStateCheck) Plan(obs Observation) Plan {
+	for i, st := range obs.States {
+		if st.ClassCount != s.part.DeviceClassCount(i) ||
+			st.ClassFraction != s.part.DeviceClassFraction(i) ||
+			st.Samples != s.part.DeviceSamples(obs.Fleet[i].ID) {
+			s.bad++
+		}
+	}
+	return s.Static.Plan(obs)
+}
+
+// TestObservedStaticStateMatchesPartition checks the values beginRun
+// writes once per run: every round, on a fresh arena and on one a
+// larger IID run left behind, each device's ClassCount, ClassFraction
+// and Samples are its partition's.
+func TestObservedStaticStateMatchesPartition(t *testing.T) {
+	cfg := dirtyConfig()
+	for name, a := range map[string]*Arena{"fresh": NewArena(), "dirty": NewArena()} {
+		if name == "dirty" {
+			RunWithArena(bigConfig(), NewStatic(Params{B: 8, E: 10, K: 20}), a)
+		}
+		ctrl := &staticStateCheck{Static: NewStatic(Params{B: 8, E: 10, K: 10}), part: cfg.Partition}
+		res := RunWithArena(cfg, ctrl, a)
+		if ctrl.bad > 0 {
+			t.Errorf("%s arena: %d device-rounds observed static state differing from the partition over %d rounds",
+				name, ctrl.bad, res.RoundsExecuted)
+		}
 	}
 }
 

@@ -31,7 +31,10 @@ type DeviceState struct {
 // run's scratch arena and are only valid until the next round begins
 // (they are always valid for the duration of the Plan call and the
 // round it plans). A controller that wants to keep them across rounds
-// must copy them; every value field is retention-safe.
+// must copy them; every value field is retention-safe. Controllers
+// must not write through States: the simulator writes its static
+// fields (ClassCount, ClassFraction, Samples) once per run and only
+// the stochastic ones (Interference, Network) each round.
 type Observation struct {
 	// Round is the 1-based aggregation round about to execute.
 	Round int

@@ -147,21 +147,14 @@ func RunWithArena(cfg Config, ctrl Controller, a *Arena) Result {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	root := stats.NewRNG(cfg.Seed)
-	selRNG := root.Split() // participant selection
-	envRNG := root.Split() // interference + network draws
-	accRNG := root.Split() // convergence-model noise
-
-	model := convmodel.New(cfg.Workload, accRNG)
-	tracker := convmodel.NewTracker(cfg.Workload)
-
 	n := len(cfg.Fleet)
 	a.beginRun(&cfg)
+	model := convmodel.New(cfg.Workload, a.accRNG)
+	tracker := convmodel.NewTracker(cfg.Workload)
 
 	res := Result{
 		Controller:       ctrl.Name(),
 		ConvergenceRound: -1,
-		History:          make([]RoundRecord, 0, cfg.MaxRounds),
 	}
 	var overhead time.Duration
 	// catEnergy accumulates the per-category energy across rounds in a
@@ -178,7 +171,7 @@ func RunWithArena(cfg Config, ctrl Controller, a *Arena) Result {
 		roundStart := time.Now()
 		// 1. Observe the environment.
 		states := a.states
-		observeStates(&cfg, &a.part, a.samples, states, envRNG)
+		observeStates(&cfg, states, a.envRNG)
 		obs := Observation{
 			Round:            round,
 			Workload:         cfg.Workload,
@@ -202,13 +195,13 @@ func RunWithArena(cfg Config, ctrl Controller, a *Arena) Result {
 			k = n
 		}
 
-		// 3. Random participant selection (paper Algorithm 1). PermInto
-		// consumes exactly the draws SampleWithoutReplacement did, so
-		// the selection stream is unchanged; the double-buffered
-		// selection slice keeps the previous round's PrevParticipants
-		// intact while this round's is written.
+		// 3. Random participant selection (paper Algorithm 1): the
+		// first k of a uniform permutation, drawn as Perm would draw it
+		// but into the arena. The double-buffered selection slice keeps
+		// the previous round's PrevParticipants intact while this
+		// round's is written.
 		selected := a.sel[round&1][:k]
-		selRNG.PermInto(a.perm)
+		a.selRNG.PermInto(a.perm)
 		copy(selected, a.perm[:k])
 		sort.Ints(selected)
 
@@ -233,7 +226,7 @@ func RunWithArena(cfg Config, ctrl Controller, a *Arena) Result {
 		// 7. Bookkeeping.
 		prevAcc = acc
 		prevParticipants = selected
-		res.History = append(res.History, RoundRecord{
+		a.history = append(a.history, RoundRecord{
 			Round:        round,
 			Accuracy:     acc,
 			RoundSeconds: rr.RoundSeconds,
@@ -265,6 +258,8 @@ func RunWithArena(cfg Config, ctrl Controller, a *Arena) Result {
 		}
 	}
 
+	res.History = make([]RoundRecord, len(a.history))
+	copy(res.History, a.history)
 	res.Converged = tracker.Converged()
 	if res.Converged {
 		res.ConvergenceRound = tracker.ConvergenceRound()
@@ -303,17 +298,14 @@ func RunWithArena(cfg Config, ctrl Controller, a *Arena) Result {
 }
 
 // observeStates samples this round's per-device environment into the
-// arena-provided states slice (one fleet-sized allocation per run was
-// pure churn at this call rate).
-func observeStates(cfg *Config, pm *data.Memo, samples []int, states []DeviceState, rng *stats.RNG) {
+// arena's states slice. Only the two stochastic fields are written:
+// beginRun filled the static ones (ClassCount, ClassFraction, Samples)
+// for the whole run.
+func observeStates(cfg *Config, states []DeviceState, rng *stats.RNG) {
 	for i := range states {
-		states[i] = DeviceState{
-			Interference:  cfg.Interference.Sample(rng),
-			Network:       cfg.Channel.Sample(rng),
-			ClassCount:    pm.DeviceClassCount(i),
-			ClassFraction: pm.DeviceClassFraction(i),
-			Samples:       samples[i],
-		}
+		st := &states[i]
+		st.Interference = cfg.Interference.Sample(rng)
+		st.Network = cfg.Channel.Sample(rng)
 	}
 }
 

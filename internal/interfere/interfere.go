@@ -103,18 +103,5 @@ func (m Model) Sample(rng *stats.RNG) device.Interference {
 	}
 }
 
-// SampleFleet draws one round of interference for every device ID in
-// [0, n).
-func (m Model) SampleFleet(n int, rng *stats.RNG) []device.Interference {
-	out := make([]device.Interference, n)
-	if m.ActiveFraction <= 0 {
-		return out
-	}
-	for i := range out {
-		out[i] = m.Sample(rng)
-	}
-	return out
-}
-
 // Active reports whether the model generates any interference at all.
 func (m Model) Active() bool { return m.ActiveFraction > 0 }

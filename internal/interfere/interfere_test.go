@@ -55,25 +55,3 @@ func TestWebBrowsingLighterThanHeavyGame(t *testing.T) {
 		t.Error("web browsing should be a lighter co-runner than a heavy game")
 	}
 }
-
-func TestSampleFleetSizeAndDeterminism(t *testing.T) {
-	m := Paper()
-	a := m.SampleFleet(50, stats.NewRNG(7))
-	b := m.SampleFleet(50, stats.NewRNG(7))
-	if len(a) != 50 {
-		t.Fatalf("fleet sample size = %d", len(a))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("same-seed fleets diverged at device %d", i)
-		}
-	}
-}
-
-func TestSampleFleetNoneIsAllZeros(t *testing.T) {
-	for _, s := range None().SampleFleet(20, stats.NewRNG(1)) {
-		if s.CPUUsage != 0 || s.MemUsage != 0 {
-			t.Fatal("None fleet should be all zeros")
-		}
-	}
-}

@@ -175,7 +175,7 @@ func (t *QTable) BestOf(state string, allowed []bool) int {
 	row := t.Values(state)
 	best := -1
 	for a, v := range row {
-		if !t.allowed(a) || a >= len(allowed) || !allowed[a] {
+		if !t.candidate(a, allowed) {
 			continue
 		}
 		if best == -1 || v > row[best] {
@@ -194,22 +194,45 @@ func (t *QTable) BestOf(state string, allowed []bool) int {
 // feasibility set: actions whose predicted time under the *currently
 // observed* interference would straggle the round are excluded from
 // both exploitation and exploration.
+//
+// It draws from CandidatesOf's set in place — counting it, then
+// walking to the drawn or greedy member — so a state the table has
+// already seen selects without allocating. Its draws are Bernoulli,
+// then, when exploring, Intn over the set's size.
 func (t *QTable) SelectOf(state string, allowed []bool) int {
-	candidates := t.CandidatesOf(allowed)
-	if len(candidates) == 0 {
+	n := 0
+	for a := 0; a < t.actions; a++ {
+		if t.candidate(a, allowed) {
+			n++
+		}
+	}
+	if n == 0 {
 		return t.Select(state)
 	}
 	if t.rng.Bernoulli(t.cfg.Epsilon) {
-		return candidates[t.rng.Intn(len(candidates))]
+		i := t.rng.Intn(n)
+		for a := 0; ; a++ {
+			if t.candidate(a, allowed) {
+				if i == 0 {
+					return a
+				}
+				i--
+			}
+		}
 	}
 	row := t.Values(state)
-	best := candidates[0]
-	for _, a := range candidates[1:] {
-		if row[a] > row[best] {
+	best := -1
+	for a, v := range row {
+		if t.candidate(a, allowed) && (best == -1 || v > row[best]) {
 			best = a
 		}
 	}
 	return best
+}
+
+// candidate reports whether action a is in SelectOf's set.
+func (t *QTable) candidate(a int, allowed []bool) bool {
+	return t.allowed(a) && a < len(allowed) && allowed[a]
 }
 
 // CandidatesOf returns the action set SelectOf draws from: the
@@ -220,7 +243,7 @@ func (t *QTable) SelectOf(state string, allowed []bool) int {
 func (t *QTable) CandidatesOf(allowed []bool) []int {
 	candidates := make([]int, 0, t.actions)
 	for a := 0; a < t.actions; a++ {
-		if t.allowed(a) && a < len(allowed) && allowed[a] {
+		if t.candidate(a, allowed) {
 			candidates = append(candidates, a)
 		}
 	}

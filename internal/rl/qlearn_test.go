@@ -205,3 +205,83 @@ func TestDeterministicAcrossSeeds(t *testing.T) {
 		b.Update("x", sb, float64(i%7), "x")
 	}
 }
+
+// selectOfCandidates is SelectOf as it was built on CandidatesOf, kept
+// as the oracle for the in-place version.
+func selectOfCandidates(t *QTable, state string, allowed []bool) int {
+	candidates := t.CandidatesOf(allowed)
+	if len(candidates) == 0 {
+		return t.Select(state)
+	}
+	if t.rng.Bernoulli(t.cfg.Epsilon) {
+		return candidates[t.rng.Intn(len(candidates))]
+	}
+	row := t.Values(state)
+	best := candidates[0]
+	for _, a := range candidates[1:] {
+		if row[a] > row[best] {
+			best = a
+		}
+	}
+	return best
+}
+
+func TestSelectOfMatchesCandidatesOf(t *testing.T) {
+	const actions = 30
+	gen := stats.NewRNG(2024)
+	states := []string{"a", "b", "c", "d", "e", "f"}
+	for seed := int64(1); seed <= 40; seed++ {
+		cfg := PaperConfig()
+		cfg.Epsilon = []float64{0, 0.1, 0.5, 1}[seed%4]
+		got := NewQTable(actions, cfg, stats.NewRNG(seed))
+		want := NewQTable(actions, cfg, stats.NewRNG(seed))
+		if seed%3 != 0 {
+			mask := make([]bool, actions)
+			mask[gen.Intn(actions)] = true
+			for a := range mask {
+				mask[a] = mask[a] || gen.Bernoulli(0.6)
+			}
+			got.SetMask(mask)
+			want.SetMask(mask)
+		}
+		for step := 0; step < 200; step++ {
+			// Density 0 yields the empty-intersection fallback; a short
+			// allowed slice covers actions past its end.
+			allowed := make([]bool, []int{actions, actions, actions, 12}[step%4])
+			density := []float64{0, 0.05, 0.3, 0.9}[gen.Intn(4)]
+			for a := range allowed {
+				allowed[a] = gen.Bernoulli(density)
+			}
+			state := states[gen.Intn(len(states))]
+			if g, w := got.SelectOf(state, allowed), selectOfCandidates(want, state, allowed); g != w {
+				t.Fatalf("seed %d step %d: SelectOf = %d, CandidatesOf version = %d", seed, step, g, w)
+			}
+			if step%7 == 0 {
+				r := gen.Float64()
+				a := got.Best(state)
+				got.Update(state, a, r, state)
+				want.Update(state, a, r, state)
+			}
+		}
+		if g, w := got.rng.Int63(), want.rng.Int63(); g != w {
+			t.Fatalf("seed %d: RNG state after SelectOf differs from the CandidatesOf version", seed)
+		}
+	}
+}
+
+func TestSelectOfAllocs(t *testing.T) {
+	tab := newTable(t, 30, 0.5)
+	allowed := make([]bool, 30)
+	for a := range allowed {
+		allowed[a] = a%3 != 0
+	}
+	tab.SelectOf("seen", allowed)
+	if n := testing.AllocsPerRun(100, func() { tab.SelectOf("seen", allowed) }); n != 0 {
+		t.Errorf("SelectOf on a seen state makes %v allocations, want 0", n)
+	}
+	fresh := 0
+	states := []string{"n0", "n1", "n2", "n3", "n4", "n5", "n6", "n7", "n8", "n9", "n10"}
+	if n := testing.AllocsPerRun(10, func() { tab.Values(states[fresh]); fresh++ }); n < 1 {
+		t.Errorf("Values on a new state makes %v allocations, want a new row", n)
+	}
+}

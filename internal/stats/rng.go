@@ -28,12 +28,23 @@ func NewRNG(seed int64) *RNG {
 	return &RNG{r: rand.New(rand.NewSource(seed))}
 }
 
+// Reseed restarts the stream at seed, leaving exactly the state
+// NewRNG(seed) would: a caller that runs many seeded streams one after
+// another can keep one source instead of allocating a new one (about
+// 4.9 KB) each time.
+func (g *RNG) Reseed(seed int64) { g.r.Seed(seed) }
+
 // Split derives an independent child stream. The child is seeded from
 // the parent's stream, so a fixed sequence of Split calls on a fixed
 // seed yields a fixed family of streams.
 func (g *RNG) Split() *RNG {
 	return NewRNG(g.r.Int63())
 }
+
+// SplitInto is Split into an existing stream: child is reseeded from
+// the parent's stream, consuming the same draw Split does, and ends in
+// the state Split's result would have.
+func (g *RNG) SplitInto(child *RNG) { child.Reseed(g.r.Int63()) }
 
 // Float64 returns a uniform sample in [0, 1).
 func (g *RNG) Float64() float64 { return g.r.Float64() }
@@ -199,18 +210,6 @@ func (g *RNG) PermInto(p []int) {
 		p[i] = p[j]
 		p[j] = i
 	}
-}
-
-// SampleWithoutReplacement returns k distinct indices drawn uniformly
-// from [0, n). It panics if k > n or k < 0.
-func (g *RNG) SampleWithoutReplacement(n, k int) []int {
-	if k < 0 || k > n {
-		panic("stats: sample size out of range")
-	}
-	p := g.r.Perm(n)
-	out := make([]int, k)
-	copy(out, p[:k])
-	return out
 }
 
 // Bernoulli returns true with probability p (clamped to [0,1]).

@@ -171,33 +171,6 @@ func TestCategoricalSkipsNonPositive(t *testing.T) {
 	}
 }
 
-func TestSampleWithoutReplacement(t *testing.T) {
-	g := NewRNG(8)
-	s := g.SampleWithoutReplacement(20, 10)
-	if len(s) != 10 {
-		t.Fatalf("want 10 samples, got %d", len(s))
-	}
-	seen := map[int]bool{}
-	for _, v := range s {
-		if v < 0 || v >= 20 {
-			t.Fatalf("sample %d out of range", v)
-		}
-		if seen[v] {
-			t.Fatalf("duplicate sample %d", v)
-		}
-		seen[v] = true
-	}
-}
-
-func TestSampleWithoutReplacementPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic when k > n")
-		}
-	}()
-	NewRNG(1).SampleWithoutReplacement(3, 4)
-}
-
 func TestBernoulliEdges(t *testing.T) {
 	g := NewRNG(9)
 	for i := 0; i < 100; i++ {
@@ -248,6 +221,71 @@ func TestPermIntoMatchesPerm(t *testing.T) {
 			if x, y := a.Int63(), b.Int63(); x != y {
 				t.Fatalf("n=%d: stream diverged after permutation (draw %d: %d vs %d)", n, i, x, y)
 			}
+		}
+	}
+}
+
+// sameStream reports the first draw at which a and b differ across
+// every draw kind the simulator uses, or -1 if they agree throughout.
+func sameStream(a, b *RNG) int {
+	pa, pb := make([]int, 37), make([]int, 37)
+	for i := 0; i < 200; i++ {
+		switch i % 4 {
+		case 0:
+			if a.Float64() != b.Float64() {
+				return i
+			}
+		case 1:
+			if a.Gaussian(0, 1) != b.Gaussian(0, 1) {
+				return i
+			}
+		case 2:
+			if a.Intn(1+i) != b.Intn(1+i) {
+				return i
+			}
+		case 3:
+			a.PermInto(pa)
+			b.PermInto(pb)
+			for j := range pa {
+				if pa[j] != pb[j] {
+					return i
+				}
+			}
+		}
+	}
+	return -1
+}
+
+func TestReseedMatchesNewRNG(t *testing.T) {
+	for _, seed := range []int64{0, 1, 42, -7, 1 << 40} {
+		for _, drawn := range []int{0, 1, 13, 1000} {
+			g := NewRNG(seed ^ 0x5eed)
+			for i := 0; i < drawn; i++ {
+				g.Float64()
+				g.Gaussian(0, 1)
+			}
+			g.Reseed(seed)
+			if i := sameStream(g, NewRNG(seed)); i >= 0 {
+				t.Fatalf("seed %d after %d draws: reseeded stream diverges from NewRNG at draw %d", seed, drawn, i)
+			}
+		}
+	}
+}
+
+func TestSplitIntoMatchesSplit(t *testing.T) {
+	for _, seed := range []int64{1, 2, 997} {
+		a, b := NewRNG(seed), NewRNG(seed)
+		child := NewRNG(-1)
+		child.Float64() // a used child: SplitInto must not depend on its state
+		for k := 0; k < 3; k++ {
+			want := a.Split()
+			b.SplitInto(child)
+			if i := sameStream(want, child); i >= 0 {
+				t.Fatalf("seed %d split %d: SplitInto child diverges from Split at draw %d", seed, k, i)
+			}
+		}
+		if i := sameStream(a, b); i >= 0 {
+			t.Fatalf("seed %d: parents diverge after splitting at draw %d", seed, i)
 		}
 	}
 }
