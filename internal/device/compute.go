@@ -156,7 +156,7 @@ func ComputeJoulesAtStep(p Profile, busySec, idleSec float64, cpuStep, gpuStep i
 // aggregation at WaitWatts — the straggler-induced "redundant energy"
 // of paper Fig. 5. Communication energy is accounted separately by the
 // channel model (Eq. 3).
-func ParticipantJoules(p Profile, busySec, waitSec float64) float64 {
+func ParticipantJoules(p *Profile, busySec, waitSec float64) float64 {
 	if busySec < 0 {
 		busySec = 0
 	}
@@ -168,12 +168,13 @@ func ParticipantJoules(p Profile, busySec, waitSec float64) float64 {
 }
 
 // IdleJoules implements paper Eq. (4): the energy a non-participating
-// device burns for the duration of the round.
-func IdleJoules(p Profile, roundSec float64) float64 {
+// device with idle draw idleWatts (its Profile.IdleWatts) burns for
+// the duration of the round.
+func IdleJoules(idleWatts, roundSec float64) float64 {
 	if roundSec < 0 {
 		roundSec = 0
 	}
-	return p.IdleWatts * roundSec
+	return idleWatts * roundSec
 }
 
 // SlowdownVsBaseline reports the ratio of a device's compute time under

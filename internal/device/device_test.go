@@ -243,10 +243,10 @@ func TestComputeJoulesAtStepLowerAtLowerStep(t *testing.T) {
 
 func TestIdleJoulesEq4(t *testing.T) {
 	p := Profiles()[Low]
-	if got := IdleJoules(p, 100); math.Abs(got-p.IdleWatts*100) > 1e-12 {
+	if got := IdleJoules(p.IdleWatts, 100); math.Abs(got-p.IdleWatts*100) > 1e-12 {
 		t.Errorf("IdleJoules = %v", got)
 	}
-	if IdleJoules(p, -5) != 0 {
+	if IdleJoules(p.IdleWatts, -5) != 0 {
 		t.Error("negative round time should clamp")
 	}
 }

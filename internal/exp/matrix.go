@@ -11,6 +11,10 @@ import (
 	"fedgpo/internal/workload"
 )
 
+// maxMatrixCells bounds a scenario matrix's cross product. The
+// benchmark's matrix has 216 cells.
+const maxMatrixCells = 100_000
+
 // ScenarioMatrix generates the cross product of scenario axes for a
 // workload — the generator behind fedgpo-sweep's -matrix flag. The
 // matrix string is a ';'-separated list of axes, each "name=v1,v2,..."
@@ -62,6 +66,15 @@ func ScenarioMatrix(w workload.Workload, matrix string) ([]ScenarioSpec, error) 
 	}
 	if len(axes) == 0 {
 		return nil, fmt.Errorf("exp: empty scenario matrix")
+	}
+	// Size the cross product before building any of it, so a hostile
+	// matrix is an error rather than an allocation.
+	cells := 1
+	for _, ax := range axes {
+		if len(ax.values) > maxMatrixCells/cells {
+			return nil, fmt.Errorf("exp: scenario matrix has more than %d cells", maxMatrixCells)
+		}
+		cells *= len(ax.values)
 	}
 
 	specs := []ScenarioSpec{Ideal(w)}

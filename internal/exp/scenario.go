@@ -430,16 +430,23 @@ func (s ScenarioSpec) cacheKey() string {
 		s.Deadline.SecondsFor(s.Workload), aggregationOverheadSec)
 }
 
-// Config materializes the scenario for a run seed.
+// Config materializes the scenario for a run seed. The fleet and the
+// partition are the process's shared, read-only ones (fl.SharedFleet,
+// fl.SharedPartition): every cell of a scenario, and every scenario
+// with the same composition or partition, runs on the same values.
 func (s ScenarioSpec) Config(seed int64) fl.Config {
 	if err := s.Validate(); err != nil {
 		panic(err)
 	}
-	fleet := device.NewFleet(s.Fleet.Composition())
+	fleet := fl.SharedFleet(s.Fleet.Composition())
+	n, w := len(fleet), s.Workload
+	part := fl.SharedPartition(fl.PartitionKey{
+		Spec: s.Partition.key(), Devices: n, Classes: w.NumClasses, SamplesPerDevice: w.SamplesPerDevice,
+	}, func() data.Partition { return s.Partition.Materialize(n, w) })
 	return fl.Config{
 		Workload:               s.Workload,
 		Fleet:                  fleet,
-		Partition:              s.Partition.Materialize(len(fleet), s.Workload),
+		Partition:              part,
 		Channel:                s.Network.Channel(),
 		Interference:           s.Interference.Model(),
 		MaxRounds:              s.rounds(),

@@ -3,6 +3,7 @@ package exp
 import (
 	"encoding/json"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -259,6 +260,34 @@ func TestScenarioMatrix(t *testing.T) {
 		if _, err := ScenarioMatrix(w, bad); err == nil {
 			t.Errorf("matrix %q should fail to parse", bad)
 		}
+	}
+}
+
+// A matrix whose cross product exceeds maxMatrixCells is rejected
+// before any spec is built, however many cells it asks for; the
+// largest allowed one builds.
+func TestScenarioMatrixBoundsCrossProduct(t *testing.T) {
+	w := workload.CNNMNIST()
+	axis := func(name string, n int) string {
+		vals := make([]string, n)
+		for i := range vals {
+			vals[i] = strconv.Itoa(i + 1)
+		}
+		return name + "=" + strings.Join(vals, ",")
+	}
+	// 10^20 cells: a plain product would wrap around.
+	huge := strings.Join([]string{axis("fleet", 1e5), axis("rounds", 1e5), axis("deadline", 1e5), axis("alpha", 1e5)}, ";")
+	for _, bad := range []string{
+		huge,
+		axis("fleet", 400) + ";" + axis("rounds", 251),
+	} {
+		if _, err := ScenarioMatrix(w, bad); err == nil || !strings.Contains(err.Error(), "cells") {
+			t.Errorf("a %d-byte matrix over the cell bound: err = %v, want a cell-count error", len(bad), err)
+		}
+	}
+	specs, err := ScenarioMatrix(w, axis("fleet", 400)+";"+axis("rounds", 250))
+	if err != nil || len(specs) != maxMatrixCells {
+		t.Errorf("a %d-cell matrix: %d specs, err %v", maxMatrixCells, len(specs), err)
 	}
 }
 

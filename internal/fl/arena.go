@@ -24,18 +24,28 @@ type costKey struct {
 // long-lived arena carried across the simulation cells it executes;
 // RunWithArena accepts an explicit arena for benchmarks and tests.
 //
+// A run's environment — each round's interference and bandwidth draws
+// and its selection permutation — does not depend on the controller,
+// so it is not drawn per run: beginRun joins the process's run memo
+// and takes the environment trace for the run's (seed, fleet size,
+// interference model, channel), and each round replays the trace,
+// recording the round first if no run has reached it yet (see
+// envTrace). The arena holds the memo strongly; nothing else does, so
+// the memo lives exactly as long as some arena, pooled or running,
+// uses it.
+//
 // Reuse is safe because RunWithArena rewrites every slot it later
 // reads. Per-run slots are refilled by beginRun: the per-fleet tables,
 // the static DeviceState fields (ClassCount, ClassFraction, Samples,
-// which cannot change within a run) and the run's four RNG streams,
-// which are reseeded rather than reallocated. Per-round slots are
-// fully overwritten each round: observeStates writes both stochastic
-// DeviceState fields, and each participant's DeviceRound is a
-// composite literal, so stale Dropped/energy fields cannot leak. The
-// memo tables are keyed by value. The only state deliberately carried
-// across runs is the compute-cost memo, which is pure per
-// (profile, workload, batch) — reusing it cannot change any result,
-// only skip re-deriving it. A dirty arena therefore yields
+// which cannot change within a run), the trace view and the
+// convergence-model stream, which is reseeded rather than reallocated.
+// Per-round slots are fully overwritten each round: the trace replay
+// writes both stochastic DeviceState fields, and each participant's
+// DeviceRound is a composite literal, so stale Dropped/energy fields
+// cannot leak. The memo tables are keyed by value. The only state
+// deliberately carried across runs is the compute-cost memo, which is
+// pure per (profile, workload, batch) — reusing it cannot change any
+// result, only skip re-deriving it. A dirty arena therefore yields
 // byte-identical output to a fresh one (enforced by
 // TestRunWithDirtyArenaByteIdentical).
 //
@@ -44,11 +54,11 @@ type costKey struct {
 // ownership contract on those types.
 type Arena struct {
 	// Per-fleet tables, refilled by beginRun.
-	profiles []device.Profile
-	samples  []int
-	devCost  []*device.CostModel
-	states   []DeviceState
-	perm     []int
+	profiles  []device.Profile
+	idleWatts []float64
+	samples   []int
+	devCost   []*device.CostModel
+	states    []DeviceState
 
 	// sel double-buffers participant selection: the previous round's
 	// buffer stays intact while the current one is written, so
@@ -69,10 +79,13 @@ type Arena struct {
 	cumEnergy []float64
 	history   []RoundRecord
 
-	// The run's RNG streams, reseeded from Config.Seed by beginRun:
-	// root splits into participant selection, environment (interference
-	// and network) and convergence-model noise, in that order.
-	root, selRNG, envRNG, accRNG *stats.RNG
+	// memo is the run memo this arena joined; env is the run's view of
+	// its environment trace.
+	memo *runMemo
+	env  traceView
+	// accRNG is the run's convergence-model noise stream, reseeded by
+	// beginRun from the trace's accSeed.
+	accRNG *stats.RNG
 
 	part data.Memo
 	comm netsim.CommModel
@@ -89,9 +102,6 @@ type Arena struct {
 func NewArena() *Arena {
 	return &Arena{
 		costs:  make(map[costKey]*device.CostModel),
-		root:   stats.NewRNG(0),
-		selRNG: stats.NewRNG(0),
-		envRNG: stats.NewRNG(0),
 		accRNG: stats.NewRNG(0),
 	}
 }
@@ -101,17 +111,18 @@ func NewArena() *Arena {
 // back while it walks its shard of simulation cells.
 var arenaPool = sync.Pool{New: func() any { return NewArena() }}
 
-// beginRun sizes the arena for cfg's fleet, reseeds its RNG streams
-// and precomputes the per-run tables (partition signals, static device
-// states, per-device cost models, channel power bands).
+// beginRun sizes the arena for cfg's fleet, joins the current run memo
+// and its environment trace, reseeds the convergence-model stream and
+// precomputes the per-run tables (partition signals, static device
+// states, idle power, per-device cost models, channel power bands).
 func (a *Arena) beginRun(cfg *Config) {
 	n := len(cfg.Fleet)
 	if cap(a.profiles) < n {
 		a.profiles = make([]device.Profile, n)
+		a.idleWatts = make([]float64, n)
 		a.samples = make([]int, n)
 		a.devCost = make([]*device.CostModel, n)
 		a.states = make([]DeviceState, n)
-		a.perm = make([]int, n)
 		a.sel[0] = make([]int, n)
 		a.sel[1] = make([]int, n)
 		a.parts = make([]DeviceRound, n)
@@ -121,23 +132,24 @@ func (a *Arena) beginRun(cfg *Config) {
 		a.aggIDs = make([]int, 0, n)
 	}
 	a.profiles = a.profiles[:n]
+	a.idleWatts = a.idleWatts[:n]
 	a.samples = a.samples[:n]
 	a.devCost = a.devCost[:n]
 	a.states = a.states[:n]
-	a.perm = a.perm[:n]
 	a.parts = a.parts[:n]
 	a.commJoules = a.commJoules[:n]
 	a.times = a.times[:n]
 	a.selectedSet = a.selectedSet[:n]
 
-	a.root.Reseed(cfg.Seed)
-	a.root.SplitInto(a.selRNG)
-	a.root.SplitInto(a.envRNG)
-	a.root.SplitInto(a.accRNG)
+	a.memo = currentMemo(memoCapBytes)
+	t := a.memo.trace(envKey{seed: cfg.Seed, n: n, intf: cfg.Interference, ch: cfg.Channel})
+	a.env.reset(t)
+	a.accRNG.Reseed(t.accSeed)
 
 	a.part.Reset(cfg.Partition)
 	for i, d := range cfg.Fleet {
 		a.profiles[i] = d.Profile
+		a.idleWatts[i] = d.Profile.IdleWatts
 		a.samples[i] = a.part.DeviceSamples(d.ID)
 		a.states[i] = DeviceState{
 			ClassCount:    a.part.DeviceClassCount(i),

@@ -41,7 +41,9 @@ type Observation struct {
 	// Workload describes the NN being trained (S_CONV, S_FC, S_RC come
 	// from here).
 	Workload workload.Workload
-	// Fleet is the full device list; Fleet[i].ID indexes States.
+	// Fleet is the full device list; Fleet[i].ID indexes States. It is
+	// the run's Config.Fleet, possibly shared with concurrent runs, so
+	// controllers must treat it as read-only.
 	Fleet []device.Device
 	// States holds this round's observed per-device state for every
 	// device in the fleet.

@@ -20,10 +20,14 @@ import (
 type Config struct {
 	// Workload is the NN training task.
 	Workload workload.Workload
-	// Fleet is the device population (paper: 200 devices, 30/70/100).
+	// Fleet is the device population (paper: 200 devices, 30/70/100),
+	// at most 65,535 devices. It is read-only: runs may share one
+	// fleet (see SharedFleet), so neither the simulator nor any
+	// controller writes through it.
 	Fleet []device.Device
 	// Partition assigns data to devices; Partition.NumDevices must
-	// equal len(Fleet).
+	// equal len(Fleet). Like Fleet it is read-only and may be shared
+	// (see SharedPartition).
 	Partition data.Partition
 	// Channel is the wireless model (stable or unstable).
 	Channel netsim.Channel
@@ -57,6 +61,10 @@ type Config struct {
 	Telemetry *telemetry.Collector
 }
 
+// maxFleet is the largest fleet a run accepts: environment traces
+// store selection permutations as uint16 device indices.
+const maxFleet = math.MaxUint16
+
 // Validate reports configuration inconsistencies.
 func (c Config) Validate() error {
 	if err := c.Workload.Validate(); err != nil {
@@ -64,6 +72,9 @@ func (c Config) Validate() error {
 	}
 	if len(c.Fleet) == 0 {
 		return fmt.Errorf("fl: empty fleet")
+	}
+	if len(c.Fleet) > maxFleet {
+		return fmt.Errorf("fl: fleet has %d devices, at most %d allowed", len(c.Fleet), maxFleet)
 	}
 	if c.Partition.NumDevices() != len(c.Fleet) {
 		return fmt.Errorf("fl: partition covers %d devices, fleet has %d",
@@ -169,9 +180,9 @@ func RunWithArena(cfg Config, ctrl Controller, a *Arena) Result {
 
 	for round := 1; round <= cfg.MaxRounds; round++ {
 		roundStart := time.Now()
-		// 1. Observe the environment.
+		// 1. Observe the environment, replayed from the trace.
 		states := a.states
-		observeStates(&cfg, states, a.envRNG)
+		perm := a.env.observe(round-1, states)
 		obs := Observation{
 			Round:            round,
 			Workload:         cfg.Workload,
@@ -196,13 +207,13 @@ func RunWithArena(cfg Config, ctrl Controller, a *Arena) Result {
 		}
 
 		// 3. Random participant selection (paper Algorithm 1): the
-		// first k of a uniform permutation, drawn as Perm would draw it
-		// but into the arena. The double-buffered selection slice keeps
-		// the previous round's PrevParticipants intact while this
-		// round's is written.
+		// first k of the round's uniform permutation. The
+		// double-buffered selection slice keeps the previous round's
+		// PrevParticipants intact while this round's is written.
 		selected := a.sel[round&1][:k]
-		a.selRNG.PermInto(a.perm)
-		copy(selected, a.perm[:k])
+		for i, id := range perm[:k] {
+			selected[i] = int(id)
+		}
 		sort.Ints(selected)
 
 		// 4. Execute the round.
@@ -297,18 +308,6 @@ func RunWithArena(cfg Config, ctrl Controller, a *Arena) Result {
 	return res
 }
 
-// observeStates samples this round's per-device environment into the
-// arena's states slice. Only the two stochastic fields are written:
-// beginRun filled the static ones (ClassCount, ClassFraction, Samples)
-// for the whole run.
-func observeStates(cfg *Config, states []DeviceState, rng *stats.RNG) {
-	for i := range states {
-		st := &states[i]
-		st.Interference = cfg.Interference.Sample(rng)
-		st.Network = cfg.Channel.Sample(rng)
-	}
-}
-
 // executeRound runs the selected devices' local training and computes
 // the round's timing and fleet-wide energy.
 //
@@ -399,7 +398,7 @@ func executeRound(cfg *Config, plan Plan, selected []int, a *Arena) RoundResult 
 	var wB, wE, wSamples float64
 	for i := range parts {
 		p := &parts[i]
-		prof := a.profiles[p.DeviceID]
+		prof := &a.profiles[p.DeviceID]
 		busyComp, commJ := p.ComputeSec, commJoules[i]
 		waitIdle := roundSec - p.TotalSec
 		if p.Dropped {
@@ -428,12 +427,11 @@ func executeRound(cfg *Config, plan Plan, selected []int, a *Arena) RoundResult 
 			wSamples += float64(p.Samples)
 		}
 	}
-	for id := range a.profiles {
+	for id, w := range a.idleWatts {
 		if selectedSet[id] {
 			continue
 		}
-		prof := &a.profiles[id]
-		energyByCat[prof.Category] += device.IdleJoules(*prof, roundSec)
+		energyByCat[a.profiles[id].Category] += device.IdleJoules(w, roundSec)
 	}
 	// Sum in fixed category order (array index order == the canonical
 	// device.Categories() order): a varying float addition order would

@@ -128,13 +128,19 @@ func (c Condition) Regular() bool { return c.BandwidthMbps > RegularBandwidthMbp
 
 // Sample draws one device-round condition.
 func (ch Channel) Sample(rng *stats.RNG) Condition {
-	bw := rng.TruncGaussian(ch.MeanMbps, ch.StdMbps, ch.FloorMbps, ch.MeanMbps+4*ch.StdMbps+1)
-	return Condition{BandwidthMbps: bw, Signal: ch.signalFor(bw)}
+	return ConditionAt(rng.TruncGaussian(ch.MeanMbps, ch.StdMbps, ch.FloorMbps, ch.MeanMbps+4*ch.StdMbps+1))
+}
+
+// ConditionAt is the condition of a link at bandwidth bw: the signal
+// band is a pure function of the bandwidth, so a recorded bandwidth
+// replays to exactly the Condition Sample drew.
+func ConditionAt(bw float64) Condition {
+	return Condition{BandwidthMbps: bw, Signal: signalFor(bw)}
 }
 
 // signalFor maps a drawn bandwidth to a signal band: weak below the
 // regular threshold, medium within 1.5x of it, strong above.
-func (ch Channel) signalFor(bw float64) SignalStrength {
+func signalFor(bw float64) SignalStrength {
 	switch {
 	case bw <= RegularBandwidthMbps:
 		return SignalWeak

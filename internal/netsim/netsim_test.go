@@ -51,7 +51,6 @@ func TestSampleRespectsFloor(t *testing.T) {
 }
 
 func TestSignalBands(t *testing.T) {
-	ch := StableChannel()
 	cases := []struct {
 		bw   float64
 		want SignalStrength
@@ -64,8 +63,8 @@ func TestSignalBands(t *testing.T) {
 		{200, SignalStrong},
 	}
 	for _, c := range cases {
-		if got := ch.signalFor(c.bw); got != c.want {
-			t.Errorf("signalFor(%v) = %v, want %v", c.bw, got, c.want)
+		if got := ConditionAt(c.bw).Signal; got != c.want {
+			t.Errorf("ConditionAt(%v).Signal = %v, want %v", c.bw, got, c.want)
 		}
 	}
 }

@@ -41,11 +41,6 @@ func (g *RNG) Split() *RNG {
 	return NewRNG(g.r.Int63())
 }
 
-// SplitInto is Split into an existing stream: child is reseeded from
-// the parent's stream, consuming the same draw Split does, and ends in
-// the state Split's result would have.
-func (g *RNG) SplitInto(child *RNG) { child.Reseed(g.r.Int63()) }
-
 // Float64 returns a uniform sample in [0, 1).
 func (g *RNG) Float64() float64 { return g.r.Float64() }
 

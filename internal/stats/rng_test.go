@@ -271,21 +271,3 @@ func TestReseedMatchesNewRNG(t *testing.T) {
 		}
 	}
 }
-
-func TestSplitIntoMatchesSplit(t *testing.T) {
-	for _, seed := range []int64{1, 2, 997} {
-		a, b := NewRNG(seed), NewRNG(seed)
-		child := NewRNG(-1)
-		child.Float64() // a used child: SplitInto must not depend on its state
-		for k := 0; k < 3; k++ {
-			want := a.Split()
-			b.SplitInto(child)
-			if i := sameStream(want, child); i >= 0 {
-				t.Fatalf("seed %d split %d: SplitInto child diverges from Split at draw %d", seed, k, i)
-			}
-		}
-		if i := sameStream(a, b); i >= 0 {
-			t.Fatalf("seed %d: parents diverge after splitting at draw %d", seed, i)
-		}
-	}
-}
