@@ -4,7 +4,7 @@
 // in-process workers by default, fedgpo-worker -listen pools with
 // -workers — and with -cachedir a rerun only simulates cells whose
 // configuration changed. -results streams every cell to a JSON Lines
-// log as it completes (runtime.ReadStore loads it back).
+// log as it completes (the last line of a repeated key wins).
 //
 // Usage:
 //

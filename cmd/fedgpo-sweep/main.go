@@ -16,7 +16,7 @@
 //
 // Usage:
 //
-//	fedgpo-sweep -workload CNN-MNIST [-noniid] [-variance] [-quick] [-parallel N]
+//	fedgpo-sweep -workload CNN-MNIST [-noniid] [-variance] [-quick] [-seed N] [-parallel N]
 //	             [-workers host:port,...] [-cachedir PATH] [-cache-max-bytes N]
 //	             [-results PATH.jsonl]
 //	fedgpo-sweep -matrix "fleet=200,100;alpha=iid,0.5;net=stable,unstable" [-params 8,10,20] [-seed N]
@@ -117,10 +117,10 @@ func main() {
 			params = append(params, p)
 		}
 	}
-	results := exp.SweepStatic(opts, s, params, 1)
+	results := exp.SweepStatic(opts, s, params, *seed)
 
-	fmt.Printf("workload=%s scenario=%s fleet=%d workers=%d\n",
-		w.Name, s.Name, s.Fleet.Composition().Total(), rt.Workers())
+	fmt.Printf("workload=%s scenario=%s fleet=%d seed=%d workers=%d\n",
+		w.Name, s.Name, s.Fleet.Composition().Total(), *seed, rt.Workers())
 	fmt.Printf("%-12s %10s %12s %14s %10s\n", "(B,E,K)", "converged", "conv round", "energy (kJ)", "PPW")
 	for i, p := range params {
 		res := results[i]

@@ -112,13 +112,6 @@ func CoarseGrid() []fl.Params {
 	return out
 }
 
-// NewFixedBest builds the Fixed (Best) controller by grid search over
-// the given deployment.
-func NewFixedBest(searchCfg fl.Config, candidates []fl.Params, seeds []int64) *fl.Static {
-	p, _ := GridSearchBest(searchCfg, candidates, seeds)
-	return &fl.Static{P: p, Label: "Fixed (Best)"}
-}
-
 // BO is the Adaptive (BO) controller: a GP with expected improvement
 // re-selects the global (B, E, K) every round.
 type BO struct {

@@ -48,7 +48,7 @@ func TestRoundRewardShape(t *testing.T) {
 func TestGridSearchBestPicksReasonableParams(t *testing.T) {
 	cfg := testConfig()
 	p, ppw := GridSearchBest(cfg, CoarseGrid(), []int64{1})
-	if !p.Valid() {
+	if p.B <= 0 || p.E <= 0 || p.K <= 0 {
 		t.Fatalf("grid search returned invalid params %v", p)
 	}
 	if ppw <= 0 {
@@ -66,8 +66,12 @@ func TestGridSearchBestPicksReasonableParams(t *testing.T) {
 }
 
 func TestCoarseGridIsSubsetOfActionSpace(t *testing.T) {
+	onGrid := map[fl.Params]bool{}
+	for _, p := range fl.AllParams() {
+		onGrid[p] = true
+	}
 	for _, p := range CoarseGrid() {
-		if fl.ParamIndex(p) < 0 {
+		if !onGrid[p] {
 			t.Errorf("coarse grid point %v not on the Table 2 grid", p)
 		}
 	}
@@ -79,7 +83,10 @@ func TestCoarseGridIsSubsetOfActionSpace(t *testing.T) {
 func TestAllBaselinesRunAndConverge(t *testing.T) {
 	cfg := testConfig()
 	factories := map[string]func() fl.Controller{
-		"Fixed (Best)":  func() fl.Controller { return NewFixedBest(cfg, CoarseGrid(), []int64{1}) },
+		"Fixed (Best)": func() fl.Controller {
+			p, _ := GridSearchBest(cfg, CoarseGrid(), []int64{1})
+			return &fl.Static{P: p, Label: "Fixed (Best)"}
+		},
 		"Adaptive (BO)": func() fl.Controller { return NewBO(1) },
 		"Adaptive (GA)": func() fl.Controller { return NewGA(1) },
 		"FedEX":         func() fl.Controller { return NewFedEX(1) },

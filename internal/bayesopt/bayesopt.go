@@ -113,9 +113,6 @@ func New(candidates [][]float64, cfg Config, rng *stats.RNG) *Optimizer {
 	}
 }
 
-// Observations returns the number of (x, y) pairs currently in the GP.
-func (o *Optimizer) Observations() int { return len(o.xs) }
-
 // Observe records the outcome of evaluating candidate idx. Once the
 // window is full the oldest observation slides out.
 func (o *Optimizer) Observe(idx int, y float64) {

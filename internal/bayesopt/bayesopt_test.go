@@ -76,7 +76,7 @@ func TestColdStartIsRandomButValid(t *testing.T) {
 			t.Fatalf("suggestion %d out of range", idx)
 		}
 	}
-	if opt.Observations() != 0 {
+	if len(opt.xs) != 0 {
 		t.Error("no observations should be recorded yet")
 	}
 }
@@ -88,7 +88,7 @@ func TestWindowCapsObservations(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		opt.Observe(i%5, float64(i))
 	}
-	if got := opt.Observations(); got != 10 {
+	if got := len(opt.xs); got != 10 {
 		t.Errorf("window kept %d observations, want 10", got)
 	}
 }
@@ -207,7 +207,7 @@ func TestPosteriorMatchesReferenceBitForBit(t *testing.T) {
 			xs, ys = xs[1:], ys[1:]
 		}
 	}
-	if got := opt.Observations(); got != cfg.Window {
+	if got := len(opt.xs); got != cfg.Window {
 		t.Fatalf("window holds %d observations, want %d", got, cfg.Window)
 	}
 }

@@ -1,5 +1,5 @@
 // Package cli centralizes the experiment-runtime flag surface shared
-// by the fedgpo CLIs (report, sweep, sim, train): worker count,
+// by the fedgpo CLIs (report, sweep, sim): worker count,
 // run-cache location and byte budget, and the TCP worker pools that
 // select the shard coordinator. Each CLI registers the block once and
 // builds its exp.Runtime from the parsed values, so a new runtime knob

@@ -23,7 +23,7 @@ type Config struct {
 	// (better prediction accuracy, slower convergence).
 	PerDeviceTables bool
 	// FreezeThreshold, when positive, drops exploration to zero once
-	// every table's update magnitude (DeltaEMA) falls below it —
+	// every table's smoothed update magnitude falls below it —
 	// "when the learning phase is completed ... FedGPO uses the shared
 	// Q-tables to select A" (§3.3). Zero disables the delta criterion.
 	FreezeThreshold float64
@@ -664,19 +664,4 @@ func (c *Controller) Stats() TableStats {
 		s.Updates += c.kTable.Updates()
 	}
 	return s
-}
-
-// TableDump returns the greedy (B, E) per materialized state of one
-// local Q-table — a debugging/characterization helper used by probes
-// and the prediction-accuracy experiment.
-func (c *Controller) TableDump(key string) map[string]fl.LocalParams {
-	t, ok := c.localTables[key]
-	if !ok {
-		return nil
-	}
-	out := make(map[string]fl.LocalParams)
-	for _, st := range t.KnownStates() {
-		out[st] = c.localActions[t.Best(st)]
-	}
-	return out
 }

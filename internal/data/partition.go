@@ -125,15 +125,6 @@ func (p Partition) DeviceSamples(d int) int {
 	return s
 }
 
-// TotalSamples returns the federation-wide sample count.
-func (p Partition) TotalSamples() int {
-	s := 0
-	for d := range p.Counts {
-		s += p.DeviceSamples(d)
-	}
-	return s
-}
-
 // DeviceClassCount returns the number of distinct classes device d
 // holds at least one sample of — the raw value behind FedGPO's S_Data
 // state.
@@ -212,17 +203,4 @@ func (p Partition) ParticipantCoverage(devices []int) float64 {
 		}
 	}
 	return float64(n) / float64(p.NumClasses)
-}
-
-// GlobalSkew returns the mean non-IID degree over all devices — a
-// scenario-level heterogeneity summary used in experiment reports.
-func (p Partition) GlobalSkew() float64 {
-	if len(p.Counts) == 0 {
-		return 0
-	}
-	s := 0.0
-	for d := range p.Counts {
-		s += p.NonIIDDegree(d)
-	}
-	return s / float64(len(p.Counts))
 }

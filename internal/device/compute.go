@@ -1,7 +1,5 @@
 package device
 
-import "math"
-
 // WorkloadShape is the hardware-relevant fingerprint of a neural
 // network workload: how much arithmetic and memory one training sample
 // costs, how big the model transfer is, and how memory-bound the layer
@@ -137,20 +135,6 @@ func ComputeJoules(p Profile, busySec, idleSec float64) float64 {
 	return busyPower*busySec + p.IdleWatts*idleSec
 }
 
-// ComputeJoulesAtStep is the DVFS-general form of Eq. (2) used by the
-// governor ablation: the CPU and GPU run at the given steps during the
-// busy interval.
-func ComputeJoulesAtStep(p Profile, busySec, idleSec float64, cpuStep, gpuStep int) float64 {
-	busyPower := p.CPU.PowerAt(cpuStep) + p.GPU.PowerAt(gpuStep)
-	if busySec < 0 {
-		busySec = 0
-	}
-	if idleSec < 0 {
-		idleSec = 0
-	}
-	return busyPower*busySec + p.IdleWatts*idleSec
-}
-
 // ParticipantJoules is the round energy of a selected device: local
 // training at full busy power (Eq. 2) plus the wait for the global
 // aggregation at WaitWatts — the straggler-induced "redundant energy"
@@ -177,17 +161,6 @@ func IdleJoules(idleWatts, roundSec float64) float64 {
 	return idleWatts * roundSec
 }
 
-// SlowdownVsBaseline reports the ratio of a device's compute time under
-// interference to its clean time — a characterization helper used by
-// the Fig. 4 experiment.
-func SlowdownVsBaseline(p Profile, w WorkloadShape, b, e, samples int, intf Interference) float64 {
-	clean := ComputeSeconds(p, w, b, e, samples, Interference{})
-	if clean == 0 {
-		return 1
-	}
-	return ComputeSeconds(p, w, b, e, samples, intf) / clean
-}
-
 // MemoryFootprintBytes returns the training working set for a batch
 // size, used for feasibility checks (a configuration whose working set
 // exceeds device RAM entirely is rejected by the simulator).
@@ -199,35 +172,4 @@ func MemoryFootprintBytes(w WorkloadShape, b int) float64 {
 // profile (working set within physical RAM).
 func FitsInMemory(p Profile, w WorkloadShape, b int) bool {
 	return MemoryFootprintBytes(w, b) <= p.RAMBytes
-}
-
-// EnergyPerSampleJ is a characterization helper: joules per training
-// sample at the given configuration, ignoring idle time.
-func EnergyPerSampleJ(p Profile, w WorkloadShape, b, e, samples int) float64 {
-	if samples <= 0 || e <= 0 {
-		return 0
-	}
-	t := ComputeSeconds(p, w, b, e, samples, Interference{})
-	return ComputeJoules(p, t, 0) / (float64(samples) * float64(e))
-}
-
-// RoundTimeGapRatio computes max/min compute time across profiles for a
-// configuration — the straggler gap the paper's Fig. 3 and Fig. 4
-// characterize.
-func RoundTimeGapRatio(w WorkloadShape, b, e, samples int, intf map[Category]Interference) float64 {
-	profiles := Profiles()
-	minT, maxT := math.Inf(1), 0.0
-	for c, p := range profiles {
-		t := ComputeSeconds(p, w, b, e, samples, intf[c])
-		if t < minT {
-			minT = t
-		}
-		if t > maxT {
-			maxT = t
-		}
-	}
-	if minT == 0 {
-		return 1
-	}
-	return maxT / minT
 }

@@ -77,23 +77,16 @@ func TestPowerCurveMonotone(t *testing.T) {
 	}
 }
 
-func TestFreqAtScalesLinearly(t *testing.T) {
-	c := Profiles()[High].CPU
-	if got := c.FreqAt(c.Steps); got != c.MaxFreqGHz {
-		t.Errorf("top freq = %v, want %v", got, c.MaxFreqGHz)
-	}
-	if got := c.FreqAt(c.Steps / 2); got >= c.MaxFreqGHz {
-		t.Error("mid step should be below max frequency")
-	}
-}
-
 func TestFleetComposition(t *testing.T) {
 	comp := PaperComposition()
 	if comp.Total() != 200 {
 		t.Fatalf("paper fleet = %d, want 200", comp.Total())
 	}
 	fleet := NewFleet(comp)
-	counts := CountByCategory(fleet)
+	counts := map[Category]int{}
+	for _, d := range fleet {
+		counts[d.Profile.Category]++
+	}
 	if counts[High] != 30 || counts[Mid] != 70 || counts[Low] != 100 {
 		t.Errorf("composition = %v, want 30/70/100", counts)
 	}
@@ -183,7 +176,7 @@ func TestInterferenceSlowsCompute(t *testing.T) {
 	if loaded <= clean {
 		t.Errorf("interference should slow training: %v <= %v", loaded, clean)
 	}
-	if s := SlowdownVsBaseline(p, cnnShape, 8, 10, 600, Interference{CPUUsage: 0.5}); s <= 1 {
+	if s := slowdownVsBaseline(p, cnnShape, 8, 10, 600, Interference{CPUUsage: 0.5}); s <= 1 {
 		t.Errorf("slowdown = %v, want > 1", s)
 	}
 }
@@ -229,18 +222,6 @@ func TestComputeJoulesEq2(t *testing.T) {
 	}
 }
 
-func TestComputeJoulesAtStepLowerAtLowerStep(t *testing.T) {
-	p := Profiles()[High]
-	top := ComputeJoulesAtStep(p, 10, 0, p.CPU.Steps, p.GPU.Steps)
-	mid := ComputeJoulesAtStep(p, 10, 0, p.CPU.Steps/2, p.GPU.Steps/2)
-	if mid >= top {
-		t.Errorf("lower V/F step should draw less: %v >= %v", mid, top)
-	}
-	if top != ComputeJoules(p, 10, 0) {
-		t.Error("top-step energy should equal the default model")
-	}
-}
-
 func TestIdleJoulesEq4(t *testing.T) {
 	p := Profiles()[Low]
 	if got := IdleJoules(p.IdleWatts, 100); math.Abs(got-p.IdleWatts*100) > 1e-12 {
@@ -263,26 +244,16 @@ func TestFitsInMemory(t *testing.T) {
 }
 
 func TestRoundTimeGapRatio(t *testing.T) {
-	gap := RoundTimeGapRatio(cnnShape, 8, 10, 600, map[Category]Interference{})
+	gap := roundTimeGapRatio(cnnShape, 8, 10, 600, map[Category]Interference{})
 	if gap <= 1 {
 		t.Errorf("H/L gap = %v, want > 1", gap)
 	}
 	// Interference on the low-end device widens the gap (Fig. 4).
-	gapIntf := RoundTimeGapRatio(cnnShape, 8, 10, 600, map[Category]Interference{
+	gapIntf := roundTimeGapRatio(cnnShape, 8, 10, 600, map[Category]Interference{
 		Low: {CPUUsage: 0.6},
 	})
 	if gapIntf <= gap {
 		t.Errorf("interference should widen the gap: %v <= %v", gapIntf, gap)
-	}
-}
-
-func TestEnergyPerSamplePositive(t *testing.T) {
-	p := Profiles()[Mid]
-	if e := EnergyPerSampleJ(p, cnnShape, 8, 10, 600); e <= 0 {
-		t.Errorf("energy per sample = %v, want > 0", e)
-	}
-	if EnergyPerSampleJ(p, cnnShape, 8, 0, 600) != 0 {
-		t.Error("zero epochs should yield zero energy per sample")
 	}
 }
 
@@ -305,9 +276,35 @@ func TestPropertyInterferenceNeverSpeedsUp(t *testing.T) {
 	p := Profiles()[Low]
 	f := func(cpu, mem uint8) bool {
 		intf := Interference{CPUUsage: float64(cpu%101) / 100, MemUsage: float64(mem%101) / 100}
-		return SlowdownVsBaseline(p, lstmShape, 8, 10, 500, intf) >= 1-1e-12
+		return slowdownVsBaseline(p, lstmShape, 8, 10, 500, intf) >= 1-1e-12
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+}
+
+// slowdownVsBaseline is the ratio of a device's compute time under
+// interference to its clean time.
+func slowdownVsBaseline(p Profile, w WorkloadShape, b, e, samples int, intf Interference) float64 {
+	clean := ComputeSeconds(p, w, b, e, samples, Interference{})
+	if clean == 0 {
+		return 1
+	}
+	return ComputeSeconds(p, w, b, e, samples, intf) / clean
+}
+
+// roundTimeGapRatio is max/min compute time across the category
+// profiles for a configuration — the straggler gap the paper's Fig. 3
+// and Fig. 4 characterize.
+func roundTimeGapRatio(w WorkloadShape, b, e, samples int, intf map[Category]Interference) float64 {
+	minT, maxT := math.Inf(1), 0.0
+	for c, p := range Profiles() {
+		t := ComputeSeconds(p, w, b, e, samples, intf[c])
+		minT = math.Min(minT, t)
+		maxT = math.Max(maxT, t)
+	}
+	if minT == 0 {
+		return 1
+	}
+	return maxT / minT
 }

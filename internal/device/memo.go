@@ -8,10 +8,9 @@ package device
 // equivalence is enforced by TestCostModelMatchesComputeSeconds.
 //
 // A CostModel is built once per (Profile, WorkloadShape) pair and
-// queried many times. Warm is NOT safe for concurrent use; Seconds is
-// read-only and may be called from many goroutines once the batch sizes
-// in play have been warmed (the simulator warms during its serial
-// phase 1 and queries during its parallel phase 2).
+// queried many times. Seconds fills the per-batch-size terms on first
+// use, so a CostModel is not safe for concurrent use: it belongs to
+// one simulation arena.
 type CostModel struct {
 	prof  Profile
 	shape WorkloadShape
@@ -44,8 +43,7 @@ type batchCost struct {
 const maxWarmBatch = 4096
 
 // NewCostModel builds the memo for one profile/workload pair. No batch
-// sizes are warmed yet; Seconds falls back to ComputeSeconds until
-// Warm(b) is called for the sizes in play.
+// sizes are warmed yet; Seconds warms each size it is asked for.
 func NewCostModel(p Profile, w WorkloadShape) *CostModel {
 	return &CostModel{
 		prof:     p,
@@ -56,17 +54,9 @@ func NewCostModel(p Profile, w WorkloadShape) *CostModel {
 	}
 }
 
-// Warm precomputes the batch-dependent terms for batch size b. It is a
-// no-op for sizes already warmed, non-positive, or above maxWarmBatch.
-// Not safe for concurrent use (call it from the serial section that
-// decides batch sizes).
-func (m *CostModel) Warm(b int) {
-	if b < 1 || b > maxWarmBatch {
-		return
-	}
-	if b < len(m.perB) && m.perB[b].warmed {
-		return
-	}
+// warm precomputes the batch-dependent terms for batch size b,
+// 1 <= b <= maxWarmBatch, growing the table to cover it.
+func (m *CostModel) warm(b int) {
 	if b >= len(m.perB) {
 		grown := make([]batchCost, b+1)
 		copy(grown, m.perB)
@@ -81,15 +71,18 @@ func (m *CostModel) Warm(b int) {
 }
 
 // Seconds returns ComputeSeconds(profile, shape, b, e, samples, intf),
-// bit-for-bit, using the memoized terms when b has been warmed and the
-// direct computation otherwise. Safe for concurrent use as long as no
-// Warm call is in flight.
+// bit-for-bit. For 1 <= b <= maxWarmBatch it uses the memoized terms,
+// warming b on its first use; other batch sizes take the direct
+// computation.
 func (m *CostModel) Seconds(b, e, samples int, intf Interference) float64 {
 	if e <= 0 || samples <= 0 {
 		return 0
 	}
-	if b < 1 || b >= len(m.perB) || !m.perB[b].warmed {
+	if b < 1 || b > maxWarmBatch {
 		return ComputeSeconds(m.prof, m.shape, b, e, samples, intf)
+	}
+	if b >= len(m.perB) || !m.perB[b].warmed {
+		m.warm(b)
 	}
 	ent := &m.perB[b]
 	iters := e * BatchesPerEpoch(samples, b)

@@ -15,9 +15,11 @@ var memoTestShapes = map[string]WorkloadShape{
 	"mob":  {FLOPsPerSample: 1.1e9, BytesPerSample: 2e7, ModelBytes: 1.7e7, MemoryIntensity: 0.45},
 }
 
-// TestCostModelMatchesComputeSeconds is the memo's contract: warmed or
-// not, Seconds must be bit-identical to the direct computation for
-// every profile, workload shape, batch size and interference level.
+// TestCostModelMatchesComputeSeconds is the memo's contract: on a
+// batch size's first use (which warms it) and on every later use,
+// Seconds must be bit-identical to the direct computation for every
+// profile, workload shape, batch size and interference level, and
+// sizes above maxWarmBatch must stay on the direct path.
 func TestCostModelMatchesComputeSeconds(t *testing.T) {
 	intfs := []Interference{
 		{},
@@ -28,13 +30,12 @@ func TestCostModelMatchesComputeSeconds(t *testing.T) {
 	}
 	for name, w := range memoTestShapes {
 		for cat, p := range Profiles() {
-			m := NewCostModel(p, w)
-			for _, b := range []int{1, 2, 8, 32, 256, maxWarmBatch, maxWarmBatch + 100} {
-				// Check both the unwarmed fallback and the warmed path.
+			for _, b := range []int{1, 2, 8, 32, 256, 700, maxWarmBatch, maxWarmBatch + 100} {
+				// Pass 0 takes b on a fresh model, so its first call with
+				// work to do runs on a size never warmed; pass 1 reads
+				// the memo that call filled.
+				m := NewCostModel(p, w)
 				for pass := 0; pass < 2; pass++ {
-					if pass == 1 {
-						m.Warm(b)
-					}
 					for _, e := range []int{0, 1, 5, 20} {
 						for _, samples := range []int{0, 1, 300, 5000} {
 							for _, intf := range intfs {
@@ -48,6 +49,10 @@ func TestCostModelMatchesComputeSeconds(t *testing.T) {
 						}
 					}
 				}
+				warmed := b < len(m.perB) && m.perB[b].warmed
+				if warmed != (b <= maxWarmBatch) {
+					t.Fatalf("%s/%v b=%d: warmed = %v, table %d entries", name, cat, b, warmed, len(m.perB))
+				}
 			}
 		}
 	}
@@ -56,14 +61,14 @@ func TestCostModelMatchesComputeSeconds(t *testing.T) {
 func TestCostModelWarmBounds(t *testing.T) {
 	p := Profiles()[High]
 	m := NewCostModel(p, memoTestShapes["cnn"])
-	m.Warm(0)
-	m.Warm(-5)
-	m.Warm(maxWarmBatch + 1)
+	m.Seconds(0, 0, 100, Interference{})
+	m.Seconds(-5, 1, 0, Interference{})
+	m.Seconds(maxWarmBatch+1, 1, 100, Interference{})
 	if len(m.perB) != 0 {
-		t.Fatalf("out-of-range Warm grew the table to %d entries", len(m.perB))
+		t.Fatalf("an out-of-range or zero-work call grew the table to %d entries", len(m.perB))
 	}
-	m.Warm(16)
+	m.Seconds(16, 1, 100, Interference{})
 	if len(m.perB) != 17 || !m.perB[16].warmed {
-		t.Fatalf("Warm(16) did not populate the table (len=%d)", len(m.perB))
+		t.Fatalf("Seconds(16, ...) did not warm the table (len=%d)", len(m.perB))
 	}
 }

@@ -71,21 +71,6 @@ func (p PowerCurve) PowerAt(step int) float64 {
 	return p.FloorWatts + (p.PeakWatts-p.FloorWatts)*frac*frac*frac
 }
 
-// FreqAt returns the clock frequency (GHz) at a V/F step, scaling
-// linearly with the step index.
-func (p PowerCurve) FreqAt(step int) float64 {
-	if p.Steps <= 0 {
-		return p.MaxFreqGHz
-	}
-	if step < 1 {
-		step = 1
-	}
-	if step > p.Steps {
-		step = p.Steps
-	}
-	return p.MaxFreqGHz * float64(step) / float64(p.Steps)
-}
-
 // Profile is the static hardware description of one device category.
 // Performance and RAM come from paper Table 3 (EC2 equivalents); the
 // CPU/GPU envelopes from paper Table 4 (measured phones).
@@ -109,10 +94,6 @@ type Profile struct {
 	// waiting draws close to busy power.
 	WaitWatts float64
 }
-
-// PeakBusyWatts is the device's total busy power with CPU and GPU at
-// their top V/F steps, as during on-device training.
-func (p Profile) PeakBusyWatts() float64 { return p.CPU.PeakWatts + p.GPU.PeakWatts }
 
 const gb = 1024 * 1024 * 1024
 
@@ -220,13 +201,4 @@ func NewFleet(comp FleetComposition) []Device {
 	add(Mid, comp.Mid)
 	add(Low, comp.Low)
 	return fleet
-}
-
-// CountByCategory tallies a fleet by category.
-func CountByCategory(fleet []Device) map[Category]int {
-	out := make(map[Category]int, NumCategories)
-	for _, d := range fleet {
-		out[d.Profile.Category]++
-	}
-	return out
 }

@@ -195,13 +195,13 @@ func AblationBeta(o Options) Table {
 func AblationColdStart(o Options) Table {
 	w := workload.CNNMNIST()
 	s := o.apply(Realistic(w))
-	best := FixedBestParams(w, o)
+	rt := o.runtime()
+	best := FixedBestParams(w, o.WithRuntime(rt))
 	t := Table{
 		ID:     "abl-cold",
 		Title:  "learning-phase cost: cold vs warm-started FedGPO (CNN-MNIST, realistic)",
 		Header: []string{"controller", "PPW (norm to Fixed)", "conv round", "accuracy"},
 	}
-	rt := o.runtime()
 	sums := rt.summaries([]cell{
 		{s, staticContender(best, "Fixed (Best)")},
 		{s, fedgpoColdContender()},

@@ -11,7 +11,6 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
-	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -254,18 +253,15 @@ func TestScenarioMatrixTCPBackendWarmCache(t *testing.T) {
 //  1. a fresh run through a real fedgpo-worker -listen process produces
 //     byte-identical tables to a fresh pool run (modulo Sec54's
 //     documented wall-clock cells). The worker is a separate process,
-//     so process-global state such as fixedBestCache cannot leak
-//     between the two sides;
+//     so no in-process state can leak between the two sides;
 //  2. a warm -cachedir rerun on the coordinator performs zero
 //     simulations and reproduces the pool run's bytes exactly, Sec54
 //     included (cached replay) — without ever dialing a worker.
 func TestProcsBackendMatchesPoolAcrossRegistry(t *testing.T) {
-	t.Cleanup(func() { fixedBestCache = sync.Map{} })
 	worker := buildWorker(t)
 
 	// Fresh pool run, persisted to disk.
 	poolDir := t.TempDir()
-	fixedBestCache = sync.Map{}
 	rtPool, err := NewRuntime(0, poolDir)
 	if err != nil {
 		t.Fatal(err)
@@ -278,7 +274,6 @@ func TestProcsBackendMatchesPoolAcrossRegistry(t *testing.T) {
 	// Warm coordinator rerun over the pool run's cache. The endpoint
 	// is an address nothing listens on: if any cell were dispatched
 	// instead of served from cache, the run would fail loudly.
-	fixedBestCache = sync.Map{}
 	warmCache, err := runtime.NewCache(poolDir)
 	if err != nil {
 		t.Fatal(err)
@@ -305,7 +300,6 @@ func TestProcsBackendMatchesPoolAcrossRegistry(t *testing.T) {
 	// Fresh run against its own cache directory, shared with the
 	// worker process: every cell actually executes inside it.
 	procsDir := t.TempDir()
-	fixedBestCache = sync.Map{}
 	addr, stop := startWorkerProcess(t, worker, 3, procsDir)
 	defer stop()
 	procsCache, err := runtime.NewCache(procsDir)
@@ -358,7 +352,7 @@ func TestFleetWideExactlyOnePretrainPerScenario(t *testing.T) {
 	rt := NewRuntimeWithBackend(runtime.NewProcBackend(runtime.ProcConfig{
 		Workers: []string{a1, a2},
 	}), memCache)
-	res := rt.RunSpecs(specs)
+	res := rt.runSpecs(specs)
 	for i, r := range res {
 		if r.Err != "" {
 			t.Fatalf("spec %d failed: %s", i, r.Err)
@@ -394,7 +388,7 @@ func TestFleetWideExactlyOnePretrainPerScenario(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, pr := range pool.RunSpecs(specs) {
+	for i, pr := range pool.runSpecs(specs) {
 		a, b := res[i].Sim, pr.Sim
 		a.ControllerOverheadSec, b.ControllerOverheadSec = 0, 0
 		aj, _ := json.Marshal(a)

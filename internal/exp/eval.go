@@ -2,7 +2,6 @@ package exp
 
 import (
 	"fmt"
-	"sync"
 
 	"fedgpo/internal/abs"
 	"fedgpo/internal/baseline"
@@ -11,22 +10,14 @@ import (
 	"fedgpo/internal/workload"
 )
 
-// fixedBestCache memoizes the grid-search result per workload and fleet
-// size — the paper's Fixed (Best) is selected once by offline
-// simulation in the ideal environment and reused everywhere.
-var fixedBestCache sync.Map // key string -> fl.Params
-
-// FixedBestParams returns (computing once) the Fixed (Best)
-// configuration for a workload under the given options. The coarse
-// grid search fans out over the options' runtime, and the selected
-// setting is memoized both in-process and — when a cache directory is
-// configured — in the content-addressed run cache, so warm reruns skip
-// the search entirely.
+// FixedBestParams returns the Fixed (Best) configuration for a
+// workload under the given options: the paper's Fixed (Best) is
+// selected once by offline simulation in the ideal environment and
+// reused everywhere. The coarse grid search fans out over the options'
+// runtime, and the selected setting is stored in the content-addressed
+// run cache, so later calls on the runtime — and warm reruns over its
+// cache directory — skip the search entirely.
 func FixedBestParams(w workload.Workload, o Options) fl.Params {
-	key := fmt.Sprintf("%s/%d/%d", w.Name, o.FleetSize, o.MaxRounds)
-	if v, ok := fixedBestCache.Load(key); ok {
-		return v.(fl.Params)
-	}
 	s := o.apply(Ideal(w))
 	rt := o.runtime()
 	// The key derives from the actual grid and seed values, so editing
@@ -39,7 +30,6 @@ func FixedBestParams(w workload.Workload, o Options) fl.Params {
 		p = rt.gridSearchBest(s, grid, seeds)
 		_ = rt.cache.Put(ck, p)
 	}
-	fixedBestCache.Store(key, p)
 	return p
 }
 
@@ -108,7 +98,7 @@ func Fig9(o Options) Table {
 	var groups []compareGroup
 	for _, w := range workload.All() {
 		s := o.apply(Realistic(w))
-		groups = append(groups, compareGroup{w.Name, s, contenders(w, s, o)})
+		groups = append(groups, compareGroup{w.Name, s, contenders(w, s, o.WithRuntime(rt))})
 	}
 	comparisonRows(&t, groups, o.seeds(), rt)
 	t.Notes = append(t.Notes,
@@ -133,7 +123,7 @@ func Fig10(o Options) Table {
 		o.apply(InterferenceOnly(w)),
 		o.apply(UnstableNetworkOnly(w)),
 	} {
-		groups = append(groups, compareGroup{s.Name, s, contenders(w, s, o)})
+		groups = append(groups, compareGroup{s.Name, s, contenders(w, s, o.WithRuntime(rt))})
 	}
 	comparisonRows(&t, groups, o.seeds(), rt)
 	t.Notes = append(t.Notes,
@@ -156,7 +146,7 @@ func Fig11(o Options) Table {
 		o.apply(Ideal(w)),
 		o.apply(NonIIDScenario(w)),
 	} {
-		groups = append(groups, compareGroup{s.Name, s, contenders(w, s, o)})
+		groups = append(groups, compareGroup{s.Name, s, contenders(w, s, o.WithRuntime(rt))})
 	}
 	comparisonRows(&t, groups, o.seeds(), rt)
 	t.Notes = append(t.Notes,

@@ -56,12 +56,24 @@ func TestFig12UsesPriorWorkContenders(t *testing.T) {
 
 func TestFixedBestParamsCachedAndValid(t *testing.T) {
 	w := workload.CNNMNIST()
-	a := FixedBestParams(w, Tiny())
-	b := FixedBestParams(w, Tiny())
+	rt, err := NewRuntime(0, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := Tiny().WithRuntime(rt)
+	a := FixedBestParams(w, o)
+	runs := rt.Stats().Runs
+	if runs == 0 {
+		t.Fatal("the first call simulated no grid-search cells")
+	}
+	b := FixedBestParams(w, o)
 	if a != b {
 		t.Error("cache returned different parameters for the same key")
 	}
-	if !a.Valid() {
+	if got := rt.Stats().Runs; got != runs {
+		t.Errorf("the second call on the same runtime simulated %d cells, want 0", got-runs)
+	}
+	if a.B <= 0 || a.E <= 0 || a.K <= 0 {
 		t.Errorf("grid search returned invalid params %v", a)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"fedgpo/internal/data"
 	"fedgpo/internal/fl"
 	"fedgpo/internal/workload"
 )
@@ -39,12 +40,21 @@ func TestScenarioFlagsTakeEffect(t *testing.T) {
 		t.Error("realistic scenario should have a straggler deadline")
 	}
 	nid := NonIIDScenario(w).Config(1)
-	if nid.Partition.GlobalSkew() < 0.3 {
+	if meanSkew(nid.Partition) < 0.3 {
 		t.Error("non-IID scenario partition should be skewed")
 	}
-	if ideal.Partition.GlobalSkew() > 1e-9 {
+	if meanSkew(ideal.Partition) > 1e-9 {
 		t.Error("ideal scenario partition should be IID")
 	}
+}
+
+// meanSkew is the mean non-IID degree over a partition's devices.
+func meanSkew(p data.Partition) float64 {
+	s := 0.0
+	for d := range p.Counts {
+		s += p.NonIIDDegree(d)
+	}
+	return s / float64(len(p.Counts))
 }
 
 func TestQuickOptionsShrinkFleet(t *testing.T) {
@@ -140,8 +150,13 @@ func TestFig1QuickShape(t *testing.T) {
 }
 
 func TestPredictionAccuracyInRange(t *testing.T) {
-	acc := PredictionAccuracy(Tiny().apply(Ideal(workload.CNNMNIST())), Tiny(), 20)
-	if acc < 50 || acc > 100 {
+	o := Tiny()
+	out := o.runtime().runSpecs([]JobSpec{oracleSpec(o.apply(Ideal(workload.CNNMNIST())), o, 20)})[0]
+	var ex oracleExtra
+	if err := out.GetExtra(&ex); err != nil {
+		t.Fatal(err)
+	}
+	if acc := ex.MeanAccPct; acc < 50 || acc > 100 {
 		t.Errorf("prediction accuracy = %v, want a sane percentage", acc)
 	}
 }

@@ -47,8 +47,21 @@ func oracleSpec(s ScenarioSpec, o Options, rounds int) JobSpec {
 }
 
 // executeOracle runs an "oracle" spec: a full-length probe run whose
-// controller is tapped each round to score how fully the selected
-// parameters fill the round's critical path (see PredictionAccuracy).
+// controller is tapped each round to score how close FedGPO's
+// selections come to the per-round gap-minimizing oracle of paper
+// Table 5 ("these parameters are identified in terms of minimizing the
+// performance gap across the devices, rather than global
+// convergence"). The oracle's defining property is that every
+// participant finishes together — its performance gap is zero — so
+// selection accuracy is scored as how fully FedGPO's assignment fills
+// the round's critical path:
+//
+//	accuracy = 100 × mean_d(predicted time_d) / max_d(predicted time_d)
+//
+// averaged over rounds. A perfectly equalized round scores 100%; a
+// round where devices idle-wait half the critical path scores 50%. The
+// predicted times come from the same device/network models the
+// simulator executes, evaluated at the observed per-device state.
 func executeOracle(r *Runtime, sp JobSpec) runtime.Result {
 	s := sp.Scenario
 	cfg := s.Config(sp.Seed)
@@ -81,30 +94,6 @@ func executeOracle(r *Runtime, sp JobSpec) runtime.Result {
 	res := runtime.Result{Sim: fl.Run(cfg, probe)}
 	res.SetExtra(oracleExtra{MeanAccPct: stats.Mean(accs)})
 	return res
-}
-
-// PredictionAccuracy measures how close FedGPO's per-round selections
-// come to the per-round gap-minimizing oracle of paper Table 5 ("these
-// parameters are identified in terms of minimizing the performance gap
-// across the devices, rather than global convergence"). The oracle's
-// defining property is that every participant finishes together — its
-// performance gap is zero — so selection accuracy is scored as how
-// fully FedGPO's assignment fills the round's critical path:
-//
-//	accuracy = 100 × mean_d(predicted time_d) / max_d(predicted time_d)
-//
-// averaged over rounds. A perfectly equalized round scores 100%; a
-// round where devices idle-wait half the critical path scores 50%. The
-// predicted times come from the same device/network models the
-// simulator executes, evaluated at the observed per-device state.
-func PredictionAccuracy(s ScenarioSpec, o Options, rounds int) float64 {
-	rt := o.runtime()
-	out := rt.runSpecs([]JobSpec{oracleSpec(s, o, rounds)})[0]
-	var ex oracleExtra
-	if err := out.GetExtra(&ex); err != nil {
-		panic("exp: oracle payload: " + err.Error())
-	}
-	return ex.MeanAccPct
 }
 
 // oracleProbe taps observations and results around an inner controller.

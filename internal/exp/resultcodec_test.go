@@ -34,10 +34,6 @@ func (b *recordingBackend) Run(jobs []runtime.Job, done func(int, runtime.Result
 // survive the cache's binary codec with its JSON unchanged: the binary
 // payload holds exactly what the JSON payload it replaced held.
 func TestRegistryResultsSurviveBinaryCodec(t *testing.T) {
-	// Start from an empty Fixed (Best) memo so the grid-search cells run
-	// and are recorded too.
-	fixedBestCache = sync.Map{}
-	t.Cleanup(func() { fixedBestCache = sync.Map{} })
 	rec := &recordingBackend{Backend: runtime.NewPoolBackend(0)}
 	cache, err := runtime.NewCache("")
 	if err != nil {

@@ -21,10 +21,9 @@ import (
 type Runtime struct {
 	exec  *runtime.Executor
 	cache *runtime.Cache
+	// store, nil until StreamStore, records every cell the runtime
+	// runs or serves from cache.
 	store *runtime.Store
-	// record gates result recording: cells are streamed to the store
-	// only once a consumer asked for them (see StreamStore).
-	record bool
 	// onJob, when set, observes every job a batch submits (test hook
 	// for spec round-trip coverage).
 	onJob func(runtime.Job)
@@ -88,7 +87,6 @@ func NewRuntimeWithBackend(b runtime.Backend, cache *runtime.Cache) *Runtime {
 	r := &Runtime{
 		exec:      runtime.NewExecutorBackend(b, cache),
 		cache:     cache,
-		store:     runtime.NewStore(),
 		pretrains: make(map[string]*pretrainEntry),
 		col:       telemetry.NewCollector(),
 	}
@@ -307,21 +305,30 @@ func (r *Runtime) SetProgress(fn func(runtime.Progress)) { r.exec.SetProgress(fn
 // is retained in memory. Off by default — a paper-scale report holds
 // hundreds of multi-hundred-round histories, dead weight unless
 // something (the CLIs' -results flag) will consume them. Call
-// CloseStore when done; runtime.ReadStore loads the log back.
+// CloseStore when done.
 func (r *Runtime) StreamStore(path string) error {
-	if err := r.store.StreamTo(path); err != nil {
+	if r.store != nil {
+		return fmt.Errorf("exp: result store already streaming")
+	}
+	st, err := runtime.NewStore(path)
+	if err != nil {
 		return err
 	}
-	r.record = true
+	r.store = st
 	return nil
 }
 
-// CloseStore flushes and closes a streaming store (no-op otherwise),
+// CloseStore flushes and closes the result store (no-op without one),
 // surfacing any write error the stream hit along the way.
-func (r *Runtime) CloseStore() error { return r.store.Close() }
+func (r *Runtime) CloseStore() error {
+	if r.store == nil {
+		return nil
+	}
+	return r.store.Close()
+}
 
-// Store returns the result store: it counts the cells recorded since
-// StreamStore was called (their payloads live in the stream file).
+// Store returns the result store, nil until StreamStore. Its Len
+// counts the cells recorded; their payloads live in the stream file.
 func (r *Runtime) Store() *runtime.Store { return r.store }
 
 // cell is one (scenario, contender) simulation cell; crossed with the
@@ -331,13 +338,8 @@ type cell struct {
 	c ContenderSpec
 }
 
-// RunSpecs compiles a spec batch and executes it through the runtime's
-// executor, returning results in spec order — the programmatic entry
-// point behind the figure constructors, exposed for benches and
-// fleet-level tests.
-func (r *Runtime) RunSpecs(specs []JobSpec) []runtime.Result { return r.runSpecs(specs) }
-
-// runSpecs compiles a spec batch and executes it; see runAll.
+// runSpecs compiles a spec batch and executes it through the
+// runtime's executor, returning results in spec order; see runAll.
 func (r *Runtime) runSpecs(specs []JobSpec) []runtime.Result {
 	jobs := make([]runtime.Job, len(specs))
 	for i, sp := range specs {
@@ -367,7 +369,7 @@ func (r *Runtime) runAll(jobs []runtime.Job) []runtime.Result {
 			results[i].Provenance = runtime.ProvenanceMeasured
 		}
 	}
-	if r.record {
+	if r.store != nil {
 		r.store.Add(results...)
 	}
 	for _, res := range results {

@@ -3,9 +3,9 @@ package exp
 import (
 	"bytes"
 	"encoding/json"
+	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 	"testing"
 
 	"fedgpo/internal/device"
@@ -105,10 +105,6 @@ func TestFreshPretrainSnapshotSerializedOnce(t *testing.T) {
 // executes exactly one Q-table warm-up per distinct pretrain key
 // (scenario × controller config), and the warm rerun executes none.
 func TestWarmCacheRerunZeroSimulations(t *testing.T) {
-	// Drop any fixed-best selection memoized by earlier tests at this
-	// deployment scale: the cold run must select (and disk-cache) it
-	// itself, or the warm rerun would have to re-run the grid search.
-	fixedBestCache = sync.Map{}
 	dir := t.TempDir()
 	ids := []string{"fig1", "fig5", "fig6", "fig11", "tab5", "sec54"}
 
@@ -142,11 +138,6 @@ func TestWarmCacheRerunZeroSimulations(t *testing.T) {
 		t.Errorf("cold run executed %d pretrain warm-ups for %d distinct keys; want exactly one per key",
 			coldWarmups, coldKeys)
 	}
-
-	// Drop the in-process fixed-best memo so the warm rerun exercises
-	// the disk-cache path for the grid-search selection too, as a real
-	// cross-process rerun would.
-	fixedBestCache = sync.Map{}
 
 	rt2, err := NewRuntime(0, dir)
 	if err != nil {
@@ -207,17 +198,37 @@ func TestSweepStaticMatchesDirectRuns(t *testing.T) {
 	}
 }
 
+// readStoreLog loads a result-store log: the last line of a repeated
+// key wins.
+func readStoreLog(t *testing.T, path string) map[string]runtime.Result {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]runtime.Result{}
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	for dec.More() {
+		var r runtime.Result
+		if err := dec.Decode(&r); err != nil {
+			t.Fatalf("decoding %s: %v", path, err)
+		}
+		out[r.Key] = r
+	}
+	return out
+}
+
 // With a stream attached, the result store must record every cell a
-// figure ran, with round histories attached, and read back through
-// ReadStore; without one, nothing is recorded.
+// figure ran, with round histories attached; without one, there is no
+// store.
 func TestRuntimeStoreRecordsCells(t *testing.T) {
 	off, err := NewRuntime(0, "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	Fig1(Tiny().WithRuntime(off))
-	if n := off.Store().Len(); n != 0 {
-		t.Errorf("store recorded %d cells without StreamStore", n)
+	if off.Store() != nil {
+		t.Error("runtime has a result store without StreamStore")
 	}
 
 	rt, err := NewRuntime(0, "")
@@ -228,27 +239,26 @@ func TestRuntimeStoreRecordsCells(t *testing.T) {
 	if err := rt.StreamStore(path); err != nil {
 		t.Fatal(err)
 	}
+	if err := rt.StreamStore(path); err == nil {
+		t.Error("second StreamStore succeeded; want an already-streaming error")
+	}
 	Fig1(Tiny().WithRuntime(rt))
 	if err := rt.CloseStore(); err != nil {
 		t.Fatal(err)
 	}
-	back, err := runtime.ReadStore(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rs := back.Results()
+	rs := readStoreLog(t, path)
 	if len(rs) == 0 {
 		t.Fatal("store is empty after Fig1")
 	}
 	if len(rs) != rt.Store().Len() {
 		t.Errorf("log read back %d cells, store counted %d", len(rs), rt.Store().Len())
 	}
-	for _, r := range rs {
-		if r.Key == "" {
+	for key, r := range rs {
+		if key == "" {
 			t.Error("stored result missing canonical key")
 		}
 		if len(r.Sim.History) == 0 {
-			t.Errorf("stored result %q missing round history", r.Key)
+			t.Errorf("stored result %q missing round history", key)
 		}
 	}
 }

@@ -578,19 +578,6 @@ func Presets() []Preset {
 	}
 }
 
-// PresetByName returns the preset with the given name, or an error
-// listing valid names.
-func PresetByName(name string) (Preset, error) {
-	names := make([]string, 0)
-	for _, p := range Presets() {
-		if p.Name == name {
-			return p, nil
-		}
-		names = append(names, p.Name)
-	}
-	return Preset{}, fmt.Errorf("exp: unknown scenario preset %q (valid: %v)", name, names)
-}
-
 // Seeds returns the default evaluation seed set.
 func Seeds() []int64 { return []int64{1, 2} }
 

@@ -291,8 +291,8 @@ func TestScenarioMatrixBoundsCrossProduct(t *testing.T) {
 	}
 }
 
-// The -list-scenarios data source: every preset must be listed, build
-// a valid spec for every workload, and resolve by name.
+// The -list-scenarios data source: every preset must be listed and
+// build a valid spec for every workload.
 func TestPresetsCoverScenarios(t *testing.T) {
 	names := map[string]bool{}
 	for _, p := range Presets() {
@@ -306,10 +306,6 @@ func TestPresetsCoverScenarios(t *testing.T) {
 				t.Errorf("preset %q builds scenario named %q", p.Name, s.Name)
 			}
 		}
-		got, err := PresetByName(p.Name)
-		if err != nil || got.Name != p.Name {
-			t.Errorf("PresetByName(%q) = %v, %v", p.Name, got.Name, err)
-		}
 	}
 	for _, want := range []string{"ideal", "realistic", "interference",
 		"unstable-network", "non-iid", "realistic-non-iid"} {
@@ -317,8 +313,52 @@ func TestPresetsCoverScenarios(t *testing.T) {
 			t.Errorf("preset %q missing", want)
 		}
 	}
-	if _, err := PresetByName("bogus"); err == nil ||
-		!strings.Contains(err.Error(), "valid:") {
-		t.Errorf("PresetByName(bogus) error = %v", err)
+}
+
+// FuzzDecodeScenarios feeds arbitrary bytes to the -scenario-file
+// decoder: no input panics, every accepted spec passes Validate and
+// materializes through Config, and EncodeScenario followed by
+// DecodeScenarios gives back the same cache identity.
+func FuzzDecodeScenarios(f *testing.F) {
+	w := workload.LSTMShakespeare()
+	for _, p := range Presets() {
+		f.Add(EncodeScenario(p.Build(w)))
 	}
+	matrix, err := ScenarioMatrix(w, "fleet=20,H1:M2:L3;alpha=iid,0.5;net=stable,unstable;intf=none,web-browsing;deadline=none,auto;rounds=60")
+	if err != nil {
+		f.Fatal(err)
+	}
+	all, err := json.Marshal(matrix)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(all)
+	f.Add([]byte(`[]`))
+	f.Add([]byte(`{"workload":{"name":"x"},"fleet":{"size":-1}}`))
+	f.Add([]byte(`{"workload":{},"maxRounds":1e9}`))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		specs, err := DecodeScenarios(b)
+		if err != nil {
+			return
+		}
+		for _, s := range specs {
+			if err := s.Validate(); err != nil {
+				t.Fatalf("accepted spec fails Validate: %v\n%s", err, b)
+			}
+			back, err := DecodeScenarios(EncodeScenario(s))
+			if err != nil || len(back) != 1 {
+				t.Fatalf("accepted spec does not re-decode: %v\n%s", err, EncodeScenario(s))
+			}
+			if got, want := back[0].cacheKey(), s.cacheKey(); got != want {
+				t.Fatalf("re-decoded spec addresses %q, want %q", got, want)
+			}
+			// Validate bounds a partition at 2^24 cells; materializing
+			// one that large costs far more than a fuzz execution can
+			// afford, so only specs up to 2^18 cells take the Config
+			// property.
+			if s.Fleet.Composition().Total()*s.Workload.NumClasses <= 1<<18 {
+				s.Config(1)
+			}
+		}
+	})
 }

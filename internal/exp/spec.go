@@ -447,14 +447,6 @@ func fedgpoWarmContender(s ScenarioSpec) ContenderSpec {
 	return fedgpoVariantContender(s, "FedGPO", nil)
 }
 
-// FedGPOWarmContender exposes the warm-started FedGPO contender to
-// external harnesses (the repo's benchmark suite) that assemble
-// explicit JobSpecs — the contender whose per-scenario warm-up the
-// affinity router co-locates and whose snapshot the coordinator ships.
-func FedGPOWarmContender(s ScenarioSpec) ContenderSpec {
-	return fedgpoWarmContender(s)
-}
-
 // fedgpoVariantContender builds a warm-started FedGPO contender with a
 // customized configuration. The spec serializes the full controller
 // config plus the warm-up deployment, so any config deviation names a

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"path/filepath"
-	"sync"
 	"testing"
 
 	"fedgpo/internal/abs"
@@ -63,8 +62,6 @@ func comparableResult(t *testing.T, kind string, r runtime.Result) string {
 // executing it there must reproduce the in-process run byte for byte —
 // same canonical key, same simulator output, same Extra payload.
 func TestSpecRoundTripRegistry(t *testing.T) {
-	fixedBestCache = sync.Map{}
-	t.Cleanup(func() { fixedBestCache = sync.Map{} })
 	rtA, err := NewRuntime(0, "")
 	if err != nil {
 		t.Fatal(err)
@@ -95,10 +92,7 @@ func TestSpecRoundTripRegistry(t *testing.T) {
 	if err := rtA.CloseStore(); err != nil {
 		t.Fatal(err)
 	}
-	stored, err := runtime.ReadStore(storePath)
-	if err != nil {
-		t.Fatal(err)
-	}
+	stored := readStoreLog(t, storePath)
 
 	// Re-execute every distinct spec in a fresh runtime: separate
 	// pretrain singleflight, empty cache — the same situation a worker
@@ -131,7 +125,7 @@ func TestSpecRoundTripRegistry(t *testing.T) {
 			t.Errorf("job %q: scenario spec does not round-trip: %q vs %q",
 				key, s2.cacheKey(), sp.Scenario.cacheKey())
 		}
-		want, ok := stored.Get(key)
+		want, ok := stored[key]
 		if !ok {
 			t.Fatalf("job %q missing from the result store", key)
 		}

@@ -89,7 +89,6 @@ type Arena struct {
 
 	part data.Memo
 	comm netsim.CommModel
-	kern roundKernel
 
 	// costs persists across runs: compute-cost tables are pure in
 	// (profile, workload, batch), so cells sharing hardware and
@@ -174,36 +173,4 @@ func (a *Arena) beginRun(cfg *Config) {
 	a.cumTime = a.cumTime[:0]
 	a.cumEnergy = a.cumEnergy[:0]
 	a.history = a.history[:0]
-}
-
-// roundKernel is the arena-resident state of executeRound's phase 2
-// (the deterministic per-participant modeling), a struct with a method
-// so the round loop calls it without materializing a closure.
-type roundKernel struct {
-	parts      []DeviceRound
-	states     []DeviceState
-	samples    []int
-	devCost    []*device.CostModel
-	comm       *netsim.CommModel
-	part       *data.Memo
-	commJoules []float64
-	modelBytes float64
-}
-
-// model computes participant i's deterministic round terms, writing
-// only index-i slots and reading the device-indexed tables.
-func (k *roundKernel) model(i int) {
-	p := &k.parts[i]
-	id := p.DeviceID
-	st := &k.states[id]
-	comp := k.devCost[id].Seconds(p.Local.B, p.Local.E, k.samples[id], st.Interference)
-	rt := k.comm.RoundTrip(k.modelBytes, st.Network)
-	p.ComputeSec = comp
-	p.CommSec = rt.Seconds
-	p.TotalSec = comp + rt.Seconds
-	p.Samples = k.samples[id]
-	p.SkewDegree = k.part.NonIIDDegree(id)
-	p.Interfered = st.Interference.CPUUsage > 0 || st.Interference.MemUsage > 0
-	p.NetworkBad = !st.Network.Regular()
-	k.commJoules[i] = rt.Joules
 }

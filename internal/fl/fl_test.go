@@ -50,15 +50,22 @@ func TestParamsGridMatchesTable2(t *testing.T) {
 	}
 }
 
+// AllParams is the arm set the grid baselines index into: position
+// (bi·|E| + ei)·|K| + ki holds (B[bi], E[ei], K[ki]).
 func TestParamIndexRoundTrips(t *testing.T) {
 	all := AllParams()
-	for i, p := range all {
-		if got := ParamIndex(p); got != i {
-			t.Fatalf("ParamIndex(%v) = %d, want %d", p, got, i)
-		}
+	if len(all) != len(bValues)*len(eValues)*len(kValues) {
+		t.Fatalf("AllParams has %d entries", len(all))
 	}
-	if ParamIndex(Params{B: 3, E: 10, K: 20}) != -1 {
-		t.Error("off-grid params should index to -1")
+	for bi, b := range bValues {
+		for ei, e := range eValues {
+			for ki, k := range kValues {
+				i := (bi*len(eValues)+ei)*len(kValues) + ki
+				if want := (Params{B: b, E: e, K: k}); all[i] != want {
+					t.Fatalf("AllParams[%d] = %v, want %v", i, all[i], want)
+				}
+			}
+		}
 	}
 }
 
@@ -66,9 +73,6 @@ func TestParamsStringAndValid(t *testing.T) {
 	p := Params{B: 8, E: 10, K: 20}
 	if p.String() != "(8,10,20)" {
 		t.Errorf("String = %q", p.String())
-	}
-	if !p.Valid() || (Params{B: 0, E: 1, K: 1}).Valid() {
-		t.Error("Valid misbehaved")
 	}
 }
 

@@ -18,9 +18,6 @@ type Params struct {
 // String formats the tuple the way the paper writes it, e.g. "(8,10,20)".
 func (p Params) String() string { return fmt.Sprintf("(%d,%d,%d)", p.B, p.E, p.K) }
 
-// Valid reports whether every component is positive.
-func (p Params) Valid() bool { return p.B > 0 && p.E > 0 && p.K > 0 }
-
 // LocalParams is the per-device portion of the action: FedGPO assigns
 // (B, E) per device while K is a round-global choice.
 type LocalParams struct {
@@ -66,28 +63,6 @@ func AllLocalParams() []LocalParams {
 		}
 	}
 	return out
-}
-
-// ParamIndex returns the position of p in AllParams(), or -1 if p is
-// not on the grid. Baselines that treat the grid as an arm set
-// (FedEX, BO, GA) use this to address per-arm state.
-func ParamIndex(p Params) int {
-	bi := indexOf(bValues, p.B)
-	ei := indexOf(eValues, p.E)
-	ki := indexOf(kValues, p.K)
-	if bi < 0 || ei < 0 || ki < 0 {
-		return -1
-	}
-	return (bi*len(eValues)+ei)*len(kValues) + ki
-}
-
-func indexOf(xs []int, v int) int {
-	for i, x := range xs {
-		if x == v {
-			return i
-		}
-	}
-	return -1
 }
 
 // DefaultParams is the conventional FedAvg setting the paper's

@@ -81,7 +81,3 @@ func Summarize(maxRounds int, results []Result) Summary {
 	}
 	return s
 }
-
-// DefaultSeeds returns the experiment seed set; three seeds trade
-// precision for harness runtime.
-func DefaultSeeds() []int64 { return []int64{1, 2, 3} }

@@ -311,57 +311,55 @@ func RunWithArena(cfg Config, ctrl Controller, a *Arena) Result {
 // executeRound runs the selected devices' local training and computes
 // the round's timing and fleet-wide energy.
 //
-// It executes in three phases. Phase 1 asks the controller for each
-// participant's local parameters, serially in selected-device order:
-// controllers are stateful and may draw randomness, so the call order
-// is part of the reproducibility contract. Phase 2 evaluates the
-// deterministic device/channel models per participant. Phase 3 merges
-// in fixed device order (straggler semantics, energy accounting,
-// aggregation), so every float accumulation happens in the same order.
+// It executes in two phases. Phase 1 walks the participants serially
+// in selected-device order: it asks the controller for each one's
+// local parameters — controllers are stateful and may draw randomness,
+// so the call order is part of the reproducibility contract — and
+// evaluates the deterministic device/channel models for it. Phase 2
+// merges in fixed device order (straggler semantics, energy
+// accounting, aggregation), so every float accumulation happens in the
+// same order.
 func executeRound(cfg *Config, plan Plan, selected []int, a *Arena) RoundResult {
 	k := len(selected)
 	parts := a.parts[:k]
 	commJoules := a.commJoules[:k]
 	states := a.states
+	modelBytes := cfg.Workload.Shape.ModelBytes
 
-	// Phase 1: controller assignments (serial; may mutate controller
-	// state and consume controller randomness). The composite literal
-	// overwrites every DeviceRound field, so arena reuse cannot leak a
-	// previous round's Dropped/energy values. Warming the cost memo
-	// here keeps phase 2 read-only.
+	// Phase 1. The composite literal overwrites every DeviceRound
+	// field, so arena reuse cannot leak a previous round's
+	// Dropped/energy values. The round trip is computed once per
+	// participant and reused for both its seconds and its joules: the
+	// two are one physical transfer, and a second model call would
+	// silently diverge the moment the channel model becomes stochastic
+	// per call.
 	for i, id := range selected {
-		lp := plan.Local(cfg.Fleet[id], states[id])
+		st := &states[id]
+		lp := plan.Local(cfg.Fleet[id], *st)
 		if lp.B < 1 {
 			lp.B = 1
 		}
 		if lp.E < 1 {
 			lp.E = 1
 		}
-		a.devCost[id].Warm(lp.B)
-		parts[i] = DeviceRound{DeviceID: id, Category: a.profiles[id].Category, Local: lp}
+		comp := a.devCost[id].Seconds(lp.B, lp.E, a.samples[id], st.Interference)
+		rt := a.comm.RoundTrip(modelBytes, st.Network)
+		parts[i] = DeviceRound{
+			DeviceID:   id,
+			Category:   a.profiles[id].Category,
+			Local:      lp,
+			ComputeSec: comp,
+			CommSec:    rt.Seconds,
+			TotalSec:   comp + rt.Seconds,
+			Samples:    a.samples[id],
+			SkewDegree: a.part.NonIIDDegree(id),
+			Interfered: st.Interference.CPUUsage > 0 || st.Interference.MemUsage > 0,
+			NetworkBad: !st.Network.Regular(),
+		}
+		commJoules[i] = rt.Joules
 	}
 
-	// Phase 2: deterministic per-participant modeling. The round trip
-	// is computed once per participant and reused for both its seconds
-	// and its joules below: the two are one physical transfer, and a
-	// second model call would silently diverge the moment the channel
-	// model becomes stochastic per call. The kernel lives in the arena
-	// (a struct method, not a closure), so the loop allocates nothing.
-	a.kern = roundKernel{
-		parts:      parts,
-		states:     states,
-		samples:    a.samples,
-		devCost:    a.devCost,
-		comm:       &a.comm,
-		part:       &a.part,
-		commJoules: commJoules,
-		modelBytes: cfg.Workload.Shape.ModelBytes,
-	}
-	for i := 0; i < k; i++ {
-		a.kern.model(i)
-	}
-
-	// Phase 3: merge in fixed device order.
+	// Phase 2: merge in fixed device order.
 	mergeStart := time.Now()
 	times := a.times[:k]
 	for i := range parts {

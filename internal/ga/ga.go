@@ -84,9 +84,6 @@ func (o *Optimizer) randomGenes() []int {
 	return g
 }
 
-// Generation returns how many full population turnovers have occurred.
-func (o *Optimizer) Generation() int { return o.gen }
-
 // Suggest returns the genome to evaluate next (a copy).
 func (o *Optimizer) Suggest() []int {
 	g := o.pop[o.cursor].genes

@@ -71,8 +71,8 @@ func TestEvolvesTowardOptimum(t *testing.T) {
 	if fitness(best) < -2 {
 		t.Errorf("GA best %v has fitness %v, want near-optimal (>= -2)", best, fitness(best))
 	}
-	if o.Generation() < 10 {
-		t.Errorf("expected multiple generations, got %d", o.Generation())
+	if o.gen < 10 {
+		t.Errorf("expected multiple generations, got %d", o.gen)
 	}
 }
 

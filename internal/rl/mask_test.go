@@ -32,7 +32,7 @@ func TestMaskedSelectionNeverPicksMaskedOut(t *testing.T) {
 			t.Fatalf("selected masked-out action %d", a)
 		}
 	}
-	if b := tab.Best("s"); b%2 == 0 {
+	if b := tab.best("s"); b%2 == 0 {
 		t.Fatalf("Best returned masked-out action %d", b)
 	}
 }
@@ -49,6 +49,8 @@ func TestMaskCopiedNotAliased(t *testing.T) {
 	}
 }
 
+// The greedy pick among the per-call allowed set intersected with the
+// table mask: SelectOf with no exploration.
 func TestBestOfIntersectsWithTableMask(t *testing.T) {
 	tab := newLowInitTable(t, 4, 0)
 	tab.SetMask([]bool{true, true, true, false})
@@ -57,13 +59,13 @@ func TestBestOfIntersectsWithTableMask(t *testing.T) {
 		tab.Update("s", 2, 50, "s")
 	}
 	// Per-call set excludes action 2: best among {0, 1}.
-	got := tab.BestOf("s", []bool{true, true, false, true})
+	got := tab.SelectOf("s", []bool{true, true, false, true})
 	if got != 0 && got != 1 {
-		t.Fatalf("BestOf = %d, want 0 or 1", got)
+		t.Fatalf("greedy SelectOf = %d, want 0 or 1", got)
 	}
 	// Empty intersection falls back to the table mask (action 2 wins).
-	if got := tab.BestOf("s", []bool{false, false, false, true}); got != 2 {
-		t.Fatalf("fallback BestOf = %d, want greedy 2", got)
+	if got := tab.SelectOf("s", []bool{false, false, false, true}); got != 2 {
+		t.Fatalf("fallback SelectOf = %d, want greedy 2", got)
 	}
 }
 
@@ -109,19 +111,18 @@ func TestMaskedMaxQUsesAllowedBest(t *testing.T) {
 	}
 }
 
+// The states a table has materialized are exactly the ones its
+// snapshot carries.
 func TestKnownStatesListsMaterialized(t *testing.T) {
 	tab := newTable(t, 2, 0)
 	tab.Values("a")
 	tab.Values("b")
-	states := tab.KnownStates()
-	if len(states) != 2 {
-		t.Fatalf("KnownStates = %v", states)
+	tab.Values("a")
+	q := tab.Snapshot().Q
+	if len(q) != 2 || tab.States() != 2 {
+		t.Fatalf("snapshot states = %v, States() = %d, want a and b", q, tab.States())
 	}
-	seen := map[string]bool{}
-	for _, s := range states {
-		seen[s] = true
-	}
-	if !seen["a"] || !seen["b"] {
-		t.Fatalf("KnownStates missing entries: %v", states)
+	if q["a"] == nil || q["b"] == nil {
+		t.Fatalf("snapshot missing materialized states: %v", q)
 	}
 }

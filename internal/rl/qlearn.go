@@ -80,9 +80,6 @@ func NewQTable(actions int, cfg Config, rng *stats.RNG) *QTable {
 	}
 }
 
-// Actions returns the size of the action set.
-func (t *QTable) Actions() int { return t.actions }
-
 // Values returns the Q-row for a state, lazily initializing unseen
 // states with random values in [InitLo, InitHi). The returned slice is
 // the live row; callers must not modify it.
@@ -130,8 +127,8 @@ func (t *QTable) allowed(a int) bool {
 	return t.mask == nil || t.mask[a]
 }
 
-// Best returns the greedy action for a state, honoring the mask.
-func (t *QTable) Best(state string) int {
+// best returns the greedy action for a state, honoring the mask.
+func (t *QTable) best(state string) int {
 	row := t.Values(state)
 	best := -1
 	for a, v := range row {
@@ -147,7 +144,7 @@ func (t *QTable) Best(state string) int {
 
 // MaxQ returns the value of the greedy action for a state.
 func (t *QTable) MaxQ(state string) float64 {
-	return t.Values(state)[t.Best(state)]
+	return t.Values(state)[t.best(state)]
 }
 
 // Select picks an action epsilon-greedily: with probability ϵ a uniform
@@ -165,27 +162,7 @@ func (t *QTable) Select(state string) int {
 			}
 		}
 	}
-	return t.Best(state)
-}
-
-// BestOf returns the greedy action among the intersection of the
-// table mask and the supplied per-call allowed set. If the
-// intersection is empty it falls back to Best (table mask only).
-func (t *QTable) BestOf(state string, allowed []bool) int {
-	row := t.Values(state)
-	best := -1
-	for a, v := range row {
-		if !t.candidate(a, allowed) {
-			continue
-		}
-		if best == -1 || v > row[best] {
-			best = a
-		}
-	}
-	if best == -1 {
-		return t.Best(state)
-	}
-	return best
+	return t.best(state)
 }
 
 // SelectOf picks epsilon-greedily within the intersection of the table
@@ -281,11 +258,6 @@ func (t *QTable) Update(state string, action int, reward float64, nextState stri
 // Updates returns the number of Update calls so far.
 func (t *QTable) Updates() int { return t.updates }
 
-// DeltaEMA returns the smoothed magnitude of recent updates; a small
-// value means the table (and hence the largest Q per state) has
-// converged.
-func (t *QTable) DeltaEMA() float64 { return t.deltaEMA.Value() }
-
 // Converged reports whether recent updates have settled below the
 // threshold. It returns false until a minimum number of updates has
 // accumulated, so an untouched table never reads as converged.
@@ -374,13 +346,4 @@ func Restore(actions int, cfg Config, rng *stats.RNG, snap TableSnapshot) *QTabl
 	t.updates = snap.Updates
 	t.deltaEMA.Restore(snap.Delta, snap.DeltaInit)
 	return t
-}
-
-// KnownStates lists the states materialized so far, in map order.
-func (t *QTable) KnownStates() []string {
-	out := make([]string, 0, len(t.q))
-	for k := range t.q {
-		out = append(out, k)
-	}
-	return out
 }

@@ -116,7 +116,7 @@ func TestGreedySelectionExploitsLearnedValues(t *testing.T) {
 			t.Fatalf("greedy selection = %d, want 3", got)
 		}
 	}
-	if tab.Best("s") != 3 {
+	if tab.best("s") != 3 {
 		t.Error("Best should be 3")
 	}
 }
@@ -160,7 +160,7 @@ func TestConvergenceDetection(t *testing.T) {
 		tab.Update("s", 0, 5, "s")
 	}
 	if !tab.Converged(0.01, 50) {
-		t.Errorf("table should have converged; deltaEMA = %v", tab.DeltaEMA())
+		t.Errorf("table should have converged; deltaEMA = %v", tab.deltaEMA.Value())
 	}
 	if tab.Updates() != 300 {
 		t.Errorf("updates = %d", tab.Updates())
@@ -258,7 +258,7 @@ func TestSelectOfMatchesCandidatesOf(t *testing.T) {
 			}
 			if step%7 == 0 {
 				r := gen.Float64()
-				a := got.Best(state)
+				a := got.best(state)
 				got.Update(state, a, r, state)
 				want.Update(state, a, r, state)
 			}

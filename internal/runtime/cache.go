@@ -70,9 +70,6 @@ func NewCache(dir string) (*Cache, error) {
 	}, nil
 }
 
-// Dir returns the on-disk directory, or "" for a memory-only cache.
-func (c *Cache) Dir() string { return c.dir }
-
 // Get looks the key up and unmarshals the payload into v on a hit.
 func (c *Cache) Get(key string, v any) bool {
 	return c.GetHashed(key, HashKey(key), v)

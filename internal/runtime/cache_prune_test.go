@@ -100,7 +100,7 @@ func TestStatsConsistentSnapshot(t *testing.T) {
 	for i := range jobs {
 		jobs[i] = simJob(i % 10)
 	}
-	e := NewExecutor(8, cache)
+	e := NewExecutorBackend(NewPoolBackend(8), cache)
 	stop := make(chan struct{})
 	bad := make(chan string, 1)
 	go func() {

@@ -194,26 +194,31 @@
 // its rounds serially on the goroutine executing it, so a backend's
 // parallelism is its worker count.
 //
-// # Simulation kernel: scratch arenas
+// # Simulation kernel: scratch arenas and the run memo
 //
-// The cell bodies those workers execute run on fl's zero-allocation
-// kernel. Every fl.Run borrows a per-run scratch arena (fl.Arena) from
-// a process-wide sync.Pool — effectively one arena per outer worker —
-// holding every buffer the round loop touches: participant rounds,
-// device states, selection permutations (double-buffered so a
-// controller's Observation can reference the previous round's
-// participants), aggregation scratch, and a fixed
-// [device.NumCategories]float64 energy accumulator that is only
-// expanded into the Result's category map once at summarize time. The
-// arena also carries bit-identical memo tables for the pure
-// per-(profile, workload, params) cost terms — device.CostModel for
-// batch compute times, netsim.CommModel for round-trip comm cost,
-// data.Memo for partition skew/coverage signals — so steady-state
-// rounds neither allocate nor re-derive invariant math (an fl unit test
-// holds a warmed-arena run under 2 allocations per round).
-// Reuse is safe across cells of any shape: beginRun resizes and
-// re-derives every table from the new config, and byte-identity of
-// dirty-arena reruns is tested directly.
+// The cell bodies those workers execute run on fl's round loop. Every
+// fl.Run borrows a scratch arena (fl.Arena) from a process-wide
+// sync.Pool — effectively one arena per outer worker — holding every
+// buffer the round loop touches: participant rounds, device states,
+// the double-buffered selection (so a controller's Observation can
+// reference the previous round's participants), aggregation scratch,
+// and a fixed [device.NumCategories]float64 energy accumulator that is
+// only expanded into the Result's category map once per run. A round
+// makes one serial pass over its participants — the controller's
+// per-device (B, E), then that device's compute and round-trip terms —
+// and then merges in fixed device order. The arena carries
+// bit-identical memo tables for the pure cost terms: device.CostModel
+// for batch compute times (each batch size filled on its first use),
+// netsim.CommModel for round-trip comm cost, and data.Memo for
+// partition skew/coverage signals. Runs in one process also share a
+// run memo (fl/memo.go): one fleet per composition, one partition per
+// partition spec and size, and one environment trace per (seed, fleet
+// size, interference, channel) that the first run to reach a round
+// records and every later run replays. So steady-state rounds neither
+// allocate nor re-derive invariant math (an fl unit test holds a
+// warmed-arena run under 2 allocations per round). Reuse never
+// changes a byte: beginRun re-derives every per-run table from the new
+// config, and byte-identity of dirty-arena reruns is tested directly.
 //
 // # Scheduling and snapshot shipping
 //
@@ -332,11 +337,13 @@
 //
 // Result carries the full structured outcome of a cell: the
 // simulator's summary metrics and per-round history (fl.Result) plus
-// an optional Kind-specific Extra payload. The CLIs' -results flag
-// streams every completed cell through Store.StreamTo as one JSON
-// Lines record, so external tooling can consume completed runs without
-// re-simulating; ReadStore loads the log back, the last line of a
-// repeated key winning.
+// an optional Kind-specific Extra payload. Store is an append-only
+// JSON Lines log of them: the CLIs' -results flag has every completed
+// cell appended as one record the moment its batch completes, so
+// external tooling can consume completed runs without re-simulating
+// (a repeated key appends a new line; a reader keeps the last one).
+// Only the keys stay in memory, and Store.Len counts the distinct
+// ones.
 //
 // # Telemetry
 //

@@ -56,13 +56,6 @@ type Executor struct {
 	stats   Stats
 }
 
-// NewExecutor returns an executor on the in-process pool backend with
-// the given worker count (workers <= 0 selects GOMAXPROCS) and
-// optional run cache (nil runs every job).
-func NewExecutor(workers int, cache *Cache) *Executor {
-	return NewExecutorBackend(NewPoolBackend(workers), cache)
-}
-
 // NewExecutorBackend returns an executor on an explicit execution
 // backend with an optional run cache (nil runs every job).
 func NewExecutorBackend(backend Backend, cache *Cache) *Executor {

@@ -87,10 +87,6 @@ func (j Job) AppendKey(dst []byte) []byte {
 	return strconv.AppendInt(dst, j.Seed, 10)
 }
 
-// Hash returns the content address of the cell: the SHA-256 hex digest
-// of the canonical key.
-func (j Job) Hash() string { return HashKey(j.Key()) }
-
 // KeyFor builds a canonical cache key for a non-job artifact (e.g. a
 // grid-search selection) under the same version prefix as job keys.
 func KeyFor(kind string, parts ...string) string {

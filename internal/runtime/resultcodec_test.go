@@ -158,12 +158,12 @@ func TestOldGenerationEntryIsRewritten(t *testing.T) {
 	if _, err := wire.WriteFrame(buf, payload); err != nil {
 		t.Fatal(err)
 	}
-	path := cache.path(job.Hash())
+	path := cache.path(HashKey(job.Key()))
 	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
-	e := NewExecutor(1, cache)
+	e := NewExecutorBackend(NewPoolBackend(1), cache)
 	if res := e.RunAll([]Job{job})[0]; res.Cached || res.Err != "" || res.Sim.PPW != 42 || runs != 1 {
 		t.Fatalf("old entry: cached=%v err=%q runs=%d, want a re-run", res.Cached, res.Err, runs)
 	}

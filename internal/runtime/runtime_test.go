@@ -33,11 +33,11 @@ func TestJobKeyStableAndHashed(t *testing.T) {
 	if j.Key() != key {
 		t.Error("key not stable across calls")
 	}
-	if len(j.Hash()) != 64 || j.Hash() != HashKey(key) {
-		t.Errorf("hash should be the sha256 hex of the key, got %q", j.Hash())
+	if len(HashKey(j.Key())) != 64 || HashKey(j.Key()) != HashKey(key) {
+		t.Errorf("hash should be the sha256 hex of the key, got %q", HashKey(j.Key()))
 	}
 	j2 := simJob(4)
-	if j2.Key() == key || j2.Hash() == j.Hash() {
+	if j2.Key() == key || HashKey(j2.Key()) == HashKey(j.Key()) {
 		t.Error("distinct cells must have distinct keys and hashes")
 	}
 }
@@ -47,8 +47,8 @@ func TestRunAllDeterministicOrdering(t *testing.T) {
 	for i := range jobs {
 		jobs[i] = simJob(i)
 	}
-	serial := NewExecutor(1, nil).RunAll(jobs)
-	parallel := NewExecutor(8, nil).RunAll(jobs)
+	serial := NewExecutorBackend(NewPoolBackend(1), nil).RunAll(jobs)
+	parallel := NewExecutorBackend(NewPoolBackend(8), nil).RunAll(jobs)
 	if len(serial) != len(jobs) || len(parallel) != len(jobs) {
 		t.Fatalf("result lengths: %d, %d", len(serial), len(parallel))
 	}
@@ -68,7 +68,7 @@ func TestRunAllPanicIsolation(t *testing.T) {
 		{Kind: "sim", Scenario: "boom", Seed: 1, Run: func() Result { panic("kaboom") }},
 		simJob(2),
 	}
-	e := NewExecutor(4, nil)
+	e := NewExecutorBackend(NewPoolBackend(4), nil)
 	rs := e.RunAll(jobs)
 	if rs[0].Err != "" || rs[2].Err != "" {
 		t.Error("healthy jobs should not report errors")
@@ -97,11 +97,11 @@ func TestExecutorCacheHitsAndCounts(t *testing.T) {
 		j.Run = func() Result { executed.Add(1); return inner() }
 		jobs[i] = j
 	}
-	e := NewExecutor(4, cache)
+	e := NewExecutorBackend(NewPoolBackend(4), cache)
 	first := e.RunAll(jobs)
 	// Within one batch a duplicated cell may race its twin, so only the
 	// second batch has guaranteed counts.
-	e2 := NewExecutor(4, cache)
+	e2 := NewExecutorBackend(NewPoolBackend(4), cache)
 	second := e2.RunAll(jobs)
 	if got := e2.Stats(); got.Runs != 0 || got.Hits != int64(len(jobs)) {
 		t.Errorf("warm stats = %+v, want 0 runs / %d hits", got, len(jobs))
@@ -190,7 +190,7 @@ func TestCorruptDiskEntryIsDiscardedAndRecomputed(t *testing.T) {
 			return Result{Sim: fl.Result{PPW: 42}}
 		},
 	}
-	e := NewExecutor(1, cache)
+	e := NewExecutorBackend(NewPoolBackend(1), cache)
 	if res := e.RunAll([]Job{job})[0]; res.Err != "" || res.Sim.PPW != 42 {
 		t.Fatalf("first run failed: %+v", res)
 	}
@@ -200,7 +200,7 @@ func TestCorruptDiskEntryIsDiscardedAndRecomputed(t *testing.T) {
 
 	// Tear the entry the way an interrupted write would: the magic and
 	// key header survive but the payload frame is cut short.
-	path := filepath.Join(dir, job.Hash()+binExt)
+	path := filepath.Join(dir, HashKey(job.Key())+binExt)
 	if _, err := os.Stat(path); err != nil {
 		t.Fatalf("cache entry not on disk: %v", err)
 	}
@@ -235,7 +235,7 @@ func TestCorruptDiskEntryIsDiscardedAndRecomputed(t *testing.T) {
 func TestErroredResultsNotCached(t *testing.T) {
 	cache, _ := NewCache("")
 	job := Job{Kind: "sim", Scenario: "s", Seed: 1, Run: func() Result { panic("once") }}
-	e := NewExecutor(1, cache)
+	e := NewExecutorBackend(NewPoolBackend(1), cache)
 	if rs := e.RunAll([]Job{job}); rs[0].Err == "" {
 		t.Fatal("expected an error result")
 	}
@@ -250,7 +250,7 @@ func TestProgressCallback(t *testing.T) {
 	for i := range jobs {
 		jobs[i] = simJob(i)
 	}
-	e := NewExecutor(4, nil)
+	e := NewExecutorBackend(NewPoolBackend(4), nil)
 	var events []Progress
 	e.SetProgress(func(p Progress) { events = append(events, p) })
 	e.RunAll(jobs)
@@ -264,35 +264,23 @@ func TestProgressCallback(t *testing.T) {
 }
 
 func TestStoreOrderAndFileRoundTrip(t *testing.T) {
-	s := NewStore()
+	path := filepath.Join(t.TempDir(), "store.jsonl")
+	s, err := NewStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
 	s.Add(Result{Key: "b", Sim: fl.Result{PPW: 2}})
 	s.Add(Result{Key: "a", Sim: fl.Result{PPW: 1}}, Result{Key: "c", Sim: fl.Result{PPW: 3}})
 	s.Add(Result{Key: "b", Sim: fl.Result{PPW: 9}}) // overwrite keeps position
 	if s.Len() != 3 {
 		t.Fatalf("len = %d", s.Len())
 	}
-	rs := s.Results()
-	if rs[0].Key != "b" || rs[0].Sim.PPW != 9 || rs[1].Key != "a" || rs[2].Key != "c" {
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rs := readLog(t, path)
+	if len(rs) != 3 || rs[0].Key != "b" || rs[0].Sim.PPW != 9 || rs[1].Key != "a" || rs[2].Key != "c" {
 		t.Errorf("insertion order broken: %+v", rs)
-	}
-	// The same Add sequence streamed to disk reads back identically.
-	path := filepath.Join(t.TempDir(), "store.jsonl")
-	w := NewStore()
-	if err := w.StreamTo(path); err != nil {
-		t.Fatal(err)
-	}
-	w.Add(Result{Key: "b", Sim: fl.Result{PPW: 2}})
-	w.Add(Result{Key: "a", Sim: fl.Result{PPW: 1}}, Result{Key: "c", Sim: fl.Result{PPW: 3}})
-	w.Add(Result{Key: "b", Sim: fl.Result{PPW: 9}})
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := ReadStore(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(loaded.Results(), s.Results()) {
-		t.Error("store file round trip mutated results")
 	}
 }
 

@@ -1,6 +1,9 @@
 package runtime
 
 import (
+	"bufio"
+	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -13,37 +16,65 @@ func streamResult(key string, ppw float64) Result {
 	return Result{Key: key, Sim: fl.Result{PPW: ppw}}
 }
 
-// A store switched to streaming mode must flush already-held results,
-// append every later Add as one JSONL line, retain nothing in memory,
-// and read back exactly what an in-memory store would have produced:
-// ReadStore compacts the log, the last occurrence of a repeated key
-// shadowing the earlier lines in the key's original position.
-func TestStoreStreamingRoundTripAndCompact(t *testing.T) {
-	dir := t.TempDir()
-	log := filepath.Join(dir, "results.jsonl")
-
-	st := NewStore()
-	st.Add(streamResult("a", 1), streamResult("b", 2))
-	if err := st.StreamTo(log); err != nil {
+// readLog loads a store's JSON Lines log the way a consumer compacts
+// it: one result per key in first-seen order, the last line of a
+// repeated key winning.
+func readLog(t *testing.T, path string) []Result {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
 		t.Fatal(err)
 	}
+	defer f.Close()
+	var out []Result
+	pos := map[string]int{}
+	dec := json.NewDecoder(bufio.NewReader(f))
+	for {
+		var r Result
+		if err := dec.Decode(&r); err == io.EOF {
+			return out
+		} else if err != nil {
+			t.Fatalf("decoding %s: %v", path, err)
+		}
+		if i, ok := pos[r.Key]; ok {
+			out[i] = r
+			continue
+		}
+		pos[r.Key] = len(out)
+		out = append(out, r)
+	}
+}
+
+func assertResults(t *testing.T, got, want []Result, label string) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d results, want %d", label, len(got), len(want))
+	}
+	for i := range want {
+		if got[i].Key != want[i].Key || got[i].Sim.PPW != want[i].Sim.PPW {
+			t.Errorf("%s: result %d = %+v, want %+v", label, i, got[i], want[i])
+		}
+	}
+}
+
+// Every Add appends one JSONL line and Len counts distinct keys; a
+// repeated key is appended, not rewritten, so the log compacts to the
+// last occurrence in the key's original position.
+func TestStoreStreamingRoundTripAndCompact(t *testing.T) {
+	log := filepath.Join(t.TempDir(), "results.jsonl")
+	st, err := NewStore(log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.Add(streamResult("a", 1), streamResult("b", 2))
 	st.Add(streamResult("c", 3))
-	st.Add(streamResult("b", 20)) // shadows the flushed line on read
+	st.Add(streamResult("b", 20))
 	if got := st.Len(); got != 3 {
 		t.Errorf("Len = %d, want 3 distinct keys", got)
-	}
-	if _, ok := st.Get("a"); ok {
-		t.Error("Get reported a hit in streaming mode; payloads live on disk")
-	}
-	if rs := st.Results(); len(rs) != 0 {
-		t.Errorf("Results returned %d entries in streaming mode, want 0", len(rs))
 	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-
-	// The log is JSON Lines: one object per line, four lines (the
-	// repeated key appended, not rewritten).
 	raw, err := os.ReadFile(log)
 	if err != nil {
 		t.Fatal(err)
@@ -51,58 +82,37 @@ func TestStoreStreamingRoundTripAndCompact(t *testing.T) {
 	if lines := strings.Count(string(raw), "\n"); lines != 4 {
 		t.Errorf("streamed log has %d lines, want 4 (duplicates append)", lines)
 	}
-
-	back, err := ReadStore(log)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := NewStore()
-	want.Add(streamResult("a", 1), streamResult("b", 2), streamResult("c", 3), streamResult("b", 20))
-	assertStoreEqual(t, back, want, "streamed log")
+	assertResults(t, readLog(t, log),
+		[]Result{streamResult("a", 1), streamResult("b", 20), streamResult("c", 3)}, "streamed log")
 }
 
-func assertStoreEqual(t *testing.T, got, want *Store, label string) {
-	t.Helper()
-	gr, wr := got.Results(), want.Results()
-	if len(gr) != len(wr) {
-		t.Fatalf("%s: %d results, want %d", label, len(gr), len(wr))
-	}
-	for i := range wr {
-		if gr[i].Key != wr[i].Key || gr[i].Sim.PPW != wr[i].Sim.PPW {
-			t.Errorf("%s: result %d = %+v, want %+v", label, i, gr[i], wr[i])
-		}
-	}
-}
-
-// An empty streamed log reads back as an empty store, and a second
-// StreamTo on an already-streaming store is an error rather than a
-// silent file swap.
+// An empty log reads back empty, an uncreatable path is an error at
+// NewStore, and Close is idempotent with Len still counting after it.
 func TestStoreStreamingEdgeCases(t *testing.T) {
 	dir := t.TempDir()
 	log := filepath.Join(dir, "empty.jsonl")
-	st := NewStore()
-	if err := st.StreamTo(log); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.StreamTo(filepath.Join(dir, "other.jsonl")); err == nil {
-		t.Error("second StreamTo succeeded; want an already-streaming error")
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadStore(log)
+	st, err := NewStore(log)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Len() != 0 {
-		t.Errorf("empty log read back %d results", back.Len())
+	if _, err := NewStore(filepath.Join(dir, "missing", "x.jsonl")); err == nil {
+		t.Error("NewStore in a missing directory succeeded")
 	}
-	// Close is idempotent and a no-op for in-memory stores.
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if rs := readLog(t, log); len(rs) != 0 {
+		t.Errorf("empty log read back %d results", len(rs))
+	}
 	if err := st.Close(); err != nil {
 		t.Errorf("second Close: %v", err)
 	}
-	if err := NewStore().Close(); err != nil {
-		t.Errorf("in-memory Close: %v", err)
+	st.Add(streamResult("late", 1))
+	if st.Len() != 1 {
+		t.Errorf("Len after Close = %d, want 1", st.Len())
+	}
+	if rs := readLog(t, log); len(rs) != 0 {
+		t.Errorf("an Add after Close reached the log: %+v", rs)
 	}
 }
 

@@ -69,14 +69,6 @@ func (g *RNG) TruncGaussian(mean, stddev, lo, hi float64) float64 {
 	return v
 }
 
-// Exponential returns a sample from Exp(rate). It panics if rate <= 0.
-func (g *RNG) Exponential(rate float64) float64 {
-	if rate <= 0 {
-		panic("stats: Exponential rate must be positive")
-	}
-	return g.r.ExpFloat64() / rate
-}
-
 // gammaSample draws from Gamma(alpha, 1) using Marsaglia-Tsang for
 // alpha >= 1 and the boost trick for alpha < 1. It is the kernel of
 // Dirichlet sampling.
@@ -187,12 +179,10 @@ func (g *RNG) Categorical(weights []float64) int {
 	return 0
 }
 
-// Perm returns a random permutation of [0, n).
-func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }
-
 // PermInto fills p with a random permutation of [0, len(p)), consuming
-// exactly the same draws as Perm(len(p)) — the result and the RNG's
-// subsequent stream are identical, only the allocation is the caller's.
+// exactly the same draws as math/rand's Perm(len(p)) — the result and
+// the RNG's subsequent stream are identical, only the allocation is
+// the caller's.
 // It exists for the simulator's per-round participant selection, which
 // would otherwise allocate a fresh permutation every round.
 func (g *RNG) PermInto(p []int) {

@@ -66,27 +66,6 @@ func TestTruncGaussianBounds(t *testing.T) {
 	}
 }
 
-func TestExponentialMean(t *testing.T) {
-	g := NewRNG(3)
-	n := 100000
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		sum += g.Exponential(4)
-	}
-	if mean := sum / float64(n); math.Abs(mean-0.25) > 0.01 {
-		t.Errorf("Exponential(4) mean = %v, want ~0.25", mean)
-	}
-}
-
-func TestExponentialPanicsOnBadRate(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for non-positive rate")
-		}
-	}()
-	NewRNG(1).Exponential(0)
-}
-
 func TestDirichletSumsToOne(t *testing.T) {
 	g := NewRNG(4)
 	for trial := 0; trial < 100; trial++ {
@@ -207,7 +186,7 @@ func TestDirichletPropertySimplex(t *testing.T) {
 func TestPermIntoMatchesPerm(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 7, 50, 200} {
 		a, b := NewRNG(99), NewRNG(99)
-		want := a.Perm(n)
+		want := a.r.Perm(n)
 		got := make([]int, n)
 		b.PermInto(got)
 		for i := range want {

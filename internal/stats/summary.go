@@ -68,40 +68,6 @@ func StdDev(xs []float64) float64 {
 	return math.Sqrt(s / float64(len(xs)))
 }
 
-// GeoMean returns the geometric mean of xs. Non-positive entries are
-// skipped; an empty or all-non-positive slice yields 0. Experiment
-// summaries use the geometric mean for speedup/PPW ratios, which is the
-// conventional aggregate for normalized performance numbers.
-func GeoMean(xs []float64) float64 {
-	logSum := 0.0
-	n := 0
-	for _, x := range xs {
-		if x <= 0 {
-			continue
-		}
-		logSum += math.Log(x)
-		n++
-	}
-	if n == 0 {
-		return 0
-	}
-	return math.Exp(logSum / float64(n))
-}
-
-// Median returns the median of xs, or 0 for an empty slice.
-func Median(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	c := append([]float64(nil), xs...)
-	sort.Float64s(c)
-	n := len(c)
-	if n%2 == 1 {
-		return c[n/2]
-	}
-	return (c[n/2-1] + c[n/2]) / 2
-}
-
 // Percentile returns the p-th percentile (0 <= p <= 100) of xs using
 // linear interpolation between closest ranks.
 func Percentile(xs []float64, p float64) float64 {
@@ -182,20 +148,6 @@ func ArgMax(xs []float64) int {
 	best := 0
 	for i, x := range xs {
 		if x > xs[best] {
-			best = i
-		}
-	}
-	return best
-}
-
-// ArgMin returns the index of the minimum element, or -1 for empty xs.
-func ArgMin(xs []float64) int {
-	if len(xs) == 0 {
-		return -1
-	}
-	best := 0
-	for i, x := range xs {
-		if x < xs[best] {
 			best = i
 		}
 	}

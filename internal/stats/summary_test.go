@@ -36,24 +36,12 @@ func TestStdDev(t *testing.T) {
 	}
 }
 
-func TestGeoMean(t *testing.T) {
-	if got := GeoMean([]float64{1, 4, 16}); !almostEqual(got, 4, 1e-9) {
-		t.Errorf("GeoMean = %v, want 4", got)
-	}
-	if got := GeoMean([]float64{-1, 0, 8, 2}); !almostEqual(got, 4, 1e-9) {
-		t.Errorf("GeoMean skipping non-positive = %v, want 4", got)
-	}
-	if GeoMean(nil) != 0 {
-		t.Error("empty GeoMean should be 0")
-	}
-}
-
 func TestMedianAndPercentile(t *testing.T) {
-	if got := Median([]float64{3, 1, 2}); got != 2 {
-		t.Errorf("Median odd = %v", got)
+	if got := Percentile([]float64{3, 1, 2}, 50); got != 2 {
+		t.Errorf("median odd = %v", got)
 	}
-	if got := Median([]float64{4, 1, 3, 2}); got != 2.5 {
-		t.Errorf("Median even = %v", got)
+	if got := Percentile([]float64{4, 1, 3, 2}, 50); got != 2.5 {
+		t.Errorf("median even = %v", got)
 	}
 	xs := []float64{10, 20, 30, 40, 50}
 	if got := Percentile(xs, 0); got != 10 {
@@ -115,11 +103,8 @@ func TestArgMaxArgMin(t *testing.T) {
 	if ArgMax(xs) != 1 {
 		t.Errorf("ArgMax = %d, want 1 (first of ties)", ArgMax(xs))
 	}
-	if ArgMin(xs) != 3 {
-		t.Errorf("ArgMin = %d", ArgMin(xs))
-	}
-	if ArgMax(nil) != -1 || ArgMin(nil) != -1 {
-		t.Error("empty Arg* should be -1")
+	if ArgMax(nil) != -1 {
+		t.Error("empty ArgMax should be -1")
 	}
 }
 

@@ -228,11 +228,6 @@ type Metrics struct {
 	Endpoints []Endpoint       `json:"endpoints,omitempty"`
 }
 
-// Empty reports whether the snapshot recorded nothing at all.
-func (m Metrics) Empty() bool {
-	return len(m.Phases) == 0 && len(m.Endpoints) == 0 && m.Counters == Counters{}
-}
-
 // SetEndpointCounts overwrites one endpoint's dispatch counters,
 // creating the entry if needed — used when folding the coordinator's
 // authoritative EndpointStats into a snapshot so the metrics artifact

@@ -14,7 +14,7 @@ func TestNilCollectorSafe(t *testing.T) {
 	c.Count(func(cc *Counters) { cc.SimsExecuted++ })
 	c.RecordLatency("tcp:x", time.Millisecond)
 	c.Add(Metrics{Counters: Counters{CacheHits: 3}})
-	if m := c.Snapshot(); !m.Empty() {
+	if m := c.Snapshot(); len(m.Phases) != 0 || len(m.Endpoints) != 0 || m.Counters != (Counters{}) {
 		t.Fatalf("nil collector snapshot not empty: %+v", m)
 	}
 }
