@@ -44,6 +44,7 @@ type Optimizer struct {
 	baseline *stats.EMA
 	lastArm  int
 	scale    *stats.EMA // running reward magnitude for normalization
+	p        []float64  // probabilities' scratch distribution
 }
 
 // New builds an optimizer over n arms. It panics if n <= 0 or the
@@ -58,6 +59,7 @@ func New(n int, cfg Config, rng *stats.RNG) *Optimizer {
 	return &Optimizer{
 		cfg:      cfg,
 		logW:     make([]float64, n),
+		p:        make([]float64, n),
 		rng:      rng,
 		baseline: stats.NewEMA(cfg.BaselineAlpha),
 		lastArm:  -1,
@@ -65,9 +67,11 @@ func New(n int, cfg Config, rng *stats.RNG) *Optimizer {
 	}
 }
 
-// Probabilities returns the current sampling distribution (softmax of
-// the log-weights, floored at MinProb and renormalized).
-func (o *Optimizer) Probabilities() []float64 {
+// probabilities writes the current sampling distribution (softmax of
+// the log-weights, floored at MinProb and renormalized) into the
+// optimizer's scratch slice and returns it; the next call overwrites
+// it.
+func (o *Optimizer) probabilities() []float64 {
 	n := len(o.logW)
 	maxW := o.logW[0]
 	for _, w := range o.logW[1:] {
@@ -75,7 +79,7 @@ func (o *Optimizer) Probabilities() []float64 {
 			maxW = w
 		}
 	}
-	p := make([]float64, n)
+	p := o.p
 	sum := 0.0
 	for i, w := range o.logW {
 		p[i] = math.Exp(w - maxW)
@@ -89,7 +93,7 @@ func (o *Optimizer) Probabilities() []float64 {
 
 // Suggest samples an arm from the current distribution.
 func (o *Optimizer) Suggest() int {
-	o.lastArm = o.rng.Categorical(o.Probabilities())
+	o.lastArm = o.rng.Categorical(o.probabilities())
 	return o.lastArm
 }
 
@@ -109,7 +113,7 @@ func (o *Optimizer) Observe(reward float64) {
 	advantage := (reward - base) / norm
 	o.baseline.Add(reward)
 
-	p := o.Probabilities()
+	p := o.probabilities()
 	// Importance-weighted gradient: only the played arm's weight moves.
 	o.logW[o.lastArm] += o.cfg.StepSize * advantage / p[o.lastArm] * p[o.lastArm]
 	// (the p/p cancellation is kept explicit to mirror the EXP3 form
@@ -134,15 +138,4 @@ func (o *Optimizer) clampWeights() {
 			o.logW[i] = -bound
 		}
 	}
-}
-
-// Best returns the arm with the highest weight.
-func (o *Optimizer) Best() int {
-	best := 0
-	for i, w := range o.logW {
-		if w > o.logW[best] {
-			best = i
-		}
-	}
-	return best
 }

@@ -4,6 +4,7 @@ import (
 	"encoding"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -131,13 +132,13 @@ func (c *Cache) get(key, hash string, v any) int {
 		c.payloads.drop(hash)
 		c.payloadMu.Unlock()
 	}
-	b, err := os.ReadFile(c.path(hash))
-	if err != nil {
-		return srcMiss
+	b, src := c.readEntry(hash)
+	if src != srcDisk {
+		return src
 	}
 	// A corrupted or foreign file — truncated, wrong magic, an envelope
-	// whose key does not match (hash collision) — is a miss, not an
-	// error: the cell just re-runs.
+	// whose key does not match (hash collision), a checksum mismatch —
+	// is a miss, not an error: the cell just re-runs.
 	payload, ok = decodeBinaryEnvelope(b, key)
 	if !ok || !c.unmarshalPayload(payload, v) {
 		return srcCorrupt
@@ -145,6 +146,30 @@ func (c *Cache) get(key, hash string, v any) int {
 	c.cachePayload(hash, payload)
 	c.touch(hash)
 	return srcDisk
+}
+
+// readEntry reads hash's entry file whole. It opens, stats and reads
+// the file exactly as os.ReadFile does, but refuses a file larger than
+// maxEnvelopeBytes before allocating anything, classing it corrupt; a
+// file it cannot open or read is a miss.
+func (c *Cache) readEntry(hash string) ([]byte, int) {
+	f, err := os.Open(c.path(hash))
+	if err != nil {
+		return nil, srcMiss
+	}
+	defer f.Close()
+	info, err := f.Stat()
+	if err != nil {
+		return nil, srcMiss
+	}
+	if info.Size() > int64(maxEnvelopeBytes) {
+		return nil, srcCorrupt
+	}
+	b := make([]byte, info.Size())
+	if _, err := io.ReadFull(f, b); err != nil {
+		return nil, srcMiss
+	}
+	return b, srcDisk
 }
 
 // unmarshalPayload decodes payload into v under the cacheDecode phase
@@ -161,16 +186,6 @@ func (c *Cache) unmarshalPayload(payload []byte, v any) bool {
 	}
 	c.col.RecordPhase(telemetry.PhaseCacheDecode, time.Since(start))
 	return err == nil
-}
-
-// marshalPayload is unmarshalPayload's inverse: the value's own binary
-// form when it implements encoding.BinaryAppender (Result), JSON
-// otherwise.
-func marshalPayload(v any) ([]byte, error) {
-	if a, ok := v.(encoding.BinaryAppender); ok {
-		return a.AppendBinary(nil)
-	}
-	return json.Marshal(v)
 }
 
 // cachePayload admits a disk hit's payload bytes to the decoded-payload
@@ -272,19 +287,24 @@ func (c *Cache) Put(key string, v any) error {
 // PutHashed is Put for callers that already hold the key's content
 // address; hash must equal HashKey(key). The payload is v's binary
 // form when v implements encoding.BinaryAppender and its JSON
-// otherwise; on-disk entries are written as binary envelopes.
+// otherwise; on-disk entries are written as binary envelopes
+// (encodeBinaryEnvelope) built in one buffer.
 func (c *Cache) PutHashed(key, hash string, v any) error {
 	start := time.Now()
 	defer func() { c.col.RecordPhase(telemetry.PhaseCacheWrite, time.Since(start)) }()
-	payload, err := marshalPayload(v)
-	if err != nil {
-		return fmt.Errorf("runtime: cache payload: %w", err)
-	}
 	if c.dir == "" {
+		payload, err := appendPayload(nil, v)
+		if err != nil {
+			return fmt.Errorf("runtime: cache payload: %w", err)
+		}
 		c.mu.Lock()
 		c.mem[hash] = payload
 		c.mu.Unlock()
 		return nil
+	}
+	b, err := encodeBinaryEnvelope(key, v)
+	if err != nil {
+		return err
 	}
 	// An overwrite invalidates whatever the decoded-payload layer holds
 	// for this hash; the next disk hit re-admits the fresh bytes.
@@ -293,10 +313,6 @@ func (c *Cache) PutHashed(key, hash string, v any) error {
 	c.payloadMu.Unlock()
 	// Publish atomically: a concurrent reader sees either nothing or the
 	// complete entry, never a torn write.
-	b, err := encodeBinaryEnvelope(key, payload)
-	if err != nil {
-		return err
-	}
 	tmp, err := os.CreateTemp(c.dir, "put-*")
 	if err != nil {
 		return err

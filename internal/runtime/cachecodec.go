@@ -1,10 +1,12 @@
 package runtime
 
 import (
-	"bytes"
 	"container/list"
+	"encoding"
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
+	"hash/crc32"
 
 	"fedgpo/internal/runtime/wire"
 )
@@ -13,9 +15,10 @@ import (
 // baked into the magic — a layout change bumps the digit and readers
 // of either generation treat the other's files as corrupt (a miss, so
 // the cell re-runs and rewrites its entry), never as garbage that
-// parses. Generation 2 carries a Result as its binary form
-// (Result.AppendBinary) instead of JSON.
-const cacheMagic = "FGC2"
+// parses. Generation 2 carried a Result as its binary form
+// (Result.AppendBinary) instead of JSON; generation 3 stores the
+// payload raw behind a CRC-32C instead of in a DEFLATE frame.
+const cacheMagic = "FGC3"
 
 // binExt is the extension of every cache entry on disk.
 const binExt = ".binz"
@@ -26,69 +29,102 @@ const binExt = ".binz"
 // scenario specs.
 const maxCacheKeyLen = 1 << 20
 
-// encodeBinaryEnvelope renders one binary cache entry:
+// crcLen is the size of the CRC-32C that closes an entry.
+const crcLen = 4
+
+// maxEnvelopeBytes bounds a whole entry: the largest header, the
+// payload bound shared with the transport (wire.MaxPayloadBytes) and
+// the CRC. Cache.readEntry refuses a larger file before reading it.
+const maxEnvelopeBytes = len(cacheMagic) + binary.MaxVarintLen64 + maxCacheKeyLen + wire.MaxPayloadBytes + crcLen
+
+// castagnoli is the CRC-32C table that checksums every entry.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// encodeBinaryEnvelope renders one binary cache entry in one buffer:
 //
-//	"FGC2" | uvarint(len(key)) | key bytes | wire frame(payload)
+//	"FGC3" | uvarint(len(key)) | key bytes | payload | CRC-32C
 //
-// The canonical key stays uncompressed so a reader can reject a
-// foreign entry (hash collision, copied file) before inflating a
-// single payload byte, and so on-disk entries remain greppable by key.
-// The payload rides one wire-package frame — the same bounded,
-// DEFLATE-compressed length-prefixed framing the transport plane uses.
-func encodeBinaryEnvelope(key string, payload []byte) ([]byte, error) {
+// The payload is v's own binary form when v implements
+// encoding.BinaryAppender (Result appends straight after the header)
+// and its JSON otherwise. The CRC (Castagnoli table, big-endian) covers
+// every byte before it. The canonical key stays in clear text ahead of
+// the payload so a reader can reject a foreign entry (hash collision,
+// copied file) before checksumming the body, and so on-disk entries
+// remain greppable by key.
+func encodeBinaryEnvelope(key string, v any) ([]byte, error) {
 	if len(key) == 0 || len(key) > maxCacheKeyLen {
 		return nil, fmt.Errorf("runtime: cache envelope key length %d outside (0, %d]", len(key), maxCacheKeyLen)
 	}
-	var buf bytes.Buffer
-	buf.Grow(len(cacheMagic) + binary.MaxVarintLen64 + len(key) + len(payload)/2)
-	buf.WriteString(cacheMagic)
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], uint64(len(key)))
-	buf.Write(tmp[:n])
-	buf.WriteString(key)
-	if _, err := wire.WriteFrame(&buf, payload); err != nil {
-		return nil, fmt.Errorf("runtime: cache envelope: %w", err)
+	b := make([]byte, 0, len(cacheMagic)+binary.MaxVarintLen64+len(key))
+	b = append(b, cacheMagic...)
+	b = binary.AppendUvarint(b, uint64(len(key)))
+	b = append(b, key...)
+	head := len(b)
+	b, err := appendPayload(b, v)
+	if err != nil {
+		return nil, fmt.Errorf("runtime: cache payload: %w", err)
 	}
-	return buf.Bytes(), nil
+	if len(b)-head > wire.MaxPayloadBytes {
+		return nil, fmt.Errorf("runtime: cache payload %d bytes exceeds limit %d", len(b)-head, wire.MaxPayloadBytes)
+	}
+	return binary.BigEndian.AppendUint32(b, crc32.Checksum(b, castagnoli)), nil
+}
+
+// appendPayload appends v's cache payload to b: its own binary form
+// when it implements encoding.BinaryAppender (Result), JSON otherwise.
+// Cache.unmarshalPayload is its inverse.
+func appendPayload(b []byte, v any) ([]byte, error) {
+	if a, ok := v.(encoding.BinaryAppender); ok {
+		return a.AppendBinary(b)
+	}
+	js, err := json.Marshal(v)
+	if err != nil {
+		return nil, err
+	}
+	return append(b, js...), nil
 }
 
 // decodeBinaryEnvelope parses a binary cache entry and returns its
 // payload when the envelope is well formed and carries wantKey.
 // Anything else — wrong magic, truncation at any offset, a foreign
-// key, a corrupt frame — reports ok == false: a cache read degrades to
-// a miss, never an error. The key comparison happens before the
-// payload frame is inflated, so foreign entries cost a header read.
+// key, a payload over the bound, a checksum mismatch — reports
+// ok == false: a cache read degrades to a miss, never an error. The
+// magic and key are compared before the CRC is computed, so a foreign
+// entry costs a header read. The payload is a sub-slice of b, neither
+// copied nor decompressed.
 func decodeBinaryEnvelope(b []byte, wantKey string) (payload []byte, ok bool) {
 	if len(b) < len(cacheMagic) || string(b[:len(cacheMagic)]) != cacheMagic {
 		return nil, false
 	}
-	b = b[len(cacheMagic):]
-	keyLen, n := binary.Uvarint(b)
-	if n <= 0 || keyLen == 0 || keyLen > maxCacheKeyLen || uint64(len(b)-n) < keyLen {
+	rest := b[len(cacheMagic):]
+	keyLen, n := binary.Uvarint(rest)
+	if n <= 0 || keyLen == 0 || keyLen > maxCacheKeyLen || uint64(len(rest)-n) < keyLen {
 		return nil, false
 	}
-	key := b[n : n+int(keyLen)]
-	if string(key) != wantKey {
+	if string(rest[n:n+int(keyLen)]) != wantKey {
 		return nil, false
 	}
-	body := bytes.NewReader(b[n+int(keyLen):])
-	payload, _, err := wire.ReadFrame(body, 1)
-	if err != nil || body.Len() != 0 {
-		// Trailing bytes after the payload frame mean the file is not an
-		// envelope this writer produced; treat it as corrupt.
+	body := rest[n+int(keyLen):]
+	if len(body) < crcLen || len(body)-crcLen > wire.MaxPayloadBytes {
 		return nil, false
 	}
-	return payload, true
+	end := len(b) - crcLen
+	if crc32.Checksum(b[:end], castagnoli) != binary.BigEndian.Uint32(b[end:]) {
+		return nil, false
+	}
+	return body[: len(body)-crcLen : len(body)-crcLen], true
 }
 
 // payloadLRU is the in-process decoded-payload layer: a byte-capped
 // LRU over the payload bytes of disk hits, so cells touched repeatedly
 // within one run (pretrain snapshots, ForceRun trace re-runs,
-// multi-figure sweeps sharing cells) read and inflate their envelope
-// once. It caches payloads of hits only — never write-through — so a
-// corrupted disk entry is still discovered by the next fresh read path
-// and in-memory copies never outlive an explicit drop (Prune removes
-// evicted hashes from the layer too). Methods are not locked; Cache
+// multi-figure sweeps sharing cells) read and checksum their envelope
+// once. A payload is a sub-slice of its file's bytes, so the layer
+// also retains each entry's key header and CRC. It caches payloads of
+// hits only — never write-through — so a corrupted disk entry is still
+// discovered by the next fresh read path and in-memory copies never
+// outlive an explicit drop (Prune removes evicted hashes from the
+// layer too). Methods are not locked; Cache
 // serializes access under its own payload mutex.
 type payloadLRU struct {
 	max  int64

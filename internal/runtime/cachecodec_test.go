@@ -2,9 +2,11 @@ package runtime
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"os"
 	"path/filepath"
+	goruntime "runtime"
 	"testing"
 	"time"
 
@@ -12,10 +14,16 @@ import (
 	"fedgpo/internal/telemetry"
 )
 
+// rawPayload is a test payload whose binary form is its own bytes, so
+// an envelope can carry arbitrary payload bytes.
+type rawPayload []byte
+
+func (r rawPayload) AppendBinary(b []byte) ([]byte, error) { return append(b, r...), nil }
+
 func TestBinaryEnvelopeRoundTrip(t *testing.T) {
 	key := "v3|sim|scenario|ctrl|seed=9"
 	payload := []byte(`{"key":"v3|sim|scenario|ctrl|seed=9","sim":{"ppw":1.25}}`)
-	b, err := encodeBinaryEnvelope(key, payload)
+	b, err := encodeBinaryEnvelope(key, rawPayload(payload))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +52,12 @@ func TestBinaryEnvelopeRoundTrip(t *testing.T) {
 	if _, ok := decodeBinaryEnvelope(append(append([]byte{}, b...), 0xFF), key); ok {
 		t.Error("envelope with trailing bytes decoded")
 	}
-	if _, err := encodeBinaryEnvelope("", payload); err == nil {
+	// The payload is a sub-slice of the entry, capped so appending to
+	// it can never write over the CRC trailer.
+	if cap(got) != len(got) {
+		t.Errorf("payload cap %d exceeds its length %d", cap(got), len(got))
+	}
+	if _, err := encodeBinaryEnvelope("", rawPayload(payload)); err == nil {
 		t.Error("empty key must not encode")
 	}
 }
@@ -54,7 +67,7 @@ func TestBinaryEnvelopeRoundTrip(t *testing.T) {
 // miss — never a panic, whatever the corruption.
 func FuzzDecodeBinaryEnvelope(f *testing.F) {
 	key := "v3|sim|scenario-3|static/(8,10,20)|seed=3"
-	valid, err := encodeBinaryEnvelope(key, []byte(`{"sim":{"ppw":4.5,"converged":true}}`))
+	valid, err := encodeBinaryEnvelope(key, rawPayload(`{"sim":{"ppw":4.5,"converged":true}}`))
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -64,8 +77,9 @@ func FuzzDecodeBinaryEnvelope(f *testing.F) {
 	f.Add([]byte(cacheMagic))
 	f.Add([]byte(cacheMagic + "\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff"))
 	f.Add([]byte(`{"key":"` + key + `","payload":{}}`)) // a foreign JSON file
-	foreign, _ := encodeBinaryEnvelope("other", []byte(`{}`))
+	foreign, _ := encodeBinaryEnvelope("other", rawPayload(`{}`))
 	f.Add(foreign)
+	f.Add(fgc2Envelope(f, key, []byte(`{}`))) // the previous generation
 	f.Fuzz(func(t *testing.T, b []byte) {
 		// The only guarantees: never panic, and anything that decodes is a
 		// structurally valid envelope for the wanted key — re-encoding its
@@ -75,7 +89,7 @@ func FuzzDecodeBinaryEnvelope(f *testing.F) {
 		if !ok {
 			return
 		}
-		re, err := encodeBinaryEnvelope(key, payload)
+		re, err := encodeBinaryEnvelope(key, rawPayload(payload))
 		if err != nil {
 			t.Fatalf("decoded payload does not re-encode: %v", err)
 		}
@@ -86,37 +100,100 @@ func FuzzDecodeBinaryEnvelope(f *testing.F) {
 	})
 }
 
+// fgc2Envelope renders an entry as format generation 2 wrote it: the
+// same key header, then the payload in one DEFLATE wire frame.
+func fgc2Envelope(t testing.TB, key string, payload []byte) []byte {
+	t.Helper()
+	b := binary.AppendUvarint([]byte("FGC2"), uint64(len(key)))
+	return append(append(b, key...), payloadFrame(t, payload)...)
+}
+
 // Arbitrary bytes in a .binz file must degrade to a cache miss through
 // the full Get path: the cell re-runs, the run never errors.
 func TestCacheGetSurvivesArbitraryEnvelopeBytes(t *testing.T) {
 	key := "fuzzlike|cell"
 	hash := HashKey(key)
-	valid, err := encodeBinaryEnvelope(key, []byte("not a result"))
+	valid, err := encodeBinaryEnvelope(key, rawPayload("not a result"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, raw := range [][]byte{
+	result := Result{Key: key, Sim: fl.Result{PPW: 2.5, Converged: true, History: []fl.RoundRecord{
+		{Round: 1, Accuracy: 0.4, RoundSeconds: 3, EnergyJ: 12.5, PlannedK: 10, AggregatedK: 9},
+		{Round: 2, Accuracy: 0.6, RoundSeconds: 2.5, EnergyJ: 11, PlannedK: 10, AggregatedK: 10},
+	}}}
+	validResult, err := encodeBinaryEnvelope(key, result)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resultPayload, err := result.AppendBinary(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := [][]byte{
 		{},
 		[]byte(cacheMagic),
 		[]byte(cacheMagic + "\x05ab"), // truncated key
 		[]byte(cacheMagic + "\x03abc\x00\x00\x00\x01x"), // foreign key
 		valid, // right key, payload no Result decodes
-		// An older format generation, otherwise well formed.
+		// Older format generations, otherwise well formed.
 		append([]byte("FGC1"), valid[len(cacheMagic):]...),
+		fgc2Envelope(t, key, resultPayload),
 		bytes.Repeat([]byte{0xAA}, 512),
-	} {
-		dir := t.TempDir()
-		cache, err := NewCache(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, hash+binExt), raw, 0o644); err != nil {
+	}
+	// Every single-byte flip of a valid Result entry — in the magic,
+	// the key header, the payload or the CRC itself.
+	for i := range validResult {
+		flipped := bytes.Clone(validResult)
+		flipped[i] ^= 0xFF
+		cases = append(cases, flipped)
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, hash+binExt)
+	cache, err := NewCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	col := telemetry.NewCollector()
+	cache.SetCollector(col)
+	for i, raw := range cases {
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		var got Result
 		if cache.Get(key, &got) {
-			t.Errorf("bytes %q served a hit", raw)
+			t.Errorf("case %d: bytes %q served a hit", i, raw)
 		}
+	}
+	if c := col.Snapshot().Counters; c.CacheCorrupt != int64(len(cases)) {
+		t.Errorf("CacheCorrupt = %d, want every one of %d cases", c.CacheCorrupt, len(cases))
+	}
+
+	// A file over the envelope bound is refused from its size alone: a
+	// corrupt miss that allocates nothing near the file's size. The file
+	// is sparse, so it costs no disk.
+	if err := os.Truncate(path, int64(maxEnvelopeBytes)+1); err != nil {
+		t.Fatal(err)
+	}
+	var before, after goruntime.MemStats
+	goruntime.ReadMemStats(&before)
+	var got Result
+	if cache.Get(key, &got) {
+		t.Error("an entry over the size bound served a hit")
+	}
+	goruntime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Errorf("refusing an oversized entry allocated %d bytes", grew)
+	}
+	if c := col.Snapshot().Counters; c.CacheCorrupt != int64(len(cases))+1 {
+		t.Errorf("CacheCorrupt = %d, want the oversized entry counted corrupt", c.CacheCorrupt)
+	}
+
+	// The unflipped entry still hits.
+	if err := os.WriteFile(path, validResult, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if !cache.Get(key, &got) || got.Sim.PPW != 2.5 || len(got.Sim.History) != 2 {
+		t.Errorf("valid entry did not hit: %+v", got)
 	}
 }
 
@@ -303,8 +380,8 @@ func TestCacheHitTouchesMtime(t *testing.T) {
 }
 
 // The binary envelope must actually be smaller than the result JSON it
-// replaced on representative payloads: the binary Result payload in a
-// DEFLATE frame more than pays for the clear-text key header.
+// replaced on representative payloads: the raw binary Result payload
+// more than pays for the clear-text key header and the CRC.
 func TestBinaryEnvelopeSmallerThanJSON(t *testing.T) {
 	history := make([]fl.RoundRecord, 200)
 	for i := range history {
@@ -321,11 +398,7 @@ func TestBinaryEnvelopeSmallerThanJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload, err := r.AppendBinary(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bin, err := encodeBinaryEnvelope(r.Key, payload)
+	bin, err := encodeBinaryEnvelope(r.Key, r)
 	if err != nil {
 		t.Fatal(err)
 	}

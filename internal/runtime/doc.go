@@ -107,19 +107,20 @@
 // many bytes of DEFLATE-compressed payload, bounded on both axes
 // (wire.MaxFrameBytes on the wire, wire.MaxPayloadBytes decompressed)
 // before anything is allocated. There is one protocol, ProtoVersion
-// (8), and no negotiation. The worker speaks first: its first frame is
+// (9), and no negotiation. The worker speaks first: its first frame is
 // a JSON hello
 //
-//	{"hello": true, "proto": 8, "keyVersion": "v3",
+//	{"hello": true, "proto": 9, "keyVersion": "v3",
 //	 "capacity": N, "cacheDir": "<worker's -cachedir>"}
 //
 // which the coordinator validates before dispatching anything. A
 // protocol-version or cache-key-scheme mismatch rejects the endpoint
 // outright — a worker computing cells under a different key layout
 // would otherwise publish wrong results into the shared cache, one
-// writing an older cache entry format (protocol 6 wrote FGC1) would
-// publish entries the coordinator reads as corrupt, and one speaking
-// JSON envelopes (protocol 7) would fail every frame. A
+// writing an older cache entry format (protocol 6 wrote FGC1,
+// protocols 7 and 8 FGC2) would publish entries the coordinator reads
+// as corrupt, and one speaking JSON envelopes (protocol 7) would fail
+// every frame. A
 // worker built before protocol 6 opens with a bare JSON line instead
 // of a frame; its first four bytes decode as a length prefix far above
 // the frame bound, so the handshake fails before reading a body. The
@@ -268,7 +269,7 @@
 // entries live on disk, persisted as <dir>/<hash>.binz binary
 // envelopes:
 //
-//	"FGC2" | uvarint(key length) | canonical key | wire frame(payload)
+//	"FGC3" | uvarint(key length) | canonical key | payload | CRC-32C
 //
 // A job Result's payload, on disk and in memory alike, is its own
 // binary form (Result.AppendBinary: key, error text and Extra as
@@ -277,17 +278,25 @@
 // percent of the JSON decode time, which was most of a warm report's
 // work. Every other artifact — pretrain snapshots, decision traces,
 // the Fixed (Best) grid selection — stays JSON. The canonical key
-// rides uncompressed ahead of the payload, so a reader rejects a
-// foreign entry (hash collision, copied file) before inflating a byte
-// and on-disk entries stay greppable by key; the payload is one
-// wire-package frame — the same bounded, length-prefixed DEFLATE
-// framing the transport plane uses.
+// rides in clear text ahead of the payload, so a reader rejects a
+// foreign entry (hash collision, copied file) after reading only the
+// header, and on-disk entries stay greppable by key. The payload is
+// stored raw: float64 round series compress less than 2x, and
+// inflating them was half of a warm report's CPU. The closing CRC-32C
+// (Castagnoli table, big-endian) covers every byte before it, so a
+// flipped byte anywhere reads as corrupt, and a reader decodes the
+// payload in place as a sub-slice of the file bytes. An entry is
+// bounded like a transport frame: a file larger than the header bound
+// plus wire.MaxPayloadBytes is refused from its size, before it is
+// read. Entries do not use the transport's framing, so a framing
+// change no longer changes the cache format.
 // Writes are atomic (temp file + rename, so a crash mid-write can never
 // publish a torn entry). Any malformed file — wrong magic, truncation,
-// a key mismatch, a payload that does not decode — is treated as a
-// miss and the cell re-runs, repairing the entry in place. An entry of
-// an older format generation ("FGC1", whose Result payload was JSON)
-// has the wrong magic, so it is such a miss too. Any file without the
+// a key or checksum mismatch, a payload that does not decode — is
+// treated as a miss and the cell re-runs, repairing the entry in
+// place. An entry of an older format generation ("FGC1", whose Result
+// payload was JSON, or "FGC2", whose payload was a DEFLATE frame) has
+// the wrong magic, so it is such a miss too. Any file without the
 // .binz extension (a stray <hash>.json included) is foreign: never
 // read, never pruned. Results that ended in an error are never cached.
 //

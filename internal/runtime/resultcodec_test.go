@@ -2,7 +2,6 @@ package runtime
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/json"
 	"os"
 	"reflect"
@@ -13,7 +12,6 @@ import (
 	"fedgpo/internal/fl"
 	"fedgpo/internal/interfere"
 	"fedgpo/internal/netsim"
-	"fedgpo/internal/runtime/wire"
 	"fedgpo/internal/telemetry"
 	"fedgpo/internal/workload"
 )
@@ -133,9 +131,10 @@ func TestResultBinaryCoversEveryField(t *testing.T) {
 	}
 }
 
-// An entry written before the binary Result payload ("FGC1", result
-// JSON) is an old generation: reading it is a corrupt miss, the cell
-// re-runs, and the entry is rewritten in the current format.
+// An entry of the previous format generation ("FGC2", the binary
+// Result payload in a DEFLATE frame) is an old generation: reading it
+// is a corrupt miss, the cell re-runs, and the entry is rewritten in
+// the current format.
 func TestOldGenerationEntryIsRewritten(t *testing.T) {
 	dir := t.TempDir()
 	cache, err := NewCache(dir)
@@ -149,17 +148,12 @@ func TestOldGenerationEntryIsRewritten(t *testing.T) {
 		runs++
 		return Result{Sim: fl.Result{PPW: 42}}
 	}}
-	payload, err := json.Marshal(Result{Key: job.Key(), Sim: fl.Result{PPW: 42}})
+	payload, err := Result{Key: job.Key(), Sim: fl.Result{PPW: 42}}.AppendBinary(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	old := binary.AppendUvarint([]byte("FGC1"), uint64(len(job.Key())))
-	buf := bytes.NewBuffer(append(old, job.Key()...))
-	if _, err := wire.WriteFrame(buf, payload); err != nil {
-		t.Fatal(err)
-	}
 	path := cache.path(HashKey(job.Key()))
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+	if err := os.WriteFile(path, fgc2Envelope(t, job.Key(), payload), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -174,8 +168,8 @@ func TestOldGenerationEntryIsRewritten(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.HasPrefix(b, []byte(cacheMagic)) || cacheMagic != "FGC2" {
-		t.Fatalf("entry not rewritten as FGC2: starts %q", b[:4])
+	if !bytes.HasPrefix(b, []byte(cacheMagic)) {
+		t.Fatalf("entry not rewritten as %s: starts %q", cacheMagic, b[:4])
 	}
 	if res := e.RunAll([]Job{job})[0]; !res.Cached || runs != 1 {
 		t.Errorf("rewritten entry should hit: cached=%v runs=%d", res.Cached, runs)
@@ -188,7 +182,7 @@ func TestOldGenerationEntryIsRewritten(t *testing.T) {
 func TestUndecodableResultPayloadIsCorrupt(t *testing.T) {
 	dir := t.TempDir()
 	key := "v3|sim|undecodable|c|seed=1"
-	env, err := encodeBinaryEnvelope(key, []byte(`{"key":"x"}`))
+	env, err := encodeBinaryEnvelope(key, rawPayload(`{"key":"x"}`))
 	if err != nil {
 		t.Fatal(err)
 	}

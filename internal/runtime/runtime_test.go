@@ -156,7 +156,7 @@ func TestCacheDiskRoundTripAndVerification(t *testing.T) {
 	}
 	// An envelope whose key does not match the requested key (a
 	// collision or foreign file) must also miss.
-	foreign, err := encodeBinaryEnvelope("evil", []byte(`{}`))
+	foreign, err := encodeBinaryEnvelope("evil", rawPayload(`{}`))
 	if err != nil {
 		t.Fatal(err)
 	}

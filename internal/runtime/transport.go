@@ -20,8 +20,8 @@ import (
 // meaning, or the cache entry format (cacheMagic) changes: a worker
 // sharing the coordinator's cache directory publishes entries the
 // coordinator must be able to read. Protocol 8 is protocol 7 with
-// binary envelopes.
-const ProtoVersion = 8
+// binary envelopes; protocol 9 is protocol 8 with FGC3 cache entries.
+const ProtoVersion = 9
 
 // framedSince is the first protocol whose hello is a frame; a worker
 // built before it opens with a bare JSON line.

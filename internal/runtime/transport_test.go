@@ -300,6 +300,8 @@ func TestHandshakeRejectsMismatches(t *testing.T) {
 		{"protocol 6", hello(6, keyVersion), "wire protocol 6"},
 		// Protocol 7 sent JSON envelopes.
 		{"protocol 7", hello(7, keyVersion), "wire protocol 7"},
+		// Protocol 8 wrote FGC2 cache entries.
+		{"protocol 8", hello(8, keyVersion), "wire protocol 8"},
 		{"future protocol", hello(ProtoVersion+1, keyVersion), "wire protocol"},
 		{"wrong key scheme", hello(ProtoVersion, "v1"), "cache-key scheme"},
 		{"prefix over MaxFrameBytes", string(oversized[:]) + "xxxx", "length prefix"},
