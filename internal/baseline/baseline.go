@@ -2,7 +2,8 @@
 // fl.Controller implementations (§4.1):
 //
 //   - Fixed (Best): the most energy-efficient fixed (B, E, K) found by
-//     grid search, held constant for the whole run;
+//     grid search (exp.FixedBestParams), held constant for the whole
+//     run;
 //   - Adaptive (BO): round-by-round Bayesian optimization over the
 //     (B, E, K) grid;
 //   - Adaptive (GA): round-by-round genetic algorithm;
@@ -63,38 +64,6 @@ func staticPlan(p fl.Params) fl.Plan {
 	return fl.Plan{K: p.K, Local: func(device.Device, fl.DeviceState) fl.LocalParams {
 		return lp
 	}}
-}
-
-// GridSearchBest runs every candidate (or the full Table 2 grid when
-// candidates is nil) through the given deployment and returns the
-// setting with the best PPW — the paper's Fixed (Best) selection
-// procedure ("the most energy-efficient parameter combination
-// identified by grid search"). The search runs on the supplied config;
-// the paper's offline-simulation framing corresponds to passing the
-// ideal (no-variance) deployment here and then evaluating the returned
-// setting wherever the experiment deploys it.
-func GridSearchBest(cfg fl.Config, candidates []fl.Params, seeds []int64) (fl.Params, float64) {
-	if candidates == nil {
-		candidates = fl.AllParams()
-	}
-	if len(seeds) == 0 {
-		seeds = []int64{1}
-	}
-	bestP, bestPPW := candidates[0], math.Inf(-1)
-	for _, p := range candidates {
-		total := 0.0
-		for _, seed := range seeds {
-			c := cfg
-			c.Seed = seed
-			res := fl.Run(c, fl.NewStatic(p))
-			total += res.PPW
-		}
-		ppw := total / float64(len(seeds))
-		if ppw > bestPPW {
-			bestP, bestPPW = p, ppw
-		}
-	}
-	return bestP, bestPPW
 }
 
 // CoarseGrid returns a reduced candidate set (24 of 150 combinations)

@@ -3,9 +3,12 @@
 // heterogeneity of its participants, it advances the global model's
 // test accuracy.
 //
-// This is the substitution for real DNN training at fleet scale (see
-// DESIGN.md). The model encodes the qualitative response surface the
-// paper characterizes in §2:
+// It stands in for real DNN training: training actual networks on
+// hundreds of devices for hundreds of rounds, once per configuration
+// and seed, is out of reach, and the controllers only ever observe
+// per-round accuracy. So the model reproduces how accuracy responds to
+// the parameters rather than any weights — the qualitative response
+// surface the paper characterizes in §2:
 //
 //   - B: a generalization sweet spot; effectiveness falls off
 //     Gaussianly in log2(B) around the workload's optimum ("using

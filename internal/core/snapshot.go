@@ -1,6 +1,9 @@
 package core
 
 import (
+	"fmt"
+	"math"
+	"slices"
 	"sort"
 
 	"fedgpo/internal/device"
@@ -37,6 +40,51 @@ type Snapshot struct {
 	Deadline      float64                                `json:"deadline"`
 	Frozen        bool                                   `json:"frozen"`
 	FrozenRound   int                                    `json:"frozenRound"`
+}
+
+// Validate reports a snapshot FromSnapshot could not restore into a
+// working controller: a Q row or a non-empty mask whose length is not
+// its table's action count (len(fl.AllLocalParams()) for a local
+// table, len(fl.KValues()) for the K table), a mask that allows no
+// action, or a float that is not finite.
+func (s Snapshot) Validate() error {
+	floats := []float64{s.GlobalNorm.Value, s.KLocalNorm.Value, s.Deadline}
+	table := func(name string, t rl.TableSnapshot, n int) error {
+		for state, row := range t.Q {
+			if len(row) != n {
+				return fmt.Errorf("core: snapshot %s: state %q has %d Q values, want %d", name, state, len(row), n)
+			}
+			floats = append(floats, row...)
+		}
+		if len(t.Mask) > 0 && (len(t.Mask) != n || !slices.Contains(t.Mask, true)) {
+			return fmt.Errorf("core: snapshot %s: mask %v does not fit %d actions", name, t.Mask, n)
+		}
+		floats = append(floats, t.Epsilon, t.Delta)
+		return nil
+	}
+	for key, t := range s.LocalTables {
+		if err := table("local table "+key, t, len(fl.AllLocalParams())); err != nil {
+			return err
+		}
+	}
+	if s.KTable != nil {
+		if err := table("K table", *s.KTable, len(fl.KValues())); err != nil {
+			return err
+		}
+	}
+	for _, n := range s.LocalNorm {
+		floats = append(floats, n.Value)
+	}
+	for _, p := range s.TableProfiles {
+		floats = append(floats, p.GFLOPS, p.RAMBytes, p.IdleWatts, p.WaitWatts, p.CPU.MaxFreqGHz,
+			p.CPU.PeakWatts, p.CPU.FloorWatts, p.GPU.MaxFreqGHz, p.GPU.PeakWatts, p.GPU.FloorWatts)
+	}
+	for _, v := range floats {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("core: snapshot holds a non-finite value %v", v)
+		}
+	}
+	return nil
 }
 
 // Snapshot captures the controller's learned state.

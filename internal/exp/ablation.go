@@ -156,9 +156,11 @@ func AblationTables(o Options) Table {
 	return t
 }
 
-// AblationBeta sweeps the Eq. 1 reward weight β, the knob DESIGN.md
-// calls out: too small and the policy chases cheap parameters at the
-// cost of convergence; too large and energy stops mattering.
+// AblationBeta sweeps the Eq. 1 reward weight β on the improvement
+// term, the one weight that trades convergence against energy (see
+// core.DefaultRewardConfig): too small and the policy chases cheap
+// parameters at the cost of convergence; too large and energy stops
+// mattering.
 func AblationBeta(o Options) Table {
 	w := workload.CNNMNIST()
 	s := o.apply(Realistic(w))

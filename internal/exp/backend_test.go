@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"fedgpo/internal/core"
 	"fedgpo/internal/fl"
 	"fedgpo/internal/runtime"
 	"fedgpo/internal/workload"
@@ -398,4 +399,169 @@ func TestFleetWideExactlyOnePretrainPerScenario(t *testing.T) {
 				i, aj, bj)
 		}
 	}
+}
+
+// Cache entries and wire responses do not carry a result's Outcome;
+// runSpecs derives it again from the history. A result served from a
+// cache hit or over TCP must therefore equal the fresh result, Outcome
+// included.
+func TestOutcomeSurvivesCacheAndWire(t *testing.T) {
+	specs := append(telemetrySpecs(), simSpec(telemetryScenario(), fedgpoWarmContender(telemetryScenario()), 2))
+	sims := func(rt *Runtime) []fl.Result {
+		res := rt.runSpecs(specs)
+		out := make([]fl.Result, len(res))
+		for i, r := range res {
+			out[i] = r.Sim
+			out[i].ControllerOverheadSec = 0
+		}
+		return out
+	}
+	dir := t.TempDir()
+	rt, err := NewRuntime(1, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := sims(rt)
+	for i, r := range fresh {
+		if r.RoundsExecuted == 0 || r.PPW <= 0 {
+			t.Fatalf("spec %d: fresh result has no outcome: %+v", i, r.Outcome)
+		}
+	}
+
+	warm, err := NewRuntime(1, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cached := sims(warm)
+	if runs := warm.Stats().Runs; runs != 0 {
+		t.Fatalf("warm runtime simulated %d cells, want every one served from the cache", runs)
+	}
+
+	addr, stop := startWorkerPool(t, 1, t.TempDir())
+	defer stop()
+	mem, err := runtime.NewCache("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tcp := sims(NewRuntimeWithBackend(runtime.NewProcBackend(runtime.ProcConfig{Workers: []string{addr}}), mem))
+
+	for name, got := range map[string][]fl.Result{"cache hit": cached, "tcp": tcp} {
+		for i := range specs {
+			a, _ := json.Marshal(got[i])
+			b, _ := json.Marshal(fresh[i])
+			if string(a) != string(b) {
+				t.Errorf("%s: spec %d differs from the fresh result:\n got %+v\nwant %+v",
+					name, i, got[i].Outcome, fresh[i].Outcome)
+			}
+		}
+	}
+}
+
+// A shipped snapshot that does not decode or fails validation is
+// refused before the pretrain singleflight or the cache sees it; the
+// cell that needs it then warms up and computes exactly what a runtime
+// that never saw the bad snapshot computes.
+func TestInstallSnapshotRejectsInvalid(t *testing.T) {
+	s := telemetryScenario()
+	sp := simSpec(s, fedgpoWarmContender(s), 1)
+	key := affinityKey(sp)
+
+	ref, err := NewRuntime(1, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := ref.runSpecs([]JobSpec{sp})[0].Sim
+	var good json.RawMessage
+	if !ref.cache.Get(key, &good) {
+		t.Fatal("the reference run stored no snapshot")
+	}
+	edit := func(f func(*core.Snapshot)) json.RawMessage {
+		var snap core.Snapshot
+		if err := json.Unmarshal(good, &snap); err != nil {
+			t.Fatal(err)
+		}
+		f(&snap)
+		b, err := json.Marshal(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	bad := map[string]json.RawMessage{
+		"short row": edit(func(s *core.Snapshot) {
+			for state, row := range s.KTable.Q {
+				s.KTable.Q[state] = row[:len(row)-1]
+				return
+			}
+		}),
+		"NaN": json.RawMessage(strings.Replace(string(good), `"deadline":`, `"deadline":NaN,"x":`, 1)),
+		"bad mask": edit(func(s *core.Snapshot) {
+			s.KTable.Mask = make([]bool, len(fl.KValues()))
+		}),
+	}
+
+	dir := t.TempDir()
+	rt, err := NewRuntime(1, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, data := range bad {
+		if err := rt.InstallSnapshot(key, data); err == nil {
+			t.Errorf("%s: snapshot installed", name)
+		}
+	}
+	var stored json.RawMessage
+	if rt.cache.Get(key, &stored) {
+		t.Fatal("a rejected snapshot reached the cache")
+	}
+	got := rt.runSpecs([]JobSpec{sp})[0].Sim
+	if runs, _ := rt.PretrainStats(); runs != 1 {
+		t.Errorf("the cell ran %d warm-ups after the rejections, want 1", runs)
+	}
+	got.ControllerOverheadSec, want.ControllerOverheadSec = 0, 0
+	a, _ := json.Marshal(got)
+	b, _ := json.Marshal(want)
+	if string(a) != string(b) {
+		t.Error("the cell's result differs from a runtime that never saw the bad snapshots")
+	}
+	if err := rt.InstallSnapshot(key, good); err != nil {
+		t.Errorf("a valid snapshot was rejected: %v", err)
+	}
+}
+
+// FuzzInstallSnapshot holds the snapshot install path to its contract:
+// no input panics, and any snapshot it accepts restores through
+// core.FromSnapshot into a controller that runs a round.
+func FuzzInstallSnapshot(f *testing.F) {
+	s := telemetryScenario()
+	warm := s.Config(997)
+	warm.MaxRounds = 20
+	good, err := json.Marshal(core.PretrainSnapshot(core.DefaultConfig(), warm))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(good)
+	f.Add(good[:len(good)/2])
+	f.Add([]byte(`{}`))
+	f.Add([]byte(`null`))
+	f.Add([]byte(`{"localTables":{"H":{"q":{"s":[1,2]},"mask":[true]}}}`))
+	f.Add([]byte(`{"kTable":{"q":{"s":[0,0,0,0,0]},"mask":[false,false,false,false,false]}}`))
+	s.MaxRounds = 1
+	cfg := s.Config(1)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		rt, err := NewRuntime(1, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rt.InstallSnapshot("k", data) != nil {
+			return
+		}
+		var snap core.Snapshot
+		if err := json.Unmarshal(data, &snap); err != nil {
+			t.Fatalf("an accepted snapshot does not decode: %v", err)
+		}
+		if res := fl.Run(cfg, core.FromSnapshot(core.DefaultConfig(), snap)); res.RoundsExecuted != 1 {
+			t.Fatalf("the restored controller ran %d rounds, want 1", res.RoundsExecuted)
+		}
+	})
 }

@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 
+	"fedgpo/internal/baseline"
+	"fedgpo/internal/fl"
 	"fedgpo/internal/workload"
 )
 
@@ -134,5 +136,32 @@ func TestExperimentRegistryRunnersAgree(t *testing.T) {
 		if tab := e.Run(Tiny()); tab.ID != id {
 			t.Errorf("experiment %s produced table id %s", id, tab.ID)
 		}
+	}
+}
+
+// The runtime's grid search picks a sensible Fixed (Best) setting: not
+// a degenerate corner, with a positive PPW that beats an obviously bad
+// configuration's.
+func TestGridSearchBestPicksReasonableParams(t *testing.T) {
+	rt, err := NewRuntime(0, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := Tiny().apply(Ideal(workload.CNNMNIST()))
+	seeds := []int64{1}
+	p := rt.gridSearchBest(s, baseline.CoarseGrid(), seeds)
+	if p.B <= 0 || p.E <= 0 || p.K <= 0 {
+		t.Fatalf("grid search returned invalid params %v", p)
+	}
+	if p.E == 1 && p.K == 1 {
+		t.Errorf("grid search picked degenerate %v", p)
+	}
+	bad := fl.Params{B: 32, E: 20, K: 20}
+	sums := rt.summaries([]cell{{s, staticContender(p, "")}, {s, staticContender(bad, "")}}, seeds)
+	if sums[0].MeanPPW <= 0 {
+		t.Fatalf("best PPW = %v", sums[0].MeanPPW)
+	}
+	if sums[0].MeanPPW <= sums[1].MeanPPW {
+		t.Errorf("best %v PPW %v should beat bad config %v's %v", p, sums[0].MeanPPW, bad, sums[1].MeanPPW)
 	}
 }

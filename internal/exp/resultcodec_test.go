@@ -6,16 +6,17 @@ import (
 	"sync"
 	"testing"
 
+	"fedgpo/internal/fl"
 	"fedgpo/internal/runtime"
 )
 
 // recordingBackend keeps every result the wrapped backend returns —
 // exactly the results the executor writes back to the run cache —
-// with the kind of the job that produced it.
+// with the spec of the job that produced it.
 type recordingBackend struct {
 	runtime.Backend
 	mu    sync.Mutex
-	kinds []string
+	specs []JobSpec
 	got   []runtime.Result
 }
 
@@ -24,15 +25,21 @@ func (b *recordingBackend) Run(jobs []runtime.Job, done func(int, runtime.Result
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	for i, r := range out {
-		b.kinds = append(b.kinds, jobs[i].Kind)
+		sp, err := DecodeJobSpec(jobs[i].Payload)
+		if err != nil {
+			panic(err)
+		}
+		b.specs = append(b.specs, sp)
 		b.got = append(b.got, r)
 	}
 	return out
 }
 
 // Every result a Tiny registry run caches, of every job kind, must
-// survive the cache's binary codec with its JSON unchanged: the binary
-// payload holds exactly what the JSON payload it replaced held.
+// survive the cache's binary codec with its JSON unchanged once its
+// Outcome is derived again from the decoded history and the spec's
+// workload, as Runtime.runSpecs does: the binary payload holds
+// everything else the JSON payload it replaced held.
 func TestRegistryResultsSurviveBinaryCodec(t *testing.T) {
 	rec := &recordingBackend{Backend: runtime.NewPoolBackend(0)}
 	cache, err := runtime.NewCache("")
@@ -50,7 +57,7 @@ func TestRegistryResultsSurviveBinaryCodec(t *testing.T) {
 		if r.Err != "" {
 			t.Fatalf("job %q failed: %s", r.Key, r.Err)
 		}
-		kinds[rec.kinds[i]] = true
+		kinds[rec.specs[i].Kind] = true
 		if len(r.Extra) > 0 {
 			withExtra++
 		} else {
@@ -64,6 +71,7 @@ func TestRegistryResultsSurviveBinaryCodec(t *testing.T) {
 		if err := back.UnmarshalBinary(enc); err != nil {
 			t.Fatalf("%q: decode: %v", r.Key, err)
 		}
+		back.Sim.Outcome = fl.OutcomeOf(rec.specs[i].Scenario.Workload, back.Sim.History)
 		want, err := json.Marshal(r)
 		if err != nil {
 			t.Fatal(err)

@@ -196,7 +196,8 @@ func (r *Runtime) pretrainedSnapshot(s ScenarioSpec, cfg core.Config, warmSeed i
 	if e.done {
 		return e.snap
 	}
-	if !r.cache.Get(key, &e.snap) {
+	// A shared cache directory is a process boundary too.
+	if !r.cache.Get(key, &e.snap) || e.snap.Validate() != nil {
 		func() {
 			defer func() {
 				if rec := recover(); rec != nil {
@@ -270,10 +271,14 @@ func (r *Runtime) attachBuiltSnapshot(sp JobSpec, res *runtime.Result) {
 // singleflight and run cache, so a cell needing key deserializes it
 // instead of re-running the warm-up. An entry this process already
 // resolved wins — the shipped copy is byte-identical by construction,
-// so skipping it changes nothing.
+// so skipping it changes nothing. A snapshot that fails to decode or
+// to validate is neither installed nor stored.
 func (r *Runtime) InstallSnapshot(key string, data json.RawMessage) error {
 	var snap core.Snapshot
 	if err := json.Unmarshal(data, &snap); err != nil {
+		return fmt.Errorf("exp: installing snapshot %q: %w", key, err)
+	}
+	if err := snap.Validate(); err != nil {
 		return fmt.Errorf("exp: installing snapshot %q: %w", key, err)
 	}
 	r.pretrainMu.Lock()
@@ -338,35 +343,31 @@ type cell struct {
 	c ContenderSpec
 }
 
-// runSpecs compiles a spec batch and executes it through the
-// runtime's executor, returning results in spec order; see runAll.
+// runSpecs executes a spec batch through the runtime's executor and
+// returns the results in spec order, each with its Outcome derived
+// from its spec's workload and its history (cache entries and wire
+// responses do not carry it). It records the results in the store and
+// re-panics on job failure — matching fl.Run's panic-on-invalid-config
+// semantics while still letting the rest of the batch drain.
 func (r *Runtime) runSpecs(specs []JobSpec) []runtime.Result {
 	jobs := make([]runtime.Job, len(specs))
 	for i, sp := range specs {
 		jobs[i] = r.Job(sp)
-	}
-	return r.runAll(jobs)
-}
-
-// runAll executes a job batch, records the results in the store, and
-// re-panics on job failure — matching fl.Run's panic-on-invalid-config
-// semantics while still letting the rest of the batch drain.
-func (r *Runtime) runAll(jobs []runtime.Job) []runtime.Result {
-	if r.onJob != nil {
-		for _, j := range jobs {
-			r.onJob(j)
+		if r.onJob != nil {
+			r.onJob(jobs[i])
 		}
 	}
 	results := r.exec.RunAll(jobs)
-	// Tag each result's wall-clock provenance. This happens after the
-	// executor's cache write-backs, so cache entries never carry the
-	// tag and stay byte-identical across cold and warm runs; only the
-	// in-memory results (and the -results store JSON) see it.
 	for i := range results {
-		if results[i].Cached {
-			results[i].Provenance = runtime.ProvenanceReplayed
+		res := &results[i]
+		res.Sim.Outcome = fl.OutcomeOf(specs[i].Scenario.Workload, res.Sim.History)
+		// Set after the cache write-backs, the provenance tag never
+		// reaches a cache entry; only the in-memory results (and the
+		// -results store JSON) see it.
+		if res.Cached {
+			res.Provenance = runtime.ProvenanceReplayed
 		} else {
-			results[i].Provenance = runtime.ProvenanceMeasured
+			res.Provenance = runtime.ProvenanceMeasured
 		}
 	}
 	if r.store != nil {
@@ -399,16 +400,22 @@ func (r *Runtime) summaries(cells []cell, seeds []int64) []fl.Summary {
 			specs = append(specs, simSpec(cl.s, cl.c, seed))
 		}
 	}
-	results := r.runSpecs(specs)
+	results := r.runSims(specs)
 	sums := make([]fl.Summary, len(cells))
 	for i, cl := range cells {
-		per := make([]fl.Result, len(seeds))
-		for j := range seeds {
-			per[j] = results[i*len(seeds)+j].Sim
-		}
-		sums[i] = fl.Summarize(cl.s.rounds(), per)
+		sums[i] = fl.Summarize(cl.s.rounds(), results[i*len(seeds):(i+1)*len(seeds)])
 	}
 	return sums
+}
+
+// runSims is runSpecs for callers that need only the simulator results.
+func (r *Runtime) runSims(specs []JobSpec) []fl.Result {
+	results := r.runSpecs(specs)
+	out := make([]fl.Result, len(results))
+	for i, res := range results {
+		out[i] = res.Sim
+	}
+	return out
 }
 
 // SweepStatic runs one static-parameter simulation per entry of params
@@ -417,17 +424,11 @@ func (r *Runtime) summaries(cells []cell, seeds []int64) []fl.Summary {
 // identity with the figure constructors', so a sweep warms the report
 // cache and vice versa.
 func SweepStatic(o Options, s ScenarioSpec, params []fl.Params, seed int64) []fl.Result {
-	rt := o.runtime()
 	specs := make([]JobSpec, len(params))
 	for i, p := range params {
 		specs[i] = simSpec(s, staticContender(p, ""), seed)
 	}
-	results := rt.runSpecs(specs)
-	out := make([]fl.Result, len(results))
-	for i, r := range results {
-		out[i] = r.Sim
-	}
-	return out
+	return o.runtime().runSims(specs)
 }
 
 // SweepScenarios runs one simulation per scenario spec at a single
@@ -438,23 +439,18 @@ func SweepStatic(o Options, s ScenarioSpec, params []fl.Params, seed int64) []fl
 // deployments, so a matrix sweep warms the report cache and vice
 // versa.
 func SweepScenarios(o Options, specs []ScenarioSpec, p fl.Params, seed int64) []fl.Result {
-	rt := o.runtime()
 	jobSpecs := make([]JobSpec, len(specs))
 	for i, s := range specs {
 		jobSpecs[i] = simSpec(s, staticContender(p, ""), seed)
 	}
-	results := rt.runSpecs(jobSpecs)
-	out := make([]fl.Result, len(results))
-	for i, r := range results {
-		out[i] = r.Sim
-	}
-	return out
+	return o.runtime().runSims(jobSpecs)
 }
 
-// gridSearchBest mirrors baseline.GridSearchBest through the runtime:
-// same candidate order, same per-candidate seed averaging, same
-// first-strictly-greater argmax — but with the grid's cells fanned out
-// over the execution backend and individually cached.
+// gridSearchBest is the paper's Fixed (Best) selection ("the most
+// energy-efficient parameter combination identified by grid search"):
+// it runs every grid setting on the scenario for each seed and returns
+// the first setting with the strictly greatest mean PPW. The grid's
+// cells fan out over the execution backend and are cached one by one.
 func (r *Runtime) gridSearchBest(s ScenarioSpec, grid []fl.Params, seeds []int64) fl.Params {
 	cells := make([]cell, len(grid))
 	for i, p := range grid {

@@ -17,8 +17,11 @@ package exp
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"sync"
 
 	"fedgpo/internal/data"
 	"fedgpo/internal/device"
@@ -425,10 +428,34 @@ func (s ScenarioSpec) rounds() int {
 // only and deliberately absent.
 func (s ScenarioSpec) cacheKey() string {
 	return fmt.Sprintf("%s/fleet=%s/rounds=%d/part=%s/net=%s/intf=%s/deadline=%g/agg=%d",
-		s.Workload.Name, s.Fleet.key(), s.rounds(), s.Partition.key(),
+		workloadKey(s.Workload), s.Fleet.key(), s.rounds(), s.Partition.key(),
 		s.Network.key(), s.Interference.key(),
 		s.Deadline.SecondsFor(s.Workload), aggregationOverheadSec)
 }
+
+// workloadKey names a workload by its name and a digest of its
+// parameters, so a spec that changes a registry workload's parameters
+// but keeps its name never shares that workload's cells. Keys are
+// memoized; the memo restarts past 64 workloads, bounding a fuzzer's.
+func workloadKey(w workload.Workload) string {
+	workloadKeys.Lock()
+	defer workloadKeys.Unlock()
+	k, ok := workloadKeys.m[w]
+	if !ok {
+		sum := sha256.Sum256([]byte(canonJSON(w)))
+		k = w.Name + "@" + hex.EncodeToString(sum[:8])
+		if len(workloadKeys.m) >= 64 {
+			clear(workloadKeys.m)
+		}
+		workloadKeys.m[w] = k
+	}
+	return k
+}
+
+var workloadKeys = struct {
+	sync.Mutex
+	m map[workload.Workload]string
+}{m: make(map[workload.Workload]string)}
 
 // Config materializes the scenario for a run seed. The fleet and the
 // partition are the process's shared, read-only ones (fl.SharedFleet,

@@ -276,25 +276,26 @@ func FuzzDecodeJobSpec(f *testing.F) {
 	})
 }
 
-// Spec-derived keys must follow the v3 canonical layout: the scenario
-// half hashes the full resolved scenario spec (device-class mix,
-// partition, channel, co-runner, deadline), never the display name.
+// Spec-derived keys must follow the v4 canonical layout: the scenario
+// half hashes the full resolved scenario spec (workload name and
+// parameter digest, device-class mix, partition, channel, co-runner,
+// deadline), never the display name.
 // Pinning the exact bytes here keeps the layout stable — a change to
 // it must be deliberate and come with a keyVersion bump.
 func TestSpecKeysCanonicalScheme(t *testing.T) {
 	s := Ideal(workload.CNNMNIST())
-	wantScenario := "CNN-MNIST/fleet=H30:M70:L100/rounds=400/part=iid" +
+	wantScenario := "CNN-MNIST@4f982503acb74a70/fleet=H30:M70:L100/rounds=400/part=iid" +
 		"/net=gauss(mean=80,std=8,floor=1,tx=0.8,weak=1.9)/intf=none/deadline=0/agg=30"
 	if got := s.cacheKey(); got != wantScenario {
 		t.Errorf("scenario key:\n got %q\nwant %q", got, wantScenario)
 	}
 	static := simSpec(s, staticContender(fl.Params{B: 8, E: 10, K: 20}, "Fixed (Best)"), 2)
-	wantStatic := "v3|sim|" + wantScenario + "|static/(8,10,20)/label=Fixed (Best)|seed=2"
+	wantStatic := "v4|sim|" + wantScenario + "|static/(8,10,20)/label=Fixed (Best)|seed=2"
 	if got := static.Key(); got != wantStatic {
 		t.Errorf("static key:\n got %q\nwant %q", got, wantStatic)
 	}
 	r := Realistic(workload.CNNMNIST())
-	wantRealistic := "CNN-MNIST/fleet=H30:M70:L100/rounds=400/part=iid" +
+	wantRealistic := "CNN-MNIST@4f982503acb74a70/fleet=H30:M70:L100/rounds=400/part=iid" +
 		"/net=gauss(mean=38,std=25,floor=8,tx=0.8,weak=1.9)" +
 		"/intf=web-browsing(cpu=0.45±0.15,mem=0.3±0.1)@0.5" +
 		fmt.Sprintf("/deadline=%g/agg=30", r.Deadline.SecondsFor(r.Workload))
@@ -307,13 +308,36 @@ func TestSpecKeysCanonicalScheme(t *testing.T) {
 		t.Errorf("warm contender key lost its config serialization: %q", k)
 	}
 	oracle := oracleSpec(s, Tiny(), 20)
-	wantOracle := "v3|oracle|" + s.cacheKey() + "/proberounds=20|" + warm.key() + "/probe|seed=1"
+	wantOracle := "v4|oracle|" + s.cacheKey() + "/proberounds=20|" + warm.key() + "/probe|seed=1"
 	if got := oracle.Key(); got != wantOracle {
 		t.Errorf("oracle key:\n got %q\nwant %q", got, wantOracle)
 	}
 	cold := JobSpec{Kind: KindSec54, Scenario: s, Contender: fedgpoColdContender(), Seed: 1}
-	wantCold := "v3|sec54|" + s.cacheKey() + "/stopconv=false|" + fedgpoColdContender().key() + "|seed=1"
+	wantCold := "v4|sec54|" + s.cacheKey() + "/stopconv=false|" + fedgpoColdContender().key() + "|seed=1"
 	if got := cold.Key(); got != wantCold {
 		t.Errorf("sec54 key:\n got %q\nwant %q", got, wantCold)
+	}
+}
+
+// A spec that keeps a registry workload's name but changes one of its
+// parameters names a different cell, so the cache never serves it the
+// registry workload's result.
+func TestScenarioKeyHashesWorkloadParameters(t *testing.T) {
+	base := Ideal(workload.CNNMNIST())
+	same := Ideal(workload.CNNMNIST())
+	same.Name = "renamed"
+	if same.cacheKey() != base.cacheKey() {
+		t.Error("equal workloads under another display name got different keys")
+	}
+	target, gain := base, base
+	target.Workload.Learn.TargetAccuracy = 0.5
+	gain.Workload.Learn.BaseGain *= 3
+	seen := map[string]string{}
+	for name, s := range map[string]ScenarioSpec{"registry": base, "target": target, "gain": gain} {
+		key := simSpec(s, staticContender(fl.Params{B: 8, E: 10, K: 20}, ""), 1).Key()
+		if other, dup := seen[key]; dup {
+			t.Errorf("%s and %s share the key %q", name, other, key)
+		}
+		seen[key] = name
 	}
 }

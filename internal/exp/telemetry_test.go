@@ -61,7 +61,7 @@ func TestTraceDoesNotChangeCanonicalKey(t *testing.T) {
 		t.Errorf("trace level changed the canonical key:\nuntraced %q\ntraced   %q", plain, traced)
 	}
 	tk := traceKey(sp)
-	if !strings.HasPrefix(tk, "v3|trace|decisions|") {
+	if !strings.HasPrefix(tk, "v4|trace|decisions|") {
 		t.Errorf("trace key %q does not use the versioned trace scheme", tk)
 	}
 	if tk == plain {

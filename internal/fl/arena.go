@@ -73,11 +73,9 @@ type Arena struct {
 	selectedSet []bool
 	aggIDs      []int
 
-	// Per-run accumulators. history is the run's History, copied out
-	// at its exact length when the run ends.
-	cumTime   []float64
-	cumEnergy []float64
-	history   []RoundRecord
+	// history is the run's History, copied out at its exact length
+	// when the run ends.
+	history []RoundRecord
 
 	// memo is the run memo this arena joined; env is the run's view of
 	// its environment trace.
@@ -165,12 +163,8 @@ func (a *Arena) beginRun(cfg *Config) {
 	}
 	a.comm = cfg.Channel.Model()
 
-	if cap(a.cumTime) < cfg.MaxRounds {
-		a.cumTime = make([]float64, 0, cfg.MaxRounds)
-		a.cumEnergy = make([]float64, 0, cfg.MaxRounds)
+	if cap(a.history) < cfg.MaxRounds {
 		a.history = make([]RoundRecord, 0, cfg.MaxRounds)
 	}
-	a.cumTime = a.cumTime[:0]
-	a.cumEnergy = a.cumEnergy[:0]
 	a.history = a.history[:0]
 }

@@ -9,15 +9,12 @@ import (
 	"fedgpo/internal/device"
 )
 
-// The binary form of a Result, in field order. Every float is its
+// The binary form of a Result leaves out the derived Outcome, which
+// UnmarshalBinary leaves zero. In field order, every float is its
 // IEEE-754 bits as 8 little-endian bytes, every int a minimal signed
 // varint, every length a minimal uvarint:
 //
 //	uvarint len(Controller) | Controller
-//	byte Converged (0 or 1)
-//	varint ConvergenceRound | varint RoundsExecuted
-//	f64 TimeToConvergenceSec | f64 EnergyToConvergenceJ
-//	f64 FinalAccuracy | f64 PPW | f64 AvgRoundSeconds
 //	byte EnergyByCategory mask | f64 per present category, ascending
 //	f64 ControllerOverheadSec
 //	uvarint len(History)+1 | History records
@@ -45,9 +42,7 @@ const maxEnergyMask = 1 << (1 + device.NumCategories)
 // BinarySize returns the exact number of bytes AppendBinary adds, so a
 // caller can size its buffer once.
 func (r Result) BinarySize() int {
-	n := BytesSize(len(r.Controller)) + 1 +
-		varintLen(r.ConvergenceRound) + varintLen(r.RoundsExecuted) +
-		5*8 + 1 + 8*len(r.EnergyByCategory) + 8 +
+	n := BytesSize(len(r.Controller)) + 1 + 8*len(r.EnergyByCategory) + 8 +
 		uvarintLen(uint64(len(r.History))+1)
 	for i := range r.History {
 		h := &r.History[i]
@@ -71,14 +66,6 @@ func (r Result) AppendBinary(b []byte) ([]byte, error) {
 		}
 	}
 	b = AppendBytes(b, r.Controller)
-	b = appendBool(b, r.Converged)
-	b = binary.AppendVarint(b, int64(r.ConvergenceRound))
-	b = binary.AppendVarint(b, int64(r.RoundsExecuted))
-	b = appendFloat(b, r.TimeToConvergenceSec)
-	b = appendFloat(b, r.EnergyToConvergenceJ)
-	b = appendFloat(b, r.FinalAccuracy)
-	b = appendFloat(b, r.PPW)
-	b = appendFloat(b, r.AvgRoundSeconds)
 	b = append(b, mask)
 	for cat := device.Category(0); cat < device.NumCategories; cat++ {
 		if mask&(1<<(1+cat)) != 0 {
@@ -106,23 +93,15 @@ func (r Result) AppendBinary(b []byte) ([]byte, error) {
 	return b, nil
 }
 
-// UnmarshalBinary decodes what AppendBinary wrote, overwriting r. It
-// is total: truncation, trailing bytes, a non-minimal or out-of-range
-// varint, a bad bool or mask byte, or a History longer than the bytes
-// left could hold is an error, never a panic or an outsized
-// allocation.
+// UnmarshalBinary decodes what AppendBinary wrote, overwriting r and
+// leaving r.Outcome zero. It is total: truncation, trailing bytes, a
+// non-minimal or out-of-range varint, a bad mask byte, or a History
+// longer than the bytes left could hold is an error, never a panic or
+// an outsized allocation.
 func (r *Result) UnmarshalBinary(data []byte) error {
 	d := decoder{b: data}
 	var out Result
 	out.Controller = string(d.field())
-	out.Converged = d.bool()
-	out.ConvergenceRound = d.varint()
-	out.RoundsExecuted = d.varint()
-	out.TimeToConvergenceSec = d.float()
-	out.EnergyToConvergenceJ = d.float()
-	out.FinalAccuracy = d.float()
-	out.PPW = d.float()
-	out.AvgRoundSeconds = d.float()
 	mask := d.byte()
 	if mask >= maxEnergyMask || (mask != 0 && mask&1 == 0) {
 		d.fail("energy mask %#x", mask)
@@ -190,13 +169,6 @@ func CutBytes(b []byte) (field, rest []byte, ok bool) {
 	return field, d.b, d.err == nil
 }
 
-func appendBool(b []byte, v bool) []byte {
-	if v {
-		return append(b, 1)
-	}
-	return append(b, 0)
-}
-
 func appendFloat(b []byte, v float64) []byte {
 	return binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
 }
@@ -245,17 +217,6 @@ func (d *decoder) byte() byte {
 	v := d.b[0]
 	d.b = d.b[1:]
 	return v
-}
-
-func (d *decoder) bool() bool {
-	switch d.byte() {
-	case 0:
-		return false
-	case 1:
-		return true
-	}
-	d.fail("bool byte out of range")
-	return false
 }
 
 func (d *decoder) float() float64 {

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"fedgpo/internal/device"
+	"fedgpo/internal/workload"
 )
 
 // codecCases are hand-built results covering the codec's edge cases:
@@ -19,14 +20,6 @@ import (
 func codecCases() map[string]Result {
 	full := Result{
 		Controller:            "fedgpo",
-		Converged:             true,
-		ConvergenceRound:      93,
-		RoundsExecuted:        400,
-		TimeToConvergenceSec:  1234.5,
-		EnergyToConvergenceJ:  9.75e6,
-		FinalAccuracy:         0.912,
-		PPW:                   1.0 / 9.75e6,
-		AvgRoundSeconds:       13.27,
 		EnergyByCategory:      map[device.Category]float64{device.High: 1, device.Mid: 2.5, device.Low: math.Copysign(0, -1)},
 		ControllerOverheadSec: 3.2e-6,
 	}
@@ -42,7 +35,7 @@ func codecCases() map[string]Result {
 		"empty history": {Controller: "static/(8,10,20)", History: []RoundRecord{}},
 		"empty energy":  {EnergyByCategory: map[device.Category]float64{}},
 		"one category":  {EnergyByCategory: map[device.Category]float64{device.Mid: 7}},
-		"unconverged":   {ConvergenceRound: -1, RoundsExecuted: 1 << 30, History: []RoundRecord{{Round: -5, Dropped: math.MaxInt, PlannedK: math.MinInt}}},
+		"extreme ints":  {History: []RoundRecord{{Round: -5, Dropped: math.MaxInt, PlannedK: math.MinInt}}},
 	}
 }
 
@@ -82,10 +75,29 @@ func TestResultBinaryRoundTrip(t *testing.T) {
 	}
 	// NaN payload bits survive unchanged.
 	nan := math.Float64frombits(0x7ff8_dead_beef_0001)
-	b, _ := Result{PPW: nan}.AppendBinary(nil)
+	b, _ := Result{ControllerOverheadSec: nan}.AppendBinary(nil)
 	var back Result
-	if err := back.UnmarshalBinary(b); err != nil || math.Float64bits(back.PPW) != math.Float64bits(nan) {
-		t.Errorf("NaN bits not preserved: %x, %v", math.Float64bits(back.PPW), err)
+	if err := back.UnmarshalBinary(b); err != nil || math.Float64bits(back.ControllerOverheadSec) != math.Float64bits(nan) {
+		t.Errorf("NaN bits not preserved: %x, %v", math.Float64bits(back.ControllerOverheadSec), err)
+	}
+}
+
+// The Outcome is derived from History, so the binary form leaves it
+// out: setting it changes no byte, and a decode returns it zero.
+func TestResultBinaryOmitsOutcome(t *testing.T) {
+	r := codecCases()["full"]
+	want, _ := r.AppendBinary(nil)
+	r.Outcome = OutcomeOf(workload.CNNMNIST(), r.History)
+	if !r.Converged || r.PPW <= 0 {
+		t.Fatalf("the full case should converge: %+v", r.Outcome)
+	}
+	got, _ := r.AppendBinary(nil)
+	if !bytes.Equal(got, want) || r.BinarySize() != len(want) {
+		t.Error("the Outcome changed the binary form")
+	}
+	var back Result
+	if err := back.UnmarshalBinary(got); err != nil || back.Outcome != (Outcome{}) {
+		t.Errorf("decode gave Outcome %+v (err %v), want zero", back.Outcome, err)
 	}
 }
 
@@ -93,10 +105,10 @@ func TestResultBinaryRejectsMalformed(t *testing.T) {
 	if _, err := (Result{EnergyByCategory: map[device.Category]float64{device.NumCategories: 1}}).AppendBinary(nil); err == nil {
 		t.Error("out-of-range energy category encoded")
 	}
-	valid, _ := Result{Controller: "c"}.AppendBinary(nil)
-	// Offsets into valid: 0 name length, 1 name, 2 Converged, 3 and 4
-	// the two varints, 5..44 five floats, 45 the energy mask, 46..53
-	// overhead, 54 the History length.
+	valid, _ := Result{Controller: "c", History: []RoundRecord{{}}}.AppendBinary(nil)
+	// Offsets into valid: 0 name length, 1 name, 2 the energy mask,
+	// 3..10 overhead, 11 the History length, 12 the first record's
+	// Round.
 	patch := func(off int, repl ...byte) []byte {
 		b := append([]byte{}, valid[:off]...)
 		b = append(b, repl...)
@@ -104,13 +116,13 @@ func TestResultBinaryRejectsMalformed(t *testing.T) {
 	}
 	huge := binary.AppendUvarint(nil, 1<<20+1) // a 72 MB History claim
 	cases := map[string][]byte{
-		"bool byte 2":              patch(2, 2),
-		"non-minimal varint":       patch(3, 0x80, 0x00),
-		"varint past 64 bits":      patch(3, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01),
-		"mask without present bit": patch(45, 0x04),
-		"mask past the categories": patch(45, 1|1<<(1+device.NumCategories)),
-		"history past the bytes":   patch(54, huge...),
-		"history of one, no bytes": patch(54, 2),
+		"non-minimal length":       patch(0, 0x81, 0x00),
+		"non-minimal varint":       patch(12, 0x80, 0x00),
+		"varint past 64 bits":      patch(12, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01),
+		"mask without present bit": patch(2, 0x04),
+		"mask past the categories": patch(2, 1|1<<(1+device.NumCategories)),
+		"history past the bytes":   patch(11, huge...),
+		"history of two, one held": patch(11, 3),
 		"name past the end":        patch(0, 200),
 	}
 	for name, b := range cases {
@@ -138,7 +150,8 @@ func TestResultBinaryRejectsMalformed(t *testing.T) {
 // TestResultCodecCoversEveryField fails when Result or RoundRecord
 // gains, loses or retypes a field: the binary codec lists fields by
 // hand, so a new one must be added to AppendBinary, UnmarshalBinary,
-// BinarySize and this list together.
+// BinarySize and this list together. Outcome is pinned too: the codec
+// skips it, but its fields' order is the order of Result's JSON.
 func TestResultCodecCoversEveryField(t *testing.T) {
 	check := func(v any, want []string) {
 		t.Helper()
@@ -153,10 +166,13 @@ func TestResultCodecCoversEveryField(t *testing.T) {
 		}
 	}
 	check(Result{}, []string{
-		"Controller string", "Converged bool", "ConvergenceRound int", "RoundsExecuted int",
-		"TimeToConvergenceSec float64", "EnergyToConvergenceJ float64", "FinalAccuracy float64",
-		"PPW float64", "AvgRoundSeconds float64", "EnergyByCategory map[device.Category]float64",
+		"Controller string", "Outcome fl.Outcome", "EnergyByCategory map[device.Category]float64",
 		"ControllerOverheadSec float64", "History []fl.RoundRecord",
+	})
+	check(Outcome{}, []string{
+		"Converged bool", "ConvergenceRound int", "RoundsExecuted int",
+		"TimeToConvergenceSec float64", "EnergyToConvergenceJ float64", "FinalAccuracy float64",
+		"PPW float64", "AvgRoundSeconds float64",
 	})
 	check(RoundRecord{}, []string{
 		"Round int", "Accuracy float64", "RoundSeconds float64", "EnergyJ float64",

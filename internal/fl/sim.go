@@ -107,25 +107,9 @@ type RoundRecord struct {
 // Result summarizes one simulated run.
 type Result struct {
 	Controller string
-	Converged  bool
-	// ConvergenceRound is 1-based, or -1 if the run never converged.
-	ConvergenceRound int
-	// RoundsExecuted is how many rounds actually ran.
-	RoundsExecuted int
-	// TimeToConvergenceSec / EnergyToConvergenceJ accumulate through
-	// the convergence round (or the whole run if unconverged).
-	TimeToConvergenceSec float64
-	EnergyToConvergenceJ float64
-	// FinalAccuracy is the accuracy at the end of the run.
-	FinalAccuracy float64
-	// PPW is the global performance-per-watt figure of merit:
-	// 1 / energy-to-convergence for converged runs, scaled by the
-	// fraction of target progress achieved for unconverged runs (see
-	// DESIGN.md). Higher is better; the paper reports it normalized to
-	// Fixed (Best).
-	PPW float64
-	// AvgRoundSeconds is the mean round wall time.
-	AvgRoundSeconds float64
+	// Outcome is OutcomeOf(workload, History). JSON carries its fields
+	// in place; the binary form leaves them out (see codec.go).
+	Outcome
 	// EnergyByCategory splits the total energy across H/M/L.
 	EnergyByCategory map[device.Category]float64
 	// ControllerOverheadSec is the mean wall-clock cost per round of
@@ -163,10 +147,7 @@ func RunWithArena(cfg Config, ctrl Controller, a *Arena) Result {
 	model := convmodel.New(cfg.Workload, a.accRNG)
 	tracker := convmodel.NewTracker(cfg.Workload)
 
-	res := Result{
-		Controller:       ctrl.Name(),
-		ConvergenceRound: -1,
-	}
+	res := Result{Controller: ctrl.Name()}
 	var overhead time.Duration
 	// catEnergy accumulates the per-category energy across rounds in a
 	// fixed array; the Result's map form is built once at the end so
@@ -248,12 +229,6 @@ func RunWithArena(cfg Config, ctrl Controller, a *Arena) Result {
 			AggregatedK:  rr.AggregatedK,
 			Dropped:      len(selected) - rr.AggregatedK,
 		})
-		prevT, prevE := 0.0, 0.0
-		if len(a.cumTime) > 0 {
-			prevT, prevE = a.cumTime[len(a.cumTime)-1], a.cumEnergy[len(a.cumEnergy)-1]
-		}
-		a.cumTime = append(a.cumTime, prevT+rr.RoundSeconds)
-		a.cumEnergy = append(a.cumEnergy, prevE+rr.EnergyGlobalJ)
 		// Per-category adds happen key-by-key in round order, exactly
 		// as they did when this was a map-over-map accumulation.
 		for cat := range catEnergy {
@@ -261,8 +236,6 @@ func RunWithArena(cfg Config, ctrl Controller, a *Arena) Result {
 		}
 
 		converged := tracker.Observe(acc)
-		res.RoundsExecuted = round
-		res.FinalAccuracy = acc
 		cfg.Telemetry.RecordPhase(telemetry.PhaseRounds, time.Since(roundStart))
 		if converged && cfg.StopAtConvergence {
 			break
@@ -271,25 +244,7 @@ func RunWithArena(cfg Config, ctrl Controller, a *Arena) Result {
 
 	res.History = make([]RoundRecord, len(a.history))
 	copy(res.History, a.history)
-	res.Converged = tracker.Converged()
-	if res.Converged {
-		res.ConvergenceRound = tracker.ConvergenceRound()
-		idx := res.ConvergenceRound - 1
-		if idx >= len(a.cumTime) {
-			idx = len(a.cumTime) - 1
-		}
-		res.TimeToConvergenceSec = a.cumTime[idx]
-		res.EnergyToConvergenceJ = a.cumEnergy[idx]
-	} else {
-		res.TimeToConvergenceSec = a.cumTime[len(a.cumTime)-1]
-		res.EnergyToConvergenceJ = a.cumEnergy[len(a.cumEnergy)-1]
-	}
-	counted := res.RoundsExecuted
-	if res.Converged {
-		counted = min(res.ConvergenceRound, res.RoundsExecuted)
-	}
-	res.AvgRoundSeconds = res.TimeToConvergenceSec / float64(max(1, counted))
-	res.PPW = computePPW(cfg.Workload, res)
+	res.Outcome = OutcomeOf(cfg.Workload, res.History)
 	res.ControllerOverheadSec = overhead.Seconds() / float64(max(1, res.RoundsExecuted))
 
 	// The result's map keys are the categories present in the fleet —
@@ -484,42 +439,4 @@ func aggregateInputs(rr RoundResult, a *Arena) convmodel.RoundInputs {
 		Coverage:     a.part.ParticipantCoverage(aggIDs),
 		DataFraction: frac,
 	}
-}
-
-// computePPW derives the performance-per-watt figure of merit (see
-// DESIGN.md): converged runs score 1/energy-to-convergence. Unconverged
-// runs score 1/(extrapolated energy-to-convergence), where the
-// extrapolation fits the observed geometric accuracy decay — training
-// closes a roughly constant fraction of the remaining accuracy gap per
-// round, so the rounds (and energy) still needed scale with the ratio
-// of log gap reductions. This correctly punishes configurations that
-// are cheap per round but would take thousands of rounds to finish.
-func computePPW(w workload.Workload, res Result) float64 {
-	if res.EnergyToConvergenceJ <= 0 {
-		return 0
-	}
-	if res.Converged {
-		return 1 / res.EnergyToConvergenceJ
-	}
-	gapInit := w.Learn.MaxAccuracy - w.Learn.InitialAccuracy
-	gapTarget := w.Learn.MaxAccuracy - w.Learn.TargetAccuracy
-	gapFinal := w.Learn.MaxAccuracy - res.FinalAccuracy
-	if gapInit <= 0 || gapTarget <= 0 {
-		return 0
-	}
-	if gapFinal >= gapInit || gapFinal <= 0 {
-		// No measurable progress: effectively zero efficiency, but keep
-		// the value positive so normalized ratios stay finite.
-		return 1e-6 / res.EnergyToConvergenceJ
-	}
-	progressLog := math.Log(gapInit / gapFinal)
-	neededLog := math.Log(gapInit / gapTarget)
-	if progressLog <= 1e-9 {
-		return 1e-6 / res.EnergyToConvergenceJ
-	}
-	scale := neededLog / progressLog
-	if scale < 1 {
-		scale = 1
-	}
-	return 1 / (res.EnergyToConvergenceJ * scale)
 }

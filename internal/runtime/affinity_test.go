@@ -18,7 +18,7 @@ import (
 // affJob builds a spec-carrying stub job tagged with a scheduling
 // affinity key.
 func affJob(i int, affinity string) Job {
-	j := stubJob(i, stubSpec{PPW: float64(i)})
+	j := stubJob(i, stubSpec{Value: float64(i)})
 	j.Affinity = affinity
 	return j
 }
@@ -266,7 +266,7 @@ func TestAffinityQueueSnapshotGatesSingleSteal(t *testing.T) {
 
 // snapSpec is the snapshot-shipping TCP tests' job description.
 type snapSpec struct {
-	PPW float64 `json:"ppw"`
+	Value float64 `json:"value"`
 	// Snap, when set, makes the worker return a freshly built snapshot
 	// artifact under that key with its response.
 	Snap string `json:"snap,omitempty"`
@@ -275,7 +275,7 @@ type snapSpec struct {
 // snapJob builds a spec job whose worker-side execution may return a
 // snapshot artifact (snap != "").
 func snapJob(i int, affinity, snap string) Job {
-	payload, _ := json.Marshal(snapSpec{PPW: float64(i), Snap: snap})
+	payload, _ := json.Marshal(snapSpec{Value: float64(i), Snap: snap})
 	return Job{
 		Kind:     "sim",
 		Scenario: fmt.Sprintf("snap-%d", i),
@@ -332,7 +332,7 @@ func tcpServeSnaps(t *testing.T, installs *installLog) (addr string, shutdown fu
 				if err := json.Unmarshal(spec, &s); err != nil {
 					return Result{Key: key, Err: err.Error()}
 				}
-				res := Result{Key: key, Sim: fl.Result{PPW: s.PPW}}
+				res := Result{Key: key, Sim: fl.Result{ControllerOverheadSec: s.Value}}
 				if s.Snap != "" {
 					res.Snaps = []SnapshotArtifact{{Key: s.Snap, Data: snapArtifact}}
 				}

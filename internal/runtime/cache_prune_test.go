@@ -23,7 +23,7 @@ func TestCachePruneEvictsLRU(t *testing.T) {
 	var entrySize int64
 	for i := range keys {
 		keys[i] = fmt.Sprintf("prune|cell-%d", i)
-		if err := cache.Put(keys[i], Result{Key: keys[i], Sim: fl.Result{PPW: float64(i)}}); err != nil {
+		if err := cache.Put(keys[i], Result{Key: keys[i], Sim: fl.Result{ControllerOverheadSec: float64(i)}}); err != nil {
 			t.Fatal(err)
 		}
 		info, err := os.Stat(cache.path(HashKey(keys[i])))
@@ -67,7 +67,7 @@ func TestCachePruneEvictsLRU(t *testing.T) {
 		}
 	}
 	// Survivors must still round-trip intact.
-	if !cache.Get(keys[3], &got) || got.Sim.PPW != 3 {
+	if !cache.Get(keys[3], &got) || got.Sim.ControllerOverheadSec != 3 {
 		t.Errorf("surviving entry corrupted: %+v", got)
 	}
 	if _, err := os.Stat(orphan); !os.IsNotExist(err) {

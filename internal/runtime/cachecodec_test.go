@@ -117,7 +117,7 @@ func TestCacheGetSurvivesArbitraryEnvelopeBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	result := Result{Key: key, Sim: fl.Result{PPW: 2.5, Converged: true, History: []fl.RoundRecord{
+	result := Result{Key: key, Sim: fl.Result{ControllerOverheadSec: 2.5, History: []fl.RoundRecord{
 		{Round: 1, Accuracy: 0.4, RoundSeconds: 3, EnergyJ: 12.5, PlannedK: 10, AggregatedK: 9},
 		{Round: 2, Accuracy: 0.6, RoundSeconds: 2.5, EnergyJ: 11, PlannedK: 10, AggregatedK: 10},
 	}}}
@@ -192,7 +192,7 @@ func TestCacheGetSurvivesArbitraryEnvelopeBytes(t *testing.T) {
 	if err := os.WriteFile(path, validResult, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if !cache.Get(key, &got) || got.Sim.PPW != 2.5 || len(got.Sim.History) != 2 {
+	if !cache.Get(key, &got) || got.Sim.ControllerOverheadSec != 2.5 || len(got.Sim.History) != 2 {
 		t.Errorf("valid entry did not hit: %+v", got)
 	}
 }
@@ -229,7 +229,7 @@ func TestCachePruneMixedFormats(t *testing.T) {
 	col := telemetry.NewCollector()
 	cache.SetCollector(col)
 	stray := "stray|cell"
-	payload, err := json.Marshal(Result{Key: stray, Sim: fl.Result{PPW: 1}})
+	payload, err := json.Marshal(Result{Key: stray, Sim: fl.Result{ControllerOverheadSec: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +252,7 @@ func TestCachePruneMixedFormats(t *testing.T) {
 	keys := []string{"mixed|cell-0", "mixed|cell-1"}
 	var entrySize int64
 	for i, k := range keys {
-		if err := cache.Put(k, Result{Key: k, Sim: fl.Result{PPW: float64(i)}}); err != nil {
+		if err := cache.Put(k, Result{Key: k, Sim: fl.Result{ControllerOverheadSec: float64(i)}}); err != nil {
 			t.Fatal(err)
 		}
 		info, err := os.Stat(cache.path(HashKey(k)))
@@ -295,7 +295,7 @@ func TestPayloadLayerServesRereadsAndHonorsPrune(t *testing.T) {
 		t.Fatal(err)
 	}
 	key := "payload|cell"
-	if err := writer.Put(key, Result{Key: key, Sim: fl.Result{PPW: 7.5}}); err != nil {
+	if err := writer.Put(key, Result{Key: key, Sim: fl.Result{ControllerOverheadSec: 7.5}}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -303,7 +303,7 @@ func TestPayloadLayerServesRereadsAndHonorsPrune(t *testing.T) {
 	col := telemetry.NewCollector()
 	reader.SetCollector(col)
 	var got Result
-	if !reader.Get(key, &got) || got.Sim.PPW != 7.5 {
+	if !reader.Get(key, &got) || got.Sim.ControllerOverheadSec != 7.5 {
 		t.Fatalf("first read should hit from disk: %+v", got)
 	}
 	// Remove the file out from under the cache: the payload layer must
@@ -312,7 +312,7 @@ func TestPayloadLayerServesRereadsAndHonorsPrune(t *testing.T) {
 		t.Fatal(err)
 	}
 	got = Result{}
-	if !reader.Get(key, &got) || got.Sim.PPW != 7.5 {
+	if !reader.Get(key, &got) || got.Sim.ControllerOverheadSec != 7.5 {
 		t.Fatalf("re-read should hit from the payload layer: %+v", got)
 	}
 	c := col.Snapshot().Counters
@@ -323,7 +323,7 @@ func TestPayloadLayerServesRereadsAndHonorsPrune(t *testing.T) {
 	// Prune must drop evicted hashes from the layer: re-create, read
 	// (admitting to the layer), then evict everything.
 	reader2, _ := NewCache(dir)
-	if err := writer.Put(key, Result{Key: key, Sim: fl.Result{PPW: 7.5}}); err != nil {
+	if err := writer.Put(key, Result{Key: key, Sim: fl.Result{ControllerOverheadSec: 7.5}}); err != nil {
 		t.Fatal(err)
 	}
 	if !reader2.Get(key, &got) {
@@ -348,7 +348,7 @@ func TestCacheHitTouchesMtime(t *testing.T) {
 	}
 	key := "touch|cell"
 	path := cache.path(HashKey(key))
-	if err := cache.Put(key, Result{Key: key, Sim: fl.Result{PPW: 1}}); err != nil {
+	if err := cache.Put(key, Result{Key: key, Sim: fl.Result{ControllerOverheadSec: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	col := telemetry.NewCollector()
@@ -392,7 +392,7 @@ func TestBinaryEnvelopeSmallerThanJSON(t *testing.T) {
 	}
 	r := Result{
 		Key: "v3|sim|size-check|static/(8,10,20)|seed=1",
-		Sim: fl.Result{PPW: 4.2, Converged: true, History: history},
+		Sim: fl.Result{Outcome: fl.Outcome{Converged: true, PPW: 4.2}, History: history},
 	}
 	js, err := json.Marshal(r)
 	if err != nil {

@@ -56,7 +56,7 @@
 // rounds). The scenario key concatenates each sub-spec's resolved
 // parameters —
 //
-//	<workload>/fleet=H30:M70:L100/rounds=400/part=iid/
+//	<workload name>@<digest>/fleet=H30:M70:L100/rounds=400/part=iid/
 //	net=gauss(mean=80,std=8,floor=1,tx=0.8,weak=1.9)/intf=none/deadline=0/agg=30
 //
 // — so two specs differing in any outcome-relevant field hash to
@@ -64,7 +64,8 @@
 // resolved-default equivalences (zero value vs explicit paper
 // default) share one cell. The display name is deliberately absent: a
 // matrix-generated deployment that happens to equal a paper preset
-// reuses the preset's cached cells.
+// reuses the preset's cached cells. The digest (since v4) is the first
+// 8 bytes of the SHA-256 of the workload's canonical JSON, in hex.
 //
 // # Execution model and backends
 //
@@ -107,10 +108,10 @@
 // many bytes of DEFLATE-compressed payload, bounded on both axes
 // (wire.MaxFrameBytes on the wire, wire.MaxPayloadBytes decompressed)
 // before anything is allocated. There is one protocol, ProtoVersion
-// (9), and no negotiation. The worker speaks first: its first frame is
+// (10), and no negotiation. The worker speaks first: its first frame is
 // a JSON hello
 //
-//	{"hello": true, "proto": 9, "keyVersion": "v3",
+//	{"hello": true, "proto": 10, "keyVersion": "v4",
 //	 "capacity": N, "cacheDir": "<worker's -cachedir>"}
 //
 // which the coordinator validates before dispatching anything. A
@@ -119,8 +120,9 @@
 // would otherwise publish wrong results into the shared cache, one
 // writing an older cache entry format (protocol 6 wrote FGC1,
 // protocols 7 and 8 FGC2) would publish entries the coordinator reads
-// as corrupt, and one speaking JSON envelopes (protocol 7) would fail
-// every frame. A
+// as corrupt, one speaking JSON envelopes (protocol 7) would fail
+// every frame, and one still writing fl.Outcome into Result payloads
+// (protocol 9) would be misread. A
 // worker built before protocol 6 opens with a bare JSON line instead
 // of a frame; its first four bytes decode as a length prefix far above
 // the frame bound, so the handshake fails before reading a body. The
@@ -276,7 +278,10 @@
 // length-prefixed bytes, then fl.Result with fixed-width float bits and
 // varint ints): about a quarter of its JSON bytes, decoded in a few
 // percent of the JSON decode time, which was most of a warm report's
-// work. Every other artifact — pretrain snapshots, decision traces,
+// work. Since v4 it leaves out fl.Outcome, which a decode leaves zero
+// and exp.Runtime derives again from the history (fl.OutcomeOf), so a
+// metric's definition never lives in cached bytes. Every other
+// artifact — pretrain snapshots, decision traces,
 // the Fixed (Best) grid selection — stays JSON. The canonical key
 // rides in clear text ahead of the payload, so a reader rejects a
 // foreign entry (hash collision, copied file) after reading only the

@@ -8,6 +8,7 @@ import (
 
 	"fedgpo/internal/fl"
 	"fedgpo/internal/telemetry"
+	"fedgpo/internal/workload"
 )
 
 // envelopeMetrics is a per-job telemetry snapshot shaped like the ones
@@ -51,8 +52,9 @@ func envelopeRequests() []WireRequest {
 	}
 }
 
-// A binary response decodes to a value deep-equal to what was encoded,
-// and re-encodes to the same bytes.
+// A binary response decodes to a value deep-equal to what was encoded
+// once the result's Outcome is derived again from its history, and
+// re-encodes to the same bytes.
 func TestWireResponseBinaryRoundTrip(t *testing.T) {
 	for name, resp := range envelopeResponses(t) {
 		enc, err := resp.appendBinary(nil)
@@ -63,6 +65,7 @@ func TestWireResponseBinaryRoundTrip(t *testing.T) {
 		if err := back.unmarshalBinary(enc); err != nil {
 			t.Fatalf("%s: decode: %v", name, err)
 		}
+		back.Result.Sim.Outcome = fl.OutcomeOf(workload.CNNMNIST(), back.Result.Sim.History)
 		if !reflect.DeepEqual(back, resp) {
 			t.Errorf("%s: round trip changed the response:\n got %+v\nwant %+v", name, back, resp)
 		}

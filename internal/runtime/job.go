@@ -21,7 +21,10 @@ import (
 // name + booleans layout, and the display name no longer participates
 // — results are unchanged, but the scenario half of every key is laid
 // out differently, so v2 entries must not be replayed against v3 keys.
-const keyVersion = "v3"
+// v4: a Result payload no longer carries the derived outcome fields
+// (fl.Outcome), and the scenario key names the workload by its name
+// plus a digest of its parameters instead of by its name alone.
+const keyVersion = "v4"
 
 // Job names one simulation cell and knows how to execute it.
 type Job struct {

@@ -25,8 +25,9 @@ import (
 
 // stubSpec is the stub worker's job description.
 type stubSpec struct {
-	// PPW is echoed back as the result's headline metric.
-	PPW float64 `json:"ppw"`
+	// Value is echoed back in the result's ControllerOverheadSec, a
+	// field the binary Result form carries.
+	Value float64 `json:"value"`
 	// Fail makes the stub return a job-level error result.
 	Fail bool `json:"fail,omitempty"`
 	// DieOncePath makes the stub drop its connection — before
@@ -47,7 +48,7 @@ func stubRun(key string, spec json.RawMessage) Result {
 	if s.Fail {
 		return Result{Key: key, Err: "stub failure"}
 	}
-	return Result{Key: key, Sim: fl.Result{PPW: s.PPW}}
+	return Result{Key: key, Sim: fl.Result{ControllerOverheadSec: s.Value}}
 }
 
 // stubPool serves stubSpec jobs on a localhost listener, one
@@ -116,7 +117,7 @@ func stubJob(i int, s stubSpec) Job {
 		Scenario: fmt.Sprintf("stub-%d", i),
 		Seed:     int64(i),
 		Payload:  payload,
-		Run:      func() Result { return Result{Sim: fl.Result{PPW: s.PPW}} },
+		Run:      func() Result { return Result{Sim: fl.Result{ControllerOverheadSec: s.Value}} },
 	}
 }
 
@@ -130,7 +131,7 @@ func stubBackend(t *testing.T, capacity int) *Coordinator {
 func TestProcBackendMatchesPool(t *testing.T) {
 	jobs := make([]Job, 23)
 	for i := range jobs {
-		jobs[i] = stubJob(i, stubSpec{PPW: float64(i) + 0.5})
+		jobs[i] = stubJob(i, stubSpec{Value: float64(i) + 0.5})
 	}
 	want := NewPoolBackend(4).Run(jobs, nil)
 	for _, capacity := range []int{1, 2, 5} {
@@ -146,14 +147,14 @@ func TestProcBackendMatchesPool(t *testing.T) {
 func TestProcBackendRetriesFailedShardOnce(t *testing.T) {
 	marker := filepath.Join(t.TempDir(), "died-once")
 	jobs := []Job{
-		stubJob(0, stubSpec{PPW: 1}),
-		stubJob(1, stubSpec{PPW: 2, DieOncePath: marker}),
-		stubJob(2, stubSpec{PPW: 3}),
+		stubJob(0, stubSpec{Value: 1}),
+		stubJob(1, stubSpec{Value: 2, DieOncePath: marker}),
+		stubJob(2, stubSpec{Value: 3}),
 	}
 	done := 0
 	results := stubBackend(t, 1).Run(jobs, func(int, Result) { done++ })
 	for i, want := range []float64{1, 2, 3} {
-		if results[i].Err != "" || results[i].Sim.PPW != want {
+		if results[i].Err != "" || results[i].Sim.ControllerOverheadSec != want {
 			t.Errorf("job %d after retry: %+v", i, results[i])
 		}
 	}
@@ -169,12 +170,12 @@ func TestProcBackendRetriesFailedShardOnce(t *testing.T) {
 // the unanswered jobs — never missing slots, never a panic.
 func TestProcBackendShardFailureSurfaces(t *testing.T) {
 	jobs := []Job{
-		stubJob(0, stubSpec{PPW: 1}),
+		stubJob(0, stubSpec{Value: 1}),
 		stubJob(1, stubSpec{Garbage: true}),
-		stubJob(2, stubSpec{PPW: 3}),
+		stubJob(2, stubSpec{Value: 3}),
 	}
 	results := stubBackend(t, 1).Run(jobs, nil)
-	if results[0].Err != "" || results[0].Sim.PPW != 1 {
+	if results[0].Err != "" || results[0].Sim.ControllerOverheadSec != 1 {
 		t.Errorf("job answered before the failure should survive: %+v", results[0])
 	}
 	for _, i := range []int{1, 2} {
@@ -188,12 +189,12 @@ func TestProcBackendShardFailureSurfaces(t *testing.T) {
 // failure: the rest of the shard still runs, exactly once.
 func TestProcBackendJobErrorDoesNotFailShard(t *testing.T) {
 	jobs := []Job{
-		stubJob(0, stubSpec{PPW: 1}),
+		stubJob(0, stubSpec{Value: 1}),
 		stubJob(1, stubSpec{Fail: true}),
-		stubJob(2, stubSpec{PPW: 3}),
+		stubJob(2, stubSpec{Value: 3}),
 	}
 	results := stubBackend(t, 1).Run(jobs, nil)
-	if results[0].Sim.PPW != 1 || results[2].Sim.PPW != 3 {
+	if results[0].Sim.ControllerOverheadSec != 1 || results[2].Sim.ControllerOverheadSec != 3 {
 		t.Errorf("healthy jobs corrupted: %+v", results)
 	}
 	if !strings.Contains(results[1].Err, "stub failure") {
@@ -221,7 +222,7 @@ func TestExecutorOnProcBackendCacheSemantics(t *testing.T) {
 	}
 	jobs := make([]Job, 8)
 	for i := range jobs {
-		jobs[i] = stubJob(i, stubSpec{PPW: float64(i)})
+		jobs[i] = stubJob(i, stubSpec{Value: float64(i)})
 	}
 	cold := NewExecutorBackend(stubBackend(t, 3), cache)
 	first := cold.RunAll(jobs)
@@ -237,7 +238,7 @@ func TestExecutorOnProcBackendCacheSemantics(t *testing.T) {
 		t.Errorf("warm stats = %+v", st)
 	}
 	for i := range jobs {
-		if !second[i].Cached || second[i].Sim.PPW != first[i].Sim.PPW {
+		if !second[i].Cached || second[i].Sim.ControllerOverheadSec != first[i].Sim.ControllerOverheadSec {
 			t.Errorf("warm result %d not served from cache: %+v", i, second[i])
 		}
 	}
@@ -255,7 +256,7 @@ func TestServeWorkerOrderAndCachedFlag(t *testing.T) {
 	var out bytes.Buffer
 	in := strings.NewReader(reqFrame(t, keys...))
 	err := ServeSession(in, &out, func(key string, _ json.RawMessage) Result {
-		return Result{Key: key, Cached: key == "k2", Sim: fl.Result{PPW: 7}}
+		return Result{Key: key, Cached: key == "k2", Sim: fl.Result{ControllerOverheadSec: 7}}
 	}, WorkerOptions{})
 	if err != nil {
 		t.Fatal(err)

@@ -56,8 +56,10 @@ func codecResults(t testing.TB) map[string]Result {
 	}
 }
 
-// A Result's binary form must carry exactly what its JSON carries:
-// decoding the encoding and marshalling gives the original's JSON.
+// A Result's binary form must carry everything its JSON carries
+// except the derived outcome: decoding the encoding leaves the
+// Outcome zero, and deriving it again from the decoded history gives
+// the original's JSON.
 func TestResultBinaryMatchesJSON(t *testing.T) {
 	for name, r := range codecResults(t) {
 		enc, err := r.AppendBinary(nil)
@@ -68,6 +70,10 @@ func TestResultBinaryMatchesJSON(t *testing.T) {
 		if err := back.UnmarshalBinary(enc); err != nil {
 			t.Fatalf("%s: decode: %v", name, err)
 		}
+		if back.Sim.Outcome != (fl.Outcome{}) {
+			t.Errorf("%s: decode filled the Outcome: %+v", name, back.Sim.Outcome)
+		}
+		back.Sim.Outcome = fl.OutcomeOf(workload.CNNMNIST(), back.Sim.History)
 		want, err := json.Marshal(r)
 		if err != nil {
 			t.Fatal(err)
@@ -146,9 +152,9 @@ func TestOldGenerationEntryIsRewritten(t *testing.T) {
 	var runs int
 	job := Job{Kind: "sim", Scenario: "old-gen", Seed: 1, Run: func() Result {
 		runs++
-		return Result{Sim: fl.Result{PPW: 42}}
+		return Result{Sim: fl.Result{ControllerOverheadSec: 42}}
 	}}
-	payload, err := Result{Key: job.Key(), Sim: fl.Result{PPW: 42}}.AppendBinary(nil)
+	payload, err := Result{Key: job.Key(), Sim: fl.Result{ControllerOverheadSec: 42}}.AppendBinary(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +164,7 @@ func TestOldGenerationEntryIsRewritten(t *testing.T) {
 	}
 
 	e := NewExecutorBackend(NewPoolBackend(1), cache)
-	if res := e.RunAll([]Job{job})[0]; res.Cached || res.Err != "" || res.Sim.PPW != 42 || runs != 1 {
+	if res := e.RunAll([]Job{job})[0]; res.Cached || res.Err != "" || res.Sim.ControllerOverheadSec != 42 || runs != 1 {
 		t.Fatalf("old entry: cached=%v err=%q runs=%d, want a re-run", res.Cached, res.Err, runs)
 	}
 	if c := col.Snapshot().Counters; c.CacheCorrupt != 1 || c.CacheMisses != 0 {

@@ -19,7 +19,7 @@ func simJob(i int) Job {
 		Controller: "static/(8,10,20)",
 		Seed:       int64(i),
 		Run: func() Result {
-			return Result{Sim: fl.Result{PPW: float64(i), FinalAccuracy: 0.9}}
+			return Result{Sim: fl.Result{ControllerOverheadSec: float64(i)}}
 		},
 	}
 }
@@ -27,7 +27,7 @@ func simJob(i int) Job {
 func TestJobKeyStableAndHashed(t *testing.T) {
 	j := simJob(3)
 	key := j.Key()
-	if key != "v3|sim|scenario-3|static/(8,10,20)|seed=3" {
+	if key != "v4|sim|scenario-3|static/(8,10,20)|seed=3" {
 		t.Errorf("unexpected canonical key %q", key)
 	}
 	if j.Key() != key {
@@ -53,8 +53,8 @@ func TestRunAllDeterministicOrdering(t *testing.T) {
 		t.Fatalf("result lengths: %d, %d", len(serial), len(parallel))
 	}
 	for i := range jobs {
-		if serial[i].Sim.PPW != float64(i) {
-			t.Fatalf("serial result %d out of order: PPW=%v", i, serial[i].Sim.PPW)
+		if serial[i].Sim.ControllerOverheadSec != float64(i) {
+			t.Fatalf("serial result %d out of order: value=%v", i, serial[i].Sim.ControllerOverheadSec)
 		}
 	}
 	if !reflect.DeepEqual(serial, parallel) {
@@ -76,7 +76,7 @@ func TestRunAllPanicIsolation(t *testing.T) {
 	if !strings.Contains(rs[1].Err, "kaboom") {
 		t.Errorf("panic not captured: %q", rs[1].Err)
 	}
-	if rs[0].Sim.PPW != 0 || rs[2].Sim.PPW != 2 {
+	if rs[0].Sim.ControllerOverheadSec != 0 || rs[2].Sim.ControllerOverheadSec != 2 {
 		t.Error("other jobs' results corrupted by the panic")
 	}
 	if st := e.Stats(); st.Errors != 1 || st.Runs != 3 {
@@ -113,7 +113,7 @@ func TestExecutorCacheHitsAndCounts(t *testing.T) {
 		if !second[i].Cached {
 			t.Errorf("result %d not served from cache", i)
 		}
-		if second[i].Sim.PPW != first[i].Sim.PPW || second[i].Key != first[i].Key {
+		if second[i].Sim.ControllerOverheadSec != first[i].Sim.ControllerOverheadSec || second[i].Key != first[i].Key {
 			t.Errorf("cached result %d differs from original", i)
 		}
 	}
@@ -125,7 +125,7 @@ func TestCacheDiskRoundTripAndVerification(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := Result{Key: "k", Sim: fl.Result{PPW: 3.5, Converged: true}}
+	want := Result{Key: "k", Sim: fl.Result{Controller: "c", ControllerOverheadSec: 3.5}}
 	if err := c1.Put("some|canonical|key", want); err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestCacheDiskRoundTripAndVerification(t *testing.T) {
 	if !c2.Get("some|canonical|key", &got) {
 		t.Fatal("disk entry not found by fresh cache")
 	}
-	if got.Sim.PPW != want.Sim.PPW || !got.Sim.Converged {
+	if got.Sim.ControllerOverheadSec != want.Sim.ControllerOverheadSec || got.Sim.Controller != "c" {
 		t.Errorf("round trip mutated the payload: %+v", got)
 	}
 	if c2.Get("some|other|key", &got) {
@@ -187,11 +187,11 @@ func TestCorruptDiskEntryIsDiscardedAndRecomputed(t *testing.T) {
 		Seed:     7,
 		Run: func() Result {
 			runs++
-			return Result{Sim: fl.Result{PPW: 42}}
+			return Result{Sim: fl.Result{ControllerOverheadSec: 42}}
 		},
 	}
 	e := NewExecutorBackend(NewPoolBackend(1), cache)
-	if res := e.RunAll([]Job{job})[0]; res.Err != "" || res.Sim.PPW != 42 {
+	if res := e.RunAll([]Job{job})[0]; res.Err != "" || res.Sim.ControllerOverheadSec != 42 {
 		t.Fatalf("first run failed: %+v", res)
 	}
 	if runs != 1 {
@@ -222,7 +222,7 @@ func TestCorruptDiskEntryIsDiscardedAndRecomputed(t *testing.T) {
 	if runs != 2 {
 		t.Fatalf("job should have been recomputed once, ran %d times", runs)
 	}
-	if res.Sim.PPW != 42 {
+	if res.Sim.ControllerOverheadSec != 42 {
 		t.Errorf("recomputed result wrong: %+v", res.Sim)
 	}
 
@@ -269,9 +269,9 @@ func TestStoreOrderAndFileRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Add(Result{Key: "b", Sim: fl.Result{PPW: 2}})
-	s.Add(Result{Key: "a", Sim: fl.Result{PPW: 1}}, Result{Key: "c", Sim: fl.Result{PPW: 3}})
-	s.Add(Result{Key: "b", Sim: fl.Result{PPW: 9}}) // overwrite keeps position
+	s.Add(Result{Key: "b", Sim: fl.Result{ControllerOverheadSec: 2}})
+	s.Add(Result{Key: "a", Sim: fl.Result{ControllerOverheadSec: 1}}, Result{Key: "c", Sim: fl.Result{ControllerOverheadSec: 3}})
+	s.Add(Result{Key: "b", Sim: fl.Result{ControllerOverheadSec: 9}}) // overwrite keeps position
 	if s.Len() != 3 {
 		t.Fatalf("len = %d", s.Len())
 	}
@@ -279,7 +279,7 @@ func TestStoreOrderAndFileRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	rs := readLog(t, path)
-	if len(rs) != 3 || rs[0].Key != "b" || rs[0].Sim.PPW != 9 || rs[1].Key != "a" || rs[2].Key != "c" {
+	if len(rs) != 3 || rs[0].Key != "b" || rs[0].Sim.ControllerOverheadSec != 9 || rs[1].Key != "a" || rs[2].Key != "c" {
 		t.Errorf("insertion order broken: %+v", rs)
 	}
 }

@@ -100,8 +100,8 @@ func TestWireSessionStreamsAndRequeuesTail(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Recv %d: %v", i, err)
 		}
-		if resp.Key != req.Key || resp.Result.Sim.PPW != float64(i) || len(resp.Snaps) != 0 {
-			t.Errorf("frame %d = %q PPW %v snaps %d, want %q PPW %v no snaps (request order)", i, resp.Key, resp.Result.Sim.PPW, len(resp.Snaps), req.Key, float64(i))
+		if resp.Key != req.Key || resp.Result.Sim.ControllerOverheadSec != float64(i) || len(resp.Snaps) != 0 {
+			t.Errorf("frame %d = %q value %v snaps %d, want %q value %v no snaps (request order)", i, resp.Key, resp.Result.Sim.ControllerOverheadSec, len(resp.Snaps), req.Key, float64(i))
 		}
 	}
 	if sent, recv := conn.(WireStatser).WireStats(); sent <= 0 || recv <= 0 {
@@ -131,7 +131,7 @@ func TestWireSessionStreamsAndRequeuesTail(t *testing.T) {
 	jobs = specJobs(5)
 	c := NewCoordinator(ProcConfig{}, pt)
 	for i, r := range c.Run(jobs, nil) {
-		if r.Err != "" || r.Sim.PPW != float64(i) {
+		if r.Err != "" || r.Sim.ControllerOverheadSec != float64(i) {
 			t.Errorf("job %d = %+v after a mid-frame worker death", i, r)
 		}
 	}
@@ -164,7 +164,7 @@ func TestWireSessionSnapshotRoundTrip(t *testing.T) {
 		if err := json.Unmarshal(spec, &s); err != nil {
 			return Result{Key: key, Err: err.Error()}
 		}
-		res := Result{Key: key, Sim: fl.Result{PPW: s.PPW}}
+		res := Result{Key: key, Sim: fl.Result{ControllerOverheadSec: s.Value}}
 		if s.Snap != "" {
 			res.Snaps = []SnapshotArtifact{{Key: s.Snap, Data: snapArtifact}}
 		}
@@ -197,8 +197,8 @@ func TestWireSessionSnapshotRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Recv %d: %v", i, err)
 		}
-		if resp.Key != req.Key || resp.Result.Sim.PPW != float64(i) {
-			t.Errorf("frame %d = %q PPW %v, want %q PPW %v (request order)", i, resp.Key, resp.Result.Sim.PPW, req.Key, float64(i))
+		if resp.Key != req.Key || resp.Result.Sim.ControllerOverheadSec != float64(i) {
+			t.Errorf("frame %d = %q value %v, want %q value %v (request order)", i, resp.Key, resp.Result.Sim.ControllerOverheadSec, req.Key, float64(i))
 		}
 		wantSnaps := 0
 		if i == 0 {
@@ -286,7 +286,7 @@ func TestFleetFailoverAccounting(t *testing.T) {
 	}()
 	results := c.Run(jobs, nil)
 	for i, r := range results {
-		if r.Err != "" || r.Sim.PPW != float64(i) {
+		if r.Err != "" || r.Sim.ControllerOverheadSec != float64(i) {
 			t.Errorf("job %d = %+v after endpoint death", i, r)
 		}
 	}

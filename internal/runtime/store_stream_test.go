@@ -12,8 +12,8 @@ import (
 	"fedgpo/internal/fl"
 )
 
-func streamResult(key string, ppw float64) Result {
-	return Result{Key: key, Sim: fl.Result{PPW: ppw}}
+func streamResult(key string, v float64) Result {
+	return Result{Key: key, Sim: fl.Result{ControllerOverheadSec: v}}
 }
 
 // readLog loads a store's JSON Lines log the way a consumer compacts
@@ -51,7 +51,7 @@ func assertResults(t *testing.T, got, want []Result, label string) {
 		t.Fatalf("%s: %d results, want %d", label, len(got), len(want))
 	}
 	for i := range want {
-		if got[i].Key != want[i].Key || got[i].Sim.PPW != want[i].Sim.PPW {
+		if got[i].Key != want[i].Key || got[i].Sim.ControllerOverheadSec != want[i].Sim.ControllerOverheadSec {
 			t.Errorf("%s: result %d = %+v, want %+v", label, i, got[i], want[i])
 		}
 	}
@@ -142,8 +142,8 @@ func TestCacheHashedAccessorsEquivalent(t *testing.T) {
 		if !c.GetHashed(key, hash, &viaHashed) {
 			t.Fatalf("%s: GetHashed missed an entry written by PutHashed", mode)
 		}
-		if viaGet.Sim.PPW != 7 || viaHashed.Sim.PPW != 7 {
-			t.Errorf("%s: payloads = %v / %v, want 7", mode, viaGet.Sim.PPW, viaHashed.Sim.PPW)
+		if viaGet.Sim.ControllerOverheadSec != 7 || viaHashed.Sim.ControllerOverheadSec != 7 {
+			t.Errorf("%s: payloads = %v / %v, want 7", mode, viaGet.Sim.ControllerOverheadSec, viaHashed.Sim.ControllerOverheadSec)
 		}
 		// And the reverse direction: Put, read via GetHashed.
 		key2 := "v3|hashed|reverse"
@@ -151,8 +151,8 @@ func TestCacheHashedAccessorsEquivalent(t *testing.T) {
 			t.Fatal(err)
 		}
 		var r2 Result
-		if !c.GetHashed(key2, HashKey(key2), &r2) || r2.Sim.PPW != 9 {
-			t.Errorf("%s: GetHashed after Put = (%+v), want PPW 9", mode, r2)
+		if !c.GetHashed(key2, HashKey(key2), &r2) || r2.Sim.ControllerOverheadSec != 9 {
+			t.Errorf("%s: GetHashed after Put = (%+v), want value 9", mode, r2)
 		}
 	}
 }

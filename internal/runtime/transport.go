@@ -20,8 +20,10 @@ import (
 // meaning, or the cache entry format (cacheMagic) changes: a worker
 // sharing the coordinator's cache directory publishes entries the
 // coordinator must be able to read. Protocol 8 is protocol 7 with
-// binary envelopes; protocol 9 is protocol 8 with FGC3 cache entries.
-const ProtoVersion = 9
+// binary envelopes; protocol 9 is protocol 8 with FGC3 cache entries;
+// protocol 10 is protocol 9 with Result payloads that leave out the
+// derived fl.Outcome.
+const ProtoVersion = 10
 
 // framedSince is the first protocol whose hello is a frame; a worker
 // built before it opens with a bare JSON line.

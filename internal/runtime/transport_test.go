@@ -101,7 +101,7 @@ func (c *fakeConn) Close() error { return nil }
 // okResponse answers a request with a deterministic payload derived
 // from its key.
 func okResponse(req WireRequest) (WireResponse, error) {
-	return WireResponse{Key: req.Key, Result: Result{Key: req.Key, Sim: fl.Result{PPW: float64(len(req.Key))}}}, nil
+	return WireResponse{Key: req.Key, Result: Result{Key: req.Key, Sim: fl.Result{ControllerOverheadSec: float64(len(req.Key))}}}, nil
 }
 
 // specJobs builds n spec-carrying jobs (the payload content is
@@ -109,7 +109,7 @@ func okResponse(req WireRequest) (WireResponse, error) {
 func specJobs(n int) []Job {
 	jobs := make([]Job, n)
 	for i := range jobs {
-		jobs[i] = stubJob(i, stubSpec{PPW: float64(i)})
+		jobs[i] = stubJob(i, stubSpec{Value: float64(i)})
 	}
 	return jobs
 }
@@ -302,6 +302,9 @@ func TestHandshakeRejectsMismatches(t *testing.T) {
 		{"protocol 7", hello(7, keyVersion), "wire protocol 7"},
 		// Protocol 8 wrote FGC2 cache entries.
 		{"protocol 8", hello(8, keyVersion), "wire protocol 8"},
+		// Protocol 9 wrote the derived outcome fields into Result
+		// payloads.
+		{"protocol 9", hello(9, keyVersion), "wire protocol 9"},
 		{"future protocol", hello(ProtoVersion+1, keyVersion), "wire protocol"},
 		{"wrong key scheme", hello(ProtoVersion, "v1"), "cache-key scheme"},
 		{"prefix over MaxFrameBytes", string(oversized[:]) + "xxxx", "length prefix"},
@@ -451,7 +454,7 @@ func TestTCPTransportEndToEnd(t *testing.T) {
 	var done atomic.Int64
 	results := c.Run(jobs, func(int, Result) { done.Add(1) })
 	for i := range want {
-		if results[i].Err != want[i].Err || results[i].Sim.PPW != want[i].Sim.PPW {
+		if results[i].Err != want[i].Err || results[i].Sim.ControllerOverheadSec != want[i].Sim.ControllerOverheadSec {
 			t.Errorf("job %d over TCP = %+v, want %+v", i, results[i], want[i])
 		}
 	}
@@ -490,7 +493,7 @@ func TestTCPDisconnectMidBatchFailsOver(t *testing.T) {
 					time.Sleep(10 * time.Millisecond)
 					var s stubSpec
 					_ = json.Unmarshal(spec, &s)
-					return Result{Key: key, Sim: fl.Result{PPW: s.PPW}}
+					return Result{Key: key, Sim: fl.Result{ControllerOverheadSec: s.Value}}
 				}, WorkerOptions{Capacity: 1})
 			}(nc)
 		}
@@ -510,7 +513,7 @@ func TestTCPDisconnectMidBatchFailsOver(t *testing.T) {
 	}()
 	results := c.Run(jobs, nil)
 	for i, r := range results {
-		if r.Err != "" || r.Sim.PPW != float64(i) {
+		if r.Err != "" || r.Sim.ControllerOverheadSec != float64(i) {
 			t.Errorf("job %d = %+v after mid-batch disconnect", i, r)
 		}
 	}
@@ -565,7 +568,7 @@ func TestTCPDrainDeliversInFlightResponse(t *testing.T) {
 			Run: func(key string, _ json.RawMessage) Result {
 				close(started)
 				time.Sleep(100 * time.Millisecond)
-				return Result{Key: key, Sim: fl.Result{PPW: 42}}
+				return Result{Key: key, Sim: fl.Result{ControllerOverheadSec: 42}}
 			},
 		})
 	}()
@@ -580,7 +583,7 @@ func TestTCPDrainDeliversInFlightResponse(t *testing.T) {
 	<-started
 	cancel() // SIGTERM equivalent: drain begins while the job runs
 	resp, err := conn.Recv()
-	if err != nil || resp.Key != "k0" || resp.Result.Sim.PPW != 42 {
+	if err != nil || resp.Key != "k0" || resp.Result.Sim.ControllerOverheadSec != 42 {
 		t.Errorf("in-flight response lost during drain: %+v, %v", resp, err)
 	}
 	_ = conn.Close()
@@ -654,7 +657,7 @@ func TestExecutorPersistsResultsFromForeignCacheWorkers(t *testing.T) {
 		t.Errorf("warm stats = %+v, want all hits with the worker pool gone", st)
 	}
 	for i := range jobs {
-		if !second[i].Cached || second[i].Sim.PPW != first[i].Sim.PPW {
+		if !second[i].Cached || second[i].Sim.ControllerOverheadSec != first[i].Sim.ControllerOverheadSec {
 			t.Errorf("warm result %d not served from cache: %+v", i, second[i])
 		}
 	}

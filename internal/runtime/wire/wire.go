@@ -25,7 +25,6 @@ import (
 	"bytes"
 	"compress/flate"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"slices"
@@ -184,12 +183,4 @@ func inflate(body []byte) ([]byte, error) {
 		return nil, fmt.Errorf("decompress: payload exceeds limit %d", int64(MaxPayloadBytes))
 	}
 	return bytes.Clone(in.out.Bytes()), nil
-}
-
-// ErrTruncated reports whether a ReadFrame error was caused by the
-// stream ending inside a frame (as opposed to a corrupt or oversized
-// one) — a worker crash mid-write looks like this, and coordinators
-// treat it exactly like a connection error.
-func ErrTruncated(err error) bool {
-	return errors.Is(err, io.ErrUnexpectedEOF)
 }

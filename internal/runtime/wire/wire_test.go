@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"compress/flate"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -78,7 +79,7 @@ func TestReadFrameTruncated(t *testing.T) {
 		if !strings.Contains(err.Error(), "frame 7") {
 			t.Fatalf("truncated frame error not frame-indexed: %v", err)
 		}
-		if !ErrTruncated(err) && cut >= headerLen {
+		if !errors.Is(err, io.ErrUnexpectedEOF) && cut >= headerLen {
 			t.Fatalf("truncated body at %d bytes not reported as truncation: %v", cut, err)
 		}
 	}
