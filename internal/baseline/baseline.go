@@ -17,6 +17,8 @@ package baseline
 
 import (
 	"math"
+	"sync"
+	"weak"
 
 	"fedgpo/internal/bayesopt"
 	"fedgpo/internal/device"
@@ -92,16 +94,38 @@ type BO struct {
 
 var _ fl.Controller = (*BO)(nil)
 
-// NewBO builds the Adaptive (BO) baseline.
-func NewBO(seed int64) *BO {
+// boSpace holds the (B, E, K) grid as a GP candidate space. Its
+// kernel table is immutable, so concurrent and successive BO runs
+// share one. Only the optimizers using it hold it strongly, so a
+// process that has finished its BO runs does not keep the table.
+var boSpace struct {
+	mu sync.Mutex
+	p  weak.Pointer[bayesopt.Space]
+}
+
+// sharedBOSpace returns the current BO candidate space, building it
+// when no live optimizer holds one.
+func sharedBOSpace() *bayesopt.Space {
+	boSpace.mu.Lock()
+	defer boSpace.mu.Unlock()
+	if s := boSpace.p.Value(); s != nil {
+		return s
+	}
 	grid := fl.AllParams()
 	coords := make([][]float64, len(grid))
 	for i, p := range grid {
 		coords[i] = normalizeParams(p)
 	}
+	s := bayesopt.NewSpace(coords)
+	boSpace.p = weak.Make(s)
+	return s
+}
+
+// NewBO builds the Adaptive (BO) baseline.
+func NewBO(seed int64) *BO {
 	return &BO{
-		opt:     bayesopt.New(coords, bayesopt.DefaultConfig(), stats.NewRNG(seed)),
-		grid:    grid,
+		opt:     bayesopt.New(sharedBOSpace(), bayesopt.DefaultConfig(), stats.NewRNG(seed)),
+		grid:    fl.AllParams(),
 		energy:  newEnergyEMA(),
 		lastIdx: -1,
 	}

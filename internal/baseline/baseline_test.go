@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"runtime"
 	"testing"
 
 	"fedgpo/internal/abs"
@@ -139,4 +140,19 @@ func (p *probeCtl) Plan(o fl.Observation) fl.Plan { return p.inner.Plan(o) }
 func (p *probeCtl) Observe(r fl.RoundResult) {
 	p.onResult(r)
 	p.inner.Observe(r)
+}
+
+// TestBOSpaceSharedWhileHeld: BO runs alive at the same time share one
+// candidate space, and once none holds it the process keeps no copy.
+func TestBOSpaceSharedWhileHeld(t *testing.T) {
+	s := sharedBOSpace()
+	if sharedBOSpace() != s {
+		t.Error("a second BO space was built while the first was held")
+	}
+	runtime.KeepAlive(s) // s is dead past here
+	runtime.GC()
+	runtime.GC()
+	if boSpace.p.Value() != nil {
+		t.Error("the BO space outlived its last user")
+	}
 }

@@ -9,14 +9,27 @@
 // acquisition function, maximizing a scalar reward. Observation noise
 // is handled with a diagonal jitter.
 //
-// Cost model, for C candidates and n ≤ Window observations: New builds
-// the C×C kernel (Gram) table once, O(C²) time and memory, so no
-// kernel is evaluated afterwards. Each Suggest then costs an O(n³)
-// Cholesky factorization plus O(C·n) for the posterior mean, plus
-// O(C·n²) for the posterior stddev — which only expected improvement
-// reads, so that term is paid before ExploitAfter only. All per-round
-// work runs in scratch the Optimizer owns: Suggest and Observe do not
-// allocate once the window is full.
+// It comes in two parts. A Space is the candidate set with its C×C
+// kernel (Gram) table: built once, O(C²) time and memory, immutable
+// and safe for concurrent reads, so every optimizer over the same
+// candidates can share one. An Optimizer is one run's GP over a Space.
+//
+// Cost model, for C candidates and n ≤ Window observations. The
+// Optimizer keeps the Cholesky factor of K + noise·I across rounds.
+// Row i of the factor reads only the first i+1 observations, so while
+// the window grows each Suggest factors one new row, O(n²). A slide
+// shifts every observation and refactors the whole window, O(n³) at
+// most: a row whose candidate already sits in an earlier row p copies
+// that row's first p columns, which were computed from identical
+// inputs, and computes only the rest. The posterior mean then costs
+// O(n²) for the weights plus O(C·n). The posterior stddev, which only
+// expected improvement reads (so before ExploitAfter only), keeps each
+// candidate's L⁻¹·k* and a running sum of its squares, so a new
+// observation costs O(C·n); a slide resets them. Every value is
+// computed with the same float operations, in the same order, as a
+// from-scratch factorization and solve, so results match one to the
+// last bit. All per-round work runs in scratch the Optimizer owns:
+// Suggest and Observe do not allocate.
 package bayesopt
 
 import (
@@ -25,31 +38,74 @@ import (
 	"fedgpo/internal/stats"
 )
 
-// Optimizer maximizes an unknown f over a fixed discrete candidate set.
+// lengthScale is the RBF kernel's length scale, in normalized
+// coordinate space.
+const lengthScale = 0.35
+
+// Space is a fixed discrete candidate set and its kernel table. It is
+// immutable once built and safe for concurrent use.
+type Space struct {
+	c    int
+	gram []float64 // gram[i*c+j] = kernel(candidate i, candidate j)
+}
+
+// NewSpace builds the space over the candidate coordinate set. Each
+// candidate is a point in [0,1]^d (normalize before calling). It
+// panics on an empty candidate set or inconsistent dimensions.
+func NewSpace(candidates [][]float64) *Space {
+	if len(candidates) == 0 {
+		panic("bayesopt: empty candidate set")
+	}
+	d := len(candidates[0])
+	for _, c := range candidates {
+		if len(c) != d {
+			panic("bayesopt: inconsistent candidate dimensions")
+		}
+	}
+	c := len(candidates)
+	gram := make([]float64, c*c)
+	for i, a := range candidates {
+		for j, b := range candidates {
+			gram[i*c+j] = kernel(a, b, lengthScale)
+		}
+	}
+	return &Space{c: c, gram: gram}
+}
+
+// Optimizer maximizes an unknown f over a Space's candidates.
 // Not safe for concurrent use.
 type Optimizer struct {
-	points       [][]float64 // normalized candidate coordinates
-	gram         []float64   // gram[i*C+j] = kernel(points[i], points[j])
-	xs           []int       // observed candidate indices, oldest first
-	ys           []float64   // observed values
+	space        *Space
+	xs           []int     // observed candidate indices, oldest first
+	ys           []float64 // observed values
 	rng          *stats.RNG
 	noise        float64
 	xi           float64 // EI exploration margin
-	maxPoints    int     // cap on the GP design matrix (sliding window)
+	window       int     // cap on the GP design matrix (sliding window)
 	exploitAfter int
 	observed     int // lifetime observation count
 
-	// Per-Suggest scratch, sized once in New.
-	l         []float64 // n×n row-major: K + noise·I, factored in place
+	// l holds the Cholesky factor of K + noise·I over xs, lower
+	// triangle, row-major with row stride window. Rows [0, rows) are
+	// current; Observe resets rows on a slide, and posterior factors
+	// the rest. last[c] is the latest factored row whose candidate is
+	// c, or -1.
+	l    []float64
+	rows int
+	last []int
+
+	// v holds L⁻¹·k* for every candidate, row stride window, and ss
+	// each one's sum of squares; entries [0, solved) are current.
+	v      []float64
+	ss     []float64
+	solved int
+
 	alpha     []float64 // (K + noise·I)⁻¹·yc
-	kstar     []float64 // k* for one candidate, then L⁻¹·k*
 	mu, sigma []float64 // posterior at every candidate
 }
 
 // Config tunes the optimizer.
 type Config struct {
-	// LengthScale of the RBF kernel in normalized coordinate space.
-	LengthScale float64
 	// Noise is the observation-noise variance added to the kernel
 	// diagonal.
 	Noise float64
@@ -69,45 +125,30 @@ type Config struct {
 // DefaultConfig returns a reasonable operating point for round-by-round
 // FL parameter tuning.
 func DefaultConfig() Config {
-	return Config{LengthScale: 0.35, Noise: 0.05, Xi: 0.01, Window: 60, ExploitAfter: 50}
+	return Config{Noise: 0.05, Xi: 0.01, Window: 60, ExploitAfter: 50}
 }
 
-// New builds an optimizer over the candidate coordinate set. Each
-// candidate is a point in [0,1]^d (normalize before calling). It panics
-// on an empty candidate set or inconsistent dimensions.
-func New(candidates [][]float64, cfg Config, rng *stats.RNG) *Optimizer {
-	if len(candidates) == 0 {
-		panic("bayesopt: empty candidate set")
-	}
-	d := len(candidates[0])
-	for _, c := range candidates {
-		if len(c) != d {
-			panic("bayesopt: inconsistent candidate dimensions")
-		}
-	}
-	if cfg.LengthScale <= 0 || cfg.Noise <= 0 || cfg.Window <= 0 {
+// New builds an optimizer over space. It panics on a non-positive
+// Noise or Window.
+func New(space *Space, cfg Config, rng *stats.RNG) *Optimizer {
+	if cfg.Noise <= 0 || cfg.Window <= 0 {
 		panic("bayesopt: config values must be positive")
 	}
-	c, w := len(candidates), cfg.Window
-	gram := make([]float64, c*c)
-	for i, a := range candidates {
-		for j, b := range candidates {
-			gram[i*c+j] = kernel(a, b, cfg.LengthScale)
-		}
-	}
+	c, w := space.c, cfg.Window
 	return &Optimizer{
-		points:       candidates,
-		gram:         gram,
+		space:        space,
 		xs:           make([]int, 0, w),
 		ys:           make([]float64, 0, w),
 		rng:          rng,
 		noise:        cfg.Noise,
 		xi:           cfg.Xi,
-		maxPoints:    w,
+		window:       w,
 		exploitAfter: cfg.ExploitAfter,
 		l:            make([]float64, w*w),
+		last:         make([]int, c),
+		v:            make([]float64, c*w),
+		ss:           make([]float64, c),
 		alpha:        make([]float64, w),
-		kstar:        make([]float64, w),
 		mu:           make([]float64, c),
 		sigma:        make([]float64, c),
 	}
@@ -116,14 +157,16 @@ func New(candidates [][]float64, cfg Config, rng *stats.RNG) *Optimizer {
 // Observe records the outcome of evaluating candidate idx. Once the
 // window is full the oldest observation slides out.
 func (o *Optimizer) Observe(idx int, y float64) {
-	if idx < 0 || idx >= len(o.points) {
+	if idx < 0 || idx >= o.space.c {
 		panic("bayesopt: candidate index out of range")
 	}
 	o.observed++
-	if n := len(o.xs); n == o.maxPoints {
+	if n := len(o.xs); n == o.window {
 		copy(o.xs, o.xs[1:])
 		copy(o.ys, o.ys[1:])
 		o.xs[n-1], o.ys[n-1] = idx, y
+		// Every observation moved up a row.
+		o.rows, o.solved = 0, 0
 		return
 	}
 	o.xs = append(o.xs, idx)
@@ -136,7 +179,7 @@ func (o *Optimizer) Observe(idx int, y float64) {
 // explores uniformly at random.
 func (o *Optimizer) Suggest() int {
 	if len(o.xs) == 0 {
-		return o.rng.Intn(len(o.points))
+		return o.rng.Intn(o.space.c)
 	}
 	if o.exploitAfter > 0 && o.observed >= o.exploitAfter {
 		mu, _ := o.posterior(false)
@@ -145,7 +188,7 @@ func (o *Optimizer) Suggest() int {
 	mu, sigma := o.posterior(true)
 	best := stats.Max(o.ys)
 	bestIdx, bestEI := 0, math.Inf(-1)
-	for i := range o.points {
+	for i := range mu {
 		ei := expectedImprovement(mu[i], sigma[i], best, o.xi)
 		if ei > bestEI {
 			bestIdx, bestEI = i, ei
@@ -170,22 +213,14 @@ func kernel(a, b []float64, lengthSc float64) float64 {
 // The returned slices are the Optimizer's scratch, valid until the
 // next call.
 func (o *Optimizer) posterior(withSigma bool) (mu, sigma []float64) {
-	n, c := len(o.xs), len(o.points)
+	n, c := len(o.xs), o.space.c
 	mean := stats.Mean(o.ys)
 	std := stats.StdDev(o.ys)
 	if std < 1e-9 {
 		std = 1
 	}
 	mu, sigma = o.mu, o.sigma
-	// K + noise·I (lower triangle; the factorization reads no more).
-	l := o.l[:n*n]
-	for i, xi := range o.xs {
-		for j, xj := range o.xs[:i+1] {
-			l[i*n+j] = o.gram[xi*c+xj]
-		}
-		l[i*n+i] += o.noise
-	}
-	if !cholesky(l, n) {
+	if !o.factor() {
 		// Numerically degenerate: fall back to prior.
 		for i := range mu {
 			mu[i] = mean
@@ -197,35 +232,91 @@ func (o *Optimizer) posterior(withSigma bool) (mu, sigma []float64) {
 	for i, y := range o.ys {
 		alpha[i] = (y - mean) / std
 	}
-	forwardSolve(l, n, alpha)
-	backSolve(l, n, alpha)
-
-	kstar := o.kstar[:n]
-	for i := range o.points {
-		row := o.gram[i*c : (i+1)*c]
-		for j, xj := range o.xs {
-			kstar[j] = row[xj]
-		}
+	forwardSolve(o.l, o.window, alpha)
+	backSolve(o.l, o.window, alpha)
+	if withSigma {
+		o.solve()
+	}
+	for i := range mu {
+		row := o.space.gram[i*c : (i+1)*c]
 		m := 0.0
-		for j := range kstar {
-			m += kstar[j] * alpha[j]
+		for j, xj := range o.xs {
+			m += row[xj] * alpha[j]
 		}
 		mu[i] = m*std + mean
 		if !withSigma {
 			continue
 		}
-		forwardSolve(l, n, kstar)
-		varReduction := 0.0
-		for _, x := range kstar {
-			varReduction += x * x
-		}
-		variance := 1 - varReduction
+		variance := 1 - o.ss[i]
 		if variance < 1e-12 {
 			variance = 1e-12
 		}
 		sigma[i] = math.Sqrt(variance) * std
 	}
 	return mu, sigma
+}
+
+// factor brings the Cholesky factor up to date with xs, one row at a
+// time from the first stale one. It returns false if K + noise·I is
+// not positive definite; the rows before the failing one stay current.
+func (o *Optimizer) factor() bool {
+	if o.rows == 0 {
+		for i := range o.last {
+			o.last[i] = -1
+		}
+	}
+	w, c := o.window, o.space.c
+	for i := o.rows; i < len(o.xs); i++ {
+		xi := o.xs[i]
+		row := o.l[i*w : i*w+i+1]
+		from := 0
+		if p := o.last[xi]; p >= 0 {
+			// Row p observed the same candidate, so its kernel entries
+			// equal this row's in every column but p and i: by
+			// induction its first p factor columns do too.
+			copy(row[:p], o.l[p*w:p*w+p])
+			from = p
+		}
+		g := o.space.gram[xi*c : (xi+1)*c]
+		for j := from; j <= i; j++ {
+			row[j] = g[o.xs[j]]
+		}
+		row[i] += o.noise
+		if !choleskyRow(o.l, w, i, from) {
+			o.rows = i
+			return false
+		}
+		o.last[xi] = i
+	}
+	o.rows = len(o.xs)
+	return true
+}
+
+// solve brings every candidate's L⁻¹·k* and its sum of squares up to
+// date with the factor: entry j of a forward solve reads only rows
+// 0..j, so the entries of earlier rounds stand.
+func (o *Optimizer) solve() {
+	n, w, c := len(o.xs), o.window, o.space.c
+	for i := range o.ss {
+		row := o.space.gram[i*c : (i+1)*c]
+		v := o.v[i*w : i*w+n]
+		ss := o.ss[i]
+		if o.solved == 0 {
+			ss = 0
+		}
+		for j := o.solved; j < n; j++ {
+			lj := o.l[j*w : j*w+j+1]
+			sum := row[o.xs[j]]
+			vj := v[:j]
+			for k, x := range lj[:j] {
+				sum -= x * vj[k]
+			}
+			v[j] = sum / lj[j]
+			ss += v[j] * v[j]
+		}
+		o.ss[i] = ss
+	}
+	o.solved = n
 }
 
 // expectedImprovement is the standard EI acquisition for maximization.
@@ -245,49 +336,54 @@ func stdNormCDF(z float64) float64 {
 	return 0.5 * math.Erfc(-z/math.Sqrt2)
 }
 
-// cholesky factors the symmetric positive definite n×n row-major
-// matrix a into its lower-triangular factor L, in place: only the lower
-// triangle is read or written. It returns false if a is not SPD.
-func cholesky(a []float64, n int) bool {
-	for i := 0; i < n; i++ {
-		for j := 0; j <= i; j++ {
-			sum := a[i*n+j]
-			for k := 0; k < j; k++ {
-				sum -= a[i*n+k] * a[j*n+k]
+// choleskyRow computes row i of the lower-triangular Cholesky factor of
+// a symmetric positive definite matrix, in place in a (row-major, row
+// stride `stride`). Rows 0..i-1 must already hold the factor, row i's
+// columns before from must hold their factor values too, and columns
+// from..i the matrix's row i. It returns false if the matrix is not
+// positive definite.
+func choleskyRow(a []float64, stride, i, from int) bool {
+	ri := a[i*stride : i*stride+i+1]
+	for j := from; j <= i; j++ {
+		rj := a[j*stride : j*stride+j+1]
+		sum := ri[j]
+		rik := ri[:j]
+		for k, x := range rj[:j] {
+			sum -= rik[k] * x
+		}
+		if i == j {
+			if sum <= 0 {
+				return false
 			}
-			if i == j {
-				if sum <= 0 {
-					return false
-				}
-				a[i*n+i] = math.Sqrt(sum)
-			} else {
-				a[i*n+j] = sum / a[j*n+j]
-			}
+			ri[i] = math.Sqrt(sum)
+		} else {
+			ri[j] = sum / rj[j]
 		}
 	}
 	return true
 }
 
 // forwardSolve solves L·x = b in place (x overwrites b) for the
-// lower-triangular n×n row-major L.
-func forwardSolve(l []float64, n int, b []float64) {
-	for i := 0; i < n; i++ {
+// lower-triangular row-major L of row stride `stride` and order len(b).
+func forwardSolve(l []float64, stride int, b []float64) {
+	for i := range b {
 		sum := b[i]
 		for j := 0; j < i; j++ {
-			sum -= l[i*n+j] * b[j]
+			sum -= l[i*stride+j] * b[j]
 		}
-		b[i] = sum / l[i*n+i]
+		b[i] = sum / l[i*stride+i]
 	}
 }
 
 // backSolve solves Lᵀ·x = b in place (x overwrites b) for the
-// lower-triangular n×n row-major L.
-func backSolve(l []float64, n int, b []float64) {
+// lower-triangular row-major L of row stride `stride` and order len(b).
+func backSolve(l []float64, stride int, b []float64) {
+	n := len(b)
 	for i := n - 1; i >= 0; i-- {
 		sum := b[i]
 		for j := i + 1; j < n; j++ {
-			sum -= l[j*n+i] * b[j]
+			sum -= l[j*stride+i] * b[j]
 		}
-		b[i] = sum / l[i*n+i]
+		b[i] = sum / l[i*stride+i]
 	}
 }

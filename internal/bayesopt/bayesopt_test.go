@@ -2,6 +2,8 @@ package bayesopt
 
 import (
 	"math"
+	"slices"
+	"sync"
 	"testing"
 
 	"fedgpo/internal/fl"
@@ -17,14 +19,24 @@ func grid1D(n int) [][]float64 {
 	return out
 }
 
+// newOpt builds an optimizer over candidates.
+func newOpt(candidates [][]float64, cfg Config, seed int64) *Optimizer {
+	return New(NewSpace(candidates), cfg, stats.NewRNG(seed))
+}
+
 func TestNewPanics(t *testing.T) {
 	cases := []func(){
-		func() { New(nil, DefaultConfig(), stats.NewRNG(1)) },
-		func() { New([][]float64{{0}, {0, 1}}, DefaultConfig(), stats.NewRNG(1)) },
+		func() { NewSpace(nil) },
+		func() { NewSpace([][]float64{{0}, {0, 1}}) },
 		func() {
 			c := DefaultConfig()
-			c.LengthScale = 0
-			New(grid1D(3), c, stats.NewRNG(1))
+			c.Noise = 0
+			newOpt(grid1D(3), c, 1)
+		},
+		func() {
+			c := DefaultConfig()
+			c.Window = 0
+			newOpt(grid1D(3), c, 1)
 		},
 	}
 	for i, fn := range cases {
@@ -43,20 +55,20 @@ func TestFindsMaximumOfSmoothFunction(t *testing.T) {
 	// f(x) = -(x-0.7)^2 peaks at x=0.7; BO should concentrate there.
 	cand := grid1D(21)
 	f := func(x float64) float64 { return -(x - 0.7) * (x - 0.7) }
-	opt := New(cand, DefaultConfig(), stats.NewRNG(1))
+	opt := newOpt(cand, DefaultConfig(), 1)
+	// counts holds the last stretch only: rounds 40..59.
 	counts := make([]int, len(cand))
 	for i := 0; i < 60; i++ {
 		idx := opt.Suggest()
-		counts[idx]++
+		if i >= 40 {
+			counts[idx]++
+		}
 		noise := stats.NewRNG(int64(i)).Gaussian(0, 0.001)
 		opt.Observe(idx, f(cand[idx][0])+noise)
 	}
 	// The most-evaluated candidate in the last stretch should be near
 	// 0.7 (index 14 of 0..20).
 	lateBest := 0
-	for i := 40; i < 60; i++ {
-		_ = i
-	}
 	for i, c := range counts {
 		if c > counts[lateBest] {
 			lateBest = i
@@ -64,12 +76,12 @@ func TestFindsMaximumOfSmoothFunction(t *testing.T) {
 	}
 	x := cand[lateBest][0]
 	if math.Abs(x-0.7) > 0.2 {
-		t.Errorf("BO concentrated at x=%v, want near 0.7 (counts=%v)", x, counts)
+		t.Errorf("BO concentrated at x=%v in rounds 40-59, want near 0.7 (counts=%v)", x, counts)
 	}
 }
 
 func TestColdStartIsRandomButValid(t *testing.T) {
-	opt := New(grid1D(5), DefaultConfig(), stats.NewRNG(2))
+	opt := newOpt(grid1D(5), DefaultConfig(), 2)
 	for i := 0; i < 20; i++ {
 		idx := opt.Suggest()
 		if idx < 0 || idx >= 5 {
@@ -84,7 +96,7 @@ func TestColdStartIsRandomButValid(t *testing.T) {
 func TestWindowCapsObservations(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Window = 10
-	opt := New(grid1D(5), cfg, stats.NewRNG(3))
+	opt := newOpt(grid1D(5), cfg, 3)
 	for i := 0; i < 30; i++ {
 		opt.Observe(i%5, float64(i))
 	}
@@ -94,7 +106,7 @@ func TestWindowCapsObservations(t *testing.T) {
 }
 
 func TestObservePanicsOnBadIndex(t *testing.T) {
-	opt := New(grid1D(3), DefaultConfig(), stats.NewRNG(1))
+	opt := newOpt(grid1D(3), DefaultConfig(), 1)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("want panic")
@@ -103,44 +115,187 @@ func TestObservePanicsOnBadIndex(t *testing.T) {
 	opt.Observe(3, 1)
 }
 
+// spdMatrix returns a dense n×n symmetric positive definite matrix
+// with distinct, non-trivial entries.
+func spdMatrix(n int) [][]float64 {
+	pts := make([][]float64, n)
+	rng := stats.NewRNG(int64(n))
+	for i := range pts {
+		pts[i] = []float64{rng.Float64(), rng.Float64()}
+	}
+	a := make([][]float64, n)
+	for i := range a {
+		a[i] = make([]float64, n)
+		for j := range a[i] {
+			a[i][j] = kernel(pts[i], pts[j], 0.5)
+		}
+		a[i][i] += 0.1
+	}
+	return a
+}
+
+// TestCholeskyRoundTrip checks the strided, row-at-a-time factor:
+// rows appended one by one into a matrix whose stride exceeds its
+// order, some of them starting from a copied prefix, equal a
+// from-scratch factorization bit for bit; the factor reproduces A and
+// solves against it; a non-SPD row is rejected, and factoring an SPD
+// row into the same rows afterwards succeeds.
 func TestCholeskyRoundTrip(t *testing.T) {
-	a := []float64{
-		4, 2, 0.6,
-		2, 5, 1.2,
-		0.6, 1.2, 3,
+	const n, stride = 7, 10
+	a := spdMatrix(n)
+	want, ok := refCholesky(a)
+	if !ok {
+		t.Fatal("reference rejected an SPD matrix")
 	}
-	l := append([]float64(nil), a...)
-	if !cholesky(l, 3) {
-		t.Fatal("SPD matrix rejected")
+	l := make([]float64, stride*stride)
+	for i := 0; i < n; i++ {
+		copy(l[i*stride:i*stride+i+1], a[i][:i+1])
+		if !choleskyRow(l, stride, i, 0) {
+			t.Fatalf("row %d of an SPD matrix rejected", i)
+		}
+		// The appended row alone must not disturb the rows above it.
+		for r := 0; r <= i; r++ {
+			for c := 0; c <= r; c++ {
+				if math.Float64bits(l[r*stride+c]) != math.Float64bits(want[r][c]) {
+					t.Fatalf("after row %d: L[%d][%d] = %v, from scratch %v", i, r, c, l[r*stride+c], want[r][c])
+				}
+			}
+		}
 	}
-	// Check L·Lᵀ == A over the lower triangle (the factor lives there).
-	for i := 0; i < 3; i++ {
-		for j := 0; j < 3; j++ {
+	// Resuming a row from a prefix already holding factor values
+	// computes the same rest.
+	for from := 0; from < n; from++ {
+		row := l[(n-1)*stride : (n-1)*stride+n]
+		copy(row[:from], want[n-1][:from])
+		copy(row[from:], a[n-1][from:])
+		if !choleskyRow(l, stride, n-1, from) {
+			t.Fatalf("resume from %d rejected", from)
+		}
+		for c := 0; c < n; c++ {
+			if math.Float64bits(row[c]) != math.Float64bits(want[n-1][c]) {
+				t.Fatalf("resume from %d: L[%d][%d] = %v, from scratch %v", from, n-1, c, row[c], want[n-1][c])
+			}
+		}
+	}
+	// Check L·Lᵀ == A (the factor lives in the lower triangle).
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
 			sum := 0.0
 			for k := 0; k <= min(i, j); k++ {
-				sum += l[i*3+k] * l[j*3+k]
+				sum += l[i*stride+k] * l[j*stride+k]
 			}
-			if math.Abs(sum-a[i*3+j]) > 1e-9 {
-				t.Errorf("LL^T[%d][%d] = %v, want %v", i, j, sum, a[i*3+j])
+			if math.Abs(sum-a[i][j]) > 1e-9 {
+				t.Errorf("LL^T[%d][%d] = %v, want %v", i, j, sum, a[i][j])
 			}
 		}
 	}
 	// Solve check: (LLᵀ)x = b.
-	b := []float64{1, 2, 3}
+	b := []float64{1, 2, 3, -1, 0.5, 4, -2}
 	x := append([]float64(nil), b...)
-	forwardSolve(l, 3, x)
-	backSolve(l, 3, x)
-	for i := 0; i < 3; i++ {
+	forwardSolve(l, stride, x)
+	backSolve(l, stride, x)
+	for i := 0; i < n; i++ {
 		sum := 0.0
-		for j := 0; j < 3; j++ {
-			sum += a[i*3+j] * x[j]
+		for j := 0; j < n; j++ {
+			sum += a[i][j] * x[j]
 		}
 		if math.Abs(sum-b[i]) > 1e-9 {
 			t.Errorf("solve residual at %d: %v vs %v", i, sum, b[i])
 		}
 	}
-	if cholesky([]float64{-1}, 1) {
-		t.Error("non-SPD matrix should be rejected")
+	// A row that breaks positive definiteness is rejected...
+	bad := l[(n-1)*stride : (n-1)*stride+n]
+	for c := range bad {
+		bad[c] = 10
+	}
+	if choleskyRow(l, stride, n-1, 0) {
+		t.Error("non-SPD row should be rejected")
+	}
+	// ...and the rows above it still hold, so the real row factors.
+	copy(bad, a[n-1])
+	if !choleskyRow(l, stride, n-1, 0) {
+		t.Fatal("recovery after a rejected row failed")
+	}
+	for c := 0; c < n; c++ {
+		if math.Float64bits(bad[c]) != math.Float64bits(want[n-1][c]) {
+			t.Fatalf("after recovery: L[%d][%d] = %v, from scratch %v", n-1, c, bad[c], want[n-1][c])
+		}
+	}
+	if choleskyRow([]float64{-1}, 1, 0, 0) {
+		t.Error("non-SPD 1×1 matrix should be rejected")
+	}
+}
+
+// TestOptimizerRecoversFromNonSPDWindow runs an optimizer over a space
+// whose kernel table is not positive definite for some windows: those
+// rounds fall back to the prior, and once the window is SPD again the
+// posterior is the from-scratch one, bit for bit.
+func TestOptimizerRecoversFromNonSPDWindow(t *testing.T) {
+	// K(0,1) = 2 exceeds both diagonals, so any window holding both
+	// candidates is indefinite.
+	space := &Space{c: 2, gram: []float64{1, 2, 2, 1}}
+	cfg := DefaultConfig()
+	cfg.Window, cfg.ExploitAfter = 2, 0
+	opt := New(space, cfg, stats.NewRNG(1))
+	steps := []struct {
+		idx int
+		y   float64
+		spd bool
+	}{
+		{0, 1, true},
+		{1, 3, false},
+		{0, 2, false}, // slides to [1, 0]
+		{0, 5, true},  // slides to [0, 0]
+		{1, 4, false},
+		{1, 7, true},
+	}
+	for s, st := range steps {
+		opt.Observe(st.idx, st.y)
+		opt.Suggest()
+		ys := opt.ys
+		mean, std := stats.Mean(ys), stats.StdDev(ys)
+		if std < 1e-9 {
+			std = 1
+		}
+		n := len(opt.xs)
+		a := make([][]float64, n)
+		for i := range a {
+			a[i] = make([]float64, n)
+			for j := range a[i] {
+				a[i][j] = space.gram[opt.xs[i]*2+opt.xs[j]]
+			}
+			a[i][i] += cfg.Noise
+		}
+		l, ok := refCholesky(a)
+		if ok != st.spd {
+			t.Fatalf("step %d: reference SPD = %v, want %v", s, ok, st.spd)
+		}
+		for i := 0; i < 2; i++ {
+			wantMu, wantSigma := mean, std
+			if ok {
+				yc := make([]float64, n)
+				for j, y := range ys {
+					yc[j] = (y - mean) / std
+				}
+				alpha := refBackSolve(l, refForwardSolve(l, yc))
+				kstar := make([]float64, n)
+				m := 0.0
+				for j, xj := range opt.xs {
+					kstar[j] = space.gram[i*2+xj]
+					m += kstar[j] * alpha[j]
+				}
+				vr := 0.0
+				for _, x := range refForwardSolve(l, kstar) {
+					vr += x * x
+				}
+				wantMu, wantSigma = m*std+mean, math.Sqrt(max(1-vr, 1e-12))*std
+			}
+			if math.Float64bits(opt.mu[i]) != math.Float64bits(wantMu) ||
+				math.Float64bits(opt.sigma[i]) != math.Float64bits(wantSigma) {
+				t.Fatalf("step %d candidate %d: posterior (%v, %v), reference (%v, %v)",
+					s, i, opt.mu[i], opt.sigma[i], wantMu, wantSigma)
+			}
+		}
 	}
 }
 
@@ -156,59 +311,192 @@ func paramGrid() [][]float64 {
 	return out
 }
 
+// refRun drives an Optimizer and the from-scratch reference GP
+// (referencePosterior) through the same observations.
+type refRun struct {
+	t   testing.TB
+	opt *Optimizer
+	pts [][]float64
+	cfg Config
+	xs  [][]float64
+	ys  []float64
+}
+
+func newRefRun(t testing.TB, pts [][]float64, cfg Config, seed int64) *refRun {
+	return &refRun{t: t, opt: newOpt(pts, cfg, seed), pts: pts, cfg: cfg}
+}
+
+// suggest calls Suggest and checks it against the reference: the
+// suggestion, every posterior mean and, while EI reads it, every
+// stddev must agree to the last bit.
+func (r *refRun) suggest() int {
+	r.t.Helper()
+	got := r.opt.Suggest()
+	if len(r.xs) == 0 {
+		return got
+	}
+	round := r.opt.observed
+	exploit := r.cfg.ExploitAfter > 0 && round >= r.cfg.ExploitAfter
+	mu, sigma := referencePosterior(r.pts, r.xs, r.ys, r.cfg)
+	for i := range r.pts {
+		if math.Float64bits(r.opt.mu[i]) != math.Float64bits(mu[i]) {
+			r.t.Fatalf("round %d: mu[%d] = %v, reference %v", round, i, r.opt.mu[i], mu[i])
+		}
+		if !exploit && math.Float64bits(r.opt.sigma[i]) != math.Float64bits(sigma[i]) {
+			r.t.Fatalf("round %d: sigma[%d] = %v, reference %v", round, i, r.opt.sigma[i], sigma[i])
+		}
+	}
+	want := stats.ArgMax(mu)
+	if !exploit {
+		best, bestEI := stats.Max(r.ys), math.Inf(-1)
+		for i := range r.pts {
+			if ei := expectedImprovement(mu[i], sigma[i], best, r.cfg.Xi); ei > bestEI {
+				want, bestEI = i, ei
+			}
+		}
+	}
+	if got != want {
+		r.t.Fatalf("round %d: Suggest = %d, reference %d", round, got, want)
+	}
+	return got
+}
+
+func (r *refRun) observe(idx int, y float64) {
+	r.opt.Observe(idx, y)
+	r.xs, r.ys = append(r.xs, r.pts[idx]), append(r.ys, y)
+	if len(r.xs) > r.cfg.Window {
+		r.xs, r.ys = r.xs[1:], r.ys[1:]
+	}
+}
+
 // TestPosteriorMatchesReferenceBitForBit runs the Optimizer against a
 // straightforward nested-slice GP (referencePosterior, the textbook
-// form that evaluates every kernel afresh) on the BO baseline's own
-// candidate grid. 300 rounds cover the EI phase, the switch at
-// ExploitAfter and the window sliding past its cap: every suggestion
-// must agree, and so must every posterior mean — and, while EI reads
-// it, every stddev — to the last bit.
+// form that evaluates every kernel afresh and factors from scratch) on
+// the BO baseline's own candidate grid, checking every suggestion and
+// every posterior value to the last bit:
+//   - paper: the default config over 300 rounds covers the EI phase,
+//     the switch at ExploitAfter and the window sliding past its cap;
+//   - sliding EI: a Window below ExploitAfter, so EI runs on a sliding
+//     window and its solve cache resets every round;
+//   - dominant: a peak far above the noise, so the window fills with
+//     one candidate and most factor rows start from a copied prefix.
 func TestPosteriorMatchesReferenceBitForBit(t *testing.T) {
-	cfg := DefaultConfig()
-	pts := paramGrid()
-	opt := New(pts, cfg, stats.NewRNG(5))
-	rng := stats.NewRNG(9)
-	truth := make([]float64, len(pts))
-	for i := range truth {
-		truth[i] = rng.Float64()
+	slidingEI := DefaultConfig()
+	slidingEI.Window = 20
+	cases := []struct {
+		name     string
+		cfg      Config
+		rounds   int
+		dominant int // candidate given a far higher value, or -1
+	}{
+		{"paper", DefaultConfig(), 300, -1},
+		{"sliding EI", slidingEI, 120, -1},
+		{"dominant", DefaultConfig(), 200, 77},
 	}
-	var xs [][]float64
-	var ys []float64
-	for round := 0; round < 300; round++ {
-		got := opt.Suggest()
-		if len(xs) > 0 {
-			exploit := round >= cfg.ExploitAfter
-			mu, sigma := referencePosterior(pts, xs, ys, cfg)
-			for i := range pts {
-				if math.Float64bits(opt.mu[i]) != math.Float64bits(mu[i]) {
-					t.Fatalf("round %d: mu[%d] = %v, reference %v", round, i, opt.mu[i], mu[i])
-				}
-				if !exploit && math.Float64bits(opt.sigma[i]) != math.Float64bits(sigma[i]) {
-					t.Fatalf("round %d: sigma[%d] = %v, reference %v", round, i, opt.sigma[i], sigma[i])
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			pts := paramGrid()
+			r := newRefRun(t, pts, tc.cfg, 5)
+			rng := stats.NewRNG(9)
+			truth := make([]float64, len(pts))
+			for i := range truth {
+				truth[i] = rng.Float64()
+			}
+			if d := tc.dominant; d >= 0 {
+				// A smooth peak at d, far above the noise, that the GP
+				// can climb.
+				for i, p := range pts {
+					d2 := 0.0
+					for k := range p {
+						d2 += (p[k] - pts[d][k]) * (p[k] - pts[d][k])
+					}
+					truth[i] += 5 - 10*d2
 				}
 			}
-			want := stats.ArgMax(mu)
-			if !exploit {
-				best, bestEI := stats.Max(ys), math.Inf(-1)
-				for i := range pts {
-					if ei := expectedImprovement(mu[i], sigma[i], best, cfg.Xi); ei > bestEI {
-						want, bestEI = i, ei
+			for round := 0; round < tc.rounds; round++ {
+				got := r.suggest()
+				r.observe(got, truth[got]+rng.Gaussian(0, 0.1))
+			}
+			if got := len(r.opt.xs); got != tc.cfg.Window {
+				t.Fatalf("window holds %d observations, want %d", got, tc.cfg.Window)
+			}
+			if tc.dominant >= 0 {
+				n := 0
+				for _, x := range r.opt.xs {
+					if x == tc.dominant {
+						n++
 					}
 				}
+				if n < tc.cfg.Window/2 {
+					t.Fatalf("the peak holds %d of %d window rows; the prefix copy went unexercised", n, tc.cfg.Window)
+				}
 			}
-			if got != want {
-				t.Fatalf("round %d: Suggest = %d, reference %d", round, got, want)
-			}
-		}
-		y := truth[got] + rng.Gaussian(0, 0.1)
-		opt.Observe(got, y)
-		xs, ys = append(xs, pts[got]), append(ys, y)
-		if len(xs) > cfg.Window {
-			xs, ys = xs[1:], ys[1:]
+		})
+	}
+}
+
+// FuzzPosteriorMatchesReference drives an Optimizer with an arbitrary
+// window, ExploitAfter and observation sequence over a 16-point space
+// (so candidates repeat often) and checks every Suggest against the
+// from-scratch reference, bit for bit. Each pair of sequence bytes is
+// one observation: a candidate index and a value.
+func FuzzPosteriorMatchesReference(f *testing.F) {
+	f.Add(uint8(60), uint8(50), []byte("\x00\x10\x05\x20\x05\x21\x0f\xf0\x03\x03\x05\x20\x05\x20"))
+	f.Add(uint8(3), uint8(0), []byte("\x01\x01\x01\x01\x01\x01\x02\x09\x01\x01\x01\x01"))
+	f.Add(uint8(5), uint8(8), []byte("\x07\x80\x08\x7f\x07\x80\x09\x00\x07\x80\x07\x81\x07\x80\x0a\x11\x07\x80\x07\x80"))
+	pts := make([][]float64, 0, 16)
+	for i := 0; i < 4; i++ {
+		for j := 0; j < 4; j++ {
+			pts = append(pts, []float64{float64(i) / 3, float64(j) / 3})
 		}
 	}
-	if got := len(opt.xs); got != cfg.Window {
-		t.Fatalf("window holds %d observations, want %d", got, cfg.Window)
+	f.Fuzz(func(t *testing.T, window, exploitAfter uint8, seq []byte) {
+		cfg := DefaultConfig()
+		cfg.Window = int(window%64) + 1
+		cfg.ExploitAfter = int(exploitAfter % 128)
+		if len(seq) > 512 {
+			seq = seq[:512]
+		}
+		r := newRefRun(t, pts, cfg, 1)
+		for ; len(seq) >= 2; seq = seq[2:] {
+			r.suggest()
+			r.observe(int(seq[0])%len(pts), float64(int8(seq[1]))/8)
+		}
+		r.suggest()
+	})
+}
+
+// TestSpaceSharedAcrossGoroutines runs optimizers on one Space from
+// several goroutines at once (the race detector checks the space is
+// only read) and checks each run equals the same run alone.
+func TestSpaceSharedAcrossGoroutines(t *testing.T) {
+	space := NewSpace(paramGrid())
+	run := func(seed int64) []int {
+		opt := New(space, DefaultConfig(), stats.NewRNG(seed))
+		rng := stats.NewRNG(seed + 100)
+		var picks []int
+		for round := 0; round < 90; round++ {
+			idx := opt.Suggest()
+			picks = append(picks, idx)
+			opt.Observe(idx, rng.Float64())
+		}
+		return picks
+	}
+	const runs = 4
+	var got [runs][]int
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = run(int64(i))
+		}()
+	}
+	wg.Wait()
+	for i := range got {
+		if want := run(int64(i)); !slices.Equal(got[i], want) {
+			t.Errorf("run %d on a shared space differs from the run alone", i)
+		}
 	}
 }
 
@@ -220,7 +508,7 @@ func TestSuggestSteadyStateAllocs(t *testing.T) {
 	for _, exploitAfter := range []int{0, 50} {
 		cfg := DefaultConfig()
 		cfg.ExploitAfter = exploitAfter
-		opt := New(paramGrid(), cfg, stats.NewRNG(1))
+		opt := newOpt(paramGrid(), cfg, 1)
 		rng := stats.NewRNG(2)
 		for i := 0; i < cfg.Window; i++ {
 			opt.Observe(opt.Suggest(), rng.Float64())
@@ -238,7 +526,8 @@ func TestSuggestSteadyStateAllocs(t *testing.T) {
 // referencePosterior is the GP posterior in its textbook form: kernels
 // evaluated on the observed points, nested-slice matrices, a fresh
 // Cholesky and one forward solve per candidate. It is the oracle the
-// Optimizer's table-driven, in-place posterior must match bit for bit.
+// Optimizer's table-driven, incremental posterior must match bit for
+// bit.
 func referencePosterior(points, xs [][]float64, ys []float64, cfg Config) (mu, sigma []float64) {
 	n := len(xs)
 	mean := stats.Mean(ys)
@@ -254,7 +543,7 @@ func referencePosterior(points, xs [][]float64, ys []float64, cfg Config) (mu, s
 	for i := range k {
 		k[i] = make([]float64, n)
 		for j := range k[i] {
-			k[i][j] = kernel(xs[i], xs[j], cfg.LengthScale)
+			k[i][j] = kernel(xs[i], xs[j], lengthScale)
 		}
 		k[i][i] += cfg.Noise
 	}
@@ -272,7 +561,7 @@ func referencePosterior(points, xs [][]float64, ys []float64, cfg Config) (mu, s
 	kstar := make([]float64, n)
 	for i, p := range points {
 		for j := range xs {
-			kstar[j] = kernel(p, xs[j], cfg.LengthScale)
+			kstar[j] = kernel(p, xs[j], lengthScale)
 		}
 		m := 0.0
 		for j := range kstar {

@@ -20,10 +20,13 @@ import (
 // Counts[d][c] is the number of class-c samples held by device d.
 //
 // Rows are read-only: IID rows alias one shared ring (see IID), so a
-// write through one row would change others.
+// write through one row would change others, and a partition from
+// WithSignals carries signals computed from them.
 type Partition struct {
 	NumClasses int
 	Counts     [][]int
+
+	signals *deviceSignals // set by WithSignals only
 }
 
 // NumDevices returns the number of devices in the partition.

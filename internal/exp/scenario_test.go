@@ -40,8 +40,10 @@ func TestPresetSpecsMatchLegacyAssembly(t *testing.T) {
 		if intf {
 			im = interfere.Paper()
 		}
+		// The shared partition carries its per-device signals
+		// (fl.SharedPartition), so they are compared too.
 		return fl.Config{
-			Workload: w, Fleet: fleet, Partition: part, Channel: ch,
+			Workload: w, Fleet: fleet, Partition: data.WithSignals(part), Channel: ch,
 			Interference: im, MaxRounds: 400, DeadlineSec: deadline,
 			AggregationOverheadSec: 30, Seed: 7, StopAtConvergence: true,
 		}

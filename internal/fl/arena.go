@@ -109,9 +109,11 @@ func NewArena() *Arena {
 var arenaPool = sync.Pool{New: func() any { return NewArena() }}
 
 // beginRun sizes the arena for cfg's fleet, joins the current run memo
-// and its environment trace, reseeds the convergence-model stream and
-// precomputes the per-run tables (partition signals, static device
-// states, idle power, per-device cost models, channel power bands).
+// and its environment trace, reseeds the convergence-model stream,
+// points the partition memo at the partition's signals (computing them
+// only for a partition that carries none; see SharedPartition) and
+// fills the per-run tables (static device states, idle power,
+// per-device cost models, channel power bands).
 func (a *Arena) beginRun(cfg *Config) {
 	n := len(cfg.Fleet)
 	if cap(a.profiles) < n {

@@ -278,3 +278,22 @@ func TestArenaCrossCellReuseRaceClean(t *testing.T) {
 		}
 	}
 }
+
+// TestRunOnSharedSignalsByteIdentical: a run on a partition carrying
+// its signals (data.WithSignals, as SharedPartition hands out) equals
+// the run on the bare partition, observed states included, and one
+// arena alternating between the two forms stays byte-identical.
+func TestRunOnSharedSignalsByteIdentical(t *testing.T) {
+	p := Params{B: 8, E: 10, K: 10}
+	for name, cfg := range map[string]Config{"dirichlet": dirtyConfig(), "iid": bigConfig()} {
+		want := digestRun(t, cfg, p, NewArena())
+		withSig := cfg
+		withSig.Partition = data.WithSignals(cfg.Partition)
+		a := NewArena()
+		for i, c := range []Config{withSig, cfg, withSig, withSig} {
+			if got := digestRun(t, c, p, a); got != want {
+				t.Errorf("%s step %d: run differs from the bare-partition run", name, i)
+			}
+		}
+	}
+}

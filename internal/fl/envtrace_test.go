@@ -291,9 +291,19 @@ func TestSharedFleetAndPartitionAreShared(t *testing.T) {
 		builds++
 		return data.Dirichlet(37, w.NumClasses, w.SamplesPerDevice, data.PaperAlpha, stats.NewRNG(3))
 	}
+	before := hold.memo.bytes.Load()
 	pa, pb := SharedPartition(key, build), SharedPartition(key, build)
 	if builds != 1 || &pa.Counts[0] != &pb.Counts[0] {
 		t.Errorf("SharedPartition built %d times, want once and shared", builds)
+	}
+	// The partition carries its per-device signals, built with it, and
+	// the memo's size estimate counts them.
+	sig := pa.SignalBytes()
+	if sig <= 0 || pb.SignalBytes() != sig {
+		t.Errorf("shared partitions carry %d and %d signal bytes, want the same positive count", sig, pb.SignalBytes())
+	}
+	if got, want := hold.memo.bytes.Load()-before, int64(37*(24+8*w.NumClasses))+sig; got != want {
+		t.Errorf("SharedPartition grew the memo estimate by %d bytes, want %d (rows plus signals)", got, want)
 	}
 	if hold.memo != currentMemo(memoCapBytes) {
 		t.Error("the held memo was replaced")

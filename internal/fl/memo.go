@@ -102,7 +102,8 @@ type PartitionKey struct {
 // build the first time key is asked for; later callers (concurrent
 // ones included) share its result until the run memo is collected or
 // renewed. build must be a pure function of key. The partition is
-// read-only.
+// read-only and carries its per-device signals (data.WithSignals),
+// computed once here, so no run on it recomputes them.
 func SharedPartition(key PartitionKey, build func() data.Partition) data.Partition {
 	m := currentMemo(memoCapBytes)
 	m.mu.Lock()
@@ -113,9 +114,9 @@ func SharedPartition(key PartitionKey, build func() data.Partition) data.Partiti
 	}
 	m.mu.Unlock()
 	sp.once.Do(func() {
-		sp.p = build()
-		// An upper bound: IID rows alias one ring.
-		m.bytes.Add(int64(key.Devices) * int64(24+8*key.Classes))
+		sp.p = data.WithSignals(build())
+		// An upper bound for the rows: IID rows alias one ring.
+		m.bytes.Add(int64(key.Devices)*int64(24+8*key.Classes) + sp.p.SignalBytes())
 	})
 	return sp.p
 }

@@ -215,7 +215,8 @@
 // netsim.CommModel for round-trip comm cost, and data.Memo for
 // partition skew/coverage signals. Runs in one process also share a
 // run memo (fl/memo.go): one fleet per composition, one partition per
-// partition spec and size, and one environment trace per (seed, fleet
+// partition spec and size (with its per-device signals, which the
+// arena's data.Memo reads), and one environment trace per (seed, fleet
 // size, interference, channel) that the first run to reach a round
 // records and every later run replays. So steady-state rounds neither
 // allocate nor re-derive invariant math (an fl unit test holds a
