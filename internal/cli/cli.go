@@ -51,7 +51,7 @@ func Register(fs *flag.FlagSet) *RuntimeFlags {
 	fs.IntVar(&f.Parallel, "parallel", 0, "in-process simulation worker count (0 = all cores; unused with -workers)")
 	fs.StringVar(&f.CacheDir, "cachedir", "", "persist the run cache under this directory")
 	fs.Int64Var(&f.CacheMaxBytes, "cache-max-bytes", 0,
-		"evict least-recently-used cache entries at startup until the cache dir fits this byte budget (0 = keep everything)")
+		"at startup, delete whole cache packs, least recently used first, until the cache dir fits this byte budget (0 = keep everything)")
 	fs.StringVar(&f.Workers, "workers", "",
 		"comma-separated host:port TCP worker pools (fedgpo-worker -listen) to dispatch cells to instead of running them in-process")
 	fs.BoolVar(&f.ListScenarios, "list-scenarios", false,

@@ -66,17 +66,21 @@ func TestRuntimeBuildsTCPWorkers(t *testing.T) {
 
 // Runtime must build a pool runtime with the requested worker count
 // and prune the cache directory to the configured byte budget at
-// startup.
+// startup. Each entry is written through its own cache, so the
+// directory holds six packs, and a 1-byte budget removes them all.
 func TestRuntimeBuildsPoolAndPrunes(t *testing.T) {
 	dir := t.TempDir()
-	cache, err := runtime.NewCache(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for i := 0; i < 6; i++ {
+		cache, err := runtime.NewCache(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if err := cache.Put(strings.Repeat("k", i+1), runtime.Result{Key: "x"}); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if packs, _ := os.ReadDir(dir); len(packs) != 6 {
+		t.Fatalf("six caches wrote %d files, want 6 packs", len(packs))
 	}
 	f := parse(t, "-parallel", "2", "-cachedir", dir, "-cache-max-bytes", "1")
 	rt, err := f.Runtime()
@@ -91,7 +95,7 @@ func TestRuntimeBuildsPoolAndPrunes(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(left) != 0 {
-		t.Errorf("cache dir holds %d entries after a 1-byte budget prune", len(left))
+		t.Errorf("cache dir holds %d packs after a 1-byte budget prune", len(left))
 	}
 }
 

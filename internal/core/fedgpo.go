@@ -523,14 +523,20 @@ func (c *Controller) Observe(res fl.RoundResult) {
 func (c *Controller) flushPending(obs fl.Observation, globalState string) {
 	if len(c.pendingLocal) > 0 {
 		// Successor state per table: the first fleet device under that
-		// table key, observed in this round's environment.
+		// table key, observed in this round's environment. Only existing
+		// tables take updates, so a key with no table yet is skipped and
+		// the walk stops once every table has its successor.
 		succ := c.succ
 		clear(succ)
 		for _, d := range obs.Fleet {
-			key := c.tableKeyFor(d)
-			if _, ok := succ[key]; !ok {
-				succ[key] = c.deviceStateKey(obs.States[d.ID])
+			if len(succ) == len(c.localTables) {
+				break
 			}
+			key := c.tableKeyFor(d)
+			if _, ok := succ[key]; ok || c.table(key) == nil {
+				continue
+			}
+			succ[key] = c.deviceStateKey(obs.States[d.ID])
 		}
 		for _, p := range c.pendingLocal {
 			next, ok := succ[p.tableKey]

@@ -118,28 +118,12 @@ func Clamp01(v float64) float64 {
 	return v
 }
 
-// ComputeJoules implements paper Eq. (2): the energy of the busy
-// interval at the training V/F step plus the idle draw over the
-// remainder of the round. busySec is the device's local training time;
-// idleSec is the rest of the round it spends waiting on stragglers.
-// Training runs CPU and GPU at their top steps (performance governor),
-// which is how on-device DL frameworks execute.
-func ComputeJoules(p Profile, busySec, idleSec float64) float64 {
-	busyPower := p.CPU.PowerAt(p.CPU.Steps) + p.GPU.PowerAt(p.GPU.Steps)
-	if busySec < 0 {
-		busySec = 0
-	}
-	if idleSec < 0 {
-		idleSec = 0
-	}
-	return busyPower*busySec + p.IdleWatts*idleSec
-}
-
-// ParticipantJoules is the round energy of a selected device: local
-// training at full busy power (Eq. 2) plus the wait for the global
+// ParticipantJoules is the round energy of a selected device, paper
+// Eq. (2): local training at full busy power plus the wait for the global
 // aggregation at WaitWatts — the straggler-induced "redundant energy"
 // of paper Fig. 5. Communication energy is accounted separately by the
-// channel model (Eq. 3).
+// channel model (Eq. 3). Training runs CPU and GPU at their top steps
+// (performance governor), which is how on-device DL frameworks execute.
 func ParticipantJoules(p *Profile, busySec, waitSec float64) float64 {
 	if busySec < 0 {
 		busySec = 0

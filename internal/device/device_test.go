@@ -209,15 +209,15 @@ func TestBatchesPerEpochPanics(t *testing.T) {
 	BatchesPerEpoch(10, 0)
 }
 
-func TestComputeJoulesEq2(t *testing.T) {
+func TestParticipantJoulesEq2(t *testing.T) {
 	p := Profiles()[High]
 	busyPower := p.CPU.PeakWatts + p.GPU.PeakWatts
-	got := ComputeJoules(p, 10, 5)
-	want := busyPower*10 + p.IdleWatts*5
+	got := ParticipantJoules(&p, 10, 5)
+	want := busyPower*10 + p.WaitWatts*5
 	if math.Abs(got-want) > 1e-9 {
-		t.Errorf("ComputeJoules = %v, want %v", got, want)
+		t.Errorf("ParticipantJoules = %v, want %v", got, want)
 	}
-	if ComputeJoules(p, -1, -1) != 0 {
+	if ParticipantJoules(&p, -1, -1) != 0 {
 		t.Error("negative durations should clamp to zero energy")
 	}
 }

@@ -389,8 +389,8 @@ func simSpec(s ScenarioSpec, c ContenderSpec, seed int64) JobSpec {
 }
 
 // summaries fans len(cells) × len(seeds) jobs out over the execution
-// backend and aggregates each cell over its seeds in seed order,
-// exactly as fl.RunSeeds would — tables built from these summaries are
+// backend and aggregates each cell over its seeds in seed order
+// (fl.Summarize) — tables built from these summaries are
 // byte-identical to the serial path regardless of backend or worker
 // count.
 func (r *Runtime) summaries(cells []cell, seeds []int64) []fl.Summary {

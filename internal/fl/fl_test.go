@@ -250,7 +250,7 @@ func TestSmallerLocalParamsNarrowStragglerGap(t *testing.T) {
 
 func TestRunSeedsAveragesAndConvergence(t *testing.T) {
 	cfg := testConfig()
-	sum := RunSeeds(cfg, func() Controller { return NewStatic(Params{B: 8, E: 10, K: 10}) },
+	sum := runSeeds(cfg, func() Controller { return NewStatic(Params{B: 8, E: 10, K: 10}) },
 		[]int64{1, 2, 3})
 	if sum.Seeds != 3 {
 		t.Fatalf("Seeds = %d", sum.Seeds)
@@ -261,15 +261,6 @@ func TestRunSeedsAveragesAndConvergence(t *testing.T) {
 	if sum.MeanPPW <= 0 || sum.MeanConvergenceRound <= 0 {
 		t.Error("summary means must be positive")
 	}
-}
-
-func TestRunSeedsPanicsWithoutSeeds(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("want panic")
-		}
-	}()
-	RunSeeds(testConfig(), func() Controller { return NewStatic(DefaultParams()) }, nil)
 }
 
 func TestUnconvergedPPWScaledByProgress(t *testing.T) {

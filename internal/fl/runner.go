@@ -18,32 +18,13 @@ type Summary struct {
 	EnergyByCategory     map[device.Category]float64
 }
 
-// ControllerFactory builds a fresh controller per run so learned state
-// never leaks across seeds.
-type ControllerFactory func() Controller
-
-// RunSeeds executes the config under the controller factory for each
-// seed and averages the headline metrics. Convergence round is averaged
-// over converged runs only (unconverged runs count as MaxRounds).
-func RunSeeds(cfg Config, factory ControllerFactory, seeds []int64) Summary {
-	if len(seeds) == 0 {
-		panic("fl: RunSeeds needs at least one seed")
-	}
-	results := make([]Result, len(seeds))
-	for i, seed := range seeds {
-		c := cfg
-		c.Seed = seed
-		results[i] = Run(c, factory())
-	}
-	return Summarize(cfg.MaxRounds, results)
-}
-
-// Summarize aggregates per-seed results in slice order, exactly as
-// RunSeeds does; maxRounds is the round budget unconverged runs are
-// charged. The parallel experiment runtime calls this on results it
+// Summarize aggregates per-seed results in slice order and averages
+// the headline metrics; maxRounds is the round budget unconverged runs
+// are charged, so convergence round is averaged over converged runs
+// only. The parallel experiment runtime calls this on results it
 // executed out-of-process or served from cache, so the aggregation
-// (including float accumulation order) must stay byte-identical to the
-// serial path.
+// (including float accumulation order) must stay byte-identical to a
+// serial run of the seeds.
 func Summarize(maxRounds int, results []Result) Summary {
 	if len(results) == 0 {
 		panic("fl: Summarize needs at least one result")

@@ -1,15 +1,18 @@
 package runtime
 
 import (
+	"crypto/sha256"
 	"encoding"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"fedgpo/internal/telemetry"
@@ -27,18 +30,22 @@ const (
 	srcMem     = iota // memory-only mode map hit
 	srcPayload = iota // decoded-payload layer hit (no disk read)
 	srcDisk    = iota // envelope read from disk
-	srcCorrupt = iota // a file existed but failed validation; discarded
+	srcCorrupt = iota // a record existed but failed validation; discarded
 )
 
 // Cache is the content-addressed run cache. A payload is a Result's
 // own binary form (Result.AppendBinary) and JSON for every other
 // artifact. Without a directory the cache keeps payloads in an
-// in-memory map of key-hash to payload; with one, entries live in
-// <dir>/<hash>.binz binary envelopes; any other file in the directory
-// is foreign and never read. Disk hits pass through a
-// byte-capped decoded-payload LRU so cells re-read within one run cost
-// one file read, and every disk-mode hit refreshes its entry's mtime so
-// Prune evicts least-recently-used first. It is safe for concurrent
+// in-memory map of key-hash to payload. With one, entries are records
+// in append-only pack files, <dir>/pack-*.fgcp: each Cache appends to
+// one pack of its own, created on its first Put, and reads every pack
+// in the directory through an index of key hash to record. Any other
+// file in the directory is foreign and never read. Disk hits pass
+// through a byte-capped decoded-payload LRU so cells re-read within
+// one run cost one record read, and the first hit on a pack refreshes
+// its mtime so Prune evicts least-recently-used packs first. The
+// handle on its own pack lives as long as the Cache; every record is
+// one write, so nothing is left to flush. It is safe for concurrent
 // use.
 type Cache struct {
 	mu  sync.RWMutex
@@ -46,8 +53,59 @@ type Cache struct {
 	dir string
 	col *telemetry.Collector
 
+	// The disk index, guarded by mu: every record scanned from a pack
+	// or appended by Put, by key digest (the newest one wins), and the
+	// packs it has seen, by file name.
+	index map[digest]recordLoc
+	packs map[string]*pack
+
+	// wmu serializes appends to this Cache's own pack: w is its file,
+	// nil before the first Put and after a failed append, and wpack its
+	// index entry.
+	wmu   sync.Mutex
+	w     *os.File
+	wpack *pack
+
 	payloadMu sync.Mutex
 	payloads  *payloadLRU
+}
+
+// pack is one pack file the index has seen.
+type pack struct {
+	name string
+	// own marks this Cache's own pack: Put indexes its records as it
+	// appends them, so scans skip it. For any other pack, end is the
+	// offset just past the last record indexed and seen its size at the
+	// last scan; a scan reads it again only once its size changes.
+	own       bool
+	end, seen int64
+	// touched is set once this Cache has refreshed the pack's mtime.
+	touched atomic.Bool
+}
+
+// digest is a canonical key's SHA-256 (HashKeyBytes), the index key.
+type digest = [sha256.Size]byte
+
+// parseDigest decodes a HashKey content address without allocating.
+func parseDigest(hash string) (d digest, ok bool) {
+	if len(hash) != 2*len(d) {
+		return d, false
+	}
+	for i := 0; i < len(d); i += 8 {
+		u, err := strconv.ParseUint(hash[2*i:2*i+16], 16, 64)
+		if err != nil {
+			return d, false
+		}
+		binary.BigEndian.PutUint64(d[i:], u)
+	}
+	return d, true
+}
+
+// recordLoc locates one record's envelope in a pack.
+type recordLoc struct {
+	pack *pack
+	off  int64
+	n    int
 }
 
 // SetCollector attaches a telemetry collector recording cache-level
@@ -67,6 +125,8 @@ func NewCache(dir string) (*Cache, error) {
 	return &Cache{
 		mem:      make(map[string][]byte),
 		dir:      dir,
+		index:    make(map[digest]recordLoc),
+		packs:    make(map[string]*pack),
 		payloads: newPayloadLRU(DefaultPayloadCacheBytes),
 	}, nil
 }
@@ -103,7 +163,7 @@ func (c *Cache) GetHashed(key, hash string, v any) bool {
 
 // get is Get's lookup body; the returned source classifies which layer
 // served the read (or how it failed). The disk read path is the
-// decoded-payload layer, then the binary envelope.
+// decoded-payload layer, then the record the index points at.
 func (c *Cache) get(key, hash string, v any) int {
 	if c.dir == "" {
 		c.mu.RLock()
@@ -122,7 +182,6 @@ func (c *Cache) get(key, hash string, v any) int {
 	c.payloadMu.Unlock()
 	if ok {
 		if c.unmarshalPayload(payload, v) {
-			c.touch(hash)
 			return srcPayload
 		}
 		// The layer only holds payloads that already unmarshalled once,
@@ -132,42 +191,109 @@ func (c *Cache) get(key, hash string, v any) int {
 		c.payloads.drop(hash)
 		c.payloadMu.Unlock()
 	}
-	b, src := c.readEntry(hash)
+	loc, ok := c.lookup(hash)
+	if !ok {
+		return srcMiss
+	}
+	b, src := c.readRecord(loc)
 	if src != srcDisk {
 		return src
 	}
-	// A corrupted or foreign file — truncated, wrong magic, an envelope
-	// whose key does not match (hash collision), a checksum mismatch —
-	// is a miss, not an error: the cell just re-runs.
+	// A damaged record — a flipped byte, an envelope whose key does not
+	// match (hash collision), a payload that does not decode — is a
+	// miss, not an error: the cell just re-runs, and its new record
+	// replaces this one in the index.
 	payload, ok = decodeBinaryEnvelope(b, key)
 	if !ok || !c.unmarshalPayload(payload, v) {
 		return srcCorrupt
 	}
 	c.cachePayload(hash, payload)
-	c.touch(hash)
+	c.touch(loc.pack)
 	return srcDisk
 }
 
-// readEntry reads hash's entry file whole. It opens, stats and reads
-// the file exactly as os.ReadFile does, but refuses a file larger than
-// maxEnvelopeBytes before allocating anything, classing it corrupt; a
-// file it cannot open or read is a miss.
-func (c *Cache) readEntry(hash string) ([]byte, int) {
-	f, err := os.Open(c.path(hash))
+// lookup returns the record the index holds for hash. On a miss it
+// rescans the directory for new or grown packs first, so entries other
+// Caches and processes appended since the last scan are found.
+func (c *Cache) lookup(hash string) (recordLoc, bool) {
+	d, ok := parseDigest(hash)
+	if !ok {
+		return recordLoc{}, false
+	}
+	c.mu.RLock()
+	loc, ok := c.index[d]
+	c.mu.RUnlock()
+	if ok {
+		return loc, true
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.scan()
+	loc, ok = c.index[d]
+	return loc, ok
+}
+
+// scan indexes the records of every pack in the directory that is new
+// or has changed size since the last scan, in name order, which is
+// creation order. c.mu must be held. A directory it cannot list leaves
+// the index as it is: lookups miss, and cells re-run.
+func (c *Cache) scan() {
+	dirents, err := os.ReadDir(c.dir)
+	if err != nil {
+		return
+	}
+	for _, de := range dirents {
+		name := de.Name()
+		if !strings.HasSuffix(name, packExt) {
+			continue
+		}
+		p := c.packs[name]
+		if p == nil {
+			p = &pack{name: name}
+			c.packs[name] = p
+		}
+		if p.own {
+			continue
+		}
+		info, err := de.Info()
+		if err != nil || info.Size() == p.seen {
+			continue
+		}
+		c.scanPack(p, info.Size())
+	}
+}
+
+// scanPack indexes p's records from p.end up to size. A record this
+// Cache appended itself stays indexed over one found in another pack:
+// it is the newest this process knows of.
+func (c *Cache) scanPack(p *pack, size int64) {
+	f, err := os.Open(filepath.Join(c.dir, p.name))
+	if err != nil {
+		return
+	}
+	defer f.Close()
+	p.end = scanRecords(f, p.end, size, func(key []byte, off int64, n int) {
+		d := HashKeyBytes(key)
+		if cur, ok := c.index[d]; !ok || !cur.pack.own {
+			c.index[d] = recordLoc{pack: p, off: off, n: n}
+		}
+	})
+	p.seen = size
+}
+
+// readRecord reads loc's envelope: it opens the pack, reads the record
+// and closes the pack again, so no handle is held per pack. A pack it
+// cannot open (pruned under us) is a miss; a record it cannot read
+// whole is corrupt, since it was complete when the scan indexed it.
+func (c *Cache) readRecord(loc recordLoc) ([]byte, int) {
+	f, err := os.Open(filepath.Join(c.dir, loc.pack.name))
 	if err != nil {
 		return nil, srcMiss
 	}
 	defer f.Close()
-	info, err := f.Stat()
-	if err != nil {
-		return nil, srcMiss
-	}
-	if info.Size() > int64(maxEnvelopeBytes) {
+	b := make([]byte, loc.n)
+	if _, err := f.ReadAt(b, loc.off); err != nil {
 		return nil, srcCorrupt
-	}
-	b := make([]byte, info.Size())
-	if _, err := io.ReadFull(f, b); err != nil {
-		return nil, srcMiss
 	}
 	return b, srcDisk
 }
@@ -190,34 +316,40 @@ func (c *Cache) unmarshalPayload(payload []byte, v any) bool {
 
 // cachePayload admits a disk hit's payload bytes to the decoded-payload
 // layer. Only disk hits are admitted — never Put write-through — so a
-// corrupted disk entry is still caught by the next uncached read.
+// corrupted record is still caught by the next uncached read.
 func (c *Cache) cachePayload(hash string, payload []byte) {
 	c.payloadMu.Lock()
 	c.payloads.put(hash, payload)
 	c.payloadMu.Unlock()
 }
 
-// touch refreshes hash's entry mtime, so mtime order is LRU order for
-// Prune. A failed touch (the entry was removed under us) only skews
-// future eviction order.
-func (c *Cache) touch(hash string) {
+// touch refreshes p's mtime on this Cache's first hit in it, so mtime
+// order is LRU order for Prune. Later hits in the pack, and hits the
+// decoded-payload layer serves (it only holds records already read),
+// need no touch of their own. A failed touch (the pack was removed
+// under us) only skews future eviction order.
+func (c *Cache) touch(p *pack) {
+	if p.touched.Swap(true) {
+		return
+	}
 	now := time.Now()
-	if os.Chtimes(c.path(hash), now, now) == nil {
+	if os.Chtimes(filepath.Join(c.dir, p.name), now, now) == nil {
 		c.col.Count(func(cc *telemetry.Counters) { cc.CacheTouches++ })
 	}
 }
 
-// Prune enforces a byte budget on the on-disk cache: entries are
+// Prune enforces a byte budget on the on-disk cache: whole packs are
 // removed oldest-mtime-first until the surviving total is at most
-// maxBytes, and orphaned put-* temp files (writers killed mid-publish)
-// are cleared; files without the .binz extension are foreign and left
-// alone. Hits touch their entry's mtime, so mtime order is LRU order;
-// removed hashes are also dropped from the decoded-payload layer so an
-// evicted entry cannot be served from memory. It returns the number of entries
-// removed (temp files not counted). Memory-only caches and
-// maxBytes <= 0 are no-ops. Call it at startup, before workers share
-// the directory — it does not coordinate with concurrent writers
-// beyond each removal being atomic.
+// maxBytes. It also deletes the files of the one-file-per-entry layout,
+// which nothing reads any more: <64-hex>.binz entries and orphaned
+// put-* temp files. Every other file is foreign and left alone. The
+// first hit on a pack touches its mtime, so mtime order is LRU order;
+// the records of removed packs leave the index and the decoded-payload
+// layer too, so an evicted entry cannot be served from memory. It
+// returns the number of packs removed (stale files not counted).
+// Memory-only caches and maxBytes <= 0 are no-ops. Call it at startup,
+// before workers share the directory — it does not coordinate with
+// concurrent writers beyond each removal being atomic.
 func (c *Cache) Prune(maxBytes int64) (int, error) {
 	if c.dir == "" || maxBytes <= 0 {
 		return 0, nil
@@ -226,57 +358,73 @@ func (c *Cache) Prune(maxBytes int64) (int, error) {
 	if err != nil {
 		return 0, fmt.Errorf("runtime: cache prune: %w", err)
 	}
-	type entry struct {
-		path  string
-		hash  string
+	type packFile struct {
+		name  string
 		mtime time.Time
 		size  int64
 	}
-	entries := make([]entry, 0, len(dirents))
+	packs := make([]packFile, 0, len(dirents))
 	for _, de := range dirents {
+		name := de.Name()
 		if de.IsDir() {
 			continue
 		}
-		// Clear orphaned put-* temp files (a writer killed between
-		// CreateTemp and the rename publish — e.g. a worker process
-		// cut down mid-Put). They are invisible to Get, so at startup
-		// they are pure garbage that would otherwise accumulate outside
-		// the byte budget forever.
-		if strings.HasPrefix(de.Name(), "put-") {
-			_ = os.Remove(filepath.Join(c.dir, de.Name()))
+		if staleCacheFile(name) {
+			_ = os.Remove(filepath.Join(c.dir, name))
 			continue
 		}
-		if filepath.Ext(de.Name()) != binExt {
+		if filepath.Ext(name) != packExt {
 			continue
 		}
 		info, err := de.Info()
 		if err != nil {
 			continue // deleted under us: nothing to evict
 		}
-		entries = append(entries, entry{
-			path:  filepath.Join(c.dir, de.Name()),
-			hash:  strings.TrimSuffix(de.Name(), binExt),
-			mtime: info.ModTime(),
-			size:  info.Size(),
-		})
+		packs = append(packs, packFile{name: name, mtime: info.ModTime(), size: info.Size()})
 	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].mtime.After(entries[j].mtime) })
+	sort.Slice(packs, func(i, j int) bool { return packs[i].mtime.After(packs[j].mtime) })
 	var total int64
-	removed := 0
-	for _, e := range entries {
-		total += e.size
+	removed := make(map[string]bool)
+	for _, p := range packs {
+		total += p.size
 		if total <= maxBytes {
 			continue
 		}
-		if err := os.Remove(e.path); err == nil || os.IsNotExist(err) {
-			removed++
-			c.payloadMu.Lock()
-			c.payloads.drop(e.hash)
-			c.payloadMu.Unlock()
+		if err := os.Remove(filepath.Join(c.dir, p.name)); err == nil || os.IsNotExist(err) {
+			removed[p.name] = true
 		}
 	}
-	c.col.Count(func(cc *telemetry.Counters) { cc.Evictions += int64(removed) })
-	return removed, nil
+	c.forgetPacks(removed)
+	c.col.Count(func(cc *telemetry.Counters) { cc.Evictions += int64(len(removed)) })
+	return len(removed), nil
+}
+
+// forgetPacks drops the named packs from the index and their records'
+// hashes from the decoded-payload layer. If this Cache's own pack is
+// among them, the next Put creates a new one.
+func (c *Cache) forgetPacks(names map[string]bool) {
+	if len(names) == 0 {
+		return
+	}
+	c.wmu.Lock()
+	if c.wpack != nil && names[c.wpack.name] {
+		c.w.Close()
+		c.w, c.wpack = nil, nil
+	}
+	c.wmu.Unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for name := range names {
+		delete(c.packs, name)
+	}
+	c.payloadMu.Lock()
+	defer c.payloadMu.Unlock()
+	for d, loc := range c.index {
+		if names[loc.pack.name] {
+			delete(c.index, d)
+			c.payloads.drop(HexHash(d))
+		}
+	}
 }
 
 // Put stores v under the key, in memory or (when configured) on disk.
@@ -287,8 +435,8 @@ func (c *Cache) Put(key string, v any) error {
 // PutHashed is Put for callers that already hold the key's content
 // address; hash must equal HashKey(key). The payload is v's binary
 // form when v implements encoding.BinaryAppender and its JSON
-// otherwise; on-disk entries are written as binary envelopes
-// (encodeBinaryEnvelope) built in one buffer.
+// otherwise. On disk the entry is one record (appendRecord), built in
+// one buffer and appended to this Cache's pack in one write.
 func (c *Cache) PutHashed(key, hash string, v any) error {
 	start := time.Now()
 	defer func() { c.col.RecordPhase(telemetry.PhaseCacheWrite, time.Since(start)) }()
@@ -302,7 +450,11 @@ func (c *Cache) PutHashed(key, hash string, v any) error {
 		c.mu.Unlock()
 		return nil
 	}
-	b, err := encodeBinaryEnvelope(key, v)
+	d, ok := parseDigest(hash)
+	if !ok {
+		return fmt.Errorf("runtime: cache hash %q is not a SHA-256 hex digest", hash)
+	}
+	rec, err := appendRecord(nil, key, v)
 	if err != nil {
 		return err
 	}
@@ -311,24 +463,35 @@ func (c *Cache) PutHashed(key, hash string, v any) error {
 	c.payloadMu.Lock()
 	c.payloads.drop(hash)
 	c.payloadMu.Unlock()
-	// Publish atomically: a concurrent reader sees either nothing or the
-	// complete entry, never a torn write.
-	tmp, err := os.CreateTemp(c.dir, "put-*")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(b); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return os.Rename(tmp.Name(), c.path(hash))
+	return c.writeRecord(d, rec)
 }
 
-func (c *Cache) path(hash string) string {
-	return filepath.Join(c.dir, hash+binExt)
+// writeRecord appends rec to this Cache's pack, creating the pack on
+// first use, and indexes it under d. After a failed or short append
+// the pack is dropped: its tail may hold a partial record, which no
+// scan indexes, and the next Put starts a new pack.
+func (c *Cache) writeRecord(d digest, rec []byte) error {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	if c.w == nil {
+		f, name, err := createPack(c.dir)
+		if err != nil {
+			return fmt.Errorf("runtime: cache pack: %w", err)
+		}
+		c.w, c.wpack = f, &pack{name: name, own: true}
+		c.mu.Lock()
+		c.packs[name] = c.wpack
+		c.mu.Unlock()
+	}
+	off := c.wpack.end
+	if _, err := c.w.Write(rec); err != nil {
+		c.w.Close()
+		c.w, c.wpack = nil, nil
+		return fmt.Errorf("runtime: cache pack: %w", err)
+	}
+	c.wpack.end += int64(len(rec))
+	c.mu.Lock()
+	c.index[d] = recordLoc{pack: c.wpack, off: off + recordLenBytes, n: len(rec) - recordLenBytes}
+	c.mu.Unlock()
+	return nil
 }

@@ -10,56 +10,53 @@ import (
 	"fedgpo/internal/fl"
 )
 
-// Prune must evict oldest-mtime-first until the directory fits the
-// budget, and Get must touch entries so recently used cells survive
-// over merely recently written ones (LRU, not FIFO).
+// Prune must evict whole packs oldest-mtime-first until the directory
+// fits the budget, and a hit must touch its pack so recently used cells
+// survive over merely recently written ones (LRU, not FIFO). Each
+// entry is written through its own Cache, so it lands in its own pack.
 func TestCachePruneEvictsLRU(t *testing.T) {
 	dir := t.TempDir()
+	keys := make([]string, 4)
+	var packSize int64
+	for i := range keys {
+		keys[i] = fmt.Sprintf("prune|cell-%d", i)
+		w, err := NewCache(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Put(keys[i], Result{Key: keys[i], Sim: fl.Result{ControllerOverheadSec: float64(i)}}); err != nil {
+			t.Fatal(err)
+		}
+		// Stagger mtimes well beyond filesystem timestamp granularity,
+		// oldest first.
+		packSize = agePack(t, ownPack(t, w), time.Duration(i-len(keys))*time.Hour)
+	}
 	cache, err := NewCache(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	keys := make([]string, 4)
-	var entrySize int64
-	for i := range keys {
-		keys[i] = fmt.Sprintf("prune|cell-%d", i)
-		if err := cache.Put(keys[i], Result{Key: keys[i], Sim: fl.Result{ControllerOverheadSec: float64(i)}}); err != nil {
-			t.Fatal(err)
-		}
-		info, err := os.Stat(cache.path(HashKey(keys[i])))
-		if err != nil {
-			t.Fatal(err)
-		}
-		entrySize = info.Size()
-		// Stagger mtimes well beyond filesystem timestamp granularity,
-		// oldest first.
-		mt := time.Now().Add(time.Duration(i-len(keys)) * time.Hour)
-		if err := os.Chtimes(cache.path(HashKey(keys[i])), mt, mt); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Touch the oldest entry through Get: a hit must refresh its mtime
+	// Touch the oldest pack through Get: a hit must refresh its mtime
 	// and save it from eviction.
 	var got Result
 	if !cache.Get(keys[0], &got) {
 		t.Fatal("entry 0 should hit before pruning")
 	}
-	// An orphaned temp file — a writer killed between CreateTemp and
-	// the rename publish — must be cleared by the prune (and not
-	// counted as an evicted entry).
+	// An orphaned temp file of the old one-file-per-entry layout — a
+	// writer killed between CreateTemp and the rename publish — must be
+	// cleared by the prune (and not counted as an evicted pack).
 	orphan := filepath.Join(dir, "put-1234567")
 	if err := os.WriteFile(orphan, []byte("torn write"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
-	// Budget for exactly two entries: the just-used keys[0] and the
+	// Budget for exactly two packs: the just-used keys[0] and the
 	// newest-written keys[3] must survive; keys[1] and keys[2] go.
-	removed, err := cache.Prune(2 * entrySize)
+	removed, err := cache.Prune(2 * packSize)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if removed != 2 {
-		t.Errorf("pruned %d entries, want 2", removed)
+		t.Errorf("pruned %d packs, want 2", removed)
 	}
 	for i, wantAlive := range []bool{true, false, false, true} {
 		if alive := cache.Get(keys[i], &got); alive != wantAlive {
@@ -72,6 +69,9 @@ func TestCachePruneEvictsLRU(t *testing.T) {
 	}
 	if _, err := os.Stat(orphan); !os.IsNotExist(err) {
 		t.Error("orphaned put-* temp file survived the prune")
+	}
+	if n := len(packFiles(t, dir)); n != 2 {
+		t.Errorf("%d packs left, want 2", n)
 	}
 }
 
@@ -135,51 +135,47 @@ func TestStatsConsistentSnapshot(t *testing.T) {
 }
 
 // Secondary artifacts — pretrain snapshots, decision traces — live in
-// the same directory under KeyFor-style keys and flow through the
-// hashed fast path (PutHashed/GetHashed with a caller-held digest).
-// A GetHashed hit must touch the entry exactly like Get does, so a
+// the same packs under KeyFor-style keys and flow through the hashed
+// fast path (PutHashed/GetHashed with a caller-held digest). A
+// GetHashed hit must touch its pack exactly like Get does, so a
 // recently reused snapshot survives -cache-max-bytes eviction over a
 // merely recently written one.
 func TestCachePruneTouchesHashedSecondaryArtifacts(t *testing.T) {
 	dir := t.TempDir()
-	cache, err := NewCache(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
 	type snap struct {
 		Q []float64 `json:"q"`
 	}
 	keys := make([]string, 4)
 	hashes := make([]string, 4)
-	var entrySize int64
+	var packSize int64
 	for i := range keys {
 		keys[i] = KeyFor("pretrain", fmt.Sprintf("scenario-%d", i), "cfg={}", "seed=99")
 		hashes[i] = HashKey(keys[i])
-		if err := cache.PutHashed(keys[i], hashes[i], snap{Q: []float64{float64(i)}}); err != nil {
-			t.Fatal(err)
-		}
-		info, err := os.Stat(cache.path(hashes[i]))
+		w, err := NewCache(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		entrySize = info.Size()
-		mt := time.Now().Add(time.Duration(i-len(keys)) * time.Hour)
-		if err := os.Chtimes(cache.path(hashes[i]), mt, mt); err != nil {
+		if err := w.PutHashed(keys[i], hashes[i], snap{Q: []float64{float64(i)}}); err != nil {
 			t.Fatal(err)
 		}
+		packSize = agePack(t, ownPack(t, w), time.Duration(i-len(keys))*time.Hour)
+	}
+	cache, err := NewCache(dir)
+	if err != nil {
+		t.Fatal(err)
 	}
 	// Reuse the oldest snapshot through the hashed path: the hit must
-	// refresh its mtime.
+	// refresh its pack's mtime.
 	var got snap
 	if !cache.GetHashed(keys[0], hashes[0], &got) || len(got.Q) != 1 || got.Q[0] != 0 {
 		t.Fatalf("oldest artifact should hit intact before pruning, got %+v", got)
 	}
-	removed, err := cache.Prune(2 * entrySize)
+	removed, err := cache.Prune(2 * packSize)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if removed != 2 {
-		t.Errorf("pruned %d artifacts, want 2", removed)
+		t.Errorf("pruned %d packs, want 2", removed)
 	}
 	for i, wantAlive := range []bool{true, false, false, true} {
 		if alive := cache.GetHashed(keys[i], hashes[i], &got); alive != wantAlive {
@@ -187,7 +183,7 @@ func TestCachePruneTouchesHashedSecondaryArtifacts(t *testing.T) {
 		}
 	}
 	// The touched survivor must still round-trip through the plain-key
-	// path too (same entry, same envelope).
+	// path too (same record).
 	if !cache.Get(keys[0], &got) || got.Q[0] != 0 {
 		t.Errorf("touched artifact corrupted: %+v", got)
 	}

@@ -20,9 +20,6 @@ import (
 // payload raw behind a CRC-32C instead of in a DEFLATE frame.
 const cacheMagic = "FGC3"
 
-// binExt is the extension of every cache entry on disk.
-const binExt = ".binz"
-
 // maxCacheKeyLen bounds the clear-text key header of a binary entry,
 // so a corrupt length prefix can never drive a large allocation. Real
 // canonical keys are well under 4 KiB even for matrix-generated
@@ -34,28 +31,29 @@ const crcLen = 4
 
 // maxEnvelopeBytes bounds a whole entry: the largest header, the
 // payload bound shared with the transport (wire.MaxPayloadBytes) and
-// the CRC. Cache.readEntry refuses a larger file before reading it.
+// the CRC. A pack scan refuses a record that claims more before
+// reading it.
 const maxEnvelopeBytes = len(cacheMagic) + binary.MaxVarintLen64 + maxCacheKeyLen + wire.MaxPayloadBytes + crcLen
 
 // castagnoli is the CRC-32C table that checksums every entry.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// encodeBinaryEnvelope renders one binary cache entry in one buffer:
+// appendBinaryEnvelope appends one binary cache entry to b:
 //
 //	"FGC3" | uvarint(len(key)) | key bytes | payload | CRC-32C
 //
 // The payload is v's own binary form when v implements
 // encoding.BinaryAppender (Result appends straight after the header)
 // and its JSON otherwise. The CRC (Castagnoli table, big-endian) covers
-// every byte before it. The canonical key stays in clear text ahead of
-// the payload so a reader can reject a foreign entry (hash collision,
-// copied file) before checksumming the body, and so on-disk entries
-// remain greppable by key.
-func encodeBinaryEnvelope(key string, v any) ([]byte, error) {
+// every byte of the entry before it. The canonical key stays in clear
+// text ahead of the payload so a reader can reject a foreign entry
+// (hash collision, misplaced record) before checksumming the body, and
+// so packs remain greppable by key.
+func appendBinaryEnvelope(b []byte, key string, v any) ([]byte, error) {
 	if len(key) == 0 || len(key) > maxCacheKeyLen {
 		return nil, fmt.Errorf("runtime: cache envelope key length %d outside (0, %d]", len(key), maxCacheKeyLen)
 	}
-	b := make([]byte, 0, len(cacheMagic)+binary.MaxVarintLen64+len(key))
+	start := len(b)
 	b = append(b, cacheMagic...)
 	b = binary.AppendUvarint(b, uint64(len(key)))
 	b = append(b, key...)
@@ -67,7 +65,7 @@ func encodeBinaryEnvelope(key string, v any) ([]byte, error) {
 	if len(b)-head > wire.MaxPayloadBytes {
 		return nil, fmt.Errorf("runtime: cache payload %d bytes exceeds limit %d", len(b)-head, wire.MaxPayloadBytes)
 	}
-	return binary.BigEndian.AppendUint32(b, crc32.Checksum(b, castagnoli)), nil
+	return binary.BigEndian.AppendUint32(b, crc32.Checksum(b[start:], castagnoli)), nil
 }
 
 // appendPayload appends v's cache payload to b: its own binary form
@@ -119,7 +117,7 @@ func decodeBinaryEnvelope(b []byte, wantKey string) (payload []byte, ok bool) {
 // LRU over the payload bytes of disk hits, so cells touched repeatedly
 // within one run (pretrain snapshots, ForceRun trace re-runs,
 // multi-figure sweeps sharing cells) read and checksum their envelope
-// once. A payload is a sub-slice of its file's bytes, so the layer
+// once. A payload is a sub-slice of its record's bytes, so the layer
 // also retains each entry's key header and CRC. It caches payloads of
 // hits only — never write-through — so a corrupted disk entry is still
 // discovered by the next fresh read path and in-memory copies never

@@ -23,7 +23,7 @@ func (r rawPayload) AppendBinary(b []byte) ([]byte, error) { return append(b, r.
 func TestBinaryEnvelopeRoundTrip(t *testing.T) {
 	key := "v3|sim|scenario|ctrl|seed=9"
 	payload := []byte(`{"key":"v3|sim|scenario|ctrl|seed=9","sim":{"ppw":1.25}}`)
-	b, err := encodeBinaryEnvelope(key, rawPayload(payload))
+	b, err := appendBinaryEnvelope(nil, key, rawPayload(payload))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestBinaryEnvelopeRoundTrip(t *testing.T) {
 	if cap(got) != len(got) {
 		t.Errorf("payload cap %d exceeds its length %d", cap(got), len(got))
 	}
-	if _, err := encodeBinaryEnvelope("", rawPayload(payload)); err == nil {
+	if _, err := appendBinaryEnvelope(nil, "", rawPayload(payload)); err == nil {
 		t.Error("empty key must not encode")
 	}
 }
@@ -67,7 +67,7 @@ func TestBinaryEnvelopeRoundTrip(t *testing.T) {
 // miss — never a panic, whatever the corruption.
 func FuzzDecodeBinaryEnvelope(f *testing.F) {
 	key := "v3|sim|scenario-3|static/(8,10,20)|seed=3"
-	valid, err := encodeBinaryEnvelope(key, rawPayload(`{"sim":{"ppw":4.5,"converged":true}}`))
+	valid, err := appendBinaryEnvelope(nil, key, rawPayload(`{"sim":{"ppw":4.5,"converged":true}}`))
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func FuzzDecodeBinaryEnvelope(f *testing.F) {
 	f.Add([]byte(cacheMagic))
 	f.Add([]byte(cacheMagic + "\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff"))
 	f.Add([]byte(`{"key":"` + key + `","payload":{}}`)) // a foreign JSON file
-	foreign, _ := encodeBinaryEnvelope("other", rawPayload(`{}`))
+	foreign, _ := appendBinaryEnvelope(nil, "other", rawPayload(`{}`))
 	f.Add(foreign)
 	f.Add(fgc2Envelope(f, key, []byte(`{}`))) // the previous generation
 	f.Fuzz(func(t *testing.T, b []byte) {
@@ -89,7 +89,7 @@ func FuzzDecodeBinaryEnvelope(f *testing.F) {
 		if !ok {
 			return
 		}
-		re, err := encodeBinaryEnvelope(key, rawPayload(payload))
+		re, err := appendBinaryEnvelope(nil, key, rawPayload(payload))
 		if err != nil {
 			t.Fatalf("decoded payload does not re-encode: %v", err)
 		}
@@ -108,12 +108,14 @@ func fgc2Envelope(t testing.TB, key string, payload []byte) []byte {
 	return append(append(b, key...), payloadFrame(t, payload)...)
 }
 
-// Arbitrary bytes in a .binz file must degrade to a cache miss through
-// the full Get path: the cell re-runs, the run never errors.
+// Arbitrary envelope bytes in a pack record must degrade to a cache
+// miss through the full Get path: the cell re-runs, the run never
+// errors. A record whose head carries the wanted key is read and fails
+// as corrupt; one whose head is malformed or names another key is never
+// indexed under the wanted key, so it is a plain miss.
 func TestCacheGetSurvivesArbitraryEnvelopeBytes(t *testing.T) {
 	key := "fuzzlike|cell"
-	hash := HashKey(key)
-	valid, err := encodeBinaryEnvelope(key, rawPayload("not a result"))
+	valid, err := appendBinaryEnvelope(nil, key, rawPayload("not a result"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +123,7 @@ func TestCacheGetSurvivesArbitraryEnvelopeBytes(t *testing.T) {
 		{Round: 1, Accuracy: 0.4, RoundSeconds: 3, EnergyJ: 12.5, PlannedK: 10, AggregatedK: 9},
 		{Round: 2, Accuracy: 0.6, RoundSeconds: 2.5, EnergyJ: 11, PlannedK: 10, AggregatedK: 10},
 	}}}
-	validResult, err := encodeBinaryEnvelope(key, result)
+	validResult, err := appendBinaryEnvelope(nil, key, result)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,6 +131,7 @@ func TestCacheGetSurvivesArbitraryEnvelopeBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	headLen := len(cacheMagic) + 1 + len(key)
 	cases := [][]byte{
 		{},
 		[]byte(cacheMagic),
@@ -140,56 +143,65 @@ func TestCacheGetSurvivesArbitraryEnvelopeBytes(t *testing.T) {
 		fgc2Envelope(t, key, resultPayload),
 		bytes.Repeat([]byte{0xAA}, 512),
 	}
+	wantCorrupt := 1 // valid
 	// Every single-byte flip of a valid Result entry — in the magic,
-	// the key header, the payload or the CRC itself.
+	// the key header, the payload or the CRC itself. A flip past the
+	// key header leaves the record indexed under the key and fails its
+	// CRC.
 	for i := range validResult {
 		flipped := bytes.Clone(validResult)
 		flipped[i] ^= 0xFF
 		cases = append(cases, flipped)
-	}
-	dir := t.TempDir()
-	path := filepath.Join(dir, hash+binExt)
-	cache, err := NewCache(dir)
-	if err != nil {
-		t.Fatal(err)
+		if i >= headLen {
+			wantCorrupt++
+		}
 	}
 	col := telemetry.NewCollector()
-	cache.SetCollector(col)
 	for i, raw := range cases {
-		if err := os.WriteFile(path, raw, 0o644); err != nil {
+		dir := t.TempDir()
+		writePack(t, dir, rawRecord(raw))
+		cache, err := NewCache(dir)
+		if err != nil {
 			t.Fatal(err)
 		}
+		cache.SetCollector(col)
 		var got Result
 		if cache.Get(key, &got) {
 			t.Errorf("case %d: bytes %q served a hit", i, raw)
 		}
 	}
-	if c := col.Snapshot().Counters; c.CacheCorrupt != int64(len(cases)) {
-		t.Errorf("CacheCorrupt = %d, want every one of %d cases", c.CacheCorrupt, len(cases))
+	c := col.Snapshot().Counters
+	if c.CacheCorrupt != int64(wantCorrupt) || c.CacheMisses != int64(len(cases)-wantCorrupt) {
+		t.Errorf("counters = %d corrupt / %d misses, want %d / %d", c.CacheCorrupt, c.CacheMisses, wantCorrupt, len(cases)-wantCorrupt)
 	}
 
-	// A file over the envelope bound is refused from its size alone: a
-	// corrupt miss that allocates nothing near the file's size. The file
-	// is sparse, so it costs no disk.
-	if err := os.Truncate(path, int64(maxEnvelopeBytes)+1); err != nil {
+	// A record whose length prefix is over the envelope bound is refused
+	// from the prefix alone: a miss that allocates nothing near the
+	// claimed size. The pack is sparse, so it costs no disk.
+	dir := t.TempDir()
+	path := writePack(t, dir, binary.BigEndian.AppendUint32(nil, uint32(maxEnvelopeBytes)+1), validResult)
+	if err := os.Truncate(path, int64(maxEnvelopeBytes)+recordLenBytes+1); err != nil {
+		t.Fatal(err)
+	}
+	cache, err := NewCache(dir)
+	if err != nil {
 		t.Fatal(err)
 	}
 	var before, after goruntime.MemStats
 	goruntime.ReadMemStats(&before)
 	var got Result
 	if cache.Get(key, &got) {
-		t.Error("an entry over the size bound served a hit")
+		t.Error("a record over the size bound served a hit")
 	}
 	goruntime.ReadMemStats(&after)
 	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
-		t.Errorf("refusing an oversized entry allocated %d bytes", grew)
-	}
-	if c := col.Snapshot().Counters; c.CacheCorrupt != int64(len(cases))+1 {
-		t.Errorf("CacheCorrupt = %d, want the oversized entry counted corrupt", c.CacheCorrupt)
+		t.Errorf("refusing an oversized record allocated %d bytes", grew)
 	}
 
 	// The unflipped entry still hits.
-	if err := os.WriteFile(path, validResult, 0o644); err != nil {
+	dir = t.TempDir()
+	writePack(t, dir, rawRecord(validResult))
+	if cache, err = NewCache(dir); err != nil {
 		t.Fatal(err)
 	}
 	if !cache.Get(key, &got) || got.Sim.ControllerOverheadSec != 2.5 || len(got.Sim.History) != 2 {
@@ -215,11 +227,11 @@ func TestKeyResolutionZeroAllocs(t *testing.T) {
 	_ = sum
 }
 
-// A directory holding binary entries next to a stray <hash>.json file
-// (another tool's output, or an entry written by a build predating the
-// binary format) treats the JSON file as foreign: a Get for its key is
+// A directory holding packs next to a stray <hash>.json file (another
+// tool's output) treats the JSON file as foreign: a Get for its key is
 // a plain miss, and Prune neither counts it against the budget nor
-// removes it.
+// removes it. An entry of the old one-file-per-entry layout,
+// <hash>.binz, is never read either, but Prune deletes it.
 func TestCachePruneMixedFormats(t *testing.T) {
 	dir := t.TempDir()
 	cache, err := NewCache(dir)
@@ -241,41 +253,51 @@ func TestCachePruneMixedFormats(t *testing.T) {
 	if err := os.Chtimes(strayPath, old, old); err != nil {
 		t.Fatal(err)
 	}
-	var got Result
-	if cache.Get(stray, &got) {
-		t.Errorf("stray JSON file served a hit: %+v", got)
+	legacy := "legacy|cell"
+	legacyPath := filepath.Join(dir, HashKey(legacy)+".binz")
+	env, err := appendBinaryEnvelope(nil, legacy, Result{Key: legacy})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if c := col.Snapshot().Counters; c.CacheMisses != 1 || c.CacheCorrupt != 0 {
-		t.Errorf("counters = %d misses / %d corrupt, want a plain miss", c.CacheMisses, c.CacheCorrupt)
+	if err := os.WriteFile(legacyPath, env, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var got Result
+	for _, key := range []string{stray, legacy} {
+		if cache.Get(key, &got) {
+			t.Errorf("%s: a file outside the packs served a hit: %+v", key, got)
+		}
+	}
+	if c := col.Snapshot().Counters; c.CacheMisses != 2 || c.CacheCorrupt != 0 {
+		t.Errorf("counters = %d misses / %d corrupt, want two plain misses", c.CacheMisses, c.CacheCorrupt)
 	}
 
 	keys := []string{"mixed|cell-0", "mixed|cell-1"}
-	var entrySize int64
+	var packSize int64
 	for i, k := range keys {
-		if err := cache.Put(k, Result{Key: k, Sim: fl.Result{ControllerOverheadSec: float64(i)}}); err != nil {
-			t.Fatal(err)
-		}
-		info, err := os.Stat(cache.path(HashKey(k)))
+		w, err := NewCache(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		entrySize = info.Size()
-		mt := time.Now().Add(time.Duration(i-len(keys)) * time.Minute)
-		if err := os.Chtimes(cache.path(HashKey(k)), mt, mt); err != nil {
+		if err := w.Put(k, Result{Key: k, Sim: fl.Result{ControllerOverheadSec: float64(i)}}); err != nil {
 			t.Fatal(err)
 		}
+		packSize = agePack(t, ownPack(t, w), time.Duration(i-len(keys))*time.Minute)
 	}
-	// Budget for one entry: the older binary entry goes, the stray file
-	// (older still, and larger than the budget) is not an entry at all.
-	removed, err := cache.Prune(entrySize)
+	// Budget for one pack: the older pack goes, the stray file (older
+	// still, and larger than the budget) is not a pack at all.
+	removed, err := cache.Prune(packSize)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if removed != 1 {
-		t.Errorf("pruned %d entries, want 1", removed)
+		t.Errorf("pruned %d packs, want 1", removed)
 	}
 	if _, err := os.Stat(strayPath); err != nil {
 		t.Errorf("Prune touched the stray JSON file: %v", err)
+	}
+	if _, err := os.Stat(legacyPath); !os.IsNotExist(err) {
+		t.Errorf("Prune left the legacy .binz entry: %v", err)
 	}
 	for i, wantAlive := range []bool{false, true} {
 		if alive := cache.Get(keys[i], &got); alive != wantAlive {
@@ -286,7 +308,7 @@ func TestCachePruneMixedFormats(t *testing.T) {
 
 // A disk hit's payload bytes are retained by the decoded-payload
 // layer, so re-reading a cell within one process never re-reads the
-// file; Prune drops evicted hashes from the layer so an evicted entry
+// pack; Prune drops evicted hashes from the layer so an evicted entry
 // cannot be served from memory.
 func TestPayloadLayerServesRereadsAndHonorsPrune(t *testing.T) {
 	dir := t.TempDir()
@@ -306,9 +328,9 @@ func TestPayloadLayerServesRereadsAndHonorsPrune(t *testing.T) {
 	if !reader.Get(key, &got) || got.Sim.ControllerOverheadSec != 7.5 {
 		t.Fatalf("first read should hit from disk: %+v", got)
 	}
-	// Remove the file out from under the cache: the payload layer must
+	// Remove the pack out from under the cache: the payload layer must
 	// still serve the re-read.
-	if err := os.Remove(filepath.Join(dir, HashKey(key)+binExt)); err != nil {
+	if err := os.Remove(ownPack(t, writer)); err != nil {
 		t.Fatal(err)
 	}
 	got = Result{}
@@ -320,12 +342,14 @@ func TestPayloadLayerServesRereadsAndHonorsPrune(t *testing.T) {
 		t.Errorf("counters = %d disk / %d payload hits, want 1/1", c.CacheDiskHits, c.CachePayloadHits)
 	}
 
-	// Prune must drop evicted hashes from the layer: re-create, read
-	// (admitting to the layer), then evict everything.
-	reader2, _ := NewCache(dir)
-	if err := writer.Put(key, Result{Key: key, Sim: fl.Result{ControllerOverheadSec: 7.5}}); err != nil {
+	// Prune must drop evicted hashes from the layer: re-create the
+	// entry in a new pack, read it (admitting it to the layer), then
+	// evict everything.
+	writer2, _ := NewCache(dir)
+	if err := writer2.Put(key, Result{Key: key, Sim: fl.Result{ControllerOverheadSec: 7.5}}); err != nil {
 		t.Fatal(err)
 	}
+	reader2, _ := NewCache(dir)
 	if !reader2.Get(key, &got) {
 		t.Fatal("re-created entry should hit")
 	}
@@ -337,45 +361,58 @@ func TestPayloadLayerServesRereadsAndHonorsPrune(t *testing.T) {
 	}
 }
 
-// Every hit refreshes its entry's mtime at once, whether the disk or
-// the decoded-payload layer served it, so Prune's oldest-first order is
-// LRU order with no flush step.
+// A Cache's first hit in a pack refreshes the pack's mtime, so Prune's
+// oldest-first order is LRU order with no flush step. Later hits in
+// the same pack — from disk or from the decoded-payload layer — cost
+// no further touch.
 func TestCacheHitTouchesMtime(t *testing.T) {
 	dir := t.TempDir()
-	cache, err := NewCache(dir)
+	writer, err := NewCache(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := "touch|cell"
-	path := cache.path(HashKey(key))
-	if err := cache.Put(key, Result{Key: key, Sim: fl.Result{ControllerOverheadSec: 1}}); err != nil {
+	keys := []string{"touch|cell-0", "touch|cell-1"}
+	for _, k := range keys {
+		if err := writer.Put(k, Result{Key: k, Sim: fl.Result{ControllerOverheadSec: 1}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	path := ownPack(t, writer)
+	cache, err := NewCache(dir)
+	if err != nil {
 		t.Fatal(err)
 	}
 	col := telemetry.NewCollector()
 	cache.SetCollector(col)
 	old := time.Now().Add(-24 * time.Hour)
-	var got Result
-	for i, layer := range []string{"disk", "payload"} {
-		if err := os.Chtimes(path, old, old); err != nil {
-			t.Fatal(err)
-		}
-		if !cache.Get(key, &got) {
-			t.Fatalf("%s read should hit", layer)
-		}
+	mtime := func() time.Time {
 		info, err := os.Stat(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !info.ModTime().After(old) {
-			t.Errorf("%s hit left the mtime at %v", layer, info.ModTime())
+		return info.ModTime()
+	}
+	var got Result
+	for i, read := range []struct {
+		layer, key string
+		touches    bool
+	}{{"disk", keys[0], true}, {"payload", keys[0], false}, {"disk", keys[1], false}} {
+		if err := os.Chtimes(path, old, old); err != nil {
+			t.Fatal(err)
 		}
-		if n := col.Snapshot().Counters.CacheTouches; n != int64(i+1) {
-			t.Errorf("after the %s hit CacheTouches = %d, want %d", layer, n, i+1)
+		if !cache.Get(read.key, &got) {
+			t.Fatalf("read %d (%s) should hit", i, read.layer)
+		}
+		if touched := mtime().After(old); touched != read.touches {
+			t.Errorf("read %d (%s): touched the pack = %v, want %v", i, read.layer, touched, read.touches)
 		}
 	}
 	c := col.Snapshot().Counters
-	if c.CacheDiskHits != 1 || c.CachePayloadHits != 1 {
-		t.Errorf("counters = %d disk / %d payload hits, want 1/1", c.CacheDiskHits, c.CachePayloadHits)
+	if c.CacheTouches != 1 {
+		t.Errorf("CacheTouches = %d, want 1 for one pack", c.CacheTouches)
+	}
+	if c.CacheDiskHits != 2 || c.CachePayloadHits != 1 {
+		t.Errorf("counters = %d disk / %d payload hits, want 2/1", c.CacheDiskHits, c.CachePayloadHits)
 	}
 }
 
@@ -398,7 +435,7 @@ func TestBinaryEnvelopeSmallerThanJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bin, err := encodeBinaryEnvelope(r.Key, r)
+	bin, err := appendBinaryEnvelope(nil, r.Key, r)
 	if err != nil {
 		t.Fatal(err)
 	}

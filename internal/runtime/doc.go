@@ -269,10 +269,14 @@
 // The cache is content-addressed by the SHA-256 hex digest of the
 // canonical job key. Without a directory, entries live in an
 // in-memory map; when one is configured (the CLIs' -cachedir flag)
-// entries live on disk, persisted as <dir>/<hash>.binz binary
-// envelopes:
+// entries are records in append-only pack files,
+// <dir>/pack-<time>-<pid>-<rand>.fgcp. Each record is
 //
-//	"FGC3" | uvarint(key length) | canonical key | payload | CRC-32C
+//	uint32 BE envelope length | "FGC3" | uvarint(key length) | canonical key | payload | CRC-32C
+//
+// built in one buffer and appended in one write. Each Cache appends to
+// one pack of its own, which it creates on its first Put with O_EXCL,
+// so a cold report creates one file and no writer ever shares a pack.
 //
 // A job Result's payload, on disk and in memory alike, is its own
 // binary form (Result.AppendBinary: key, error text and Extra as
@@ -285,46 +289,62 @@
 // artifact — pretrain snapshots, decision traces,
 // the Fixed (Best) grid selection — stays JSON. The canonical key
 // rides in clear text ahead of the payload, so a reader rejects a
-// foreign entry (hash collision, copied file) after reading only the
-// header, and on-disk entries stay greppable by key. The payload is
-// stored raw: float64 round series compress less than 2x, and
-// inflating them was half of a warm report's CPU. The closing CRC-32C
-// (Castagnoli table, big-endian) covers every byte before it, so a
-// flipped byte anywhere reads as corrupt, and a reader decodes the
-// payload in place as a sub-slice of the file bytes. An entry is
-// bounded like a transport frame: a file larger than the header bound
-// plus wire.MaxPayloadBytes is refused from its size, before it is
-// read. Entries do not use the transport's framing, so a framing
-// change no longer changes the cache format.
-// Writes are atomic (temp file + rename, so a crash mid-write can never
-// publish a torn entry). Any malformed file — wrong magic, truncation,
-// a key or checksum mismatch, a payload that does not decode — is
-// treated as a miss and the cell re-runs, repairing the entry in
-// place. An entry of an older format generation ("FGC1", whose Result
-// payload was JSON, or "FGC2", whose payload was a DEFLATE frame) has
-// the wrong magic, so it is such a miss too. Any file without the
-// .binz extension (a stray <hash>.json included) is foreign: never
-// read, never pruned. Results that ended in an error are never cached.
+// foreign record (hash collision) after reading only the header, and
+// packs stay greppable by key. The payload is stored raw: float64
+// round series compress less than 2x, and inflating them was half of a
+// warm report's CPU. The closing CRC-32C (Castagnoli table, big-endian)
+// covers every envelope byte before it, so a flipped byte anywhere
+// reads as corrupt, and a reader decodes the payload in place as a
+// sub-slice of the record bytes. A record is bounded like a transport
+// frame: a length prefix over the header bound plus
+// wire.MaxPayloadBytes is refused before anything is allocated.
+//
+// A Cache finds records through an index of key hash to (pack, offset,
+// length). Its first lookup builds the index by scanning the record
+// heads — length, magic, key — of every pack in name order, which is
+// creation order, through one bounded buffer; no pack is read into
+// memory whole. A miss rescans packs that are new or have grown before
+// it reports a miss, so processes sharing a -cachedir (a coordinator
+// and its colocated worker pools) see each other's results and
+// snapshots. Put indexes its own records as it appends them, and the
+// newest record of a key wins. A hit opens the pack, reads the record
+// and closes the pack again, so no handle is held per pack.
+//
+// A scan stops at the first record that is incomplete or malformed:
+// a torn or in-flight tail is never indexed, and a rescan picks it up
+// once its writer has finished it. After a failed or short append, a
+// Cache drops its pack and the next Put creates a new one. Any record
+// that fails on read — a key or checksum mismatch, a payload that does
+// not decode — is a miss and the cell re-runs, appending a new record
+// the index then points at. A record of an older format generation
+// ("FGC1", whose Result payload was JSON, or "FGC2", whose payload was
+// a DEFLATE frame) has the wrong magic, so it is such a miss too. Files
+// of the old one-file-per-entry layout (<hash>.binz entries and put-*
+// temp files) and every other file without the .fgcp extension (a
+// stray <hash>.json included) are never read; a directory filled by an
+// older build therefore reads as all misses. Results that ended in an
+// error are never cached.
 //
 // Disk hits pass through a byte-capped in-process LRU over decoded
 // payload bytes (capped at DefaultPayloadCacheBytes, 64 MB), so a
 // cell re-read within one run — pretrain snapshots, shared sweep cells
-// — costs one file read. The layer admits disk hits only, never Put
-// write-through, so a corrupted disk entry is still caught by the next
+// — costs one record read. The layer admits disk hits only, never Put
+// write-through, so a corrupted record is still caught by the next
 // fresh read.
 //
 // # Cache eviction
 //
-// Disk entries no longer live forever: Cache.Prune (the CLIs'
-// -cache-max-bytes flag) removes entries oldest-mtime-first at
-// startup until the directory fits the byte budget. Every disk-mode
-// hit — read from disk or served by the decoded-payload layer —
-// refreshes its entry's mtime inline, so mtime order is LRU order and a
-// cell a warm report still reads outlives a newer cell nothing asks
-// for. Prune also drops evicted hashes from the
+// Packs do not live forever: Cache.Prune (the CLIs' -cache-max-bytes
+// flag) removes whole packs oldest-mtime-first at startup until the
+// directory fits the byte budget. A Cache's first hit in a pack
+// refreshes the pack's mtime, so mtime order is LRU order and a pack a
+// warm report still reads outlives a newer one nothing asks for. Prune
+// drops the records of removed packs from the index and from the
 // decoded-payload layer, so an evicted entry cannot be served from
-// memory. Pruning is a coordinator-startup job only; worker pools
-// never prune the directory they share.
+// memory. It also deletes <64-hex>.binz entries and put-* temp files
+// of the old layout, which nothing reads, and leaves every other file
+// alone. Pruning is a coordinator-startup job only; worker pools never
+// prune the directory they share.
 //
 // # Pretrained-controller cache
 //
@@ -377,7 +397,8 @@
 //     (payload decode separately as cacheDecode), splits hits
 //     into CacheMemHits, CachePayloadHits (decoded-payload layer) and
 //     CacheDiskHits, counts clean CacheMisses apart from CacheCorrupt
-//     discards, counts the mtime touches hits apply (CacheTouches),
+//     discards, counts the pack mtime touches hits apply
+//     (CacheTouches, at most one per pack),
 //     and reports Prune removals
 //     as Evictions. Cache-level counters can exceed job-level ones:
 //     pretrain snapshots and trace artifacts are cache traffic but not

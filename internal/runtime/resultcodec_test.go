@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -137,10 +138,10 @@ func TestResultBinaryCoversEveryField(t *testing.T) {
 	}
 }
 
-// An entry of the previous format generation ("FGC2", the binary
-// Result payload in a DEFLATE frame) is an old generation: reading it
-// is a corrupt miss, the cell re-runs, and the entry is rewritten in
-// the current format.
+// An entry of the old one-file-per-entry layout (<hash>.binz, here of
+// format generation "FGC2": the binary Result payload in a DEFLATE
+// frame) is never read: it is a plain miss, the cell re-runs, and the
+// entry lands as a current-format record in a pack.
 func TestOldGenerationEntryIsRewritten(t *testing.T) {
 	dir := t.TempDir()
 	cache, err := NewCache(dir)
@@ -158,8 +159,8 @@ func TestOldGenerationEntryIsRewritten(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := cache.path(HashKey(job.Key()))
-	if err := os.WriteFile(path, fgc2Envelope(t, job.Key(), payload), 0o644); err != nil {
+	legacy := filepath.Join(dir, HashKey(job.Key())+".binz")
+	if err := os.WriteFile(legacy, fgc2Envelope(t, job.Key(), payload), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -167,15 +168,15 @@ func TestOldGenerationEntryIsRewritten(t *testing.T) {
 	if res := e.RunAll([]Job{job})[0]; res.Cached || res.Err != "" || res.Sim.ControllerOverheadSec != 42 || runs != 1 {
 		t.Fatalf("old entry: cached=%v err=%q runs=%d, want a re-run", res.Cached, res.Err, runs)
 	}
-	if c := col.Snapshot().Counters; c.CacheCorrupt != 1 || c.CacheMisses != 0 {
-		t.Errorf("counters = %d corrupt / %d misses, want the old entry counted corrupt", c.CacheCorrupt, c.CacheMisses)
+	if c := col.Snapshot().Counters; c.CacheCorrupt != 0 || c.CacheMisses != 1 {
+		t.Errorf("counters = %d corrupt / %d misses, want the old entry a plain miss", c.CacheCorrupt, c.CacheMisses)
 	}
-	b, err := os.ReadFile(path)
+	b, err := os.ReadFile(ownPack(t, cache))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.HasPrefix(b, []byte(cacheMagic)) {
-		t.Fatalf("entry not rewritten as %s: starts %q", cacheMagic, b[:4])
+	if len(b) < recordLenBytes+len(cacheMagic) || string(b[recordLenBytes:recordLenBytes+len(cacheMagic)]) != cacheMagic {
+		t.Fatalf("re-run not appended as a %s record: pack starts %q", cacheMagic, b[:min(len(b), 8)])
 	}
 	if res := e.RunAll([]Job{job})[0]; !res.Cached || runs != 1 {
 		t.Errorf("rewritten entry should hit: cached=%v runs=%d", res.Cached, runs)
@@ -188,14 +189,8 @@ func TestOldGenerationEntryIsRewritten(t *testing.T) {
 func TestUndecodableResultPayloadIsCorrupt(t *testing.T) {
 	dir := t.TempDir()
 	key := "v3|sim|undecodable|c|seed=1"
-	env, err := encodeBinaryEnvelope(key, rawPayload(`{"key":"x"}`))
-	if err != nil {
-		t.Fatal(err)
-	}
+	writePack(t, dir, packRecord(t, key, rawPayload(`{"key":"x"}`)))
 	disk, _ := NewCache(dir)
-	if err := os.WriteFile(disk.path(HashKey(key)), env, 0o644); err != nil {
-		t.Fatal(err)
-	}
 	mem, _ := NewCache("")
 	if err := mem.Put(key, json.RawMessage(`{"key":"x"}`)); err != nil {
 		t.Fatal(err)

@@ -144,10 +144,9 @@ func TestCacheDiskRoundTripAndVerification(t *testing.T) {
 	if c2.Get("some|other|key", &got) {
 		t.Error("unknown key should miss")
 	}
-	// Corrupt the file: the entry must degrade to a miss, not an error.
-	hash := HashKey("some|canonical|key")
-	path := filepath.Join(dir, hash+binExt)
-	if err := os.WriteFile(path, []byte("{not a binary envelope"), 0o644); err != nil {
+	// Corrupt the pack: the entry must degrade to a miss, not an error.
+	path := ownPack(t, c1)
+	if err := os.WriteFile(path, []byte("{not a pack record"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	c3, _ := NewCache(dir)
@@ -155,12 +154,12 @@ func TestCacheDiskRoundTripAndVerification(t *testing.T) {
 		t.Error("corrupted entry should miss")
 	}
 	// An envelope whose key does not match the requested key (a
-	// collision or foreign file) must also miss.
-	foreign, err := encodeBinaryEnvelope("evil", rawPayload(`{}`))
+	// collision or foreign record) must also miss.
+	foreign, err := appendBinaryEnvelope(nil, "evil", rawPayload(`{}`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(path, foreign, 0o644); err != nil {
+	if err := os.WriteFile(path, rawRecord(foreign), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	c4, _ := NewCache(dir)
@@ -169,11 +168,10 @@ func TestCacheDiskRoundTripAndVerification(t *testing.T) {
 	}
 }
 
-// A corrupt disk entry — e.g. a file torn by a crash before the
-// temp-file-plus-rename publish existed, or external tampering — must
-// degrade to a cache miss: the executor recomputes the cell, repairs
-// the entry in place, and later readers get clean hits. The run itself
-// must never fail.
+// A corrupt record — a flipped byte on disk, or external tampering —
+// must degrade to a cache miss: the executor recomputes the cell,
+// appends a new record the index then points at, and later reads get
+// clean hits. The run itself must never fail.
 func TestCorruptDiskEntryIsDiscardedAndRecomputed(t *testing.T) {
 	dir := t.TempDir()
 	cache, err := NewCache(dir)
@@ -198,17 +196,16 @@ func TestCorruptDiskEntryIsDiscardedAndRecomputed(t *testing.T) {
 		t.Fatalf("job ran %d times, want 1", runs)
 	}
 
-	// Tear the entry the way an interrupted write would: the magic and
-	// key header survive but the payload frame is cut short.
-	path := filepath.Join(dir, HashKey(job.Key())+binExt)
-	if _, err := os.Stat(path); err != nil {
-		t.Fatalf("cache entry not on disk: %v", err)
-	}
+	// Flip one payload byte inside the pack record: the key header
+	// survives, so the index still points at the record, but its CRC
+	// no longer matches.
+	path := ownPack(t, cache)
 	whole, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("cache pack not on disk: %v", err)
 	}
-	if err := os.WriteFile(path, whole[:len(whole)-3], 0o644); err != nil {
+	whole[len(whole)-crcLen-1] ^= 0xFF
+	if err := os.WriteFile(path, whole, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -226,7 +223,8 @@ func TestCorruptDiskEntryIsDiscardedAndRecomputed(t *testing.T) {
 		t.Errorf("recomputed result wrong: %+v", res.Sim)
 	}
 
-	// The recompute must have repaired the entry: a third pass is a hit.
+	// The recompute must have appended a fresh record: a third pass is
+	// a hit.
 	if res := e.RunAll([]Job{job})[0]; !res.Cached || runs != 2 {
 		t.Errorf("repaired entry should serve a hit (cached=%v, runs=%d)", res.Cached, runs)
 	}

@@ -117,28 +117,6 @@ func Clamp(v, lo, hi float64) float64 {
 	return v
 }
 
-// MAPE returns the mean absolute percentage error of predictions
-// against references, in percent. Reference entries equal to zero are
-// skipped. Table 5 reports FedGPO's selection accuracy as
-// 100 - MAPE-style deviation from the per-round oracle.
-func MAPE(pred, ref []float64) float64 {
-	if len(pred) != len(ref) {
-		panic("stats: MAPE requires equal-length slices")
-	}
-	s, n := 0.0, 0
-	for i := range pred {
-		if ref[i] == 0 {
-			continue
-		}
-		s += math.Abs(pred[i]-ref[i]) / math.Abs(ref[i])
-		n++
-	}
-	if n == 0 {
-		return 0
-	}
-	return 100 * s / float64(n)
-}
-
 // ArgMax returns the index of the maximum element, or -1 for empty xs.
 // Ties resolve to the lowest index.
 func ArgMax(xs []float64) int {

@@ -79,25 +79,6 @@ func TestClamp(t *testing.T) {
 	}
 }
 
-func TestMAPE(t *testing.T) {
-	got := MAPE([]float64{110, 90}, []float64{100, 100})
-	if !almostEqual(got, 10, 1e-12) {
-		t.Errorf("MAPE = %v, want 10", got)
-	}
-	if got := MAPE([]float64{1}, []float64{0}); got != 0 {
-		t.Errorf("MAPE with zero ref = %v, want 0", got)
-	}
-}
-
-func TestMAPEPanicsOnLengthMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	MAPE([]float64{1}, []float64{1, 2})
-}
-
 func TestArgMaxArgMin(t *testing.T) {
 	xs := []float64{3, 9, 9, 1}
 	if ArgMax(xs) != 1 {
