@@ -113,9 +113,9 @@ func (n *EnergyNormalizer) Value() float64 { return n.ema.Value() }
 // the reference average and how many observations it has absorbed
 // (which determines whether it is still adapting or locked).
 type NormalizerSnapshot struct {
-	Value float64 `json:"value"`
-	Init  bool    `json:"init"`
-	Adds  int     `json:"adds"`
+	Value float64
+	Init  bool
+	Adds  int
 }
 
 // Snapshot captures the normalizer's state.

@@ -20,10 +20,13 @@ import (
 // it for every figure/table cell replaces re-running the Q-table
 // warm-up per cell.
 //
-// A snapshot round-trips through JSON losslessly (Go's float64 JSON
-// encoding is shortest-round-trip), so a controller restored from a
-// disk-cached snapshot behaves identically to one restored from the
-// in-memory snapshot that produced it.
+// A snapshot crosses every boundary — the cache entry, the artifact a
+// worker ships to the coordinator and the one the coordinator pushes
+// to other workers — in its binary form (AppendBinary), which keeps
+// every float's bits and tells nil from empty, so UnmarshalBinary
+// returns a value equal to the one encoded. A controller restored from
+// a disk-cached or shipped snapshot therefore behaves identically to
+// one restored from the in-memory snapshot that produced it.
 //
 // Deliberately not captured: the controller RNG (restored controllers
 // get a fresh deterministic stream — after FinishLearning exploration
@@ -31,22 +34,23 @@ import (
 // visited), wall-clock overhead counters, and the reward history
 // (which belongs to the warm-up run, not the evaluation run).
 type Snapshot struct {
-	LocalTables   map[string]rl.TableSnapshot            `json:"localTables"`
-	KTable        *rl.TableSnapshot                      `json:"kTable,omitempty"`
-	TableProfiles map[string]device.Profile              `json:"tableProfiles"`
-	GlobalNorm    NormalizerSnapshot                     `json:"globalNorm"`
-	KLocalNorm    NormalizerSnapshot                     `json:"kLocalNorm"`
-	LocalNorm     map[device.Category]NormalizerSnapshot `json:"localNorm"`
-	Deadline      float64                                `json:"deadline"`
-	Frozen        bool                                   `json:"frozen"`
-	FrozenRound   int                                    `json:"frozenRound"`
+	LocalTables   map[string]rl.TableSnapshot
+	KTable        *rl.TableSnapshot
+	TableProfiles map[string]device.Profile
+	GlobalNorm    NormalizerSnapshot
+	KLocalNorm    NormalizerSnapshot
+	LocalNorm     map[device.Category]NormalizerSnapshot
+	Deadline      float64
+	Frozen        bool
+	FrozenRound   int
 }
 
 // Validate reports a snapshot FromSnapshot could not restore into a
 // working controller: a Q row or a non-empty mask whose length is not
 // its table's action count (len(fl.AllLocalParams()) for a local
 // table, len(fl.KValues()) for the K table), a mask that allows no
-// action, or a float that is not finite.
+// action, an exploration rate outside [0, 1], or a float that is not
+// finite.
 func (s Snapshot) Validate() error {
 	floats := []float64{s.GlobalNorm.Value, s.KLocalNorm.Value, s.Deadline}
 	table := func(name string, t rl.TableSnapshot, n int) error {
@@ -58,6 +62,9 @@ func (s Snapshot) Validate() error {
 		}
 		if len(t.Mask) > 0 && (len(t.Mask) != n || !slices.Contains(t.Mask, true)) {
 			return fmt.Errorf("core: snapshot %s: mask %v does not fit %d actions", name, t.Mask, n)
+		}
+		if !(t.Epsilon >= 0 && t.Epsilon <= 1) {
+			return fmt.Errorf("core: snapshot %s: epsilon %v outside [0, 1]", name, t.Epsilon)
 		}
 		floats = append(floats, t.Epsilon, t.Delta)
 		return nil

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/json"
 	"math"
 	"testing"
 
@@ -20,10 +19,7 @@ func TestSnapshotValidate(t *testing.T) {
 	if len(snap.LocalTables) == 0 || snap.KTable == nil {
 		t.Fatal("the warm-up built no tables")
 	}
-	enc, err := json.Marshal(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
+	enc := snap.AppendBinary(nil)
 	// Each case edits its own deep copy of the snapshot.
 	local := func(s *Snapshot) (string, []float64) {
 		for key, tab := range s.LocalTables {
@@ -60,13 +56,15 @@ func TestSnapshotValidate(t *testing.T) {
 		"NaN normalizer":    func(s *Snapshot) { s.GlobalNorm.Value = math.NaN() },
 		"infinite deadline": func(s *Snapshot) { s.Deadline = math.Inf(-1) },
 		"NaN epsilon":       func(s *Snapshot) { s.KTable.Epsilon = math.NaN() },
+		"epsilon above 1":   func(s *Snapshot) { s.KTable.Epsilon = 1.5 },
+		"negative epsilon":  func(s *Snapshot) { s.KTable.Epsilon = -0.1 },
 		"short mask":        func(s *Snapshot) { setMask(s, make([]bool, nLocal-1)) },
 		"all-false mask":    func(s *Snapshot) { setMask(s, make([]bool, nLocal)) },
 		"all-false K mask":  func(s *Snapshot) { s.KTable.Mask = make([]bool, nK) },
 	}
 	for name, mutate := range cases {
 		var s Snapshot
-		if err := json.Unmarshal(enc, &s); err != nil {
+		if err := s.UnmarshalBinary(enc); err != nil {
 			t.Fatal(err)
 		}
 		mutate(&s)
@@ -76,7 +74,7 @@ func TestSnapshotValidate(t *testing.T) {
 	}
 	// No mask at all allows every action.
 	var s Snapshot
-	if err := json.Unmarshal(enc, &s); err != nil {
+	if err := s.UnmarshalBinary(enc); err != nil {
 		t.Fatal(err)
 	}
 	setMask(&s, nil)

@@ -89,9 +89,9 @@ func TestImpossibleDeadlineZeroAggregationRuns(t *testing.T) {
 
 // A controller restored from a snapshot must behave identically no
 // matter whether the snapshot came straight from the warm-up or
-// through a JSON round trip (the pretrained-controller cache stores
-// snapshots as JSON) — and two restorations of the same snapshot must
-// produce bit-identical evaluation runs.
+// through its binary form (the pretrained-controller cache stores and
+// ships snapshots that way) — and two restorations of the same
+// snapshot must produce bit-identical evaluation runs.
 func TestSnapshotRoundTripBehavesIdentically(t *testing.T) {
 	warmCfg := smallConfig(997)
 	warmCfg.MaxRounds = 40
@@ -104,12 +104,8 @@ func TestSnapshotRoundTripBehavesIdentically(t *testing.T) {
 		t.Fatal("pretrained snapshot must be frozen")
 	}
 
-	b, err := json.Marshal(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var viaJSON Snapshot
-	if err := json.Unmarshal(b, &viaJSON); err != nil {
+	var viaBinary Snapshot
+	if err := viaBinary.UnmarshalBinary(snap.AppendBinary(nil)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -127,8 +123,8 @@ func TestSnapshotRoundTripBehavesIdentically(t *testing.T) {
 	if again := runWith(snap); again != direct {
 		t.Error("two restorations of the same snapshot diverged")
 	}
-	if roundTripped := runWith(viaJSON); roundTripped != direct {
-		t.Error("JSON round-tripped snapshot behaves differently from the original")
+	if roundTripped := runWith(viaBinary); roundTripped != direct {
+		t.Error("binary round-tripped snapshot behaves differently from the original")
 	}
 
 	frozen, _ := FromSnapshot(cfg, snap).Frozen()

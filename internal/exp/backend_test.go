@@ -2,10 +2,12 @@ package exp
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"os/exec"
 	"path/filepath"
@@ -17,6 +19,7 @@ import (
 
 	"fedgpo/internal/core"
 	"fedgpo/internal/fl"
+	"fedgpo/internal/rl"
 	"fedgpo/internal/runtime"
 	"fedgpo/internal/workload"
 )
@@ -379,9 +382,13 @@ func TestFleetWideExactlyOnePretrainPerScenario(t *testing.T) {
 		if key == "" {
 			t.Fatal("warm FedGPO spec has no affinity key")
 		}
-		var raw json.RawMessage
+		var raw rawBytes
 		if !memCache.Get(key, &raw) || len(raw) == 0 {
 			t.Errorf("coordinator cache missing shipped pretrain snapshot %q", key)
+		}
+		var snap core.Snapshot
+		if err := snap.UnmarshalBinary(raw); err != nil {
+			t.Errorf("coordinator cached snapshot %q does not decode: %v", key, err)
 		}
 	}
 
@@ -471,33 +478,29 @@ func TestInstallSnapshotRejectsInvalid(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := ref.runSpecs([]JobSpec{sp})[0].Sim
-	var good json.RawMessage
+	var good rawBytes
 	if !ref.cache.Get(key, &good) {
 		t.Fatal("the reference run stored no snapshot")
 	}
-	edit := func(f func(*core.Snapshot)) json.RawMessage {
+	edit := func(f func(*core.Snapshot)) []byte {
 		var snap core.Snapshot
-		if err := json.Unmarshal(good, &snap); err != nil {
+		if err := snap.UnmarshalBinary(good); err != nil {
 			t.Fatal(err)
 		}
 		f(&snap)
-		b, err := json.Marshal(snap)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
+		return snap.AppendBinary(nil)
 	}
-	bad := map[string]json.RawMessage{
+	bad := map[string][]byte{
 		"short row": edit(func(s *core.Snapshot) {
 			for state, row := range s.KTable.Q {
 				s.KTable.Q[state] = row[:len(row)-1]
 				return
 			}
 		}),
-		"NaN": json.RawMessage(strings.Replace(string(good), `"deadline":`, `"deadline":NaN,"x":`, 1)),
-		"bad mask": edit(func(s *core.Snapshot) {
-			s.KTable.Mask = make([]bool, len(fl.KValues()))
-		}),
+		"NaN":       edit(func(s *core.Snapshot) { s.Deadline = math.NaN() }),
+		"bad mask":  edit(func(s *core.Snapshot) { s.KTable.Mask = make([]bool, len(fl.KValues())) }),
+		"truncated": good[:len(good)-1],
+		"trailing":  append(bytes.Clone(good), 0),
 	}
 
 	dir := t.TempDir()
@@ -510,7 +513,7 @@ func TestInstallSnapshotRejectsInvalid(t *testing.T) {
 			t.Errorf("%s: snapshot installed", name)
 		}
 	}
-	var stored json.RawMessage
+	var stored rawBytes
 	if rt.cache.Get(key, &stored) {
 		t.Fatal("a rejected snapshot reached the cache")
 	}
@@ -536,16 +539,18 @@ func FuzzInstallSnapshot(f *testing.F) {
 	s := telemetryScenario()
 	warm := s.Config(997)
 	warm.MaxRounds = 20
-	good, err := json.Marshal(core.PretrainSnapshot(core.DefaultConfig(), warm))
-	if err != nil {
-		f.Fatal(err)
-	}
+	good := core.PretrainSnapshot(core.DefaultConfig(), warm).AppendBinary(nil)
+	nK := len(fl.KValues())
 	f.Add(good)
 	f.Add(good[:len(good)/2])
-	f.Add([]byte(`{}`))
-	f.Add([]byte(`null`))
-	f.Add([]byte(`{"localTables":{"H":{"q":{"s":[1,2]},"mask":[true]}}}`))
-	f.Add([]byte(`{"kTable":{"q":{"s":[0,0,0,0,0]},"mask":[false,false,false,false,false]}}`))
+	f.Add(core.Snapshot{}.AppendBinary(nil))
+	f.Add(core.Snapshot{LocalTables: map[string]rl.TableSnapshot{
+		"H": {Q: map[string][]float64{"s": {1, 2}}, Mask: []bool{true}},
+	}}.AppendBinary(nil))
+	f.Add(core.Snapshot{KTable: &rl.TableSnapshot{
+		Q: map[string][]float64{"s": make([]float64, nK)}, Mask: make([]bool, nK),
+	}}.AppendBinary(nil))
+	f.Add([]byte(`{"kTable":{"q":{"s":[0,0,0,0,0]}}}`))
 	s.MaxRounds = 1
 	cfg := s.Config(1)
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -557,7 +562,7 @@ func FuzzInstallSnapshot(f *testing.F) {
 			return
 		}
 		var snap core.Snapshot
-		if err := json.Unmarshal(data, &snap); err != nil {
+		if err := snap.UnmarshalBinary(data); err != nil {
 			t.Fatalf("an accepted snapshot does not decode: %v", err)
 		}
 		if res := fl.Run(cfg, core.FromSnapshot(core.DefaultConfig(), snap)); res.RoundsExecuted != 1 {

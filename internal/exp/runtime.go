@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"sync"
@@ -49,7 +48,7 @@ type Runtime struct {
 	// pretrainMu. Each artifact is taken exactly once, by the first
 	// finished job sharing the key (attachBuiltSnapshot), which carries
 	// it back to the coordinator over the wire.
-	builtSnaps map[string]json.RawMessage
+	builtSnaps map[string][]byte
 }
 
 // pretrainEntry is one pretrain key's singleflight slot. A plain
@@ -174,10 +173,10 @@ func (r *Runtime) PretrainStats() (runs, distinct int) {
 
 // pretrainedSnapshot returns (building at most once per process, and
 // at most once ever under a persistent cache directory) the pretrained
-// FedGPO controller snapshot for a scenario. The snapshot is always
-// served through a JSON round trip of the cache payload's bytes, so
-// every consumer sees identical values regardless of which cell warmed
-// the cache first.
+// FedGPO controller snapshot for a scenario. The binary form is exact
+// (UnmarshalBinary returns a value equal to the one encoded), so every
+// consumer sees identical values whether the snapshot was built here,
+// read from the cache or shipped by another process.
 func (r *Runtime) pretrainedSnapshot(s ScenarioSpec, cfg core.Config, warmSeed int64, warmRounds int, key string) core.Snapshot {
 	r.pretrainMu.Lock()
 	e, ok := r.pretrains[key]
@@ -209,29 +208,20 @@ func (r *Runtime) pretrainedSnapshot(s ScenarioSpec, cfg core.Config, warmSeed i
 			warmCfg.MaxRounds = warmRounds
 			snap := core.PretrainSnapshot(cfg, warmCfg)
 			r.pretrainRuns.Add(1)
-			// Serialize once: the same bytes are the cache payload, the
+			// Encode once: the same bytes are the cache payload and the
 			// artifact the first finished job sharing this key carries to
-			// the coordinator for fleet-wide reuse (so a coordinator
-			// persisting them writes the entry this process did), and the
-			// source of e.snap, so every consumer sees the snapshot after
-			// the same JSON round trip a cache hit gives.
-			data, err := json.Marshal(snap)
-			if err != nil {
-				panic(fmt.Sprintf("exp: serializing pretrain snapshot %q: %v", key, err))
-			}
+			// the coordinator for fleet-wide reuse, so a coordinator
+			// persisting them writes the entry this process did.
+			data := snap.AppendBinary(nil)
 			// A failed cache write only costs a future warm-up.
-			_ = r.cache.Put(key, json.RawMessage(data))
+			_ = r.cache.Put(key, data)
 			r.pretrainMu.Lock()
 			if r.builtSnaps == nil {
-				r.builtSnaps = make(map[string]json.RawMessage)
+				r.builtSnaps = make(map[string][]byte)
 			}
 			r.builtSnaps[key] = data
 			r.pretrainMu.Unlock()
-			var fresh core.Snapshot
-			if err := json.Unmarshal(data, &fresh); err != nil {
-				panic(fmt.Sprintf("exp: decoding pretrain snapshot %q: %v", key, err))
-			}
-			e.snap = fresh
+			e.snap = snap
 		}()
 	}
 	e.done = true
@@ -271,11 +261,12 @@ func (r *Runtime) attachBuiltSnapshot(sp JobSpec, res *runtime.Result) {
 // singleflight and run cache, so a cell needing key deserializes it
 // instead of re-running the warm-up. An entry this process already
 // resolved wins — the shipped copy is byte-identical by construction,
-// so skipping it changes nothing. A snapshot that fails to decode or
-// to validate is neither installed nor stored.
-func (r *Runtime) InstallSnapshot(key string, data json.RawMessage) error {
+// so skipping it changes nothing. A snapshot that fails to decode
+// (core.Snapshot.UnmarshalBinary) or to validate is neither installed
+// nor stored.
+func (r *Runtime) InstallSnapshot(key string, data []byte) error {
 	var snap core.Snapshot
-	if err := json.Unmarshal(data, &snap); err != nil {
+	if err := snap.UnmarshalBinary(data); err != nil {
 		return fmt.Errorf("exp: installing snapshot %q: %w", key, err)
 	}
 	if err := snap.Validate(); err != nil {

@@ -5,9 +5,11 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
+	"fedgpo/internal/core"
 	"fedgpo/internal/device"
 	"fedgpo/internal/fl"
 	"fedgpo/internal/runtime"
@@ -64,11 +66,19 @@ func TestPretrainPanicReplaysToEveryCell(t *testing.T) {
 	}
 }
 
-// A freshly built pretrain snapshot is serialized once, and those bytes
-// are everything downstream sees: the cache payload, the artifact the
-// first job sharing the key carries to the coordinator, and (through
-// one JSON decode) the snapshot every cell restores its controller
-// from.
+// rawBytes reads a cache payload as it is stored.
+type rawBytes []byte
+
+func (r *rawBytes) UnmarshalBinary(b []byte) error {
+	*r = bytes.Clone(b)
+	return nil
+}
+
+// A freshly built pretrain snapshot is encoded once, and those bytes
+// are everything downstream sees: the cache payload and the artifact
+// the first job sharing the key carries to the coordinator. The
+// snapshot every cell restores its controller from is the value those
+// bytes encode.
 func TestFreshPretrainSnapshotSerializedOnce(t *testing.T) {
 	rt, err := NewRuntime(1, t.TempDir())
 	if err != nil {
@@ -81,19 +91,122 @@ func TestFreshPretrainSnapshotSerializedOnce(t *testing.T) {
 	if len(res.Snaps) != 1 || res.Snaps[0].Key != key {
 		t.Fatalf("fresh warm-up carried %d artifacts, want one under %q", len(res.Snaps), key)
 	}
-	var cached json.RawMessage
+	var cached rawBytes
 	if !rt.cache.Get(key, &cached) {
 		t.Fatal("fresh snapshot not in the cache")
 	}
 	if !bytes.Equal(cached, res.Snaps[0].Data) {
 		t.Error("cached snapshot bytes differ from the shipped artifact")
 	}
-	inMemory, err := json.Marshal(rt.pretrains[key].snap)
+	if !bytes.Equal(rt.pretrains[key].snap.AppendBinary(nil), cached) {
+		t.Error("the in-process snapshot does not re-encode to the cached bytes")
+	}
+}
+
+// Every warm-up the registry runs, per-device tables included, comes
+// back from its binary form equal to itself, field by field, and an
+// accepted encoding re-encodes to the same bytes. Table-byte gates
+// alone would miss a dropped field whose value happens not to change a
+// table (a profile's PowerCurve.Steps, say).
+func TestSnapshotBinaryRoundTripEveryRegistryWarmUp(t *testing.T) {
+	rt, err := NewRuntime(0, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(inMemory, cached) {
-		t.Error("the in-process snapshot does not re-marshal to the cached bytes")
+	runRegistry(t, rt)
+	perDevice := false
+	for key, e := range rt.pretrains {
+		if !e.done {
+			t.Fatalf("%s: warm-up never finished", key)
+		}
+		snap := e.snap
+		if len(snap.LocalTables) == 0 || snap.KTable == nil || len(snap.TableProfiles) == 0 {
+			t.Fatalf("%s: the warm-up built no tables", key)
+		}
+		perDevice = perDevice || len(snap.LocalTables) > device.NumCategories
+		enc := snap.AppendBinary(nil)
+		var back core.Snapshot
+		if err := back.UnmarshalBinary(enc); err != nil {
+			t.Fatalf("%s: decode: %v", key, err)
+		}
+		if !reflect.DeepEqual(back, snap) {
+			t.Errorf("%s: the round trip changed the snapshot", key)
+		}
+		if !bytes.Equal(back.AppendBinary(nil), enc) {
+			t.Errorf("%s: the decoded snapshot re-encodes to other bytes", key)
+		}
+	}
+	if !perDevice {
+		t.Error("no registry warm-up built per-device tables")
+	}
+}
+
+// A cache directory written while snapshots were stored as JSON holds
+// pretrain records under keys without the snapshot format. Those keys
+// are never looked up again: each snapshot is a plain miss (never a
+// corrupt entry), is rebuilt exactly once, and the tables come out
+// identical to a fresh directory's.
+func TestJSONEraSnapshotIsAPlainMiss(t *testing.T) {
+	opts := Options{FleetSize: 20, Seeds: []int64{1}, MaxRounds: 60}
+	run := func(rt *Runtime) string {
+		var b strings.Builder
+		for _, id := range []string{"fig5", "abl-tables"} {
+			e, err := ByID(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b.WriteString(e.Run(opts.WithRuntime(rt)).String())
+		}
+		return b.String()
+	}
+	fresh, err := NewRuntime(1, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := run(fresh)
+
+	dir := t.TempDir()
+	old, err := runtime.NewCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	suffix := "|snap=" + core.SnapshotFormat
+	for key, e := range fresh.pretrains {
+		if !strings.HasSuffix(key, suffix) {
+			t.Fatalf("pretrain key %q does not name the snapshot format", key)
+		}
+		js, err := json.Marshal(e.snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := old.Put(strings.TrimSuffix(key, suffix), js); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	rt, err := NewRuntime(1, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := run(rt); got != want {
+		t.Errorf("tables over a JSON-era cache differ from a fresh run:\n--- got ---\n%s--- want ---\n%s", got, want)
+	}
+	runs, distinct := rt.PretrainStats()
+	if runs != distinct || runs != len(fresh.pretrains) {
+		t.Errorf("%d warm-ups for %d keys, want exactly one for each of %d", runs, distinct, len(fresh.pretrains))
+	}
+	if c := rt.Metrics().Counters.CacheCorrupt; c != 0 {
+		t.Errorf("%d corrupt cache reads, want every JSON-era snapshot to be a plain miss", c)
+	}
+	warm, err := NewRuntime(1, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := run(warm); got != want {
+		t.Error("the warm rerun's tables differ")
+	}
+	if runs, _ := warm.PretrainStats(); runs != 0 || warm.Stats().Runs != 0 {
+		t.Errorf("warm rerun: %d warm-ups, %d cells simulated; want 0 and 0", runs, warm.Stats().Runs)
 	}
 }
 

@@ -423,11 +423,14 @@ func (r *Runtime) controller(s ScenarioSpec, c ContenderSpec) fl.Controller {
 }
 
 // pretrainKey addresses a pretrained-controller snapshot in the
-// content-addressed cache: scenario, full controller config, and the
-// warm-up deployment (see the package doc's key scheme).
+// content-addressed cache: scenario, full controller config, the
+// warm-up deployment, and the snapshot's encoding, so an entry in
+// another encoding is a plain miss (see the runtime package doc's key
+// scheme).
 func pretrainKey(s ScenarioSpec, cfg core.Config, warmSeed int64, warmRounds int) string {
 	return runtime.KeyFor("pretrain", s.cacheKey(), "cfg="+canonJSON(cfg),
-		fmt.Sprintf("warmseed=%d", warmSeed), fmt.Sprintf("warmrounds=%d", warmRounds))
+		fmt.Sprintf("warmseed=%d", warmSeed), fmt.Sprintf("warmrounds=%d", warmRounds),
+		"snap="+core.SnapshotFormat)
 }
 
 // staticContender names a fixed-(B,E,K) contender.

@@ -69,23 +69,19 @@ func (r Result) AppendBinary(b []byte) ([]byte, error) {
 	b = append(b, mask)
 	for cat := device.Category(0); cat < device.NumCategories; cat++ {
 		if mask&(1<<(1+cat)) != 0 {
-			b = appendFloat(b, r.EnergyByCategory[cat])
+			b = AppendFloat(b, r.EnergyByCategory[cat])
 		}
 	}
-	b = appendFloat(b, r.ControllerOverheadSec)
-	if r.History == nil {
-		b = append(b, 0)
-	} else {
-		b = binary.AppendUvarint(b, uint64(len(r.History))+1)
-	}
+	b = AppendFloat(b, r.ControllerOverheadSec)
+	b = AppendCount(b, len(r.History), r.History == nil)
 	for i := range r.History {
 		h := &r.History[i]
 		b = binary.AppendVarint(b, int64(h.Round))
-		b = appendFloat(b, h.Accuracy)
-		b = appendFloat(b, h.RoundSeconds)
-		b = appendFloat(b, h.EnergyJ)
-		b = appendFloat(b, h.MeanB)
-		b = appendFloat(b, h.MeanE)
+		b = AppendFloat(b, h.Accuracy)
+		b = AppendFloat(b, h.RoundSeconds)
+		b = AppendFloat(b, h.EnergyJ)
+		b = AppendFloat(b, h.MeanB)
+		b = AppendFloat(b, h.MeanE)
 		b = binary.AppendVarint(b, int64(h.PlannedK))
 		b = binary.AppendVarint(b, int64(h.AggregatedK))
 		b = binary.AppendVarint(b, int64(h.Dropped))
@@ -99,50 +95,42 @@ func (r Result) AppendBinary(b []byte) ([]byte, error) {
 // longer than the bytes left could hold is an error, never a panic or
 // an outsized allocation.
 func (r *Result) UnmarshalBinary(data []byte) error {
-	d := decoder{b: data}
+	d := NewDecoder(data, errCorrupt)
 	var out Result
-	out.Controller = string(d.field())
+	out.Controller = string(d.Field())
 	mask := d.byte()
 	if mask >= maxEnergyMask || (mask != 0 && mask&1 == 0) {
-		d.fail("energy mask %#x", mask)
+		d.Fail("energy mask %#x", mask)
 	}
-	if d.err == nil && mask != 0 {
+	if d.Err() == nil && mask != 0 {
 		out.EnergyByCategory = make(map[device.Category]float64, device.NumCategories)
 		for cat := device.Category(0); cat < device.NumCategories; cat++ {
 			if mask&(1<<(1+cat)) != 0 {
-				out.EnergyByCategory[cat] = d.float()
+				out.EnergyByCategory[cat] = d.Float()
 			}
 		}
 	}
-	out.ControllerOverheadSec = d.float()
-	if n := d.uvarint(); n > 0 && d.err == nil {
-		n--
-		if n > uint64(len(d.b)/minRecordBytes) {
-			d.fail("history of %d records in %d bytes", n, len(d.b))
-		} else {
-			out.History = make([]RoundRecord, n)
-		}
+	out.ControllerOverheadSec = d.Float()
+	if n, ok := d.Count(minRecordBytes); ok {
+		out.History = make([]RoundRecord, n)
 	}
 	for i := range out.History {
 		h := &out.History[i]
-		h.Round = d.varint()
-		h.Accuracy = d.float()
-		h.RoundSeconds = d.float()
-		h.EnergyJ = d.float()
-		h.MeanB = d.float()
-		h.MeanE = d.float()
-		h.PlannedK = d.varint()
-		h.AggregatedK = d.varint()
-		h.Dropped = d.varint()
-		if d.err != nil {
+		h.Round = d.Varint()
+		h.Accuracy = d.Float()
+		h.RoundSeconds = d.Float()
+		h.EnergyJ = d.Float()
+		h.MeanB = d.Float()
+		h.MeanE = d.Float()
+		h.PlannedK = d.Varint()
+		h.AggregatedK = d.Varint()
+		h.Dropped = d.Varint()
+		if d.Err() != nil {
 			break
 		}
 	}
-	if d.err == nil && len(d.b) != 0 {
-		d.fail("%d trailing bytes", len(d.b))
-	}
-	if d.err != nil {
-		return d.err
+	if err := d.Finish(); err != nil {
+		return err
 	}
 	*r = out
 	return nil
@@ -164,13 +152,32 @@ func AppendBytes[S ~string | ~[]byte](b []byte, s S) []byte {
 // aliases b. ok is false on a truncated or non-minimal length prefix
 // or a length past the end of b.
 func CutBytes(b []byte) (field, rest []byte, ok bool) {
-	d := decoder{b: b}
-	field = d.field()
+	d := NewDecoder(b, errCorrupt)
+	field = d.Field()
 	return field, d.b, d.err == nil
 }
 
-func appendFloat(b []byte, v float64) []byte {
+// AppendFloat appends v as its IEEE-754 bits, 8 bytes little-endian.
+func AppendFloat(b []byte, v float64) []byte {
 	return binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+}
+
+// AppendBool appends v as one byte, 0 or 1.
+func AppendBool(b []byte, v bool) []byte {
+	if v {
+		return append(b, 1)
+	}
+	return append(b, 0)
+}
+
+// AppendCount appends the length of a slice or map that may be nil: a
+// minimal uvarint, 0 for nil and n+1 otherwise, so nil and empty stay
+// apart. Decoder.Count reads it.
+func AppendCount(b []byte, n int, isNil bool) []byte {
+	if isNil {
+		return append(b, 0)
+	}
+	return binary.AppendUvarint(b, uint64(n)+1)
 }
 
 func uvarintLen(v uint64) int {
@@ -191,27 +198,51 @@ func varintLen(v int) int {
 	return uvarintLen(u)
 }
 
-// errCorrupt is wrapped by every decode failure.
+// errCorrupt is wrapped by every Result decode failure.
 var errCorrupt = errors.New("fl: corrupt binary result")
 
-// decoder reads the binary form front to back. The first failure
-// sticks: later reads return zero values and consume nothing, so a
-// decode runs to its end and reports the first error.
-type decoder struct {
-	b   []byte
-	err error
+// Decoder reads a binary form built from this file's primitives front
+// to back: Result's, and the forms of other packages that use the same
+// primitives. The first failure sticks: later reads return zero values
+// and consume nothing, so a decode runs to its end and reports the
+// first error. Nothing it returns is larger than the bytes it was
+// given: Field aliases them, and Count bounds a length prefix by the
+// bytes left.
+type Decoder struct {
+	b       []byte
+	err     error
+	corrupt error
 }
 
-func (d *decoder) fail(format string, args ...any) {
+// NewDecoder returns a Decoder over b whose every failure wraps
+// corrupt.
+func NewDecoder(b []byte, corrupt error) *Decoder {
+	return &Decoder{b: b, corrupt: corrupt}
+}
+
+// Err returns the first failure, or nil.
+func (d *Decoder) Err() error { return d.err }
+
+// Finish fails on bytes left over and returns the first failure.
+func (d *Decoder) Finish() error {
+	if d.err == nil && len(d.b) != 0 {
+		d.Fail("%d trailing bytes", len(d.b))
+	}
+	return d.err
+}
+
+// Fail records a failure unless one is already recorded, and stops
+// the decode.
+func (d *Decoder) Fail(format string, args ...any) {
 	if d.err == nil {
-		d.err = fmt.Errorf("%w: "+format, append([]any{errCorrupt}, args...)...)
+		d.err = fmt.Errorf("%w: "+format, append([]any{d.corrupt}, args...)...)
 	}
 	d.b = nil
 }
 
-func (d *decoder) byte() byte {
+func (d *Decoder) byte() byte {
 	if len(d.b) < 1 {
-		d.fail("truncated")
+		d.Fail("truncated")
 		return 0
 	}
 	v := d.b[0]
@@ -219,9 +250,19 @@ func (d *decoder) byte() byte {
 	return v
 }
 
-func (d *decoder) float() float64 {
+// Bool reads an AppendBool byte; any byte but 0 or 1 fails.
+func (d *Decoder) Bool() bool {
+	v := d.byte()
+	if v > 1 {
+		d.Fail("bool byte %#x", v)
+	}
+	return v == 1
+}
+
+// Float reads an AppendFloat value.
+func (d *Decoder) Float() float64 {
 	if len(d.b) < 8 {
-		d.fail("truncated")
+		d.Fail("truncated")
 		return 0
 	}
 	v := math.Float64frombits(binary.LittleEndian.Uint64(d.b))
@@ -231,35 +272,51 @@ func (d *decoder) float() float64 {
 
 // uvarint reads a minimal uvarint: a longer encoding of the same value
 // (a trailing 0x00 continuation group) would not re-encode to itself.
-func (d *decoder) uvarint() uint64 {
+func (d *Decoder) uvarint() uint64 {
 	v, n := binary.Uvarint(d.b)
 	if n <= 0 || (n > 1 && d.b[n-1] == 0) {
-		d.fail("bad uvarint")
+		d.Fail("bad uvarint")
 		return 0
 	}
 	d.b = d.b[n:]
 	return v
 }
 
-func (d *decoder) varint() int {
+// Varint reads a minimal binary.AppendVarint value that fits an int.
+func (d *Decoder) Varint() int {
 	u := d.uvarint()
 	v := int64(u >> 1)
 	if u&1 != 0 {
 		v = ^v
 	}
 	if int64(int(v)) != v {
-		d.fail("varint %d overflows int", v)
+		d.Fail("varint %d overflows int", v)
 		return 0
 	}
 	return int(v)
 }
 
-// field reads one length-prefixed field (AppendBytes).
-func (d *decoder) field() []byte { return d.bytes(d.uvarint()) }
+// Count reads an AppendCount length of elements that each take at
+// least minBytes bytes. ok is false for nil and after a failure; a
+// count the bytes left could not hold fails, so the caller may
+// allocate n elements.
+func (d *Decoder) Count(minBytes int) (n int, ok bool) {
+	c := d.uvarint()
+	if c == 0 || d.err != nil {
+		return 0, false
+	}
+	if c-1 > uint64(len(d.b)/minBytes) {
+		d.Fail("%d elements in %d bytes", c-1, len(d.b))
+		return 0, false
+	}
+	return int(c - 1), true
+}
 
-func (d *decoder) bytes(n uint64) []byte {
+// Field reads one AppendBytes field, aliasing the input.
+func (d *Decoder) Field() []byte {
+	n := d.uvarint()
 	if n > uint64(len(d.b)) {
-		d.fail("length %d past the end", n)
+		d.Fail("length %d past the end", n)
 		return nil
 	}
 	v := d.b[:n]

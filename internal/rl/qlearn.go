@@ -303,12 +303,12 @@ func abs(x float64) float64 {
 // are restored into a fresh deterministic stream (see Restore), which
 // only matters for lazily initializing states the table has not seen.
 type TableSnapshot struct {
-	Q         map[string][]float64 `json:"q"`
-	Mask      []bool               `json:"mask,omitempty"`
-	Epsilon   float64              `json:"epsilon"`
-	Updates   int                  `json:"updates"`
-	Delta     float64              `json:"delta"`
-	DeltaInit bool                 `json:"deltaInit"`
+	Q         map[string][]float64
+	Mask      []bool
+	Epsilon   float64
+	Updates   int
+	Delta     float64
+	DeltaInit bool
 }
 
 // Snapshot captures the table's learned state. The returned rows are

@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -285,25 +286,27 @@ func snapJob(i int, affinity, snap string) Job {
 	}
 }
 
-// snapArtifact is the deterministic payload the test worker "builds".
-var snapArtifact = json.RawMessage(`{"q":[1,2,3]}`)
+// snapArtifact is the deterministic payload the test worker "builds":
+// bytes in no particular format, which the coordinator must pool, ship
+// and persist as they are.
+var snapArtifact = []byte("snap\x00\xff\x01")
 
 // installLog counts the snapshot installs one worker pool received,
 // per key.
 type installLog struct {
 	mu   sync.Mutex
 	n    map[string]int
-	data map[string]json.RawMessage
+	data map[string][]byte
 }
 
-func (l *installLog) install(key string, data json.RawMessage) error {
+func (l *installLog) install(key string, data []byte) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.n == nil {
-		l.n, l.data = make(map[string]int), make(map[string]json.RawMessage)
+		l.n, l.data = make(map[string]int), make(map[string][]byte)
 	}
 	l.n[key]++
-	l.data[key] = append(json.RawMessage(nil), data...)
+	l.data[key] = bytes.Clone(data)
 	return nil
 }
 
@@ -382,12 +385,12 @@ func TestCoordinatorPoolsAndShipsSnapshots(t *testing.T) {
 	if res[0].Err != "" {
 		t.Fatalf("builder job failed: %s", res[0].Err)
 	}
-	var raw json.RawMessage
+	var raw rawSink
 	if !cache.Get("pretrain-k", &raw) {
 		t.Fatal("worker-built snapshot not persisted to the coordinator cache")
 	}
-	if string(raw) != string(snapArtifact) {
-		t.Errorf("persisted artifact = %s, want the byte-identical worker payload %s", raw, snapArtifact)
+	if !bytes.Equal(raw, snapArtifact) {
+		t.Errorf("persisted artifact = %q, want the byte-identical worker payload %q", raw, snapArtifact)
 	}
 
 	// Batch 2 runs on a fresh session of the same capacity-1 pool,

@@ -300,8 +300,8 @@ func (c *Cache) readRecord(loc recordLoc) ([]byte, int) {
 
 // unmarshalPayload decodes payload into v under the cacheDecode phase
 // timer, so envelope I/O and payload decode are separable in a
-// profile. A v that implements encoding.BinaryUnmarshaler (Result)
-// decodes its own binary form; anything else is JSON.
+// profile. A v that implements encoding.BinaryUnmarshaler (Result,
+// core.Snapshot) decodes its own binary form; anything else is JSON.
 func (c *Cache) unmarshalPayload(payload []byte, v any) bool {
 	start := time.Now()
 	var err error
@@ -433,10 +433,11 @@ func (c *Cache) Put(key string, v any) error {
 }
 
 // PutHashed is Put for callers that already hold the key's content
-// address; hash must equal HashKey(key). The payload is v's binary
-// form when v implements encoding.BinaryAppender and its JSON
-// otherwise. On disk the entry is one record (appendRecord), built in
-// one buffer and appended to this Cache's pack in one write.
+// address; hash must equal HashKey(key). The payload is v itself for
+// a []byte, v's binary form when v implements encoding.BinaryAppender,
+// and its JSON otherwise. On disk the entry is one record
+// (appendRecord), built in one buffer and appended to this Cache's
+// pack in one write.
 func (c *Cache) PutHashed(key, hash string, v any) error {
 	start := time.Now()
 	defer func() { c.col.RecordPhase(telemetry.PhaseCacheWrite, time.Since(start)) }()

@@ -42,10 +42,10 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 //
 //	"FGC3" | uvarint(len(key)) | key bytes | payload | CRC-32C
 //
-// The payload is v's own binary form when v implements
-// encoding.BinaryAppender (Result appends straight after the header)
-// and its JSON otherwise. The CRC (Castagnoli table, big-endian) covers
-// every byte of the entry before it. The canonical key stays in clear
+// The payload is appendPayload's: v itself for a []byte, v's own
+// binary form for an encoding.BinaryAppender (Result appends straight
+// after the header), and v's JSON otherwise. The CRC (Castagnoli
+// table, big-endian) covers every byte of the entry before it. The canonical key stays in clear
 // text ahead of the payload so a reader can reject a foreign entry
 // (hash collision, misplaced record) before checksumming the body, and
 // so packs remain greppable by key.
@@ -68,12 +68,17 @@ func appendBinaryEnvelope(b []byte, key string, v any) ([]byte, error) {
 	return binary.BigEndian.AppendUint32(b, crc32.Checksum(b[start:], castagnoli)), nil
 }
 
-// appendPayload appends v's cache payload to b: its own binary form
-// when it implements encoding.BinaryAppender (Result), JSON otherwise.
-// Cache.unmarshalPayload is its inverse.
+// appendPayload appends v's cache payload to b: a []byte as it is (an
+// encoded pretrain snapshot), v's own binary form when it implements
+// encoding.BinaryAppender (Result), JSON otherwise.
+// Cache.unmarshalPayload is its inverse; a raw payload reads back into
+// the encoding.BinaryUnmarshaler of its form (core.Snapshot).
 func appendPayload(b []byte, v any) ([]byte, error) {
-	if a, ok := v.(encoding.BinaryAppender); ok {
-		return a.AppendBinary(b)
+	switch v := v.(type) {
+	case []byte:
+		return append(b, v...), nil
+	case encoding.BinaryAppender:
+		return v.AppendBinary(b)
 	}
 	js, err := json.Marshal(v)
 	if err != nil {

@@ -14,16 +14,10 @@ import (
 	"fedgpo/internal/telemetry"
 )
 
-// rawPayload is a test payload whose binary form is its own bytes, so
-// an envelope can carry arbitrary payload bytes.
-type rawPayload []byte
-
-func (r rawPayload) AppendBinary(b []byte) ([]byte, error) { return append(b, r...), nil }
-
 func TestBinaryEnvelopeRoundTrip(t *testing.T) {
 	key := "v3|sim|scenario|ctrl|seed=9"
 	payload := []byte(`{"key":"v3|sim|scenario|ctrl|seed=9","sim":{"ppw":1.25}}`)
-	b, err := appendBinaryEnvelope(nil, key, rawPayload(payload))
+	b, err := appendBinaryEnvelope(nil, key, payload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +51,7 @@ func TestBinaryEnvelopeRoundTrip(t *testing.T) {
 	if cap(got) != len(got) {
 		t.Errorf("payload cap %d exceeds its length %d", cap(got), len(got))
 	}
-	if _, err := appendBinaryEnvelope(nil, "", rawPayload(payload)); err == nil {
+	if _, err := appendBinaryEnvelope(nil, "", payload); err == nil {
 		t.Error("empty key must not encode")
 	}
 }
@@ -67,7 +61,7 @@ func TestBinaryEnvelopeRoundTrip(t *testing.T) {
 // miss — never a panic, whatever the corruption.
 func FuzzDecodeBinaryEnvelope(f *testing.F) {
 	key := "v3|sim|scenario-3|static/(8,10,20)|seed=3"
-	valid, err := appendBinaryEnvelope(nil, key, rawPayload(`{"sim":{"ppw":4.5,"converged":true}}`))
+	valid, err := appendBinaryEnvelope(nil, key, []byte(`{"sim":{"ppw":4.5,"converged":true}}`))
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -77,7 +71,7 @@ func FuzzDecodeBinaryEnvelope(f *testing.F) {
 	f.Add([]byte(cacheMagic))
 	f.Add([]byte(cacheMagic + "\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff"))
 	f.Add([]byte(`{"key":"` + key + `","payload":{}}`)) // a foreign JSON file
-	foreign, _ := appendBinaryEnvelope(nil, "other", rawPayload(`{}`))
+	foreign, _ := appendBinaryEnvelope(nil, "other", []byte(`{}`))
 	f.Add(foreign)
 	f.Add(fgc2Envelope(f, key, []byte(`{}`))) // the previous generation
 	f.Fuzz(func(t *testing.T, b []byte) {
@@ -89,7 +83,7 @@ func FuzzDecodeBinaryEnvelope(f *testing.F) {
 		if !ok {
 			return
 		}
-		re, err := appendBinaryEnvelope(nil, key, rawPayload(payload))
+		re, err := appendBinaryEnvelope(nil, key, payload)
 		if err != nil {
 			t.Fatalf("decoded payload does not re-encode: %v", err)
 		}
@@ -115,7 +109,7 @@ func fgc2Envelope(t testing.TB, key string, payload []byte) []byte {
 // indexed under the wanted key, so it is a plain miss.
 func TestCacheGetSurvivesArbitraryEnvelopeBytes(t *testing.T) {
 	key := "fuzzlike|cell"
-	valid, err := appendBinaryEnvelope(nil, key, rawPayload("not a result"))
+	valid, err := appendBinaryEnvelope(nil, key, []byte("not a result"))
 	if err != nil {
 		t.Fatal(err)
 	}

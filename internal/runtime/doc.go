@@ -108,10 +108,10 @@
 // many bytes of DEFLATE-compressed payload, bounded on both axes
 // (wire.MaxFrameBytes on the wire, wire.MaxPayloadBytes decompressed)
 // before anything is allocated. There is one protocol, ProtoVersion
-// (10), and no negotiation. The worker speaks first: its first frame is
+// (11), and no negotiation. The worker speaks first: its first frame is
 // a JSON hello
 //
-//	{"hello": true, "proto": 10, "keyVersion": "v4",
+//	{"hello": true, "proto": 11, "keyVersion": "v4",
 //	 "capacity": N, "cacheDir": "<worker's -cachedir>"}
 //
 // which the coordinator validates before dispatching anything. A
@@ -121,8 +121,9 @@
 // writing an older cache entry format (protocol 6 wrote FGC1,
 // protocols 7 and 8 FGC2) would publish entries the coordinator reads
 // as corrupt, one speaking JSON envelopes (protocol 7) would fail
-// every frame, and one still writing fl.Outcome into Result payloads
-// (protocol 9) would be misread. A
+// every frame, one still writing fl.Outcome into Result payloads
+// (protocol 9) would be misread, and one shipping pretrain snapshots
+// as JSON (protocol 10) would have every shipped snapshot refused. A
 // worker built before protocol 6 opens with a bare JSON line instead
 // of a frame; its first four bytes decode as a length prefix far above
 // the frame bound, so the handshake fails before reading a body. The
@@ -146,7 +147,8 @@
 //	key | cached byte (0 or 1) | metrics (telemetry.Metrics JSON, empty when nil)
 //	snapshots | Result.AppendBinary (the cache payload), to the end
 //
-// where snapshots is a count followed by each artifact's key and data.
+// where snapshots is a count followed by each artifact's key and data
+// (core.Snapshot.AppendBinary bytes, opaque to this package).
 // The decoders are total: truncation, trailing bytes, a count larger
 // than the bytes left, or anything else the encoders would not have
 // written is an error, never a panic or an allocation beyond the
@@ -191,7 +193,8 @@
 // semantics identical across backends (with a memory-only or private
 // worker cache each worker warms its own pretrains instead; results
 // are byte-identical either way, because snapshots are deterministic
-// and always served through a lossless JSON round-trip).
+// and their binary form is exact: a decoded snapshot equals the one
+// encoded, every float's bits included).
 //
 // Parallelism lives at the job level only: each simulation cell runs
 // its rounds serially on the goroutine executing it, so a backend's
@@ -249,12 +252,13 @@
 // Routing only decides where a cell runs, never what it computes.
 //
 // Snapshot shipping makes that reuse fleet-wide. A worker whose cell
-// built a fresh pretrain snapshot returns the serialized artifact with
+// built a fresh pretrain snapshot returns the encoded artifact with
 // its response (in the snapshot list beside the result); the
-// coordinator pools it, persists it into its own cache under the
-// snapshot key (byte-identical
-// to the entry the worker wrote locally, both being the same JSON
-// round-trip), and pre-pushes it inside later requests for cells
+// coordinator pools the bytes without decoding them, persists them
+// into its own cache under the snapshot key as they are
+// (byte-identical to the entry the worker wrote locally, both being
+// the one encoding the worker made), and pre-pushes them inside later
+// requests for cells
 // sharing that key dispatched at pools that do not already hold it —
 // skipping endpoints that share the coordinator's -cachedir, where the
 // disk already carries the snapshot. The worker installs pushed
@@ -285,10 +289,12 @@
 // percent of the JSON decode time, which was most of a warm report's
 // work. Since v4 it leaves out fl.Outcome, which a decode leaves zero
 // and exp.Runtime derives again from the history (fl.OutcomeOf), so a
-// metric's definition never lives in cached bytes. Every other
-// artifact — pretrain snapshots, decision traces,
-// the Fixed (Best) grid selection — stays JSON. The canonical key
-// rides in clear text ahead of the payload, so a reader rejects a
+// metric's definition never lives in cached bytes. A pretrain
+// snapshot's payload is its binary form too
+// (core.Snapshot.AppendBinary), stored as the bytes its warm-up
+// encoded. Every other artifact — decision traces, the Fixed (Best)
+// grid selection — stays JSON. The canonical key rides in clear text
+// ahead of the payload, so a reader rejects a
 // foreign record (hash collision) after reading only the header, and
 // packs stay greppable by key. The payload is stored raw: float64
 // round series compress less than 2x, and inflating them was half of a
@@ -353,16 +359,25 @@
 // FedGPO contender's Q-table warm-up is executed once per scenario and
 // captured as a core.Snapshot under
 //
-//	<keyVersion>|pretrain|<scenario key>|cfg=<controller config JSON>|warmseed=<N>|warmrounds=<N>
+//	<keyVersion>|pretrain|<scenario key>|cfg=<controller config JSON>|warmseed=<N>|warmrounds=<N>|snap=<format>
 //
 // so every figure/table cell (and the Table 5 oracle probes) that
 // evaluates the same warmed controller restores it from the snapshot
 // instead of re-running the warm-up per (cell, seed). The key carries
 // the full controller configuration and the warm-up deployment, so
-// ablation variants and different scenarios never share tables.
-// Snapshots are always served through the cache's JSON round-trip
-// (which is lossless for float64), so a cell's result does not depend
-// on whether its snapshot was built in-process or read from disk.
+// ablation variants and different scenarios never share tables, and
+// the snapshot's encoding (core.SnapshotFormat), so a record written
+// in another encoding — the JSON snapshots of protocol 10 and earlier
+// had no snap= part — is never looked up: a plain miss, rebuilt once,
+// not a corrupt entry. The payload is core.Snapshot.AppendBinary's
+// form, whose decode is exact (keys in sorted order, floats as their
+// IEEE-754 bits, nil kept apart from empty), so a cell's result does
+// not depend on whether its snapshot was built in-process, read from
+// disk or shipped by another process. The process that runs the
+// warm-up encodes once and keeps the value it built; a cache hit and a
+// shipped snapshot are decoded by core.Snapshot.UnmarshalBinary, which
+// is total and bounded by its input, and then checked by
+// core.Snapshot.Validate.
 // The experiment runtime's in-process singleflight guarantees at most
 // one warm-up per key even when many workers request it concurrently.
 // Grid-search selections ("fixed-best" keys) follow the same

@@ -303,7 +303,7 @@ func TestCacheIndexConcurrentPutGet(t *testing.T) {
 // each hit is a record Put would write, found verbatim in the pack.
 func FuzzScanPack(f *testing.F) {
 	keys := []string{"v4|sim|scenario-1|static/(8,10,20)|seed=1", "v4|sim|scenario-2|static/(8,10,20)|seed=1"}
-	a := packRecord(f, keys[0], rawPayload(`{"ppw":1}`))
+	a := packRecord(f, keys[0], []byte(`{"ppw":1}`))
 	b := packRecord(f, keys[1], Result{Key: keys[1], Sim: fl.Result{History: []fl.RoundRecord{{Round: 1, Accuracy: 0.5}}}})
 	f.Add(append(bytes.Clone(a), b...))
 	f.Add(append(bytes.Clone(a), b[:len(b)/2]...))
@@ -339,7 +339,7 @@ func FuzzScanPack(f *testing.F) {
 		}
 		for _, key := range append(keys, strings.Repeat("k", 3)) {
 			var got rawSink
-			if cache.Get(key, &got) && !bytes.Contains(pack, packRecord(t, key, rawPayload(got))) {
+			if cache.Get(key, &got) && !bytes.Contains(pack, packRecord(t, key, []byte(got))) {
 				t.Fatalf("%s: served a payload no valid record carries: %q", key, got)
 			}
 		}

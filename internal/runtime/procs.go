@@ -60,7 +60,7 @@ type WorkerOptions struct {
 	// before the request that carried it runs. Best effort: an install
 	// failure is ignored — the worker just re-warms, producing the
 	// identical snapshot.
-	Install func(key string, data json.RawMessage) error
+	Install func(key string, data []byte) error
 }
 
 // ServeSession runs one worker wire session: it writes the hello
@@ -239,7 +239,7 @@ type Coordinator struct {
 	// because the queue's hasSnap callback reads it while holding the
 	// queue lock.
 	snapMu sync.Mutex
-	snaps  map[string]json.RawMessage
+	snaps  map[string][]byte
 }
 
 // SetCollector attaches a telemetry collector. The coordinator records
@@ -311,7 +311,7 @@ func (c *Coordinator) EndpointStats() []EndpointStats {
 }
 
 // snapshotData returns the pooled artifact bytes for key, or nil.
-func (c *Coordinator) snapshotData(key string) json.RawMessage {
+func (c *Coordinator) snapshotData(key string) []byte {
 	c.snapMu.Lock()
 	defer c.snapMu.Unlock()
 	return c.snaps[key]
@@ -332,14 +332,15 @@ func (c *Coordinator) storeSnapshot(sa SnapshotArtifact, persisted bool) {
 	}
 	c.snapMu.Lock()
 	if c.snaps == nil {
-		c.snaps = make(map[string]json.RawMessage)
+		c.snaps = make(map[string][]byte)
 	}
 	_, seen := c.snaps[sa.Key]
 	c.snaps[sa.Key] = sa.Data
 	c.snapMu.Unlock()
 	if !seen && !persisted && c.cache != nil {
-		// Data is the exact payload JSON a local warm-up would have
-		// cached, so the disk entry is byte-identical either way.
+		// Data is the exact payload a local warm-up would have cached,
+		// stored as it is, so the disk entry is byte-identical either
+		// way.
 		c.cache.Put(sa.Key, sa.Data)
 	}
 }

@@ -67,12 +67,13 @@ type Result struct {
 
 // SnapshotArtifact is one serialized content-addressed snapshot moving
 // over the wire: Key is the artifact's canonical cache key (a pretrain
-// key today) and Data its cache-payload JSON. Shipping it is pure
-// transport — the artifact is persisted under exactly the key it would
-// have been cached under had it been built locally.
+// key today) and Data its cache payload, opaque to this package.
+// Shipping it is pure transport — the artifact is persisted under
+// exactly the key, and as exactly the bytes, it would have been cached
+// under had it been built locally.
 type SnapshotArtifact struct {
-	Key  string          `json:"key"`
-	Data json.RawMessage `json:"data"`
+	Key  string
+	Data []byte
 }
 
 // SetExtra marshals v into the Extra payload.

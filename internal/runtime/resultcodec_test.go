@@ -189,7 +189,7 @@ func TestOldGenerationEntryIsRewritten(t *testing.T) {
 func TestUndecodableResultPayloadIsCorrupt(t *testing.T) {
 	dir := t.TempDir()
 	key := "v3|sim|undecodable|c|seed=1"
-	writePack(t, dir, packRecord(t, key, rawPayload(`{"key":"x"}`)))
+	writePack(t, dir, packRecord(t, key, []byte(`{"key":"x"}`)))
 	disk, _ := NewCache(dir)
 	mem, _ := NewCache("")
 	if err := mem.Put(key, json.RawMessage(`{"key":"x"}`)); err != nil {

@@ -155,7 +155,7 @@ func TestCacheDiskRoundTripAndVerification(t *testing.T) {
 	}
 	// An envelope whose key does not match the requested key (a
 	// collision or foreign record) must also miss.
-	foreign, err := appendBinaryEnvelope(nil, "evil", rawPayload(`{}`))
+	foreign, err := appendBinaryEnvelope(nil, "evil", []byte(`{}`))
 	if err != nil {
 		t.Fatal(err)
 	}

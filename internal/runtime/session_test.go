@@ -172,7 +172,7 @@ func TestWireSessionSnapshotRoundTrip(t *testing.T) {
 	}
 	conn, wait := pipeSession(t, WorkerOptions{
 		Capacity: 2,
-		Install: func(key string, _ json.RawMessage) error {
+		Install: func(key string, _ []byte) error {
 			record("install:" + key)
 			return nil
 		},

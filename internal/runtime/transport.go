@@ -22,8 +22,10 @@ import (
 // coordinator must be able to read. Protocol 8 is protocol 7 with
 // binary envelopes; protocol 9 is protocol 8 with FGC3 cache entries;
 // protocol 10 is protocol 9 with Result payloads that leave out the
-// derived fl.Outcome.
-const ProtoVersion = 10
+// derived fl.Outcome; protocol 11 is protocol 10 with pretrain
+// snapshots shipped and cached in their binary form
+// (core.Snapshot.AppendBinary) instead of JSON.
+const ProtoVersion = 11
 
 // framedSince is the first protocol whose hello is a frame; a worker
 // built before it opens with a bare JSON line.

@@ -69,7 +69,7 @@ type ServeConfig struct {
 	// artifacts (WireRequest.Snaps) into the pool's
 	// pretrain cache. It may be called from concurrent sessions and
 	// must be safe for concurrent use.
-	Install func(key string, data json.RawMessage) error
+	Install func(key string, data []byte) error
 	// Logf, when non-nil, receives per-session lifecycle and error
 	// lines.
 	Logf func(format string, args ...any)

@@ -305,6 +305,8 @@ func TestHandshakeRejectsMismatches(t *testing.T) {
 		// Protocol 9 wrote the derived outcome fields into Result
 		// payloads.
 		{"protocol 9", hello(9, keyVersion), "wire protocol 9"},
+		// Protocol 10 shipped and cached pretrain snapshots as JSON.
+		{"protocol 10", hello(10, keyVersion), "wire protocol 10"},
 		{"future protocol", hello(ProtoVersion+1, keyVersion), "wire protocol"},
 		{"wrong key scheme", hello(ProtoVersion, "v1"), "cache-key scheme"},
 		{"prefix over MaxFrameBytes", string(oversized[:]) + "xxxx", "length prefix"},
