@@ -37,7 +37,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"net"
@@ -71,21 +70,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "fedgpo-worker:", err)
 		os.Exit(1)
 	}
-	run := func(key string, spec json.RawMessage) runtime.Result {
-		sp, err := exp.DecodeJobSpec(spec)
-		if err != nil {
-			return runtime.Result{Key: key, Err: "fedgpo-worker: " + err.Error()}
-		}
-		job := rt.Job(sp)
-		if got := job.Key(); got != key {
-			// The spec must address the cell it was dispatched as;
-			// anything else would poison the shared cache under the
-			// dispatched key.
-			return runtime.Result{Key: key, Err: fmt.Sprintf("fedgpo-worker: spec addresses %q, dispatched as %q", got, key)}
-		}
-		return rt.RunJob(job)
-	}
-
 	lis, err := net.Listen("tcp", *listen)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "fedgpo-worker:", err)
@@ -97,7 +81,7 @@ func main() {
 	err = runtime.Serve(ctx, lis, runtime.ServeConfig{
 		Capacity: *capacity,
 		CacheDir: *cachedir,
-		Run:      run,
+		Run:      rt.RunRequest,
 		Install:  rt.InstallSnapshot,
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, "fedgpo-worker: "+format+"\n", args...)

@@ -147,9 +147,8 @@ func (f *RuntimeFlags) WriteMetrics(rt *exp.Runtime) error {
 // EndpointLine renders one endpoint's dispatch summary for the CLIs'
 // -v output — counters first, then the wire-level view (request
 // frames, realized batch density, raw bytes both ways) when the
-// endpoint actually moved frames, then the scheduling view (affinity
-// hit rate, stolen jobs, snapshot bytes pushed) when the affinity
-// router made any placement decision there. Endpoints print in
+// endpoint actually moved frames, then the pretrain-snapshot bytes
+// pushed to it, when there were any. Endpoints print in
 // EndpointStats order, which is sorted by name — the same deterministic
 // ordering both -v summaries share.
 func EndpointLine(ep runtime.EndpointStats) string {
@@ -158,12 +157,6 @@ func EndpointLine(ep runtime.EndpointStats) string {
 	if ep.Frames > 0 {
 		line += fmt.Sprintf(", %d frames (%.1f specs/frame), %d B sent / %d B recv",
 			ep.Frames, float64(ep.Specs)/float64(ep.Frames), ep.BytesSent, ep.BytesRecv)
-	}
-	if placed := ep.AffinityHits + ep.AffinityMisses; placed > 0 {
-		line += fmt.Sprintf(", %d/%d affinity hits", ep.AffinityHits, placed)
-		if ep.Stolen > 0 {
-			line += fmt.Sprintf(" (%d stolen)", ep.Stolen)
-		}
 	}
 	if ep.SnapBytesSent > 0 {
 		line += fmt.Sprintf(", %d B snaps pushed", ep.SnapBytesSent)

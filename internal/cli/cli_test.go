@@ -174,26 +174,18 @@ func TestRuntimeBuildsProcs(t *testing.T) {
 	}
 }
 
-// EndpointLine appends the scheduling view — affinity hit rate, stolen
-// jobs, pushed snapshot bytes — only when the router actually placed
-// work there, so pool-backend and unkeyed-batch summaries are unchanged.
+// EndpointLine appends the pushed-snapshot column only when the
+// coordinator pushed snapshot bytes there, so pool-backend and
+// snapshot-free summaries are unchanged.
 func TestEndpointLineSchedulingColumns(t *testing.T) {
 	base := runtime.EndpointStats{Endpoint: "tcp:10.0.0.5:9331", Dispatched: 12, Retried: 1}
-	if line := EndpointLine(base); strings.Contains(line, "affinity") || strings.Contains(line, "snaps") {
-		t.Errorf("idle scheduling columns leaked into %q", line)
+	if line := EndpointLine(base); strings.Contains(line, "snaps") {
+		t.Errorf("idle snapshot column leaked into %q", line)
 	}
 	ep := base
-	ep.AffinityHits, ep.AffinityMisses, ep.Stolen, ep.SnapBytesSent = 9, 3, 2, 4096
-	line := EndpointLine(ep)
-	for _, want := range []string{"9/12 affinity hits", "(2 stolen)", "4096 B snaps pushed"} {
-		if !strings.Contains(line, want) {
-			t.Errorf("EndpointLine = %q, missing %q", line, want)
-		}
-	}
-	// No steals -> no parenthetical.
-	ep.Stolen = 0
-	if line := EndpointLine(ep); strings.Contains(line, "stolen") {
-		t.Errorf("EndpointLine = %q, stray stolen column", line)
+	ep.SnapBytesSent = 4096
+	if line := EndpointLine(ep); !strings.Contains(line, ", 4096 B snaps pushed\n") {
+		t.Errorf("EndpointLine = %q, missing %q", line, "4096 B snaps pushed")
 	}
 }
 

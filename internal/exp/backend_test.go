@@ -4,11 +4,13 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
-	"fmt"
+	"errors"
 	"io"
 	"math"
 	"net"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"strconv"
@@ -21,6 +23,7 @@ import (
 	"fedgpo/internal/fl"
 	"fedgpo/internal/rl"
 	"fedgpo/internal/runtime"
+	"fedgpo/internal/runtime/wire"
 	"fedgpo/internal/workload"
 )
 
@@ -155,18 +158,8 @@ func startWorkerPool(t *testing.T, capacity int, cacheDir string) (string, func(
 		errc <- runtime.Serve(ctx, lis, runtime.ServeConfig{
 			Capacity: capacity,
 			CacheDir: cacheDir,
-			Run: func(key string, spec json.RawMessage) runtime.Result {
-				sp, err := DecodeJobSpec(spec)
-				if err != nil {
-					return runtime.Result{Key: key, Err: err.Error()}
-				}
-				job := wrt.Job(sp)
-				if got := job.Key(); got != key {
-					return runtime.Result{Key: key, Err: fmt.Sprintf("spec addresses %q, dispatched as %q", got, key)}
-				}
-				return wrt.RunJob(job)
-			},
-			Install: wrt.InstallSnapshot,
+			Run:      wrt.RunRequest,
+			Install:  wrt.InstallSnapshot,
 		})
 	}()
 	return lis.Addr().String(), func() {
@@ -180,6 +173,88 @@ func startWorkerPool(t *testing.T, capacity int, cacheDir string) (string, func(
 			t.Error("worker pool did not drain")
 		}
 	}
+}
+
+// A live worker pool answers malformed requests with error results and
+// keeps serving: over one real TCP session, a spec that does not decode
+// and a spec addressing another cell each get an error result, and the
+// valid request after them still runs. A second session that announces
+// a frame over wire.MaxFrameBytes is closed, and the pool then serves a
+// fresh session as before.
+func TestWorkerPoolSurvivesBadRequests(t *testing.T) {
+	addr, shutdown := startWorkerPool(t, 1, "")
+	defer shutdown()
+	ref, err := NewRuntime(1, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := telemetryScenario()
+	good := simSpec(s, staticContender(fl.Params{B: 8, E: 10, K: 20}, ""), 1)
+	other := simSpec(s, staticContender(fl.Params{B: 8, E: 10, K: 20}, ""), 2)
+	key := ref.Job(good).Key()
+	tcp := &runtime.TCPTransport{Addr: addr}
+	runGood := func(conn runtime.Conn) {
+		t.Helper()
+		if err := conn.SendBatch([]runtime.WireRequest{{Key: key, Spec: EncodeJobSpec(good)}}); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := conn.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Result.Err != "" || len(resp.Result.Sim.History) == 0 {
+			t.Errorf("valid request: err %q, %d rounds; want a simulated result", resp.Result.Err, len(resp.Result.Sim.History))
+		}
+	}
+
+	conn, err := tcp.Dial()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.SendBatch([]runtime.WireRequest{
+		{Key: key, Spec: json.RawMessage(`{"kind":`)},
+		{Key: key, Spec: EncodeJobSpec(other)},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"job spec decode", "spec addresses"} {
+		resp, err := conn.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Key != key || !strings.Contains(resp.Result.Err, want) {
+			t.Errorf("bad request answered %q with error %q, want an error result containing %q", resp.Key, resp.Result.Err, want)
+		}
+	}
+	runGood(conn)
+	_ = conn.Close()
+
+	// Oversized length prefix: the worker refuses the frame before
+	// reading its body and ends the session.
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	_ = nc.SetDeadline(time.Now().Add(10 * time.Second))
+	if _, _, err := wire.ReadFrame(nc, 1); err != nil {
+		t.Fatalf("reading hello: %v", err)
+	}
+	var prefix [4]byte
+	binary.BigEndian.PutUint32(prefix[:], wire.MaxFrameBytes+1)
+	if _, err := nc.Write(prefix[:]); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := nc.Read(make([]byte, 1)); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("session after an oversized length prefix: read %d bytes, err %v; want it closed", n, err)
+	}
+
+	conn, err = tcp.Dial()
+	if err != nil {
+		t.Fatalf("pool stopped accepting sessions: %v", err)
+	}
+	defer conn.Close()
+	runGood(conn)
 }
 
 // The TCP transport's acceptance contract, at the table level: the
@@ -329,9 +404,11 @@ func TestProcsBackendMatchesPoolAcrossRegistry(t *testing.T) {
 // The fleet-wide pretrain-reuse guarantee, end to end: a cold sweep of
 // warm-FedGPO cells over S scenarios against a 2-endpoint fleet
 // executes exactly S Q-table warm-ups across the whole fleet — the
-// affinity router co-locates each scenario's cells on one pool, the
-// per-process singleflight dedups within it, and any cell that still
-// lands elsewhere receives the shipped snapshot instead of re-warming.
+// dispatch queue sends a scenario's cells only to the pool building
+// its snapshot until the coordinator pools it, the per-process
+// singleflight dedups within that pool, and a cell that lands
+// elsewhere afterwards receives the shipped snapshot instead of
+// re-warming.
 // The scheduling machinery must not leak into result bytes: every cell
 // matches the in-process pool backend exactly.
 func TestFleetWideExactlyOnePretrainPerScenario(t *testing.T) {
@@ -368,19 +445,19 @@ func TestFleetWideExactlyOnePretrainPerScenario(t *testing.T) {
 		t.Errorf("fleet executed %d pretrain warm-ups for %d scenarios, want exactly one per scenario",
 			got, want)
 	}
-	var placed int64
+	var dispatched int64
 	for _, ep := range m.Endpoints {
-		placed += ep.AffinityHits + ep.AffinityMisses
+		dispatched += ep.Dispatched
 	}
-	if placed != int64(len(specs)) {
-		t.Errorf("affinity router accounted for %d placements, want %d", placed, len(specs))
+	if dispatched != int64(len(specs)) {
+		t.Errorf("fleet dispatched %d specs, want %d (each exactly once)", dispatched, len(specs))
 	}
 	// Every scenario's snapshot came home with its builder's response:
 	// the coordinator pooled it for pre-pushing and persisted it.
 	for _, s := range scens {
-		key := affinityKey(simSpec(s, fedgpoWarmContender(s), 1))
+		key := snapshotKey(simSpec(s, fedgpoWarmContender(s), 1))
 		if key == "" {
-			t.Fatal("warm FedGPO spec has no affinity key")
+			t.Fatal("warm FedGPO spec has no snapshot key")
 		}
 		var raw rawBytes
 		if !memCache.Get(key, &raw) || len(raw) == 0 {
@@ -471,7 +548,7 @@ func TestOutcomeSurvivesCacheAndWire(t *testing.T) {
 func TestInstallSnapshotRejectsInvalid(t *testing.T) {
 	s := telemetryScenario()
 	sp := simSpec(s, fedgpoWarmContender(s), 1)
-	key := affinityKey(sp)
+	key := snapshotKey(sp)
 
 	ref, err := NewRuntime(1, "")
 	if err != nil {

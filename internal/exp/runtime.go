@@ -141,9 +141,7 @@ func (r *Runtime) Metrics() telemetry.Metrics {
 		m.SetEndpointCounts(ep.Endpoint, telemetry.EndpointCounts{
 			Dispatched: ep.Dispatched, Retried: ep.Retried, Failed: ep.Failed,
 			BytesSent: ep.BytesSent, BytesRecv: ep.BytesRecv,
-			Frames: ep.Frames, Specs: ep.Specs,
-			AffinityHits: ep.AffinityHits, AffinityMisses: ep.AffinityMisses,
-			Stolen: ep.Stolen, SnapBytesSent: ep.SnapBytesSent,
+			Frames: ep.Frames, Specs: ep.Specs, SnapBytesSent: ep.SnapBytesSent,
 		})
 	}
 	return m
@@ -229,14 +227,14 @@ func (r *Runtime) pretrainedSnapshot(s ScenarioSpec, cfg core.Config, warmSeed i
 }
 
 // attachBuiltSnapshot moves a freshly built pretrain artifact onto the
-// first finished result that shares its affinity key — taken exactly
+// first finished result that reads its snapshot key — taken exactly
 // once, so the artifact crosses the wire a single time no matter how
 // many sibling cells follow. The carrying result also counts the
 // warm-up in its per-job telemetry (Counters.PretrainRuns), which the
 // coordinator folds fleet-wide: a cold sweep's counter equals the
 // number of warm-ups that actually executed anywhere in the fleet.
 func (r *Runtime) attachBuiltSnapshot(sp JobSpec, res *runtime.Result) {
-	key := affinityKey(sp)
+	key := snapshotKey(sp)
 	if key == "" {
 		return
 	}

@@ -279,24 +279,25 @@ func (r *Runtime) Job(sp JobSpec) runtime.Job {
 		sp.Trace = r.traceLevel
 	}
 	return runtime.Job{
-		Kind:       sp.Kind,
-		Scenario:   sp.scenarioKey(),
-		Controller: sp.controllerKey(),
-		Seed:       sp.Seed,
-		Payload:    EncodeJobSpec(sp),
-		Run:        func() runtime.Result { return r.Execute(sp) },
-		ForceRun:   sp.Trace != "" && sp.traceable() && !r.hasTrace(sp),
-		Affinity:   affinityKey(sp),
+		Kind:        sp.Kind,
+		Scenario:    sp.scenarioKey(),
+		Controller:  sp.controllerKey(),
+		Seed:        sp.Seed,
+		Payload:     EncodeJobSpec(sp),
+		Run:         func() runtime.Result { return r.Execute(sp) },
+		ForceRun:    sp.Trace != "" && sp.traceable() && !r.hasTrace(sp),
+		SnapshotKey: snapshotKey(sp),
 	}
 }
 
-// affinityKey returns the spec's scheduling-affinity hint: the
-// pretrained-controller snapshot key for warm FedGPO cells, "" for
-// every contender with no per-scenario warm-up to share. Cells with
-// equal keys co-located in one worker process warm up once
-// (pretrainedSnapshot singleflights per key per process). Advisory
-// only — it never enters the cache identity.
-func affinityKey(sp JobSpec) string {
+// snapshotKey returns the pretrained-controller snapshot key a warm
+// FedGPO cell reads, "" for every contender with no per-scenario
+// warm-up. The coordinator dispatches a cell reading a snapshot only
+// where that snapshot is pooled, being built, or about to be built
+// (pretrainedSnapshot singleflights per key per process), so each
+// warm-up runs once across the fleet. It never enters the cache
+// identity.
+func snapshotKey(sp JobSpec) string {
 	c := sp.Contender
 	if c.Type != ContFedGPOWarm || c.Core == nil {
 		return ""
@@ -305,10 +306,26 @@ func affinityKey(sp JobSpec) string {
 }
 
 // RunJob executes one compiled job through the runtime's executor —
-// run-cache check, panic isolation, cache write-back. It is the
-// worker binary's per-request entry point.
+// run-cache check, panic isolation, cache write-back.
 func (r *Runtime) RunJob(j runtime.Job) runtime.Result {
 	return r.exec.RunAll([]runtime.Job{j})[0]
+}
+
+// RunRequest is a worker pool's request handler (runtime.ServeConfig's
+// Run): it decodes the wire spec, checks that it addresses the cell it
+// was dispatched as, and runs it through RunJob. A spec that does not
+// decode or addresses another cell yields an error result — anything
+// else would poison the shared cache under the dispatched key.
+func (r *Runtime) RunRequest(key string, spec json.RawMessage) runtime.Result {
+	sp, err := DecodeJobSpec(spec)
+	if err != nil {
+		return runtime.Result{Key: key, Err: err.Error()}
+	}
+	job := r.Job(sp)
+	if got := job.Key(); got != key {
+		return runtime.Result{Key: key, Err: fmt.Sprintf("exp: spec addresses %q, dispatched as %q", got, key)}
+	}
+	return r.RunJob(job)
 }
 
 // Execute reconstructs and runs one job from its declarative spec.

@@ -229,27 +229,23 @@
 //
 // # Scheduling and snapshot shipping
 //
-// Jobs may carry a scheduling-affinity hint (Job.Affinity — for warm
-// FedGPO cells, the pretrained-controller snapshot key). The hint is
-// advisory: it never enters the canonical key, the wire spec, or any
-// result byte, so routing policy is free to change without
-// invalidating a single cache entry.
+// A job may name the pretrain snapshot it reads (Job.SnapshotKey: for
+// warm FedGPO cells, the pretrained-controller snapshot key). The key
+// is a dependency, never part of the cell: it enters no canonical key,
+// wire spec or result byte.
 //
-// The coordinator groups each batch by affinity key and assigns whole
-// groups to endpoints weighted by their hello-advertised session
-// capacity — largest group first, each to the endpoint with the lowest
-// projected (load+size)/capacity score, ties to the lowest index — so
-// all cells sharing a pretrain key co-locate in one worker process,
-// whose in-process singleflight then executes the warm-up exactly
-// once. Cells without a key flow through a FIFO overflow lane, so a
-// batch with no keys is a plain pull-order work queue. Stealing keeps
-// failover intact: an idle endpoint first adopts the groups of a dead
-// endpoint, then whole groups their home endpoint has not started, and
-// only then single cells from another endpoint's started group — gated
-// on the coordinator already holding that group's snapshot, so a steal
-// never triggers a duplicate warm-up. A fleet-wide cold sweep over S
-// distinct scenarios therefore performs exactly S Q-table warm-ups.
-// Routing only decides where a cell runs, never what it computes.
+// The coordinator dispatches each batch through one FIFO that every
+// endpoint's sessions pull from, oldest eligible job first. Its only
+// rule keeps each warm-up singular: a job reading snapshot K may go to
+// endpoint e only if (a) the coordinator already pools K, (b) e is
+// building K, or (c) no live endpoint is building K, and e then
+// becomes K's builder. A frame top-up never claims a key, so one frame
+// never serialises several warm-ups, and a frame holds at most the
+// session's fair share of the batch (specsPerFrame). A session with
+// nothing eligible waits for a pooled snapshot, a builder's exit
+// (which frees its keys), requeued work or the end of the batch. A
+// fleet-wide cold sweep over S distinct scenarios therefore performs
+// exactly S Q-table warm-ups, and placement never changes a result.
 //
 // Snapshot shipping makes that reuse fleet-wide. A worker whose cell
 // built a fresh pretrain snapshot returns the encoded artifact with
@@ -263,10 +259,11 @@
 // skipping endpoints that share the coordinator's -cachedir, where the
 // disk already carries the snapshot. The worker installs pushed
 // artifacts before running the request, resolving its pretrain
-// singleflight without executing the warm-up. Per-endpoint
-// AffinityHits/AffinityMisses/Stolen tallies and pushed-snapshot bytes
-// land in the -v summaries and the -metrics-out artifact beside the
-// dispatch counters.
+// singleflight without executing the warm-up. A snapshot counts as
+// held by a pool once the frame carrying it was sent, so a frame
+// resent after a failed send carries it again. Per-endpoint
+// pushed-snapshot bytes land in the -v summaries and the -metrics-out
+// artifact beside the dispatch counters.
 //
 // # Cache format
 //

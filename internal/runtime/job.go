@@ -60,13 +60,13 @@ type Job struct {
 	// which publishes the trace artifact so later traced runs are pure
 	// hits again. ForceRun never enters the canonical key.
 	ForceRun bool
-	// Affinity is a scheduling hint: jobs sharing a non-empty Affinity
-	// string benefit from running in the same worker process (today: the
-	// pretrain-snapshot cache key for warm FedGPO cells, so co-located
-	// cells warm up once). It is advisory only — routing never changes
-	// results — and must NEVER enter Key(): the same cell keyed with and
-	// without a hint is the same cell.
-	Affinity string
+	// SnapshotKey names the pretrain snapshot the cell reads (for warm
+	// FedGPO cells, the Q-table warm-up's cache key), "" for none. It is
+	// a dependency the coordinator's dispatch queue honours so that each
+	// snapshot is built once across the fleet, not part of the cell's
+	// identity: it must NEVER enter Key(), and where a cell runs never
+	// changes its result.
+	SnapshotKey string
 }
 
 // Key returns the stable canonical key naming this cell.

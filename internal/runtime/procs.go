@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -18,12 +19,12 @@ import (
 type WireRequest struct {
 	Key  string          `json:"key"`
 	Spec json.RawMessage `json:"spec"`
-	// Snaps pre-pushes serialized pretrain snapshots the coordinator
-	// holds for this job's affinity key: the worker installs them
-	// before running, so a cell stolen or overflowed onto a cold
-	// endpoint deserializes the snapshot instead of re-running the
-	// warm-up. Purely an optimization — an ignored or failed install
-	// re-warms to the identical snapshot.
+	// Snaps pre-pushes the encoded pretrain snapshot the coordinator
+	// pools for this job's Job.SnapshotKey, when the worker pool is not
+	// known to hold it: the worker installs it before running, so a cell
+	// dispatched away from the snapshot's builder deserializes it
+	// instead of re-running the warm-up. Purely an optimization — an
+	// ignored or failed install re-warms to the identical snapshot.
 	Snaps []SnapshotArtifact `json:"snaps,omitempty"`
 }
 
@@ -42,8 +43,9 @@ type WireResponse struct {
 	Metrics *telemetry.Metrics `json:"metrics,omitempty"`
 	// Snaps returns pretrain snapshots this job's execution built from
 	// scratch (Result.Snaps, also outside the result's binary form).
-	// The coordinator persists them and pre-pushes them with later
-	// requests sharing the affinity key.
+	// The coordinator pools and persists them, which frees the rest of
+	// the batch's jobs reading that snapshot to run on any endpoint,
+	// and pre-pushes them with those requests.
 	Snaps []SnapshotArtifact `json:"snaps,omitempty"`
 }
 
@@ -142,7 +144,7 @@ type ProcConfig struct {
 	// Route is read by nothing; it stays so existing ProcConfig
 	// literals keep compiling.
 	//
-	// Deprecated: ignored; affinity routing is the only policy.
+	// Deprecated: ignored; the coordinator has one dispatch queue.
 	Route string
 	// InnerParallel is read by nothing; it stays so existing ProcConfig
 	// literals keep compiling.
@@ -178,16 +180,6 @@ type EndpointStats struct {
 	// the fair-share cap (see specsPerFrame).
 	Frames int64 `json:"frames,omitempty"`
 	Specs  int64 `json:"specs,omitempty"`
-	// AffinityHits counts affinity-keyed jobs this endpoint ran as
-	// their group's home (co-located with their pretrain siblings);
-	// AffinityMisses counts affinity-keyed jobs it ran away from their
-	// home (overflowed or stolen singles).
-	AffinityHits   int64 `json:"affinityHits,omitempty"`
-	AffinityMisses int64 `json:"affinityMisses,omitempty"`
-	// Stolen counts jobs this endpoint took from another endpoint's
-	// planned share — whole-group adoptions from dead or straggling
-	// endpoints plus snapshot-backed singles.
-	Stolen int64 `json:"stolen,omitempty"`
 	// SnapBytesSent meters serialized snapshot bytes pre-pushed to this
 	// endpoint.
 	SnapBytesSent int64 `json:"snapBytesSent,omitempty"`
@@ -215,16 +207,16 @@ type endpoint struct {
 }
 
 // Coordinator executes batches across worker endpoints behind
-// Transports (TCPTransport in production). An affinityQueue
-// places each batch: affinity groups go to capacity-weighted home
-// endpoints, and idle sessions steal so a slow or remote endpoint never
-// straggles the whole batch. Each session has a retry budget of one: a
-// session failure (crashed worker, dropped connection, truncated or
-// out-of-order output) re-dials and resends only the unanswered
-// in-flight jobs; a session whose budget runs out hands its jobs back
-// to the fleet, so a dead endpoint degrades capacity, not correctness.
-// Jobs still unanswered when every session has exhausted its budget
-// yield error results.
+// Transports (TCPTransport in production). Every endpoint's sessions
+// pull each batch from one dispatchQueue, so a slow or remote endpoint
+// never straggles the whole batch, and a job reading a pretrain
+// snapshot waits for that snapshot rather than warm it up twice. Each
+// session has a retry budget of one: a session failure (crashed
+// worker, dropped connection, truncated or out-of-order output)
+// re-dials and resends only the unanswered in-flight jobs; a session
+// whose budget runs out hands its jobs back to the fleet, so a dead
+// endpoint degrades capacity, not correctness. Jobs still unanswered
+// when every session has exhausted its budget yield error results.
 type Coordinator struct {
 	cfg       ProcConfig
 	endpoints []*endpoint
@@ -236,7 +228,7 @@ type Coordinator struct {
 
 	// snapMu guards snaps, the in-memory pool of snapshot artifacts
 	// returned by workers this process lifetime. It is a dedicated lock
-	// because the queue's hasSnap callback reads it while holding the
+	// because the queue's pooled callback reads it while holding the
 	// queue lock.
 	snapMu sync.Mutex
 	snaps  map[string][]byte
@@ -318,8 +310,8 @@ func (c *Coordinator) snapshotData(key string) []byte {
 }
 
 // hasSnapshot reports whether the coordinator holds a shippable
-// artifact for key — the queue's gate for stealing cells out of a
-// group whose home already started warming up.
+// artifact for key — the queue's gate for sending a job reading it to
+// an endpoint other than the snapshot's builder.
 func (c *Coordinator) hasSnapshot(key string) bool { return c.snapshotData(key) != nil }
 
 // storeSnapshot pools a worker-returned artifact and persists it to
@@ -361,14 +353,6 @@ func (c *Coordinator) markSnapKnown(ep *endpoint, key string) {
 		ep.known = make(map[string]bool)
 	}
 	ep.known[key] = true
-}
-
-// queueStats is the queue's per-endpoint scheduling tally, folded
-// into EndpointStats and the telemetry counters after the batch.
-type queueStats struct {
-	affinityHits   int64
-	affinityMisses int64
-	stolen         int64
 }
 
 // Run executes the batch across the endpoint fleet; see Backend.Run.
@@ -413,17 +397,7 @@ func (c *Coordinator) Run(jobs []Job, done func(int, Result)) []Result {
 		}
 		return results
 	}
-	// Homes are weighed by the capacities known right now: endpoints
-	// advertise theirs in the hello, so on the very first
-	// batch they weigh 1 until probed; whole-group adoption rebalances
-	// the difference without splitting any group's warm-up.
-	c.mu.Lock()
-	caps := make([]int, len(c.endpoints))
-	for i, ep := range c.endpoints {
-		caps[i] = ep.capacity
-	}
-	c.mu.Unlock()
-	queue := newAffinityQueue(jobs, idxs, caps, c.hasSnapshot)
+	queue := newDispatchQueue(jobs, idxs, len(c.endpoints), c.hasSnapshot)
 
 	totalCap := c.Workers()
 	var wg sync.WaitGroup
@@ -431,36 +405,14 @@ func (c *Coordinator) Run(jobs []Job, done func(int, Result)) []Result {
 		wg.Add(1)
 		go func(epi int, ep *endpoint) {
 			defer wg.Done()
-			// Releasing the endpoint's planned work on exit — sessions
+			// Releasing the endpoint's snapshot claims on exit — sessions
 			// crashed out or batch done — is the queue's liveness
-			// guarantee: a dead endpoint's groups become adoptable.
+			// guarantee: another endpoint may then build those keys.
 			defer queue.endpointDone(epi)
 			c.runEndpoint(epi, ep, len(idxs), totalCap, jobs, keys, queue, results, done)
 		}(epi, ep)
 	}
 	wg.Wait()
-
-	// Fold the queue's scheduling tallies into the per-endpoint
-	// stats and the batch-level counters.
-	var hits, misses, stolen int64
-	c.mu.Lock()
-	for epi, ep := range c.endpoints {
-		qs := queue.stats(epi)
-		ep.stats.AffinityHits += qs.affinityHits
-		ep.stats.AffinityMisses += qs.affinityMisses
-		ep.stats.Stolen += qs.stolen
-		hits += qs.affinityHits
-		misses += qs.affinityMisses
-		stolen += qs.stolen
-	}
-	c.mu.Unlock()
-	if hits+misses+stolen > 0 {
-		c.col.Count(func(cc *telemetry.Counters) {
-			cc.AffinityHits += hits
-			cc.AffinityMisses += misses
-			cc.StolenJobs += stolen
-		})
-	}
 
 	// Jobs still queued here were abandoned by every session — the
 	// whole fleet exhausted its retry budget first.
@@ -507,7 +459,7 @@ func specsPerFrame(batch, totalCap int) int {
 // session to learn the session count from the hello, derives the
 // sessions' frame size from the batch shape, and runs the sessions
 // until the queue drains or every session's retry budget is spent.
-func (c *Coordinator) runEndpoint(epi int, ep *endpoint, batch, totalCap int, jobs []Job, keys []string, queue *affinityQueue, results []Result, done func(int, Result)) {
+func (c *Coordinator) runEndpoint(epi int, ep *endpoint, batch, totalCap int, jobs []Job, keys []string, queue *dispatchQueue, results []Result, done func(int, Result)) {
 	// Dial the probe with the same retry budget a session gets.
 	var probe Conn
 	var err error
@@ -549,7 +501,7 @@ func (c *Coordinator) runEndpoint(epi int, ep *endpoint, batch, totalCap int, jo
 // retry budget is spent the session gives its in-flight jobs back to
 // the fleet — a surviving endpoint absorbs them, and only a fleet with no
 // session left turns them into error results (the batch drain).
-func (c *Coordinator) runSession(epi int, ep *endpoint, conn Conn, specs int, jobs []Job, keys []string, queue *affinityQueue, results []Result, done func(int, Result)) {
+func (c *Coordinator) runSession(epi int, ep *endpoint, conn Conn, specs int, jobs []Job, keys []string, queue *dispatchQueue, results []Result, done func(int, Result)) {
 	var carried []int // in-flight frame's job indexes, carried across a retry
 	failures := 0
 	defer func() {
@@ -603,10 +555,10 @@ func (c *Coordinator) runSession(epi int, ep *endpoint, conn Conn, specs int, jo
 // stream back per spec and are finalized as they arrive, in request
 // order; a failure mid-frame returns only the unanswered tail for
 // requeue, so specs a dying worker already answered are never re-run.
-// The pump also pre-pushes pooled snapshot artifacts with
-// affinity-keyed requests whose worker isn't known to hold them, and
-// pools artifacts the responses return.
-func (c *Coordinator) pump(epi int, ep *endpoint, conn Conn, specs int, carried []int, jobs []Job, keys []string, queue *affinityQueue, results []Result, done func(int, Result)) ([]int, error) {
+// The pump also pre-pushes pooled snapshot artifacts with requests
+// whose worker isn't known to hold them, and pools artifacts the
+// responses return.
+func (c *Coordinator) pump(epi int, ep *endpoint, conn Conn, specs int, carried []int, jobs []Job, keys []string, queue *dispatchQueue, results []Result, done func(int, Result)) ([]int, error) {
 	sharesCache := c.cfg.CacheDir != "" && conn.Hello().CacheDir == c.cfg.CacheDir
 	// A worker sharing the coordinator's cache directory reads shipped
 	// snapshots straight from disk, so pushing bytes at it is pure
@@ -628,32 +580,36 @@ func (c *Coordinator) pump(epi int, ep *endpoint, conn Conn, specs int, carried 
 			frame = append(frame, queue.take(epi, specs-len(frame))...)
 		}
 		reqs := make([]WireRequest, len(frame))
+		var shipped []string // snapshot keys this frame pushes
 		var pushed int64
 		for k, i := range frame {
 			reqs[k] = WireRequest{Key: keys[i], Spec: jobs[i].Payload}
-			if a := jobs[i].Affinity; shipSnaps && a != "" && !c.snapKnown(ep, a) {
-				if data := c.snapshotData(a); data != nil {
-					reqs[k].Snaps = []SnapshotArtifact{{Key: a, Data: data}}
-					c.markSnapKnown(ep, a)
+			if sk := jobs[i].SnapshotKey; shipSnaps && sk != "" && !slices.Contains(shipped, sk) && !c.snapKnown(ep, sk) {
+				if data := c.snapshotData(sk); data != nil {
+					reqs[k].Snaps = []SnapshotArtifact{{Key: sk, Data: data}}
+					shipped = append(shipped, sk)
 					pushed += int64(len(data))
 				}
 			}
 		}
-		if pushed > 0 {
-			c.mu.Lock()
-			ep.stats.SnapBytesSent += pushed
-			c.mu.Unlock()
-			c.col.Count(func(cc *telemetry.Counters) { cc.SnapshotBytesShipped += pushed })
-		}
 		sent := time.Now()
 		if err := conn.SendBatch(reqs); err != nil {
+			// Nothing is marked known yet, so the resent frame carries
+			// its snapshots again.
 			return frame, fmt.Errorf("sending %q: %w", keys[frame[0]], err)
+		}
+		for _, sk := range shipped {
+			c.markSnapKnown(ep, sk)
 		}
 		c.mu.Lock()
 		ep.stats.Dispatched += int64(len(frame))
 		ep.stats.Frames++
 		ep.stats.Specs += int64(len(frame))
+		ep.stats.SnapBytesSent += pushed
 		c.mu.Unlock()
+		if pushed > 0 {
+			c.col.Count(func(cc *telemetry.Counters) { cc.SnapshotBytesShipped += pushed })
+		}
 		// Responses stream back one per spec, in request order. Finalize
 		// each as it arrives so a session death mid-frame costs only the
 		// unanswered tail. Latency is measured from the frame send to
@@ -675,11 +631,11 @@ func (c *Coordinator) pump(epi int, ep *endpoint, conn Conn, specs int, carried 
 				c.storeSnapshot(sa, sharesCache)
 				c.markSnapKnown(ep, sa.Key)
 			}
-			// A finished affinity job means the worker pool now holds
-			// its group's snapshot in memory — no need to ever push it
+			// A finished job reading a snapshot means the worker pool now
+			// holds that snapshot in memory — no need to ever push it
 			// there.
-			if a := jobs[i].Affinity; a != "" && r.Err == "" {
-				c.markSnapKnown(ep, a)
+			if sk := jobs[i].SnapshotKey; sk != "" && r.Err == "" {
+				c.markSnapKnown(ep, sk)
 			}
 			// A worker sharing the coordinator's cache directory already
 			// published the entry (best effort — a failed worker write
@@ -693,8 +649,8 @@ func (c *Coordinator) pump(epi int, ep *endpoint, conn Conn, specs int, carried 
 			}
 			queue.finalize()
 			if len(resp.Snaps) > 0 {
-				// Pooled artifacts make touched groups stealable; re-wake
-				// sessions idling for eligible work.
+				// A pooled snapshot frees its jobs for every endpoint;
+				// re-wake sessions idling for eligible work.
 				queue.wake()
 			}
 		}

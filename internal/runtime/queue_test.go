@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"reflect"
@@ -16,53 +17,62 @@ import (
 	"fedgpo/internal/telemetry"
 )
 
-// affJob builds a spec-carrying stub job tagged with a scheduling
-// affinity key.
-func affJob(i int, affinity string) Job {
+// keyedJob builds a spec-carrying stub job that reads pretrain
+// snapshot key ("" for none).
+func keyedJob(i int, key string) Job {
 	j := stubJob(i, stubSpec{Value: float64(i)})
-	j.Affinity = affinity
+	j.SnapshotKey = key
 	return j
 }
 
-// assignGroups is the placement kernel: capacity-weighted relative
-// load, lowest-index tiebreak, deterministic in its inputs.
+// never is a pooled callback for a coordinator that holds no snapshot.
+func never(string) bool { return false }
+
+// popAsync pops for ep in the background; the channel delivers the
+// job index, or -1 if the pop returned done.
+func popAsync(q *dispatchQueue, ep int) <-chan int {
+	got := make(chan int, 1)
+	go func() {
+		i, ok := q.pop(ep)
+		if !ok {
+			i = -1
+		}
+		got <- i
+	}()
+	return got
+}
+
+// Jobs with no snapshot key come out of the queue in FIFO order, each
+// exactly once, however many endpoints pull — and with no endpoint at
+// all, the batch drains to abandoned in the same order.
 func TestAssignGroupsCapacityWeighted(t *testing.T) {
-	// Ten unit groups over capacities 4:1 split exactly 8:2.
-	unit := make([]int, 10)
-	for i := range unit {
-		unit[i] = 1
-	}
-	counts := [2]int{}
-	for _, home := range assignGroups(unit, []int{4, 1}) {
-		counts[home]++
-	}
-	if counts[0] != 8 || counts[1] != 2 {
-		t.Errorf("unit groups split %v over caps [4,1], want [8 2]", counts)
-	}
-
-	// LPT greedy over equal capacities: largest first, ties to the
-	// lowest index.
-	homes := assignGroups([]int{5, 3, 2, 2}, []int{2, 2})
-	if want := []int{0, 1, 1, 0}; !reflect.DeepEqual(homes, want) {
-		t.Errorf("homes = %v, want %v", homes, want)
-	}
-
-	// Degenerate capacities clamp to 1 instead of dividing by zero, and
-	// an empty fleet places everything on endpoint 0.
-	homes = assignGroups([]int{1, 1}, []int{0, -3})
-	if !reflect.DeepEqual(homes, []int{0, 1}) {
-		t.Errorf("clamped-capacity homes = %v, want [0 1]", homes)
-	}
-	if homes = assignGroups([]int{1}, nil); homes[0] != 0 {
-		t.Errorf("no-fleet home = %v, want 0", homes[0])
+	jobs := specJobs(7)
+	idxs := []int{3, 0, 6, 1, 5, 2, 4}
+	for eps := 0; eps <= 2; eps++ {
+		q := newDispatchQueue(jobs, idxs, eps, never)
+		var got []int
+		for n := 0; eps > 0 && n < len(idxs); n++ {
+			i, ok := q.pop(n % eps)
+			if !ok {
+				t.Fatalf("%d endpoints: pop %d returned done", eps, n)
+			}
+			got = append(got, i)
+			q.finalize()
+		}
+		got = append(got, q.abandoned()...)
+		if !reflect.DeepEqual(got, idxs) {
+			t.Errorf("%d endpoints: dispatch order %v, want FIFO %v", eps, got, idxs)
+		}
+		if _, ok := q.pop(0); ok {
+			t.Errorf("%d endpoints: pop after the batch drained returned a job", eps)
+		}
 	}
 }
 
 // A capacity-4 endpoint must absorb ~4x the cells of a capacity-1
-// sibling under affinity routing: once the hellos have advertised the
-// capacities, placement is capacity-weighted up front, and work
-// stealing only rebalances what the weighting got wrong. Responders
-// sleep so throughput, not scheduling latency, decides the split.
+// sibling: its four sessions pull from the same FIFO as the sibling's
+// one. Responders sleep so throughput, not scheduling latency, decides
+// the split.
 func TestAffinityCapacityWeightedDispatch(t *testing.T) {
 	respond := func(_ int, req WireRequest) (WireResponse, error) {
 		time.Sleep(2 * time.Millisecond)
@@ -72,11 +82,11 @@ func TestAffinityCapacityWeightedDispatch(t *testing.T) {
 	small := newFakeTransport("fake:small", 1, respond)
 	jobs := make([]Job, 20)
 	for i := range jobs {
-		jobs[i] = affJob(i, fmt.Sprintf("group-%02d", i))
+		jobs[i] = keyedJob(i, fmt.Sprintf("group-%02d", i))
 	}
 	c := NewCoordinator(ProcConfig{}, big, small)
-	// A first batch probes both endpoints, so the second is placed by
-	// the advertised capacities.
+	// A first batch probes both endpoints, so the second runs every
+	// advertised session from its start.
 	c.Run(specJobs(1), nil)
 	before := c.EndpointStats()
 	for i, r := range c.Run(jobs, nil) {
@@ -86,46 +96,36 @@ func TestAffinityCapacityWeightedDispatch(t *testing.T) {
 	}
 	// EndpointStats sorts by name: "fake:big" first.
 	st := c.EndpointStats()
-	for i := range st {
-		st[i].Dispatched -= before[i].Dispatched
-		st[i].AffinityHits -= before[i].AffinityHits
-		st[i].AffinityMisses -= before[i].AffinityMisses
-	}
-	bigN, smallN := st[0].Dispatched, st[1].Dispatched
+	bigN, smallN := st[0].Dispatched-before[0].Dispatched, st[1].Dispatched-before[1].Dispatched
 	if bigN+smallN != int64(len(jobs)) {
 		t.Fatalf("dispatched %d+%d, want %d total", bigN, smallN, len(jobs))
 	}
-	// The static assignment is 16:4; stealing under timing jitter may
-	// shift a couple of groups, never the shape.
 	if bigN < 12 {
 		t.Errorf("capacity-4 endpoint ran %d of %d cells, want >= 12 (~4x its capacity-1 sibling's %d)",
 			bigN, len(jobs), smallN)
 	}
-	if hits, misses := st[0].AffinityHits+st[1].AffinityHits, st[0].AffinityMisses+st[1].AffinityMisses; hits+misses != int64(len(jobs)) {
-		t.Errorf("affinity tallies %d hits + %d misses, want %d placements", hits, misses, len(jobs))
-	}
 }
 
-// Cells sharing a pretrain key must run in one worker process: without
-// a shippable snapshot, a touched group is never split — whole-group
-// adoption is the only migration, and it keeps the group co-located.
+// Cells sharing a pretrain key must run in one worker process while
+// the coordinator pools no snapshot for it: the first endpoint to pop
+// a key builds it, and nobody else may take that key's cells.
 func TestAffinityCoLocatesGroups(t *testing.T) {
 	var mu sync.Mutex
-	ranOn := make(map[string]map[string]bool) // affinity key -> endpoints
-	byJobKey := make(map[string]string)       // job key -> affinity key
+	ranOn := make(map[string]map[string]bool) // snapshot key -> endpoints
+	byJobKey := make(map[string]string)       // job key -> snapshot key
 	jobs := make([]Job, 12)
 	for i := range jobs {
-		jobs[i] = affJob(i, fmt.Sprintf("pretrain-%d", i/4))
-		byJobKey[jobs[i].Key()] = jobs[i].Affinity
+		jobs[i] = keyedJob(i, fmt.Sprintf("pretrain-%d", i/4))
+		byJobKey[jobs[i].Key()] = jobs[i].SnapshotKey
 	}
 	respond := func(name string) func(int, WireRequest) (WireResponse, error) {
 		return func(_ int, req WireRequest) (WireResponse, error) {
 			mu.Lock()
-			a := byJobKey[req.Key]
-			if ranOn[a] == nil {
-				ranOn[a] = make(map[string]bool)
+			k := byJobKey[req.Key]
+			if ranOn[k] == nil {
+				ranOn[k] = make(map[string]bool)
 			}
-			ranOn[a][name] = true
+			ranOn[k][name] = true
 			mu.Unlock()
 			time.Sleep(time.Millisecond)
 			return okResponse(req)
@@ -139,33 +139,27 @@ func TestAffinityCoLocatesGroups(t *testing.T) {
 			t.Fatalf("job %d failed: %s", i, r.Err)
 		}
 	}
-	for a, eps := range ranOn {
+	if len(ranOn) != 3 {
+		t.Fatalf("ran %d snapshot keys, want 3", len(ranOn))
+	}
+	for k, eps := range ranOn {
 		if len(eps) != 1 {
-			t.Errorf("group %s ran on %d endpoints (%v), want co-location on exactly 1", a, len(eps), eps)
+			t.Errorf("key %s ran on %d endpoints (%v), want exactly 1", k, len(eps), eps)
 		}
-	}
-	var misses int64
-	for _, ep := range c.EndpointStats() {
-		misses += ep.AffinityMisses
-	}
-	if misses != 0 {
-		t.Errorf("%d affinity misses; with no shippable snapshots every cell must run at its group's home", misses)
 	}
 }
 
-// An idle endpoint must steal a straggler's untouched groups — whole,
-// so no warm-up is split — and no job may execute twice in the
-// process. The schedule is pinned by handshake rather than sleeps so
-// it holds under race-detector load: the straggler blocks inside the
-// first cell of its first frame (its group is now touched) while the
-// fast endpoint — which may not finish anything before the straggler
-// has started — drains its own two groups, adopts the one untouched
-// group, and only then releases the straggler to finish its touched
-// group.
+// An idle endpoint must pick up every key a straggler has not claimed,
+// and no job may execute twice. The schedule is pinned by handshake
+// rather than sleeps so it holds under race-detector load: the
+// straggler blocks inside the first cell of its first frame (one whole
+// key) while the fast endpoint — which may not finish anything before
+// the straggler has started — runs the other three keys, and only then
+// releases the straggler.
 func TestAffinityStragglerGroupsStolenWithoutDoubleExecution(t *testing.T) {
-	// Each group exactly fills one request frame (the batch's fair share
-	// exceeds the frame cap), so the straggler's first frame holds its
-	// first group and nothing of its second.
+	// Each key exactly fills one request frame (the batch's fair share
+	// exceeds the frame cap), so the straggler's first frame holds one
+	// key's cells and nothing else.
 	const group = maxSpecsPerFrame
 	slowStarted := make(chan struct{})
 	release := make(chan struct{})
@@ -184,14 +178,9 @@ func TestAffinityStragglerGroupsStolenWithoutDoubleExecution(t *testing.T) {
 		}
 		return okResponse(req)
 	})
-	// Four groups over caps [1,1] place g0,g2 on fast and g1,g3 on
-	// slow; fast drains its two groups, then adopts the untouched
-	// slow-homed group while slow is still inside its first frame. The
-	// rest of slow's touched group is in that frame, so fast cannot split
-	// that warm-up and the final dispatch split is exactly 3:1 groups.
 	jobs := make([]Job, 4*group)
 	for i := range jobs {
-		jobs[i] = affJob(i, fmt.Sprintf("g%d", i/group))
+		jobs[i] = keyedJob(i, fmt.Sprintf("g%d", i/group))
 	}
 	c := NewCoordinator(ProcConfig{}, fast, slow)
 	for i, r := range c.Run(jobs, nil) {
@@ -207,44 +196,33 @@ func TestAffinityStragglerGroupsStolenWithoutDoubleExecution(t *testing.T) {
 	}
 	// EndpointStats sorts by name: "fake:fast" first, "fake:slow" second.
 	st := c.EndpointStats()
-	if st[0].Stolen != group {
-		t.Errorf("fast endpoint stole %d jobs, want the straggler's untouched %d-job group", st[0].Stolen, group)
-	}
 	if st[0].Dispatched != 3*group || st[1].Dispatched != group {
-		t.Errorf("dispatch split %d/%d, want %d/%d (fast absorbed the untouched group)", st[0].Dispatched, st[1].Dispatched, 3*group, group)
+		t.Errorf("dispatch split %d/%d, want %d/%d (fast ran every key the straggler had not claimed)",
+			st[0].Dispatched, st[1].Dispatched, 3*group, group)
 	}
 }
 
-// Singles may only be stolen out of a touched group once the
-// coordinator holds the group's snapshot: the thief's request ships
-// it, so the stolen cell deserializes instead of re-warming. Until
-// then the would-be thief blocks; a snapshot arrival (wake) releases
-// it.
+// A job reading snapshot K may not go to an endpoint other than K's
+// builder while the coordinator pools no K: that endpoint blocks, and
+// the snapshot's arrival (wake) releases it.
 func TestAffinityQueueSnapshotGatesSingleSteal(t *testing.T) {
 	var mu sync.Mutex
 	haveSnap := false
-	hasSnap := func(string) bool {
+	pooled := func(string) bool {
 		mu.Lock()
 		defer mu.Unlock()
 		return haveSnap
 	}
-	jobs := []Job{affJob(0, "k"), affJob(1, "k"), affJob(2, "k")}
-	q := newAffinityQueue(jobs, []int{0, 1, 2}, []int{1, 1}, hasSnap)
+	jobs := []Job{keyedJob(0, "k"), keyedJob(1, "k"), keyedJob(2, "k")}
+	q := newDispatchQueue(jobs, []int{0, 1, 2}, 2, pooled)
 
-	if i, ok := q.pop(0); !ok || jobs[i].Affinity != "k" {
-		t.Fatalf("home pop = (%d, %v), want a group job", i, ok)
+	if i, ok := q.pop(0); !ok || i != 0 {
+		t.Fatalf("builder pop = (%d, %v), want job 0", i, ok)
 	}
-	got := make(chan int, 1)
-	go func() {
-		i, ok := q.pop(1)
-		if !ok {
-			i = -1
-		}
-		got <- i
-	}()
+	got := popAsync(q, 1)
 	select {
 	case i := <-got:
-		t.Fatalf("endpoint 1 stole job %d from a touched group with no shippable snapshot", i)
+		t.Fatalf("endpoint 1 took job %d of a key endpoint 0 is building, with no pooled snapshot", i)
 	case <-time.After(30 * time.Millisecond):
 	}
 	mu.Lock()
@@ -257,11 +235,65 @@ func TestAffinityQueueSnapshotGatesSingleSteal(t *testing.T) {
 			t.Fatal("pop returned done with jobs still queued")
 		}
 	case <-time.After(time.Second):
-		t.Fatal("snapshot arrival did not release the blocked steal")
+		t.Fatal("snapshot arrival did not release the blocked pop")
 	}
-	qs := q.stats(1)
-	if qs.stolen != 1 || qs.affinityMisses != 1 {
-		t.Errorf("thief tally = %+v, want 1 stolen / 1 miss", qs)
+}
+
+// The frame top-up never starts a warm-up: take hands out keyless jobs
+// and jobs of keys this endpoint already builds, and leaves a key
+// nobody has claimed for a pop.
+func TestDispatchQueueTakeNeverClaimsKey(t *testing.T) {
+	jobs := []Job{keyedJob(0, "k1"), keyedJob(1, "k2"), keyedJob(2, "k1"), keyedJob(3, ""), keyedJob(4, "k2")}
+	q := newDispatchQueue(jobs, []int{0, 1, 2, 3, 4}, 2, never)
+	if i, ok := q.pop(0); !ok || i != 0 {
+		t.Fatalf("first pop = (%d, %v), want job 0", i, ok)
+	}
+	if got := q.take(0, 10); !reflect.DeepEqual(got, []int{2, 3}) {
+		t.Errorf("top-up took %v, want [2 3] (its own key and the keyless job, not k2)", got)
+	}
+	if got := q.take(1, 10); len(got) != 0 {
+		t.Errorf("endpoint 1's top-up took %v before claiming any key, want nothing", got)
+	}
+	select {
+	case i := <-popAsync(q, 1):
+		if i != 1 {
+			t.Errorf("endpoint 1 popped %d, want job 1: k2 must still be unclaimed", i)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("endpoint 1 found nothing to pop: the top-up claimed k2")
+	}
+	if got := q.take(0, 10); len(got) != 0 {
+		t.Errorf("endpoint 0 took %v of endpoint 1's key", got)
+	}
+}
+
+// A builder that exits frees its keys: a blocked endpoint claims the
+// snapshot and becomes its builder, so a dead endpoint never strands
+// work.
+func TestDispatchQueueDeadBuilderFreesKey(t *testing.T) {
+	jobs := []Job{keyedJob(0, "k"), keyedJob(1, "k"), keyedJob(2, "k")}
+	q := newDispatchQueue(jobs, []int{0, 1, 2}, 2, never)
+	if i, ok := q.pop(0); !ok || i != 0 {
+		t.Fatalf("builder pop = (%d, %v), want job 0", i, ok)
+	}
+	q.requeue(0) // the builder gave its in-flight job back, then died
+	got := popAsync(q, 1)
+	select {
+	case i := <-got:
+		t.Fatalf("endpoint 1 took job %d while the builder was live", i)
+	case <-time.After(30 * time.Millisecond):
+	}
+	q.endpointDone(0)
+	select {
+	case i := <-got:
+		if i != 1 {
+			t.Fatalf("pop after the builder exited = %d, want job 1", i)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("the builder's exit did not free its key")
+	}
+	if got := q.take(1, 10); !reflect.DeepEqual(got, []int{2, 0}) {
+		t.Errorf("new builder's top-up took %v, want [2 0]", got)
 	}
 }
 
@@ -275,14 +307,14 @@ type snapSpec struct {
 
 // snapJob builds a spec job whose worker-side execution may return a
 // snapshot artifact (snap != "").
-func snapJob(i int, affinity, snap string) Job {
+func snapJob(i int, key, snap string) Job {
 	payload, _ := json.Marshal(snapSpec{Value: float64(i), Snap: snap})
 	return Job{
-		Kind:     "sim",
-		Scenario: fmt.Sprintf("snap-%d", i),
-		Seed:     int64(i),
-		Payload:  payload,
-		Affinity: affinity,
+		Kind:        "sim",
+		Scenario:    fmt.Sprintf("snap-%d", i),
+		Seed:        int64(i),
+		Payload:     payload,
+		SnapshotKey: key,
 	}
 }
 
@@ -442,5 +474,39 @@ func TestCoordinatorPoolsAndShipsSnapshots(t *testing.T) {
 	}
 	if m := col.Snapshot(); m.Counters.SnapshotBytesShipped != int64(len(snapArtifact)) {
 		t.Errorf("counters.SnapshotBytesShipped = %d, want %d", m.Counters.SnapshotBytesShipped, len(snapArtifact))
+	}
+}
+
+// A snapshot counts as pushed only once the frame carrying it was sent:
+// when the first send fails, the retried frame must carry the snapshot
+// again, or the worker would run a second warm-up.
+func TestCoordinatorResendAfterFailedSendCarriesSnapshot(t *testing.T) {
+	var mu sync.Mutex
+	var got [][]SnapshotArtifact
+	tr := newFakeTransport("fake:a", 1, func(_ int, req WireRequest) (WireResponse, error) {
+		mu.Lock()
+		got = append(got, req.Snaps)
+		mu.Unlock()
+		return okResponse(req)
+	})
+	tr.sendErr = func(dial int) error {
+		if dial == 1 {
+			return errors.New("broken pipe")
+		}
+		return nil
+	}
+	c := NewCoordinator(ProcConfig{}, tr)
+	c.storeSnapshot(SnapshotArtifact{Key: "pretrain-k", Data: snapArtifact}, false)
+	if res := c.Run([]Job{snapJob(0, "pretrain-k", "")}, nil); res[0].Err != "" {
+		t.Fatalf("job failed: %s", res[0].Err)
+	}
+	if len(got) != 1 {
+		t.Fatalf("worker served %d requests, want 1", len(got))
+	}
+	if len(got[0]) != 1 || got[0][0].Key != "pretrain-k" || !bytes.Equal(got[0][0].Data, snapArtifact) {
+		t.Errorf("resent request carried snapshots %+v, want the pooled pretrain-k artifact", got[0])
+	}
+	if st := c.EndpointStats(); st[0].Retried != 1 || st[0].SnapBytesSent != int64(len(snapArtifact)) {
+		t.Errorf("endpoint stats %+v, want 1 retry and %d snapshot bytes pushed once", st[0], len(snapArtifact))
 	}
 }

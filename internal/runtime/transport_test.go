@@ -30,6 +30,9 @@ type fakeTransport struct {
 	respond func(dial int, req WireRequest) (WireResponse, error)
 	// dialErr, when non-nil, can fail a dial outright.
 	dialErr func(dial int) error
+	// sendErr, when non-nil, can fail a session's SendBatch before any
+	// request is recorded.
+	sendErr func(dial int) error
 
 	mu    sync.Mutex
 	dials int
@@ -78,6 +81,11 @@ type fakeConn struct {
 func (c *fakeConn) Hello() WireHello { return c.t.hello }
 
 func (c *fakeConn) SendBatch(reqs []WireRequest) error {
+	if c.t.sendErr != nil {
+		if err := c.t.sendErr(c.dial); err != nil {
+			return err
+		}
+	}
 	c.t.mu.Lock()
 	for _, req := range reqs {
 		c.t.sends[req.Key]++
@@ -366,7 +374,7 @@ func FuzzHello(f *testing.F) {
 // result instead of building a queue over an empty fleet.
 func TestCoordinatorWithoutEndpointsReturnsErrors(t *testing.T) {
 	jobs := specJobs(2)
-	jobs[0].Affinity = "pretrain-k"
+	jobs[0].SnapshotKey = "pretrain-k"
 	done := 0
 	results := NewCoordinator(ProcConfig{}).Run(jobs, func(int, Result) { done++ })
 	for i, r := range results {

@@ -102,17 +102,20 @@ type Counters struct {
 	// PretrainRuns counts FedGPO Q-table warm-ups that actually executed
 	// anywhere in the fleet (each warm-up is counted once, by the worker
 	// process that ran it, and carried home over the wire like every
-	// other counter). Under affinity routing a cold sweep over S
-	// scenarios performs exactly S of them.
+	// other counter). The coordinator's dispatch queue sends a cell
+	// reading a snapshot only where that snapshot is pooled or being
+	// built, so a cold sweep over S scenarios performs exactly S of
+	// them.
 	PretrainRuns int64 `json:"pretrainRuns"`
-	// AffinityHits / AffinityMisses count jobs carrying a pretrain
-	// affinity key that were dispatched at (hits) or away from (misses)
-	// their group's home endpoint.
-	AffinityHits   int64 `json:"affinityHits"`
+	// AffinityHits, AffinityMisses and StolenJobs are written by
+	// nothing; they stay so existing readers keep compiling.
+	//
+	// Deprecated: always zero; the coordinator keeps no placement
+	// tallies.
+	AffinityHits int64 `json:"affinityHits"`
+	// Deprecated: always zero; see AffinityHits.
 	AffinityMisses int64 `json:"affinityMisses"`
-	// StolenJobs counts jobs an endpoint pulled from another endpoint's
-	// assignment (work stealing: dead-endpoint adoption, idle-thief
-	// group adoption, or snapshot-covered singles).
+	// Deprecated: always zero; see AffinityHits.
 	StolenJobs int64 `json:"stolenJobs"`
 	// SnapshotBytesShipped counts serialized pretrain-snapshot bytes the
 	// coordinator pre-pushed to workers (wire protocol v5).
@@ -195,27 +198,20 @@ type Endpoint struct {
 	// up to the coordinator's fair-share batch on v4).
 	Frames int64 `json:"frames,omitempty"`
 	Specs  int64 `json:"specs,omitempty"`
-	// AffinityHits / AffinityMisses split the endpoint's
-	// affinity-keyed jobs by whether they ran at their group's home;
-	// Stolen counts jobs this endpoint pulled from another endpoint's
-	// assignment; SnapBytesSent counts pretrain-snapshot bytes
-	// pre-pushed to this endpoint.
-	AffinityHits   int64     `json:"affinityHits,omitempty"`
-	AffinityMisses int64     `json:"affinityMisses,omitempty"`
-	Stolen         int64     `json:"stolen,omitempty"`
-	SnapBytesSent  int64     `json:"snapBytesSent,omitempty"`
-	Latency        Histogram `json:"latency"`
+	// SnapBytesSent counts pretrain-snapshot bytes pre-pushed to this
+	// endpoint.
+	SnapBytesSent int64     `json:"snapBytesSent,omitempty"`
+	Latency       Histogram `json:"latency"`
 }
 
 // EndpointCounts carries one endpoint's coordinator-authoritative
 // dispatch counters into SetEndpointCounts — everything in Endpoint
 // except the name and the latency histogram.
 type EndpointCounts struct {
-	Dispatched, Retried, Failed  int64
-	BytesSent, BytesRecv         int64
-	Frames, Specs                int64
-	AffinityHits, AffinityMisses int64
-	Stolen, SnapBytesSent        int64
+	Dispatched, Retried, Failed int64
+	BytesSent, BytesRecv        int64
+	Frames, Specs               int64
+	SnapBytesSent               int64
 }
 
 // Metrics is one serializable telemetry snapshot: what the CLIs write
@@ -241,9 +237,6 @@ func (m *Metrics) SetEndpointCounts(name string, c EndpointCounts) {
 		ep.BytesRecv = c.BytesRecv
 		ep.Frames = c.Frames
 		ep.Specs = c.Specs
-		ep.AffinityHits = c.AffinityHits
-		ep.AffinityMisses = c.AffinityMisses
-		ep.Stolen = c.Stolen
 		ep.SnapBytesSent = c.SnapBytesSent
 	}
 	for i := range m.Endpoints {
@@ -270,9 +263,9 @@ func (m Metrics) Summary() string {
 	if c.CacheTouches > 0 {
 		fmt.Fprintf(&b, "  cache touches: %d\n", c.CacheTouches)
 	}
-	if c.PretrainRuns+c.AffinityHits+c.AffinityMisses+c.StolenJobs+c.SnapshotBytesShipped > 0 {
-		fmt.Fprintf(&b, "  scheduling: %d fleet pretrain runs, %d affinity hits / %d misses, %d stolen, %d snapshot B shipped\n",
-			c.PretrainRuns, c.AffinityHits, c.AffinityMisses, c.StolenJobs, c.SnapshotBytesShipped)
+	if c.PretrainRuns+c.SnapshotBytesShipped > 0 {
+		fmt.Fprintf(&b, "  scheduling: %d fleet pretrain runs, %d snapshot B shipped\n",
+			c.PretrainRuns, c.SnapshotBytesShipped)
 	}
 	if len(m.Phases) > 0 {
 		names := make([]string, 0, len(m.Phases))
@@ -302,10 +295,6 @@ func (ep Endpoint) wireSummary() string {
 	if ep.Frames > 0 {
 		s = fmt.Sprintf(", %d frames (%.1f specs/frame), %d B sent / %d B recv",
 			ep.Frames, float64(ep.Specs)/float64(ep.Frames), ep.BytesSent, ep.BytesRecv)
-	}
-	if ep.AffinityHits+ep.AffinityMisses+ep.Stolen > 0 {
-		s += fmt.Sprintf(", %d/%d affinity hits, %d stolen",
-			ep.AffinityHits, ep.AffinityHits+ep.AffinityMisses, ep.Stolen)
 	}
 	if ep.SnapBytesSent > 0 {
 		s += fmt.Sprintf(", %d snap B pushed", ep.SnapBytesSent)
@@ -399,9 +388,6 @@ func (c *Collector) Add(m Metrics) {
 	cc.Retries += mc.Retries
 	cc.Failovers += mc.Failovers
 	cc.PretrainRuns += mc.PretrainRuns
-	cc.AffinityHits += mc.AffinityHits
-	cc.AffinityMisses += mc.AffinityMisses
-	cc.StolenJobs += mc.StolenJobs
 	cc.SnapshotBytesShipped += mc.SnapshotBytesShipped
 	for _, mep := range m.Endpoints {
 		ep, ok := c.endpoints[mep.Endpoint]
@@ -416,9 +402,6 @@ func (c *Collector) Add(m Metrics) {
 		ep.BytesRecv += mep.BytesRecv
 		ep.Frames += mep.Frames
 		ep.Specs += mep.Specs
-		ep.AffinityHits += mep.AffinityHits
-		ep.AffinityMisses += mep.AffinityMisses
-		ep.Stolen += mep.Stolen
 		ep.SnapBytesSent += mep.SnapBytesSent
 		ep.Latency.merge(mep.Latency)
 	}
