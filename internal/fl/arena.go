@@ -9,14 +9,6 @@ import (
 	"fedgpo/internal/stats"
 )
 
-// costKey identifies one memoized compute-cost table. Profile and
-// WorkloadShape are flat comparable structs, so the pair is a valid map
-// key and two fleets with identical hardware share tables for free.
-type costKey struct {
-	prof  device.Profile
-	shape device.WorkloadShape
-}
-
 // Arena owns every buffer the simulation round loop touches, so that a
 // run — and every run after it that reuses the arena — executes its
 // steady-state rounds without allocating. Run draws arenas from a
@@ -42,10 +34,8 @@ type costKey struct {
 // Per-round slots are fully overwritten each round: the trace replay
 // writes both stochastic DeviceState fields, and each participant's
 // DeviceRound is a composite literal, so stale Dropped/energy fields
-// cannot leak. The memo tables are keyed by value. The only state
-// deliberately carried across runs is the compute-cost memo, which is
-// pure per (profile, workload, batch) — reusing it cannot change any
-// result, only skip re-deriving it. A dirty arena therefore yields
+// cannot leak. Apart from the run memo it joins, no arena state
+// carries over from one run to the next, so a dirty arena yields
 // byte-identical output to a fresh one (enforced by
 // TestRunWithDirtyArenaByteIdentical).
 //
@@ -57,7 +47,6 @@ type Arena struct {
 	profiles  []device.Profile
 	idleWatts []float64
 	samples   []int
-	devCost   []*device.CostModel
 	states    []DeviceState
 
 	// sel double-buffers participant selection: the previous round's
@@ -87,20 +76,12 @@ type Arena struct {
 
 	part data.Memo
 	comm netsim.CommModel
-
-	// costs persists across runs: compute-cost tables are pure in
-	// (profile, workload, batch), so cells sharing hardware and
-	// workload reuse them outright.
-	costs map[costKey]*device.CostModel
 }
 
 // NewArena returns an empty arena. Buffers grow on first use and are
 // reused afterwards.
 func NewArena() *Arena {
-	return &Arena{
-		costs:  make(map[costKey]*device.CostModel),
-		accRNG: stats.NewRNG(0),
-	}
+	return &Arena{accRNG: stats.NewRNG(0)}
 }
 
 // arenaPool recycles arenas across Run calls. sync.Pool is per-P under
@@ -112,15 +93,14 @@ var arenaPool = sync.Pool{New: func() any { return NewArena() }}
 // and its environment trace, reseeds the convergence-model stream,
 // points the partition memo at the partition's signals (computing them
 // only for a partition that carries none; see SharedPartition) and
-// fills the per-run tables (static device states, idle power,
-// per-device cost models, channel power bands).
+// fills the per-run tables (static device states, idle power, channel
+// power bands).
 func (a *Arena) beginRun(cfg *Config) {
 	n := len(cfg.Fleet)
 	if cap(a.profiles) < n {
 		a.profiles = make([]device.Profile, n)
 		a.idleWatts = make([]float64, n)
 		a.samples = make([]int, n)
-		a.devCost = make([]*device.CostModel, n)
 		a.states = make([]DeviceState, n)
 		a.sel[0] = make([]int, n)
 		a.sel[1] = make([]int, n)
@@ -133,7 +113,6 @@ func (a *Arena) beginRun(cfg *Config) {
 	a.profiles = a.profiles[:n]
 	a.idleWatts = a.idleWatts[:n]
 	a.samples = a.samples[:n]
-	a.devCost = a.devCost[:n]
 	a.states = a.states[:n]
 	a.parts = a.parts[:n]
 	a.commJoules = a.commJoules[:n]
@@ -155,13 +134,6 @@ func (a *Arena) beginRun(cfg *Config) {
 			ClassFraction: a.part.DeviceClassFraction(i),
 			Samples:       a.samples[i],
 		}
-		key := costKey{prof: d.Profile, shape: cfg.Workload.Shape}
-		cm := a.costs[key]
-		if cm == nil {
-			cm = device.NewCostModel(d.Profile, cfg.Workload.Shape)
-			a.costs[key] = cm
-		}
-		a.devCost[i] = cm
 	}
 	a.comm = cfg.Channel.Model()
 

@@ -297,7 +297,7 @@ func executeRound(cfg *Config, plan Plan, selected []int, a *Arena) RoundResult 
 		if lp.E < 1 {
 			lp.E = 1
 		}
-		comp := a.devCost[id].Seconds(lp.B, lp.E, a.samples[id], st.Interference)
+		comp := device.ComputeSeconds(a.profiles[id], cfg.Workload.Shape, lp.B, lp.E, a.samples[id], st.Interference)
 		rt := a.comm.RoundTrip(modelBytes, st.Network)
 		parts[i] = DeviceRound{
 			DeviceID:   id,

@@ -3,13 +3,11 @@ package runtime
 import (
 	"crypto/sha256"
 	"encoding"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -18,38 +16,30 @@ import (
 	"fedgpo/internal/telemetry"
 )
 
-// DefaultPayloadCacheBytes is the byte cap on the decoded-payload
-// layer: large enough to hold every snapshot and trace artifact a
-// paper-scale sweep re-reads, small enough that a report over a
-// multi-gigabyte cache directory never mirrors it into process memory.
-const DefaultPayloadCacheBytes = 64 << 20
-
-// lookup source classes, in priority order of the read path.
+// lookup source classes.
 const (
-	srcMiss    = iota // no entry in any layer
-	srcMem     = iota // memory-only mode map hit
-	srcPayload = iota // decoded-payload layer hit (no disk read)
-	srcDisk    = iota // envelope read from disk
-	srcCorrupt = iota // a record existed but failed validation; discarded
+	srcMiss    = iota // no entry
+	srcMem            // memory-only mode map hit
+	srcDisk           // record read from disk
+	srcCorrupt        // a record existed but failed validation; discarded
 )
 
 // Cache is the content-addressed run cache. A payload is a Result's
 // own binary form (Result.AppendBinary) and JSON for every other
-// artifact. Without a directory the cache keeps payloads in an
-// in-memory map of key-hash to payload. With one, entries are records
-// in append-only pack files, <dir>/pack-*.fgcp: each Cache appends to
-// one pack of its own, created on its first Put, and reads every pack
-// in the directory through an index of key hash to record. Any other
-// file in the directory is foreign and never read. Disk hits pass
-// through a byte-capped decoded-payload LRU so cells re-read within
-// one run cost one record read, and the first hit on a pack refreshes
-// its mtime so Prune evicts least-recently-used packs first. The
-// handle on its own pack lives as long as the Cache; every record is
-// one write, so nothing is left to flush. It is safe for concurrent
-// use.
+// artifact. Both modes address an entry by its key's SHA-256 digest.
+// Without a directory the cache keeps payloads in an in-memory map.
+// With one, entries are records in append-only pack files,
+// <dir>/pack-*.fgcp: each Cache appends to one pack of its own,
+// created on its first Put, and reads every pack in the directory
+// through an index of key digest to record. Any other file in the
+// directory is foreign and never read. Every disk hit reads its record
+// and checks its CRC, and the first hit on a pack refreshes its mtime
+// so Prune evicts least-recently-used packs first. The handle on its
+// own pack lives as long as the Cache; every record is one write, so
+// nothing is left to flush. It is safe for concurrent use.
 type Cache struct {
 	mu  sync.RWMutex
-	mem map[string][]byte // hash -> payload bytes (memory-only mode)
+	mem map[digest][]byte // memory-only mode payloads
 	dir string
 	col *telemetry.Collector
 
@@ -65,9 +55,6 @@ type Cache struct {
 	wmu   sync.Mutex
 	w     *os.File
 	wpack *pack
-
-	payloadMu sync.Mutex
-	payloads  *payloadLRU
 }
 
 // pack is one pack file the index has seen.
@@ -83,23 +70,8 @@ type pack struct {
 	touched atomic.Bool
 }
 
-// digest is a canonical key's SHA-256 (HashKeyBytes), the index key.
+// digest is a canonical key's SHA-256, the address of its entry.
 type digest = [sha256.Size]byte
-
-// parseDigest decodes a HashKey content address without allocating.
-func parseDigest(hash string) (d digest, ok bool) {
-	if len(hash) != 2*len(d) {
-		return d, false
-	}
-	for i := 0; i < len(d); i += 8 {
-		u, err := strconv.ParseUint(hash[2*i:2*i+16], 16, 64)
-		if err != nil {
-			return d, false
-		}
-		binary.BigEndian.PutUint64(d[i:], u)
-	}
-	return d, true
-}
 
 // recordLoc locates one record's envelope in a pack.
 type recordLoc struct {
@@ -109,7 +81,7 @@ type recordLoc struct {
 }
 
 // SetCollector attaches a telemetry collector recording cache-level
-// events: per-read source counters (mem/payload/disk hits, misses,
+// events: per-read source counters (mem/disk hits, misses,
 // corrupt discards), read/decode/write phase time, mtime touches, and
 // Prune evictions. A nil collector disables recording.
 func (c *Cache) SetCollector(col *telemetry.Collector) { c.col = col }
@@ -123,33 +95,22 @@ func NewCache(dir string) (*Cache, error) {
 		}
 	}
 	return &Cache{
-		mem:      make(map[string][]byte),
-		dir:      dir,
-		index:    make(map[digest]recordLoc),
-		packs:    make(map[string]*pack),
-		payloads: newPayloadLRU(DefaultPayloadCacheBytes),
+		mem:   make(map[digest][]byte),
+		dir:   dir,
+		index: make(map[digest]recordLoc),
+		packs: make(map[string]*pack),
 	}, nil
 }
 
 // Get looks the key up and unmarshals the payload into v on a hit.
 func (c *Cache) Get(key string, v any) bool {
-	return c.GetHashed(key, HashKey(key), v)
-}
-
-// GetHashed is Get for callers that already hold the key's content
-// address — a batch executor hashes each canonical key exactly once
-// and reuses the digest across its lookup and write-back instead of
-// re-running SHA-256 per cache touch. hash must equal HashKey(key).
-func (c *Cache) GetHashed(key, hash string, v any) bool {
 	start := time.Now()
-	src := c.get(key, hash, v)
+	src := c.get(key, v)
 	c.col.RecordPhase(telemetry.PhaseCacheRead, time.Since(start))
 	c.col.Count(func(cc *telemetry.Counters) {
 		switch src {
 		case srcMem:
 			cc.CacheMemHits++
-		case srcPayload:
-			cc.CachePayloadHits++
 		case srcDisk:
 			cc.CacheDiskHits++
 		case srcCorrupt:
@@ -158,16 +119,16 @@ func (c *Cache) GetHashed(key, hash string, v any) bool {
 			cc.CacheMisses++
 		}
 	})
-	return src == srcMem || src == srcPayload || src == srcDisk
+	return src == srcMem || src == srcDisk
 }
 
-// get is Get's lookup body; the returned source classifies which layer
-// served the read (or how it failed). The disk read path is the
-// decoded-payload layer, then the record the index points at.
-func (c *Cache) get(key, hash string, v any) int {
+// get is Get's lookup body; the returned source classifies what served
+// the read (or how it failed).
+func (c *Cache) get(key string, v any) int {
+	d := sha256.Sum256([]byte(key))
 	if c.dir == "" {
 		c.mu.RLock()
-		payload, ok := c.mem[hash]
+		payload, ok := c.mem[d]
 		c.mu.RUnlock()
 		if !ok {
 			return srcMiss
@@ -177,21 +138,7 @@ func (c *Cache) get(key, hash string, v any) int {
 		}
 		return srcMem
 	}
-	c.payloadMu.Lock()
-	payload, ok := c.payloads.get(hash)
-	c.payloadMu.Unlock()
-	if ok {
-		if c.unmarshalPayload(payload, v) {
-			return srcPayload
-		}
-		// The layer only holds payloads that already unmarshalled once,
-		// so this is unreachable short of caller-side type skew; drop the
-		// entry and fall through to disk.
-		c.payloadMu.Lock()
-		c.payloads.drop(hash)
-		c.payloadMu.Unlock()
-	}
-	loc, ok := c.lookup(hash)
+	loc, ok := c.lookup(d)
 	if !ok {
 		return srcMiss
 	}
@@ -203,23 +150,18 @@ func (c *Cache) get(key, hash string, v any) int {
 	// match (hash collision), a payload that does not decode — is a
 	// miss, not an error: the cell just re-runs, and its new record
 	// replaces this one in the index.
-	payload, ok = decodeBinaryEnvelope(b, key)
+	payload, ok := decodeBinaryEnvelope(b, key)
 	if !ok || !c.unmarshalPayload(payload, v) {
 		return srcCorrupt
 	}
-	c.cachePayload(hash, payload)
 	c.touch(loc.pack)
 	return srcDisk
 }
 
-// lookup returns the record the index holds for hash. On a miss it
+// lookup returns the record the index holds for d. On a miss it
 // rescans the directory for new or grown packs first, so entries other
 // Caches and processes appended since the last scan are found.
-func (c *Cache) lookup(hash string) (recordLoc, bool) {
-	d, ok := parseDigest(hash)
-	if !ok {
-		return recordLoc{}, false
-	}
+func (c *Cache) lookup(d digest) (recordLoc, bool) {
 	c.mu.RLock()
 	loc, ok := c.index[d]
 	c.mu.RUnlock()
@@ -273,7 +215,7 @@ func (c *Cache) scanPack(p *pack, size int64) {
 	}
 	defer f.Close()
 	p.end = scanRecords(f, p.end, size, func(key []byte, off int64, n int) {
-		d := HashKeyBytes(key)
+		d := sha256.Sum256(key)
 		if cur, ok := c.index[d]; !ok || !cur.pack.own {
 			c.index[d] = recordLoc{pack: p, off: off, n: n}
 		}
@@ -314,20 +256,10 @@ func (c *Cache) unmarshalPayload(payload []byte, v any) bool {
 	return err == nil
 }
 
-// cachePayload admits a disk hit's payload bytes to the decoded-payload
-// layer. Only disk hits are admitted — never Put write-through — so a
-// corrupted record is still caught by the next uncached read.
-func (c *Cache) cachePayload(hash string, payload []byte) {
-	c.payloadMu.Lock()
-	c.payloads.put(hash, payload)
-	c.payloadMu.Unlock()
-}
-
 // touch refreshes p's mtime on this Cache's first hit in it, so mtime
-// order is LRU order for Prune. Later hits in the pack, and hits the
-// decoded-payload layer serves (it only holds records already read),
-// need no touch of their own. A failed touch (the pack was removed
-// under us) only skews future eviction order.
+// order is LRU order for Prune. Later hits in the pack need no touch
+// of their own. A failed touch (the pack was removed under us) only
+// skews future eviction order.
 func (c *Cache) touch(p *pack) {
 	if p.touched.Swap(true) {
 		return
@@ -340,14 +272,10 @@ func (c *Cache) touch(p *pack) {
 
 // Prune enforces a byte budget on the on-disk cache: whole packs are
 // removed oldest-mtime-first until the surviving total is at most
-// maxBytes. It also deletes the files of the one-file-per-entry layout,
-// which nothing reads any more: <64-hex>.binz entries and orphaned
-// put-* temp files. Every other file is foreign and left alone. The
-// first hit on a pack touches its mtime, so mtime order is LRU order;
-// the records of removed packs leave the index and the decoded-payload
-// layer too, so an evicted entry cannot be served from memory. It
-// returns the number of packs removed (stale files not counted).
-// Memory-only caches and maxBytes <= 0 are no-ops. Call it at startup,
+// maxBytes. Every other file is foreign and left alone. The first hit
+// on a pack touches its mtime, so mtime order is LRU order; the records
+// of removed packs leave the index, so an evicted entry is a miss. It
+// returns the number of packs removed. Memory-only caches and maxBytes <= 0 are no-ops. Call it at startup,
 // before workers share the directory — it does not coordinate with
 // concurrent writers beyond each removal being atomic.
 func (c *Cache) Prune(maxBytes int64) (int, error) {
@@ -366,14 +294,7 @@ func (c *Cache) Prune(maxBytes int64) (int, error) {
 	packs := make([]packFile, 0, len(dirents))
 	for _, de := range dirents {
 		name := de.Name()
-		if de.IsDir() {
-			continue
-		}
-		if staleCacheFile(name) {
-			_ = os.Remove(filepath.Join(c.dir, name))
-			continue
-		}
-		if filepath.Ext(name) != packExt {
+		if de.IsDir() || filepath.Ext(name) != packExt {
 			continue
 		}
 		info, err := de.Info()
@@ -399,9 +320,9 @@ func (c *Cache) Prune(maxBytes int64) (int, error) {
 	return len(removed), nil
 }
 
-// forgetPacks drops the named packs from the index and their records'
-// hashes from the decoded-payload layer. If this Cache's own pack is
-// among them, the next Put creates a new one.
+// forgetPacks drops the named packs and their records from the index.
+// If this Cache's own pack is among them, the next Put creates a new
+// one.
 func (c *Cache) forgetPacks(names map[string]bool) {
 	if len(names) == 0 {
 		return
@@ -417,53 +338,36 @@ func (c *Cache) forgetPacks(names map[string]bool) {
 	for name := range names {
 		delete(c.packs, name)
 	}
-	c.payloadMu.Lock()
-	defer c.payloadMu.Unlock()
 	for d, loc := range c.index {
 		if names[loc.pack.name] {
 			delete(c.index, d)
-			c.payloads.drop(HexHash(d))
 		}
 	}
 }
 
 // Put stores v under the key, in memory or (when configured) on disk.
+// The payload is v itself for a []byte, v's binary form when v
+// implements encoding.BinaryAppender, and its JSON otherwise. On disk
+// the entry is one record (appendRecord), built in one buffer and
+// appended to this Cache's pack in one write.
 func (c *Cache) Put(key string, v any) error {
-	return c.PutHashed(key, HashKey(key), v)
-}
-
-// PutHashed is Put for callers that already hold the key's content
-// address; hash must equal HashKey(key). The payload is v itself for
-// a []byte, v's binary form when v implements encoding.BinaryAppender,
-// and its JSON otherwise. On disk the entry is one record
-// (appendRecord), built in one buffer and appended to this Cache's
-// pack in one write.
-func (c *Cache) PutHashed(key, hash string, v any) error {
 	start := time.Now()
 	defer func() { c.col.RecordPhase(telemetry.PhaseCacheWrite, time.Since(start)) }()
+	d := sha256.Sum256([]byte(key))
 	if c.dir == "" {
 		payload, err := appendPayload(nil, v)
 		if err != nil {
 			return fmt.Errorf("runtime: cache payload: %w", err)
 		}
 		c.mu.Lock()
-		c.mem[hash] = payload
+		c.mem[d] = payload
 		c.mu.Unlock()
 		return nil
-	}
-	d, ok := parseDigest(hash)
-	if !ok {
-		return fmt.Errorf("runtime: cache hash %q is not a SHA-256 hex digest", hash)
 	}
 	rec, err := appendRecord(nil, key, v)
 	if err != nil {
 		return err
 	}
-	// An overwrite invalidates whatever the decoded-payload layer holds
-	// for this hash; the next disk hit re-admits the fresh bytes.
-	c.payloadMu.Lock()
-	c.payloads.drop(hash)
-	c.payloadMu.Unlock()
 	return c.writeRecord(d, rec)
 }
 

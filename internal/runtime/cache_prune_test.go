@@ -41,9 +41,8 @@ func TestCachePruneEvictsLRU(t *testing.T) {
 	if !cache.Get(keys[0], &got) {
 		t.Fatal("entry 0 should hit before pruning")
 	}
-	// An orphaned temp file of the old one-file-per-entry layout — a
-	// writer killed between CreateTemp and the rename publish — must be
-	// cleared by the prune (and not counted as an evicted pack).
+	// A temp file of the old one-file-per-entry layout is foreign:
+	// neither counted against the budget nor removed.
 	orphan := filepath.Join(dir, "put-1234567")
 	if err := os.WriteFile(orphan, []byte("torn write"), 0o644); err != nil {
 		t.Fatal(err)
@@ -67,8 +66,8 @@ func TestCachePruneEvictsLRU(t *testing.T) {
 	if !cache.Get(keys[3], &got) || got.Sim.ControllerOverheadSec != 3 {
 		t.Errorf("surviving entry corrupted: %+v", got)
 	}
-	if _, err := os.Stat(orphan); !os.IsNotExist(err) {
-		t.Error("orphaned put-* temp file survived the prune")
+	if _, err := os.Stat(orphan); err != nil {
+		t.Errorf("Prune touched a foreign put-* file: %v", err)
 	}
 	if n := len(packFiles(t, dir)); n != 2 {
 		t.Errorf("%d packs left, want 2", n)
@@ -135,27 +134,24 @@ func TestStatsConsistentSnapshot(t *testing.T) {
 }
 
 // Secondary artifacts — pretrain snapshots, decision traces — live in
-// the same packs under KeyFor-style keys and flow through the hashed
-// fast path (PutHashed/GetHashed with a caller-held digest). A
-// GetHashed hit must touch its pack exactly like Get does, so a
-// recently reused snapshot survives -cache-max-bytes eviction over a
-// merely recently written one.
+// the same packs as job results, addressed by the digest of their
+// KeyFor-style keys. A hit on one must touch its pack exactly like a
+// job result's, so a recently reused snapshot survives
+// -cache-max-bytes eviction over a merely recently written one.
 func TestCachePruneTouchesHashedSecondaryArtifacts(t *testing.T) {
 	dir := t.TempDir()
 	type snap struct {
 		Q []float64 `json:"q"`
 	}
 	keys := make([]string, 4)
-	hashes := make([]string, 4)
 	var packSize int64
 	for i := range keys {
 		keys[i] = KeyFor("pretrain", fmt.Sprintf("scenario-%d", i), "cfg={}", "seed=99")
-		hashes[i] = HashKey(keys[i])
 		w, err := NewCache(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := w.PutHashed(keys[i], hashes[i], snap{Q: []float64{float64(i)}}); err != nil {
+		if err := w.Put(keys[i], snap{Q: []float64{float64(i)}}); err != nil {
 			t.Fatal(err)
 		}
 		packSize = agePack(t, ownPack(t, w), time.Duration(i-len(keys))*time.Hour)
@@ -164,10 +160,9 @@ func TestCachePruneTouchesHashedSecondaryArtifacts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Reuse the oldest snapshot through the hashed path: the hit must
-	// refresh its pack's mtime.
+	// Reuse the oldest snapshot: the hit must refresh its pack's mtime.
 	var got snap
-	if !cache.GetHashed(keys[0], hashes[0], &got) || len(got.Q) != 1 || got.Q[0] != 0 {
+	if !cache.Get(keys[0], &got) || len(got.Q) != 1 || got.Q[0] != 0 {
 		t.Fatalf("oldest artifact should hit intact before pruning, got %+v", got)
 	}
 	removed, err := cache.Prune(2 * packSize)
@@ -178,13 +173,11 @@ func TestCachePruneTouchesHashedSecondaryArtifacts(t *testing.T) {
 		t.Errorf("pruned %d packs, want 2", removed)
 	}
 	for i, wantAlive := range []bool{true, false, false, true} {
-		if alive := cache.GetHashed(keys[i], hashes[i], &got); alive != wantAlive {
+		if alive := cache.Get(keys[i], &got); alive != wantAlive {
 			t.Errorf("artifact %d alive=%v, want %v", i, alive, wantAlive)
 		}
 	}
-	// The touched survivor must still round-trip through the plain-key
-	// path too (same record).
-	if !cache.Get(keys[0], &got) || got.Q[0] != 0 {
+	if got = (snap{}); !cache.Get(keys[0], &got) || got.Q[0] != 0 {
 		t.Errorf("touched artifact corrupted: %+v", got)
 	}
 }

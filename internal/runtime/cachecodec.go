@@ -1,7 +1,6 @@
 package runtime
 
 import (
-	"container/list"
 	"encoding"
 	"encoding/binary"
 	"encoding/json"
@@ -116,82 +115,4 @@ func decodeBinaryEnvelope(b []byte, wantKey string) (payload []byte, ok bool) {
 		return nil, false
 	}
 	return body[: len(body)-crcLen : len(body)-crcLen], true
-}
-
-// payloadLRU is the in-process decoded-payload layer: a byte-capped
-// LRU over the payload bytes of disk hits, so cells touched repeatedly
-// within one run (pretrain snapshots, ForceRun trace re-runs,
-// multi-figure sweeps sharing cells) read and checksum their envelope
-// once. A payload is a sub-slice of its record's bytes, so the layer
-// also retains each entry's key header and CRC. It caches payloads of
-// hits only — never write-through — so a corrupted disk entry is still
-// discovered by the next fresh read path and in-memory copies never
-// outlive an explicit drop (Prune removes evicted hashes from the
-// layer too). Methods are not locked; Cache
-// serializes access under its own payload mutex.
-type payloadLRU struct {
-	max  int64
-	size int64
-	ll   list.List                // front = most recently used
-	idx  map[string]*list.Element // hash -> element
-}
-
-// payloadEntry is one cached decoded payload.
-type payloadEntry struct {
-	hash    string
-	payload []byte
-}
-
-func newPayloadLRU(maxBytes int64) *payloadLRU {
-	return &payloadLRU{max: maxBytes, idx: make(map[string]*list.Element)}
-}
-
-// get returns the payload bytes cached for hash, refreshing its LRU
-// position. Callers must not mutate the returned slice.
-func (p *payloadLRU) get(hash string) ([]byte, bool) {
-	el, ok := p.idx[hash]
-	if !ok {
-		return nil, false
-	}
-	p.ll.MoveToFront(el)
-	return el.Value.(*payloadEntry).payload, true
-}
-
-// put caches payload under hash, evicting least-recently-used entries
-// until the layer fits its byte cap. A payload larger than the whole
-// cap is not cached at all.
-func (p *payloadLRU) put(hash string, payload []byte) {
-	if p.max <= 0 || int64(len(payload)) > p.max {
-		return
-	}
-	if el, ok := p.idx[hash]; ok {
-		e := el.Value.(*payloadEntry)
-		p.size += int64(len(payload)) - int64(len(e.payload))
-		e.payload = payload
-		p.ll.MoveToFront(el)
-	} else {
-		p.idx[hash] = p.ll.PushFront(&payloadEntry{hash: hash, payload: payload})
-		p.size += int64(len(payload))
-	}
-	for p.size > p.max {
-		el := p.ll.Back()
-		if el == nil {
-			break
-		}
-		p.remove(el)
-	}
-}
-
-// drop evicts hash from the layer (no-op when absent).
-func (p *payloadLRU) drop(hash string) {
-	if el, ok := p.idx[hash]; ok {
-		p.remove(el)
-	}
-}
-
-func (p *payloadLRU) remove(el *list.Element) {
-	e := el.Value.(*payloadEntry)
-	p.ll.Remove(el)
-	delete(p.idx, e.hash)
-	p.size -= int64(len(e.payload))
 }

@@ -2,7 +2,9 @@ package runtime
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -203,29 +205,31 @@ func TestCacheGetSurvivesArbitraryEnvelopeBytes(t *testing.T) {
 	}
 }
 
-// AppendKey + HashKeyBytes are the executor's per-job key
-// resolution; once the shared buffer has grown they must not allocate
-// at all — the zero-alloc guard behind the bench's key_allocs_per_op
-// metric.
+// keyHex is a key's SHA-256 in hex, the file name the one-file-per-entry
+// layout gave an entry.
+func keyHex(key string) string {
+	sum := sha256.Sum256([]byte(key))
+	return hex.EncodeToString(sum[:])
+}
+
+// AppendKey is the executor's per-job key resolution; once the shared
+// buffer has grown it must not allocate at all.
 func TestKeyResolutionZeroAllocs(t *testing.T) {
 	job := Job{Kind: "sim", Scenario: "scenario-3", Controller: "static/(8,10,20)", Seed: 3}
 	buf := make([]byte, 0, 256)
-	var sum [32]byte
 	allocs := testing.AllocsPerRun(100, func() {
 		buf = job.AppendKey(buf[:0])
-		sum = HashKeyBytes(buf)
 	})
 	if allocs != 0 {
 		t.Errorf("key resolution allocates %.1f objects per op, want 0", allocs)
 	}
-	_ = sum
 }
 
 // A directory holding packs next to a stray <hash>.json file (another
-// tool's output) treats the JSON file as foreign: a Get for its key is
-// a plain miss, and Prune neither counts it against the budget nor
-// removes it. An entry of the old one-file-per-entry layout,
-// <hash>.binz, is never read either, but Prune deletes it.
+// tool's output) and an entry of the old one-file-per-entry layout
+// (<hash>.binz) treats both as foreign: a Get for their keys is a
+// plain miss, and Prune neither counts them against the budget nor
+// removes them.
 func TestCachePruneMixedFormats(t *testing.T) {
 	dir := t.TempDir()
 	cache, err := NewCache(dir)
@@ -239,7 +243,7 @@ func TestCachePruneMixedFormats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	strayPath := filepath.Join(dir, HashKey(stray)+".json")
+	strayPath := filepath.Join(dir, keyHex(stray)+".json")
 	if err := os.WriteFile(strayPath, []byte(`{"key":"`+stray+`","payload":`+string(payload)+`}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -248,12 +252,15 @@ func TestCachePruneMixedFormats(t *testing.T) {
 		t.Fatal(err)
 	}
 	legacy := "legacy|cell"
-	legacyPath := filepath.Join(dir, HashKey(legacy)+".binz")
+	legacyPath := filepath.Join(dir, keyHex(legacy)+".binz")
 	env, err := appendBinaryEnvelope(nil, legacy, Result{Key: legacy})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(legacyPath, env, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chtimes(legacyPath, old, old); err != nil {
 		t.Fatal(err)
 	}
 	var got Result
@@ -278,8 +285,8 @@ func TestCachePruneMixedFormats(t *testing.T) {
 		}
 		packSize = agePack(t, ownPack(t, w), time.Duration(i-len(keys))*time.Minute)
 	}
-	// Budget for one pack: the older pack goes, the stray file (older
-	// still, and larger than the budget) is not a pack at all.
+	// Budget for one pack: the older pack goes, the foreign files (older
+	// still, and each larger than the budget) are not packs at all.
 	removed, err := cache.Prune(packSize)
 	if err != nil {
 		t.Fatal(err)
@@ -287,11 +294,10 @@ func TestCachePruneMixedFormats(t *testing.T) {
 	if removed != 1 {
 		t.Errorf("pruned %d packs, want 1", removed)
 	}
-	if _, err := os.Stat(strayPath); err != nil {
-		t.Errorf("Prune touched the stray JSON file: %v", err)
-	}
-	if _, err := os.Stat(legacyPath); !os.IsNotExist(err) {
-		t.Errorf("Prune left the legacy .binz entry: %v", err)
+	for _, path := range []string{strayPath, legacyPath} {
+		if _, err := os.Stat(path); err != nil {
+			t.Errorf("Prune touched a foreign file: %v", err)
+		}
 	}
 	for i, wantAlive := range []bool{false, true} {
 		if alive := cache.Get(keys[i], &got); alive != wantAlive {
@@ -300,65 +306,77 @@ func TestCachePruneMixedFormats(t *testing.T) {
 	}
 }
 
-// A disk hit's payload bytes are retained by the decoded-payload
-// layer, so re-reading a cell within one process never re-reads the
-// pack; Prune drops evicted hashes from the layer so an evicted entry
-// cannot be served from memory.
-func TestPayloadLayerServesRereadsAndHonorsPrune(t *testing.T) {
-	dir := t.TempDir()
-	writer, err := NewCache(dir)
+// Every disk hit reads its record again and checks its CRC: no copy
+// of a payload outlives the record it came from. After a first hit, a
+// removed pack makes the re-read a miss, a flipped payload byte makes
+// it a corrupt miss, and a pruned pack makes it a miss.
+func TestDiskRereadsRevalidateRecords(t *testing.T) {
+	key := "reread|cell"
+	want := Result{Key: key, Sim: fl.Result{ControllerOverheadSec: 7.5}}
+	// fill writes the entry into a fresh pack and returns a new reader
+	// that has served it once from disk, with its collector and the pack.
+	fill := func(dir string) (*Cache, *telemetry.Collector, string) {
+		t.Helper()
+		writer, err := NewCache(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := writer.Put(key, want); err != nil {
+			t.Fatal(err)
+		}
+		reader, err := NewCache(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		col := telemetry.NewCollector()
+		reader.SetCollector(col)
+		var got Result
+		if !reader.Get(key, &got) || got.Sim.ControllerOverheadSec != 7.5 {
+			t.Fatalf("first read should hit from disk: %+v", got)
+		}
+		return reader, col, ownPack(t, writer)
+	}
+	var got Result
+
+	reader, col, path := fill(t.TempDir())
+	if err := os.Remove(path); err != nil {
+		t.Fatal(err)
+	}
+	if reader.Get(key, &got) {
+		t.Error("re-read hit after its pack was removed")
+	}
+	if c := col.Snapshot().Counters; c.CacheDiskHits != 1 || c.CacheMisses != 1 {
+		t.Errorf("removed pack: counters = %d disk hits / %d misses, want 1/1", c.CacheDiskHits, c.CacheMisses)
+	}
+
+	reader, col, path = fill(t.TempDir())
+	b, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := "payload|cell"
-	if err := writer.Put(key, Result{Key: key, Sim: fl.Result{ControllerOverheadSec: 7.5}}); err != nil {
+	b[len(b)-crcLen-1] ^= 0xFF // the payload's last byte
+	if err := os.WriteFile(path, b, 0o644); err != nil {
 		t.Fatal(err)
+	}
+	if reader.Get(key, &got) {
+		t.Error("re-read hit after a payload byte was flipped")
+	}
+	if c := col.Snapshot().Counters; c.CacheDiskHits != 1 || c.CacheCorrupt != 1 {
+		t.Errorf("flipped byte: counters = %d disk hits / %d corrupt, want 1/1", c.CacheDiskHits, c.CacheCorrupt)
 	}
 
-	reader, _ := NewCache(dir)
-	col := telemetry.NewCollector()
-	reader.SetCollector(col)
-	var got Result
-	if !reader.Get(key, &got) || got.Sim.ControllerOverheadSec != 7.5 {
-		t.Fatalf("first read should hit from disk: %+v", got)
+	reader, _, _ = fill(t.TempDir())
+	if n, err := reader.Prune(1); err != nil || n != 1 {
+		t.Fatalf("Prune = %d, %v, want the one pack removed", n, err)
 	}
-	// Remove the pack out from under the cache: the payload layer must
-	// still serve the re-read.
-	if err := os.Remove(ownPack(t, writer)); err != nil {
-		t.Fatal(err)
-	}
-	got = Result{}
-	if !reader.Get(key, &got) || got.Sim.ControllerOverheadSec != 7.5 {
-		t.Fatalf("re-read should hit from the payload layer: %+v", got)
-	}
-	c := col.Snapshot().Counters
-	if c.CacheDiskHits != 1 || c.CachePayloadHits != 1 {
-		t.Errorf("counters = %d disk / %d payload hits, want 1/1", c.CacheDiskHits, c.CachePayloadHits)
-	}
-
-	// Prune must drop evicted hashes from the layer: re-create the
-	// entry in a new pack, read it (admitting it to the layer), then
-	// evict everything.
-	writer2, _ := NewCache(dir)
-	if err := writer2.Put(key, Result{Key: key, Sim: fl.Result{ControllerOverheadSec: 7.5}}); err != nil {
-		t.Fatal(err)
-	}
-	reader2, _ := NewCache(dir)
-	if !reader2.Get(key, &got) {
-		t.Fatal("re-created entry should hit")
-	}
-	if _, err := reader2.Prune(1); err != nil {
-		t.Fatal(err)
-	}
-	if reader2.Get(key, &got) {
-		t.Error("pruned entry served from the payload layer")
+	if reader.Get(key, &got) {
+		t.Error("pruned entry served")
 	}
 }
 
 // A Cache's first hit in a pack refreshes the pack's mtime, so Prune's
 // oldest-first order is LRU order with no flush step. Later hits in
-// the same pack — from disk or from the decoded-payload layer — cost
-// no further touch.
+// the same pack, of the same record or another, cost no further touch.
 func TestCacheHitTouchesMtime(t *testing.T) {
 	dir := t.TempDir()
 	writer, err := NewCache(dir)
@@ -388,25 +406,25 @@ func TestCacheHitTouchesMtime(t *testing.T) {
 	}
 	var got Result
 	for i, read := range []struct {
-		layer, key string
-		touches    bool
-	}{{"disk", keys[0], true}, {"payload", keys[0], false}, {"disk", keys[1], false}} {
+		key     string
+		touches bool
+	}{{keys[0], true}, {keys[0], false}, {keys[1], false}} {
 		if err := os.Chtimes(path, old, old); err != nil {
 			t.Fatal(err)
 		}
 		if !cache.Get(read.key, &got) {
-			t.Fatalf("read %d (%s) should hit", i, read.layer)
+			t.Fatalf("read %d should hit", i)
 		}
 		if touched := mtime().After(old); touched != read.touches {
-			t.Errorf("read %d (%s): touched the pack = %v, want %v", i, read.layer, touched, read.touches)
+			t.Errorf("read %d: touched the pack = %v, want %v", i, touched, read.touches)
 		}
 	}
 	c := col.Snapshot().Counters
 	if c.CacheTouches != 1 {
 		t.Errorf("CacheTouches = %d, want 1 for one pack", c.CacheTouches)
 	}
-	if c.CacheDiskHits != 2 || c.CachePayloadHits != 1 {
-		t.Errorf("counters = %d disk / %d payload hits, want 2/1", c.CacheDiskHits, c.CachePayloadHits)
+	if c.CacheDiskHits != 3 {
+		t.Errorf("CacheDiskHits = %d, want 3", c.CacheDiskHits)
 	}
 }
 

@@ -32,8 +32,8 @@
 //
 // # Scenario-spec schema
 //
-// Since v3 the scenario half of a key is itself data-driven: the
-// JobSpec's "scenario" block is an exp.ScenarioSpec composing five
+// The scenario half of a key is itself data-driven: the JobSpec's
+// "scenario" block is an exp.ScenarioSpec composing five
 // sub-specs, each with its own JSON codec, validation and
 // canonical-key contribution:
 //
@@ -64,8 +64,8 @@
 // resolved-default equivalences (zero value vs explicit paper
 // default) share one cell. The display name is deliberately absent: a
 // matrix-generated deployment that happens to equal a paper preset
-// reuses the preset's cached cells. The digest (since v4) is the first
-// 8 bytes of the SHA-256 of the workload's canonical JSON, in hex.
+// reuses the preset's cached cells. The digest is the first 8 bytes of
+// the SHA-256 of the workload's canonical JSON, in hex.
 //
 // # Execution model and backends
 //
@@ -116,18 +116,9 @@
 //
 // which the coordinator validates before dispatching anything. A
 // protocol-version or cache-key-scheme mismatch rejects the endpoint
-// outright — a worker computing cells under a different key layout
-// would otherwise publish wrong results into the shared cache, one
-// writing an older cache entry format (protocol 6 wrote FGC1,
-// protocols 7 and 8 FGC2) would publish entries the coordinator reads
-// as corrupt, one speaking JSON envelopes (protocol 7) would fail
-// every frame, one still writing fl.Outcome into Result payloads
-// (protocol 9) would be misread, and one shipping pretrain snapshots
-// as JSON (protocol 10) would have every shipped snapshot refused. A
-// worker built before protocol 6 opens with a bare JSON line instead
-// of a frame; its first four bytes decode as a length prefix far above
-// the frame bound, so the handshake fails before reading a body. The
-// advertised cacheDir decides write-back ownership: results from a
+// outright: a worker speaking another protocol or computing cells
+// under a different key layout would otherwise publish results and
+// entries the coordinator misreads. The advertised cacheDir decides write-back ownership: results from a
 // worker sharing the coordinator's cache directory arrive marked
 // Persisted (the worker already published them), while results from
 // workers caching elsewhere — typical for remote pools — are written
@@ -211,21 +202,18 @@
 // and a fixed [device.NumCategories]float64 energy accumulator that is
 // only expanded into the Result's category map once per run. A round
 // makes one serial pass over its participants — the controller's
-// per-device (B, E), then that device's compute and round-trip terms —
-// and then merges in fixed device order. The arena carries
-// bit-identical memo tables for the pure cost terms: device.CostModel
-// for batch compute times (each batch size filled on its first use),
-// netsim.CommModel for round-trip comm cost, and data.Memo for
-// partition skew/coverage signals. Runs in one process also share a
-// run memo (fl/memo.go): one fleet per composition, one partition per
-// partition spec and size (with its per-device signals, which the
-// arena's data.Memo reads), and one environment trace per (seed, fleet
-// size, interference, channel) that the first run to reach a round
-// records and every later run replays. So steady-state rounds neither
-// allocate nor re-derive invariant math (an fl unit test holds a
-// warmed-arena run under 2 allocations per round). Reuse never
-// changes a byte: beginRun re-derives every per-run table from the new
-// config, and byte-identity of dirty-arena reruns is tested directly.
+// per-device (B, E), then that device's compute time
+// (device.ComputeSeconds) and round trip (netsim.CommModel) — and then
+// merges in fixed device order. Runs in one process share a run memo
+// (fl/memo.go): one fleet per composition, one partition per partition
+// spec and size (with its per-device signals, which the arena's
+// data.Memo reads), and one environment trace per (seed, fleet size,
+// interference, channel) that the first run to reach a round records
+// and every later run replays. So steady-state rounds do not allocate
+// (an fl unit test holds a warmed-arena run under 2 allocations per
+// round). Reuse never changes a byte: beginRun re-derives every
+// per-run table from the new config, and byte-identity of dirty-arena
+// reruns is tested directly.
 //
 // # Scheduling and snapshot shipping
 //
@@ -267,9 +255,10 @@
 //
 // # Cache format
 //
-// The cache is content-addressed by the SHA-256 hex digest of the
-// canonical job key. Without a directory, entries live in an
-// in-memory map; when one is configured (the CLIs' -cachedir flag)
+// The cache is content-addressed by the SHA-256 digest of the
+// canonical key, which Get and Put compute once per call. Without a
+// directory, entries live in an in-memory map from digest to payload;
+// when one is configured (the CLIs' -cachedir flag)
 // entries are records in append-only pack files,
 // <dir>/pack-<time>-<pid>-<rand>.fgcp. Each record is
 //
@@ -284,8 +273,8 @@
 // length-prefixed bytes, then fl.Result with fixed-width float bits and
 // varint ints): about a quarter of its JSON bytes, decoded in a few
 // percent of the JSON decode time, which was most of a warm report's
-// work. Since v4 it leaves out fl.Outcome, which a decode leaves zero
-// and exp.Runtime derives again from the history (fl.OutcomeOf), so a
+// work. It leaves out fl.Outcome, which a decode leaves zero and
+// exp.Runtime derives again from the history (fl.OutcomeOf), so a
 // metric's definition never lives in cached bytes. A pretrain
 // snapshot's payload is its binary form too
 // (core.Snapshot.AppendBinary), stored as the bytes its warm-up
@@ -302,11 +291,11 @@
 // frame: a length prefix over the header bound plus
 // wire.MaxPayloadBytes is refused before anything is allocated.
 //
-// A Cache finds records through an index of key hash to (pack, offset,
-// length). Its first lookup builds the index by scanning the record
-// heads — length, magic, key — of every pack in name order, which is
-// creation order, through one bounded buffer; no pack is read into
-// memory whole. A miss rescans packs that are new or have grown before
+// A Cache finds records through an index of key digest to (pack,
+// offset, length). Its first lookup builds the index by scanning the
+// record heads — length, magic, key — of every pack in name order,
+// which is creation order, through one bounded buffer; no pack is read
+// into memory whole. A miss rescans packs that are new or have grown before
 // it reports a miss, so processes sharing a -cachedir (a coordinator
 // and its colocated worker pools) see each other's results and
 // snapshots. Put indexes its own records as it appends them, and the
@@ -319,21 +308,10 @@
 // Cache drops its pack and the next Put creates a new one. Any record
 // that fails on read — a key or checksum mismatch, a payload that does
 // not decode — is a miss and the cell re-runs, appending a new record
-// the index then points at. A record of an older format generation
-// ("FGC1", whose Result payload was JSON, or "FGC2", whose payload was
-// a DEFLATE frame) has the wrong magic, so it is such a miss too. Files
-// of the old one-file-per-entry layout (<hash>.binz entries and put-*
-// temp files) and every other file without the .fgcp extension (a
-// stray <hash>.json included) are never read; a directory filled by an
-// older build therefore reads as all misses. Results that ended in an
-// error are never cached.
-//
-// Disk hits pass through a byte-capped in-process LRU over decoded
-// payload bytes (capped at DefaultPayloadCacheBytes, 64 MB), so a
-// cell re-read within one run — pretrain snapshots, shared sweep cells
-// — costs one record read. The layer admits disk hits only, never Put
-// write-through, so a corrupted record is still caught by the next
-// fresh read.
+// the index then points at. Every file without the .fgcp extension is
+// foreign and never read. Every hit reads its record and checks its
+// CRC again; no decoded payload is kept between reads. Results that
+// ended in an error are never cached.
 //
 // # Cache eviction
 //
@@ -342,11 +320,9 @@
 // directory fits the byte budget. A Cache's first hit in a pack
 // refreshes the pack's mtime, so mtime order is LRU order and a pack a
 // warm report still reads outlives a newer one nothing asks for. Prune
-// drops the records of removed packs from the index and from the
-// decoded-payload layer, so an evicted entry cannot be served from
-// memory. It also deletes <64-hex>.binz entries and put-* temp files
-// of the old layout, which nothing reads, and leaves every other file
-// alone. Pruning is a coordinator-startup job only; worker pools never
+// drops the records of removed packs from the index, so an evicted
+// entry is a miss, and leaves every file that is not a pack alone.
+// Pruning is a coordinator-startup job only; worker pools never
 // prune the directory they share.
 //
 // # Pretrained-controller cache
@@ -364,8 +340,7 @@
 // the full controller configuration and the warm-up deployment, so
 // ablation variants and different scenarios never share tables, and
 // the snapshot's encoding (core.SnapshotFormat), so a record written
-// in another encoding — the JSON snapshots of protocol 10 and earlier
-// had no snap= part — is never looked up: a plain miss, rebuilt once,
+// in another encoding is never looked up: a plain miss, rebuilt once,
 // not a corrupt entry. The payload is core.Snapshot.AppendBinary's
 // form, whose decode is exact (keys in sorted order, floats as their
 // IEEE-754 bits, nil kept apart from empty), so a cell's result does
@@ -407,8 +382,7 @@
 //     wire's "metrics" field.
 //   - The cache times every Get/Put as cacheRead/cacheWrite phases
 //     (payload decode separately as cacheDecode), splits hits
-//     into CacheMemHits, CachePayloadHits (decoded-payload layer) and
-//     CacheDiskHits, counts clean CacheMisses apart from CacheCorrupt
+//     into CacheMemHits and CacheDiskHits, counts clean CacheMisses apart from CacheCorrupt
 //     discards, counts the pack mtime touches hits apply
 //     (CacheTouches, at most one per pack),
 //     and reports Prune removals

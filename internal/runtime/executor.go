@@ -151,27 +151,19 @@ func (e *Executor) RunAll(jobs []Job) []Result {
 		e.progressMu.Unlock()
 	}
 
-	// Resolve each job's canonical key and content address exactly once
-	// for the whole batch: the key assembly and SHA-256 digest are on
-	// the warm-rerun hot path (every lookup and write-back needs them),
-	// and per-touch recomputation was measurable on paper-scale batches.
-	// The key is built into one reused buffer and hashed in place
-	// (AppendKey + HashKeyBytes allocate nothing once the buffer fits),
-	// so the only per-job allocations left are the key and hash strings
-	// the cache API retains.
+	// Resolve each job's canonical key once for the whole batch, into
+	// one reused buffer, so a job's lookup and write-back share it.
 	keys := make([]string, len(jobs))
-	hashes := make([]string, len(jobs))
 	var keyBuf []byte
 	for i := range jobs {
 		keyBuf = jobs[i].AppendKey(keyBuf[:0])
 		keys[i] = string(keyBuf)
-		hashes[i] = HexHash(HashKeyBytes(keyBuf))
 	}
 
 	// Serve cache hits first — checked in parallel (a warm disk-cache
 	// rerun is otherwise bottlenecked on serial file reads), reported
 	// in job order.
-	hits := e.cacheHits(jobs, keys, hashes)
+	hits := e.cacheHits(jobs, keys)
 	missIdx := make([]int, 0, len(jobs))
 	for i := range jobs {
 		if hits[i] != nil {
@@ -200,7 +192,7 @@ func (e *Executor) RunAll(jobs []Job) []Result {
 			// the cache-write I/O. With a memory-only cache this Put is
 			// what makes a worker's result visible to this process at all.
 			i := missIdx[k]
-			_ = e.cache.PutHashed(keys[i], hashes[i], r)
+			_ = e.cache.Put(keys[i], r)
 		}
 		report(r)
 	})
@@ -211,13 +203,12 @@ func (e *Executor) RunAll(jobs []Job) []Result {
 }
 
 // cacheHits looks every job up in the run cache concurrently and
-// returns the hits by batch index (nil = miss or no cache). keys and
-// hashes are the batch's precomputed canonical keys and content
-// addresses, parallel to jobs. The lookup fan-out respects the
+// returns the hits by batch index (nil = miss or no cache). keys are
+// the batch's canonical keys, parallel to jobs. The lookup fan-out respects the
 // backend's configured parallelism — a -parallel 1 run stays
 // single-threaded through warm batches too, lookups (disk read +
 // history unmarshal) included.
-func (e *Executor) cacheHits(jobs []Job, keys, hashes []string) []*Result {
+func (e *Executor) cacheHits(jobs []Job, keys []string) []*Result {
 	hits := make([]*Result, len(jobs))
 	if e.cache == nil {
 		return hits
@@ -240,7 +231,7 @@ func (e *Executor) cacheHits(jobs []Job, keys, hashes []string) []*Result {
 					continue
 				}
 				var cached Result
-				if e.cache.GetHashed(keys[i], hashes[i], &cached) && cached.Err == "" {
+				if e.cache.Get(keys[i], &cached) && cached.Err == "" {
 					cached.Cached = true
 					hits[i] = &cached
 				}

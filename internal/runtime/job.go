@@ -1,8 +1,6 @@
 package runtime
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"strconv"
 	"strings"
@@ -95,20 +93,3 @@ func (j Job) AppendKey(dst []byte) []byte {
 func KeyFor(kind string, parts ...string) string {
 	return strings.Join(append([]string{keyVersion, kind}, parts...), "|")
 }
-
-// HashKey content-addresses an arbitrary canonical key.
-func HashKey(key string) string {
-	sum := sha256.Sum256([]byte(key))
-	return hex.EncodeToString(sum[:])
-}
-
-// HashKeyBytes content-addresses a canonical key held in a byte
-// buffer, returning the raw digest without allocating — the
-// AppendKey-side twin of HashKey. Render it with HexHash where a
-// string address is needed.
-func HashKeyBytes(key []byte) [sha256.Size]byte { return sha256.Sum256(key) }
-
-// HexHash renders a raw key digest as the hex content address used in
-// cache paths and wire messages: HexHash(HashKeyBytes(k)) ==
-// HashKey(string(k)).
-func HexHash(sum [sha256.Size]byte) string { return hex.EncodeToString(sum[:]) }

@@ -8,7 +8,6 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"strings"
 	"time"
 )
 
@@ -142,18 +141,4 @@ func createPack(dir string) (*os.File, string, error) {
 	name := newPackName()
 	f, err := os.OpenFile(filepath.Join(dir, name), os.O_WRONLY|os.O_CREATE|os.O_EXCL|os.O_APPEND, 0o644)
 	return f, name, err
-}
-
-// staleCacheFile reports a file of the one-file-per-entry layout this
-// cache no longer reads: a <64-hex>.binz entry, or a put-* temp file a
-// writer left behind mid-publish. Prune deletes them.
-func staleCacheFile(name string) bool {
-	if strings.HasPrefix(name, "put-") {
-		return true
-	}
-	hash, ok := strings.CutSuffix(name, ".binz")
-	if !ok || len(hash) != 64 {
-		return false
-	}
-	return strings.Trim(hash, "0123456789abcdef") == ""
 }

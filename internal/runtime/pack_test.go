@@ -345,31 +345,3 @@ func FuzzScanPack(f *testing.F) {
 		}
 	})
 }
-
-// The index is keyed by the raw SHA-256 digest, so a disk cache
-// refuses a content address that is not one: Put reports an error,
-// Get misses, and neither touches the index.
-func TestCacheRefusesMalformedHash(t *testing.T) {
-	cache, err := NewCache(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	key := "malformed|hash"
-	hash := HashKey(key)
-	for _, bad := range []string{"", hash[:63], hash + "0", "+" + hash[1:], strings.Repeat("g", 64)} {
-		if err := cache.PutHashed(key, bad, Result{Key: key}); err == nil {
-			t.Errorf("PutHashed accepted hash %q", bad)
-		}
-		var got Result
-		if cache.GetHashed(key, bad, &got) {
-			t.Errorf("GetHashed hit under hash %q", bad)
-		}
-	}
-	if err := cache.PutHashed(key, hash, Result{Key: key}); err != nil {
-		t.Fatal(err)
-	}
-	var got Result
-	if !cache.GetHashed(key, hash, &got) || got.Key != key {
-		t.Errorf("the well-formed hash missed: %+v", got)
-	}
-}

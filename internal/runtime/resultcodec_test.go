@@ -140,8 +140,9 @@ func TestResultBinaryCoversEveryField(t *testing.T) {
 
 // An entry of the old one-file-per-entry layout (<hash>.binz, here of
 // format generation "FGC2": the binary Result payload in a DEFLATE
-// frame) is never read: it is a plain miss, the cell re-runs, and the
-// entry lands as a current-format record in a pack.
+// frame) is a foreign file: never read, so a plain miss, the cell
+// re-runs and lands as a current-format record in a pack, and the
+// foreign file stays where it was.
 func TestOldGenerationEntryIsRewritten(t *testing.T) {
 	dir := t.TempDir()
 	cache, err := NewCache(dir)
@@ -159,7 +160,7 @@ func TestOldGenerationEntryIsRewritten(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy := filepath.Join(dir, HashKey(job.Key())+".binz")
+	legacy := filepath.Join(dir, keyHex(job.Key())+".binz")
 	if err := os.WriteFile(legacy, fgc2Envelope(t, job.Key(), payload), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -180,6 +181,9 @@ func TestOldGenerationEntryIsRewritten(t *testing.T) {
 	}
 	if res := e.RunAll([]Job{job})[0]; !res.Cached || runs != 1 {
 		t.Errorf("rewritten entry should hit: cached=%v runs=%d", res.Cached, runs)
+	}
+	if _, err := os.Stat(legacy); err != nil {
+		t.Errorf("the old entry should be left alone: %v", err)
 	}
 }
 

@@ -115,44 +115,3 @@ func TestStoreStreamingEdgeCases(t *testing.T) {
 		t.Errorf("an Add after Close reached the log: %+v", rs)
 	}
 }
-
-// GetHashed/PutHashed with a precomputed digest must be exactly
-// equivalent to Get/Put — same entries, same on-disk files — in both
-// storage modes; that equivalence is what lets the executor hash each
-// canonical key once per batch.
-func TestCacheHashedAccessorsEquivalent(t *testing.T) {
-	for _, dir := range []string{"", t.TempDir()} {
-		mode := "memory"
-		if dir != "" {
-			mode = "disk"
-		}
-		c, err := NewCache(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		key := "v3|hashed|equivalence"
-		hash := HashKey(key)
-		if err := c.PutHashed(key, hash, streamResult(key, 7)); err != nil {
-			t.Fatalf("%s: PutHashed: %v", mode, err)
-		}
-		var viaGet, viaHashed Result
-		if !c.Get(key, &viaGet) {
-			t.Fatalf("%s: Get missed an entry written by PutHashed", mode)
-		}
-		if !c.GetHashed(key, hash, &viaHashed) {
-			t.Fatalf("%s: GetHashed missed an entry written by PutHashed", mode)
-		}
-		if viaGet.Sim.ControllerOverheadSec != 7 || viaHashed.Sim.ControllerOverheadSec != 7 {
-			t.Errorf("%s: payloads = %v / %v, want 7", mode, viaGet.Sim.ControllerOverheadSec, viaHashed.Sim.ControllerOverheadSec)
-		}
-		// And the reverse direction: Put, read via GetHashed.
-		key2 := "v3|hashed|reverse"
-		if err := c.Put(key2, streamResult(key2, 9)); err != nil {
-			t.Fatal(err)
-		}
-		var r2 Result
-		if !c.GetHashed(key2, HashKey(key2), &r2) || r2.Sim.ControllerOverheadSec != 9 {
-			t.Errorf("%s: GetHashed after Put = (%+v), want value 9", mode, r2)
-		}
-	}
-}

@@ -75,9 +75,10 @@ type Counters struct {
 	// storage mode (cache-level; includes non-job artifacts).
 	CacheMemHits  int64 `json:"cacheMemHits"`
 	CacheDiskHits int64 `json:"cacheDiskHits"`
-	// CachePayloadHits counts disk-mode reads served by the in-process
-	// decoded-payload layer — the entry's payload bytes were already
-	// decoded by an earlier hit, so no file was read (cache-level).
+	// CachePayloadHits is written by nothing: every disk-mode hit reads
+	// its record. It stays so existing readers keep compiling.
+	//
+	// Deprecated: always zero; the cache keeps no decoded payloads.
 	CachePayloadHits int64 `json:"cachePayloadHits"`
 	// CacheMisses counts clean cache misses: no entry exists under the
 	// key in any format (cache-level).
@@ -257,8 +258,8 @@ func (m *Metrics) SetEndpointCounts(name string, c EndpointCounts) {
 func (m Metrics) Summary() string {
 	var b strings.Builder
 	c := m.Counters
-	fmt.Fprintf(&b, "telemetry: %d sims executed, %d cache hits (%d mem / %d payload / %d disk reads, %d misses, %d corrupt), %d evictions, %d retries, %d failovers\n",
-		c.SimsExecuted, c.CacheHits, c.CacheMemHits, c.CachePayloadHits, c.CacheDiskHits,
+	fmt.Fprintf(&b, "telemetry: %d sims executed, %d cache hits (%d mem / %d disk reads, %d misses, %d corrupt), %d evictions, %d retries, %d failovers\n",
+		c.SimsExecuted, c.CacheHits, c.CacheMemHits, c.CacheDiskHits,
 		c.CacheMisses, c.CacheCorrupt, c.Evictions, c.Retries, c.Failovers)
 	if c.CacheTouches > 0 {
 		fmt.Fprintf(&b, "  cache touches: %d\n", c.CacheTouches)
@@ -379,7 +380,6 @@ func (c *Collector) Add(m Metrics) {
 	cc.CacheHits += mc.CacheHits
 	cc.CacheMemHits += mc.CacheMemHits
 	cc.CacheDiskHits += mc.CacheDiskHits
-	cc.CachePayloadHits += mc.CachePayloadHits
 	cc.CacheMisses += mc.CacheMisses
 	cc.CacheCorrupt += mc.CacheCorrupt
 	cc.CacheTouches += mc.CacheTouches
