@@ -146,17 +146,15 @@ func (f *RuntimeFlags) WriteMetrics(rt *exp.Runtime) error {
 
 // EndpointLine renders one endpoint's dispatch summary for the CLIs'
 // -v output — counters first, then the wire-level view (request
-// frames, realized batch density, raw bytes both ways) when the
-// endpoint actually moved frames, then the pretrain-snapshot bytes
-// pushed to it, when there were any. Endpoints print in
-// EndpointStats order, which is sorted by name — the same deterministic
-// ordering both -v summaries share.
+// frames, raw bytes both ways) when the endpoint actually moved
+// frames, then the pretrain-snapshot bytes pushed to it, when there
+// were any. Endpoints print in EndpointStats order, which is sorted by
+// name — the same deterministic ordering both -v summaries share.
 func EndpointLine(ep runtime.EndpointStats) string {
 	line := fmt.Sprintf("  endpoint %s: %d dispatched, %d retried, %d failed",
 		ep.Endpoint, ep.Dispatched, ep.Retried, ep.Failed)
 	if ep.Frames > 0 {
-		line += fmt.Sprintf(", %d frames (%.1f specs/frame), %d B sent / %d B recv",
-			ep.Frames, float64(ep.Specs)/float64(ep.Frames), ep.BytesSent, ep.BytesRecv)
+		line += fmt.Sprintf(", %d frames, %d B sent / %d B recv", ep.Frames, ep.BytesSent, ep.BytesRecv)
 	}
 	if ep.SnapBytesSent > 0 {
 		line += fmt.Sprintf(", %d B snaps pushed", ep.SnapBytesSent)

@@ -187,6 +187,12 @@ func TestEndpointLineSchedulingColumns(t *testing.T) {
 	if line := EndpointLine(ep); !strings.Contains(line, ", 4096 B snaps pushed\n") {
 		t.Errorf("EndpointLine = %q, missing %q", line, "4096 B snaps pushed")
 	}
+	// Every request frame carries one spec, so the wire column shows
+	// the frame count and bytes, with no per-frame density.
+	ep.Frames, ep.Specs, ep.BytesSent, ep.BytesRecv = 12, 12, 900, 4000
+	if line, want := EndpointLine(ep), ", 12 frames, 900 B sent / 4000 B recv, 4096 B snaps pushed\n"; !strings.HasSuffix(line, want) {
+		t.Errorf("EndpointLine = %q, want suffix %q", line, want)
+	}
 }
 
 // Both -v summaries print the fleet in EndpointStats order, which the

@@ -195,7 +195,7 @@ func TestWorkerPoolSurvivesBadRequests(t *testing.T) {
 	tcp := &runtime.TCPTransport{Addr: addr}
 	runGood := func(conn runtime.Conn) {
 		t.Helper()
-		if err := conn.SendBatch([]runtime.WireRequest{{Key: key, Spec: EncodeJobSpec(good)}}); err != nil {
+		if err := conn.Send(runtime.WireRequest{Key: key, Spec: EncodeJobSpec(good)}); err != nil {
 			t.Fatal(err)
 		}
 		resp, err := conn.Recv()
@@ -211,19 +211,22 @@ func TestWorkerPoolSurvivesBadRequests(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := conn.SendBatch([]runtime.WireRequest{
-		{Key: key, Spec: json.RawMessage(`{"kind":`)},
-		{Key: key, Spec: EncodeJobSpec(other)},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"job spec decode", "spec addresses"} {
+	for _, c := range []struct {
+		spec json.RawMessage
+		want string
+	}{
+		{json.RawMessage(`{"kind":`), "job spec decode"},
+		{EncodeJobSpec(other), "spec addresses"},
+	} {
+		if err := conn.Send(runtime.WireRequest{Key: key, Spec: c.spec}); err != nil {
+			t.Fatal(err)
+		}
 		resp, err := conn.Recv()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if resp.Key != key || !strings.Contains(resp.Result.Err, want) {
-			t.Errorf("bad request answered %q with error %q, want an error result containing %q", resp.Key, resp.Result.Err, want)
+		if resp.Key != key || !strings.Contains(resp.Result.Err, c.want) {
+			t.Errorf("bad request answered %q with error %q, want an error result containing %q", resp.Key, resp.Result.Err, c.want)
 		}
 	}
 	runGood(conn)

@@ -19,11 +19,6 @@ type Options struct {
 	Seeds []int64
 	// MaxRounds overrides the per-run round budget (0 = default).
 	MaxRounds int
-	// Parallel is the runtime worker count (0 = GOMAXPROCS, 1 = serial).
-	Parallel int
-	// CacheDir, when set, persists the content-addressed run cache on
-	// disk so reruns only simulate cells whose configuration changed.
-	CacheDir string
 	// rt is the bound experiment runtime; see WithRuntime.
 	rt *Runtime
 }
@@ -50,20 +45,13 @@ func (o Options) WithRuntime(rt *Runtime) Options {
 	return o
 }
 
-// runtime returns the bound runtime, or builds a transient one from
-// Parallel/CacheDir for direct figure calls. Figure constructors have
-// no error channel, so an unusable CacheDir panics here (mirroring
-// fl.Run's panic on an invalid config); callers that want the error
-// instead should build the runtime with NewRuntime and bind it via
-// WithRuntime.
+// runtime returns the bound runtime, or a fresh in-memory pool runtime
+// for direct figure calls.
 func (o Options) runtime() *Runtime {
 	if o.rt != nil {
 		return o.rt
 	}
-	rt, err := NewRuntime(o.Parallel, o.CacheDir)
-	if err != nil {
-		panic(err)
-	}
+	rt, _ := NewRuntime(0, "") // a memory-only cache cannot fail
 	return rt
 }
 

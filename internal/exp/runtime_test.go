@@ -20,18 +20,21 @@ import (
 // with one worker is byte-identical to the same table generated with
 // eight, regardless of scheduling.
 func TestParallelTableByteIdenticalToSerial(t *testing.T) {
-	serialOpts := Tiny()
-	serialOpts.Parallel = 1
-	parallelOpts := Tiny()
-	parallelOpts.Parallel = 8
-
 	for _, id := range []string{"fig1", "fig11"} {
 		e, err := ByID(id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		serial := e.Run(serialOpts).String()
-		parallel := e.Run(parallelOpts).String()
+		serialRT, err := NewRuntime(1, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		parallelRT, err := NewRuntime(8, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		serial := e.Run(Tiny().WithRuntime(serialRT)).String()
+		parallel := e.Run(Tiny().WithRuntime(parallelRT)).String()
 		if serial != parallel {
 			t.Errorf("%s: parallel=8 output differs from parallel=1:\n--- serial ---\n%s--- parallel ---\n%s",
 				id, serial, parallel)

@@ -29,10 +29,10 @@ const maxCacheKeyLen = 1 << 20
 const crcLen = 4
 
 // maxEnvelopeBytes bounds a whole entry: the largest header, the
-// payload bound shared with the transport (wire.MaxPayloadBytes) and
+// payload bound shared with the transport (wire.MaxFrameBytes) and
 // the CRC. A pack scan refuses a record that claims more before
 // reading it.
-const maxEnvelopeBytes = len(cacheMagic) + binary.MaxVarintLen64 + maxCacheKeyLen + wire.MaxPayloadBytes + crcLen
+const maxEnvelopeBytes = len(cacheMagic) + binary.MaxVarintLen64 + maxCacheKeyLen + wire.MaxFrameBytes + crcLen
 
 // castagnoli is the CRC-32C table that checksums every entry.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -61,8 +61,8 @@ func appendBinaryEnvelope(b []byte, key string, v any) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("runtime: cache payload: %w", err)
 	}
-	if len(b)-head > wire.MaxPayloadBytes {
-		return nil, fmt.Errorf("runtime: cache payload %d bytes exceeds limit %d", len(b)-head, wire.MaxPayloadBytes)
+	if len(b)-head > wire.MaxFrameBytes {
+		return nil, fmt.Errorf("runtime: cache payload %d bytes exceeds limit %d", len(b)-head, wire.MaxFrameBytes)
 	}
 	return binary.BigEndian.AppendUint32(b, crc32.Checksum(b[start:], castagnoli)), nil
 }
@@ -107,7 +107,7 @@ func decodeBinaryEnvelope(b []byte, wantKey string) (payload []byte, ok bool) {
 		return nil, false
 	}
 	body := rest[n+int(keyLen):]
-	if len(body) < crcLen || len(body)-crcLen > wire.MaxPayloadBytes {
+	if len(body) < crcLen || len(body)-crcLen > wire.MaxFrameBytes {
 		return nil, false
 	}
 	end := len(b) - crcLen

@@ -93,7 +93,7 @@
 //
 // # Transport
 //
-// A Transport dials wire sessions (Conn: SendBatch/Recv/Close) to
+// A Transport dials wire sessions (Conn: Send/Recv/Close) to
 // one worker endpoint. TCPTransport connects to a long-lived pool
 // started with `fedgpo-worker -listen host:port` (one wire session per
 // TCP connection). The coordinator learns how many sessions to open
@@ -105,13 +105,16 @@
 //
 // Every byte of a session, in both directions, belongs to a frame of
 // the wire package: a 4-byte big-endian length prefix followed by that
-// many bytes of DEFLATE-compressed payload, bounded on both axes
-// (wire.MaxFrameBytes on the wire, wire.MaxPayloadBytes decompressed)
-// before anything is allocated. There is one protocol, ProtoVersion
-// (11), and no negotiation. The worker speaks first: its first frame is
-// a JSON hello
+// many raw payload bytes. A prefix above wire.MaxFrameBytes fails the
+// read before anything is allocated, and a body is read in chunks as
+// it arrives. Payloads travel uncompressed: binary envelopes of
+// float64 round series compress less than 2x, and over the loopback
+// links a fleet runs on, compressing them cost more time than the
+// bytes they saved. There is one protocol, ProtoVersion (12), and no
+// negotiation. The worker speaks first: its first frame is a JSON
+// hello
 //
-//	{"hello": true, "proto": 11, "keyVersion": "v4",
+//	{"hello": true, "proto": 12, "keyVersion": "v4",
 //	 "capacity": N, "cacheDir": "<worker's -cachedir>"}
 //
 // which the coordinator validates before dispatching anything. A
@@ -128,12 +131,11 @@
 // Every later frame's payload is a binary envelope. Strings and byte
 // strings are fl.AppendBytes fields (a minimal uvarint length, then the
 // bytes) and counts are minimal uvarints. A request frame toward the
-// worker carries a batch of WireRequests:
+// worker carries exactly one WireRequest:
 //
-//	count | per request: key | spec (serialized JobSpec) | snapshots
+//	key | spec (serialized JobSpec) | snapshots
 //
-// and each reply is one WireResponse, strictly one per request in
-// request order:
+// and its reply is one WireResponse frame:
 //
 //	key | cached byte (0 or 1) | metrics (telemetry.Metrics JSON, empty when nil)
 //	snapshots | Result.AppendBinary (the cache payload), to the end
@@ -145,35 +147,33 @@
 // written is an error, never a panic or an allocation beyond the
 // payload's size.
 //
-// Requests batch to amortize per-frame dispatch: the coordinator packs
-// up to each session's fair share of the batch (capped at 16 specs)
-// into one envelope. Responses stream: the worker answers every spec
-// the moment it finishes, one single-response envelope frame each, so
-// a worker death mid-frame costs only the specs it had not yet
-// answered. The worker decodes the spec, verifies it addresses the
-// dispatched key, and executes it through its own Executor — same
-// cache check, same panic isolation, same cache write-back as the pool
-// path. The cached flag and the metrics travel beside the result
-// because Result.Cached and Result.Telemetry are deliberately not part
-// of the result's binary form, so neither can ever reach a cache
-// entry; the coordinator folds them into its own statistics. A malformed frame
-// fails the session naming the offending frame index. ServeSession
-// implements the worker side and Serve the TCP accept loop, so any
-// binary can join the protocol.
+// A session holds one job in flight: the coordinator sends a request,
+// reads its response and only then sends the next, so a worker death
+// costs at most the one job it was running. The worker decodes the
+// spec, verifies it addresses the dispatched key, and executes it
+// through its own Executor — same cache check, same panic isolation,
+// same cache write-back as the pool path. The cached flag and the
+// metrics travel beside the result because Result.Cached and
+// Result.Telemetry are deliberately not part of the result's binary
+// form, so neither can ever reach a cache entry; the coordinator folds
+// them into its own statistics. A malformed frame fails the session
+// naming the offending frame index. ServeSession implements the worker
+// side and Serve the TCP accept loop, so any binary can join the
+// protocol.
 //
 // # Dispatch, retry and failover
 //
-// Sessions pull their next frame from the batch's queue as they finish
+// Sessions pull their next job from the batch's queue as they finish
 // the last, so a slow or remote endpoint never straggles the batch the
 // way a static key-partitioned shard could. Beyond the probe session
 // that reads an endpoint's capacity, sessions dial lazily — no
 // connection exists until a session actually holds a job. Each
 // session has a retry budget of one: on failure (crash, disconnect,
 // reply timeout, truncated or out-of-order output) it re-dials and
-// resends only the in-flight frame's unanswered specs — answered jobs
-// are never resent, which matters because results were already
-// streamed to the executor. A session whose budget runs out hands its
-// jobs back to the queue for surviving endpoints to absorb; only when
+// resends only its in-flight job — answered jobs are never resent,
+// which matters because results were already streamed to the
+// executor. A session whose budget runs out hands its job back to the
+// queue for surviving endpoints to absorb; only when
 // the whole fleet is gone do remaining jobs surface as error results.
 // Per-endpoint dispatch/retry/give-up counters are snapshotted into
 // Executor.Stats().Endpoints under a single lock.
@@ -227,13 +227,11 @@
 // rule keeps each warm-up singular: a job reading snapshot K may go to
 // endpoint e only if (a) the coordinator already pools K, (b) e is
 // building K, or (c) no live endpoint is building K, and e then
-// becomes K's builder. A frame top-up never claims a key, so one frame
-// never serialises several warm-ups, and a frame holds at most the
-// session's fair share of the batch (specsPerFrame). A session with
-// nothing eligible waits for a pooled snapshot, a builder's exit
-// (which frees its keys), requeued work or the end of the batch. A
-// fleet-wide cold sweep over S distinct scenarios therefore performs
-// exactly S Q-table warm-ups, and placement never changes a result.
+// becomes K's builder. A session with nothing eligible waits for a
+// pooled snapshot, a builder's exit (which frees its keys), requeued
+// work or the end of the batch. A fleet-wide cold sweep over S
+// distinct scenarios therefore performs exactly S Q-table warm-ups,
+// and placement never changes a result.
 //
 // Snapshot shipping makes that reuse fleet-wide. A worker whose cell
 // built a fresh pretrain snapshot returns the encoded artifact with
@@ -248,7 +246,7 @@
 // disk already carries the snapshot. The worker installs pushed
 // artifacts before running the request, resolving its pretrain
 // singleflight without executing the warm-up. A snapshot counts as
-// held by a pool once the frame carrying it was sent, so a frame
+// held by a pool once the request carrying it was sent, so a request
 // resent after a failed send carries it again. Per-endpoint
 // pushed-snapshot bytes land in the -v summaries and the -metrics-out
 // artifact beside the dispatch counters.
@@ -289,7 +287,7 @@
 // reads as corrupt, and a reader decodes the payload in place as a
 // sub-slice of the record bytes. A record is bounded like a transport
 // frame: a length prefix over the header bound plus
-// wire.MaxPayloadBytes is refused before anything is allocated.
+// wire.MaxFrameBytes is refused before anything is allocated.
 //
 // A Cache finds records through an index of key digest to (pack,
 // offset, length). Its first lookup builds the index by scanning the
@@ -394,7 +392,7 @@
 //     and counts Retries and Failovers as sessions fail. Sessions
 //     meter raw bytes both ways (handshake included) and the
 //     coordinator folds the totals — plus request-frame and spec
-//     counts, whose ratio is the realized batch density — into the
+//     counts, equal since a frame carries one spec — into the
 //     per-endpoint stats the -v summaries print.
 //
 // Provenance: because wall-clock measurements (the sec54 probe's

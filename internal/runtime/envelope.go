@@ -15,49 +15,34 @@ import (
 // below did not write.
 var errCorruptEnvelope = errors.New("runtime: corrupt wire envelope")
 
-// appendRequests appends the payload of one request frame:
+// appendBinary appends the payload of one request frame:
 //
-//	uvarint count | per request: Key | Spec | snapshot list
+//	Key | Spec | snapshot list, to the end
 //
 // Key and Spec are fl.AppendBytes fields; see appendSnaps for the
 // snapshot list.
-func appendRequests(b []byte, reqs []WireRequest) []byte {
-	b = binary.AppendUvarint(b, uint64(len(reqs)))
-	for _, r := range reqs {
-		b = fl.AppendBytes(b, r.Key)
-		b = fl.AppendBytes(b, r.Spec)
-		b = appendSnaps(b, r.Snaps)
-	}
-	return b
+func (r WireRequest) appendBinary(b []byte) []byte {
+	b = fl.AppendBytes(b, r.Key)
+	b = fl.AppendBytes(b, r.Spec)
+	return appendSnaps(b, r.Snaps)
 }
 
-// decodeRequests decodes what appendRequests wrote. It is total:
-// truncation, trailing bytes or a count the payload cannot hold is
-// an error, never a panic or an allocation beyond the payload's size.
-// Spec aliases p.
-func decodeRequests(p []byte) ([]WireRequest, error) {
-	n, p, ok := cutCount(p)
-	if !ok {
-		return nil, errCorruptEnvelope
+// unmarshalBinary decodes what WireRequest.appendBinary wrote,
+// overwriting r. It is total: truncation, trailing bytes or a count
+// the payload cannot hold is an error, never a panic or an allocation
+// beyond the payload's size. Spec aliases p.
+func (r *WireRequest) unmarshalBinary(p []byte) error {
+	key, p, ok1 := fl.CutBytes(p)
+	spec, p, ok2 := fl.CutBytes(p)
+	if !ok1 || !ok2 {
+		return errCorruptEnvelope
 	}
-	reqs := make([]WireRequest, n)
-	for i := range reqs {
-		key, rest, ok1 := fl.CutBytes(p)
-		spec, rest, ok2 := fl.CutBytes(rest)
-		if !ok1 || !ok2 {
-			return nil, errCorruptEnvelope
-		}
-		snaps, rest, ok := cutSnaps(rest)
-		if !ok {
-			return nil, errCorruptEnvelope
-		}
-		reqs[i] = WireRequest{Key: string(key), Spec: spec, Snaps: snaps}
-		p = rest
+	snaps, p, ok := cutSnaps(p)
+	if !ok || len(p) != 0 {
+		return errCorruptEnvelope
 	}
-	if len(p) != 0 {
-		return nil, errCorruptEnvelope
-	}
-	return reqs, nil
+	*r = WireRequest{Key: string(key), Spec: spec, Snaps: snaps}
+	return nil
 }
 
 // appendBinary appends the payload of one response frame:
@@ -87,10 +72,10 @@ func (r WireResponse) appendBinary(b []byte) ([]byte, error) {
 }
 
 // unmarshalBinary decodes what appendBinary wrote, overwriting r.
-// Like decodeRequests it is total, and it accepts only canonical
-// input: whatever it accepts re-encodes to the same bytes, so Metrics
-// JSON that json.Marshal would not have written is rejected too.
-// The decoded response shares no memory with p.
+// Like WireRequest.unmarshalBinary it is total, and it accepts only
+// canonical input: whatever it accepts re-encodes to the same bytes, so
+// Metrics JSON that json.Marshal would not have written is rejected
+// too. The decoded response shares no memory with p.
 func (r *WireResponse) unmarshalBinary(p []byte) error {
 	key, p, ok := fl.CutBytes(p)
 	if !ok || len(p) == 0 || p[0] > 1 {

@@ -42,8 +42,8 @@ func envelopeResponses(t testing.TB) map[string]WireResponse {
 	}
 }
 
-// envelopeRequests is a request frame's worth of specs, one of them
-// pre-pushing a snapshot.
+// envelopeRequests covers what the coordinator sends: a plain request
+// and one pre-pushing a snapshot.
 func envelopeRequests() []WireRequest {
 	return []WireRequest{
 		{Key: "v3|sim|s|static/(8,10,20)|seed=1", Spec: json.RawMessage(`{"kind":"sim","seed":1}`)},
@@ -88,17 +88,17 @@ func TestWireResponseBinaryRoundTrip(t *testing.T) {
 	}
 }
 
-// A binary request envelope decodes to requests deep-equal to what was
-// encoded.
+// A binary request envelope decodes to a request deep-equal to what
+// was encoded.
 func TestWireRequestsBinaryRoundTrip(t *testing.T) {
-	for _, reqs := range [][]WireRequest{envelopeRequests(), envelopeRequests()[:1], {}} {
-		enc := appendRequests(nil, reqs)
-		back, err := decodeRequests(enc)
-		if err != nil {
-			t.Fatalf("%d requests: decode: %v", len(reqs), err)
+	for _, req := range append(envelopeRequests(), WireRequest{Key: "k", Spec: json.RawMessage(`{}`)}) {
+		enc := req.appendBinary(nil)
+		var back WireRequest
+		if err := back.unmarshalBinary(enc); err != nil {
+			t.Fatalf("%s: decode: %v", req.Key, err)
 		}
-		if !reflect.DeepEqual(back, reqs) {
-			t.Errorf("%d requests: round trip changed them:\n got %+v\nwant %+v", len(reqs), back, reqs)
+		if !reflect.DeepEqual(back, req) {
+			t.Errorf("%s: round trip changed it:\n got %+v\nwant %+v", req.Key, back, req)
 		}
 	}
 }
@@ -107,12 +107,12 @@ func TestWireRequestsBinaryRoundTrip(t *testing.T) {
 // encoding, trailing bytes, a count the payload cannot hold, a
 // non-minimal count and a Cached byte other than 0 or 1 are errors.
 func TestWireEnvelopeDecodersRejectCorrupt(t *testing.T) {
-	req := appendRequests(nil, envelopeRequests())
+	req := envelopeRequests()[1].appendBinary(nil)
 	resp, err := envelopeResponses(t)["snaps"].appendBinary(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	decodeReq := func(b []byte) error { _, err := decodeRequests(b); return err }
+	decodeReq := func(b []byte) error { var r WireRequest; return r.unmarshalBinary(b) }
 	decodeResp := func(b []byte) error { var r WireResponse; return r.unmarshalBinary(b) }
 	for cut := 0; cut < len(req); cut++ {
 		if decodeReq(req[:cut]) == nil {
@@ -150,15 +150,15 @@ func TestWireEnvelopeDecodersRejectCorrupt(t *testing.T) {
 		decode func([]byte) error
 		b      []byte
 	}{
-		"request trailing byte":             {decodeReq, append(bytes.Clone(req), 0)},
-		"request count too large":           {decodeReq, []byte{0xff, 0xff, 0xff, 0xff, 0x0f, 0, 0, 0}},
-		"request count non-minimal":         {decodeReq, []byte{0x81, 0x00, 0, 0, 0}},
-		"response trailing byte":            {decodeResp, append(bytes.Clone(resp), 0)},
-		"response snapshot count too large": {decodeResp, []byte{1, 'k', 0, 0, 0x7f, 0, 0}},
-		"response cached byte 2":            {decodeResp, badCached},
-		"response metrics not JSON":         {decodeResp, withMetrics("{")},
-		"response metrics not canonical":    {decodeResp, withMetrics(" " + string(canon))},
-		"response metrics defaults omitted": {decodeResp, withMetrics(`{"counters":{}}`)},
+		"request trailing byte":              {decodeReq, append(bytes.Clone(req), 0)},
+		"request snapshot count too large":   {decodeReq, []byte{1, 'k', 0, 0xff, 0xff, 0xff, 0xff, 0x0f, 0, 0}},
+		"request snapshot count non-minimal": {decodeReq, []byte{1, 'k', 0, 0x81, 0x00}},
+		"response trailing byte":             {decodeResp, append(bytes.Clone(resp), 0)},
+		"response snapshot count too large":  {decodeResp, []byte{1, 'k', 0, 0, 0x7f, 0, 0}},
+		"response cached byte 2":             {decodeResp, badCached},
+		"response metrics not JSON":          {decodeResp, withMetrics("{")},
+		"response metrics not canonical":     {decodeResp, withMetrics(" " + string(canon))},
+		"response metrics defaults omitted":  {decodeResp, withMetrics(`{"counters":{}}`)},
 	} {
 		if c.decode(c.b) == nil {
 			t.Errorf("%s: decoded without error", name)
@@ -170,17 +170,17 @@ func TestWireEnvelopeDecodersRejectCorrupt(t *testing.T) {
 // envelope decoder: it never panics, and whatever it accepts
 // re-encodes to exactly the input.
 func FuzzWireRequestFrame(f *testing.F) {
-	reqs := envelopeRequests()
-	f.Add(appendRequests(nil, reqs))
-	f.Add(appendRequests(nil, reqs[:1]))
-	f.Add(appendRequests(nil, nil))
+	for _, req := range envelopeRequests() {
+		f.Add(req.appendBinary(nil))
+	}
+	f.Add(WireRequest{}.appendBinary(nil))
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
 	f.Fuzz(func(t *testing.T, b []byte) {
-		reqs, err := decodeRequests(b)
-		if err != nil {
+		var req WireRequest
+		if req.unmarshalBinary(b) != nil {
 			return
 		}
-		if re := appendRequests(nil, reqs); !bytes.Equal(re, b) {
+		if re := req.appendBinary(nil); !bytes.Equal(re, b) {
 			t.Fatalf("accepted input re-encodes differently:\n in %x\nout %x", b, re)
 		}
 	})

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -66,11 +65,9 @@ type WorkerOptions struct {
 }
 
 // ServeSession runs one worker wire session: it writes the hello
-// frame, then serves request envelope frames from r until EOF. The
-// requests of a frame run in order, and every finished spec is
-// answered immediately with its own response frame. Requests batch to
-// amortize dispatch; responses stream so a worker death mid-batch only
-// costs the specs it had not yet answered. Before each request runs,
+// frame, then serves request envelope frames from r until EOF. Every
+// frame carries one request, which runs before the next frame is read
+// and is answered with one response frame. Before the request runs,
 // the worker installs the snapshot artifacts it carries; snapshots the
 // job built from scratch return with its response. A malformed frame
 // fails the session with the offending frame's index in the error
@@ -91,7 +88,7 @@ func ServeSession(r io.Reader, w io.Writer, run func(key string, spec json.RawMe
 	if err != nil {
 		return fmt.Errorf("runtime: worker hello: %w", err)
 	}
-	var out []byte // response payload buffer, reused across specs
+	var out []byte // response payload buffer, reused across frames
 	for frame := 1; ; frame++ {
 		payload, _, err := wire.ReadFrame(r, frame)
 		if err == io.EOF {
@@ -101,29 +98,24 @@ func ServeSession(r io.Reader, w io.Writer, run func(key string, spec json.RawMe
 			// wire errors are already frame-indexed.
 			return fmt.Errorf("runtime: worker read: %w", err)
 		}
-		reqs, err := decodeRequests(payload)
-		if err != nil {
+		var req WireRequest
+		if err := req.unmarshalBinary(payload); err != nil {
 			return fmt.Errorf("runtime: worker decode (frame %d): %w", frame, err)
 		}
-		if len(reqs) == 0 {
-			return fmt.Errorf("runtime: worker decode (frame %d): empty request envelope", frame)
+		if opt.Install != nil {
+			for _, sa := range req.Snaps {
+				// Best effort: a failed install just means this
+				// process re-warms, producing the identical snapshot.
+				_ = opt.Install(sa.Key, sa.Data)
+			}
 		}
-		for _, req := range reqs {
-			if opt.Install != nil {
-				for _, sa := range req.Snaps {
-					// Best effort: a failed install just means this
-					// process re-warms, producing the identical snapshot.
-					_ = opt.Install(sa.Key, sa.Data)
-				}
-			}
-			res := run(req.Key, req.Spec)
-			resp := WireResponse{Key: req.Key, Result: res, Cached: res.Cached, Metrics: res.Telemetry, Snaps: res.Snaps}
-			if out, err = resp.appendBinary(out[:0]); err != nil {
-				return fmt.Errorf("runtime: worker encode (frame %d): %w", frame, err)
-			}
-			if _, err := wire.WriteFrame(w, out); err != nil {
-				return fmt.Errorf("runtime: worker write (frame %d): %w", frame, err)
-			}
+		res := run(req.Key, req.Spec)
+		resp := WireResponse{Key: req.Key, Result: res, Cached: res.Cached, Metrics: res.Telemetry, Snaps: res.Snaps}
+		if out, err = resp.appendBinary(out[:0]); err != nil {
+			return fmt.Errorf("runtime: worker encode (frame %d): %w", frame, err)
+		}
+		if _, err := wire.WriteFrame(w, out); err != nil {
+			return fmt.Errorf("runtime: worker write (frame %d): %w", frame, err)
 		}
 	}
 }
@@ -176,8 +168,8 @@ type EndpointStats struct {
 	BytesSent int64 `json:"bytesSent,omitempty"`
 	BytesRecv int64 `json:"bytesRecv,omitempty"`
 	// Frames counts request frames sent; Specs counts the specs those
-	// frames carried. Specs/Frames is the realized batch density, up to
-	// the fair-share cap (see specsPerFrame).
+	// frames carried. Every frame carries one spec, so the two are
+	// equal; both stay for the benchmark's wire metrics.
 	Frames int64 `json:"frames,omitempty"`
 	Specs  int64 `json:"specs,omitempty"`
 	// SnapBytesSent meters serialized snapshot bytes pre-pushed to this
@@ -213,8 +205,8 @@ type endpoint struct {
 // snapshot waits for that snapshot rather than warm it up twice. Each
 // session has a retry budget of one: a session failure (crashed
 // worker, dropped connection, truncated or out-of-order output)
-// re-dials and resends only the unanswered in-flight jobs; a session
-// whose budget runs out hands its jobs back to the fleet, so a dead
+// re-dials and resends only the unanswered in-flight job; a session
+// whose budget runs out hands that job back to the fleet, so a dead
 // endpoint degrades capacity, not correctness. Jobs still unanswered
 // when every session has exhausted its budget yield error results.
 type Coordinator struct {
@@ -399,7 +391,6 @@ func (c *Coordinator) Run(jobs []Job, done func(int, Result)) []Result {
 	}
 	queue := newDispatchQueue(jobs, idxs, len(c.endpoints), c.hasSnapshot)
 
-	totalCap := c.Workers()
 	var wg sync.WaitGroup
 	for epi, ep := range c.endpoints {
 		wg.Add(1)
@@ -409,7 +400,7 @@ func (c *Coordinator) Run(jobs []Job, done func(int, Result)) []Result {
 			// crashed out or batch done — is the queue's liveness
 			// guarantee: another endpoint may then build those keys.
 			defer queue.endpointDone(epi)
-			c.runEndpoint(epi, ep, len(idxs), totalCap, jobs, keys, queue, results, done)
+			c.runEndpoint(epi, ep, jobs, keys, queue, results, done)
 		}(epi, ep)
 	}
 	wg.Wait()
@@ -431,35 +422,11 @@ func (c *Coordinator) Run(jobs []Job, done func(int, Result)) []Result {
 	return results
 }
 
-// maxSpecsPerFrame caps how many specs a session packs into one
-// request frame, bounding both the frame size and the amount of work a
-// single session failure requeues.
-const maxSpecsPerFrame = 16
-
-// specsPerFrame derives a session's frame batch size from the batch
-// shape: each frame carries at most the session's fair share of the
-// batch across the fleet's capacity, so batching never trades away the
-// work queue's load balancing — a fleet that could run every cell
-// concurrently still gets one spec per frame.
-func specsPerFrame(batch, totalCap int) int {
-	if totalCap < 1 {
-		totalCap = 1
-	}
-	n := batch / totalCap
-	if n < 1 {
-		n = 1
-	}
-	if n > maxSpecsPerFrame {
-		n = maxSpecsPerFrame
-	}
-	return n
-}
-
 // runEndpoint drives one endpoint through a batch: it dials a probe
-// session to learn the session count from the hello, derives the
-// sessions' frame size from the batch shape, and runs the sessions
-// until the queue drains or every session's retry budget is spent.
-func (c *Coordinator) runEndpoint(epi int, ep *endpoint, batch, totalCap int, jobs []Job, keys []string, queue *dispatchQueue, results []Result, done func(int, Result)) {
+// session to learn the session count from the hello, then runs the
+// sessions until the queue drains or every session's retry budget is
+// spent.
+func (c *Coordinator) runEndpoint(epi int, ep *endpoint, jobs []Job, keys []string, queue *dispatchQueue, results []Result, done func(int, Result)) {
 	// Dial the probe with the same retry budget a session gets.
 	var probe Conn
 	var err error
@@ -473,13 +440,8 @@ func (c *Coordinator) runEndpoint(epi int, ep *endpoint, batch, totalCap int, jo
 	}
 	sessions := probe.Hello().Capacity
 	c.mu.Lock()
-	grew := sessions - ep.capacity
 	ep.capacity = sessions
 	c.mu.Unlock()
-	// Keep the frame-size derivation honest on the first batch: the
-	// fleet estimate assumed capacity 1 for this endpoint.
-	totalCap += grew
-	specs := specsPerFrame(batch, totalCap)
 	var wg sync.WaitGroup
 	for s := 0; s < sessions; s++ {
 		conn := probe
@@ -487,22 +449,22 @@ func (c *Coordinator) runEndpoint(epi int, ep *endpoint, batch, totalCap int, jo
 		wg.Add(1)
 		go func(conn Conn) {
 			defer wg.Done()
-			c.runSession(epi, ep, conn, specs, jobs, keys, queue, results, done)
+			c.runSession(epi, ep, conn, jobs, keys, queue, results, done)
 		}(conn)
 	}
 	wg.Wait()
 }
 
-// runSession drives one endpoint session: pull work from the queue,
-// send it, read the response, repeat. Dialing is lazy — no session
-// beyond the probe connects until it actually holds a job. A
-// session failure re-dials once and resends only the in-flight
-// frame's unanswered tail (answered specs are never resent); when the
-// retry budget is spent the session gives its in-flight jobs back to
-// the fleet — a surviving endpoint absorbs them, and only a fleet with no
-// session left turns them into error results (the batch drain).
-func (c *Coordinator) runSession(epi int, ep *endpoint, conn Conn, specs int, jobs []Job, keys []string, queue *dispatchQueue, results []Result, done func(int, Result)) {
-	var carried []int // in-flight frame's job indexes, carried across a retry
+// runSession drives one endpoint session: pull a job from the queue,
+// send it, read its response, repeat. Dialing is lazy — no session
+// beyond the probe connects until it actually holds a job. A session
+// failure re-dials once and resends the one in-flight job (answered
+// jobs are never resent); when the retry budget is spent the session
+// gives its in-flight job back to the fleet — a surviving endpoint
+// absorbs it, and only a fleet with no session left turns it into an
+// error result (the batch drain).
+func (c *Coordinator) runSession(epi int, ep *endpoint, conn Conn, jobs []Job, keys []string, queue *dispatchQueue, results []Result, done func(int, Result)) {
+	inFlight := -1 // job index carried across a retry, or -1
 	failures := 0
 	defer func() {
 		if conn != nil {
@@ -510,23 +472,21 @@ func (c *Coordinator) runSession(epi int, ep *endpoint, conn Conn, specs int, jo
 		}
 	}()
 	for {
-		if len(carried) == 0 {
-			// Pop a single job before dialing: the frame is topped up to
-			// the session's batch size inside pump.
+		if inFlight < 0 {
+			// Pop before dialing, so an idle session never connects.
 			i, ok := queue.pop(epi)
 			if !ok {
 				return // batch finished
 			}
-			carried = []int{i}
+			inFlight = i
 		}
 		if failures >= 2 {
-			// Retry budget spent: hand the unanswered jobs back.
-			queue.requeue(carried...)
-			n := int64(len(carried))
+			// Retry budget spent: hand the unanswered job back.
+			queue.requeue(inFlight)
 			c.mu.Lock()
-			ep.stats.Failed += n
+			ep.stats.Failed++
 			c.mu.Unlock()
-			c.col.Count(func(cc *telemetry.Counters) { cc.Failovers += n })
+			c.col.Count(func(cc *telemetry.Counters) { cc.Failovers++ })
 			return
 		}
 		if conn == nil {
@@ -538,7 +498,7 @@ func (c *Coordinator) runSession(epi int, ep *endpoint, conn Conn, specs int, jo
 			}
 		}
 		var err error
-		if carried, err = c.pump(epi, ep, conn, specs, carried, jobs, keys, queue, results, done); err == nil {
+		if inFlight, err = c.pump(epi, ep, conn, inFlight, jobs, keys, queue, results, done); err == nil {
 			return // queue drained through this session
 		} else {
 			failures++
@@ -549,16 +509,14 @@ func (c *Coordinator) runSession(epi int, ep *endpoint, conn Conn, specs int, jo
 	}
 }
 
-// pump streams job frames through one established session until the
-// batch finishes or the session fails. Each iteration moves one
-// request frame of up to the endpoint's fair-share batch. Responses
-// stream back per spec and are finalized as they arrive, in request
-// order; a failure mid-frame returns only the unanswered tail for
-// requeue, so specs a dying worker already answered are never re-run.
-// The pump also pre-pushes pooled snapshot artifacts with requests
-// whose worker isn't known to hold them, and pools artifacts the
-// responses return.
-func (c *Coordinator) pump(epi int, ep *endpoint, conn Conn, specs int, carried []int, jobs []Job, keys []string, queue *dispatchQueue, results []Result, done func(int, Result)) ([]int, error) {
+// pump streams jobs through one established session until the batch
+// finishes or the session fails, starting with job i. Each iteration
+// sends one request frame and finalizes its response; a failure
+// returns the in-flight job for a resend, so a job a dying worker
+// already answered is never re-run. The pump also pre-pushes pooled
+// snapshot artifacts with requests whose worker isn't known to hold
+// them, and pools artifacts the responses return.
+func (c *Coordinator) pump(epi int, ep *endpoint, conn Conn, i int, jobs []Job, keys []string, queue *dispatchQueue, results []Result, done func(int, Result)) (int, error) {
 	sharesCache := c.cfg.CacheDir != "" && conn.Hello().CacheDir == c.cfg.CacheDir
 	// A worker sharing the coordinator's cache directory reads shipped
 	// snapshots straight from disk, so pushing bytes at it is pure
@@ -567,92 +525,69 @@ func (c *Coordinator) pump(epi int, ep *endpoint, conn Conn, specs int, carried 
 	ws, _ := conn.(WireStatser)
 	var lastSent, lastRecv int64 // 0,0 so the first delta includes the handshake
 	for {
-		frame := carried
-		carried = nil
-		if len(frame) == 0 {
-			i, ok := queue.pop(epi)
-			if !ok {
-				return nil, nil
-			}
-			frame = []int{i}
-		}
-		if len(frame) < specs {
-			frame = append(frame, queue.take(epi, specs-len(frame))...)
-		}
-		reqs := make([]WireRequest, len(frame))
-		var shipped []string // snapshot keys this frame pushes
+		req := WireRequest{Key: keys[i], Spec: jobs[i].Payload}
 		var pushed int64
-		for k, i := range frame {
-			reqs[k] = WireRequest{Key: keys[i], Spec: jobs[i].Payload}
-			if sk := jobs[i].SnapshotKey; shipSnaps && sk != "" && !slices.Contains(shipped, sk) && !c.snapKnown(ep, sk) {
-				if data := c.snapshotData(sk); data != nil {
-					reqs[k].Snaps = []SnapshotArtifact{{Key: sk, Data: data}}
-					shipped = append(shipped, sk)
-					pushed += int64(len(data))
-				}
+		sk := jobs[i].SnapshotKey
+		if shipSnaps && sk != "" && !c.snapKnown(ep, sk) {
+			if data := c.snapshotData(sk); data != nil {
+				req.Snaps = []SnapshotArtifact{{Key: sk, Data: data}}
+				pushed = int64(len(data))
 			}
 		}
 		sent := time.Now()
-		if err := conn.SendBatch(reqs); err != nil {
-			// Nothing is marked known yet, so the resent frame carries
-			// its snapshots again.
-			return frame, fmt.Errorf("sending %q: %w", keys[frame[0]], err)
+		if err := conn.Send(req); err != nil {
+			// Nothing is marked known yet, so the resent request
+			// carries its snapshot again.
+			return i, fmt.Errorf("sending %q: %w", keys[i], err)
 		}
-		for _, sk := range shipped {
+		if pushed > 0 {
 			c.markSnapKnown(ep, sk)
 		}
 		c.mu.Lock()
-		ep.stats.Dispatched += int64(len(frame))
+		ep.stats.Dispatched++
 		ep.stats.Frames++
-		ep.stats.Specs += int64(len(frame))
+		ep.stats.Specs++
 		ep.stats.SnapBytesSent += pushed
 		c.mu.Unlock()
 		if pushed > 0 {
 			c.col.Count(func(cc *telemetry.Counters) { cc.SnapshotBytesShipped += pushed })
 		}
-		// Responses stream back one per spec, in request order. Finalize
-		// each as it arrives so a session death mid-frame costs only the
-		// unanswered tail. Latency is measured from the frame send to
-		// each spec's arrival, so the histogram's count keeps reconciling
-		// with Dispatched.
-		for answered, i := range frame {
-			resp, err := conn.Recv()
-			if err != nil {
-				return frame[answered:], fmt.Errorf("worker reply for %q: %w", keys[i], err)
-			}
-			if resp.Key != keys[i] {
-				return frame[answered:], fmt.Errorf("worker replied out of order: got %q, want %q", resp.Key, keys[i])
-			}
-			c.col.RecordLatency(ep.stats.Endpoint, time.Since(sent))
-			r := resp.Result
-			r.Cached = resp.Cached
-			r.Telemetry = resp.Metrics
-			for _, sa := range resp.Snaps {
-				c.storeSnapshot(sa, sharesCache)
-				c.markSnapKnown(ep, sa.Key)
-			}
-			// A finished job reading a snapshot means the worker pool now
-			// holds that snapshot in memory — no need to ever push it
-			// there.
-			if sk := jobs[i].SnapshotKey; sk != "" && r.Err == "" {
-				c.markSnapKnown(ep, sk)
-			}
-			// A worker sharing the coordinator's cache directory already
-			// published the entry (best effort — a failed worker write
-			// costs a future re-run, exactly like a failed coordinator
-			// write); results from other workers are persisted by the
-			// executor.
-			r.Persisted = sharesCache && r.Err == ""
-			results[i] = r
-			if done != nil {
-				done(i, r)
-			}
-			queue.finalize()
-			if len(resp.Snaps) > 0 {
-				// A pooled snapshot frees its jobs for every endpoint;
-				// re-wake sessions idling for eligible work.
-				queue.wake()
-			}
+		resp, err := conn.Recv()
+		if err != nil {
+			return i, fmt.Errorf("worker reply for %q: %w", keys[i], err)
+		}
+		if resp.Key != keys[i] {
+			return i, fmt.Errorf("worker replied out of order: got %q, want %q", resp.Key, keys[i])
+		}
+		c.col.RecordLatency(ep.stats.Endpoint, time.Since(sent))
+		r := resp.Result
+		r.Cached = resp.Cached
+		r.Telemetry = resp.Metrics
+		for _, sa := range resp.Snaps {
+			c.storeSnapshot(sa, sharesCache)
+			c.markSnapKnown(ep, sa.Key)
+		}
+		// A finished job reading a snapshot means the worker pool now
+		// holds that snapshot in memory — no need to ever push it
+		// there.
+		if sk != "" && r.Err == "" {
+			c.markSnapKnown(ep, sk)
+		}
+		// A worker sharing the coordinator's cache directory already
+		// published the entry (best effort — a failed worker write
+		// costs a future re-run, exactly like a failed coordinator
+		// write); results from other workers are persisted by the
+		// executor.
+		r.Persisted = sharesCache && r.Err == ""
+		results[i] = r
+		if done != nil {
+			done(i, r)
+		}
+		queue.finalize()
+		if len(resp.Snaps) > 0 {
+			// A pooled snapshot frees its jobs for every endpoint;
+			// re-wake sessions idling for eligible work.
+			queue.wake()
 		}
 		if ws != nil {
 			s, rv := ws.WireStats()
@@ -661,6 +596,10 @@ func (c *Coordinator) pump(epi int, ep *endpoint, conn Conn, specs int, carried 
 			ep.stats.BytesRecv += rv - lastRecv
 			c.mu.Unlock()
 			lastSent, lastRecv = s, rv
+		}
+		var ok bool
+		if i, ok = queue.pop(epi); !ok {
+			return -1, nil
 		}
 	}
 }

@@ -245,16 +245,16 @@ func TestExecutorOnProcBackendCacheSemantics(t *testing.T) {
 }
 
 // ServeSession must open the session with a valid hello frame, then
-// answer every request in order, one response frame per spec, and
+// answer every request frame in order, one response frame each, and
 // propagate the Cached flag across the wire (Result.Cached is not part
 // of the result's own binary form).
 func TestServeWorkerOrderAndCachedFlag(t *testing.T) {
-	var keys []string
+	var stream strings.Builder
 	for i := 0; i < 5; i++ {
-		keys = append(keys, fmt.Sprintf("k%d", i))
+		stream.WriteString(reqFrame(t, fmt.Sprintf("k%d", i)))
 	}
 	var out bytes.Buffer
-	in := strings.NewReader(reqFrame(t, keys...))
+	in := strings.NewReader(stream.String())
 	err := ServeSession(in, &out, func(key string, _ json.RawMessage) Result {
 		return Result{Key: key, Cached: key == "k2", Sim: fl.Result{ControllerOverheadSec: 7}}
 	}, WorkerOptions{})

@@ -6,9 +6,7 @@ import "sync"
 // endpoint's sessions. A job reading snapshot K (Job.SnapshotKey) may
 // go to endpoint e only if (a) the coordinator pools K, (b) e is
 // building K, or (c) no live endpoint is building K — e then becomes
-// K's builder — so each warm-up runs once across the fleet. pop may
-// claim a key under (c); take, the frame top-up, never does, so one
-// frame never serialises several warm-ups.
+// K's builder — so each warm-up runs once across the fleet.
 type dispatchQueue struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -43,10 +41,9 @@ func newDispatchQueue(jobs []Job, idxs []int, endpoints int, pooled func(string)
 	return q
 }
 
-// eligible reports whether job i may go to ep; claim lets ep become
-// the builder of a key no live endpoint is building. Called with mu
-// held.
-func (q *dispatchQueue) eligible(ep, i int, claim bool) bool {
+// eligible reports whether job i may go to ep, making ep the builder
+// of a key no live endpoint is building. Called with mu held.
+func (q *dispatchQueue) eligible(ep, i int) bool {
 	k := q.snap[i]
 	if k == "" {
 		return true
@@ -55,7 +52,7 @@ func (q *dispatchQueue) eligible(ep, i int, claim bool) bool {
 	if (building && b == ep) || q.pooled(k) {
 		return true
 	}
-	if (building && q.live[b]) || !claim {
+	if building && q.live[b] {
 		return false
 	}
 	q.builder[k] = ep
@@ -69,7 +66,7 @@ func (q *dispatchQueue) pop(ep int) (int, bool) {
 	defer q.mu.Unlock()
 	for {
 		for n, i := range q.pending {
-			if q.eligible(ep, i, true) {
+			if q.eligible(ep, i) {
 				q.pending = append(q.pending[:n], q.pending[n+1:]...)
 				return i, true
 			}
@@ -81,28 +78,10 @@ func (q *dispatchQueue) pop(ep int) (int, bool) {
 	}
 }
 
-// take removes up to k more jobs for ep without blocking or claiming a
-// snapshot key — the frame top-up.
-func (q *dispatchQueue) take(ep, k int) []int {
+// requeue gives an unanswered job back to the fleet.
+func (q *dispatchQueue) requeue(i int) {
 	q.mu.Lock()
-	defer q.mu.Unlock()
-	var out []int
-	kept := q.pending[:0]
-	for _, i := range q.pending {
-		if len(out) < k && q.eligible(ep, i, false) {
-			out = append(out, i)
-		} else {
-			kept = append(kept, i)
-		}
-	}
-	q.pending = kept
-	return out
-}
-
-// requeue gives unanswered jobs back to the fleet.
-func (q *dispatchQueue) requeue(idxs ...int) {
-	q.mu.Lock()
-	q.pending = append(q.pending, idxs...)
+	q.pending = append(q.pending, i)
 	q.mu.Unlock()
 	q.cond.Broadcast()
 }

@@ -152,15 +152,14 @@ func TestAffinityCoLocatesGroups(t *testing.T) {
 // An idle endpoint must pick up every key a straggler has not claimed,
 // and no job may execute twice. The schedule is pinned by handshake
 // rather than sleeps so it holds under race-detector load: the
-// straggler blocks inside the first cell of its first frame (one whole
-// key) while the fast endpoint — which may not finish anything before
-// the straggler has started — runs the other three keys, and only then
-// releases the straggler.
+// straggler blocks inside its first cell, whose key it now builds,
+// while the fast endpoint — which may not finish anything before the
+// straggler has started — runs the other three keys, and only then
+// releases the straggler. The straggler's key stays its own
+// throughout: its queued cells wait for it rather than go to the fast
+// endpoint.
 func TestAffinityStragglerGroupsStolenWithoutDoubleExecution(t *testing.T) {
-	// Each key exactly fills one request frame (the batch's fair share
-	// exceeds the frame cap), so the straggler's first frame holds one
-	// key's cells and nothing else.
-	const group = maxSpecsPerFrame
+	const group = 4 // cells per snapshot key
 	slowStarted := make(chan struct{})
 	release := make(chan struct{})
 	var fastRan, slowRan int64
@@ -239,34 +238,6 @@ func TestAffinityQueueSnapshotGatesSingleSteal(t *testing.T) {
 	}
 }
 
-// The frame top-up never starts a warm-up: take hands out keyless jobs
-// and jobs of keys this endpoint already builds, and leaves a key
-// nobody has claimed for a pop.
-func TestDispatchQueueTakeNeverClaimsKey(t *testing.T) {
-	jobs := []Job{keyedJob(0, "k1"), keyedJob(1, "k2"), keyedJob(2, "k1"), keyedJob(3, ""), keyedJob(4, "k2")}
-	q := newDispatchQueue(jobs, []int{0, 1, 2, 3, 4}, 2, never)
-	if i, ok := q.pop(0); !ok || i != 0 {
-		t.Fatalf("first pop = (%d, %v), want job 0", i, ok)
-	}
-	if got := q.take(0, 10); !reflect.DeepEqual(got, []int{2, 3}) {
-		t.Errorf("top-up took %v, want [2 3] (its own key and the keyless job, not k2)", got)
-	}
-	if got := q.take(1, 10); len(got) != 0 {
-		t.Errorf("endpoint 1's top-up took %v before claiming any key, want nothing", got)
-	}
-	select {
-	case i := <-popAsync(q, 1):
-		if i != 1 {
-			t.Errorf("endpoint 1 popped %d, want job 1: k2 must still be unclaimed", i)
-		}
-	case <-time.After(time.Second):
-		t.Fatal("endpoint 1 found nothing to pop: the top-up claimed k2")
-	}
-	if got := q.take(0, 10); len(got) != 0 {
-		t.Errorf("endpoint 0 took %v of endpoint 1's key", got)
-	}
-}
-
 // A builder that exits frees its keys: a blocked endpoint claims the
 // snapshot and becomes its builder, so a dead endpoint never strands
 // work.
@@ -292,8 +263,10 @@ func TestDispatchQueueDeadBuilderFreesKey(t *testing.T) {
 	case <-time.After(time.Second):
 		t.Fatal("the builder's exit did not free its key")
 	}
-	if got := q.take(1, 10); !reflect.DeepEqual(got, []int{2, 0}) {
-		t.Errorf("new builder's top-up took %v, want [2 0]", got)
+	for _, want := range []int{2, 0} {
+		if i, ok := q.pop(1); !ok || i != want {
+			t.Errorf("new builder's pop = (%d, %v), want job %d", i, ok, want)
+		}
 	}
 }
 

@@ -52,7 +52,7 @@ func pipeSession(t *testing.T, opt WorkerOptions, run func(key string, spec json
 }
 
 // pipeTransport dials a fresh in-process pipe worker per session; run
-// builds each dial's job body and may kill that worker mid-frame.
+// builds each dial's job body and may kill that worker mid-job.
 type pipeTransport struct {
 	run func(dial int, kill func()) func(key string, spec json.RawMessage) Result
 
@@ -77,31 +77,25 @@ func (p *pipeTransport) Dial() (Conn, error) {
 }
 
 // One wire session end to end: the worker opens with a framed hello,
-// and a request envelope carrying several specs is answered one
-// response frame per spec in request order. Through the coordinator, a
-// worker dying mid-frame costs only the frame's unanswered tail: the
-// retry resends exactly those specs, never one that was already
-// answered.
+// and each request frame is answered by one response frame, in order.
+// Through the coordinator, a worker dying mid-job costs only that job:
+// the retry resends exactly it, never a job that was already answered.
 func TestWireSessionStreamsAndRequeuesTail(t *testing.T) {
 	conn, wait := pipeSession(t, WorkerOptions{Capacity: 2}, stubRun)
 	if h := conn.Hello(); !h.Hello || h.Proto != ProtoVersion || h.KeyVersion != keyVersion || h.Capacity != 2 {
 		t.Errorf("hello = %+v, want protocol %d, key scheme %q, capacity 2", h, ProtoVersion, keyVersion)
 	}
-	jobs := specJobs(3)
-	reqs := make([]WireRequest, len(jobs))
-	for i, j := range jobs {
-		reqs[i] = WireRequest{Key: j.Key(), Spec: j.Payload}
-	}
-	if err := conn.SendBatch(reqs); err != nil {
-		t.Fatalf("SendBatch: %v", err)
-	}
-	for i, req := range reqs {
+	for i, j := range specJobs(3) {
+		req := WireRequest{Key: j.Key(), Spec: j.Payload}
+		if err := conn.Send(req); err != nil {
+			t.Fatalf("Send %d: %v", i, err)
+		}
 		resp, err := conn.Recv()
 		if err != nil {
 			t.Fatalf("Recv %d: %v", i, err)
 		}
 		if resp.Key != req.Key || resp.Result.Sim.ControllerOverheadSec != float64(i) || len(resp.Snaps) != 0 {
-			t.Errorf("frame %d = %q value %v snaps %d, want %q value %v no snaps (request order)", i, resp.Key, resp.Result.Sim.ControllerOverheadSec, len(resp.Snaps), req.Key, float64(i))
+			t.Errorf("frame %d = %q value %v snaps %d, want %q value %v no snaps", i, resp.Key, resp.Result.Sim.ControllerOverheadSec, len(resp.Snaps), req.Key, float64(i))
 		}
 	}
 	if sent, recv := conn.(WireStatser).WireStats(); sent <= 0 || recv <= 0 {
@@ -111,9 +105,8 @@ func TestWireSessionStreamsAndRequeuesTail(t *testing.T) {
 		t.Errorf("worker session: %v", err)
 	}
 
-	// Tail requeue: one session holds the whole 5-spec batch in one
-	// frame; the first worker answers two specs and dies running the
-	// third.
+	// Requeue: one session runs the 5-job batch; the first worker
+	// answers two jobs and dies running the third.
 	var mu sync.Mutex
 	ran := make(map[int][]string)
 	pt := &pipeTransport{run: func(dial int, kill func()) func(string, json.RawMessage) Result {
@@ -128,11 +121,11 @@ func TestWireSessionStreamsAndRequeuesTail(t *testing.T) {
 			return stubRun(key, spec)
 		}
 	}}
-	jobs = specJobs(5)
+	jobs := specJobs(5)
 	c := NewCoordinator(ProcConfig{}, pt)
 	for i, r := range c.Run(jobs, nil) {
 		if r.Err != "" || r.Sim.ControllerOverheadSec != float64(i) {
-			t.Errorf("job %d = %+v after a mid-frame worker death", i, r)
+			t.Errorf("job %d = %+v after a worker death mid-job", i, r)
 		}
 	}
 	var tail []string
@@ -140,11 +133,13 @@ func TestWireSessionStreamsAndRequeuesTail(t *testing.T) {
 		tail = append(tail, j.Key())
 	}
 	if !reflect.DeepEqual(ran[2], tail) {
-		t.Errorf("retry session ran %v, want exactly the unanswered tail %v", ran[2], tail)
+		t.Errorf("retry session ran %v, want the job in flight at the death and then the rest of the queue, %v", ran[2], tail)
 	}
+	// Three frames on the dead session (the third unanswered), three on
+	// the retry: only the in-flight job went out twice.
 	st := c.EndpointStats()[0]
-	if st.Retried != 1 || st.Failed != 0 || st.Frames != 2 || st.Dispatched != int64(len(jobs)+len(tail)) {
-		t.Errorf("endpoint stats = %+v, want 1 retry, 2 frames, %d dispatched", st, len(jobs)+len(tail))
+	if st.Retried != 1 || st.Failed != 0 || st.Frames != 6 || st.Specs != 6 || st.Dispatched != int64(len(jobs)+1) {
+		t.Errorf("endpoint stats = %+v, want 1 retry, 6 frames of one spec, %d dispatched", st, len(jobs)+1)
 	}
 }
 
@@ -189,10 +184,10 @@ func TestWireSessionSnapshotRoundTrip(t *testing.T) {
 		{Key: consumer.Key(), Spec: consumer.Payload, Snaps: []SnapshotArtifact{{Key: "pk", Data: snapArtifact}}},
 		{Key: plain.Key(), Spec: plain.Payload},
 	}
-	if err := conn.SendBatch(reqs); err != nil {
-		t.Fatalf("SendBatch: %v", err)
-	}
 	for i, req := range reqs {
+		if err := conn.Send(req); err != nil {
+			t.Fatalf("Send %d: %v", i, err)
+		}
 		resp, err := conn.Recv()
 		if err != nil {
 			t.Fatalf("Recv %d: %v", i, err)
@@ -236,10 +231,10 @@ func TestFleetFailoverAccounting(t *testing.T) {
 	// race-detector load: every healthy cell and the flaky endpoint's
 	// first cell block until the kill goroutine has closed the flaky
 	// listener and every accepted conn. The healthy sibling therefore
-	// cannot drain the queue before the flaky endpoint holds a frame in
+	// cannot drain the queue before the flaky endpoint holds a job in
 	// flight, and the flaky worker's response write is guaranteed to
-	// fail — the coordinator must requeue that frame (retry) and, with
-	// the listener gone, hand it off (failover).
+	// fail — the coordinator must resend that job (retry) and, with the
+	// listener gone, hand it off (failover).
 	killed := make(chan struct{})
 	go func() {
 		for {

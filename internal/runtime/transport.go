@@ -11,25 +11,18 @@ import (
 
 // ProtoVersion is the wire protocol both sides of a session must speak.
 // Every frame in either direction is a wire-package frame (length
-// prefix plus DEFLATE-compressed payload): the worker's first frame is
-// its JSON WireHello, and every later frame is a binary envelope —
-// request batches toward the worker, one response per frame back.
-// There is no negotiation: the coordinator rejects a hello naming any
-// other version at Dial, exactly as it rejects a cache-key mismatch.
-// Bump it whenever either side's framing or envelope fields change
-// meaning, or the cache entry format (cacheMagic) changes: a worker
-// sharing the coordinator's cache directory publishes entries the
-// coordinator must be able to read. Protocol 8 is protocol 7 with
-// binary envelopes; protocol 9 is protocol 8 with FGC3 cache entries;
-// protocol 10 is protocol 9 with Result payloads that leave out the
-// derived fl.Outcome; protocol 11 is protocol 10 with pretrain
-// snapshots shipped and cached in their binary form
-// (core.Snapshot.AppendBinary) instead of JSON.
-const ProtoVersion = 11
-
-// framedSince is the first protocol whose hello is a frame; a worker
-// built before it opens with a bare JSON line.
-const framedSince = 6
+// prefix plus raw payload): the worker's first frame is its JSON
+// WireHello, and every later frame is a binary envelope — one request
+// per frame toward the worker, one response per frame back. There is
+// no negotiation: the coordinator rejects a hello naming any other
+// version at Dial, exactly as it rejects a cache-key mismatch. Bump it
+// whenever either side's framing or envelope fields change meaning, or
+// the cache entry format (cacheMagic) changes: a worker sharing the
+// coordinator's cache directory publishes entries the coordinator must
+// be able to read. Protocol 12 is protocol 11 with raw frames and
+// one request per frame; a protocol-11 worker's DEFLATE-framed hello
+// does not decode as a hello and is refused.
+const ProtoVersion = 12
 
 // WireHello is the first frame of every wire session, sent by the
 // worker the moment the session opens — before any request arrives.
@@ -59,16 +52,16 @@ type WireHello struct {
 }
 
 // Conn is one established wire session to a worker: hello already
-// read and validated, request batches and responses flowing as frames.
+// read and validated, requests and responses flowing as frames.
 // A Conn is used by one coordinator session loop at a time and need not
 // be safe for concurrent use. Close releases the session's resources.
 type Conn interface {
 	// Hello returns the worker's validated handshake frame.
 	Hello() WireHello
-	// SendBatch writes one request envelope frame carrying reqs.
-	SendBatch(reqs []WireRequest) error
+	// Send writes one request envelope frame carrying req.
+	Send(req WireRequest) error
 	// Recv reads the next response envelope frame. Workers answer
-	// every request in order, each in its own frame as it finishes.
+	// every request in order, each in its own frame.
 	Recv() (WireResponse, error)
 	// Close ends the session.
 	Close() error
@@ -163,10 +156,9 @@ func newWireConn(r io.Reader, w io.Writer, timeout time.Duration, closer func() 
 }
 
 // handshake reads and validates the worker's hello frame. A stream
-// that does not open with a frame — a worker built before framedSince
-// writes a bare JSON hello, whose first bytes decode as a length prefix
-// far above wire.MaxFrameBytes — fails the prefix check before any
-// body is allocated.
+// that does not open with a frame — a bare JSON line, whose first bytes
+// decode as a length prefix far above wire.MaxFrameBytes — fails the
+// prefix check before any body is allocated.
 func (c *wireConn) handshake() error {
 	if err := c.setRecvDeadline(); err != nil {
 		return err
@@ -174,7 +166,7 @@ func (c *wireConn) handshake() error {
 	c.frames++
 	payload, _, err := wire.ReadFrame(c.cr, c.frames)
 	if err != nil {
-		return fmt.Errorf("runtime: transport handshake: reading hello (worker built before protocol %d, or not a worker?): %w", framedSince, err)
+		return fmt.Errorf("runtime: transport handshake: reading hello (not a worker?): %w", err)
 	}
 	var h WireHello
 	if err := json.Unmarshal(payload, &h); err != nil || !h.Hello {
@@ -210,9 +202,9 @@ func (c *wireConn) Hello() WireHello { return c.hello }
 // read, hello included.
 func (c *wireConn) WireStats() (sent, recv int64) { return c.cw.n, c.cr.n }
 
-// SendBatch writes one request envelope frame.
-func (c *wireConn) SendBatch(reqs []WireRequest) error {
-	c.sendBuf = appendRequests(c.sendBuf[:0], reqs)
+// Send writes one request envelope frame.
+func (c *wireConn) Send(req WireRequest) error {
+	c.sendBuf = req.appendBinary(c.sendBuf[:0])
 	_, err := wire.WriteFrame(c.cw, c.sendBuf)
 	return err
 }

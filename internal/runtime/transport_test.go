@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"bytes"
+	"compress/flate"
 	"context"
 	"encoding/binary"
 	"encoding/json"
@@ -30,7 +31,7 @@ type fakeTransport struct {
 	respond func(dial int, req WireRequest) (WireResponse, error)
 	// dialErr, when non-nil, can fail a dial outright.
 	dialErr func(dial int) error
-	// sendErr, when non-nil, can fail a session's SendBatch before any
+	// sendErr, when non-nil, can fail a session's Send before the
 	// request is recorded.
 	sendErr func(dial int) error
 
@@ -70,8 +71,7 @@ func (t *fakeTransport) sendCount(key string) int {
 }
 
 // fakeConn answers like a real worker: requests are served in order,
-// each in its own response frame, so a respond error mid-frame leaves
-// the frame's tail unanswered.
+// each in its own response frame.
 type fakeConn struct {
 	t       *fakeTransport
 	dial    int
@@ -80,18 +80,16 @@ type fakeConn struct {
 
 func (c *fakeConn) Hello() WireHello { return c.t.hello }
 
-func (c *fakeConn) SendBatch(reqs []WireRequest) error {
+func (c *fakeConn) Send(req WireRequest) error {
 	if c.t.sendErr != nil {
 		if err := c.t.sendErr(c.dial); err != nil {
 			return err
 		}
 	}
 	c.t.mu.Lock()
-	for _, req := range reqs {
-		c.t.sends[req.Key]++
-	}
+	c.t.sends[req.Key]++
 	c.t.mu.Unlock()
-	c.pending = append(c.pending, reqs...)
+	c.pending = append(c.pending, req)
 	return nil
 }
 
@@ -123,8 +121,8 @@ func specJobs(n int) []Job {
 }
 
 // A session that drops mid-batch must be retried on a fresh session,
-// resending only the in-flight frame's unanswered specs — never jobs
-// that were already answered.
+// resending only the in-flight job — never jobs that were already
+// answered.
 func TestCoordinatorRetryResendsOnlyUnanswered(t *testing.T) {
 	jobs := specJobs(6)
 	answeredOnFirst := 3
@@ -154,8 +152,8 @@ func TestCoordinatorRetryResendsOnlyUnanswered(t *testing.T) {
 			t.Errorf("job %d sent %d times", i, n)
 		}
 	}
-	if want := len(jobs) - answeredOnFirst; resent != want {
-		t.Errorf("%d jobs were resent, want exactly the %d unanswered specs of the in-flight frame", resent, want)
+	if resent != 1 || ft.sendCount(jobs[answeredOnFirst].Key()) != 2 {
+		t.Errorf("%d jobs were resent, want exactly the one in flight when the session dropped (job %d)", resent, answeredOnFirst)
 	}
 	if ft.dials != 2 {
 		t.Errorf("transport dialed %d times, want 2 (session + one retry)", ft.dials)
@@ -213,11 +211,11 @@ func TestCoordinatorExhaustedRetriesSurfaceErrors(t *testing.T) {
 	if done != len(jobs) {
 		t.Errorf("done fired %d times, want %d", done, len(jobs))
 	}
-	// One session holds the whole batch in one frame, so the in-flight
-	// frame is every job.
+	// The session gives up holding one job; the rest never left the
+	// queue and are abandoned with it.
 	st := c.EndpointStats()
-	if len(st) != 1 || st[0].Failed != int64(len(jobs)) {
-		t.Errorf("endpoint stats = %+v (want exactly the in-flight frame counted failed)", st)
+	if len(st) != 1 || st[0].Failed != 1 {
+		t.Errorf("endpoint stats = %+v (want exactly the in-flight job counted failed)", st)
 	}
 }
 
@@ -265,14 +263,32 @@ func payloadFrame(t testing.TB, payload []byte) string {
 	return buf.String()
 }
 
-// reqFrame renders one binary request envelope frame asking for keys.
-func reqFrame(t testing.TB, keys ...string) string {
+// reqFrame renders one binary request envelope frame asking for key.
+func reqFrame(t testing.TB, key string) string {
 	t.Helper()
-	reqs := make([]WireRequest, len(keys))
-	for i, k := range keys {
-		reqs[i] = WireRequest{Key: k, Spec: json.RawMessage(`{}`)}
+	return payloadFrame(t, WireRequest{Key: key, Spec: json.RawMessage(`{}`)}.appendBinary(nil))
+}
+
+// deflateFrame renders v as JSON inside one protocol-11 frame: a
+// length prefix over the DEFLATE-compressed payload.
+func deflateFrame(t testing.TB, v any) string {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return payloadFrame(t, appendRequests(nil, reqs))
+	var body bytes.Buffer
+	fw, err := flate.NewWriter(&body, flate.BestSpeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fw.Write(b); err != nil {
+		t.Fatal(err)
+	}
+	if err := fw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return string(binary.BigEndian.AppendUint32(nil, uint32(body.Len()))) + body.String()
 }
 
 // respFrame renders resp as one binary response envelope frame.
@@ -286,9 +302,9 @@ func respFrame(t testing.TB, resp WireResponse) string {
 }
 
 // The handshake must reject a worker speaking another protocol version
-// or cache-key scheme, a worker built before hellos were framed, a
-// stream whose length prefix exceeds the frame bound, and anything
-// that is not a hello at all — each with an error, without hanging and
+// or cache-key scheme, a bare JSON hello line, a stream whose length
+// prefix exceeds the frame bound, and anything that is not a hello at
+// all — each with an error, without hanging and
 // without allocating what a lying prefix claims.
 func TestHandshakeRejectsMismatches(t *testing.T) {
 	dial := func(stream string) error {
@@ -301,7 +317,7 @@ func TestHandshakeRejectsMismatches(t *testing.T) {
 	var oversized [4]byte
 	binary.BigEndian.PutUint32(oversized[:], wire.MaxFrameBytes+1)
 	cases := []struct{ name, stream, want string }{
-		{"unframed JSON hello", `{"hello":true,"proto":3,"maxProto":5,"keyVersion":"` + keyVersion + `","capacity":1}` + "\n", "before protocol 6"},
+		{"unframed JSON hello", `{"hello":true,"proto":3,"maxProto":5,"keyVersion":"` + keyVersion + `","capacity":1}` + "\n", "length prefix"},
 		{"protocol 5", hello(5, keyVersion), "wire protocol 5"},
 		// Protocol 6 framed its hello the same way but wrote FGC1 cache
 		// entries into a shared cache directory.
@@ -315,6 +331,9 @@ func TestHandshakeRejectsMismatches(t *testing.T) {
 		{"protocol 9", hello(9, keyVersion), "wire protocol 9"},
 		// Protocol 10 shipped and cached pretrain snapshots as JSON.
 		{"protocol 10", hello(10, keyVersion), "wire protocol 10"},
+		// Protocol 11 DEFLATE-compressed every frame.
+		{"protocol 11", hello(11, keyVersion), "wire protocol 11"},
+		{"protocol 11 DEFLATE-framed", deflateFrame(t, WireHello{Hello: true, Proto: 11, KeyVersion: keyVersion, Capacity: 1}), "not a hello"},
 		{"future protocol", hello(ProtoVersion+1, keyVersion), "wire protocol"},
 		{"wrong key scheme", hello(ProtoVersion, "v1"), "cache-key scheme"},
 		{"prefix over MaxFrameBytes", string(oversized[:]) + "xxxx", "length prefix"},
@@ -394,10 +413,10 @@ func TestCoordinatorWithoutEndpointsReturnsErrors(t *testing.T) {
 func TestServeSessionWhitespaceAndFrameErrors(t *testing.T) {
 	run := func(key string, _ json.RawMessage) Result { return Result{Key: key} }
 	var out bytes.Buffer
-	if err := ServeSession(strings.NewReader(reqFrame(t, "k0", "k1")+reqFrame(t, "k2")), &out, run, WorkerOptions{}); err != nil {
+	if err := ServeSession(strings.NewReader(reqFrame(t, "k0")+reqFrame(t, "k1")+reqFrame(t, "k2")), &out, run, WorkerOptions{}); err != nil {
 		t.Fatalf("clean session: %v", err)
 	}
-	for i := 0; i < 4; i++ { // hello + one response frame per spec
+	for i := 0; i < 4; i++ { // hello + one response frame per request
 		if _, _, err := wire.ReadFrame(&out, i+1); err != nil {
 			t.Fatalf("output frame %d: %v", i+1, err)
 		}
@@ -405,10 +424,11 @@ func TestServeSessionWhitespaceAndFrameErrors(t *testing.T) {
 	for _, c := range []struct{ name, stream string }{
 		{"whitespace between frames", reqFrame(t, "k0") + "\n" + reqFrame(t, "k1")},
 		{"JSON line", reqFrame(t, "k0") + `{"key":"k1","spec":{}}` + "\n"},
-		{"empty envelope", reqFrame(t, "k0") + reqFrame(t)},
+		{"empty frame", reqFrame(t, "k0") + payloadFrame(t, nil)},
+		{"two requests in one frame", reqFrame(t, "k0") + payloadFrame(t, append(WireRequest{Key: "k1"}.appendBinary(nil), WireRequest{Key: "k2"}.appendBinary(nil)...))},
 		{"not an envelope", reqFrame(t, "k0") + jsonFrame(t, []int{1})},
 		{"protocol 7 JSON envelope", reqFrame(t, "k0") + jsonFrame(t, map[string][]WireRequest{"reqs": {{Key: "k1", Spec: json.RawMessage(`{}`)}}})},
-		{"trailing bytes", reqFrame(t, "k0") + payloadFrame(t, append(appendRequests(nil, []WireRequest{{Key: "k1"}}), 0))},
+		{"trailing bytes", reqFrame(t, "k0") + payloadFrame(t, append(WireRequest{Key: "k1"}.appendBinary(nil), 0))},
 	} {
 		err := ServeSession(strings.NewReader(c.stream), io.Discard, run, WorkerOptions{})
 		if err == nil || !strings.Contains(err.Error(), "frame 2") {
@@ -532,32 +552,56 @@ func TestTCPDisconnectMidBatchFailsOver(t *testing.T) {
 	}
 }
 
-// A listener that is not a fedgpo worker (wrong protocol on the port)
-// must be rejected by the handshake, and with no other endpoint the
-// batch surfaces handshake errors rather than hanging or poisoning
-// the cache.
+// A listener that is not a fedgpo worker of this protocol must be
+// rejected by the handshake before anything is sent to it: a worker
+// from a future protocol, and a protocol-11 worker, whose hello is
+// DEFLATE-framed. With no other endpoint the batch surfaces handshake
+// errors rather than hanging or poisoning the cache, and not one byte
+// reaches the listener.
 func TestTCPHandshakeMismatchRejectsEndpoint(t *testing.T) {
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer lis.Close()
-	future := jsonFrame(t, WireHello{Hello: true, Proto: ProtoVersion + 1, KeyVersion: keyVersion, Capacity: 1})
-	go func() {
-		for {
-			nc, err := lis.Accept()
-			if err != nil {
-				return
-			}
-			_, _ = io.WriteString(nc, future)
-			_ = nc.Close()
+	for _, c := range []struct{ name, hello, want string }{
+		{"future protocol", jsonFrame(t, WireHello{Hello: true, Proto: ProtoVersion + 1, KeyVersion: keyVersion, Capacity: 1}), "wire protocol"},
+		{"protocol 11", deflateFrame(t, WireHello{Hello: true, Proto: 11, KeyVersion: keyVersion, Capacity: 2}), "not a hello"},
+	} {
+		lis, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
 		}
-	}()
-	c := NewProcBackend(ProcConfig{Workers: []string{lis.Addr().String()}})
-	results := c.Run(specJobs(2), nil)
-	for i, r := range results {
-		if !strings.Contains(r.Err, "handshake") {
-			t.Errorf("job %d error = %q, want a handshake rejection", i, r.Err)
+		var received atomic.Int64
+		var sessions sync.WaitGroup
+		acceptDone := make(chan struct{})
+		go func() {
+			defer close(acceptDone)
+			for {
+				nc, err := lis.Accept()
+				if err != nil {
+					return
+				}
+				sessions.Add(1)
+				go func() {
+					defer sessions.Done()
+					defer nc.Close()
+					_ = nc.SetDeadline(time.Now().Add(5 * time.Second))
+					_, _ = io.WriteString(nc, c.hello)
+					n, _ := io.Copy(io.Discard, nc) // until the coordinator hangs up
+					received.Add(n)
+				}()
+			}
+		}()
+		co := NewProcBackend(ProcConfig{Workers: []string{lis.Addr().String()}})
+		for i, r := range co.Run(specJobs(2), nil) {
+			if !strings.Contains(r.Err, "handshake") || !strings.Contains(r.Err, c.want) {
+				t.Errorf("%s: job %d error = %q, want a handshake rejection mentioning %q", c.name, i, r.Err, c.want)
+			}
+		}
+		_ = lis.Close()
+		<-acceptDone
+		sessions.Wait()
+		if n := received.Load(); n != 0 {
+			t.Errorf("%s: the rejected worker received %d bytes, want none", c.name, n)
+		}
+		if st := co.EndpointStats(); st[0].Dispatched != 0 || st[0].Frames != 0 {
+			t.Errorf("%s: endpoint stats = %+v, want nothing dispatched", c.name, st[0])
 		}
 	}
 }
@@ -587,7 +631,7 @@ func TestTCPDrainDeliversInFlightResponse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := conn.SendBatch([]WireRequest{{Key: "k0", Spec: json.RawMessage(`{}`)}}); err != nil {
+	if err := conn.Send(WireRequest{Key: "k0", Spec: json.RawMessage(`{}`)}); err != nil {
 		t.Fatal(err)
 	}
 	<-started

@@ -3,7 +3,7 @@
 // per-endpoint dispatch latency histograms) and a concurrency-safe
 // Collector that accumulates one. The executor, cache, coordinator and
 // simulator all record into collectors; worker processes carry their
-// per-job snapshots back over the wire protocol's v3 "metrics" field,
+// per-job snapshots back in the metrics field of each wire response,
 // so a remote pool is exactly as observable as an in-process one.
 //
 // Telemetry is observational only: nothing recorded here may influence
@@ -35,7 +35,7 @@ const (
 	// (straggler semantics, energy accounting, aggregation).
 	PhaseMerge = "merge"
 	// PhaseCacheRead / PhaseCacheWrite are run-cache I/O (lookup
-	// including payload unmarshal; serialize + atomic publish).
+	// including payload unmarshal; serialize + pack append).
 	PhaseCacheRead  = "cacheRead"
 	PhaseCacheWrite = "cacheWrite"
 	// PhaseCacheDecode is the payload-unmarshal slice of a cache hit —
@@ -119,7 +119,7 @@ type Counters struct {
 	// Deprecated: always zero; see AffinityHits.
 	StolenJobs int64 `json:"stolenJobs"`
 	// SnapshotBytesShipped counts serialized pretrain-snapshot bytes the
-	// coordinator pre-pushed to workers (wire protocol v5).
+	// coordinator pre-pushed to workers inside wire requests.
 	SnapshotBytesShipped int64 `json:"snapshotBytesShipped"`
 }
 
@@ -195,8 +195,7 @@ type Endpoint struct {
 	BytesSent int64 `json:"bytesSent,omitempty"`
 	BytesRecv int64 `json:"bytesRecv,omitempty"`
 	// Frames counts request frames; Specs counts the specs inside them.
-	// Specs/Frames is the realized batch density (1.0 on a v3 session,
-	// up to the coordinator's fair-share batch on v4).
+	// Every request frame carries one spec, so the two are equal.
 	Frames int64 `json:"frames,omitempty"`
 	Specs  int64 `json:"specs,omitempty"`
 	// SnapBytesSent counts pretrain-snapshot bytes pre-pushed to this
@@ -294,8 +293,7 @@ func (m Metrics) Summary() string {
 func (ep Endpoint) wireSummary() string {
 	var s string
 	if ep.Frames > 0 {
-		s = fmt.Sprintf(", %d frames (%.1f specs/frame), %d B sent / %d B recv",
-			ep.Frames, float64(ep.Specs)/float64(ep.Frames), ep.BytesSent, ep.BytesRecv)
+		s = fmt.Sprintf(", %d frames, %d B sent / %d B recv", ep.Frames, ep.BytesSent, ep.BytesRecv)
 	}
 	if ep.SnapBytesSent > 0 {
 		s += fmt.Sprintf(", %d snap B pushed", ep.SnapBytesSent)
