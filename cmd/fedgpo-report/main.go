@@ -26,6 +26,7 @@ import (
 )
 
 func main() {
+	defer cli.ExitOnJobError()
 	quick := flag.Bool("quick", false, "reduced fleet and seeds")
 	only := flag.String("only", "", "comma-separated experiment ids (default: all)")
 	results := flag.String("results", "", "stream the structured result store to this path as JSON Lines, one cell per line as it completes")
@@ -97,9 +98,6 @@ func main() {
 	fmt.Fprintf(os.Stderr, "runtime: %s backend, %d workers, %d cells simulated, %d served from cache, %d/%d pretrain warm-ups executed\n",
 		rtFlags.Backend(), rt.Workers(), st.Runs, st.Hits, pretrainRuns, pretrainKeys)
 	if *verbose {
-		for _, ep := range st.Endpoints {
-			fmt.Fprint(os.Stderr, cli.EndpointLine(ep))
-		}
 		fmt.Fprint(os.Stderr, rt.Metrics().Summary())
 	}
 	if err := rtFlags.WriteMetrics(rt); err != nil {

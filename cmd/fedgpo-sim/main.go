@@ -26,6 +26,7 @@ import (
 )
 
 func main() {
+	defer cli.ExitOnJobError()
 	expID := flag.String("exp", "", "experiment id (see -list)")
 	quick := flag.Bool("quick", false, "reduced fleet and seeds for a fast run")
 	tiny := flag.Bool("tiny", false, "smallest deployment (20 devices) for smoke tests; not representative")

@@ -38,6 +38,7 @@ import (
 )
 
 func main() {
+	defer cli.ExitOnJobError()
 	wname := flag.String("workload", "CNN-MNIST", "workload name (CNN-MNIST, LSTM-Shakespeare, MobileNet-ImageNet)")
 	noniid := flag.Bool("noniid", false, "use the Dirichlet(0.1) non-IID partition")
 	variance := flag.Bool("variance", false, "enable interference + unstable network")
@@ -48,7 +49,7 @@ func main() {
 	paramsFlag := flag.String("params", "8,10,20", "the (B,E,K) setting matrix/scenario-file cells run at")
 	seed := flag.Int64("seed", 1, "run seed")
 	resultsPath := flag.String("results", "", "stream the structured result store to this path as JSON Lines, one cell per line as it completes")
-	verbose := flag.Bool("v", false, "per-endpoint dispatch stats on stderr")
+	verbose := flag.Bool("v", false, "telemetry summary on stderr, per-endpoint dispatch stats included")
 	rtFlags := cli.Register(flag.CommandLine)
 	flag.Parse()
 
@@ -210,15 +211,13 @@ func parseParams(s string) (fl.Params, error) {
 }
 
 // finish prints the runtime summary (the exact "runtime: ..." line CI
-// greps), the per-endpoint dispatch stats under -v, writes the
-// -metrics-out artifact, and finalizes the -results store.
+// greps), the telemetry summary with its per-endpoint lines under -v,
+// writes the -metrics-out artifact, and finalizes the -results store.
 func finish(rt *exp.Runtime, rtFlags *cli.RuntimeFlags, verbose bool, results string) {
 	st := rt.Stats()
 	fmt.Fprintf(os.Stderr, "runtime: %d cells simulated, %d served from cache\n", st.Runs, st.Hits)
 	if verbose {
-		for _, ep := range st.Endpoints {
-			fmt.Fprint(os.Stderr, cli.EndpointLine(ep))
-		}
+		fmt.Fprint(os.Stderr, rt.Metrics().Summary())
 	}
 	if err := rtFlags.WriteMetrics(rt); err != nil {
 		fmt.Fprintln(os.Stderr, err)

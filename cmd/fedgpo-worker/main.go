@@ -4,7 +4,7 @@
 // accepted connection. Each session speaks the runtime package's wire
 // protocol — a hello frame advertising protocol version, cache-key
 // scheme, capacity and cache directory, then one response frame per
-// request of each batched request frame, in request order.
+// request frame (each carries one request), in request order.
 //
 // With -cachedir pointing at the coordinator's cache directory, the
 // worker shares the coordinator's content-addressed run cache and

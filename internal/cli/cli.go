@@ -144,22 +144,18 @@ func (f *RuntimeFlags) WriteMetrics(rt *exp.Runtime) error {
 	return nil
 }
 
-// EndpointLine renders one endpoint's dispatch summary for the CLIs'
-// -v output — counters first, then the wire-level view (request
-// frames, raw bytes both ways) when the endpoint actually moved
-// frames, then the pretrain-snapshot bytes pushed to it, when there
-// were any. Endpoints print in EndpointStats order, which is sorted by
-// name — the same deterministic ordering both -v summaries share.
-func EndpointLine(ep runtime.EndpointStats) string {
-	line := fmt.Sprintf("  endpoint %s: %d dispatched, %d retried, %d failed",
-		ep.Endpoint, ep.Dispatched, ep.Retried, ep.Failed)
-	if ep.Frames > 0 {
-		line += fmt.Sprintf(", %d frames, %d B sent / %d B recv", ep.Frames, ep.BytesSent, ep.BytesRecv)
+// ExitOnJobError, deferred at the top of a CLI's main, turns a failed
+// cell's panic (*exp.JobError) into one stderr line and exit status 1.
+// Any other panic keeps crashing with its stack.
+func ExitOnJobError() {
+	r := recover()
+	if je, ok := r.(*exp.JobError); ok {
+		fmt.Fprintln(os.Stderr, je)
+		os.Exit(1)
 	}
-	if ep.SnapBytesSent > 0 {
-		line += fmt.Sprintf(", %d B snaps pushed", ep.SnapBytesSent)
+	if r != nil {
+		panic(r)
 	}
-	return line + "\n"
 }
 
 // remotes parses -workers into its host:port list (empty entries from

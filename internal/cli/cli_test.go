@@ -1,8 +1,10 @@
 package cli
 
 import (
+	"errors"
 	"flag"
 	"os"
+	"os/exec"
 	"strings"
 	"testing"
 
@@ -174,29 +176,8 @@ func TestRuntimeBuildsProcs(t *testing.T) {
 	}
 }
 
-// EndpointLine appends the pushed-snapshot column only when the
-// coordinator pushed snapshot bytes there, so pool-backend and
-// snapshot-free summaries are unchanged.
-func TestEndpointLineSchedulingColumns(t *testing.T) {
-	base := runtime.EndpointStats{Endpoint: "tcp:10.0.0.5:9331", Dispatched: 12, Retried: 1}
-	if line := EndpointLine(base); strings.Contains(line, "snaps") {
-		t.Errorf("idle snapshot column leaked into %q", line)
-	}
-	ep := base
-	ep.SnapBytesSent = 4096
-	if line := EndpointLine(ep); !strings.Contains(line, ", 4096 B snaps pushed\n") {
-		t.Errorf("EndpointLine = %q, missing %q", line, "4096 B snaps pushed")
-	}
-	// Every request frame carries one spec, so the wire column shows
-	// the frame count and bytes, with no per-frame density.
-	ep.Frames, ep.Specs, ep.BytesSent, ep.BytesRecv = 12, 12, 900, 4000
-	if line, want := EndpointLine(ep), ", 12 frames, 900 B sent / 4000 B recv, 4096 B snaps pushed\n"; !strings.HasSuffix(line, want) {
-		t.Errorf("EndpointLine = %q, want suffix %q", line, want)
-	}
-}
-
-// Both -v summaries print the fleet in EndpointStats order, which the
-// coordinator sorts by name — so two runs over the same fleet list
+// The -v summary prints the fleet in snapshot order, which the
+// collector sorts by name — so two runs over the same fleet list
 // endpoints identically regardless of dispatch timing.
 func TestEndpointOrderingDeterministic(t *testing.T) {
 	rt, err := parse(t, "-workers", "127.0.0.1:9332,127.0.0.1:9331").Runtime()
@@ -209,5 +190,41 @@ func TestEndpointOrderingDeterministic(t *testing.T) {
 	}
 	if eps[0].Endpoint > eps[1].Endpoint {
 		t.Errorf("endpoint stats not sorted by name: %q before %q", eps[0].Endpoint, eps[1].Endpoint)
+	}
+}
+
+// ExitOnJobError recovers a failed cell's *exp.JobError only: any other
+// panic must keep propagating with its value intact.
+func TestExitOnJobErrorRepanicsOthers(t *testing.T) {
+	defer func() {
+		if r := recover(); r != "boom" {
+			t.Errorf("recovered %v, want the original panic value", r)
+		}
+	}()
+	func() {
+		defer ExitOnJobError()
+		panic("boom")
+	}()
+}
+
+// A failed cell's *exp.JobError ends the process with exit status 1
+// and exactly its one error line on stderr — no goroutine dump.
+func TestExitOnJobErrorExitsOne(t *testing.T) {
+	je := &exp.JobError{Key: "v4|sim|cell", Err: "dial 127.0.0.1:1: connection refused"}
+	if os.Getenv("FEDGPO_TEST_JOB_ERROR") == "1" {
+		defer ExitOnJobError()
+		panic(je)
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestExitOnJobErrorExitsOne$")
+	cmd.Env = append(os.Environ(), "FEDGPO_TEST_JOB_ERROR=1")
+	var stderr strings.Builder
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	var ee *exec.ExitError
+	if !errors.As(err, &ee) || ee.ExitCode() != 1 {
+		t.Fatalf("child exited with %v, want exit status 1", err)
+	}
+	if got, want := stderr.String(), je.Error()+"\n"; got != want {
+		t.Errorf("stderr = %q, want %q", got, want)
 	}
 }

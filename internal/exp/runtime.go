@@ -90,16 +90,11 @@ func NewRuntimeWithBackend(b runtime.Backend, cache *runtime.Cache) *Runtime {
 		col:       telemetry.NewCollector(),
 	}
 	// Telemetry is wired by construction: executor (job-level counters,
-	// per-job phase fold-in), cache (I/O timings, mem/disk hit split)
-	// and, when the backend is a coordinator, per-endpoint dispatch
-	// latency plus retry/failover counters.
+	// per-job phase fold-in) and, through it, a coordinator backend
+	// (per-endpoint dispatch counters and latency), plus the cache (I/O
+	// timings, mem/disk hit split).
 	r.exec.SetCollector(r.col)
 	cache.SetCollector(r.col)
-	if bc, ok := b.(interface {
-		SetCollector(*telemetry.Collector)
-	}); ok {
-		bc.SetCollector(r.col)
-	}
 	// A coordinator backend additionally gets the run cache so worker-
 	// returned pretrain snapshots persist under their own keys
 	// and re-ship fleet-wide.
@@ -111,7 +106,8 @@ func NewRuntimeWithBackend(b runtime.Backend, cache *runtime.Cache) *Runtime {
 	return r
 }
 
-// Stats returns the executor's lifetime cache-hit/run counters.
+// Stats returns the executor's lifetime cache-hit/run counters and
+// endpoint entries, read from the runtime's collector.
 func (r *Runtime) Stats() runtime.Stats { return r.exec.Stats() }
 
 // Close does nothing: cache hits refresh their entry's mtime inline,
@@ -127,25 +123,9 @@ func (r *Runtime) Close() error { return nil }
 // it only adds spec-addressed trace artifacts to the cache.
 func (r *Runtime) SetTraceLevel(level string) { r.traceLevel = level }
 
-// TraceLevel returns the configured decision-trace level.
-func (r *Runtime) TraceLevel() string { return r.traceLevel }
-
-// Metrics snapshots the runtime's accumulated telemetry, with the
-// coordinator's authoritative per-endpoint dispatch counters folded
-// onto the endpoints' latency histograms. The snapshot's job-level
-// counters reconcile with Stats by construction: SimsExecuted ==
-// Stats().Runs and CacheHits == Stats().Hits.
-func (r *Runtime) Metrics() telemetry.Metrics {
-	m := r.col.Snapshot()
-	for _, ep := range r.exec.Stats().Endpoints {
-		m.SetEndpointCounts(ep.Endpoint, telemetry.EndpointCounts{
-			Dispatched: ep.Dispatched, Retried: ep.Retried, Failed: ep.Failed,
-			BytesSent: ep.BytesSent, BytesRecv: ep.BytesRecv,
-			Frames: ep.Frames, Specs: ep.Specs, SnapBytesSent: ep.SnapBytesSent,
-		})
-	}
-	return m
-}
+// Metrics snapshots the runtime's collector, the one record of its
+// job, cache and endpoint counts (Stats reads the same record).
+func (r *Runtime) Metrics() telemetry.Metrics { return r.col.Snapshot() }
 
 // Workers returns the execution backend's parallelism.
 func (r *Runtime) Workers() int { return r.exec.Workers() }
@@ -332,12 +312,24 @@ type cell struct {
 	c ContenderSpec
 }
 
+// JobError is the panic value of a failed cell: runSpecs raises it
+// after the rest of the batch drained, and the CLIs recover it (and
+// nothing else) into one error line.
+type JobError struct {
+	// Key is the failed cell's canonical key; Err its Result.Err (a
+	// panic message, or the endpoint error that left it unrun).
+	Key, Err string
+}
+
+func (e *JobError) Error() string { return fmt.Sprintf("exp: cell %s failed: %s", e.Key, e.Err) }
+
 // runSpecs executes a spec batch through the runtime's executor and
 // returns the results in spec order, each with its Outcome derived
 // from its spec's workload and its history (cache entries and wire
 // responses do not carry it). It records the results in the store and
-// re-panics on job failure — matching fl.Run's panic-on-invalid-config
-// semantics while still letting the rest of the batch drain.
+// panics with a *JobError on job failure — matching fl.Run's
+// panic-on-invalid-config semantics while still letting the rest of
+// the batch drain.
 func (r *Runtime) runSpecs(specs []JobSpec) []runtime.Result {
 	jobs := make([]runtime.Job, len(specs))
 	for i, sp := range specs {
@@ -364,7 +356,7 @@ func (r *Runtime) runSpecs(specs []JobSpec) []runtime.Result {
 	}
 	for _, res := range results {
 		if res.Err != "" {
-			panic(fmt.Sprintf("exp: job %q failed: %s", res.Key, res.Err))
+			panic(&JobError{Key: res.Key, Err: res.Err})
 		}
 	}
 	return results

@@ -3,6 +3,8 @@ package exp
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"net"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -67,6 +69,40 @@ func TestPretrainPanicReplaysToEveryCell(t *testing.T) {
 	if runs, _ := rt.PretrainStats(); runs != 0 {
 		t.Errorf("aborted warm-up counted as %d executed runs, want 0", runs)
 	}
+}
+
+// A cell no endpoint could run fails its batch with a *JobError naming
+// the cell and the endpoint error, so the CLIs can report it in one
+// line instead of a goroutine dump.
+func TestFailedCellPanicsWithJobError(t *testing.T) {
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := lis.Addr().String()
+	_ = lis.Close() // nothing listens there now: every dial is refused
+	cache, err := runtime.NewCache("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt := NewRuntimeWithBackend(runtime.NewProcBackend(runtime.ProcConfig{Workers: []string{addr}}), cache)
+	s := Tiny().apply(Ideal(workload.CNNMNIST()))
+	defer func() {
+		r := recover()
+		err, _ := r.(error)
+		var je *JobError
+		if !errors.As(err, &je) {
+			t.Fatalf("panic value %#v is not a *JobError", r)
+		}
+		if !strings.HasPrefix(je.Key, "v4|sim|") || !strings.Contains(je.Err, addr) {
+			t.Errorf("JobError = %+v, want the cell's key and an error naming %s", je, addr)
+		}
+		if st := rt.Stats(); len(st.Endpoints) != 1 || st.Endpoints[0].Retried != 1 || st.Endpoints[0].Dispatched != 0 {
+			t.Errorf("endpoint stats = %+v, want one retried dial and nothing dispatched", st.Endpoints)
+		}
+	}()
+	SweepScenarios(Options{}.WithRuntime(rt), []ScenarioSpec{s}, fl.Params{B: 8, E: 10, K: 20}, 1)
+	t.Fatal("a cell no endpoint could run did not panic")
 }
 
 // rawBytes reads a cache payload as it is stored.

@@ -169,14 +169,17 @@
 // that reads an endpoint's capacity, sessions dial lazily — no
 // connection exists until a session actually holds a job. Each
 // session has a retry budget of one: on failure (crash, disconnect,
-// reply timeout, truncated or out-of-order output) it re-dials and
+// truncated or out-of-order output) it re-dials and
 // resends only its in-flight job — answered jobs are never resent,
 // which matters because results were already streamed to the
 // executor. A session whose budget runs out hands its job back to the
 // queue for surviving endpoints to absorb; only when
 // the whole fleet is gone do remaining jobs surface as error results.
-// Per-endpoint dispatch/retry/give-up counters are snapshotted into
-// Executor.Stats().Endpoints under a single lock.
+// A session blocks on its reply until it arrives or the connection
+// dies: cells may legitimately run for minutes, so only the dial and
+// hello carry a deadline. Per-endpoint dispatch/retry/give-up counters
+// live only in the run's telemetry.Collector; Executor.Stats and
+// Coordinator.EndpointStats read them out of one snapshot of it.
 //
 // Workers share the coordinator's -cachedir when colocated: run
 // results and pretrained-controller snapshots written by one process
@@ -248,7 +251,7 @@
 // singleflight without executing the warm-up. A snapshot counts as
 // held by a pool once the request carrying it was sent, so a request
 // resent after a failed send carries it again. Per-endpoint
-// pushed-snapshot bytes land in the -v summaries and the -metrics-out
+// pushed-snapshot bytes land in the -v summary and the -metrics-out
 // artifact beside the dispatch counters.
 //
 // # Cache format
@@ -367,14 +370,16 @@
 //
 // # Telemetry
 //
-// The runtime is instrumented against a telemetry.Collector (wired by
-// the exp.Runtime constructor, nil-safe everywhere so uninstrumented
-// embedders pay nothing):
+// The runtime is instrumented against one telemetry.Collector, the
+// run's only record of its job, cache and endpoint counts. An Executor
+// and a Coordinator each start with a collector of their own;
+// Executor.SetCollector replaces both (the exp.Runtime constructor
+// hands it the runtime's collector, and the cache the same one):
 //
-//   - The executor mirrors its job-level accounting into the
+//   - The executor counts its job-level accounting into the
 //     collector as each result lands — SimsExecuted for a computed
-//     cell, CacheHits for a replay — so the metrics counters reconcile
-//     with Executor.Stats by construction. Per-job phase timings
+//     cell, CacheHits for a replay — and Executor.Stats reads those
+//     two counters back rather than keeping its own. Per-job phase timings
 //     attached to a Result (Result.Telemetry) are folded in at the
 //     same point, whether the cell ran in-process or arrived over the
 //     wire's "metrics" field.
@@ -387,13 +392,16 @@
 //     as Evictions. Cache-level counters can exceed job-level ones:
 //     pretrain snapshots and trace artifacts are cache traffic but not
 //     jobs.
-//   - The coordinator times each dispatch Send→Recv into a
-//     per-endpoint latency histogram (exponential 1ms-base buckets)
-//     and counts Retries and Failovers as sessions fail. Sessions
-//     meter raw bytes both ways (handshake included) and the
-//     coordinator folds the totals — plus request-frame and spec
-//     counts, equal since a frame carries one spec — into the
-//     per-endpoint stats the -v summaries print.
+//   - The coordinator lists every endpoint in the collector with zero
+//     counts, then records into that endpoint's entry (under the
+//     collector's lock) each dispatch, retry, give-up and pushed
+//     snapshot byte, the Send→Recv latency histogram (exponential
+//     1ms-base buckets), and the raw bytes its sessions meter both
+//     ways (handshake included), plus request-frame and spec counts,
+//     equal since a frame carries one spec. The fleet-wide Retries,
+//     Failovers and SnapshotBytesShipped counters are sums over those
+//     entries, taken at Snapshot. telemetry.Metrics.Summary, the
+//     CLIs' -v output, prints one line per entry.
 //
 // Provenance: because wall-clock measurements (the sec54 probe's
 // overhead timers, ControllerOverheadSec) are replayed verbatim on a

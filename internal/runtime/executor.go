@@ -19,23 +19,19 @@ type Progress struct {
 	Failed bool
 }
 
-// Stats counts the executor's lifetime activity.
+// Stats is the executor's view of its collector: the job counts and
+// endpoint entries of one telemetry snapshot.
 type Stats struct {
 	// Hits counts jobs served from the run cache — by this executor
 	// directly or, under the coordinator, by a worker pool reading the
-	// shared cache directory.
+	// shared cache directory (Counters.CacheHits).
 	Hits int64
 	// Runs counts jobs whose body actually executed (cache misses plus
-	// all jobs when no cache is attached).
+	// all jobs when no cache is attached; Counters.SimsExecuted).
 	Runs int64
-	// Errors counts jobs whose body panicked or whose worker shard
-	// failed.
-	Errors int64
 	// Endpoints holds the per-endpoint dispatch counters when the
-	// backend is a shard coordinator (nil for in-process backends).
-	// Each endpoint's counters are snapshotted under the coordinator's
-	// single lock, so dispatched/retried/failed are mutually consistent
-	// per endpoint even mid-batch.
+	// backend is a shard coordinator (nil for in-process backends),
+	// read from the same snapshot under the collector's one lock.
 	Endpoints []EndpointStats
 }
 
@@ -48,68 +44,47 @@ type Executor struct {
 	col        *telemetry.Collector
 	progressMu sync.Mutex
 	onProgress func(Progress)
-
-	// statsMu guards stats as one unit so Stats returns a consistent
-	// snapshot — hits/runs/errors counted under a single lock, never
-	// three independent atomic loads interleaving with a running batch.
-	statsMu sync.Mutex
-	stats   Stats
 }
 
 // NewExecutorBackend returns an executor on an explicit execution
-// backend with an optional run cache (nil runs every job).
+// backend with an optional run cache (nil runs every job). It records
+// into a collector of its own until SetCollector supplies one.
 func NewExecutorBackend(backend Backend, cache *Cache) *Executor {
-	return &Executor{backend: backend, cache: cache}
+	e := &Executor{backend: backend, cache: cache}
+	e.SetCollector(telemetry.NewCollector())
+	return e
 }
 
 // Workers returns the backend's parallelism.
 func (e *Executor) Workers() int { return e.backend.Workers() }
 
-// Cache returns the attached run cache (nil when uncached).
-func (e *Executor) Cache() *Cache { return e.cache }
-
-// Backend returns the execution backend.
-func (e *Executor) Backend() Backend { return e.backend }
-
 // SetProgress installs a callback fired once per completed job.
 // Callbacks are serialized; fn need not be safe for concurrent use.
 func (e *Executor) SetProgress(fn func(Progress)) { e.onProgress = fn }
 
-// SetCollector attaches a telemetry collector. The executor counts
-// job-level cache hits and executed sims into it (so its counters
-// reconcile with Stats by construction) and folds each result's
-// per-job phase timings — local or carried back over the wire — into
-// the same collector. A nil collector disables recording.
-func (e *Executor) SetCollector(col *telemetry.Collector) { e.col = col }
-
-// Stats returns one consistent snapshot of the lifetime
-// hit/run/error counters, with the backend's per-endpoint dispatch
-// counters attached when it tracks them.
-func (e *Executor) Stats() Stats {
-	e.statsMu.Lock()
-	s := e.stats
-	e.statsMu.Unlock()
-	if es, ok := e.backend.(EndpointStatser); ok {
-		s.Endpoints = es.EndpointStats()
+// SetCollector replaces the executor's collector (col must be
+// non-nil) and hands it on to a backend that records into one (the
+// coordinator's endpoint counts). The executor counts job-level cache
+// hits and executed sims into it and folds each result's per-job
+// phase timings — local or carried back over the wire — into it too.
+func (e *Executor) SetCollector(col *telemetry.Collector) {
+	e.col = col
+	if bc, ok := e.backend.(interface{ SetCollector(*telemetry.Collector) }); ok {
+		bc.SetCollector(col)
 	}
-	return s
 }
 
-// count applies one completed result to the stats snapshot and mirrors
-// it into the telemetry collector: CacheHits tracks Hits and
-// SimsExecuted tracks Runs exactly, which is what lets a metrics
-// artifact reconcile against Stats.
+// Stats reads the lifetime job counts and the endpoint entries out of
+// one snapshot of the executor's collector.
+func (e *Executor) Stats() Stats {
+	m := e.col.Snapshot()
+	return Stats{Hits: m.Counters.CacheHits, Runs: m.Counters.SimsExecuted, Endpoints: m.Endpoints}
+}
+
+// count records one completed result in the collector: a replay as
+// CacheHits, a computed cell as SimsExecuted, plus the result's
+// per-job telemetry.
 func (e *Executor) count(r Result) {
-	e.statsMu.Lock()
-	if r.Cached {
-		e.stats.Hits++
-	} else {
-		e.stats.Runs++
-	}
-	if r.Err != "" {
-		e.stats.Errors++
-	}
-	e.statsMu.Unlock()
 	e.col.Count(func(c *telemetry.Counters) {
 		if r.Cached {
 			c.CacheHits++

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 	"sync"
 	"time"
 
@@ -145,52 +144,27 @@ type ProcConfig struct {
 	InnerParallel int
 }
 
-// EndpointStats is one endpoint's dispatch counters within a
-// coordinator, snapshotted under a single lock.
-type EndpointStats struct {
-	// Endpoint is the transport's name ("tcp:host:port").
-	Endpoint string `json:"endpoint"`
-	// Dispatched counts requests sent to the endpoint, resends
-	// included.
-	Dispatched int64 `json:"dispatched"`
-	// Retried counts session failures that were retried on a fresh
-	// session (the failing session's unanswered job is resent; answered
-	// jobs never are).
-	Retried int64 `json:"retried"`
-	// Failed counts jobs this endpoint gave up on after its retry
-	// budget ran out — handed back to the fleet, and surfaced as error
-	// results only when no endpoint could take them.
-	Failed int64 `json:"failed"`
-	// BytesSent / BytesRecv meter raw bytes moved on the endpoint's
-	// sessions as seen from the coordinator's edge of the transport,
-	// handshake frames included. Zero for sessions that don't meter
-	// (scripted test conns).
-	BytesSent int64 `json:"bytesSent,omitempty"`
-	BytesRecv int64 `json:"bytesRecv,omitempty"`
-	// Frames counts request frames sent; Specs counts the specs those
-	// frames carried. Every frame carries one spec, so the two are
-	// equal; both stay for the benchmark's wire metrics.
-	Frames int64 `json:"frames,omitempty"`
-	Specs  int64 `json:"specs,omitempty"`
-	// SnapBytesSent meters serialized snapshot bytes pre-pushed to this
-	// endpoint.
-	SnapBytesSent int64 `json:"snapBytesSent,omitempty"`
-}
+// EndpointStats is one endpoint's entry in the coordinator's
+// collector. It is an alias of telemetry.Endpoint, kept under this
+// name because the benchmark module names it.
+type EndpointStats = telemetry.Endpoint
 
 // EndpointStatser is implemented by backends that track per-endpoint
-// dispatch counters; Executor.Stats folds them into its snapshot.
+// dispatch counters. Nothing in this module consumes it; the
+// benchmark module names it.
 type EndpointStatser interface {
 	EndpointStats() []EndpointStats
 }
 
 // endpoint is one worker endpoint under the coordinator: a transport
-// plus its learned capacity and dispatch counters.
+// plus its learned capacity. Its counters live in the coordinator's
+// collector, under name.
 type endpoint struct {
 	transport Transport
+	name      string // transport.Name(), resolved once
 	// capacity is the endpoint's session count, learned from the hello
 	// (1 until first probed). Guarded by the coordinator's mutex.
 	capacity int
-	stats    EndpointStats
 	// known tracks snapshot keys the worker pool behind this endpoint
 	// is known to hold, so the coordinator pushes each artifact at most
 	// once per pool: every session of an endpoint talks to the same
@@ -226,11 +200,18 @@ type Coordinator struct {
 	snaps  map[string][]byte
 }
 
-// SetCollector attaches a telemetry collector. The coordinator records
-// per-endpoint dispatch latency (request Send to response Recv, so a
-// cell's worker-side execution time is included) plus retry and
-// failover counters into it. A nil collector disables recording.
-func (c *Coordinator) SetCollector(col *telemetry.Collector) { c.col = col }
+// SetCollector replaces the coordinator's collector (col must be
+// non-nil) and lists every endpoint in it with zero counts, so a run
+// that never dials still reports its fleet. The coordinator records
+// each endpoint's dispatch counters and latency (request Send to
+// response Recv, so a cell's worker-side execution time is included)
+// there and nowhere else.
+func (c *Coordinator) SetCollector(col *telemetry.Collector) {
+	c.col = col
+	for _, ep := range c.endpoints {
+		col.CountEndpoint(ep.name, func(*telemetry.Endpoint) {})
+	}
+}
 
 // SetCache attaches the coordinator's run cache so snapshot artifacts
 // returned by workers are persisted under their own keys — a later
@@ -252,16 +233,18 @@ func NewProcBackend(cfg ProcConfig) *Coordinator {
 
 // NewCoordinator returns a coordinator over explicit transports —
 // the constructor behind NewProcBackend, exposed for custom endpoint
-// fleets and transport-level tests.
+// fleets and transport-level tests. It records into a collector of its
+// own until SetCollector supplies one.
 func NewCoordinator(cfg ProcConfig, transports ...Transport) *Coordinator {
 	c := &Coordinator{cfg: cfg}
 	for _, t := range transports {
 		c.endpoints = append(c.endpoints, &endpoint{
 			transport: t,
+			name:      t.Name(),
 			capacity:  1, // refined by the first hello
-			stats:     EndpointStats{Endpoint: t.Name()},
 		})
 	}
+	c.SetCollector(telemetry.NewCollector())
 	return c
 }
 
@@ -280,19 +263,9 @@ func (c *Coordinator) Workers() int {
 	return total
 }
 
-// EndpointStats snapshots the per-endpoint dispatch counters under one
-// lock, sorted by endpoint name so every consumer — both -v summaries,
-// the metrics JSON — prints the fleet in the same deterministic order.
-func (c *Coordinator) EndpointStats() []EndpointStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]EndpointStats, len(c.endpoints))
-	for i, ep := range c.endpoints {
-		out[i] = ep.stats
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Endpoint < out[j].Endpoint })
-	return out
-}
+// EndpointStats reads the endpoint entries out of one snapshot of the
+// coordinator's collector, sorted by endpoint name.
+func (c *Coordinator) EndpointStats() []EndpointStats { return c.col.Snapshot().Endpoints }
 
 // snapshotData returns the pooled artifact bytes for key, or nil.
 func (c *Coordinator) snapshotData(key string) []byte {
@@ -483,10 +456,7 @@ func (c *Coordinator) runSession(epi int, ep *endpoint, conn Conn, jobs []Job, k
 		if failures >= 2 {
 			// Retry budget spent: hand the unanswered job back.
 			queue.requeue(inFlight)
-			c.mu.Lock()
-			ep.stats.Failed++
-			c.mu.Unlock()
-			c.col.Count(func(cc *telemetry.Counters) { cc.Failovers++ })
+			c.col.CountEndpoint(ep.name, func(s *telemetry.Endpoint) { s.Failed++ })
 			return
 		}
 		if conn == nil {
@@ -543,15 +513,12 @@ func (c *Coordinator) pump(epi int, ep *endpoint, conn Conn, i int, jobs []Job, 
 		if pushed > 0 {
 			c.markSnapKnown(ep, sk)
 		}
-		c.mu.Lock()
-		ep.stats.Dispatched++
-		ep.stats.Frames++
-		ep.stats.Specs++
-		ep.stats.SnapBytesSent += pushed
-		c.mu.Unlock()
-		if pushed > 0 {
-			c.col.Count(func(cc *telemetry.Counters) { cc.SnapshotBytesShipped += pushed })
-		}
+		c.col.CountEndpoint(ep.name, func(s *telemetry.Endpoint) {
+			s.Dispatched++
+			s.Frames++
+			s.Specs++
+			s.SnapBytesSent += pushed
+		})
 		resp, err := conn.Recv()
 		if err != nil {
 			return i, fmt.Errorf("worker reply for %q: %w", keys[i], err)
@@ -559,7 +526,7 @@ func (c *Coordinator) pump(epi int, ep *endpoint, conn Conn, i int, jobs []Job, 
 		if resp.Key != keys[i] {
 			return i, fmt.Errorf("worker replied out of order: got %q, want %q", resp.Key, keys[i])
 		}
-		c.col.RecordLatency(ep.stats.Endpoint, time.Since(sent))
+		c.col.RecordLatency(ep.name, time.Since(sent))
 		r := resp.Result
 		r.Cached = resp.Cached
 		r.Telemetry = resp.Metrics
@@ -591,10 +558,10 @@ func (c *Coordinator) pump(epi int, ep *endpoint, conn Conn, i int, jobs []Job, 
 		}
 		if ws != nil {
 			s, rv := ws.WireStats()
-			c.mu.Lock()
-			ep.stats.BytesSent += s - lastSent
-			ep.stats.BytesRecv += rv - lastRecv
-			c.mu.Unlock()
+			c.col.CountEndpoint(ep.name, func(st *telemetry.Endpoint) {
+				st.BytesSent += s - lastSent
+				st.BytesRecv += rv - lastRecv
+			})
 			lastSent, lastRecv = s, rv
 		}
 		var ok bool
@@ -610,12 +577,8 @@ func (c *Coordinator) pump(epi int, ep *endpoint, conn Conn, i int, jobs []Job, 
 func (c *Coordinator) noteSessionFailure(ep *endpoint, wasRetry bool, err error) {
 	c.mu.Lock()
 	c.lastErr = err
-	retried := !wasRetry
-	if retried {
-		ep.stats.Retried++
-	}
 	c.mu.Unlock()
-	if retried {
-		c.col.Count(func(cc *telemetry.Counters) { cc.Retries++ })
+	if !wasRetry {
+		c.col.CountEndpoint(ep.name, func(s *telemetry.Endpoint) { s.Retried++ })
 	}
 }

@@ -27,7 +27,7 @@ func startPipeWorker(opt WorkerOptions, run func(key string, spec json.RawMessag
 		_ = wr.Close()
 		errc <- err
 	}()
-	conn, err := newWireConn(cr, cw, 0, cw.Close)
+	conn, err := newWireConn(cr, cw, cw.Close)
 	return conn, ww, errc, err
 }
 
@@ -219,7 +219,9 @@ func TestWireSessionSnapshotRoundTrip(t *testing.T) {
 
 // When an endpoint of a two-pool fleet dies mid-batch, the surviving
 // endpoint must absorb its jobs and the dead endpoint's retry and
-// failover counters must record the handoff.
+// failover counters must record the handoff. The executor's collector
+// is the one record: its fleet-wide retry, failover and snapshot-byte
+// counters are the endpoints' sums, and Stats reads the same entries.
 func TestFleetFailoverAccounting(t *testing.T) {
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -270,6 +272,7 @@ func TestFleetFailoverAccounting(t *testing.T) {
 	}()
 	jobs := specJobs(12)
 	c := NewProcBackend(ProcConfig{Workers: []string{lis.Addr().String(), healthyLis.Addr().String()}})
+	e := NewExecutorBackend(c, nil)
 	go func() {
 		<-answered
 		_ = lis.Close()
@@ -279,14 +282,31 @@ func TestFleetFailoverAccounting(t *testing.T) {
 		})
 		close(killed)
 	}()
-	results := c.Run(jobs, nil)
+	results := e.RunAll(jobs)
 	for i, r := range results {
 		if r.Err != "" || r.Sim.ControllerOverheadSec != float64(i) {
 			t.Errorf("job %d = %+v after endpoint death", i, r)
 		}
 	}
+	m, st := e.col.Snapshot(), e.Stats()
+	var retried, failed, snapBytes int64
+	for _, ep := range m.Endpoints {
+		retried += ep.Retried
+		failed += ep.Failed
+		snapBytes += ep.SnapBytesSent
+	}
+	if c := m.Counters; c.Retries != retried || c.Failovers != failed || c.SnapshotBytesShipped != snapBytes {
+		t.Errorf("counters = %d retries, %d failovers, %d snapshot B; endpoints sum to %d, %d, %d",
+			c.Retries, c.Failovers, c.SnapshotBytesShipped, retried, failed, snapBytes)
+	}
+	if !reflect.DeepEqual(st.Endpoints, m.Endpoints) {
+		t.Errorf("Stats().Endpoints = %+v, snapshot endpoints = %+v", st.Endpoints, m.Endpoints)
+	}
+	if st.Runs != int64(len(jobs)) || m.Counters.SimsExecuted != st.Runs {
+		t.Errorf("stats = %+v, snapshot SimsExecuted = %d; want %d runs", st, m.Counters.SimsExecuted, len(jobs))
+	}
 	flakyName := "tcp:" + lis.Addr().String()
-	for _, ep := range c.EndpointStats() {
+	for _, ep := range st.Endpoints {
 		if ep.Endpoint == flakyName {
 			if ep.Retried == 0 {
 				t.Errorf("dead endpoint recorded no retry")

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"time"
 
 	"fedgpo/internal/runtime/wire"
 )
@@ -68,8 +67,8 @@ type Conn interface {
 }
 
 // WireStatser is implemented by sessions that meter raw bytes moved on
-// the wire (the hello frame included). The coordinator folds the
-// totals into its per-endpoint stats.
+// the wire (the hello frame included). The coordinator counts the
+// totals into the endpoint's collector entry.
 type WireStatser interface {
 	WireStats() (sent, recv int64)
 }
@@ -87,14 +86,6 @@ type Transport interface {
 	// Dial opens one wire session, performing and validating the hello
 	// handshake before returning.
 	Dial() (Conn, error)
-}
-
-// deadlineReader is implemented by connections that support read
-// deadlines (net.Conn); wireConn uses it to bound Recv when the
-// transport carries a reply timeout. Other streams (in-process pipes)
-// block until they close.
-type deadlineReader interface {
-	SetReadDeadline(t time.Time) error
 }
 
 // countReader / countWriter meter the raw bytes a session moves, so
@@ -127,8 +118,6 @@ type wireConn struct {
 	hello   WireHello
 	cr      *countReader
 	cw      *countWriter
-	rawRead any // the original read side, checked for deadlineReader
-	timeout time.Duration
 	closer  func() error
 	frames  int    // frames read so far, for frame-indexed errors
 	sendBuf []byte // request payload buffer, reused across frames
@@ -138,13 +127,11 @@ type wireConn struct {
 // and validates the worker's hello frame and returns the ready Conn.
 // closer runs exactly once, on Close (or right away when the handshake
 // fails).
-func newWireConn(r io.Reader, w io.Writer, timeout time.Duration, closer func() error) (Conn, error) {
+func newWireConn(r io.Reader, w io.Writer, closer func() error) (Conn, error) {
 	c := &wireConn{
-		cr:      &countReader{r: r},
-		cw:      &countWriter{w: w},
-		rawRead: r,
-		timeout: timeout,
-		closer:  closer,
+		cr:     &countReader{r: r},
+		cw:     &countWriter{w: w},
+		closer: closer,
 	}
 	if err := c.handshake(); err != nil {
 		if closer != nil {
@@ -160,9 +147,6 @@ func newWireConn(r io.Reader, w io.Writer, timeout time.Duration, closer func() 
 // decode as a length prefix far above wire.MaxFrameBytes — fails the
 // prefix check before any body is allocated.
 func (c *wireConn) handshake() error {
-	if err := c.setRecvDeadline(); err != nil {
-		return err
-	}
 	c.frames++
 	payload, _, err := wire.ReadFrame(c.cr, c.frames)
 	if err != nil {
@@ -185,16 +169,6 @@ func (c *wireConn) handshake() error {
 	return nil
 }
 
-// setRecvDeadline arms the read deadline for the next frame when the
-// connection supports one and a timeout is configured.
-func (c *wireConn) setRecvDeadline() error {
-	dr, ok := c.rawRead.(deadlineReader)
-	if !ok || c.timeout <= 0 {
-		return nil
-	}
-	return dr.SetReadDeadline(time.Now().Add(c.timeout))
-}
-
 // Hello returns the validated handshake frame.
 func (c *wireConn) Hello() WireHello { return c.hello }
 
@@ -209,12 +183,9 @@ func (c *wireConn) Send(req WireRequest) error {
 	return err
 }
 
-// Recv reads one response envelope frame, bounded by the transport's
-// reply timeout when the connection supports deadlines.
+// Recv reads one response envelope frame, blocking until it arrives
+// or the connection dies.
 func (c *wireConn) Recv() (WireResponse, error) {
-	if err := c.setRecvDeadline(); err != nil {
-		return WireResponse{}, err
-	}
 	c.frames++
 	payload, _, err := wire.ReadFrame(c.cr, c.frames)
 	if err != nil {

@@ -21,12 +21,6 @@ const defaultDialTimeout = 10 * time.Second
 type TCPTransport struct {
 	// Addr is the worker pool's host:port.
 	Addr string
-	// ReplyTimeout, when positive, bounds how long Recv waits for each
-	// response frame. Simulation cells can legitimately run for minutes,
-	// so the zero default means "wait for the connection to die" —
-	// set it when the deployment wants hung-worker detection faster
-	// than TCP keepalive provides.
-	ReplyTimeout time.Duration
 }
 
 // Name identifies the endpoint in errors and per-endpoint stats.
@@ -42,15 +36,13 @@ func (t *TCPTransport) Dial() (Conn, error) {
 	// never hellos (wrong service on the port) must not hang the
 	// coordinator.
 	_ = nc.SetReadDeadline(time.Now().Add(defaultDialTimeout))
-	conn, err := newWireConn(nc, nc, t.ReplyTimeout, nc.Close)
+	conn, err := newWireConn(nc, nc, nc.Close)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", t.Addr, err)
 	}
-	if t.ReplyTimeout <= 0 {
-		// Handshake done; without a reply timeout the session reads
-		// block indefinitely again.
-		_ = nc.SetReadDeadline(time.Time{})
-	}
+	// Handshake done: a cell may legitimately run for minutes, so
+	// session reads block until the reply or the connection's death.
+	_ = nc.SetReadDeadline(time.Time{})
 	return conn, nil
 }
 

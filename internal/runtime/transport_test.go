@@ -308,7 +308,7 @@ func respFrame(t testing.TB, resp WireResponse) string {
 // without allocating what a lying prefix claims.
 func TestHandshakeRejectsMismatches(t *testing.T) {
 	dial := func(stream string) error {
-		_, err := newWireConn(strings.NewReader(stream), io.Discard, 0, nil)
+		_, err := newWireConn(strings.NewReader(stream), io.Discard, nil)
 		return err
 	}
 	hello := func(proto int, kv string) string {
@@ -354,7 +354,7 @@ func TestHandshakeRejectsMismatches(t *testing.T) {
 		}
 	}
 	good := jsonFrame(t, WireHello{Hello: true, Proto: ProtoVersion, KeyVersion: keyVersion, Capacity: 3, CacheDir: "/tmp/c"})
-	conn, err := newWireConn(strings.NewReader(good), io.Discard, 0, nil)
+	conn, err := newWireConn(strings.NewReader(good), io.Discard, nil)
 	if err != nil {
 		t.Fatalf("valid hello rejected: %v", err)
 	}
@@ -378,7 +378,7 @@ func FuzzHello(f *testing.F) {
 			_, _ = pw.Write(b)
 			_ = pw.Close()
 		}()
-		conn, err := newWireConn(pr, io.Discard, 0, func() error { return pr.Close() })
+		conn, err := newWireConn(pr, io.Discard, func() error { return pr.Close() })
 		if err != nil {
 			return
 		}
@@ -648,37 +648,6 @@ func TestTCPDrainDeliversInFlightResponse(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Error("Serve did not return after drain")
-	}
-}
-
-// With a reply timeout configured, a worker that accepts a job and
-// never answers must fail the session instead of hanging the batch.
-func TestTCPReplyTimeout(t *testing.T) {
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer lis.Close()
-	hello := jsonFrame(t, WireHello{Hello: true, Proto: ProtoVersion, KeyVersion: keyVersion, Capacity: 1})
-	go func() {
-		for {
-			nc, err := lis.Accept()
-			if err != nil {
-				return
-			}
-			// Hello, then silence: accept requests, answer nothing.
-			_, _ = io.WriteString(nc, hello)
-		}
-	}()
-	c := NewCoordinator(ProcConfig{},
-		&TCPTransport{Addr: lis.Addr().String(), ReplyTimeout: 100 * time.Millisecond})
-	start := time.Now()
-	results := c.Run(specJobs(1), nil)
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("hung worker stalled the batch for %v", elapsed)
-	}
-	if !strings.Contains(results[0].Err, "worker shard failed after retry") {
-		t.Errorf("result = %+v, want a shard failure after the reply timeout", results[0])
 	}
 }
 

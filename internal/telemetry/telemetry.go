@@ -1,10 +1,18 @@
 // Package telemetry is the run-metrics model shared by the whole
 // stack: a serializable Metrics snapshot (per-phase timings, counters,
-// per-endpoint dispatch latency histograms) and a concurrency-safe
-// Collector that accumulates one. The executor, cache, coordinator and
-// simulator all record into collectors; worker processes carry their
-// per-job snapshots back in the metrics field of each wire response,
-// so a remote pool is exactly as observable as an in-process one.
+// per-endpoint dispatch counters and latency histograms) and a
+// concurrency-safe Collector that accumulates one. The executor,
+// cache, coordinator and simulator all record into collectors; worker
+// processes carry their per-job snapshots back in the metrics field of
+// each wire response, so a remote pool is exactly as observable as an
+// in-process one.
+//
+// A run's collector is its only ledger: the executor's job counts
+// (runtime.Executor.Stats) and the coordinator's endpoint counts
+// (runtime.Coordinator.EndpointStats) are read back out of it, never
+// kept beside it. Each fact is recorded once. The fleet-wide Retries,
+// Failovers and SnapshotBytesShipped counters are derived: Snapshot
+// sums them over the endpoints' Retried, Failed and SnapBytesSent.
 //
 // Telemetry is observational only: nothing recorded here may influence
 // a simulation's outcome, a canonical cache key, or a cached entry's
@@ -62,12 +70,14 @@ type Phase struct {
 }
 
 // Counters are the run-level event counters. The job-level pair
-// (CacheHits, SimsExecuted) is counted by the executor and reconciles
-// with Executor.Stats by construction: CacheHits == Stats.Hits and
-// SimsExecuted == Stats.Runs. The cache-level trio (mem/disk hits,
-// misses) counts individual cache reads — job results, pretrained
-// snapshots and trace artifacts alike — so it may exceed the job-level
-// hit count.
+// (CacheHits, SimsExecuted) is counted by the executor, whose Stats
+// reads it back: Stats.Hits is CacheHits and Stats.Runs is
+// SimsExecuted. The cache-level trio (mem/disk hits, misses) counts
+// individual cache reads — job results, pretrained snapshots and
+// trace artifacts alike — so it may exceed the job-level hit count.
+// Retries, Failovers and SnapshotBytesShipped are derived, not
+// counted: Snapshot fills them with sums over Metrics.Endpoints (what
+// a Count writes there is dropped), and Add does not merge them.
 type Counters struct {
 	// CacheHits counts jobs served from the run cache (job-level).
 	CacheHits int64 `json:"cacheHits"`
@@ -95,10 +105,11 @@ type Counters struct {
 	// Evictions counts cache entries removed by Prune.
 	Evictions int64 `json:"evictions"`
 	// Retries counts worker sessions that failed and were retried on a
-	// fresh session.
+	// fresh session: the sum of the endpoints' Retried.
 	Retries int64 `json:"retries"`
 	// Failovers counts jobs a session gave up on (retry budget spent)
-	// and handed back to the fleet for another endpoint to absorb.
+	// and handed back to the fleet for another endpoint to absorb: the
+	// sum of the endpoints' Failed.
 	Failovers int64 `json:"failovers"`
 	// PretrainRuns counts FedGPO Q-table warm-ups that actually executed
 	// anywhere in the fleet (each warm-up is counted once, by the worker
@@ -119,7 +130,8 @@ type Counters struct {
 	// Deprecated: always zero; see AffinityHits.
 	StolenJobs int64 `json:"stolenJobs"`
 	// SnapshotBytesShipped counts serialized pretrain-snapshot bytes the
-	// coordinator pre-pushed to workers inside wire requests.
+	// coordinator pre-pushed to workers inside wire requests: the sum of
+	// the endpoints' SnapBytesSent.
 	SnapshotBytesShipped int64 `json:"snapshotBytesShipped"`
 }
 
@@ -186,32 +198,33 @@ func (h Histogram) MeanSeconds() float64 {
 // request to Recv of its response, so it includes the cell's execution
 // time on the worker).
 type Endpoint struct {
-	Endpoint   string `json:"endpoint"`
-	Dispatched int64  `json:"dispatched"`
-	Retried    int64  `json:"retried"`
-	Failed     int64  `json:"failed"`
+	// Endpoint is the transport's name ("tcp:host:port").
+	Endpoint string `json:"endpoint"`
+	// Dispatched counts requests sent to the endpoint, resends
+	// included.
+	Dispatched int64 `json:"dispatched"`
+	// Retried counts session failures that were retried on a fresh
+	// session (the failing session's unanswered job is resent; answered
+	// jobs never are).
+	Retried int64 `json:"retried"`
+	// Failed counts jobs this endpoint gave up on after its retry
+	// budget ran out — handed back to the fleet, and surfaced as error
+	// results only when no endpoint could take them.
+	Failed int64 `json:"failed"`
 	// BytesSent / BytesRecv are raw wire bytes through the endpoint's
-	// sessions, handshakes and framing included.
+	// sessions, handshakes and framing included. Zero for sessions that
+	// don't meter (scripted test conns).
 	BytesSent int64 `json:"bytesSent,omitempty"`
 	BytesRecv int64 `json:"bytesRecv,omitempty"`
 	// Frames counts request frames; Specs counts the specs inside them.
-	// Every request frame carries one spec, so the two are equal.
+	// Every request frame carries one spec, so the two are equal; both
+	// stay for the benchmark's wire metrics.
 	Frames int64 `json:"frames,omitempty"`
 	Specs  int64 `json:"specs,omitempty"`
 	// SnapBytesSent counts pretrain-snapshot bytes pre-pushed to this
 	// endpoint.
 	SnapBytesSent int64     `json:"snapBytesSent,omitempty"`
 	Latency       Histogram `json:"latency"`
-}
-
-// EndpointCounts carries one endpoint's coordinator-authoritative
-// dispatch counters into SetEndpointCounts — everything in Endpoint
-// except the name and the latency histogram.
-type EndpointCounts struct {
-	Dispatched, Retried, Failed int64
-	BytesSent, BytesRecv        int64
-	Frames, Specs               int64
-	SnapBytesSent               int64
 }
 
 // Metrics is one serializable telemetry snapshot: what the CLIs write
@@ -224,36 +237,8 @@ type Metrics struct {
 	Endpoints []Endpoint       `json:"endpoints,omitempty"`
 }
 
-// SetEndpointCounts overwrites one endpoint's dispatch counters,
-// creating the entry if needed — used when folding the coordinator's
-// authoritative EndpointStats into a snapshot so the metrics artifact
-// always reconciles with Executor.Stats.
-func (m *Metrics) SetEndpointCounts(name string, c EndpointCounts) {
-	set := func(ep *Endpoint) {
-		ep.Dispatched = c.Dispatched
-		ep.Retried = c.Retried
-		ep.Failed = c.Failed
-		ep.BytesSent = c.BytesSent
-		ep.BytesRecv = c.BytesRecv
-		ep.Frames = c.Frames
-		ep.Specs = c.Specs
-		ep.SnapBytesSent = c.SnapBytesSent
-	}
-	for i := range m.Endpoints {
-		if m.Endpoints[i].Endpoint == name {
-			set(&m.Endpoints[i])
-			return
-		}
-	}
-	ep := Endpoint{Endpoint: name}
-	set(&ep)
-	m.Endpoints = append(m.Endpoints, ep)
-	sort.Slice(m.Endpoints, func(i, j int) bool {
-		return m.Endpoints[i].Endpoint < m.Endpoints[j].Endpoint
-	})
-}
-
-// Summary renders a compact human-readable view (fedgpo-report -v).
+// Summary renders a compact human-readable view: the -v output of
+// fedgpo-report and fedgpo-sweep, one line per endpoint.
 func (m Metrics) Summary() string {
 	var b strings.Builder
 	c := m.Counters
@@ -343,24 +328,38 @@ func (c *Collector) Count(fn func(*Counters)) {
 	c.mu.Unlock()
 }
 
-// RecordLatency observes one request round-trip on an endpoint's
-// dispatch latency histogram.
-func (c *Collector) RecordLatency(endpoint string, d time.Duration) {
+// CountEndpoint mutates one endpoint's entry under the collector's
+// lock, listing it (with zero counts) first if it is new; fn must not
+// block or call back into the collector. A no-op fn just lists the
+// endpoint.
+func (c *Collector) CountEndpoint(endpoint string, fn func(*Endpoint)) {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
-	ep, ok := c.endpoints[endpoint]
-	if !ok {
-		ep = &Endpoint{Endpoint: endpoint}
-		c.endpoints[endpoint] = ep
-	}
-	ep.Latency.observe(d)
+	fn(c.endpoint(endpoint))
 	c.mu.Unlock()
 }
 
-// Add merges a snapshot into the collector: phases and counters sum,
-// endpoint histograms merge by name. It is how a worker's per-job
+// RecordLatency observes one request round-trip on an endpoint's
+// dispatch latency histogram.
+func (c *Collector) RecordLatency(endpoint string, d time.Duration) {
+	c.CountEndpoint(endpoint, func(ep *Endpoint) { ep.Latency.observe(d) })
+}
+
+// endpoint returns the named endpoint's entry, creating it; callers
+// hold c.mu.
+func (c *Collector) endpoint(name string) *Endpoint {
+	ep, ok := c.endpoints[name]
+	if !ok {
+		ep = &Endpoint{Endpoint: name}
+		c.endpoints[name] = ep
+	}
+	return ep
+}
+
+// Add merges a snapshot into the collector: phases and counters sum
+// (the derived ones excepted, see Counters), endpoints merge by name. It is how a worker's per-job
 // metrics (carried on the wire) fold into the coordinator's run view.
 func (c *Collector) Add(m Metrics) {
 	if c == nil {
@@ -383,16 +382,9 @@ func (c *Collector) Add(m Metrics) {
 	cc.CacheTouches += mc.CacheTouches
 	cc.SimsExecuted += mc.SimsExecuted
 	cc.Evictions += mc.Evictions
-	cc.Retries += mc.Retries
-	cc.Failovers += mc.Failovers
 	cc.PretrainRuns += mc.PretrainRuns
-	cc.SnapshotBytesShipped += mc.SnapshotBytesShipped
 	for _, mep := range m.Endpoints {
-		ep, ok := c.endpoints[mep.Endpoint]
-		if !ok {
-			ep = &Endpoint{Endpoint: mep.Endpoint}
-			c.endpoints[mep.Endpoint] = ep
-		}
+		ep := c.endpoint(mep.Endpoint)
 		ep.Dispatched += mep.Dispatched
 		ep.Retried += mep.Retried
 		ep.Failed += mep.Failed
@@ -407,8 +399,9 @@ func (c *Collector) Add(m Metrics) {
 }
 
 // Snapshot returns a deep copy of the accumulated metrics, with
-// endpoints in name order so the JSON encoding is deterministic.
-// A nil collector snapshots to the zero Metrics.
+// endpoints in name order so the JSON encoding is deterministic, and
+// the derived counters summed over them. A nil collector snapshots to
+// the zero Metrics.
 func (c *Collector) Snapshot() Metrics {
 	if c == nil {
 		return Metrics{}
@@ -416,6 +409,7 @@ func (c *Collector) Snapshot() Metrics {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	m := Metrics{Counters: c.counters}
+	m.Counters.Retries, m.Counters.Failovers, m.Counters.SnapshotBytesShipped = 0, 0, 0
 	if len(c.phases) > 0 {
 		m.Phases = make(map[string]Phase, len(c.phases))
 		for n, p := range c.phases {
@@ -426,6 +420,9 @@ func (c *Collector) Snapshot() Metrics {
 		cp := *ep
 		cp.Latency.Buckets = append([]int64(nil), ep.Latency.Buckets...)
 		m.Endpoints = append(m.Endpoints, cp)
+		m.Counters.Retries += ep.Retried
+		m.Counters.Failovers += ep.Failed
+		m.Counters.SnapshotBytesShipped += ep.SnapBytesSent
 	}
 	sort.Slice(m.Endpoints, func(i, j int) bool {
 		return m.Endpoints[i].Endpoint < m.Endpoints[j].Endpoint

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"encoding/json"
+	"strings"
 	"testing"
 	"time"
 )
@@ -75,20 +76,6 @@ func TestHistogramBuckets(t *testing.T) {
 	}
 }
 
-func TestSetEndpointCounts(t *testing.T) {
-	var m Metrics
-	m.SetEndpointCounts("tcp:b", EndpointCounts{Dispatched: 5, Retried: 1})
-	m.SetEndpointCounts("tcp:a", EndpointCounts{Dispatched: 3, Failed: 1})
-	// Overwrite, not append; wire counters land too.
-	m.SetEndpointCounts("tcp:b", EndpointCounts{Dispatched: 6, Retried: 1, BytesSent: 100, BytesRecv: 200, Frames: 2, Specs: 6})
-	if len(m.Endpoints) != 2 || m.Endpoints[0].Endpoint != "tcp:a" || m.Endpoints[1].Dispatched != 6 {
-		t.Fatalf("endpoints = %+v", m.Endpoints)
-	}
-	if ep := m.Endpoints[1]; ep.BytesSent != 100 || ep.BytesRecv != 200 || ep.Frames != 2 || ep.Specs != 6 {
-		t.Fatalf("wire counters lost: %+v", ep)
-	}
-}
-
 // The JSON encoding of a snapshot must be deterministic (sorted
 // endpoints, stable struct fields) — it lands in -metrics-out files
 // that CI diffs and asserts on with jq.
@@ -106,5 +93,51 @@ func TestSnapshotJSONDeterministic(t *testing.T) {
 	}
 	if a, b := build(), build(); string(a) != string(b) {
 		t.Fatalf("snapshot JSON unstable:\n%s\n%s", a, b)
+	}
+}
+
+// Retries, Failovers and SnapshotBytesShipped are read off the
+// endpoints, never stored: a merged snapshot's copies of them are
+// dropped, and the endpoints' counts are what Snapshot reports.
+func TestDerivedCountersSumEndpoints(t *testing.T) {
+	c := NewCollector()
+	c.CountEndpoint("tcp:a", func(ep *Endpoint) { ep.Retried, ep.Failed, ep.SnapBytesSent = 1, 1, 100 })
+	c.CountEndpoint("tcp:b", func(ep *Endpoint) { ep.Retried, ep.SnapBytesSent = 2, 50 })
+	c.CountEndpoint("tcp:idle", func(*Endpoint) {})
+	c.Add(Metrics{Counters: Counters{Retries: 7, Failovers: 7, SnapshotBytesShipped: 7}})
+	m := c.Snapshot()
+	if got := m.Counters; got.Retries != 3 || got.Failovers != 1 || got.SnapshotBytesShipped != 150 {
+		t.Errorf("derived counters = %d retries, %d failovers, %d snapshot B; want 3, 1, 150",
+			got.Retries, got.Failovers, got.SnapshotBytesShipped)
+	}
+	if len(m.Endpoints) != 3 || m.Endpoints[2].Endpoint != "tcp:idle" || m.Endpoints[2].Dispatched != 0 {
+		t.Errorf("a no-op CountEndpoint must list the endpoint with zero counts: %+v", m.Endpoints)
+	}
+}
+
+// An endpoint's summary line shows the frames and bytes columns only
+// when frames moved (an in-process pool has no wire), and the snapshot
+// column only when snapshot bytes were pushed.
+func TestSummaryEndpointColumns(t *testing.T) {
+	line := func(ep Endpoint) string {
+		for _, l := range strings.Split(Metrics{Endpoints: []Endpoint{ep}}.Summary(), "\n") {
+			if strings.HasPrefix(l, "  endpoint ") {
+				return l
+			}
+		}
+		t.Fatalf("no endpoint line for %+v", ep)
+		return ""
+	}
+	ep := Endpoint{Endpoint: "tcp:10.0.0.5:9331", Dispatched: 12, Retried: 1}
+	if l := line(ep); strings.Contains(l, "frames") || strings.Contains(l, "pushed") {
+		t.Errorf("idle wire or snapshot column leaked into %q", l)
+	}
+	ep.SnapBytesSent = 4096
+	if l := line(ep); !strings.HasSuffix(l, "ms, 4096 snap B pushed") {
+		t.Errorf("endpoint line = %q, want only the snapshot column after the latency", l)
+	}
+	ep.Frames, ep.Specs, ep.BytesSent, ep.BytesRecv = 12, 12, 900, 4000
+	if l, want := line(ep), ", 12 frames, 900 B sent / 4000 B recv, 4096 snap B pushed"; !strings.HasSuffix(l, want) {
+		t.Errorf("endpoint line = %q, want suffix %q", l, want)
 	}
 }
