@@ -3,23 +3,24 @@
 // pool serving up to -capacity concurrent wire sessions, one per
 // accepted connection. Each session speaks the runtime package's wire
 // protocol — a hello frame advertising protocol version, cache-key
-// scheme, capacity and cache directory, then one response frame per
-// request frame (each carries one request), in request order.
+// scheme and capacity, then one response frame per request frame (each
+// carries one request), in request order.
 //
-// With -cachedir pointing at the coordinator's cache directory, the
-// worker shares the coordinator's content-addressed run cache and
-// pretrained-controller snapshots, so hit semantics match the
-// in-process pool backend exactly; the hello advertises the directory,
-// and the coordinator skips re-writing entries such a worker already
-// published. A pool caching elsewhere (or not at all) is also fine —
-// the coordinator persists those results itself. The worker never
-// prunes the cache; eviction is the coordinator's startup job.
+// -cachedir keeps the pool's run cache and pretrained-controller
+// snapshots on disk, so a restarted pool serves the cells an earlier
+// one ran. It may be any directory, the coordinator's included: the
+// pool reads the records present when its cache is first used and
+// appends its own pack, and it sees nothing another live process
+// writes there later. The coordinator persists every result it
+// receives itself, whatever directory the pool uses. The worker never
+// prunes the cache; eviction is the CLIs' startup job.
 //
-// The worker also participates in fleet-wide pretrain-snapshot reuse: a cell that builds a fresh
-// pretrained-controller snapshot returns the serialized artifact with
-// its response, and coordinator-pushed artifacts (WireRequest.Snaps)
-// are installed into the pool's pretrain cache so co-scheduled warm
-// cells deserialize instead of re-running the warm-up.
+// The worker also participates in fleet-wide pretrain-snapshot reuse:
+// a cell that builds a fresh pretrained-controller snapshot returns
+// the serialized artifact with its response, and coordinator-pushed
+// artifacts (WireRequest.Snaps) are installed into the pool's pretrain
+// cache so co-scheduled warm cells deserialize instead of re-running
+// the warm-up.
 //
 // Usage (one pool per machine, or several on localhost):
 //
@@ -50,7 +51,7 @@ import (
 )
 
 func main() {
-	cachedir := flag.String("cachedir", "", "share the coordinator's run cache under this directory")
+	cachedir := flag.String("cachedir", "", "persist the pool's run cache under this directory (read once, when first used)")
 	listen := flag.String("listen", "",
 		"serve the TCP worker pool on this host:port (required; for coordinators started with -workers)")
 	capacity := flag.Int("capacity", 0,
@@ -80,7 +81,6 @@ func main() {
 	fmt.Fprintf(os.Stderr, "fedgpo-worker: listening on %s (capacity %d)\n", lis.Addr(), *capacity)
 	err = runtime.Serve(ctx, lis, runtime.ServeConfig{
 		Capacity: *capacity,
-		CacheDir: *cachedir,
 		Run:      rt.RunRequest,
 		Install:  rt.InstallSnapshot,
 		Logf: func(format string, args ...any) {

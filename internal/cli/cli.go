@@ -111,7 +111,7 @@ func (f *RuntimeFlags) Runtime() (*exp.Runtime, error) {
 	}
 	var backend runtime.Backend
 	if len(remotes) > 0 {
-		backend = runtime.NewProcBackend(runtime.ProcConfig{Workers: remotes, CacheDir: f.CacheDir})
+		backend = runtime.NewProcBackend(runtime.ProcConfig{Workers: remotes})
 	} else {
 		backend = runtime.NewPoolBackend(f.Parallel)
 	}

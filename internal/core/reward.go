@@ -16,14 +16,14 @@ type RewardConfig struct {
 //   - The improvement term uses the *fraction of the remaining accuracy
 //     gap closed* (see Reward), which is stationary across a training
 //     run — a raw accuracy delta shrinks a hundredfold between round 5
-//     and round 100 and would keep reshuffling Q rankings. β=20 turns
-//     the typical 1–4%-of-gap round progress into 20–80 reward units.
+//     and round 100 and would keep reshuffling Q rankings. β=16 turns
+//     the typical 1–4%-of-gap round progress into 16–64 reward units.
 //   - Energy terms are EMA-normalized to ~10 nominal each, so they
 //     decide between configurations with similar convergence value.
 //   - α=0.1 keeps the absolute-accuracy term a gentle tiebreak (≤10
 //     units over a whole run) rather than a drifting bias.
 //
-// An ablation bench sweeps α and β.
+// The abl-beta experiment sweeps β; α has no sweep.
 func DefaultRewardConfig() RewardConfig { return RewardConfig{Alpha: 0.1, Beta: 16} }
 
 // Reward implements paper Eq. 1. Accuracies are in percent (0–100);

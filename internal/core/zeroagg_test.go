@@ -112,7 +112,6 @@ func TestSnapshotRoundTripBehavesIdentically(t *testing.T) {
 	evalCfg := smallConfig(1)
 	runWith := func(s Snapshot) string {
 		res := fl.Run(evalCfg, FromSnapshot(cfg, s))
-		res.ControllerOverheadSec = 0 // wall-clock, never reproducible
 		out, err := json.Marshal(res)
 		if err != nil {
 			t.Fatal(err)

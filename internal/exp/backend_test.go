@@ -157,7 +157,6 @@ func startWorkerPool(t *testing.T, capacity int, cacheDir string) (string, func(
 	go func() {
 		errc <- runtime.Serve(ctx, lis, runtime.ServeConfig{
 			Capacity: capacity,
-			CacheDir: cacheDir,
 			Run:      wrt.RunRequest,
 			Install:  wrt.InstallSnapshot,
 		})
@@ -266,7 +265,7 @@ func TestWorkerPoolSurvivesBadRequests(t *testing.T) {
 // every cell, and a warm -cachedir rerun simulates zero cells without
 // any live worker pool at all — even though the worker pool cached
 // under its own (different) directory, because the coordinator
-// persists results from workers that do not share its cache.
+// persists every result it receives.
 func TestScenarioMatrixTCPBackendWarmCache(t *testing.T) {
 	specs, err := ScenarioMatrix(workload.CNNMNIST(),
 		"fleet=20;alpha=iid,0.5;net=stable,unstable;rounds=60")
@@ -276,9 +275,6 @@ func TestScenarioMatrixTCPBackendWarmCache(t *testing.T) {
 	p := fl.Params{B: 8, E: 10, K: 20}
 	run := func(rt *Runtime) string {
 		res := SweepScenarios(Options{}.WithRuntime(rt), specs, p, 1)
-		for i := range res {
-			res[i].ControllerOverheadSec = 0
-		}
 		b, err := json.Marshal(res)
 		if err != nil {
 			t.Fatal(err)
@@ -299,7 +295,7 @@ func TestScenarioMatrixTCPBackendWarmCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	rtTCP := NewRuntimeWithBackend(runtime.NewProcBackend(runtime.ProcConfig{
-		Workers: []string{addr}, CacheDir: coordDir,
+		Workers: []string{addr},
 	}), coordCache)
 	if tcp := run(rtTCP); tcp != pool {
 		t.Errorf("TCP matrix results differ from pool:\n--- pool ---\n%s\n--- tcp ---\n%s", pool, tcp)
@@ -319,7 +315,7 @@ func TestScenarioMatrixTCPBackendWarmCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	rtWarm := NewRuntimeWithBackend(runtime.NewProcBackend(runtime.ProcConfig{
-		Workers: []string{addr}, CacheDir: coordDir,
+		Workers: []string{addr},
 	}), warmCache)
 	if warm := run(rtWarm); warm != pool {
 		t.Error("warm TCP rerun produced different results")
@@ -361,7 +357,7 @@ func TestProcsBackendMatchesPoolAcrossRegistry(t *testing.T) {
 		t.Fatal(err)
 	}
 	rtWarm := NewRuntimeWithBackend(runtime.NewProcBackend(runtime.ProcConfig{
-		Workers: []string{deadAddr(t)}, CacheDir: poolDir,
+		Workers: []string{deadAddr(t)},
 	}), warmCache)
 	warmTables := runRegistry(t, rtWarm)
 	if st := rtWarm.Stats(); st.Runs != 0 || st.Hits == 0 {
@@ -389,7 +385,7 @@ func TestProcsBackendMatchesPoolAcrossRegistry(t *testing.T) {
 		t.Fatal(err)
 	}
 	rtProcs := NewRuntimeWithBackend(runtime.NewProcBackend(runtime.ProcConfig{
-		Workers: []string{addr}, CacheDir: procsDir,
+		Workers: []string{addr},
 	}), procsCache)
 	procsTables := runRegistry(t, rtProcs)
 	if st := rtProcs.Stats(); st.Runs == 0 || len(st.Endpoints) != 1 || st.Endpoints[0].Dispatched == 0 {
@@ -477,14 +473,78 @@ func TestFleetWideExactlyOnePretrainPerScenario(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, pr := range pool.runSpecs(specs) {
-		a, b := res[i].Sim, pr.Sim
-		a.ControllerOverheadSec, b.ControllerOverheadSec = 0, 0
-		aj, _ := json.Marshal(a)
-		bj, _ := json.Marshal(b)
+		aj, _ := json.Marshal(res[i].Sim)
+		bj, _ := json.Marshal(pr.Sim)
 		if string(aj) != string(bj) {
 			t.Errorf("spec %d: fleet result differs from pool backend:\n--- fleet ---\n%s\n--- pool ---\n%s",
 				i, aj, bj)
 		}
+	}
+}
+
+// Processes sharing one cache directory see each other's records only
+// when they open it, so within a run snapshots move over the wire:
+// two pools and the coordinator all on one directory run cold
+// warm-FedGPO cells over S scenarios with exactly S warm-ups fleet-wide
+// and the pool backend's results, and a new runtime over the directory
+// reruns every cell from the coordinator's records with no simulation.
+func TestSharedCacheDirFleet(t *testing.T) {
+	w := workload.CNNMNIST()
+	opts := Options{FleetSize: 20, MaxRounds: 60}
+	scens := []ScenarioSpec{opts.apply(Ideal(w)), opts.apply(Realistic(w))}
+	var specs []JobSpec
+	for _, s := range scens {
+		for _, seed := range []int64{1, 2, 3} {
+			specs = append(specs, simSpec(s, fedgpoWarmContender(s), seed))
+		}
+	}
+	sims := func(res []runtime.Result) string {
+		out := make([]fl.Result, len(res))
+		for i, r := range res {
+			if r.Err != "" {
+				t.Fatalf("spec %d failed: %s", i, r.Err)
+			}
+			out[i] = r.Sim
+		}
+		b, err := json.Marshal(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	pool, err := NewRuntime(0, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := sims(pool.runSpecs(specs))
+
+	dir := t.TempDir()
+	a1, stop1 := startWorkerPool(t, 2, dir)
+	defer stop1()
+	a2, stop2 := startWorkerPool(t, 2, dir)
+	defer stop2()
+	cache, err := runtime.NewCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt := NewRuntimeWithBackend(runtime.NewProcBackend(runtime.ProcConfig{Workers: []string{a1, a2}}), cache)
+	if got := sims(rt.runSpecs(specs)); got != want {
+		t.Errorf("shared-directory fleet results differ from the pool backend:\n--- fleet ---\n%s\n--- pool ---\n%s", got, want)
+	}
+	if got := rt.Metrics().Counters.PretrainRuns; got != int64(len(scens)) {
+		t.Errorf("fleet executed %d pretrain warm-ups for %d scenarios, want one per scenario", got, len(scens))
+	}
+
+	warmCache, err := runtime.NewCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm := NewRuntimeWithBackend(runtime.NewProcBackend(runtime.ProcConfig{Workers: []string{deadAddr(t)}}), warmCache)
+	if got := sims(warm.runSpecs(specs)); got != want {
+		t.Error("warm rerun over the shared directory changed the results")
+	}
+	if st := warm.Stats(); st.Runs != 0 || st.Hits != int64(len(specs)) {
+		t.Errorf("warm rerun stats = %+v, want 0 runs / %d hits", st, len(specs))
 	}
 }
 
@@ -499,7 +559,6 @@ func TestOutcomeSurvivesCacheAndWire(t *testing.T) {
 		out := make([]fl.Result, len(res))
 		for i, r := range res {
 			out[i] = r.Sim
-			out[i].ControllerOverheadSec = 0
 		}
 		return out
 	}
@@ -601,7 +660,6 @@ func TestInstallSnapshotRejectsInvalid(t *testing.T) {
 	if runs, _ := rt.PretrainStats(); runs != 1 {
 		t.Errorf("the cell ran %d warm-ups after the rejections, want 1", runs)
 	}
-	got.ControllerOverheadSec, want.ControllerOverheadSec = 0, 0
 	a, _ := json.Marshal(got)
 	b, _ := json.Marshal(want)
 	if string(a) != string(b) {

@@ -3,7 +3,6 @@ package exp
 import (
 	"fmt"
 
-	"fedgpo/internal/abs"
 	"fedgpo/internal/baseline"
 	"fedgpo/internal/fl"
 	"fedgpo/internal/runtime"
@@ -173,10 +172,9 @@ func Fig12(o Options) Table {
 	} {
 		// Normalize to FedEX (first row) so the FedGPO rows read as the
 		// paper's "1.5x over FedEX" style ratios.
-		absCfg := abs.DefaultConfig()
 		cs := []ContenderSpec{
 			{Type: ContFedEX, Name: "FedEX", CtrlSeed: 1},
-			{Type: ContABS, Name: "ABS", ABS: &absCfg},
+			{Type: ContABS, Name: "ABS", CtrlSeed: 1},
 			fedgpoWarmContender(s),
 		}
 		groups = append(groups, compareGroup{s.Name, s, cs})

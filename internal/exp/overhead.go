@@ -55,17 +55,9 @@ func RewardConvergenceRound(history []float64, tol float64) int {
 // sec54Extra is the Kind-specific payload of the overhead-analysis
 // job: the controller-internal measurements the run produced. The
 // overhead durations are wall-clock; a cache hit replays the values
-// measured when the cell first ran.
-//
-// The same wall-clock caveat extends to the pretrained-controller
-// cache: a warm FedGPO cell's ControllerOverheadSec covers only the
-// evaluation rounds of that cell. The Q-table warm-up's own Plan and
-// Observe wall time is spent once, when the scenario's pretrain
-// snapshot is first built, and is attributed to no cell at all — on a
-// pretrain-cache hit (in-process or from -cachedir) the warm
-// contender starts from restored tables without re-spending it. Treat
-// every overhead row as "measured when this artifact was first
-// computed", never as a property of the current rerun.
+// measured when the cell first ran. Treat every overhead row as
+// "measured when this artifact was first computed", never as a property
+// of the current rerun.
 type sec54Extra struct {
 	RewardHistory    []float64 `json:"rewardHistory"`
 	IdentifyStatesNS int64     `json:"identifyStatesNS"`

@@ -173,7 +173,7 @@ func (r *Runtime) pretrainedSnapshot(s ScenarioSpec, cfg core.Config, warmSeed i
 	if e.done {
 		return e.snap
 	}
-	// A shared cache directory is a process boundary too.
+	// A cache directory an earlier run filled is a process boundary too.
 	if !r.cache.Get(key, &e.snap) || e.snap.Validate() != nil {
 		func() {
 			defer func() {

@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"testing"
 
-	"fedgpo/internal/abs"
 	"fedgpo/internal/fl"
 	"fedgpo/internal/workload"
 )
@@ -30,7 +29,6 @@ func TestSharedFleetAndPartitionStayUnchanged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	absCfg := abs.DefaultConfig()
 	for _, c := range []ContenderSpec{
 		staticContender(fl.Params{B: 8, E: 10, K: 20}, ""),
 		fedgpoColdContender(),
@@ -38,7 +36,7 @@ func TestSharedFleetAndPartitionStayUnchanged(t *testing.T) {
 		{Type: ContBO, Name: "Adaptive (BO)", CtrlSeed: 1},
 		{Type: ContGA, Name: "Adaptive (GA)", CtrlSeed: 1},
 		{Type: ContFedEX, Name: "FedEX", CtrlSeed: 1},
-		{Type: ContABS, Name: "ABS", ABS: &absCfg},
+		{Type: ContABS, Name: "ABS", CtrlSeed: 1},
 	} {
 		if res := rt.Execute(simSpec(s, c, 1)); res.Err != "" {
 			t.Fatalf("%s: %s", c.Type, res.Err)

@@ -65,9 +65,7 @@ type ContenderSpec struct {
 	// address the pretrained-controller snapshot.
 	WarmSeed   int64 `json:"warmSeed,omitempty"`
 	WarmRounds int   `json:"warmRounds,omitempty"`
-	// ABS is the full ABS configuration.
-	ABS *abs.Config `json:"abs,omitempty"`
-	// CtrlSeed seeds the BO/GA/FedEX baselines.
+	// CtrlSeed seeds the BO/GA/FedEX/ABS baselines.
 	CtrlSeed int64 `json:"ctrlSeed,omitempty"`
 }
 
@@ -94,7 +92,7 @@ func (c ContenderSpec) key() string {
 	case ContFedEX:
 		return fmt.Sprintf("fedex/seed=%d", c.CtrlSeed)
 	case ContABS:
-		return "abs/cfg=" + canonJSON(*c.ABS)
+		return fmt.Sprintf("abs/seed=%d", c.CtrlSeed)
 	default:
 		panic("exp: unknown contender type " + c.Type)
 	}
@@ -105,7 +103,7 @@ func (c ContenderSpec) key() string {
 // as a nil dereference mid-job.
 func (c ContenderSpec) validate() error {
 	switch c.Type {
-	case ContStatic, ContBO, ContGA, ContFedEX:
+	case ContStatic, ContBO, ContGA, ContFedEX, ContABS:
 		return nil
 	case ContFedGPOWarm, ContFedGPOCold:
 		if c.Core == nil {
@@ -115,11 +113,6 @@ func (c ContenderSpec) validate() error {
 			return fmt.Errorf("exp: warmRounds must be in [0, %d], got %d", maxSpecRounds, c.WarmRounds)
 		}
 		return nil
-	case ContABS:
-		if c.ABS == nil {
-			return fmt.Errorf("exp: contender %q missing abs config", c.Type)
-		}
-		return c.ABS.Validate()
 	default:
 		return fmt.Errorf("exp: unknown contender type %q", c.Type)
 	}
@@ -315,7 +308,7 @@ func (r *Runtime) RunJob(j runtime.Job) runtime.Result {
 // Run): it decodes the wire spec, checks that it addresses the cell it
 // was dispatched as, and runs it through RunJob. A spec that does not
 // decode or addresses another cell yields an error result — anything
-// else would poison the shared cache under the dispatched key.
+// else would poison the coordinator's cache under the dispatched key.
 func (r *Runtime) RunRequest(key string, spec json.RawMessage) runtime.Result {
 	sp, err := DecodeJobSpec(spec)
 	if err != nil {
@@ -411,7 +404,7 @@ func (r *Runtime) publishTrace(sp JobSpec, c *core.Controller) {
 // a scenario. The warm FedGPO variant restores its Q-tables from the
 // runtime's pretrained-controller cache, addressed by the spec's
 // scenario, config and warm-up deployment — the warm-up runs once per
-// pretrain key per process, and once ever under a shared cache
+// pretrain key per process, and once ever under a persistent cache
 // directory.
 func (r *Runtime) controller(s ScenarioSpec, c ContenderSpec) fl.Controller {
 	if err := c.validate(); err != nil {
@@ -433,7 +426,9 @@ func (r *Runtime) controller(s ScenarioSpec, c ContenderSpec) fl.Controller {
 	case ContFedEX:
 		return baseline.NewFedEX(c.CtrlSeed)
 	case ContABS:
-		return abs.New(*c.ABS)
+		cfg := abs.DefaultConfig()
+		cfg.Seed = c.CtrlSeed
+		return abs.New(cfg)
 	default:
 		panic("exp: unknown contender type " + c.Type)
 	}

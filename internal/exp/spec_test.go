@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"math"
 	"path/filepath"
+	goruntime "runtime"
+	"strings"
 	"testing"
 
 	"fedgpo/internal/abs"
@@ -24,15 +26,12 @@ func registryOptions() Options {
 
 // comparableResult renders the parts of a result that a spec
 // re-execution must reproduce byte-for-byte. The documented exception
-// is wall-clock overhead measured inside the job (see the sec54Extra
-// and ROADMAP caveats): Result.Sim.ControllerOverheadSec on every
-// kind, plus the sec54 probe's phase timers — real elapsed time that
-// two genuine executions can never agree on; a cached replay carries
-// the first run's values. They are zeroed on both sides before
+// is the sec54 probe's phase timers (see sec54Extra): real elapsed time
+// that two genuine executions can never agree on; a cached replay
+// carries the first run's values. They are zeroed on both sides before
 // comparison. Everything else, every kind, must match exactly.
 func comparableResult(t *testing.T, kind string, r runtime.Result) string {
 	t.Helper()
-	r.Sim.ControllerOverheadSec = 0
 	extra := r.Extra
 	if kind == KindSec54 {
 		var ex sec54Extra
@@ -156,30 +155,48 @@ func TestDecodeJobSpecRejectsMalformed(t *testing.T) {
 	}
 }
 
-// An abs contender whose config would crash or stall the agent
-// mid-job must fail spec decoding instead.
-func TestDecodeJobSpecRejectsBadABSConfig(t *testing.T) {
+// The ABS agent is always built from abs.DefaultConfig with the spec's
+// CtrlSeed, so a wire spec cannot size its network: an "abs" object in
+// the contender — one an older coordinator sent, or a hostile one — is
+// ignored, and building the controller allocates what the default
+// agent does. A spec carrying an older coordinator's ABS key fails the
+// worker's key check instead of running.
+func TestWireABSConfigIsIgnored(t *testing.T) {
 	scenario := Tiny().apply(Ideal(workload.CNNMNIST()))
-	encode := func(mutate func(*abs.Config)) []byte {
-		cfg := abs.DefaultConfig()
-		mutate(&cfg)
-		return EncodeJobSpec(simSpec(scenario, ContenderSpec{Type: ContABS, Name: "ABS", ABS: &cfg}, 1))
+	plain := simSpec(scenario, ContenderSpec{Type: ContABS, Name: "ABS", CtrlSeed: 1}, 1)
+	var m map[string]any
+	if err := json.Unmarshal(EncodeJobSpec(plain), &m); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := DecodeJobSpec(encode(func(*abs.Config) {})); err != nil {
-		t.Fatalf("default abs config rejected: %v", err)
+	huge := abs.DefaultConfig()
+	huge.Hidden = 1 << 16
+	m["contender"].(map[string]any)["abs"] = huge
+	b, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for name, mutate := range map[string]func(*abs.Config){
-		"TargetSync=0":        func(c *abs.Config) { c.TargetSync = 0 },
-		"ReplayCap=0":         func(c *abs.Config) { c.ReplayCap = 0 },
-		"ReplayCap<BatchSize": func(c *abs.Config) { c.ReplayCap = c.BatchSize - 1 },
-		"Hidden=0":            func(c *abs.Config) { c.Hidden = 0 },
-		"BatchSize=0":         func(c *abs.Config) { c.BatchSize = 0 },
-		"LR=0":                func(c *abs.Config) { c.LR = 0 },
-		"LR=-1":               func(c *abs.Config) { c.LR = -1 },
-	} {
-		if _, err := DecodeJobSpec(encode(mutate)); err == nil {
-			t.Errorf("%s: decode should fail", name)
-		}
+	sp, err := DecodeJobSpec(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := sp.Key(), plain.Key(); got != want {
+		t.Errorf("abs object changed the key:\n%s\nwant %s", got, want)
+	}
+	rt, err := NewRuntime(1, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after goruntime.MemStats
+	goruntime.ReadMemStats(&before)
+	rt.controller(sp.Scenario, sp.Contender)
+	goruntime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Errorf("building the ABS controller allocated %d bytes, want under 1 MB", grew)
+	}
+
+	oldKey := strings.Replace(rt.Job(plain).Key(), "abs/seed=1", "abs/cfg="+canonJSON(abs.DefaultConfig()), 1)
+	if res := rt.RunRequest(oldKey, b); !strings.Contains(res.Err, "spec addresses") {
+		t.Errorf("an older coordinator's ABS key ran: err %q", res.Err)
 	}
 }
 
@@ -242,14 +259,13 @@ func TestDecodeJobSpecRejectsUnboundedResources(t *testing.T) {
 // decodes to the same cell, and that re-encoding is a fixed point.
 func FuzzDecodeJobSpec(f *testing.F) {
 	scenario := Tiny().apply(Ideal(workload.CNNMNIST()))
-	abscfg := abs.DefaultConfig()
 	oracle := oracleSpec(scenario, Tiny(), 40)
 	sec54 := simSpec(scenario, fedgpoColdContender(), 2)
 	sec54.Kind, sec54.Trace = KindSec54, telemetry.TraceDecisions
 	for _, sp := range []JobSpec{
 		simSpec(scenario, staticContender(fl.Params{B: 8, E: 10, K: 20}, "Fixed"), 1),
 		simSpec(scenario, fedgpoWarmContender(scenario), 1),
-		simSpec(scenario, ContenderSpec{Type: ContABS, Name: "ABS", ABS: &abscfg}, 3),
+		simSpec(scenario, ContenderSpec{Type: ContABS, Name: "ABS", CtrlSeed: 1}, 3),
 		oracle, sec54,
 	} {
 		f.Add([]byte(EncodeJobSpec(sp)))

@@ -31,17 +31,13 @@ func telemetrySpecs() []JobSpec {
 }
 
 // telemetryRun executes the telemetry spec batch and renders the
-// results for byte comparison, zeroing the one documented wall-clock
-// field (ControllerOverheadSec — tracing spends real time inside the
-// timed controller phases, so it is excluded from identity exactly as
-// the cross-backend tests exclude it).
+// results for byte comparison.
 func telemetryRun(t *testing.T, rt *Runtime) string {
 	t.Helper()
 	results := rt.runSpecs(telemetrySpecs())
 	sims := make([]fl.Result, len(results))
 	for i, res := range results {
 		sims[i] = res.Sim
-		sims[i].ControllerOverheadSec = 0
 	}
 	b, err := json.Marshal(sims)
 	if err != nil {
@@ -122,17 +118,22 @@ func TestTracedRunsAreByteIdenticalAcrossBackends(t *testing.T) {
 		t.Fatal(err)
 	}
 	rtProcs := NewRuntimeWithBackend(runtime.NewProcBackend(runtime.ProcConfig{
-		Workers: []string{sharedAddr}, CacheDir: procsDir,
+		Workers: []string{sharedAddr},
 	}), procsCache)
 	rtProcs.SetTraceLevel(telemetry.TraceDecisions)
 	if got := telemetryRun(t, rtProcs); got != base {
 		t.Errorf("traced cache-sharing TCP run differs from untraced pool run:\n--- pool ---\n%s\n--- tcp ---\n%s", base, got)
 	}
 	stopShared()
-	// The pool shares the coordinator's cache directory, so the trace
-	// artifact it published is visible here.
+	// The pool appended the trace artifact to its own pack in the shared
+	// directory, after the coordinator's Cache built its index; a Cache
+	// opened now reads it.
+	sharedCache, err := runtime.NewCache(procsDir)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var procsTrace []core.RoundTrace
-	if !rtProcs.cache.Get(traceKey(fedgpo), &procsTrace) || len(procsTrace) == 0 {
+	if !sharedCache.Get(traceKey(fedgpo), &procsTrace) || len(procsTrace) == 0 {
 		t.Error("traced cache-sharing TCP run published no decision trace in the shared cache")
 	}
 
@@ -147,7 +148,7 @@ func TestTracedRunsAreByteIdenticalAcrossBackends(t *testing.T) {
 		t.Fatal(err)
 	}
 	rtTCP := NewRuntimeWithBackend(runtime.NewProcBackend(runtime.ProcConfig{
-		Workers: []string{addr}, CacheDir: workerDir,
+		Workers: []string{addr},
 	}), coordCache)
 	rtTCP.SetTraceLevel(telemetry.TraceDecisions)
 	if got := telemetryRun(t, rtTCP); got != base {

@@ -19,11 +19,10 @@ import (
 	"fedgpo/internal/workload"
 )
 
-// marshalStable serializes a Result with its wall-clock-measured field
-// zeroed, so byte comparison covers every simulated quantity.
+// marshalStable serializes a Result, so byte comparison covers every
+// simulated quantity.
 func marshalStable(t *testing.T, r Result) string {
 	t.Helper()
-	r.ControllerOverheadSec = 0
 	b, err := json.Marshal(r)
 	if err != nil {
 		t.Fatal(err)

@@ -13,7 +13,6 @@ type Summary struct {
 	MeanConvergenceRound float64
 	MeanFinalAccuracy    float64
 	MeanAvgRoundSec      float64
-	MeanOverheadSec      float64
 	ConvergedFraction    float64
 	EnergyByCategory     map[device.Category]float64
 }
@@ -37,7 +36,6 @@ func Summarize(maxRounds int, results []Result) Summary {
 		s.MeanEnergyToConvJ += r.EnergyToConvergenceJ
 		s.MeanFinalAccuracy += r.FinalAccuracy
 		s.MeanAvgRoundSec += r.AvgRoundSeconds
-		s.MeanOverheadSec += r.ControllerOverheadSec
 		if r.Converged {
 			s.ConvergedFraction++
 			s.MeanConvergenceRound += float64(r.ConvergenceRound)
@@ -55,7 +53,6 @@ func Summarize(maxRounds int, results []Result) Summary {
 	s.MeanConvergenceRound /= n
 	s.MeanFinalAccuracy /= n
 	s.MeanAvgRoundSec /= n
-	s.MeanOverheadSec /= n
 	s.ConvergedFraction /= n
 	for cat := range s.EnergyByCategory {
 		s.EnergyByCategory[cat] /= n

@@ -112,9 +112,12 @@ type Result struct {
 	Outcome
 	// EnergyByCategory splits the total energy across H/M/L.
 	EnergyByCategory map[device.Category]float64
-	// ControllerOverheadSec is the mean wall-clock cost per round of
-	// the controller's Plan+Observe calls (paper §5.4 measures this
-	// for FedGPO's Q-table machinery).
+	// ControllerOverheadSec is always zero: Run measures no wall-clock
+	// time, so a Result's bytes depend only on its inputs. The binary
+	// form still carries the field, so cache entries keep their format.
+	//
+	// Deprecated: always zero; kept only because the benchmark module
+	// names it.
 	ControllerOverheadSec float64
 	// History holds per-round records.
 	History []RoundRecord
@@ -148,7 +151,6 @@ func RunWithArena(cfg Config, ctrl Controller, a *Arena) Result {
 	tracker := convmodel.NewTracker(cfg.Workload)
 
 	res := Result{Controller: ctrl.Name()}
-	var overhead time.Duration
 	// catEnergy accumulates the per-category energy across rounds in a
 	// fixed array; the Result's map form is built once at the end so
 	// its JSON bytes are unchanged from the per-round-map era.
@@ -174,10 +176,8 @@ func RunWithArena(cfg Config, ctrl Controller, a *Arena) Result {
 			DeadlineSec:      cfg.DeadlineSec,
 		}
 
-		// 2. Controller decides (timed: §5.4 overhead accounting).
-		t0 := time.Now()
+		// 2. Controller decides.
 		plan := ctrl.Plan(obs)
-		overhead += time.Since(t0)
 
 		k := plan.K
 		if k < 1 {
@@ -210,10 +210,8 @@ func RunWithArena(cfg Config, ctrl Controller, a *Arena) Result {
 		acc := model.Step(in)
 		rr.Accuracy = acc
 
-		// 6. Feed the controller (timed).
-		t0 = time.Now()
+		// 6. Feed the controller.
 		ctrl.Observe(rr)
-		overhead += time.Since(t0)
 
 		// 7. Bookkeeping.
 		prevAcc = acc
@@ -245,7 +243,6 @@ func RunWithArena(cfg Config, ctrl Controller, a *Arena) Result {
 	res.History = make([]RoundRecord, len(a.history))
 	copy(res.History, a.history)
 	res.Outcome = OutcomeOf(cfg.Workload, res.History)
-	res.ControllerOverheadSec = overhead.Seconds() / float64(max(1, res.RoundsExecuted))
 
 	// The result's map keys are the categories present in the fleet —
 	// the same key set the old per-round maps accumulated — so the

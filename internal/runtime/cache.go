@@ -30,42 +30,40 @@ const (
 // Without a directory the cache keeps payloads in an in-memory map.
 // With one, entries are records in append-only pack files,
 // <dir>/pack-*.fgcp: each Cache appends to one pack of its own,
-// created on its first Put, and reads every pack in the directory
-// through an index of key digest to record. Any other file in the
-// directory is foreign and never read. Every disk hit reads its record
-// and checks its CRC, and the first hit on a pack refreshes its mtime
-// so Prune evicts least-recently-used packs first. The handle on its
-// own pack lives as long as the Cache; every record is one write, so
-// nothing is left to flush. It is safe for concurrent use.
+// created on its first Put, and reads through an index of key digest
+// to record. The index is built once, from the packs present when the
+// Cache is first used; after that only its own Put and Prune change
+// it, so a record another live process appends later is a miss here.
+// Any other file in the directory is foreign and never read. Every
+// disk hit reads its record and checks its CRC, and the first hit on a
+// pack refreshes its mtime so Prune evicts least-recently-used packs
+// first. The handle on its own pack lives as long as the Cache; every
+// record is one write, so nothing is left to flush. It is safe for
+// concurrent use.
 type Cache struct {
 	mu  sync.RWMutex
 	mem map[digest][]byte // memory-only mode payloads
 	dir string
 	col *telemetry.Collector
 
-	// The disk index, guarded by mu: every record scanned from a pack
-	// or appended by Put, by key digest (the newest one wins), and the
-	// packs it has seen, by file name.
+	// load builds the disk index on first use. index, guarded by mu,
+	// maps every record scanned then or appended by Put since, by key
+	// digest (the newest one wins).
+	load  sync.Once
 	index map[digest]recordLoc
-	packs map[string]*pack
 
 	// wmu serializes appends to this Cache's own pack: w is its file,
-	// nil before the first Put and after a failed append, and wpack its
-	// index entry.
+	// nil before the first Put and after a failed append, wpack its
+	// index entry and wend the offset of the next append.
 	wmu   sync.Mutex
 	w     *os.File
 	wpack *pack
+	wend  int64
 }
 
 // pack is one pack file the index has seen.
 type pack struct {
 	name string
-	// own marks this Cache's own pack: Put indexes its records as it
-	// appends them, so scans skip it. For any other pack, end is the
-	// offset just past the last record indexed and seen its size at the
-	// last scan; a scan reads it again only once its size changes.
-	own       bool
-	end, seen int64
 	// touched is set once this Cache has refreshed the pack's mtime.
 	touched atomic.Bool
 }
@@ -98,7 +96,6 @@ func NewCache(dir string) (*Cache, error) {
 		mem:   make(map[digest][]byte),
 		dir:   dir,
 		index: make(map[digest]recordLoc),
-		packs: make(map[string]*pack),
 	}, nil
 }
 
@@ -138,7 +135,10 @@ func (c *Cache) get(key string, v any) int {
 		}
 		return srcMem
 	}
-	loc, ok := c.lookup(d)
+	c.load.Do(c.scan)
+	c.mu.RLock()
+	loc, ok := c.index[d]
+	c.mu.RUnlock()
 	if !ok {
 		return srcMiss
 	}
@@ -158,69 +158,38 @@ func (c *Cache) get(key string, v any) int {
 	return srcDisk
 }
 
-// lookup returns the record the index holds for d. On a miss it
-// rescans the directory for new or grown packs first, so entries other
-// Caches and processes appended since the last scan are found.
-func (c *Cache) lookup(d digest) (recordLoc, bool) {
-	c.mu.RLock()
-	loc, ok := c.index[d]
-	c.mu.RUnlock()
-	if ok {
-		return loc, true
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.scan()
-	loc, ok = c.index[d]
-	return loc, ok
-}
-
-// scan indexes the records of every pack in the directory that is new
-// or has changed size since the last scan, in name order, which is
-// creation order. c.mu must be held. A directory it cannot list leaves
-// the index as it is: lookups miss, and cells re-run.
+// scan indexes the records of every pack in the directory, in name
+// order, which is creation order, so the newest record of a key wins.
+// It runs once, before this Cache's first lookup or append, so its own
+// pack is never among them. A directory it cannot list leaves the index
+// empty: lookups miss, and cells re-run.
 func (c *Cache) scan() {
 	dirents, err := os.ReadDir(c.dir)
 	if err != nil {
 		return
 	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	for _, de := range dirents {
-		name := de.Name()
-		if !strings.HasSuffix(name, packExt) {
+		if !strings.HasSuffix(de.Name(), packExt) {
 			continue
 		}
-		p := c.packs[name]
-		if p == nil {
-			p = &pack{name: name}
-			c.packs[name] = p
+		if info, err := de.Info(); err == nil {
+			c.scanPack(&pack{name: de.Name()}, info.Size())
 		}
-		if p.own {
-			continue
-		}
-		info, err := de.Info()
-		if err != nil || info.Size() == p.seen {
-			continue
-		}
-		c.scanPack(p, info.Size())
 	}
 }
 
-// scanPack indexes p's records from p.end up to size. A record this
-// Cache appended itself stays indexed over one found in another pack:
-// it is the newest this process knows of.
+// scanPack indexes p's records up to size. c.mu must be held.
 func (c *Cache) scanPack(p *pack, size int64) {
 	f, err := os.Open(filepath.Join(c.dir, p.name))
 	if err != nil {
 		return
 	}
 	defer f.Close()
-	p.end = scanRecords(f, p.end, size, func(key []byte, off int64, n int) {
-		d := sha256.Sum256(key)
-		if cur, ok := c.index[d]; !ok || !cur.pack.own {
-			c.index[d] = recordLoc{pack: p, off: off, n: n}
-		}
+	scanRecords(f, size, func(key []byte, off int64, n int) {
+		c.index[sha256.Sum256(key)] = recordLoc{pack: p, off: off, n: n}
 	})
-	p.seen = size
 }
 
 // readRecord reads loc's envelope: it opens the pack, reads the record
@@ -275,9 +244,10 @@ func (c *Cache) touch(p *pack) {
 // maxBytes. Every other file is foreign and left alone. The first hit
 // on a pack touches its mtime, so mtime order is LRU order; the records
 // of removed packs leave the index, so an evicted entry is a miss. It
-// returns the number of packs removed. Memory-only caches and maxBytes <= 0 are no-ops. Call it at startup,
-// before workers share the directory — it does not coordinate with
-// concurrent writers beyond each removal being atomic.
+// returns the number of packs removed. Memory-only caches and
+// maxBytes <= 0 are no-ops. Call it at startup, before other processes
+// use the directory — it does not coordinate with concurrent writers
+// beyond each removal being atomic.
 func (c *Cache) Prune(maxBytes int64) (int, error) {
 	if c.dir == "" || maxBytes <= 0 {
 		return 0, nil
@@ -335,9 +305,6 @@ func (c *Cache) forgetPacks(names map[string]bool) {
 	c.wmu.Unlock()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for name := range names {
-		delete(c.packs, name)
-	}
 	for d, loc := range c.index {
 		if names[loc.pack.name] {
 			delete(c.index, d)
@@ -368,13 +335,16 @@ func (c *Cache) Put(key string, v any) error {
 	if err != nil {
 		return err
 	}
+	// Index the directory first, so no older record it holds can
+	// replace this one in the index later.
+	c.load.Do(c.scan)
 	return c.writeRecord(d, rec)
 }
 
 // writeRecord appends rec to this Cache's pack, creating the pack on
 // first use, and indexes it under d. After a failed or short append
 // the pack is dropped: its tail may hold a partial record, which no
-// scan indexes, and the next Put starts a new pack.
+// later Cache's scan indexes, and the next Put starts a new pack.
 func (c *Cache) writeRecord(d digest, rec []byte) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
@@ -383,18 +353,15 @@ func (c *Cache) writeRecord(d digest, rec []byte) error {
 		if err != nil {
 			return fmt.Errorf("runtime: cache pack: %w", err)
 		}
-		c.w, c.wpack = f, &pack{name: name, own: true}
-		c.mu.Lock()
-		c.packs[name] = c.wpack
-		c.mu.Unlock()
+		c.w, c.wpack, c.wend = f, &pack{name: name}, 0
 	}
-	off := c.wpack.end
+	off := c.wend
 	if _, err := c.w.Write(rec); err != nil {
 		c.w.Close()
 		c.w, c.wpack = nil, nil
 		return fmt.Errorf("runtime: cache pack: %w", err)
 	}
-	c.wpack.end += int64(len(rec))
+	c.wend += int64(len(rec))
 	c.mu.Lock()
 	c.index[d] = recordLoc{pack: c.wpack, off: off + recordLenBytes, n: len(rec) - recordLenBytes}
 	c.mu.Unlock()

@@ -114,19 +114,17 @@
 // negotiation. The worker speaks first: its first frame is a JSON
 // hello
 //
-//	{"hello": true, "proto": 12, "keyVersion": "v4",
-//	 "capacity": N, "cacheDir": "<worker's -cachedir>"}
+//	{"hello": true, "proto": 12, "keyVersion": "v4", "capacity": N}
 //
 // which the coordinator validates before dispatching anything. A
 // protocol-version or cache-key-scheme mismatch rejects the endpoint
 // outright: a worker speaking another protocol or computing cells
-// under a different key layout would otherwise publish results and
-// entries the coordinator misreads. The advertised cacheDir decides write-back ownership: results from a
-// worker sharing the coordinator's cache directory arrive marked
-// Persisted (the worker already published them), while results from
-// workers caching elsewhere — typical for remote pools — are written
-// by the coordinator's executor, so warm -cachedir reruns are
-// hit-only no matter where the cells originally ran.
+// under a different key layout would otherwise return results the
+// coordinator misreads or caches under the wrong keys. Any other field
+// (an older worker's "cacheDir") is ignored. The coordinator's
+// executor writes every result a worker returns into its own cache,
+// so warm -cachedir reruns are hit-only no matter where the cells
+// originally ran.
 //
 // Every later frame's payload is a binary envelope. Strings and byte
 // strings are fl.AppendBytes fields (a minimal uvarint length, then the
@@ -181,14 +179,15 @@
 // live only in the run's telemetry.Collector; Executor.Stats and
 // Coordinator.EndpointStats read them out of one snapshot of it.
 //
-// Workers share the coordinator's -cachedir when colocated: run
-// results and pretrained-controller snapshots written by one process
-// are read by all, which is what keeps warm-rerun and pretrain-once
-// semantics identical across backends (with a memory-only or private
-// worker cache each worker warms its own pretrains instead; results
-// are byte-identical either way, because snapshots are deterministic
-// and their binary form is exact: a decoded snapshot equals the one
-// encoded, every float's bits included).
+// Between live processes, data moves only over the wire: results in
+// responses, pretrained-controller snapshots in responses and pushes
+// (below). Worker pools may point -cachedir at the coordinator's
+// directory, but a process reads only the records present when its
+// cache is first used, so nothing one live process writes reaches
+// another through the disk. Results are byte-identical on every
+// backend, because snapshots are deterministic and their binary form
+// is exact: a decoded snapshot equals the one encoded, every float's
+// bits included.
 //
 // Parallelism lives at the job level only: each simulation cell runs
 // its rounds serially on the goroutine executing it, so a backend's
@@ -243,10 +242,8 @@
 // into its own cache under the snapshot key as they are
 // (byte-identical to the entry the worker wrote locally, both being
 // the one encoding the worker made), and pre-pushes them inside later
-// requests for cells
-// sharing that key dispatched at pools that do not already hold it —
-// skipping endpoints that share the coordinator's -cachedir, where the
-// disk already carries the snapshot. The worker installs pushed
+// requests for cells sharing that key dispatched at pools not known to
+// hold it, whatever cache directory they use. The worker installs pushed
 // artifacts before running the request, resolving its pretrain
 // singleflight without executing the warm-up. A snapshot counts as
 // held by a pool once the request carrying it was sent, so a request
@@ -293,26 +290,26 @@
 // wire.MaxFrameBytes is refused before anything is allocated.
 //
 // A Cache finds records through an index of key digest to (pack,
-// offset, length). Its first lookup builds the index by scanning the
-// record heads — length, magic, key — of every pack in name order,
-// which is creation order, through one bounded buffer; no pack is read
-// into memory whole. A miss rescans packs that are new or have grown before
-// it reports a miss, so processes sharing a -cachedir (a coordinator
-// and its colocated worker pools) see each other's results and
-// snapshots. Put indexes its own records as it appends them, and the
-// newest record of a key wins. A hit opens the pack, reads the record
-// and closes the pack again, so no handle is held per pack.
+// offset, length). Its first lookup or Put builds the index, once, by
+// scanning the record heads — length, magic, key — of every pack in
+// name order, which is creation order, through one bounded buffer; no
+// pack is read into memory whole. After that only the Cache's own Put
+// and Prune change the index: a miss is a map miss and never lists the
+// directory, so a record another live process appends later is not
+// seen until a new Cache opens the directory. Put indexes its own
+// records as it appends them, and the newest record of a key wins. A
+// hit opens the pack, reads the record and closes the pack again, so
+// no handle is held per pack.
 //
 // A scan stops at the first record that is incomplete or malformed:
-// a torn or in-flight tail is never indexed, and a rescan picks it up
-// once its writer has finished it. After a failed or short append, a
-// Cache drops its pack and the next Put creates a new one. Any record
-// that fails on read — a key or checksum mismatch, a payload that does
-// not decode — is a miss and the cell re-runs, appending a new record
-// the index then points at. Every file without the .fgcp extension is
-// foreign and never read. Every hit reads its record and checks its
-// CRC again; no decoded payload is kept between reads. Results that
-// ended in an error are never cached.
+// a torn or in-flight tail is never indexed. After a failed or short
+// append, a Cache drops its pack and the next Put creates a new one.
+// Any record that fails on read — a key or checksum mismatch, a payload
+// that does not decode — is a miss and the cell re-runs, appending a
+// new record the index then points at. Every file without the .fgcp
+// extension is foreign and never read. Every hit reads its record and
+// checks its CRC again; no decoded payload is kept between reads.
+// Results that ended in an error are never cached.
 //
 // # Cache eviction
 //
@@ -323,8 +320,7 @@
 // warm report still reads outlives a newer one nothing asks for. Prune
 // drops the records of removed packs from the index, so an evicted
 // entry is a miss, and leaves every file that is not a pack alone.
-// Pruning is a coordinator-startup job only; worker pools never
-// prune the directory they share.
+// Pruning is a CLI-startup job only; worker pools never prune.
 //
 // # Pretrained-controller cache
 //
@@ -404,8 +400,7 @@
 //     CLIs' -v output, prints one line per entry.
 //
 // Provenance: because wall-clock measurements (the sec54 probe's
-// overhead timers, ControllerOverheadSec) are replayed verbatim on a
-// cache hit, every result is tagged after execution with
+// overhead timers) are replayed verbatim on a cache hit, every result is tagged after execution with
 // ProvenanceMeasured or ProvenanceReplayed. The tag is assigned after
 // cache write-back and is not part of the result's binary form, which
 // wire responses and cache entries carry, so cache entries stay

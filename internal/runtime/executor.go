@@ -23,8 +23,8 @@ type Progress struct {
 // endpoint entries of one telemetry snapshot.
 type Stats struct {
 	// Hits counts jobs served from the run cache — by this executor
-	// directly or, under the coordinator, by a worker pool reading the
-	// shared cache directory (Counters.CacheHits).
+	// directly or, under the coordinator, by a worker pool's own cache
+	// (Counters.CacheHits).
 	Hits int64
 	// Runs counts jobs whose body actually executed (cache misses plus
 	// all jobs when no cache is attached; Counters.SimsExecuted).
@@ -159,13 +159,8 @@ func (e *Executor) RunAll(jobs []Job) []Result {
 	}
 	out := e.backend.Run(miss, func(k int, r Result) {
 		e.count(r)
-		if e.cache != nil && r.Err == "" && !r.Persisted {
-			// A failed disk write only costs a future re-run. Results a
-			// worker already published to the shared cache directory are
-			// marked Persisted and skipped — re-serializing every
-			// multi-hundred-round history on the coordinator would double
-			// the cache-write I/O. With a memory-only cache this Put is
-			// what makes a worker's result visible to this process at all.
+		if e.cache != nil && r.Err == "" {
+			// A failed disk write only costs a future re-run.
 			i := missIdx[k]
 			_ = e.cache.Put(keys[i], r)
 		}

@@ -90,17 +90,15 @@ func recordHead(h []byte, avail int64) (n int, key []byte, need int, stop bool) 
 	return n, h[head-int(keyLen) : head], 0, false
 }
 
-// scanRecords walks the records of a pack from offset off to size and
-// calls visit with each one's key and envelope extent. It reads only
-// record heads, through one buffer it grows to at most maxRecordHead.
-// It stops at the first record it cannot index (see recordHead) or
-// read, and returns the offset just past the last record it visited: a
-// rescan resumes there, so a tail still being written is indexed once
-// it is complete. The key passed to visit is only valid during the
-// call.
-func scanRecords(r io.ReaderAt, off, size int64, visit func(key []byte, off int64, n int)) int64 {
+// scanRecords walks the records of a pack of size bytes and calls
+// visit with each one's key and envelope extent. It reads only record
+// heads, through one buffer it grows to at most maxRecordHead. It stops
+// at the first record it cannot index (see recordHead) or read, so a
+// torn tail is never visited. The key passed to visit is only valid
+// during the call.
+func scanRecords(r io.ReaderAt, size int64, visit func(key []byte, off int64, n int)) {
 	var buf, win []byte // win holds the pack bytes from winOff
-	winOff := off
+	var off, winOff int64
 	for {
 		var h []byte
 		if rel := off - winOff; rel < int64(len(win)) {
@@ -108,7 +106,7 @@ func scanRecords(r io.ReaderAt, off, size int64, visit func(key []byte, off int6
 		}
 		n, key, need, stop := recordHead(h, size-off)
 		if stop {
-			return off
+			return
 		}
 		if need > 0 {
 			want := max(need, scanWindow)
@@ -117,7 +115,7 @@ func scanRecords(r io.ReaderAt, off, size int64, visit func(key []byte, off int6
 			}
 			got, _ := r.ReadAt(buf[:min(int64(want), size-off)], off)
 			if got < need {
-				return off
+				return
 			}
 			win, winOff = buf[:got], off
 			continue

@@ -52,9 +52,6 @@ type WorkerOptions struct {
 	// Capacity is the concurrency advertised in the hello frame (<= 1
 	// advertises 1).
 	Capacity int
-	// CacheDir is the worker's run-cache directory, advertised in the
-	// hello so a coordinator sharing it can skip redundant cache writes.
-	CacheDir string
 	// Install, when non-nil, installs a coordinator-pushed snapshot
 	// artifact (WireRequest.Snaps) into the worker's pretrain cache
 	// before the request that carried it runs. Best effort: an install
@@ -79,7 +76,7 @@ func ServeSession(r io.Reader, w io.Writer, run func(key string, spec json.RawMe
 	}
 	hello, err := json.Marshal(WireHello{
 		Hello: true, Proto: ProtoVersion, KeyVersion: keyVersion,
-		Capacity: opt.Capacity, CacheDir: opt.CacheDir,
+		Capacity: opt.Capacity,
 	})
 	if err == nil {
 		_, err = wire.WriteFrame(w, hello)
@@ -124,14 +121,6 @@ type ProcConfig struct {
 	// Workers lists the TCP worker pools (fedgpo-worker -listen
 	// host:port) to dispatch jobs to.
 	Workers []string
-	// CacheDir is the coordinator's run-cache directory. Results from
-	// any worker whose hello advertises this same directory are marked
-	// Persisted, so the executor skips re-writing entries the worker
-	// already published; results from workers with a different (or no)
-	// cache directory are written by the coordinator as usual, which is
-	// what keeps warm reruns hit-only even when the pools cache
-	// elsewhere.
-	CacheDir string
 	// Route is read by nothing; it stays so existing ProcConfig
 	// literals keep compiling.
 	//
@@ -184,7 +173,6 @@ type endpoint struct {
 // endpoint degrades capacity, not correctness. Jobs still unanswered
 // when every session has exhausted its budget yield error results.
 type Coordinator struct {
-	cfg       ProcConfig
 	endpoints []*endpoint
 	col       *telemetry.Collector
 	cache     *Cache
@@ -228,15 +216,15 @@ func NewProcBackend(cfg ProcConfig) *Coordinator {
 	for i, addr := range cfg.Workers {
 		transports[i] = &TCPTransport{Addr: addr}
 	}
-	return NewCoordinator(cfg, transports...)
+	return NewCoordinator(transports...)
 }
 
 // NewCoordinator returns a coordinator over explicit transports —
 // the constructor behind NewProcBackend, exposed for custom endpoint
 // fleets and transport-level tests. It records into a collector of its
 // own until SetCollector supplies one.
-func NewCoordinator(cfg ProcConfig, transports ...Transport) *Coordinator {
-	c := &Coordinator{cfg: cfg}
+func NewCoordinator(transports ...Transport) *Coordinator {
+	c := &Coordinator{}
 	for _, t := range transports {
 		c.endpoints = append(c.endpoints, &endpoint{
 			transport: t,
@@ -280,10 +268,8 @@ func (c *Coordinator) snapshotData(key string) []byte {
 func (c *Coordinator) hasSnapshot(key string) bool { return c.snapshotData(key) != nil }
 
 // storeSnapshot pools a worker-returned artifact and persists it to
-// the coordinator's cache under its own key. persisted marks artifacts
-// from workers sharing the coordinator's cache directory, which
-// already published them to disk themselves.
-func (c *Coordinator) storeSnapshot(sa SnapshotArtifact, persisted bool) {
+// the coordinator's cache under its own key.
+func (c *Coordinator) storeSnapshot(sa SnapshotArtifact) {
 	if sa.Key == "" || len(sa.Data) == 0 {
 		return
 	}
@@ -294,7 +280,7 @@ func (c *Coordinator) storeSnapshot(sa SnapshotArtifact, persisted bool) {
 	_, seen := c.snaps[sa.Key]
 	c.snaps[sa.Key] = sa.Data
 	c.snapMu.Unlock()
-	if !seen && !persisted && c.cache != nil {
+	if !seen && c.cache != nil {
 		// Data is the exact payload a local warm-up would have cached,
 		// stored as it is, so the disk entry is byte-identical either
 		// way.
@@ -487,18 +473,13 @@ func (c *Coordinator) runSession(epi int, ep *endpoint, conn Conn, jobs []Job, k
 // snapshot artifacts with requests whose worker isn't known to hold
 // them, and pools artifacts the responses return.
 func (c *Coordinator) pump(epi int, ep *endpoint, conn Conn, i int, jobs []Job, keys []string, queue *dispatchQueue, results []Result, done func(int, Result)) (int, error) {
-	sharesCache := c.cfg.CacheDir != "" && conn.Hello().CacheDir == c.cfg.CacheDir
-	// A worker sharing the coordinator's cache directory reads shipped
-	// snapshots straight from disk, so pushing bytes at it is pure
-	// waste; everyone else gets the artifact once per pool.
-	shipSnaps := !sharesCache
 	ws, _ := conn.(WireStatser)
 	var lastSent, lastRecv int64 // 0,0 so the first delta includes the handshake
 	for {
 		req := WireRequest{Key: keys[i], Spec: jobs[i].Payload}
 		var pushed int64
 		sk := jobs[i].SnapshotKey
-		if shipSnaps && sk != "" && !c.snapKnown(ep, sk) {
+		if sk != "" && !c.snapKnown(ep, sk) {
 			if data := c.snapshotData(sk); data != nil {
 				req.Snaps = []SnapshotArtifact{{Key: sk, Data: data}}
 				pushed = int64(len(data))
@@ -531,7 +512,7 @@ func (c *Coordinator) pump(epi int, ep *endpoint, conn Conn, i int, jobs []Job, 
 		r.Cached = resp.Cached
 		r.Telemetry = resp.Metrics
 		for _, sa := range resp.Snaps {
-			c.storeSnapshot(sa, sharesCache)
+			c.storeSnapshot(sa)
 			c.markSnapKnown(ep, sa.Key)
 		}
 		// A finished job reading a snapshot means the worker pool now
@@ -540,12 +521,6 @@ func (c *Coordinator) pump(epi int, ep *endpoint, conn Conn, i int, jobs []Job, 
 		if sk != "" && r.Err == "" {
 			c.markSnapKnown(ep, sk)
 		}
-		// A worker sharing the coordinator's cache directory already
-		// published the entry (best effort — a failed worker write
-		// costs a future re-run, exactly like a failed coordinator
-		// write); results from other workers are persisted by the
-		// executor.
-		r.Persisted = sharesCache && r.Err == ""
 		results[i] = r
 		if done != nil {
 			done(i, r)

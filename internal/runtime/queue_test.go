@@ -84,7 +84,7 @@ func TestAffinityCapacityWeightedDispatch(t *testing.T) {
 	for i := range jobs {
 		jobs[i] = keyedJob(i, fmt.Sprintf("group-%02d", i))
 	}
-	c := NewCoordinator(ProcConfig{}, big, small)
+	c := NewCoordinator(big, small)
 	// A first batch probes both endpoints, so the second runs every
 	// advertised session from its start.
 	c.Run(specJobs(1), nil)
@@ -131,7 +131,7 @@ func TestAffinityCoLocatesGroups(t *testing.T) {
 			return okResponse(req)
 		}
 	}
-	c := NewCoordinator(ProcConfig{},
+	c := NewCoordinator(
 		newFakeTransport("fake:a", 2, respond("a")),
 		newFakeTransport("fake:b", 2, respond("b")))
 	for i, r := range c.Run(jobs, nil) {
@@ -181,7 +181,7 @@ func TestAffinityStragglerGroupsStolenWithoutDoubleExecution(t *testing.T) {
 	for i := range jobs {
 		jobs[i] = keyedJob(i, fmt.Sprintf("g%d", i/group))
 	}
-	c := NewCoordinator(ProcConfig{}, fast, slow)
+	c := NewCoordinator(fast, slow)
 	for i, r := range c.Run(jobs, nil) {
 		if r.Err != "" {
 			t.Fatalf("job %d failed: %s", i, r.Err)
@@ -422,7 +422,7 @@ func TestCoordinatorPoolsAndShipsSnapshots(t *testing.T) {
 	col = telemetry.NewCollector()
 	c = NewProcBackend(ProcConfig{Workers: []string{otherAddr}})
 	c.SetCollector(col)
-	c.storeSnapshot(SnapshotArtifact{Key: "pretrain-k", Data: snapArtifact}, false)
+	c.storeSnapshot(SnapshotArtifact{Key: "pretrain-k", Data: snapArtifact})
 	for b, jobs := range [][]Job{
 		{snapJob(2, "pretrain-k", ""), snapJob(3, "pretrain-k", "")},
 		{snapJob(4, "pretrain-k", "")},
@@ -468,8 +468,8 @@ func TestCoordinatorResendAfterFailedSendCarriesSnapshot(t *testing.T) {
 		}
 		return nil
 	}
-	c := NewCoordinator(ProcConfig{}, tr)
-	c.storeSnapshot(SnapshotArtifact{Key: "pretrain-k", Data: snapArtifact}, false)
+	c := NewCoordinator(tr)
+	c.storeSnapshot(SnapshotArtifact{Key: "pretrain-k", Data: snapArtifact})
 	if res := c.Run([]Job{snapJob(0, "pretrain-k", "")}, nil); res[0].Err != "" {
 		t.Fatalf("job failed: %s", res[0].Err)
 	}

@@ -13,8 +13,8 @@ import (
 // Provenance values for Result.Provenance.
 const (
 	// ProvenanceMeasured marks a result whose cell actually executed in
-	// this run — its wall-clock measurements (ControllerOverheadSec, the
-	// sec54 timing rows) were taken on this machine, now.
+	// this run — its wall-clock measurements (the sec54 timing rows)
+	// were taken on this machine, now.
 	ProvenanceMeasured = "measured"
 	// ProvenanceReplayed marks a result served from the run cache — its
 	// wall-clock measurements were taken whenever the cell originally
@@ -39,11 +39,6 @@ type Result struct {
 	Err string `json:"err,omitempty"`
 	// Cached reports whether this result was served from the run cache.
 	Cached bool `json:"-"`
-	// Persisted reports that the result already lives in the disk cache
-	// the executor reads (set by the Coordinator when its workers share
-	// the executor's cache directory), so the executor skips the redundant
-	// re-serialization and re-write of the entry.
-	Persisted bool `json:"-"`
 	// Telemetry carries the executing process's per-job phase timings
 	// (pretrain, rounds, merge). Like Cached it is excluded from result
 	// JSON — telemetry must never change cached bytes — and travels the

@@ -104,7 +104,7 @@ func TestResultBinaryOmitsRunLocalFields(t *testing.T) {
 	r := codecResults(t)["sim"]
 	want, _ := r.AppendBinary(nil)
 	r.Provenance = ProvenanceReplayed
-	r.Cached, r.Persisted = true, true
+	r.Cached = true
 	r.Telemetry = &telemetry.Metrics{}
 	r.Snaps = []SnapshotArtifact{{Key: "p", Data: json.RawMessage(`{}`)}}
 	got, _ := r.AppendBinary(nil)

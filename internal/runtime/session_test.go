@@ -122,7 +122,7 @@ func TestWireSessionStreamsAndRequeuesTail(t *testing.T) {
 		}
 	}}
 	jobs := specJobs(5)
-	c := NewCoordinator(ProcConfig{}, pt)
+	c := NewCoordinator(pt)
 	for i, r := range c.Run(jobs, nil) {
 		if r.Err != "" || r.Sim.ControllerOverheadSec != float64(i) {
 			t.Errorf("job %d = %+v after a worker death mid-job", i, r)

@@ -16,9 +16,8 @@ import (
 // no negotiation: the coordinator rejects a hello naming any other
 // version at Dial, exactly as it rejects a cache-key mismatch. Bump it
 // whenever either side's framing or envelope fields change meaning, or
-// the cache entry format (cacheMagic) changes: a worker sharing the
-// coordinator's cache directory publishes entries the coordinator must
-// be able to read. Protocol 12 is protocol 11 with raw frames and
+// the result payload a response carries (Result.AppendBinary) changes.
+// Protocol 12 is protocol 11 with raw frames and
 // one request per frame; a protocol-11 worker's DEFLATE-framed hello
 // does not decode as a hello and is refused.
 const ProtoVersion = 12
@@ -26,9 +25,11 @@ const ProtoVersion = 12
 // WireHello is the first frame of every wire session, sent by the
 // worker the moment the session opens — before any request arrives.
 // The coordinator validates it during Dial: a protocol or key-version
-// mismatch rejects the endpoint outright, because a worker computing
-// results under a different cache-key scheme would publish them into
-// the shared cache under keys this coordinator trusts.
+// mismatch rejects the endpoint outright, because the coordinator
+// caches every result a worker returns under its own keys, and a worker
+// computing under a different cache-key scheme would store wrong
+// results under keys this coordinator trusts. A hello field this
+// coordinator does not know (an older worker's cacheDir) is ignored.
 type WireHello struct {
 	// Hello marks the frame; it is always true (a frame without it is
 	// not a handshake — most likely a non-worker process on the far
@@ -43,11 +44,6 @@ type WireHello struct {
 	// Capacity is how many wire sessions the worker pool serves
 	// concurrently. The coordinator opens that many sessions.
 	Capacity int `json:"capacity"`
-	// CacheDir is the worker's run-cache directory ("" when the worker
-	// caches in memory only). When it names the same directory as the
-	// coordinator's, results arriving over this session are already
-	// persisted and the coordinator skips re-writing them.
-	CacheDir string `json:"cacheDir,omitempty"`
 }
 
 // Conn is one established wire session to a worker: hello already
@@ -160,7 +156,7 @@ func (c *wireConn) handshake() error {
 		return fmt.Errorf("runtime: transport handshake: worker speaks wire protocol %d, coordinator %d", h.Proto, ProtoVersion)
 	}
 	if h.KeyVersion != keyVersion {
-		return fmt.Errorf("runtime: transport handshake: worker cache-key scheme %q, coordinator %q — results would poison the shared cache", h.KeyVersion, keyVersion)
+		return fmt.Errorf("runtime: transport handshake: worker cache-key scheme %q, coordinator %q — its results would poison the cache", h.KeyVersion, keyVersion)
 	}
 	if h.Capacity < 1 {
 		h.Capacity = 1

@@ -52,9 +52,6 @@ type ServeConfig struct {
 	// concurrently, advertised to every coordinator in the hello
 	// (<= 0 selects GOMAXPROCS).
 	Capacity int
-	// CacheDir is the worker's run-cache directory, advertised in the
-	// hello so coordinators sharing it can skip redundant cache writes.
-	CacheDir string
 	// Run executes one job; see ServeSession.
 	Run func(key string, spec json.RawMessage) Result
 	// Install, when non-nil, installs coordinator-pushed snapshot
@@ -167,7 +164,6 @@ func Serve(ctx context.Context, lis net.Listener, cfg ServeConfig) error {
 			logf("session %s: open", nc.RemoteAddr())
 			err := ServeSession(nc, nc, cfg.Run, WorkerOptions{
 				Capacity: cfg.Capacity,
-				CacheDir: cfg.CacheDir,
 				Install:  cfg.Install,
 			})
 			if err != nil && ctx.Err() == nil {

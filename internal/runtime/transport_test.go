@@ -137,7 +137,7 @@ func TestCoordinatorRetryResendsOnlyUnanswered(t *testing.T) {
 		}
 		return okResponse(req)
 	}
-	c := NewCoordinator(ProcConfig{}, ft)
+	c := NewCoordinator(ft)
 	results := c.Run(jobs, nil)
 	resent := 0
 	for i, r := range results {
@@ -178,7 +178,7 @@ func TestCoordinatorOutOfOrderReplyFailsSession(t *testing.T) {
 		}
 		return okResponse(req)
 	}
-	c := NewCoordinator(ProcConfig{}, ft)
+	c := NewCoordinator(ft)
 	results := c.Run(jobs, nil)
 	for i, r := range results {
 		if r.Err != "" {
@@ -200,7 +200,7 @@ func TestCoordinatorExhaustedRetriesSurfaceErrors(t *testing.T) {
 	ft := newFakeTransport("fake:dead", 1, func(int, WireRequest) (WireResponse, error) {
 		return WireResponse{}, fmt.Errorf("endpoint is gone")
 	})
-	c := NewCoordinator(ProcConfig{}, ft)
+	c := NewCoordinator(ft)
 	done := 0
 	results := c.Run(jobs, func(int, Result) { done++ })
 	for i, r := range results {
@@ -229,7 +229,7 @@ func TestCoordinatorHealthySiblingAbsorbsBatch(t *testing.T) {
 	})
 	dead := newFakeTransport("fake:down", 2, nil)
 	dead.dialErr = func(int) error { return fmt.Errorf("connection refused") }
-	c := NewCoordinator(ProcConfig{}, healthy, dead)
+	c := NewCoordinator(healthy, dead)
 	results := c.Run(jobs, nil)
 	for i, r := range results {
 		if r.Err != "" {
@@ -353,12 +353,15 @@ func TestHandshakeRejectsMismatches(t *testing.T) {
 			t.Errorf("%s: rejection allocated %.0f objects", c.name, allocs)
 		}
 	}
-	good := jsonFrame(t, WireHello{Hello: true, Proto: ProtoVersion, KeyVersion: keyVersion, Capacity: 3, CacheDir: "/tmp/c"})
+	// A worker of the same protocol from an older tree also advertises
+	// its cache directory; the field is ignored.
+	good := payloadFrame(t, fmt.Appendf(nil, `{"hello":true,"proto":%d,"keyVersion":%q,"capacity":3,"cacheDir":"/tmp/c"}`,
+		ProtoVersion, keyVersion))
 	conn, err := newWireConn(strings.NewReader(good), io.Discard, nil)
 	if err != nil {
 		t.Fatalf("valid hello rejected: %v", err)
 	}
-	if h := conn.Hello(); h.Capacity != 3 || h.CacheDir != "/tmp/c" {
+	if h := conn.Hello(); h.Capacity != 3 {
 		t.Errorf("hello = %+v", h)
 	}
 }
@@ -395,7 +398,7 @@ func TestCoordinatorWithoutEndpointsReturnsErrors(t *testing.T) {
 	jobs := specJobs(2)
 	jobs[0].SnapshotKey = "pretrain-k"
 	done := 0
-	results := NewCoordinator(ProcConfig{}).Run(jobs, func(int, Result) { done++ })
+	results := NewCoordinator().Run(jobs, func(int, Result) { done++ })
 	for i, r := range results {
 		if !strings.Contains(r.Err, "no worker endpoints available") {
 			t.Errorf("job %d = %+v, want a no-endpoints error", i, r)
@@ -440,7 +443,7 @@ func TestServeSessionWhitespaceAndFrameErrors(t *testing.T) {
 // tcpServe starts a Serve worker pool on localhost whose run executes
 // stubSpec payloads, returning its address and a shutdown func that
 // triggers the graceful drain and waits for Serve to return.
-func tcpServe(t *testing.T, capacity int, cacheDir string) (addr string, shutdown func() error) {
+func tcpServe(t *testing.T, capacity int) (addr string, shutdown func() error) {
 	t.Helper()
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -451,7 +454,6 @@ func tcpServe(t *testing.T, capacity int, cacheDir string) (addr string, shutdow
 	go func() {
 		errc <- Serve(ctx, lis, ServeConfig{
 			Capacity: capacity,
-			CacheDir: cacheDir,
 			Run:      stubRun,
 		})
 	}()
@@ -471,7 +473,7 @@ func tcpServe(t *testing.T, capacity int, cacheDir string) (addr string, shutdow
 // produces results identical to the in-process pool backend; the pool
 // then drains cleanly.
 func TestTCPTransportEndToEnd(t *testing.T) {
-	addr, shutdown := tcpServe(t, 3, "")
+	addr, shutdown := tcpServe(t, 3)
 	jobs := specJobs(17)
 	jobs = append(jobs, stubJob(17, stubSpec{Fail: true}))
 	want := NewPoolBackend(4).Run(jobs, nil)
@@ -529,7 +531,7 @@ func TestTCPDisconnectMidBatchFailsOver(t *testing.T) {
 		}
 	}()
 
-	healthyAddr, shutdown := tcpServe(t, 1, "")
+	healthyAddr, shutdown := tcpServe(t, 1)
 	jobs := specJobs(12)
 	c := NewProcBackend(ProcConfig{Workers: []string{lis.Addr().String(), healthyAddr}})
 	go func() {
@@ -651,21 +653,18 @@ func TestTCPDrainDeliversInFlightResponse(t *testing.T) {
 	}
 }
 
-// Results from a worker that does not share the coordinator's cache
-// directory must be persisted by the coordinator's executor, so a warm
-// rerun is hit-only even when the remote pools cache elsewhere.
+// The coordinator's executor persists every result its workers return,
+// so a warm rerun is hit-only even when the remote pools cache
+// elsewhere or not at all.
 func TestExecutorPersistsResultsFromForeignCacheWorkers(t *testing.T) {
 	dir := t.TempDir()
 	cache, err := NewCache(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The pool advertises no cache directory while the coordinator has
-	// one — the pre-transport coordinator would have assumed sharing
-	// and skipped its own writes.
-	addr, shutdown := tcpServe(t, 2, "")
+	addr, shutdown := tcpServe(t, 2)
 	jobs := specJobs(5)
-	cold := NewExecutorBackend(NewProcBackend(ProcConfig{Workers: []string{addr}, CacheDir: dir}), cache)
+	cold := NewExecutorBackend(NewProcBackend(ProcConfig{Workers: []string{addr}}), cache)
 	first := cold.RunAll(jobs)
 	if st := cold.Stats(); st.Runs != int64(len(jobs)) || st.Hits != 0 {
 		t.Fatalf("cold stats = %+v", st)
@@ -674,7 +673,7 @@ func TestExecutorPersistsResultsFromForeignCacheWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Warm rerun with every endpoint gone: hits must carry the batch.
-	warm := NewExecutorBackend(NewProcBackend(ProcConfig{Workers: []string{addr}, CacheDir: dir}), cache)
+	warm := NewExecutorBackend(NewProcBackend(ProcConfig{Workers: []string{addr}}), cache)
 	second := warm.RunAll(jobs)
 	if st := warm.Stats(); st.Runs != 0 || st.Hits != int64(len(jobs)) {
 		t.Errorf("warm stats = %+v, want all hits with the worker pool gone", st)
