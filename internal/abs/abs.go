@@ -141,25 +141,18 @@ func New(cfg Config) *Controller {
 // Name identifies the controller.
 func (c *Controller) Name() string { return "ABS" }
 
-// stateVector summarizes the observation for the Q-network.
+// stateVector summarizes the observation for the Q-network, reading
+// the fleet's interfered and bad-link shares off the observation's
+// counts.
 func stateVector(obs fl.Observation) []float64 {
-	interfered, badNet := 0.0, 0.0
-	for _, st := range obs.States {
-		if st.Interference.CPUUsage > 0 || st.Interference.MemUsage > 0 {
-			interfered++
-		}
-		if !st.Network.Regular() {
-			badNet++
-		}
-	}
 	n := float64(len(obs.States))
 	if n == 0 {
 		n = 1
 	}
 	return []float64{
 		obs.PrevAccuracy,
-		interfered / n,
-		badNet / n,
+		float64(obs.Interfered) / n,
+		float64(obs.BadLinks) / n,
 		float64(obs.Round%50) / 50,
 		1,
 	}

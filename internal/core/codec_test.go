@@ -130,7 +130,11 @@ func pretrainedCases(tb testing.TB) map[string]Snapshot {
 
 // FuzzSnapshotBinary holds the decoder to its contract: no input
 // panics or allocates more than a constant factor of its length, and
-// every input it accepts re-encodes to exactly the same bytes.
+// every input it accepts re-encodes to exactly the same bytes. It also
+// guards the restore boundary, where state names become table
+// indices: a controller restored from any snapshot that validates
+// snapshots the same Q rows under the same names, in the local tables
+// and in the K table.
 func FuzzSnapshotBinary(f *testing.F) {
 	for _, s := range pretrainedCases(f) {
 		b := s.AppendBinary(nil)
@@ -155,7 +159,43 @@ func FuzzSnapshotBinary(f *testing.F) {
 		if re := s.AppendBinary(nil); !bytes.Equal(re, data) {
 			t.Fatalf("accepted input re-encodes differently:\n got %x\nwant %x", re, data)
 		}
+		if s.Validate() != nil {
+			return
+		}
+		back := FromSnapshot(DefaultConfig(), s).Snapshot()
+		if len(back.LocalTables) != len(s.LocalTables) {
+			t.Fatalf("restored %d local tables, snapshot has %d", len(back.LocalTables), len(s.LocalTables))
+		}
+		for key, tab := range s.LocalTables {
+			sameRows(t, "local table "+key, back.LocalTables[key].Q, tab.Q)
+		}
+		if (back.KTable == nil) != (s.KTable == nil) {
+			t.Fatalf("restored K table present=%v, snapshot's present=%v", back.KTable != nil, s.KTable != nil)
+		}
+		if s.KTable != nil {
+			sameRows(t, "K table", back.KTable.Q, s.KTable.Q)
+		}
 	})
+}
+
+// sameRows fails unless got holds exactly want's states, each with a
+// bit-identical Q row.
+func sameRows(t *testing.T, table string, got, want map[string][]float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: restored %d states, snapshot has %d", table, len(got), len(want))
+	}
+	for state, row := range want {
+		back, ok := got[state]
+		if !ok || len(back) != len(row) {
+			t.Fatalf("%s: state %q restored as %v, snapshot has %v", table, state, back, row)
+		}
+		for a := range row {
+			if math.Float64bits(back[a]) != math.Float64bits(row[a]) {
+				t.Fatalf("%s: state %q action %d restored as %v, snapshot has %v", table, state, a, back[a], row[a])
+			}
+		}
+	}
 }
 
 // BenchmarkSnapshotCodec times each direction of the binary form on

@@ -59,19 +59,42 @@ func DefaultConfig() Config {
 	}
 }
 
-// choice records an action taken for one device in the current round.
-type choice struct {
-	tableKey string
-	state    string
-	action   int
+// localTable is one (B, E) Q-table: a device category's under shared
+// tables, one device's under per-device tables.
+type localTable struct {
+	// key names the table in snapshots and decision traces: the
+	// category label, or "dev<ID>".
+	key string
+	// index is the table's slot in Controller.byIndex (the category, or
+	// the device ID), or -1 for a restored table no device maps to.
+	index int
+	q     *rl.QTable
+	// memo holds, by state index, the action the table chose in that
+	// state during the round memo[s].round.
+	memo []roundAction
 }
 
-// pending is a transition awaiting its next-round state S'.
+// roundAction is an action taken in one round.
+type roundAction struct{ round, action int32 }
+
+// minMemo is the smallest memo a table allocates.
+const minMemo = 8
+
+// choice records the action a device took in round round.
+type choice struct {
+	round  int32
+	state  int32
+	action int32
+	table  *localTable
+}
+
+// pending is a transition awaiting its next-round state S' (in the K
+// table when table is nil).
 type pending struct {
-	tableKey string
-	state    string
-	action   int
-	reward   float64
+	table  *localTable
+	state  int
+	action int
+	reward float64
 }
 
 // OverheadBreakdown mirrors the paper's §5.4 cost accounting for one
@@ -86,6 +109,12 @@ type OverheadBreakdown struct {
 
 // Controller is the FedGPO policy. It implements fl.Controller.
 // Not safe for concurrent use; create one per run.
+//
+// A round's decision path works on indices: states are interned once
+// per controller in two rl.Spaces (device states for the local tables,
+// global states for the K table) and cached by band code, tables are
+// reached by category or device ID, and the round's memos are slices.
+// Names appear only in snapshots, decision traces and Stats.
 type Controller struct {
 	cfg Config
 	rng *stats.RNG
@@ -93,18 +122,28 @@ type Controller struct {
 	localActions []fl.LocalParams // Table 2 (B, E) grid
 	kActions     []int            // Table 2 K values
 
-	localTables map[string]*rl.QTable // per category (or per device)
+	// localTables holds every local table by key, restored tables no
+	// device maps to included; byIndex reaches a device's table by its
+	// category (shared tables) or ID (per-device tables), filled as
+	// devices first reach their table.
+	localTables map[string]*localTable
+	byIndex     []*localTable
 	kTable      *rl.QTable
 
 	globalNorm *EnergyNormalizer
 	kLocalNorm *EnergyNormalizer
 	localNorm  map[device.Category]*EnergyNormalizer
 
-	roundChoices map[int]choice // deviceID -> this round's action
+	// round counts Plan calls; roundChoices holds each fleet device's
+	// choice by device ID, current when its round equals round.
+	round        int32
+	roundChoices []choice
 	pendingLocal []pending
 	pendingK     pending
 	hasPendingK  bool
-	dynMasks     map[dynMaskKey][]bool
+	// dynMasks caches per-observation feasibility sets (see
+	// dynFeasible) by category and co-runner CPU and memory band.
+	dynMasks [device.NumCategories * 4 * 4][]bool
 	// deadline is the server round deadline observed from the
 	// deployment; the feasibility envelope is capped below it. A
 	// change (e.g. warm-up on a different scenario) invalidates masks.
@@ -121,26 +160,31 @@ type Controller struct {
 	tracing bool
 	trace   []RoundTrace
 
-	// Per-round scratch the controller owns and reuses, so a learned
-	// controller's round allocates only what it newly learns.
-	// roundAction memoizes this round's action per (table, state);
-	// succ is flushPending's successor state per table; deviceKeys,
-	// globalKeys and devTableKeys intern state and table keys.
-	roundAction  map[tableState]int
-	succ         map[string]string
+	// deviceStates and globalStates intern state keys; arch is the
+	// architecture bands of the workload being planned, and deviceIdx
+	// and globalIdx cache, per band code under arch, the state's index
+	// plus one (0 = not yet interned).
+	deviceStates *rl.Space
+	globalStates *rl.Space
+	arch         [3]byte
+	deviceIdx    [deviceCodes]int32
+	globalIdx    [globalCodes]int32
+
+	// fleet is the fleet successor was built for; successor holds, by
+	// table index, the ID of the first fleet device under that index
+	// (-1 for none): the device whose state is a table's S'.
+	fleet     []device.Device
+	successor []int
+
 	roundRewards []float64
-	deviceKeys   map[deviceKey]string
-	globalKeys   map[globalKey]string
-	devTableKeys []string
+	// epoch anchors clock.
+	epoch time.Time
 	// planWorkload is the workload of the round being planned; local
 	// reads it, so Plan hands out one method value instead of building
 	// a closure each round.
 	planWorkload workload.Workload
 	localFn      func(device.Device, fl.DeviceState) fl.LocalParams
 }
-
-// tableState names one (Q-table, state) pair.
-type tableState struct{ table, state string }
 
 var _ fl.Controller = (*Controller)(nil)
 
@@ -154,21 +198,22 @@ func New(cfg Config) *Controller {
 		rng:           stats.NewRNG(cfg.Seed),
 		localActions:  fl.AllLocalParams(),
 		kActions:      fl.KValues(),
-		localTables:   make(map[string]*rl.QTable),
+		localTables:   make(map[string]*localTable),
 		localNorm:     make(map[device.Category]*EnergyNormalizer),
 		globalNorm:    NewEnergyNormalizer(),
-		roundChoices:  make(map[int]choice),
 		kLocalNorm:    NewEnergyNormalizer(),
-		dynMasks:      make(map[dynMaskKey][]bool),
 		tableProfiles: make(map[string]device.Profile),
-		roundAction:   make(map[tableState]int),
-		succ:          make(map[string]string),
-		deviceKeys:    make(map[deviceKey]string),
-		globalKeys:    make(map[globalKey]string),
+		deviceStates:  rl.NewSpace(),
+		globalStates:  rl.NewSpace(),
+		epoch:         time.Now(),
 	}
 	c.localFn = c.local
 	return c
 }
+
+// clock reads the monotonic clock as the time since the controller was
+// built: the §5.4 phase timers take one such read per phase boundary.
+func (c *Controller) clock() time.Duration { return time.Since(c.epoch) }
 
 // Name identifies the controller in reports.
 func (c *Controller) Name() string {
@@ -178,66 +223,97 @@ func (c *Controller) Name() string {
 	return "FedGPO"
 }
 
-// tableKeyFor returns the Q-table identity a device's actions are
-// learned under: its performance category (shared tables, the default)
-// or its unique ID (footnote-2 variant).
-func (c *Controller) tableKeyFor(d device.Device) string {
-	if !c.cfg.PerDeviceTables {
-		return d.Profile.Category.String()
+// tableIndex returns the slot of a device's table in byIndex: its
+// performance category (shared tables, the default) or its unique ID
+// (footnote-2 variant).
+func (c *Controller) tableIndex(d device.Device) int {
+	if c.cfg.PerDeviceTables {
+		return d.ID
 	}
-	if d.ID >= len(c.devTableKeys) {
-		c.devTableKeys = append(c.devTableKeys, make([]string, d.ID+1-len(c.devTableKeys))...)
-	}
-	if c.devTableKeys[d.ID] == "" {
-		c.devTableKeys[d.ID] = fmt.Sprintf("dev%d", d.ID)
-	}
-	return c.devTableKeys[d.ID]
+	return int(d.Profile.Category)
 }
 
-// deviceStateKey returns a device's Q-table state key in the round
-// being planned, interned: the Table 1 state space is small, so a
-// learned controller builds each key string once.
-func (c *Controller) deviceStateKey(st fl.DeviceState) string {
-	k := deviceStateBytes(archBands(c.planWorkload), st)
-	s, ok := c.deviceKeys[k]
-	if !ok {
-		s = string(k[:])
-		c.deviceKeys[k] = s
+// tableKey names the table at slot i.
+func (c *Controller) tableKey(i int) string {
+	if c.cfg.PerDeviceTables {
+		return fmt.Sprintf("dev%d", i)
 	}
-	return s
+	return device.Category(i).String()
 }
 
-// globalStateKey returns the K table's state key in the round being
-// planned, interned like deviceStateKey.
-func (c *Controller) globalStateKey(states []fl.DeviceState) string {
-	k := globalStateBytes(archBands(c.planWorkload), states)
-	s, ok := c.globalKeys[k]
-	if !ok {
-		s = string(k[:])
-		c.globalKeys[k] = s
+// setSlot makes t the table at slot i.
+func (c *Controller) setSlot(t *localTable, i int) {
+	if i >= len(c.byIndex) {
+		c.byIndex = append(c.byIndex, make([]*localTable, i+1-len(c.byIndex))...)
 	}
-	return s
+	c.byIndex[i] = t
+	t.index = i
 }
 
-// table returns the local-action Q-table for a key, if it exists.
-func (c *Controller) table(key string) *rl.QTable { return c.localTables[key] }
-
-// tableFor lazily creates the Q-table for a device, applying the
-// profile-informed feasibility mask: actions whose predicted clean
-// compute time exceeds feasibleBudgetFactor × the mid-category
-// reference (B=8, E=10) can never meet a sane round deadline on this
-// hardware and are pruned from selection. Without the mask, optimistic
-// exploration forces every category — including low-end devices — to
-// trial (B=1, E=20)-class monsters that stall entire rounds.
-func (c *Controller) tableFor(d device.Device, w workload.Workload) *rl.QTable {
-	key := c.tableKeyFor(d)
-	if t, ok := c.localTables[key]; ok {
-		return t
+// planFor makes w the workload being planned. Its architecture bands
+// lead every state key, so a new architecture empties the band-code
+// caches.
+func (c *Controller) planFor(w workload.Workload) {
+	c.planWorkload = w
+	if arch := archBands(w); arch != c.arch {
+		c.arch = arch
+		c.deviceIdx = [deviceCodes]int32{}
+		c.globalIdx = [globalCodes]int32{}
 	}
-	t := rl.NewQTable(len(c.localActions), c.cfg.RL, c.rng.Split())
-	t.SetMask(c.feasibleActions(d.Profile, w, device.Interference{}))
-	c.localTables[key] = t
-	c.tableProfiles[key] = d.Profile
+}
+
+// deviceState returns a device's state index in the round being
+// planned. The Table 1 state space is small, so a learned controller
+// builds each key string once.
+func (c *Controller) deviceState(st fl.DeviceState) int {
+	code := deviceCode(st)
+	if i := c.deviceIdx[code]; i > 0 {
+		return int(i - 1)
+	}
+	k := deviceStateBytes(c.arch, st)
+	i := c.deviceStates.Index(string(k[:]))
+	c.deviceIdx[code] = int32(i + 1)
+	return i
+}
+
+// globalState returns the K table's state index in the round being
+// planned, cached like deviceState.
+func (c *Controller) globalState(obs fl.Observation) int {
+	intf, bad, class := globalSignals(obs)
+	code := globalCode(intf, bad, class)
+	if i := c.globalIdx[code]; i > 0 {
+		return int(i - 1)
+	}
+	k := globalStateBytes(c.arch, intf, bad, class)
+	i := c.globalStates.Index(string(k[:]))
+	c.globalIdx[code] = int32(i + 1)
+	return i
+}
+
+// tableFor returns a device's local table. The first device to reach
+// a slot finds a table restored from a snapshot by key, or creates the
+// table with the profile-informed feasibility mask: actions whose
+// predicted clean compute time exceeds feasibleBudgetFactor × the
+// mid-category reference (B=8, E=10) can never meet a sane round
+// deadline on this hardware and are pruned from selection. Without the
+// mask, optimistic exploration forces every category — including
+// low-end devices — to trial (B=1, E=20)-class monsters that stall
+// entire rounds.
+func (c *Controller) tableFor(d device.Device, w workload.Workload) *localTable {
+	i := c.tableIndex(d)
+	if i < len(c.byIndex) && c.byIndex[i] != nil {
+		return c.byIndex[i]
+	}
+	key := c.tableKey(i)
+	t := c.localTables[key]
+	if t == nil {
+		q := rl.NewQTable(len(c.localActions), c.cfg.RL, c.rng.Split(), c.deviceStates)
+		q.SetMask(c.feasibleActions(d.Profile, w, device.Interference{}))
+		t = &localTable{key: key, q: q}
+		c.localTables[key] = t
+		c.tableProfiles[key] = d.Profile
+	}
+	c.setSlot(t, i)
 	return t
 }
 
@@ -249,9 +325,9 @@ func (c *Controller) observeDeadline(deadlineSec float64, w workload.Workload) {
 		return
 	}
 	c.deadline = deadlineSec
-	c.dynMasks = make(map[dynMaskKey][]bool)
+	clear(c.dynMasks[:])
 	for key, t := range c.localTables {
-		t.SetMask(c.feasibleActions(c.tableProfiles[key], w, device.Interference{}))
+		t.q.SetMask(c.feasibleActions(c.tableProfiles[key], w, device.Interference{}))
 	}
 }
 
@@ -324,37 +400,26 @@ func (c *Controller) feasibleActions(p device.Profile, w workload.Workload, intf
 // as a fraction of the budget.
 const feasibleFloorFraction = 0.3
 
-// dynMaskKey caches per-observation feasibility sets: the mask depends
-// only on the device category and the discretized interference bands,
-// so the expensive compute-time predictions run once per combination.
-type dynMaskKey struct {
-	cat      device.Category
-	cpu, mem byte
-}
-
 // dynFeasible returns (computing and caching) the feasibility set for a
 // device under its currently observed interference. This is FedGPO
 // using the state it already identifies (§3.1: "the usage of resources"
 // per device) together with the known device profile to exclude
 // parameter choices that would straggle the round — the Q-table then
-// optimizes energy/accuracy within the feasible set.
+// optimizes energy/accuracy within the feasible set. The mask depends
+// only on the device category and the discretized interference bands,
+// so the expensive compute-time predictions run once per combination.
 func (c *Controller) dynFeasible(d device.Device, w workload.Workload, st fl.DeviceState) []bool {
-	key := dynMaskKey{
-		cat: d.Profile.Category,
-		cpu: UsageBand(st.Interference.CPUUsage),
-		mem: UsageBand(st.Interference.MemUsage),
+	cpu, mem := usageLevel(st.Interference.CPUUsage), usageLevel(st.Interference.MemUsage)
+	m := &c.dynMasks[(int(d.Profile.Category)*4+cpu)*4+mem]
+	if *m == nil {
+		// Predict with the band midpoint rather than the raw sample so
+		// decisions depend only on observable bands.
+		*m = c.feasibleActions(d.Profile, w, device.Interference{
+			CPUUsage: bandMidpoint(usageBands[cpu]),
+			MemUsage: bandMidpoint(usageBands[mem]),
+		})
 	}
-	if m, ok := c.dynMasks[key]; ok {
-		return m
-	}
-	// Predict with the band midpoint rather than the raw sample so the
-	// cache stays small and decisions depend only on observable bands.
-	m := c.feasibleActions(d.Profile, w, device.Interference{
-		CPUUsage: bandMidpoint(key.cpu),
-		MemUsage: bandMidpoint(key.mem),
-	})
-	c.dynMasks[key] = m
-	return m
+	return *m
 }
 
 // bandMidpoint maps a Table 1 usage band back to a representative
@@ -374,46 +439,50 @@ func bandMidpoint(band byte) float64 {
 
 // Plan implements steps 1–2 of the paper's design loop: identify the
 // global and local execution states, then select actions from the
-// Q-tables.
+// Q-tables. The §5.4 timers read the clock once per phase boundary.
 func (c *Controller) Plan(obs fl.Observation) fl.Plan {
 	c.observeDeadline(obs.DeadlineSec, obs.Workload)
-	c.planWorkload = obs.Workload
+	c.planFor(obs.Workload)
+	if len(c.roundChoices) < len(obs.Fleet) {
+		c.roundChoices = make([]choice, len(obs.Fleet))
+	}
 
 	// The global state is both last round's K successor S' and this
 	// round's K state.
-	t0 := time.Now()
-	globalState := c.globalStateKey(obs.States)
-	c.overhead.IdentifyStates += time.Since(t0)
+	t0 := c.clock()
+	globalState := c.globalState(obs)
+	t1 := c.clock()
+	c.overhead.IdentifyStates += t1 - t0
 
 	// Complete last round's Q-updates now that S' is observable
 	// (Algorithm 2's "Observe new state S'").
-	t0 = time.Now()
 	c.flushPending(obs, globalState)
-	c.overhead.UpdateTables += time.Since(t0)
+	t2 := c.clock()
+	c.overhead.UpdateTables += t2 - t1
 
-	t0 = time.Now()
 	if c.kTable == nil {
-		c.kTable = rl.NewQTable(len(c.kActions), c.cfg.RL, c.rng.Split())
+		c.kTable = rl.NewQTable(len(c.kActions), c.cfg.RL, c.rng.Split(), c.globalStates)
 	}
 	kAction := c.kTable.Select(globalState)
 	c.pendingK = pending{state: globalState, action: kAction}
 	c.hasPendingK = true
-	clear(c.roundChoices)
 	// Within a round, all devices that share a Q-table and a state take
 	// the same action: the shared table makes one (possibly exploring)
 	// decision per (table, state) pair. This keeps the category's
 	// behaviour coherent, so the round-level reward actually reflects
 	// the choice — per-device independent exploration would dilute the
-	// credit over K participants.
-	clear(c.roundAction)
-	c.overhead.ChooseParams += time.Since(t0)
+	// credit over K participants. Advancing the round retires every
+	// memoized action and device choice of the last one.
+	c.round++
+	c.overhead.ChooseParams += c.clock() - t2
 	c.overhead.Rounds++
 	if c.tracing {
+		name := c.globalStates.Name(globalState)
 		c.trace = append(c.trace, RoundTrace{
 			Round:       obs.Round,
-			GlobalState: globalState,
+			GlobalState: name,
 			K: KDecision{
-				State:   globalState,
+				State:   name,
 				Action:  kAction,
 				K:       c.kActions[kAction],
 				Allowed: c.kTable.AllowedActions(),
@@ -426,45 +495,52 @@ func (c *Controller) Plan(obs fl.Observation) fl.Plan {
 // local is the Plan's per-participant assignment: the (B, E) the
 // device's Q-table picks for its observed state this round.
 func (c *Controller) local(d device.Device, st fl.DeviceState) fl.LocalParams {
-	ts := time.Now()
-	stateKey := c.deviceStateKey(st)
-	c.overhead.IdentifyStates += time.Since(ts)
+	t0 := c.clock()
+	state := c.deviceState(st)
+	t1 := c.clock()
+	c.overhead.IdentifyStates += t1 - t0
 
-	ts = time.Now()
-	key := c.tableKeyFor(d)
-	memo := tableState{key, stateKey}
-	action, ok := c.roundAction[memo]
-	if !ok {
-		tab := c.tableFor(d, c.planWorkload)
+	tab := c.tableFor(d, c.planWorkload)
+	if state >= len(tab.memo) {
+		// Grown in steps of at least minMemo, so a memo is never a tiny
+		// allocation sharing a block with a long-lived state name.
+		n := max(state+1, 2*len(tab.memo), minMemo)
+		tab.memo = append(tab.memo, make([]roundAction, n-len(tab.memo))...)
+	}
+	memo := &tab.memo[state]
+	if memo.round != c.round {
 		dyn := c.dynFeasible(d, c.planWorkload, st)
-		action = tab.SelectOf(stateKey, dyn)
-		c.roundAction[memo] = action
+		action := tab.q.SelectOf(state, dyn)
+		*memo = roundAction{round: c.round, action: int32(action)}
 		if cur := c.traceCurrent(); cur != nil {
 			lp := c.localActions[action]
 			cur.Local = append(cur.Local, LocalDecision{
-				Table: key, State: stateKey, Action: action,
-				B: lp.B, E: lp.E, Allowed: tab.CandidatesOf(dyn),
+				Table: tab.key, State: c.deviceStates.Name(state), Action: action,
+				B: lp.B, E: lp.E, Allowed: tab.q.CandidatesOf(dyn),
 			})
 		}
 	}
-	c.roundChoices[d.ID] = choice{tableKey: key, state: stateKey, action: action}
-	c.overhead.ChooseParams += time.Since(ts)
-	return c.localActions[action]
+	c.roundChoices[d.ID] = choice{round: c.round, state: int32(state), action: memo.action, table: tab}
+	c.overhead.ChooseParams += c.clock() - t1
+	return c.localActions[memo.action]
 }
 
 // Observe implements steps 4–5: measure the round, compute Eq. 1
 // rewards, and queue Q-table updates (completed next round when S' is
 // seen).
 func (c *Controller) Observe(res fl.RoundResult) {
-	t0 := time.Now()
+	t0 := c.clock()
 	accPct := res.Accuracy * 100
 	prevPct := res.PrevAccuracy * 100
 	eGlobal := c.globalNorm.Normalize(res.EnergyGlobalJ)
 
 	roundRewards := c.roundRewards[:0]
 	for _, p := range res.Participants {
-		ch, ok := c.roundChoices[p.DeviceID]
-		if !ok {
+		if p.DeviceID >= len(c.roundChoices) {
+			continue
+		}
+		ch := c.roundChoices[p.DeviceID]
+		if ch.round != c.round || ch.table == nil {
 			continue
 		}
 		norm, okN := c.localNorm[p.Category]
@@ -484,7 +560,7 @@ func (c *Controller) Observe(res fl.RoundResult) {
 		}
 		roundRewards = append(roundRewards, r)
 		c.pendingLocal = append(c.pendingLocal, pending{
-			tableKey: ch.tableKey, state: ch.state, action: ch.action, reward: r,
+			table: ch.table, state: int(ch.state), action: int(ch.action), reward: r,
 		})
 	}
 	// The K agent's reward uses the mean participant energy as its
@@ -513,48 +589,32 @@ func (c *Controller) Observe(res fl.RoundResult) {
 			cur.K.Reward = c.pendingK.reward
 		}
 	}
-	c.overhead.CalcReward += time.Since(t0)
+	c.overhead.CalcReward += c.clock() - t0
 
 	c.maybeFreeze(res.Round)
 }
 
 // flushPending applies queued updates using this round's observation as
-// the successor state S'; globalState is the K table's S'.
-func (c *Controller) flushPending(obs fl.Observation, globalState string) {
+// the successor state S'; globalState is the K table's S'. A local
+// table's S' is the state of the first fleet device under it (see
+// observeFleet); a table no fleet device maps to keeps its own state.
+func (c *Controller) flushPending(obs fl.Observation, globalState int) {
 	if len(c.pendingLocal) > 0 {
-		// Successor state per table: the first fleet device under that
-		// table key, observed in this round's environment. Only existing
-		// tables take updates, so a key with no table yet is skipped and
-		// the walk stops once every table has its successor.
-		succ := c.succ
-		clear(succ)
-		for _, d := range obs.Fleet {
-			if len(succ) == len(c.localTables) {
-				break
-			}
-			key := c.tableKeyFor(d)
-			if _, ok := succ[key]; ok || c.table(key) == nil {
-				continue
-			}
-			succ[key] = c.deviceStateKey(obs.States[d.ID])
-		}
+		c.observeFleet(obs.Fleet)
 		for _, p := range c.pendingLocal {
-			next, ok := succ[p.tableKey]
-			if !ok {
-				next = p.state
+			next := p.state
+			if i := p.table.index; i >= 0 && i < len(c.successor) && c.successor[i] >= 0 {
+				next = c.deviceState(obs.States[c.successor[i]])
 			}
-			if t := c.table(p.tableKey); t != nil {
-				delta := t.Update(p.state, p.action, p.reward, next)
-				// Updates grade the previous round's decisions: trace
-				// them on the entry that recorded those decisions (the
-				// current last entry — this round's is appended later in
-				// Plan).
-				if cur := c.traceCurrent(); cur != nil {
-					cur.Updates = append(cur.Updates, QUpdate{
-						Table: p.tableKey, State: p.state, Action: p.action,
-						Reward: p.reward, Next: next, Delta: delta,
-					})
-				}
+			delta := p.table.q.Update(p.state, p.action, p.reward, next)
+			// Updates grade the previous round's decisions: trace them
+			// on the entry that recorded those decisions (the current
+			// last entry — this round's is appended later in Plan).
+			if cur := c.traceCurrent(); cur != nil {
+				cur.Updates = append(cur.Updates, QUpdate{
+					Table: p.table.key, State: c.deviceStates.Name(p.state), Action: p.action,
+					Reward: p.reward, Next: c.deviceStates.Name(next), Delta: delta,
+				})
 			}
 		}
 		c.pendingLocal = c.pendingLocal[:0]
@@ -564,11 +624,31 @@ func (c *Controller) flushPending(obs fl.Observation, globalState string) {
 		delta := c.kTable.Update(c.pendingK.state, c.pendingK.action, c.pendingK.reward, next)
 		if cur := c.traceCurrent(); cur != nil {
 			cur.Updates = append(cur.Updates, QUpdate{
-				Table: "K", State: c.pendingK.state, Action: c.pendingK.action,
-				Reward: c.pendingK.reward, Next: next, Delta: delta,
+				Table: "K", State: c.globalStates.Name(c.pendingK.state), Action: c.pendingK.action,
+				Reward: c.pendingK.reward, Next: c.globalStates.Name(next), Delta: delta,
 			})
 		}
 		c.hasPendingK = false
+	}
+}
+
+// observeFleet rebuilds the successor table when the fleet differs
+// from the one it was built for — once per run: for each table slot,
+// the ID of the first device in fleet order under it.
+func (c *Controller) observeFleet(fleet []device.Device) {
+	if len(fleet) == len(c.fleet) && (len(fleet) == 0 || &fleet[0] == &c.fleet[0]) {
+		return
+	}
+	c.fleet = fleet
+	c.successor = c.successor[:0]
+	for _, d := range fleet {
+		i := c.tableIndex(d)
+		for len(c.successor) <= i {
+			c.successor = append(c.successor, -1)
+		}
+		if c.successor[i] < 0 {
+			c.successor[i] = d.ID
+		}
 	}
 }
 
@@ -587,7 +667,7 @@ func (c *Controller) maybeFreeze(round int) {
 	if c.cfg.FreezeThreshold > 0 {
 		byDelta = c.kTable.Converged(c.cfg.FreezeThreshold, c.cfg.FreezeMinUpdates)
 		for _, t := range c.localTables {
-			if !t.Converged(c.cfg.FreezeThreshold, c.cfg.FreezeMinUpdates) {
+			if !t.q.Converged(c.cfg.FreezeThreshold, c.cfg.FreezeMinUpdates) {
 				byDelta = false
 				break
 			}
@@ -597,7 +677,7 @@ func (c *Controller) maybeFreeze(round int) {
 		return
 	}
 	for _, t := range c.localTables {
-		t.SetEpsilon(0)
+		t.q.SetEpsilon(0)
 	}
 	c.kTable.SetEpsilon(0)
 	c.frozen = true
@@ -611,7 +691,7 @@ func (c *Controller) maybeFreeze(round int) {
 // environment. Call it after a warm-up run (see Pretrained).
 func (c *Controller) FinishLearning() {
 	for _, t := range c.localTables {
-		t.SetEpsilon(0)
+		t.q.SetEpsilon(0)
 	}
 	if c.kTable != nil {
 		c.kTable.SetEpsilon(0)
@@ -637,7 +717,7 @@ func (c *Controller) Frozen() (bool, int) { return c.frozen, c.frozenRound }
 func (c *Controller) MemoryBytes() int {
 	total := 0
 	for _, t := range c.localTables {
-		total += t.MemoryBytes()
+		total += t.q.MemoryBytes()
 	}
 	if c.kTable != nil {
 		total += c.kTable.MemoryBytes()
@@ -661,8 +741,8 @@ func (c *Controller) Stats() TableStats {
 	s := TableStats{MemoryBytes: c.MemoryBytes()}
 	for _, t := range c.localTables {
 		s.Tables++
-		s.States += t.States()
-		s.Updates += t.Updates()
+		s.States += t.q.States()
+		s.Updates += t.q.Updates()
 	}
 	if c.kTable != nil {
 		s.Tables++

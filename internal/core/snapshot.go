@@ -107,7 +107,7 @@ func (c *Controller) Snapshot() Snapshot {
 		FrozenRound:   c.frozenRound,
 	}
 	for key, t := range c.localTables {
-		s.LocalTables[key] = t.Snapshot()
+		s.LocalTables[key] = t.q.Snapshot()
 	}
 	for key, p := range c.tableProfiles {
 		s.TableProfiles[key] = p
@@ -135,14 +135,14 @@ func FromSnapshot(cfg Config, snap Snapshot) *Controller {
 	}
 	sort.Strings(keys)
 	for _, key := range keys {
-		c.localTables[key] = rl.Restore(len(c.localActions), c.cfg.RL, c.rng.Split(),
-			snap.LocalTables[key])
+		q := rl.Restore(len(c.localActions), c.cfg.RL, c.rng.Split(), c.deviceStates, snap.LocalTables[key])
+		c.localTables[key] = &localTable{key: key, index: -1, q: q}
 		if p, ok := snap.TableProfiles[key]; ok {
 			c.tableProfiles[key] = p
 		}
 	}
 	if snap.KTable != nil {
-		c.kTable = rl.Restore(len(c.kActions), c.cfg.RL, c.rng.Split(), *snap.KTable)
+		c.kTable = rl.Restore(len(c.kActions), c.cfg.RL, c.rng.Split(), c.globalStates, *snap.KTable)
 	}
 	c.globalNorm = RestoreNormalizer(snap.GlobalNorm)
 	c.kLocalNorm = RestoreNormalizer(snap.KLocalNorm)

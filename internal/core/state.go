@@ -63,17 +63,23 @@ func RCBand(n int) byte {
 
 // UsageBand discretizes S_Co_CPU / S_Co_MEM from a usage fraction in
 // [0,1]: none (0%), small (<25%), medium (<75%), large (<=100%).
-func UsageBand(frac float64) byte {
+func UsageBand(frac float64) byte { return usageBands[usageLevel(frac)] }
+
+// usageBands lists UsageBand's bands by level.
+const usageBands = "nsml"
+
+// usageLevel is UsageBand's band as an index into usageBands.
+func usageLevel(frac float64) int {
 	pct := frac * 100
 	switch {
 	case pct <= 0:
-		return 'n'
+		return 0
 	case pct < 25:
-		return 's'
+		return 1
 	case pct < 75:
-		return 'm'
+		return 2
 	default:
-		return 'l'
+		return 3
 	}
 }
 
@@ -87,14 +93,20 @@ func NetworkBand(regular bool) byte {
 
 // DataBand discretizes S_Data from the class-coverage percentage
 // (0..100): small (<25%), medium (<100%), large (=100%).
-func DataBand(classFractionPct float64) byte {
+func DataBand(classFractionPct float64) byte { return dataBands[dataLevel(classFractionPct)] }
+
+// dataBands lists DataBand's bands by level.
+const dataBands = "sml"
+
+// dataLevel is DataBand's band as an index into dataBands.
+func dataLevel(classFractionPct float64) int {
 	switch {
 	case classFractionPct < 25:
-		return 's'
+		return 0
 	case classFractionPct < 100:
-		return 'm'
+		return 1
 	default:
-		return 'l'
+		return 2
 	}
 }
 
@@ -127,32 +139,45 @@ func deviceStateBytes(arch [3]byte, st fl.DeviceState) deviceKey {
 	}
 }
 
+// deviceCodes bounds deviceCode.
+const deviceCodes = 4 * 4 * 2 * 3
+
+// deviceCode numbers the non-architecture bands of a device state: two
+// states of one architecture share a code exactly when they share a
+// deviceStateBytes key.
+func deviceCode(st fl.DeviceState) int {
+	net := 0
+	if !st.Network.Regular() {
+		net = 1
+	}
+	return ((usageLevel(st.Interference.CPUUsage)*4+usageLevel(st.Interference.MemUsage))*2+net)*3 +
+		dataLevel(st.ClassFraction)
+}
+
+// globalSignals returns the fleet-level signals the K-selection agent
+// conditions on: the fractions of interfered and of bad-network
+// devices, and the mean data-class coverage, all from the round's
+// observation counts (zero for an empty fleet).
+func globalSignals(obs fl.Observation) (intf, bad, class float64) {
+	if n := len(obs.States); n > 0 {
+		intf = float64(obs.Interfered) / float64(n)
+		bad = float64(obs.BadLinks) / float64(n)
+		class = obs.MeanClassFraction
+	}
+	return intf, bad, class
+}
+
 // globalStateBytes encodes the fleet-level state the K-selection agent
-// conditions on: the architecture plus banded fleet fractions of
-// interfered devices, bad-network devices, and the mean data-class
-// coverage.
-func globalStateBytes(arch [3]byte, states []fl.DeviceState) globalKey {
-	interfered, badNet, classPct := 0, 0, 0.0
-	for _, st := range states {
-		if st.Interference.CPUUsage > 0 || st.Interference.MemUsage > 0 {
-			interfered++
-		}
-		if !st.Network.Regular() {
-			badNet++
-		}
-		classPct += st.ClassFraction
-	}
-	n := len(states)
-	intfFrac, badFrac, meanClass := 0.0, 0.0, 0.0
-	if n > 0 {
-		intfFrac = float64(interfered) / float64(n)
-		badFrac = float64(badNet) / float64(n)
-		meanClass = classPct / float64(n)
-	}
-	return globalKey{
-		arch[0], arch[1], arch[2],
-		UsageBand(intfFrac),
-		UsageBand(badFrac),
-		DataBand(meanClass),
-	}
+// conditions on: the architecture plus the banded globalSignals.
+func globalStateBytes(arch [3]byte, intf, bad, class float64) globalKey {
+	return globalKey{arch[0], arch[1], arch[2], UsageBand(intf), UsageBand(bad), DataBand(class)}
+}
+
+// globalCodes bounds globalCode.
+const globalCodes = 4 * 4 * 3
+
+// globalCode numbers the non-architecture bands of a global state, as
+// deviceCode does for a device state.
+func globalCode(intf, bad, class float64) int {
+	return (usageLevel(intf)*4+usageLevel(bad))*3 + dataLevel(class)
 }

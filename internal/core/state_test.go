@@ -101,6 +101,27 @@ func TestDeviceStateKeyReflectsAllSignals(t *testing.T) {
 	}
 }
 
+// globalKeyOf is the global state key of a round with the given
+// states, its Observation counts taken by a scan over them.
+func globalKeyOf(w workload.Workload, states []fl.DeviceState) globalKey {
+	obs := fl.Observation{States: states}
+	classPct := 0.0
+	for _, st := range states {
+		if st.Interference.CPUUsage > 0 || st.Interference.MemUsage > 0 {
+			obs.Interfered++
+		}
+		if !st.Network.Regular() {
+			obs.BadLinks++
+		}
+		classPct += st.ClassFraction
+	}
+	if len(states) > 0 {
+		obs.MeanClassFraction = classPct / float64(len(states))
+	}
+	intf, bad, class := globalSignals(obs)
+	return globalStateBytes(archBands(w), intf, bad, class)
+}
+
 func TestGlobalStateKeyAggregates(t *testing.T) {
 	w := workload.CNNMNIST()
 	clean := make([]fl.DeviceState, 10)
@@ -110,13 +131,13 @@ func TestGlobalStateKeyAggregates(t *testing.T) {
 			ClassFraction: 100,
 		}
 	}
-	k0 := globalStateBytes(archBands(w), clean)
+	k0 := globalKeyOf(w, clean)
 
 	half := append([]fl.DeviceState(nil), clean...)
 	for i := 0; i < 5; i++ {
 		half[i].Interference = device.Interference{CPUUsage: 0.5}
 	}
-	if globalStateBytes(archBands(w), half) == k0 {
+	if globalKeyOf(w, half) == k0 {
 		t.Error("fleet-wide interference should change the global key")
 	}
 
@@ -124,11 +145,61 @@ func TestGlobalStateKeyAggregates(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		badNet[i].Network = netsim.Condition{BandwidthMbps: 10}
 	}
-	if globalStateBytes(archBands(w), badNet) == k0 {
+	if globalKeyOf(w, badNet) == k0 {
 		t.Error("fleet-wide bad network should change the global key")
 	}
 
-	if k := globalStateBytes(archBands(w), nil); bytes.IndexByte(k[:], 0) >= 0 {
+	if k := globalKeyOf(w, nil); bytes.IndexByte(k[:], 0) >= 0 {
 		t.Errorf("empty fleet should still produce a full key, got %q", k[:])
+	}
+}
+
+// The band-code caches are only sound if two states share a code
+// exactly when they share a key: codes and keys must partition every
+// combination of band levels the same way.
+func TestBandCodesMatchKeys(t *testing.T) {
+	arch := archBands(workload.CNNMNIST())
+	usage := []float64{0, 0.1, 0.5, 0.9}
+	codeKey := map[int]deviceKey{}
+	keyCode := map[deviceKey]int{}
+	for _, cpu := range usage {
+		for _, mem := range usage {
+			for _, bw := range []float64{10, 80} {
+				for _, class := range []float64{10, 50, 100} {
+					st := fl.DeviceState{
+						Interference:  device.Interference{CPUUsage: cpu, MemUsage: mem},
+						Network:       netsim.Condition{BandwidthMbps: bw},
+						ClassFraction: class,
+					}
+					code, key := deviceCode(st), deviceStateBytes(arch, st)
+					if code < 0 || code >= deviceCodes {
+						t.Fatalf("device code %d outside [0, %d)", code, deviceCodes)
+					}
+					codeKey[code], keyCode[key] = key, code
+				}
+			}
+		}
+	}
+	if len(codeKey) != deviceCodes || len(keyCode) != deviceCodes {
+		t.Errorf("%d device codes and %d keys for %d band combinations", len(codeKey), len(keyCode), deviceCodes)
+	}
+	globalKeys, globalSeen := map[globalKey]int{}, map[int]bool{}
+	for _, intf := range usage {
+		for _, bad := range usage {
+			for _, class := range []float64{10, 50, 100} {
+				code := globalCode(intf, bad, class)
+				if code < 0 || code >= globalCodes {
+					t.Fatalf("global code %d outside [0, %d)", code, globalCodes)
+				}
+				key := globalStateBytes(arch, intf, bad, class)
+				if c, ok := globalKeys[key]; ok && c != code {
+					t.Fatalf("global key %q has codes %d and %d", key[:], c, code)
+				}
+				globalKeys[key], globalSeen[code] = code, true
+			}
+		}
+	}
+	if len(globalKeys) != globalCodes || len(globalSeen) != globalCodes {
+		t.Errorf("%d global codes and %d keys for %d band combinations", len(globalSeen), len(globalKeys), globalCodes)
 	}
 }

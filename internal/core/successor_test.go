@@ -9,28 +9,31 @@ import (
 	"fedgpo/internal/device"
 	"fedgpo/internal/fl"
 	"fedgpo/internal/netsim"
+	"fedgpo/internal/rl"
 	"fedgpo/internal/workload"
 )
 
 // fullScanSuccessors is the reference for flushPending's successor
-// scan: walk the whole fleet, give every table key the state of the
-// first device under it, then keep the keys that have a table.
+// states: walk the whole fleet, give every table key the state key of
+// the first device under it, then keep the keys that have a table.
 func fullScanSuccessors(c *Controller, obs fl.Observation) map[string]string {
 	ref := make(map[string]string)
 	for _, d := range obs.Fleet {
-		key := c.tableKeyFor(d)
+		key := c.tableKey(c.tableIndex(d))
 		if _, ok := ref[key]; !ok {
-			ref[key] = c.deviceStateKey(obs.States[d.ID])
+			k := deviceStateBytes(archBands(obs.Workload), obs.States[d.ID])
+			ref[key] = string(k[:])
 		}
 	}
-	maps.DeleteFunc(ref, func(key, _ string) bool { return c.table(key) == nil })
+	maps.DeleteFunc(ref, func(key, _ string) bool { return c.localTables[key] == nil })
 	return ref
 }
 
-// flushPending stops walking the fleet once every existing Q-table has
-// its successor state. Devices whose table key has no table yet must
-// neither stop the walk early nor take a successor, even when they
-// come first in the fleet: the successors must equal a full scan's.
+// flushPending takes each table's successor from the per-run
+// first-device table. Devices whose table key has no table yet must
+// not take a successor, even when they come first in the fleet, and a
+// table no fleet device maps to keeps its own state: the successors
+// must equal a full scan's.
 func TestSuccessorScanMatchesFullScan(t *testing.T) {
 	w := workload.CNNMNIST()
 	fleet := device.NewFleet(device.PaperComposition().Scale(40))
@@ -54,8 +57,9 @@ func TestSuccessorScanMatchesFullScan(t *testing.T) {
 		t.Run(fmt.Sprintf("perDevice=%v", perDevice), func(t *testing.T) {
 			cfg := DefaultConfig()
 			cfg.PerDeviceTables = perDevice
-			c := New(cfg)
-			c.planWorkload = w
+			// A restored table under a key no device maps to.
+			c := FromSnapshot(cfg, Snapshot{LocalTables: map[string]rl.TableSnapshot{"foreign": {}}})
+			c.planFor(w)
 			for i, d := range fleet {
 				// Shared tables: every category but the first one in the
 				// fleet. Per-device tables: every device after the first
@@ -65,19 +69,27 @@ func TestSuccessorScanMatchesFullScan(t *testing.T) {
 				}
 				c.tableFor(d, w)
 			}
-			if c.table(c.tableKeyFor(fleet[0])) != nil {
+			if c.localTables[c.tableKey(c.tableIndex(fleet[0]))] != nil {
 				t.Fatal("the fleet's first device must have no table")
 			}
 			want := fullScanSuccessors(c, obs)
-			if len(want) != len(c.localTables) {
-				t.Fatalf("reference gives %d successors for %d tables", len(want), len(c.localTables))
+			if len(want) != len(c.localTables)-1 {
+				t.Fatalf("reference gives %d successors for %d device tables", len(want), len(c.localTables)-1)
 			}
-			for key := range c.localTables {
-				c.pendingLocal = append(c.pendingLocal, pending{tableKey: key, state: "s", reward: 1})
+			want["foreign"] = "own"
+			own := c.deviceStates.Index("own")
+			for _, tab := range c.localTables {
+				c.pendingLocal = append(c.pendingLocal, pending{table: tab, state: own, reward: 1})
 			}
-			c.flushPending(obs, "g")
-			if !maps.Equal(c.succ, want) {
-				t.Errorf("successors %v, full scan %v", c.succ, want)
+			c.EnableTrace()
+			c.trace = append(c.trace, RoundTrace{})
+			c.flushPending(obs, 0)
+			got := make(map[string]string)
+			for _, u := range c.trace[0].Updates {
+				got[u.Table] = u.Next
+			}
+			if !maps.Equal(got, want) {
+				t.Errorf("successors %v, full scan %v", got, want)
 			}
 		})
 	}

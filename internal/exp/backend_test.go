@@ -548,6 +548,81 @@ func TestSharedCacheDirFleet(t *testing.T) {
 	}
 }
 
+// A cell that reads a pretrain snapshot on an endpoint that did not
+// build it gets the snapshot by push. The first batch's one cell
+// builds the scenario's snapshot on some endpoint, which the
+// coordinator then pools; that builder stops, so the second batch's
+// cell runs on the other endpoint, which shares the builder's cache
+// directory. The coordinator pushes it the pooled bytes, it installs
+// them instead of warming up, and the fleet still runs one warm-up.
+func TestSnapshotPushedToNonBuilder(t *testing.T) {
+	s := Options{FleetSize: 20, MaxRounds: 60}.apply(Realistic(workload.CNNMNIST()))
+	specs := []JobSpec{simSpec(s, fedgpoWarmContender(s), 1), simSpec(s, fedgpoWarmContender(s), 2)}
+	sims := func(res ...runtime.Result) string {
+		out := make([]fl.Result, len(res))
+		for i, r := range res {
+			if r.Err != "" {
+				t.Fatalf("cell %d failed: %s", i, r.Err)
+			}
+			out[i] = r.Sim
+		}
+		b, err := json.Marshal(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	pool, err := NewRuntime(0, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := sims(pool.runSpecs(specs)...)
+
+	dir := t.TempDir()
+	addrs, stops := make([]string, 2), make([]func(), 2)
+	for i := range addrs {
+		addrs[i], stops[i] = startWorkerPool(t, 1, dir)
+	}
+	defer func() {
+		for _, stop := range stops {
+			if stop != nil {
+				stop()
+			}
+		}
+	}()
+	cache, err := runtime.NewCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt := NewRuntimeWithBackend(runtime.NewProcBackend(runtime.ProcConfig{Workers: addrs}), cache)
+	first := rt.runSpecs(specs[:1])
+	builder := -1
+	for _, ep := range rt.Metrics().Endpoints {
+		for i, a := range addrs {
+			if ep.Endpoint == "tcp:"+a && ep.Dispatched == 1 {
+				builder = i
+			}
+		}
+	}
+	if builder < 0 {
+		t.Fatalf("no endpoint ran the first cell: %+v", rt.Metrics().Endpoints)
+	}
+	stops[builder]()
+	stops[builder] = nil
+
+	second := rt.runSpecs(specs[1:])
+	if got := sims(first[0], second[0]); got != want {
+		t.Errorf("cells run across endpoints differ from the pool backend:\n--- fleet ---\n%s\n--- pool ---\n%s", got, want)
+	}
+	m := rt.Metrics()
+	if m.Counters.SnapshotBytesShipped <= 0 {
+		t.Errorf("no snapshot bytes were pushed to the non-builder endpoint: %+v", m.Endpoints)
+	}
+	if m.Counters.PretrainRuns != 1 {
+		t.Errorf("fleet ran %d pretrain warm-ups for one scenario, want 1", m.Counters.PretrainRuns)
+	}
+}
+
 // Cache entries and wire responses do not carry a result's Outcome;
 // runSpecs derives it again from the history. A result served from a
 // cache hit or over TCP must therefore equal the fresh result, Outcome

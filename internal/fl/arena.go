@@ -29,8 +29,9 @@ import (
 // Reuse is safe because RunWithArena rewrites every slot it later
 // reads. Per-run slots are refilled by beginRun: the per-fleet tables,
 // the static DeviceState fields (ClassCount, ClassFraction, Samples,
-// which cannot change within a run), the trace view and the
-// convergence-model stream, which is reseeded rather than reallocated.
+// which cannot change within a run) and their mean ClassFraction, the
+// trace view and the convergence-model stream, which is reseeded
+// rather than reallocated.
 // Per-round slots are fully overwritten each round: the trace replay
 // writes both stochastic DeviceState fields, and each participant's
 // DeviceRound is a composite literal, so stale Dropped/energy fields
@@ -48,6 +49,8 @@ type Arena struct {
 	idleWatts []float64
 	samples   []int
 	states    []DeviceState
+	// meanClass is the mean of states' ClassFraction.
+	meanClass float64
 
 	// sel double-buffers participant selection: the previous round's
 	// buffer stays intact while the current one is written, so
@@ -125,6 +128,7 @@ func (a *Arena) beginRun(cfg *Config) {
 	a.accRNG.Reseed(t.accSeed)
 
 	a.part.Reset(cfg.Partition)
+	classPct := 0.0
 	for i, d := range cfg.Fleet {
 		a.profiles[i] = d.Profile
 		a.idleWatts[i] = d.Profile.IdleWatts
@@ -134,7 +138,9 @@ func (a *Arena) beginRun(cfg *Config) {
 			ClassFraction: a.part.DeviceClassFraction(i),
 			Samples:       a.samples[i],
 		}
+		classPct += a.states[i].ClassFraction
 	}
+	a.meanClass = classPct / float64(n)
 	a.comm = cfg.Channel.Model()
 
 	if cap(a.history) < cfg.MaxRounds {

@@ -35,6 +35,13 @@ type DeviceState struct {
 // must not write through States: the simulator writes its static
 // fields (ClassCount, ClassFraction, Samples) once per run and only
 // the stochastic ones (Interference, Network) each round.
+//
+// Interfered, BadLinks and MeanClassFraction summarize States for
+// controllers that condition on the fleet as a whole, so none has to
+// scan every device each round. The simulator owns them: the round
+// counts come from the environment trace, counted once when a round
+// is first recorded and replayed with it, and the mean once per run.
+// Each equals a scan over States, bit for bit.
 type Observation struct {
 	// Round is the 1-based aggregation round about to execute.
 	Round int
@@ -57,6 +64,13 @@ type Observation struct {
 	// DeadlineSec is the server's round deadline (0 = none) — server
 	// configuration, visible to any server-side controller.
 	DeadlineSec float64
+	// Interfered counts the devices in States running a co-runner
+	// (CPU or memory usage above zero); BadLinks counts those whose
+	// link is not Regular.
+	Interfered, BadLinks int
+	// MeanClassFraction is the mean of States' ClassFraction (percent),
+	// summed in device order.
+	MeanClassFraction float64
 }
 
 // Plan is a controller's decision for one round: how many devices to

@@ -42,6 +42,10 @@ type envChunk struct {
 	// inactive.
 	active []uint64
 	intf   [traceChunkRounds][]float64
+	// interfered and badLinks count, per round, the devices with a
+	// non-zero co-runner load and those whose link is not Regular:
+	// Observation's fleet counts (a fleet has at most maxFleet devices).
+	interfered, badLinks [traceChunkRounds]uint16
 }
 
 // envTrace is the recorded environment of one envKey: every round any
@@ -110,6 +114,9 @@ func (t *envTrace) record() {
 				active[i>>6] |= 1 << (i & 63)
 				t.packed = append(t.packed, in.CPUUsage, in.MemUsage)
 			}
+			if in.CPUUsage > 0 || in.MemUsage > 0 {
+				c.interfered[off]++
+			}
 		}
 		if len(t.packed) > 0 {
 			c.intf[off] = append([]float64(nil), t.packed...)
@@ -120,6 +127,11 @@ func (t *envTrace) record() {
 			// An inactive model draws nothing, so only the channel
 			// touches the stream.
 			bw[i] = t.key.ch.Sample(t.env).BandwidthMbps
+		}
+	}
+	for _, v := range bw {
+		if !netsim.ConditionAt(v).Regular() {
+			c.badLinks[off]++
 		}
 	}
 	t.sel.PermInto(t.perm)
@@ -160,10 +172,11 @@ func (v *traceView) round(r int) (*envChunk, int) {
 }
 
 // observe writes 0-based round r's environment into states' stochastic
-// fields and returns the round's selection permutation. states holds
-// one entry per device; with an inactive interference model its
-// Interference fields are left as they are (zero, from beginRun).
-func (v *traceView) observe(r int, states []DeviceState) []uint16 {
+// fields and returns the round's selection permutation and its
+// interfered and bad-link device counts. states holds one entry per
+// device; with an inactive interference model its Interference fields
+// are left as they are (zero, from beginRun).
+func (v *traceView) observe(r int, states []DeviceState) (perm []uint16, interfered, badLinks int) {
 	c, off := v.round(r)
 	n := len(states)
 	for i, bw := range c.bw[off*n : (off+1)*n] {
@@ -180,5 +193,5 @@ func (v *traceView) observe(r int, states []DeviceState) []uint16 {
 			vals = vals[2:]
 		}
 	}
-	return c.perm[off*n : (off+1)*n]
+	return c.perm[off*n : (off+1)*n], int(c.interfered[off]), int(c.badLinks[off])
 }

@@ -95,8 +95,12 @@ func sameRound(states []DeviceState, perm []uint16, want liveRound) error {
 func replay(v *traceView, n, rounds int, want []liveRound) error {
 	states := make([]DeviceState, n)
 	for r := 0; r < rounds; r++ {
-		if err := sameRound(states, v.observe(r, states), want[r]); err != nil {
+		perm, interfered, badLinks := v.observe(r, states)
+		if err := sameRound(states, perm, want[r]); err != nil {
 			return fmt.Errorf("round %d: %w", r, err)
+		}
+		if i, b, _ := scanStates(states); i != interfered || b != badLinks {
+			return fmt.Errorf("round %d: trace counts %d interfered / %d bad links, states %d / %d", r, interfered, badLinks, i, b)
 		}
 	}
 	return nil

@@ -165,15 +165,18 @@ func RunWithArena(cfg Config, ctrl Controller, a *Arena) Result {
 		roundStart := time.Now()
 		// 1. Observe the environment, replayed from the trace.
 		states := a.states
-		perm := a.env.observe(round-1, states)
+		perm, interfered, badLinks := a.env.observe(round-1, states)
 		obs := Observation{
-			Round:            round,
-			Workload:         cfg.Workload,
-			Fleet:            cfg.Fleet,
-			States:           states,
-			PrevAccuracy:     prevAcc,
-			PrevParticipants: prevParticipants,
-			DeadlineSec:      cfg.DeadlineSec,
+			Round:             round,
+			Workload:          cfg.Workload,
+			Fleet:             cfg.Fleet,
+			States:            states,
+			PrevAccuracy:      prevAcc,
+			PrevParticipants:  prevParticipants,
+			DeadlineSec:       cfg.DeadlineSec,
+			Interfered:        interfered,
+			BadLinks:          badLinks,
+			MeanClassFraction: a.meanClass,
 		}
 
 		// 2. Controller decides.

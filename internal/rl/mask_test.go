@@ -27,12 +27,12 @@ func TestMaskedSelectionNeverPicksMaskedOut(t *testing.T) {
 	tab := newTable(t, 6, 0.5) // heavy exploration
 	tab.SetMask([]bool{false, true, false, true, false, true})
 	for i := 0; i < 2000; i++ {
-		a := tab.Select("s")
+		a := tab.Select(tab.named("s"))
 		if a%2 == 0 {
 			t.Fatalf("selected masked-out action %d", a)
 		}
 	}
-	if b := tab.best("s"); b%2 == 0 {
+	if b := tab.best(tab.Values(tab.named("s"))); b%2 == 0 {
 		t.Fatalf("Best returned masked-out action %d", b)
 	}
 }
@@ -44,7 +44,7 @@ func TestMaskCopiedNotAliased(t *testing.T) {
 	mask[0] = false
 	mask[2] = false
 	// The table must still be able to select (its copy allows 0 and 2).
-	if a := tab.Select("s"); a == 1 {
+	if a := tab.Select(tab.named("s")); a == 1 {
 		t.Fatal("mutating the caller's slice changed the table's mask")
 	}
 }
@@ -56,15 +56,15 @@ func TestBestOfIntersectsWithTableMask(t *testing.T) {
 	tab.SetMask([]bool{true, true, true, false})
 	// Teach action 2 the highest value.
 	for i := 0; i < 30; i++ {
-		tab.Update("s", 2, 50, "s")
+		tab.Update(tab.named("s"), 2, 50, tab.named("s"))
 	}
 	// Per-call set excludes action 2: best among {0, 1}.
-	got := tab.SelectOf("s", []bool{true, true, false, true})
+	got := tab.SelectOf(tab.named("s"), []bool{true, true, false, true})
 	if got != 0 && got != 1 {
 		t.Fatalf("greedy SelectOf = %d, want 0 or 1", got)
 	}
 	// Empty intersection falls back to the table mask (action 2 wins).
-	if got := tab.SelectOf("s", []bool{false, false, false, true}); got != 2 {
+	if got := tab.SelectOf(tab.named("s"), []bool{false, false, false, true}); got != 2 {
 		t.Fatalf("fallback SelectOf = %d, want greedy 2", got)
 	}
 }
@@ -72,11 +72,11 @@ func TestBestOfIntersectsWithTableMask(t *testing.T) {
 func TestSelectOfExploresWithinAllowedSet(t *testing.T) {
 	cfg := PaperConfig()
 	cfg.Epsilon = 1 // always explore
-	tab := NewQTable(5, cfg, stats.NewRNG(3))
+	tab := NewQTable(5, cfg, stats.NewRNG(3), NewSpace())
 	allowed := []bool{false, true, false, true, false}
 	seen := map[int]bool{}
 	for i := 0; i < 500; i++ {
-		a := tab.SelectOf("s", allowed)
+		a := tab.SelectOf(tab.named("s"), allowed)
 		if !allowed[a] {
 			t.Fatalf("explored disallowed action %d", a)
 		}
@@ -91,7 +91,7 @@ func TestSelectOfShortAllowedSliceIsSafe(t *testing.T) {
 	tab := newTable(t, 5, 0)
 	// A short allowed slice must not panic; indices past its end are
 	// treated as disallowed.
-	a := tab.SelectOf("s", []bool{true, true})
+	a := tab.SelectOf(tab.named("s"), []bool{true, true})
 	if a != 0 && a != 1 {
 		t.Fatalf("SelectOf with short slice = %d", a)
 	}
@@ -100,12 +100,12 @@ func TestSelectOfShortAllowedSliceIsSafe(t *testing.T) {
 func TestMaskedMaxQUsesAllowedBest(t *testing.T) {
 	tab := newLowInitTable(t, 3, 0)
 	for i := 0; i < 30; i++ {
-		tab.Update("s", 0, 5, "s")
-		tab.Update("s", 2, 50, "s")
+		tab.Update(tab.named("s"), 0, 5, tab.named("s"))
+		tab.Update(tab.named("s"), 2, 50, tab.named("s"))
 	}
-	full := tab.MaxQ("s")
+	full := tab.MaxQ(tab.named("s"))
 	tab.SetMask([]bool{true, true, false})
-	masked := tab.MaxQ("s")
+	masked := tab.MaxQ(tab.named("s"))
 	if masked >= full {
 		t.Fatalf("masked MaxQ %v should drop below unmasked %v", masked, full)
 	}
@@ -115,9 +115,9 @@ func TestMaskedMaxQUsesAllowedBest(t *testing.T) {
 // snapshot carries.
 func TestKnownStatesListsMaterialized(t *testing.T) {
 	tab := newTable(t, 2, 0)
-	tab.Values("a")
-	tab.Values("b")
-	tab.Values("a")
+	tab.Values(tab.named("a"))
+	tab.Values(tab.named("b"))
+	tab.Values(tab.named("a"))
 	q := tab.Snapshot().Q
 	if len(q) != 2 || tab.States() != 2 {
 		t.Fatalf("snapshot states = %v, States() = %d, want a and b", q, tab.States())

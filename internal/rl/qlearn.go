@@ -7,13 +7,42 @@
 // where γ is the learning rate and µ the discount factor (the paper's
 // naming; note it swaps the conventional α/γ letters). The paper uses
 // lookup tables for their sub-microsecond decision latency (§3.3,
-// §5.4); states are pre-discretized strings and actions are dense
-// indices.
+// §5.4). States and actions are both dense indices: a Space interns
+// each pre-discretized state name once, and every table built on that
+// space reaches a state's Q row by its index. Names only matter at the
+// edges — a table's Snapshot and Restore, and its MemoryBytes
+// footprint.
 package rl
 
 import (
 	"fedgpo/internal/stats"
 )
+
+// Space interns state names as dense indices, in first-seen order.
+// Tables built on one space address their rows by the same indices,
+// so a caller resolves a state once and reuses the index across
+// tables. It is not safe for concurrent use.
+type Space struct {
+	index map[string]int
+	names []string
+}
+
+// NewSpace returns an empty state space.
+func NewSpace() *Space { return &Space{index: make(map[string]int)} }
+
+// Index returns name's index, interning the name on first sight.
+func (s *Space) Index(name string) int {
+	i, ok := s.index[name]
+	if !ok {
+		i = len(s.names)
+		s.index[name] = i
+		s.names = append(s.names, name)
+	}
+	return i
+}
+
+// Name returns the name interned as index i.
+func (s *Space) Name(i int) string { return s.names[i] }
 
 // Config holds the Q-learning hyperparameters. The paper selects
 // γ=0.9, µ=0.1, ϵ=0.1 by sensitivity analysis (§4.1, footnote 3).
@@ -40,13 +69,18 @@ func PaperConfig() Config {
 	return Config{LearningRate: 0.9, Discount: 0.1, Epsilon: 0.1, InitLo: 110, InitHi: 120}
 }
 
-// QTable is a tabular action-value function over string-encoded states
-// and a fixed, dense action set. It is not safe for concurrent use.
+// QTable is a tabular action-value function over the states of a
+// Space and a fixed, dense action set. It is not safe for concurrent
+// use.
 type QTable struct {
 	cfg     Config
 	actions int
 	rng     *stats.RNG
-	q       map[string][]float64
+	space   *Space
+	// rows holds each materialized state's Q row by state index; a nil
+	// row is a state the table has not seen. states counts the rows.
+	rows   [][]float64
+	states int
 	// mask, when set, restricts both greedy selection and exploration
 	// to allowed actions (see SetMask).
 	mask []bool
@@ -56,9 +90,10 @@ type QTable struct {
 	updates  int
 }
 
-// NewQTable builds a table with the given number of actions. rng drives
-// both random initialization and exploration. It panics if actions <= 0.
-func NewQTable(actions int, cfg Config, rng *stats.RNG) *QTable {
+// NewQTable builds a table with the given number of actions over the
+// states of space. rng drives both random initialization and
+// exploration. It panics if actions <= 0.
+func NewQTable(actions int, cfg Config, rng *stats.RNG, space *Space) *QTable {
 	if actions <= 0 {
 		panic("rl: need at least one action")
 	}
@@ -75,24 +110,29 @@ func NewQTable(actions int, cfg Config, rng *stats.RNG) *QTable {
 		cfg:      cfg,
 		actions:  actions,
 		rng:      rng,
-		q:        make(map[string][]float64),
+		space:    space,
 		deltaEMA: stats.NewEMA(0.1),
 	}
 }
 
-// Values returns the Q-row for a state, lazily initializing unseen
-// states with random values in [InitLo, InitHi). The returned slice is
-// the live row; callers must not modify it.
-func (t *QTable) Values(state string) []float64 {
-	row, ok := t.q[state]
-	if !ok {
-		row = make([]float64, t.actions)
-		span := t.cfg.InitHi - t.cfg.InitLo
-		for i := range row {
-			row[i] = t.cfg.InitLo + span*t.rng.Float64()
-		}
-		t.q[state] = row
+// Values returns the Q-row for state index s of the table's space,
+// lazily initializing an unseen state with random values in [InitLo,
+// InitHi). The returned slice is the live row; callers must not modify
+// it.
+func (t *QTable) Values(s int) []float64 {
+	if s < len(t.rows) && t.rows[s] != nil {
+		return t.rows[s]
 	}
+	row := make([]float64, t.actions)
+	span := t.cfg.InitHi - t.cfg.InitLo
+	for i := range row {
+		row[i] = t.cfg.InitLo + span*t.rng.Float64()
+	}
+	if s >= len(t.rows) {
+		t.rows = append(t.rows, make([][]float64, s+1-len(t.rows))...)
+	}
+	t.rows[s] = row
+	t.states++
 	return row
 }
 
@@ -127,9 +167,8 @@ func (t *QTable) allowed(a int) bool {
 	return t.mask == nil || t.mask[a]
 }
 
-// best returns the greedy action for a state, honoring the mask.
-func (t *QTable) best(state string) int {
-	row := t.Values(state)
+// best returns the greedy action in a state's row, honoring the mask.
+func (t *QTable) best(row []float64) int {
 	best := -1
 	for a, v := range row {
 		if !t.allowed(a) {
@@ -143,14 +182,15 @@ func (t *QTable) best(state string) int {
 }
 
 // MaxQ returns the value of the greedy action for a state.
-func (t *QTable) MaxQ(state string) float64 {
-	return t.Values(state)[t.best(state)]
+func (t *QTable) MaxQ(s int) float64 {
+	row := t.Values(s)
+	return row[t.best(row)]
 }
 
 // Select picks an action epsilon-greedily: with probability ϵ a uniform
 // random allowed action (exploration), otherwise the greedy one
 // (exploitation).
-func (t *QTable) Select(state string) int {
+func (t *QTable) Select(s int) int {
 	if t.rng.Bernoulli(t.cfg.Epsilon) {
 		if t.mask == nil {
 			return t.rng.Intn(t.actions)
@@ -162,7 +202,7 @@ func (t *QTable) Select(state string) int {
 			}
 		}
 	}
-	return t.best(state)
+	return t.best(t.Values(s))
 }
 
 // SelectOf picks epsilon-greedily within the intersection of the table
@@ -174,21 +214,31 @@ func (t *QTable) Select(state string) int {
 //
 // It draws from CandidatesOf's set in place — counting it, then
 // walking to the drawn or greedy member — so a state the table has
-// already seen selects without allocating. Its draws are Bernoulli,
-// then, when exploring, Intn over the set's size.
-func (t *QTable) SelectOf(state string, allowed []bool) int {
-	n := 0
-	for a := 0; a < t.actions; a++ {
+// already seen selects without allocating; for a seen state the count
+// and the greedy pick share one pass. Its draws are Bernoulli, then,
+// when exploring, Intn over the set's size; an unseen state's row
+// materializes only when the pick is greedy.
+func (t *QTable) SelectOf(s int, allowed []bool) int {
+	allowed = allowed[:min(len(allowed), t.actions)]
+	var row []float64
+	if s < len(t.rows) {
+		row = t.rows[s]
+	}
+	n, best := 0, -1
+	for a := range allowed {
 		if t.candidate(a, allowed) {
 			n++
+			if row != nil && (best == -1 || row[a] > row[best]) {
+				best = a
+			}
 		}
 	}
 	if n == 0 {
-		return t.Select(state)
+		return t.Select(s)
 	}
 	if t.rng.Bernoulli(t.cfg.Epsilon) {
 		i := t.rng.Intn(n)
-		for a := 0; ; a++ {
+		for a := range allowed {
 			if t.candidate(a, allowed) {
 				if i == 0 {
 					return a
@@ -197,11 +247,12 @@ func (t *QTable) SelectOf(state string, allowed []bool) int {
 			}
 		}
 	}
-	row := t.Values(state)
-	best := -1
-	for a, v := range row {
-		if t.candidate(a, allowed) && (best == -1 || v > row[best]) {
-			best = a
+	if row == nil {
+		row = t.Values(s)
+		for a := range allowed {
+			if t.candidate(a, allowed) && (best == -1 || row[a] > row[best]) {
+				best = a
+			}
 		}
 	}
 	return best
@@ -240,14 +291,17 @@ func (t *QTable) AllowedActions() []int {
 }
 
 // Update applies the Algorithm 2 rule for a transition
-// (state, action, reward, nextState) and returns the applied Q-delta
-// (learning-rate-scaled TD error).
-func (t *QTable) Update(state string, action int, reward float64, nextState string) float64 {
+// (s, action, reward, next), state indices of the table's space, and
+// returns the applied Q-delta (learning-rate-scaled TD error). It
+// reaches each of the two rows once; an unseen state materializes s
+// before next.
+func (t *QTable) Update(s, action int, reward float64, next int) float64 {
 	if action < 0 || action >= t.actions {
 		panic("rl: action out of range")
 	}
-	row := t.Values(state)
-	target := reward + t.cfg.Discount*t.MaxQ(nextState)
+	row := t.Values(s)
+	nextRow := t.Values(next)
+	target := reward + t.cfg.Discount*nextRow[t.best(nextRow)]
 	delta := t.cfg.LearningRate * (target - row[action])
 	row[action] += delta
 	t.deltaEMA.Add(abs(delta))
@@ -266,14 +320,16 @@ func (t *QTable) Converged(threshold float64, minUpdates int) bool {
 }
 
 // States returns the number of distinct states materialized so far.
-func (t *QTable) States() int { return len(t.q) }
+func (t *QTable) States() int { return t.states }
 
 // MemoryBytes estimates the table's resident size: 8 bytes per Q value
-// plus key storage — the §5.4 footprint figure.
+// plus state-name storage — the §5.4 footprint figure.
 func (t *QTable) MemoryBytes() int {
 	total := 0
-	for k := range t.q {
-		total += len(k) + t.actions*8
+	for s, row := range t.rows {
+		if row != nil {
+			total += len(t.space.Name(s)) + t.actions*8
+		}
 	}
 	return total
 }
@@ -298,7 +354,7 @@ func abs(x float64) float64 {
 }
 
 // TableSnapshot is the serializable learned state of a QTable: the
-// materialized Q rows plus everything that shapes future selection and
+// materialized Q rows under their state names, plus everything that shapes future selection and
 // convergence tracking. It deliberately excludes the RNG — snapshots
 // are restored into a fresh deterministic stream (see Restore), which
 // only matters for lazily initializing states the table has not seen.
@@ -314,9 +370,11 @@ type TableSnapshot struct {
 // Snapshot captures the table's learned state. The returned rows are
 // deep copies; mutating the table afterwards does not affect them.
 func (t *QTable) Snapshot() TableSnapshot {
-	q := make(map[string][]float64, len(t.q))
-	for s, row := range t.q {
-		q[s] = append([]float64(nil), row...)
+	q := make(map[string][]float64, t.states)
+	for s, row := range t.rows {
+		if row != nil {
+			q[t.space.Name(s)] = append([]float64(nil), row...)
+		}
 	}
 	delta, init := t.deltaEMA.State()
 	return TableSnapshot{
@@ -329,17 +387,24 @@ func (t *QTable) Snapshot() TableSnapshot {
 	}
 }
 
-// Restore builds a table from a snapshot. cfg supplies the learning
+// Restore builds a table over space from a snapshot, interning the
+// snapshot's state names. cfg supplies the learning
 // hyperparameters (the snapshot's epsilon overrides cfg's — a frozen
 // table comes back frozen); rng drives lazy initialization of states
 // the snapshot has not materialized, so restoration from an identical
 // snapshot with an identically seeded rng behaves identically.
-func Restore(actions int, cfg Config, rng *stats.RNG, snap TableSnapshot) *QTable {
+func Restore(actions int, cfg Config, rng *stats.RNG, space *Space, snap TableSnapshot) *QTable {
 	cfg.Epsilon = snap.Epsilon
-	t := NewQTable(actions, cfg, rng)
-	for s, row := range snap.Q {
-		t.q[s] = append([]float64(nil), row...)
+	t := NewQTable(actions, cfg, rng, space)
+	top := -1
+	for name := range snap.Q {
+		top = max(top, t.space.Index(name))
 	}
+	t.rows = make([][]float64, top+1)
+	for name, row := range snap.Q {
+		t.rows[t.space.Index(name)] = append([]float64(nil), row...)
+	}
+	t.states = len(snap.Q)
 	if len(snap.Mask) > 0 {
 		t.SetMask(snap.Mask)
 	}

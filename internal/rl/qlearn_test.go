@@ -10,7 +10,7 @@ func newTable(t *testing.T, actions int, eps float64) *QTable {
 	t.Helper()
 	cfg := PaperConfig()
 	cfg.Epsilon = eps
-	return NewQTable(actions, cfg, stats.NewRNG(1))
+	return NewQTable(actions, cfg, stats.NewRNG(1), NewSpace())
 }
 
 // newLowInitTable builds a table whose initial values sit below any
@@ -21,8 +21,11 @@ func newLowInitTable(t *testing.T, actions int, eps float64) *QTable {
 	cfg := PaperConfig()
 	cfg.Epsilon = eps
 	cfg.InitLo, cfg.InitHi = -0.5, 0.5
-	return NewQTable(actions, cfg, stats.NewRNG(1))
+	return NewQTable(actions, cfg, stats.NewRNG(1), NewSpace())
 }
+
+// named interns a state name in the table's space.
+func (t *QTable) named(name string) int { return t.space.Index(name) }
 
 func TestPaperConfigValues(t *testing.T) {
 	c := PaperConfig()
@@ -33,21 +36,21 @@ func TestPaperConfigValues(t *testing.T) {
 
 func TestNewQTablePanics(t *testing.T) {
 	cases := []func(){
-		func() { NewQTable(0, PaperConfig(), stats.NewRNG(1)) },
+		func() { NewQTable(0, PaperConfig(), stats.NewRNG(1), NewSpace()) },
 		func() {
 			c := PaperConfig()
 			c.LearningRate = 0
-			NewQTable(3, c, stats.NewRNG(1))
+			NewQTable(3, c, stats.NewRNG(1), NewSpace())
 		},
 		func() {
 			c := PaperConfig()
 			c.Discount = 1
-			NewQTable(3, c, stats.NewRNG(1))
+			NewQTable(3, c, stats.NewRNG(1), NewSpace())
 		},
 		func() {
 			c := PaperConfig()
 			c.Epsilon = 2
-			NewQTable(3, c, stats.NewRNG(1))
+			NewQTable(3, c, stats.NewRNG(1), NewSpace())
 		},
 	}
 	for i, fn := range cases {
@@ -64,7 +67,7 @@ func TestNewQTablePanics(t *testing.T) {
 
 func TestValuesRandomInitWithinBounds(t *testing.T) {
 	tab := newTable(t, 10, 0.1)
-	row := tab.Values("s0")
+	row := tab.Values(tab.named("s0"))
 	if len(row) != 10 {
 		t.Fatalf("row size = %d", len(row))
 	}
@@ -75,7 +78,7 @@ func TestValuesRandomInitWithinBounds(t *testing.T) {
 		}
 	}
 	// Same state returns the same row.
-	row2 := tab.Values("s0")
+	row2 := tab.Values(tab.named("s0"))
 	for i := range row {
 		if row[i] != row2[i] {
 			t.Fatal("re-reading a state re-initialized it")
@@ -88,19 +91,19 @@ func TestValuesRandomInitWithinBounds(t *testing.T) {
 
 func TestUpdateMovesTowardTarget(t *testing.T) {
 	tab := newLowInitTable(t, 4, 0)
-	before := tab.Values("s")[2]
-	tab.Update("s", 2, 10, "s2")
-	after := tab.Values("s")[2]
+	before := tab.Values(tab.named("s"))[2]
+	tab.Update(tab.named("s"), 2, 10, tab.named("s2"))
+	after := tab.Values(tab.named("s"))[2]
 	if after <= before {
 		t.Errorf("positive reward should raise Q: %v -> %v", before, after)
 	}
 	// Repeated updates with constant reward converge to
 	// R + µ·maxQ(S') fixed point (with S' fixed and its row untouched).
 	for i := 0; i < 200; i++ {
-		tab.Update("s", 2, 10, "s2")
+		tab.Update(tab.named("s"), 2, 10, tab.named("s2"))
 	}
-	want := 10 + 0.1*tab.MaxQ("s2")
-	got := tab.Values("s")[2]
+	want := 10 + 0.1*tab.MaxQ(tab.named("s2"))
+	got := tab.Values(tab.named("s"))[2]
 	if diff := got - want; diff > 0.01 || diff < -0.01 {
 		t.Errorf("fixed point = %v, want %v", got, want)
 	}
@@ -109,14 +112,14 @@ func TestUpdateMovesTowardTarget(t *testing.T) {
 func TestGreedySelectionExploitsLearnedValues(t *testing.T) {
 	tab := newLowInitTable(t, 5, 0) // epsilon 0: pure exploitation
 	for i := 0; i < 50; i++ {
-		tab.Update("s", 3, 100, "s")
+		tab.Update(tab.named("s"), 3, 100, tab.named("s"))
 	}
 	for i := 0; i < 100; i++ {
-		if got := tab.Select("s"); got != 3 {
+		if got := tab.Select(tab.named("s")); got != 3 {
 			t.Fatalf("greedy selection = %d, want 3", got)
 		}
 	}
-	if tab.best("s") != 3 {
+	if tab.best(tab.Values(tab.named("s"))) != 3 {
 		t.Error("Best should be 3")
 	}
 }
@@ -124,12 +127,12 @@ func TestGreedySelectionExploitsLearnedValues(t *testing.T) {
 func TestEpsilonGreedyExploresAtExpectedRate(t *testing.T) {
 	tab := newLowInitTable(t, 10, 0.5)
 	for i := 0; i < 50; i++ {
-		tab.Update("s", 0, 100, "s")
+		tab.Update(tab.named("s"), 0, 100, tab.named("s"))
 	}
 	nonGreedy := 0
 	n := 20000
 	for i := 0; i < n; i++ {
-		if tab.Select("s") != 0 {
+		if tab.Select(tab.named("s")) != 0 {
 			nonGreedy++
 		}
 	}
@@ -147,7 +150,7 @@ func TestUpdatePanicsOnBadAction(t *testing.T) {
 			t.Fatal("want panic")
 		}
 	}()
-	tab.Update("s", 3, 1, "s")
+	tab.Update(tab.named("s"), 3, 1, tab.named("s"))
 }
 
 func TestConvergenceDetection(t *testing.T) {
@@ -157,7 +160,7 @@ func TestConvergenceDetection(t *testing.T) {
 	}
 	// Constant reward drives deltas to zero.
 	for i := 0; i < 300; i++ {
-		tab.Update("s", 0, 5, "s")
+		tab.Update(tab.named("s"), 0, 5, tab.named("s"))
 	}
 	if !tab.Converged(0.01, 50) {
 		t.Errorf("table should have converged; deltaEMA = %v", tab.deltaEMA.Value())
@@ -171,7 +174,7 @@ func TestMemoryBytesGrowsWithStates(t *testing.T) {
 	tab := newTable(t, 30, 0.1)
 	m0 := tab.MemoryBytes()
 	for i := 0; i < 100; i++ {
-		tab.Values(string(rune('a'+i%26)) + string(rune('0'+i/26)))
+		tab.Values(tab.named(string(rune('a'+i%26)) + string(rune('0'+i/26))))
 	}
 	if tab.MemoryBytes() <= m0 {
 		t.Error("memory estimate should grow with states")
@@ -194,21 +197,21 @@ func TestSetEpsilon(t *testing.T) {
 
 func TestDeterministicAcrossSeeds(t *testing.T) {
 	cfg := PaperConfig()
-	a := NewQTable(5, cfg, stats.NewRNG(7))
-	b := NewQTable(5, cfg, stats.NewRNG(7))
+	a := NewQTable(5, cfg, stats.NewRNG(7), NewSpace())
+	b := NewQTable(5, cfg, stats.NewRNG(7), NewSpace())
 	for i := 0; i < 50; i++ {
-		sa, sb := a.Select("x"), b.Select("x")
+		sa, sb := a.Select(a.named("x")), b.Select(b.named("x"))
 		if sa != sb {
 			t.Fatalf("same-seed tables diverged at %d", i)
 		}
-		a.Update("x", sa, float64(i%7), "x")
-		b.Update("x", sb, float64(i%7), "x")
+		a.Update(a.named("x"), sa, float64(i%7), a.named("x"))
+		b.Update(b.named("x"), sb, float64(i%7), b.named("x"))
 	}
 }
 
 // selectOfCandidates is SelectOf as it was built on CandidatesOf, kept
 // as the oracle for the in-place version.
-func selectOfCandidates(t *QTable, state string, allowed []bool) int {
+func selectOfCandidates(t *QTable, state int, allowed []bool) int {
 	candidates := t.CandidatesOf(allowed)
 	if len(candidates) == 0 {
 		return t.Select(state)
@@ -229,12 +232,16 @@ func selectOfCandidates(t *QTable, state string, allowed []bool) int {
 func TestSelectOfMatchesCandidatesOf(t *testing.T) {
 	const actions = 30
 	gen := stats.NewRNG(2024)
-	states := []string{"a", "b", "c", "d", "e", "f"}
+	const states = 6
 	for seed := int64(1); seed <= 40; seed++ {
 		cfg := PaperConfig()
 		cfg.Epsilon = []float64{0, 0.1, 0.5, 1}[seed%4]
-		got := NewQTable(actions, cfg, stats.NewRNG(seed))
-		want := NewQTable(actions, cfg, stats.NewRNG(seed))
+		got := NewQTable(actions, cfg, stats.NewRNG(seed), NewSpace())
+		want := NewQTable(actions, cfg, stats.NewRNG(seed), NewSpace())
+		for _, name := range []string{"a", "b", "c", "d", "e", "f"} {
+			got.named(name)
+			want.named(name)
+		}
 		if seed%3 != 0 {
 			mask := make([]bool, actions)
 			mask[gen.Intn(actions)] = true
@@ -252,13 +259,13 @@ func TestSelectOfMatchesCandidatesOf(t *testing.T) {
 			for a := range allowed {
 				allowed[a] = gen.Bernoulli(density)
 			}
-			state := states[gen.Intn(len(states))]
+			state := gen.Intn(states)
 			if g, w := got.SelectOf(state, allowed), selectOfCandidates(want, state, allowed); g != w {
 				t.Fatalf("seed %d step %d: SelectOf = %d, CandidatesOf version = %d", seed, step, g, w)
 			}
 			if step%7 == 0 {
 				r := gen.Float64()
-				a := got.best(state)
+				a := got.best(got.Values(state))
 				got.Update(state, a, r, state)
 				want.Update(state, a, r, state)
 			}
@@ -275,13 +282,13 @@ func TestSelectOfAllocs(t *testing.T) {
 	for a := range allowed {
 		allowed[a] = a%3 != 0
 	}
-	tab.SelectOf("seen", allowed)
-	if n := testing.AllocsPerRun(100, func() { tab.SelectOf("seen", allowed) }); n != 0 {
+	tab.SelectOf(tab.named("seen"), allowed)
+	if n := testing.AllocsPerRun(100, func() { tab.SelectOf(tab.named("seen"), allowed) }); n != 0 {
 		t.Errorf("SelectOf on a seen state makes %v allocations, want 0", n)
 	}
 	fresh := 0
 	states := []string{"n0", "n1", "n2", "n3", "n4", "n5", "n6", "n7", "n8", "n9", "n10"}
-	if n := testing.AllocsPerRun(10, func() { tab.Values(states[fresh]); fresh++ }); n < 1 {
+	if n := testing.AllocsPerRun(10, func() { tab.Values(tab.named(states[fresh])); fresh++ }); n < 1 {
 		t.Errorf("Values on a new state makes %v allocations, want a new row", n)
 	}
 }

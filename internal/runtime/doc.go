@@ -224,6 +224,16 @@
 // is a dependency, never part of the cell: it enters no canonical key,
 // wire spec or result byte.
 //
+// The executor hands a batch's cache misses to its backend leaders
+// first: the first miss reading each distinct snapshot, in batch
+// order, then every other miss in batch order. A batch [A(K1), B(K1),
+// C(K2), D] reaches the backend as [A, C, B, D]. The first reader of a
+// snapshot runs its Q-table warm-up and a sibling reading the same
+// snapshot waits on that warm-up, so batch order would park a second
+// worker behind A's warm-up while C's waits; leaders first starts the
+// distinct warm-ups on distinct workers, on both backends. Results
+// still land by job index, and the order changes no byte of them.
+//
 // The coordinator dispatches each batch through one FIFO that every
 // endpoint's sessions pull from, oldest eligible job first. Its only
 // rule keeps each warm-up singular: a job reading snapshot K may go to
@@ -392,7 +402,7 @@
 //     counts, then records into that endpoint's entry (under the
 //     collector's lock) each dispatch, retry, give-up and pushed
 //     snapshot byte, the Send→Recv latency histogram (exponential
-//     1ms-base buckets), and the raw bytes its sessions meter both
+//     1µs-base buckets), and the raw bytes its sessions meter both
 //     ways (handshake included), plus request-frame and spec counts,
 //     equal since a frame carries one spec. The fleet-wide Retries,
 //     Failovers and SnapshotBytesShipped counters are sums over those

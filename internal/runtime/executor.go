@@ -101,7 +101,8 @@ func (e *Executor) count(r Result) {
 // results[i] always belongs to jobs[i], regardless of backend,
 // parallelism or scheduling. Cache hits are served without touching
 // the backend; a job that fails yields a Result with Err set and the
-// remaining jobs are unaffected.
+// remaining jobs are unaffected. The misses reach the backend leaders
+// first (see leadersFirst).
 func (e *Executor) RunAll(jobs []Job) []Result {
 	results := make([]Result, len(jobs))
 	if len(jobs) == 0 {
@@ -153,6 +154,7 @@ func (e *Executor) RunAll(jobs []Job) []Result {
 		return results
 	}
 
+	missIdx = leadersFirst(jobs, missIdx)
 	miss := make([]Job, len(missIdx))
 	for k, i := range missIdx {
 		miss[k] = jobs[i]
@@ -214,4 +216,25 @@ func (e *Executor) cacheHits(jobs []Job, keys []string) []*Result {
 	close(idx)
 	wg.Wait()
 	return hits
+}
+
+// leadersFirst orders a batch's misses (indexes into jobs) for
+// dispatch: the first miss reading each distinct Job.SnapshotKey, in
+// batch order, then every other miss in batch order. A leader runs its
+// snapshot's warm-up, and a sibling reading the same snapshot waits on
+// that warm-up; dispatching the leaders first starts distinct warm-ups
+// on distinct workers instead of parking a worker behind a sibling's.
+func leadersFirst(jobs []Job, miss []int) []int {
+	order := make([]int, 0, len(miss))
+	rest := make([]int, 0, len(miss))
+	leading := make(map[string]bool)
+	for _, i := range miss {
+		if k := jobs[i].SnapshotKey; k != "" && !leading[k] {
+			leading[k] = true
+			order = append(order, i)
+		} else {
+			rest = append(rest, i)
+		}
+	}
+	return append(order, rest...)
 }

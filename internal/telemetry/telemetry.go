@@ -144,11 +144,12 @@ type Histogram struct {
 	Buckets    []int64 `json:"buckets,omitempty"`
 }
 
-// histBase is the lower edge of bucket 0 (1 ms); histBuckets spans
-// 1 ms .. ~17 min, wide enough for multi-minute simulation cells.
+// histBase is the lower edge of bucket 0 (1 µs), fine enough to
+// resolve sub-millisecond dispatches; histBuckets spans 1 µs .. ~18 min
+// (2^30 µs), wide enough for multi-minute simulation cells.
 const (
-	histBase    = time.Millisecond
-	histBuckets = 20
+	histBase    = time.Microsecond
+	histBuckets = 30
 )
 
 // observe records one duration.

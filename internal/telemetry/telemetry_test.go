@@ -54,7 +54,7 @@ func TestCollectorAccumulatesAndMerges(t *testing.T) {
 
 func TestSnapshotIsDeepCopy(t *testing.T) {
 	c := NewCollector()
-	c.RecordLatency("ep", time.Millisecond)
+	c.RecordLatency("ep", time.Microsecond) // bucket 0
 	m := c.Snapshot()
 	m.Endpoints[0].Latency.Buckets[0] = 99
 	if got := c.Snapshot().Endpoints[0].Latency.Buckets[0]; got != 1 {
@@ -64,15 +64,22 @@ func TestSnapshotIsDeepCopy(t *testing.T) {
 
 func TestHistogramBuckets(t *testing.T) {
 	var h Histogram
-	h.observe(time.Microsecond)     // below base -> bucket 0
-	h.observe(time.Millisecond)     // [1ms,2ms) -> bucket 0
-	h.observe(3 * time.Millisecond) // [2ms,4ms) -> bucket 1
+	h.observe(time.Nanosecond)      // below base -> bucket 0
+	h.observe(time.Microsecond)     // [1µs,2µs) -> bucket 0
+	h.observe(3 * time.Microsecond) // [2µs,4µs) -> bucket 1
+	h.observe(time.Millisecond)     // [512µs,1024µs) -> bucket 9
+	h.observe(10 * time.Minute)     // [2^29µs,2^30µs) -> bucket 29, the last
 	h.observe(1000 * time.Hour)     // beyond range -> last bucket
-	if h.Buckets[0] != 2 || h.Buckets[1] != 1 || h.Buckets[histBuckets-1] != 1 {
+	if h.Buckets[0] != 2 || h.Buckets[1] != 1 || h.Buckets[9] != 1 || h.Buckets[histBuckets-1] != 2 {
 		t.Fatalf("buckets = %v", h.Buckets)
 	}
-	if h.Count != 4 {
+	if h.Count != 6 {
 		t.Fatalf("count = %d", h.Count)
+	}
+	// The last bucket opens below ten minutes, so multi-minute cells
+	// keep distinct buckets up to there.
+	if top := histBase << (histBuckets - 1); top < 5*time.Minute || top > 10*time.Minute {
+		t.Fatalf("last bucket opens at %v", top)
 	}
 }
 
