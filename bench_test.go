@@ -3,8 +3,7 @@
 //
 // Benchmarks run at the Quick scale (100 devices, 1 seed) so that
 // `go test -bench=.` finishes in minutes; the paper-scale 200-device
-// tables come from `go run ./cmd/fedgpo-report` or
-// `go run ./cmd/fedgpo-sim -exp <id>`.
+// tables come from `go run ./cmd/fedgpo-report [-only <id>,...]`.
 //
 // Each benchmark additionally reports a headline metric via
 // b.ReportMetric so regressions in the reproduced *result* (not just

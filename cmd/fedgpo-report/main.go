@@ -1,5 +1,6 @@
-// Command fedgpo-report runs the full experiment suite and emits a
-// markdown report (the generator behind EXPERIMENTS.md). Simulation
+// Command fedgpo-report runs the paper's experiments and emits a
+// markdown report (the generator behind EXPERIMENTS.md): every table
+// of the registry by default, or the ones -only names. Simulation
 // cells fan out over the experiment runtime's execution backend —
 // in-process workers by default, fedgpo-worker -listen pools with
 // -workers — and with -cachedir a rerun only simulates cells whose
@@ -8,14 +9,18 @@
 //
 // Usage:
 //
-//	fedgpo-report [-quick] [-only fig9,fig12] [-parallel N]
+//	fedgpo-report [-quick | -tiny] [-only fig9,fig12] [-parallel N] [-v]
 //	              [-workers host:port,...] [-cachedir PATH] [-cache-max-bytes N]
-//	              [-results PATH.jsonl] > EXPERIMENTS.md
+//	              [-results PATH.jsonl] [-metrics-out PATH.json] > EXPERIMENTS.md
+//
+// -quick (100 devices, 1 seed) and -tiny (20 devices, for smoke tests;
+// wins over -quick) shrink the paper-scale 200-device deployment.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"log"
 	"os"
 	"strings"
 	"time"
@@ -27,26 +32,32 @@ import (
 
 func main() {
 	defer cli.ExitOnJobError()
+	log.SetFlags(0)
 	quick := flag.Bool("quick", false, "reduced fleet and seeds")
-	only := flag.String("only", "", "comma-separated experiment ids (default: all)")
-	results := flag.String("results", "", "stream the structured result store to this path as JSON Lines, one cell per line as it completes")
-	verbose := flag.Bool("v", false, "per-job progress on stderr")
+	tiny := flag.Bool("tiny", false, "smallest deployment (20 devices) for smoke tests; not representative")
+	only := flag.String("only", "", onlyUsage())
 	rtFlags := cli.Register(flag.CommandLine)
 	flag.Parse()
 
 	if rtFlags.HandleListScenarios(os.Stdout) {
 		return
 	}
-	opts := exp.Default()
-	if *quick {
-		opts = exp.Quick()
+	wanted, err := parseOnly(*only)
+	if err != nil {
+		log.Fatal(err)
+	}
+	opts, scale := exp.Default(), "paper (200 devices)"
+	switch {
+	case *tiny:
+		opts, scale = exp.Tiny(), "tiny (20 devices, 1 seed)"
+	case *quick:
+		opts, scale = exp.Quick(), "quick (100 devices, 1 seed)"
 	}
 	rt, err := rtFlags.Runtime()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		log.Fatal(err)
 	}
-	if *verbose {
+	if rtFlags.Verbose {
 		rt.SetProgress(func(p runtime.Progress) {
 			tag := ""
 			if p.Cached {
@@ -65,25 +76,11 @@ func main() {
 			fmt.Fprintf(os.Stderr, "  [%d/%d] %s%s\n", p.Done, p.Total, p.Key, tag)
 		})
 	}
-	if *results != "" {
-		if err := rt.StreamStore(*results); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	}
 	opts = opts.WithRuntime(rt)
-
-	wanted := map[string]bool{}
-	if *only != "" {
-		for _, id := range strings.Split(*only, ",") {
-			wanted[strings.TrimSpace(id)] = true
-		}
-	}
 
 	fmt.Println("# FedGPO reproduction report")
 	fmt.Println()
-	fmt.Printf("Generated %s; fleet scale: %s.\n\n",
-		time.Now().Format("2006-01-02"), scaleLabel(*quick))
+	fmt.Printf("Generated %s; fleet scale: %s.\n\n", time.Now().Format("2006-01-02"), scale)
 	for _, e := range exp.Registry() {
 		if len(wanted) > 0 && !wanted[e.ID] {
 			continue
@@ -93,29 +90,34 @@ func main() {
 		fmt.Print(table.Markdown())
 		fmt.Fprintf(os.Stderr, "%s done in %.1fs\n", e.ID, time.Since(start).Seconds())
 	}
-	st := rt.Stats()
-	pretrainRuns, pretrainKeys := rt.PretrainStats()
-	fmt.Fprintf(os.Stderr, "runtime: %s backend, %d workers, %d cells simulated, %d served from cache, %d/%d pretrain warm-ups executed\n",
-		rtFlags.Backend(), rt.Workers(), st.Runs, st.Hits, pretrainRuns, pretrainKeys)
-	if *verbose {
-		fmt.Fprint(os.Stderr, rt.Metrics().Summary())
-	}
-	if err := rtFlags.WriteMetrics(rt); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	if *results != "" {
-		if err := rt.CloseStore(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "result store: %d cells -> %s\n", rt.Store().Len(), *results)
+	if err := rtFlags.Finish(rt, os.Stderr); err != nil {
+		log.Fatal(err)
 	}
 }
 
-func scaleLabel(quick bool) string {
-	if quick {
-		return "quick (100 devices, 1 seed)"
+// parseOnly turns the -only list into a set of experiment ids,
+// rejecting any id the registry lacks with exp.ByID's error, which
+// lists the valid ones. An empty set selects every experiment.
+func parseOnly(only string) (map[string]bool, error) {
+	wanted := map[string]bool{}
+	for _, id := range strings.Split(only, ",") {
+		if id = strings.TrimSpace(id); id == "" {
+			continue
+		}
+		if _, err := exp.ByID(id); err != nil {
+			return nil, err
+		}
+		wanted[id] = true
 	}
-	return "paper (200 devices)"
+	return wanted, nil
+}
+
+// onlyUsage is -only's usage text: one line per registered experiment.
+func onlyUsage() string {
+	var b strings.Builder
+	b.WriteString("comma-separated experiment ids, run in registry order (default: all):")
+	for _, e := range exp.Registry() {
+		fmt.Fprintf(&b, "\n  %-10s %s", e.ID, e.Description)
+	}
+	return b.String()
 }

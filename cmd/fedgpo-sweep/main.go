@@ -16,9 +16,9 @@
 //
 // Usage:
 //
-//	fedgpo-sweep -workload CNN-MNIST [-noniid] [-variance] [-quick] [-seed N] [-parallel N]
+//	fedgpo-sweep -workload CNN-MNIST [-noniid] [-variance] [-quick] [-seed N] [-parallel N] [-v]
 //	             [-workers host:port,...] [-cachedir PATH] [-cache-max-bytes N]
-//	             [-results PATH.jsonl]
+//	             [-results PATH.jsonl] [-metrics-out PATH.json]
 //	fedgpo-sweep -matrix "fleet=200,100;alpha=iid,0.5;net=stable,unstable" [-params 8,10,20] [-seed N]
 //	fedgpo-sweep -scenario-file scenarios.json
 //	fedgpo-sweep -list-scenarios
@@ -27,6 +27,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"log"
 	"os"
 	"strconv"
 	"strings"
@@ -39,6 +40,7 @@ import (
 
 func main() {
 	defer cli.ExitOnJobError()
+	log.SetFlags(0)
 	wname := flag.String("workload", "CNN-MNIST", "workload name (CNN-MNIST, LSTM-Shakespeare, MobileNet-ImageNet)")
 	noniid := flag.Bool("noniid", false, "use the Dirichlet(0.1) non-IID partition")
 	variance := flag.Bool("variance", false, "enable interference + unstable network")
@@ -48,8 +50,6 @@ func main() {
 	scenarioFile := flag.String("scenario-file", "", "run ScenarioSpec JSON (one object or an array) from this file")
 	paramsFlag := flag.String("params", "8,10,20", "the (B,E,K) setting matrix/scenario-file cells run at")
 	seed := flag.Int64("seed", 1, "run seed")
-	resultsPath := flag.String("results", "", "stream the structured result store to this path as JSON Lines, one cell per line as it completes")
-	verbose := flag.Bool("v", false, "telemetry summary on stderr, per-endpoint dispatch stats included")
 	rtFlags := cli.Register(flag.CommandLine)
 	flag.Parse()
 
@@ -58,19 +58,11 @@ func main() {
 	}
 	w, err := workload.ByName(*wname)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		log.Fatal(err)
 	}
 	rt, err := rtFlags.Runtime()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	if *resultsPath != "" {
-		if err := rt.StreamStore(*resultsPath); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+		log.Fatal(err)
 	}
 	opts := exp.Default()
 	if *quick {
@@ -83,24 +75,30 @@ func main() {
 		// preset-selection flags would be silently ignored, so reject
 		// them (use an alpha/net/intf axis or the spec file instead).
 		if *noniid || *variance {
-			fmt.Fprintln(os.Stderr, "fedgpo-sweep: -noniid/-variance do not combine with -matrix/-scenario-file; express the deployment in the matrix axes or the spec file")
-			os.Exit(1)
+			log.Fatal("fedgpo-sweep: -noniid/-variance do not combine with -matrix/-scenario-file; express the deployment in the matrix axes or the spec file")
 		}
 		if *quick {
 			fmt.Fprintln(os.Stderr, "fedgpo-sweep: note: -quick does not rescale -matrix/-scenario-file deployments; the specs say exactly what runs")
 		}
 		runScenarios(opts, rt, w, *matrix, *scenarioFile, *paramsFlag, *seed)
-		finish(rt, rtFlags, *verbose, *resultsPath)
-		return
+	} else {
+		runPreset(opts, rt, w, *noniid, *variance, *seed)
 	}
+	if err := rtFlags.Finish(rt, os.Stderr); err != nil {
+		log.Fatal(err)
+	}
+}
 
+// runPreset executes the preset mode: the paper scenario -noniid and
+// -variance select, swept along the (B, E, K) axes.
+func runPreset(opts exp.Options, rt *exp.Runtime, w workload.Workload, noniid, variance bool, seed int64) {
 	var s exp.ScenarioSpec
 	switch {
-	case *noniid && *variance:
+	case noniid && variance:
 		s = exp.RealisticNonIID(w)
-	case *noniid:
+	case noniid:
 		s = exp.NonIIDScenario(w)
-	case *variance:
+	case variance:
 		s = exp.Realistic(w)
 	default:
 		s = exp.Ideal(w)
@@ -118,10 +116,10 @@ func main() {
 			params = append(params, p)
 		}
 	}
-	results := exp.SweepStatic(opts, s, params, *seed)
+	results := exp.SweepStatic(opts, s, params, seed)
 
 	fmt.Printf("workload=%s scenario=%s fleet=%d seed=%d workers=%d\n",
-		w.Name, s.Name, s.Fleet.Composition().Total(), *seed, rt.Workers())
+		w.Name, s.Name, s.Fleet.Composition().Total(), seed, rt.Workers())
 	fmt.Printf("%-12s %10s %12s %14s %10s\n", "(B,E,K)", "converged", "conv round", "energy (kJ)", "PPW")
 	for i, p := range params {
 		res := results[i]
@@ -132,7 +130,6 @@ func main() {
 		fmt.Printf("%-12s %10v %12s %14.0f %10.3g\n",
 			p.String(), res.Converged, conv, res.EnergyToConvergenceJ/1000, res.PPW)
 	}
-	finish(rt, rtFlags, *verbose, *resultsPath)
 }
 
 // runScenarios executes the scenario-matrix / scenario-file mode: one
@@ -146,28 +143,24 @@ func runScenarios(opts exp.Options, rt *exp.Runtime,
 	if matrix != "" {
 		ms, err := exp.ScenarioMatrix(w, matrix)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			log.Fatal(err)
 		}
 		specs = append(specs, ms...)
 	}
 	if scenarioFile != "" {
 		b, err := os.ReadFile(scenarioFile)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "fedgpo-sweep:", err)
-			os.Exit(1)
+			log.Fatalln("fedgpo-sweep:", err)
 		}
 		fs, err := exp.DecodeScenarios(b)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			log.Fatal(err)
 		}
 		specs = append(specs, fs...)
 	}
 	p, err := parseParams(paramsFlag)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		log.Fatal(err)
 	}
 
 	results := exp.SweepScenarios(opts, specs, p, seed)
@@ -208,28 +201,6 @@ func parseParams(s string) (fl.Params, error) {
 		*dst[i] = n
 	}
 	return p, nil
-}
-
-// finish prints the runtime summary (the exact "runtime: ..." line CI
-// greps), the telemetry summary with its per-endpoint lines under -v,
-// writes the -metrics-out artifact, and finalizes the -results store.
-func finish(rt *exp.Runtime, rtFlags *cli.RuntimeFlags, verbose bool, results string) {
-	st := rt.Stats()
-	fmt.Fprintf(os.Stderr, "runtime: %d cells simulated, %d served from cache\n", st.Runs, st.Hits)
-	if verbose {
-		fmt.Fprint(os.Stderr, rt.Metrics().Summary())
-	}
-	if err := rtFlags.WriteMetrics(rt); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	if results != "" {
-		if err := rt.CloseStore(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "result store: %d cells -> %s\n", rt.Store().Len(), results)
-	}
 }
 
 // onAxis keeps the sweep to the three axes through (8, 10, 20) plus the

@@ -25,7 +25,7 @@
 // Usage (one pool per machine, or several on localhost):
 //
 //	fedgpo-worker -listen 10.0.0.5:9331 -capacity 16 -cachedir /var/cache/fedgpo &
-//	fedgpo-sim -exp fig5 -workers 10.0.0.5:9331,10.0.0.6:9331 -cachedir ./cache
+//	fedgpo-report -only fig5 -workers 10.0.0.5:9331,10.0.0.6:9331 -cachedir ./cache
 //
 // The pool prints "listening on ADDR" on stderr once it accepts
 // sessions (so -listen 127.0.0.1:0 picks a free port a script can read

@@ -1,9 +1,10 @@
 // Package cli centralizes the experiment-runtime flag surface shared
-// by the fedgpo CLIs (report, sweep, sim): worker count,
-// run-cache location and byte budget, and the TCP worker pools that
-// select the shard coordinator. Each CLI registers the block once and
-// builds its exp.Runtime from the parsed values, so a new runtime knob
-// lands in every tool by construction.
+// by the fedgpo CLIs (report, sweep): worker count, run-cache location
+// and byte budget, the TCP worker pools that select the shard
+// coordinator, the result store and the run's closing summary. Each
+// CLI registers the block once, builds its exp.Runtime from the parsed
+// values and ends with Finish, so a new runtime knob lands in every
+// tool by construction.
 package cli
 
 import (
@@ -42,6 +43,11 @@ type RuntimeFlags struct {
 	MetricsOut string
 	// TraceLevel selects RL decision tracing ("none" or "decisions").
 	TraceLevel string
+	// Results, when set, streams every cell to this JSON Lines file.
+	Results string
+	// Verbose prints the telemetry summary at Finish; the report also
+	// prints per-job progress under it.
+	Verbose bool
 }
 
 // Register installs the shared runtime flags on fs and returns the
@@ -60,6 +66,9 @@ func Register(fs *flag.FlagSet) *RuntimeFlags {
 		"write the run's telemetry snapshot (phase timings, cache/sim counters, per-endpoint dispatch latency) as JSON to this file")
 	fs.StringVar(&f.TraceLevel, "trace-level", "",
 		"RL decision tracing: 'decisions' records each FedGPO cell's per-round state, masked action set, chosen action, reward and Q-delta as spec-addressed cache artifacts (tracing a cached cell costs one re-run; re-tracing costs zero); results stay byte-identical")
+	fs.StringVar(&f.Results, "results", "",
+		"stream the structured result store to this path as JSON Lines, one cell per line as it completes")
+	fs.BoolVar(&f.Verbose, "v", false, "verbose stderr: the telemetry summary with per-endpoint dispatch stats (fedgpo-report adds per-job progress)")
 	return f
 }
 
@@ -81,9 +90,9 @@ func (f *RuntimeFlags) HandleListScenarios(w io.Writer) bool {
 	return true
 }
 
-// Backend names the execution backend the flags select, for the CLIs'
-// summary lines: "tcp" when -workers lists pools, else "pool".
-func (f *RuntimeFlags) Backend() string {
+// backend names the execution backend the flags select, for the
+// runtime line: "tcp" when -workers lists pools, else "pool".
+func (f *RuntimeFlags) backend() string {
 	if len(f.remotes()) > 0 {
 		return "tcp"
 	}
@@ -93,8 +102,9 @@ func (f *RuntimeFlags) Backend() string {
 // Runtime builds the experiment runtime the parsed flags describe:
 // cache (pruned to the byte budget), execution backend — the
 // in-process pool, or the shard coordinator over the -workers pools —
-// and decision tracing. A malformed -workers address fails here, at
-// startup, not at the first batch.
+// decision tracing and the -results store. A malformed -workers
+// address or an unwritable -results path fails here, at startup, not
+// at the first batch.
 func (f *RuntimeFlags) Runtime() (*exp.Runtime, error) {
 	remotes := f.remotes()
 	for _, addr := range remotes {
@@ -124,23 +134,43 @@ func (f *RuntimeFlags) Runtime() (*exp.Runtime, error) {
 	default:
 		return nil, fmt.Errorf("cli: unknown -trace-level %q (valid: none, %s)", f.TraceLevel, telemetry.TraceDecisions)
 	}
+	if f.Results != "" {
+		if err := rt.StreamStore(f.Results); err != nil {
+			return nil, err
+		}
+	}
 	return rt, nil
 }
 
-// WriteMetrics writes the runtime's telemetry snapshot to the
-// -metrics-out file (no-op when the flag is unset). Call it after the
-// run's work completes so the snapshot covers everything.
-func (f *RuntimeFlags) WriteMetrics(rt *exp.Runtime) error {
-	if f.MetricsOut == "" {
+// Finish ends a run once its work completes. It prints to w the
+// runtime line CI greps ("runtime: R cells simulated, H served from
+// cache; ..."), then the telemetry summary under -v; writes the
+// -metrics-out snapshot; and closes the -results store, printing its
+// cell count.
+func (f *RuntimeFlags) Finish(rt *exp.Runtime, w io.Writer) error {
+	st := rt.Stats()
+	pretrainRuns, pretrainKeys := rt.PretrainStats()
+	fmt.Fprintf(w, "runtime: %d cells simulated, %d served from cache; %s backend, %d workers, %d/%d pretrain warm-ups executed\n",
+		st.Runs, st.Hits, f.backend(), rt.Workers(), pretrainRuns, pretrainKeys)
+	if f.Verbose {
+		fmt.Fprint(w, rt.Metrics().Summary())
+	}
+	if f.MetricsOut != "" {
+		b, err := json.MarshalIndent(rt.Metrics(), "", "  ")
+		if err != nil {
+			return fmt.Errorf("cli: encoding metrics: %w", err)
+		}
+		if err := os.WriteFile(f.MetricsOut, append(b, '\n'), 0o644); err != nil {
+			return fmt.Errorf("cli: writing -metrics-out: %w", err)
+		}
+	}
+	if f.Results == "" {
 		return nil
 	}
-	b, err := json.MarshalIndent(rt.Metrics(), "", "  ")
-	if err != nil {
-		return fmt.Errorf("cli: encoding metrics: %w", err)
+	if err := rt.CloseStore(); err != nil {
+		return err
 	}
-	if err := os.WriteFile(f.MetricsOut, append(b, '\n'), 0o644); err != nil {
-		return fmt.Errorf("cli: writing -metrics-out: %w", err)
-	}
+	fmt.Fprintf(w, "result store: %d cells -> %s\n", rt.Store().Len(), f.Results)
 	return nil
 }
 

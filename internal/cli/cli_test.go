@@ -1,15 +1,19 @@
 package cli
 
 import (
+	"encoding/json"
 	"errors"
 	"flag"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"fedgpo/internal/exp"
+	"fedgpo/internal/fl"
 	"fedgpo/internal/runtime"
+	"fedgpo/internal/workload"
 )
 
 func parse(t *testing.T, args ...string) *RuntimeFlags {
@@ -26,7 +30,7 @@ func parse(t *testing.T, args ...string) *RuntimeFlags {
 // pool backend as the default.
 func TestRegisterDefaultsAndParsing(t *testing.T) {
 	f := parse(t)
-	if f.Backend() != "pool" || f.Parallel != 0 || f.CacheDir != "" || f.CacheMaxBytes != 0 || f.Workers != "" {
+	if f.backend() != "pool" || f.Parallel != 0 || f.CacheDir != "" || f.CacheMaxBytes != 0 || f.Workers != "" {
 		t.Errorf("unexpected defaults: %+v", f)
 	}
 	if f.ListScenarios {
@@ -34,7 +38,7 @@ func TestRegisterDefaultsAndParsing(t *testing.T) {
 	}
 	f = parse(t, "-parallel", "3", "-cachedir", "/tmp/x",
 		"-cache-max-bytes", "1024", "-workers", "10.0.0.5:9331, 10.0.0.6:9331")
-	if f.Parallel != 3 || f.CacheDir != "/tmp/x" || f.CacheMaxBytes != 1024 || f.Backend() != "tcp" {
+	if f.Parallel != 3 || f.CacheDir != "/tmp/x" || f.CacheMaxBytes != 1024 || f.backend() != "tcp" {
 		t.Errorf("flags not parsed: %+v", f)
 	}
 	if got := f.remotes(); len(got) != 2 || got[0] != "10.0.0.5:9331" || got[1] != "10.0.0.6:9331" {
@@ -50,8 +54,8 @@ func TestRuntimeBuildsTCPWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.Backend() != "tcp" {
-		t.Errorf("backend label = %q with -workers, want tcp", f.Backend())
+	if f.backend() != "tcp" {
+		t.Errorf("backend label = %q with -workers, want tcp", f.backend())
 	}
 	// No dial happens at construction; the endpoints are visible in the
 	// stats snapshot and each remote counts as one worker until its
@@ -152,6 +156,62 @@ func TestRuntimeRejectsBadBackendConfig(t *testing.T) {
 	}
 }
 
+// Finish closes a run of one simulated cell: the runtime line CI greps,
+// the -metrics-out snapshot and the -results store all account for it.
+func TestFinishReportsTheRun(t *testing.T) {
+	dir := t.TempDir()
+	results, metrics := filepath.Join(dir, "cells.jsonl"), filepath.Join(dir, "metrics.json")
+	f := parse(t, "-parallel", "1", "-results", results, "-metrics-out", metrics)
+	rt, err := f.Runtime()
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs, err := exp.ScenarioMatrix(workload.CNNMNIST(), "fleet=20;alpha=iid;net=stable;rounds=10")
+	if err != nil || len(specs) != 1 {
+		t.Fatalf("matrix = %d specs, %v; want one", len(specs), err)
+	}
+	exp.SweepScenarios(exp.Default().WithRuntime(rt), specs, fl.Params{B: 8, E: 10, K: 20}, 1)
+	var stderr strings.Builder
+	if err := f.Finish(rt, &stderr); err != nil {
+		t.Fatal(err)
+	}
+	out := stderr.String()
+	if !strings.HasPrefix(out, "runtime: 1 cells simulated, 0 served from cache; pool backend, 1 workers") {
+		t.Errorf("runtime line = %q", out)
+	}
+	if !strings.Contains(out, "\nresult store: 1 cells -> "+results+"\n") {
+		t.Errorf("stderr lacks the result store line: %q", out)
+	}
+	b, err := os.ReadFile(metrics)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m struct {
+		Counters struct {
+			SimsExecuted int64 `json:"simsExecuted"`
+		} `json:"counters"`
+	}
+	if err := json.Unmarshal(b, &m); err != nil || m.Counters.SimsExecuted != 1 {
+		t.Errorf("-metrics-out simsExecuted = %d (%v), want 1", m.Counters.SimsExecuted, err)
+	}
+	b, err = os.ReadFile(results)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lines := strings.Split(strings.TrimSuffix(string(b), "\n"), "\n"); len(lines) != 1 || !json.Valid([]byte(lines[0])) {
+		t.Errorf("-results holds %d lines, want one JSON line", len(lines))
+	}
+}
+
+// A -results path that cannot be created fails when the runtime is
+// built, before any cell runs, not when Finish closes the store.
+func TestRuntimeRejectsUnwritableResults(t *testing.T) {
+	missing := filepath.Join(t.TempDir(), "no-such-dir", "cells.jsonl")
+	if _, err := parse(t, "-results", missing).Runtime(); err == nil || !strings.Contains(err.Error(), "no-such-dir") {
+		t.Errorf("-results into a missing directory: error = %v", err)
+	}
+}
+
 // -parallel sizes the in-process pool only: with -workers the fleet's
 // capacity is what the pools advertise (one per endpoint until their
 // hellos arrive), never the local core count or a -parallel cap.
@@ -161,18 +221,18 @@ func TestRuntimeBuildsProcs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rt.Workers() != 3 || f.Backend() != "pool" || len(rt.Stats().Endpoints) != 0 {
+	if rt.Workers() != 3 || f.backend() != "pool" || len(rt.Stats().Endpoints) != 0 {
 		t.Errorf("-parallel 3 built %d workers on %q with %d endpoints, want a 3-worker pool",
-			rt.Workers(), f.Backend(), len(rt.Stats().Endpoints))
+			rt.Workers(), f.backend(), len(rt.Stats().Endpoints))
 	}
 	f = parse(t, "-parallel", "3", "-workers", "127.0.0.1:9331")
 	rt, err = f.Runtime()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rt.Workers() != 1 || f.Backend() != "tcp" || len(rt.Stats().Endpoints) != 1 {
+	if rt.Workers() != 1 || f.backend() != "tcp" || len(rt.Stats().Endpoints) != 1 {
 		t.Errorf("-workers with -parallel 3 built %d workers on %q with %d endpoints, want one unprobed TCP endpoint",
-			rt.Workers(), f.Backend(), len(rt.Stats().Endpoints))
+			rt.Workers(), f.backend(), len(rt.Stats().Endpoints))
 	}
 }
 

@@ -2,8 +2,8 @@
 // scenarios of the paper's evaluation (§4) and one constructor per
 // figure and table of §2 and §5, each returning a rendered text table
 // with the same rows/series the paper plots. The bench harness
-// (bench_test.go) and the CLI tools (cmd/fedgpo-sim, cmd/fedgpo-sweep,
-// cmd/fedgpo-report) are thin wrappers over this package.
+// (bench_test.go) and the CLI tools (cmd/fedgpo-report,
+// cmd/fedgpo-sweep) are thin wrappers over this package.
 //
 // Scenarios are declarative data: a ScenarioSpec composes explicit
 // sub-specs for fleet composition, data partition, network model,

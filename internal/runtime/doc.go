@@ -189,6 +189,19 @@
 // is exact: a decoded snapshot equals the one encoded, every float's
 // bits included.
 //
+// Sharing a directory therefore stores each result and snapshot
+// twice: the worker's Executor appends it to the worker's pack, and
+// the coordinator writes it again into its own pack, the result in
+// Executor.RunAll's write-back and a shipped snapshot in
+// Coordinator.storeSnapshot. A cold fig5 -tiny report over two pools
+// and the coordinator on one directory leaves two packs of 27,221
+// bytes each, holding the same records: the pack of the pool that ran
+// the cells and the coordinator's. The cost is accepted: no
+// workload shares a directory, and avoiding it would need the
+// coordinator to learn which results a worker already persisted
+// there, the per-result flag and hello field that were deleted to keep
+// the wire free of cache state.
+//
 // Parallelism lives at the job level only: each simulation cell runs
 // its rounds serially on the goroutine executing it, so a backend's
 // parallelism is its worker count.
