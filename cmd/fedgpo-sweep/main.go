@@ -60,6 +60,21 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	// Scenario mode is validated and built in full before the runtime
+	// opens -results, which truncates it: a rejected invocation leaves
+	// an existing result log as it was.
+	scenarioMode := *matrix != "" || *scenarioFile != ""
+	var specs []exp.ScenarioSpec
+	var p fl.Params
+	if scenarioMode {
+		// Scenario mode builds every deployment from its spec; the
+		// preset-selection flags would be silently ignored, so reject
+		// them (use an alpha/net/intf axis or the spec file instead).
+		if *noniid || *variance {
+			log.Fatal("fedgpo-sweep: -noniid/-variance do not combine with -matrix/-scenario-file; express the deployment in the matrix axes or the spec file")
+		}
+		specs, p = loadScenarios(w, *matrix, *scenarioFile, *paramsFlag)
+	}
 	rt, err := rtFlags.Runtime()
 	if err != nil {
 		log.Fatal(err)
@@ -70,17 +85,11 @@ func main() {
 	}
 	opts = opts.WithRuntime(rt)
 
-	if *matrix != "" || *scenarioFile != "" {
-		// Scenario mode builds every deployment from its spec; the
-		// preset-selection flags would be silently ignored, so reject
-		// them (use an alpha/net/intf axis or the spec file instead).
-		if *noniid || *variance {
-			log.Fatal("fedgpo-sweep: -noniid/-variance do not combine with -matrix/-scenario-file; express the deployment in the matrix axes or the spec file")
-		}
+	if scenarioMode {
 		if *quick {
 			fmt.Fprintln(os.Stderr, "fedgpo-sweep: note: -quick does not rescale -matrix/-scenario-file deployments; the specs say exactly what runs")
 		}
-		runScenarios(opts, rt, w, *matrix, *scenarioFile, *paramsFlag, *seed)
+		runScenarios(opts, rt, specs, p, *seed)
 	} else {
 		runPreset(opts, rt, w, *noniid, *variance, *seed)
 	}
@@ -132,13 +141,10 @@ func runPreset(opts exp.Options, rt *exp.Runtime, w workload.Workload, noniid, v
 	}
 }
 
-// runScenarios executes the scenario-matrix / scenario-file mode: one
-// cell per deployment at a single (B,E,K) setting. Options scaling
-// (-quick) is deliberately not applied — the specs say exactly what
-// runs, fleet included.
-func runScenarios(opts exp.Options, rt *exp.Runtime,
-	w workload.Workload, matrix, scenarioFile, paramsFlag string, seed int64) {
-
+// loadScenarios builds the scenario-matrix / scenario-file mode's
+// deployments and parses the (B,E,K) setting they run at, exiting on
+// the first error.
+func loadScenarios(w workload.Workload, matrix, scenarioFile, paramsFlag string) ([]exp.ScenarioSpec, fl.Params) {
 	var specs []exp.ScenarioSpec
 	if matrix != "" {
 		ms, err := exp.ScenarioMatrix(w, matrix)
@@ -162,7 +168,14 @@ func runScenarios(opts exp.Options, rt *exp.Runtime,
 	if err != nil {
 		log.Fatal(err)
 	}
+	return specs, p
+}
 
+// runScenarios executes the scenario-matrix / scenario-file mode: one
+// cell per deployment at a single (B,E,K) setting. Options scaling
+// (-quick) is deliberately not applied — the specs say exactly what
+// runs, fleet included.
+func runScenarios(opts exp.Options, rt *exp.Runtime, specs []exp.ScenarioSpec, p fl.Params, seed int64) {
 	results := exp.SweepScenarios(opts, specs, p, seed)
 
 	fmt.Printf("scenarios=%d params=%s seed=%d workers=%d\n",

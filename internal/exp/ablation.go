@@ -8,6 +8,10 @@ import (
 	"fedgpo/internal/workload"
 )
 
+// ablationMetrics are the metric columns of abl-eps, abl-beta and
+// abl-cold.
+var ablationMetrics = []metric{metricPPW, metricConvRound, metricAccuracy}
+
 // AblationEpsilon reproduces the paper's footnote-3 sensitivity study:
 // exploration probability ϵ ∈ {0.1, 0.5, 0.9}. High ϵ keeps choosing
 // random parameters, hurting both convergence and energy.
@@ -18,29 +22,21 @@ func AblationEpsilon(o Options) Table {
 		ID:     "abl-eps",
 		Title:  "FedGPO sensitivity to exploration probability ϵ (paper footnote 3)",
 		Header: []string{"epsilon", "PPW (norm to eps=0.1)", "conv round", "accuracy"},
+		Notes:  []string{"paper expectation: eps=0.1 best; larger eps degrades accuracy and convergence overhead"},
 	}
-	epsilons := []float64{0.1, 0.5, 0.9}
-	rt := o.runtime()
-	cells := make([]cell, len(epsilons))
-	for i, eps := range epsilons {
-		eps := eps
-		cells[i] = cell{s, fedgpoVariantContender(s, fmt.Sprintf("FedGPO eps=%.1f", eps),
+	g := compareGroup{label: s.Name, s: s}
+	var labels [][]string
+	for _, eps := range []float64{0.1, 0.5, 0.9} {
+		g.cs = append(g.cs, fedgpoVariantContender(s, fmt.Sprintf("FedGPO eps=%.1f", eps),
 			func(c *core.Config) {
 				c.RL.Epsilon = eps
 				// The sensitivity question is about exploration during
 				// operation, so the freeze is disabled.
 				c.FreezeAfterRounds = 0
-			})}
+			}))
+		labels = append(labels, []string{fmt.Sprintf("%.1f", eps)})
 	}
-	sums := rt.summaries(cells, o.seeds())
-	base := sums[0].MeanPPW
-	for i, eps := range epsilons {
-		sum := sums[i]
-		t.AddRow(fmt.Sprintf("%.1f", eps), fmtRatio(sum.MeanPPW/base),
-			fmt.Sprintf("%.0f", sum.MeanConvergenceRound),
-			fmtPct(100*sum.MeanFinalAccuracy))
-	}
-	t.Notes = append(t.Notes, "paper expectation: eps=0.1 best; larger eps degrades accuracy and convergence overhead")
+	comparisonTable(&t, comparison(t.ID, []compareGroup{g}, o.seeds(), o.runtime()), ablationMetrics, labels)
 	return t
 }
 
@@ -54,41 +50,24 @@ func AblationGammaMu(o Options) Table {
 		ID:     "abl-gm",
 		Title:  "FedGPO sensitivity to learning rate γ and discount µ (paper §4.1)",
 		Header: []string{"gamma", "mu", "PPW (norm to default)", "conv round"},
+		Notes: []string{
+			"paper finds high γ / low µ best on its testbed; this simulator's reward is noisier across categories, so its sensitivity analysis selects a lower γ (see core.DefaultConfig)"},
 	}
-	def := core.DefaultConfig()
-	gammas := []float64{0.1, 0.5, 0.9}
-	mus := []float64{0.5, 0.9}
-
-	rt := o.runtime()
-	cells := []cell{{s, fedgpoVariantContender(s, "FedGPO", nil)}}
-	for _, gamma := range gammas {
-		g := gamma
-		cells = append(cells, cell{s, fedgpoVariantContender(s, fmt.Sprintf("FedGPO gamma=%.1f", g),
-			func(c *core.Config) { c.RL.LearningRate = g })})
+	def := core.DefaultConfig().RL
+	g := compareGroup{label: s.Name, s: s, cs: []ContenderSpec{fedgpoVariantContender(s, "FedGPO", nil)}}
+	labels := [][]string{{fmt.Sprintf("%.2f (default)", def.LearningRate), fmt.Sprintf("%.1f", def.Discount)}}
+	for _, gamma := range []float64{0.1, 0.5, 0.9} {
+		g.cs = append(g.cs, fedgpoVariantContender(s, fmt.Sprintf("FedGPO gamma=%.1f", gamma),
+			func(c *core.Config) { c.RL.LearningRate = gamma }))
+		labels = append(labels, []string{fmt.Sprintf("%.1f", gamma), fmt.Sprintf("%.1f", def.Discount)})
 	}
-	for _, mu := range mus {
-		m := mu
-		cells = append(cells, cell{s, fedgpoVariantContender(s, fmt.Sprintf("FedGPO mu=%.1f", m),
-			func(c *core.Config) { c.RL.Discount = m })})
+	for _, mu := range []float64{0.5, 0.9} {
+		g.cs = append(g.cs, fedgpoVariantContender(s, fmt.Sprintf("FedGPO mu=%.1f", mu),
+			func(c *core.Config) { c.RL.Discount = mu }))
+		labels = append(labels, []string{fmt.Sprintf("%.2f", def.LearningRate), fmt.Sprintf("%.1f", mu)})
 	}
-	sums := rt.summaries(cells, o.seeds())
-
-	base := sums[0]
-	t.AddRow(fmt.Sprintf("%.2f (default)", def.RL.LearningRate),
-		fmt.Sprintf("%.1f", def.RL.Discount), "1.00x",
-		fmt.Sprintf("%.0f", base.MeanConvergenceRound))
-	for i, g := range gammas {
-		sum := sums[1+i]
-		t.AddRow(fmt.Sprintf("%.1f", g), fmt.Sprintf("%.1f", def.RL.Discount),
-			fmtRatio(sum.MeanPPW/base.MeanPPW), fmt.Sprintf("%.0f", sum.MeanConvergenceRound))
-	}
-	for i, m := range mus {
-		sum := sums[1+len(gammas)+i]
-		t.AddRow(fmt.Sprintf("%.2f", def.RL.LearningRate), fmt.Sprintf("%.1f", m),
-			fmtRatio(sum.MeanPPW/base.MeanPPW), fmt.Sprintf("%.0f", sum.MeanConvergenceRound))
-	}
-	t.Notes = append(t.Notes,
-		"paper finds high γ / low µ best on its testbed; this simulator's reward is noisier across categories, so its sensitivity analysis selects a lower γ (see core.DefaultConfig)")
+	comparisonTable(&t, comparison(t.ID, []compareGroup{g}, o.seeds(), o.runtime()),
+		[]metric{metricPPW, metricConvRound}, labels)
 	return t
 }
 
@@ -169,25 +148,14 @@ func AblationBeta(o Options) Table {
 		Title:  "FedGPO sensitivity to reward weight β (improvement term)",
 		Header: []string{"beta", "PPW (norm to default)", "conv round", "accuracy"},
 	}
-	def := core.DefaultConfig().Reward.Beta
-	betas := []float64{5, 100}
-	rt := o.runtime()
-	cells := []cell{{s, fedgpoVariantContender(s, "FedGPO", nil)}}
-	for _, beta := range betas {
-		b := beta
-		cells = append(cells, cell{s, fedgpoVariantContender(s, fmt.Sprintf("FedGPO beta=%.0f", b),
-			func(c *core.Config) { c.Reward.Beta = b })})
+	g := compareGroup{label: s.Name, s: s, cs: []ContenderSpec{fedgpoVariantContender(s, "FedGPO", nil)}}
+	labels := [][]string{{fmt.Sprintf("%.0f (default)", core.DefaultConfig().Reward.Beta)}}
+	for _, beta := range []float64{5, 100} {
+		g.cs = append(g.cs, fedgpoVariantContender(s, fmt.Sprintf("FedGPO beta=%.0f", beta),
+			func(c *core.Config) { c.Reward.Beta = beta }))
+		labels = append(labels, []string{fmt.Sprintf("%.0f", beta)})
 	}
-	sums := rt.summaries(cells, o.seeds())
-
-	base := sums[0]
-	t.AddRow(fmt.Sprintf("%.0f (default)", def), "1.00x",
-		fmt.Sprintf("%.0f", base.MeanConvergenceRound), fmtPct(100*base.MeanFinalAccuracy))
-	for i, b := range betas {
-		sum := sums[1+i]
-		t.AddRow(fmt.Sprintf("%.0f", b), fmtRatio(sum.MeanPPW/base.MeanPPW),
-			fmt.Sprintf("%.0f", sum.MeanConvergenceRound), fmtPct(100*sum.MeanFinalAccuracy))
-	}
+	comparisonTable(&t, comparison(t.ID, []compareGroup{g}, o.seeds(), o.runtime()), ablationMetrics, labels)
 	return t
 }
 
@@ -203,22 +171,15 @@ func AblationColdStart(o Options) Table {
 		ID:     "abl-cold",
 		Title:  "learning-phase cost: cold vs warm-started FedGPO (CNN-MNIST, realistic)",
 		Header: []string{"controller", "PPW (norm to Fixed)", "conv round", "accuracy"},
+		Notes: []string{
+			"paper §5.4: FedGPO runs ~24% below Fixed (Best) efficiency during the learning phase and overtakes after the Q-tables converge"},
 	}
-	sums := rt.summaries([]cell{
-		{s, staticContender(best, "Fixed (Best)")},
-		{s, fedgpoColdContender()},
-		{s, fedgpoWarmContender(s)},
-	}, o.seeds())
-
-	fixed := sums[0]
-	t.AddRow("Fixed (Best) "+best.String(), "1.00x",
-		fmt.Sprintf("%.0f", fixed.MeanConvergenceRound), fmtPct(100*fixed.MeanFinalAccuracy))
-	for i, name := range []string{"FedGPO (cold)", "FedGPO (warm)"} {
-		sum := sums[1+i]
-		t.AddRow(name, fmtRatio(sum.MeanPPW/fixed.MeanPPW),
-			fmt.Sprintf("%.0f", sum.MeanConvergenceRound), fmtPct(100*sum.MeanFinalAccuracy))
-	}
-	t.Notes = append(t.Notes,
-		"paper §5.4: FedGPO runs ~24% below Fixed (Best) efficiency during the learning phase and overtakes after the Q-tables converge")
+	g := compareGroup{s.Name, s, []ContenderSpec{
+		staticContender(best, "Fixed (Best)"),
+		fedgpoColdContender(),
+		fedgpoWarmContender(s),
+	}}
+	labels := [][]string{{"Fixed (Best) " + best.String()}, {"FedGPO (cold)"}, {"FedGPO (warm)"}}
+	comparisonTable(&t, comparison(t.ID, []compareGroup{g}, o.seeds(), rt), ablationMetrics, labels)
 	return t
 }

@@ -123,9 +123,9 @@ var sec54WallClockRows = map[string]bool{
 	"overhead share of round time": true,
 }
 
-// renderMasked renders a table for fresh-run-vs-fresh-run comparison:
-// identical bytes everywhere except Sec54's wall-clock cells, which
-// are blanked on both sides.
+// renderMasked renders a table's markdown for fresh-run-vs-fresh-run
+// comparison: identical bytes everywhere except Sec54's wall-clock
+// cells, which are blanked on both sides.
 func renderMasked(tab Table) string {
 	if tab.ID == "sec54" {
 		for i, row := range tab.Rows {
@@ -136,7 +136,7 @@ func renderMasked(tab Table) string {
 			}
 		}
 	}
-	return tab.String()
+	return tab.Markdown()
 }
 
 // startWorkerPool serves a TCP worker pool in-process, executing jobs
@@ -370,7 +370,7 @@ func TestProcsBackendMatchesPoolAcrossRegistry(t *testing.T) {
 		t.Errorf("warm coordinator rerun executed %d pretrain warm-ups, want 0", warmups)
 	}
 	for _, e := range Registry() {
-		if warmTables[e.ID].String() != poolTables[e.ID].String() {
+		if warmTables[e.ID].Markdown() != poolTables[e.ID].Markdown() {
 			t.Errorf("%s: warm coordinator rerun differs from the pool run", e.ID)
 		}
 	}

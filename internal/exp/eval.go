@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"slices"
 
 	"fedgpo/internal/baseline"
 	"fedgpo/internal/fl"
@@ -45,43 +46,117 @@ func contenders(w workload.Workload, s ScenarioSpec, o Options) []ContenderSpec 
 }
 
 // compareGroup is one scenario's contender set within a comparison
-// experiment; its rows normalize to the group's first contender.
+// experiment; its ratios are relative to the group's first contender.
 type compareGroup struct {
 	label string
 	s     ScenarioSpec
 	cs    []ContenderSpec
 }
 
-// comparisonRows fans every group's (contender × seed) cells through
-// the runtime in a single batch, then emits rows of PPW (normalized to
-// the first contender), convergence-time speedup (ditto), final
-// accuracy and convergence round — in the same order the serial
-// harness produced them.
-func comparisonRows(t *Table, groups []compareGroup, seeds []int64, rt *Runtime) {
-	cells := make([]cell, 0)
+// metric names one quantity a comparison reports per contender.
+type metric string
+
+const (
+	metricPPW       metric = "PPW"
+	metricSpeedup   metric = "conv speedup"
+	metricAccuracy  metric = "accuracy"
+	metricConvRound metric = "conv round"
+)
+
+// The units of a measurement's value. A unitRatio value is relative to
+// its group's first contender: that contender reads exactly 1, and
+// above 1 is better (more PPW, shorter time to convergence).
+const (
+	unitRatio = "x"
+	unitPct   = "%"
+	unitRound = "round"
+)
+
+// measurement is one number a comparison table reports: one metric of
+// one contender in one group of one experiment.
+type measurement struct {
+	experiment string // table id, e.g. "fig9"
+	group      string // compareGroup.label
+	controller string // ContenderSpec.Name
+	metric     metric
+	value      float64
+	unit       string
+}
+
+// cell formats the value by its unit; it is the only place a
+// comparison table's metric cells are formatted.
+func (m measurement) cell() string {
+	switch m.unit {
+	case unitRatio:
+		return fmtRatio(m.value)
+	case unitPct:
+		return fmtPct(m.value)
+	}
+	return fmt.Sprintf("%.0f", m.value)
+}
+
+// comparison fans every group's (contender × seed) cells through the
+// runtime in a single batch and returns, in group order and then
+// contender order, four measurements per contender: PPW and
+// convergence-time speedup (unitRatio, relative to the group's first
+// contender), mean final accuracy (unitPct) and mean convergence round
+// (unitRound).
+func comparison(experiment string, groups []compareGroup, seeds []int64, rt *Runtime) []measurement {
+	var cells []cell
 	for _, g := range groups {
 		for _, c := range g.cs {
 			cells = append(cells, cell{g.s, c})
 		}
 	}
 	sums := rt.summaries(cells, seeds)
-	i := 0
+	ms := make([]measurement, 0, 4*len(cells))
 	for _, g := range groups {
-		var baseSummary fl.Summary
-		for j, c := range g.cs {
-			sum := sums[i]
-			i++
-			if j == 0 {
-				baseSummary = sum
-			}
-			ppwN := sum.MeanPPW / baseSummary.MeanPPW
-			speedN := baseSummary.MeanTimeToConvSec / sum.MeanTimeToConvSec
-			t.AddRow(g.label, c.Name, fmtRatio(ppwN), fmtRatio(speedN),
-				fmtPct(100*sum.MeanFinalAccuracy),
-				fmt.Sprintf("%.0f", sum.MeanConvergenceRound))
+		base := sums[0]
+		for _, c := range g.cs {
+			sum := sums[0]
+			sums = sums[1:]
+			ms = append(ms,
+				measurement{experiment, g.label, c.Name, metricPPW, sum.MeanPPW / base.MeanPPW, unitRatio},
+				measurement{experiment, g.label, c.Name, metricSpeedup, base.MeanTimeToConvSec / sum.MeanTimeToConvSec, unitRatio},
+				measurement{experiment, g.label, c.Name, metricAccuracy, 100 * sum.MeanFinalAccuracy, unitPct},
+				measurement{experiment, g.label, c.Name, metricConvRound, sum.MeanConvergenceRound, unitRound})
 		}
 	}
+	return ms
 }
+
+// comparisonTable appends one row to t per contender of ms, in order:
+// the row's label cells, labels[row] or, when labels is nil, the group
+// and contender names; then the contender's value of each metric in
+// cols.
+func comparisonTable(t *Table, ms []measurement, cols []metric, labels [][]string) {
+	for row := 0; len(ms) > 0; row++ {
+		n := 1
+		for n < len(ms) && ms[n].group == ms[0].group && ms[n].controller == ms[0].controller {
+			n++
+		}
+		cells := []string{ms[0].group, ms[0].controller}
+		if labels != nil {
+			cells = slices.Clone(labels[row])
+		}
+		for _, col := range cols {
+			for _, m := range ms[:n] {
+				if m.metric == col {
+					cells = append(cells, m.cell())
+				}
+			}
+		}
+		t.AddRow(cells...)
+		ms = ms[n:]
+	}
+}
+
+// figureMetrics and figureHeader are fig9–fig12's metric columns and
+// the header cells that follow each table's group column.
+var (
+	figureMetrics = []metric{metricPPW, metricSpeedup, metricAccuracy, metricConvRound}
+	figureHeader  = []string{"controller", "PPW (norm)", "conv speedup", "accuracy", "conv round"}
+)
 
 // Fig9 reproduces paper Figure 9: PPW, convergence speedup and final
 // accuracy of Fixed (Best), Adaptive (BO), Adaptive (GA) and FedGPO
@@ -91,7 +166,9 @@ func Fig9(o Options) Table {
 	t := Table{
 		ID:     "fig9",
 		Title:  "FedGPO vs baselines across workloads (realistic environment)",
-		Header: []string{"workload", "controller", "PPW (norm)", "conv speedup", "accuracy", "conv round"},
+		Header: append([]string{"workload"}, figureHeader...),
+		Notes: []string{
+			"paper expectation: FedGPO best on PPW for every workload (paper: 4.1x/3.2x/3.5x over Fixed (Best)), maintaining accuracy"},
 	}
 	rt := o.runtime()
 	var groups []compareGroup
@@ -99,9 +176,31 @@ func Fig9(o Options) Table {
 		s := o.apply(Realistic(w))
 		groups = append(groups, compareGroup{w.Name, s, contenders(w, s, o.WithRuntime(rt))})
 	}
-	comparisonRows(&t, groups, o.seeds(), rt)
-	t.Notes = append(t.Notes,
-		"paper expectation: FedGPO best on PPW for every workload (paper: 4.1x/3.2x/3.5x over Fixed (Best)), maintaining accuracy")
+	comparisonTable(&t, comparison(t.ID, groups, o.seeds(), rt), figureMetrics, nil)
+	return t
+}
+
+// scenarioGroups is Figs. 10–12's group loop: one group per CNN-MNIST
+// scenario, named after it, running the contenders cs picks for it.
+func scenarioGroups(o Options, rt *Runtime, cs func(workload.Workload, ScenarioSpec, Options) []ContenderSpec,
+	scenarios ...func(workload.Workload) ScenarioSpec) []compareGroup {
+	w := workload.CNNMNIST()
+	var groups []compareGroup
+	for _, scenario := range scenarios {
+		s := o.apply(scenario(w))
+		groups = append(groups, compareGroup{s.Name, s, cs(w, s, o.WithRuntime(rt))})
+	}
+	return groups
+}
+
+// scenarioComparison renders t as one of Figs. 10–12 over the
+// scenarioGroups of cs and scenarios.
+func scenarioComparison(o Options, t Table, cs func(workload.Workload, ScenarioSpec, Options) []ContenderSpec,
+	scenarios ...func(workload.Workload) ScenarioSpec) Table {
+	rt := o.runtime()
+	t.Header = append([]string{"scenario"}, figureHeader...)
+	comparisonTable(&t, comparison(t.ID, scenarioGroups(o, rt, cs, scenarios...), o.seeds(), rt),
+		figureMetrics, nil)
 	return t
 }
 
@@ -109,78 +208,41 @@ func Fig9(o Options) Table {
 // under (a) no runtime variance, (b) on-device interference, and
 // (c) network variance.
 func Fig10(o Options) Table {
-	w := workload.CNNMNIST()
-	t := Table{
-		ID:     "fig10",
-		Title:  "adaptability to runtime variance (CNN-MNIST)",
-		Header: []string{"scenario", "controller", "PPW (norm)", "conv speedup", "accuracy", "conv round"},
-	}
-	rt := o.runtime()
-	var groups []compareGroup
-	for _, s := range []ScenarioSpec{
-		o.apply(Ideal(w)),
-		o.apply(InterferenceOnly(w)),
-		o.apply(UnstableNetworkOnly(w)),
-	} {
-		groups = append(groups, compareGroup{s.Name, s, contenders(w, s, o.WithRuntime(rt))})
-	}
-	comparisonRows(&t, groups, o.seeds(), rt)
-	t.Notes = append(t.Notes,
-		"paper expectation: FedGPO's margin widens under variance (paper: 5.0x/4.2x/3.0x over Fixed/BO/GA)")
-	return t
+	return scenarioComparison(o, Table{
+		ID:    "fig10",
+		Title: "adaptability to runtime variance (CNN-MNIST)",
+		Notes: []string{"paper expectation: FedGPO's margin widens under variance (paper: 5.0x/4.2x/3.0x over Fixed/BO/GA)"},
+	}, contenders, Ideal, InterferenceOnly, UnstableNetworkOnly)
 }
 
 // Fig11 reproduces paper Figure 11: the comparison for CNN-MNIST with
 // and without data heterogeneity.
 func Fig11(o Options) Table {
-	w := workload.CNNMNIST()
-	t := Table{
-		ID:     "fig11",
-		Title:  "adaptability to data heterogeneity (CNN-MNIST)",
-		Header: []string{"scenario", "controller", "PPW (norm)", "conv speedup", "accuracy", "conv round"},
-	}
-	rt := o.runtime()
-	var groups []compareGroup
-	for _, s := range []ScenarioSpec{
-		o.apply(Ideal(w)),
-		o.apply(NonIIDScenario(w)),
-	} {
-		groups = append(groups, compareGroup{s.Name, s, contenders(w, s, o.WithRuntime(rt))})
-	}
-	comparisonRows(&t, groups, o.seeds(), rt)
-	t.Notes = append(t.Notes,
-		"paper expectation: under non-IID FedGPO achieves 6.2x/1.9x/1.3x over Fixed/BO/GA by shrinking E and K")
-	return t
+	return scenarioComparison(o, Table{
+		ID:    "fig11",
+		Title: "adaptability to data heterogeneity (CNN-MNIST)",
+		Notes: []string{"paper expectation: under non-IID FedGPO achieves 6.2x/1.9x/1.3x over Fixed/BO/GA by shrinking E and K"},
+	}, contenders, Ideal, NonIIDScenario)
 }
 
 // Fig12 reproduces paper Figure 12: FedGPO against the prior-work
 // tuners FedEX and ABS on CNN-MNIST, without variance, with runtime
 // variance, and with data heterogeneity.
 func Fig12(o Options) Table {
-	w := workload.CNNMNIST()
-	t := Table{
-		ID:     "fig12",
-		Title:  "FedGPO vs FedEX vs ABS (CNN-MNIST)",
-		Header: []string{"scenario", "controller", "PPW (norm)", "conv speedup", "accuracy", "conv round"},
+	return scenarioComparison(o, Table{
+		ID:    "fig12",
+		Title: "FedGPO vs FedEX vs ABS (CNN-MNIST)",
+		Notes: []string{"paper expectation: FedGPO > FedEX > ABS (paper: 1.5x and 2.1x average energy-efficiency improvements)"},
+	}, priorWork, Ideal, Realistic, NonIIDScenario)
+}
+
+// priorWork builds the Fig. 12 comparison set for a scenario. FedEX
+// comes first, so the FedGPO rows read as the paper's "1.5x over
+// FedEX" style ratios.
+func priorWork(_ workload.Workload, s ScenarioSpec, _ Options) []ContenderSpec {
+	return []ContenderSpec{
+		{Type: ContFedEX, Name: "FedEX", CtrlSeed: 1},
+		{Type: ContABS, Name: "ABS", CtrlSeed: 1},
+		fedgpoWarmContender(s),
 	}
-	rt := o.runtime()
-	var groups []compareGroup
-	for _, s := range []ScenarioSpec{
-		o.apply(Ideal(w)),
-		o.apply(Realistic(w)),
-		o.apply(NonIIDScenario(w)),
-	} {
-		// Normalize to FedEX (first row) so the FedGPO rows read as the
-		// paper's "1.5x over FedEX" style ratios.
-		cs := []ContenderSpec{
-			{Type: ContFedEX, Name: "FedEX", CtrlSeed: 1},
-			{Type: ContABS, Name: "ABS", CtrlSeed: 1},
-			fedgpoWarmContender(s),
-		}
-		groups = append(groups, compareGroup{s.Name, s, cs})
-	}
-	comparisonRows(&t, groups, o.seeds(), rt)
-	t.Notes = append(t.Notes,
-		"paper expectation: FedGPO > FedEX > ABS (paper: 1.5x and 2.1x average energy-efficiency improvements)")
-	return t
 }

@@ -13,8 +13,60 @@ import (
 // checking structure and internal consistency rather than absolute
 // outcomes (Tiny deployments are not representative; see Quick's doc).
 
+// checkNormalized asserts the comparison contract on ms: every
+// contender of a group reports each of the four metrics exactly once,
+// and each group's first contender is base and reads exactly 1 on both
+// ratio metrics.
+func checkNormalized(t *testing.T, ms []measurement, base string) {
+	t.Helper()
+	type key struct{ group, controller string }
+	metrics := map[key]map[metric]int{}
+	first := map[string]string{}
+	for _, m := range ms {
+		k := key{m.group, m.controller}
+		if metrics[k] == nil {
+			metrics[k] = map[metric]int{}
+		}
+		metrics[k][m.metric]++
+		if _, ok := first[m.group]; !ok {
+			first[m.group] = m.controller
+		}
+		if m.controller == first[m.group] && m.unit == unitRatio && m.value != 1 {
+			t.Errorf("%s/%s: base %s = %v, want exactly 1", m.group, m.controller, m.metric, m.value)
+		}
+	}
+	for k, got := range metrics {
+		for _, want := range figureMetrics {
+			if got[want] != 1 {
+				t.Errorf("%s/%s reports %s %d times, want once", k.group, k.controller, want, got[want])
+			}
+		}
+		if len(got) != len(figureMetrics) {
+			t.Errorf("%s/%s reports %d metrics, want %d", k.group, k.controller, len(got), len(figureMetrics))
+		}
+	}
+	for g, c := range first {
+		if c != base {
+			t.Errorf("group %s normalizes to %s, want %s", g, c, base)
+		}
+	}
+}
+
+// checkSameCells asserts that measurements taken after a table on the
+// same runtime simulated nothing new, so they came from the cells the
+// table rendered.
+func checkSameCells(t *testing.T, rt *Runtime, runs int64) {
+	t.Helper()
+	if got := rt.Stats().Runs; got != runs {
+		t.Errorf("the measurements simulated %d cells the table did not", got-runs)
+	}
+}
+
 func TestFig11StructureAndNormalization(t *testing.T) {
-	tab := Fig11(Tiny())
+	o := Tiny()
+	rt := o.runtime()
+	o = o.WithRuntime(rt)
+	tab := Fig11(o)
 	if len(tab.Rows) != 8 { // 2 scenarios x 4 controllers
 		t.Fatalf("rows = %d, want 8", len(tab.Rows))
 	}
@@ -22,16 +74,19 @@ func TestFig11StructureAndNormalization(t *testing.T) {
 		if len(row) != 6 {
 			t.Fatalf("row %d has %d cells", i, len(row))
 		}
-		// The first controller of each scenario group is the
-		// normalization base and must read exactly 1.00x.
-		if row[1] == "Fixed (Best)" && (row[2] != "1.00x" || row[3] != "1.00x") {
-			t.Errorf("base row not normalized to 1.00x: %v", row)
-		}
 	}
+	// The first controller of each scenario group is the normalization
+	// base.
+	runs := rt.Stats().Runs
+	ms := comparison(tab.ID, scenarioGroups(o, rt, contenders, Ideal, NonIIDScenario), o.seeds(), rt)
+	checkSameCells(t, rt, runs)
+	checkNormalized(t, ms, "Fixed (Best)")
 	// Every scenario group contains all four contenders.
 	names := map[string]int{}
-	for _, row := range tab.Rows {
-		names[row[1]]++
+	for _, m := range ms {
+		if m.metric == metricPPW {
+			names[m.controller]++
+		}
 	}
 	for _, n := range []string{"Fixed (Best)", "Adaptive (BO)", "Adaptive (GA)", "FedGPO"} {
 		if names[n] != 2 {
@@ -41,7 +96,10 @@ func TestFig11StructureAndNormalization(t *testing.T) {
 }
 
 func TestFig12UsesPriorWorkContenders(t *testing.T) {
-	tab := Fig12(Tiny())
+	o := Tiny()
+	rt := o.runtime()
+	o = o.WithRuntime(rt)
+	tab := Fig12(o)
 	names := map[string]bool{}
 	for _, row := range tab.Rows {
 		names[row[1]] = true
@@ -54,6 +112,10 @@ func TestFig12UsesPriorWorkContenders(t *testing.T) {
 	if names["Fixed (Best)"] {
 		t.Error("fig12 compares prior work, not Fixed (Best)")
 	}
+	runs := rt.Stats().Runs
+	ms := comparison(tab.ID, scenarioGroups(o, rt, priorWork, Ideal, Realistic, NonIIDScenario), o.seeds(), rt)
+	checkSameCells(t, rt, runs)
+	checkNormalized(t, ms, "FedEX")
 }
 
 func TestFixedBestParamsCachedAndValid(t *testing.T) {
@@ -115,13 +177,26 @@ func TestSec54ReportsAllOverheadPhases(t *testing.T) {
 }
 
 func TestAblationColdStartStructure(t *testing.T) {
-	tab := AblationColdStart(Options{FleetSize: 20, Seeds: []int64{1}, MaxRounds: 120})
+	o := Options{FleetSize: 20, Seeds: []int64{1}, MaxRounds: 120}
+	rt := o.runtime()
+	o = o.WithRuntime(rt)
+	tab := AblationColdStart(o)
 	if len(tab.Rows) != 3 {
 		t.Fatalf("rows = %d, want Fixed + cold + warm", len(tab.Rows))
 	}
 	if !strings.HasPrefix(tab.Rows[0][0], "Fixed (Best)") {
 		t.Errorf("first row should be the Fixed base: %v", tab.Rows[0])
 	}
+	w := workload.CNNMNIST()
+	s := o.apply(Realistic(w))
+	runs := rt.Stats().Runs
+	ms := comparison(tab.ID, []compareGroup{{s.Name, s, []ContenderSpec{
+		staticContender(FixedBestParams(w, o), "Fixed (Best)"),
+		fedgpoColdContender(),
+		fedgpoWarmContender(s),
+	}}}, o.seeds(), rt)
+	checkSameCells(t, rt, runs)
+	checkNormalized(t, ms, "Fixed (Best)")
 }
 
 func TestExperimentRegistryRunnersAgree(t *testing.T) {

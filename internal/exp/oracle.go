@@ -72,8 +72,8 @@ func executeOracle(r *Runtime, sp JobSpec) runtime.Result {
 
 	accs := make([]float64, 0, sp.ProbeRounds)
 	probe := &oracleProbe{
-		inner: ctrl,
-		onRound: func(obs fl.Observation, rr fl.RoundResult) {
+		Controller: ctrl,
+		onRound: func(rr fl.RoundResult) {
 			if len(rr.Participants) == 0 {
 				return
 			}
@@ -96,21 +96,16 @@ func executeOracle(r *Runtime, sp JobSpec) runtime.Result {
 	return res
 }
 
-// oracleProbe taps observations and results around an inner controller.
+// oracleProbe hands each round's result to onRound before the
+// embedded controller observes it.
 type oracleProbe struct {
-	inner   fl.Controller
-	lastObs fl.Observation
-	onRound func(fl.Observation, fl.RoundResult)
+	fl.Controller
+	onRound func(fl.RoundResult)
 }
 
-func (p *oracleProbe) Name() string { return p.inner.Name() }
-func (p *oracleProbe) Plan(o fl.Observation) fl.Plan {
-	p.lastObs = o
-	return p.inner.Plan(o)
-}
 func (p *oracleProbe) Observe(r fl.RoundResult) {
-	p.onRound(p.lastObs, r)
-	p.inner.Observe(r)
+	p.onRound(r)
+	p.Controller.Observe(r)
 }
 
 // Table5 reproduces paper Table 5: FedGPO's global-parameter selection

@@ -35,8 +35,8 @@ func TestParallelTableByteIdenticalToSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		serial := e.Run(Tiny().WithRuntime(serialRT)).String()
-		parallel := e.Run(Tiny().WithRuntime(parallelRT)).String()
+		serial := e.Run(Tiny().WithRuntime(serialRT)).Markdown()
+		parallel := e.Run(Tiny().WithRuntime(parallelRT)).Markdown()
 		if serial != parallel {
 			t.Errorf("%s: parallel=8 output differs from parallel=1:\n--- serial ---\n%s--- parallel ---\n%s",
 				id, serial, parallel)
@@ -194,7 +194,7 @@ func TestJSONEraSnapshotIsAPlainMiss(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			b.WriteString(e.Run(opts.WithRuntime(rt)).String())
+			b.WriteString(e.Run(opts.WithRuntime(rt)).Markdown())
 		}
 		return b.String()
 	}
@@ -268,7 +268,7 @@ func TestWarmCacheRerunZeroSimulations(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			b.WriteString(e.Run(opts).String())
+			b.WriteString(e.Run(opts).Markdown())
 		}
 		return b.String()
 	}

@@ -22,45 +22,6 @@ func (t *Table) AddRow(cells ...string) {
 	t.Rows = append(t.Rows, cells)
 }
 
-// String renders the table as aligned monospace text.
-func (t Table) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s — %s\n", t.ID, t.Title)
-	widths := make([]int, len(t.Header))
-	for i, h := range t.Header {
-		widths[i] = len(h)
-	}
-	for _, row := range t.Rows {
-		for i, c := range row {
-			if i < len(widths) && len(c) > widths[i] {
-				widths[i] = len(c)
-			}
-		}
-	}
-	writeRow := func(cells []string) {
-		for i, c := range cells {
-			if i > 0 {
-				b.WriteString("  ")
-			}
-			fmt.Fprintf(&b, "%-*s", widths[i], c)
-		}
-		b.WriteByte('\n')
-	}
-	writeRow(t.Header)
-	sep := make([]string, len(t.Header))
-	for i := range sep {
-		sep[i] = strings.Repeat("-", widths[i])
-	}
-	writeRow(sep)
-	for _, row := range t.Rows {
-		writeRow(row)
-	}
-	for _, n := range t.Notes {
-		fmt.Fprintf(&b, "note: %s\n", n)
-	}
-	return b.String()
-}
-
 // Markdown renders the table as GitHub-flavored markdown (used by the
 // EXPERIMENTS.md generator).
 func (t Table) Markdown() string {
