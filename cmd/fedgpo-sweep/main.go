@@ -74,6 +74,13 @@ func main() {
 			log.Fatal("fedgpo-sweep: -noniid/-variance do not combine with -matrix/-scenario-file; express the deployment in the matrix axes or the spec file")
 		}
 		specs, p = loadScenarios(w, *matrix, *scenarioFile, *paramsFlag)
+	} else {
+		// Preset mode sweeps the (B,E,K) axes and never reads -params.
+		flag.Visit(func(f *flag.Flag) {
+			if f.Name == "params" {
+				log.Fatal("fedgpo-sweep: -params applies only to -matrix/-scenario-file; preset mode sweeps the (B,E,K) axes")
+			}
+		})
 	}
 	rt, err := rtFlags.Runtime()
 	if err != nil {

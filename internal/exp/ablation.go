@@ -109,29 +109,27 @@ func AblationTables(o Options) Table {
 		perDevice bool
 	}{{"shared per-category", false}, {"per-device", true}}
 
-	cells := make([]cell, len(variants))
-	memSpecs := make([]JobSpec, len(variants))
-	for i, v := range variants {
+	g := compareGroup{label: s.Name, s: s}
+	var memSpecs []JobSpec
+	var labels [][]string
+	for _, v := range variants {
 		perDev := v.perDevice
 		c := fedgpoVariantContender(s, v.name, func(cc *core.Config) { cc.PerDeviceTables = perDev })
-		cells[i] = cell{s, c}
-		memSpecs[i] = JobSpec{Kind: KindQMem, Scenario: s, Contender: c}
+		g.cs = append(g.cs, c)
+		memSpecs = append(memSpecs, JobSpec{Kind: KindQMem, Scenario: s, Contender: c})
+		labels = append(labels, []string{v.name})
 	}
 	// The shared-variant config equals the default, so its sim cells
 	// are the same cache entries Fig5/Fig6/Fig9 use.
-	sums := rt.summaries(cells, o.seeds())
-	memResults := rt.runSpecs(memSpecs)
-
-	base := sums[0].MeanPPW
-	for i, v := range variants {
+	ms := comparison(t.ID, []compareGroup{g}, o.seeds(), rt)
+	for i, res := range rt.runSpecs(memSpecs) {
 		var ex qmemExtra
-		if err := memResults[i].GetExtra(&ex); err != nil {
+		if err := res.GetExtra(&ex); err != nil {
 			panic("exp: qmem payload: " + err.Error())
 		}
-		t.AddRow(v.name, fmtRatio(sums[i].MeanPPW/base),
-			fmt.Sprintf("%.0f", sums[i].MeanConvergenceRound),
-			fmt.Sprintf("%.1f KB", float64(ex.MemBytes)/1024))
+		ms = append(ms, measurement{t.ID, g.label, g.cs[i].Name, metricQMem, float64(ex.MemBytes) / 1024, unitKB})
 	}
+	comparisonTable(&t, ms, []metric{metricPPW, metricConvRound, metricQMem}, labels)
 	return t
 }
 

@@ -53,44 +53,56 @@ type compareGroup struct {
 	cs    []ContenderSpec
 }
 
-// metric names one quantity a comparison reports per contender.
+// metric names one quantity a table reports.
 type metric string
 
 const (
-	metricPPW       metric = "PPW"
-	metricSpeedup   metric = "conv speedup"
-	metricAccuracy  metric = "accuracy"
-	metricConvRound metric = "conv round"
+	metricPPW          metric = "PPW"
+	metricSpeedup      metric = "conv speedup"
+	metricAccuracy     metric = "accuracy"
+	metricConvRound    metric = "conv round"
+	metricRoundSpeedup metric = "round time speedup"
+	metricTrainTime    metric = "train time"
+	metricRoundTime    metric = "round time"
+	metricEnergy       metric = "energy"
+	metricSelection    metric = "selection accuracy"
+	metricQMem         metric = "Q-table memory"
 )
 
-// The units of a measurement's value. A unitRatio value is relative to
-// its group's first contender: that contender reads exactly 1, and
-// above 1 is better (more PPW, shorter time to convergence).
+// The units of a measurement's value. A unitRatio value is normalised
+// to a base its table names; in a comparison that is the group's first
+// contender, which reads exactly 1, and above 1 is better (more PPW,
+// shorter time to convergence).
 const (
 	unitRatio = "x"
 	unitPct   = "%"
 	unitRound = "round"
+	unitKB    = "KB"
+	unitUS    = "us"
 )
 
-// measurement is one number a comparison table reports: one metric of
-// one contender in one group of one experiment.
+// measurement is one number a table reports: one metric of one
+// controller (a contender, setting or device category) in one group of
+// one experiment.
 type measurement struct {
 	experiment string // table id, e.g. "fig9"
-	group      string // compareGroup.label
-	controller string // ContenderSpec.Name
+	group      string // compareGroup.label, sweep point or quantity
+	controller string // ContenderSpec.Name, setting or category
 	metric     metric
 	value      float64
 	unit       string
 }
 
-// cell formats the value by its unit; it is the only place a
-// comparison table's metric cells are formatted.
+// cell formats the value by its unit; it is the only place a table's
+// numeric cells are formatted.
 func (m measurement) cell() string {
 	switch m.unit {
 	case unitRatio:
-		return fmtRatio(m.value)
+		return fmt.Sprintf("%.2fx", m.value)
 	case unitPct:
-		return fmtPct(m.value)
+		return fmt.Sprintf("%.1f%%", m.value)
+	case unitKB, unitUS:
+		return fmt.Sprintf("%.1f %s", m.value, m.unit)
 	}
 	return fmt.Sprintf("%.0f", m.value)
 }
@@ -125,29 +137,28 @@ func comparison(experiment string, groups []compareGroup, seeds []int64, rt *Run
 	return ms
 }
 
-// comparisonTable appends one row to t per contender of ms, in order:
-// the row's label cells, labels[row] or, when labels is nil, the group
-// and contender names; then the contender's value of each metric in
-// cols.
+// comparisonTable adds one row to t per (group, controller) of ms, in
+// order of first appearance: the row's label cells, labels[row] or,
+// when labels is nil, the group and controller names; then the
+// controller's value of each metric in cols.
 func comparisonTable(t *Table, ms []measurement, cols []metric, labels [][]string) {
-	for row := 0; len(ms) > 0; row++ {
-		n := 1
-		for n < len(ms) && ms[n].group == ms[0].group && ms[n].controller == ms[0].controller {
-			n++
-		}
-		cells := []string{ms[0].group, ms[0].controller}
+	ms = slices.Clone(ms)
+	for i := 0; len(ms) > 0; i++ {
+		g, c := ms[0].group, ms[0].controller
+		mine := func(m measurement) bool { return m.group == g && m.controller == c }
+		r := row{labels: []string{g, c}, ms: make([]measurement, 0, len(cols))}
 		if labels != nil {
-			cells = slices.Clone(labels[row])
+			r.labels = labels[i]
 		}
 		for _, col := range cols {
-			for _, m := range ms[:n] {
-				if m.metric == col {
-					cells = append(cells, m.cell())
+			for _, m := range ms {
+				if mine(m) && m.metric == col {
+					r.ms = append(r.ms, m)
 				}
 			}
 		}
-		t.AddRow(cells...)
-		ms = ms[n:]
+		t.add(r)
+		ms = slices.DeleteFunc(ms, mine)
 	}
 }
 

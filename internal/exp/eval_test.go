@@ -199,21 +199,6 @@ func TestAblationColdStartStructure(t *testing.T) {
 	checkNormalized(t, ms, "Fixed (Best)")
 }
 
-func TestExperimentRegistryRunnersAgree(t *testing.T) {
-	// Every registry entry's Run must produce a table whose ID matches
-	// its registry id (catches copy-paste drift). Only the cheap,
-	// simulation-free entries are executed here.
-	for _, id := range []string{"fig3", "fig4"} {
-		e, err := ByID(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if tab := e.Run(Tiny()); tab.ID != id {
-			t.Errorf("experiment %s produced table id %s", id, tab.ID)
-		}
-	}
-}
-
 // The runtime's grid search picks a sensible Fixed (Best) setting: not
 // a degenerate corner, with a positive PPW that beats an obviously bad
 // configuration's.

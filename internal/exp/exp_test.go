@@ -84,7 +84,8 @@ func TestTableRendering(t *testing.T) {
 
 func TestRegistryComplete(t *testing.T) {
 	wanted := []string{"fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7",
-		"fig9", "fig10", "fig11", "fig12", "tab5", "sec54"}
+		"fig9", "fig10", "fig11", "fig12", "tab5", "sec54",
+		"abl-eps", "abl-gm", "abl-tables", "abl-beta", "abl-cold"}
 	for _, id := range wanted {
 		if _, err := ByID(id); err != nil {
 			t.Errorf("missing experiment %s: %v", id, err)

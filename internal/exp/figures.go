@@ -78,9 +78,6 @@ func (o Options) apply(s ScenarioSpec) ScenarioSpec {
 // to the baseline, exactly as the figure plots them.
 func Fig1(o Options) Table {
 	s := o.apply(Ideal(workload.CNNMNIST()))
-	seeds := o.seeds()
-	rt := o.runtime()
-
 	type point struct {
 		param string
 		value int
@@ -100,12 +97,11 @@ func Fig1(o Options) Table {
 		points = append(points, point{"K", v, fl.Params{B: 8, E: 10, K: v}})
 	}
 
-	cells := make([]cell, 0, len(points)+1)
-	cells = append(cells, cell{s, staticContender(fl.DefaultParams(), "")})
+	cells := []cell{{s, staticContender(fl.DefaultParams(), "")}}
 	for _, pt := range points {
 		cells = append(cells, cell{s, staticContender(pt.p, "")})
 	}
-	sums := rt.summaries(cells, seeds)
+	sums := o.runtime().summaries(cells, o.seeds())
 	base := sums[0]
 
 	t := Table{
@@ -113,12 +109,14 @@ func Fig1(o Options) Table {
 		Title:  "CNN-MNIST convergence round and global PPW vs (B, E, K), normalized to (1,10,20)",
 		Header: []string{"param", "value", "conv round (norm)", "PPW (norm)"},
 	}
+	var ms []measurement
 	for i, pt := range points {
-		r := sums[i+1]
-		t.AddRow(pt.param, fmt.Sprint(pt.value),
-			fmtRatio(r.MeanConvergenceRound/base.MeanConvergenceRound),
-			fmtRatio(r.MeanPPW/base.MeanPPW))
+		r, v := sums[i+1], fmt.Sprint(pt.value)
+		ms = append(ms,
+			measurement{t.ID, pt.param, v, metricConvRound, r.MeanConvergenceRound / base.MeanConvergenceRound, unitRatio},
+			measurement{t.ID, pt.param, v, metricPPW, r.MeanPPW / base.MeanPPW, unitRatio})
 	}
+	comparisonTable(&t, ms, []metric{metricConvRound, metricPPW}, nil)
 	t.Notes = append(t.Notes,
 		"paper expectation: optima away from the (1,10,20) baseline; best B near 8, E near 10, K near 20")
 	return t
@@ -135,42 +133,32 @@ func Fig2(o Options) Table {
 		Title:  "most energy-efficient (B,E,K) shifts with NN characteristics (K=20)",
 		Header: []string{"workload", "B", "E", "PPW (norm)"},
 	}
-	seeds := o.seeds()
-	rt := o.runtime()
-	bGrid := []int{2, 4, 8, 16}
-	eGrid := []int{5, 10, 15, 20}
+	var grid []fl.Params
+	for _, b := range []int{2, 4, 8, 16} {
+		for _, e := range []int{5, 10, 15, 20} {
+			grid = append(grid, fl.Params{B: b, E: e, K: 20})
+		}
+	}
 	ws := []workload.Workload{workload.CNNMNIST(), workload.LSTMShakespeare()}
 
 	var cells []cell
 	for _, w := range ws {
 		s := o.apply(Ideal(w))
 		cells = append(cells, cell{s, staticContender(fl.DefaultParams(), "")})
-		for _, b := range bGrid {
-			for _, e := range eGrid {
-				cells = append(cells, cell{s, staticContender(fl.Params{B: b, E: e, K: 20}, "")})
-			}
+		for _, p := range grid {
+			cells = append(cells, cell{s, staticContender(p, "")})
 		}
 	}
-	sums := rt.summaries(cells, seeds)
-
-	idx := 0
+	sums := o.runtime().summaries(cells, o.seeds())
 	for _, w := range ws {
-		base := sums[idx]
-		idx++
-		bestLabel, bestPPW := "", 0.0
-		for _, b := range bGrid {
-			for _, e := range eGrid {
-				r := sums[idx]
-				idx++
-				norm := r.MeanPPW / base.MeanPPW
-				t.AddRow(w.Name, fmt.Sprint(b), fmt.Sprint(e), fmtRatio(norm))
-				if r.MeanPPW > bestPPW {
-					bestPPW = r.MeanPPW
-					bestLabel = fmt.Sprintf("(%d,%d,20)", b, e)
-				}
-			}
+		base, rs := sums[0], sums[1:1+len(grid)]
+		sums = sums[1+len(grid):]
+		ms := make([]measurement, len(grid))
+		for i, p := range grid {
+			ms[i] = measurement{t.ID, w.Name, p.String(), metricPPW, rs[i].MeanPPW / base.MeanPPW, unitRatio}
+			t.add(row{labels: []string{w.Name, fmt.Sprint(p.B), fmt.Sprint(p.E)}, ms: ms[i : i+1]})
 		}
-		t.Notes = append(t.Notes, fmt.Sprintf("%s best setting: %s", w.Name, bestLabel))
+		t.Notes = append(t.Notes, fmt.Sprintf("%s best setting: %s", w.Name, ms[bestPPW(rs)].controller))
 	}
 	t.Notes = append(t.Notes,
 		"paper expectation: CNN-MNIST best near (8,10,20); LSTM-Shakespeare shifts to smaller B, larger E (paper: (4,20,20))")
@@ -198,19 +186,22 @@ func Fig3(_ Options) Table {
 		return device.ComputeSeconds(profiles[cat], w.Shape, b, e, w.SamplesPerDevice,
 			device.Interference{})
 	}
+	// sweep adds the row of sweep point axis=v, run at (b, e).
+	sweep := func(axis string, v, b, e int, base float64) {
+		r := row{labels: []string{axis, fmt.Sprint(v)}}
+		for _, cat := range device.Categories() {
+			r.ms = append(r.ms, measurement{t.ID, fmt.Sprintf("%s=%d", axis, v), cat.String(), metricTrainTime,
+				timeOf(cat, b, e) / base, unitRatio})
+		}
+		t.add(r)
+	}
 	baseB := timeOf(device.High, 1, 10)
 	for _, b := range fl.BValues() {
-		t.AddRow("B", fmt.Sprint(b),
-			fmtRatio(timeOf(device.High, b, 10)/baseB),
-			fmtRatio(timeOf(device.Mid, b, 10)/baseB),
-			fmtRatio(timeOf(device.Low, b, 10)/baseB))
+		sweep("B", b, b, 10, baseB)
 	}
 	baseE := timeOf(device.High, 8, 10)
 	for _, e := range fl.EValues() {
-		t.AddRow("E", fmt.Sprint(e),
-			fmtRatio(timeOf(device.High, 8, e)/baseE),
-			fmtRatio(timeOf(device.Mid, 8, e)/baseE),
-			fmtRatio(timeOf(device.Low, 8, e)/baseE))
+		sweep("E", e, 8, e, baseE)
 	}
 	t.Notes = append(t.Notes,
 		"paper expectation: large H-to-L gaps at every setting; time falls with B (overhead amortization) and scales linearly with E")
@@ -246,10 +237,12 @@ func Fig4(_ Options) Table {
 	}
 	base := roundTime(device.High, device.Interference{}, goodCond)
 	addRow := func(label string, intf device.Interference, cond netsim.Condition) {
-		t.AddRow(label,
-			fmtRatio(roundTime(device.High, intf, cond)/base),
-			fmtRatio(roundTime(device.Mid, intf, cond)/base),
-			fmtRatio(roundTime(device.Low, intf, cond)/base))
+		r := row{labels: []string{label}}
+		for _, cat := range device.Categories() {
+			r.ms = append(r.ms, measurement{t.ID, label, cat.String(), metricRoundTime,
+				roundTime(cat, intf, cond) / base, unitRatio})
+		}
+		t.add(r)
 	}
 	addRow("no variance", device.Interference{}, goodCond)
 	addRow("on-device interference", webIntf, goodCond)
@@ -259,19 +252,31 @@ func Fig4(_ Options) Table {
 	return t
 }
 
+// fixedVsAdaptive runs Figs. 5–6's two cells in one batch: CNN-MNIST
+// in the realistic environment at fixed (8,10,20) and under warm
+// FedGPO, whose per-device parameters adapt.
+func fixedVsAdaptive(o Options) (fixed, adaptive fl.Summary) {
+	s := o.apply(Realistic(workload.CNNMNIST()))
+	sums := o.runtime().summaries([]cell{
+		{s, staticContender(fl.Params{B: 8, E: 10, K: 20}, "")},
+		{s, fedgpoWarmContender(s)},
+	}, o.seeds())
+	return sums[0], sums[1]
+}
+
+// fixedAdaptiveRow is a Figs. 5–6 row: label, then metric mt of the
+// fixed and the adaptive run.
+func fixedAdaptiveRow(id, label string, mt metric, fixed, adaptive float64, unit string) row {
+	return row{labels: []string{label}, ms: []measurement{
+		{id, label, "fixed", mt, fixed, unit}, {id, label, "adaptive", mt, adaptive, unit}}}
+}
+
 // Fig5 reproduces paper Figure 5: per-category participant energy per
 // round with fixed parameters versus adaptive per-device parameters,
 // normalized to the H category under fixed parameters. Adaptive numbers
 // come from a warmed-up FedGPO controller in the realistic environment.
 func Fig5(o Options) Table {
-	s := o.apply(Realistic(workload.CNNMNIST()))
-	rt := o.runtime()
-	sums := rt.summaries([]cell{
-		{s, staticContender(fl.Params{B: 8, E: 10, K: 20}, "")},
-		{s, fedgpoWarmContender(s)},
-	}, o.seeds())
-	fixed, adaptive := sums[0], sums[1]
-
+	fixed, adaptive := fixedVsAdaptive(o)
 	// Per-round, per-category energy (total category energy over
 	// counted rounds).
 	t := Table{
@@ -284,9 +289,8 @@ func Fig5(o Options) Table {
 		base = 1
 	}
 	for _, cat := range device.Categories() {
-		t.AddRow(cat.String(),
-			fmtRatio(fixed.EnergyByCategory[cat]/base),
-			fmtRatio(adaptive.EnergyByCategory[cat]/base))
+		t.add(fixedAdaptiveRow(t.ID, cat.String(), metricEnergy,
+			fixed.EnergyByCategory[cat]/base, adaptive.EnergyByCategory[cat]/base, unitRatio))
 	}
 	t.Notes = append(t.Notes,
 		"paper expectation: adaptive parameters cut every category's energy by removing straggler wait")
@@ -295,28 +299,23 @@ func Fig5(o Options) Table {
 
 // Fig6 reproduces paper Figure 6: convergence round, average training
 // time per round, and global PPW of fixed versus adaptive parameters,
-// normalized to fixed. Its two cells are identical to Fig5's, so under
-// a shared runtime they are served from the run cache.
+// normalized to fixed. Its two cells are Fig5's, so under a shared
+// runtime they are served from the run cache.
 func Fig6(o Options) Table {
-	s := o.apply(Realistic(workload.CNNMNIST()))
-	rt := o.runtime()
-	sums := rt.summaries([]cell{
-		{s, staticContender(fl.Params{B: 8, E: 10, K: 20}, "")},
-		{s, fedgpoWarmContender(s)},
-	}, o.seeds())
-	fixed, adaptive := sums[0], sums[1]
+	fixed, adaptive := fixedVsAdaptive(o)
 	t := Table{
 		ID:     "fig6",
 		Title:  "fixed vs adaptive parameters (normalized to fixed)",
 		Header: []string{"metric", "fixed", "adaptive"},
 	}
-	t.AddRow("convergence round", "1.00x",
-		fmtRatio(adaptive.MeanConvergenceRound/fixed.MeanConvergenceRound))
-	t.AddRow("avg round time speedup", "1.00x",
-		fmtRatio(fixed.MeanAvgRoundSec/adaptive.MeanAvgRoundSec))
-	t.AddRow("global PPW", "1.00x", fmtRatio(adaptive.MeanPPW/fixed.MeanPPW))
-	t.AddRow("final accuracy", fmtPct(100*fixed.MeanFinalAccuracy),
-		fmtPct(100*adaptive.MeanFinalAccuracy))
+	t.add(
+		fixedAdaptiveRow(t.ID, "convergence round", metricConvRound,
+			1, adaptive.MeanConvergenceRound/fixed.MeanConvergenceRound, unitRatio),
+		fixedAdaptiveRow(t.ID, "avg round time speedup", metricRoundSpeedup,
+			1, fixed.MeanAvgRoundSec/adaptive.MeanAvgRoundSec, unitRatio),
+		fixedAdaptiveRow(t.ID, "global PPW", metricPPW, 1, adaptive.MeanPPW/fixed.MeanPPW, unitRatio),
+		fixedAdaptiveRow(t.ID, "final accuracy", metricAccuracy,
+			100*fixed.MeanFinalAccuracy, 100*adaptive.MeanFinalAccuracy, unitPct))
 	t.Notes = append(t.Notes,
 		"paper expectation: adaptive improves avg round time (paper 2.3x) and PPW (paper 3.6x) while keeping convergence rounds similar")
 	return t
@@ -329,8 +328,6 @@ func Fig6(o Options) Table {
 // non-IID data.
 func Fig7(o Options) Table {
 	w := workload.CNNMNIST()
-	seeds := o.seeds()
-	rt := o.runtime()
 	grid := []fl.Params{}
 	for _, e := range []int{5, 10, 15} {
 		for _, k := range []int{5, 10, 20} {
@@ -355,21 +352,16 @@ func Fig7(o Options) Table {
 			cells = append(cells, cell{regime.s, staticContender(p, "")})
 		}
 	}
-	sums := rt.summaries(cells, seeds)
+	sums := o.runtime().summaries(cells, o.seeds())
 	for ri, regime := range regimes {
-		results := sums[ri*len(grid) : (ri+1)*len(grid)]
-		best := 0.0
-		bestIdx := 0
-		for i := range grid {
-			if results[i].MeanPPW > best {
-				best, bestIdx = results[i].MeanPPW, i
-			}
-		}
+		rs := sums[ri*len(grid) : (ri+1)*len(grid)]
+		best := bestPPW(rs)
+		ms := make([]measurement, len(grid))
 		for i, p := range grid {
-			t.AddRow(regime.name, p.String(), fmtRatio(results[i].MeanPPW/best))
+			ms[i] = measurement{t.ID, regime.name, p.String(), metricPPW, rs[i].MeanPPW / rs[best].MeanPPW, unitRatio}
+			t.add(row{labels: []string{regime.name, p.String()}, ms: ms[i : i+1]})
 		}
-		t.Notes = append(t.Notes,
-			fmt.Sprintf("%s best setting: %v", regime.name, grid[bestIdx]))
+		t.Notes = append(t.Notes, fmt.Sprintf("%s best setting: %s", regime.name, ms[best].controller))
 	}
 	t.Notes = append(t.Notes,
 		"paper expectation: non-IID degrades all settings and shifts the optimum toward smaller E and K (paper: (8,10,20) -> (8,5,10))")

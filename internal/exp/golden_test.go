@@ -6,6 +6,33 @@ import (
 	"testing"
 )
 
+// TestMeasurementCellFormats pins the cell format of every unit,
+// including sec54's wall-clock "us" cells, which the table digests
+// mask.
+func TestMeasurementCellFormats(t *testing.T) {
+	for _, c := range []struct {
+		unit  string
+		value float64
+		want  string
+	}{
+		{unitRatio, 1, "1.00x"},
+		{unitRatio, 3.604, "3.60x"},
+		{unitRatio, 0.284, "0.28x"},
+		{unitPct, 94.27, "94.3%"},
+		{unitPct, -24.2, "-24.2%"},
+		{unitRound, 93, "93"},
+		{unitRound, -1, "-1"},
+		{unitRound, 92.6, "93"},
+		{unitKB, 10444.0 / 1024, "10.2 KB"},
+		{unitUS, 4.7, "4.7 us"},
+		{unitUS, 1000.0 / 3 / 1e3, "0.3 us"},
+	} {
+		if got := (measurement{unit: c.unit, value: c.value}).cell(); got != c.want {
+			t.Errorf("%s %v: cell %q, want %q", c.unit, c.value, got, c.want)
+		}
+	}
+}
+
 // goldenTables pins the SHA-256 of every registry table's masked
 // markdown (renderMasked: sec54's wall-clock cells blanked) at
 // registryOptions. A change that moves one byte of any table, a
@@ -31,6 +58,8 @@ var goldenTables = map[string]string{
 	"abl-cold":   "6de5933032de354959523b1e7bd5dc66dbb7466cb796f591d5b239942def02dc",
 }
 
+// TestGoldenTableDigests also checks that every registry entry's
+// table carries its registry id.
 func TestGoldenTableDigests(t *testing.T) {
 	rt, err := NewRuntime(0, "")
 	if err != nil {
@@ -38,6 +67,9 @@ func TestGoldenTableDigests(t *testing.T) {
 	}
 	tables := runRegistry(t, rt)
 	for _, e := range Registry() {
+		if id := tables[e.ID].ID; id != e.ID {
+			t.Errorf("experiment %s produced table id %s", e.ID, id)
+		}
 		sum := sha256.Sum256([]byte(renderMasked(tables[e.ID])))
 		if got, want := hex.EncodeToString(sum[:]), goldenTables[e.ID]; got != want {
 			t.Errorf("%s: table digest %s, want %s:\n%s", e.ID, got, want, renderMasked(tables[e.ID]))

@@ -1,8 +1,6 @@
 package exp
 
 import (
-	"fmt"
-
 	"fedgpo/internal/device"
 	"fedgpo/internal/fl"
 	"fedgpo/internal/netsim"
@@ -144,7 +142,8 @@ func Table5(o Options) Table {
 		if err := results[i].GetExtra(&ex); err != nil {
 			panic("exp: oracle payload: " + err.Error())
 		}
-		t.AddRow(r.label1, r.label2, fmt.Sprintf("%.1f%%", ex.MeanAccPct))
+		t.add(row{labels: []string{r.label1, r.label2}, ms: []measurement{
+			{t.ID, r.s.Name, specs[i].Contender.Name, metricSelection, ex.MeanAccPct, unitPct}}})
 	}
 	t.Notes = append(t.Notes,
 		"paper expectation: ~94-95% without data heterogeneity, dropping to ~88-90% with it")

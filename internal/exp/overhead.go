@@ -1,14 +1,9 @@
 package exp
 
 import (
-	"fmt"
-	"time"
-
 	"fedgpo/internal/core"
-	"fedgpo/internal/fl"
 	"fedgpo/internal/runtime"
 	"fedgpo/internal/stats"
-	"fedgpo/internal/telemetry"
 	"fedgpo/internal/workload"
 )
 
@@ -74,18 +69,8 @@ type sec54Extra struct {
 // the one place a spec's execution is not bit-reproducible (see the
 // type comment above).
 func executeSec54(r *Runtime, sp JobSpec) runtime.Result {
-	col := telemetry.NewCollector()
-	cfg := sp.Scenario.Config(sp.Seed)
-	cfg.StopAtConvergence = false
-	cfg.Telemetry = col
-	t0 := time.Now()
-	ctrl := r.controller(sp.Scenario, sp.Contender).(*core.Controller)
-	col.RecordPhase(telemetry.PhasePretrain, time.Since(t0))
-	traced := r.traceTarget(sp, ctrl)
-	res := runtime.Result{Sim: fl.Run(cfg, ctrl)}
-	r.publishTrace(sp, traced)
-	m := col.Snapshot()
-	res.Telemetry = &m
+	res, c := executeSim(r, sp)
+	ctrl := c.(*core.Controller)
 	ov := ctrl.Overhead()
 	res.SetExtra(sec54Extra{
 		RewardHistory:    ctrl.RewardHistory(),
@@ -129,8 +114,13 @@ func Sec54(o Options) Table {
 		Title:  "FedGPO convergence and overhead analysis (CNN-MNIST, realistic environment)",
 		Header: []string{"quantity", "measured", "paper"},
 	}
+	// quantity adds the row of one measured quantity and its paper value.
+	quantity := func(label string, v float64, unit, paper string) {
+		t.add(row{labels: []string{label}, ms: []measurement{{t.ID, s.Name, sp.Contender.Name, metric(label), v, unit}},
+			trail: []string{paper}})
+	}
 	convRound := RewardConvergenceRound(ex.RewardHistory, 0.25)
-	t.AddRow("reward convergence round", fmt.Sprint(convRound), "30-40")
+	quantity("reward convergence round", float64(convRound), unitRound, "30-40")
 
 	// Pre- vs post-convergence per-round energy.
 	if convRound > 0 && convRound < res.RoundsExecuted {
@@ -147,22 +137,22 @@ func Sec54(o Options) Table {
 		}
 		if nPre > 0 && nPost > 0 {
 			gap := (pre/float64(nPre))/(post/float64(nPost)) - 1
-			t.AddRow("pre-convergence energy overhead", fmtPct(100*gap), "~24.2% lower efficiency")
+			quantity("pre-convergence energy overhead", 100*gap, unitPct, "~24.2% lower efficiency")
 		}
 	}
 
-	perRound := func(ns int64) string {
-		return fmt.Sprintf("%.1f us", float64(ns)/1e9/float64(max(1, ex.OverheadRounds))*1e6)
+	perRound := func(label string, ns int64, paper string) {
+		quantity(label, float64(ns)/1e9/float64(max(1, ex.OverheadRounds))*1e6, unitUS, paper)
 	}
-	t.AddRow("identify per-device states", perRound(ex.IdentifyStatesNS), "496.8 us")
-	t.AddRow("choose global parameters", perRound(ex.ChooseParamsNS), "0.2 us")
-	t.AddRow("calculate reward", perRound(ex.CalcRewardNS), "2.1 us")
-	t.AddRow("update Q-tables", perRound(ex.UpdateTablesNS), "0.5 us")
+	perRound("identify per-device states", ex.IdentifyStatesNS, "496.8 us")
+	perRound("choose global parameters", ex.ChooseParamsNS, "0.2 us")
+	perRound("calculate reward", ex.CalcRewardNS, "2.1 us")
+	perRound("update Q-tables", ex.UpdateTablesNS, "0.5 us")
 	totalNS := ex.IdentifyStatesNS + ex.ChooseParamsNS + ex.CalcRewardNS + ex.UpdateTablesNS
-	t.AddRow("total controller overhead", perRound(totalNS), "499.6 us")
-	t.AddRow("overhead share of round time",
-		fmtPct(100*float64(totalNS)/1e9/float64(max(1, ex.OverheadRounds))/res.AvgRoundSeconds), "0.7%")
-	t.AddRow("Q-table memory", fmt.Sprintf("%.1f KB", float64(ex.MemBytes)/1024), "~400 KB (0.4 MB)")
+	perRound("total controller overhead", totalNS, "499.6 us")
+	quantity("overhead share of round time",
+		100*float64(totalNS)/1e9/float64(max(1, ex.OverheadRounds))/res.AvgRoundSeconds, unitPct, "0.7%")
+	quantity("Q-table memory", float64(ex.MemBytes)/1024, unitKB, "~400 KB (0.4 MB)")
 	t.Notes = append(t.Notes,
 		"overhead is wall-clock measured inside the controller; the simulator's round time is virtual, so the share-of-round-time row divides real microseconds by simulated seconds exactly as the paper divides measured microseconds by real round seconds",
 		"cached reruns replay overhead values measured when the cell first ran; likewise warm FedGPO cells exclude the Q-table warm-up's wall time, which is spent once per scenario when the pretrain snapshot is built (see the pretrained-controller cache)")

@@ -2,7 +2,6 @@ package exp
 
 import (
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 
@@ -437,11 +436,16 @@ func (r *Runtime) gridSearchBest(s ScenarioSpec, grid []fl.Params, seeds []int64
 	for i, p := range grid {
 		cells[i] = cell{s, staticContender(p, "")}
 	}
-	sums := r.summaries(cells, seeds)
-	best, bestPPW := grid[0], math.Inf(-1)
-	for i, p := range grid {
-		if sums[i].MeanPPW > bestPPW {
-			best, bestPPW = p, sums[i].MeanPPW
+	return grid[bestPPW(r.summaries(cells, seeds))]
+}
+
+// bestPPW is the one argmax over settings: the index of the first
+// summary with the strictly greatest MeanPPW.
+func bestPPW(sums []fl.Summary) int {
+	best := 0
+	for i, s := range sums {
+		if s.MeanPPW > sums[best].MeanPPW {
+			best = i
 		}
 	}
 	return best

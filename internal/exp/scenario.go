@@ -1,8 +1,8 @@
 // Package exp is the experiment harness: it defines the deployment
 // scenarios of the paper's evaluation (§4) and one constructor per
-// figure and table of §2 and §5, each returning a rendered text table
-// with the same rows/series the paper plots. The bench harness
-// (bench_test.go) and the CLI tools (cmd/fedgpo-report,
+// figure and table of §2 and §5. Each returns a Table whose rows are
+// rendered from typed measurements through one row path. The bench
+// harness (bench_test.go) and the CLI tools (cmd/fedgpo-report,
 // cmd/fedgpo-sweep) are thin wrappers over this package.
 //
 // Scenarios are declarative data: a ScenarioSpec composes explicit
@@ -611,10 +611,3 @@ func Seeds() []int64 { return []int64{1, 2} }
 // warmupSeed is the seed FedGPO's Q-table warm-up runs on (distinct
 // from every evaluation seed).
 const warmupSeed = 997
-
-// fmtRatio renders a normalized value the way the paper labels its
-// bars, e.g. "3.6x".
-func fmtRatio(v float64) string { return fmt.Sprintf("%.2fx", v) }
-
-// fmtPct renders a percentage.
-func fmtPct(v float64) string { return fmt.Sprintf("%.1f%%", v) }

@@ -333,7 +333,7 @@ func (r *Runtime) Execute(sp JobSpec) runtime.Result {
 	var res runtime.Result
 	switch sp.Kind {
 	case KindSim:
-		res = executeSim(r, sp)
+		res, _ = executeSim(r, sp)
 	case KindQMem:
 		res = executeQMem(r, sp)
 	case KindOracle:
@@ -350,27 +350,29 @@ func (r *Runtime) Execute(sp JobSpec) runtime.Result {
 	return res
 }
 
-// executeSim runs a plain simulation cell with per-job telemetry:
-// controller construction (pretrained-snapshot restore or warm-up
-// included) timed as the pretrain phase, round and merge phases
-// recorded by the simulator, and the snapshot attached to the result
-// for the executor — or, across a process boundary, the wire — to
-// fold into the run-level collector. Telemetry and tracing are
-// observational only; the Sim outcome is byte-identical to an
-// uninstrumented run.
-func executeSim(r *Runtime, sp JobSpec) runtime.Result {
+// executeSim runs a simulation cell with per-job telemetry and returns
+// it with the controller that ran it: controller construction
+// (pretrained-snapshot restore or warm-up included) timed as the
+// pretrain phase, round and merge phases recorded by the simulator,
+// and the snapshot attached to the result for the executor — or,
+// across a process boundary, the wire — to fold into the run-level
+// collector. A sec54 spec runs full length (no convergence stop).
+// Telemetry and tracing are observational only; the Sim outcome is
+// byte-identical to an uninstrumented run.
+func executeSim(r *Runtime, sp JobSpec) (runtime.Result, fl.Controller) {
 	col := telemetry.NewCollector()
 	t0 := time.Now()
 	ctrl := r.controller(sp.Scenario, sp.Contender)
 	col.RecordPhase(telemetry.PhasePretrain, time.Since(t0))
 	traced := r.traceTarget(sp, ctrl)
 	cfg := sp.Scenario.Config(sp.Seed)
+	cfg.StopAtConvergence = cfg.StopAtConvergence && sp.Kind != KindSec54
 	cfg.Telemetry = col
 	res := runtime.Result{Sim: fl.Run(cfg, ctrl)}
 	r.publishTrace(sp, traced)
 	m := col.Snapshot()
 	res.Telemetry = &m
-	return res
+	return res, ctrl
 }
 
 // traceTarget enables decision tracing on the controller when the spec
