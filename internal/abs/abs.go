@@ -145,7 +145,7 @@ func (c *Controller) Name() string { return "ABS" }
 // the fleet's interfered and bad-link shares off the observation's
 // counts.
 func stateVector(obs fl.Observation) []float64 {
-	n := float64(len(obs.States))
+	n := float64(len(obs.Fleet))
 	if n == 0 {
 		n = 1
 	}
@@ -170,7 +170,7 @@ func (c *Controller) Plan(obs fl.Observation) fl.Plan {
 	c.lastState = state
 	c.lastAction = action
 	lp := fl.LocalParams{B: c.bValues[action], E: c.cfg.FixedE}
-	return fl.Plan{K: c.cfg.FixedK, Local: func(device.Device, fl.DeviceState) fl.LocalParams {
+	return fl.Plan{K: c.cfg.FixedK, Local: func(*device.Device, fl.DeviceState) fl.LocalParams {
 		return lp
 	}}
 }

@@ -11,9 +11,10 @@ import (
 	"fedgpo/internal/workload"
 )
 
-// lastRound wraps a controller and keeps deep copies of the last
-// round's observation and result, so the round can be replayed after
-// the run's arena has moved on.
+// lastRound wraps a controller and keeps the last round's observation
+// and result, with copies of their arena-owned slices, so the round
+// can be replayed after the run. Their State reads stay valid until
+// the run's arena starts another run.
 type lastRound struct {
 	fl.Controller
 	obs fl.Observation
@@ -22,7 +23,6 @@ type lastRound struct {
 
 func (l *lastRound) Plan(obs fl.Observation) fl.Plan {
 	l.obs = obs
-	l.obs.States = append([]fl.DeviceState(nil), obs.States...)
 	l.obs.PrevParticipants = append([]int(nil), obs.PrevParticipants...)
 	return l.Controller.Plan(obs)
 }
@@ -30,7 +30,6 @@ func (l *lastRound) Plan(obs fl.Observation) fl.Plan {
 func (l *lastRound) Observe(res fl.RoundResult) {
 	l.res = res
 	l.res.Participants = append([]fl.DeviceRound(nil), res.Participants...)
-	l.res.States = append([]fl.DeviceState(nil), res.States...)
 	l.Controller.Observe(res)
 }
 
@@ -54,12 +53,12 @@ func steadyRoundAllocs(t *testing.T) float64 {
 	}
 	c := New(DefaultConfig())
 	rec := &lastRound{Controller: c}
-	fl.Run(cfg, rec)
+	fl.RunWithArena(cfg, rec, fl.NewArena())
 	obs, res := rec.obs, rec.res
 	return testing.AllocsPerRun(200, func() {
 		plan := c.Plan(obs)
 		for _, p := range res.Participants {
-			plan.Local(fleet[p.DeviceID], obs.States[p.DeviceID])
+			plan.Local(&fleet[p.DeviceID], obs.State(p.DeviceID))
 		}
 		c.Observe(res)
 	})

@@ -183,7 +183,7 @@ type Controller struct {
 	// reads it, so Plan hands out one method value instead of building
 	// a closure each round.
 	planWorkload workload.Workload
-	localFn      func(device.Device, fl.DeviceState) fl.LocalParams
+	localFn      func(*device.Device, fl.DeviceState) fl.LocalParams
 }
 
 var _ fl.Controller = (*Controller)(nil)
@@ -226,7 +226,7 @@ func (c *Controller) Name() string {
 // tableIndex returns the slot of a device's table in byIndex: its
 // performance category (shared tables, the default) or its unique ID
 // (footnote-2 variant).
-func (c *Controller) tableIndex(d device.Device) int {
+func (c *Controller) tableIndex(d *device.Device) int {
 	if c.cfg.PerDeviceTables {
 		return d.ID
 	}
@@ -299,7 +299,7 @@ func (c *Controller) globalState(obs fl.Observation) int {
 // mask, optimistic exploration forces every category — including
 // low-end devices — to trial (B=1, E=20)-class monsters that stall
 // entire rounds.
-func (c *Controller) tableFor(d device.Device, w workload.Workload) *localTable {
+func (c *Controller) tableFor(d *device.Device, w *workload.Workload) *localTable {
 	i := c.tableIndex(d)
 	if i < len(c.byIndex) && c.byIndex[i] != nil {
 		return c.byIndex[i]
@@ -308,7 +308,7 @@ func (c *Controller) tableFor(d device.Device, w workload.Workload) *localTable 
 	t := c.localTables[key]
 	if t == nil {
 		q := rl.NewQTable(len(c.localActions), c.cfg.RL, c.rng.Split(), c.deviceStates)
-		q.SetMask(c.feasibleActions(d.Profile, w, device.Interference{}))
+		q.SetMask(c.feasibleActions(d.Profile, *w, device.Interference{}))
 		t = &localTable{key: key, q: q}
 		c.localTables[key] = t
 		c.tableProfiles[key] = d.Profile
@@ -356,7 +356,7 @@ func referenceE(w workload.Workload) int {
 // (crushing interference), it falls back to the single fastest action.
 func (c *Controller) feasibleActions(p device.Profile, w workload.Workload, intf device.Interference) []bool {
 	ref := device.Profiles()[device.Mid]
-	budget := feasibleBudgetFactor * device.ComputeSeconds(ref, w.Shape, 8, referenceE(w),
+	budget := feasibleBudgetFactor * device.ComputeSeconds(&ref, w.Shape, 8, referenceE(w),
 		w.SamplesPerDevice, device.Interference{})
 	// A server round deadline caps the envelope: an action predicted to
 	// run past it would only be dropped.
@@ -373,7 +373,7 @@ func (c *Controller) feasibleActions(p device.Profile, w workload.Workload, intf
 	any := false
 	fastest, fastestT := 0, -1.0
 	for i, lp := range c.localActions {
-		t := device.ComputeSeconds(p, w.Shape, lp.B, lp.E, w.SamplesPerDevice, intf)
+		t := device.ComputeSeconds(&p, w.Shape, lp.B, lp.E, w.SamplesPerDevice, intf)
 		fits := device.FitsInMemory(p, w.Shape, lp.B)
 		allowed[i] = t <= budget && t >= floor && fits
 		any = any || allowed[i]
@@ -385,7 +385,7 @@ func (c *Controller) feasibleActions(p device.Profile, w workload.Workload, intf
 		// Nothing inside the band: allow everything under the budget,
 		// or the single fastest action if even that fails.
 		for i, lp := range c.localActions {
-			t := device.ComputeSeconds(p, w.Shape, lp.B, lp.E, w.SamplesPerDevice, intf)
+			t := device.ComputeSeconds(&p, w.Shape, lp.B, lp.E, w.SamplesPerDevice, intf)
 			allowed[i] = t <= budget && device.FitsInMemory(p, w.Shape, lp.B)
 			any = any || allowed[i]
 		}
@@ -408,13 +408,13 @@ const feasibleFloorFraction = 0.3
 // optimizes energy/accuracy within the feasible set. The mask depends
 // only on the device category and the discretized interference bands,
 // so the expensive compute-time predictions run once per combination.
-func (c *Controller) dynFeasible(d device.Device, w workload.Workload, st fl.DeviceState) []bool {
+func (c *Controller) dynFeasible(d *device.Device, w *workload.Workload, st fl.DeviceState) []bool {
 	cpu, mem := usageLevel(st.Interference.CPUUsage), usageLevel(st.Interference.MemUsage)
 	m := &c.dynMasks[(int(d.Profile.Category)*4+cpu)*4+mem]
 	if *m == nil {
 		// Predict with the band midpoint rather than the raw sample so
 		// decisions depend only on observable bands.
-		*m = c.feasibleActions(d.Profile, w, device.Interference{
+		*m = c.feasibleActions(d.Profile, *w, device.Interference{
 			CPUUsage: bandMidpoint(usageBands[cpu]),
 			MemUsage: bandMidpoint(usageBands[mem]),
 		})
@@ -494,13 +494,13 @@ func (c *Controller) Plan(obs fl.Observation) fl.Plan {
 
 // local is the Plan's per-participant assignment: the (B, E) the
 // device's Q-table picks for its observed state this round.
-func (c *Controller) local(d device.Device, st fl.DeviceState) fl.LocalParams {
+func (c *Controller) local(d *device.Device, st fl.DeviceState) fl.LocalParams {
 	t0 := c.clock()
 	state := c.deviceState(st)
 	t1 := c.clock()
 	c.overhead.IdentifyStates += t1 - t0
 
-	tab := c.tableFor(d, c.planWorkload)
+	tab := c.tableFor(d, &c.planWorkload)
 	if state >= len(tab.memo) {
 		// Grown in steps of at least minMemo, so a memo is never a tiny
 		// allocation sharing a block with a long-lived state name.
@@ -509,7 +509,7 @@ func (c *Controller) local(d device.Device, st fl.DeviceState) fl.LocalParams {
 	}
 	memo := &tab.memo[state]
 	if memo.round != c.round {
-		dyn := c.dynFeasible(d, c.planWorkload, st)
+		dyn := c.dynFeasible(d, &c.planWorkload, st)
 		action := tab.q.SelectOf(state, dyn)
 		*memo = roundAction{round: c.round, action: int32(action)}
 		if cur := c.traceCurrent(); cur != nil {
@@ -604,7 +604,7 @@ func (c *Controller) flushPending(obs fl.Observation, globalState int) {
 		for _, p := range c.pendingLocal {
 			next := p.state
 			if i := p.table.index; i >= 0 && i < len(c.successor) && c.successor[i] >= 0 {
-				next = c.deviceState(obs.States[c.successor[i]])
+				next = c.deviceState(obs.State(c.successor[i]))
 			}
 			delta := p.table.q.Update(p.state, p.action, p.reward, next)
 			// Updates grade the previous round's decisions: trace them
@@ -641,7 +641,8 @@ func (c *Controller) observeFleet(fleet []device.Device) {
 	}
 	c.fleet = fleet
 	c.successor = c.successor[:0]
-	for _, d := range fleet {
+	for j := range fleet {
+		d := &fleet[j]
 		i := c.tableIndex(d)
 		for len(c.successor) <= i {
 			c.successor = append(c.successor, -1)

@@ -159,7 +159,7 @@ func deviceCode(st fl.DeviceState) int {
 // devices, and the mean data-class coverage, all from the round's
 // observation counts (zero for an empty fleet).
 func globalSignals(obs fl.Observation) (intf, bad, class float64) {
-	if n := len(obs.States); n > 0 {
+	if n := len(obs.Fleet); n > 0 {
 		intf = float64(obs.Interfered) / float64(n)
 		bad = float64(obs.BadLinks) / float64(n)
 		class = obs.MeanClassFraction

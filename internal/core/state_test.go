@@ -104,7 +104,7 @@ func TestDeviceStateKeyReflectsAllSignals(t *testing.T) {
 // globalKeyOf is the global state key of a round with the given
 // states, its Observation counts taken by a scan over them.
 func globalKeyOf(w workload.Workload, states []fl.DeviceState) globalKey {
-	obs := fl.Observation{States: states}
+	obs := fl.Observation{Fleet: make([]device.Device, len(states))}
 	classPct := 0.0
 	for _, st := range states {
 		if st.Interference.CPUUsage > 0 || st.Interference.MemUsage > 0 {

@@ -6,10 +6,13 @@ import (
 	"slices"
 	"testing"
 
+	"fedgpo/internal/data"
 	"fedgpo/internal/device"
 	"fedgpo/internal/fl"
+	"fedgpo/internal/interfere"
 	"fedgpo/internal/netsim"
 	"fedgpo/internal/rl"
+	"fedgpo/internal/stats"
 	"fedgpo/internal/workload"
 )
 
@@ -18,10 +21,11 @@ import (
 // the first device under it, then keep the keys that have a table.
 func fullScanSuccessors(c *Controller, obs fl.Observation) map[string]string {
 	ref := make(map[string]string)
-	for _, d := range obs.Fleet {
+	for i := range obs.Fleet {
+		d := &obs.Fleet[i]
 		key := c.tableKey(c.tableIndex(d))
 		if _, ok := ref[key]; !ok {
-			k := deviceStateBytes(archBands(obs.Workload), obs.States[d.ID])
+			k := deviceStateBytes(archBands(obs.Workload), obs.State(d.ID))
 			ref[key] = string(k[:])
 		}
 	}
@@ -43,15 +47,15 @@ func TestSuccessorScanMatchesFullScan(t *testing.T) {
 	slices.SortStableFunc(fleet, func(a, b device.Device) int {
 		return boolRank(a.Profile.Category != untabled) - boolRank(b.Profile.Category != untabled)
 	})
-	states := make([]fl.DeviceState, len(fleet))
-	for i := range states {
-		states[i] = fl.DeviceState{
-			Interference:  device.Interference{CPUUsage: float64(i%4) / 4, MemUsage: float64(i%3) / 3},
-			Network:       netsim.Condition{BandwidthMbps: float64(10 + 17*(i%5))},
-			ClassFraction: float64(10 * (i % 10)),
-		}
-	}
-	obs := fl.Observation{Workload: w, Fleet: fleet, States: states}
+	obs := firstObservation(t, fl.Config{
+		Workload:     w,
+		Fleet:        fleet,
+		Partition:    data.Dirichlet(len(fleet), w.NumClasses, w.SamplesPerDevice, 0.3, stats.NewRNG(7)),
+		Channel:      netsim.UnstableChannel(),
+		Interference: interfere.Paper(),
+		MaxRounds:    1,
+		Seed:         3,
+	})
 
 	for _, perDevice := range []bool{false, true} {
 		t.Run(fmt.Sprintf("perDevice=%v", perDevice), func(t *testing.T) {
@@ -67,9 +71,9 @@ func TestSuccessorScanMatchesFullScan(t *testing.T) {
 				if perDevice && i < 8 || !perDevice && d.Profile.Category == untabled {
 					continue
 				}
-				c.tableFor(d, w)
+				c.tableFor(&fleet[i], &w)
 			}
-			if c.localTables[c.tableKey(c.tableIndex(fleet[0]))] != nil {
+			if c.localTables[c.tableKey(c.tableIndex(&fleet[0]))] != nil {
 				t.Fatal("the fleet's first device must have no table")
 			}
 			want := fullScanSuccessors(c, obs)
@@ -93,6 +97,36 @@ func TestSuccessorScanMatchesFullScan(t *testing.T) {
 			}
 		})
 	}
+}
+
+// obsTap is a Static controller that keeps the last observation it
+// planned.
+type obsTap struct {
+	*fl.Static
+	obs fl.Observation
+}
+
+func (o *obsTap) Plan(obs fl.Observation) fl.Plan {
+	o.obs = obs
+	return o.Static.Plan(obs)
+}
+
+// firstObservation runs cfg's first round on an arena of its own and
+// returns the round's observation, whose State reads stay valid since
+// no other run uses that arena. The states must spread over several
+// device-state keys, or a wrong successor could read as a right one.
+func firstObservation(t *testing.T, cfg fl.Config) fl.Observation {
+	t.Helper()
+	tap := &obsTap{Static: fl.NewStatic(fl.Params{B: 8, E: 10, K: 10})}
+	fl.RunWithArena(cfg, tap, fl.NewArena())
+	keys := make(map[deviceKey]bool)
+	for id := range tap.obs.Fleet {
+		keys[deviceStateBytes(archBands(cfg.Workload), tap.obs.State(id))] = true
+	}
+	if len(keys) < 8 {
+		t.Fatalf("the observed states give %d distinct device-state keys, want at least 8", len(keys))
+	}
+	return tap.obs
 }
 
 func boolRank(b bool) int {

@@ -79,7 +79,7 @@ func BatchesPerEpoch(samples, batch int) int {
 // ComputeSeconds returns the local-training wall time for one round on
 // a device: E epochs over `samples` examples with minibatch size B,
 // under the given co-runner interference.
-func ComputeSeconds(p Profile, w WorkloadShape, b, e, samples int, intf Interference) float64 {
+func ComputeSeconds(p *Profile, w WorkloadShape, b, e, samples int, intf Interference) float64 {
 	if e <= 0 || samples <= 0 {
 		return 0
 	}

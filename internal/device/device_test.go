@@ -121,10 +121,11 @@ func TestScalePanicsOnNonPositive(t *testing.T) {
 
 func TestComputeSecondsFasterOnHighEnd(t *testing.T) {
 	p := Profiles()
+	hp, mp, lp := p[High], p[Mid], p[Low]
 	for _, b := range []int{1, 8, 32} {
-		h := ComputeSeconds(p[High], cnnShape, b, 10, 600, Interference{})
-		m := ComputeSeconds(p[Mid], cnnShape, b, 10, 600, Interference{})
-		l := ComputeSeconds(p[Low], cnnShape, b, 10, 600, Interference{})
+		h := ComputeSeconds(&hp, cnnShape, b, 10, 600, Interference{})
+		m := ComputeSeconds(&mp, cnnShape, b, 10, 600, Interference{})
+		l := ComputeSeconds(&lp, cnnShape, b, 10, 600, Interference{})
 		if !(h < m && m < l) {
 			t.Errorf("B=%d: expected H < M < L, got %v %v %v", b, h, m, l)
 		}
@@ -133,8 +134,8 @@ func TestComputeSecondsFasterOnHighEnd(t *testing.T) {
 
 func TestComputeSecondsLinearInE(t *testing.T) {
 	p := Profiles()[Mid]
-	t1 := ComputeSeconds(p, cnnShape, 8, 5, 600, Interference{})
-	t2 := ComputeSeconds(p, cnnShape, 8, 10, 600, Interference{})
+	t1 := ComputeSeconds(&p, cnnShape, 8, 5, 600, Interference{})
+	t2 := ComputeSeconds(&p, cnnShape, 8, 10, 600, Interference{})
 	if math.Abs(t2/t1-2) > 1e-9 {
 		t.Errorf("doubling E should double time: %v vs %v", t1, t2)
 	}
@@ -145,7 +146,7 @@ func TestComputeSecondsOverheadAmortizesWithB(t *testing.T) {
 	p := Profiles()[High]
 	prev := math.Inf(1)
 	for _, b := range []int{1, 2, 4, 8, 16} {
-		cur := ComputeSeconds(p, cnnShape, b, 10, 600, Interference{})
+		cur := ComputeSeconds(&p, cnnShape, b, 10, 600, Interference{})
 		if cur >= prev {
 			t.Errorf("B=%d: time %v did not decrease from %v", b, cur, prev)
 		}
@@ -159,10 +160,11 @@ func TestMemoryPressureHurtsLowEndAtLargeB(t *testing.T) {
 	// time "significantly depends on computation- and memory-
 	// capabilities".
 	p := Profiles()
-	gapSmallB := ComputeSeconds(p[Low], lstmShape, 1, 10, 600, Interference{}) /
-		ComputeSeconds(p[High], lstmShape, 1, 10, 600, Interference{})
-	gapLargeB := ComputeSeconds(p[Low], lstmShape, 32, 10, 600, Interference{}) /
-		ComputeSeconds(p[High], lstmShape, 32, 10, 600, Interference{})
+	low, high := p[Low], p[High]
+	gapSmallB := ComputeSeconds(&low, lstmShape, 1, 10, 600, Interference{}) /
+		ComputeSeconds(&high, lstmShape, 1, 10, 600, Interference{})
+	gapLargeB := ComputeSeconds(&low, lstmShape, 32, 10, 600, Interference{}) /
+		ComputeSeconds(&high, lstmShape, 32, 10, 600, Interference{})
 	if gapLargeB <= gapSmallB {
 		t.Errorf("L/H gap should widen with B under memory pressure: small=%v large=%v",
 			gapSmallB, gapLargeB)
@@ -171,8 +173,8 @@ func TestMemoryPressureHurtsLowEndAtLargeB(t *testing.T) {
 
 func TestInterferenceSlowsCompute(t *testing.T) {
 	p := Profiles()[Mid]
-	clean := ComputeSeconds(p, cnnShape, 8, 10, 600, Interference{})
-	loaded := ComputeSeconds(p, cnnShape, 8, 10, 600, Interference{CPUUsage: 0.5, MemUsage: 0.3})
+	clean := ComputeSeconds(&p, cnnShape, 8, 10, 600, Interference{})
+	loaded := ComputeSeconds(&p, cnnShape, 8, 10, 600, Interference{CPUUsage: 0.5, MemUsage: 0.3})
 	if loaded <= clean {
 		t.Errorf("interference should slow training: %v <= %v", loaded, clean)
 	}
@@ -183,10 +185,10 @@ func TestInterferenceSlowsCompute(t *testing.T) {
 
 func TestComputeSecondsZeroWork(t *testing.T) {
 	p := Profiles()[High]
-	if ComputeSeconds(p, cnnShape, 8, 0, 600, Interference{}) != 0 {
+	if ComputeSeconds(&p, cnnShape, 8, 0, 600, Interference{}) != 0 {
 		t.Error("zero epochs should cost zero time")
 	}
-	if ComputeSeconds(p, cnnShape, 8, 5, 0, Interference{}) != 0 {
+	if ComputeSeconds(&p, cnnShape, 8, 5, 0, Interference{}) != 0 {
 		t.Error("zero samples should cost zero time")
 	}
 }
@@ -263,8 +265,8 @@ func TestPropertyComputeTimeNonNegativeAndMonotoneInSamples(t *testing.T) {
 		b := int(bRaw%32) + 1
 		e := int(eRaw%20) + 1
 		s := int(sRaw % 2000)
-		t1 := ComputeSeconds(p, cnnShape, b, e, s, Interference{})
-		t2 := ComputeSeconds(p, cnnShape, b, e, s+100, Interference{})
+		t1 := ComputeSeconds(&p, cnnShape, b, e, s, Interference{})
+		t2 := ComputeSeconds(&p, cnnShape, b, e, s+100, Interference{})
 		return t1 >= 0 && t2 >= t1
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -286,11 +288,11 @@ func TestPropertyInterferenceNeverSpeedsUp(t *testing.T) {
 // slowdownVsBaseline is the ratio of a device's compute time under
 // interference to its clean time.
 func slowdownVsBaseline(p Profile, w WorkloadShape, b, e, samples int, intf Interference) float64 {
-	clean := ComputeSeconds(p, w, b, e, samples, Interference{})
+	clean := ComputeSeconds(&p, w, b, e, samples, Interference{})
 	if clean == 0 {
 		return 1
 	}
-	return ComputeSeconds(p, w, b, e, samples, intf) / clean
+	return ComputeSeconds(&p, w, b, e, samples, intf) / clean
 }
 
 // roundTimeGapRatio is max/min compute time across the category
@@ -299,7 +301,7 @@ func slowdownVsBaseline(p Profile, w WorkloadShape, b, e, samples int, intf Inte
 func roundTimeGapRatio(w WorkloadShape, b, e, samples int, intf map[Category]Interference) float64 {
 	minT, maxT := math.Inf(1), 0.0
 	for c, p := range Profiles() {
-		t := ComputeSeconds(p, w, b, e, samples, intf[c])
+		t := ComputeSeconds(&p, w, b, e, samples, intf[c])
 		minT = math.Min(minT, t)
 		maxT = math.Max(maxT, t)
 	}

@@ -183,8 +183,8 @@ func Fig3(_ Options) Table {
 		Header: []string{"sweep", "value", "H", "M", "L"},
 	}
 	timeOf := func(cat device.Category, b, e int) float64 {
-		return device.ComputeSeconds(profiles[cat], w.Shape, b, e, w.SamplesPerDevice,
-			device.Interference{})
+		p := profiles[cat]
+		return device.ComputeSeconds(&p, w.Shape, b, e, w.SamplesPerDevice, device.Interference{})
 	}
 	// sweep adds the row of sweep point axis=v, run at (b, e).
 	sweep := func(axis string, v, b, e int, base float64) {
@@ -231,7 +231,8 @@ func Fig4(_ Options) Table {
 	badCond := netsim.Condition{BandwidthMbps: 10, Signal: netsim.SignalWeak}
 
 	roundTime := func(cat device.Category, intf device.Interference, cond netsim.Condition) float64 {
-		comp := device.ComputeSeconds(profiles[cat], w.Shape, 8, 10, w.SamplesPerDevice, intf)
+		p := profiles[cat]
+		comp := device.ComputeSeconds(&p, w.Shape, 8, 10, w.SamplesPerDevice, intf)
 		comm := stable.CommRoundTrip(w.Shape.ModelBytes, cond).Seconds
 		return comp + comm
 	}

@@ -13,9 +13,9 @@ import (
 // parameter choice from the same models the simulator executes:
 // compute under the observed interference plus the model round trip at
 // the observed bandwidth.
-func predictedTime(s ScenarioSpec, ch netsim.Channel, d device.Device, st fl.DeviceState, lp fl.LocalParams) float64 {
-	w := s.Workload
-	comp := device.ComputeSeconds(d.Profile, w.Shape, lp.B, lp.E, st.Samples, st.Interference)
+func predictedTime(s *ScenarioSpec, ch netsim.Channel, d *device.Device, st fl.DeviceState, lp fl.LocalParams) float64 {
+	w := &s.Workload
+	comp := device.ComputeSeconds(&d.Profile, w.Shape, lp.B, lp.E, st.Samples, st.Interference)
 	comm := ch.CommRoundTrip(w.Shape.ModelBytes, st.Network).Seconds
 	return comp + comm
 }
@@ -77,7 +77,7 @@ func executeOracle(r *Runtime, sp JobSpec) runtime.Result {
 			}
 			var sumT, maxT float64
 			for _, p := range rr.Participants {
-				pt := predictedTime(s, cfg.Channel, cfg.Fleet[p.DeviceID], rr.States[p.DeviceID], p.Local)
+				pt := predictedTime(&s, cfg.Channel, &cfg.Fleet[p.DeviceID], rr.State(p.DeviceID), p.Local)
 				sumT += pt
 				if pt > maxT {
 					maxT = pt

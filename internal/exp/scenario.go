@@ -360,7 +360,7 @@ func cleanLowRoundSec(w workload.Workload) float64 {
 		refE = 20
 	}
 	low := device.Profiles()[device.Low]
-	return device.ComputeSeconds(low, w.Shape, 8, refE, w.SamplesPerDevice, device.Interference{})
+	return device.ComputeSeconds(&low, w.Shape, 8, refE, w.SamplesPerDevice, device.Interference{})
 }
 
 // ScenarioSpec is the declarative, serializable description of one

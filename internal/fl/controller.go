@@ -27,34 +27,36 @@ type DeviceState struct {
 // Observation is the controller's view of the federation at the start
 // of an aggregation round.
 //
-// Ownership: the States and PrevParticipants slices point into the
-// run's scratch arena and are only valid until the next round begins
-// (they are always valid for the duration of the Plan call and the
-// round it plans). A controller that wants to keep them across rounds
-// must copy them; every value field is retention-safe. Controllers
-// must not write through States: the simulator writes its static
-// fields (ClassCount, ClassFraction, Samples) once per run and only
-// the stochastic ones (Interference, Network) each round.
+// Per-device state is read on demand: State(id) reads one device from
+// the round's environment trace record, so building an Observation
+// costs nothing per device. A round's kernel work is O(K + n/64) for K
+// participants in an n-device fleet, plus one idle-energy add per
+// non-participant.
 //
-// Interfered, BadLinks and MeanClassFraction summarize States for
-// controllers that condition on the fleet as a whole, so none has to
-// scan every device each round. The simulator owns them: the round
-// counts come from the environment trace, counted once when a round
-// is first recorded and replayed with it, and the mean once per run.
-// Each equals a scan over States, bit for bit.
+// Ownership: PrevParticipants points into the run's scratch arena and
+// is only valid until the next round begins (it is always valid for
+// the duration of the Plan call and the round it plans); a controller
+// that keeps it across rounds must copy it. State reads immutable
+// trace rounds and the run's static per-device table, so it stays
+// valid until the arena starts its next run. Every value field is
+// retention-safe.
+//
+// Interfered, BadLinks and MeanClassFraction summarize the fleet's
+// states for controllers that condition on the fleet as a whole, so
+// none has to read every device each round. The simulator owns them:
+// the round counts come from the environment trace, counted once when
+// a round is first recorded and replayed with it, and the mean once per
+// run. Each equals a scan over State(0..n-1), bit for bit.
 type Observation struct {
 	// Round is the 1-based aggregation round about to execute.
 	Round int
 	// Workload describes the NN being trained (S_CONV, S_FC, S_RC come
 	// from here).
 	Workload workload.Workload
-	// Fleet is the full device list; Fleet[i].ID indexes States. It is
-	// the run's Config.Fleet, possibly shared with concurrent runs, so
-	// controllers must treat it as read-only.
+	// Fleet is the full device list; Fleet[i].ID is the id State
+	// takes. It is the run's Config.Fleet, possibly shared with
+	// concurrent runs, so controllers must treat it as read-only.
 	Fleet []device.Device
-	// States holds this round's observed per-device state for every
-	// device in the fleet.
-	States []DeviceState
 	// PrevAccuracy is the test accuracy after the previous round
 	// (R_accuracy_prev in the paper's reward).
 	PrevAccuracy float64
@@ -64,14 +66,20 @@ type Observation struct {
 	// DeadlineSec is the server's round deadline (0 = none) — server
 	// configuration, visible to any server-side controller.
 	DeadlineSec float64
-	// Interfered counts the devices in States running a co-runner
-	// (CPU or memory usage above zero); BadLinks counts those whose
-	// link is not Regular.
+	// Interfered counts the fleet's devices running a co-runner (CPU
+	// or memory usage above zero); BadLinks counts those whose link is
+	// not Regular.
 	Interfered, BadLinks int
-	// MeanClassFraction is the mean of States' ClassFraction (percent),
-	// summed in device order.
+	// MeanClassFraction is the mean of the devices' ClassFraction
+	// (percent), summed in device order.
 	MeanClassFraction float64
+
+	devices deviceView
 }
+
+// State returns device id's observed state this round (0 <= id <
+// len(Fleet)).
+func (o *Observation) State(id int) DeviceState { return o.devices.state(id) }
 
 // Plan is a controller's decision for one round: how many devices to
 // select and what local parameters each selected device runs with.
@@ -79,9 +87,10 @@ type Plan struct {
 	// K is the number of participants to select this round (clamped
 	// by the simulator to the fleet size, minimum 1).
 	K int
-	// Local returns the (B, E) assignment for a selected device.
+	// Local returns the (B, E) assignment for a selected device, given
+	// its observed state. dev points into the read-only fleet.
 	// Controllers that use a single global setting return a constant.
-	Local func(dev device.Device, st DeviceState) LocalParams
+	Local func(dev *device.Device, st DeviceState) LocalParams
 }
 
 // DeviceRound records one participant's execution within a round.
@@ -103,11 +112,12 @@ type DeviceRound struct {
 // RoundResult is the controller feedback after a round completes: the
 // measurements FedGPO's reward (paper Eq. 1) is computed from.
 //
-// Ownership: the Participants and States slices point into the run's
-// scratch arena and are only valid during the Observe call they are
-// passed to — the next round overwrites them in place. A controller
-// that retains them must copy; scalar fields and the EnergyByCategory
-// array are value-copied and retention-safe.
+// Ownership: the Participants slice points into the run's scratch
+// arena and is only valid during the Observe call it is passed to —
+// the next round overwrites it in place. A controller that retains it
+// must copy. State reads what the round's Observation read, with the
+// same lifetime; scalar fields and the EnergyByCategory array are
+// value-copied and retention-safe.
 type RoundResult struct {
 	Round int
 	// Plan echoes the K the controller requested.
@@ -136,9 +146,12 @@ type RoundResult struct {
 	// MeanB and MeanE are the sample-weighted aggregated parameter
 	// means (what the convergence model saw).
 	MeanB, MeanE float64
-	// States echoes the observation the plan was made against.
-	States []DeviceState
+
+	devices deviceView
 }
+
+// State returns device id's state as the round's Observation saw it.
+func (r *RoundResult) State(id int) DeviceState { return r.devices.state(id) }
 
 // Controller is a round-by-round global-parameter policy: FedGPO, the
 // Fixed/BO/GA baselines, FedEX and ABS all implement it.
@@ -161,7 +174,7 @@ type Static struct {
 	// allocating one per round (grid sweeps call Plan millions of
 	// times). Built lazily from P on first use; P must not change
 	// after the first Plan call.
-	local func(device.Device, DeviceState) LocalParams
+	local func(*device.Device, DeviceState) LocalParams
 }
 
 // NewStatic returns a Static controller for p.
@@ -179,7 +192,7 @@ func (s *Static) Name() string {
 func (s *Static) Plan(Observation) Plan {
 	if s.local == nil {
 		lp := LocalParams{B: s.P.B, E: s.P.E}
-		s.local = func(device.Device, DeviceState) LocalParams { return lp }
+		s.local = func(*device.Device, DeviceState) LocalParams { return lp }
 	}
 	return Plan{K: s.P.K, Local: s.local}
 }

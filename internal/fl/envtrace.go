@@ -2,6 +2,7 @@ package fl
 
 import (
 	"math"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -36,11 +37,15 @@ type envChunk struct {
 	// perm is the round's selection permutation: the participants of a
 	// round that selects k devices are perm[:k].
 	perm []uint16
-	// active marks, one bit per device, the devices whose interference
-	// draw is non-zero; intf[j] packs those devices' (CPU, Mem) pairs
-	// in device order. Both stay nil when the interference model is
-	// inactive.
+	// active marks, one bit per device in words words per round, the
+	// devices whose interference draw is non-zero; intf[j] packs those
+	// devices' (CPU, Mem) pairs in device order. rank holds, per active
+	// word, how many devices the round's earlier words mark, so a
+	// device's pair is found without a scan. All three stay nil (and
+	// words 0) when the interference model is inactive.
+	words  int
 	active []uint64
+	rank   []uint16
 	intf   [traceChunkRounds][]float64
 	// interfered and badLinks count, per round, the devices with a
 	// non-zero co-runner load and those whose link is not Regular:
@@ -96,8 +101,10 @@ func (t *envTrace) record() {
 		}
 		size := traceChunkRounds * n * 10
 		if t.words > 0 {
+			c.words = t.words
 			c.active = make([]uint64, traceChunkRounds*t.words)
-			size += traceChunkRounds * t.words * 8
+			c.rank = make([]uint16, traceChunkRounds*t.words)
+			size += traceChunkRounds * t.words * 10
 		}
 		t.chunks = append(t.chunks, c)
 		t.bytes.Add(int64(size))
@@ -121,6 +128,11 @@ func (t *envTrace) record() {
 		if len(t.packed) > 0 {
 			c.intf[off] = append([]float64(nil), t.packed...)
 			t.bytes.Add(int64(8 * len(t.packed)))
+		}
+		below := 0
+		for w, word := range active {
+			c.rank[off*t.words+w] = uint16(below)
+			below += bits.OnesCount64(word)
 		}
 	} else {
 		for i := range bw {
@@ -171,27 +183,40 @@ func (v *traceView) round(r int) (*envChunk, int) {
 	return v.chunks[r/traceChunkRounds], r % traceChunkRounds
 }
 
-// observe writes 0-based round r's environment into states' stochastic
-// fields and returns the round's selection permutation and its
-// interfered and bad-link device counts. states holds one entry per
-// device; with an inactive interference model its Interference fields
-// are left as they are (zero, from beginRun).
-func (v *traceView) observe(r int, states []DeviceState) (perm []uint16, interfered, badLinks int) {
+// observe returns 0-based round r's device view over the run's static
+// table, its selection permutation and its interfered and bad-link
+// device counts. It walks no device: State reads each one on demand.
+func (v *traceView) observe(r int, static []DeviceState) (devices deviceView, perm []uint16, interfered, badLinks int) {
 	c, off := v.round(r)
-	n := len(states)
-	for i, bw := range c.bw[off*n : (off+1)*n] {
-		states[i].Network = netsim.ConditionAt(bw)
-	}
-	if w := v.t.words; w > 0 {
-		active, vals := c.active[off*w:(off+1)*w], c.intf[off]
-		for i := range states {
-			if active[i>>6]&(1<<(i&63)) == 0 {
-				states[i].Interference = device.Interference{}
-				continue
-			}
-			states[i].Interference = device.Interference{CPUUsage: vals[0], MemUsage: vals[1]}
-			vals = vals[2:]
+	n := len(static)
+	return deviceView{c: c, off: off, static: static}, c.perm[off*n : (off+1)*n], int(c.interfered[off]), int(c.badLinks[off])
+}
+
+// deviceView is one recorded round seen device by device: the
+// stochastic fields come from the round's immutable trace record, the
+// static ones from the run's table (ClassCount, ClassFraction,
+// Samples; its Interference and Network are zero).
+type deviceView struct {
+	c      *envChunk
+	off    int
+	static []DeviceState
+}
+
+// state reads device id's state for the round: its bandwidth gives the
+// link condition, and the active bitmap's rank locates its
+// interference pair.
+func (v *deviceView) state(id int) DeviceState {
+	c, n := v.c, len(v.static)
+	st := v.static[id]
+	st.Network = netsim.ConditionAt(c.bw[v.off*n+id])
+	if c.words > 0 {
+		w := v.off*c.words + id>>6
+		bit := uint64(1) << (id & 63)
+		if word := c.active[w]; word&bit != 0 {
+			j := 2 * (int(c.rank[w]) + bits.OnesCount64(word&(bit-1)))
+			pair := c.intf[v.off][j : j+2]
+			st.Interference = device.Interference{CPUUsage: pair[0], MemUsage: pair[1]}
 		}
 	}
-	return c.perm[off*n : (off+1)*n], int(c.interfered[off]), int(c.badLinks[off])
+	return st
 }

@@ -90,12 +90,16 @@ func sameRound(states []DeviceState, perm []uint16, want liveRound) error {
 	return nil
 }
 
-// replay walks a view over rounds [0, rounds) into fresh states and
-// checks each against the live draws.
+// replay walks a view over rounds [0, rounds), reads every device's
+// state from each round's device view, and checks each round against
+// the live draws.
 func replay(v *traceView, n, rounds int, want []liveRound) error {
-	states := make([]DeviceState, n)
+	static, states := make([]DeviceState, n), make([]DeviceState, n)
 	for r := 0; r < rounds; r++ {
-		perm, interfered, badLinks := v.observe(r, states)
+		devices, perm, interfered, badLinks := v.observe(r, static)
+		for id := range states {
+			states[id] = devices.state(id)
+		}
 		if err := sameRound(states, perm, want[r]); err != nil {
 			return fmt.Errorf("round %d: %w", r, err)
 		}

@@ -60,10 +60,9 @@ func TestChronicDropsCapAccuracy(t *testing.T) {
 
 	// Deadline between the fast categories' time and L's time: L's
 	// data is chronically excluded.
-	lowT := device.ComputeSeconds(device.Profiles()[device.Low], w.Shape, 8, 10,
-		w.SamplesPerDevice, device.Interference{})
-	midT := device.ComputeSeconds(device.Profiles()[device.Mid], w.Shape, 8, 10,
-		w.SamplesPerDevice, device.Interference{})
+	low, mid := device.Profiles()[device.Low], device.Profiles()[device.Mid]
+	lowT := device.ComputeSeconds(&low, w.Shape, 8, 10, w.SamplesPerDevice, device.Interference{})
+	midT := device.ComputeSeconds(&mid, w.Shape, 8, 10, w.SamplesPerDevice, device.Interference{})
 	dropping := base
 	dropping.DeadlineSec = (lowT + midT) / 2
 	res := Run(dropping, NewStatic(Params{B: 8, E: 10, K: 10}))
@@ -177,7 +176,7 @@ type hostileController struct{}
 
 func (h *hostileController) Name() string { return "hostile" }
 func (h *hostileController) Plan(Observation) Plan {
-	return Plan{K: -3, Local: func(device.Device, DeviceState) LocalParams {
+	return Plan{K: -3, Local: func(*device.Device, DeviceState) LocalParams {
 		return LocalParams{B: -8, E: 0}
 	}}
 }

@@ -279,30 +279,10 @@ func TestUnconvergedPPWScaledByProgress(t *testing.T) {
 	}
 }
 
-func TestObservationStatesCoverFleet(t *testing.T) {
-	cfg := testConfig()
-	cfg.MaxRounds = 1
-	cfg.StopAtConvergence = false
-	var got Observation
-	ctrl := &obsCapture{inner: NewStatic(Params{B: 8, E: 10, K: 5}), out: &got}
-	Run(cfg, ctrl)
-	if len(got.States) != len(cfg.Fleet) {
-		t.Fatalf("states = %d, want %d", len(got.States), len(cfg.Fleet))
-	}
-	for i, st := range got.States {
-		if st.Samples != cfg.Partition.DeviceSamples(i) {
-			t.Errorf("device %d samples = %d", i, st.Samples)
-		}
-		if st.ClassCount != cfg.Partition.DeviceClassCount(i) {
-			t.Errorf("device %d class count mismatch", i)
-		}
-	}
-}
-
 // probeController forwards to an inner controller and records results.
-// RoundResult's slices are arena-owned and only valid during Observe
-// (see the ownership contract on RoundResult), so retaining the result
-// across rounds requires deep-copying them.
+// RoundResult's Participants slice is arena-owned and only valid during
+// Observe (see the ownership contract on RoundResult), so retaining the
+// result across rounds requires copying it.
 type probeController struct {
 	inner Controller
 	sink  *[]RoundResult
@@ -313,27 +293,9 @@ func (p *probeController) Plan(o Observation) Plan { return p.inner.Plan(o) }
 func (p *probeController) Observe(r RoundResult) {
 	kept := r
 	kept.Participants = append([]DeviceRound(nil), r.Participants...)
-	kept.States = append([]DeviceState(nil), r.States...)
 	*p.sink = append(*p.sink, kept)
 	p.inner.Observe(r)
 }
-
-// obsCapture records the first observation.
-type obsCapture struct {
-	inner Controller
-	out   *Observation
-	done  bool
-}
-
-func (o *obsCapture) Name() string { return "obs-capture" }
-func (o *obsCapture) Plan(obs Observation) Plan {
-	if !o.done {
-		*o.out = obs
-		o.done = true
-	}
-	return o.inner.Plan(obs)
-}
-func (o *obsCapture) Observe(RoundResult) {}
 
 // categoryController assigns smaller B/E to slower device categories —
 // a hand-written version of the paper's adaptive insight used to test
@@ -342,7 +304,7 @@ type categoryController struct{ k int }
 
 func (c *categoryController) Name() string { return "per-category" }
 func (c *categoryController) Plan(Observation) Plan {
-	return Plan{K: c.k, Local: func(d device.Device, _ DeviceState) LocalParams {
+	return Plan{K: c.k, Local: func(d *device.Device, _ DeviceState) LocalParams {
 		switch d.Profile.Category {
 		case device.High:
 			return LocalParams{B: 8, E: 10}

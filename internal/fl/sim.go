@@ -3,7 +3,7 @@ package fl
 import (
 	"fmt"
 	"math"
-	"sort"
+	"math/bits"
 	"time"
 
 	"fedgpo/internal/convmodel"
@@ -164,19 +164,18 @@ func RunWithArena(cfg Config, ctrl Controller, a *Arena) Result {
 	for round := 1; round <= cfg.MaxRounds; round++ {
 		roundStart := time.Now()
 		// 1. Observe the environment, replayed from the trace.
-		states := a.states
-		perm, interfered, badLinks := a.env.observe(round-1, states)
+		devices, perm, interfered, badLinks := a.env.observe(round-1, a.static)
 		obs := Observation{
 			Round:             round,
 			Workload:          cfg.Workload,
 			Fleet:             cfg.Fleet,
-			States:            states,
 			PrevAccuracy:      prevAcc,
 			PrevParticipants:  prevParticipants,
 			DeadlineSec:       cfg.DeadlineSec,
 			Interfered:        interfered,
 			BadLinks:          badLinks,
 			MeanClassFraction: a.meanClass,
+			devices:           devices,
 		}
 
 		// 2. Controller decides.
@@ -191,21 +190,28 @@ func RunWithArena(cfg Config, ctrl Controller, a *Arena) Result {
 		}
 
 		// 3. Random participant selection (paper Algorithm 1): the
-		// first k of the round's uniform permutation. The
+		// first k of the round's uniform permutation, marked in the
+		// selection bitmap and read back in ascending device order. The
 		// double-buffered selection slice keeps the previous round's
 		// PrevParticipants intact while this round's is written.
-		selected := a.sel[round&1][:k]
-		for i, id := range perm[:k] {
-			selected[i] = int(id)
+		selBits := a.selBits
+		clear(selBits)
+		for _, id := range perm[:k] {
+			selBits[id>>6] |= 1 << (id & 63)
 		}
-		sort.Ints(selected)
+		selected := a.sel[round&1][:0]
+		for w, word := range selBits {
+			for ; word != 0; word &= word - 1 {
+				selected = append(selected, w<<6|bits.TrailingZeros64(word))
+			}
+		}
 
 		// 4. Execute the round.
-		rr := executeRound(&cfg, plan, selected, a)
+		rr := executeRound(&cfg, plan, selected, &devices, a)
 		rr.Round = round
 		rr.PlannedK = k
 		rr.PrevAccuracy = prevAcc
-		rr.States = states
+		rr.devices = devices
 
 		// 5. Advance the learning model with what was aggregated.
 		in := aggregateInputs(rr, a)
@@ -251,12 +257,8 @@ func RunWithArena(cfg Config, ctrl Controller, a *Arena) Result {
 	// the same key set the old per-round maps accumulated — so the
 	// marshalled Result bytes are unchanged.
 	res.EnergyByCategory = make(map[device.Category]float64, device.NumCategories)
-	var present [device.NumCategories]bool
-	for i := range a.profiles {
-		present[a.profiles[i].Category] = true
-	}
 	for _, cat := range device.Categories() {
-		if present[cat] {
+		if len(a.idle[cat].ids) > 0 {
 			res.EnergyByCategory[cat] = catEnergy[cat]
 		}
 	}
@@ -264,21 +266,22 @@ func RunWithArena(cfg Config, ctrl Controller, a *Arena) Result {
 }
 
 // executeRound runs the selected devices' local training and computes
-// the round's timing and fleet-wide energy.
+// the round's timing and fleet-wide energy. Its cost is O(K) for K
+// participants plus the idle-energy chain: one add per non-participant,
+// walked category by category.
 //
 // It executes in two phases. Phase 1 walks the participants serially
-// in selected-device order: it asks the controller for each one's
-// local parameters — controllers are stateful and may draw randomness,
-// so the call order is part of the reproducibility contract — and
-// evaluates the deterministic device/channel models for it. Phase 2
-// merges in fixed device order (straggler semantics, energy
-// accounting, aggregation), so every float accumulation happens in the
-// same order.
-func executeRound(cfg *Config, plan Plan, selected []int, a *Arena) RoundResult {
+// in selected-device order: it reads each one's state from the round's
+// trace record, asks the controller for its local parameters —
+// controllers are stateful and may draw randomness, so the call order
+// is part of the reproducibility contract — and evaluates the
+// deterministic device/channel models for it. Phase 2 merges in fixed
+// device order (straggler semantics, energy accounting, aggregation),
+// so every float accumulation happens in the same order.
+func executeRound(cfg *Config, plan Plan, selected []int, devices *deviceView, a *Arena) RoundResult {
 	k := len(selected)
 	parts := a.parts[:k]
 	commJoules := a.commJoules[:k]
-	states := a.states
 	modelBytes := cfg.Workload.Shape.ModelBytes
 
 	// Phase 1. The composite literal overwrites every DeviceRound
@@ -289,24 +292,25 @@ func executeRound(cfg *Config, plan Plan, selected []int, a *Arena) RoundResult 
 	// silently diverge the moment the channel model becomes stochastic
 	// per call.
 	for i, id := range selected {
-		st := &states[id]
-		lp := plan.Local(cfg.Fleet[id], *st)
+		d := &cfg.Fleet[id]
+		st := devices.state(id)
+		lp := plan.Local(d, st)
 		if lp.B < 1 {
 			lp.B = 1
 		}
 		if lp.E < 1 {
 			lp.E = 1
 		}
-		comp := device.ComputeSeconds(a.profiles[id], cfg.Workload.Shape, lp.B, lp.E, a.samples[id], st.Interference)
+		comp := device.ComputeSeconds(&d.Profile, cfg.Workload.Shape, lp.B, lp.E, st.Samples, st.Interference)
 		rt := a.comm.RoundTrip(modelBytes, st.Network)
 		parts[i] = DeviceRound{
 			DeviceID:   id,
-			Category:   a.profiles[id].Category,
+			Category:   d.Profile.Category,
 			Local:      lp,
 			ComputeSec: comp,
 			CommSec:    rt.Seconds,
 			TotalSec:   comp + rt.Seconds,
-			Samples:    a.samples[id],
+			Samples:    st.Samples,
 			SkewDegree: a.part.NonIIDDegree(id),
 			Interfered: st.Interference.CPUUsage > 0 || st.Interference.MemUsage > 0,
 			NetworkBad: !st.Network.Regular(),
@@ -338,20 +342,16 @@ func executeRound(cfg *Config, plan Plan, selected []int, a *Arena) RoundResult 
 	roundSec := execSec + cfg.AggregationOverheadSec
 
 	// Energy accounting (paper Eqs. 2–6). The per-category split lives
-	// in a fixed-size array (zeroed on the stack each round); the adds
-	// land in the same order the old per-round map saw, so totals are
-	// bit-identical.
+	// in a fixed-size array (zeroed on the stack each round): the
+	// participants' energy first, in selected-device order, then each
+	// category's non-participants in ascending device order, so totals
+	// are bit-identical to one walk over the fleet.
 	var energyByCat [device.NumCategories]float64
-	selectedSet := a.selectedSet
-	clear(selectedSet)
-	for _, id := range selected {
-		selectedSet[id] = true
-	}
 	aggK := 0
 	var wB, wE, wSamples float64
 	for i := range parts {
 		p := &parts[i]
-		prof := &a.profiles[p.DeviceID]
+		prof := &cfg.Fleet[p.DeviceID].Profile
 		busyComp, commJ := p.ComputeSec, commJoules[i]
 		waitIdle := roundSec - p.TotalSec
 		if p.Dropped {
@@ -380,11 +380,16 @@ func executeRound(cfg *Config, plan Plan, selected []int, a *Arena) RoundResult 
 			wSamples += float64(p.Samples)
 		}
 	}
-	for id, w := range a.idleWatts {
-		if selectedSet[id] {
-			continue
+	selBits := a.selBits
+	for cat := range a.idle {
+		run := &a.idle[cat]
+		sum := energyByCat[cat]
+		for j, id := range run.ids {
+			if selBits[id>>6]&(1<<(id&63)) == 0 {
+				sum += device.IdleJoules(run.watts[j], roundSec)
+			}
 		}
-		energyByCat[a.profiles[id].Category] += device.IdleJoules(w, roundSec)
+		energyByCat[cat] = sum
 	}
 	// Sum in fixed category order (array index order == the canonical
 	// device.Categories() order): a varying float addition order would
