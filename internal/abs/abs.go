@@ -170,7 +170,7 @@ func (c *Controller) Plan(obs fl.Observation) fl.Plan {
 	c.lastState = state
 	c.lastAction = action
 	lp := fl.LocalParams{B: c.bValues[action], E: c.cfg.FixedE}
-	return fl.Plan{K: c.cfg.FixedK, Local: func(*device.Device, fl.DeviceState) fl.LocalParams {
+	return fl.Plan{K: c.cfg.FixedK, Local: func(*device.Device, *fl.DeviceState) fl.LocalParams {
 		return lp
 	}}
 }

@@ -63,7 +63,7 @@ func (e *energyEMA) norm(j float64) float64 {
 // staticPlan builds a Plan for a single global parameter setting.
 func staticPlan(p fl.Params) fl.Plan {
 	lp := fl.LocalParams{B: p.B, E: p.E}
-	return fl.Plan{K: p.K, Local: func(*device.Device, fl.DeviceState) fl.LocalParams {
+	return fl.Plan{K: p.K, Local: func(*device.Device, *fl.DeviceState) fl.LocalParams {
 		return lp
 	}}
 }

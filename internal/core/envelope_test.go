@@ -108,14 +108,14 @@ func TestDynFeasibleCachesPerBand(t *testing.T) {
 	d := device.Device{ID: 0, Profile: device.Profiles()[device.Low]}
 	stA := fl.DeviceState{Interference: device.Interference{CPUUsage: 0.30}}
 	stB := fl.DeviceState{Interference: device.Interference{CPUUsage: 0.60}}
-	mA := c.dynFeasible(&d, &w, stA)
-	mB := c.dynFeasible(&d, &w, stB)
+	mA := c.dynFeasible(&d, &w, &stA)
+	mB := c.dynFeasible(&d, &w, &stB)
 	// Same Table-1 band (medium) -> same cached mask object.
 	if &mA[0] != &mB[0] {
 		t.Error("same-band interference should hit the mask cache")
 	}
 	stC := fl.DeviceState{Interference: device.Interference{CPUUsage: 0.90}}
-	mC := c.dynFeasible(&d, &w, stC)
+	mC := c.dynFeasible(&d, &w, &stC)
 	if countTrue(mC) > countTrue(mA) {
 		t.Error("heavier interference band should not widen the feasible set")
 	}

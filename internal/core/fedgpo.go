@@ -98,7 +98,10 @@ type pending struct {
 }
 
 // OverheadBreakdown mirrors the paper's §5.4 cost accounting for one
-// run: cumulative wall time in each controller phase.
+// run: cumulative wall time in each controller phase. The phases are
+// timed on one round in overheadSample (the controller's rounds 1,
+// 1+overheadSample, ...) and scaled to all Rounds, so each is an
+// estimate of the whole run's time; Rounds is exact.
 type OverheadBreakdown struct {
 	IdentifyStates time.Duration
 	ChooseParams   time.Duration
@@ -106,6 +109,11 @@ type OverheadBreakdown struct {
 	UpdateTables   time.Duration
 	Rounds         int
 }
+
+// overheadSample is the §5.4 timers' sampling period: the controller
+// reads the clock on one round in overheadSample only, because the
+// reads (3 per participant) cost as much as the work they time.
+const overheadSample = 16
 
 // Controller is the FedGPO policy. It implements fl.Controller.
 // Not safe for concurrent use; create one per run.
@@ -153,7 +161,12 @@ type Controller struct {
 	rewardHistory []float64
 	frozen        bool
 	frozenRound   int
-	overhead      OverheadBreakdown
+	// overhead sums the timed rounds' phases; overhead.Rounds counts
+	// every round. timing is set for a round whose phases are timed,
+	// and timedRounds counts those rounds.
+	overhead    OverheadBreakdown
+	timing      bool
+	timedRounds int
 
 	// tracing/trace hold the opt-in per-round decision record (see
 	// trace.go). Recording never perturbs decisions or randomness.
@@ -183,7 +196,7 @@ type Controller struct {
 	// reads it, so Plan hands out one method value instead of building
 	// a closure each round.
 	planWorkload workload.Workload
-	localFn      func(*device.Device, fl.DeviceState) fl.LocalParams
+	localFn      func(*device.Device, *fl.DeviceState) fl.LocalParams
 }
 
 var _ fl.Controller = (*Controller)(nil)
@@ -213,7 +226,14 @@ func New(cfg Config) *Controller {
 
 // clock reads the monotonic clock as the time since the controller was
 // built: the §5.4 phase timers take one such read per phase boundary.
-func (c *Controller) clock() time.Duration { return time.Since(c.epoch) }
+// On a round that is not timed it reads nothing and returns 0, so the
+// phases add nothing.
+func (c *Controller) clock() time.Duration {
+	if !c.timing {
+		return 0
+	}
+	return time.Since(c.epoch)
+}
 
 // Name identifies the controller in reports.
 func (c *Controller) Name() string {
@@ -253,8 +273,8 @@ func (c *Controller) setSlot(t *localTable, i int) {
 // planFor makes w the workload being planned. Its architecture bands
 // lead every state key, so a new architecture empties the band-code
 // caches.
-func (c *Controller) planFor(w workload.Workload) {
-	c.planWorkload = w
+func (c *Controller) planFor(w *workload.Workload) {
+	c.planWorkload = *w
 	if arch := archBands(w); arch != c.arch {
 		c.arch = arch
 		c.deviceIdx = [deviceCodes]int32{}
@@ -265,12 +285,12 @@ func (c *Controller) planFor(w workload.Workload) {
 // deviceState returns a device's state index in the round being
 // planned. The Table 1 state space is small, so a learned controller
 // builds each key string once.
-func (c *Controller) deviceState(st fl.DeviceState) int {
+func (c *Controller) deviceState(st *fl.DeviceState) int {
 	code := deviceCode(st)
 	if i := c.deviceIdx[code]; i > 0 {
 		return int(i - 1)
 	}
-	k := deviceStateBytes(c.arch, st)
+	k := deviceStateBytes(c.arch, *st)
 	i := c.deviceStates.Index(string(k[:]))
 	c.deviceIdx[code] = int32(i + 1)
 	return i
@@ -278,7 +298,7 @@ func (c *Controller) deviceState(st fl.DeviceState) int {
 
 // globalState returns the K table's state index in the round being
 // planned, cached like deviceState.
-func (c *Controller) globalState(obs fl.Observation) int {
+func (c *Controller) globalState(obs *fl.Observation) int {
 	intf, bad, class := globalSignals(obs)
 	code := globalCode(intf, bad, class)
 	if i := c.globalIdx[code]; i > 0 {
@@ -320,14 +340,14 @@ func (c *Controller) tableFor(d *device.Device, w *workload.Workload) *localTabl
 // observeDeadline records the deployment's round deadline; a change
 // invalidates every feasibility mask (warm-up and evaluation can run
 // under different deadlines).
-func (c *Controller) observeDeadline(deadlineSec float64, w workload.Workload) {
+func (c *Controller) observeDeadline(deadlineSec float64, w *workload.Workload) {
 	if deadlineSec == c.deadline {
 		return
 	}
 	c.deadline = deadlineSec
 	clear(c.dynMasks[:])
 	for key, t := range c.localTables {
-		t.q.SetMask(c.feasibleActions(c.tableProfiles[key], w, device.Interference{}))
+		t.q.SetMask(c.feasibleActions(c.tableProfiles[key], *w, device.Interference{}))
 	}
 }
 
@@ -408,7 +428,7 @@ const feasibleFloorFraction = 0.3
 // optimizes energy/accuracy within the feasible set. The mask depends
 // only on the device category and the discretized interference bands,
 // so the expensive compute-time predictions run once per combination.
-func (c *Controller) dynFeasible(d *device.Device, w *workload.Workload, st fl.DeviceState) []bool {
+func (c *Controller) dynFeasible(d *device.Device, w *workload.Workload, st *fl.DeviceState) []bool {
 	cpu, mem := usageLevel(st.Interference.CPUUsage), usageLevel(st.Interference.MemUsage)
 	m := &c.dynMasks[(int(d.Profile.Category)*4+cpu)*4+mem]
 	if *m == nil {
@@ -439,10 +459,15 @@ func bandMidpoint(band byte) float64 {
 
 // Plan implements steps 1–2 of the paper's design loop: identify the
 // global and local execution states, then select actions from the
-// Q-tables. The §5.4 timers read the clock once per phase boundary.
+// Q-tables. On a timed round (see overheadSample) the §5.4 timers read
+// the clock once per phase boundary.
 func (c *Controller) Plan(obs fl.Observation) fl.Plan {
-	c.observeDeadline(obs.DeadlineSec, obs.Workload)
-	c.planFor(obs.Workload)
+	c.timing = c.overhead.Rounds%overheadSample == 0
+	if c.timing {
+		c.timedRounds++
+	}
+	c.observeDeadline(obs.DeadlineSec, &obs.Workload)
+	c.planFor(&obs.Workload)
 	if len(c.roundChoices) < len(obs.Fleet) {
 		c.roundChoices = make([]choice, len(obs.Fleet))
 	}
@@ -450,13 +475,13 @@ func (c *Controller) Plan(obs fl.Observation) fl.Plan {
 	// The global state is both last round's K successor S' and this
 	// round's K state.
 	t0 := c.clock()
-	globalState := c.globalState(obs)
+	globalState := c.globalState(&obs)
 	t1 := c.clock()
 	c.overhead.IdentifyStates += t1 - t0
 
 	// Complete last round's Q-updates now that S' is observable
 	// (Algorithm 2's "Observe new state S'").
-	c.flushPending(obs, globalState)
+	c.flushPending(&obs, globalState)
 	t2 := c.clock()
 	c.overhead.UpdateTables += t2 - t1
 
@@ -494,7 +519,7 @@ func (c *Controller) Plan(obs fl.Observation) fl.Plan {
 
 // local is the Plan's per-participant assignment: the (B, E) the
 // device's Q-table picks for its observed state this round.
-func (c *Controller) local(d *device.Device, st fl.DeviceState) fl.LocalParams {
+func (c *Controller) local(d *device.Device, st *fl.DeviceState) fl.LocalParams {
 	t0 := c.clock()
 	state := c.deviceState(st)
 	t1 := c.clock()
@@ -535,7 +560,8 @@ func (c *Controller) Observe(res fl.RoundResult) {
 	eGlobal := c.globalNorm.Normalize(res.EnergyGlobalJ)
 
 	roundRewards := c.roundRewards[:0]
-	for _, p := range res.Participants {
+	for i := range res.Participants {
+		p := &res.Participants[i]
 		if p.DeviceID >= len(c.roundChoices) {
 			continue
 		}
@@ -568,8 +594,8 @@ func (c *Controller) Observe(res fl.RoundResult) {
 	meanLocal := 0.0
 	if len(res.Participants) > 0 {
 		var s float64
-		for _, p := range res.Participants {
-			s += p.EnergyJ
+		for i := range res.Participants {
+			s += res.Participants[i].EnergyJ
 		}
 		meanLocal = s / float64(len(res.Participants))
 	}
@@ -598,13 +624,14 @@ func (c *Controller) Observe(res fl.RoundResult) {
 // the successor state S'; globalState is the K table's S'. A local
 // table's S' is the state of the first fleet device under it (see
 // observeFleet); a table no fleet device maps to keeps its own state.
-func (c *Controller) flushPending(obs fl.Observation, globalState int) {
+func (c *Controller) flushPending(obs *fl.Observation, globalState int) {
 	if len(c.pendingLocal) > 0 {
 		c.observeFleet(obs.Fleet)
 		for _, p := range c.pendingLocal {
 			next := p.state
 			if i := p.table.index; i >= 0 && i < len(c.successor) && c.successor[i] >= 0 {
-				next = c.deviceState(obs.State(c.successor[i]))
+				st := obs.State(c.successor[i])
+				next = c.deviceState(&st)
 			}
 			delta := p.table.q.Update(p.state, p.action, p.reward, next)
 			// Updates grade the previous round's decisions: trace them
@@ -726,8 +753,21 @@ func (c *Controller) MemoryBytes() int {
 	return total
 }
 
-// Overhead returns the per-phase wall-time accounting.
-func (c *Controller) Overhead() OverheadBreakdown { return c.overhead }
+// Overhead returns the per-phase wall-time accounting: each phase's
+// timed-round sum scaled by Rounds over the timed rounds.
+func (c *Controller) Overhead() OverheadBreakdown {
+	o := c.overhead
+	if c.timedRounds > 0 {
+		scale := func(d time.Duration) time.Duration {
+			return d * time.Duration(o.Rounds) / time.Duration(c.timedRounds)
+		}
+		o.IdentifyStates = scale(o.IdentifyStates)
+		o.ChooseParams = scale(o.ChooseParams)
+		o.CalcReward = scale(o.CalcReward)
+		o.UpdateTables = scale(o.UpdateTables)
+	}
+	return o
+}
 
 // TableStats summarizes the learned tables for reports.
 type TableStats struct {

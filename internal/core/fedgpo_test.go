@@ -176,6 +176,27 @@ func TestStatsAndMemoryAccounting(t *testing.T) {
 	}
 }
 
+// The §5.4 timers sample one round in 16 (the controller's rounds 1,
+// 17, 33, ...) and scale to every round: runs of 1, 16, 17 and 30
+// rounds, timed once or twice, report exact Rounds and non-zero
+// phases.
+func TestOverheadSampledRoundsScaleToEveryRound(t *testing.T) {
+	for _, rounds := range []int{1, 16, 17, 30} {
+		cfg := fedgpoConfig(5)
+		cfg.MaxRounds = rounds
+		cfg.StopAtConvergence = false
+		ctrl := New(DefaultConfig())
+		fl.Run(cfg, ctrl)
+		ov := ctrl.Overhead()
+		if ov.Rounds != rounds {
+			t.Errorf("%d rounds: Overhead().Rounds = %d", rounds, ov.Rounds)
+		}
+		if ov.IdentifyStates <= 0 || ov.ChooseParams <= 0 || ov.CalcReward <= 0 || ov.UpdateTables <= 0 {
+			t.Errorf("%d rounds: a phase reads zero: %+v", rounds, ov)
+		}
+	}
+}
+
 func TestPerDeviceTablesVariant(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.PerDeviceTables = true

@@ -114,7 +114,7 @@ func dataLevel(classFractionPct float64) int {
 // S_RC), the leading bytes of every state key. They are constant
 // within a run but keep Q-tables transferable across workloads, which
 // is how shared tables "expedite the design space exploration" (§3.3).
-func archBands(w workload.Workload) [3]byte {
+func archBands(w *workload.Workload) [3]byte {
 	return [3]byte{ConvBand(w.ConvLayers), FCBand(w.FCLayers), RCBand(w.RCLayers)}
 }
 
@@ -145,7 +145,7 @@ const deviceCodes = 4 * 4 * 2 * 3
 // deviceCode numbers the non-architecture bands of a device state: two
 // states of one architecture share a code exactly when they share a
 // deviceStateBytes key.
-func deviceCode(st fl.DeviceState) int {
+func deviceCode(st *fl.DeviceState) int {
 	net := 0
 	if !st.Network.Regular() {
 		net = 1
@@ -158,7 +158,7 @@ func deviceCode(st fl.DeviceState) int {
 // conditions on: the fractions of interfered and of bad-network
 // devices, and the mean data-class coverage, all from the round's
 // observation counts (zero for an empty fleet).
-func globalSignals(obs fl.Observation) (intf, bad, class float64) {
+func globalSignals(obs *fl.Observation) (intf, bad, class float64) {
 	if n := len(obs.Fleet); n > 0 {
 		intf = float64(obs.Interfered) / float64(n)
 		bad = float64(obs.BadLinks) / float64(n)

@@ -56,7 +56,7 @@ func TestNetworkAndDataBands(t *testing.T) {
 func TestArchKeysDistinguishWorkloads(t *testing.T) {
 	keys := map[[3]byte]string{}
 	for _, w := range workload.All() {
-		k := archBands(w)
+		k := archBands(&w)
 		if prev, dup := keys[k]; dup {
 			t.Errorf("workloads %s and %s share arch key %q", prev, w.Name, k)
 		}
@@ -70,33 +70,33 @@ func TestDeviceStateKeyReflectsAllSignals(t *testing.T) {
 		Network:       netsim.Condition{BandwidthMbps: 80},
 		ClassFraction: 100,
 	}
-	k0 := deviceStateBytes(archBands(w), base)
+	k0 := deviceStateBytes(archBands(&w), base)
 
 	st := base
 	st.Interference = device.Interference{CPUUsage: 0.5}
-	if deviceStateBytes(archBands(w), st) == k0 {
+	if deviceStateBytes(archBands(&w), st) == k0 {
 		t.Error("CPU interference should change the state key")
 	}
 	st = base
 	st.Interference = device.Interference{MemUsage: 0.5}
-	if deviceStateBytes(archBands(w), st) == k0 {
+	if deviceStateBytes(archBands(&w), st) == k0 {
 		t.Error("memory interference should change the state key")
 	}
 	st = base
 	st.Network = netsim.Condition{BandwidthMbps: 10}
-	if deviceStateBytes(archBands(w), st) == k0 {
+	if deviceStateBytes(archBands(&w), st) == k0 {
 		t.Error("bad network should change the state key")
 	}
 	st = base
 	st.ClassFraction = 10
-	if deviceStateBytes(archBands(w), st) == k0 {
+	if deviceStateBytes(archBands(&w), st) == k0 {
 		t.Error("data composition should change the state key")
 	}
 	// Bands, not raw values: two conditions in the same band collide.
 	a, b := base, base
 	a.Interference = device.Interference{CPUUsage: 0.30}
 	b.Interference = device.Interference{CPUUsage: 0.60}
-	if deviceStateBytes(archBands(w), a) != deviceStateBytes(archBands(w), b) {
+	if deviceStateBytes(archBands(&w), a) != deviceStateBytes(archBands(&w), b) {
 		t.Error("same-band conditions should share a key (discretization)")
 	}
 }
@@ -118,8 +118,8 @@ func globalKeyOf(w workload.Workload, states []fl.DeviceState) globalKey {
 	if len(states) > 0 {
 		obs.MeanClassFraction = classPct / float64(len(states))
 	}
-	intf, bad, class := globalSignals(obs)
-	return globalStateBytes(archBands(w), intf, bad, class)
+	intf, bad, class := globalSignals(&obs)
+	return globalStateBytes(archBands(&w), intf, bad, class)
 }
 
 func TestGlobalStateKeyAggregates(t *testing.T) {
@@ -158,7 +158,8 @@ func TestGlobalStateKeyAggregates(t *testing.T) {
 // exactly when they share a key: codes and keys must partition every
 // combination of band levels the same way.
 func TestBandCodesMatchKeys(t *testing.T) {
-	arch := archBands(workload.CNNMNIST())
+	w := workload.CNNMNIST()
+	arch := archBands(&w)
 	usage := []float64{0, 0.1, 0.5, 0.9}
 	codeKey := map[int]deviceKey{}
 	keyCode := map[deviceKey]int{}
@@ -171,7 +172,7 @@ func TestBandCodesMatchKeys(t *testing.T) {
 						Network:       netsim.Condition{BandwidthMbps: bw},
 						ClassFraction: class,
 					}
-					code, key := deviceCode(st), deviceStateBytes(arch, st)
+					code, key := deviceCode(&st), deviceStateBytes(arch, st)
 					if code < 0 || code >= deviceCodes {
 						t.Fatalf("device code %d outside [0, %d)", code, deviceCodes)
 					}

@@ -25,7 +25,7 @@ func fullScanSuccessors(c *Controller, obs fl.Observation) map[string]string {
 		d := &obs.Fleet[i]
 		key := c.tableKey(c.tableIndex(d))
 		if _, ok := ref[key]; !ok {
-			k := deviceStateBytes(archBands(obs.Workload), obs.State(d.ID))
+			k := deviceStateBytes(archBands(&obs.Workload), obs.State(d.ID))
 			ref[key] = string(k[:])
 		}
 	}
@@ -47,6 +47,10 @@ func TestSuccessorScanMatchesFullScan(t *testing.T) {
 	slices.SortStableFunc(fleet, func(a, b device.Device) int {
 		return boolRank(a.Profile.Category != untabled) - boolRank(b.Profile.Category != untabled)
 	})
+	// A run's device IDs are fleet positions (fl.Config.Validate).
+	for i := range fleet {
+		fleet[i].ID = i
+	}
 	obs := firstObservation(t, fl.Config{
 		Workload:     w,
 		Fleet:        fleet,
@@ -63,7 +67,7 @@ func TestSuccessorScanMatchesFullScan(t *testing.T) {
 			cfg.PerDeviceTables = perDevice
 			// A restored table under a key no device maps to.
 			c := FromSnapshot(cfg, Snapshot{LocalTables: map[string]rl.TableSnapshot{"foreign": {}}})
-			c.planFor(w)
+			c.planFor(&w)
 			for i, d := range fleet {
 				// Shared tables: every category but the first one in the
 				// fleet. Per-device tables: every device after the first
@@ -87,7 +91,7 @@ func TestSuccessorScanMatchesFullScan(t *testing.T) {
 			}
 			c.EnableTrace()
 			c.trace = append(c.trace, RoundTrace{})
-			c.flushPending(obs, 0)
+			c.flushPending(&obs, 0)
 			got := make(map[string]string)
 			for _, u := range c.trace[0].Updates {
 				got[u.Table] = u.Next
@@ -121,7 +125,7 @@ func firstObservation(t *testing.T, cfg fl.Config) fl.Observation {
 	fl.RunWithArena(cfg, tap, fl.NewArena())
 	keys := make(map[deviceKey]bool)
 	for id := range tap.obs.Fleet {
-		keys[deviceStateBytes(archBands(cfg.Workload), tap.obs.State(id))] = true
+		keys[deviceStateBytes(archBands(&cfg.Workload), tap.obs.State(id))] = true
 	}
 	if len(keys) < 8 {
 		t.Fatalf("the observed states give %d distinct device-state keys, want at least 8", len(keys))

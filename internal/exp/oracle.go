@@ -13,7 +13,7 @@ import (
 // parameter choice from the same models the simulator executes:
 // compute under the observed interference plus the model round trip at
 // the observed bandwidth.
-func predictedTime(s *ScenarioSpec, ch netsim.Channel, d *device.Device, st fl.DeviceState, lp fl.LocalParams) float64 {
+func predictedTime(s *ScenarioSpec, ch netsim.Channel, d *device.Device, st *fl.DeviceState, lp fl.LocalParams) float64 {
 	w := &s.Workload
 	comp := device.ComputeSeconds(&d.Profile, w.Shape, lp.B, lp.E, st.Samples, st.Interference)
 	comm := ch.CommRoundTrip(w.Shape.ModelBytes, st.Network).Seconds
@@ -77,7 +77,8 @@ func executeOracle(r *Runtime, sp JobSpec) runtime.Result {
 			}
 			var sumT, maxT float64
 			for _, p := range rr.Participants {
-				pt := predictedTime(&s, cfg.Channel, &cfg.Fleet[p.DeviceID], rr.State(p.DeviceID), p.Local)
+				st := rr.State(p.DeviceID)
+				pt := predictedTime(&s, cfg.Channel, &cfg.Fleet[p.DeviceID], &st, p.Local)
 				sumT += pt
 				if pt > maxT {
 					maxT = pt

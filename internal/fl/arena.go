@@ -33,10 +33,11 @@ import (
 // idle-energy runs, the trace view and the convergence-model stream,
 // which is reseeded rather than reallocated. Per-round slots are fully
 // overwritten each round: the selection bitmap is cleared and refilled,
-// and each participant's DeviceRound is a composite literal, so stale
-// Dropped/energy fields cannot leak. Apart from the run memo it joins,
-// no arena state carries over from one run to the next, so a dirty
-// arena yields byte-identical output to a fresh one (enforced by
+// and every field of each participant's DeviceRound is written in
+// place, so stale Dropped/energy fields cannot leak (checked by
+// TestParticipantLedgerMatchesKernel). Apart from the run memo it
+// joins, no arena state carries over from one run to the next, so a
+// dirty arena yields byte-identical output to a fresh one (enforced by
 // TestRunWithDirtyArenaByteIdentical).
 //
 // No replayed round walks the fleet device by device except the
@@ -69,10 +70,13 @@ type Arena struct {
 	// selBits marks the round's participants, one bit per device.
 	selBits []uint64
 
+	// state is the participant state executeRound reads from the trace
+	// and hands to Plan.Local by pointer, one participant at a time.
+	state DeviceState
+
 	// Per-round participant buffers (sized to the fleet once).
 	parts      []DeviceRound
 	commJoules []float64
-	times      []float64
 	aggIDs     []int
 
 	// history is the run's History, copied out at its exact length
@@ -123,14 +127,12 @@ func (a *Arena) beginRun(cfg *Config) {
 		a.sel[1] = make([]int, n)
 		a.parts = make([]DeviceRound, n)
 		a.commJoules = make([]float64, n)
-		a.times = make([]float64, n)
 		a.aggIDs = make([]int, 0, n)
 		a.selBits = make([]uint64, (n+63)/64)
 	}
 	a.static = a.static[:n]
 	a.parts = a.parts[:n]
 	a.commJoules = a.commJoules[:n]
-	a.times = a.times[:n]
 	a.selBits = a.selBits[:(n+63)/64]
 
 	a.memo = currentMemo(memoCapBytes)
@@ -149,7 +151,7 @@ func (a *Arena) beginRun(cfg *Config) {
 		a.static[i] = DeviceState{
 			ClassCount:    a.part.DeviceClassCount(i),
 			ClassFraction: a.part.DeviceClassFraction(i),
-			Samples:       a.part.DeviceSamples(d.ID),
+			Samples:       a.part.DeviceSamples(i),
 		}
 		classPct += a.static[i].ClassFraction
 		run := &a.idle[d.Profile.Category]

@@ -53,9 +53,10 @@ type Observation struct {
 	// Workload describes the NN being trained (S_CONV, S_FC, S_RC come
 	// from here).
 	Workload workload.Workload
-	// Fleet is the full device list; Fleet[i].ID is the id State
-	// takes. It is the run's Config.Fleet, possibly shared with
-	// concurrent runs, so controllers must treat it as read-only.
+	// Fleet is the full device list, indexed by device ID
+	// (Fleet[i].ID == i; see Config.Validate): the id State takes. It
+	// is the run's Config.Fleet, possibly shared with concurrent runs,
+	// so controllers must treat it as read-only.
 	Fleet []device.Device
 	// PrevAccuracy is the test accuracy after the previous round
 	// (R_accuracy_prev in the paper's reward).
@@ -79,7 +80,10 @@ type Observation struct {
 
 // State returns device id's observed state this round (0 <= id <
 // len(Fleet)).
-func (o *Observation) State(id int) DeviceState { return o.devices.state(id) }
+func (o *Observation) State(id int) (st DeviceState) {
+	o.devices.read(id, &st)
+	return st
+}
 
 // Plan is a controller's decision for one round: how many devices to
 // select and what local parameters each selected device runs with.
@@ -88,9 +92,12 @@ type Plan struct {
 	// by the simulator to the fleet size, minimum 1).
 	K int
 	// Local returns the (B, E) assignment for a selected device, given
-	// its observed state. dev points into the read-only fleet.
-	// Controllers that use a single global setting return a constant.
-	Local func(dev *device.Device, st DeviceState) LocalParams
+	// its observed state. dev points into the read-only fleet; st
+	// points into the run's arena and is valid only during the call
+	// (the next participant's state overwrites it), so a Local that
+	// keeps the state must copy *st. Controllers that use a single
+	// global setting return a constant.
+	Local func(dev *device.Device, st *DeviceState) LocalParams
 }
 
 // DeviceRound records one participant's execution within a round.
@@ -151,7 +158,10 @@ type RoundResult struct {
 }
 
 // State returns device id's state as the round's Observation saw it.
-func (r *RoundResult) State(id int) DeviceState { return r.devices.state(id) }
+func (r *RoundResult) State(id int) (st DeviceState) {
+	r.devices.read(id, &st)
+	return st
+}
 
 // Controller is a round-by-round global-parameter policy: FedGPO, the
 // Fixed/BO/GA baselines, FedEX and ABS all implement it.
@@ -174,7 +184,7 @@ type Static struct {
 	// allocating one per round (grid sweeps call Plan millions of
 	// times). Built lazily from P on first use; P must not change
 	// after the first Plan call.
-	local func(*device.Device, DeviceState) LocalParams
+	local func(*device.Device, *DeviceState) LocalParams
 }
 
 // NewStatic returns a Static controller for p.
@@ -192,7 +202,7 @@ func (s *Static) Name() string {
 func (s *Static) Plan(Observation) Plan {
 	if s.local == nil {
 		lp := LocalParams{B: s.P.B, E: s.P.E}
-		s.local = func(*device.Device, DeviceState) LocalParams { return lp }
+		s.local = func(*device.Device, *DeviceState) LocalParams { return lp }
 	}
 	return Plan{K: s.P.K, Local: s.local}
 }

@@ -202,13 +202,15 @@ type deviceView struct {
 	static []DeviceState
 }
 
-// state reads device id's state for the round: its bandwidth gives the
-// link condition, and the active bitmap's rank locates its
-// interference pair.
-func (v *deviceView) state(id int) DeviceState {
+// read writes device id's state for the round into st: its bandwidth
+// gives the link condition, and the active bitmap's rank locates its
+// interference pair. Every field of st is written.
+func (v *deviceView) read(id int, st *DeviceState) {
 	c, n := v.c, len(v.static)
-	st := v.static[id]
+	s := &v.static[id]
+	st.ClassCount, st.ClassFraction, st.Samples = s.ClassCount, s.ClassFraction, s.Samples
 	st.Network = netsim.ConditionAt(c.bw[v.off*n+id])
+	st.Interference = device.Interference{}
 	if c.words > 0 {
 		w := v.off*c.words + id>>6
 		bit := uint64(1) << (id & 63)
@@ -218,5 +220,4 @@ func (v *deviceView) state(id int) DeviceState {
 			st.Interference = device.Interference{CPUUsage: pair[0], MemUsage: pair[1]}
 		}
 	}
-	return st
 }

@@ -98,7 +98,7 @@ func replay(v *traceView, n, rounds int, want []liveRound) error {
 	for r := 0; r < rounds; r++ {
 		devices, perm, interfered, badLinks := v.observe(r, static)
 		for id := range states {
-			states[id] = devices.state(id)
+			devices.read(id, &states[id])
 		}
 		if err := sameRound(states, perm, want[r]); err != nil {
 			return fmt.Errorf("round %d: %w", r, err)
@@ -342,6 +342,9 @@ func TestRunMemoUnreachableOnceArenasAre(t *testing.T) {
 func TestValidateRejectsOversizedFleet(t *testing.T) {
 	cfg := testConfig()
 	cfg.Fleet = make([]device.Device, maxFleet+1)
+	for i := range cfg.Fleet {
+		cfg.Fleet[i].ID = i
+	}
 	cfg.Partition = data.IID(maxFleet+1, 2, 2)
 	if err := cfg.Validate(); err == nil {
 		t.Errorf("a %d-device fleet validated", maxFleet+1)

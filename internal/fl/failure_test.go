@@ -176,7 +176,7 @@ type hostileController struct{}
 
 func (h *hostileController) Name() string { return "hostile" }
 func (h *hostileController) Plan(Observation) Plan {
-	return Plan{K: -3, Local: func(*device.Device, DeviceState) LocalParams {
+	return Plan{K: -3, Local: func(*device.Device, *DeviceState) LocalParams {
 		return LocalParams{B: -8, E: 0}
 	}}
 }

@@ -9,6 +9,7 @@ import (
 	"fedgpo/internal/interfere"
 	"fedgpo/internal/netsim"
 	"fedgpo/internal/stats"
+	"fedgpo/internal/telemetry"
 	"fedgpo/internal/workload"
 )
 
@@ -143,6 +144,73 @@ func TestConfigValidate(t *testing.T) {
 	bad.DeadlineSec = -1
 	if bad.Validate() == nil {
 		t.Error("negative deadline factor should fail")
+	}
+	// The kernel and the controllers index per-device state by ID, so
+	// a fleet out of ID order would read other devices' states.
+	bad = good
+	bad.Fleet = append([]device.Device(nil), good.Fleet...)
+	bad.Fleet[3], bad.Fleet[7] = bad.Fleet[7], bad.Fleet[3]
+	if bad.Validate() == nil {
+		t.Error("a fleet with devices 3 and 7 swapped should fail")
+	}
+	for i := range bad.Fleet {
+		bad.Fleet[i].ID = i + 1
+	}
+	if bad.Validate() == nil {
+		t.Error("a fleet numbered from 1 should fail")
+	}
+}
+
+// A deadline never lengthens a round: a Static run selects the same
+// participants with the same states whatever happens to its accuracy,
+// so every round under a deadline lasts at most as long as the same
+// round of the same seed without one (the deadline cuts the slowest
+// participant off; it never waits longer).
+func TestDeadlineNeverLengthensRound(t *testing.T) {
+	for _, deadline := range []float64{12, 40, 200} {
+		cfg := dirtyConfig()
+		cfg.DeadlineSec = 0
+		free := Run(cfg, NewStatic(Params{B: 4, E: 20, K: 15}))
+		cfg.DeadlineSec = deadline
+		cut := Run(cfg, NewStatic(Params{B: 4, E: 20, K: 15}))
+		if len(cut.History) != len(free.History) {
+			t.Fatalf("deadline %g: %d rounds, %d without a deadline", deadline, len(cut.History), len(free.History))
+		}
+		shorter := 0
+		for i, rec := range cut.History {
+			if rec.RoundSeconds > free.History[i].RoundSeconds {
+				t.Errorf("deadline %g, round %d: %g s, %g s without a deadline",
+					deadline, rec.Round, rec.RoundSeconds, free.History[i].RoundSeconds)
+			}
+			if rec.RoundSeconds < free.History[i].RoundSeconds {
+				shorter++
+			}
+		}
+		if shorter == 0 {
+			t.Errorf("deadline %g cut no round short; the case checks nothing", deadline)
+		}
+	}
+}
+
+// The run's phase records: one collector over two runs counts every
+// round of both in PhaseRounds and in PhaseMerge (whose time is
+// sampled and scaled), and both phases read a positive time.
+func TestPhaseRecordsCountEveryRound(t *testing.T) {
+	col := telemetry.NewCollector()
+	rounds := 0
+	for _, cfg := range []Config{testConfig(), dirtyConfig()} {
+		cfg.Telemetry = col
+		rounds += len(Run(cfg, NewStatic(Params{B: 8, E: 10, K: 10})).History)
+	}
+	m := col.Snapshot()
+	for _, name := range []string{telemetry.PhaseRounds, telemetry.PhaseMerge} {
+		p := m.Phases[name]
+		if p.Count != int64(rounds) {
+			t.Errorf("%s counts %d rounds, the runs executed %d", name, p.Count, rounds)
+		}
+		if p.Seconds <= 0 {
+			t.Errorf("%s reads %g s", name, p.Seconds)
+		}
 	}
 }
 
@@ -304,7 +372,7 @@ type categoryController struct{ k int }
 
 func (c *categoryController) Name() string { return "per-category" }
 func (c *categoryController) Plan(Observation) Plan {
-	return Plan{K: c.k, Local: func(d *device.Device, _ DeviceState) LocalParams {
+	return Plan{K: c.k, Local: func(d *device.Device, _ *DeviceState) LocalParams {
 		switch d.Profile.Category {
 		case device.High:
 			return LocalParams{B: 8, E: 10}

@@ -93,7 +93,7 @@ func (adaptive) Observe(fl.RoundResult) {}
 
 var bValues, eValues = fl.BValues(), fl.EValues()
 
-func adaptiveLocal(d *device.Device, st fl.DeviceState) fl.LocalParams {
+func adaptiveLocal(d *device.Device, st *fl.DeviceState) fl.LocalParams {
 	b := int(st.Interference.CPUUsage*10) + int(st.Network.Signal) + st.ClassCount + d.ID
 	e := int(st.Interference.MemUsage*10) + int(st.Network.BandwidthMbps/10) +
 		st.Samples%7 + int(st.ClassFraction/10) + int(d.Profile.Category)

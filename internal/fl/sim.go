@@ -21,7 +21,9 @@ type Config struct {
 	// Workload is the NN training task.
 	Workload workload.Workload
 	// Fleet is the device population (paper: 200 devices, 30/70/100),
-	// at most 65,535 devices. It is read-only: runs may share one
+	// at most 65,535 devices, each at the position its ID names
+	// (Fleet[i].ID == i): the simulator and the controllers index
+	// per-device state by ID. It is read-only: runs may share one
 	// fleet (see SharedFleet), so neither the simulator nor any
 	// controller writes through it.
 	Fleet []device.Device
@@ -54,10 +56,14 @@ type Config struct {
 	// StopAtConvergence ends the run once the tracker fires (plus its
 	// settle window); disable to collect full-length histories.
 	StopAtConvergence bool
-	// Telemetry, when non-nil, receives wall-clock phase timings (round
-	// bodies, serial merges). It is observational only: Config is never
-	// hashed into cache keys and the collector cannot influence the
-	// run's outcome, which stays byte-identical with or without it.
+	// Telemetry, when non-nil, receives the run's wall-clock phase
+	// timings, once per run: the round loop (PhaseRounds, two clock
+	// reads per run) and the serial merges (PhaseMerge, timed on one
+	// round in 16 and scaled), each counting the rounds executed. A nil
+	// collector makes the loop read no clock at all. It is
+	// observational only: Config is never hashed into cache keys and
+	// the collector cannot influence the run's outcome, which stays
+	// byte-identical with or without it.
 	Telemetry *telemetry.Collector
 }
 
@@ -75,6 +81,11 @@ func (c Config) Validate() error {
 	}
 	if len(c.Fleet) > maxFleet {
 		return fmt.Errorf("fl: fleet has %d devices, at most %d allowed", len(c.Fleet), maxFleet)
+	}
+	for i := range c.Fleet {
+		if c.Fleet[i].ID != i {
+			return fmt.Errorf("fl: fleet position %d holds device ID %d; IDs must equal positions", i, c.Fleet[i].ID)
+		}
 	}
 	if c.Partition.NumDevices() != len(c.Fleet) {
 		return fmt.Errorf("fl: partition covers %d devices, fleet has %d",
@@ -161,22 +172,32 @@ func RunWithArena(cfg Config, ctrl Controller, a *Arena) Result {
 	// misses round deadlines (see convmodel.RoundInputs).
 	chronicDrop := stats.NewEMA(0.05)
 
+	// The phase clocks run only for a collector: the loop is timed
+	// whole, and the merge on sampled rounds (see mergeSample).
+	timed := cfg.Telemetry != nil
+	var loopStart time.Time
+	var mergeSec time.Duration
+	if timed {
+		loopStart = time.Now()
+	}
+	// obs and rr are written in place each round: obs's run-constant
+	// fields once here, the rest before Plan; rr's every field by
+	// executeRound and the loop.
+	obs := Observation{
+		Workload:          cfg.Workload,
+		Fleet:             cfg.Fleet,
+		DeadlineSec:       cfg.DeadlineSec,
+		MeanClassFraction: a.meanClass,
+	}
+	var rr RoundResult
 	for round := 1; round <= cfg.MaxRounds; round++ {
-		roundStart := time.Now()
 		// 1. Observe the environment, replayed from the trace.
 		devices, perm, interfered, badLinks := a.env.observe(round-1, a.static)
-		obs := Observation{
-			Round:             round,
-			Workload:          cfg.Workload,
-			Fleet:             cfg.Fleet,
-			PrevAccuracy:      prevAcc,
-			PrevParticipants:  prevParticipants,
-			DeadlineSec:       cfg.DeadlineSec,
-			Interfered:        interfered,
-			BadLinks:          badLinks,
-			MeanClassFraction: a.meanClass,
-			devices:           devices,
-		}
+		obs.Round = round
+		obs.PrevAccuracy = prevAcc
+		obs.PrevParticipants = prevParticipants
+		obs.Interfered, obs.BadLinks = interfered, badLinks
+		obs.devices = devices
 
 		// 2. Controller decides.
 		plan := ctrl.Plan(obs)
@@ -207,14 +228,14 @@ func RunWithArena(cfg Config, ctrl Controller, a *Arena) Result {
 		}
 
 		// 4. Execute the round.
-		rr := executeRound(&cfg, plan, selected, &devices, a)
+		mergeSec += executeRound(&cfg, plan, selected, &devices, a, &rr, timed && round%mergeSample == 1)
 		rr.Round = round
 		rr.PlannedK = k
 		rr.PrevAccuracy = prevAcc
 		rr.devices = devices
 
 		// 5. Advance the learning model with what was aggregated.
-		in := aggregateInputs(rr, a)
+		in := aggregateInputs(&rr, a)
 		in.ChronicDropFraction = chronicDrop.Add(1 - in.DataFraction)
 		acc := model.Step(in)
 		rr.Accuracy = acc
@@ -242,11 +263,17 @@ func RunWithArena(cfg Config, ctrl Controller, a *Arena) Result {
 			catEnergy[cat] += rr.EnergyByCategory[cat]
 		}
 
-		converged := tracker.Observe(acc)
-		cfg.Telemetry.RecordPhase(telemetry.PhaseRounds, time.Since(roundStart))
-		if converged && cfg.StopAtConvergence {
+		if tracker.Observe(acc) && cfg.StopAtConvergence {
 			break
 		}
+	}
+	if timed {
+		rounds := len(a.history)
+		cfg.Telemetry.RecordPhaseN(telemetry.PhaseRounds, time.Since(loopStart), rounds)
+		// Rounds 1, 1+mergeSample, ... were timed: scale their sum to
+		// all rounds.
+		sampled := (rounds + mergeSample - 1) / mergeSample
+		cfg.Telemetry.RecordPhaseN(telemetry.PhaseMerge, mergeSec*time.Duration(rounds)/time.Duration(sampled), rounds)
 	}
 
 	res.History = make([]RoundRecord, len(a.history))
@@ -265,10 +292,19 @@ func RunWithArena(cfg Config, ctrl Controller, a *Arena) Result {
 	return res
 }
 
+// mergeSample is the merge timer's sampling period: a run with a
+// collector times executeRound's merge on rounds 1, 1+mergeSample,
+// 1+2·mergeSample, ... only, because two clock reads cost about as
+// much as a small round's merge.
+const mergeSample = 16
+
 // executeRound runs the selected devices' local training and computes
-// the round's timing and fleet-wide energy. Its cost is O(K) for K
-// participants plus the idle-energy chain: one add per non-participant,
-// walked category by category.
+// the round's timing and fleet-wide energy into rr (every field but
+// the ones RunWithArena sets: Round, PlannedK, PrevAccuracy, Accuracy
+// and the device view). Its cost is O(K) for K participants plus the
+// idle-energy chain: one add per non-participant, walked category by
+// category. When timeMerge is set it returns the merge phase's wall
+// time, else 0.
 //
 // It executes in two phases. Phase 1 walks the participants serially
 // in selected-device order: it reads each one's state from the round's
@@ -278,22 +314,24 @@ func RunWithArena(cfg Config, ctrl Controller, a *Arena) Result {
 // deterministic device/channel models for it. Phase 2 merges in fixed
 // device order (straggler semantics, energy accounting, aggregation),
 // so every float accumulation happens in the same order.
-func executeRound(cfg *Config, plan Plan, selected []int, devices *deviceView, a *Arena) RoundResult {
+func executeRound(cfg *Config, plan Plan, selected []int, devices *deviceView, a *Arena, rr *RoundResult, timeMerge bool) time.Duration {
 	k := len(selected)
 	parts := a.parts[:k]
 	commJoules := a.commJoules[:k]
 	modelBytes := cfg.Workload.Shape.ModelBytes
 
-	// Phase 1. The composite literal overwrites every DeviceRound
-	// field, so arena reuse cannot leak a previous round's
-	// Dropped/energy values. The round trip is computed once per
-	// participant and reused for both its seconds and its joules: the
-	// two are one physical transfer, and a second model call would
-	// silently diverge the moment the channel model becomes stochastic
-	// per call.
+	// Phase 1. Each participant's DeviceRound is written field by
+	// field in its arena slot; the merge writes the rest (Dropped,
+	// EnergyJ), so arena reuse cannot leak a previous round's values.
+	// The state is read into one arena slot that Local sees by pointer.
+	// The round trip is computed once per participant and reused for
+	// both its seconds and its joules: the two are one physical
+	// transfer, and a second model call would silently diverge the
+	// moment the channel model becomes stochastic per call.
+	st := &a.state
 	for i, id := range selected {
 		d := &cfg.Fleet[id]
-		st := devices.state(id)
+		devices.read(id, st)
 		lp := plan.Local(d, st)
 		if lp.B < 1 {
 			lp.B = 1
@@ -303,40 +341,38 @@ func executeRound(cfg *Config, plan Plan, selected []int, devices *deviceView, a
 		}
 		comp := device.ComputeSeconds(&d.Profile, cfg.Workload.Shape, lp.B, lp.E, st.Samples, st.Interference)
 		rt := a.comm.RoundTrip(modelBytes, st.Network)
-		parts[i] = DeviceRound{
-			DeviceID:   id,
-			Category:   d.Profile.Category,
-			Local:      lp,
-			ComputeSec: comp,
-			CommSec:    rt.Seconds,
-			TotalSec:   comp + rt.Seconds,
-			Samples:    st.Samples,
-			SkewDegree: a.part.NonIIDDegree(id),
-			Interfered: st.Interference.CPUUsage > 0 || st.Interference.MemUsage > 0,
-			NetworkBad: !st.Network.Regular(),
-		}
+		p := &parts[i]
+		p.DeviceID = id
+		p.Category = d.Profile.Category
+		p.Local = lp
+		p.ComputeSec = comp
+		p.CommSec = rt.Seconds
+		p.TotalSec = comp + rt.Seconds
+		p.Samples = st.Samples
+		p.SkewDegree = a.part.NonIIDDegree(id)
+		p.Interfered = st.Interference.CPUUsage > 0 || st.Interference.MemUsage > 0
+		p.NetworkBad = !st.Network.Regular()
 		commJoules[i] = rt.Joules
 	}
 
 	// Phase 2: merge in fixed device order.
-	mergeStart := time.Now()
-	times := a.times[:k]
-	for i := range parts {
-		times[i] = parts[i].TotalSec
+	var mergeStart time.Time
+	if timeMerge {
+		mergeStart = time.Now()
 	}
-
 	// Straggler semantics: the round lasts until the slowest surviving
 	// participant, or closes at the deadline when one is set.
-	execSec := stats.Max(times)
-	if cfg.DeadlineSec > 0 && len(times) > 0 {
-		for i := range parts {
-			if parts[i].TotalSec > cfg.DeadlineSec {
-				parts[i].Dropped = true
-			}
+	execSec := 0.0
+	deadline := cfg.DeadlineSec
+	for i := range parts {
+		p := &parts[i]
+		if i == 0 || p.TotalSec > execSec {
+			execSec = p.TotalSec
 		}
-		if execSec > cfg.DeadlineSec {
-			execSec = cfg.DeadlineSec
-		}
+		p.Dropped = deadline > 0 && p.TotalSec > deadline
+	}
+	if deadline > 0 && execSec > deadline {
+		execSec = deadline
 	}
 	// The server-side aggregation tax extends the round for everyone.
 	roundSec := execSec + cfg.AggregationOverheadSec
@@ -405,23 +441,23 @@ func executeRound(cfg *Config, plan Plan, selected []int, devices *deviceView, a
 		meanB = wB / wSamples
 		meanE = wE / wSamples
 	}
-	cfg.Telemetry.RecordPhase(telemetry.PhaseMerge, time.Since(mergeStart))
-	return RoundResult{
-		Participants:     parts,
-		AggregatedK:      aggK,
-		RoundSeconds:     roundSec,
-		EnergyGlobalJ:    totalEnergy,
-		EnergyByCategory: energyByCat,
-		MeanB:            meanB,
-		MeanE:            meanE,
+	rr.Participants = parts
+	rr.AggregatedK = aggK
+	rr.RoundSeconds = roundSec
+	rr.EnergyGlobalJ = totalEnergy
+	rr.EnergyByCategory = energyByCat
+	rr.MeanB, rr.MeanE = meanB, meanE
+	if timeMerge {
+		return time.Since(mergeStart)
 	}
+	return 0
 }
 
 // aggregateInputs converts a round's aggregation outcome into the
 // convergence model's inputs. The aggregated-ID list and the partition
 // signals come from the arena (the partition memo returns bit-identical
 // values to the Partition methods it shadows).
-func aggregateInputs(rr RoundResult, a *Arena) convmodel.RoundInputs {
+func aggregateInputs(rr *RoundResult, a *Arena) convmodel.RoundInputs {
 	aggIDs := a.aggIDs[:0]
 	selSamples, aggSamples := 0, 0
 	for i := range rr.Participants {

@@ -163,3 +163,40 @@ func TestChannelSampleDeterministicPerSeed(t *testing.T) {
 		}
 	}
 }
+
+// A lower bandwidth never shortens a round trip: over a fine descending
+// sweep that crosses both signal-band edges and reaches zero, plus
+// sampled pairs, CommModel.RoundTrip's seconds never fall as the
+// bandwidth does, for either channel and any payload.
+func TestLowerBandwidthNeverShortensRoundTrip(t *testing.T) {
+	payloads := []float64{0, 1, 3.2e6, 1.7e7}
+	bws := []float64{}
+	for bw := 200.0; bw >= 0; bw -= 0.25 {
+		bws = append(bws, bw)
+	}
+	rng := stats.NewRNG(11)
+	for name, ch := range map[string]Channel{"stable": StableChannel(), "unstable": UnstableChannel()} {
+		m := ch.Model()
+		for _, payload := range payloads {
+			prev := m.RoundTrip(payload, ConditionAt(bws[0]))
+			for _, bw := range bws[1:] {
+				rt := m.RoundTrip(payload, ConditionAt(bw))
+				if rt.Seconds < prev.Seconds {
+					t.Fatalf("%s payload=%g: %g Mbps takes %g s, less than %g s at %g Mbps",
+						name, payload, bw, rt.Seconds, prev.Seconds, bw+0.25)
+				}
+				prev = rt
+			}
+			for i := 0; i < 1000; i++ {
+				hi, lo := ch.Sample(rng), ch.Sample(rng)
+				if hi.BandwidthMbps < lo.BandwidthMbps {
+					hi, lo = lo, hi
+				}
+				if a, b := m.RoundTrip(payload, lo).Seconds, m.RoundTrip(payload, hi).Seconds; a < b {
+					t.Fatalf("%s payload=%g: %g Mbps takes %g s, less than %g s at %g Mbps",
+						name, payload, lo.BandwidthMbps, a, b, hi.BandwidthMbps)
+				}
+			}
+		}
+	}
+}

@@ -36,11 +36,15 @@ const (
 	// Q-table warm-up when the pretrained-controller cache misses
 	// (near-zero on a snapshot hit).
 	PhasePretrain = "pretrain"
-	// PhaseRounds is full simulated-round execution (fl.Run's loop
-	// body: observe, plan, execute, learn, feed back).
+	// PhaseRounds is full simulated-round execution (fl.Run's loop:
+	// observe, plan, execute, learn, feed back). A run records it once,
+	// timed around the whole loop, with Count the rounds it executed.
 	PhaseRounds = "rounds"
-	// PhaseMerge is the serial phase-3 merge inside each round
-	// (straggler semantics, energy accounting, aggregation).
+	// PhaseMerge is the serial merge inside each round (straggler
+	// semantics, energy accounting, aggregation). A run times it on one
+	// round in 16 (rounds 1, 17, 33, ...) and records it once, scaled
+	// to all its rounds, with Count the rounds it executed: Seconds is
+	// an estimate, Count exact.
 	PhaseMerge = "merge"
 	// PhaseCacheRead / PhaseCacheWrite are run-cache I/O (lookup
 	// including payload unmarshal; serialize + pack append).
@@ -306,14 +310,18 @@ func NewCollector() *Collector {
 }
 
 // RecordPhase accumulates one timed entry into a named phase.
-func (c *Collector) RecordPhase(name string, d time.Duration) {
+func (c *Collector) RecordPhase(name string, d time.Duration) { c.RecordPhaseN(name, d, 1) }
+
+// RecordPhaseN accumulates n entries timed together as d into a named
+// phase: a loop records its iterations once, not once each.
+func (c *Collector) RecordPhaseN(name string, d time.Duration, n int) {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
 	p := c.phases[name]
 	p.Seconds += d.Seconds()
-	p.Count++
+	p.Count += int64(n)
 	c.phases[name] = p
 	c.mu.Unlock()
 }

@@ -25,6 +25,7 @@ func TestCollectorAccumulatesAndMerges(t *testing.T) {
 	c.RecordPhase(PhaseRounds, 2*time.Second)
 	c.RecordPhase(PhaseRounds, time.Second)
 	c.RecordPhase(PhaseMerge, 500*time.Millisecond)
+	c.RecordPhaseN(PhaseMerge, time.Second, 16)
 	c.Count(func(cc *Counters) { cc.SimsExecuted += 2; cc.CacheHits++ })
 	c.RecordLatency("tcp:b", 10*time.Millisecond)
 	c.RecordLatency("tcp:a", 20*time.Millisecond)
@@ -39,6 +40,9 @@ func TestCollectorAccumulatesAndMerges(t *testing.T) {
 	m := c.Snapshot()
 	if got := m.Phases[PhaseRounds]; got.Seconds != 4 || got.Count != 3 {
 		t.Fatalf("rounds phase = %+v, want 4s over 3 entries", got)
+	}
+	if got := m.Phases[PhaseMerge]; got.Seconds != 1.5 || got.Count != 17 {
+		t.Fatalf("merge phase = %+v, want 1.5s over 17 entries", got)
 	}
 	if m.Counters.SimsExecuted != 2 || m.Counters.CacheHits != 1 || m.Counters.CacheMisses != 1 {
 		t.Fatalf("counters = %+v", m.Counters)
