@@ -22,7 +22,9 @@
 // most: a row whose candidate already sits in an earlier row p copies
 // that row's first p columns, which were computed from identical
 // inputs, and computes only the rest. The posterior mean then costs
-// O(n²) for the weights plus O(C·n). The posterior stddev, which only
+// O(n²) for the weights plus O(C·n) for the C dot products, taken four
+// candidates per pass over the observations so that four independent
+// add chains overlap. The posterior stddev, which only
 // expected improvement reads (so before ExploitAfter only), keeps each
 // candidate's L⁻¹·k* and a running sum of its squares, so a new
 // observation costs O(C·n); a slide resets them. Every value is
@@ -237,16 +239,41 @@ func (o *Optimizer) posterior(withSigma bool) (mu, sigma []float64) {
 	if withSigma {
 		o.solve()
 	}
-	for i := range mu {
-		row := o.space.gram[i*c : (i+1)*c]
+	// The mean walks the observations once per four candidates, each
+	// with its own accumulator: four independent add chains instead of
+	// one, and every candidate's adds still run in observation order.
+	gram := o.space.gram
+	i := 0
+	for ; i+4 <= c; i += 4 {
+		r0 := gram[i*c : (i+1)*c]
+		r1 := gram[(i+1)*c : (i+2)*c]
+		r2 := gram[(i+2)*c : (i+3)*c]
+		r3 := gram[(i+3)*c : (i+4)*c]
+		var m0, m1, m2, m3 float64
+		for j, xj := range o.xs {
+			aj := alpha[j]
+			m0 += r0[xj] * aj
+			m1 += r1[xj] * aj
+			m2 += r2[xj] * aj
+			m3 += r3[xj] * aj
+		}
+		mu[i] = m0*std + mean
+		mu[i+1] = m1*std + mean
+		mu[i+2] = m2*std + mean
+		mu[i+3] = m3*std + mean
+	}
+	for ; i < c; i++ {
+		row := gram[i*c : (i+1)*c]
 		m := 0.0
 		for j, xj := range o.xs {
 			m += row[xj] * alpha[j]
 		}
 		mu[i] = m*std + mean
-		if !withSigma {
-			continue
-		}
+	}
+	if !withSigma {
+		return mu, sigma
+	}
+	for i := range sigma {
 		variance := 1 - o.ss[i]
 		if variance < 1e-12 {
 			variance = 1e-12

@@ -122,17 +122,29 @@ func Clamp01(v float64) float64 {
 // Eq. (2): local training at full busy power plus the wait for the global
 // aggregation at WaitWatts — the straggler-induced "redundant energy"
 // of paper Fig. 5. Communication energy is accounted separately by the
-// channel model (Eq. 3). Training runs CPU and GPU at their top steps
-// (performance governor), which is how on-device DL frameworks execute.
+// channel model (Eq. 3).
 func ParticipantJoules(p *Profile, busySec, waitSec float64) float64 {
+	return ParticipantJoulesAt(BusyWatts(p), p.WaitWatts, busySec, waitSec)
+}
+
+// BusyWatts is the draw of a device during local training. Training
+// runs CPU and GPU at their top steps (performance governor), which is
+// how on-device DL frameworks execute.
+func BusyWatts(p *Profile) float64 {
+	return p.CPU.PowerAt(p.CPU.Steps) + p.GPU.PowerAt(p.GPU.Steps)
+}
+
+// ParticipantJoulesAt is ParticipantJoules for a device whose
+// BusyWatts is busyWatts and whose WaitWatts is waitWatts, so a caller
+// that prices one device over many rounds computes its busy power once.
+func ParticipantJoulesAt(busyWatts, waitWatts, busySec, waitSec float64) float64 {
 	if busySec < 0 {
 		busySec = 0
 	}
 	if waitSec < 0 {
 		waitSec = 0
 	}
-	busyPower := p.CPU.PowerAt(p.CPU.Steps) + p.GPU.PowerAt(p.GPU.Steps)
-	return busyPower*busySec + p.WaitWatts*waitSec
+	return busyWatts*busySec + waitWatts*waitSec
 }
 
 // IdleJoules implements paper Eq. (4): the energy a non-participating

@@ -1,6 +1,7 @@
 package fl
 
 import (
+	"math"
 	"sync"
 
 	"fedgpo/internal/data"
@@ -29,23 +30,24 @@ import (
 // Reuse is safe because RunWithArena rewrites every slot it later
 // reads. Per-run slots are refilled by beginRun: the static DeviceState
 // fields (ClassCount, ClassFraction, Samples, which cannot change
-// within a run) and their mean ClassFraction, the per-category
-// idle-energy runs, the trace view and the convergence-model stream,
-// which is reseeded rather than reallocated. Per-round slots are fully
+// within a run) and their mean ClassFraction, each device's busy power
+// and idle run, the trace view and the convergence-model stream, which
+// is reseeded rather than reallocated. Per-round slots are fully
 // overwritten each round: the selection bitmap is cleared and refilled,
-// and every field of each participant's DeviceRound is written in
-// place, so stale Dropped/energy fields cannot leak (checked by
-// TestParticipantLedgerMatchesKernel). Apart from the run memo it
-// joins, no arena state carries over from one run to the next, so a
-// dirty arena yields byte-identical output to a fresh one (enforced by
-// TestRunWithDirtyArenaByteIdentical).
+// every field of each participant's DeviceRound is written in place,
+// so stale Dropped/energy fields cannot leak (checked by
+// TestParticipantLedgerMatchesKernel), and each idle run's participant
+// count is zeroed as soon as the round's idle sum has read it. Apart
+// from the run memo it joins, no arena state carries over from one run
+// to the next, so a dirty arena yields byte-identical output to a
+// fresh one (enforced by TestRunWithDirtyArenaByteIdentical).
 //
-// No replayed round walks the fleet device by device except the
-// idle-energy sum: device state is read on demand from the trace (see
-// Observation.State), the selection is a bitmap of n/64 words, and the
-// rest scales with the K participants. A round costs O(K + n/64) plus
-// one add per non-participant in its category's idle-energy chain;
-// the first run to reach a round also draws it into the trace.
+// No replayed round walks the fleet device by device: device state is
+// read on demand from the trace (see Observation.State), the selection
+// is a bitmap of n/64 words, and the idle energy is priced per idle run
+// from its participant count. A round costs O(K + n/64) plus the idle
+// sum's n−K adds, a tight loop over counts with no per-device load or
+// branch; the first run to reach a round also draws it into the trace.
 //
 // An Arena belongs to one goroutine at a time. The slices handed to
 // controllers through Observation/RoundResult point into it — see the
@@ -57,10 +59,14 @@ type Arena struct {
 	static []DeviceState
 	// meanClass is the mean of static's ClassFraction.
 	meanClass float64
-	// idle lists, per category, the category's devices in ascending id
-	// order with their idle draw (Profile.IdleWatts), refilled by
+	// busyWatts is each device's device.BusyWatts, refilled by
 	// beginRun.
-	idle [device.NumCategories]idleRun
+	busyWatts []float64
+	// idle lists, per category, the category's idle runs in ascending
+	// id order, and runOf each device's index in its category's list;
+	// both refilled by beginRun.
+	idle  [device.NumCategories][]idleRun
+	runOf []int32
 
 	// sel double-buffers participant selection: the previous round's
 	// buffer stays intact while the current one is written, so
@@ -95,11 +101,17 @@ type Arena struct {
 	comm netsim.CommModel
 }
 
-// idleRun is one category's devices, ascending by id, and their idle
-// draws: the order a round adds their idle energy in.
+// idleRun is a maximal run of devices that are consecutive in their
+// category's ascending-id order and draw the same idle power
+// (Profile.IdleWatts, compared bit for bit). Its non-participants' idle
+// energies are equal addends, so adding one of them size−taken times
+// gives the same sum, bit for bit, as adding each device's in id order.
 type idleRun struct {
-	ids   []int
-	watts []float64
+	watts float64
+	size  int
+	// taken counts the round's participants in the run; the idle sum
+	// zeroes it after reading it.
+	taken int
 }
 
 // NewArena returns an empty arena. Buffers grow on first use and are
@@ -117,12 +129,14 @@ var arenaPool = sync.Pool{New: func() any { return NewArena() }}
 // and its environment trace, reseeds the convergence-model stream,
 // points the partition memo at the partition's signals (computing them
 // only for a partition that carries none; see SharedPartition) and
-// fills the per-run tables (static device states, per-category idle
-// runs).
+// fills the per-run tables (static device states, busy powers,
+// per-category idle runs).
 func (a *Arena) beginRun(cfg *Config) {
 	n := len(cfg.Fleet)
 	if cap(a.static) < n {
 		a.static = make([]DeviceState, n)
+		a.busyWatts = make([]float64, n)
+		a.runOf = make([]int32, n)
 		a.sel[0] = make([]int, n)
 		a.sel[1] = make([]int, n)
 		a.parts = make([]DeviceRound, n)
@@ -131,6 +145,8 @@ func (a *Arena) beginRun(cfg *Config) {
 		a.selBits = make([]uint64, (n+63)/64)
 	}
 	a.static = a.static[:n]
+	a.busyWatts = a.busyWatts[:n]
+	a.runOf = a.runOf[:n]
 	a.parts = a.parts[:n]
 	a.commJoules = a.commJoules[:n]
 	a.selBits = a.selBits[:(n+63)/64]
@@ -142,8 +158,7 @@ func (a *Arena) beginRun(cfg *Config) {
 
 	a.part.Reset(cfg.Partition)
 	for cat := range a.idle {
-		a.idle[cat].ids = a.idle[cat].ids[:0]
-		a.idle[cat].watts = a.idle[cat].watts[:0]
+		a.idle[cat] = a.idle[cat][:0]
 	}
 	classPct := 0.0
 	for i := range cfg.Fleet {
@@ -154,9 +169,14 @@ func (a *Arena) beginRun(cfg *Config) {
 			Samples:       a.part.DeviceSamples(i),
 		}
 		classPct += a.static[i].ClassFraction
-		run := &a.idle[d.Profile.Category]
-		run.ids = append(run.ids, i)
-		run.watts = append(run.watts, d.Profile.IdleWatts)
+		a.busyWatts[i] = device.BusyWatts(&d.Profile)
+		runs := a.idle[d.Profile.Category]
+		if r := len(runs) - 1; r < 0 || math.Float64bits(runs[r].watts) != math.Float64bits(d.Profile.IdleWatts) {
+			runs = append(runs, idleRun{watts: d.Profile.IdleWatts})
+		}
+		runs[len(runs)-1].size++
+		a.runOf[i] = int32(len(runs) - 1)
+		a.idle[d.Profile.Category] = runs
 	}
 	a.meanClass = classPct / float64(n)
 	a.comm = cfg.Channel.Model()

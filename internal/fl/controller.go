@@ -30,8 +30,8 @@ type DeviceState struct {
 // Per-device state is read on demand: State(id) reads one device from
 // the round's environment trace record, so building an Observation
 // costs nothing per device. A round's kernel work is O(K + n/64) for K
-// participants in an n-device fleet, plus one idle-energy add per
-// non-participant.
+// participants in an n-device fleet, plus the idle-energy sum: a loop
+// of n−K adds over per-run counts that reads no per-device state.
 //
 // Ownership: PrevParticipants points into the run's scratch arena and
 // is only valid until the next round begins (it is always valid for

@@ -327,3 +327,57 @@ func TestEnergyLedgerMatchesRound(t *testing.T) {
 		})
 	}
 }
+
+// mixedIdleFleet is 13 devices whose idle draws vary inside a
+// category: twelve High devices drawing A,A,B,A,B,B,B,A,A,A,B,A watts
+// (idle runs of one, two and three devices), a single Mid device at
+// id 4 between them, and no Low device.
+func mixedIdleFleet() []device.Device {
+	profiles := device.Profiles()
+	var fleet []device.Device
+	for _, c := range "AABAMBBBAAABA" {
+		p := profiles[device.High]
+		switch c {
+		case 'A':
+			p.IdleWatts = 0.35
+		case 'B':
+			p.IdleWatts = 0.1
+		case 'M':
+			p = profiles[device.Mid]
+		}
+		fleet = append(fleet, device.Device{ID: len(fleet), Profile: p})
+	}
+	return fleet
+}
+
+// Every round's energy equals the ledger's bit for bit when idle draws
+// vary inside a category, so one category holds several idle runs: with
+// one participant, half the fleet and the whole fleet (every run then
+// has no non-participant), under a deadline that drops stragglers.
+func TestEnergyLedgerMatchesMixedIdleDraws(t *testing.T) {
+	cfg := dirtyConfig()
+	cfg.Fleet = mixedIdleFleet()
+	n := len(cfg.Fleet)
+	cfg.Partition = data.IID(n, cfg.Workload.NumClasses, cfg.Workload.SamplesPerDevice)
+	cfg.MaxRounds = 30
+	for _, k := range []int{1, n / 2, n} {
+		t.Run(fmt.Sprintf("K=%d", k), func(t *testing.T) {
+			l := &ledger{Static: NewStatic(Params{B: 4, E: 20, K: k}), t: t}
+			a := NewArena()
+			res := RunWithArena(cfg, l, a)
+			// AA|B|A|BBB|AAA|B|A
+			if got := len(a.idle[device.High]); got != 7 {
+				t.Fatalf("High holds %d idle runs, want 7", got)
+			}
+			if l.rounds != cfg.MaxRounds {
+				t.Fatalf("observed %d rounds, want %d", l.rounds, cfg.MaxRounds)
+			}
+			if k > 1 && l.drops == 0 {
+				t.Errorf("no participant dropped, so the dropped-participant count went unchecked")
+			}
+			if _, ok := res.EnergyByCategory[device.Low]; ok || len(res.EnergyByCategory) != 2 {
+				t.Errorf("energy split %v, want the High and Mid categories only", res.EnergyByCategory)
+			}
+		})
+	}
+}

@@ -285,7 +285,7 @@ func RunWithArena(cfg Config, ctrl Controller, a *Arena) Result {
 	// marshalled Result bytes are unchanged.
 	res.EnergyByCategory = make(map[device.Category]float64, device.NumCategories)
 	for _, cat := range device.Categories() {
-		if len(a.idle[cat].ids) > 0 {
+		if len(a.idle[cat]) > 0 {
 			res.EnergyByCategory[cat] = catEnergy[cat]
 		}
 	}
@@ -302,8 +302,9 @@ const mergeSample = 16
 // the round's timing and fleet-wide energy into rr (every field but
 // the ones RunWithArena sets: Round, PlannedK, PrevAccuracy, Accuracy
 // and the device view). Its cost is O(K) for K participants plus the
-// idle-energy chain: one add per non-participant, walked category by
-// category. When timeMerge is set it returns the merge phase's wall
+// idle sum: per idle run (see idleRun), one product, then one add per
+// non-participant in a loop over the run's count, with no walk over
+// the fleet. When timeMerge is set it returns the merge phase's wall
 // time, else 0.
 //
 // It executes in two phases. Phase 1 walks the participants serially
@@ -380,8 +381,10 @@ func executeRound(cfg *Config, plan Plan, selected []int, devices *deviceView, a
 	// Energy accounting (paper Eqs. 2–6). The per-category split lives
 	// in a fixed-size array (zeroed on the stack each round): the
 	// participants' energy first, in selected-device order, then each
-	// category's non-participants in ascending device order, so totals
-	// are bit-identical to one walk over the fleet.
+	// category's non-participants in ascending device order, priced run
+	// by run, so totals are bit-identical to one walk over the fleet.
+	// The participant pass also counts, dropped ones included, the
+	// participants of each idle run.
 	var energyByCat [device.NumCategories]float64
 	aggK := 0
 	var wB, wE, wSamples float64
@@ -407,8 +410,9 @@ func executeRound(cfg *Config, plan Plan, selected []int, devices *deviceView, a
 		if waitIdle < 0 {
 			waitIdle = 0
 		}
-		p.EnergyJ = device.ParticipantJoules(prof, busyComp, waitIdle) + commJ
+		p.EnergyJ = device.ParticipantJoulesAt(a.busyWatts[p.DeviceID], prof.WaitWatts, busyComp, waitIdle) + commJ
 		energyByCat[prof.Category] += p.EnergyJ
+		a.idle[prof.Category][a.runOf[p.DeviceID]].taken++
 		if !p.Dropped {
 			aggK++
 			wB += float64(p.Samples) * float64(p.Local.B)
@@ -416,14 +420,15 @@ func executeRound(cfg *Config, plan Plan, selected []int, devices *deviceView, a
 			wSamples += float64(p.Samples)
 		}
 	}
-	selBits := a.selBits
-	for cat := range a.idle {
-		run := &a.idle[cat]
+	for cat, runs := range a.idle {
 		sum := energyByCat[cat]
-		for j, id := range run.ids {
-			if selBits[id>>6]&(1<<(id&63)) == 0 {
-				sum += device.IdleJoules(run.watts[j], roundSec)
+		for r := range runs {
+			run := &runs[r]
+			idleJ := device.IdleJoules(run.watts, roundSec)
+			for m := run.size - run.taken; m > 0; m-- {
+				sum += idleJ
 			}
+			run.taken = 0
 		}
 		energyByCat[cat] = sum
 	}
