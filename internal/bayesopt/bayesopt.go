@@ -21,17 +21,21 @@
 // shifts every observation and refactors the whole window, O(n³) at
 // most: a row whose candidate already sits in an earlier row p copies
 // that row's first p columns, which were computed from identical
-// inputs, and computes only the rest. The posterior mean then costs
-// O(n²) for the weights plus O(C·n) for the C dot products, taken four
-// candidates per pass over the observations so that four independent
-// add chains overlap. The posterior stddev, which only
-// expected improvement reads (so before ExploitAfter only), keeps each
-// candidate's L⁻¹·k* and a running sum of its squares, so a new
-// observation costs O(C·n); a slide resets them. Every value is
-// computed with the same float operations, in the same order, as a
-// from-scratch factorization and solve, so results match one to the
-// last bit. All per-round work runs in scratch the Optimizer owns:
-// Suggest and Observe do not allocate.
+// inputs, and computes only the rest; a row computes two columns per
+// pass, sharing their dot over the earlier columns. The posterior mean
+// then costs O(n²) for the weights plus O(C·n) for the sum of n kernel
+// rows, taken four observations per pass over the C candidates, so the
+// candidates' add chains run side by side. The weights' forward solve
+// takes two rows per pass like the factor; the back solve stays one
+// row per pass, because row i's sum starts with the newest weight
+// b[i+1] and pairing rows would reorder its subtractions. The
+// posterior stddev, which only expected improvement reads (so before
+// ExploitAfter only), keeps each candidate's L⁻¹·k* and a running sum
+// of its squares, so a new observation costs O(C·n); a slide resets
+// them. Every value is computed with the same float operations, in the
+// same order, as a from-scratch factorization and solve, so results
+// match one to the last bit. All per-round work runs in scratch the
+// Optimizer owns: Suggest and Observe do not allocate.
 package bayesopt
 
 import (
@@ -47,8 +51,11 @@ const lengthScale = 0.35
 // Space is a fixed discrete candidate set and its kernel table. It is
 // immutable once built and safe for concurrent use.
 type Space struct {
-	c    int
-	gram []float64 // gram[i*c+j] = kernel(candidate i, candidate j)
+	c int
+	// gram[i*c+j] = kernel(candidate i, candidate j). It is symmetric
+	// to the bit: kernel squares each coordinate difference, which only
+	// changes sign when the candidates swap.
+	gram []float64
 }
 
 // NewSpace builds the space over the candidate coordinate set. Each
@@ -239,36 +246,38 @@ func (o *Optimizer) posterior(withSigma bool) (mu, sigma []float64) {
 	if withSigma {
 		o.solve()
 	}
-	// The mean walks the observations once per four candidates, each
-	// with its own accumulator: four independent add chains instead of
-	// one, and every candidate's adds still run in observation order.
+	// The mean is a sum of kernel rows, mu += gram[xs[j]]·alpha[j],
+	// four observations per pass over the candidates: each candidate's
+	// adds run in observation order, and the candidates' add chains are
+	// independent. gram is symmetric to the bit, so row xs[j] holds
+	// every candidate's kernel against observation j.
 	gram := o.space.gram
-	i := 0
-	for ; i+4 <= c; i += 4 {
-		r0 := gram[i*c : (i+1)*c]
-		r1 := gram[(i+1)*c : (i+2)*c]
-		r2 := gram[(i+2)*c : (i+3)*c]
-		r3 := gram[(i+3)*c : (i+4)*c]
-		var m0, m1, m2, m3 float64
-		for j, xj := range o.xs {
-			aj := alpha[j]
-			m0 += r0[xj] * aj
-			m1 += r1[xj] * aj
-			m2 += r2[xj] * aj
-			m3 += r3[xj] * aj
+	clear(mu)
+	j := 0
+	for ; j+4 <= n; j += 4 {
+		r0 := gram[o.xs[j]*c:][:len(mu)]
+		r1 := gram[o.xs[j+1]*c:][:len(mu)]
+		r2 := gram[o.xs[j+2]*c:][:len(mu)]
+		r3 := gram[o.xs[j+3]*c:][:len(mu)]
+		a0, a1, a2, a3 := alpha[j], alpha[j+1], alpha[j+2], alpha[j+3]
+		for i := range mu {
+			m := mu[i]
+			m += r0[i] * a0
+			m += r1[i] * a1
+			m += r2[i] * a2
+			m += r3[i] * a3
+			mu[i] = m
 		}
-		mu[i] = m0*std + mean
-		mu[i+1] = m1*std + mean
-		mu[i+2] = m2*std + mean
-		mu[i+3] = m3*std + mean
 	}
-	for ; i < c; i++ {
-		row := gram[i*c : (i+1)*c]
-		m := 0.0
-		for j, xj := range o.xs {
-			m += row[xj] * alpha[j]
+	for ; j < n; j++ {
+		row := gram[o.xs[j]*c:][:len(mu)]
+		aj := alpha[j]
+		for i := range mu {
+			mu[i] += row[i] * aj
 		}
-		mu[i] = m*std + mean
+	}
+	for i := range mu {
+		mu[i] = mu[i]*std + mean
 	}
 	if !withSigma {
 		return mu, sigma
@@ -369,41 +378,88 @@ func stdNormCDF(z float64) float64 {
 // columns before from must hold their factor values too, and columns
 // from..i the matrix's row i. It returns false if the matrix is not
 // positive definite.
+//
+// Columns are computed two per pass: column j+1's dot over k < j
+// shares column j's pass over row i, and its k = j term, which reads
+// the new ri[j], is subtracted last, so every column subtracts its
+// terms in ascending k as a one-column loop would.
 func choleskyRow(a []float64, stride, i, from int) bool {
 	ri := a[i*stride : i*stride+i+1]
-	for j := from; j <= i; j++ {
-		rj := a[j*stride : j*stride+j+1]
-		sum := ri[j]
+	j := from
+	for ; j+1 <= i; j += 2 {
+		r0 := a[j*stride : j*stride+j+1]
+		r1 := a[(j+1)*stride : (j+1)*stride+j+2]
+		s0, s1 := ri[j], ri[j+1]
 		rik := ri[:j]
-		for k, x := range rj[:j] {
-			sum -= rik[k] * x
+		r1k := r1[:j]
+		for k, x := range r0[:j] {
+			y := rik[k]
+			s0 -= y * x
+			s1 -= y * r1k[k]
 		}
-		if i == j {
-			if sum <= 0 {
+		ri[j] = s0 / r0[j]
+		s1 -= ri[j] * r1[j]
+		if j+1 == i {
+			if s1 <= 0 {
 				return false
 			}
-			ri[i] = math.Sqrt(sum)
+			ri[i] = math.Sqrt(s1)
 		} else {
-			ri[j] = sum / rj[j]
+			ri[j+1] = s1 / r1[j+1]
 		}
+	}
+	if j == i {
+		rik := ri[:i]
+		sum := ri[i]
+		for _, x := range rik {
+			sum -= x * x
+		}
+		if sum <= 0 {
+			return false
+		}
+		ri[i] = math.Sqrt(sum)
 	}
 	return true
 }
 
 // forwardSolve solves L·x = b in place (x overwrites b) for the
 // lower-triangular row-major L of row stride `stride` and order len(b).
+// Rows are solved two per pass, the way choleskyRow pairs columns: row
+// i+1's dot over j < i shares row i's pass over b, and its j = i term
+// is subtracted last.
 func forwardSolve(l []float64, stride int, b []float64) {
-	for i := range b {
-		sum := b[i]
-		for j := 0; j < i; j++ {
-			sum -= l[i*stride+j] * b[j]
+	n := len(b)
+	i := 0
+	for ; i+2 <= n; i += 2 {
+		l0 := l[i*stride : i*stride+i+1]
+		l1 := l[(i+1)*stride : (i+1)*stride+i+2]
+		s0, s1 := b[i], b[i+1]
+		bj := b[:i]
+		l0j, l1j := l0[:len(bj)], l1[:len(bj)]
+		for j, x := range bj {
+			s0 -= l0j[j] * x
+			s1 -= l1j[j] * x
 		}
-		b[i] = sum / l[i*stride+i]
+		b[i] = s0 / l0[i]
+		s1 -= l1[i] * b[i]
+		b[i+1] = s1 / l1[i+1]
+	}
+	if i < n {
+		li := l[i*stride : i*stride+i+1]
+		sum := b[i]
+		bj := b[:i]
+		lij := li[:len(bj)]
+		for j, x := range bj {
+			sum -= lij[j] * x
+		}
+		b[i] = sum / li[i]
 	}
 }
 
 // backSolve solves Lᵀ·x = b in place (x overwrites b) for the
 // lower-triangular row-major L of row stride `stride` and order len(b).
+// It stays one row per pass: row i's sum starts with the newest
+// b[i+1], so pairing rows would reorder its subtractions.
 func backSolve(l []float64, stride int, b []float64) {
 	n := len(b)
 	for i := n - 1; i >= 0; i-- {

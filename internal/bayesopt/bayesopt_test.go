@@ -663,3 +663,50 @@ func TestNormalHelpers(t *testing.T) {
 		t.Error("CDF tails wrong")
 	}
 }
+
+// TestGramSymmetricBitForBit checks the kernel table the posterior
+// mean reads by rows: over the paper grid, gram[i][j] and gram[j][i]
+// are the same float to the last bit, so row xs[j] holds every
+// candidate's kernel against observation j.
+func TestGramSymmetricBitForBit(t *testing.T) {
+	s := NewSpace(paramGrid())
+	for i := 0; i < s.c; i++ {
+		for j := 0; j < i; j++ {
+			if a, b := s.gram[i*s.c+j], s.gram[j*s.c+i]; math.Float64bits(a) != math.Float64bits(b) {
+				t.Fatalf("gram[%d][%d] = %v, gram[%d][%d] = %v", i, j, a, j, i, b)
+			}
+		}
+	}
+}
+
+// BenchmarkSuggest is the Adaptive (BO) baseline's per-round cost: a
+// DefaultConfig optimizer over the paper's 150-point grid, run for 400
+// rounds at a time (the EI phase, the switch to exploitation and the
+// sliding window), in ns/round. b.N counts rounds; each run starts
+// from a new Optimizer on one shared Space, as the baseline does.
+//
+//	go test -run '^$' -bench Suggest ./internal/bayesopt
+func BenchmarkSuggest(b *testing.B) {
+	const runRounds = 400
+	space := NewSpace(paramGrid())
+	rng := stats.NewRNG(9)
+	truth := make([]float64, space.c)
+	for i := range truth {
+		truth[i] = rng.Float64()
+	}
+	noise := make([]float64, runRounds)
+	for i := range noise {
+		noise[i] = rng.Gaussian(0, 0.1)
+	}
+	b.ResetTimer()
+	for done := 0; done < b.N; done += runRounds {
+		opt := New(space, DefaultConfig(), stats.NewRNG(5))
+		for round := 0; round < min(runRounds, b.N-done); round++ {
+			idx := opt.Suggest()
+			opt.Observe(idx, truth[idx]+noise[round])
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(0, "ns/op")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/round")
+}

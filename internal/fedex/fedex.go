@@ -44,7 +44,7 @@ type Optimizer struct {
 	baseline *stats.EMA
 	lastArm  int
 	scale    *stats.EMA // running reward magnitude for normalization
-	p        []float64  // probabilities' scratch distribution
+	p        []float64  // the distribution Suggest last drew from
 }
 
 // New builds an optimizer over n arms. It panics if n <= 0 or the
@@ -113,9 +113,11 @@ func (o *Optimizer) Observe(reward float64) {
 	advantage := (reward - base) / norm
 	o.baseline.Add(reward)
 
-	p := o.probabilities()
+	// The log-weights have not moved since Suggest drew lastArm, so the
+	// distribution it drew from is still in o.p.
+	p := o.p[o.lastArm]
 	// Importance-weighted gradient: only the played arm's weight moves.
-	o.logW[o.lastArm] += o.cfg.StepSize * advantage / p[o.lastArm] * p[o.lastArm]
+	o.logW[o.lastArm] += o.cfg.StepSize * advantage / p * p
 	// (the p/p cancellation is kept explicit to mirror the EXP3 form
 	// with full-information feedback on the played arm)
 	o.lastArm = -1

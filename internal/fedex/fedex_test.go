@@ -140,3 +140,78 @@ func TestSteadyRoundAllocs(t *testing.T) {
 		t.Errorf("Suggest+Observe makes %v allocations per round, want 0", allocs)
 	}
 }
+
+// refOptimizer is FedEX as a from-scratch reference: it recomputes the
+// sampling distribution from the log-weights wherever it reads one.
+type refOptimizer struct {
+	cfg             Config
+	logW            []float64
+	rng             *stats.RNG
+	baseline, scale *stats.EMA
+	lastArm         int
+}
+
+func (r *refOptimizer) probabilities() []float64 {
+	n := len(r.logW)
+	maxW := slices.Max(r.logW)
+	p := make([]float64, n)
+	sum := 0.0
+	for i, w := range r.logW {
+		p[i] = math.Exp(w - maxW)
+		sum += p[i]
+	}
+	for i := range p {
+		p[i] = p[i]/sum*(1-float64(n)*r.cfg.MinProb) + r.cfg.MinProb
+	}
+	return p
+}
+
+func (r *refOptimizer) suggest() int {
+	r.lastArm = r.rng.Categorical(r.probabilities())
+	return r.lastArm
+}
+
+func (r *refOptimizer) observe(reward float64) {
+	r.scale.Add(math.Abs(reward) + 1e-9)
+	norm := r.scale.Value()
+	if norm <= 0 {
+		norm = 1
+	}
+	advantage := (reward - r.baseline.Value()) / norm
+	r.baseline.Add(reward)
+	p := r.probabilities()
+	r.logW[r.lastArm] += r.cfg.StepSize * advantage / p[r.lastArm] * p[r.lastArm]
+	maxW := slices.Max(r.logW)
+	for i := range r.logW {
+		r.logW[i] -= maxW
+		if r.logW[i] < -25 {
+			r.logW[i] = -25
+		}
+	}
+}
+
+// Observe reads the distribution Suggest drew from instead of
+// recomputing it: over 500 rounds the picks and the log-weights equal
+// the from-scratch reference's, bit for bit.
+func TestObserveMatchesRecomputedDistribution(t *testing.T) {
+	const arms = 150
+	cfg := DefaultConfig()
+	o := New(arms, cfg, stats.NewRNG(7))
+	ref := &refOptimizer{cfg: cfg, logW: make([]float64, arms), rng: stats.NewRNG(7),
+		baseline: stats.NewEMA(cfg.BaselineAlpha), scale: stats.NewEMA(0.1)}
+	noise := stats.NewRNG(8)
+	for round := 0; round < 500; round++ {
+		arm, want := o.Suggest(), ref.suggest()
+		if arm != want {
+			t.Fatalf("round %d: Suggest = %d, reference %d", round, arm, want)
+		}
+		reward := float64(arm%17)/4 + noise.Gaussian(0, 0.5)
+		o.Observe(reward)
+		ref.observe(reward)
+		for i := range ref.logW {
+			if math.Float64bits(o.logW[i]) != math.Float64bits(ref.logW[i]) {
+				t.Fatalf("round %d: logW[%d] = %v, reference %v", round, i, o.logW[i], ref.logW[i])
+			}
+		}
+	}
+}

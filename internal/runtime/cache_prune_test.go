@@ -97,7 +97,7 @@ func TestStatsConsistentSnapshot(t *testing.T) {
 	cache, _ := NewCache("")
 	jobs := make([]Job, 40)
 	for i := range jobs {
-		jobs[i] = simJob(i % 10)
+		jobs[i] = simJob(i)
 	}
 	e := NewExecutorBackend(NewPoolBackend(8), cache)
 	stop := make(chan struct{})

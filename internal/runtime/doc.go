@@ -71,7 +71,11 @@
 //
 // Executor.RunAll serves each batch in two steps: cache hits are
 // answered directly (looked up concurrently, reported in job order),
-// and the misses are handed to the executor's Backend. Results always
+// and the misses are handed to the executor's Backend. A key the batch
+// repeats is looked up and run once: its later copies take the first
+// copy's Result after the rest of the batch, and count neither as a
+// hit nor as a run, so SimsExecuted + CacheHits stays the number of
+// jobs dispatched or served, not the batch size. Results always
 // come back in job order — results[i] belongs to jobs[i] regardless
 // of backend, parallelism or scheduling — and a failed job yields a
 // Result with Err set while the rest of the batch completes. Progress

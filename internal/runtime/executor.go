@@ -103,6 +103,12 @@ func (e *Executor) count(r Result) {
 // the backend; a job that fails yields a Result with Err set and the
 // remaining jobs are unaffected. The misses reach the backend leaders
 // first (see leadersFirst).
+//
+// A key the batch repeats names the same cell, so it runs once: the
+// later copies are neither looked up nor dispatched. Each takes the
+// first copy's Result, sharing its slices and maps, which no caller
+// writes to. They count neither as SimsExecuted nor as CacheHits, and
+// their progress events fire after the rest of the batch.
 func (e *Executor) RunAll(jobs []Job) []Result {
 	results := make([]Result, len(jobs))
 	if len(jobs) == 0 {
@@ -128,20 +134,32 @@ func (e *Executor) RunAll(jobs []Job) []Result {
 	}
 
 	// Resolve each job's canonical key once for the whole batch, into
-	// one reused buffer, so a job's lookup and write-back share it.
+	// one reused buffer, so a job's lookup and write-back share it. A
+	// repeated key's later copies go to dups, pointing at the first
+	// copy; every other job is in lead.
 	keys := make([]string, len(jobs))
+	lead := make([]int, 0, len(jobs))
+	var dups [][2]int // {copy, first copy}
+	first := make(map[string]int, len(jobs))
 	var keyBuf []byte
 	for i := range jobs {
 		keyBuf = jobs[i].AppendKey(keyBuf[:0])
+		if f, ok := first[string(keyBuf)]; ok {
+			keys[i] = keys[f]
+			dups = append(dups, [2]int{i, f})
+			continue
+		}
 		keys[i] = string(keyBuf)
+		first[keys[i]] = i
+		lead = append(lead, i)
 	}
 
 	// Serve cache hits first — checked in parallel (a warm disk-cache
 	// rerun is otherwise bottlenecked on serial file reads), reported
 	// in job order.
-	hits := e.cacheHits(jobs, keys)
-	missIdx := make([]int, 0, len(jobs))
-	for i := range jobs {
+	hits := e.cacheHits(jobs, keys, lead)
+	missIdx := make([]int, 0, len(lead))
+	for _, i := range lead {
 		if hits[i] != nil {
 			results[i] = *hits[i]
 			e.count(results[i])
@@ -150,44 +168,48 @@ func (e *Executor) RunAll(jobs []Job) []Result {
 		}
 		missIdx = append(missIdx, i)
 	}
-	if len(missIdx) == 0 {
-		return results
-	}
 
-	missIdx = leadersFirst(jobs, missIdx)
-	miss := make([]Job, len(missIdx))
-	for k, i := range missIdx {
-		miss[k] = jobs[i]
-	}
-	out := e.backend.Run(miss, func(k int, r Result) {
-		e.count(r)
-		if e.cache != nil && r.Err == "" {
-			// A failed disk write only costs a future re-run.
-			i := missIdx[k]
-			_ = e.cache.Put(keys[i], r)
+	if len(missIdx) > 0 {
+		missIdx = leadersFirst(jobs, missIdx)
+		miss := make([]Job, len(missIdx))
+		for k, i := range missIdx {
+			miss[k] = jobs[i]
 		}
-		report(r)
-	})
-	for k, i := range missIdx {
-		results[i] = out[k]
+		out := e.backend.Run(miss, func(k int, r Result) {
+			e.count(r)
+			if e.cache != nil && r.Err == "" {
+				// A failed disk write only costs a future re-run.
+				i := missIdx[k]
+				_ = e.cache.Put(keys[i], r)
+			}
+			report(r)
+		})
+		for k, i := range missIdx {
+			results[i] = out[k]
+		}
+	}
+	for _, d := range dups {
+		results[d[0]] = results[d[1]]
+		report(results[d[0]])
 	}
 	return results
 }
 
-// cacheHits looks every job up in the run cache concurrently and
-// returns the hits by batch index (nil = miss or no cache). keys are
-// the batch's canonical keys, parallel to jobs. The lookup fan-out respects the
+// cacheHits looks the jobs at the lead indexes up in the run cache
+// concurrently and returns the hits by batch index (nil = miss, not
+// looked up, or no cache). keys are the batch's canonical keys,
+// parallel to jobs. The lookup fan-out respects the
 // backend's configured parallelism — a -parallel 1 run stays
 // single-threaded through warm batches too, lookups (disk read +
 // history unmarshal) included.
-func (e *Executor) cacheHits(jobs []Job, keys []string) []*Result {
+func (e *Executor) cacheHits(jobs []Job, keys []string, lead []int) []*Result {
 	hits := make([]*Result, len(jobs))
 	if e.cache == nil {
 		return hits
 	}
 	workers := e.backend.Workers()
-	if workers > len(jobs) {
-		workers = len(jobs)
+	if workers > len(lead) {
+		workers = len(lead)
 	}
 	if workers < 1 {
 		workers = 1
@@ -210,7 +232,7 @@ func (e *Executor) cacheHits(jobs []Job, keys []string) []*Result {
 			}
 		}()
 	}
-	for i := range jobs {
+	for _, i := range lead {
 		idx <- i
 	}
 	close(idx)

@@ -244,6 +244,62 @@ func TestExecutorOnProcBackendCacheSemantics(t *testing.T) {
 	}
 }
 
+// A key the batch repeats runs once, on either backend: the batch
+// [A,B,A,C,A] reaches the backend as [A,B,C], results 2 and 4 equal
+// result 0, the copies count neither as runs nor as hits, and every
+// job still gets its progress event. Warm, the copies are not looked
+// up either.
+func TestRunAllRunsDuplicateKeysOnce(t *testing.T) {
+	backends := map[string]func() Backend{
+		"pool":        func() Backend { return NewPoolBackend(2) },
+		"coordinator": func() Backend { return stubBackend(t, 2) },
+	}
+	for name, newBackend := range backends {
+		t.Run(name, func(t *testing.T) {
+			a, b, c := stubJob(0, stubSpec{Value: 0.5}), stubJob(1, stubSpec{Value: 1.5}), stubJob(2, stubSpec{Value: 2.5})
+			jobs := []Job{a, b, a, c, a}
+			cache, err := NewCache("")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, warm := range []bool{false, true} {
+				be := &orderBackend{Backend: newBackend()}
+				e := NewExecutorBackend(be, cache)
+				var events []Progress
+				e.SetProgress(func(p Progress) { events = append(events, p) })
+				rs := e.RunAll(jobs)
+				want := []string{"stub-0", "stub-1", "stub-2"}
+				wantStats := Stats{Runs: 3}
+				if warm {
+					want, wantStats = nil, Stats{Hits: 3}
+				}
+				if !reflect.DeepEqual(be.got, want) {
+					t.Errorf("warm=%v: backend saw %v, want %v", warm, be.got, want)
+				}
+				if st := e.Stats(); st.Runs != wantStats.Runs || st.Hits != wantStats.Hits {
+					t.Errorf("warm=%v: stats = %+v, want %d runs / %d hits", warm, st, wantStats.Runs, wantStats.Hits)
+				}
+				for i, r := range rs {
+					if r.Err != "" || r.Key != jobs[i].Key() || r.Cached != warm {
+						t.Errorf("warm=%v: result %d = %+v", warm, i, r)
+					}
+				}
+				if rs[0].Sim.ControllerOverheadSec != 0.5 || rs[1].Sim.ControllerOverheadSec != 1.5 || rs[3].Sim.ControllerOverheadSec != 2.5 {
+					t.Errorf("warm=%v: results carry the wrong values: %+v", warm, rs)
+				}
+				for _, i := range []int{2, 4} {
+					if !reflect.DeepEqual(rs[i], rs[0]) {
+						t.Errorf("warm=%v: result %d = %+v, want result 0 %+v", warm, i, rs[i], rs[0])
+					}
+				}
+				if len(events) != len(jobs) || events[len(events)-1].Done != len(jobs) {
+					t.Errorf("warm=%v: %d progress events, last %+v; want %d ending Done=%d", warm, len(events), events, len(jobs), len(jobs))
+				}
+			}
+		})
+	}
+}
+
 // ServeSession must open the session with a valid hello frame, then
 // answer every request frame in order, one response frame each, and
 // propagate the Cached flag across the wire (Result.Cached is not part

@@ -17,15 +17,45 @@ import (
 // It wraps math/rand.Rand and adds the distributions the paper's
 // methodology calls for (Gaussian bandwidth, Dirichlet(0.1) data skew).
 //
+// A stream is seeded on its first draw: NewRNG and Split keep only the
+// seed, and math/rand's source (about 5 KB, and a 607-word seeding
+// loop) is allocated when the stream first draws. A stream that never
+// draws costs one small struct. The draws are the same either way.
+//
 // RNG is not safe for concurrent use; give each goroutine its own
-// stream via Split.
+// stream via Split. It must not be copied: its Rand and its src point
+// at each other until the first draw.
 type RNG struct {
-	r *rand.Rand
+	r   rand.Rand
+	src lazySource
+}
+
+// lazySource is the rand.Source64 of an RNG that has not drawn yet.
+// The first draw seeds math/rand's source and installs it in the RNG's
+// Rand in place of the lazySource, so later draws reach it directly.
+type lazySource struct {
+	seed int64
+	r    *rand.Rand // the Rand reading this source
+}
+
+func (s *lazySource) Int63() int64    { return s.install().Int63() }
+func (s *lazySource) Uint64() uint64  { return s.install().Uint64() }
+func (s *lazySource) Seed(seed int64) { s.seed = seed }
+
+// install seeds math/rand's source, puts it in place of s in the Rand
+// and returns it.
+func (s *lazySource) install() rand.Source64 {
+	src := rand.NewSource(s.seed).(rand.Source64)
+	*s.r = *rand.New(src)
+	return src
 }
 
 // NewRNG returns a deterministic RNG seeded with seed.
 func NewRNG(seed int64) *RNG {
-	return &RNG{r: rand.New(rand.NewSource(seed))}
+	g := &RNG{}
+	g.src = lazySource{seed: seed, r: &g.r}
+	g.r = *rand.New(&g.src)
+	return g
 }
 
 // Reseed restarts the stream at seed, leaving exactly the state
@@ -36,7 +66,9 @@ func (g *RNG) Reseed(seed int64) { g.r.Seed(seed) }
 
 // Split derives an independent child stream. The child is seeded from
 // the parent's stream, so a fixed sequence of Split calls on a fixed
-// seed yields a fixed family of streams.
+// seed yields a fixed family of streams. The parent draws the child's
+// seed at once, so the parent's stream does not depend on whether the
+// child ever draws.
 func (g *RNG) Split() *RNG {
 	return NewRNG(g.r.Int63())
 }

@@ -2,6 +2,9 @@ package stats
 
 import (
 	"math"
+	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -249,4 +252,142 @@ func TestReseedMatchesNewRNG(t *testing.T) {
 			}
 		}
 	}
+}
+
+// eagerRNG is an RNG over a source seeded at construction, the way
+// math/rand seeds one: the reference a stream seeded on its first draw
+// must match.
+func eagerRNG(seed int64) *RNG {
+	g := &RNG{}
+	g.r = *rand.New(rand.NewSource(seed))
+	return g
+}
+
+// draws runs each of RNG's draw methods; each returns what it drew as
+// float64s.
+var draws = []struct {
+	name string
+	draw func(g *RNG) []float64
+}{
+	{"Float64", func(g *RNG) []float64 { return []float64{g.Float64()} }},
+	{"Intn", func(g *RNG) []float64 { return []float64{float64(g.Intn(1000))} }},
+	{"Int63", func(g *RNG) []float64 { return []float64{float64(g.Int63())} }},
+	{"Gaussian", func(g *RNG) []float64 { return []float64{g.Gaussian(3, 2)} }},
+	{"TruncGaussian", func(g *RNG) []float64 { return []float64{g.TruncGaussian(0, 5, -1, 1)} }},
+	{"Dirichlet", func(g *RNG) []float64 { return g.Dirichlet([]float64{0.1, 0.5, 2}) }},
+	{"SymmetricDirichlet", func(g *RNG) []float64 { return g.SymmetricDirichlet(4, 0.1) }},
+	{"Categorical", func(g *RNG) []float64 { return []float64{float64(g.Categorical([]float64{0.2, 0, 0.5, 0.3}))} }},
+	{"Bernoulli", func(g *RNG) []float64 {
+		if g.Bernoulli(0.4) {
+			return []float64{1}
+		}
+		return []float64{0}
+	}},
+	{"PermInto", func(g *RNG) []float64 {
+		p := make([]int, 9)
+		g.PermInto(p)
+		return floats(p)
+	}},
+	{"Shuffle", func(g *RNG) []float64 {
+		xs := []int{0, 1, 2, 3, 4, 5, 6}
+		g.Shuffle(xs)
+		return floats(xs)
+	}},
+	{"Split", func(g *RNG) []float64 { return []float64{float64(g.Split().Int63())} }},
+}
+
+func floats(xs []int) []float64 {
+	out := make([]float64, len(xs))
+	for i, x := range xs {
+		out[i] = float64(x)
+	}
+	return out
+}
+
+// A stream seeded on its first draw matches an eagerly seeded one
+// across every draw method, whichever method draws first; the
+// primitives match math/rand itself; a Reseed before the first draw
+// leaves NewRNG's state; and a Split child that never draws leaves the
+// parent's stream as it was and costs under 100 bytes.
+func TestLazyStreamMatchesEager(t *testing.T) {
+	for _, seed := range []int64{0, 1, 42, -7} {
+		for first := range draws {
+			g, ref := NewRNG(seed), eagerRNG(seed)
+			for k := range 2 * len(draws) {
+				d := draws[(first+k)%len(draws)]
+				got, want := d.draw(g), d.draw(ref)
+				for i := range want {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("seed %d, first draw %s: %s = %v, eager %v", seed, draws[first].name, d.name, got, want)
+					}
+				}
+			}
+		}
+
+		ref := rand.New(rand.NewSource(seed))
+		g := NewRNG(seed)
+		if x, y := g.Float64(), ref.Float64(); x != y {
+			t.Fatalf("seed %d: Float64 %v, math/rand %v", seed, x, y)
+		}
+		if x, y := g.Intn(77), ref.Intn(77); x != y {
+			t.Fatalf("seed %d: Intn %v, math/rand %v", seed, x, y)
+		}
+		if x, y := g.Int63(), ref.Int63(); x != y {
+			t.Fatalf("seed %d: Int63 %v, math/rand %v", seed, x, y)
+		}
+		if x, y := g.Gaussian(0, 1), ref.NormFloat64(); x != y {
+			t.Fatalf("seed %d: Gaussian %v, math/rand %v", seed, x, y)
+		}
+		p := make([]int, 12)
+		g.PermInto(p)
+		if w := ref.Perm(12); !slices.Equal(p, w) {
+			t.Fatalf("seed %d: PermInto %v, math/rand Perm %v", seed, p, w)
+		}
+		xs, ys := []int{1, 2, 3, 4, 5, 6}, []int{1, 2, 3, 4, 5, 6}
+		g.Shuffle(xs)
+		ref.Shuffle(len(ys), func(i, j int) { ys[i], ys[j] = ys[j], ys[i] })
+		if !slices.Equal(xs, ys) {
+			t.Fatalf("seed %d: Shuffle %v, math/rand %v", seed, xs, ys)
+		}
+
+		// Reseed before the first draw, and again after draws.
+		g = NewRNG(seed)
+		g.Reseed(seed + 1)
+		ref = rand.New(rand.NewSource(seed + 1))
+		for i := 0; i < 3; i++ {
+			if x, y := g.Int63(), ref.Int63(); x != y {
+				t.Fatalf("seed %d: after Reseed, draw %d = %v, math/rand %v", seed, i, x, y)
+			}
+			g.Reseed(seed + int64(i))
+			ref.Seed(seed + int64(i))
+		}
+
+		// The parent draws the child's seed at Split; the child's own
+		// draws, or their absence, do not touch the parent's stream.
+		parent, ref := NewRNG(seed), rand.New(rand.NewSource(seed))
+		child := parent.Split()
+		childSeed := ref.Int63()
+		for i := 0; i < 3; i++ {
+			if x, y := parent.Int63(), ref.Int63(); x != y {
+				t.Fatalf("seed %d: parent after Split, draw %d = %v, math/rand %v", seed, i, x, y)
+			}
+		}
+		if x, y := child.Int63(), rand.New(rand.NewSource(childSeed)).Int63(); x != y {
+			t.Fatalf("seed %d: child's first draw %v, want %v", seed, x, y)
+		}
+	}
+
+	const splits = 1000
+	parent := NewRNG(1)
+	sink := make([]*RNG, splits)
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := range sink {
+		sink[i] = parent.Split()
+	}
+	runtime.ReadMemStats(&m1)
+	if per := float64(m1.TotalAlloc-m0.TotalAlloc) / splits; per >= 100 {
+		t.Errorf("a Split child that never draws allocates %.0f B, want < 100", per)
+	}
+	runtime.KeepAlive(sink)
 }
