@@ -13,71 +13,35 @@
 package abs
 
 import (
-	"fmt"
-
 	"fedgpo/internal/device"
 	"fedgpo/internal/fl"
 	"fedgpo/internal/stats"
 )
 
-// Config tunes the ABS agent.
+// The agent's operating point. E and K are the parameters ABS does not
+// adapt; the rest size and train the DQN: the MLP hidden width, the
+// Adam learning rate of the Q-network, the RL discount, the
+// exploration rate (annealed by epsilonDecay per round down to
+// epsilonMin), the experience replay and its minibatch, and how many
+// updates pass between target-network syncs.
+const (
+	fixedE, fixedK                     = 10, 20
+	hidden                             = 24
+	lr                                 = 0.005
+	gamma                              = 0.3
+	epsilon0, epsilonMin, epsilonDecay = 0.5, 0.05, 0.97
+	replayCap, batchSize               = 256, 16
+	targetSync                         = 10
+)
+
+// Config seeds the ABS agent.
 type Config struct {
-	// FixedE and FixedK are the parameters ABS does not adapt.
-	FixedE, FixedK int
-	// Hidden is the MLP hidden width.
-	Hidden int
-	// LR is the Adam learning rate of the Q-network.
-	LR float64
-	// Gamma is the RL discount factor.
-	Gamma float64
-	// Epsilon is the exploration rate (annealed to EpsilonMin).
-	Epsilon, EpsilonMin, EpsilonDecay float64
-	// ReplayCap and BatchSize size the experience replay.
-	ReplayCap, BatchSize int
-	// TargetSync is how many updates between target-network syncs.
-	TargetSync int
 	// Seed drives initialization and exploration.
 	Seed int64
 }
 
 // DefaultConfig returns the operating point used in the experiments.
-func DefaultConfig() Config {
-	return Config{
-		FixedE: 10, FixedK: 20,
-		Hidden: 24, LR: 0.005, Gamma: 0.3,
-		Epsilon: 0.5, EpsilonMin: 0.05, EpsilonDecay: 0.97,
-		ReplayCap: 256, BatchSize: 16, TargetSync: 10,
-		Seed: 1,
-	}
-}
-
-// withDefaults returns the config New runs: the zero value stands for
-// DefaultConfig.
-func (c Config) withDefaults() Config {
-	if c.FixedE == 0 {
-		return DefaultConfig()
-	}
-	return c
-}
-
-// Validate reports a config the agent cannot run, checking the values
-// New will actually use.
-func (c Config) Validate() error {
-	c = c.withDefaults()
-	switch {
-	case c.Hidden <= 0:
-		return fmt.Errorf("abs: Hidden must be positive, got %d", c.Hidden)
-	case !(c.LR > 0):
-		return fmt.Errorf("abs: LR must be positive, got %g", c.LR)
-	case c.BatchSize <= 0:
-		return fmt.Errorf("abs: BatchSize must be positive, got %d", c.BatchSize)
-	case c.ReplayCap < c.BatchSize:
-		return fmt.Errorf("abs: ReplayCap %d cannot hold a BatchSize %d minibatch", c.ReplayCap, c.BatchSize)
-	case c.TargetSync <= 0:
-		return fmt.Errorf("abs: TargetSync must be positive, got %d", c.TargetSync)
-	}
-	return nil
-}
+func DefaultConfig() Config { return Config{Seed: 1} }
 
 const stateDim = 5
 
@@ -90,7 +54,6 @@ type transition struct {
 
 // Controller is the ABS policy; it implements fl.Controller.
 type Controller struct {
-	cfg     Config
 	rng     *stats.RNG
 	bValues []int
 
@@ -111,30 +74,24 @@ type Controller struct {
 
 var _ fl.Controller = (*Controller)(nil)
 
-// New builds an ABS controller. It panics on a config Validate rejects.
+// New builds an ABS controller.
 func New(cfg Config) *Controller {
-	if err := cfg.Validate(); err != nil {
-		panic(err.Error())
-	}
-	cfg = cfg.withDefaults()
 	rng := stats.NewRNG(cfg.Seed)
 	bValues := fl.BValues()
-	q := newMLP(stateDim, cfg.Hidden, len(bValues), cfg.LR, rng.Split())
-	n := cfg.BatchSize
+	q := newMLP(stateDim, hidden, len(bValues), lr, rng.Split())
 	return &Controller{
-		cfg:        cfg,
 		rng:        rng,
 		bValues:    bValues,
 		qNet:       q,
 		target:     append([]float64(nil), q.w...),
-		xs:         make([]float64, n*stateDim),
-		nexts:      make([]float64, n*stateDim),
-		targets:    make([]float64, n),
-		dy:         make([]float64, n*len(bValues)),
-		taken:      make([]int, n),
+		xs:         make([]float64, batchSize*stateDim),
+		nexts:      make([]float64, batchSize*stateDim),
+		targets:    make([]float64, batchSize),
+		dy:         make([]float64, batchSize*len(bValues)),
+		taken:      make([]int, batchSize),
 		energyNorm: stats.NewEMA(0.2),
 		lastAction: -1,
-		epsilon:    cfg.Epsilon,
+		epsilon:    epsilon0,
 	}
 }
 
@@ -169,8 +126,8 @@ func (c *Controller) Plan(obs fl.Observation) fl.Plan {
 	}
 	c.lastState = state
 	c.lastAction = action
-	lp := fl.LocalParams{B: c.bValues[action], E: c.cfg.FixedE}
-	return fl.Plan{K: c.cfg.FixedK, Local: func(*device.Device, *fl.DeviceState) fl.LocalParams {
+	lp := fl.LocalParams{B: c.bValues[action], E: fixedE}
+	return fl.Plan{K: fixedK, Local: func(*device.Device, *fl.DeviceState) fl.LocalParams {
 		return lp
 	}}
 }
@@ -203,14 +160,14 @@ func (c *Controller) Observe(res fl.RoundResult) {
 	c.push(transition{state: c.lastState, action: c.lastAction, reward: reward, next: next})
 	c.train()
 	c.lastAction = -1
-	c.epsilon = c.epsilon * c.cfg.EpsilonDecay
-	if c.epsilon < c.cfg.EpsilonMin {
-		c.epsilon = c.cfg.EpsilonMin
+	c.epsilon = c.epsilon * epsilonDecay
+	if c.epsilon < epsilonMin {
+		c.epsilon = epsilonMin
 	}
 }
 
 func (c *Controller) push(t transition) {
-	if len(c.replay) >= c.cfg.ReplayCap {
+	if len(c.replay) >= replayCap {
 		copy(c.replay, c.replay[1:])
 		c.replay = c.replay[:len(c.replay)-1]
 	}
@@ -219,10 +176,10 @@ func (c *Controller) push(t transition) {
 
 // train runs one minibatch DQN update.
 func (c *Controller) train() {
-	if len(c.replay) < c.cfg.BatchSize {
+	if len(c.replay) < batchSize {
 		return
 	}
-	n := c.cfg.BatchSize
+	n := batchSize
 	actions := len(c.bValues)
 	for i := 0; i < n; i++ {
 		t := c.replay[c.rng.Intn(len(c.replay))]
@@ -240,7 +197,7 @@ func (c *Controller) train() {
 				maxNext = nextQ[i*actions+j]
 			}
 		}
-		c.targets[i] += c.cfg.Gamma * maxNext
+		c.targets[i] += gamma * maxNext
 	}
 	pred := c.qNet.forward(c.qNet.w, c.xs, n)
 	tdGrad(c.dy, pred, c.taken, c.targets, actions)
@@ -248,7 +205,7 @@ func (c *Controller) train() {
 	c.qNet.adamStep()
 
 	c.updates++
-	if c.updates%c.cfg.TargetSync == 0 {
+	if c.updates%targetSync == 0 {
 		copy(c.target, c.qNet.w)
 	}
 }

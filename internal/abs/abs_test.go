@@ -45,12 +45,12 @@ func TestABSOnlyAdjustsB(t *testing.T) {
 	seenB := map[int]bool{}
 	var badEK bool
 	probe := &probeCtl{inner: New(DefaultConfig()), onResult: func(rr fl.RoundResult) {
-		if rr.PlannedK != DefaultConfig().FixedK {
+		if rr.PlannedK != fixedK {
 			badEK = true
 		}
 		for _, p := range rr.Participants {
 			seenB[p.Local.B] = true
-			if p.Local.E != DefaultConfig().FixedE {
+			if p.Local.E != fixedE {
 				badEK = true
 			}
 		}
@@ -70,10 +70,10 @@ func TestABSEpsilonAnneals(t *testing.T) {
 	cfg.MaxRounds = 80
 	cfg.StopAtConvergence = false
 	fl.Run(cfg, c)
-	if c.epsilon >= DefaultConfig().Epsilon {
+	if c.epsilon >= epsilon0 {
 		t.Errorf("epsilon did not anneal: %v", c.epsilon)
 	}
-	if c.epsilon < DefaultConfig().EpsilonMin-1e-12 {
+	if c.epsilon < epsilonMin-1e-12 {
 		t.Errorf("epsilon fell below the floor: %v", c.epsilon)
 	}
 }
@@ -86,10 +86,14 @@ func TestABSDeterministicPerSeed(t *testing.T) {
 	}
 }
 
+// The zero Config is a usable agent: only the seed differs from
+// DefaultConfig, so it runs the same operating point.
 func TestZeroConfigFallsBack(t *testing.T) {
 	c := New(Config{})
-	if c.cfg.FixedE != DefaultConfig().FixedE {
-		t.Error("zero config should fall back to defaults")
+	p := c.Plan(fl.Observation{})
+	if p.K != fixedK || p.Local(nil, nil).E != fixedE || c.epsilon != epsilon0 {
+		t.Errorf("zero config planned K=%d E=%d at epsilon %v, want K=%d E=%d at %v",
+			p.K, p.Local(nil, nil).E, c.epsilon, fixedK, fixedE, epsilon0)
 	}
 }
 

@@ -174,7 +174,7 @@ var _ fl.Controller = (*GA)(nil)
 func NewGA(seed int64) *GA {
 	bs, es, ks := fl.BValues(), fl.EValues(), fl.KValues()
 	return &GA{
-		opt:    ga.New([]int{len(bs), len(es), len(ks)}, ga.DefaultConfig(), stats.NewRNG(seed)),
+		opt:    ga.New([]int{len(bs), len(es), len(ks)}, stats.NewRNG(seed)),
 		energy: newEnergyEMA(),
 		bs:     bs, es: es, ks: ks,
 	}
@@ -216,7 +216,7 @@ var _ fl.Controller = (*FedEX)(nil)
 func NewFedEX(seed int64) *FedEX {
 	grid := fl.AllParams()
 	return &FedEX{
-		opt:    fedex.New(len(grid), fedex.DefaultConfig(), stats.NewRNG(seed)),
+		opt:    fedex.New(len(grid), stats.NewRNG(seed)),
 		grid:   grid,
 		energy: newEnergyEMA(),
 	}

@@ -64,13 +64,11 @@ func TestCoarseGridIsSubsetOfActionSpace(t *testing.T) {
 func TestAllBaselinesRunAndConverge(t *testing.T) {
 	cfg := testConfig()
 	factories := map[string]func() fl.Controller{
-		"Fixed (Best)": func() fl.Controller {
-			return &fl.Static{P: fl.Params{B: 8, E: 10, K: 20}, Label: "Fixed (Best)"}
-		},
-		"Adaptive (BO)": func() fl.Controller { return NewBO(1) },
-		"Adaptive (GA)": func() fl.Controller { return NewGA(1) },
-		"FedEX":         func() fl.Controller { return NewFedEX(1) },
-		"ABS":           func() fl.Controller { return abs.New(abs.DefaultConfig()) },
+		"Fixed(8,10,20)": func() fl.Controller { return fl.NewStatic(fl.Params{B: 8, E: 10, K: 20}) },
+		"Adaptive (BO)":  func() fl.Controller { return NewBO(1) },
+		"Adaptive (GA)":  func() fl.Controller { return NewGA(1) },
+		"FedEX":          func() fl.Controller { return NewFedEX(1) },
+		"ABS":            func() fl.Controller { return abs.New(abs.DefaultConfig()) },
 	}
 	for name, factory := range factories {
 		ctrl := factory()

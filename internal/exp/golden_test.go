@@ -58,6 +58,12 @@ var goldenTables = map[string]string{
 	"abl-cold":   "6de5933032de354959523b1e7bd5dc66dbb7466cb796f591d5b239942def02dc",
 }
 
+// goldenRuns and goldenHits pin how many cells the cold registry run
+// simulates and serves from the run cache: a cell that two tables name
+// under different keys (a display name leaking into the key) shows
+// here as more runs and fewer hits.
+const goldenRuns, goldenHits = 156, 52
+
 // TestGoldenTableDigests also checks that every registry entry's
 // table carries its registry id.
 func TestGoldenTableDigests(t *testing.T) {
@@ -66,6 +72,10 @@ func TestGoldenTableDigests(t *testing.T) {
 		t.Fatal(err)
 	}
 	tables := runRegistry(t, rt)
+	if st := rt.Stats(); st.Runs != goldenRuns || st.Hits != goldenHits {
+		t.Errorf("cold registry run: %d cells simulated, %d served from cache; want %d and %d",
+			st.Runs, st.Hits, goldenRuns, goldenHits)
+	}
 	for _, e := range Registry() {
 		if id := tables[e.ID].ID; id != e.ID {
 			t.Errorf("experiment %s produced table id %s", e.ID, id)

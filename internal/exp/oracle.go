@@ -1,24 +1,11 @@
 package exp
 
 import (
-	"fedgpo/internal/device"
 	"fedgpo/internal/fl"
-	"fedgpo/internal/netsim"
 	"fedgpo/internal/runtime"
 	"fedgpo/internal/stats"
 	"fedgpo/internal/workload"
 )
-
-// predictedTime estimates one participant-round's duration for a
-// parameter choice from the same models the simulator executes:
-// compute under the observed interference plus the model round trip at
-// the observed bandwidth.
-func predictedTime(s *ScenarioSpec, ch netsim.Channel, d *device.Device, st *fl.DeviceState, lp fl.LocalParams) float64 {
-	w := &s.Workload
-	comp := device.ComputeSeconds(&d.Profile, w.Shape, lp.B, lp.E, st.Samples, st.Interference)
-	comm := ch.CommRoundTrip(w.Shape.ModelBytes, st.Network).Seconds
-	return comp + comm
-}
 
 // oracleExtra is the Kind-specific payload of a prediction-accuracy
 // job: the mean per-round selection accuracy against the gap-free
@@ -54,12 +41,12 @@ func oracleSpec(s ScenarioSpec, o Options, rounds int) JobSpec {
 // selection accuracy is scored as how fully FedGPO's assignment fills
 // the round's critical path:
 //
-//	accuracy = 100 × mean_d(predicted time_d) / max_d(predicted time_d)
+//	accuracy = 100 × mean_d(time_d) / max_d(time_d)
 //
 // averaged over rounds. A perfectly equalized round scores 100%; a
-// round where devices idle-wait half the critical path scores 50%. The
-// predicted times come from the same device/network models the
-// simulator executes, evaluated at the observed per-device state.
+// round where devices idle-wait half the critical path scores 50%.
+// time_d is the participant's compute plus model round trip
+// (fl.DeviceRound.TotalSec), before any deadline cut.
 func executeOracle(r *Runtime, sp JobSpec) runtime.Result {
 	s := sp.Scenario
 	cfg := s.Config(sp.Seed)
@@ -77,11 +64,9 @@ func executeOracle(r *Runtime, sp JobSpec) runtime.Result {
 			}
 			var sumT, maxT float64
 			for _, p := range rr.Participants {
-				st := rr.State(p.DeviceID)
-				pt := predictedTime(&s, cfg.Channel, &cfg.Fleet[p.DeviceID], &st, p.Local)
-				sumT += pt
-				if pt > maxT {
-					maxT = pt
+				sumT += p.TotalSec
+				if p.TotalSec > maxT {
+					maxT = p.TotalSec
 				}
 			}
 			if maxT <= 0 {

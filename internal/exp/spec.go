@@ -50,14 +50,11 @@ type ContenderSpec struct {
 	// Type selects the controller family (Cont* constants).
 	Type string `json:"type"`
 	// Name is the display name reports print; it does not participate
-	// in cache identity.
+	// in cache identity, so a static contender named "Fixed (Best)"
+	// and an unnamed one with the same parameters are one cell.
 	Name string `json:"name,omitempty"`
-	// Params and Label configure the static (fixed-parameter)
-	// contender. The label participates in the cache key: a labeled
-	// controller records its label in the stored result, so labeled and
-	// unlabeled runs of the same setting stay distinct cells.
+	// Params configures the static (fixed-parameter) contender.
 	Params fl.Params `json:"params,omitempty"`
-	Label  string    `json:"label,omitempty"`
 	// Core is the full FedGPO configuration (warm and cold variants).
 	Core *core.Config `json:"core,omitempty"`
 	// WarmSeed and WarmRounds describe the warm variant's Q-table
@@ -70,16 +67,12 @@ type ContenderSpec struct {
 }
 
 // key returns the contender's canonical cache descriptor — the
-// controller half of a job key. The strings are byte-identical to the
-// closure-era scheme, so existing cache directories stay valid.
+// controller half of a job key: the type and the values that build
+// the controller (parameters, config, seeds), never the display name.
 func (c ContenderSpec) key() string {
 	switch c.Type {
 	case ContStatic:
-		k := "static/" + c.Params.String()
-		if c.Label != "" {
-			k += "/label=" + c.Label
-		}
-		return k
+		return "static/" + c.Params.String()
 	case ContFedGPOWarm:
 		return fmt.Sprintf("fedgpo-warm/cfg=%s/warmseed=%d/warmrounds=%d",
 			canonJSON(*c.Core), c.WarmSeed, c.WarmRounds)
@@ -414,7 +407,7 @@ func (r *Runtime) controller(s ScenarioSpec, c ContenderSpec) fl.Controller {
 	}
 	switch c.Type {
 	case ContStatic:
-		return &fl.Static{P: c.Params, Label: c.Label}
+		return fl.NewStatic(c.Params)
 	case ContFedGPOWarm:
 		cfg := *c.Core
 		snap := r.pretrainedSnapshot(s, cfg, c.WarmSeed, c.WarmRounds, pretrainKey(s, cfg, c.WarmSeed, c.WarmRounds))
@@ -428,9 +421,7 @@ func (r *Runtime) controller(s ScenarioSpec, c ContenderSpec) fl.Controller {
 	case ContFedEX:
 		return baseline.NewFedEX(c.CtrlSeed)
 	case ContABS:
-		cfg := abs.DefaultConfig()
-		cfg.Seed = c.CtrlSeed
-		return abs.New(cfg)
+		return abs.New(abs.Config{Seed: c.CtrlSeed})
 	default:
 		panic("exp: unknown contender type " + c.Type)
 	}
@@ -447,13 +438,13 @@ func pretrainKey(s ScenarioSpec, cfg core.Config, warmSeed int64, warmRounds int
 		"snap="+core.SnapshotFormat)
 }
 
-// staticContender names a fixed-(B,E,K) contender.
-func staticContender(p fl.Params, label string) ContenderSpec {
-	name := label
+// staticContender names a fixed-(B,E,K) contender; an empty name
+// displays as "Fixed(B,E,K)". The name is display only.
+func staticContender(p fl.Params, name string) ContenderSpec {
 	if name == "" {
 		name = "Fixed" + p.String()
 	}
-	return ContenderSpec{Type: ContStatic, Name: name, Params: p, Label: label}
+	return ContenderSpec{Type: ContStatic, Name: name, Params: p}
 }
 
 // fedgpoWarmContender names the paper's steady-state FedGPO contender:

@@ -10,7 +10,6 @@ import (
 	"strings"
 	"testing"
 
-	"fedgpo/internal/abs"
 	"fedgpo/internal/device"
 	"fedgpo/internal/fl"
 	"fedgpo/internal/runtime"
@@ -155,12 +154,13 @@ func TestDecodeJobSpecRejectsMalformed(t *testing.T) {
 	}
 }
 
-// The ABS agent is always built from abs.DefaultConfig with the spec's
-// CtrlSeed, so a wire spec cannot size its network: an "abs" object in
-// the contender — one an older coordinator sent, or a hostile one — is
-// ignored, and building the controller allocates what the default
-// agent does. A spec carrying an older coordinator's ABS key fails the
-// worker's key check instead of running.
+// The ABS agent's operating point is fixed in package abs and only its
+// seed comes from the spec (CtrlSeed), so a wire spec cannot size its
+// network: an "abs" object in the contender — one an older coordinator
+// sent, or a hostile one — is ignored, and building the controller
+// allocates what the default agent does. A spec carrying an older
+// coordinator's ABS key fails the worker's key check instead of
+// running.
 func TestWireABSConfigIsIgnored(t *testing.T) {
 	scenario := Tiny().apply(Ideal(workload.CNNMNIST()))
 	plain := simSpec(scenario, ContenderSpec{Type: ContABS, Name: "ABS", CtrlSeed: 1}, 1)
@@ -168,9 +168,7 @@ func TestWireABSConfigIsIgnored(t *testing.T) {
 	if err := json.Unmarshal(EncodeJobSpec(plain), &m); err != nil {
 		t.Fatal(err)
 	}
-	huge := abs.DefaultConfig()
-	huge.Hidden = 1 << 16
-	m["contender"].(map[string]any)["abs"] = huge
+	m["contender"].(map[string]any)["abs"] = map[string]any{"Hidden": 1 << 16, "ReplayCap": 1 << 30, "Seed": 9}
 	b, err := json.Marshal(m)
 	if err != nil {
 		t.Fatal(err)
@@ -194,9 +192,33 @@ func TestWireABSConfigIsIgnored(t *testing.T) {
 		t.Errorf("building the ABS controller allocated %d bytes, want under 1 MB", grew)
 	}
 
-	oldKey := strings.Replace(rt.Job(plain).Key(), "abs/seed=1", "abs/cfg="+canonJSON(abs.DefaultConfig()), 1)
+	oldKey := strings.Replace(rt.Job(plain).Key(), "abs/seed=1", `abs/cfg={"FixedE":10,"FixedK":20,"Hidden":24,"Seed":1}`, 1)
 	if res := rt.RunRequest(oldKey, b); !strings.Contains(res.Err, "spec addresses") {
 		t.Errorf("an older coordinator's ABS key ran: err %q", res.Err)
+	}
+}
+
+// A static contender's display name is not part of its cell: Fixed
+// (Best) and the unnamed contender with the same parameters, scenario
+// and seed share one key, so a batch holding both simulates once.
+func TestFixedBestSharesThePlainStaticCell(t *testing.T) {
+	s := telemetryScenario()
+	p := fl.Params{B: 8, E: 10, K: 20}
+	best := simSpec(s, staticContender(p, "Fixed (Best)"), 1)
+	plain := simSpec(s, staticContender(p, ""), 1)
+	if best.Key() != plain.Key() {
+		t.Fatalf("Fixed (Best) key %q differs from the plain key %q", best.Key(), plain.Key())
+	}
+	rt, err := NewRuntime(1, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := rt.runSpecs([]JobSpec{best, plain})
+	if st := rt.Stats(); st.Runs != 1 || st.Hits != 0 {
+		t.Errorf("batch ran %d cells and hit %d, want 1 and 0", st.Runs, st.Hits)
+	}
+	if res[0].Sim.PPW != res[1].Sim.PPW || res[0].Sim.PPW <= 0 {
+		t.Errorf("PPW %v and %v, want one positive value", res[0].Sim.PPW, res[1].Sim.PPW)
 	}
 }
 
@@ -306,7 +328,7 @@ func TestSpecKeysCanonicalScheme(t *testing.T) {
 		t.Errorf("scenario key:\n got %q\nwant %q", got, wantScenario)
 	}
 	static := simSpec(s, staticContender(fl.Params{B: 8, E: 10, K: 20}, "Fixed (Best)"), 2)
-	wantStatic := "v4|sim|" + wantScenario + "|static/(8,10,20)/label=Fixed (Best)|seed=2"
+	wantStatic := "v4|sim|" + wantScenario + "|static/(8,10,20)|seed=2"
 	if got := static.Key(); got != wantStatic {
 		t.Errorf("static key:\n got %q\nwant %q", got, wantStatic)
 	}

@@ -18,27 +18,20 @@ import (
 	"fedgpo/internal/stats"
 )
 
-// Config tunes the exponentiated-gradient update.
-type Config struct {
-	// StepSize is the exponentiated-gradient learning rate (η).
-	StepSize float64
-	// Baseline smoothing for the reward (variance reduction).
-	BaselineAlpha float64
-	// MinProb floors the sampling distribution so every arm keeps a
-	// nonzero exploration probability.
-	MinProb float64
-}
-
-// DefaultConfig matches the moderate step sizes used in the FedEX
-// paper's experiments.
-func DefaultConfig() Config {
-	return Config{StepSize: 0.18, BaselineAlpha: 0.2, MinProb: 1e-3}
-}
+// The exponentiated-gradient update's moderate step sizes, as in the
+// FedEX paper's experiments: the learning rate η, the smoothing of the
+// reward baseline (variance reduction), and the floor of the sampling
+// distribution, which keeps every arm's exploration probability
+// nonzero.
+const (
+	stepSize      = 0.18
+	baselineAlpha = 0.2
+	minProb       = 1e-3
+)
 
 // Optimizer is a Hedge-style sampler over a discrete arm set. Not safe
 // for concurrent use.
 type Optimizer struct {
-	cfg      Config
 	logW     []float64
 	rng      *stats.RNG
 	baseline *stats.EMA
@@ -47,28 +40,27 @@ type Optimizer struct {
 	p        []float64  // the distribution Suggest last drew from
 }
 
-// New builds an optimizer over n arms. It panics if n <= 0 or the
-// config is invalid.
-func New(n int, cfg Config, rng *stats.RNG) *Optimizer {
+// New builds an optimizer over n arms. It panics if n <= 0 or if n
+// arms at the probability floor would take the whole distribution.
+func New(n int, rng *stats.RNG) *Optimizer {
 	if n <= 0 {
 		panic("fedex: need at least one arm")
 	}
-	if cfg.StepSize <= 0 || cfg.MinProb < 0 || cfg.MinProb >= 1.0/float64(n) {
-		panic("fedex: invalid config")
+	if minProb >= 1.0/float64(n) {
+		panic("fedex: too many arms for the probability floor")
 	}
 	return &Optimizer{
-		cfg:      cfg,
 		logW:     make([]float64, n),
 		p:        make([]float64, n),
 		rng:      rng,
-		baseline: stats.NewEMA(cfg.BaselineAlpha),
+		baseline: stats.NewEMA(baselineAlpha),
 		lastArm:  -1,
 		scale:    stats.NewEMA(0.1),
 	}
 }
 
 // probabilities writes the current sampling distribution (softmax of
-// the log-weights, floored at MinProb and renormalized) into the
+// the log-weights, floored at minProb and renormalized) into the
 // optimizer's scratch slice and returns it; the next call overwrites
 // it.
 func (o *Optimizer) probabilities() []float64 {
@@ -86,7 +78,7 @@ func (o *Optimizer) probabilities() []float64 {
 		sum += p[i]
 	}
 	for i := range p {
-		p[i] = p[i]/sum*(1-float64(n)*o.cfg.MinProb) + o.cfg.MinProb
+		p[i] = p[i]/sum*(1-float64(n)*minProb) + minProb
 	}
 	return p
 }
@@ -117,7 +109,7 @@ func (o *Optimizer) Observe(reward float64) {
 	// distribution it drew from is still in o.p.
 	p := o.p[o.lastArm]
 	// Importance-weighted gradient: only the played arm's weight moves.
-	o.logW[o.lastArm] += o.cfg.StepSize * advantage / p * p
+	o.logW[o.lastArm] += stepSize * advantage / p * p
 	// (the p/p cancellation is kept explicit to mirror the EXP3 form
 	// with full-information feedback on the played arm)
 	o.lastArm = -1

@@ -10,17 +10,8 @@ import (
 
 func TestNewPanics(t *testing.T) {
 	cases := []func(){
-		func() { New(0, DefaultConfig(), stats.NewRNG(1)) },
-		func() {
-			c := DefaultConfig()
-			c.StepSize = 0
-			New(3, c, stats.NewRNG(1))
-		},
-		func() {
-			c := DefaultConfig()
-			c.MinProb = 0.5 // >= 1/n for n=3
-			New(3, c, stats.NewRNG(1))
-		},
+		func() { New(0, stats.NewRNG(1)) },
+		func() { New(1000, stats.NewRNG(1)) }, // 1000 arms at the 1e-3 floor leave nothing to learn
 	}
 	for i, fn := range cases {
 		func() {
@@ -35,14 +26,14 @@ func TestNewPanics(t *testing.T) {
 }
 
 func TestProbabilitiesSumToOne(t *testing.T) {
-	o := New(10, DefaultConfig(), stats.NewRNG(1))
+	o := New(10, stats.NewRNG(1))
 	for i := 0; i < 50; i++ {
 		idx := o.Suggest()
 		o.Observe(float64(idx)) // arbitrary rewards
 		p := o.probabilities()
 		sum := 0.0
 		for _, v := range p {
-			if v < o.cfg.MinProb-1e-12 {
+			if v < minProb-1e-12 {
 				t.Fatalf("probability %v below floor", v)
 			}
 			sum += v
@@ -55,7 +46,7 @@ func TestProbabilitiesSumToOne(t *testing.T) {
 
 func TestConcentratesOnBestArm(t *testing.T) {
 	// Arm 7 pays 10, everything else pays 0 (with light noise).
-	o := New(10, DefaultConfig(), stats.NewRNG(2))
+	o := New(10, stats.NewRNG(2))
 	noise := stats.NewRNG(3)
 	for i := 0; i < 600; i++ {
 		arm := o.Suggest()
@@ -81,7 +72,7 @@ func TestConcentratesOnBestArm(t *testing.T) {
 }
 
 func TestObserveWithoutSuggestIsNoOp(t *testing.T) {
-	o := New(4, DefaultConfig(), stats.NewRNG(1))
+	o := New(4, stats.NewRNG(1))
 	before := slices.Clone(o.probabilities())
 	o.Observe(100)
 	after := o.probabilities()
@@ -93,7 +84,7 @@ func TestObserveWithoutSuggestIsNoOp(t *testing.T) {
 }
 
 func TestWeightsStayBounded(t *testing.T) {
-	o := New(5, DefaultConfig(), stats.NewRNG(4))
+	o := New(5, stats.NewRNG(4))
 	for i := 0; i < 5000; i++ {
 		arm := o.Suggest()
 		r := -100.0
@@ -111,7 +102,7 @@ func TestWeightsStayBounded(t *testing.T) {
 
 func TestDeterministicPerSeed(t *testing.T) {
 	run := func() []float64 {
-		o := New(6, DefaultConfig(), stats.NewRNG(11))
+		o := New(6, stats.NewRNG(11))
 		for i := 0; i < 200; i++ {
 			arm := o.Suggest()
 			o.Observe(float64(arm % 3))
@@ -129,7 +120,7 @@ func TestDeterministicPerSeed(t *testing.T) {
 // A steady Suggest+Observe round writes the distribution into the
 // optimizer's scratch, so it allocates nothing.
 func TestSteadyRoundAllocs(t *testing.T) {
-	o := New(10, DefaultConfig(), stats.NewRNG(5))
+	o := New(10, stats.NewRNG(5))
 	reward := 0.0
 	allocs := testing.AllocsPerRun(100, func() {
 		arm := o.Suggest()
@@ -144,7 +135,6 @@ func TestSteadyRoundAllocs(t *testing.T) {
 // refOptimizer is FedEX as a from-scratch reference: it recomputes the
 // sampling distribution from the log-weights wherever it reads one.
 type refOptimizer struct {
-	cfg             Config
 	logW            []float64
 	rng             *stats.RNG
 	baseline, scale *stats.EMA
@@ -161,7 +151,7 @@ func (r *refOptimizer) probabilities() []float64 {
 		sum += p[i]
 	}
 	for i := range p {
-		p[i] = p[i]/sum*(1-float64(n)*r.cfg.MinProb) + r.cfg.MinProb
+		p[i] = p[i]/sum*(1-float64(n)*minProb) + minProb
 	}
 	return p
 }
@@ -180,7 +170,7 @@ func (r *refOptimizer) observe(reward float64) {
 	advantage := (reward - r.baseline.Value()) / norm
 	r.baseline.Add(reward)
 	p := r.probabilities()
-	r.logW[r.lastArm] += r.cfg.StepSize * advantage / p[r.lastArm] * p[r.lastArm]
+	r.logW[r.lastArm] += stepSize * advantage / p[r.lastArm] * p[r.lastArm]
 	maxW := slices.Max(r.logW)
 	for i := range r.logW {
 		r.logW[i] -= maxW
@@ -195,10 +185,9 @@ func (r *refOptimizer) observe(reward float64) {
 // the from-scratch reference's, bit for bit.
 func TestObserveMatchesRecomputedDistribution(t *testing.T) {
 	const arms = 150
-	cfg := DefaultConfig()
-	o := New(arms, cfg, stats.NewRNG(7))
-	ref := &refOptimizer{cfg: cfg, logW: make([]float64, arms), rng: stats.NewRNG(7),
-		baseline: stats.NewEMA(cfg.BaselineAlpha), scale: stats.NewEMA(0.1)}
+	o := New(arms, stats.NewRNG(7))
+	ref := &refOptimizer{logW: make([]float64, arms), rng: stats.NewRNG(7),
+		baseline: stats.NewEMA(baselineAlpha), scale: stats.NewEMA(0.1)}
 	noise := stats.NewRNG(8)
 	for round := 0; round < 500; round++ {
 		arm, want := o.Suggest(), ref.suggest()

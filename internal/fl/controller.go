@@ -178,8 +178,7 @@ type Controller interface {
 // and device — the paper's "Fixed" baseline shape, and the building
 // block of grid search.
 type Static struct {
-	P     Params
-	Label string
+	P Params
 	// local caches the constant assignment closure so Plan stops
 	// allocating one per round (grid sweeps call Plan millions of
 	// times). Built lazily from P on first use; P must not change
@@ -190,13 +189,8 @@ type Static struct {
 // NewStatic returns a Static controller for p.
 func NewStatic(p Params) *Static { return &Static{P: p} }
 
-// Name returns the label or a default derived from the parameters.
-func (s *Static) Name() string {
-	if s.Label != "" {
-		return s.Label
-	}
-	return "Fixed" + s.P.String()
-}
+// Name returns "Fixed" followed by the parameters.
+func (s *Static) Name() string { return "Fixed" + s.P.String() }
 
 // Plan returns the fixed parameters.
 func (s *Static) Plan(Observation) Plan {

@@ -4,16 +4,12 @@ import "fedgpo/internal/device"
 
 // Summary aggregates Results over multiple seeds.
 type Summary struct {
-	Controller string
-	Seeds      int
 	// Means over seeds.
 	MeanPPW              float64
 	MeanTimeToConvSec    float64
-	MeanEnergyToConvJ    float64
 	MeanConvergenceRound float64
 	MeanFinalAccuracy    float64
 	MeanAvgRoundSec      float64
-	ConvergedFraction    float64
 	EnergyByCategory     map[device.Category]float64
 }
 
@@ -28,16 +24,13 @@ func Summarize(maxRounds int, results []Result) Summary {
 	if len(results) == 0 {
 		panic("fl: Summarize needs at least one result")
 	}
-	s := Summary{Seeds: len(results), EnergyByCategory: make(map[device.Category]float64)}
+	s := Summary{EnergyByCategory: make(map[device.Category]float64)}
 	for _, r := range results {
-		s.Controller = r.Controller
 		s.MeanPPW += r.PPW
 		s.MeanTimeToConvSec += r.TimeToConvergenceSec
-		s.MeanEnergyToConvJ += r.EnergyToConvergenceJ
 		s.MeanFinalAccuracy += r.FinalAccuracy
 		s.MeanAvgRoundSec += r.AvgRoundSeconds
 		if r.Converged {
-			s.ConvergedFraction++
 			s.MeanConvergenceRound += float64(r.ConvergenceRound)
 		} else {
 			s.MeanConvergenceRound += float64(maxRounds)
@@ -49,11 +42,9 @@ func Summarize(maxRounds int, results []Result) Summary {
 	n := float64(len(results))
 	s.MeanPPW /= n
 	s.MeanTimeToConvSec /= n
-	s.MeanEnergyToConvJ /= n
 	s.MeanConvergenceRound /= n
 	s.MeanFinalAccuracy /= n
 	s.MeanAvgRoundSec /= n
-	s.ConvergedFraction /= n
 	for cat := range s.EnergyByCategory {
 		s.EnergyByCategory[cat] /= n
 	}

@@ -15,30 +15,20 @@ import (
 	"fedgpo/internal/stats"
 )
 
-// Config tunes the genetic algorithm.
-type Config struct {
-	// PopulationSize is the number of genomes kept.
-	PopulationSize int
-	// TournamentK is the selection pressure (competitors per parent
-	// draw).
-	TournamentK int
-	// MutationRate is the per-gene probability of a random reset.
-	MutationRate float64
-}
-
-// DefaultConfig is sized for round-by-round FL parameter tuning:
-// a small population that turns over within tens of rounds, strong
-// selection pressure, and a low mutation rate so the population
-// homogenizes (and the tuner effectively exploits) once a good genome
-// dominates.
-func DefaultConfig() Config {
-	return Config{PopulationSize: 12, TournamentK: 4, MutationRate: 0.06}
-}
+// The algorithm is sized for round-by-round FL parameter tuning: a
+// small population that turns over within tens of rounds, strong
+// selection pressure (competitors per parent draw), and a low per-gene
+// mutation rate so the population homogenizes (and the tuner
+// effectively exploits) once a good genome dominates.
+const (
+	populationSize = 12
+	tournamentK    = 4
+	mutationRate   = 0.06
+)
 
 // Optimizer evolves genomes over the gene space. Not safe for
 // concurrent use.
 type Optimizer struct {
-	cfg       Config
 	geneSizes []int
 	rng       *stats.RNG
 	pop       []genome
@@ -55,7 +45,7 @@ type genome struct {
 // New builds an optimizer over a gene space given by the number of
 // discrete values per dimension (e.g. [6, 5, 5] for B, E, K). It
 // panics on an empty or non-positive gene space.
-func New(geneSizes []int, cfg Config, rng *stats.RNG) *Optimizer {
+func New(geneSizes []int, rng *stats.RNG) *Optimizer {
 	if len(geneSizes) == 0 {
 		panic("ga: empty gene space")
 	}
@@ -64,12 +54,8 @@ func New(geneSizes []int, cfg Config, rng *stats.RNG) *Optimizer {
 			panic("ga: gene sizes must be positive")
 		}
 	}
-	if cfg.PopulationSize < 2 || cfg.TournamentK < 1 ||
-		cfg.MutationRate < 0 || cfg.MutationRate > 1 {
-		panic("ga: invalid config")
-	}
-	o := &Optimizer{cfg: cfg, geneSizes: append([]int(nil), geneSizes...), rng: rng}
-	o.pop = make([]genome, cfg.PopulationSize)
+	o := &Optimizer{geneSizes: append([]int(nil), geneSizes...), rng: rng}
+	o.pop = make([]genome, populationSize)
 	for i := range o.pop {
 		o.pop[i] = genome{genes: o.randomGenes()}
 	}
@@ -138,10 +124,11 @@ func (o *Optimizer) evolve() {
 	o.pop = next
 }
 
-// tournament returns the genes of the fittest of K random competitors.
+// tournament returns the genes of the fittest of tournamentK random
+// competitors.
 func (o *Optimizer) tournament() []int {
 	best := -1
-	for i := 0; i < o.cfg.TournamentK; i++ {
+	for i := 0; i < tournamentK; i++ {
 		c := o.rng.Intn(len(o.pop))
 		if best == -1 || o.pop[c].fitness > o.pop[best].fitness {
 			best = c
@@ -167,7 +154,7 @@ func (o *Optimizer) crossover(a, b []int) []int {
 // mutate randomly resets genes at the mutation rate.
 func (o *Optimizer) mutate(g []int) {
 	for i := range g {
-		if o.rng.Bernoulli(o.cfg.MutationRate) {
+		if o.rng.Bernoulli(mutationRate) {
 			g[i] = o.rng.Intn(o.geneSizes[i])
 		}
 	}

@@ -8,18 +8,9 @@ import (
 
 func TestNewPanics(t *testing.T) {
 	cases := []func(){
-		func() { New(nil, DefaultConfig(), stats.NewRNG(1)) },
-		func() { New([]int{0}, DefaultConfig(), stats.NewRNG(1)) },
-		func() {
-			c := DefaultConfig()
-			c.PopulationSize = 1
-			New([]int{3}, c, stats.NewRNG(1))
-		},
-		func() {
-			c := DefaultConfig()
-			c.MutationRate = 2
-			New([]int{3}, c, stats.NewRNG(1))
-		},
+		func() { New(nil, stats.NewRNG(1)) },
+		func() { New([]int{0}, stats.NewRNG(1)) },
+		func() { New([]int{3, -1}, stats.NewRNG(1)) },
 	}
 	for i, fn := range cases {
 		func() {
@@ -34,7 +25,7 @@ func TestNewPanics(t *testing.T) {
 }
 
 func TestSuggestionsWithinGeneSpace(t *testing.T) {
-	o := New([]int{6, 5, 5}, DefaultConfig(), stats.NewRNG(1))
+	o := New([]int{6, 5, 5}, stats.NewRNG(1))
 	for i := 0; i < 200; i++ {
 		g := o.Suggest()
 		if len(g) != 3 {
@@ -62,7 +53,7 @@ func TestEvolvesTowardOptimum(t *testing.T) {
 		}
 		return f
 	}
-	o := New([]int{6, 5, 5}, DefaultConfig(), stats.NewRNG(7))
+	o := New([]int{6, 5, 5}, stats.NewRNG(7))
 	for i := 0; i < 400; i++ {
 		g := o.Suggest()
 		o.Observe(fitness(g))
@@ -78,9 +69,9 @@ func TestEvolvesTowardOptimum(t *testing.T) {
 
 func TestElitePreserved(t *testing.T) {
 	// After a full generation, the best genome must survive.
-	o := New([]int{10}, DefaultConfig(), stats.NewRNG(3))
+	o := New([]int{10}, stats.NewRNG(3))
 	bestGene, bestFit := -1, -1e18
-	for i := 0; i < o.cfg.PopulationSize; i++ {
+	for i := 0; i < populationSize; i++ {
 		g := o.Suggest()
 		f := float64(g[0]) // fitness = gene value
 		if f > bestFit {
@@ -95,7 +86,7 @@ func TestElitePreserved(t *testing.T) {
 }
 
 func TestBestWithoutEvaluationsIsValid(t *testing.T) {
-	o := New([]int{4, 4}, DefaultConfig(), stats.NewRNG(5))
+	o := New([]int{4, 4}, stats.NewRNG(5))
 	g := o.Best()
 	if len(g) != 2 || g[0] < 0 || g[0] >= 4 || g[1] < 0 || g[1] >= 4 {
 		t.Errorf("unevaluated Best out of range: %v", g)
@@ -104,7 +95,7 @@ func TestBestWithoutEvaluationsIsValid(t *testing.T) {
 
 func TestDeterministicPerSeed(t *testing.T) {
 	run := func() []int {
-		o := New([]int{6, 5, 5}, DefaultConfig(), stats.NewRNG(9))
+		o := New([]int{6, 5, 5}, stats.NewRNG(9))
 		for i := 0; i < 100; i++ {
 			g := o.Suggest()
 			o.Observe(float64(-g[0] - g[1] - g[2]))
