@@ -21,6 +21,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math"
 	"sync"
 
 	"fedgpo/internal/data"
@@ -426,7 +427,24 @@ func (s ScenarioSpec) rounds() int {
 // (zero values vs explicit paper defaults) share cache entries, and
 // two specs differing in any sub-spec field never do. Name is display
 // only and deliberately absent.
+//
+// A report asks for the same few keys hundreds of times, so keys are
+// memoized by the spec with Name cleared. The workload digest keeps
+// its own memo underneath (workloadKey): a sweep matrix has more
+// distinct scenarios than this memo holds but only a few workloads,
+// and its digest is the costly part of a key.
 func (s ScenarioSpec) cacheKey() string {
+	s.Name = ""
+	// A map key cannot tell -0 from 0, and a fixed deadline prints its
+	// sign, so such a spec builds its key every time.
+	if math.Signbit(s.Deadline.Seconds) {
+		return s.buildCacheKey()
+	}
+	return scenarioKeys.get(s, ScenarioSpec.buildCacheKey)
+}
+
+// buildCacheKey is cacheKey without the memo.
+func (s ScenarioSpec) buildCacheKey() string {
 	return fmt.Sprintf("%s/fleet=%s/rounds=%d/part=%s/net=%s/intf=%s/deadline=%g/agg=%d",
 		workloadKey(s.Workload), s.Fleet.key(), s.rounds(), s.Partition.key(),
 		s.Network.key(), s.Interference.key(),
@@ -436,26 +454,50 @@ func (s ScenarioSpec) cacheKey() string {
 // workloadKey names a workload by its name and a digest of its
 // parameters, so a spec that changes a registry workload's parameters
 // but keeps its name never shares that workload's cells. Keys are
-// memoized; the memo restarts past 64 workloads, bounding a fuzzer's.
+// memoized, apart from cacheKey's memo: see there.
 func workloadKey(w workload.Workload) string {
-	workloadKeys.Lock()
-	defer workloadKeys.Unlock()
-	k, ok := workloadKeys.m[w]
-	if !ok {
+	return workloadKeys.get(w, func(w workload.Workload) string {
 		sum := sha256.Sum256([]byte(canonJSON(w)))
-		k = w.Name + "@" + hex.EncodeToString(sum[:8])
-		if len(workloadKeys.m) >= 64 {
-			clear(workloadKeys.m)
-		}
-		workloadKeys.m[w] = k
-	}
-	return k
+		return w.Name + "@" + hex.EncodeToString(sum[:8])
+	})
 }
 
-var workloadKeys = struct {
-	sync.Mutex
-	m map[workload.Workload]string
-}{m: make(map[workload.Workload]string)}
+var (
+	scenarioKeys keyMemo[ScenarioSpec]
+	workloadKeys keyMemo[workload.Workload]
+)
+
+// maxMemoKeys bounds a keyMemo: past it the memo restarts, so a fuzzer
+// or a long matrix pins at most this many keys.
+const maxMemoKeys = 64
+
+// keyMemo memoizes key strings by the comparable value they name. It
+// is safe for concurrent use; two callers that miss together both
+// build the key, and the strings they build are equal.
+type keyMemo[K comparable] struct {
+	mu sync.Mutex
+	m  map[K]string
+}
+
+// get returns k's memoized key, building and storing it on a miss.
+func (m *keyMemo[K]) get(k K, build func(K) string) string {
+	m.mu.Lock()
+	key, ok := m.m[k]
+	m.mu.Unlock()
+	if ok {
+		return key
+	}
+	key = build(k)
+	m.mu.Lock()
+	if m.m == nil {
+		m.m = make(map[K]string)
+	} else if len(m.m) >= maxMemoKeys {
+		clear(m.m)
+	}
+	m.m[k] = key
+	m.mu.Unlock()
+	return key
+}
 
 // Config materializes the scenario for a run seed. The fleet and the
 // partition are the process's shared, read-only ones (fl.SharedFleet,

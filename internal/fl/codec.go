@@ -93,7 +93,12 @@ func (r Result) AppendBinary(b []byte) ([]byte, error) {
 // leaving r.Outcome zero. It is total: truncation, trailing bytes, a
 // non-minimal or out-of-range varint, a bad mask byte, or a History
 // longer than the bytes left could hold is an error, never a panic or
-// an outsized allocation.
+// an outsized allocation. The head goes through a Decoder; History,
+// nearly all of a cell's bytes, is decoded in one pass straight off
+// the slice: one length check for a record's five floats and
+// cutVarint for its four ints. It accepts exactly the inputs a
+// Decoder read of every field would (FuzzResultBinaryMatchesReference
+// holds it to that), and shares no memory with data.
 func (r *Result) UnmarshalBinary(data []byte) error {
 	d := NewDecoder(data, errCorrupt)
 	var out Result
@@ -114,26 +119,62 @@ func (r *Result) UnmarshalBinary(data []byte) error {
 	if n, ok := d.Count(minRecordBytes); ok {
 		out.History = make([]RoundRecord, n)
 	}
+	b := d.b
 	for i := range out.History {
 		h := &out.History[i]
-		h.Round = d.Varint()
-		h.Accuracy = d.Float()
-		h.RoundSeconds = d.Float()
-		h.EnergyJ = d.Float()
-		h.MeanB = d.Float()
-		h.MeanE = d.Float()
-		h.PlannedK = d.Varint()
-		h.AggregatedK = d.Varint()
-		h.Dropped = d.Varint()
-		if d.Err() != nil {
+		var ok bool
+		if h.Round, b, ok = cutVarint(b); !ok || len(b) < 5*8 {
+			d.Fail("round %d: truncated or bad varint", i)
+			break
+		}
+		h.Accuracy = readFloat(b[0:])
+		h.RoundSeconds = readFloat(b[8:])
+		h.EnergyJ = readFloat(b[16:])
+		h.MeanB = readFloat(b[24:])
+		h.MeanE = readFloat(b[32:])
+		b = b[5*8:]
+		var ok1, ok2, ok3 bool
+		h.PlannedK, b, ok1 = cutVarint(b)
+		h.AggregatedK, b, ok2 = cutVarint(b)
+		h.Dropped, b, ok3 = cutVarint(b)
+		if !ok1 || !ok2 || !ok3 {
+			d.Fail("round %d: truncated or bad varint", i)
 			break
 		}
 	}
+	d.b = b // after a failure, Finish reports it whatever b holds
 	if err := d.Finish(); err != nil {
 		return err
 	}
 	*r = out
 	return nil
+}
+
+// readFloat reads an AppendFloat value from the front of b, which
+// holds at least 8 bytes.
+func readFloat(b []byte) float64 { return math.Float64frombits(binary.LittleEndian.Uint64(b)) }
+
+// cutVarint splits one binary.AppendVarint value off the front of b.
+// It accepts exactly what Decoder.Varint does: a minimal encoding of a
+// value that fits an int. A one-byte value (-64 to 63: a round's
+// participant counts, and its first 63 round numbers) takes the fast
+// path. rest is nil when ok is false.
+func cutVarint(b []byte) (v int, rest []byte, ok bool) {
+	if len(b) > 0 && b[0] < 0x80 {
+		u := b[0]
+		return int(u>>1) ^ -int(u&1), b[1:], true
+	}
+	// Here a valid encoding has at least two bytes, so a last byte of
+	// zero is a trailing 0x00 continuation group: not minimal.
+	u, n := binary.Uvarint(b)
+	if n <= 0 || b[n-1] == 0 {
+		return 0, nil, false
+	}
+	x := int64(u>>1) ^ -int64(u&1)
+	if int64(int(x)) != x {
+		return 0, nil, false
+	}
+	return int(x), b[n:], true
 }
 
 // BytesSize is the encoded size of an n-byte length-prefixed field:

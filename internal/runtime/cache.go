@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -37,9 +38,11 @@ const (
 // Any other file in the directory is foreign and never read. Every
 // disk hit reads its record and checks its CRC, and the first hit on a
 // pack refreshes its mtime so Prune evicts least-recently-used packs
-// first. The handle on its own pack lives as long as the Cache; every
-// record is one write, so nothing is left to flush. It is safe for
-// concurrent use.
+// first. A disk hit reads its record into a buffer from recordBufs and
+// a disk Put builds its record in one, so a warm hit allocates only
+// what its decoder keeps. The handle on its own pack lives as long as
+// the Cache; every record is one write, so nothing is left to flush.
+// It is safe for concurrent use.
 type Cache struct {
 	mu  sync.RWMutex
 	mem map[digest][]byte // memory-only mode payloads
@@ -66,6 +69,28 @@ type pack struct {
 	name string
 	// touched is set once this Cache has refreshed the pack's mtime.
 	touched atomic.Bool
+}
+
+// recordBufs recycles the buffers disk records are read into (get)
+// and built in (Put); each holds a *[]byte. A buffer goes back as soon
+// as its payload is decoded, so every decoder Get calls must copy out
+// what it keeps, and they do: Result.UnmarshalBinary shares no memory
+// with its input, core.Snapshot's decodeString copies, and
+// json.Unmarshal copies, json.RawMessage included. A decoder that
+// aliased its input would see its bytes overwritten by a later read;
+// TestPooledRecordsAreNotAliased guards this.
+var recordBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// maxPooledRecord caps the buffers recordBufs keeps, so one outsized
+// record does not stay pinned after its read.
+const maxPooledRecord = 1 << 20
+
+// putRecordBuf returns b, grown or not, to recordBufs through bp.
+func putRecordBuf(bp *[]byte, b []byte) {
+	if cap(b) <= maxPooledRecord {
+		*bp = b[:0]
+		recordBufs.Put(bp)
+	}
 }
 
 // digest is a canonical key's SHA-256, the address of its entry.
@@ -142,7 +167,9 @@ func (c *Cache) get(key string, v any) int {
 	if !ok {
 		return srcMiss
 	}
-	b, src := c.readRecord(loc)
+	bp := recordBufs.Get().(*[]byte)
+	b, src := c.readRecord(loc, *bp)
+	defer putRecordBuf(bp, b)
 	if src != srcDisk {
 		return src
 	}
@@ -192,21 +219,24 @@ func (c *Cache) scanPack(p *pack, size int64) {
 	})
 }
 
-// readRecord reads loc's envelope: it opens the pack, reads the record
-// and closes the pack again, so no handle is held per pack. A pack it
-// cannot open (pruned under us) is a miss; a record it cannot read
-// whole is corrupt, since it was complete when the scan indexed it.
-func (c *Cache) readRecord(loc recordLoc) ([]byte, int) {
+// readRecord reads loc's envelope into buf, grown as needed, and
+// returns it: it opens the pack, reads the record and closes the pack
+// again, so no handle is held per pack. buf is a pooled buffer
+// (recordBufs), so the envelope is valid only until the caller returns
+// it. A pack it cannot open (pruned under us) is a miss; a record it
+// cannot read whole is corrupt, since it was complete when the scan
+// indexed it.
+func (c *Cache) readRecord(loc recordLoc, buf []byte) ([]byte, int) {
+	buf = slices.Grow(buf[:0], loc.n)[:loc.n]
 	f, err := os.Open(filepath.Join(c.dir, loc.pack.name))
 	if err != nil {
-		return nil, srcMiss
+		return buf, srcMiss
 	}
 	defer f.Close()
-	b := make([]byte, loc.n)
-	if _, err := f.ReadAt(b, loc.off); err != nil {
-		return nil, srcCorrupt
+	if _, err := f.ReadAt(buf, loc.off); err != nil {
+		return buf, srcCorrupt
 	}
-	return b, srcDisk
+	return buf, srcDisk
 }
 
 // unmarshalPayload decodes payload into v under the cacheDecode phase
@@ -315,8 +345,8 @@ func (c *Cache) forgetPacks(names map[string]bool) {
 // Put stores v under the key, in memory or (when configured) on disk.
 // The payload is v itself for a []byte, v's binary form when v
 // implements encoding.BinaryAppender, and its JSON otherwise. On disk
-// the entry is one record (appendRecord), built in one buffer and
-// appended to this Cache's pack in one write.
+// the entry is one record (appendRecord), built in a pooled buffer
+// (recordBufs) and appended to this Cache's pack in one write.
 func (c *Cache) Put(key string, v any) error {
 	start := time.Now()
 	defer func() { c.col.RecordPhase(telemetry.PhaseCacheWrite, time.Since(start)) }()
@@ -331,10 +361,13 @@ func (c *Cache) Put(key string, v any) error {
 		c.mu.Unlock()
 		return nil
 	}
-	rec, err := appendRecord(nil, key, v)
+	bp := recordBufs.Get().(*[]byte)
+	rec, err := appendRecord(*bp, key, v)
 	if err != nil {
+		recordBufs.Put(bp)
 		return err
 	}
+	defer putRecordBuf(bp, rec)
 	// Index the directory first, so no older record it holds can
 	// replace this one in the index later.
 	c.load.Do(c.scan)

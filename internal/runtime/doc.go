@@ -328,6 +328,18 @@
 // hit opens the pack, reads the record and closes the pack again, so
 // no handle is held per pack.
 //
+// A disk hit costs one open, one read and one close of its pack, a
+// CRC pass over the record, and one decode. The record is read into a
+// buffer from a process-wide pool that goes back as soon as the
+// payload is decoded, and a disk Put builds its record in one too, so
+// a warm hit allocates only what its decoder keeps: for a cell, the
+// History slice, the strings and the energy map
+// (BenchmarkCacheGet; TestCacheGetAllocatesNoRecordBuffer holds it
+// under the record's size plus the History). Every payload decoder
+// therefore copies out of its input (TestPooledRecordsAreNotAliased).
+// The History decode is one pass over the bytes, with a one-byte fast
+// path for its varints (fl.Result.UnmarshalBinary).
+//
 // A scan stops at the first record that is incomplete or malformed:
 // a torn or in-flight tail is never indexed. After a failed or short
 // append, a Cache drops its pack and the next Put creates a new one.
