@@ -14,6 +14,14 @@
 // with every other tool. -results streams every cell to a JSON Lines
 // log as it completes.
 //
+// A rounds axis (rounds=100,300) runs each deployment once, at its
+// longest budget: a shorter budget's cell is a prefix of that run,
+// read off it at its round, byte-identical to running it alone, and
+// still printed, counted and cached as a cell of its own. On the
+// in-process backend a shorter cell whose long run has not finished
+// yet runs alone instead of waiting; a -workers fleet runs every cell
+// alone.
+//
 // Usage:
 //
 //	fedgpo-sweep -workload CNN-MNIST [-noniid] [-variance] [-quick] [-seed N] [-parallel N] [-v]
@@ -46,7 +54,8 @@ func main() {
 	variance := flag.Bool("variance", false, "enable interference + unstable network")
 	quick := flag.Bool("quick", false, "reduced fleet for a fast run")
 	matrix := flag.String("matrix", "",
-		"scenario-matrix axes, e.g. \"fleet=200,H5:M5:L10;alpha=iid,0.5;net=stable,unstable;intf=none,web-browsing;deadline=none,auto;rounds=100\"")
+		"scenario-matrix axes, e.g. \"fleet=200,H5:M5:L10;alpha=iid,0.5;net=stable,unstable;intf=none,web-browsing;deadline=none,auto;rounds=100\"; "+
+			"a rounds axis runs each deployment once, at its longest budget, and reads the shorter budgets off that run")
 	scenarioFile := flag.String("scenario-file", "", "run ScenarioSpec JSON (one object or an array) from this file")
 	paramsFlag := flag.String("params", "8,10,20", "the (B,E,K) setting matrix/scenario-file cells run at")
 	seed := flag.Int64("seed", 1, "run seed")

@@ -1,0 +1,182 @@
+package exp
+
+import (
+	"slices"
+	"sync"
+
+	"fedgpo/internal/fl"
+	"fedgpo/internal/interfere"
+	"fedgpo/internal/netsim"
+	"fedgpo/internal/runtime"
+)
+
+// horizonGroup is a set of one batch's plain simulation cells that
+// differ only in their round budget: the same scenario otherwise, the
+// same controller key and the same seed. A run's first h rounds do not
+// depend on its budget (see fl.RunHorizons), so every member's result
+// is a prefix of the longest member's run. The longest member runs
+// once over every member's budget and publishes the shorter results;
+// a shorter member takes its own if that run has finished, and
+// otherwise runs alone rather than wait. Either way it computes the
+// same bytes, counts as an executed cell and is cached under its own
+// key. A group lives only as long as its batch's jobs.
+type horizonGroup struct {
+	batch []JobSpec
+	// longest is the batch index of the member with the longest
+	// budget.
+	longest int
+	// horizons are the members' distinct budgets, ascending; the last
+	// is longest's own.
+	horizons []int
+
+	mu sync.Mutex
+	// shorter holds longest's results at horizons[:len-1] once its run
+	// has finished; a taken result is cleared.
+	shorter []fl.Result
+}
+
+// run is the job body of the member at batch index i.
+func (g *horizonGroup) run(r *Runtime, i int) runtime.Result {
+	sp := g.batch[i]
+	if i == g.longest {
+		res, shorter := r.execute(sp, g.horizons)
+		g.mu.Lock()
+		g.shorter = shorter
+		g.mu.Unlock()
+		return res
+	}
+	if sim, ok := g.take(sp.Scenario.rounds()); ok {
+		return runtime.Result{Sim: sim}
+	}
+	return r.Execute(sp)
+}
+
+// take hands out the published result at budget h, if there is one.
+func (g *horizonGroup) take(h int) (fl.Result, bool) {
+	k, _ := slices.BinarySearch(g.horizons, h)
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if k >= len(g.shorter) || g.shorter[k].History == nil {
+		return fl.Result{}, false
+	}
+	sim := g.shorter[k]
+	g.shorter[k] = fl.Result{}
+	return sim, true
+}
+
+// groupKey is what a horizon group's members share: the scenario with
+// its round budget and display name cleared, the controller key and
+// the seed.
+type groupKey struct {
+	s    ScenarioSpec
+	ctrl string
+	seed int64
+}
+
+// horizonGroups finds a batch's horizon groups and returns, by batch
+// index, each spec's group (nil for a spec in none) and the order to
+// dispatch the batch in: every group's longest member first, spread
+// over their environments (spreadEnvironments), then the rest in
+// batch order. Only a batch whose plain simulation cells
+// use more than one round budget (a sweep with a rounds axis; never a
+// report batch) has groups, so any other returns nil, nil after one
+// pass over the specs. Traced cells are never grouped, since a trace
+// records one run's decisions.
+func (r *Runtime) horizonGroups(specs []JobSpec) ([]*horizonGroup, []int) {
+	if r.traceLevel != "" || !mixedBudgets(specs) {
+		return nil, nil
+	}
+	byKey := make(map[groupKey]*horizonGroup)
+	var groups []*horizonGroup
+	of := make([]*horizonGroup, len(specs))
+	for i, sp := range specs {
+		if sp.Kind != KindSim || sp.Trace != "" {
+			continue
+		}
+		s := sp.Scenario
+		s.Name, s.MaxRounds = "", 0
+		k := groupKey{s, sp.controllerKey(), sp.Seed}
+		g := byKey[k]
+		if g == nil {
+			g = &horizonGroup{batch: specs, longest: i}
+			byKey[k] = g
+			groups = append(groups, g)
+		}
+		h := sp.Scenario.rounds()
+		if h > specs[g.longest].Scenario.rounds() {
+			g.longest = i
+		}
+		if !slices.Contains(g.horizons, h) {
+			g.horizons = append(g.horizons, h)
+		}
+		of[i] = g
+	}
+	order := make([]int, 0, len(specs))
+	for _, g := range groups {
+		if len(g.horizons) > 1 {
+			slices.Sort(g.horizons)
+			order = append(order, g.longest)
+		}
+	}
+	if len(order) == 0 {
+		return nil, nil
+	}
+	slices.Sort(order)
+	spreadEnvironments(specs, order)
+	for i, g := range of {
+		if g == nil || len(g.horizons) < 2 {
+			of[i] = nil
+		}
+		if of[i] == nil || g.longest != i {
+			order = append(order, i)
+		}
+	}
+	return of, order
+}
+
+// environment is what a run's environment trace is drawn from (see
+// fl.Arena): the seed, the fleet size, the interference model and the
+// channel.
+type environment struct {
+	seed int64
+	n    int
+	intf interfere.Model
+	ch   netsim.Channel
+}
+
+// spreadEnvironments reorders the batch indexes in order, stably, so
+// that each environment's first cell comes before any environment's
+// second, and so on. The first run to reach a round of an environment
+// draws it while every other run that needs that round waits, so two
+// runs that start one environment together wait on each other round
+// by round. A matrix varies its last axes fastest, so cells next to
+// each other in a batch often share their environment; spread apart,
+// the runs a pool starts together draw different ones.
+func spreadEnvironments(specs []JobSpec, order []int) {
+	nth := make(map[environment]int)
+	rank := make([]int, len(specs))
+	for _, i := range order {
+		s := specs[i].Scenario
+		e := environment{specs[i].Seed, s.Fleet.Composition().Total(), s.Interference.Model(), s.Network.Channel()}
+		rank[i] = nth[e]
+		nth[e]++
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return rank[a] - rank[b] })
+}
+
+// mixedBudgets reports whether the batch's plain simulation cells use
+// more than one round budget.
+func mixedBudgets(specs []JobSpec) bool {
+	first := 0
+	for _, sp := range specs {
+		if sp.Kind != KindSim {
+			continue
+		}
+		if h := sp.Scenario.rounds(); first == 0 {
+			first = h
+		} else if h != first {
+			return true
+		}
+	}
+	return false
+}

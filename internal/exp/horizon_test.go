@@ -1,0 +1,302 @@
+package exp
+
+import (
+	"bytes"
+	"reflect"
+	"testing"
+
+	"fedgpo/internal/core"
+	"fedgpo/internal/fl"
+	"fedgpo/internal/runtime"
+	"fedgpo/internal/telemetry"
+	"fedgpo/internal/workload"
+)
+
+// horizonSpecs is one Tiny-scale batch per round budget: the ideal and
+// the realistic scenario (whose auto deadline drops stragglers) under
+// every contender family. The warm FedGPO contender pins its warm-up
+// budget, so its cells differ only in their round budget too.
+func horizonSpecs(budgets ...int) [][]JobSpec {
+	warm := core.DefaultConfig()
+	contenders := []ContenderSpec{
+		staticContender(fl.Params{B: 8, E: 10, K: 20}, ""),
+		{Type: ContBO, CtrlSeed: 3},
+		{Type: ContGA, CtrlSeed: 3},
+		{Type: ContFedEX, CtrlSeed: 3},
+		{Type: ContABS, CtrlSeed: 3},
+		fedgpoColdContender(),
+		{Type: ContFedGPOWarm, Core: &warm, WarmSeed: warmupSeed, WarmRounds: 60},
+	}
+	batches := make([][]JobSpec, len(budgets))
+	for b, h := range budgets {
+		for _, s := range []ScenarioSpec{Ideal(workload.CNNMNIST()), Realistic(workload.CNNMNIST())} {
+			s = Tiny().apply(s)
+			s.MaxRounds = h
+			for _, c := range contenders {
+				batches[b] = append(batches[b], simSpec(s, c, 1))
+			}
+		}
+	}
+	return batches
+}
+
+// interleave returns the batches' specs cell by cell, as a sweep's
+// rounds axis orders them: each cell's budgets next to each other.
+func interleave(batches [][]JobSpec) []JobSpec {
+	var out []JobSpec
+	for i := range batches[0] {
+		for _, b := range batches {
+			out = append(out, b[i])
+		}
+	}
+	return out
+}
+
+// simBytes is the binary form of every result, one entry per cell.
+func simBytes(t *testing.T, results []runtime.Result) [][]byte {
+	t.Helper()
+	out := make([][]byte, len(results))
+	for i, res := range results {
+		b, err := res.Sim.AppendBinary(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[i] = b
+	}
+	return out
+}
+
+// roundsRun is how many simulated rounds the runtime has executed.
+func roundsRun(rt *Runtime) int64 {
+	return rt.Metrics().Phases[telemetry.PhaseRounds].Count
+}
+
+// horizonReference runs each budget's batch alone, on a runtime of its
+// own, and returns the results in interleaved order with the rounds
+// each budget's batch ran.
+func horizonReference(t *testing.T, batches [][]JobSpec) ([]runtime.Result, []int64) {
+	t.Helper()
+	per := make([][]runtime.Result, len(batches))
+	rounds := make([]int64, len(batches))
+	for b, specs := range batches {
+		rt, err := NewRuntime(1, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		per[b] = rt.runSpecs(specs)
+		rounds[b] = roundsRun(rt)
+	}
+	var out []runtime.Result
+	for i := range per[0] {
+		for b := range per {
+			out = append(out, per[b][i])
+		}
+	}
+	return out, rounds
+}
+
+func checkSameResults(t *testing.T, specs []JobSpec, got, want []runtime.Result) {
+	t.Helper()
+	g, w := simBytes(t, got), simBytes(t, want)
+	for i := range specs {
+		if !bytes.Equal(g[i], w[i]) {
+			t.Errorf("cell %d (%s, %s, %d rounds): bytes differ from its single-budget batch",
+				i, specs[i].Scenario.Name, specs[i].Contender.Type, specs[i].Scenario.MaxRounds)
+		}
+		if got[i].Sim.Outcome != want[i].Sim.Outcome {
+			t.Errorf("cell %d: outcome %+v, want %+v", i, got[i].Sim.Outcome, want[i].Sim.Outcome)
+		}
+		if got[i].Key != want[i].Key {
+			t.Errorf("cell %d: key %q, want %q", i, got[i].Key, want[i].Key)
+		}
+	}
+}
+
+// A batch at budgets {100, 300} returns, in spec order, the bytes of
+// two single-budget batches, counts every cell as executed, and runs
+// only the 300-round runs: with one worker every long member finishes
+// before its short twin is dispatched, so each twin takes its result.
+func TestHorizonBatchMatchesSingleBudgetBatches(t *testing.T) {
+	batches := horizonSpecs(100, 300)
+	specs := interleave(batches)
+	want, refRounds := horizonReference(t, batches)
+
+	rt, err := NewRuntime(1, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := rt.runSpecs(specs)
+	checkSameResults(t, specs, got, want)
+	if st := rt.Stats(); st.Runs != int64(len(specs)) || st.Hits != 0 {
+		t.Errorf("stats: %d runs, %d hits; want %d runs, 0 hits", st.Runs, st.Hits, len(specs))
+	}
+	if n := roundsRun(rt); n != refRounds[1] {
+		t.Errorf("the batch ran %d rounds, want %d (the 300-round runs only; the 100-round batch alone ran %d)",
+			n, refRounds[1], refRounds[0])
+	}
+	// More than one worker: a short twin may find its long twin still
+	// running and run alone; the bytes do not change.
+	rt2, err := NewRuntime(4, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkSameResults(t, specs, rt2.runSpecs(specs), want)
+}
+
+// When the long twin is already cached its run never happens, so the
+// short twin runs alone, and still matches.
+func TestHorizonShortTwinRunsAloneWhenLongIsCached(t *testing.T) {
+	batches := horizonSpecs(100, 300)
+	specs := interleave(batches)
+	want, refRounds := horizonReference(t, batches)
+
+	rt, err := NewRuntime(1, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.runSpecs(batches[1])
+	before := roundsRun(rt)
+	got := rt.runSpecs(specs)
+	checkSameResults(t, specs, got, want)
+	if n := roundsRun(rt) - before; n != refRounds[0] {
+		t.Errorf("the batch ran %d rounds, want the 100-round runs' %d", n, refRounds[0])
+	}
+	n := int64(len(batches[1]))
+	if st := rt.Stats(); st.Runs != 2*n || st.Hits != n {
+		t.Errorf("stats: %d runs, %d hits; want %d runs, %d hits", st.Runs, st.Hits, 2*n, n)
+	}
+}
+
+// A traced batch runs every cell on its own: a decision trace records
+// one run's decisions.
+func TestHorizonTracedBatchIsNotGrouped(t *testing.T) {
+	batches := horizonSpecs(100, 300)
+	specs := interleave(batches)
+	want, refRounds := horizonReference(t, batches)
+
+	rt, err := NewRuntime(1, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.SetTraceLevel(telemetry.TraceDecisions)
+	checkSameResults(t, specs, rt.runSpecs(specs), want)
+	if n := roundsRun(rt); n != refRounds[0]+refRounds[1] {
+		t.Errorf("the traced batch ran %d rounds, want every cell's %d", n, refRounds[0]+refRounds[1])
+	}
+	if groups, order := rt.horizonGroups(specs); groups != nil || order != nil {
+		t.Error("a traced runtime grouped a batch")
+	}
+	traced := append([]JobSpec(nil), specs...)
+	for i := range traced {
+		traced[i].Trace = telemetry.TraceDecisions
+	}
+	plain, err := NewRuntime(1, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if groups, order := plain.horizonGroups(traced); groups != nil || order != nil {
+		t.Error("a batch of traced specs was grouped")
+	}
+}
+
+// Only cells that differ in nothing but their budget are grouped, and
+// the longest members are dispatched first. A one-budget batch, like
+// every report batch, has no groups.
+func TestHorizonGroupsPairOnlyBudgetTwins(t *testing.T) {
+	rt, err := NewRuntime(1, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if groups, order := rt.horizonGroups(horizonSpecs(100)[0]); groups != nil || order != nil {
+		t.Error("a one-budget batch was grouped")
+	}
+	s := Tiny().apply(Ideal(workload.CNNMNIST()))
+	static := staticContender(fl.Params{B: 8, E: 10, K: 20}, "")
+	at := func(s ScenarioSpec, h int) ScenarioSpec { s.MaxRounds = h; return s }
+	other := s
+	other.Fleet.Size = 30
+	named := at(s, 50)
+	named.Name = "another label"
+	specs := []JobSpec{
+		simSpec(at(s, 100), static, 1),                // 0: grouped with 2 and 5
+		simSpec(at(s, 100), static, 2),                // 1: another seed, no twin
+		simSpec(at(s, 300), static, 1),                // 2: the longest of 0's group
+		simSpec(at(other, 300), static, 1),            // 3: another scenario, no twin
+		simSpec(at(s, 300), fedgpoColdContender(), 1), // 4: another controller, no twin
+		simSpec(named, static, 1),                     // 5: a label is display only
+		{Kind: KindSec54, Scenario: at(s, 100), Contender: fedgpoColdContender(), Seed: 1},
+	}
+	groups, order := rt.horizonGroups(specs)
+	if groups == nil {
+		t.Fatal("no groups")
+	}
+	g := groups[0]
+	for i, want := range []bool{true, false, true, false, false, true, false} {
+		if (groups[i] == g) != want || (groups[i] != nil) != want {
+			t.Errorf("spec %d: grouped %v, want %v", i, groups[i] != nil, want)
+		}
+	}
+	if g.longest != 2 || !reflect.DeepEqual(g.horizons, []int{50, 100, 300}) {
+		t.Errorf("group: longest %d, horizons %v; want 2, [50 100 300]", g.longest, g.horizons)
+	}
+	if want := []int{2, 0, 1, 3, 4, 5, 6}; !reflect.DeepEqual(order, want) {
+		t.Errorf("dispatch order %v, want %v", order, want)
+	}
+}
+
+// The longest members are dispatched one environment at a time: each
+// environment's first before any environment's second, so two runs a
+// pool starts together rarely draw one environment trace at once.
+func TestHorizonLongestMembersSpreadOverEnvironments(t *testing.T) {
+	rt, err := NewRuntime(1, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	matrix, err := ScenarioMatrix(workload.CNNMNIST(), "fleet=20,30;deadline=none,auto;rounds=100,300")
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs := make([]JobSpec, len(matrix))
+	for i, s := range matrix {
+		specs[i] = simSpec(s, staticContender(fl.Params{B: 8, E: 10, K: 20}, ""), 1)
+	}
+	// Batch order: fleet 20 (none 100, none 300, auto 100, auto 300),
+	// then fleet 30 the same. The fleet sets the environment.
+	_, order := rt.horizonGroups(specs)
+	if want := []int{1, 5, 3, 7, 0, 2, 4, 6}; !reflect.DeepEqual(order, want) {
+		t.Errorf("dispatch order %v, want %v", order, want)
+	}
+}
+
+// Groups live in a batch's jobs only: nothing the Runtime holds can
+// reach one, so no group outlives its batch.
+func TestRuntimeHoldsNoHorizonGroup(t *testing.T) {
+	target := reflect.TypeOf(horizonGroup{})
+	seen := map[reflect.Type]bool{}
+	var reaches func(reflect.Type) bool
+	reaches = func(ty reflect.Type) bool {
+		if ty == target {
+			return true
+		}
+		if seen[ty] {
+			return false
+		}
+		seen[ty] = true
+		switch ty.Kind() {
+		case reflect.Pointer, reflect.Slice, reflect.Array, reflect.Chan:
+			return reaches(ty.Elem())
+		case reflect.Map:
+			return reaches(ty.Key()) || reaches(ty.Elem())
+		case reflect.Struct:
+			for i := range ty.NumField() {
+				if reaches(ty.Field(i).Type) {
+					return true
+				}
+			}
+		}
+		return false
+	}
+	if reaches(reflect.TypeOf(Runtime{})) {
+		t.Error("a Runtime field can hold a horizonGroup")
+	}
+}

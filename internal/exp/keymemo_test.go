@@ -1,7 +1,9 @@
 package exp
 
 import (
+	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -86,24 +88,80 @@ func TestScenarioKeyMemoIsBounded(t *testing.T) {
 	}
 }
 
-// A map key cannot tell -0 from 0, but a fixed deadline prints its
-// sign: whichever of the two is asked for first, each keeps its own
-// key.
-func TestScenarioKeyMemoKeepsDeadlineSign(t *testing.T) {
-	pos := Ideal(workload.CNNMNIST())
-	pos.Deadline = DeadlineSpec{Kind: DeadlineFixed}
-	neg := pos
-	neg.Deadline.Seconds = math.Copysign(0, -1)
-	for _, order := range [][]ScenarioSpec{{pos, neg}, {neg, pos}} {
-		for _, s := range order {
-			if got, want := s.cacheKey(), s.buildCacheKey(); got != want {
-				t.Errorf("deadline %g: got %q, want %q", s.Deadline.Seconds, got, want)
+// A spec's -0 floats key as +0, whichever twin is keyed first, so key
+// equality agrees with Go's ==, which cannot tell them apart: a fixed
+// deadline of -0 (printed in the key) and a CNN-MNIST workload whose
+// InitialAccuracy is -0 (hashed into the workload digest) each key as
+// their +0 twin, fresh or memoized. No registry or benchmark spec holds
+// a -0, so folding it moves none of their keys.
+func TestScenarioKeyFoldsNegativeZero(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	deadline := Ideal(workload.CNNMNIST())
+	deadline.Deadline = DeadlineSpec{Kind: DeadlineFixed}
+	deadline.MaxRounds = 321 // specs no other test memoizes
+	negDeadline := deadline
+	negDeadline.Deadline.Seconds = negZero
+
+	accuracy := Ideal(workload.CNNMNIST())
+	accuracy.Workload.Learn.InitialAccuracy = 0
+	accuracy.MaxRounds = 322
+	negAccuracy := accuracy
+	negAccuracy.Workload.Learn.InitialAccuracy = negZero
+
+	for _, twins := range [][2]ScenarioSpec{{deadline, negDeadline}, {accuracy, negAccuracy}} {
+		pos, neg := twins[0], twins[1]
+		want := pos.buildCacheKey()
+		if got := neg.buildCacheKey(); got != want {
+			t.Errorf("fresh -0 key %q, +0 key %q", got, want)
+		}
+		for _, order := range [][]ScenarioSpec{{neg, pos}, {pos, neg}} {
+			resetKeyMemos()
+			for _, s := range order {
+				if got := s.cacheKey(); got != want {
+					t.Errorf("memoized key %q, want the +0 twin's %q", got, want)
+				}
 			}
 		}
 	}
-	if !strings.Contains(neg.cacheKey(), "/deadline=-0/") {
-		t.Errorf("negative-zero deadline key lost its sign: %q", neg.cacheKey())
+	if strings.Contains(negDeadline.cacheKey(), "-0") {
+		t.Errorf("a -0 deadline prints its sign: %q", negDeadline.cacheKey())
 	}
+	for _, s := range keyMemoSpecs(t) {
+		if path, ok := negativeZeroAt(reflect.ValueOf(s), "spec"); ok {
+			t.Errorf("%s holds -0 at %s", s.Name, path)
+		}
+	}
+}
+
+// resetKeyMemos empties the scenario and workload key memos.
+func resetKeyMemos() {
+	for _, m := range []*sync.Mutex{&scenarioKeys.mu, &workloadKeys.mu} {
+		m.Lock()
+		defer m.Unlock()
+	}
+	clear(scenarioKeys.m)
+	clear(workloadKeys.m)
+}
+
+// negativeZeroAt finds a -0 float in v and names its field path.
+func negativeZeroAt(v reflect.Value, path string) (string, bool) {
+	switch v.Kind() {
+	case reflect.Float32, reflect.Float64:
+		return path, v.Float() == 0 && math.Signbit(v.Float())
+	case reflect.Struct:
+		for i := range v.NumField() {
+			if p, ok := negativeZeroAt(v.Field(i), path+"."+v.Type().Field(i).Name); ok {
+				return p, true
+			}
+		}
+	case reflect.Array:
+		for i := range v.Len() {
+			if p, ok := negativeZeroAt(v.Index(i), fmt.Sprintf("%s[%d]", path, i)); ok {
+				return p, true
+			}
+		}
+	}
+	return "", false
 }
 
 // Concurrent callers, across memo restarts, all get the unmemoized

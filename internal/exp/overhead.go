@@ -69,7 +69,7 @@ type sec54Extra struct {
 // the one place a spec's execution is not bit-reproducible (see the
 // type comment above).
 func executeSec54(r *Runtime, sp JobSpec) runtime.Result {
-	res, c := executeSim(r, sp)
+	res, _, c := executeSim(r, sp, nil)
 	ctrl := c.(*core.Controller)
 	ov := ctrl.Overhead()
 	res.SetExtra(sec54Extra{

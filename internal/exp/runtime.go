@@ -329,15 +329,39 @@ func (e *JobError) Error() string { return fmt.Sprintf("exp: cell %s failed: %s"
 // panics with a *JobError on job failure — matching fl.Run's
 // panic-on-invalid-config semantics while still letting the rest of
 // the batch drain.
+//
+// Cells that differ only in their round budget run as one (see
+// horizonGroup): their jobs run the group's body instead of Execute,
+// and the batch is dispatched longest members first.
 func (r *Runtime) runSpecs(specs []JobSpec) []runtime.Result {
+	groups, order := r.horizonGroups(specs)
 	jobs := make([]runtime.Job, len(specs))
 	for i, sp := range specs {
-		jobs[i] = r.Job(sp)
+		if groups != nil && groups[i] != nil {
+			g := groups[i]
+			jobs[i] = r.job(sp)
+			jobs[i].Run = func() runtime.Result { return g.run(r, i) }
+		} else {
+			jobs[i] = r.Job(sp)
+		}
 		if r.onJob != nil {
 			r.onJob(jobs[i])
 		}
 	}
-	results := r.exec.RunAll(jobs)
+	var results []runtime.Result
+	if order == nil {
+		results = r.exec.RunAll(jobs)
+	} else {
+		dispatch := make([]runtime.Job, len(jobs))
+		for k, i := range order {
+			dispatch[k] = jobs[i]
+		}
+		out := r.exec.RunAll(dispatch)
+		results = make([]runtime.Result, len(jobs))
+		for k, i := range order {
+			results[i] = out[k]
+		}
+	}
 	for i := range results {
 		res := &results[i]
 		res.Sim.Outcome = fl.OutcomeOf(specs[i].Scenario.Workload, res.Sim.History)
@@ -418,6 +442,12 @@ func SweepStatic(o Options, s ScenarioSpec, params []fl.Params, seed int64) []fl
 // their cache identity with every other constructor touching the same
 // deployments, so a matrix sweep warms the report cache and vice
 // versa.
+//
+// Specs that differ only in their round budget (a matrix's rounds
+// axis) run each deployment once, at the longest budget, and read the
+// shorter budgets' results off that run at their rounds (see
+// horizonGroup); each is byte-identical to its own run and still
+// counts, and is cached, as a cell of its own.
 func SweepScenarios(o Options, specs []ScenarioSpec, p fl.Params, seed int64) []fl.Result {
 	jobSpecs := make([]JobSpec, len(specs))
 	for i, s := range specs {

@@ -21,7 +21,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"math"
+	"reflect"
 	"sync"
 
 	"fedgpo/internal/data"
@@ -433,18 +433,19 @@ func (s ScenarioSpec) rounds() int {
 // its own memo underneath (workloadKey): a sweep matrix has more
 // distinct scenarios than this memo holds but only a few workloads,
 // and its digest is the costly part of a key.
+//
+// A key is built from the spec with every -0 float read as +0
+// (positiveZeros): Go's == cannot tell the two apart, so neither may a
+// key, or a memo entry and a spec comparison would disagree with a
+// fresh build.
 func (s ScenarioSpec) cacheKey() string {
 	s.Name = ""
-	// A map key cannot tell -0 from 0, and a fixed deadline prints its
-	// sign, so such a spec builds its key every time.
-	if math.Signbit(s.Deadline.Seconds) {
-		return s.buildCacheKey()
-	}
 	return scenarioKeys.get(s, ScenarioSpec.buildCacheKey)
 }
 
 // buildCacheKey is cacheKey without the memo.
 func (s ScenarioSpec) buildCacheKey() string {
+	s = positiveZeros(s)
 	return fmt.Sprintf("%s/fleet=%s/rounds=%d/part=%s/net=%s/intf=%s/deadline=%g/agg=%d",
 		workloadKey(s.Workload), s.Fleet.key(), s.rounds(), s.Partition.key(),
 		s.Network.key(), s.Interference.key(),
@@ -460,6 +461,31 @@ func workloadKey(w workload.Workload) string {
 		sum := sha256.Sum256([]byte(canonJSON(w)))
 		return w.Name + "@" + hex.EncodeToString(sum[:8])
 	})
+}
+
+// positiveZeros returns v with every float that holds -0, in v or in
+// any struct or array nested in it, set to +0. Specs are plain values
+// of exported fields, so the walk reaches every float they hold.
+func positiveZeros[T any](v T) T {
+	foldNegativeZeros(reflect.ValueOf(&v).Elem())
+	return v
+}
+
+func foldNegativeZeros(v reflect.Value) {
+	switch v.Kind() {
+	case reflect.Float32, reflect.Float64:
+		if v.Float() == 0 && v.CanSet() {
+			v.SetFloat(0)
+		}
+	case reflect.Struct:
+		for i := range v.NumField() {
+			foldNegativeZeros(v.Field(i))
+		}
+	case reflect.Array:
+		for i := range v.Len() {
+			foldNegativeZeros(v.Index(i))
+		}
+	}
 }
 
 var (
@@ -503,10 +529,14 @@ func (m *keyMemo[K]) get(k K, build func(K) string) string {
 // partition are the process's shared, read-only ones (fl.SharedFleet,
 // fl.SharedPartition): every cell of a scenario, and every scenario
 // with the same composition or partition, runs on the same values.
+//
+// Like a key, the config reads every -0 float of the spec as +0, so two
+// specs that share a key run the same deployment.
 func (s ScenarioSpec) Config(seed int64) fl.Config {
 	if err := s.Validate(); err != nil {
 		panic(err)
 	}
+	s = positiveZeros(s)
 	fleet := fl.SharedFleet(s.Fleet.Composition())
 	n, w := len(fleet), s.Workload
 	part := fl.SharedPartition(fl.PartitionKey{

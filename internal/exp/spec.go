@@ -264,13 +264,19 @@ func (r *Runtime) Job(sp JobSpec) runtime.Job {
 	if r.traceLevel != "" && sp.Trace == "" {
 		sp.Trace = r.traceLevel
 	}
+	j := r.job(sp)
+	j.Run = func() runtime.Result { return r.Execute(sp) }
+	return j
+}
+
+// job is Job without the trace stamp and the Run closure.
+func (r *Runtime) job(sp JobSpec) runtime.Job {
 	return runtime.Job{
 		Kind:        sp.Kind,
 		Scenario:    sp.scenarioKey(),
 		Controller:  sp.controllerKey(),
 		Seed:        sp.Seed,
 		Payload:     EncodeJobSpec(sp),
-		Run:         func() runtime.Result { return r.Execute(sp) },
 		ForceRun:    sp.Trace != "" && sp.traceable() && !r.hasTrace(sp),
 		SnapshotKey: snapshotKey(sp),
 	}
@@ -320,13 +326,21 @@ func (r *Runtime) RunRequest(key string, spec json.RawMessage) runtime.Result {
 // the single entry point both backends funnel into — the pool backend
 // through Job's closure, worker pools through the decoded wire spec.
 func (r *Runtime) Execute(sp JobSpec) runtime.Result {
+	res, _ := r.execute(sp, nil)
+	return res
+}
+
+// execute is Execute, also returning, for a plain simulation cell run
+// over horizons, its results at the shorter ones (see executeSim).
+func (r *Runtime) execute(sp JobSpec, horizons []int) (runtime.Result, []fl.Result) {
 	if err := sp.validate(); err != nil {
 		panic(err.Error())
 	}
 	var res runtime.Result
+	var shorter []fl.Result
 	switch sp.Kind {
 	case KindSim:
-		res, _ = executeSim(r, sp)
+		res, shorter, _ = executeSim(r, sp, horizons)
 	case KindQMem:
 		res = executeQMem(r, sp)
 	case KindOracle:
@@ -340,7 +354,7 @@ func (r *Runtime) Execute(sp JobSpec) runtime.Result {
 	// result sharing its key carries the artifact out (the coordinator ships
 	// it fleet-wide). Observational only: Sim bytes are untouched.
 	r.attachBuiltSnapshot(sp, &res)
-	return res
+	return res, shorter
 }
 
 // executeSim runs a simulation cell with per-job telemetry and returns
@@ -352,7 +366,12 @@ func (r *Runtime) Execute(sp JobSpec) runtime.Result {
 // collector. A sec54 spec runs full length (no convergence stop).
 // Telemetry and tracing are observational only; the Sim outcome is
 // byte-identical to an uninstrumented run.
-func executeSim(r *Runtime, sp JobSpec) (runtime.Result, fl.Controller) {
+//
+// With horizons (ascending round budgets, the last the spec's own), the
+// one run also returns its result at each shorter budget, byte-identical
+// to a run of the spec with that budget (fl.RunHorizons); its telemetry
+// counts the rounds it ran once.
+func executeSim(r *Runtime, sp JobSpec, horizons []int) (runtime.Result, []fl.Result, fl.Controller) {
 	col := telemetry.NewCollector()
 	t0 := time.Now()
 	ctrl := r.controller(sp.Scenario, sp.Contender)
@@ -361,11 +380,18 @@ func executeSim(r *Runtime, sp JobSpec) (runtime.Result, fl.Controller) {
 	cfg := sp.Scenario.Config(sp.Seed)
 	cfg.StopAtConvergence = cfg.StopAtConvergence && sp.Kind != KindSec54
 	cfg.Telemetry = col
-	res := runtime.Result{Sim: fl.Run(cfg, ctrl)}
+	var res runtime.Result
+	var shorter []fl.Result
+	if horizons == nil {
+		res.Sim = fl.Run(cfg, ctrl)
+	} else {
+		sims := fl.RunHorizons(cfg, ctrl, horizons)
+		res.Sim, shorter = sims[len(sims)-1], sims[:len(sims)-1]
+	}
 	r.publishTrace(sp, traced)
 	m := col.Snapshot()
 	res.Telemetry = &m
-	return res, ctrl
+	return res, shorter, ctrl
 }
 
 // traceTarget enables decision tracing on the controller when the spec

@@ -1,0 +1,135 @@
+package fl_test
+
+import (
+	"bytes"
+	"fmt"
+	"testing"
+
+	"fedgpo/internal/abs"
+	"fedgpo/internal/baseline"
+	"fedgpo/internal/core"
+	"fedgpo/internal/exp"
+	"fedgpo/internal/fl"
+	"fedgpo/internal/workload"
+)
+
+// horizonControllers builds a fresh controller of each family the
+// report compares, for a scenario's run config: Static, the BO, GA,
+// FedEX and ABS baselines, and FedGPO cold and warm (Q-tables
+// pretrained once on a warm-up run with another seed).
+func horizonControllers(t *testing.T, cfg fl.Config) map[string]func() fl.Controller {
+	t.Helper()
+	warmCfg := cfg
+	warmCfg.Seed = 997
+	warmCfg.MaxRounds = 60
+	ccfg := core.DefaultConfig()
+	snap := core.PretrainSnapshot(ccfg, warmCfg)
+	return map[string]func() fl.Controller{
+		"static":      func() fl.Controller { return fl.NewStatic(fl.Params{B: 8, E: 10, K: 10}) },
+		"bo":          func() fl.Controller { return baseline.NewBO(3) },
+		"ga":          func() fl.Controller { return baseline.NewGA(3) },
+		"fedex":       func() fl.Controller { return baseline.NewFedEX(3) },
+		"abs":         func() fl.Controller { return abs.New(abs.Config{Seed: 3}) },
+		"fedgpo-cold": func() fl.Controller { return core.New(ccfg) },
+		"fedgpo-warm": func() fl.Controller { return core.FromSnapshot(ccfg, snap) },
+	}
+}
+
+func resultBytes(t *testing.T, r fl.Result) []byte {
+	t.Helper()
+	b, err := r.AppendBinary(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// One RunHorizons pass at {1, h, H} gives, byte for byte, what three
+// separate runs at budgets 1, h and H give, for every controller
+// family on the ideal scenario and on the realistic one, whose auto
+// deadline drops stragglers. The h values include one inside the run
+// and, for every run that converges before H, one past its
+// convergence, which must get the run's final state.
+func TestRunHorizonsMatchesSeparateRuns(t *testing.T) {
+	const H = 300
+	pastConvergence, drops := 0, 0
+	for _, s := range []exp.ScenarioSpec{exp.Ideal(workload.CNNMNIST()), exp.Realistic(workload.CNNMNIST())} {
+		s.Fleet.Size = 20
+		s.MaxRounds = H
+		cfg := s.Config(5)
+		for name, ctrl := range horizonControllers(t, cfg) {
+			full := fl.Run(cfg, ctrl())
+			for _, r := range full.History {
+				drops += r.Dropped
+			}
+			ran := len(full.History)
+			hs := []int{ran / 2}
+			if ran < H {
+				hs = append(hs, (ran+H)/2)
+				pastConvergence++
+			}
+			for _, h := range hs {
+				horizons := []int{1, h, H}
+				got := fl.RunHorizons(cfg, ctrl(), horizons)
+				if len(got) != len(horizons) {
+					t.Fatalf("%s/%s: %d results for %d horizons", s.Name, name, len(got), len(horizons))
+				}
+				for i, hz := range horizons {
+					c := cfg
+					c.MaxRounds = hz
+					want := fl.Run(c, ctrl())
+					label := fmt.Sprintf("%s/%s horizon %d of %v (run stops at %d)", s.Name, name, hz, horizons, ran)
+					if !bytes.Equal(resultBytes(t, got[i]), resultBytes(t, want)) {
+						t.Errorf("%s: RunHorizons bytes differ from a separate run", label)
+					}
+					if got[i].Outcome != want.Outcome {
+						t.Errorf("%s: outcome %+v, want %+v", label, got[i].Outcome, want.Outcome)
+					}
+				}
+			}
+		}
+	}
+	if pastConvergence == 0 {
+		t.Error("no run converged before its budget, so no horizon past convergence was checked")
+	}
+	if drops == 0 {
+		t.Error("no participant missed a deadline, so no dropped round was checked")
+	}
+}
+
+// Results of one pass share no memory: appending to one horizon's
+// History or writing its energy map leaves the others as they were.
+func TestRunHorizonsResultsAreIndependent(t *testing.T) {
+	s := exp.Realistic(workload.CNNMNIST())
+	s.Fleet.Size = 20
+	s.MaxRounds = 40
+	cfg := s.Config(2)
+	cfg.StopAtConvergence = false
+	got := fl.RunHorizons(cfg, fl.NewStatic(fl.Params{B: 8, E: 10, K: 10}), []int{40, 20})
+	want := resultBytes(t, got[0])
+	_ = append(got[1].History, fl.RoundRecord{Round: -1})
+	for cat := range got[1].EnergyByCategory {
+		got[1].EnergyByCategory[cat] = -1
+	}
+	if !bytes.Equal(resultBytes(t, got[0]), want) {
+		t.Error("writing the 20-round result changed the 40-round one")
+	}
+}
+
+// A horizon outside [1, MaxRounds] is a programmer error.
+func TestRunHorizonsRejectsOutOfRangeHorizon(t *testing.T) {
+	s := exp.Ideal(workload.CNNMNIST())
+	s.Fleet.Size = 20
+	s.MaxRounds = 10
+	cfg := s.Config(1)
+	for _, h := range []int{0, 11} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("horizon %d of a 10-round run did not panic", h)
+				}
+			}()
+			fl.RunHorizons(cfg, fl.NewStatic(fl.Params{B: 8, E: 10, K: 10}), []int{h})
+		}()
+	}
+}

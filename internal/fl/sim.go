@@ -153,6 +153,44 @@ func Run(cfg Config, ctrl Controller) Result {
 // runs; callers that hold an arena explicitly (benchmarks, tests) can
 // measure or exercise steady-state reuse deterministically.
 func RunWithArena(cfg Config, ctrl Controller, a *Arena) Result {
+	horizon := [1]int{cfg.MaxRounds}
+	var out [1]Result
+	runHorizons(cfg, ctrl, a, horizon[:], out[:])
+	return out[0]
+}
+
+// RunHorizons runs cfg once, to cfg.MaxRounds, and returns for each
+// round budget in horizons (each in [1, cfg.MaxRounds], in any order)
+// the Result that Run would return with cfg.MaxRounds set to it, byte
+// for byte: the history up to that round and the energy spent by its
+// end. A budget past the round the run converged at (see
+// Config.StopAtConvergence) gets the run's final state, as a run that
+// converges before its budget stops there. Each Result owns its
+// History and map. Run is the one-horizon case.
+//
+// The prefix contract: a run's first h rounds do not depend on its
+// round budget. The loop bound is the only reader of MaxRounds, so no
+// controller, convergence model or environment trace may read it, or
+// learn the horizon any other way; one that did would make a short
+// budget's result differ from the same run cut short.
+func RunHorizons(cfg Config, ctrl Controller, horizons []int) []Result {
+	for _, h := range horizons {
+		if h < 1 || h > cfg.MaxRounds {
+			panic(fmt.Sprintf("fl: horizon %d outside [1, MaxRounds=%d]", h, cfg.MaxRounds))
+		}
+	}
+	out := make([]Result, len(horizons))
+	a := arenaPool.Get().(*Arena)
+	runHorizons(cfg, ctrl, a, horizons, out)
+	arenaPool.Put(a)
+	return out
+}
+
+// runHorizons is RunHorizons on a caller-owned arena, writing
+// horizons' results into out (len(out) == len(horizons)). Within the
+// loop a horizon costs a check per round and a copy of the category
+// energies at its round; the Results are built after the loop.
+func runHorizons(cfg Config, ctrl Controller, a *Arena, horizons []int, out []Result) {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
@@ -160,12 +198,19 @@ func RunWithArena(cfg Config, ctrl Controller, a *Arena) Result {
 	a.beginRun(&cfg)
 	model := convmodel.New(cfg.Workload, a.accRNG)
 	tracker := convmodel.NewTracker(cfg.Workload)
+	name := ctrl.Name()
 
-	res := Result{Controller: ctrl.Name()}
 	// catEnergy accumulates the per-category energy across rounds in a
-	// fixed array; the Result's map form is built once at the end so
-	// its JSON bytes are unchanged from the per-round-map era.
+	// fixed array; each Result's map form is built once at the end so
+	// its JSON bytes are unchanged from the per-round-map era. atHorizon
+	// holds catEnergy as it stood at the end of each horizon's round;
+	// one horizon's copy lives on the stack.
 	var catEnergy [device.NumCategories]float64
+	var oneHorizon [1][device.NumCategories]float64
+	atHorizon := oneHorizon[:]
+	if len(horizons) > 1 {
+		atHorizon = make([][device.NumCategories]float64, len(horizons))
+	}
 	prevAcc := cfg.Workload.Learn.InitialAccuracy
 	prevParticipants := []int(nil)
 	// chronicDrop tracks the long-run fraction of selected data that
@@ -262,13 +307,18 @@ func RunWithArena(cfg Config, ctrl Controller, a *Arena) Result {
 		for cat := range catEnergy {
 			catEnergy[cat] += rr.EnergyByCategory[cat]
 		}
+		for i, h := range horizons {
+			if h == round {
+				atHorizon[i] = catEnergy
+			}
+		}
 
 		if tracker.Observe(acc) && cfg.StopAtConvergence {
 			break
 		}
 	}
+	rounds := len(a.history)
 	if timed {
-		rounds := len(a.history)
 		cfg.Telemetry.RecordPhaseN(telemetry.PhaseRounds, time.Since(loopStart), rounds)
 		// Rounds 1, 1+mergeSample, ... were timed: scale their sum to
 		// all rounds.
@@ -276,20 +326,26 @@ func RunWithArena(cfg Config, ctrl Controller, a *Arena) Result {
 		cfg.Telemetry.RecordPhaseN(telemetry.PhaseMerge, mergeSec*time.Duration(rounds)/time.Duration(sampled), rounds)
 	}
 
-	res.History = make([]RoundRecord, len(a.history))
-	copy(res.History, a.history)
-	res.Outcome = OutcomeOf(cfg.Workload, res.History)
-
-	// The result's map keys are the categories present in the fleet —
-	// the same key set the old per-round maps accumulated — so the
-	// marshalled Result bytes are unchanged.
-	res.EnergyByCategory = make(map[device.Category]float64, device.NumCategories)
-	for _, cat := range device.Categories() {
-		if len(a.idle[cat]) > 0 {
-			res.EnergyByCategory[cat] = catEnergy[cat]
+	for i, h := range horizons {
+		energy := &catEnergy
+		if h < rounds {
+			energy = &atHorizon[i]
+		}
+		res := &out[i]
+		res.Controller = name
+		res.History = make([]RoundRecord, min(h, rounds))
+		copy(res.History, a.history)
+		res.Outcome = OutcomeOf(cfg.Workload, res.History)
+		// The result's map keys are the categories present in the
+		// fleet — the same key set the old per-round maps accumulated —
+		// so the marshalled Result bytes are unchanged.
+		res.EnergyByCategory = make(map[device.Category]float64, device.NumCategories)
+		for _, cat := range device.Categories() {
+			if len(a.idle[cat]) > 0 {
+				res.EnergyByCategory[cat] = energy[cat]
+			}
 		}
 	}
-	return res
 }
 
 // mergeSample is the merge timer's sampling period: a run with a
