@@ -2,18 +2,16 @@
 // figure/table, each regenerating the artifact through internal/exp.
 //
 // Benchmarks run at the Quick scale (100 devices, 1 seed) so that
-// `go test -bench=.` finishes in minutes; the paper-scale 200-device
+// `go test -bench=.` finishes in seconds; the paper-scale 200-device
 // tables come from `go run ./cmd/fedgpo-report [-only <id>,...]`.
 //
-// Each benchmark additionally reports a headline metric via
-// b.ReportMetric so regressions in the reproduced *result* (not just
-// its runtime) are visible in benchmark diffs.
+// Each benchmark additionally reports a headline metric, read at full
+// precision by Table.Value, via b.ReportMetric so regressions in the
+// reproduced *result* (not just its runtime) are visible in benchmark
+// diffs.
 package fedgpo
 
 import (
-	"fmt"
-	"strconv"
-	"strings"
 	"testing"
 
 	"fedgpo/internal/exp"
@@ -21,19 +19,6 @@ import (
 
 // benchOpts is the shared benchmark scale.
 func benchOpts() exp.Options { return exp.Quick() }
-
-// ratioCell parses a "1.23x" table cell.
-func ratioCell(s string) float64 {
-	var v float64
-	fmt.Sscanf(s, "%fx", &v)
-	return v
-}
-
-// pctCell parses a "95.1%" table cell.
-func pctCell(s string) float64 {
-	v, _ := strconv.ParseFloat(strings.TrimSuffix(s, "%"), 64)
-	return v
-}
 
 // runExperiment executes the experiment b.N times, reporting the last
 // table through the supplied metric extractor.
@@ -53,14 +38,13 @@ func runExperiment(b *testing.B, id string, metric func(exp.Table) (string, floa
 	}
 }
 
-// lastRatioFor finds the last row matching the controller name and
-// returns the ratio in the given column.
-func lastRatioFor(t exp.Table, controller string, col int) float64 {
-	v := 0.0
-	for _, row := range t.Rows {
-		if len(row) > col && row[1] == controller {
-			v = ratioCell(row[col])
-		}
+// value reads one number of t by Table.Value; a missing row or column
+// fails the benchmark.
+func value(b *testing.B, t exp.Table, column string, labels ...string) float64 {
+	b.Helper()
+	v, ok := t.Value(column, labels...)
+	if !ok {
+		b.Fatalf("%s: no %s value in row %q", t.ID, column, labels)
 	}
 	return v
 }
@@ -68,12 +52,7 @@ func lastRatioFor(t exp.Table, controller string, col int) float64 {
 func BenchmarkFig1_ParamSweep(b *testing.B) {
 	runExperiment(b, "fig1", func(t exp.Table) (string, float64) {
 		// Headline: PPW of B=8 relative to the (1,10,20) baseline.
-		for _, row := range t.Rows {
-			if row[0] == "B" && row[1] == "8" {
-				return "ppw_B8_vs_base", ratioCell(row[3])
-			}
-		}
-		return "ppw_B8_vs_base", 0
+		return "ppw_B8_vs_base", value(b, t, "PPW (norm)", "B", "8")
 	})
 }
 
@@ -84,19 +63,14 @@ func BenchmarkFig2_WorkloadShift(b *testing.B) {
 func BenchmarkFig3_RoundTime(b *testing.B) {
 	runExperiment(b, "fig3", func(t exp.Table) (string, float64) {
 		// Headline: the L/H gap at B=8, E=10.
-		for _, row := range t.Rows {
-			if row[0] == "E" && row[1] == "10" {
-				return "LH_gap_E10", ratioCell(row[4]) / ratioCell(row[2])
-			}
-		}
-		return "LH_gap_E10", 0
+		return "LH_gap_E10", value(b, t, "L", "E", "10") / value(b, t, "H", "E", "10")
 	})
 }
 
 func BenchmarkFig4_RuntimeVariance(b *testing.B) {
 	runExperiment(b, "fig4", func(t exp.Table) (string, float64) {
 		// Headline: interfered-L inflation over clean L.
-		return "intfL_vs_cleanL", ratioCell(t.Rows[1][3]) / ratioCell(t.Rows[0][3])
+		return "intfL_vs_cleanL", value(b, t, "L", "on-device interference") / value(b, t, "L", "no variance")
 	})
 }
 
@@ -106,12 +80,7 @@ func BenchmarkFig5_AdaptiveEnergy(b *testing.B) {
 
 func BenchmarkFig6_AdaptiveSummary(b *testing.B) {
 	runExperiment(b, "fig6", func(t exp.Table) (string, float64) {
-		for _, row := range t.Rows {
-			if row[0] == "global PPW" {
-				return "adaptive_ppw_vs_fixed", ratioCell(row[2])
-			}
-		}
-		return "adaptive_ppw_vs_fixed", 0
+		return "adaptive_ppw_vs_fixed", value(b, t, "adaptive", "global PPW")
 	})
 }
 
@@ -121,31 +90,31 @@ func BenchmarkFig7_DataHeterogeneity(b *testing.B) {
 
 func BenchmarkFig9_Overview(b *testing.B) {
 	runExperiment(b, "fig9", func(t exp.Table) (string, float64) {
-		return "fedgpo_ppw_vs_fixed", lastRatioFor(t, "FedGPO", 2)
+		return "fedgpo_ppw_vs_fixed", value(b, t, "PPW (norm)", "MobileNet-ImageNet", "FedGPO")
 	})
 }
 
 func BenchmarkFig10_RuntimeVariance(b *testing.B) {
 	runExperiment(b, "fig10", func(t exp.Table) (string, float64) {
-		return "fedgpo_ppw_vs_fixed", lastRatioFor(t, "FedGPO", 2)
+		return "fedgpo_ppw_vs_fixed", value(b, t, "PPW (norm)", "unstable-network", "FedGPO")
 	})
 }
 
 func BenchmarkFig11_DataHeterogeneity(b *testing.B) {
 	runExperiment(b, "fig11", func(t exp.Table) (string, float64) {
-		return "fedgpo_ppw_vs_fixed", lastRatioFor(t, "FedGPO", 2)
+		return "fedgpo_ppw_vs_fixed", value(b, t, "PPW (norm)", "non-iid", "FedGPO")
 	})
 }
 
 func BenchmarkFig12_PriorWork(b *testing.B) {
 	runExperiment(b, "fig12", func(t exp.Table) (string, float64) {
-		return "fedgpo_ppw_vs_fedex", lastRatioFor(t, "FedGPO", 2)
+		return "fedgpo_ppw_vs_fedex", value(b, t, "PPW (norm)", "non-iid", "FedGPO")
 	})
 }
 
 func BenchmarkTable5_PredictionAccuracy(b *testing.B) {
 	runExperiment(b, "tab5", func(t exp.Table) (string, float64) {
-		return "pred_acc_ideal_pct", pctCell(t.Rows[0][2])
+		return "pred_acc_ideal_pct", value(b, t, "prediction accuracy", "no", "no")
 	})
 }
 

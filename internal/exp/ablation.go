@@ -36,7 +36,7 @@ func AblationEpsilon(o Options) Table {
 			}))
 		labels = append(labels, []string{fmt.Sprintf("%.1f", eps)})
 	}
-	comparisonTable(&t, comparison(t.ID, []compareGroup{g}, o.seeds(), o.runtime()), ablationMetrics, labels)
+	comparisonTable(&t, comparison([]compareGroup{g}, o.seeds(), o.runtime()), ablationMetrics, labels)
 	return t
 }
 
@@ -66,7 +66,7 @@ func AblationGammaMu(o Options) Table {
 			func(c *core.Config) { c.RL.Discount = mu }))
 		labels = append(labels, []string{fmt.Sprintf("%.2f", def.LearningRate), fmt.Sprintf("%.1f", mu)})
 	}
-	comparisonTable(&t, comparison(t.ID, []compareGroup{g}, o.seeds(), o.runtime()),
+	comparisonTable(&t, comparison([]compareGroup{g}, o.seeds(), o.runtime()),
 		[]metric{metricPPW, metricConvRound}, labels)
 	return t
 }
@@ -121,13 +121,13 @@ func AblationTables(o Options) Table {
 	}
 	// The shared-variant config equals the default, so its sim cells
 	// are the same cache entries Fig5/Fig6/Fig9 use.
-	ms := comparison(t.ID, []compareGroup{g}, o.seeds(), rt)
+	ms := comparison([]compareGroup{g}, o.seeds(), rt)
 	for i, res := range rt.runSpecs(memSpecs) {
 		var ex qmemExtra
 		if err := res.GetExtra(&ex); err != nil {
 			panic("exp: qmem payload: " + err.Error())
 		}
-		ms = append(ms, measurement{t.ID, g.label, g.cs[i].Name, metricQMem, float64(ex.MemBytes) / 1024, unitKB})
+		ms = append(ms, measurement{g.label, g.cs[i].Name, metricQMem, float64(ex.MemBytes) / 1024, unitKB})
 	}
 	comparisonTable(&t, ms, []metric{metricPPW, metricConvRound, metricQMem}, labels)
 	return t
@@ -153,7 +153,7 @@ func AblationBeta(o Options) Table {
 			func(c *core.Config) { c.Reward.Beta = beta }))
 		labels = append(labels, []string{fmt.Sprintf("%.0f", beta)})
 	}
-	comparisonTable(&t, comparison(t.ID, []compareGroup{g}, o.seeds(), o.runtime()), ablationMetrics, labels)
+	comparisonTable(&t, comparison([]compareGroup{g}, o.seeds(), o.runtime()), ablationMetrics, labels)
 	return t
 }
 
@@ -178,6 +178,6 @@ func AblationColdStart(o Options) Table {
 		fedgpoWarmContender(s),
 	}}
 	labels := [][]string{{"Fixed (Best) " + best.String()}, {"FedGPO (cold)"}, {"FedGPO (warm)"}}
-	comparisonTable(&t, comparison(t.ID, []compareGroup{g}, o.seeds(), rt), ablationMetrics, labels)
+	comparisonTable(&t, comparison([]compareGroup{g}, o.seeds(), rt), ablationMetrics, labels)
 	return t
 }

@@ -13,6 +13,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"syscall"
@@ -125,16 +126,18 @@ var sec54WallClockRows = map[string]bool{
 
 // renderMasked renders a table's markdown for fresh-run-vs-fresh-run
 // comparison: identical bytes everywhere except Sec54's wall-clock
-// cells, which are blanked on both sides.
+// cells, which are blanked on both sides. It masks copies of the rows,
+// so the caller's table still prints and reads its wall-clock cells.
 func renderMasked(tab Table) string {
 	if tab.ID == "sec54" {
-		for i, row := range tab.Rows {
+		rows := slices.Clone(tab.Rows)
+		for i, row := range rows {
 			if len(row) >= 2 && sec54WallClockRows[row[0]] {
-				masked := append([]string(nil), row...)
-				masked[1] = "<wall-clock>"
-				tab.Rows[i] = masked
+				rows[i] = slices.Clone(row)
+				rows[i][1] = "<wall-clock>"
 			}
 		}
+		tab.Rows = rows
 	}
 	return tab.Markdown()
 }

@@ -82,10 +82,8 @@ const (
 )
 
 // measurement is one number a table reports: one metric of one
-// controller (a contender, setting or device category) in one group of
-// one experiment.
+// controller (a contender, setting or device category) in one group.
 type measurement struct {
-	experiment string // table id, e.g. "fig9"
 	group      string // compareGroup.label, sweep point or quantity
 	controller string // ContenderSpec.Name, setting or category
 	metric     metric
@@ -113,7 +111,7 @@ func (m measurement) cell() string {
 // convergence-time speedup (unitRatio, relative to the group's first
 // contender), mean final accuracy (unitPct) and mean convergence round
 // (unitRound).
-func comparison(experiment string, groups []compareGroup, seeds []int64, rt *Runtime) []measurement {
+func comparison(groups []compareGroup, seeds []int64, rt *Runtime) []measurement {
 	var cells []cell
 	for _, g := range groups {
 		for _, c := range g.cs {
@@ -128,10 +126,10 @@ func comparison(experiment string, groups []compareGroup, seeds []int64, rt *Run
 			sum := sums[0]
 			sums = sums[1:]
 			ms = append(ms,
-				measurement{experiment, g.label, c.Name, metricPPW, sum.MeanPPW / base.MeanPPW, unitRatio},
-				measurement{experiment, g.label, c.Name, metricSpeedup, base.MeanTimeToConvSec / sum.MeanTimeToConvSec, unitRatio},
-				measurement{experiment, g.label, c.Name, metricAccuracy, 100 * sum.MeanFinalAccuracy, unitPct},
-				measurement{experiment, g.label, c.Name, metricConvRound, sum.MeanConvergenceRound, unitRound})
+				measurement{g.label, c.Name, metricPPW, sum.MeanPPW / base.MeanPPW, unitRatio},
+				measurement{g.label, c.Name, metricSpeedup, base.MeanTimeToConvSec / sum.MeanTimeToConvSec, unitRatio},
+				measurement{g.label, c.Name, metricAccuracy, 100 * sum.MeanFinalAccuracy, unitPct},
+				measurement{g.label, c.Name, metricConvRound, sum.MeanConvergenceRound, unitRound})
 		}
 	}
 	return ms
@@ -187,31 +185,24 @@ func Fig9(o Options) Table {
 		s := o.apply(Realistic(w))
 		groups = append(groups, compareGroup{w.Name, s, contenders(w, s, o.WithRuntime(rt))})
 	}
-	comparisonTable(&t, comparison(t.ID, groups, o.seeds(), rt), figureMetrics, nil)
+	comparisonTable(&t, comparison(groups, o.seeds(), rt), figureMetrics, nil)
 	return t
 }
 
-// scenarioGroups is Figs. 10–12's group loop: one group per CNN-MNIST
-// scenario, named after it, running the contenders cs picks for it.
-func scenarioGroups(o Options, rt *Runtime, cs func(workload.Workload, ScenarioSpec, Options) []ContenderSpec,
-	scenarios ...func(workload.Workload) ScenarioSpec) []compareGroup {
+// scenarioComparison renders t as one of Figs. 10–12: one group per
+// CNN-MNIST scenario, named after it, running the contenders cs picks
+// for it.
+func scenarioComparison(o Options, t Table, cs func(workload.Workload, ScenarioSpec, Options) []ContenderSpec,
+	scenarios ...func(workload.Workload) ScenarioSpec) Table {
+	rt := o.runtime()
 	w := workload.CNNMNIST()
 	var groups []compareGroup
 	for _, scenario := range scenarios {
 		s := o.apply(scenario(w))
 		groups = append(groups, compareGroup{s.Name, s, cs(w, s, o.WithRuntime(rt))})
 	}
-	return groups
-}
-
-// scenarioComparison renders t as one of Figs. 10–12 over the
-// scenarioGroups of cs and scenarios.
-func scenarioComparison(o Options, t Table, cs func(workload.Workload, ScenarioSpec, Options) []ContenderSpec,
-	scenarios ...func(workload.Workload) ScenarioSpec) Table {
-	rt := o.runtime()
 	t.Header = append([]string{"scenario"}, figureHeader...)
-	comparisonTable(&t, comparison(t.ID, scenarioGroups(o, rt, cs, scenarios...), o.seeds(), rt),
-		figureMetrics, nil)
+	comparisonTable(&t, comparison(groups, o.seeds(), rt), figureMetrics, nil)
 	return t
 }
 

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -13,109 +14,46 @@ import (
 // checking structure and internal consistency rather than absolute
 // outcomes (Tiny deployments are not representative; see Quick's doc).
 
-// checkNormalized asserts the comparison contract on ms: every
-// contender of a group reports each of the four metrics exactly once,
-// and each group's first contender is base and reads exactly 1 on both
-// ratio metrics.
-func checkNormalized(t *testing.T, ms []measurement, base string) {
+// checkNormalized asserts the comparison contract on tab, whose rows
+// are addressed by their first lead cells: each group of rows lists
+// controllers in order (the last label starts with the name), every row
+// has a value in every column after its labels, and a group's first
+// row reads exactly 1 in each ratio column.
+func checkNormalized(t *testing.T, tab Table, lead int, controllers []string, ratios ...string) {
 	t.Helper()
-	type key struct{ group, controller string }
-	metrics := map[key]map[metric]int{}
-	first := map[string]string{}
-	for _, m := range ms {
-		k := key{m.group, m.controller}
-		if metrics[k] == nil {
-			metrics[k] = map[metric]int{}
-		}
-		metrics[k][m.metric]++
-		if _, ok := first[m.group]; !ok {
-			first[m.group] = m.controller
-		}
-		if m.controller == first[m.group] && m.unit == unitRatio && m.value != 1 {
-			t.Errorf("%s/%s: base %s = %v, want exactly 1", m.group, m.controller, m.metric, m.value)
-		}
+	if len(tab.Rows)%len(controllers) != 0 {
+		t.Errorf("%s has %d rows, not whole groups of %q", tab.ID, len(tab.Rows), controllers)
 	}
-	for k, got := range metrics {
-		for _, want := range figureMetrics {
-			if got[want] != 1 {
-				t.Errorf("%s/%s reports %s %d times, want once", k.group, k.controller, want, got[want])
+	for i, row := range tab.Rows {
+		labels, base := row[:lead], i%len(controllers) == 0
+		if c := controllers[i%len(controllers)]; !strings.HasPrefix(labels[lead-1], c) {
+			t.Errorf("%s row %d is %q, want controller %s", tab.ID, i, labels, c)
+		}
+		for _, col := range tab.Header[lead:] {
+			v, ok := tab.Value(col, labels...)
+			if !ok {
+				t.Errorf("%s %q has no %s value", tab.ID, labels, col)
+			}
+			if base && slices.Contains(ratios, col) && v != 1 {
+				t.Errorf("%s %q: base %s = %v, want exactly 1", tab.ID, labels, col, v)
 			}
 		}
-		if len(got) != len(figureMetrics) {
-			t.Errorf("%s/%s reports %d metrics, want %d", k.group, k.controller, len(got), len(figureMetrics))
-		}
-	}
-	for g, c := range first {
-		if c != base {
-			t.Errorf("group %s normalizes to %s, want %s", g, c, base)
-		}
-	}
-}
-
-// checkSameCells asserts that measurements taken after a table on the
-// same runtime simulated nothing new, so they came from the cells the
-// table rendered.
-func checkSameCells(t *testing.T, rt *Runtime, runs int64) {
-	t.Helper()
-	if got := rt.Stats().Runs; got != runs {
-		t.Errorf("the measurements simulated %d cells the table did not", got-runs)
 	}
 }
 
 func TestFig11StructureAndNormalization(t *testing.T) {
-	o := Tiny()
-	rt := o.runtime()
-	o = o.WithRuntime(rt)
-	tab := Fig11(o)
+	tab := Fig11(Tiny())
 	if len(tab.Rows) != 8 { // 2 scenarios x 4 controllers
 		t.Fatalf("rows = %d, want 8", len(tab.Rows))
 	}
-	for i, row := range tab.Rows {
-		if len(row) != 6 {
-			t.Fatalf("row %d has %d cells", i, len(row))
-		}
-	}
-	// The first controller of each scenario group is the normalization
-	// base.
-	runs := rt.Stats().Runs
-	ms := comparison(tab.ID, scenarioGroups(o, rt, contenders, Ideal, NonIIDScenario), o.seeds(), rt)
-	checkSameCells(t, rt, runs)
-	checkNormalized(t, ms, "Fixed (Best)")
-	// Every scenario group contains all four contenders.
-	names := map[string]int{}
-	for _, m := range ms {
-		if m.metric == metricPPW {
-			names[m.controller]++
-		}
-	}
-	for _, n := range []string{"Fixed (Best)", "Adaptive (BO)", "Adaptive (GA)", "FedGPO"} {
-		if names[n] != 2 {
-			t.Errorf("controller %s appears %d times, want 2", n, names[n])
-		}
-	}
+	checkNormalized(t, tab, 2, []string{"Fixed (Best)", "Adaptive (BO)", "Adaptive (GA)", "FedGPO"},
+		"PPW (norm)", "conv speedup")
 }
 
+// Fig12 compares prior work, not Fixed (Best), and normalizes to FedEX.
 func TestFig12UsesPriorWorkContenders(t *testing.T) {
-	o := Tiny()
-	rt := o.runtime()
-	o = o.WithRuntime(rt)
-	tab := Fig12(o)
-	names := map[string]bool{}
-	for _, row := range tab.Rows {
-		names[row[1]] = true
-	}
-	for _, n := range []string{"FedEX", "ABS", "FedGPO"} {
-		if !names[n] {
-			t.Errorf("fig12 missing contender %s", n)
-		}
-	}
-	if names["Fixed (Best)"] {
-		t.Error("fig12 compares prior work, not Fixed (Best)")
-	}
-	runs := rt.Stats().Runs
-	ms := comparison(tab.ID, scenarioGroups(o, rt, priorWork, Ideal, Realistic, NonIIDScenario), o.seeds(), rt)
-	checkSameCells(t, rt, runs)
-	checkNormalized(t, ms, "FedEX")
+	tab := Fig12(Tiny())
+	checkNormalized(t, tab, 2, []string{"FedEX", "ABS", "FedGPO"}, "PPW (norm)", "conv speedup")
 }
 
 func TestFixedBestParamsCachedAndValid(t *testing.T) {
@@ -165,38 +103,19 @@ func TestSec54ReportsAllOverheadPhases(t *testing.T) {
 		"total controller overhead",
 		"Q-table memory",
 	}
-	have := map[string]bool{}
-	for _, row := range tab.Rows {
-		have[row[0]] = true
-	}
 	for _, q := range want {
-		if !have[q] {
+		if _, ok := tab.Value("measured", q); !ok {
 			t.Errorf("sec54 missing quantity %q", q)
 		}
 	}
 }
 
 func TestAblationColdStartStructure(t *testing.T) {
-	o := Options{FleetSize: 20, Seeds: []int64{1}, MaxRounds: 120}
-	rt := o.runtime()
-	o = o.WithRuntime(rt)
-	tab := AblationColdStart(o)
+	tab := AblationColdStart(Options{FleetSize: 20, Seeds: []int64{1}, MaxRounds: 120})
 	if len(tab.Rows) != 3 {
 		t.Fatalf("rows = %d, want Fixed + cold + warm", len(tab.Rows))
 	}
-	if !strings.HasPrefix(tab.Rows[0][0], "Fixed (Best)") {
-		t.Errorf("first row should be the Fixed base: %v", tab.Rows[0])
-	}
-	w := workload.CNNMNIST()
-	s := o.apply(Realistic(w))
-	runs := rt.Stats().Runs
-	ms := comparison(tab.ID, []compareGroup{{s.Name, s, []ContenderSpec{
-		staticContender(FixedBestParams(w, o), "Fixed (Best)"),
-		fedgpoColdContender(),
-		fedgpoWarmContender(s),
-	}}}, o.seeds(), rt)
-	checkSameCells(t, rt, runs)
-	checkNormalized(t, ms, "Fixed (Best)")
+	checkNormalized(t, tab, 1, []string{"Fixed (Best)", "FedGPO (cold)", "FedGPO (warm)"}, "PPW (norm to Fixed)")
 }
 
 // The runtime's grid search picks a sensible Fixed (Best) setting: not

@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 
@@ -80,6 +79,9 @@ func TestTableRendering(t *testing.T) {
 	if !strings.Contains(md, "### x — demo") || !strings.Contains(md, "| a | bb |") || !strings.Contains(md, "| 333 | 4 |") {
 		t.Errorf("markdown missing content:\n%s", md)
 	}
+	if v, ok := tab.Value("bb", "333"); ok {
+		t.Errorf("a cell added by AddRow reads value %v", v)
+	}
 }
 
 func TestRegistryComplete(t *testing.T) {
@@ -96,6 +98,17 @@ func TestRegistryComplete(t *testing.T) {
 	}
 }
 
+// value reads one number of tab by Table.Value, failing t when the
+// table prints no value there.
+func value(t *testing.T, tab Table, column string, labels ...string) float64 {
+	t.Helper()
+	v, ok := tab.Value(column, labels...)
+	if !ok {
+		t.Fatalf("%s: no %s value in row %q", tab.ID, column, labels)
+	}
+	return v
+}
+
 func TestFig3CharacterizationShape(t *testing.T) {
 	// Fig3 is simulation-free and fast; check the paper shapes hold.
 	tab := Fig3(Tiny())
@@ -104,8 +117,8 @@ func TestFig3CharacterizationShape(t *testing.T) {
 	}
 	// Every row's L value must exceed its H value (L is slower).
 	for _, row := range tab.Rows {
-		h := parseRatio(t, row[2])
-		l := parseRatio(t, row[4])
+		h := value(t, tab, "H", row[:2]...)
+		l := value(t, tab, "L", row[:2]...)
 		if l <= h {
 			t.Errorf("row %v: L (%v) should be slower than H (%v)", row, l, h)
 		}
@@ -118,9 +131,9 @@ func TestFig4VarianceShape(t *testing.T) {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
 	// Interference and network rows must exceed the clean row for L.
-	clean := parseRatio(t, tab.Rows[0][3])
-	intf := parseRatio(t, tab.Rows[1][3])
-	net := parseRatio(t, tab.Rows[2][3])
+	clean := value(t, tab, "L", "no variance")
+	intf := value(t, tab, "L", "on-device interference")
+	net := value(t, tab, "L", "unstable network")
 	if intf <= clean || net <= clean {
 		t.Errorf("variance should inflate round time: clean=%v intf=%v net=%v", clean, intf, net)
 	}
@@ -132,15 +145,8 @@ func TestFig1QuickShape(t *testing.T) {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
 	// B=8 must beat B=1 (the baseline) on PPW — the headline of Fig 1.
-	var b1, b8 float64
-	for _, row := range tab.Rows {
-		if row[0] == "B" && row[1] == "1" {
-			b1 = parseRatio(t, row[3])
-		}
-		if row[0] == "B" && row[1] == "8" {
-			b8 = parseRatio(t, row[3])
-		}
-	}
+	b1 := value(t, tab, "PPW (norm)", "B", "1")
+	b8 := value(t, tab, "PPW (norm)", "B", "8")
 	if b8 <= b1 {
 		t.Errorf("B=8 PPW (%v) should beat the B=1 baseline (%v)", b8, b1)
 	}
@@ -175,13 +181,4 @@ func TestRewardConvergenceRound(t *testing.T) {
 	if RewardConvergenceRound(trace[:5], 0.1) != -1 {
 		t.Error("short traces should not report convergence")
 	}
-}
-
-func parseRatio(t *testing.T, s string) float64 {
-	t.Helper()
-	var v float64
-	if _, err := fmt.Sscanf(s, "%fx", &v); err != nil {
-		t.Fatalf("bad ratio %q: %v", s, err)
-	}
-	return v
 }

@@ -113,8 +113,8 @@ func Fig1(o Options) Table {
 	for i, pt := range points {
 		r, v := sums[i+1], fmt.Sprint(pt.value)
 		ms = append(ms,
-			measurement{t.ID, pt.param, v, metricConvRound, r.MeanConvergenceRound / base.MeanConvergenceRound, unitRatio},
-			measurement{t.ID, pt.param, v, metricPPW, r.MeanPPW / base.MeanPPW, unitRatio})
+			measurement{pt.param, v, metricConvRound, r.MeanConvergenceRound / base.MeanConvergenceRound, unitRatio},
+			measurement{pt.param, v, metricPPW, r.MeanPPW / base.MeanPPW, unitRatio})
 	}
 	comparisonTable(&t, ms, []metric{metricConvRound, metricPPW}, nil)
 	t.Notes = append(t.Notes,
@@ -155,7 +155,7 @@ func Fig2(o Options) Table {
 		sums = sums[1+len(grid):]
 		ms := make([]measurement, len(grid))
 		for i, p := range grid {
-			ms[i] = measurement{t.ID, w.Name, p.String(), metricPPW, rs[i].MeanPPW / base.MeanPPW, unitRatio}
+			ms[i] = measurement{w.Name, p.String(), metricPPW, rs[i].MeanPPW / base.MeanPPW, unitRatio}
 			t.add(row{labels: []string{w.Name, fmt.Sprint(p.B), fmt.Sprint(p.E)}, ms: ms[i : i+1]})
 		}
 		t.Notes = append(t.Notes, fmt.Sprintf("%s best setting: %s", w.Name, ms[bestPPW(rs)].controller))
@@ -190,7 +190,7 @@ func Fig3(_ Options) Table {
 	sweep := func(axis string, v, b, e int, base float64) {
 		r := row{labels: []string{axis, fmt.Sprint(v)}}
 		for _, cat := range device.Categories() {
-			r.ms = append(r.ms, measurement{t.ID, fmt.Sprintf("%s=%d", axis, v), cat.String(), metricTrainTime,
+			r.ms = append(r.ms, measurement{fmt.Sprintf("%s=%d", axis, v), cat.String(), metricTrainTime,
 				timeOf(cat, b, e) / base, unitRatio})
 		}
 		t.add(r)
@@ -240,7 +240,7 @@ func Fig4(_ Options) Table {
 	addRow := func(label string, intf device.Interference, cond netsim.Condition) {
 		r := row{labels: []string{label}}
 		for _, cat := range device.Categories() {
-			r.ms = append(r.ms, measurement{t.ID, label, cat.String(), metricRoundTime,
+			r.ms = append(r.ms, measurement{label, cat.String(), metricRoundTime,
 				roundTime(cat, intf, cond) / base, unitRatio})
 		}
 		t.add(r)
@@ -267,9 +267,9 @@ func fixedVsAdaptive(o Options) (fixed, adaptive fl.Summary) {
 
 // fixedAdaptiveRow is a Figs. 5–6 row: label, then metric mt of the
 // fixed and the adaptive run.
-func fixedAdaptiveRow(id, label string, mt metric, fixed, adaptive float64, unit string) row {
+func fixedAdaptiveRow(label string, mt metric, fixed, adaptive float64, unit string) row {
 	return row{labels: []string{label}, ms: []measurement{
-		{id, label, "fixed", mt, fixed, unit}, {id, label, "adaptive", mt, adaptive, unit}}}
+		{label, "fixed", mt, fixed, unit}, {label, "adaptive", mt, adaptive, unit}}}
 }
 
 // Fig5 reproduces paper Figure 5: per-category participant energy per
@@ -290,7 +290,7 @@ func Fig5(o Options) Table {
 		base = 1
 	}
 	for _, cat := range device.Categories() {
-		t.add(fixedAdaptiveRow(t.ID, cat.String(), metricEnergy,
+		t.add(fixedAdaptiveRow(cat.String(), metricEnergy,
 			fixed.EnergyByCategory[cat]/base, adaptive.EnergyByCategory[cat]/base, unitRatio))
 	}
 	t.Notes = append(t.Notes,
@@ -310,12 +310,12 @@ func Fig6(o Options) Table {
 		Header: []string{"metric", "fixed", "adaptive"},
 	}
 	t.add(
-		fixedAdaptiveRow(t.ID, "convergence round", metricConvRound,
+		fixedAdaptiveRow("convergence round", metricConvRound,
 			1, adaptive.MeanConvergenceRound/fixed.MeanConvergenceRound, unitRatio),
-		fixedAdaptiveRow(t.ID, "avg round time speedup", metricRoundSpeedup,
+		fixedAdaptiveRow("avg round time speedup", metricRoundSpeedup,
 			1, fixed.MeanAvgRoundSec/adaptive.MeanAvgRoundSec, unitRatio),
-		fixedAdaptiveRow(t.ID, "global PPW", metricPPW, 1, adaptive.MeanPPW/fixed.MeanPPW, unitRatio),
-		fixedAdaptiveRow(t.ID, "final accuracy", metricAccuracy,
+		fixedAdaptiveRow("global PPW", metricPPW, 1, adaptive.MeanPPW/fixed.MeanPPW, unitRatio),
+		fixedAdaptiveRow("final accuracy", metricAccuracy,
 			100*fixed.MeanFinalAccuracy, 100*adaptive.MeanFinalAccuracy, unitPct))
 	t.Notes = append(t.Notes,
 		"paper expectation: adaptive improves avg round time (paper 2.3x) and PPW (paper 3.6x) while keeping convergence rounds similar")
@@ -359,7 +359,7 @@ func Fig7(o Options) Table {
 		best := bestPPW(rs)
 		ms := make([]measurement, len(grid))
 		for i, p := range grid {
-			ms[i] = measurement{t.ID, regime.name, p.String(), metricPPW, rs[i].MeanPPW / rs[best].MeanPPW, unitRatio}
+			ms[i] = measurement{regime.name, p.String(), metricPPW, rs[i].MeanPPW / rs[best].MeanPPW, unitRatio}
 			t.add(row{labels: []string{regime.name, p.String()}, ms: ms[i : i+1]})
 		}
 		t.Notes = append(t.Notes, fmt.Sprintf("%s best setting: %s", regime.name, ms[best].controller))

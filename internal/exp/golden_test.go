@@ -3,6 +3,10 @@ package exp
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"math"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -64,8 +68,71 @@ var goldenTables = map[string]string{
 // here as more runs and fewer hits.
 const goldenRuns, goldenHits = 156, 52
 
+// goldenLabels is the number of leading label cells that address a
+// row of each registry table: the labels Table.Value takes.
+var goldenLabels = map[string]int{
+	"fig1": 2, "fig2": 3, "fig3": 2, "fig4": 1, "fig5": 1, "fig6": 1, "fig7": 2,
+	"fig9": 2, "fig10": 2, "fig11": 2, "fig12": 2, "tab5": 2, "sec54": 1,
+	"abl-eps": 1, "abl-gm": 2, "abl-tables": 1, "abl-beta": 1, "abl-cold": 1,
+}
+
+// printsValue reports whether cell's number is within half a unit of
+// its last printed digit of v.
+func printsValue(cell string, v float64) bool {
+	num := strings.TrimRight(strings.Fields(cell)[0], "x%")
+	half := 0.5
+	if i := strings.IndexByte(num, '.'); i >= 0 {
+		half *= math.Pow10(i + 1 - len(num))
+	}
+	f, err := strconv.ParseFloat(num, 64)
+	return err == nil && (f == v || math.Abs(f-v) <= half*(1+1e-9))
+}
+
+// checkValues reads every cell of tab through Value, addressing a row
+// by its first lead cells: a label cell has no value, a cell with one
+// prints it, a label prefix reads only when one row starts with it, and
+// an unknown column or row reads nothing.
+func checkValues(t *testing.T, tab Table, lead int) {
+	t.Helper()
+	if lead < 1 {
+		t.Fatalf("%s: goldenLabels names no label cells", tab.ID)
+	}
+	sharing := func(prefix []string) (n int) {
+		for _, r := range tab.Rows {
+			if slices.Equal(r[:len(prefix)], prefix) {
+				n++
+			}
+		}
+		return n
+	}
+	for _, row := range tab.Rows {
+		for c, col := range tab.Header {
+			v, ok := tab.Value(col, row[:lead]...)
+			if c < lead && ok {
+				t.Errorf("%s %q: label cell %s holds value %v", tab.ID, row[:lead], col, v)
+			}
+			if ok && !printsValue(row[c], v) {
+				t.Errorf("%s %q: %s prints %q, value %v", tab.ID, row[:lead], col, row[c], v)
+			}
+			for k := range lead {
+				pv, pok := tab.Value(col, row[:k]...)
+				if unique := sharing(row[:k]) == 1; pok != (ok && unique) || pok && pv != v {
+					t.Errorf("%s %q: %s read through %q = %v, %v", tab.ID, row[:lead], col, row[:k], pv, pok)
+				}
+			}
+		}
+	}
+	if _, ok := tab.Value("no such column", tab.Rows[0][:lead]...); ok {
+		t.Errorf("%s: an unknown column reads a value", tab.ID)
+	}
+	if _, ok := tab.Value(tab.Header[lead], "no such row"); ok {
+		t.Errorf("%s: an unknown row reads a value", tab.ID)
+	}
+}
+
 // TestGoldenTableDigests also checks that every registry entry's
-// table carries its registry id.
+// table carries its registry id, passes checkValues, and is left
+// unmasked by renderMasked.
 func TestGoldenTableDigests(t *testing.T) {
 	rt, err := NewRuntime(0, "")
 	if err != nil {
@@ -84,5 +151,9 @@ func TestGoldenTableDigests(t *testing.T) {
 		if got, want := hex.EncodeToString(sum[:]), goldenTables[e.ID]; got != want {
 			t.Errorf("%s: table digest %s, want %s:\n%s", e.ID, got, want, renderMasked(tables[e.ID]))
 		}
+		if strings.Contains(tables[e.ID].Markdown(), "<wall-clock>") {
+			t.Errorf("%s: renderMasked masked its input table", e.ID)
+		}
+		checkValues(t, tables[e.ID], goldenLabels[e.ID])
 	}
 }

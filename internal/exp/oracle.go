@@ -129,7 +129,7 @@ func Table5(o Options) Table {
 			panic("exp: oracle payload: " + err.Error())
 		}
 		t.add(row{labels: []string{r.label1, r.label2}, ms: []measurement{
-			{t.ID, r.s.Name, specs[i].Contender.Name, metricSelection, ex.MeanAccPct, unitPct}}})
+			{r.s.Name, specs[i].Contender.Name, metricSelection, ex.MeanAccPct, unitPct}}})
 	}
 	t.Notes = append(t.Notes,
 		"paper expectation: ~94-95% without data heterogeneity, dropping to ~88-90% with it")

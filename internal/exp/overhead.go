@@ -116,7 +116,7 @@ func Sec54(o Options) Table {
 	}
 	// quantity adds the row of one measured quantity and its paper value.
 	quantity := func(label string, v float64, unit, paper string) {
-		t.add(row{labels: []string{label}, ms: []measurement{{t.ID, s.Name, sp.Contender.Name, metric(label), v, unit}},
+		t.add(row{labels: []string{label}, ms: []measurement{{s.Name, sp.Contender.Name, metric(label), v, unit}},
 			trail: []string{paper}})
 	}
 	convRound := RewardConvergenceRound(ex.RewardHistory, 0.25)
