@@ -6,7 +6,6 @@ import (
 
 	"fedgpo/internal/fl"
 	"fedgpo/internal/interfere"
-	"fedgpo/internal/netsim"
 	"fedgpo/internal/runtime"
 )
 
@@ -135,13 +134,13 @@ func (r *Runtime) horizonGroups(specs []JobSpec) ([]*horizonGroup, []int) {
 }
 
 // environment is what a run's environment trace is drawn from (see
-// fl.Arena): the seed, the fleet size, the interference model and the
-// channel.
+// fl.Arena): the seed, the fleet size and the interference model. The
+// channel is not part of it: runs under different channels read one
+// trace, each mapping its draws through its own channel.
 type environment struct {
 	seed int64
 	n    int
 	intf interfere.Model
-	ch   netsim.Channel
 }
 
 // spreadEnvironments reorders the batch indexes in order, stably, so
@@ -157,7 +156,7 @@ func spreadEnvironments(specs []JobSpec, order []int) {
 	rank := make([]int, len(specs))
 	for _, i := range order {
 		s := specs[i].Scenario
-		e := environment{specs[i].Seed, s.Fleet.Composition().Total(), s.Interference.Model(), s.Network.Channel()}
+		e := environment{specs[i].Seed, s.Fleet.Composition().Total(), s.Interference.Model()}
 		rank[i] = nth[e]
 		nth[e]++
 	}

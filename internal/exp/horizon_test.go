@@ -7,6 +7,7 @@ import (
 
 	"fedgpo/internal/core"
 	"fedgpo/internal/fl"
+	"fedgpo/internal/netsim"
 	"fedgpo/internal/runtime"
 	"fedgpo/internal/telemetry"
 	"fedgpo/internal/workload"
@@ -100,7 +101,7 @@ func checkSameResults(t *testing.T, specs []JobSpec, got, want []runtime.Result)
 	g, w := simBytes(t, got), simBytes(t, want)
 	for i := range specs {
 		if !bytes.Equal(g[i], w[i]) {
-			t.Errorf("cell %d (%s, %s, %d rounds): bytes differ from its single-budget batch",
+			t.Errorf("cell %d (%s, %s, %d rounds): bytes differ from its batch run alone",
 				i, specs[i].Scenario.Name, specs[i].Contender.Type, specs[i].Scenario.MaxRounds)
 		}
 		if got[i].Sim.Outcome != want[i].Sim.Outcome {
@@ -265,6 +266,72 @@ func TestHorizonLongestMembersSpreadOverEnvironments(t *testing.T) {
 	_, order := rt.horizonGroups(specs)
 	if want := []int{1, 5, 3, 7, 0, 2, 4, 6}; !reflect.DeepEqual(order, want) {
 		t.Errorf("dispatch order %v, want %v", order, want)
+	}
+}
+
+// A stable cell and its unstable twin read one environment trace, so
+// the spread treats them as one environment: the fleet alone sets it
+// here, and each fleet's second longest member waits for every fleet's
+// first.
+func TestHorizonSpreadIgnoresChannel(t *testing.T) {
+	rt, err := NewRuntime(1, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	matrix, err := ScenarioMatrix(workload.CNNMNIST(), "fleet=20,30;net=stable,unstable;rounds=100,300")
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs := make([]JobSpec, len(matrix))
+	for i, s := range matrix {
+		specs[i] = simSpec(s, staticContender(fl.Params{B: 8, E: 10, K: 20}, ""), 1)
+	}
+	// Batch order: fleet 20 (stable 100, stable 300, unstable 100,
+	// unstable 300), then fleet 30 the same.
+	_, order := rt.horizonGroups(specs)
+	if want := []int{1, 5, 3, 7, 0, 2, 4, 6}; !reflect.DeepEqual(order, want) {
+		t.Errorf("dispatch order %v, want %v", order, want)
+	}
+}
+
+// channelSpecs is one Tiny-scale batch per channel preset: the ideal
+// and the interference-only scenario at budgets 100 and 300 under a
+// static, an ABS and a cold FedGPO contender.
+func channelSpecs(kinds ...string) [][]JobSpec {
+	contenders := []ContenderSpec{
+		staticContender(fl.Params{B: 8, E: 10, K: 20}, ""),
+		{Type: ContABS, CtrlSeed: 3},
+		fedgpoColdContender(),
+	}
+	batches := make([][]JobSpec, len(kinds))
+	for b, kind := range kinds {
+		for _, s := range []ScenarioSpec{Ideal(workload.CNNMNIST()), InterferenceOnly(workload.CNNMNIST())} {
+			s = Tiny().apply(s)
+			s.Network = NetworkSpec{Kind: kind}
+			for _, h := range []int{100, 300} {
+				s.MaxRounds = h
+				for _, c := range contenders {
+					batches[b] = append(batches[b], simSpec(s, c, 1))
+				}
+			}
+		}
+	}
+	return batches
+}
+
+// A batch of stable cells and their unstable twins, which share each
+// environment trace, returns the bytes of the two single-channel
+// batches run alone, with one worker and with four.
+func TestChannelTwinsMatchSingleChannelBatches(t *testing.T) {
+	batches := channelSpecs(netsim.KindStable, netsim.KindUnstable)
+	specs := interleave(batches)
+	want, _ := horizonReference(t, batches)
+	for _, workers := range []int{1, 4} {
+		rt, err := NewRuntime(workers, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkSameResults(t, specs, rt.runSpecs(specs), want)
 	}
 }
 

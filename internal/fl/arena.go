@@ -21,11 +21,11 @@ import (
 // and its selection permutation — does not depend on the controller,
 // so it is not drawn per run: beginRun joins the process's run memo
 // and takes the environment trace for the run's (seed, fleet size,
-// interference model, channel), and each round replays the trace,
-// recording the round first if no run has reached it yet (see
-// envTrace). The arena holds the memo strongly; nothing else does, so
-// the memo lives exactly as long as some arena, pooled or running,
-// uses it.
+// interference model), and each round replays the trace through the
+// run's channel, recording the round first if no run has reached it
+// yet (see envTrace and traceView). The arena holds the memo strongly;
+// nothing else does, so the memo lives exactly as long as some arena,
+// pooled or running, uses it.
 //
 // Reuse is safe because RunWithArena rewrites every slot it later
 // reads. Per-run slots are refilled by beginRun: the static DeviceState
@@ -152,8 +152,8 @@ func (a *Arena) beginRun(cfg *Config) {
 	a.selBits = a.selBits[:(n+63)/64]
 
 	a.memo = currentMemo(memoCapBytes)
-	t := a.memo.trace(envKey{seed: cfg.Seed, n: n, intf: cfg.Interference, ch: cfg.Channel})
-	a.env.reset(t)
+	t := a.memo.trace(envKey{seed: cfg.Seed, n: n, intf: cfg.Interference})
+	a.env.reset(t, cfg.Channel)
 	a.accRNG.Reseed(t.accSeed)
 
 	a.part.Reset(cfg.Partition)

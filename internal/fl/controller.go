@@ -44,9 +44,11 @@ type DeviceState struct {
 // Interfered, BadLinks and MeanClassFraction summarize the fleet's
 // states for controllers that condition on the fleet as a whole, so
 // none has to read every device each round. The simulator owns them:
-// the round counts come from the environment trace, counted once when
-// a round is first recorded and replayed with it, and the mean once per
-// run. Each equals a scan over State(0..n-1), bit for bit.
+// the round counts come from the environment trace, Interfered counted
+// once when a round is first recorded, BadLinks once per channel when
+// a run under that channel first reaches the round; later runs replay
+// both. The mean is taken once per run. Each equals a scan over
+// State(0..n-1), bit for bit.
 type Observation struct {
 	// Round is the 1-based aggregation round about to execute.
 	Round int
@@ -68,8 +70,8 @@ type Observation struct {
 	// configuration, visible to any server-side controller.
 	DeadlineSec float64
 	// Interfered counts the fleet's devices running a co-runner (CPU
-	// or memory usage above zero); BadLinks counts those whose link is
-	// not Regular.
+	// or memory usage above zero); BadLinks counts those whose link,
+	// under the run's channel, is not Regular.
 	Interfered, BadLinks int
 	// MeanClassFraction is the mean of the devices' ClassFraction
 	// (percent), summed in device order.

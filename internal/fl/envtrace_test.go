@@ -20,17 +20,20 @@ import (
 // root stream split into selection, environment and convergence-model
 // streams, in that order, with each round drawing every device's
 // interference and bandwidth on the environment stream and a full
-// permutation on the selection stream.
+// permutation on the selection stream. It draws the bandwidth with
+// stats.RNG.TruncGaussian, not through netsim.Channel.Bandwidth, so
+// the oracle does not share the code it checks.
 type liveEnv struct {
 	key      envKey
+	ch       netsim.Channel
 	sel, env *stats.RNG
 	acc      *stats.RNG
 	perm     []int
 }
 
-func newLiveEnv(key envKey) *liveEnv {
+func newLiveEnv(key envKey, ch netsim.Channel) *liveEnv {
 	root := stats.NewRNG(key.seed)
-	l := &liveEnv{key: key, perm: make([]int, key.n)}
+	l := &liveEnv{key: key, ch: ch, perm: make([]int, key.n)}
 	l.sel = root.Split()
 	l.env = root.Split()
 	l.acc = root.Split()
@@ -39,10 +42,11 @@ func newLiveEnv(key envKey) *liveEnv {
 
 // observeStates is the live draw of one round's stochastic state.
 func (l *liveEnv) observeStates(states []DeviceState) {
+	ch := l.ch
 	for i := range states {
 		st := &states[i]
 		st.Interference = l.key.intf.Sample(l.env)
-		st.Network = l.key.ch.Sample(l.env)
+		st.Network = netsim.ConditionAt(l.env.TruncGaussian(ch.MeanMbps, ch.StdMbps, ch.FloorMbps, ch.MeanMbps+4*ch.StdMbps+1))
 	}
 }
 
@@ -59,8 +63,8 @@ type liveRound struct {
 	perm   []int
 }
 
-func liveRounds(key envKey, rounds int) []liveRound {
-	l := newLiveEnv(key)
+func liveRounds(key envKey, ch netsim.Channel, rounds int) []liveRound {
+	l := newLiveEnv(key, ch)
 	out := make([]liveRound, rounds)
 	for r := range out {
 		states := make([]DeviceState, key.n)
@@ -90,12 +94,12 @@ func sameRound(states []DeviceState, perm []uint16, want liveRound) error {
 	return nil
 }
 
-// replay walks a view over rounds [0, rounds), reads every device's
+// replay walks a view over rounds [from, to), reads every device's
 // state from each round's device view, and checks each round against
 // the live draws.
-func replay(v *traceView, n, rounds int, want []liveRound) error {
+func replay(v *traceView, n, from, to int, want []liveRound) error {
 	static, states := make([]DeviceState, n), make([]DeviceState, n)
-	for r := 0; r < rounds; r++ {
+	for r := from; r < to; r++ {
 		devices, perm, interfered, badLinks := v.observe(r, static)
 		for id := range states {
 			devices.read(id, &states[id])
@@ -125,23 +129,23 @@ func TestEnvTraceMatchesLiveDraws(t *testing.T) {
 	for in, intf := range intfs {
 		for cn, ch := range chans {
 			for _, n := range []int{1, 20, 200} {
-				key := envKey{seed: 11, n: n, intf: intf, ch: ch}
-				want := liveRounds(key, full)
+				key := envKey{seed: 11, n: n, intf: intf}
+				want := liveRounds(key, ch, full)
 				tr := newEnvTrace(key, new(atomic.Int64))
 				var v traceView
 				for _, step := range []struct {
 					name   string
 					rounds int
 				}{{"record", partial}, {"replay", partial}, {"extend", full}, {"replay extended", full}} {
-					v.reset(tr)
-					if err := replay(&v, n, step.rounds, want); err != nil {
+					v.reset(tr, ch)
+					if err := replay(&v, n, 0, step.rounds, want); err != nil {
 						t.Errorf("%s/%s/n=%d %s: %v", in, cn, n, step.name, err)
 					}
 				}
 				if tr.rounds != full {
 					t.Errorf("%s/%s/n=%d: trace recorded %d rounds, want %d", in, cn, n, tr.rounds, full)
 				}
-				if acc := stats.NewRNG(tr.accSeed); acc.Int63() != newLiveEnv(key).acc.Int63() {
+				if acc := stats.NewRNG(tr.accSeed); acc.Int63() != newLiveEnv(key, ch).acc.Int63() {
 					t.Errorf("%s/%s/n=%d: convergence-model stream differs from the root's third split", in, cn, n)
 				}
 			}
@@ -149,14 +153,116 @@ func TestEnvTraceMatchesLiveDraws(t *testing.T) {
 	}
 }
 
+// TestOneTraceServesEveryChannel records one trace and reads it through
+// a stable and an unstable view, each view extending the trace in turn
+// (one records rounds the other then replays, from mid-chunk on), for
+// every model in interferenceCases. Each view's device states,
+// permutations and Interfered and BadLinks counts equal its own
+// channel's live draws bit for bit. Each channel's counts are taken
+// once and counted in the trace's bytes.
+func TestOneTraceServesEveryChannel(t *testing.T) {
+	chans := []netsim.Channel{netsim.StableChannel(), netsim.UnstableChannel()}
+	const rounds = 37
+	for _, tc := range interferenceCases {
+		for _, n := range []int{20, 130} {
+			key := envKey{seed: 12, n: n, intf: tc.intf}
+			tr := newEnvTrace(key, new(atomic.Int64))
+			views := make([]traceView, len(chans))
+			want := make([][]liveRound, len(chans))
+			for i, ch := range chans {
+				views[i].reset(tr, ch)
+				want[i] = liveRounds(key, ch, rounds)
+			}
+			// The views take turns: each reads on to the next stop, the
+			// first to pass a round records it, and the other replays it.
+			read := make([]int, len(chans))
+			for step, stop := range []int{5, 13, 21, 30, rounds, rounds} {
+				i := step % len(chans)
+				if err := replay(&views[i], n, read[i], stop, want[i]); err != nil {
+					t.Errorf("%s/n=%d channel %d to round %d: %v", tc.name, n, i, stop, err)
+				}
+				read[i] = stop
+			}
+			if tr.rounds != rounds {
+				t.Errorf("%s/n=%d: trace recorded %d rounds, want %d", tc.name, n, tr.rounds, rounds)
+			}
+			if len(tr.links) != len(chans) {
+				t.Fatalf("%s/n=%d: trace holds counts for %d channels, want %d", tc.name, n, len(tr.links), len(chans))
+			}
+			before := tr.bytes.Load()
+			var again traceView
+			again.reset(tr, chans[1])
+			if err := replay(&again, n, 0, rounds, want[1]); err != nil {
+				t.Errorf("%s/n=%d: a second view of the unstable channel: %v", tc.name, n, err)
+			}
+			if tr.bytes.Load() != before || len(tr.links) != len(chans) {
+				t.Errorf("%s/n=%d: a second view of a counted channel grew the trace", tc.name, n)
+			}
+			chunks := int64(len(tr.chunks))
+			size := chunks * traceChunkRounds * int64(n) * 10
+			if tr.words > 0 {
+				size += chunks * traceChunkRounds * int64(tr.words) * 10
+				for _, c := range tr.chunks {
+					for _, pairs := range c.intf {
+						size += 8 * int64(len(pairs))
+					}
+				}
+			}
+			for _, l := range tr.links {
+				size += 2 * int64(cap(l.bad))
+			}
+			if got := tr.bytes.Load(); got != size {
+				t.Errorf("%s/n=%d: trace counts %d bytes, want %d", tc.name, n, got, size)
+			}
+		}
+	}
+}
+
+// Two runs of one seed, fleet size and interference model under the
+// stable and the unstable channel share one trace: the memo holds one
+// trace for the three values, and both runs' views read it.
+func TestChannelsShareOneTrace(t *testing.T) {
+	cfg := dirtyConfig()
+	cfg.Seed = 4245 // a key no other test records
+	cfg.Interference = interfere.Paper()
+	p := Params{B: 8, E: 10, K: 10}
+	stable, unstable := NewArena(), NewArena()
+	cfg.Channel = netsim.StableChannel()
+	RunWithArena(cfg, NewStatic(p), stable)
+	cfg.Channel = netsim.UnstableChannel()
+	RunWithArena(cfg, NewStatic(p), unstable)
+	if stable.memo != unstable.memo {
+		t.Fatal("the two runs joined different memos")
+	}
+	if stable.env.t != unstable.env.t {
+		t.Error("the stable and the unstable run read different traces")
+	}
+	m := stable.memo
+	m.mu.Lock()
+	traces := 0
+	for key := range m.traces {
+		if key.seed == cfg.Seed {
+			traces++
+		}
+	}
+	m.mu.Unlock()
+	if traces != 1 {
+		t.Errorf("the memo holds %d traces of seed %d, want 1", traces, cfg.Seed)
+	}
+	if links := len(stable.env.t.links); links != 2 {
+		t.Errorf("the shared trace holds bad-link counts for %d channels, want 2", links)
+	}
+}
+
 // TestEnvTraceConcurrentRunsRaceClean runs four views of one trace at
-// once, each to a different length, so runs extend and replay the
-// same trace concurrently. Under -race this is the trace's data-race
-// check.
+// once, two through each channel, each to a different length, so runs
+// extend, count and replay the same trace concurrently. Under -race
+// this is the trace's data-race check.
 func TestEnvTraceConcurrentRunsRaceClean(t *testing.T) {
-	key := envKey{seed: 5, n: 70, intf: interfere.Paper(), ch: netsim.UnstableChannel()}
+	key := envKey{seed: 5, n: 70, intf: interfere.Paper()}
 	lengths := []int{10, 41, 25, 33}
-	want := liveRounds(key, 41)
+	chans := []netsim.Channel{netsim.UnstableChannel(), netsim.StableChannel()}
+	want := [][]liveRound{liveRounds(key, chans[0], 41), liveRounds(key, chans[1], 41)}
 	tr := newEnvTrace(key, new(atomic.Int64))
 	errs := make([]error, len(lengths))
 	var wg sync.WaitGroup
@@ -165,8 +271,8 @@ func TestEnvTraceConcurrentRunsRaceClean(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			var v traceView
-			v.reset(tr)
-			errs[g] = replay(&v, key.n, rounds, want)
+			v.reset(tr, chans[g%2])
+			errs[g] = replay(&v, key.n, 0, rounds, want[g%2])
 		}()
 	}
 	wg.Wait()

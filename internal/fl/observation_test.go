@@ -17,8 +17,8 @@ import (
 // the stochastic fields from the live draws (liveRounds) and the
 // static ones straight from the partition.
 func eagerStates(cfg Config) [][]DeviceState {
-	key := envKey{seed: cfg.Seed, n: len(cfg.Fleet), intf: cfg.Interference, ch: cfg.Channel}
-	live := liveRounds(key, cfg.MaxRounds)
+	key := envKey{seed: cfg.Seed, n: len(cfg.Fleet), intf: cfg.Interference}
+	live := liveRounds(key, cfg.Channel, cfg.MaxRounds)
 	out := make([][]DeviceState, len(live))
 	for r := range live {
 		for i, d := range cfg.Fleet {

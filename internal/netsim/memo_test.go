@@ -29,7 +29,7 @@ func TestCommModelMatchesCommRoundTrip(t *testing.T) {
 		}
 		rng := stats.NewRNG(7)
 		for i := 0; i < 200; i++ {
-			conds = append(conds, ch.Sample(rng))
+			conds = append(conds, sample(ch, rng))
 		}
 		for _, cond := range conds {
 			for _, payload := range payloads {

@@ -13,8 +13,6 @@ package netsim
 import (
 	"fmt"
 	"math"
-
-	"fedgpo/internal/stats"
 )
 
 // SignalStrength is a coarse wireless signal band. Transmission power
@@ -47,9 +45,11 @@ func (s SignalStrength) String() string {
 const RegularBandwidthMbps = 40.0
 
 // Channel is the stochastic wireless link model for one federation.
-// Bandwidth draws are Gaussian, clamped to a physical floor; signal
-// strength derives from the drawn bandwidth so that weak signal and low
-// bandwidth coincide, as they do on real links.
+// Bandwidth is Gaussian, clamped to a physical floor: a device-round's
+// standard-normal draw z becomes a bandwidth through Bandwidth, so one
+// sequence of draws serves every channel. Signal strength derives from
+// the bandwidth so that weak signal and low bandwidth coincide, as
+// they do on real links.
 type Channel struct {
 	// MeanMbps and StdMbps parameterize the Gaussian bandwidth draw.
 	MeanMbps float64
@@ -126,14 +126,23 @@ type Condition struct {
 // band (> 40 Mbps).
 func (c Condition) Regular() bool { return c.BandwidthMbps > RegularBandwidthMbps }
 
-// Sample draws one device-round condition.
-func (ch Channel) Sample(rng *stats.RNG) Condition {
-	return ConditionAt(rng.TruncGaussian(ch.MeanMbps, ch.StdMbps, ch.FloorMbps, ch.MeanMbps+4*ch.StdMbps+1))
+// Bandwidth is the channel's bandwidth at standard-normal draw z:
+// MeanMbps + StdMbps*z clamped to [FloorMbps, MeanMbps+4*StdMbps+1].
+// It is bit for bit stats.RNG.TruncGaussian with those bounds, where z
+// is the draw TruncGaussian would have taken from its stream.
+func (ch Channel) Bandwidth(z float64) float64 {
+	v := ch.MeanMbps + ch.StdMbps*z
+	if v < ch.FloorMbps {
+		return ch.FloorMbps
+	}
+	if hi := ch.MeanMbps + 4*ch.StdMbps + 1; v > hi {
+		return hi
+	}
+	return v
 }
 
 // ConditionAt is the condition of a link at bandwidth bw: the signal
-// band is a pure function of the bandwidth, so a recorded bandwidth
-// replays to exactly the Condition Sample drew.
+// band is a pure function of the bandwidth.
 func ConditionAt(bw float64) Condition {
 	return Condition{BandwidthMbps: bw, Signal: signalFor(bw)}
 }
@@ -231,7 +240,7 @@ func (m *CommModel) RoundTrip(modelBytes float64, cond Condition) RoundTrip {
 	if cond.Signal >= 0 && int(cond.Signal) < len(m.txWatts) {
 		w = m.txWatts[cond.Signal]
 	} else {
-		// Out-of-range bands cannot come from Sample, but a
+		// Out-of-range bands cannot come from ConditionAt, but a
 		// hand-constructed Condition still gets the unmemoized answer.
 		w = m.ch.TxWatts(cond.Signal)
 	}

@@ -8,13 +8,45 @@ import (
 	"fedgpo/internal/stats"
 )
 
+// sample draws one device-round condition of ch from rng.
+func sample(ch Channel, rng *stats.RNG) Condition {
+	return ConditionAt(ch.Bandwidth(rng.Norm()))
+}
+
+// Bandwidth maps a stream's standard-normal draws to exactly the
+// bandwidths TruncGaussian draws from an equal stream, for both presets
+// and a channel whose clamps bind often; and it clamps at both ends.
+func TestBandwidthMatchesTruncGaussian(t *testing.T) {
+	channels := map[string]Channel{
+		"stable":   StableChannel(),
+		"unstable": UnstableChannel(),
+		"narrow":   {MeanMbps: 20, StdMbps: 30, FloorMbps: 15},
+	}
+	for name, ch := range channels {
+		a, b := stats.NewRNG(5), stats.NewRNG(5)
+		for i := 0; i < 20000; i++ {
+			got := ch.Bandwidth(a.Norm())
+			want := b.TruncGaussian(ch.MeanMbps, ch.StdMbps, ch.FloorMbps, ch.MeanMbps+4*ch.StdMbps+1)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s draw %d: Bandwidth %v, TruncGaussian %v", name, i, got, want)
+			}
+		}
+		if got := ch.Bandwidth(-100); got != ch.FloorMbps {
+			t.Errorf("%s: Bandwidth(-100) = %v, want the floor %v", name, got, ch.FloorMbps)
+		}
+		if got, hi := ch.Bandwidth(100), ch.MeanMbps+4*ch.StdMbps+1; got != hi {
+			t.Errorf("%s: Bandwidth(100) = %v, want the ceiling %v", name, got, hi)
+		}
+	}
+}
+
 func TestStableChannelMostlyRegular(t *testing.T) {
 	ch := StableChannel()
 	rng := stats.NewRNG(1)
 	regular := 0
 	n := 5000
 	for i := 0; i < n; i++ {
-		if ch.Sample(rng).Regular() {
+		if sample(ch, rng).Regular() {
 			regular++
 		}
 	}
@@ -29,7 +61,7 @@ func TestUnstableChannelOftenBad(t *testing.T) {
 	bad := 0
 	n := 5000
 	for i := 0; i < n; i++ {
-		if !ch.Sample(rng).Regular() {
+		if !sample(ch, rng).Regular() {
 			bad++
 		}
 	}
@@ -43,9 +75,9 @@ func TestSampleRespectsFloor(t *testing.T) {
 	ch := UnstableChannel()
 	rng := stats.NewRNG(3)
 	for i := 0; i < 10000; i++ {
-		c := ch.Sample(rng)
-		if c.BandwidthMbps < ch.FloorMbps {
-			t.Fatalf("bandwidth %v below floor", c.BandwidthMbps)
+		c := sample(ch, rng)
+		if hi := ch.MeanMbps + 4*ch.StdMbps + 1; c.BandwidthMbps < ch.FloorMbps || c.BandwidthMbps > hi {
+			t.Fatalf("bandwidth %v outside [%v, %v]", c.BandwidthMbps, ch.FloorMbps, hi)
 		}
 	}
 }
@@ -157,7 +189,7 @@ func TestChannelSampleDeterministicPerSeed(t *testing.T) {
 	ch := UnstableChannel()
 	a, b := stats.NewRNG(99), stats.NewRNG(99)
 	for i := 0; i < 100; i++ {
-		ca, cb := ch.Sample(a), ch.Sample(b)
+		ca, cb := sample(ch, a), sample(ch, b)
 		if ca != cb {
 			t.Fatalf("same-seed channels diverged at %d: %+v vs %+v", i, ca, cb)
 		}
@@ -188,7 +220,7 @@ func TestLowerBandwidthNeverShortensRoundTrip(t *testing.T) {
 				prev = rt
 			}
 			for i := 0; i < 1000; i++ {
-				hi, lo := ch.Sample(rng), ch.Sample(rng)
+				hi, lo := sample(ch, rng), sample(ch, rng)
 				if hi.BandwidthMbps < lo.BandwidthMbps {
 					hi, lo = lo, hi
 				}

@@ -227,8 +227,9 @@
 // (fl/memo.go): one fleet per composition, one partition per partition
 // spec and size (with its per-device signals, which the arena's
 // data.Memo reads), and one environment trace per (seed, fleet size,
-// interference, channel) that the first run to reach a round records
-// and every later run replays. So steady-state rounds do not allocate
+// interference) that the first run to reach a round records and every
+// later run replays through its own channel. So steady-state rounds do
+// not allocate
 // (an fl unit test holds a warmed-arena run under 2 allocations per
 // round). Reuse never changes a byte: beginRun re-derives every
 // per-run table from the new config, and byte-identity of dirty-arena

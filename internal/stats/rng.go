@@ -82,9 +82,12 @@ func (g *RNG) Intn(n int) int { return g.r.Intn(n) }
 // Int63 returns a non-negative uniform 63-bit integer.
 func (g *RNG) Int63() int64 { return g.r.Int63() }
 
+// Norm returns a standard-normal sample, N(0, 1).
+func (g *RNG) Norm() float64 { return g.r.NormFloat64() }
+
 // Gaussian returns a sample from N(mean, stddev^2).
 func (g *RNG) Gaussian(mean, stddev float64) float64 {
-	return mean + stddev*g.r.NormFloat64()
+	return mean + stddev*g.Norm()
 }
 
 // TruncGaussian returns a Gaussian sample clamped to [lo, hi].

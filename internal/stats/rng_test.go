@@ -272,6 +272,7 @@ var draws = []struct {
 	{"Float64", func(g *RNG) []float64 { return []float64{g.Float64()} }},
 	{"Intn", func(g *RNG) []float64 { return []float64{float64(g.Intn(1000))} }},
 	{"Int63", func(g *RNG) []float64 { return []float64{float64(g.Int63())} }},
+	{"Norm", func(g *RNG) []float64 { return []float64{g.Norm()} }},
 	{"Gaussian", func(g *RNG) []float64 { return []float64{g.Gaussian(3, 2)} }},
 	{"TruncGaussian", func(g *RNG) []float64 { return []float64{g.TruncGaussian(0, 5, -1, 1)} }},
 	{"Dirichlet", func(g *RNG) []float64 { return g.Dirichlet([]float64{0.1, 0.5, 2}) }},
@@ -337,6 +338,9 @@ func TestLazyStreamMatchesEager(t *testing.T) {
 		}
 		if x, y := g.Gaussian(0, 1), ref.NormFloat64(); x != y {
 			t.Fatalf("seed %d: Gaussian %v, math/rand %v", seed, x, y)
+		}
+		if x, y := g.Norm(), ref.NormFloat64(); x != y {
+			t.Fatalf("seed %d: Norm %v, math/rand %v", seed, x, y)
 		}
 		p := make([]int, 12)
 		g.PermInto(p)
