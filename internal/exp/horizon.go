@@ -19,6 +19,12 @@ import (
 // otherwise runs alone rather than wait. Either way it computes the
 // same bytes, counts as an executed cell and is cached under its own
 // key. A group lives only as long as its batch's jobs.
+//
+// A taken result's History is a view of the longest member's History
+// array (see fl.Result for the sharing contract), so a group's results
+// hold its longest run's rounds once. A shorter member that runs alone
+// owns its own History: in such a run the live heap exceeds the shared
+// size by that one shorter History.
 type horizonGroup struct {
 	batch []JobSpec
 	// longest is the batch index of the member with the longest

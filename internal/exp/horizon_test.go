@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"fedgpo/internal/core"
 	"fedgpo/internal/fl"
@@ -53,16 +54,22 @@ func interleave(batches [][]JobSpec) []JobSpec {
 	return out
 }
 
+// resultBytes is a result's binary form.
+func resultBytes(t *testing.T, r fl.Result) []byte {
+	t.Helper()
+	b, err := r.AppendBinary(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
 // simBytes is the binary form of every result, one entry per cell.
 func simBytes(t *testing.T, results []runtime.Result) [][]byte {
 	t.Helper()
 	out := make([][]byte, len(results))
 	for i, res := range results {
-		b, err := res.Sim.AppendBinary(nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out[i] = b
+		out[i] = resultBytes(t, res.Sim)
 	}
 	return out
 }
@@ -142,6 +149,55 @@ func TestHorizonBatchMatchesSingleBudgetBatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkSameResults(t, specs, rt2.runSpecs(specs), want)
+}
+
+// A one-worker rounds-axis sweep stores each deployment's history once:
+// every rounds=30 result is a view of its rounds=60 twin's History
+// array, and the results are byte for byte those of the two
+// single-budget sweeps.
+func TestRoundsAxisSweepSharesHistories(t *testing.T) {
+	const axes = "fleet=20;alpha=iid,0.5;net=stable,unstable"
+	p := fl.Params{B: 8, E: 10, K: 20}
+	sweep := func(matrix string) ([]ScenarioSpec, []fl.Result) {
+		t.Helper()
+		specs, err := ScenarioMatrix(workload.CNNMNIST(), matrix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rt, err := NewRuntime(1, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return specs, SweepScenarios(Options{}.WithRuntime(rt), specs, p, 1)
+	}
+	specs, both := sweep(axes + ";rounds=30,60")
+	_, short := sweep(axes + ";rounds=30")
+	_, long := sweep(axes + ";rounds=60")
+	if len(both) != 8 || len(short) != 4 || len(long) != 4 {
+		t.Fatalf("%d results, %d and %d single-budget ones; want 8, 4 and 4", len(both), len(short), len(long))
+	}
+	// The rounds axis varies fastest: each deployment's rounds=30 cell,
+	// then its rounds=60 twin.
+	for i := 0; i < len(both); i += 2 {
+		if specs[i].MaxRounds != 30 || specs[i+1].MaxRounds != 60 {
+			t.Fatalf("cells %d and %d have budgets %d and %d, want 30 and 60", i, i+1, specs[i].MaxRounds, specs[i+1].MaxRounds)
+		}
+		if !bytes.Equal(resultBytes(t, both[i]), resultBytes(t, short[i/2])) {
+			t.Errorf("cell %d: bytes differ from the rounds=30 sweep's", i)
+		}
+		if !bytes.Equal(resultBytes(t, both[i+1]), resultBytes(t, long[i/2])) {
+			t.Errorf("cell %d: bytes differ from the rounds=60 sweep's", i+1)
+		}
+	}
+	for i := 0; i < len(both); i += 2 {
+		short, long := both[i].History, both[i+1].History
+		if len(short) == 0 || unsafe.SliceData(short) != unsafe.SliceData(long) {
+			t.Errorf("cell %d: the rounds=30 History is not a view of its rounds=60 twin's array", i)
+		}
+		if len(short) != cap(short) {
+			t.Errorf("cell %d: the rounds=30 History has len %d, cap %d", i, len(short), cap(short))
+		}
+	}
 }
 
 // When the long twin is already cached its run never happens, so the

@@ -447,7 +447,9 @@ func SweepStatic(o Options, s ScenarioSpec, params []fl.Params, seed int64) []fl
 // axis) run each deployment once, at the longest budget, and read the
 // shorter budgets' results off that run at their rounds (see
 // horizonGroup); each is byte-identical to its own run and still
-// counts, and is cached, as a cell of its own.
+// counts, and is cached, as a cell of its own. Such results may share
+// one History array, so no caller writes through or decodes into a
+// returned Result's slices or maps (see fl.Result).
 func SweepScenarios(o Options, specs []ScenarioSpec, p fl.Params, seed int64) []fl.Result {
 	jobSpecs := make([]JobSpec, len(specs))
 	for i, s := range specs {

@@ -369,8 +369,9 @@ func (r *Runtime) execute(sp JobSpec, horizons []int) (runtime.Result, []fl.Resu
 //
 // With horizons (ascending round budgets, the last the spec's own), the
 // one run also returns its result at each shorter budget, byte-identical
-// to a run of the spec with that budget (fl.RunHorizons); its telemetry
-// counts the rounds it ran once.
+// to a run of the spec with that budget (fl.RunHorizons) and sharing
+// the History array of the spec's own result; its telemetry counts the
+// rounds it ran once.
 func executeSim(r *Runtime, sp JobSpec, horizons []int) (runtime.Result, []fl.Result, fl.Controller) {
 	col := telemetry.NewCollector()
 	t0 := time.Now()

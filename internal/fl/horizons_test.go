@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"testing"
+	"unsafe"
 
 	"fedgpo/internal/abs"
 	"fedgpo/internal/baseline"
@@ -97,8 +98,9 @@ func TestRunHorizonsMatchesSeparateRuns(t *testing.T) {
 	}
 }
 
-// Results of one pass share no memory: appending to one horizon's
-// History or writing its energy map leaves the others as they were.
+// Appending to one horizon's History or writing its energy map leaves
+// the other Results of the pass as they were: the Histories they share
+// are capped at each budget, and each Result has its own map.
 func TestRunHorizonsResultsAreIndependent(t *testing.T) {
 	s := exp.Realistic(workload.CNNMNIST())
 	s.Fleet.Size = 20
@@ -113,6 +115,46 @@ func TestRunHorizonsResultsAreIndependent(t *testing.T) {
 	}
 	if !bytes.Equal(resultBytes(t, got[0]), want) {
 		t.Error("writing the 20-round result changed the 40-round one")
+	}
+}
+
+// One pass over budgets {short, past convergence, long}, in that order,
+// copies its history once: every History is a prefix of the longest
+// budget's array, with len equal to cap, so appending to a short one
+// copies it and leaves the longest as it was.
+func TestRunHorizonsSharesOneHistory(t *testing.T) {
+	const H = 300
+	s := exp.Ideal(workload.CNNMNIST())
+	s.Fleet.Size = 20
+	s.MaxRounds = H
+	cfg := s.Config(5)
+	static := func() fl.Controller { return fl.NewStatic(fl.Params{B: 8, E: 10, K: 10}) }
+	ran := len(fl.Run(cfg, static()).History)
+	if ran >= H {
+		t.Fatalf("the run did not converge before round %d, so no budget lies past convergence", H)
+	}
+	horizons := []int{ran / 3, (ran + H) / 2, 2 * ran / 3}
+	got := fl.RunHorizons(cfg, static(), horizons)
+	longest := got[1].History
+	if len(longest) != ran || cap(longest) != ran {
+		t.Fatalf("past-convergence History: len %d cap %d, want both %d", len(longest), cap(longest), ran)
+	}
+	want := resultBytes(t, got[1])
+	for i, h := range horizons {
+		hist := got[i].History
+		if len(hist) != min(h, ran) || cap(hist) != len(hist) {
+			t.Errorf("budget %d: History len %d cap %d, want both %d", h, len(hist), cap(hist), min(h, ran))
+		}
+		if unsafe.SliceData(hist) != unsafe.SliceData(longest) {
+			t.Errorf("budget %d: History is not a view of the longest budget's array", h)
+		}
+	}
+	grown := append(got[0].History, fl.RoundRecord{Round: -1})
+	if unsafe.SliceData(grown) == unsafe.SliceData(longest) {
+		t.Error("appending to the short History wrote into the shared array")
+	}
+	if !bytes.Equal(resultBytes(t, got[1]), want) {
+		t.Error("appending to the short History changed the longest budget's result")
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"time"
 
 	"fedgpo/internal/convmodel"
@@ -116,6 +117,16 @@ type RoundRecord struct {
 }
 
 // Result summarizes one simulated run.
+//
+// Results may share memory, so no caller writes through, or decodes
+// into, a Result's History or EnergyByCategory (a json.Unmarshal into a
+// non-empty slice writes into that slice's array):
+//   - The Results of one RunHorizons call may share one History array.
+//     Each is a prefix of the longest budget's History whose len equals
+//     its cap, so an append copies it instead of writing into another
+//     Result's rounds.
+//   - runtime.Executor.RunAll hands every copy of a key repeated within
+//     a batch the first copy's Result, slices and maps included.
 type Result struct {
 	Controller string
 	// Outcome is OutcomeOf(workload, History). JSON carries its fields
@@ -160,13 +171,14 @@ func RunWithArena(cfg Config, ctrl Controller, a *Arena) Result {
 }
 
 // RunHorizons runs cfg once, to cfg.MaxRounds, and returns for each
-// round budget in horizons (each in [1, cfg.MaxRounds], in any order)
-// the Result that Run would return with cfg.MaxRounds set to it, byte
-// for byte: the history up to that round and the energy spent by its
-// end. A budget past the round the run converged at (see
-// Config.StopAtConvergence) gets the run's final state, as a run that
-// converges before its budget stops there. Each Result owns its
-// History and map. Run is the one-horizon case.
+// round budget in horizons (at least one, each in [1, cfg.MaxRounds],
+// in any order) the Result that Run would return with cfg.MaxRounds
+// set to it, byte for byte: the history up to that round and the
+// energy spent by its end. A budget past the round the run converged
+// at (see Config.StopAtConvergence) gets the run's final state, as a
+// run that converges before its budget stops there. The Results share
+// one History array, sized for the longest budget (see Result); each
+// has its own map. Run is the one-horizon case.
 //
 // The prefix contract: a run's first h rounds do not depend on its
 // round budget. The loop bound is the only reader of MaxRounds, so no
@@ -326,6 +338,11 @@ func runHorizons(cfg Config, ctrl Controller, a *Arena, horizons []int, out []Re
 		cfg.Telemetry.RecordPhaseN(telemetry.PhaseMerge, mergeSec*time.Duration(rounds)/time.Duration(sampled), rounds)
 	}
 
+	// The history is copied out of the arena once, as far as the
+	// longest budget reaches; each Result is a capped prefix of it (see
+	// Result).
+	full := make([]RoundRecord, min(slices.Max(horizons), rounds))
+	copy(full, a.history)
 	for i, h := range horizons {
 		energy := &catEnergy
 		if h < rounds {
@@ -333,8 +350,8 @@ func runHorizons(cfg Config, ctrl Controller, a *Arena, horizons []int, out []Re
 		}
 		res := &out[i]
 		res.Controller = name
-		res.History = make([]RoundRecord, min(h, rounds))
-		copy(res.History, a.history)
+		n := min(h, rounds)
+		res.History = full[:n:n]
 		res.Outcome = OutcomeOf(cfg.Workload, res.History)
 		// The result's map keys are the categories present in the
 		// fleet — the same key set the old per-round maps accumulated —

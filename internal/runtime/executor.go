@@ -107,8 +107,9 @@ func (e *Executor) count(r Result) {
 // A key the batch repeats names the same cell, so it runs once: the
 // later copies are neither looked up nor dispatched. Each takes the
 // first copy's Result, sharing its slices and maps, which no caller
-// writes to. They count neither as SimsExecuted nor as CacheHits, and
-// their progress events fire after the rest of the batch.
+// writes to (the contract on fl.Result). They count neither as
+// SimsExecuted nor as CacheHits, and their progress events fire after
+// the rest of the batch.
 func (e *Executor) RunAll(jobs []Job) []Result {
 	results := make([]Result, len(jobs))
 	if len(jobs) == 0 {
