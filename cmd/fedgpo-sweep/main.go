@@ -18,9 +18,9 @@
 // longest budget: a shorter budget's cell is a prefix of that run,
 // read off it at its round, byte-identical to running it alone, and
 // still printed, counted and cached as a cell of its own. On the
-// in-process backend a shorter cell whose long run has not finished
-// yet runs alone instead of waiting; a -workers fleet runs every cell
-// alone.
+// in-process backend that holds at any -parallel: a shorter cell whose
+// long run has not finished yet waits for it. A -workers fleet runs
+// every cell alone.
 //
 // Usage:
 //

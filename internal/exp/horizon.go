@@ -13,18 +13,19 @@ import (
 // differ only in their round budget: the same scenario otherwise, the
 // same controller key and the same seed. A run's first h rounds do not
 // depend on its budget (see fl.RunHorizons), so every member's result
-// is a prefix of the longest member's run. The longest member runs
-// once over every member's budget and publishes the shorter results;
-// a shorter member takes its own if that run has finished, and
-// otherwise runs alone rather than wait. Either way it computes the
-// same bytes, counts as an executed cell and is cached under its own
-// key. A group lives only as long as its batch's jobs.
+// is a prefix of the longest member's run. The group runs once: the
+// first member whose job body runs, whichever member that is, runs the
+// longest member's spec over every member's budget, and every other
+// member waits for that run and takes its own budget's result. Each
+// member computes the bytes of its own run, counts as an executed cell
+// and is cached under its own key; only the member that ran the group
+// carries the run's telemetry. A member served from the cache runs no
+// body, so the group runs if any member misses, even a short one whose
+// longest twin hits. A group lives only as long as its batch's jobs.
 //
-// A taken result's History is a view of the longest member's History
+// A shorter member's History is a view of the longest member's History
 // array (see fl.Result for the sharing contract), so a group's results
-// hold its longest run's rounds once. A shorter member that runs alone
-// owns its own History: in such a run the live heap exceeds the shared
-// size by that one shorter History.
+// hold its longest run's rounds once.
 type horizonGroup struct {
 	batch []JobSpec
 	// longest is the batch index of the member with the longest
@@ -34,39 +35,29 @@ type horizonGroup struct {
 	// is longest's own.
 	horizons []int
 
-	mu sync.Mutex
-	// shorter holds longest's results at horizons[:len-1] once its run
-	// has finished; a taken result is cleared.
-	shorter []fl.Result
+	once sync.Once
+	// sims are the run's results, one per horizon, and panicked its
+	// panic value if it failed; once sets both.
+	sims     []fl.Result
+	panicked any
 }
 
-// run is the job body of the member at batch index i.
+// run is the job body of the member at batch index i. A failed run
+// replays its panic value to every member, as pretrainedSnapshot
+// replays a failed warm-up's, so no member reads a result that was
+// never made.
 func (g *horizonGroup) run(r *Runtime, i int) runtime.Result {
-	sp := g.batch[i]
-	if i == g.longest {
-		res, shorter := r.execute(sp, g.horizons)
-		g.mu.Lock()
-		g.shorter = shorter
-		g.mu.Unlock()
-		return res
+	var res runtime.Result
+	g.once.Do(func() {
+		defer func() { g.panicked = recover() }()
+		res, g.sims = r.execute(g.batch[g.longest], g.horizons)
+	})
+	if g.panicked != nil {
+		panic(g.panicked)
 	}
-	if sim, ok := g.take(sp.Scenario.rounds()); ok {
-		return runtime.Result{Sim: sim}
-	}
-	return r.Execute(sp)
-}
-
-// take hands out the published result at budget h, if there is one.
-func (g *horizonGroup) take(h int) (fl.Result, bool) {
-	k, _ := slices.BinarySearch(g.horizons, h)
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if k >= len(g.shorter) || g.shorter[k].History == nil {
-		return fl.Result{}, false
-	}
-	sim := g.shorter[k]
-	g.shorter[k] = fl.Result{}
-	return sim, true
+	k, _ := slices.BinarySearch(g.horizons, g.batch[i].Scenario.rounds())
+	res.Sim = g.sims[k]
+	return res
 }
 
 // groupKey is what a horizon group's members share: the scenario with
@@ -86,7 +77,9 @@ type groupKey struct {
 // use more than one round budget (a sweep with a rounds axis; never a
 // report batch) has groups, so any other returns nil, nil after one
 // pass over the specs. Traced cells are never grouped, since a trace
-// records one run's decisions.
+// records one run's decisions, and neither are invalid ones: a group
+// runs its longest member's spec, so an invalid member runs alone and
+// fails with its own error.
 func (r *Runtime) horizonGroups(specs []JobSpec) ([]*horizonGroup, []int) {
 	if r.traceLevel != "" || !mixedBudgets(specs) {
 		return nil, nil
@@ -95,7 +88,7 @@ func (r *Runtime) horizonGroups(specs []JobSpec) ([]*horizonGroup, []int) {
 	var groups []*horizonGroup
 	of := make([]*horizonGroup, len(specs))
 	for i, sp := range specs {
-		if sp.Kind != KindSim || sp.Trace != "" {
+		if sp.Kind != KindSim || sp.Trace != "" || sp.validate() != nil {
 			continue
 		}
 		s := sp.Scenario

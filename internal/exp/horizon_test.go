@@ -2,6 +2,7 @@ package exp
 
 import (
 	"bytes"
+	"path/filepath"
 	"reflect"
 	"testing"
 	"unsafe"
@@ -122,33 +123,28 @@ func checkSameResults(t *testing.T, specs []JobSpec, got, want []runtime.Result)
 
 // A batch at budgets {100, 300} returns, in spec order, the bytes of
 // two single-budget batches, counts every cell as executed, and runs
-// only the 300-round runs: with one worker every long member finishes
-// before its short twin is dispatched, so each twin takes its result.
+// only the 300-round runs, with one worker and with four: a short twin
+// dispatched while its group runs waits for that run.
 func TestHorizonBatchMatchesSingleBudgetBatches(t *testing.T) {
 	batches := horizonSpecs(100, 300)
 	specs := interleave(batches)
 	want, refRounds := horizonReference(t, batches)
 
-	rt, err := NewRuntime(1, "")
-	if err != nil {
-		t.Fatal(err)
+	for _, workers := range []int{1, 4} {
+		rt, err := NewRuntime(workers, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := rt.runSpecs(specs)
+		checkSameResults(t, specs, got, want)
+		if st := rt.Stats(); st.Runs != int64(len(specs)) || st.Hits != 0 {
+			t.Errorf("%d workers: %d runs, %d hits; want %d runs, 0 hits", workers, st.Runs, st.Hits, len(specs))
+		}
+		if n := roundsRun(rt); n != refRounds[1] {
+			t.Errorf("%d workers: the batch ran %d rounds, want %d (the 300-round runs only; the 100-round batch alone ran %d)",
+				workers, n, refRounds[1], refRounds[0])
+		}
 	}
-	got := rt.runSpecs(specs)
-	checkSameResults(t, specs, got, want)
-	if st := rt.Stats(); st.Runs != int64(len(specs)) || st.Hits != 0 {
-		t.Errorf("stats: %d runs, %d hits; want %d runs, 0 hits", st.Runs, st.Hits, len(specs))
-	}
-	if n := roundsRun(rt); n != refRounds[1] {
-		t.Errorf("the batch ran %d rounds, want %d (the 300-round runs only; the 100-round batch alone ran %d)",
-			n, refRounds[1], refRounds[0])
-	}
-	// More than one worker: a short twin may find its long twin still
-	// running and run alone; the bytes do not change.
-	rt2, err := NewRuntime(4, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkSameResults(t, specs, rt2.runSpecs(specs), want)
 }
 
 // A one-worker rounds-axis sweep stores each deployment's history once:
@@ -200,9 +196,10 @@ func TestRoundsAxisSweepSharesHistories(t *testing.T) {
 	}
 }
 
-// When the long twin is already cached its run never happens, so the
-// short twin runs alone, and still matches.
-func TestHorizonShortTwinRunsAloneWhenLongIsCached(t *testing.T) {
+// When the long twins are already cached, each short twin misses and
+// runs its group: the 300-round runs happen once more, and the bytes
+// still match.
+func TestHorizonShortTwinRunsGroupWhenLongIsCached(t *testing.T) {
 	batches := horizonSpecs(100, 300)
 	specs := interleave(batches)
 	want, refRounds := horizonReference(t, batches)
@@ -215,12 +212,111 @@ func TestHorizonShortTwinRunsAloneWhenLongIsCached(t *testing.T) {
 	before := roundsRun(rt)
 	got := rt.runSpecs(specs)
 	checkSameResults(t, specs, got, want)
-	if n := roundsRun(rt) - before; n != refRounds[0] {
-		t.Errorf("the batch ran %d rounds, want the 100-round runs' %d", n, refRounds[0])
+	if n := roundsRun(rt) - before; n != refRounds[1] {
+		t.Errorf("the batch ran %d rounds, want the 300-round runs' %d", n, refRounds[1])
 	}
 	n := int64(len(batches[1]))
 	if st := rt.Stats(); st.Runs != 2*n || st.Hits != n {
 		t.Errorf("stats: %d runs, %d hits; want %d runs, %d hits", st.Runs, st.Hits, 2*n, n)
+	}
+}
+
+// twinSpecs is a static cell of the scenario at each budget.
+func twinSpecs(s ScenarioSpec, budgets ...int) []JobSpec {
+	specs := make([]JobSpec, len(budgets))
+	for i, h := range budgets {
+		s.MaxRounds = h
+		specs[i] = simSpec(s, staticContender(fl.Params{B: 8, E: 10, K: 20}, ""), 1)
+	}
+	return specs
+}
+
+// loneErrs is each spec's Err when it runs alone on a runtime of its
+// own, by key.
+func loneErrs(t *testing.T, specs []JobSpec) map[string]string {
+	t.Helper()
+	out := make(map[string]string)
+	for _, sp := range specs {
+		rt, err := NewRuntime(1, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := rt.RunJob(rt.Job(sp))
+		out[res.Key] = res.Err
+	}
+	return out
+}
+
+// Budget twins that fail validation each report, at one worker and at
+// four, the Err they report alone: twins of an invalid scenario all
+// fail, and a twin whose budget alone is out of range fails without
+// failing its valid twin, so no spec that fails validation is grouped.
+func TestHorizonInvalidTwinsFailAsAlone(t *testing.T) {
+	s := Tiny().apply(Ideal(workload.CNNMNIST()))
+	bad := s
+	bad.Fleet.Size = -5
+	for _, specs := range [][]JobSpec{
+		twinSpecs(bad, 100, 300),
+		twinSpecs(s, 100, maxSpecRounds+1),
+	} {
+		lone := loneErrs(t, specs)
+		if groups, _ := (&Runtime{}).horizonGroups(specs); groups != nil {
+			t.Errorf("%v: a spec that fails validation was grouped", lone)
+		}
+		for _, workers := range []int{1, 4} {
+			rt, err := NewRuntime(workers, "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(t.TempDir(), "store.jsonl")
+			if err := rt.StreamStore(path); err != nil {
+				t.Fatal(err)
+			}
+			func() {
+				defer func() {
+					if _, ok := recover().(*JobError); !ok {
+						t.Errorf("%d workers: the batch did not fail with a *JobError", workers)
+					}
+				}()
+				rt.runSpecs(specs)
+			}()
+			if err := rt.CloseStore(); err != nil {
+				t.Fatal(err)
+			}
+			got := readStoreLog(t, path)
+			for key, want := range lone {
+				if got[key].Err != want {
+					t.Errorf("%d workers: cell %s: Err %q, want its lone run's %q", workers, key, got[key].Err, want)
+				}
+			}
+		}
+	}
+}
+
+// A group whose run fails replays the run's panic to every member, at
+// one worker and at four, so each member reports the failed run's
+// error and none reads a result that was never made.
+func TestHorizonGroupReplaysFailure(t *testing.T) {
+	s := Tiny().apply(Ideal(workload.CNNMNIST()))
+	s.Fleet.Size = -5
+	specs := twinSpecs(s, 50, 100, 300)
+	lone := loneErrs(t, specs)
+	for _, workers := range []int{1, 4} {
+		rt, err := NewRuntime(workers, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := &horizonGroup{batch: specs, longest: 2, horizons: []int{50, 100, 300}}
+		jobs := make([]runtime.Job, len(specs))
+		for i, sp := range specs {
+			jobs[i] = rt.job(sp)
+			jobs[i].Run = func() runtime.Result { return g.run(rt, i) }
+		}
+		for _, res := range rt.exec.RunAll(jobs) {
+			if want := lone[res.Key]; res.Err == "" || res.Err != want {
+				t.Errorf("%d workers: cell %s: Err %q, want its lone run's %q", workers, res.Key, res.Err, want)
+			}
+		}
 	}
 }
 

@@ -332,7 +332,8 @@ func (e *JobError) Error() string { return fmt.Sprintf("exp: cell %s failed: %s"
 //
 // Cells that differ only in their round budget run as one (see
 // horizonGroup): their jobs run the group's body instead of Execute,
-// and the batch is dispatched longest members first.
+// so the first of them to start runs the group and the rest wait for
+// it, and the batch is dispatched longest members first.
 func (r *Runtime) runSpecs(specs []JobSpec) []runtime.Result {
 	groups, order := r.horizonGroups(specs)
 	jobs := make([]runtime.Job, len(specs))
@@ -443,13 +444,14 @@ func SweepStatic(o Options, s ScenarioSpec, params []fl.Params, seed int64) []fl
 // deployments, so a matrix sweep warms the report cache and vice
 // versa.
 //
-// Specs that differ only in their round budget (a matrix's rounds
-// axis) run each deployment once, at the longest budget, and read the
-// shorter budgets' results off that run at their rounds (see
-// horizonGroup); each is byte-identical to its own run and still
-// counts, and is cached, as a cell of its own. Such results may share
-// one History array, so no caller writes through or decodes into a
-// returned Result's slices or maps (see fl.Result).
+// On the in-process backend, specs that differ only in their round
+// budget (a matrix's rounds axis) run each deployment once, at the
+// longest budget, at any worker count, and read the shorter budgets'
+// results off that run at their rounds (see horizonGroup); each is
+// byte-identical to its own run and still counts, and is cached, as a
+// cell of its own. Such results share one History array, so no caller
+// writes through or decodes into a returned Result's slices or maps
+// (see fl.Result).
 func SweepScenarios(o Options, specs []ScenarioSpec, p fl.Params, seed int64) []fl.Result {
 	jobSpecs := make([]JobSpec, len(specs))
 	for i, s := range specs {

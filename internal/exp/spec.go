@@ -331,16 +331,16 @@ func (r *Runtime) Execute(sp JobSpec) runtime.Result {
 }
 
 // execute is Execute, also returning, for a plain simulation cell run
-// over horizons, its results at the shorter ones (see executeSim).
+// over horizons, its result at each of them (see executeSim).
 func (r *Runtime) execute(sp JobSpec, horizons []int) (runtime.Result, []fl.Result) {
 	if err := sp.validate(); err != nil {
 		panic(err.Error())
 	}
 	var res runtime.Result
-	var shorter []fl.Result
+	var sims []fl.Result
 	switch sp.Kind {
 	case KindSim:
-		res, shorter, _ = executeSim(r, sp, horizons)
+		res, sims, _ = executeSim(r, sp, horizons)
 	case KindQMem:
 		res = executeQMem(r, sp)
 	case KindOracle:
@@ -354,7 +354,7 @@ func (r *Runtime) execute(sp JobSpec, horizons []int) (runtime.Result, []fl.Resu
 	// result sharing its key carries the artifact out (the coordinator ships
 	// it fleet-wide). Observational only: Sim bytes are untouched.
 	r.attachBuiltSnapshot(sp, &res)
-	return res, shorter
+	return res, sims
 }
 
 // executeSim runs a simulation cell with per-job telemetry and returns
@@ -368,10 +368,11 @@ func (r *Runtime) execute(sp JobSpec, horizons []int) (runtime.Result, []fl.Resu
 // byte-identical to an uninstrumented run.
 //
 // With horizons (ascending round budgets, the last the spec's own), the
-// one run also returns its result at each shorter budget, byte-identical
-// to a run of the spec with that budget (fl.RunHorizons) and sharing
-// the History array of the spec's own result; its telemetry counts the
-// rounds it ran once.
+// one run also returns its result at each budget, byte-identical to a
+// run of the spec with that budget (fl.RunHorizons); the results share
+// one History array, the last is the returned Result's Sim, and the
+// returned Result's telemetry counts the rounds run once. Every member
+// of a horizon group reads its result from these (see horizonGroup).
 func executeSim(r *Runtime, sp JobSpec, horizons []int) (runtime.Result, []fl.Result, fl.Controller) {
 	col := telemetry.NewCollector()
 	t0 := time.Now()
@@ -382,17 +383,17 @@ func executeSim(r *Runtime, sp JobSpec, horizons []int) (runtime.Result, []fl.Re
 	cfg.StopAtConvergence = cfg.StopAtConvergence && sp.Kind != KindSec54
 	cfg.Telemetry = col
 	var res runtime.Result
-	var shorter []fl.Result
+	var sims []fl.Result
 	if horizons == nil {
 		res.Sim = fl.Run(cfg, ctrl)
 	} else {
-		sims := fl.RunHorizons(cfg, ctrl, horizons)
-		res.Sim, shorter = sims[len(sims)-1], sims[:len(sims)-1]
+		sims = fl.RunHorizons(cfg, ctrl, horizons)
+		res.Sim = sims[len(sims)-1]
 	}
 	r.publishTrace(sp, traced)
 	m := col.Snapshot()
 	res.Telemetry = &m
-	return res, shorter, ctrl
+	return res, sims, ctrl
 }
 
 // traceTarget enables decision tracing on the controller when the spec

@@ -276,30 +276,42 @@ func TestDecodeJobSpecRejectsUnboundedResources(t *testing.T) {
 
 // FuzzDecodeJobSpec throws arbitrary bytes at the worker's spec
 // decoder. It must never panic, neither while decoding nor while the
-// worker keys the decoded spec (Job.Key, before anything runs), and a
-// spec it accepts must survive its own round trip: re-encoding it
-// decodes to the same cell, and that re-encoding is a fixed point.
+// worker compiles and keys the decoded spec (Runtime.Job, before
+// anything runs); the compiled job must address the spec's own key,
+// or RunRequest would refuse it; and a spec it accepts must survive
+// its own round trip: re-encoding it decodes to the same cell, and
+// that re-encoding is a fixed point.
 func FuzzDecodeJobSpec(f *testing.F) {
 	scenario := Tiny().apply(Ideal(workload.CNNMNIST()))
 	oracle := oracleSpec(scenario, Tiny(), 40)
 	sec54 := simSpec(scenario, fedgpoColdContender(), 2)
 	sec54.Kind, sec54.Trace = KindSec54, telemetry.TraceDecisions
 	for _, sp := range []JobSpec{
-		simSpec(scenario, staticContender(fl.Params{B: 8, E: 10, K: 20}, "Fixed"), 1),
-		simSpec(scenario, fedgpoWarmContender(scenario), 1),
 		simSpec(scenario, ContenderSpec{Type: ContABS, Name: "ABS", CtrlSeed: 1}, 3),
 		oracle, sec54,
 	} {
 		f.Add([]byte(EncodeJobSpec(sp)))
 	}
+	for _, build := range []func(workload.Workload) ScenarioSpec{Ideal, Realistic, NonIIDScenario} {
+		s := Tiny().apply(build(workload.CNNMNIST()))
+		f.Add([]byte(EncodeJobSpec(simSpec(s, staticContender(fl.Params{B: 8, E: 10, K: 20}, "Fixed"), 1))))
+		f.Add([]byte(EncodeJobSpec(simSpec(s, fedgpoWarmContender(s), 1))))
+	}
 	f.Add([]byte(`{"kind":"sim","scenario":{},"contender":{"type":"static"}}`))
 	f.Add([]byte(`{"kind":"sim","scenario":{"maxRounds":-1},"contender":{"type":"abs"}}`))
+	rt, err := NewRuntime(1, "")
+	if err != nil {
+		f.Fatal(err)
+	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		sp, err := DecodeJobSpec(b)
 		if err != nil {
 			return
 		}
 		key := sp.Key()
+		if got := rt.Job(sp).Key(); got != key {
+			t.Fatalf("compiled job addresses %q, its spec %q", got, key)
+		}
 		enc := EncodeJobSpec(sp)
 		back, err := DecodeJobSpec(enc)
 		if err != nil {
