@@ -69,18 +69,19 @@ type groupKey struct {
 	seed int64
 }
 
-// horizonGroups finds a batch's horizon groups and returns, by batch
-// index, each spec's group (nil for a spec in none) and the order to
-// dispatch the batch in: every group's longest member first, spread
-// over their environments (spreadEnvironments), then the rest in
-// batch order. Only a batch whose plain simulation cells
-// use more than one round budget (a sweep with a rounds axis; never a
-// report batch) has groups, so any other returns nil, nil after one
-// pass over the specs. Traced cells are never grouped, since a trace
-// records one run's decisions, and neither are invalid ones: a group
-// runs its longest member's spec, so an invalid member runs alone and
-// fails with its own error.
-func (r *Runtime) horizonGroups(specs []JobSpec) ([]*horizonGroup, []int) {
+// horizonGroups finds a batch's horizon groups among its compiled
+// jobs (Runtime.Job, by batch index) and returns, by batch index, each
+// spec's group (nil for a spec in none) and the order to dispatch the
+// batch in: every group's longest member first, spread over their
+// environments (spreadEnvironments), then the rest in batch order.
+// Only a batch whose plain simulation cells use more than one round
+// budget (a sweep with a rounds axis; never a report batch) has
+// groups, so any other returns nil, nil after one pass over the specs.
+// Traced cells are never grouped, since a trace records one run's
+// decisions, and neither are invalid ones: their jobs are of kind
+// kindInvalid, not plain simulation cells, so each fails alone with
+// its own error.
+func (r *Runtime) horizonGroups(specs []JobSpec, jobs []runtime.Job) ([]*horizonGroup, []int) {
 	if r.traceLevel != "" || !mixedBudgets(specs) {
 		return nil, nil
 	}
@@ -88,12 +89,12 @@ func (r *Runtime) horizonGroups(specs []JobSpec) ([]*horizonGroup, []int) {
 	var groups []*horizonGroup
 	of := make([]*horizonGroup, len(specs))
 	for i, sp := range specs {
-		if sp.Kind != KindSim || sp.Trace != "" || sp.validate() != nil {
+		if jobs[i].Kind != KindSim || sp.Trace != "" {
 			continue
 		}
 		s := sp.Scenario
 		s.Name, s.MaxRounds = "", 0
-		k := groupKey{s, sp.controllerKey(), sp.Seed}
+		k := groupKey{s, jobs[i].Controller, sp.Seed}
 		g := byKey[k]
 		if g == nil {
 			g = &horizonGroup{batch: specs, longest: i}
@@ -155,7 +156,8 @@ func spreadEnvironments(specs []JobSpec, order []int) {
 	rank := make([]int, len(specs))
 	for _, i := range order {
 		s := specs[i].Scenario
-		e := environment{specs[i].Seed, s.Fleet.Composition().Total(), s.Interference.Model()}
+		intf, _ := s.Interference.resolve()
+		e := environment{specs[i].Seed, s.Fleet.Composition().Total(), intf}
 		rank[i] = nth[e]
 		nth[e]++
 	}

@@ -231,6 +231,15 @@ func twinSpecs(s ScenarioSpec, budgets ...int) []JobSpec {
 	return specs
 }
 
+// groupsOf is rt.horizonGroups of the batch's compiled jobs.
+func groupsOf(rt *Runtime, specs []JobSpec) ([]*horizonGroup, []int) {
+	jobs := make([]runtime.Job, len(specs))
+	for i, sp := range specs {
+		jobs[i] = rt.Job(sp)
+	}
+	return rt.horizonGroups(specs, jobs)
+}
+
 // loneErrs is each spec's Err when it runs alone on a runtime of its
 // own, by key.
 func loneErrs(t *testing.T, specs []JobSpec) map[string]string {
@@ -251,16 +260,21 @@ func loneErrs(t *testing.T, specs []JobSpec) map[string]string {
 // four, the Err they report alone: twins of an invalid scenario all
 // fail, and a twin whose budget alone is out of range fails without
 // failing its valid twin, so no spec that fails validation is grouped.
+// An unknown kind fails the same way, never while the batch's keys are
+// built.
 func TestHorizonInvalidTwinsFailAsAlone(t *testing.T) {
 	s := Tiny().apply(Ideal(workload.CNNMNIST()))
 	bad := s
 	bad.Fleet.Size = -5
+	bogus := s
+	bogus.Interference.Kind = "bogus"
 	for _, specs := range [][]JobSpec{
 		twinSpecs(bad, 100, 300),
 		twinSpecs(s, 100, maxSpecRounds+1),
+		twinSpecs(bogus, 100, 300),
 	} {
 		lone := loneErrs(t, specs)
-		if groups, _ := (&Runtime{}).horizonGroups(specs); groups != nil {
+		if groups, _ := groupsOf(&Runtime{}, specs); groups != nil {
 			t.Errorf("%v: a spec that fails validation was grouped", lone)
 		}
 		for _, workers := range []int{1, 4} {
@@ -295,26 +309,28 @@ func TestHorizonInvalidTwinsFailAsAlone(t *testing.T) {
 
 // A group whose run fails replays the run's panic to every member, at
 // one worker and at four, so each member reports the failed run's
-// error and none reads a result that was never made.
+// error and none reads a result that was never made. An invalid spec's
+// job is never grouped, so the group here runs specs whose scenario
+// fails in Config under its valid twins' keys.
 func TestHorizonGroupReplaysFailure(t *testing.T) {
 	s := Tiny().apply(Ideal(workload.CNNMNIST()))
-	s.Fleet.Size = -5
-	specs := twinSpecs(s, 50, 100, 300)
-	lone := loneErrs(t, specs)
+	bad := s
+	bad.Fleet.Size = -5
+	want := bad.Validate().Error()
 	for _, workers := range []int{1, 4} {
 		rt, err := NewRuntime(workers, "")
 		if err != nil {
 			t.Fatal(err)
 		}
-		g := &horizonGroup{batch: specs, longest: 2, horizons: []int{50, 100, 300}}
-		jobs := make([]runtime.Job, len(specs))
-		for i, sp := range specs {
-			jobs[i] = rt.job(sp)
+		g := &horizonGroup{batch: twinSpecs(bad, 50, 100, 300), longest: 2, horizons: []int{50, 100, 300}}
+		jobs := make([]runtime.Job, len(g.batch))
+		for i, sp := range twinSpecs(s, 50, 100, 300) {
+			jobs[i] = rt.Job(sp)
 			jobs[i].Run = func() runtime.Result { return g.run(rt, i) }
 		}
 		for _, res := range rt.exec.RunAll(jobs) {
-			if want := lone[res.Key]; res.Err == "" || res.Err != want {
-				t.Errorf("%d workers: cell %s: Err %q, want its lone run's %q", workers, res.Key, res.Err, want)
+			if res.Err != want {
+				t.Errorf("%d workers: cell %s: Err %q, want the group run's %q", workers, res.Key, res.Err, want)
 			}
 		}
 	}
@@ -336,7 +352,7 @@ func TestHorizonTracedBatchIsNotGrouped(t *testing.T) {
 	if n := roundsRun(rt); n != refRounds[0]+refRounds[1] {
 		t.Errorf("the traced batch ran %d rounds, want every cell's %d", n, refRounds[0]+refRounds[1])
 	}
-	if groups, order := rt.horizonGroups(specs); groups != nil || order != nil {
+	if groups, order := groupsOf(rt, specs); groups != nil || order != nil {
 		t.Error("a traced runtime grouped a batch")
 	}
 	traced := append([]JobSpec(nil), specs...)
@@ -347,7 +363,7 @@ func TestHorizonTracedBatchIsNotGrouped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if groups, order := plain.horizonGroups(traced); groups != nil || order != nil {
+	if groups, order := groupsOf(plain, traced); groups != nil || order != nil {
 		t.Error("a batch of traced specs was grouped")
 	}
 }
@@ -360,7 +376,7 @@ func TestHorizonGroupsPairOnlyBudgetTwins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if groups, order := rt.horizonGroups(horizonSpecs(100)[0]); groups != nil || order != nil {
+	if groups, order := groupsOf(rt, horizonSpecs(100)[0]); groups != nil || order != nil {
 		t.Error("a one-budget batch was grouped")
 	}
 	s := Tiny().apply(Ideal(workload.CNNMNIST()))
@@ -379,7 +395,7 @@ func TestHorizonGroupsPairOnlyBudgetTwins(t *testing.T) {
 		simSpec(named, static, 1),                     // 5: a label is display only
 		{Kind: KindSec54, Scenario: at(s, 100), Contender: fedgpoColdContender(), Seed: 1},
 	}
-	groups, order := rt.horizonGroups(specs)
+	groups, order := groupsOf(rt, specs)
 	if groups == nil {
 		t.Fatal("no groups")
 	}
@@ -415,7 +431,7 @@ func TestHorizonLongestMembersSpreadOverEnvironments(t *testing.T) {
 	}
 	// Batch order: fleet 20 (none 100, none 300, auto 100, auto 300),
 	// then fleet 30 the same. The fleet sets the environment.
-	_, order := rt.horizonGroups(specs)
+	_, order := groupsOf(rt, specs)
 	if want := []int{1, 5, 3, 7, 0, 2, 4, 6}; !reflect.DeepEqual(order, want) {
 		t.Errorf("dispatch order %v, want %v", order, want)
 	}
@@ -440,7 +456,7 @@ func TestHorizonSpreadIgnoresChannel(t *testing.T) {
 	}
 	// Batch order: fleet 20 (stable 100, stable 300, unstable 100,
 	// unstable 300), then fleet 30 the same.
-	_, order := rt.horizonGroups(specs)
+	_, order := groupsOf(rt, specs)
 	if want := []int{1, 5, 3, 7, 0, 2, 4, 6}; !reflect.DeepEqual(order, want) {
 		t.Errorf("dispatch order %v, want %v", order, want)
 	}

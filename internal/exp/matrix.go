@@ -6,8 +6,6 @@ import (
 	"strings"
 
 	"fedgpo/internal/device"
-	"fedgpo/internal/interfere"
-	"fedgpo/internal/netsim"
 	"fedgpo/internal/workload"
 )
 
@@ -106,7 +104,8 @@ func ScenarioMatrix(w workload.Workload, matrix string) ([]ScenarioSpec, error) 
 	return specs, nil
 }
 
-// applyAxis sets one axis value on a spec.
+// applyAxis sets one axis value on a spec. It parses numbers; kind
+// names are ScenarioSpec.Validate's to check.
 func applyAxis(s *ScenarioSpec, name, v string) error {
 	switch name {
 	case "fleet":
@@ -123,9 +122,6 @@ func applyAxis(s *ScenarioSpec, name, v string) error {
 		s.Partition = PartitionSpec{Kind: PartitionDirichlet, Alpha: alpha, Seed: nonIIDPartitionSeed}
 		return nil
 	case "net":
-		if _, ok := netsim.ChannelByName(v); !ok {
-			return fmt.Errorf("exp: matrix net %q: want %s or %s", v, netsim.KindStable, netsim.KindUnstable)
-		}
 		s.Network = NetworkSpec{Kind: v}
 		return nil
 	case "intf":
@@ -134,9 +130,6 @@ func applyAxis(s *ScenarioSpec, name, v string) error {
 			return nil
 		}
 		kind, fracStr, hasFrac := strings.Cut(v, "@")
-		if _, ok := interfere.ProfileByName(kind); !ok {
-			return fmt.Errorf("exp: matrix intf %q: want %s, a co-runner profile name, or name@fraction", v, IntfNone)
-		}
 		spec := InterferenceSpec{Kind: kind}
 		if hasFrac {
 			frac, err := strconv.ParseFloat(fracStr, 64)

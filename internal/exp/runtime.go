@@ -313,10 +313,12 @@ type cell struct {
 
 // JobError is the panic value of a failed cell: runSpecs raises it
 // after the rest of the batch drained, and the CLIs recover it (and
-// nothing else) into one error line.
+// nothing else) into one error line. A spec that fails validation is
+// such a cell too, under a key of its own (see Runtime.Job).
 type JobError struct {
 	// Key is the failed cell's canonical key; Err its Result.Err (a
-	// panic message, or the endpoint error that left it unrun).
+	// panic message, a validation error, or the endpoint error that
+	// left it unrun).
 	Key, Err string
 }
 
@@ -328,25 +330,28 @@ func (e *JobError) Error() string { return fmt.Sprintf("exp: cell %s failed: %s"
 // responses do not carry it). It records the results in the store and
 // panics with a *JobError on job failure — matching fl.Run's
 // panic-on-invalid-config semantics while still letting the rest of
-// the batch drain.
+// the batch drain. Every spec is checked as Job compiles it, so an
+// invalid spec fails as a cell of its own and never panics here before
+// the batch runs.
 //
 // Cells that differ only in their round budget run as one (see
-// horizonGroup): their jobs run the group's body instead of Execute,
+// horizonGroup): their jobs run the group's body instead of execute,
 // so the first of them to start runs the group and the rest wait for
 // it, and the batch is dispatched longest members first.
 func (r *Runtime) runSpecs(specs []JobSpec) []runtime.Result {
-	groups, order := r.horizonGroups(specs)
 	jobs := make([]runtime.Job, len(specs))
 	for i, sp := range specs {
-		if groups != nil && groups[i] != nil {
-			g := groups[i]
-			jobs[i] = r.job(sp)
+		jobs[i] = r.Job(sp)
+	}
+	groups, order := r.horizonGroups(specs, jobs)
+	for i, g := range groups {
+		if g != nil {
 			jobs[i].Run = func() runtime.Result { return g.run(r, i) }
-		} else {
-			jobs[i] = r.Job(sp)
 		}
-		if r.onJob != nil {
-			r.onJob(jobs[i])
+	}
+	if r.onJob != nil {
+		for _, j := range jobs {
+			r.onJob(j)
 		}
 	}
 	var results []runtime.Result

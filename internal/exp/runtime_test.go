@@ -125,7 +125,7 @@ func TestFreshPretrainSnapshotSerializedOnce(t *testing.T) {
 	}
 	s := Tiny().apply(Ideal(workload.CNNMNIST()))
 	sp := simSpec(s, fedgpoWarmContender(s), 1)
-	res := rt.Execute(sp)
+	res, _ := rt.execute(sp, nil)
 	key := snapshotKey(sp)
 	if len(res.Snaps) != 1 || res.Snaps[0].Key != key {
 		t.Fatalf("fresh warm-up carried %d artifacts, want one under %q", len(res.Snaps), key)

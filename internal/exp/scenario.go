@@ -17,10 +17,12 @@ package exp
 
 import (
 	"bytes"
+	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math"
 	"reflect"
 	"sync"
 
@@ -162,8 +164,8 @@ func (p PartitionSpec) Validate() error {
 		return fmt.Errorf("exp: unknown partition kind %q (valid: %s, %s)",
 			p.Kind, PartitionIID, PartitionDirichlet)
 	}
-	if p.Alpha < 0 {
-		return fmt.Errorf("exp: Dirichlet alpha must be non-negative, got %g", p.Alpha)
+	if !finiteNonNegative(p.Alpha) {
+		return fmt.Errorf("exp: Dirichlet alpha must be finite and non-negative, got %g", p.Alpha)
 	}
 	return nil
 }
@@ -190,15 +192,19 @@ type NetworkSpec struct {
 	FloorMbps float64 `json:"floorMbps,omitempty"`
 }
 
-// Channel resolves the spec into the concrete channel model.
-func (n NetworkSpec) Channel() netsim.Channel {
-	kind := n.Kind
-	if kind == "" {
-		kind = netsim.KindStable
-	}
+// resolve returns the channel model the spec names, or an error for
+// an unknown kind or an override that is negative, NaN or infinite. It
+// is the spec's one check: Validate, keys and Config all resolve.
+func (n NetworkSpec) resolve() (netsim.Channel, error) {
+	kind := cmp.Or(n.Kind, netsim.KindStable)
 	ch, ok := netsim.ChannelByName(kind)
 	if !ok {
-		panic("exp: unknown network kind " + kind)
+		return ch, fmt.Errorf("exp: unknown network kind %q (valid: %s, %s)",
+			n.Kind, netsim.KindStable, netsim.KindUnstable)
+	}
+	if !finiteNonNegative(n.MeanMbps) || !finiteNonNegative(n.StdMbps) || !finiteNonNegative(n.FloorMbps) {
+		return ch, fmt.Errorf("exp: network overrides must be finite and non-negative, got mean %g, std %g, floor %g",
+			n.MeanMbps, n.StdMbps, n.FloorMbps)
 	}
 	if n.MeanMbps > 0 {
 		ch.MeanMbps = n.MeanMbps
@@ -209,27 +215,12 @@ func (n NetworkSpec) Channel() netsim.Channel {
 	if n.FloorMbps > 0 {
 		ch.FloorMbps = n.FloorMbps
 	}
-	return ch
+	return ch, nil
 }
 
-// Validate reports malformed network specs.
-func (n NetworkSpec) Validate() error {
-	if n.Kind != "" {
-		if _, ok := netsim.ChannelByName(n.Kind); !ok {
-			return fmt.Errorf("exp: unknown network kind %q (valid: %s, %s)",
-				n.Kind, netsim.KindStable, netsim.KindUnstable)
-		}
-	}
-	if n.MeanMbps < 0 || n.StdMbps < 0 || n.FloorMbps < 0 {
-		return fmt.Errorf("exp: network overrides must be non-negative")
-	}
-	return nil
-}
-
-// key is the sub-spec's canonical cache-key contribution: the resolved
-// channel parameters, so a "stable" spec and an explicit spec with the
-// same numbers share cache entries.
-func (n NetworkSpec) key() string { return n.Channel().Key() }
+// finiteNonNegative reports whether v is a finite number at least 0:
+// false for NaN and ±Inf, which pass every plain comparison with 0.
+func finiteNonNegative(v float64) bool { return v >= 0 && v <= math.MaxFloat64 }
 
 // IntfNone names the interference-free spec kind.
 const IntfNone = "none"
@@ -246,40 +237,28 @@ type InterferenceSpec struct {
 	ActiveFraction float64 `json:"activeFraction,omitempty"`
 }
 
-// Model resolves the spec into the concrete interference model.
-func (i InterferenceSpec) Model() interfere.Model {
+// resolve returns the interference model the spec names, or an error
+// for an unknown kind or an active fraction outside [0, 1] (NaN
+// included). It is the spec's one check, like NetworkSpec.resolve.
+func (i InterferenceSpec) resolve() (interfere.Model, error) {
+	if !(i.ActiveFraction >= 0 && i.ActiveFraction <= 1) {
+		return interfere.Model{}, fmt.Errorf("exp: interference active fraction must be in [0, 1], got %g",
+			i.ActiveFraction)
+	}
 	if i.Kind == "" || i.Kind == IntfNone {
-		return interfere.None()
+		return interfere.None(), nil
 	}
 	prof, ok := interfere.ProfileByName(i.Kind)
 	if !ok {
-		panic("exp: unknown interference kind " + i.Kind)
+		return interfere.Model{}, fmt.Errorf("exp: unknown interference kind %q (valid: %s, %s, %s)",
+			i.Kind, IntfNone, interfere.WebBrowsing().Name, interfere.HeavyGame().Name)
 	}
 	frac := i.ActiveFraction
 	if frac == 0 {
 		frac = interfere.Paper().ActiveFraction
 	}
-	return interfere.Model{Profile: prof, ActiveFraction: frac}
+	return interfere.Model{Profile: prof, ActiveFraction: frac}, nil
 }
-
-// Validate reports malformed interference specs.
-func (i InterferenceSpec) Validate() error {
-	if i.Kind != "" && i.Kind != IntfNone {
-		if _, ok := interfere.ProfileByName(i.Kind); !ok {
-			return fmt.Errorf("exp: unknown interference kind %q (valid: %s, %s, %s)",
-				i.Kind, IntfNone, interfere.WebBrowsing().Name, interfere.HeavyGame().Name)
-		}
-	}
-	if i.ActiveFraction < 0 || i.ActiveFraction > 1 {
-		return fmt.Errorf("exp: interference active fraction must be in [0, 1], got %g",
-			i.ActiveFraction)
-	}
-	return nil
-}
-
-// key is the sub-spec's canonical cache-key contribution: the resolved
-// model parameters.
-func (i InterferenceSpec) key() string { return i.Model().Key() }
 
 // Deadline policy kinds.
 const (
@@ -314,14 +293,21 @@ type DeadlineSpec struct {
 	SlackSec float64 `json:"slackSec,omitempty"`
 }
 
-// SecondsFor resolves the policy into the absolute round deadline for
-// a workload (0 = no deadline).
-func (d DeadlineSpec) SecondsFor(w workload.Workload) float64 {
+// resolve returns the absolute round deadline the spec sets for a
+// workload (0 = no deadline), or an error for an unknown kind, a
+// parameter that is negative, NaN or infinite, or a deadline that
+// resolves to no finite number. It is the spec's one check, like
+// NetworkSpec.resolve.
+func (d DeadlineSpec) resolve(w workload.Workload) (float64, error) {
+	if !finiteNonNegative(d.Seconds) || !finiteNonNegative(d.Margin) || !finiteNonNegative(d.SlackSec) {
+		return 0, fmt.Errorf("exp: deadline parameters must be finite and non-negative, got seconds %g, margin %g, slack %g",
+			d.Seconds, d.Margin, d.SlackSec)
+	}
+	var sec float64
 	switch d.Kind {
 	case "", DeadlineNone:
-		return 0
 	case DeadlineFixed:
-		return d.Seconds
+		sec = d.Seconds
 	case DeadlineAuto:
 		margin, slack := d.Margin, d.SlackSec
 		if margin == 0 {
@@ -330,24 +316,15 @@ func (d DeadlineSpec) SecondsFor(w workload.Workload) float64 {
 		if slack == 0 {
 			slack = autoDeadlineSlackSec
 		}
-		return margin*cleanLowRoundSec(w) + slack
+		sec = margin*cleanLowRoundSec(w) + slack
 	default:
-		panic("exp: unknown deadline kind " + d.Kind)
-	}
-}
-
-// Validate reports malformed deadline specs.
-func (d DeadlineSpec) Validate() error {
-	switch d.Kind {
-	case "", DeadlineNone, DeadlineFixed, DeadlineAuto:
-	default:
-		return fmt.Errorf("exp: unknown deadline kind %q (valid: %s, %s, %s)",
+		return 0, fmt.Errorf("exp: unknown deadline kind %q (valid: %s, %s, %s)",
 			d.Kind, DeadlineNone, DeadlineFixed, DeadlineAuto)
 	}
-	if d.Seconds < 0 || d.Margin < 0 || d.SlackSec < 0 {
-		return fmt.Errorf("exp: deadline parameters must be non-negative")
+	if !finiteNonNegative(sec) {
+		return 0, fmt.Errorf("exp: deadline resolves to %g seconds", sec)
 	}
-	return nil
+	return sec, nil
 }
 
 // cleanLowRoundSec is the auto deadline policy's reference: the
@@ -360,9 +337,12 @@ func cleanLowRoundSec(w workload.Workload) float64 {
 	if w.RCLayers > 0 {
 		refE = 20
 	}
-	low := device.Profiles()[device.Low]
-	return device.ComputeSeconds(&low, w.Shape, 8, refE, w.SamplesPerDevice, device.Interference{})
+	return device.ComputeSeconds(&lowProfile, w.Shape, 8, refE, w.SamplesPerDevice, device.Interference{})
 }
+
+// lowProfile is the low-end device profile, built once: device.Profiles
+// builds a map on every call, and every spec check reads this one.
+var lowProfile = device.Profiles()[device.Low]
 
 // ScenarioSpec is the declarative, serializable description of one
 // deployment: the workload plus composable sub-specs for fleet
@@ -392,15 +372,17 @@ type ScenarioSpec struct {
 }
 
 // Validate reports malformed scenario specs, checking the workload and
-// every sub-spec so a bad wire spec fails at decode time rather than
-// mid-job.
+// every sub-spec so a bad spec fails at decode time, or as its job
+// compiles (Runtime.Job), rather than mid-job.
 func (s ScenarioSpec) Validate() error {
 	if s.MaxRounds < 0 || s.MaxRounds > maxSpecRounds {
 		return fmt.Errorf("exp: MaxRounds must be in [0, %d], got %d", maxSpecRounds, s.MaxRounds)
 	}
+	_, netErr := s.Network.resolve()
+	_, intfErr := s.Interference.resolve()
+	_, deadlineErr := s.Deadline.resolve(s.Workload)
 	for _, err := range []error{
-		s.Workload.Validate(), s.Fleet.Validate(), s.Partition.Validate(),
-		s.Network.Validate(), s.Interference.Validate(), s.Deadline.Validate(),
+		s.Workload.Validate(), s.Fleet.Validate(), s.Partition.Validate(), netErr, intfErr, deadlineErr,
 	} {
 		if err != nil {
 			return err
@@ -443,13 +425,25 @@ func (s ScenarioSpec) cacheKey() string {
 	return scenarioKeys.get(s, ScenarioSpec.buildCacheKey)
 }
 
-// buildCacheKey is cacheKey without the memo.
+// buildCacheKey is cacheKey without the memo. The channel and the
+// interference model contribute their resolved parameters, so a
+// "stable" spec and an explicit spec with the same numbers share cache
+// entries.
 func (s ScenarioSpec) buildCacheKey() string {
 	s = positiveZeros(s)
+	ch, intf, deadline := s.models()
 	return fmt.Sprintf("%s/fleet=%s/rounds=%d/part=%s/net=%s/intf=%s/deadline=%g/agg=%d",
 		workloadKey(s.Workload), s.Fleet.key(), s.rounds(), s.Partition.key(),
-		s.Network.key(), s.Interference.key(),
-		s.Deadline.SecondsFor(s.Workload), aggregationOverheadSec)
+		ch.Key(), intf.Key(), deadline, aggregationOverheadSec)
+}
+
+// models resolves the network, interference and deadline sub-specs of
+// a spec that passed Validate, so none of them fails.
+func (s ScenarioSpec) models() (netsim.Channel, interfere.Model, float64) {
+	ch, _ := s.Network.resolve()
+	intf, _ := s.Interference.resolve()
+	deadline, _ := s.Deadline.resolve(s.Workload)
+	return ch, intf, deadline
 }
 
 // workloadKey names a workload by its name and a digest of its
@@ -542,14 +536,15 @@ func (s ScenarioSpec) Config(seed int64) fl.Config {
 	part := fl.SharedPartition(fl.PartitionKey{
 		Spec: s.Partition.key(), Devices: n, Classes: w.NumClasses, SamplesPerDevice: w.SamplesPerDevice,
 	}, func() data.Partition { return s.Partition.Materialize(n, w) })
+	ch, intf, deadline := s.models()
 	return fl.Config{
 		Workload:               s.Workload,
 		Fleet:                  fleet,
 		Partition:              part,
-		Channel:                s.Network.Channel(),
-		Interference:           s.Interference.Model(),
+		Channel:                ch,
+		Interference:           intf,
 		MaxRounds:              s.rounds(),
-		DeadlineSec:            s.Deadline.SecondsFor(s.Workload),
+		DeadlineSec:            deadline,
 		AggregationOverheadSec: aggregationOverheadSec,
 		Seed:                   seed,
 		StopAtConvergence:      true,

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"encoding/json"
+	"math"
 	"reflect"
 	"strconv"
 	"strings"
@@ -48,7 +49,10 @@ func TestPresetSpecsMatchLegacyAssembly(t *testing.T) {
 			AggregationOverheadSec: 30, Seed: 7, StopAtConvergence: true,
 		}
 	}
-	autoDeadline := DeadlineSpec{Kind: DeadlineAuto}.SecondsFor(w)
+	autoDeadline, err := DeadlineSpec{Kind: DeadlineAuto}.resolve(w)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		spec ScenarioSpec
 		want fl.Config
@@ -165,15 +169,36 @@ func TestScenarioSpecValidation(t *testing.T) {
 		"negative rounds":    {Workload: w, MaxRounds: -1},
 		"empty fleet":        {Workload: w, Fleet: FleetSpec{Mix: device.FleetComposition{}, Size: -1}},
 	}
+	// NaN and ±Inf pass every plain comparison with 0, and no JSON
+	// encoder takes them: each float field must reject all three.
+	for name, v := range map[string]float64{"NaN": math.NaN(), "+Inf": math.Inf(1), "-Inf": math.Inf(-1)} {
+		for field, set := range map[string]func(*ScenarioSpec){
+			"alpha":           func(s *ScenarioSpec) { s.Partition = PartitionSpec{Kind: PartitionDirichlet, Alpha: v} },
+			"net mean":        func(s *ScenarioSpec) { s.Network.MeanMbps = v },
+			"net std":         func(s *ScenarioSpec) { s.Network.StdMbps = v },
+			"net floor":       func(s *ScenarioSpec) { s.Network.FloorMbps = v },
+			"active fraction": func(s *ScenarioSpec) { s.Interference = InterferenceSpec{Kind: "web-browsing", ActiveFraction: v} },
+			"deadline":        func(s *ScenarioSpec) { s.Deadline = DeadlineSpec{Kind: DeadlineFixed, Seconds: v} },
+			"margin":          func(s *ScenarioSpec) { s.Deadline = DeadlineSpec{Kind: DeadlineAuto, Margin: v} },
+			"slack":           func(s *ScenarioSpec) { s.Deadline = DeadlineSpec{Kind: DeadlineAuto, SlackSec: v} },
+		} {
+			s := ScenarioSpec{Workload: w}
+			set(&s)
+			bad[field+" "+name] = s
+		}
+	}
 	for label, s := range bad {
 		if err := s.Validate(); err == nil {
 			t.Errorf("%s: Validate should fail", label)
 		}
-		if _, err := DecodeJobSpec(EncodeJobSpec(JobSpec{
-			Kind: KindSim, Scenario: s,
-			Contender: staticContender(fl.Params{B: 8, E: 10, K: 20}, ""),
-		})); err == nil {
-			t.Errorf("%s: DecodeJobSpec should reject the malformed scenario", label)
+		sp := JobSpec{Kind: KindSim, Scenario: s, Contender: staticContender(fl.Params{B: 8, E: 10, K: 20}, "")}
+		if b, err := json.Marshal(sp); err == nil {
+			if _, err := DecodeJobSpec(b); err == nil {
+				t.Errorf("%s: DecodeJobSpec should reject the malformed scenario", label)
+			}
+		}
+		if j := (&Runtime{}).Job(sp); j.Kind != kindInvalid {
+			t.Errorf("%s: compiled as a %q job, want %q", label, j.Kind, kindInvalid)
 		}
 	}
 	// A malformed workload is caught at decode time too, on both
@@ -360,6 +385,58 @@ func FuzzDecodeScenarios(f *testing.F) {
 			// property.
 			if s.Fleet.Composition().Total()*s.Workload.NumClasses <= 1<<18 {
 				s.Config(1)
+			}
+		}
+	})
+}
+
+// FuzzScenarioMatrix feeds arbitrary strings to the -matrix parser: it
+// either errors or returns specs that each validate, encode as a job
+// spec without a panic, and compile (Runtime.Job) into a job of their
+// own key. A string that may name more than 64 cells is skipped, so an
+// execution costs a few specs, not a maximal matrix.
+func FuzzScenarioMatrix(f *testing.F) {
+	for _, m := range []string{
+		"fleet=20;alpha=iid;net=stable;rounds=10",
+		"fleet=20;rounds=10",
+		"fleet=20;alpha=iid,0.5;net=stable,unstable;rounds=60",
+		"fleet=20;alpha=iid,0.5;net=stable,unstable;rounds=30,60",
+		"fleet=20;intf=none,web-browsing;net=stable,unstable",
+		// The benchmark's sweep-matrix workload (216 cells, skipped as
+		// a whole; its mutations are not).
+		"fleet=50,100,200;alpha=iid,0.1,0.5;net=stable,unstable;intf=none,web-browsing,heavy-game@0.3;deadline=none,auto;rounds=100,300",
+		"fleet=20;rounds=10;alpha=NaN",
+		"fleet=20;rounds=10;deadline=Inf",
+		"fleet=20;rounds=10;intf=web-browsing@NaN",
+	} {
+		f.Add(m)
+	}
+	rt, err := NewRuntime(1, "")
+	if err != nil {
+		f.Fatal(err)
+	}
+	w := workload.CNNMNIST()
+	f.Fuzz(func(t *testing.T, matrix string) {
+		cells := 1
+		for _, axis := range strings.Split(matrix, ";") {
+			if cells *= strings.Count(axis, ",") + 1; cells > 64 {
+				t.Skip("more than 64 cells")
+			}
+		}
+		specs, err := ScenarioMatrix(w, matrix)
+		if err != nil {
+			return
+		}
+		for _, s := range specs {
+			if err := s.Validate(); err != nil {
+				t.Fatalf("matrix %q: spec %q fails Validate: %v", matrix, s.Name, err)
+			}
+			for _, c := range []ContenderSpec{staticContender(fl.Params{B: 8, E: 10, K: 20}, ""), fedgpoWarmContender(s)} {
+				sp := simSpec(s, c, 1)
+				EncodeJobSpec(sp)
+				if j := rt.Job(sp); j.Kind != KindSim || j.Key() != sp.Key() {
+					t.Fatalf("matrix %q: spec %q compiles as %q", matrix, s.Name, j.Key())
+				}
 			}
 		}
 	})

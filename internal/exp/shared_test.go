@@ -38,7 +38,7 @@ func TestSharedFleetAndPartitionStayUnchanged(t *testing.T) {
 		{Type: ContFedEX, Name: "FedEX", CtrlSeed: 1},
 		{Type: ContABS, Name: "ABS", CtrlSeed: 1},
 	} {
-		if res := rt.Execute(simSpec(s, c, 1)); res.Err != "" {
+		if res, _ := rt.execute(simSpec(s, c, 1), nil); res.Err != "" {
 			t.Fatalf("%s: %s", c.Type, res.Err)
 		}
 		again := s.Config(1)

@@ -66,56 +66,91 @@ type ContenderSpec struct {
 	CtrlSeed int64 `json:"ctrlSeed,omitempty"`
 }
 
-// key returns the contender's canonical cache descriptor — the
-// controller half of a job key: the type and the values that build
-// the controller (parameters, config, seeds), never the display name.
-func (c ContenderSpec) key() string {
-	switch c.Type {
-	case ContStatic:
-		return "static/" + c.Params.String()
-	case ContFedGPOWarm:
-		return fmt.Sprintf("fedgpo-warm/cfg=%s/warmseed=%d/warmrounds=%d",
-			canonJSON(*c.Core), c.WarmSeed, c.WarmRounds)
-	case ContFedGPOCold:
-		return "fedgpo-cold/cfg=" + canonJSON(*c.Core)
-	case ContBO:
-		return fmt.Sprintf("adaptive-bo/seed=%d", c.CtrlSeed)
-	case ContGA:
-		return fmt.Sprintf("adaptive-ga/seed=%d", c.CtrlSeed)
-	case ContFedEX:
-		return fmt.Sprintf("fedex/seed=%d", c.CtrlSeed)
-	case ContABS:
-		return fmt.Sprintf("abs/seed=%d", c.CtrlSeed)
-	default:
-		panic("exp: unknown contender type " + c.Type)
+// contenderType is one contender type's rules: how its spec keys and
+// how it builds, in any process.
+type contenderType struct {
+	// fedgpo marks the FedGPO types: their spec carries a core config,
+	// and their controller records Q-table decisions a trace can hold.
+	fedgpo bool
+	// key is the contender's canonical cache descriptor, the controller
+	// half of a job key: the type and the values that build the
+	// controller (parameters, config, seeds), never the display name.
+	key func(c ContenderSpec) string
+	// build materializes the contender for a scenario.
+	build func(r *Runtime, s ScenarioSpec, c ContenderSpec) fl.Controller
+}
+
+// contenderTypes is the one list of contender types.
+var contenderTypes = map[string]contenderType{
+	ContStatic: {
+		key:   func(c ContenderSpec) string { return "static/" + c.Params.String() },
+		build: func(_ *Runtime, _ ScenarioSpec, c ContenderSpec) fl.Controller { return fl.NewStatic(c.Params) },
+	},
+	// The warm variant restores its Q-tables from the runtime's
+	// pretrained-controller cache, addressed by the spec's scenario,
+	// config and warm-up deployment: the warm-up runs once per pretrain
+	// key per process, and once ever under a persistent cache directory.
+	ContFedGPOWarm: {
+		fedgpo: true,
+		key: func(c ContenderSpec) string {
+			return fmt.Sprintf("fedgpo-warm/cfg=%s/warmseed=%d/warmrounds=%d",
+				canonJSON(*c.Core), c.WarmSeed, c.WarmRounds)
+		},
+		build: func(r *Runtime, s ScenarioSpec, c ContenderSpec) fl.Controller {
+			cfg := *c.Core
+			key := pretrainKey(s, cfg, c.WarmSeed, c.WarmRounds)
+			return core.FromSnapshot(cfg, r.pretrainedSnapshot(s, cfg, c.WarmSeed, c.WarmRounds, key))
+		},
+	},
+	ContFedGPOCold: {
+		fedgpo: true,
+		key:    func(c ContenderSpec) string { return "fedgpo-cold/cfg=" + canonJSON(*c.Core) },
+		build:  func(_ *Runtime, _ ScenarioSpec, c ContenderSpec) fl.Controller { return core.New(*c.Core) },
+	},
+	ContBO:    seededContender("adaptive-bo", func(seed int64) fl.Controller { return baseline.NewBO(seed) }),
+	ContGA:    seededContender("adaptive-ga", func(seed int64) fl.Controller { return baseline.NewGA(seed) }),
+	ContFedEX: seededContender("fedex", func(seed int64) fl.Controller { return baseline.NewFedEX(seed) }),
+	ContABS:   seededContender("abs", func(seed int64) fl.Controller { return abs.New(abs.Config{Seed: seed}) }),
+}
+
+// seededContender is a baseline type built from its CtrlSeed alone and
+// keyed "name/seed=N".
+func seededContender(name string, build func(seed int64) fl.Controller) contenderType {
+	return contenderType{
+		key:   func(c ContenderSpec) string { return fmt.Sprintf("%s/seed=%d", name, c.CtrlSeed) },
+		build: func(_ *Runtime, _ ScenarioSpec, c ContenderSpec) fl.Controller { return build(c.CtrlSeed) },
 	}
 }
 
-// validate checks that the spec carries the configuration its type
-// requires, so a malformed wire spec fails at decode time rather than
-// as a nil dereference mid-job.
+// key returns the contender's canonical cache descriptor (see
+// contenderType.key) of a spec that passed validate.
+func (c ContenderSpec) key() string { return contenderTypes[c.Type].key(c) }
+
+// validate checks that the spec names a contender type and carries the
+// configuration its type requires, so a malformed spec fails before
+// its key is built rather than as a nil dereference mid-job.
 func (c ContenderSpec) validate() error {
-	switch c.Type {
-	case ContStatic, ContBO, ContGA, ContFedEX, ContABS:
-		return nil
-	case ContFedGPOWarm, ContFedGPOCold:
-		if c.Core == nil {
-			return fmt.Errorf("exp: contender %q missing core config", c.Type)
-		}
-		if c.WarmRounds < 0 || c.WarmRounds > maxSpecRounds {
-			return fmt.Errorf("exp: warmRounds must be in [0, %d], got %d", maxSpecRounds, c.WarmRounds)
-		}
-		return nil
-	default:
+	t, ok := contenderTypes[c.Type]
+	if !ok {
 		return fmt.Errorf("exp: unknown contender type %q", c.Type)
 	}
+	if !t.fedgpo {
+		return nil
+	}
+	if c.Core == nil {
+		return fmt.Errorf("exp: contender %q missing core config", c.Type)
+	}
+	if c.WarmRounds < 0 || c.WarmRounds > maxSpecRounds {
+		return fmt.Errorf("exp: warmRounds must be in [0, %d], got %d", maxSpecRounds, c.WarmRounds)
+	}
+	return nil
 }
 
 // JobSpec is the declarative, serializable description of one job:
 // scenario configuration, contender specification, run seed, and the
 // kind-specific probe knobs. Every job the experiment harness emits —
 // figure cells, sweep cells, grid-search cells, ablation variants, the
-// oracle and overhead probes — is a JobSpec; Runtime.Execute is the
+// oracle and overhead probes — is a JobSpec; Runtime.execute is the
 // single entry point that reconstructs and runs one, in this process
 // or in a worker pool process fed the spec's JSON encoding.
 type JobSpec struct {
@@ -162,16 +197,34 @@ func (sp JobSpec) controllerKey() string {
 	return k
 }
 
-// Key returns the job's full canonical key — the same key
-// runtime.Job.Key derives, exposed so workers can verify that a
-// decoded spec addresses the cell it was dispatched as.
+// Key returns the job's full canonical key — the key of the job
+// Runtime.Job compiles, exposed so workers can verify that a decoded
+// spec addresses the cell it was dispatched as.
 func (sp JobSpec) Key() string {
+	j, _ := sp.keyed()
+	return j.Key()
+}
+
+// kindInvalid is the job kind of a spec that fails validation. No
+// valid spec has it, so an invalid spec's key never equals a valid
+// cell's.
+const kindInvalid = "invalid"
+
+// keyed is the one door to a spec's key: it checks the spec, then
+// returns its job's key fields, or, for an invalid spec, the job of
+// kind kindInvalid that names the validation error, and that error.
+// Two invalid specs with the same error and seed share that key, and
+// fail alike.
+func (sp JobSpec) keyed() (runtime.Job, error) {
+	if err := sp.validate(); err != nil {
+		return runtime.Job{Kind: kindInvalid, Scenario: err.Error(), Seed: sp.Seed}, err
+	}
 	return runtime.Job{
 		Kind:       sp.Kind,
 		Scenario:   sp.scenarioKey(),
 		Controller: sp.controllerKey(),
 		Seed:       sp.Seed,
-	}.Key()
+	}, nil
 }
 
 // validate checks kind, scenario and contender well-formedness.
@@ -199,12 +252,7 @@ func (sp JobSpec) validate() error {
 // decision trace: a FedGPO contender (the only controller with
 // Q-table decisions to record) on a kind that runs a full simulation.
 func (sp JobSpec) traceable() bool {
-	switch sp.Contender.Type {
-	case ContFedGPOWarm, ContFedGPOCold:
-	default:
-		return false
-	}
-	return sp.Kind == KindSim || sp.Kind == KindSec54
+	return contenderTypes[sp.Contender.Type].fedgpo && (sp.Kind == KindSim || sp.Kind == KindSec54)
 }
 
 // traceKey addresses a spec's decision-trace artifact in the
@@ -234,7 +282,10 @@ func EncodeJobSpec(sp JobSpec) json.RawMessage {
 	return b
 }
 
-// DecodeJobSpec parses and validates a wire spec.
+// DecodeJobSpec parses and validates a wire spec: the wire's door, so
+// a worker answers a malformed request with the validation error.
+// Runtime.Job checks every spec again before it builds the spec's key,
+// wherever the spec came from.
 func DecodeJobSpec(b []byte) (JobSpec, error) {
 	var sp JobSpec
 	if err := json.Unmarshal(b, &sp); err != nil {
@@ -249,8 +300,15 @@ func DecodeJobSpec(b []byte) (JobSpec, error) {
 // Job compiles a spec into a runnable runtime job: the canonical key
 // fields, the serialized spec for process-crossing backends, and the
 // in-process execution closure for the pool backend. Both execution
-// paths run through Execute, so a cell computes the same result no
+// paths run through execute, so a cell computes the same result no
 // matter which side of a process boundary it lands on.
+//
+// The spec is checked before its key is built (keyed). An invalid
+// spec's job is never looked up in the cache (ForceRun), never grouped
+// with another cell (see horizonGroups) and never shares a valid
+// cell's key, so the executor cannot serve it another cell's result;
+// its body fails with the validation error, and a worker pool handed
+// its spec rejects it with the same error (DecodeJobSpec).
 //
 // When the runtime has a trace level configured it is stamped onto
 // the spec here — but only when the spec carries none, so a worker
@@ -264,22 +322,23 @@ func (r *Runtime) Job(sp JobSpec) runtime.Job {
 	if r.traceLevel != "" && sp.Trace == "" {
 		sp.Trace = r.traceLevel
 	}
-	j := r.job(sp)
-	j.Run = func() runtime.Result { return r.Execute(sp) }
-	return j
-}
-
-// job is Job without the trace stamp and the Run closure.
-func (r *Runtime) job(sp JobSpec) runtime.Job {
-	return runtime.Job{
-		Kind:        sp.Kind,
-		Scenario:    sp.scenarioKey(),
-		Controller:  sp.controllerKey(),
-		Seed:        sp.Seed,
-		Payload:     EncodeJobSpec(sp),
-		ForceRun:    sp.Trace != "" && sp.traceable() && !r.hasTrace(sp),
-		SnapshotKey: snapshotKey(sp),
+	j, err := sp.keyed()
+	if err != nil {
+		// A spec holding a NaN or an infinity does not encode, and a
+		// coordinator reports its job as having no spec.
+		j.Payload, _ = json.Marshal(sp)
+		j.ForceRun = true
+		j.Run = func() runtime.Result { panic(err.Error()) }
+		return j
 	}
+	j.Payload = EncodeJobSpec(sp)
+	j.ForceRun = sp.Trace != "" && sp.traceable() && !r.hasTrace(sp)
+	j.SnapshotKey = snapshotKey(sp)
+	j.Run = func() runtime.Result {
+		res, _ := r.execute(sp, nil)
+		return res
+	}
+	return j
 }
 
 // snapshotKey returns the pretrained-controller snapshot key a warm
@@ -320,22 +379,15 @@ func (r *Runtime) RunRequest(key string, spec json.RawMessage) runtime.Result {
 	return r.RunJob(job)
 }
 
-// Execute reconstructs and runs one job from its declarative spec.
-// It is deterministic in the spec for every kind except the sec54
-// probe's wall-clock overhead measurements (see sec54Extra), and it is
-// the single entry point both backends funnel into — the pool backend
-// through Job's closure, worker pools through the decoded wire spec.
-func (r *Runtime) Execute(sp JobSpec) runtime.Result {
-	res, _ := r.execute(sp, nil)
-	return res
-}
-
-// execute is Execute, also returning, for a plain simulation cell run
-// over horizons, its result at each of them (see executeSim).
+// execute reconstructs and runs one job from its declarative spec,
+// which passed validate (Job checks it). It is deterministic in the
+// spec for every kind except the sec54 probe's wall-clock overhead
+// measurements (see sec54Extra), and it is the single entry point both
+// backends funnel into — the pool backend through Job's closure, worker
+// pools through the decoded wire spec. For a plain simulation cell run
+// over horizons, it also returns the cell's result at each of them
+// (see executeSim).
 func (r *Runtime) execute(sp JobSpec, horizons []int) (runtime.Result, []fl.Result) {
-	if err := sp.validate(); err != nil {
-		panic(err.Error())
-	}
 	var res runtime.Result
 	var sims []fl.Result
 	switch sp.Kind {
@@ -345,10 +397,8 @@ func (r *Runtime) execute(sp JobSpec, horizons []int) (runtime.Result, []fl.Resu
 		res = executeQMem(r, sp)
 	case KindOracle:
 		res = executeOracle(r, sp)
-	case KindSec54:
+	default: // KindSec54, the one kind left that validate admits
 		res = executeSec54(r, sp)
-	default:
-		panic("exp: unknown job kind " + sp.Kind)
 	}
 	// If this job's warm-up built a fresh pretrain snapshot, the first
 	// result sharing its key carries the artifact out (the coordinator ships
@@ -424,35 +474,9 @@ func (r *Runtime) publishTrace(sp JobSpec, c *core.Controller) {
 }
 
 // controller materializes a contender spec into a live controller for
-// a scenario. The warm FedGPO variant restores its Q-tables from the
-// runtime's pretrained-controller cache, addressed by the spec's
-// scenario, config and warm-up deployment — the warm-up runs once per
-// pretrain key per process, and once ever under a persistent cache
-// directory.
+// a scenario (see contenderType.build).
 func (r *Runtime) controller(s ScenarioSpec, c ContenderSpec) fl.Controller {
-	if err := c.validate(); err != nil {
-		panic(err.Error())
-	}
-	switch c.Type {
-	case ContStatic:
-		return fl.NewStatic(c.Params)
-	case ContFedGPOWarm:
-		cfg := *c.Core
-		snap := r.pretrainedSnapshot(s, cfg, c.WarmSeed, c.WarmRounds, pretrainKey(s, cfg, c.WarmSeed, c.WarmRounds))
-		return core.FromSnapshot(cfg, snap)
-	case ContFedGPOCold:
-		return core.New(*c.Core)
-	case ContBO:
-		return baseline.NewBO(c.CtrlSeed)
-	case ContGA:
-		return baseline.NewGA(c.CtrlSeed)
-	case ContFedEX:
-		return baseline.NewFedEX(c.CtrlSeed)
-	case ContABS:
-		return abs.New(abs.Config{Seed: c.CtrlSeed})
-	default:
-		panic("exp: unknown contender type " + c.Type)
-	}
+	return contenderTypes[c.Type].build(r, s, c)
 }
 
 // pretrainKey addresses a pretrained-controller snapshot in the

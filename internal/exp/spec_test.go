@@ -127,7 +127,7 @@ func TestSpecRoundTripRegistry(t *testing.T) {
 		if !ok {
 			t.Fatalf("job %q missing from the result store", key)
 		}
-		got := rtB.Execute(sp)
+		got, _ := rtB.execute(sp, nil)
 		if comparableResult(t, rec.kind, got) != comparableResult(t, rec.kind, want) {
 			t.Errorf("job %q: re-executed spec diverges from in-process run", key)
 		}
@@ -345,10 +345,14 @@ func TestSpecKeysCanonicalScheme(t *testing.T) {
 		t.Errorf("static key:\n got %q\nwant %q", got, wantStatic)
 	}
 	r := Realistic(workload.CNNMNIST())
+	deadline, err := r.Deadline.resolve(r.Workload)
+	if err != nil {
+		t.Fatal(err)
+	}
 	wantRealistic := "CNN-MNIST@4f982503acb74a70/fleet=H30:M70:L100/rounds=400/part=iid" +
 		"/net=gauss(mean=38,std=25,floor=8,tx=0.8,weak=1.9)" +
 		"/intf=web-browsing(cpu=0.45±0.15,mem=0.3±0.1)@0.5" +
-		fmt.Sprintf("/deadline=%g/agg=30", r.Deadline.SecondsFor(r.Workload))
+		fmt.Sprintf("/deadline=%g/agg=30", deadline)
 	if got := r.cacheKey(); got != wantRealistic {
 		t.Errorf("realistic scenario key:\n got %q\nwant %q", got, wantRealistic)
 	}
