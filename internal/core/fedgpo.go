@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"fedgpo/internal/device"
@@ -57,6 +58,35 @@ func DefaultConfig() Config {
 		FreezeAfterRounds: 40, // paper §5.4: reward converges in 30–40 rounds
 		Seed:              1,
 	}
+}
+
+// Validate reports a config a controller cannot run on: a Q-learning
+// rate outside [0, 1], an inverted Q initialization range, a negative
+// reward weight or freeze threshold, a negative freeze count, or a
+// float that is NaN or infinite.
+func (c Config) Validate() error {
+	for _, f := range [...]struct {
+		name      string
+		v, lo, hi float64
+	}{
+		{"RL.LearningRate", c.RL.LearningRate, 0, 1},
+		{"RL.Discount", c.RL.Discount, 0, 1},
+		{"RL.Epsilon", c.RL.Epsilon, 0, 1},
+		{"RL.InitHi", c.RL.InitHi, math.Inf(-1), math.Inf(1)},
+		{"RL.InitLo", c.RL.InitLo, math.Inf(-1), c.RL.InitHi},
+		{"Reward.Alpha", c.Reward.Alpha, 0, math.Inf(1)},
+		{"Reward.Beta", c.Reward.Beta, 0, math.Inf(1)},
+		{"FreezeThreshold", c.FreezeThreshold, 0, math.Inf(1)},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) || f.v < f.lo || f.v > f.hi {
+			return fmt.Errorf("core: config %s is %v, want a finite value in [%g, %g]", f.name, f.v, f.lo, f.hi)
+		}
+	}
+	if c.FreezeMinUpdates < 0 || c.FreezeAfterRounds < 0 {
+		return fmt.Errorf("core: config freeze counts must be non-negative, got FreezeMinUpdates %d, FreezeAfterRounds %d",
+			c.FreezeMinUpdates, c.FreezeAfterRounds)
+	}
+	return nil
 }
 
 // localTable is one (B, E) Q-table: a device category's under shared

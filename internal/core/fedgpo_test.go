@@ -9,6 +9,7 @@ import (
 	"fedgpo/internal/fl"
 	"fedgpo/internal/interfere"
 	"fedgpo/internal/netsim"
+	"fedgpo/internal/rl"
 	"fedgpo/internal/stats"
 	"fedgpo/internal/workload"
 )
@@ -257,4 +258,46 @@ func (p *resultProbe) Plan(o fl.Observation) fl.Plan { return p.inner.Plan(o) }
 func (p *resultProbe) Observe(r fl.RoundResult) {
 	p.onResult(r)
 	p.inner.Observe(r)
+}
+
+// Config.Validate accepts the default and paper operating points and
+// rejects each out-of-range, inverted or non-finite field.
+func TestConfigValidate(t *testing.T) {
+	for _, c := range []Config{DefaultConfig(), {RL: rl.PaperConfig(), Reward: DefaultRewardConfig()}} {
+		if err := c.Validate(); err != nil {
+			t.Errorf("%+v: %v", c, err)
+		}
+	}
+	bad := map[string]func(*Config){
+		"learning rate above 1": func(c *Config) { c.RL.LearningRate = 1.1 },
+		"negative discount":     func(c *Config) { c.RL.Discount = -0.1 },
+		"epsilon above 1":       func(c *Config) { c.RL.Epsilon = 1.5 },
+		"init range inverted":   func(c *Config) { c.RL.InitLo, c.RL.InitHi = 2, 1 },
+		"negative alpha":        func(c *Config) { c.Reward.Alpha = -1 },
+		"negative beta":         func(c *Config) { c.Reward.Beta = -1 },
+		"negative threshold":    func(c *Config) { c.FreezeThreshold = -1 },
+		"negative min updates":  func(c *Config) { c.FreezeMinUpdates = -1 },
+		"negative freeze round": func(c *Config) { c.FreezeAfterRounds = -1 },
+	}
+	for name, v := range map[string]float64{"NaN": math.NaN(), "+Inf": math.Inf(1), "-Inf": math.Inf(-1)} {
+		for field, set := range map[string]func(*Config){
+			"RL.LearningRate": func(c *Config) { c.RL.LearningRate = v },
+			"RL.Discount":     func(c *Config) { c.RL.Discount = v },
+			"RL.Epsilon":      func(c *Config) { c.RL.Epsilon = v },
+			"RL.InitLo":       func(c *Config) { c.RL.InitLo = v },
+			"RL.InitHi":       func(c *Config) { c.RL.InitHi = v },
+			"Reward.Alpha":    func(c *Config) { c.Reward.Alpha = v },
+			"Reward.Beta":     func(c *Config) { c.Reward.Beta = v },
+			"FreezeThreshold": func(c *Config) { c.FreezeThreshold = v },
+		} {
+			bad[field+" "+name] = set
+		}
+	}
+	for name, mutate := range bad {
+		c := DefaultConfig()
+		mutate(&c)
+		if err := c.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted %+v", name, c)
+		}
+	}
 }

@@ -22,7 +22,6 @@ func AblationEpsilon(o Options) Table {
 		ID:     "abl-eps",
 		Title:  "FedGPO sensitivity to exploration probability ϵ (paper footnote 3)",
 		Header: []string{"epsilon", "PPW (norm to eps=0.1)", "conv round", "accuracy"},
-		Notes:  []string{"paper expectation: eps=0.1 best; larger eps degrades accuracy and convergence overhead"},
 	}
 	g := compareGroup{label: s.Name, s: s}
 	var labels [][]string
@@ -50,8 +49,6 @@ func AblationGammaMu(o Options) Table {
 		ID:     "abl-gm",
 		Title:  "FedGPO sensitivity to learning rate γ and discount µ (paper §4.1)",
 		Header: []string{"gamma", "mu", "PPW (norm to default)", "conv round"},
-		Notes: []string{
-			"paper finds high γ / low µ best on its testbed; this simulator's reward is noisier across categories, so its sensitivity analysis selects a lower γ (see core.DefaultConfig)"},
 	}
 	def := core.DefaultConfig().RL
 	g := compareGroup{label: s.Name, s: s, cs: []ContenderSpec{fedgpoVariantContender(s, "FedGPO", nil)}}
@@ -123,11 +120,8 @@ func AblationTables(o Options) Table {
 	// are the same cache entries Fig5/Fig6/Fig9 use.
 	ms := comparison([]compareGroup{g}, o.seeds(), rt)
 	for i, res := range rt.runSpecs(memSpecs) {
-		var ex qmemExtra
-		if err := res.GetExtra(&ex); err != nil {
-			panic("exp: qmem payload: " + err.Error())
-		}
-		ms = append(ms, measurement{g.label, g.cs[i].Name, metricQMem, float64(ex.MemBytes) / 1024, unitKB})
+		mem := extra[qmemExtra](res).MemBytes
+		ms = append(ms, measurement{g.label, g.cs[i].Name, metricQMem, float64(mem) / 1024, unitKB})
 	}
 	comparisonTable(&t, ms, []metric{metricPPW, metricConvRound, metricQMem}, labels)
 	return t
@@ -169,8 +163,6 @@ func AblationColdStart(o Options) Table {
 		ID:     "abl-cold",
 		Title:  "learning-phase cost: cold vs warm-started FedGPO (CNN-MNIST, realistic)",
 		Header: []string{"controller", "PPW (norm to Fixed)", "conv round", "accuracy"},
-		Notes: []string{
-			"paper §5.4: FedGPO runs ~24% below Fixed (Best) efficiency during the learning phase and overtakes after the Q-tables converge"},
 	}
 	g := compareGroup{s.Name, s, []ContenderSpec{
 		staticContender(best, "Fixed (Best)"),

@@ -111,28 +111,22 @@ func runRegistry(t *testing.T, rt *Runtime) map[string]Table {
 	return tables
 }
 
-// sec54WallClockRows names the Sec54 rows whose measured column is
-// wall-clock time — the documented exception to cross-execution byte
-// identity (two fresh runs measure different real microseconds; see
-// sec54Extra). Everything else in the table is deterministic.
-var sec54WallClockRows = map[string]bool{
-	"identify per-device states":   true,
-	"choose global parameters":     true,
-	"calculate reward":             true,
-	"update Q-tables":              true,
-	"total controller overhead":    true,
-	"overhead share of round time": true,
-}
-
 // renderMasked renders a table's markdown for fresh-run-vs-fresh-run
 // comparison: identical bytes everywhere except Sec54's wall-clock
-// cells, which are blanked on both sides. It masks copies of the rows,
-// so the caller's table still prints and reads its wall-clock cells.
+// cells, which are blanked on both sides. Those are the rows its
+// wall-clock claims name: the documented exception to cross-execution
+// byte identity (two fresh runs measure different real microseconds;
+// see sec54Extra). It masks copies of the rows, so the caller's table
+// still prints and reads its wall-clock cells.
 func renderMasked(tab Table) string {
 	if tab.ID == "sec54" {
+		_, claims := paperClaims(tab.ID)
+		wallClock := func(label string) bool {
+			return slices.ContainsFunc(claims, func(c Claim) bool { return c.wallClock && c.Name == label })
+		}
 		rows := slices.Clone(tab.Rows)
 		for i, row := range rows {
-			if len(row) >= 2 && sec54WallClockRows[row[0]] {
+			if len(row) >= 2 && wallClock(row[0]) {
 				rows[i] = slices.Clone(row)
 				rows[i][1] = "<wall-clock>"
 			}

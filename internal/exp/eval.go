@@ -176,8 +176,6 @@ func Fig9(o Options) Table {
 		ID:     "fig9",
 		Title:  "FedGPO vs baselines across workloads (realistic environment)",
 		Header: append([]string{"workload"}, figureHeader...),
-		Notes: []string{
-			"paper expectation: FedGPO best on PPW for every workload (paper: 4.1x/3.2x/3.5x over Fixed (Best)), maintaining accuracy"},
 	}
 	rt := o.runtime()
 	var groups []compareGroup
@@ -213,7 +211,6 @@ func Fig10(o Options) Table {
 	return scenarioComparison(o, Table{
 		ID:    "fig10",
 		Title: "adaptability to runtime variance (CNN-MNIST)",
-		Notes: []string{"paper expectation: FedGPO's margin widens under variance (paper: 5.0x/4.2x/3.0x over Fixed/BO/GA)"},
 	}, contenders, Ideal, InterferenceOnly, UnstableNetworkOnly)
 }
 
@@ -223,7 +220,6 @@ func Fig11(o Options) Table {
 	return scenarioComparison(o, Table{
 		ID:    "fig11",
 		Title: "adaptability to data heterogeneity (CNN-MNIST)",
-		Notes: []string{"paper expectation: under non-IID FedGPO achieves 6.2x/1.9x/1.3x over Fixed/BO/GA by shrinking E and K"},
 	}, contenders, Ideal, NonIIDScenario)
 }
 
@@ -234,7 +230,6 @@ func Fig12(o Options) Table {
 	return scenarioComparison(o, Table{
 		ID:    "fig12",
 		Title: "FedGPO vs FedEX vs ABS (CNN-MNIST)",
-		Notes: []string{"paper expectation: FedGPO > FedEX > ABS (paper: 1.5x and 2.1x average energy-efficiency improvements)"},
 	}, priorWork, Ideal, Realistic, NonIIDScenario)
 }
 

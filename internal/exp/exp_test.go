@@ -109,36 +109,6 @@ func value(t *testing.T, tab Table, column string, labels ...string) float64 {
 	return v
 }
 
-func TestFig3CharacterizationShape(t *testing.T) {
-	// Fig3 is simulation-free and fast; check the paper shapes hold.
-	tab := Fig3(Tiny())
-	if len(tab.Rows) != len(fl.BValues())+len(fl.EValues()) {
-		t.Fatalf("rows = %d", len(tab.Rows))
-	}
-	// Every row's L value must exceed its H value (L is slower).
-	for _, row := range tab.Rows {
-		h := value(t, tab, "H", row[:2]...)
-		l := value(t, tab, "L", row[:2]...)
-		if l <= h {
-			t.Errorf("row %v: L (%v) should be slower than H (%v)", row, l, h)
-		}
-	}
-}
-
-func TestFig4VarianceShape(t *testing.T) {
-	tab := Fig4(Tiny())
-	if len(tab.Rows) != 3 {
-		t.Fatalf("rows = %d", len(tab.Rows))
-	}
-	// Interference and network rows must exceed the clean row for L.
-	clean := value(t, tab, "L", "no variance")
-	intf := value(t, tab, "L", "on-device interference")
-	net := value(t, tab, "L", "unstable network")
-	if intf <= clean || net <= clean {
-		t.Errorf("variance should inflate round time: clean=%v intf=%v net=%v", clean, intf, net)
-	}
-}
-
 func TestFig1QuickShape(t *testing.T) {
 	tab := Fig1(Tiny())
 	if len(tab.Rows) != len(fl.BValues())+len(fl.EValues())+len(fl.KValues()) {

@@ -117,8 +117,6 @@ func Fig1(o Options) Table {
 			measurement{pt.param, v, metricPPW, r.MeanPPW / base.MeanPPW, unitRatio})
 	}
 	comparisonTable(&t, ms, []metric{metricConvRound, metricPPW}, nil)
-	t.Notes = append(t.Notes,
-		"paper expectation: optima away from the (1,10,20) baseline; best B near 8, E near 10, K near 20")
 	return t
 }
 
@@ -160,8 +158,6 @@ func Fig2(o Options) Table {
 		}
 		t.Notes = append(t.Notes, fmt.Sprintf("%s best setting: %s", w.Name, ms[bestPPW(rs)].controller))
 	}
-	t.Notes = append(t.Notes,
-		"paper expectation: CNN-MNIST best near (8,10,20); LSTM-Shakespeare shifts to smaller B, larger E (paper: (4,20,20))")
 	return t
 }
 
@@ -203,8 +199,6 @@ func Fig3(_ Options) Table {
 	for _, e := range fl.EValues() {
 		sweep("E", e, 8, e, baseE)
 	}
-	t.Notes = append(t.Notes,
-		"paper expectation: large H-to-L gaps at every setting; time falls with B (overhead amortization) and scales linearly with E")
 	return t
 }
 
@@ -248,8 +242,6 @@ func Fig4(_ Options) Table {
 	addRow("no variance", device.Interference{}, goodCond)
 	addRow("on-device interference", webIntf, goodCond)
 	addRow("unstable network", device.Interference{}, badCond)
-	t.Notes = append(t.Notes,
-		"paper expectation: interference widens the inter-category gap; network instability inflates all categories' times")
 	return t
 }
 
@@ -293,8 +285,6 @@ func Fig5(o Options) Table {
 		t.add(fixedAdaptiveRow(cat.String(), metricEnergy,
 			fixed.EnergyByCategory[cat]/base, adaptive.EnergyByCategory[cat]/base, unitRatio))
 	}
-	t.Notes = append(t.Notes,
-		"paper expectation: adaptive parameters cut every category's energy by removing straggler wait")
 	return t
 }
 
@@ -317,8 +307,6 @@ func Fig6(o Options) Table {
 		fixedAdaptiveRow("global PPW", metricPPW, 1, adaptive.MeanPPW/fixed.MeanPPW, unitRatio),
 		fixedAdaptiveRow("final accuracy", metricAccuracy,
 			100*fixed.MeanFinalAccuracy, 100*adaptive.MeanFinalAccuracy, unitPct))
-	t.Notes = append(t.Notes,
-		"paper expectation: adaptive improves avg round time (paper 2.3x) and PPW (paper 3.6x) while keeping convergence rounds similar")
 	return t
 }
 
@@ -364,7 +352,5 @@ func Fig7(o Options) Table {
 		}
 		t.Notes = append(t.Notes, fmt.Sprintf("%s best setting: %s", regime.name, ms[best].controller))
 	}
-	t.Notes = append(t.Notes,
-		"paper expectation: non-IID degrades all settings and shifts the optimum toward smaller E and K (paper: (8,10,20) -> (8,5,10))")
 	return t
 }

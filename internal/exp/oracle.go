@@ -124,14 +124,9 @@ func Table5(o Options) Table {
 	}
 	results := rt.runSpecs(specs)
 	for i, r := range rows {
-		var ex oracleExtra
-		if err := results[i].GetExtra(&ex); err != nil {
-			panic("exp: oracle payload: " + err.Error())
-		}
+		acc := extra[oracleExtra](results[i]).MeanAccPct
 		t.add(row{labels: []string{r.label1, r.label2}, ms: []measurement{
-			{r.s.Name, specs[i].Contender.Name, metricSelection, ex.MeanAccPct, unitPct}}})
+			{r.s.Name, specs[i].Contender.Name, metricSelection, acc, unitPct}}})
 	}
-	t.Notes = append(t.Notes,
-		"paper expectation: ~94-95% without data heterogeneity, dropping to ~88-90% with it")
 	return t
 }

@@ -1,6 +1,8 @@
 package exp
 
 import (
+	"slices"
+
 	"fedgpo/internal/core"
 	"fedgpo/internal/runtime"
 	"fedgpo/internal/stats"
@@ -85,11 +87,12 @@ func executeSec54(r *Runtime, sp JobSpec) runtime.Result {
 }
 
 // Sec54 reproduces the paper's §5.4 convergence and overhead analysis:
-// the round at which the Q-table reward converges (paper: 30–40), the
-// pre- vs post-convergence energy-efficiency gap (paper: 24.2% below
-// Fixed (Best) before convergence), the per-round controller runtime
-// broken down by phase (paper: 499.6 µs total, 0.7% of round time), and
-// the Q-table memory footprint (paper: 0.4 MB).
+// the round at which the Q-table reward converges, the pre- vs
+// post-convergence energy-efficiency gap, the per-round controller
+// runtime broken down by phase and as a share of round time, and the
+// Q-table memory footprint. Each row's paper cell prints the value of
+// the sec54 claim named after the row, and its notes on reading the
+// wall-clock rows live with those claims (Claims).
 func Sec54(o Options) Table {
 	w := workload.CNNMNIST()
 	s := o.apply(Realistic(w))
@@ -103,24 +106,22 @@ func Sec54(o Options) Table {
 	// reward trace covers the whole trajectory.
 	sp := JobSpec{Kind: KindSec54, Scenario: s, Contender: fedgpoColdContender(), Seed: o.seeds()[0]}
 	out := rt.runSpecs([]JobSpec{sp})[0]
-	var ex sec54Extra
-	if err := out.GetExtra(&ex); err != nil {
-		panic("exp: sec54 payload: " + err.Error())
-	}
-	res := out.Sim
+	ex, res := extra[sec54Extra](out), out.Sim
 
 	t := Table{
 		ID:     "sec54",
 		Title:  "FedGPO convergence and overhead analysis (CNN-MNIST, realistic environment)",
 		Header: []string{"quantity", "measured", "paper"},
 	}
+	_, claims := paperClaims(t.ID)
 	// quantity adds the row of one measured quantity and its paper value.
-	quantity := func(label string, v float64, unit, paper string) {
+	quantity := func(label string, v float64, unit string) {
+		i := slices.IndexFunc(claims, func(c Claim) bool { return c.Name == label })
 		t.add(row{labels: []string{label}, ms: []measurement{{s.Name, sp.Contender.Name, metric(label), v, unit}},
-			trail: []string{paper}})
+			trail: []string{claims[i].Text}})
 	}
 	convRound := RewardConvergenceRound(ex.RewardHistory, 0.25)
-	quantity("reward convergence round", float64(convRound), unitRound, "30-40")
+	quantity("reward convergence round", float64(convRound), unitRound)
 
 	// Pre- vs post-convergence per-round energy.
 	if convRound > 0 && convRound < res.RoundsExecuted {
@@ -137,24 +138,21 @@ func Sec54(o Options) Table {
 		}
 		if nPre > 0 && nPost > 0 {
 			gap := (pre/float64(nPre))/(post/float64(nPost)) - 1
-			quantity("pre-convergence energy overhead", 100*gap, unitPct, "~24.2% lower efficiency")
+			quantity("pre-convergence energy overhead", 100*gap, unitPct)
 		}
 	}
 
-	perRound := func(label string, ns int64, paper string) {
-		quantity(label, float64(ns)/1e9/float64(max(1, ex.OverheadRounds))*1e6, unitUS, paper)
+	perRound := func(label string, ns int64) {
+		quantity(label, float64(ns)/1e9/float64(max(1, ex.OverheadRounds))*1e6, unitUS)
 	}
-	perRound("identify per-device states", ex.IdentifyStatesNS, "496.8 us")
-	perRound("choose global parameters", ex.ChooseParamsNS, "0.2 us")
-	perRound("calculate reward", ex.CalcRewardNS, "2.1 us")
-	perRound("update Q-tables", ex.UpdateTablesNS, "0.5 us")
+	perRound("identify per-device states", ex.IdentifyStatesNS)
+	perRound("choose global parameters", ex.ChooseParamsNS)
+	perRound("calculate reward", ex.CalcRewardNS)
+	perRound("update Q-tables", ex.UpdateTablesNS)
 	totalNS := ex.IdentifyStatesNS + ex.ChooseParamsNS + ex.CalcRewardNS + ex.UpdateTablesNS
-	perRound("total controller overhead", totalNS, "499.6 us")
+	perRound("total controller overhead", totalNS)
 	quantity("overhead share of round time",
-		100*float64(totalNS)/1e9/float64(max(1, ex.OverheadRounds))/res.AvgRoundSeconds, unitPct, "0.7%")
-	quantity("Q-table memory", float64(ex.MemBytes)/1024, unitKB, "~400 KB (0.4 MB)")
-	t.Notes = append(t.Notes,
-		"overhead is wall-clock measured inside the controller; the simulator's round time is virtual, so the share-of-round-time row divides real microseconds by simulated seconds exactly as the paper divides measured microseconds by real round seconds",
-		"cached reruns replay overhead values measured when the cell first ran; likewise warm FedGPO cells exclude the Q-table warm-up's wall time, which is spent once per scenario when the pretrain snapshot is built (see the pretrained-controller cache)")
+		100*float64(totalNS)/1e9/float64(max(1, ex.OverheadRounds))/res.AvgRoundSeconds, unitPct)
+	quantity("Q-table memory", float64(ex.MemBytes)/1024, unitKB)
 	return t
 }

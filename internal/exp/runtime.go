@@ -391,6 +391,17 @@ func (r *Runtime) runSpecs(specs []JobSpec) []runtime.Result {
 	return results
 }
 
+// extra decodes the Kind-specific payload of a result runSpecs
+// returned. The payload is written by this package's own job body, so
+// a payload that does not decode is a bug, not an input error.
+func extra[T any](res runtime.Result) T {
+	var v T
+	if err := res.GetExtra(&v); err != nil {
+		panic(fmt.Sprintf("exp: %T payload of %s: %v", v, res.Key, err))
+	}
+	return v
+}
+
 // simSpec names one plain simulation cell: figures, sweeps and the
 // grid search all describe their cells here so they share cache
 // identity.

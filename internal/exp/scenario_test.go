@@ -173,19 +173,28 @@ func TestScenarioSpecValidation(t *testing.T) {
 	// encoder takes them: each float field must reject all three.
 	for name, v := range map[string]float64{"NaN": math.NaN(), "+Inf": math.Inf(1), "-Inf": math.Inf(-1)} {
 		for field, set := range map[string]func(*ScenarioSpec){
-			"alpha":           func(s *ScenarioSpec) { s.Partition = PartitionSpec{Kind: PartitionDirichlet, Alpha: v} },
-			"net mean":        func(s *ScenarioSpec) { s.Network.MeanMbps = v },
-			"net std":         func(s *ScenarioSpec) { s.Network.StdMbps = v },
-			"net floor":       func(s *ScenarioSpec) { s.Network.FloorMbps = v },
-			"active fraction": func(s *ScenarioSpec) { s.Interference = InterferenceSpec{Kind: "web-browsing", ActiveFraction: v} },
-			"deadline":        func(s *ScenarioSpec) { s.Deadline = DeadlineSpec{Kind: DeadlineFixed, Seconds: v} },
-			"margin":          func(s *ScenarioSpec) { s.Deadline = DeadlineSpec{Kind: DeadlineAuto, Margin: v} },
-			"slack":           func(s *ScenarioSpec) { s.Deadline = DeadlineSpec{Kind: DeadlineAuto, SlackSec: v} },
+			"alpha":            func(s *ScenarioSpec) { s.Partition = PartitionSpec{Kind: PartitionDirichlet, Alpha: v} },
+			"net mean":         func(s *ScenarioSpec) { s.Network.MeanMbps = v },
+			"net std":          func(s *ScenarioSpec) { s.Network.StdMbps = v },
+			"net floor":        func(s *ScenarioSpec) { s.Network.FloorMbps = v },
+			"active fraction":  func(s *ScenarioSpec) { s.Interference = InterferenceSpec{Kind: "web-browsing", ActiveFraction: v} },
+			"deadline":         func(s *ScenarioSpec) { s.Deadline = DeadlineSpec{Kind: DeadlineFixed, Seconds: v} },
+			"margin":           func(s *ScenarioSpec) { s.Deadline = DeadlineSpec{Kind: DeadlineAuto, Margin: v} },
+			"slack":            func(s *ScenarioSpec) { s.Deadline = DeadlineSpec{Kind: DeadlineAuto, SlackSec: v} },
+			"base gain":        func(s *ScenarioSpec) { s.Workload.Learn.BaseGain = v },
+			"initial accuracy": func(s *ScenarioSpec) { s.Workload.Learn.InitialAccuracy = v },
+			"noise std":        func(s *ScenarioSpec) { s.Workload.Learn.NoiseStd = v },
+			"model bytes":      func(s *ScenarioSpec) { s.Workload.Shape.ModelBytes = v },
+			"memory intensity": func(s *ScenarioSpec) { s.Workload.Shape.MemoryIntensity = v },
 		} {
 			s := ScenarioSpec{Workload: w}
 			set(&s)
 			bad[field+" "+name] = s
 		}
+	}
+	rt, err := NewRuntime(1, "")
+	if err != nil {
+		t.Fatal(err)
 	}
 	for label, s := range bad {
 		if err := s.Validate(); err == nil {
@@ -199,6 +208,9 @@ func TestScenarioSpecValidation(t *testing.T) {
 		}
 		if j := (&Runtime{}).Job(sp); j.Kind != kindInvalid {
 			t.Errorf("%s: compiled as a %q job, want %q", label, j.Kind, kindInvalid)
+		}
+		if _, ok := batchPanic(rt, sp).(*JobError); !ok {
+			t.Errorf("%s: runSpecs panicked with %v, want a *JobError", label, batchPanic(rt, sp))
 		}
 	}
 	// A malformed workload is caught at decode time too, on both
@@ -221,6 +233,14 @@ func TestScenarioSpecValidation(t *testing.T) {
 		!strings.Contains(err.Error(), "partitionn") {
 		t.Errorf("DecodeScenarios should reject the unknown field, got %v", err)
 	}
+}
+
+// batchPanic runs sp alone through rt.runSpecs and returns the batch's
+// panic value, nil when the cell succeeded.
+func batchPanic(rt *Runtime, sp JobSpec) (panicked any) {
+	defer func() { panicked = recover() }()
+	rt.runSpecs([]JobSpec{sp})
+	return nil
 }
 
 // ScenarioMatrix must produce the full cross product in row-major

@@ -140,6 +140,9 @@ func (c ContenderSpec) validate() error {
 	if c.Core == nil {
 		return fmt.Errorf("exp: contender %q missing core config", c.Type)
 	}
+	if err := c.Core.Validate(); err != nil {
+		return fmt.Errorf("exp: contender %q: %w", c.Type, err)
+	}
 	if c.WarmRounds < 0 || c.WarmRounds > maxSpecRounds {
 		return fmt.Errorf("exp: warmRounds must be in [0, %d], got %d", maxSpecRounds, c.WarmRounds)
 	}

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"fedgpo/internal/core"
 	"fedgpo/internal/device"
 	"fedgpo/internal/fl"
 	"fedgpo/internal/runtime"
@@ -238,13 +239,21 @@ func TestDecodeJobSpecRejectsUnboundedResources(t *testing.T) {
 	if _, err := DecodeJobSpec(EncodeJobSpec(oracleSpec(paper, Options{}, 40))); err != nil {
 		t.Fatalf("paper-scale oracle spec rejected: %v", err)
 	}
-	mutated := func(mutate func(*JobSpec)) []byte {
+	mutated := func(mutate func(*JobSpec)) JobSpec {
 		sp := simSpec(paper, fedgpoWarmContender(paper), 1)
 		mutate(&sp)
-		return EncodeJobSpec(sp)
+		return sp
+	}
+	// config rewrites the warm contender's core config.
+	config := func(mutate func(*core.Config)) JobSpec {
+		return mutated(func(sp *JobSpec) {
+			cfg := *sp.Contender.Core
+			mutate(&cfg)
+			sp.Contender.Core = &cfg
+		})
 	}
 	const huge = 1_000_000_000_000
-	for name, payload := range map[string][]byte{
+	bad := map[string]JobSpec{
 		"maxRounds 1e9": mutated(func(sp *JobSpec) { sp.Scenario.MaxRounds = 1_000_000_000 }),
 		"mix 1e12 each": mutated(func(sp *JobSpec) {
 			sp.Scenario.Fleet.Mix = device.FleetComposition{High: huge, Mid: huge, Low: huge}
@@ -267,9 +276,33 @@ func TestDecodeJobSpecRejectsUnboundedResources(t *testing.T) {
 			*sp = oracleSpec(paper, Options{}, 40)
 			sp.ProbeRounds = -1
 		}),
-	} {
-		if _, err := DecodeJobSpec(payload); err == nil {
-			t.Errorf("%s: decode should fail", name)
+		"epsilon 1.5":           config(func(c *core.Config) { c.RL.Epsilon = 1.5 }),
+		"learning rate -0.1":    config(func(c *core.Config) { c.RL.LearningRate = -0.1 }),
+		"discount 2":            config(func(c *core.Config) { c.RL.Discount = 2 }),
+		"init range inverted":   config(func(c *core.Config) { c.RL.InitLo, c.RL.InitHi = 120, 110 }),
+		"alpha -1":              config(func(c *core.Config) { c.Reward.Alpha = -1 }),
+		"beta -1":               config(func(c *core.Config) { c.Reward.Beta = -1 }),
+		"freeze threshold -1":   config(func(c *core.Config) { c.FreezeThreshold = -1 }),
+		"freeze min updates -1": config(func(c *core.Config) { c.FreezeMinUpdates = -1 }),
+		"freeze after -1":       config(func(c *core.Config) { c.FreezeAfterRounds = -1 }),
+	}
+	// JSON carries no NaN or infinity: these rows reach only a Go
+	// caller's Runtime.Job.
+	for name, v := range map[string]float64{"NaN": math.NaN(), "+Inf": math.Inf(1), "-Inf": math.Inf(-1)} {
+		bad["epsilon "+name] = config(func(c *core.Config) { c.RL.Epsilon = v })
+		bad["init high "+name] = config(func(c *core.Config) { c.RL.InitHi = v })
+		bad["init low "+name] = config(func(c *core.Config) { c.RL.InitLo = v })
+		bad["beta "+name] = config(func(c *core.Config) { c.Reward.Beta = v })
+		bad["freeze threshold "+name] = config(func(c *core.Config) { c.FreezeThreshold = v })
+	}
+	for name, sp := range bad {
+		if b, err := json.Marshal(sp); err == nil {
+			if _, err := DecodeJobSpec(b); err == nil {
+				t.Errorf("%s: decode should fail", name)
+			}
+		}
+		if j := (&Runtime{}).Job(sp); j.Kind != kindInvalid {
+			t.Errorf("%s: compiled as a %q job, want %q", name, j.Kind, kindInvalid)
 		}
 	}
 }
@@ -299,6 +332,16 @@ func FuzzDecodeJobSpec(f *testing.F) {
 	}
 	f.Add([]byte(`{"kind":"sim","scenario":{},"contender":{"type":"static"}}`))
 	f.Add([]byte(`{"kind":"sim","scenario":{"maxRounds":-1},"contender":{"type":"abs"}}`))
+	// A NaN epsilon: JSON has no NaN, so the bytes must not decode, and
+	// an epsilon above 1 must fail the contender's config check.
+	warm := EncodeJobSpec(simSpec(scenario, fedgpoWarmContender(scenario), 1))
+	for _, eps := range []string{"NaN", "1.5"} {
+		seed := bytes.Replace(warm, []byte(`"Epsilon":0.1,`), []byte(`"Epsilon":`+eps+`,`), 1)
+		if bytes.Equal(seed, warm) {
+			f.Fatalf("the warm spec holds no epsilon of 0.1: %s", warm)
+		}
+		f.Add(seed)
+	}
 	rt, err := NewRuntime(1, "")
 	if err != nil {
 		f.Fatal(err)

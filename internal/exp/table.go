@@ -17,8 +17,10 @@ type Table struct {
 	Title  string
 	Header []string
 	Rows   [][]string
-	// Notes carry per-experiment commentary (paper expectation vs
-	// measured shape).
+	// Notes carry what the run itself found, e.g. a best setting.
+	// Markdown prints the table's fixed notes after them, among them the
+	// paper note rendered from its claims (Claims), so no note here
+	// states a paper number.
 	Notes []string
 	// values is the value behind each cell of Rows, row-major; NaN
 	// where a cell shows none (labels, trailing cells, AddRow rows).
@@ -93,7 +95,8 @@ func (t Table) Value(column string, labels ...string) (float64, bool) {
 }
 
 // Markdown renders the table as GitHub-flavored markdown (used by the
-// EXPERIMENTS.md generator).
+// EXPERIMENTS.md generator): its rows, the notes its run wrote, then
+// the fixed notes of its id, which state its claims (paperClaims).
 func (t Table) Markdown() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "### %s — %s\n\n", t.ID, t.Title)
@@ -106,7 +109,8 @@ func (t Table) Markdown() string {
 	for _, row := range t.Rows {
 		b.WriteString("| " + strings.Join(row, " | ") + " |\n")
 	}
-	for _, n := range t.Notes {
+	fixed, _ := paperClaims(t.ID)
+	for _, n := range slices.Concat(t.Notes, fixed) {
 		fmt.Fprintf(&b, "\n*%s*\n", n)
 	}
 	b.WriteString("\n")

@@ -21,6 +21,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 
 	"fedgpo/internal/device"
 )
@@ -80,8 +81,34 @@ type Workload struct {
 func (w Workload) String() string { return w.Name }
 
 // Validate checks internal consistency; experiment constructors call it
-// so a miscalibrated hand-edited workload fails fast.
+// so a miscalibrated hand-edited workload fails fast. Every float field
+// must be finite: NaN and ±Inf pass the range checks below, and no
+// cache key can encode them.
 func (w Workload) Validate() error {
+	for _, f := range [...]struct {
+		name string
+		v    float64
+	}{
+		{"Shape.FLOPsPerSample", w.Shape.FLOPsPerSample},
+		{"Shape.BytesPerSample", w.Shape.BytesPerSample},
+		{"Shape.ModelBytes", w.Shape.ModelBytes},
+		{"Shape.MemoryIntensity", w.Shape.MemoryIntensity},
+		{"Learn.InitialAccuracy", w.Learn.InitialAccuracy},
+		{"Learn.MaxAccuracy", w.Learn.MaxAccuracy},
+		{"Learn.TargetAccuracy", w.Learn.TargetAccuracy},
+		{"Learn.BaseGain", w.Learn.BaseGain},
+		{"Learn.OptimalB", w.Learn.OptimalB},
+		{"Learn.BTolerance", w.Learn.BTolerance},
+		{"Learn.OptimalE", w.Learn.OptimalE},
+		{"Learn.EOverfit", w.Learn.EOverfit},
+		{"Learn.OptimalK", w.Learn.OptimalK},
+		{"Learn.NonIIDSensitivity", w.Learn.NonIIDSensitivity},
+		{"Learn.NoiseStd", w.Learn.NoiseStd},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("workload %s: %s must be finite, got %v", w.Name, f.name, f.v)
+		}
+	}
 	switch {
 	case w.Name == "":
 		return fmt.Errorf("workload: empty name")

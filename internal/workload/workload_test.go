@@ -1,6 +1,11 @@
 package workload
 
-import "testing"
+import (
+	"math"
+	"reflect"
+	"strings"
+	"testing"
+)
 
 func TestAllWorkloadsValidate(t *testing.T) {
 	ws := All()
@@ -81,6 +86,30 @@ func TestValidateCatchesBadWorkloads(t *testing.T) {
 		mut(&w)
 		if err := w.Validate(); err == nil {
 			t.Errorf("mutation %d should fail validation", i)
+		}
+	}
+}
+
+// Every float field of Shape and Learn rejects NaN, +Inf and -Inf with
+// an error naming the field; the fields are found by reflection, so a
+// field added later is covered too.
+func TestValidateRejectsNonFinite(t *testing.T) {
+	for _, part := range []string{"Shape", "Learn"} {
+		typ := reflect.TypeOf(Workload{})
+		sf, _ := typ.FieldByName(part)
+		for i := range sf.Type.NumField() {
+			f := sf.Type.Field(i)
+			if f.Type.Kind() != reflect.Float64 {
+				continue
+			}
+			for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+				w := CNNMNIST()
+				reflect.ValueOf(&w).Elem().FieldByName(part).Field(i).SetFloat(v)
+				name := part + "." + f.Name
+				if err := w.Validate(); err == nil || !strings.Contains(err.Error(), name) {
+					t.Errorf("%s = %v: Validate returned %v, want an error naming %s", name, v, err, name)
+				}
+			}
 		}
 	}
 }
