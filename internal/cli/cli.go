@@ -148,15 +148,14 @@ func (f *RuntimeFlags) Runtime() (*exp.Runtime, error) {
 // -metrics-out snapshot; and closes the -results store, printing its
 // cell count.
 func (f *RuntimeFlags) Finish(rt *exp.Runtime, w io.Writer) error {
-	st := rt.Stats()
-	pretrainRuns, pretrainKeys := rt.PretrainStats()
-	fmt.Fprintf(w, "runtime: %d cells simulated, %d served from cache; %s backend, %d workers, %d/%d pretrain warm-ups executed\n",
-		st.Runs, st.Hits, f.backend(), rt.Workers(), pretrainRuns, pretrainKeys)
+	m := rt.Metrics()
+	fmt.Fprintf(w, "runtime: %d cells simulated, %d served from cache; %s backend, %d workers, %d pretrain warm-ups executed\n",
+		m.Counters.SimsExecuted, m.Counters.CacheHits, f.backend(), rt.Workers(), m.Counters.PretrainRuns)
 	if f.Verbose {
-		fmt.Fprint(w, rt.Metrics().Summary())
+		fmt.Fprint(w, m.Summary())
 	}
 	if f.MetricsOut != "" {
-		b, err := json.MarshalIndent(rt.Metrics(), "", "  ")
+		b, err := json.MarshalIndent(m, "", "  ")
 		if err != nil {
 			return fmt.Errorf("cli: encoding metrics: %w", err)
 		}

@@ -1,9 +1,11 @@
 package cli
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"flag"
+	"net"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -153,6 +155,50 @@ func TestRuntimeRejectsBadBackendConfig(t *testing.T) {
 	}
 	if _, err := parse(t, "-trace-level", "bogus").Runtime(); err == nil || !strings.Contains(err.Error(), "trace-level") {
 		t.Errorf("bogus trace level error = %v", err)
+	}
+}
+
+// The runtime line counts the Q-table warm-ups wherever they ran: fig5
+// warms one scenario, in process on the pool backend and inside the
+// worker pool on a fleet, and both lines read 1.
+func TestFinishCountsWarmUpsOnEitherBackend(t *testing.T) {
+	wrt, err := exp.NewRuntime(1, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	served := make(chan error, 1)
+	go func() {
+		served <- runtime.Serve(ctx, lis, runtime.ServeConfig{Capacity: 2, Run: wrt.RunRequest, Install: wrt.InstallSnapshot})
+	}()
+	defer func() {
+		cancel()
+		if err := <-served; err != nil {
+			t.Errorf("worker pool drain: %v", err)
+		}
+	}()
+	fig5, err := exp.ByID("fig5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{{"-parallel", "2"}, {"-workers", lis.Addr().String()}} {
+		f := parse(t, args...)
+		rt, err := f.Runtime()
+		if err != nil {
+			t.Fatal(err)
+		}
+		fig5.Run(exp.Tiny().WithRuntime(rt))
+		var stderr strings.Builder
+		if err := f.Finish(rt, &stderr); err != nil {
+			t.Fatal(err)
+		}
+		if line := stderr.String(); !strings.Contains(line, " workers, 1 pretrain warm-ups executed\n") {
+			t.Errorf("%v: runtime line = %q, want 1 pretrain warm-up", args, line)
+		}
 	}
 }
 

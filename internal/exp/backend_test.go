@@ -549,9 +549,10 @@ func TestSharedCacheDirFleet(t *testing.T) {
 // build it gets the snapshot by push. The first batch's one cell
 // builds the scenario's snapshot on some endpoint, which the
 // coordinator then pools; that builder stops, so the second batch's
-// cell runs on the other endpoint, which shares the builder's cache
-// directory. The coordinator pushes it the pooled bytes, it installs
-// them instead of warming up, and the fleet still runs one warm-up.
+// cell runs on the other endpoint, whose cache directory is its own,
+// so the push is the only way the snapshot can reach it. The
+// coordinator pushes it the pooled bytes, it installs them instead of
+// warming up, and the fleet still runs one warm-up.
 func TestSnapshotPushedToNonBuilder(t *testing.T) {
 	s := Options{FleetSize: 20, MaxRounds: 60}.apply(Realistic(workload.CNNMNIST()))
 	specs := []JobSpec{simSpec(s, fedgpoWarmContender(s), 1), simSpec(s, fedgpoWarmContender(s), 2)}
@@ -575,10 +576,9 @@ func TestSnapshotPushedToNonBuilder(t *testing.T) {
 	}
 	want := sims(pool.runSpecs(specs)...)
 
-	dir := t.TempDir()
 	addrs, stops := make([]string, 2), make([]func(), 2)
 	for i := range addrs {
-		addrs[i], stops[i] = startWorkerPool(t, 1, dir)
+		addrs[i], stops[i] = startWorkerPool(t, 1, t.TempDir())
 	}
 	defer func() {
 		for _, stop := range stops {
@@ -587,7 +587,7 @@ func TestSnapshotPushedToNonBuilder(t *testing.T) {
 			}
 		}
 	}()
-	cache, err := runtime.NewCache(dir)
+	cache, err := runtime.NewCache(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -678,7 +678,9 @@ func TestOutcomeSurvivesCacheAndWire(t *testing.T) {
 // A shipped snapshot that does not decode or fails validation is
 // refused before the pretrain singleflight or the cache sees it; the
 // cell that needs it then warms up and computes exactly what a runtime
-// that never saw the bad snapshot computes.
+// that never saw the bad snapshot computes. A good one enters through
+// the cache: a fresh runtime that installs it runs the cell with no
+// warm-up and computes the same bytes.
 func TestInstallSnapshotRejectsInvalid(t *testing.T) {
 	s := telemetryScenario()
 	sp := simSpec(s, fedgpoWarmContender(s), 1)
@@ -739,6 +741,22 @@ func TestInstallSnapshotRejectsInvalid(t *testing.T) {
 	}
 	if err := rt.InstallSnapshot(key, good); err != nil {
 		t.Errorf("a valid snapshot was rejected: %v", err)
+	}
+
+	pushed, err := NewRuntime(1, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pushed.InstallSnapshot(key, good); err != nil {
+		t.Fatalf("a valid snapshot was rejected: %v", err)
+	}
+	got = pushed.runSpecs([]JobSpec{sp})[0].Sim
+	if runs, _ := pushed.PretrainStats(); runs != 0 {
+		t.Errorf("the cell ran %d warm-ups over an installed snapshot, want 0", runs)
+	}
+	a, _ = json.Marshal(got)
+	if string(a) != string(b) {
+		t.Error("the cell's result over the installed snapshot differs from the reference")
 	}
 }
 

@@ -3,6 +3,7 @@ package exp
 import (
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"fedgpo/internal/fl"
 	"fedgpo/internal/interfere"
@@ -18,10 +19,11 @@ import (
 // longest member's spec over every member's budget, and every other
 // member waits for that run and takes its own budget's result. Each
 // member computes the bytes of its own run, counts as an executed cell
-// and is cached under its own key; only the member that ran the group
-// carries the run's telemetry. A member served from the cache runs no
-// body, so the group runs if any member misses, even a short one whose
-// longest twin hits. A group lives only as long as its batch's jobs.
+// and is cached under its own key; only the first member to take the
+// run's result carries its telemetry. A member served from the cache
+// runs no body, so the group runs if any member misses, even a short
+// one whose longest twin hits. A group lives only as long as its
+// batch's jobs.
 //
 // A shorter member's History is a view of the longest member's History
 // array (see fl.Result for the sharing contract), so a group's results
@@ -34,29 +36,25 @@ type horizonGroup struct {
 	// horizons are the members' distinct budgets, ascending; the last
 	// is longest's own.
 	horizons []int
-
-	once sync.Once
-	// sims are the run's results, one per horizon, and panicked its
-	// panic value if it failed; once sets both.
-	sims     []fl.Result
-	panicked any
+	// sims runs the group (sync.OnceValues) and returns the run's
+	// Result and its results, one per horizon. A failed run panics
+	// again in every member, as a failed warm-up does in every cell
+	// reading its snapshot, so no member reads a result that was never
+	// made.
+	sims func() (runtime.Result, []fl.Result)
+	// taken is set by the first member to take the run's Result, and
+	// with it the run's Telemetry and Snaps.
+	taken atomic.Bool
 }
 
-// run is the job body of the member at batch index i. A failed run
-// replays its panic value to every member, as pretrainedSnapshot
-// replays a failed warm-up's, so no member reads a result that was
-// never made.
-func (g *horizonGroup) run(r *Runtime, i int) runtime.Result {
-	var res runtime.Result
-	g.once.Do(func() {
-		defer func() { g.panicked = recover() }()
-		res, g.sims = r.execute(g.batch[g.longest], g.horizons)
-	})
-	if g.panicked != nil {
-		panic(g.panicked)
+// run is the job body of the member at batch index i.
+func (g *horizonGroup) run(i int) runtime.Result {
+	res, sims := g.sims()
+	if g.taken.Swap(true) {
+		res = runtime.Result{}
 	}
 	k, _ := slices.BinarySearch(g.horizons, g.batch[i].Scenario.rounds())
-	res.Sim = g.sims[k]
+	res.Sim = sims[k]
 	return res
 }
 
@@ -70,23 +68,20 @@ type groupKey struct {
 }
 
 // horizonGroups finds a batch's horizon groups among its compiled
-// jobs (Runtime.Job, by batch index) and returns, by batch index, each
-// spec's group (nil for a spec in none) and the order to dispatch the
-// batch in: every group's longest member first, spread over their
-// environments (spreadEnvironments), then the rest in batch order.
-// Only a batch whose plain simulation cells use more than one round
-// budget (a sweep with a rounds axis; never a report batch) has
-// groups, so any other returns nil, nil after one pass over the specs.
-// Traced cells are never grouped, since a trace records one run's
-// decisions, and neither are invalid ones: their jobs are of kind
-// kindInvalid, not plain simulation cells, so each fails alone with
-// its own error.
-func (r *Runtime) horizonGroups(specs []JobSpec, jobs []runtime.Job) ([]*horizonGroup, []int) {
+// jobs (Runtime.Job, by batch index), points each member's job at its
+// group's run, and returns each spec's group by batch index (nil for a
+// spec in none). Only a batch whose plain simulation cells use more
+// than one round budget (a sweep with a rounds axis; never a report
+// batch) has groups, so any other returns nil after one pass over the
+// specs. Traced cells are never grouped, since a trace records one
+// run's decisions, and neither are invalid ones: their jobs are of
+// kind kindInvalid, not plain simulation cells, so each fails alone
+// with its own error.
+func (r *Runtime) horizonGroups(specs []JobSpec, jobs []runtime.Job) []*horizonGroup {
 	if r.traceLevel != "" || !mixedBudgets(specs) {
-		return nil, nil
+		return nil
 	}
 	byKey := make(map[groupKey]*horizonGroup)
-	var groups []*horizonGroup
 	of := make([]*horizonGroup, len(specs))
 	for i, sp := range specs {
 		if jobs[i].Kind != KindSim || sp.Trace != "" {
@@ -99,7 +94,6 @@ func (r *Runtime) horizonGroups(specs []JobSpec, jobs []runtime.Job) ([]*horizon
 		if g == nil {
 			g = &horizonGroup{batch: specs, longest: i}
 			byKey[k] = g
-			groups = append(groups, g)
 		}
 		h := sp.Scenario.rounds()
 		if h > specs[g.longest].Scenario.rounds() {
@@ -110,27 +104,25 @@ func (r *Runtime) horizonGroups(specs []JobSpec, jobs []runtime.Job) ([]*horizon
 		}
 		of[i] = g
 	}
-	order := make([]int, 0, len(specs))
-	for _, g := range groups {
-		if len(g.horizons) > 1 {
-			slices.Sort(g.horizons)
-			order = append(order, g.longest)
-		}
-	}
-	if len(order) == 0 {
-		return nil, nil
-	}
-	slices.Sort(order)
-	spreadEnvironments(specs, order)
+	grouped := false
 	for i, g := range of {
 		if g == nil || len(g.horizons) < 2 {
 			of[i] = nil
+			continue
 		}
-		if of[i] == nil || g.longest != i {
-			order = append(order, i)
+		if g.sims == nil {
+			slices.Sort(g.horizons)
+			g.sims = sync.OnceValues(func() (runtime.Result, []fl.Result) {
+				return r.execute(g.batch[g.longest], g.horizons)
+			})
+			grouped = true
 		}
+		jobs[i].Run = func() runtime.Result { return g.run(i) }
 	}
-	return of, order
+	if !grouped {
+		return nil
+	}
+	return of
 }
 
 // environment is what a run's environment trace is drawn from (see

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -124,7 +125,8 @@ func checkSameResults(t *testing.T, specs []JobSpec, got, want []runtime.Result)
 // A batch at budgets {100, 300} returns, in spec order, the bytes of
 // two single-budget batches, counts every cell as executed, and runs
 // only the 300-round runs, with one worker and with four: a short twin
-// dispatched while its group runs waits for that run.
+// dispatched while its group runs waits for that run. Exactly one
+// member of each group carries the run's telemetry.
 func TestHorizonBatchMatchesSingleBudgetBatches(t *testing.T) {
 	batches := horizonSpecs(100, 300)
 	specs := interleave(batches)
@@ -137,6 +139,14 @@ func TestHorizonBatchMatchesSingleBudgetBatches(t *testing.T) {
 		}
 		got := rt.runSpecs(specs)
 		checkSameResults(t, specs, got, want)
+		// interleave puts each cell's two budgets, one group, next to
+		// each other.
+		for i := 0; i < len(got); i += 2 {
+			if (got[i].Telemetry != nil) == (got[i+1].Telemetry != nil) {
+				t.Errorf("%d workers: cells %d and %d: telemetry %v and %v, want it on exactly one",
+					workers, i, i+1, got[i].Telemetry != nil, got[i+1].Telemetry != nil)
+			}
+		}
 		if st := rt.Stats(); st.Runs != int64(len(specs)) || st.Hits != 0 {
 			t.Errorf("%d workers: %d runs, %d hits; want %d runs, 0 hits", workers, st.Runs, st.Hits, len(specs))
 		}
@@ -231,13 +241,21 @@ func twinSpecs(s ScenarioSpec, budgets ...int) []JobSpec {
 	return specs
 }
 
-// groupsOf is rt.horizonGroups of the batch's compiled jobs.
-func groupsOf(rt *Runtime, specs []JobSpec) ([]*horizonGroup, []int) {
+// compile is rt.Job of every spec of the batch.
+func compile(rt *Runtime, specs []JobSpec) []runtime.Job {
 	jobs := make([]runtime.Job, len(specs))
 	for i, sp := range specs {
 		jobs[i] = rt.Job(sp)
 	}
-	return rt.horizonGroups(specs, jobs)
+	return jobs
+}
+
+// groupsOf is rt.horizonGroups of the batch's compiled jobs, and the
+// batch's dispatchOrder.
+func groupsOf(rt *Runtime, specs []JobSpec) ([]*horizonGroup, []int) {
+	jobs := compile(rt, specs)
+	groups := rt.horizonGroups(specs, jobs)
+	return groups, dispatchOrder(specs, jobs, groups)
 }
 
 // loneErrs is each spec's Err when it runs alone on a runtime of its
@@ -311,7 +329,9 @@ func TestHorizonInvalidTwinsFailAsAlone(t *testing.T) {
 // one worker and at four, so each member reports the failed run's
 // error and none reads a result that was never made. An invalid spec's
 // job is never grouped, so the group here runs specs whose scenario
-// fails in Config under its valid twins' keys.
+// fails in Config under its valid twins' keys: the group reads its
+// batch only when it runs, so the valid twins' group is pointed at the
+// failing specs after it is built.
 func TestHorizonGroupReplaysFailure(t *testing.T) {
 	s := Tiny().apply(Ideal(workload.CNNMNIST()))
 	bad := s
@@ -322,12 +342,13 @@ func TestHorizonGroupReplaysFailure(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		g := &horizonGroup{batch: twinSpecs(bad, 50, 100, 300), longest: 2, horizons: []int{50, 100, 300}}
-		jobs := make([]runtime.Job, len(g.batch))
-		for i, sp := range twinSpecs(s, 50, 100, 300) {
-			jobs[i] = rt.Job(sp)
-			jobs[i].Run = func() runtime.Result { return g.run(rt, i) }
+		specs := twinSpecs(s, 50, 100, 300)
+		jobs := compile(rt, specs)
+		g := rt.horizonGroups(specs, jobs)[0]
+		if g.longest != 2 || !reflect.DeepEqual(g.horizons, []int{50, 100, 300}) {
+			t.Fatalf("group: longest %d, horizons %v; want 2, [50 100 300]", g.longest, g.horizons)
 		}
+		g.batch = twinSpecs(bad, 50, 100, 300)
 		for _, res := range rt.exec.RunAll(jobs) {
 			if res.Err != want {
 				t.Errorf("%d workers: cell %s: Err %q, want the group run's %q", workers, res.Key, res.Err, want)
@@ -352,7 +373,7 @@ func TestHorizonTracedBatchIsNotGrouped(t *testing.T) {
 	if n := roundsRun(rt); n != refRounds[0]+refRounds[1] {
 		t.Errorf("the traced batch ran %d rounds, want every cell's %d", n, refRounds[0]+refRounds[1])
 	}
-	if groups, order := groupsOf(rt, specs); groups != nil || order != nil {
+	if groups, _ := groupsOf(rt, specs); groups != nil {
 		t.Error("a traced runtime grouped a batch")
 	}
 	traced := append([]JobSpec(nil), specs...)
@@ -363,7 +384,7 @@ func TestHorizonTracedBatchIsNotGrouped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if groups, order := groupsOf(plain, traced); groups != nil || order != nil {
+	if groups, _ := groupsOf(plain, traced); groups != nil {
 		t.Error("a batch of traced specs was grouped")
 	}
 }
@@ -376,7 +397,7 @@ func TestHorizonGroupsPairOnlyBudgetTwins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if groups, order := groupsOf(rt, horizonSpecs(100)[0]); groups != nil || order != nil {
+	if groups, _ := groupsOf(rt, horizonSpecs(100)[0]); groups != nil {
 		t.Error("a one-budget batch was grouped")
 	}
 	s := Tiny().apply(Ideal(workload.CNNMNIST()))
@@ -413,52 +434,114 @@ func TestHorizonGroupsPairOnlyBudgetTwins(t *testing.T) {
 	}
 }
 
-// The longest members are dispatched one environment at a time: each
-// environment's first before any environment's second, so two runs a
-// pool starts together rarely draw one environment trace at once.
-func TestHorizonLongestMembersSpreadOverEnvironments(t *testing.T) {
-	rt, err := NewRuntime(1, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	matrix, err := ScenarioMatrix(workload.CNNMNIST(), "fleet=20,30;deadline=none,auto;rounds=100,300")
-	if err != nil {
-		t.Fatal(err)
-	}
-	specs := make([]JobSpec, len(matrix))
-	for i, s := range matrix {
-		specs[i] = simSpec(s, staticContender(fl.Params{B: 8, E: 10, K: 20}, ""), 1)
-	}
-	// Batch order: fleet 20 (none 100, none 300, auto 100, auto 300),
-	// then fleet 30 the same. The fleet sets the environment.
-	_, order := groupsOf(rt, specs)
-	if want := []int{1, 5, 3, 7, 0, 2, 4, 6}; !reflect.DeepEqual(order, want) {
-		t.Errorf("dispatch order %v, want %v", order, want)
-	}
+// recordBackend records every job the executor hands its backend, in
+// order, then runs them on the wrapped backend.
+type recordBackend struct {
+	runtime.Backend
+	jobs []runtime.Job
 }
 
-// A stable cell and its unstable twin read one environment trace, so
-// the spread treats them as one environment: the fleet alone sets it
-// here, and each fleet's second longest member waits for every fleet's
-// first.
-func TestHorizonSpreadIgnoresChannel(t *testing.T) {
-	rt, err := NewRuntime(1, "")
+func (b *recordBackend) Run(jobs []runtime.Job, done func(int, runtime.Result)) []runtime.Result {
+	b.jobs = append(b.jobs, jobs...)
+	return b.Backend.Run(jobs, done)
+}
+
+// staticMatrix is a static cell of each deployment of the matrix.
+func staticMatrix(t *testing.T, matrix string) []JobSpec {
+	t.Helper()
+	scens, err := ScenarioMatrix(workload.CNNMNIST(), matrix)
 	if err != nil {
 		t.Fatal(err)
 	}
-	matrix, err := ScenarioMatrix(workload.CNNMNIST(), "fleet=20,30;net=stable,unstable;rounds=100,300")
-	if err != nil {
-		t.Fatal(err)
-	}
-	specs := make([]JobSpec, len(matrix))
-	for i, s := range matrix {
+	specs := make([]JobSpec, len(scens))
+	for i, s := range scens {
 		specs[i] = simSpec(s, staticContender(fl.Params{B: 8, E: 10, K: 20}, ""), 1)
 	}
-	// Batch order: fleet 20 (stable 100, stable 300, unstable 100,
-	// unstable 300), then fleet 30 the same.
-	_, order := groupsOf(rt, specs)
-	if want := []int{1, 5, 3, 7, 0, 2, 4, 6}; !reflect.DeepEqual(order, want) {
-		t.Errorf("dispatch order %v, want %v", order, want)
+	return specs
+}
+
+// dispatchOrder puts the first reader of each snapshot first, then
+// the horizon groups' longest members spread over their environments,
+// then the rest in batch order; a cold batch reaches the backend in
+// exactly that order, and its results still land by batch index.
+func TestDispatchOrder(t *testing.T) {
+	s := Tiny().apply(Ideal(workload.CNNMNIST()))
+	other := s
+	other.Fleet.Size = 30
+	at := func(s ScenarioSpec, h int) ScenarioSpec { s.MaxRounds = h; return s }
+	static := staticContender(fl.Params{B: 8, E: 10, K: 20}, "")
+	cfg := core.DefaultConfig()
+	warm := ContenderSpec{Type: ContFedGPOWarm, Core: &cfg, WarmSeed: warmupSeed, WarmRounds: 60}
+	for _, tc := range []struct {
+		name  string
+		specs []JobSpec
+		want  []int
+	}{{
+		// [A(K1), B(K1), C(K2), D] dispatches as [A, C, B, D].
+		name: "snapshot leaders first",
+		specs: []JobSpec{
+			simSpec(s, fedgpoWarmContender(s), 1),
+			simSpec(s, fedgpoWarmContender(s), 2),
+			simSpec(other, fedgpoWarmContender(other), 1),
+			simSpec(s, static, 1),
+		},
+		want: []int{0, 2, 1, 3},
+	}, {
+		// Batch order: fleet 20 (none 100, none 300, auto 100, auto
+		// 300), then fleet 30 the same. The fleet sets the environment,
+		// so each fleet's first longest member comes before either
+		// fleet's second.
+		name:  "longest members spread over environments",
+		specs: staticMatrix(t, "fleet=20,30;deadline=none,auto;rounds=100,300"),
+		want:  []int{1, 5, 3, 7, 0, 2, 4, 6},
+	}, {
+		// A stable cell and its unstable twin read one environment
+		// trace, so the spread treats them as one environment.
+		name:  "spread ignores the channel",
+		specs: staticMatrix(t, "fleet=20,30;net=stable,unstable;rounds=100,300"),
+		want:  []int{1, 5, 3, 7, 0, 2, 4, 6},
+	}, {
+		// A warm cell's snapshot key holds its budget, so the two warm
+		// twins (one group) read two snapshots, and the seed-2 cell,
+		// in no group, reads the short twin's. The leaders come in the
+		// order steps 2 and 3 give: the warm group's longest member
+		// (300 rounds), then the short warm twin; then the static
+		// group's longest member, then the rest in batch order.
+		name: "warm snapshots with a rounds axis",
+		specs: []JobSpec{
+			simSpec(at(s, 100), static, 1),
+			simSpec(at(s, 100), warm, 1),
+			simSpec(at(s, 300), static, 1),
+			simSpec(at(s, 300), warm, 1),
+			simSpec(at(s, 100), warm, 2),
+		},
+		want: []int{3, 1, 2, 0, 4},
+	}} {
+		t.Run(tc.name, func(t *testing.T) {
+			cache, err := runtime.NewCache("")
+			if err != nil {
+				t.Fatal(err)
+			}
+			be := &recordBackend{Backend: runtime.NewPoolBackend(2)}
+			rt := NewRuntimeWithBackend(be, cache)
+			if _, order := groupsOf(rt, tc.specs); !reflect.DeepEqual(order, tc.want) {
+				t.Errorf("dispatch order %v, want %v", order, tc.want)
+			}
+			results := rt.runSpecs(tc.specs)
+			jobs := compile(rt, tc.specs)
+			var got []int
+			for _, j := range be.jobs {
+				got = append(got, slices.IndexFunc(jobs, func(b runtime.Job) bool { return b.Key() == j.Key() }))
+			}
+			if !reflect.DeepEqual(got, tc.want) {
+				t.Errorf("backend saw %v, want %v", got, tc.want)
+			}
+			for i, res := range results {
+				if res.Key != jobs[i].Key() {
+					t.Errorf("result %d belongs to %q, want %q", i, res.Key, jobs[i].Key())
+				}
+			}
+		})
 	}
 }
 

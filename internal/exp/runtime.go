@@ -22,9 +22,6 @@ type Runtime struct {
 	// store, nil until StreamStore, records every cell the runtime
 	// runs or serves from cache.
 	store *runtime.Store
-	// onJob, when set, observes every job a batch submits (test hook
-	// for spec round-trip coverage).
-	onJob func(runtime.Job)
 	// col accumulates the runtime's telemetry: job-level hit/run
 	// counters from the executor, cache-level I/O from the cache,
 	// dispatch latency and retry/failover counters from the
@@ -35,33 +32,28 @@ type Runtime struct {
 	// traces as spec-addressed cache artifacts).
 	traceLevel string
 
-	// The pretrained-controller singleflight: one warm-up per distinct
-	// (scenario, controller config, warm-up seed/rounds) key per
-	// process, no matter how many cells across how many workers request
-	// the same pretrained Q-tables concurrently.
+	// The pretrained-controller singleflight: one entry, resolved
+	// once, per distinct (scenario, controller config, warm-up
+	// seed/rounds) key per process, no matter how many cells across how
+	// many workers request the same pretrained Q-tables concurrently.
+	// pretrainRuns counts the warm-ups it executed.
 	pretrainMu   sync.Mutex
 	pretrains    map[string]*pretrainEntry
 	pretrainRuns atomic.Int64
-	// builtSnaps holds the serialized artifacts of snapshots this
-	// process built from scratch, keyed by pretrain key and guarded by
-	// pretrainMu. Each artifact is taken exactly once, by the first
-	// finished job sharing the key (attachBuiltSnapshot), which carries
-	// it back to the coordinator over the wire.
-	builtSnaps map[string][]byte
 }
 
-// pretrainEntry is one pretrain key's singleflight slot. A plain
-// sync.Once would be wrong here: a panic inside the warm-up would mark
-// the once done and hand every sibling cell a zero-value snapshot —
-// an untrained controller producing plausible-but-wrong results that
-// would then be cached. Instead the entry records the outcome and
-// replays a panic to every requester, so each affected cell fails
-// loudly (and is never cached) exactly like the cell that warmed it.
+// pretrainEntry is one pretrain key's singleflight slot.
 type pretrainEntry struct {
-	mu       sync.Mutex
-	done     bool
-	snap     core.Snapshot
-	panicked any
+	// snap resolves the key once (sync.OnceValue) and returns the
+	// snapshot to every caller. A warm-up that panics panics again in
+	// every caller, so each cell reading the snapshot fails loudly, and
+	// is never cached, instead of restoring an untrained controller
+	// whose plausible-but-wrong results would be.
+	snap func() core.Snapshot
+	// built holds the encoded snapshot when this process built it from
+	// scratch, until the first finished job reading the key takes it
+	// (attachBuiltSnapshot) to carry it back to the coordinator.
+	built atomic.Pointer[[]byte]
 }
 
 // NewRuntime builds a runtime on the in-process pool backend with the
@@ -141,7 +133,8 @@ func (r *Runtime) SetInnerParallel(int) {}
 // run runs == distinct (exactly one warm-up per scenario/config); on a
 // warm disk-cache rerun runs == 0. Under the coordinator the warm-ups
 // execute inside the worker pools, so the coordinator's counters stay
-// at zero.
+// at zero; Metrics().Counters.PretrainRuns counts the warm-ups of
+// either backend (fleet-wide under the coordinator).
 func (r *Runtime) PretrainStats() (runs, distinct int) {
 	r.pretrainMu.Lock()
 	defer r.pretrainMu.Unlock()
@@ -159,50 +152,32 @@ func (r *Runtime) pretrainedSnapshot(s ScenarioSpec, cfg core.Config, warmSeed i
 	e, ok := r.pretrains[key]
 	if !ok {
 		e = &pretrainEntry{}
-		r.pretrains[key] = e
-	}
-	r.pretrainMu.Unlock()
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.panicked != nil {
-		// The warm-up is deterministic, so retrying would fail the same
-		// way; replay the failure for every cell that depends on it.
-		panic(e.panicked)
-	}
-	if e.done {
-		return e.snap
-	}
-	// A cache directory an earlier run filled is a process boundary too.
-	if !r.cache.Get(key, &e.snap) || e.snap.Validate() != nil {
-		func() {
-			defer func() {
-				if rec := recover(); rec != nil {
-					e.panicked = rec
-					panic(rec)
-				}
-			}()
+		e.snap = sync.OnceValue(func() core.Snapshot {
+			// A cache directory an earlier run filled is a process
+			// boundary too, and so is a snapshot another process shipped
+			// (InstallSnapshot).
+			var snap core.Snapshot
+			if r.cache.Get(key, &snap) && snap.Validate() == nil {
+				return snap
+			}
 			warmCfg := s.Config(warmSeed)
 			warmCfg.MaxRounds = warmRounds
-			snap := core.PretrainSnapshot(cfg, warmCfg)
+			snap = core.PretrainSnapshot(cfg, warmCfg)
 			r.pretrainRuns.Add(1)
 			// Encode once: the same bytes are the cache payload and the
-			// artifact the first finished job sharing this key carries to
+			// artifact the first finished job reading this key carries to
 			// the coordinator for fleet-wide reuse, so a coordinator
 			// persisting them writes the entry this process did.
 			data := snap.AppendBinary(nil)
 			// A failed cache write only costs a future warm-up.
 			_ = r.cache.Put(key, data)
-			r.pretrainMu.Lock()
-			if r.builtSnaps == nil {
-				r.builtSnaps = make(map[string][]byte)
-			}
-			r.builtSnaps[key] = data
-			r.pretrainMu.Unlock()
-			e.snap = snap
-		}()
+			e.built.Store(&data)
+			return snap
+		})
+		r.pretrains[key] = e
 	}
-	e.done = true
-	return e.snap
+	r.pretrainMu.Unlock()
+	return e.snap()
 }
 
 // attachBuiltSnapshot moves a freshly built pretrain artifact onto the
@@ -218,54 +193,42 @@ func (r *Runtime) attachBuiltSnapshot(sp JobSpec, res *runtime.Result) {
 		return
 	}
 	r.pretrainMu.Lock()
-	data, ok := r.builtSnaps[key]
-	if ok {
-		delete(r.builtSnaps, key)
-	}
+	e := r.pretrains[key]
 	r.pretrainMu.Unlock()
-	if !ok {
+	if e == nil {
 		return
 	}
-	res.Snaps = append(res.Snaps, runtime.SnapshotArtifact{Key: key, Data: data})
+	data := e.built.Swap(nil)
+	if data == nil {
+		return
+	}
+	res.Snaps = append(res.Snaps, runtime.SnapshotArtifact{Key: key, Data: *data})
 	if res.Telemetry == nil {
 		res.Telemetry = &telemetry.Metrics{}
 	}
 	res.Telemetry.Counters.PretrainRuns++
 }
 
-// InstallSnapshot installs a coordinator-shipped pretrained-controller
-// artifact (WireRequest.Snaps) into this runtime's pretrain
-// singleflight and run cache, so a cell needing key deserializes it
-// instead of re-running the warm-up. An entry this process already
-// resolved wins — the shipped copy is byte-identical by construction,
-// so skipping it changes nothing. A snapshot that fails to decode
-// (core.Snapshot.UnmarshalBinary) or to validate is neither installed
-// nor stored.
+// InstallSnapshot stores a coordinator-shipped pretrained-controller
+// artifact (WireRequest.Snaps) in this runtime's run cache, where a
+// cell needing key reads it as it reads a snapshot an earlier run left
+// in a cache directory, instead of re-running the warm-up. An entry
+// this process already resolved keeps its snapshot: the shipped copy
+// is byte-identical by construction. A snapshot that fails to decode
+// (core.Snapshot.UnmarshalBinary) or to validate reaches neither the
+// cache nor the singleflight.
 func (r *Runtime) InstallSnapshot(key string, data []byte) error {
 	var snap core.Snapshot
-	if err := snap.UnmarshalBinary(data); err != nil {
+	err := snap.UnmarshalBinary(data)
+	if err == nil {
+		err = snap.Validate()
+	}
+	if err == nil {
+		err = r.cache.Put(key, data)
+	}
+	if err != nil {
 		return fmt.Errorf("exp: installing snapshot %q: %w", key, err)
 	}
-	if err := snap.Validate(); err != nil {
-		return fmt.Errorf("exp: installing snapshot %q: %w", key, err)
-	}
-	r.pretrainMu.Lock()
-	e, ok := r.pretrains[key]
-	if !ok {
-		e = &pretrainEntry{}
-		r.pretrains[key] = e
-	}
-	r.pretrainMu.Unlock()
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.done || e.panicked != nil {
-		return nil
-	}
-	e.snap = snap
-	e.done = true
-	// Persist like a locally built snapshot would (best effort), so this
-	// process's cache directory serves future cold runs too.
-	_ = r.cache.Put(key, data)
 	return nil
 }
 
@@ -337,37 +300,22 @@ func (e *JobError) Error() string { return fmt.Sprintf("exp: cell %s failed: %s"
 // Cells that differ only in their round budget run as one (see
 // horizonGroup): their jobs run the group's body instead of execute,
 // so the first of them to start runs the group and the rest wait for
-// it, and the batch is dispatched longest members first.
+// it. The batch is dispatched in dispatchOrder.
 func (r *Runtime) runSpecs(specs []JobSpec) []runtime.Result {
 	jobs := make([]runtime.Job, len(specs))
 	for i, sp := range specs {
 		jobs[i] = r.Job(sp)
 	}
-	groups, order := r.horizonGroups(specs, jobs)
-	for i, g := range groups {
-		if g != nil {
-			jobs[i].Run = func() runtime.Result { return g.run(r, i) }
-		}
+	order := dispatchOrder(specs, jobs, r.horizonGroups(specs, jobs))
+	// Reorder in place, not into copies of the batch's jobs and
+	// results.
+	rank := make([]int, len(order))
+	for k, i := range order {
+		rank[i] = k
 	}
-	if r.onJob != nil {
-		for _, j := range jobs {
-			r.onJob(j)
-		}
-	}
-	var results []runtime.Result
-	if order == nil {
-		results = r.exec.RunAll(jobs)
-	} else {
-		dispatch := make([]runtime.Job, len(jobs))
-		for k, i := range order {
-			dispatch[k] = jobs[i]
-		}
-		out := r.exec.RunAll(dispatch)
-		results = make([]runtime.Result, len(jobs))
-		for k, i := range order {
-			results[i] = out[k]
-		}
-	}
+	scatter(jobs, rank)
+	results := r.exec.RunAll(jobs)
+	scatter(results, order)
 	for i := range results {
 		res := &results[i]
 		res.Sim.Outcome = fl.OutcomeOf(specs[i].Scenario.Workload, res.Sim.History)
@@ -389,6 +337,70 @@ func (r *Runtime) runSpecs(specs []JobSpec) []runtime.Result {
 		}
 	}
 	return results
+}
+
+// dispatchOrder is the one order a batch reaches its backend in, as
+// batch indexes (the executor hands its misses on in the order it
+// receives them):
+//
+//  1. the first job reading each distinct Job.SnapshotKey;
+//  2. then every horizon group's longest member (groups by batch
+//     index, from horizonGroups), spread over their environments
+//     (spreadEnvironments);
+//  3. then the rest, in batch order.
+//
+// The snapshot leaders are taken in the order steps 2 and 3 give,
+// which is batch order in every batch without a horizon group. A
+// leader's cell runs its snapshot's Q-table warm-up, and a sibling
+// reading the same snapshot waits on that warm-up; dispatching the
+// leaders first starts distinct warm-ups on distinct workers instead of
+// parking a worker behind a sibling's, on both backends. A batch [A(K1),
+// B(K1), C(K2), D] reaches the backend as [A, C, B, D]. A group's run
+// is the longest one of the batch, so it starts next. The order
+// changes no byte of any result: results land by batch index.
+func dispatchOrder(specs []JobSpec, jobs []runtime.Job, groups []*horizonGroup) []int {
+	order := make([]int, 0, len(jobs))
+	if groups != nil {
+		for i, g := range groups {
+			if g != nil && g.longest == i {
+				order = append(order, i)
+			}
+		}
+		spreadEnvironments(specs, order)
+	}
+	for i := range jobs {
+		if groups == nil || groups[i] == nil || groups[i].longest != i {
+			order = append(order, i)
+		}
+	}
+	leader := make(map[string]int)
+	out := make([]int, 0, len(order))
+	for _, i := range order {
+		if k := jobs[i].SnapshotKey; k != "" {
+			if _, ok := leader[k]; !ok {
+				leader[k] = i
+				out = append(out, i)
+			}
+		}
+	}
+	for _, i := range order {
+		if l, ok := leader[jobs[i].SnapshotKey]; !ok || l != i {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
+// scatter moves s[i] to s[to[i]] for every i, in place, and leaves to
+// the identity.
+func scatter[T any](s []T, to []int) {
+	for i := range to {
+		for to[i] != i {
+			j := to[i]
+			s[i], s[j] = s[j], s[i]
+			to[i], to[j] = to[j], to[i]
+		}
+	}
 }
 
 // extra decodes the Kind-specific payload of a result runSpecs

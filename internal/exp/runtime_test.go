@@ -137,7 +137,7 @@ func TestFreshPretrainSnapshotSerializedOnce(t *testing.T) {
 	if !bytes.Equal(cached, res.Snaps[0].Data) {
 		t.Error("cached snapshot bytes differ from the shipped artifact")
 	}
-	if !bytes.Equal(rt.pretrains[key].snap.AppendBinary(nil), cached) {
+	if !bytes.Equal(rt.pretrains[key].snap().AppendBinary(nil), cached) {
 		t.Error("the in-process snapshot does not re-encode to the cached bytes")
 	}
 }
@@ -153,12 +153,12 @@ func TestSnapshotBinaryRoundTripEveryRegistryWarmUp(t *testing.T) {
 		t.Fatal(err)
 	}
 	runRegistry(t, rt)
+	if runs, distinct := rt.PretrainStats(); runs != distinct {
+		t.Fatalf("%d warm-ups finished for %d keys, want one for each", runs, distinct)
+	}
 	perDevice := false
 	for key, e := range rt.pretrains {
-		if !e.done {
-			t.Fatalf("%s: warm-up never finished", key)
-		}
-		snap := e.snap
+		snap := e.snap()
 		if len(snap.LocalTables) == 0 || snap.KTable == nil || len(snap.TableProfiles) == 0 {
 			t.Fatalf("%s: the warm-up built no tables", key)
 		}
@@ -214,7 +214,7 @@ func TestJSONEraSnapshotIsAPlainMiss(t *testing.T) {
 		if !strings.HasSuffix(key, suffix) {
 			t.Fatalf("pretrain key %q does not name the snapshot format", key)
 		}
-		js, err := json.Marshal(e.snap)
+		js, err := json.Marshal(e.snap())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -61,10 +61,14 @@ func comparableResult(t *testing.T, kind string, r runtime.Result) string {
 // executing it there must reproduce the in-process run byte for byte —
 // same canonical key, same simulator output, same Extra payload.
 func TestSpecRoundTripRegistry(t *testing.T) {
-	rtA, err := NewRuntime(0, "")
+	// On a fresh memory cache every distinct key misses once, so the
+	// backend sees every cell the registry emits.
+	cache, err := runtime.NewCache("")
 	if err != nil {
 		t.Fatal(err)
 	}
+	be := &recordBackend{Backend: runtime.NewPoolBackend(0)}
+	rtA := NewRuntimeWithBackend(be, cache)
 	storePath := filepath.Join(t.TempDir(), "store.jsonl")
 	if err := rtA.StreamStore(storePath); err != nil {
 		t.Fatal(err)
@@ -73,17 +77,17 @@ func TestSpecRoundTripRegistry(t *testing.T) {
 		kind    string
 		payload json.RawMessage
 	}
-	jobs := map[string]recorded{} // canonical key -> spec payload
-	rtA.onJob = func(j runtime.Job) {
-		if len(j.Payload) == 0 {
-			t.Errorf("job %q emitted without a serialized spec", j.Key())
-			return
-		}
-		jobs[j.Key()] = recorded{j.Kind, j.Payload}
-	}
 	opts := registryOptions().WithRuntime(rtA)
 	for _, e := range Registry() {
 		e.Run(opts)
+	}
+	jobs := map[string]recorded{} // canonical key -> spec payload
+	for _, j := range be.jobs {
+		if len(j.Payload) == 0 {
+			t.Errorf("job %q emitted without a serialized spec", j.Key())
+			continue
+		}
+		jobs[j.Key()] = recorded{j.Kind, j.Payload}
 	}
 	if len(jobs) == 0 {
 		t.Fatal("registry emitted no jobs")
@@ -92,6 +96,11 @@ func TestSpecRoundTripRegistry(t *testing.T) {
 		t.Fatal(err)
 	}
 	stored := readStoreLog(t, storePath)
+	for key := range stored {
+		if _, ok := jobs[key]; !ok {
+			t.Errorf("stored cell %q never reached the backend", key)
+		}
+	}
 
 	// Re-execute every distinct spec in a fresh runtime: separate
 	// pretrain singleflight, empty cache — the same situation a worker

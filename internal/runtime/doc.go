@@ -242,15 +242,13 @@
 // is a dependency, never part of the cell: it enters no canonical key,
 // wire spec or result byte.
 //
-// The executor hands a batch's cache misses to its backend leaders
-// first: the first miss reading each distinct snapshot, in batch
-// order, then every other miss in batch order. A batch [A(K1), B(K1),
-// C(K2), D] reaches the backend as [A, C, B, D]. The first reader of a
-// snapshot runs its Q-table warm-up and a sibling reading the same
-// snapshot waits on that warm-up, so batch order would park a second
-// worker behind A's warm-up while C's waits; leaders first starts the
-// distinct warm-ups on distinct workers, on both backends. Results
-// still land by job index, and the order changes no byte of them.
+// The executor hands a batch's cache misses to its backend in the
+// order the batch lists them; the caller orders the batch. The exp
+// package orders every batch in one function, dispatchOrder: the first
+// job reading each distinct snapshot leads, so distinct Q-table
+// warm-ups start on distinct workers instead of one worker parking
+// behind a sibling's warm-up, on both backends. Results still land by
+// job index, and the order changes no byte of them.
 //
 // The coordinator dispatches each batch through one FIFO that every
 // endpoint's sessions pull from, oldest eligible job first. Its only
@@ -271,9 +269,11 @@
 // (byte-identical to the entry the worker wrote locally, both being
 // the one encoding the worker made), and pre-pushes them inside later
 // requests for cells sharing that key dispatched at pools not known to
-// hold it, whatever cache directory they use. The worker installs pushed
-// artifacts before running the request, resolving its pretrain
-// singleflight without executing the warm-up. A snapshot counts as
+// hold it, whatever cache directory they use. The worker stores pushed
+// artifacts in its run cache before running the request
+// (exp.Runtime.InstallSnapshot), and its pretrain singleflight reads
+// them there, as it reads a snapshot an earlier run left in a cache
+// directory, instead of executing the warm-up. A snapshot counts as
 // held by a pool once the request carrying it was sent, so a request
 // resent after a failed send carries it again. Per-endpoint
 // pushed-snapshot bytes land in the -v summary and the -metrics-out
@@ -387,8 +387,10 @@
 // shipped snapshot are decoded by core.Snapshot.UnmarshalBinary, which
 // is total and bounded by its input, and then checked by
 // core.Snapshot.Validate.
-// The experiment runtime's in-process singleflight guarantees at most
-// one warm-up per key even when many workers request it concurrently.
+// The experiment runtime's in-process singleflight, one sync.OnceValue
+// per key, guarantees at most one warm-up per key even when many
+// workers request it concurrently; it reads the cache before it warms
+// up, so a snapshot another process shipped enters through the cache.
 // Grid-search selections ("fixed-best" keys) follow the same
 // KeyFor pattern.
 //

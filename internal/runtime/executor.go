@@ -101,8 +101,9 @@ func (e *Executor) count(r Result) {
 // results[i] always belongs to jobs[i], regardless of backend,
 // parallelism or scheduling. Cache hits are served without touching
 // the backend; a job that fails yields a Result with Err set and the
-// remaining jobs are unaffected. The misses reach the backend leaders
-// first (see leadersFirst).
+// remaining jobs are unaffected. The misses reach the backend in the
+// order the batch lists them, so the caller decides the dispatch order
+// (the exp package's dispatchOrder).
 //
 // A key the batch repeats names the same cell, so it runs once: the
 // later copies are neither looked up nor dispatched. Each takes the
@@ -171,7 +172,6 @@ func (e *Executor) RunAll(jobs []Job) []Result {
 	}
 
 	if len(missIdx) > 0 {
-		missIdx = leadersFirst(jobs, missIdx)
 		miss := make([]Job, len(missIdx))
 		for k, i := range missIdx {
 			miss[k] = jobs[i]
@@ -239,25 +239,4 @@ func (e *Executor) cacheHits(jobs []Job, keys []string, lead []int) []*Result {
 	close(idx)
 	wg.Wait()
 	return hits
-}
-
-// leadersFirst orders a batch's misses (indexes into jobs) for
-// dispatch: the first miss reading each distinct Job.SnapshotKey, in
-// batch order, then every other miss in batch order. A leader runs its
-// snapshot's warm-up, and a sibling reading the same snapshot waits on
-// that warm-up; dispatching the leaders first starts distinct warm-ups
-// on distinct workers instead of parking a worker behind a sibling's.
-func leadersFirst(jobs []Job, miss []int) []int {
-	order := make([]int, 0, len(miss))
-	rest := make([]int, 0, len(miss))
-	leading := make(map[string]bool)
-	for _, i := range miss {
-		if k := jobs[i].SnapshotKey; k != "" && !leading[k] {
-			leading[k] = true
-			order = append(order, i)
-		} else {
-			rest = append(rest, i)
-		}
-	}
-	return append(order, rest...)
 }

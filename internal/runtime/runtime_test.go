@@ -74,26 +74,6 @@ func (b *orderBackend) Run(jobs []Job, done func(int, Result)) []Result {
 	return b.Backend.Run(jobs, done)
 }
 
-// The first miss reading each distinct snapshot reaches the backend
-// ahead of the rest, and results still come back in job order.
-func TestRunAllDispatchesSnapshotLeadersFirst(t *testing.T) {
-	jobs := []Job{simJob(0), simJob(1), simJob(2), simJob(3)}
-	for i, k := range []string{"K1", "K1", "K2", ""} {
-		jobs[i].Scenario = string(rune('A' + i))
-		jobs[i].SnapshotKey = k
-	}
-	be := &orderBackend{Backend: NewPoolBackend(1)}
-	rs := NewExecutorBackend(be, nil).RunAll(jobs)
-	if want := []string{"A", "C", "B", "D"}; !reflect.DeepEqual(be.got, want) {
-		t.Errorf("backend saw %v, want %v", be.got, want)
-	}
-	for i, r := range rs {
-		if r.Key != jobs[i].Key() || r.Sim.ControllerOverheadSec != float64(i) {
-			t.Errorf("result %d belongs to %q (value %v), want %q", i, r.Key, r.Sim.ControllerOverheadSec, jobs[i].Key())
-		}
-	}
-}
-
 func TestRunAllPanicIsolation(t *testing.T) {
 	jobs := []Job{
 		simJob(0),
