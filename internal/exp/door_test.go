@@ -164,8 +164,9 @@ func TestSpecCheckAllocatesNothing(t *testing.T) {
 }
 
 // BenchmarkJobCompile is the cost of compiling one spec into its job
-// (Runtime.Job): the check, the key, the wire encoding and, for a warm
-// FedGPO cell, its snapshot key.
+// (Runtime.Job): the check, the key and, for a warm FedGPO cell, its
+// snapshot key. The wire encoding is not part of it: the executor
+// builds it only for a job it dispatches.
 func BenchmarkJobCompile(b *testing.B) {
 	s := Tiny().apply(Realistic(workload.CNNMNIST()))
 	rt, err := NewRuntime(1, "")

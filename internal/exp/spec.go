@@ -301,10 +301,13 @@ func DecodeJobSpec(b []byte) (JobSpec, error) {
 }
 
 // Job compiles a spec into a runnable runtime job: the canonical key
-// fields, the serialized spec for process-crossing backends, and the
+// fields, the spec's encoder for process-crossing backends, and the
 // in-process execution closure for the pool backend. Both execution
 // paths run through execute, so a cell computes the same result no
-// matter which side of a process boundary it lands on.
+// matter which side of a process boundary it lands on. The job's
+// Encode is EncodeJobSpec of the spec, and the executor builds the
+// payload once per dispatched job (Executor.RunAll): a cell the cache
+// serves is never encoded.
 //
 // The spec is checked before its key is built (keyed). An invalid
 // spec's job is never looked up in the cache (ForceRun), never grouped
@@ -329,12 +332,15 @@ func (r *Runtime) Job(sp JobSpec) runtime.Job {
 	if err != nil {
 		// A spec holding a NaN or an infinity does not encode, and a
 		// coordinator reports its job as having no spec.
-		j.Payload, _ = json.Marshal(sp)
+		j.Encode = func() json.RawMessage {
+			b, _ := json.Marshal(sp)
+			return b
+		}
 		j.ForceRun = true
 		j.Run = func() runtime.Result { panic(err.Error()) }
 		return j
 	}
-	j.Payload = EncodeJobSpec(sp)
+	j.Encode = func() json.RawMessage { return EncodeJobSpec(sp) }
 	j.ForceRun = sp.Trace != "" && sp.traceable() && !r.hasTrace(sp)
 	j.SnapshotKey = snapshotKey(sp)
 	j.Run = func() runtime.Result {
@@ -370,6 +376,8 @@ func (r *Runtime) RunJob(j runtime.Job) runtime.Result {
 // was dispatched as, and runs it through RunJob. A spec that does not
 // decode or addresses another cell yields an error result — anything
 // else would poison the coordinator's cache under the dispatched key.
+// The job carries the spec it arrived as for its payload, so a miss is
+// not encoded again.
 func (r *Runtime) RunRequest(key string, spec json.RawMessage) runtime.Result {
 	sp, err := DecodeJobSpec(spec)
 	if err != nil {
@@ -379,6 +387,7 @@ func (r *Runtime) RunRequest(key string, spec json.RawMessage) runtime.Result {
 	if got := job.Key(); got != key {
 		return runtime.Result{Key: key, Err: fmt.Sprintf("exp: spec addresses %q, dispatched as %q", got, key)}
 	}
+	job.Payload = spec
 	return r.RunJob(job)
 }
 

@@ -320,7 +320,9 @@ func TestDecodeJobSpecRejectsUnboundedResources(t *testing.T) {
 // decoder. It must never panic, neither while decoding nor while the
 // worker compiles and keys the decoded spec (Runtime.Job, before
 // anything runs); the compiled job must address the spec's own key,
-// or RunRequest would refuse it; and a spec it accepts must survive
+// or RunRequest would refuse it, and its Encode must build the spec's
+// wire encoding byte for byte, the payload the executor dispatches;
+// and a spec it accepts must survive
 // its own round trip: re-encoding it decodes to the same cell, and
 // that re-encoding is a fixed point.
 func FuzzDecodeJobSpec(f *testing.F) {
@@ -361,10 +363,14 @@ func FuzzDecodeJobSpec(f *testing.F) {
 			return
 		}
 		key := sp.Key()
-		if got := rt.Job(sp).Key(); got != key {
+		j := rt.Job(sp)
+		if got := j.Key(); got != key {
 			t.Fatalf("compiled job addresses %q, its spec %q", got, key)
 		}
 		enc := EncodeJobSpec(sp)
+		if lazy := j.Encode(); !bytes.Equal(lazy, enc) {
+			t.Fatalf("compiled job encodes its spec as\n%s\nnot as its wire encoding\n%s", lazy, enc)
+		}
 		back, err := DecodeJobSpec(enc)
 		if err != nil {
 			t.Fatalf("accepted spec does not re-decode: %v\n%s", err, enc)

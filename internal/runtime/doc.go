@@ -28,7 +28,12 @@
 // cache with the former, the coordinator ships the latter across
 // the process boundary, and the worker on the far side re-derives the
 // key from the decoded spec and refuses mismatches, so a foreign spec
-// can never poison a cache entry it does not name.
+// can never poison a cache entry it does not name. A spec-built job
+// carries the payload as Job.Encode, not as bytes: the executor builds
+// the payload once per dispatched job, just before the batch's misses
+// reach the backend, so a cache hit (the whole of a warm rerun) and a
+// key the batch repeats are never encoded, while every job a backend
+// sees carries its Payload.
 //
 // # Scenario-spec schema
 //

@@ -103,14 +103,16 @@ func (e *Executor) count(r Result) {
 // the backend; a job that fails yields a Result with Err set and the
 // remaining jobs are unaffected. The misses reach the backend in the
 // order the batch lists them, so the caller decides the dispatch order
-// (the exp package's dispatchOrder).
+// (the exp package's dispatchOrder). The executor builds the payload
+// once per dispatched job: a miss whose Payload is empty gets
+// Encode's bytes, and a hit is never encoded.
 //
 // A key the batch repeats names the same cell, so it runs once: the
 // later copies are neither looked up nor dispatched. Each takes the
 // first copy's Result, sharing its slices and maps, which no caller
 // writes to (the contract on fl.Result). They count neither as
-// SimsExecuted nor as CacheHits, and their progress events fire after
-// the rest of the batch.
+// SimsExecuted nor as CacheHits, are never encoded, and their progress
+// events fire after the rest of the batch.
 func (e *Executor) RunAll(jobs []Job) []Result {
 	results := make([]Result, len(jobs))
 	if len(jobs) == 0 {
@@ -175,6 +177,9 @@ func (e *Executor) RunAll(jobs []Job) []Result {
 		miss := make([]Job, len(missIdx))
 		for k, i := range missIdx {
 			miss[k] = jobs[i]
+			if len(miss[k].Payload) == 0 && miss[k].Encode != nil {
+				miss[k].Payload = miss[k].Encode()
+			}
 		}
 		out := e.backend.Run(miss, func(k int, r Result) {
 			e.count(r)

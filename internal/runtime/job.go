@@ -41,14 +41,21 @@ type Job struct {
 	Seed int64
 	// Payload is the job's serialized spec: a self-contained JSON
 	// description from which any process can reconstruct and execute
-	// the cell (the experiment harness encodes its JobSpec here). It is
-	// what the coordinator streams to worker pools; the in-process pool
-	// never reads it.
+	// the cell. It is what the coordinator streams to worker pools; the
+	// in-process pool never reads it. A job may leave it empty and set
+	// Encode instead: Executor.RunAll fills it once for each job it
+	// hands to the backend. A job that sets Payload itself reaches the
+	// backend with those bytes.
 	Payload json.RawMessage
+	// Encode builds Payload (the experiment harness encodes its JobSpec
+	// here). Executor.RunAll calls it once per dispatched job whose
+	// Payload is empty, so a cache hit or a repeated key is never
+	// encoded. It may return nil for a spec that has no encoding.
+	Encode func() json.RawMessage
 	// Run executes the cell on a cache miss. It is called from a worker
 	// goroutine and must not share mutable state with other jobs. For
-	// spec-built jobs it is the in-process compilation of Payload: both
-	// must compute the same result.
+	// spec-built jobs it is the in-process compilation of the payload:
+	// both must compute the same result.
 	Run func() Result
 	// ForceRun makes the executor skip the cache lookup and execute the
 	// cell even when a cached result exists. The re-run's result is
