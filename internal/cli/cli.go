@@ -18,7 +18,6 @@ import (
 
 	"fedgpo/internal/exp"
 	"fedgpo/internal/runtime"
-	"fedgpo/internal/telemetry"
 	"fedgpo/internal/workload"
 )
 
@@ -41,8 +40,6 @@ type RuntimeFlags struct {
 	// MetricsOut, when set, writes the runtime's telemetry snapshot
 	// (phase timings, counters, per-endpoint latency) as JSON on exit.
 	MetricsOut string
-	// TraceLevel selects RL decision tracing ("none" or "decisions").
-	TraceLevel string
 	// Results, when set, streams every cell to this JSON Lines file.
 	Results string
 	// Verbose prints the telemetry summary at Finish; the report also
@@ -64,8 +61,6 @@ func Register(fs *flag.FlagSet) *RuntimeFlags {
 		"print the scenario presets and their resolved spec JSON, then exit")
 	fs.StringVar(&f.MetricsOut, "metrics-out", "",
 		"write the run's telemetry snapshot (phase timings, cache/sim counters, per-endpoint dispatch latency) as JSON to this file")
-	fs.StringVar(&f.TraceLevel, "trace-level", "",
-		"RL decision tracing: 'decisions' records each FedGPO cell's per-round state, masked action set, chosen action, reward and Q-delta as spec-addressed cache artifacts (tracing a cached cell costs one re-run; re-tracing costs zero); results stay byte-identical")
 	fs.StringVar(&f.Results, "results", "",
 		"stream the structured result store to this path as JSON Lines, one cell per line as it completes")
 	fs.BoolVar(&f.Verbose, "v", false, "verbose stderr: the telemetry summary with per-endpoint dispatch stats (fedgpo-report adds per-job progress)")
@@ -102,9 +97,9 @@ func (f *RuntimeFlags) backend() string {
 // Runtime builds the experiment runtime the parsed flags describe:
 // cache (pruned to the byte budget), execution backend — the
 // in-process pool, or the shard coordinator over the -workers pools —
-// decision tracing and the -results store. A malformed -workers
-// address or an unwritable -results path fails here, at startup, not
-// at the first batch.
+// and the -results store. A malformed -workers address or an
+// unwritable -results path fails here, at startup, not at the first
+// batch.
 func (f *RuntimeFlags) Runtime() (*exp.Runtime, error) {
 	remotes := f.remotes()
 	for _, addr := range remotes {
@@ -126,14 +121,6 @@ func (f *RuntimeFlags) Runtime() (*exp.Runtime, error) {
 		backend = runtime.NewPoolBackend(f.Parallel)
 	}
 	rt := exp.NewRuntimeWithBackend(backend, cache)
-	switch f.TraceLevel {
-	case "", "none":
-		// tracing off
-	case telemetry.TraceDecisions:
-		rt.SetTraceLevel(telemetry.TraceDecisions)
-	default:
-		return nil, fmt.Errorf("cli: unknown -trace-level %q (valid: none, %s)", f.TraceLevel, telemetry.TraceDecisions)
-	}
 	if f.Results != "" {
 		if err := rt.StreamStore(f.Results); err != nil {
 			return nil, err

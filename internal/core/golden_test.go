@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -61,7 +62,8 @@ func traceDigest(t *testing.T, c *core.Controller, extra ...any) string {
 
 // The controller's tables, snapshots and decisions are pinned bit for
 // bit at unit level: any change to how states, tables or Q rows are
-// addressed must leave every digest as it is.
+// addressed must leave every digest as it is. Each case also runs
+// cold and warm untraced, which must give the traced runs' results.
 func TestGoldenControllerDigests(t *testing.T) {
 	workloads := map[string]workload.Workload{
 		"CNN-MNIST": workload.CNNMNIST(),
@@ -77,14 +79,21 @@ func TestGoldenControllerDigests(t *testing.T) {
 			cfg.PerDeviceTables = tables == "per-device"
 
 			snap := core.PretrainSnapshot(cfg, s.Config(997))
+			run := func(c *core.Controller, seed int64, trace bool) []byte {
+				if trace {
+					c.EnableTrace()
+				}
+				b, err := fl.Run(s.Config(seed), c).AppendBinary(nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return b
+			}
 
 			cold := core.New(cfg)
-			cold.EnableTrace()
-			fl.Run(s.Config(1), cold)
-
+			coldRes := run(cold, 1, true)
 			warm := core.FromSnapshot(cfg, snap)
-			warm.EnableTrace()
-			fl.Run(s.Config(2), warm)
+			warmRes := run(warm, 2, true)
 
 			got := [3]string{
 				digest(snap.AppendBinary(nil)),
@@ -93,6 +102,15 @@ func TestGoldenControllerDigests(t *testing.T) {
 			}
 			if got != want {
 				t.Errorf("digests changed:\n got %q\nwant %q", got, want)
+			}
+
+			// Tracing is strictly observational: the same runs untraced
+			// produce the same result bytes.
+			if !bytes.Equal(run(core.New(cfg), 1, false), coldRes) {
+				t.Error("untraced cold run's result differs from the traced run's")
+			}
+			if !bytes.Equal(run(core.FromSnapshot(cfg, snap), 2, false), warmRes) {
+				t.Error("untraced warm run's result differs from the traced run's")
 			}
 		})
 	}

@@ -2,16 +2,16 @@ package core
 
 // Decision tracing: the opt-in per-round record of what the FedGPO
 // policy saw, what it was allowed to do, what it chose, what reward it
-// earned, and how its Q-tables moved in response — the controller-side
-// half of the telemetry layer's TraceLevel=decisions mode.
+// earned, and how its Q-tables moved in response. It lives in the
+// controller alone: tests read it (TestGoldenControllerDigests pins
+// decisions through it), and a reader that explains one cell records
+// that cell in process. It is never a cache artifact or a wire field.
 //
 // Tracing is strictly observational. Recording reads the masked action
 // sets through rl.QTable.CandidatesOf/AllowedActions, which consume no
 // randomness and mutate nothing, so a traced run makes exactly the
-// same decisions as an untraced one; the experiment harness enforces
-// the resulting byte-identity of tables and cache keys by test. The
-// trace itself is stored as a spec-addressed cache artifact beside the
-// run's result (see the exp package), never inside it.
+// same decisions as an untraced one; TestGoldenControllerDigests
+// enforces the resulting byte-identity of run results.
 
 // RoundTrace is one round's decision record.
 type RoundTrace struct {

@@ -73,18 +73,17 @@ type groupKey struct {
 // spec in none). Only a batch whose plain simulation cells use more
 // than one round budget (a sweep with a rounds axis; never a report
 // batch) has groups, so any other returns nil after one pass over the
-// specs. Traced cells are never grouped, since a trace records one
-// run's decisions, and neither are invalid ones: their jobs are of
-// kind kindInvalid, not plain simulation cells, so each fails alone
-// with its own error.
+// specs. Invalid specs are never grouped: their jobs are of kind
+// kindInvalid, not plain simulation cells, so each fails alone with
+// its own error.
 func (r *Runtime) horizonGroups(specs []JobSpec, jobs []runtime.Job) []*horizonGroup {
-	if r.traceLevel != "" || !mixedBudgets(specs) {
+	if !mixedBudgets(specs) {
 		return nil
 	}
 	byKey := make(map[groupKey]*horizonGroup)
 	of := make([]*horizonGroup, len(specs))
 	for i, sp := range specs {
-		if jobs[i].Kind != KindSim || sp.Trace != "" {
+		if jobs[i].Kind != KindSim {
 			continue
 		}
 		s := sp.Scenario

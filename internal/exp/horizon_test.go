@@ -357,38 +357,6 @@ func TestHorizonGroupReplaysFailure(t *testing.T) {
 	}
 }
 
-// A traced batch runs every cell on its own: a decision trace records
-// one run's decisions.
-func TestHorizonTracedBatchIsNotGrouped(t *testing.T) {
-	batches := horizonSpecs(100, 300)
-	specs := interleave(batches)
-	want, refRounds := horizonReference(t, batches)
-
-	rt, err := NewRuntime(1, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt.SetTraceLevel(telemetry.TraceDecisions)
-	checkSameResults(t, specs, rt.runSpecs(specs), want)
-	if n := roundsRun(rt); n != refRounds[0]+refRounds[1] {
-		t.Errorf("the traced batch ran %d rounds, want every cell's %d", n, refRounds[0]+refRounds[1])
-	}
-	if groups, _ := groupsOf(rt, specs); groups != nil {
-		t.Error("a traced runtime grouped a batch")
-	}
-	traced := append([]JobSpec(nil), specs...)
-	for i := range traced {
-		traced[i].Trace = telemetry.TraceDecisions
-	}
-	plain, err := NewRuntime(1, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if groups, _ := groupsOf(plain, traced); groups != nil {
-		t.Error("a batch of traced specs was grouped")
-	}
-}
-
 // Only cells that differ in nothing but their budget are grouped, and
 // the longest members are dispatched first. A one-budget batch, like
 // every report batch, has no groups.

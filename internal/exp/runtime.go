@@ -27,10 +27,6 @@ type Runtime struct {
 	// dispatch latency and retry/failover counters from the
 	// coordinator, and per-job phase timings folded in per result.
 	col *telemetry.Collector
-	// traceLevel, when non-empty, is stamped onto every JobSpec this
-	// runtime compiles (telemetry.TraceDecisions records RL decision
-	// traces as spec-addressed cache artifacts).
-	traceLevel string
 
 	// The pretrained-controller singleflight: one entry, resolved
 	// once, per distinct (scenario, controller config, warm-up
@@ -106,13 +102,6 @@ func (r *Runtime) Stats() runtime.Stats { return r.exec.Stats() }
 //
 // Deprecated: there is nothing to close; it always returns nil.
 func (r *Runtime) Close() error { return nil }
-
-// SetTraceLevel sets the RL decision-trace level stamped onto every
-// job this runtime compiles: telemetry.TraceDecisions enables
-// per-round decision recording for traceable cells, "" (the default)
-// disables it. Tracing never changes canonical keys or result bytes;
-// it only adds spec-addressed trace artifacts to the cache.
-func (r *Runtime) SetTraceLevel(level string) { r.traceLevel = level }
 
 // Metrics snapshots the runtime's collector, the one record of its
 // job, cache and endpoint counts (Stats reads the same record).

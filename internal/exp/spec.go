@@ -69,8 +69,7 @@ type ContenderSpec struct {
 // contenderType is one contender type's rules: how its spec keys and
 // how it builds, in any process.
 type contenderType struct {
-	// fedgpo marks the FedGPO types: their spec carries a core config,
-	// and their controller records Q-table decisions a trace can hold.
+	// fedgpo marks the FedGPO types: their spec carries a core config.
 	fedgpo bool
 	// key is the contender's canonical cache descriptor, the controller
 	// half of a job key: the type and the values that build the
@@ -164,14 +163,6 @@ type JobSpec struct {
 	// ProbeRounds bounds the oracle probe's run length; it participates
 	// in the oracle job's scenario key.
 	ProbeRounds int `json:"probeRounds,omitempty"`
-	// Trace is the RL decision-trace level (telemetry.TraceDecisions,
-	// or "" for none). It deliberately does NOT participate in the
-	// job's canonical key — a traced run computes byte-identical
-	// results, so traced and untraced runs share one cache cell; the
-	// trace itself is published under a separate spec-addressed key
-	// (see traceKey). It rides the spec across the wire so worker
-	// processes trace exactly the cells the coordinator asked to.
-	Trace string `json:"trace,omitempty"`
 }
 
 // scenarioKey returns the scenario half of the job's canonical key,
@@ -237,11 +228,6 @@ func (sp JobSpec) validate() error {
 	default:
 		return fmt.Errorf("exp: unknown job kind %q", sp.Kind)
 	}
-	switch sp.Trace {
-	case telemetry.TraceNone, telemetry.TraceDecisions:
-	default:
-		return fmt.Errorf("exp: unknown trace level %q", sp.Trace)
-	}
 	if err := sp.Scenario.Validate(); err != nil {
 		return err
 	}
@@ -249,31 +235,6 @@ func (sp JobSpec) validate() error {
 		return fmt.Errorf("exp: probeRounds must be in [0, %d], got %d", maxSpecRounds, sp.ProbeRounds)
 	}
 	return sp.Contender.validate()
-}
-
-// traceable reports whether this spec's execution can produce an RL
-// decision trace: a FedGPO contender (the only controller with
-// Q-table decisions to record) on a kind that runs a full simulation.
-func (sp JobSpec) traceable() bool {
-	return contenderTypes[sp.Contender.Type].fedgpo && (sp.Kind == KindSim || sp.Kind == KindSec54)
-}
-
-// traceKey addresses a spec's decision-trace artifact in the
-// content-addressed cache. It reuses the job's canonical key parts
-// under a distinct "trace" kind, so the artifact is spec-addressed
-// exactly like the result it annotates while never colliding with it:
-//
-//	<keyVersion>|trace|<level>|<kind>|<scenario key>|<controller key>|seed=<N>
-func traceKey(sp JobSpec) string {
-	return runtime.KeyFor("trace", sp.Trace, sp.Kind,
-		sp.scenarioKey(), sp.controllerKey(), fmt.Sprintf("seed=%d", sp.Seed))
-}
-
-// hasTrace reports whether the spec's trace artifact is already in the
-// run cache.
-func (r *Runtime) hasTrace(sp JobSpec) bool {
-	var raw json.RawMessage
-	return r.cache.Get(traceKey(sp), &raw)
 }
 
 // EncodeJobSpec serializes a spec for the wire.
@@ -315,19 +276,7 @@ func DecodeJobSpec(b []byte) (JobSpec, error) {
 // cell's key, so the executor cannot serve it another cell's result;
 // its body fails with the validation error, and a worker pool handed
 // its spec rejects it with the same error (DecodeJobSpec).
-//
-// When the runtime has a trace level configured it is stamped onto
-// the spec here — but only when the spec carries none, so a worker
-// compiling a wire-decoded spec preserves the coordinator's request
-// rather than its own (always-empty) setting. A traced cell whose
-// trace artifact is not yet cached is marked ForceRun: the cell
-// re-executes once to capture the trace (publishing byte-identical
-// results), and once the artifact exists re-tracing is a pure cache
-// hit costing zero simulations.
 func (r *Runtime) Job(sp JobSpec) runtime.Job {
-	if r.traceLevel != "" && sp.Trace == "" {
-		sp.Trace = r.traceLevel
-	}
 	j, err := sp.keyed()
 	if err != nil {
 		// A spec holding a NaN or an infinity does not encode, and a
@@ -341,7 +290,6 @@ func (r *Runtime) Job(sp JobSpec) runtime.Job {
 		return j
 	}
 	j.Encode = func() json.RawMessage { return EncodeJobSpec(sp) }
-	j.ForceRun = sp.Trace != "" && sp.traceable() && !r.hasTrace(sp)
 	j.SnapshotKey = snapshotKey(sp)
 	j.Run = func() runtime.Result {
 		res, _ := r.execute(sp, nil)
@@ -426,8 +374,8 @@ func (r *Runtime) execute(sp JobSpec, horizons []int) (runtime.Result, []fl.Resu
 // and the snapshot attached to the result for the executor — or,
 // across a process boundary, the wire — to fold into the run-level
 // collector. A sec54 spec runs full length (no convergence stop).
-// Telemetry and tracing are observational only; the Sim outcome is
-// byte-identical to an uninstrumented run.
+// Telemetry is observational only; the Sim outcome is byte-identical
+// to an uninstrumented run.
 //
 // With horizons (ascending round budgets, the last the spec's own), the
 // one run also returns its result at each budget, byte-identical to a
@@ -440,7 +388,6 @@ func executeSim(r *Runtime, sp JobSpec, horizons []int) (runtime.Result, []fl.Re
 	t0 := time.Now()
 	ctrl := r.controller(sp.Scenario, sp.Contender)
 	col.RecordPhase(telemetry.PhasePretrain, time.Since(t0))
-	traced := r.traceTarget(sp, ctrl)
 	cfg := sp.Scenario.Config(sp.Seed)
 	cfg.StopAtConvergence = cfg.StopAtConvergence && sp.Kind != KindSec54
 	cfg.Telemetry = col
@@ -452,37 +399,9 @@ func executeSim(r *Runtime, sp JobSpec, horizons []int) (runtime.Result, []fl.Re
 		sims = fl.RunHorizons(cfg, ctrl, horizons)
 		res.Sim = sims[len(sims)-1]
 	}
-	r.publishTrace(sp, traced)
 	m := col.Snapshot()
 	res.Telemetry = &m
 	return res, sims, ctrl
-}
-
-// traceTarget enables decision tracing on the controller when the spec
-// asks for it and the contender supports it, returning the controller
-// to harvest the trace from (nil otherwise).
-func (r *Runtime) traceTarget(sp JobSpec, ctrl fl.Controller) *core.Controller {
-	if sp.Trace == "" || !sp.traceable() {
-		return nil
-	}
-	c, ok := ctrl.(*core.Controller)
-	if !ok {
-		return nil
-	}
-	c.EnableTrace()
-	return c
-}
-
-// publishTrace stores a traced controller's decision record as the
-// spec's trace artifact. Best effort, like every cache write: a failed
-// publish costs one future re-trace.
-func (r *Runtime) publishTrace(sp JobSpec, c *core.Controller) {
-	if c == nil {
-		return
-	}
-	if tr := c.DecisionTrace(); len(tr) > 0 {
-		_ = r.cache.Put(traceKey(sp), tr)
-	}
 }
 
 // controller materializes a contender spec into a live controller for

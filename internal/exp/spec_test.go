@@ -14,7 +14,6 @@ import (
 	"fedgpo/internal/device"
 	"fedgpo/internal/fl"
 	"fedgpo/internal/runtime"
-	"fedgpo/internal/telemetry"
 	"fedgpo/internal/workload"
 )
 
@@ -329,7 +328,7 @@ func FuzzDecodeJobSpec(f *testing.F) {
 	scenario := Tiny().apply(Ideal(workload.CNNMNIST()))
 	oracle := oracleSpec(scenario, Tiny(), 40)
 	sec54 := simSpec(scenario, fedgpoColdContender(), 2)
-	sec54.Kind, sec54.Trace = KindSec54, telemetry.TraceDecisions
+	sec54.Kind = KindSec54
 	for _, sp := range []JobSpec{
 		simSpec(scenario, ContenderSpec{Type: ContABS, Name: "ABS", CtrlSeed: 1}, 3),
 		oracle, sec54,

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"fedgpo/internal/core"
 	"fedgpo/internal/fl"
 	"fedgpo/internal/runtime"
 	"fedgpo/internal/telemetry"
@@ -13,8 +12,7 @@ import (
 )
 
 // telemetryScenario is the small deployment the telemetry tests run:
-// one static cell plus one FedGPO (cold) cell — the traceable
-// contender — at a single seed.
+// one static cell plus one FedGPO (cold) cell at a single seed.
 func telemetryScenario() ScenarioSpec {
 	s := Ideal(workload.CNNMNIST())
 	s.Fleet.Size = 20
@@ -46,71 +44,20 @@ func telemetryRun(t *testing.T, rt *Runtime) string {
 	return string(b)
 }
 
-// Tracing and metrics must never change the job's canonical key: the
-// traced and untraced encodings of the same cell address one cache
-// cell, while the trace artifact lives under its own versioned key.
-func TestTraceDoesNotChangeCanonicalKey(t *testing.T) {
-	sp := telemetrySpecs()[1]
-	plain := sp.Key()
-	sp.Trace = telemetry.TraceDecisions
-	if traced := sp.Key(); traced != plain {
-		t.Errorf("trace level changed the canonical key:\nuntraced %q\ntraced   %q", plain, traced)
-	}
-	tk := traceKey(sp)
-	if !strings.HasPrefix(tk, "v4|trace|decisions|") {
-		t.Errorf("trace key %q does not use the versioned trace scheme", tk)
-	}
-	if tk == plain {
-		t.Error("trace artifact key collides with the result key")
-	}
-}
-
-// The tentpole's determinism guarantee, across every backend: a run
-// with decision tracing and telemetry enabled produces byte-identical
-// simulation results to an uninstrumented pool run — on the pool
-// backend, and over the localhost TCP transport to a pool sharing the
-// coordinator's cache directory and to one that does not (where the
-// trace level rides the wire spec).
-func TestTracedRunsAreByteIdenticalAcrossBackends(t *testing.T) {
+// Every backend computes byte-identical simulation results: the
+// in-process pool, and the localhost TCP transport to a pool sharing
+// the coordinator's cache directory and to one that does not. The
+// coordinator's telemetry carries the worker-side phases across the
+// wire and reconciles with its executor stats.
+func TestRunsAreByteIdenticalAcrossBackends(t *testing.T) {
 	baseRT, err := NewRuntime(0, "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	base := telemetryRun(t, baseRT)
 
-	// Pool backend, tracing on, disk cache.
-	poolDir := t.TempDir()
-	rtPool, err := NewRuntime(0, poolDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rtPool.SetTraceLevel(telemetry.TraceDecisions)
-	if got := telemetryRun(t, rtPool); got != base {
-		t.Errorf("traced pool run differs from untraced run:\n--- untraced ---\n%s\n--- traced ---\n%s", base, got)
-	}
-
-	// The traced FedGPO cell published its decision trace as a
-	// spec-addressed artifact; the static cell (untraceable) did not.
-	fedgpo := telemetrySpecs()[1]
-	fedgpo.Trace = telemetry.TraceDecisions
-	var trace []core.RoundTrace
-	if !rtPool.cache.Get(traceKey(fedgpo), &trace) || len(trace) == 0 {
-		t.Fatalf("traced run published no decision trace under %q", traceKey(fedgpo))
-	}
-	for _, rt := range trace {
-		if len(rt.K.Allowed) == 0 {
-			t.Errorf("round %d trace has an empty masked action set", rt.Round)
-		}
-	}
-	static := telemetrySpecs()[0]
-	static.Trace = telemetry.TraceDecisions
-	var none json.RawMessage
-	if rtPool.cache.Get(traceKey(static), &none) {
-		t.Error("untraceable static cell published a trace artifact")
-	}
-
 	// Localhost TCP worker pool sharing the coordinator's cache
-	// directory, tracing on.
+	// directory.
 	procsDir := t.TempDir()
 	sharedAddr, stopShared := startWorkerPool(t, 2, procsDir)
 	procsCache, err := runtime.NewCache(procsDir)
@@ -120,29 +67,13 @@ func TestTracedRunsAreByteIdenticalAcrossBackends(t *testing.T) {
 	rtProcs := NewRuntimeWithBackend(runtime.NewProcBackend(runtime.ProcConfig{
 		Workers: []string{sharedAddr},
 	}), procsCache)
-	rtProcs.SetTraceLevel(telemetry.TraceDecisions)
 	if got := telemetryRun(t, rtProcs); got != base {
-		t.Errorf("traced cache-sharing TCP run differs from untraced pool run:\n--- pool ---\n%s\n--- tcp ---\n%s", base, got)
+		t.Errorf("cache-sharing TCP run differs from pool run:\n--- pool ---\n%s\n--- tcp ---\n%s", base, got)
 	}
 	stopShared()
-	// The pool appended the trace artifact to its own pack in the shared
-	// directory, after the coordinator's Cache built its index; a Cache
-	// opened now reads it.
-	sharedCache, err := runtime.NewCache(procsDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var procsTrace []core.RoundTrace
-	if !sharedCache.Get(traceKey(fedgpo), &procsTrace) || len(procsTrace) == 0 {
-		t.Error("traced cache-sharing TCP run published no decision trace in the shared cache")
-	}
 
-	// A second localhost TCP worker pool, tracing on. The coordinator
-	// stamps the trace level onto the wire spec; the worker's own trace
-	// level is unset, so any trace recorded proves the request crossed
-	// the wire.
-	workerDir := t.TempDir()
-	addr, shutdown := startWorkerPool(t, 2, workerDir)
+	// A second localhost TCP worker pool with a cache of its own.
+	addr, shutdown := startWorkerPool(t, 2, t.TempDir())
 	coordCache, err := runtime.NewCache(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
@@ -150,19 +81,10 @@ func TestTracedRunsAreByteIdenticalAcrossBackends(t *testing.T) {
 	rtTCP := NewRuntimeWithBackend(runtime.NewProcBackend(runtime.ProcConfig{
 		Workers: []string{addr},
 	}), coordCache)
-	rtTCP.SetTraceLevel(telemetry.TraceDecisions)
 	if got := telemetryRun(t, rtTCP); got != base {
-		t.Errorf("traced TCP run differs from untraced pool run:\n--- pool ---\n%s\n--- tcp ---\n%s", base, got)
+		t.Errorf("TCP run differs from pool run:\n--- pool ---\n%s\n--- tcp ---\n%s", base, got)
 	}
 	shutdown()
-	workerCache, err := runtime.NewCache(workerDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var tcpTrace []core.RoundTrace
-	if !workerCache.Get(traceKey(fedgpo), &tcpTrace) || len(tcpTrace) == 0 {
-		t.Error("traced TCP run published no decision trace in the worker's cache")
-	}
 
 	// Worker-side telemetry crossed the wire: the coordinator's metrics
 	// report the simulation phases its workers timed, and its job-level
@@ -181,54 +103,6 @@ func TestTracedRunsAreByteIdenticalAcrossBackends(t *testing.T) {
 	}
 	if m.Endpoints[0].Latency.Count == 0 {
 		t.Error("TCP dispatch recorded no latency observations")
-	}
-}
-
-// The trace-cost contract: tracing a cached cell costs exactly one
-// re-run (ForceRun captures the trace while republishing byte-identical
-// results), and re-tracing an already-traced cell costs zero
-// simulations.
-func TestTraceReplayCostsOneRunThenZero(t *testing.T) {
-	dir := t.TempDir()
-
-	// Untraced cold run fills the result cache.
-	rt1, err := NewRuntime(0, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := telemetryRun(t, rt1)
-	if st := rt1.Stats(); st.Runs != 2 {
-		t.Fatalf("cold run simulated %d cells, want 2", st.Runs)
-	}
-
-	// First traced rerun: the traceable FedGPO cell re-executes once to
-	// capture its trace; the static cell stays a cache hit.
-	rt2, err := NewRuntime(0, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt2.SetTraceLevel(telemetry.TraceDecisions)
-	if got := telemetryRun(t, rt2); got != base {
-		t.Error("trace-capturing rerun changed the results")
-	}
-	if st := rt2.Stats(); st.Runs != 1 || st.Hits != 1 {
-		t.Errorf("trace-capturing rerun stats = %+v, want 1 run (FedGPO re-trace) / 1 hit (static)", st)
-	}
-
-	// Second traced rerun: the artifact exists, so tracing costs zero.
-	rt3, err := NewRuntime(0, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt3.SetTraceLevel(telemetry.TraceDecisions)
-	if got := telemetryRun(t, rt3); got != base {
-		t.Error("warm traced rerun changed the results")
-	}
-	if st := rt3.Stats(); st.Runs != 0 || st.Hits != 2 {
-		t.Errorf("warm traced rerun stats = %+v, want 0 runs / 2 hits", st)
-	}
-	if m := rt3.Metrics(); m.Counters.SimsExecuted != 0 || m.Counters.CacheHits != 2 {
-		t.Errorf("warm traced rerun metrics counters = %+v, want 0 sims / 2 hits", m.Counters)
 	}
 }
 

@@ -103,11 +103,11 @@ func TestMaskedMaxQUsesAllowedBest(t *testing.T) {
 		tab.Update(tab.named("s"), 0, 5, tab.named("s"))
 		tab.Update(tab.named("s"), 2, 50, tab.named("s"))
 	}
-	full := tab.MaxQ(tab.named("s"))
+	full := tab.maxQ(tab.named("s"))
 	tab.SetMask([]bool{true, true, false})
-	masked := tab.MaxQ(tab.named("s"))
+	masked := tab.maxQ(tab.named("s"))
 	if masked >= full {
-		t.Fatalf("masked MaxQ %v should drop below unmasked %v", masked, full)
+		t.Fatalf("masked maxQ %v should drop below unmasked %v", masked, full)
 	}
 }
 

@@ -181,12 +181,6 @@ func (t *QTable) best(row []float64) int {
 	return best
 }
 
-// MaxQ returns the value of the greedy action for a state.
-func (t *QTable) MaxQ(s int) float64 {
-	row := t.Values(s)
-	return row[t.best(row)]
-}
-
 // Select picks an action epsilon-greedily: with probability ϵ a uniform
 // random allowed action (exploration), otherwise the greedy one
 // (exploitation).

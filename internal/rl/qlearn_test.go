@@ -27,6 +27,13 @@ func newLowInitTable(t *testing.T, actions int, eps float64) *QTable {
 // named interns a state name in the table's space.
 func (t *QTable) named(name string) int { return t.space.Index(name) }
 
+// maxQ returns the value of the greedy (allowed) action for a state,
+// the value Update bootstraps from.
+func (t *QTable) maxQ(s int) float64 {
+	row := t.Values(s)
+	return row[t.best(row)]
+}
+
 func TestPaperConfigValues(t *testing.T) {
 	c := PaperConfig()
 	if c.LearningRate != 0.9 || c.Discount != 0.1 || c.Epsilon != 0.1 {
@@ -102,7 +109,7 @@ func TestUpdateMovesTowardTarget(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		tab.Update(tab.named("s"), 2, 10, tab.named("s2"))
 	}
-	want := 10 + 0.1*tab.MaxQ(tab.named("s2"))
+	want := 10 + 0.1*tab.maxQ(tab.named("s2"))
 	got := tab.Values(tab.named("s"))[2]
 	if diff := got - want; diff > 0.01 || diff < -0.01 {
 		t.Errorf("fixed point = %v, want %v", got, want)

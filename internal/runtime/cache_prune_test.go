@@ -133,7 +133,7 @@ func TestStatsConsistentSnapshot(t *testing.T) {
 	}
 }
 
-// Secondary artifacts — pretrain snapshots, decision traces — live in
+// Secondary artifacts — pretrain snapshots, grid selections — live in
 // the same packs as job results, addressed by the digest of their
 // KeyFor-style keys. A hit on one must touch its pack exactly like a
 // job result's, so a recently reused snapshot survives

@@ -279,10 +279,12 @@
 // (exp.Runtime.InstallSnapshot), and its pretrain singleflight reads
 // them there, as it reads a snapshot an earlier run left in a cache
 // directory, instead of executing the warm-up. A snapshot counts as
-// held by a pool once the request carrying it was sent, so a request
-// resent after a failed send carries it again. Per-endpoint
-// pushed-snapshot bytes land in the -v summary and the -metrics-out
-// artifact beside the dispatch counters.
+// held by a pool once the pool answers a request reading it (or
+// returns it, having built it). Until then every request for that key
+// carries it: the pool's other sessions may reach it before the first
+// install lands, and a request resent after a failed send carries it
+// again. Per-endpoint pushed-snapshot bytes land in the -v summary and
+// the -metrics-out artifact beside the dispatch counters.
 //
 // # Cache format
 //
@@ -309,8 +311,8 @@
 // metric's definition never lives in cached bytes. A pretrain
 // snapshot's payload is its binary form too
 // (core.Snapshot.AppendBinary), stored as the bytes its warm-up
-// encoded. Every other artifact — decision traces, the Fixed (Best)
-// grid selection — stays JSON. The canonical key rides in clear text
+// encoded. The one other artifact, the Fixed (Best) grid selection,
+// stays JSON. The canonical key rides in clear text
 // ahead of the payload, so a reader rejects a
 // foreign record (hash collision) after reading only the header, and
 // packs stay greppable by key. The payload is stored raw: float64
@@ -433,8 +435,8 @@
 //     (CacheTouches, at most one per pack),
 //     and reports Prune removals
 //     as Evictions. Cache-level counters can exceed job-level ones:
-//     pretrain snapshots and trace artifacts are cache traffic but not
-//     jobs.
+//     pretrain snapshots and grid selections are cache traffic but
+//     not jobs.
 //   - The coordinator lists every endpoint in the collector with zero
 //     counts, then records into that endpoint's entry (under the
 //     collector's lock) each dispatch, retry, give-up and pushed
@@ -452,17 +454,4 @@
 // cache write-back and is not part of the result's binary form, which
 // wire responses and cache entries carry, so cache entries stay
 // byte-identical across cold and warm runs.
-//
-// Decision traces: with tracing enabled (the CLIs' -trace-level flag)
-// each traceable cell's per-round RL decision record is published as a
-// spec-addressed cache artifact under
-//
-//	<keyVersion>|trace|<level>|<kind>|<scenario key>|<controller key>|seed=<N>
-//
-// — addressed exactly like the result it annotates, never colliding
-// with it, and never entering the result's canonical key (traced and
-// untraced runs share one cache cell). A traced cell whose artifact is
-// missing is compiled with Job.ForceRun, re-executing once to capture
-// the trace while republishing byte-identical results; once the
-// artifact exists, re-tracing is a pure cache hit.
 package runtime

@@ -58,12 +58,10 @@ type Job struct {
 	// both must compute the same result.
 	Run func() Result
 	// ForceRun makes the executor skip the cache lookup and execute the
-	// cell even when a cached result exists. The re-run's result is
-	// byte-identical to the cached one (cells are deterministic), so the
-	// redundant write-back is harmless. It exists for side-effect
-	// capture: tracing a cached cell's RL decisions requires one re-run,
-	// which publishes the trace artifact so later traced runs are pure
-	// hits again. ForceRun never enters the canonical key.
+	// cell even when a cached result exists. Its one user is the
+	// experiment harness's invalid spec (exp.Runtime.Job), whose job
+	// must fail with its own validation error rather than be served
+	// another cell's result. ForceRun never enters the canonical key.
 	ForceRun bool
 	// SnapshotKey names the pretrain snapshot the cell reads (for warm
 	// FedGPO cells, the Q-table warm-up's cache key), "" for none. It is

@@ -289,8 +289,8 @@ func (c *Coordinator) storeSnapshot(sa SnapshotArtifact) {
 }
 
 // snapKnown reports whether the worker pool behind ep is known to hold
-// the snapshot for key; markSnapKnown records that it now does (pushed
-// to it, built by it, or warmed for one of its jobs).
+// the snapshot for key; markSnapKnown records that it now does (built
+// by it, or read by one of its answered jobs).
 func (c *Coordinator) snapKnown(ep *endpoint, key string) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -487,12 +487,9 @@ func (c *Coordinator) pump(epi int, ep *endpoint, conn Conn, i int, jobs []Job, 
 		}
 		sent := time.Now()
 		if err := conn.Send(req); err != nil {
-			// Nothing is marked known yet, so the resent request
-			// carries its snapshot again.
+			// The snapshot is marked known only once a request reading
+			// it is answered, so the resent request carries it again.
 			return i, fmt.Errorf("sending %q: %w", keys[i], err)
-		}
-		if pushed > 0 {
-			c.markSnapKnown(ep, sk)
 		}
 		c.col.CountEndpoint(ep.name, func(s *telemetry.Endpoint) {
 			s.Dispatched++
@@ -516,8 +513,9 @@ func (c *Coordinator) pump(epi int, ep *endpoint, conn Conn, i int, jobs []Job, 
 			c.markSnapKnown(ep, sa.Key)
 		}
 		// A finished job reading a snapshot means the worker pool now
-		// holds that snapshot in memory — no need to ever push it
-		// there.
+		// holds that snapshot — no need to ever push it there. Until
+		// then every request reading it carries it: another session's
+		// request may reach the pool before this one's install lands.
 		if sk != "" && r.Err == "" {
 			c.markSnapKnown(ep, sk)
 		}

@@ -450,9 +450,9 @@ func TestCoordinatorPoolsAndShipsSnapshots(t *testing.T) {
 	}
 }
 
-// A snapshot counts as pushed only once the frame carrying it was sent:
-// when the first send fails, the retried frame must carry the snapshot
-// again, or the worker would run a second warm-up.
+// A snapshot counts as held only once a request reading it is
+// answered: when the first send fails, the retried frame must carry the
+// snapshot again, or the worker would run a second warm-up.
 func TestCoordinatorResendAfterFailedSendCarriesSnapshot(t *testing.T) {
 	var mu sync.Mutex
 	var got [][]SnapshotArtifact
@@ -481,5 +481,60 @@ func TestCoordinatorResendAfterFailedSendCarriesSnapshot(t *testing.T) {
 	}
 	if st := c.EndpointStats(); st[0].Retried != 1 || st[0].SnapBytesSent != int64(len(snapArtifact)) {
 		t.Errorf("endpoint stats %+v, want 1 retry and %d snapshot bytes pushed once", st[0], len(snapArtifact))
+	}
+}
+
+// Two sessions of one pool may both be waiting on requests for a pooled
+// snapshot key before either is answered; the pool may run the second
+// before it installs the first's artifact. So a sent artifact does not
+// make the key held: both requests must carry it. The fake pool holds
+// each request until both have arrived, and dials its second session
+// only once the first request is held.
+func TestCoordinatorPushesSnapshotWithEveryUnansweredRequest(t *testing.T) {
+	var mu sync.Mutex
+	var got [][]SnapshotArtifact
+	firstHeld, bothHeld := make(chan struct{}), make(chan struct{})
+	tr := newFakeTransport("fake:a", 2, func(_ int, req WireRequest) (WireResponse, error) {
+		mu.Lock()
+		got = append(got, req.Snaps)
+		switch len(got) {
+		case 1:
+			close(firstHeld)
+		case 2:
+			close(bothHeld)
+		}
+		mu.Unlock()
+		select {
+		case <-bothHeld:
+		case <-time.After(10 * time.Second):
+			return WireResponse{}, errors.New("the second session's request never arrived")
+		}
+		return okResponse(req)
+	})
+	tr.dialErr = func(dial int) error {
+		if dial != 2 {
+			return nil
+		}
+		select {
+		case <-firstHeld:
+			return nil
+		case <-time.After(10 * time.Second):
+			return errors.New("the first session's request never arrived")
+		}
+	}
+	c := NewCoordinator(tr)
+	c.storeSnapshot(SnapshotArtifact{Key: "pretrain-k", Data: snapArtifact})
+	for _, res := range c.Run([]Job{snapJob(0, "pretrain-k", ""), snapJob(1, "pretrain-k", "")}, nil) {
+		if res.Err != "" {
+			t.Fatalf("job failed: %s", res.Err)
+		}
+	}
+	if len(got) != 2 {
+		t.Fatalf("worker served %d requests, want 2", len(got))
+	}
+	for i, snaps := range got {
+		if len(snaps) != 1 || snaps[0].Key != "pretrain-k" || !bytes.Equal(snaps[0].Data, snapArtifact) {
+			t.Errorf("request %d carried snapshots %+v, want the pooled pretrain-k artifact", i, snaps)
+		}
 	}
 }

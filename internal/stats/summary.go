@@ -1,9 +1,6 @@
 package stats
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // Mean returns the arithmetic mean of xs, or 0 for an empty slice.
 func Mean(xs []float64) float64 {
@@ -15,15 +12,6 @@ func Mean(xs []float64) float64 {
 		s += x
 	}
 	return s / float64(len(xs))
-}
-
-// Sum returns the sum of xs.
-func Sum(xs []float64) float64 {
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s
 }
 
 // Max returns the maximum of xs, or 0 for an empty slice.
@@ -66,30 +54,6 @@ func StdDev(xs []float64) float64 {
 		s += d * d
 	}
 	return math.Sqrt(s / float64(len(xs)))
-}
-
-// Percentile returns the p-th percentile (0 <= p <= 100) of xs using
-// linear interpolation between closest ranks.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	c := append([]float64(nil), xs...)
-	sort.Float64s(c)
-	if p <= 0 {
-		return c[0]
-	}
-	if p >= 100 {
-		return c[len(c)-1]
-	}
-	rank := p / 100 * float64(len(c)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return c[lo]
-	}
-	frac := rank - float64(lo)
-	return c[lo]*(1-frac) + c[hi]*frac
 }
 
 // Normalize returns xs scaled so that base maps to 1.0. It is used to

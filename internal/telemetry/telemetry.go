@@ -57,16 +57,6 @@ const (
 	PhaseCacheDecode = "cacheDecode"
 )
 
-// Trace levels for the opt-in RL decision traces (the CLIs'
-// -trace-level flag and JobSpec.Trace field).
-const (
-	// TraceNone disables decision tracing (the default).
-	TraceNone = ""
-	// TraceDecisions records per-round RL decisions: state, masked
-	// action set, chosen action, reward and Q-delta (see core package).
-	TraceDecisions = "decisions"
-)
-
 // Phase is one phase's accumulated wall time and entry count.
 type Phase struct {
 	Seconds float64 `json:"seconds"`
@@ -78,7 +68,7 @@ type Phase struct {
 // reads it back: Stats.Hits is CacheHits and Stats.Runs is
 // SimsExecuted. The cache-level trio (mem/disk hits, misses) counts
 // individual cache reads — job results, pretrained snapshots and
-// trace artifacts alike — so it may exceed the job-level hit count.
+// grid selections alike — so it may exceed the job-level hit count.
 // Retries, Failovers and SnapshotBytesShipped are derived, not
 // counted: Snapshot fills them with sums over Metrics.Endpoints (what
 // a Count writes there is dropped), and Add does not merge them.
